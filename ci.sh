@@ -16,19 +16,19 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q --workspace
 
-echo "==> fault matrix: corrupt a quick world, analyze with 1 and 4 workers, diff"
+echo "==> fault matrix: corrupt a quick world, analyze --full with 1 and 4 workers, diff"
 FAULT_DIR="$(mktemp -d)"
 trap 'rm -rf "$FAULT_DIR"' EXIT
 WEARSCOPE=target/release/wearscope
 "$WEARSCOPE" generate --out "$FAULT_DIR/world" --seed 7 --scale quick 2>/dev/null
 "$WEARSCOPE" corrupt --world "$FAULT_DIR/world" --seed 3 --faults all
-"$WEARSCOPE" analyze --world "$FAULT_DIR/world" --workers 1 --csv "$FAULT_DIR/csv1" \
+"$WEARSCOPE" analyze --world "$FAULT_DIR/world" --workers 1 --full --csv "$FAULT_DIR/csv1" \
     2>/dev/null | grep -v "CSV figure files" >"$FAULT_DIR/out1.txt"
-"$WEARSCOPE" analyze --world "$FAULT_DIR/world" --workers 4 --csv "$FAULT_DIR/csv4" \
+"$WEARSCOPE" analyze --world "$FAULT_DIR/world" --workers 4 --full --csv "$FAULT_DIR/csv4" \
     2>/dev/null | grep -v "CSV figure files" >"$FAULT_DIR/out4.txt"
 diff "$FAULT_DIR/out1.txt" "$FAULT_DIR/out4.txt"
 diff -r "$FAULT_DIR/csv1" "$FAULT_DIR/csv4"
-echo "    corrupted-world analysis identical across worker counts"
+echo "    corrupted-world analysis (full report, data quality, CSVs) identical across worker counts"
 
 echo "==> metrics determinism: analyze with 1 and 4 workers, diff snapshots"
 # Everything outside the snapshot's `timing` key is derived from record

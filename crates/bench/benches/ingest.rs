@@ -8,7 +8,7 @@ use std::hint::black_box;
 use wearscope_bench::{ctx, small_world};
 use wearscope_core::merge::CoreAggregates;
 use wearscope_faults::{corrupt_world, FaultSpec};
-use wearscope_ingest::{load_store_parallel, load_store_resilient, IngestEngine, IngestOptions};
+use wearscope_ingest::{load_store_resilient, IngestEngine, IngestOptions};
 
 fn worker_count_candidates() -> Vec<usize> {
     let cpus = wearscope_ingest::default_workers();
@@ -48,6 +48,7 @@ fn parallel_load(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("wearscope-bench-load-{}", std::process::id()));
     world.save(&dir).expect("saving bench world");
 
+    let opts = IngestOptions::default();
     let mut group = c.benchmark_group("ingest-load");
     group.sample_size(10);
     group.throughput(Throughput::Elements(records));
@@ -55,7 +56,7 @@ fn parallel_load(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("workers", workers),
             &workers,
-            |b, &workers| b.iter(|| load_store_parallel(black_box(&dir), workers).unwrap()),
+            |b, &workers| b.iter(|| load_store_resilient(black_box(&dir), workers, &opts).unwrap()),
         );
     }
     group.finish();

@@ -8,7 +8,7 @@ use std::hint::black_box;
 use wearscope_appdb::{AppCatalog, SniClassifier};
 use wearscope_bench::small_world;
 use wearscope_synthpop::{generate, ScenarioConfig};
-use wearscope_trace::{binary, LogReader, LogWriter, ProxyRecord, TraceStore, TsvRecord};
+use wearscope_trace::{LogReader, LogWriter, ProxyRecord, TraceStore, TsvRecord};
 
 fn generation_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("generation");
@@ -68,20 +68,6 @@ fn codec_throughput(c: &mut Criterion) {
         b.iter(|| {
             LogReader::<_, ProxyRecord>::new(black_box(encoded.as_slice()))
                 .collect::<Result<Vec<_>, _>>()
-                .unwrap()
-                .len()
-        })
-    });
-    // Binary archive codec, for comparison with the TSV interchange codec.
-    let framed = binary::encode_all(&records);
-    group.throughput(Throughput::Elements(records.len() as u64));
-    group.bench_function("encode_proxy_binary", |b| {
-        b.iter(|| binary::encode_all(black_box(&records)).len())
-    });
-    group.throughput(Throughput::Bytes(framed.len() as u64));
-    group.bench_function("decode_proxy_binary", |b| {
-        b.iter(|| {
-            binary::decode_all::<ProxyRecord>(black_box(framed.clone()))
                 .unwrap()
                 .len()
         })

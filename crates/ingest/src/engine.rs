@@ -1,18 +1,15 @@
-//! The worker-pool engine: sharded fold → ordered merge → single finish.
+//! The sharded aggregate engine: sharded fold → ordered merge → single
+//! finish.
 //!
-//! Workers are scoped threads competing for shard indices on a bounded
-//! MPMC channel (a work queue: a worker that draws a heavy shard simply
-//! draws fewer shards). Each worker folds every partial aggregate over its
-//! shard in one pass; the main thread merges partials in ascending shard
-//! index and runs the single-threaded finish step. Determinism therefore
-//! does not depend on scheduling: thread interleaving only changes *who*
-//! folds a shard, never the shard contents, the merge order, or any float
-//! reduction (all deferred to finish — see `wearscope_core::merge`).
+//! The crate's worker pool (`pool`) folds every partial aggregate
+//! over one user-disjoint shard per task, in one pass; the main thread
+//! merges partials in ascending shard index and runs the single-threaded
+//! finish step. Determinism therefore does not depend on scheduling: thread
+//! interleaving only changes *who* folds a shard, never the shard contents,
+//! the merge order, or any float reduction (all deferred to finish — see
+//! `wearscope_core::merge`).
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
-
-use crossbeam::{channel, thread};
 
 use wearscope_core::merge::{
     ActivityPartial, AppPopularityPartial, HourlyProfilePartial, Mergeable, MobilityPartial,
@@ -21,10 +18,11 @@ use wearscope_core::merge::{
 use wearscope_core::sessions::{attribute_records, AttributedTx};
 use wearscope_core::{CoreAggregates, StudyContext};
 use wearscope_obs::Registry;
-use wearscope_report::{DataQuality, IngestReport, ShardFailure, ShardProgress, ShardSource};
+use wearscope_report::{DataQuality, IngestReport, ShardProgress, ShardSource};
 use wearscope_trace::{MmeRecord, ProxyRecord};
 
 use crate::error::IngestError;
+use crate::pool::run_indexed;
 use crate::sharder::shard_store;
 
 /// Shards per worker: enough queue granularity that work stealing evens
@@ -119,11 +117,6 @@ impl IngestEngine {
         }
     }
 
-    /// An engine sized to the machine ([`crate::default_workers`]).
-    pub fn with_default_workers() -> IngestEngine {
-        IngestEngine::new(crate::default_workers())
-    }
-
     /// The worker count this engine runs with.
     pub fn workers(&self) -> usize {
         self.workers
@@ -181,112 +174,40 @@ impl IngestEngine {
         &self,
         ctx: &StudyContext<'_>,
     ) -> Result<(CoreAggregates, IngestReport), IngestError> {
-        enum Done {
-            Ok(usize, Box<ShardAggregates>, ShardProgress),
-            Failed(ShardFailure),
-        }
-
         let start = Instant::now();
         let shards = shard_store(ctx.store, self.workers * SHARDS_PER_WORKER);
         let tasks: Vec<usize> = (0..shards.len())
             .filter(|&i| !shards.shard_is_empty(i))
             .collect();
+        let results = run_indexed(self.workers, &tasks, |&i| {
+            let t0 = Instant::now();
+            #[cfg(test)]
+            test_hooks::maybe_panic(ctx.store, i);
+            let agg = ShardAggregates::fold(ctx, &shards.proxy[i], &shards.mme[i]);
+            (agg, t0.elapsed())
+        });
 
-        let mut slots: Vec<Option<(Box<ShardAggregates>, ShardProgress)>> = Vec::new();
-        slots.resize_with(shards.len(), || None);
-        let mut failures: Vec<ShardFailure> = Vec::new();
-
-        let (task_tx, task_rx) = channel::bounded::<usize>(tasks.len().max(1));
-        let (result_tx, result_rx) = channel::bounded::<Done>(tasks.len().max(1));
-
-        thread::scope(|s| {
-            let shards = &shards;
-            for _ in 0..self.workers {
-                let task_rx = task_rx.clone();
-                let result_tx = result_tx.clone();
-                s.spawn(move |_| {
-                    for i in task_rx.iter() {
-                        let t0 = Instant::now();
-                        let folded = catch_unwind(AssertUnwindSafe(|| {
-                            #[cfg(test)]
-                            test_hooks::maybe_panic(ctx.store, i);
-                            ShardAggregates::fold(ctx, &shards.proxy[i], &shards.mme[i])
-                        }));
-                        let done = match folded {
-                            Ok(agg) => {
-                                let progress = ShardProgress {
-                                    shard: i,
-                                    source: ShardSource::Memory,
-                                    records: (shards.proxy[i].len() + shards.mme[i].len()) as u64,
-                                    bytes: 0,
-                                    parse_errors: 0,
-                                    wall: t0.elapsed(),
-                                };
-                                Done::Ok(i, Box::new(agg), progress)
-                            }
-                            Err(payload) => Done::Failed(ShardFailure {
-                                source: ShardSource::Memory,
-                                shard: i,
-                                panicked: true,
-                                detail: crate::load::panic_detail(payload.as_ref()),
-                            }),
-                        };
-                        if result_tx.send(done).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(result_tx);
-            for &i in &tasks {
-                if task_tx.send(i).is_err() {
-                    break;
-                }
-            }
-            drop(task_tx);
-            for done in result_rx.iter() {
-                match done {
-                    Done::Ok(i, agg, progress) => slots[i] = Some((agg, progress)),
-                    Done::Failed(f) => failures.push(f),
-                }
-            }
-        })
-        .map_err(|_| IngestError::ShardFailed {
-            source: ShardSource::Memory,
-            shard: 0,
-            panicked: true,
-            detail: "worker pool tore down outside a fold".into(),
-        })?;
-
-        for &i in &tasks {
-            if slots[i].is_none() && !failures.iter().any(|f| f.shard == i) {
-                failures.push(ShardFailure {
-                    source: ShardSource::Memory,
-                    shard: i,
-                    panicked: false,
-                    detail: "shard produced no result".into(),
-                });
-            }
-        }
-        if !failures.is_empty() {
-            failures.sort_by_key(|f| f.shard);
-            let f = failures.swap_remove(0);
-            return Err(IngestError::ShardFailed {
-                source: f.source,
-                shard: f.shard,
-                panicked: f.panicked,
-                detail: f.detail,
-            });
-        }
-
-        // Merge in ascending shard index — the deterministic merge order
-        // the Mergeable contract asks for.
+        // Tasks ascend by shard index, so merging in result order is the
+        // deterministic merge order the Mergeable contract asks for, and the
+        // first failure is the lowest failed shard.
         let mut merged = ShardAggregates::identity();
-        let mut progress = Vec::new();
-        for slot in slots.into_iter().flatten() {
-            let (agg, p) = slot;
-            merged.merge(*agg);
-            progress.push(p);
+        let mut progress = Vec::with_capacity(tasks.len());
+        for (i, result) in tasks.into_iter().zip(results) {
+            let (agg, wall) = result.map_err(|detail| IngestError::ShardFailed {
+                source: ShardSource::Memory,
+                shard: i,
+                panicked: true,
+                detail,
+            })?;
+            merged.merge(agg);
+            progress.push(ShardProgress {
+                shard: i,
+                source: ShardSource::Memory,
+                records: (shards.proxy[i].len() + shards.mme[i].len()) as u64,
+                bytes: 0,
+                parse_errors: 0,
+                wall,
+            });
         }
         let aggregates = merged.finish(ctx);
         let records = (ctx.store.proxy().len() + ctx.store.mme().len()) as u64;

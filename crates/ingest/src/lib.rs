@@ -12,30 +12,31 @@
 //!    attribution) are user-local, so sharding by **user-ID hash** keeps
 //!    every stream they care about whole.
 //!
-//! This crate supplies the three layers on top of that substrate:
+//! This crate supplies the layers on top of that substrate:
 //!
-//! * [`sharder`] — partitions an in-memory
+//! * `sharder` (crate-private) — partitions an in-memory
 //!   [`TraceStore`](wearscope_trace::TraceStore) into user-hash shards
 //!   (byte-range shard *planning* for persisted logs lives in
 //!   [`wearscope_trace::shard`]);
-//! * [`load`] — parallel loading of persisted `proxy.log`/`mme.log` files
-//!   by byte-range shards, in two flavours: [`load_store_resilient`]
-//!   quarantines per-record faults (malformed lines, duplicates, timestamp
-//!   regressions, clock skew, invalid IMEIs) up to an error budget, while
-//!   [`load_store_parallel`] keeps the legacy all-or-nothing contract;
+//! * [`load`] — [`load_store_resilient`], parallel loading of persisted
+//!   `proxy.log`/`mme.log` files by byte-range shards, quarantining
+//!   per-record faults (malformed lines, duplicates, timestamp regressions,
+//!   clock skew, invalid IMEIs) up to an error budget;
 //! * [`quarantine`] — the per-record validation pass and the typed
 //!   [`QuarantineReason`](wearscope_report::QuarantineReason) ledger
 //!   written to `quarantine.log`;
-//! * [`engine`] — a scoped-thread worker pool (bounded-channel work queue,
-//!   workers compete for shards) producing a
+//! * [`engine`] — folds the user-hash shards into a
 //!   [`CoreAggregates`](wearscope_core::CoreAggregates) plus an
 //!   [`IngestReport`](wearscope_report::IngestReport) of per-shard progress.
 //!
-//! Workers run each shard under `catch_unwind` with bounded I/O retry, so
-//! a poisoned shard surfaces as a typed [`IngestError::ShardFailed`] after
-//! the remaining shards complete. Quarantine decisions depend only on file
-//! content and file order — never shard layout — so resilient loads are
-//! bit-identical for every worker count, corrupted input included.
+//! Shard reads and shard folds run on one worker pool: scoped `std`
+//! threads claiming task indices from an atomic counter, each task under
+//! `catch_unwind`, results in task order. A poisoned shard surfaces as a
+//! typed [`IngestError::ShardFailed`] after the remaining shards complete,
+//! and shard reads retry transient I/O errors with backoff. Quarantine
+//! decisions depend only on file content and file order — never shard
+//! layout — so resilient loads are bit-identical for every worker count,
+//! corrupted input included.
 //!
 //! `wearscope analyze --workers N` wires these together; the engine is
 //! proven byte-identical to the sequential path by the
@@ -47,14 +48,14 @@
 pub mod engine;
 pub mod error;
 pub mod load;
+mod pool;
 pub mod quarantine;
-pub mod sharder;
+mod sharder;
 
 pub use engine::IngestEngine;
 pub use error::IngestError;
-pub use load::{load_store_parallel, load_store_resilient};
+pub use load::load_store_resilient;
 pub use quarantine::{reason_for_codec, IngestOptions, DEFAULT_MAX_ERROR_RATE};
-pub use sharder::{shard_store, MemoryShards};
 
 /// The number of available CPUs — the default for `--workers`.
 pub fn default_workers() -> usize {

@@ -1,78 +1,54 @@
 //! Parallel loading of persisted `proxy.log` / `mme.log` files.
 //!
 //! The shard planner ([`wearscope_trace::plan_tsv_shards`]) splits each
-//! file into record-aligned byte ranges; workers then parse ranges
-//! concurrently and the shards are concatenated in file order, so the
-//! resulting [`TraceStore`] is identical to a sequential
+//! file into record-aligned byte ranges; the crate's worker pool then parses
+//! ranges concurrently and the shards are concatenated in file order, so
+//! the resulting [`TraceStore`] is identical to a sequential
 //! [`TraceStore::load`] for any worker count.
 //!
-//! Two contracts are offered over the same pool:
-//!
-//! * [`load_store_resilient`] — **quarantine and degrade**. Malformed
-//!   lines, duplicates, timestamp regressions, clock skew, and invalid
-//!   IMEIs are quarantined per record (see [`crate::quarantine`]) and the
-//!   load succeeds on the survivors, up to the `--max-error-rate` budget.
-//!   Workers retry transient I/O errors with backoff and run under
-//!   `catch_unwind`, so a poisoned shard is recorded as failed while the
-//!   remaining shards complete.
-//! * [`load_store_parallel`] — the legacy all-or-nothing contract: any
-//!   malformed line fails the load with the counts in the error message.
+//! [`load_store_resilient`] **quarantines and degrades**: malformed lines,
+//! duplicates, timestamp regressions, clock skew, and invalid IMEIs are
+//! quarantined per record (see [`crate::quarantine`]) and the load succeeds
+//! on the survivors, up to the `--max-error-rate` budget. Shard reads retry
+//! transient I/O errors with backoff and run under `catch_unwind`, so a
+//! poisoned shard is recorded as failed while the remaining shards
+//! complete.
 //!
 //! Every quarantine decision is a function of file content and file order
 //! only — never of shard layout or scheduling — so resilient loads are
 //! bit-identical for every worker count, corrupted input included.
 
 use std::io;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::time::Instant;
-
-use crossbeam::{channel, thread};
+use std::time::{Duration, Instant};
 
 use wearscope_obs::{Counter, Registry};
 use wearscope_report::{
-    DataQuality, IngestReport, QuarantineCounts, QuarantineReason, ShardFailure, ShardProgress,
-    ShardSource,
+    DataQuality, IngestReport, QuarantineCounts, QuarantineReason, ShardProgress, ShardSource,
 };
 use wearscope_trace::{
-    plan_tsv_shards, read_tsv_shard, ByteRange, MmeRecord, ProxyRecord, TraceStore, TsvRecord,
-    TsvShard,
+    plan_tsv_shards, read_tsv_shard, ByteRange, MmeRecord, ProxyRecord, TraceStore, TsvShard,
 };
 
 use crate::engine::SHARDS_PER_WORKER;
 use crate::error::{with_io_retry, IngestError};
+use crate::pool::run_indexed;
 use crate::quarantine::{
     reason_for_codec, validate_source, write_quarantine_log, IngestOptions, Position,
     QuarantineEntry, ValidatedRecord,
 };
 
-#[derive(Debug)]
-enum Task {
-    Proxy(usize, ByteRange),
-    Mme(usize, ByteRange),
+/// One shard read: which log, which of its shards, and the byte range.
+struct Task<'a> {
+    source: ShardSource,
+    path: &'a Path,
+    shard: usize,
+    range: ByteRange,
 }
 
-enum Done {
-    Proxy(usize, TsvShard<ProxyRecord>, ShardProgress),
-    Mme(usize, TsvShard<MmeRecord>, ShardProgress),
-    Failed(ShardFailure),
-}
-
-/// Loads the store under `dir` with the legacy all-or-nothing contract.
-///
-/// # Errors
-/// Propagates I/O errors, and fails with [`io::ErrorKind::InvalidData`] if
-/// any shard contained malformed lines.
-pub fn load_store_parallel(dir: &Path, workers: usize) -> io::Result<(TraceStore, IngestReport)> {
-    match load_store_resilient(dir, workers, &IngestOptions::strict()) {
-        Ok(out) => Ok(out),
-        Err(IngestError::ErrorBudget { quarantined, .. }) => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("{quarantined} malformed log lines under {}", dir.display()),
-        )),
-        Err(IngestError::Io(e)) => Err(e),
-        Err(e) => Err(io::Error::other(e.to_string())),
-    }
+enum Parsed {
+    Proxy(TsvShard<ProxyRecord>),
+    Mme(TsvShard<MmeRecord>),
 }
 
 /// Loads the store under `dir` (as written by `TraceStore::save`) with a
@@ -82,7 +58,8 @@ pub fn load_store_parallel(dir: &Path, workers: usize) -> io::Result<(TraceStore
 /// # Errors
 /// [`IngestError::Io`] for filesystem errors outside the shards,
 /// [`IngestError::ShardFailed`] when a shard panicked or exhausted its I/O
-/// retries (the remaining shards still complete), and
+/// retries (the remaining shards still complete; the first failed shard in
+/// proxy-then-MME, lowest-index order is reported), and
 /// [`IngestError::ErrorBudget`] when a log's quarantined fraction exceeds
 /// `opts.max_error_rate` (`quarantine.log` is still written first).
 pub fn load_store_resilient(
@@ -95,86 +72,54 @@ pub fn load_store_resilient(
     let proxy_path = dir.join("proxy.log");
     let mme_path = dir.join("mme.log");
     let max_shards = workers * SHARDS_PER_WORKER;
-    let proxy_plan = plan_tsv_shards(&proxy_path, max_shards)?;
-    let mme_plan = plan_tsv_shards(&mme_path, max_shards)?;
-
-    let tasks: Vec<Task> = proxy_plan
-        .iter()
-        .enumerate()
-        .map(|(i, r)| Task::Proxy(i, *r))
-        .chain(mme_plan.iter().enumerate().map(|(i, r)| Task::Mme(i, *r)))
-        .collect();
-
-    let mut proxy_slots: Vec<Option<TsvShard<ProxyRecord>>> = Vec::new();
-    proxy_slots.resize_with(proxy_plan.len(), || None);
-    let mut mme_slots: Vec<Option<TsvShard<MmeRecord>>> = Vec::new();
-    mme_slots.resize_with(mme_plan.len(), || None);
-    let mut progress: Vec<ShardProgress> = Vec::new();
-    let mut failures: Vec<ShardFailure> = Vec::new();
-
-    let (task_tx, task_rx) = channel::bounded::<Task>(tasks.len().max(1));
-    let (result_tx, result_rx) = channel::bounded::<Done>(tasks.len().max(1));
+    let plan = |source, path| -> io::Result<Vec<Task<'_>>> {
+        Ok(plan_tsv_shards(path, max_shards)?
+            .into_iter()
+            .enumerate()
+            .map(|(shard, range)| Task {
+                source,
+                path,
+                shard,
+                range,
+            })
+            .collect())
+    };
+    let mut tasks = plan(ShardSource::Proxy, &proxy_path)?;
+    tasks.extend(plan(ShardSource::Mme, &mme_path)?);
 
     let retries = opts.metrics.counter("ingest.io_retries");
+    let results = run_indexed(workers, &tasks, |t| {
+        let t0 = Instant::now();
+        read_task(t, &retries).map(|parsed| (parsed, t0.elapsed()))
+    });
 
-    thread::scope(|s| {
-        let proxy_path = &proxy_path;
-        let mme_path = &mme_path;
-        for _ in 0..workers {
-            let task_rx = task_rx.clone();
-            let result_tx = result_tx.clone();
-            let retries = retries.clone();
-            s.spawn(move |_| {
-                for task in task_rx.iter() {
-                    let done = run_task(proxy_path, mme_path, task, &retries);
-                    if result_tx.send(done).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(result_tx);
-        for task in tasks {
-            if task_tx.send(task).is_err() {
-                // All receivers gone; the missing-slot check below reports
-                // the shards that never ran.
-                break;
+    let mut proxy_shards = Vec::new();
+    let mut mme_shards = Vec::new();
+    let mut progress = Vec::with_capacity(results.len());
+    // Task order is proxy first, then MME, each by ascending shard, so the
+    // first failure met here is the deterministic one to report.
+    for (t, result) in tasks.iter().zip(results) {
+        let (parsed, wall) = match result {
+            Ok(Ok(done)) => done,
+            Ok(Err(e)) => return Err(shard_failed(t, false, e.to_string())),
+            Err(panic) => return Err(shard_failed(t, true, panic)),
+        };
+        progress.push(match parsed {
+            Parsed::Proxy(shard) => {
+                let p = shard_progress(t, &shard, wall);
+                proxy_shards.push(shard);
+                p
             }
-        }
-        drop(task_tx);
-        for done in result_rx.iter() {
-            match done {
-                Done::Proxy(i, shard, p) => {
-                    proxy_slots[i] = Some(shard);
-                    progress.push(p);
-                }
-                Done::Mme(i, shard, p) => {
-                    mme_slots[i] = Some(shard);
-                    progress.push(p);
-                }
-                Done::Failed(f) => failures.push(f),
+            Parsed::Mme(shard) => {
+                let p = shard_progress(t, &shard, wall);
+                mme_shards.push(shard);
+                p
             }
-        }
-    })
-    .map_err(|_| IngestError::Io(io::Error::other("shard reader pool panicked")))?;
-
-    // A shard with neither a result nor a recorded failure never ran.
-    note_missing_slots(&proxy_slots, ShardSource::Proxy, &mut failures);
-    note_missing_slots(&mme_slots, ShardSource::Mme, &mut failures);
-    if !failures.is_empty() {
-        // Deterministic pick regardless of which worker reported first.
-        failures.sort_by_key(|f| (f.source != ShardSource::Proxy, f.shard));
-        let f = failures.swap_remove(0);
-        return Err(IngestError::ShardFailed {
-            source: f.source,
-            shard: f.shard,
-            panicked: f.panicked,
-            detail: f.detail,
         });
     }
 
-    let proxy = process_source(ShardSource::Proxy, proxy_slots, opts);
-    let mme = process_source(ShardSource::Mme, mme_slots, opts);
+    let proxy = process_source(ShardSource::Proxy, proxy_shards, opts);
+    let mme = process_source(ShardSource::Mme, mme_shards, opts);
 
     record_source_metrics(&opts.metrics, ShardSource::Proxy, &proxy, &progress);
     record_source_metrics(&opts.metrics, ShardSource::Mme, &mme, &progress);
@@ -207,9 +152,8 @@ pub fn load_store_resilient(
         max_error_rate: opts.max_error_rate,
     };
 
-    // Concatenate in shard-index order = file order; `from_records`' stable
+    // Concatenated in shard-index order = file order; `from_records`' stable
     // time sort then reproduces the sequential load exactly.
-    progress.sort_by_key(|p| (p.source != ShardSource::Proxy, p.shard));
     let store = TraceStore::from_records(proxy.kept, mme.kept);
     let report = IngestReport {
         workers,
@@ -220,86 +164,25 @@ pub fn load_store_resilient(
     Ok((store, report))
 }
 
-/// Reads one shard inside the worker: transient I/O errors are retried
-/// with backoff, and panics are caught so a poisoned shard becomes a
-/// recorded [`ShardFailure`] instead of tearing the pool down.
-fn run_task(proxy_path: &Path, mme_path: &Path, task: Task, retries: &Counter) -> Done {
-    let t0 = Instant::now();
-    match task {
-        Task::Proxy(i, range) => {
-            match guarded_read::<ProxyRecord>(proxy_path, range, ShardSource::Proxy, i, retries) {
-                Ok(shard) => {
-                    let p = shard_progress(i, ShardSource::Proxy, &shard, t0);
-                    Done::Proxy(i, shard, p)
-                }
-                Err(f) => Done::Failed(f),
-            }
-        }
-        Task::Mme(i, range) => {
-            match guarded_read::<MmeRecord>(mme_path, range, ShardSource::Mme, i, retries) {
-                Ok(shard) => {
-                    let p = shard_progress(i, ShardSource::Mme, &shard, t0);
-                    Done::Mme(i, shard, p)
-                }
-                Err(f) => Done::Failed(f),
-            }
-        }
-    }
-}
-
-fn guarded_read<R: TsvRecord>(
-    path: &Path,
-    range: ByteRange,
-    source: ShardSource,
-    shard: usize,
-    retries: &Counter,
-) -> Result<TsvShard<R>, ShardFailure> {
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        #[cfg(test)]
-        test_hooks::maybe_panic(path, source, shard);
-        with_io_retry(|| read_tsv_shard::<R>(path, range), Some(retries))
-    }));
-    match outcome {
-        Ok(Ok(shard)) => Ok(shard),
-        Ok(Err(e)) => Err(ShardFailure {
-            source,
-            shard,
-            panicked: false,
-            detail: e.to_string(),
-        }),
-        Err(payload) => Err(ShardFailure {
-            source,
-            shard,
-            panicked: true,
-            detail: panic_detail(payload.as_ref()),
-        }),
-    }
-}
-
-pub(crate) fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
+/// Reads one shard inside a pool worker, retrying transient I/O errors
+/// with backoff.
+fn read_task(t: &Task<'_>, retries: &Counter) -> io::Result<Parsed> {
+    #[cfg(test)]
+    test_hooks::maybe_panic(t.path, t.source, t.shard);
+    let retries = Some(retries);
+    if t.source == ShardSource::Proxy {
+        with_io_retry(|| read_tsv_shard(t.path, t.range), retries).map(Parsed::Proxy)
     } else {
-        "opaque panic payload".into()
+        with_io_retry(|| read_tsv_shard(t.path, t.range), retries).map(Parsed::Mme)
     }
 }
 
-fn note_missing_slots<R>(
-    slots: &[Option<TsvShard<R>>],
-    source: ShardSource,
-    failures: &mut Vec<ShardFailure>,
-) {
-    for (i, slot) in slots.iter().enumerate() {
-        if slot.is_none() && !failures.iter().any(|f| f.source == source && f.shard == i) {
-            failures.push(ShardFailure {
-                source,
-                shard: i,
-                panicked: false,
-                detail: "shard produced no result".into(),
-            });
-        }
+fn shard_failed(t: &Task<'_>, panicked: bool, detail: String) -> IngestError {
+    IngestError::ShardFailed {
+        source: t.source,
+        shard: t.shard,
+        panicked,
+        detail,
     }
 }
 
@@ -315,22 +198,22 @@ struct SourceOutcome<R> {
 }
 
 /// Concatenates one source's shards in file order, turning shard-local
-/// parse errors into global quarantine entries and (optionally) running
-/// the content checks over the parsed records.
+/// parse errors into global quarantine entries and then running the content
+/// checks over the parsed records.
 fn process_source<R: ValidatedRecord>(
     source: ShardSource,
-    slots: Vec<Option<TsvShard<R>>>,
+    shards: Vec<TsvShard<R>>,
     opts: &IngestOptions,
 ) -> SourceOutcome<R> {
     let mut counts = QuarantineCounts::default();
     let mut entries = Vec::new();
-    let mut per_shard = vec![0u64; slots.len()];
+    let mut per_shard = vec![0u64; shards.len()];
     let mut records: Vec<R> = Vec::new();
     // Exclusive prefix record counts, for record-index → shard attribution.
-    let mut records_before: Vec<u64> = Vec::with_capacity(slots.len());
+    let mut records_before: Vec<u64> = Vec::with_capacity(shards.len());
     let mut line_base = 0u64;
     let mut parse_errors = 0u64;
-    for (idx, shard) in slots.into_iter().flatten().enumerate() {
+    for (idx, shard) in shards.into_iter().enumerate() {
         for (local_line, error) in &shard.errors {
             let reason = reason_for_codec(error);
             counts.note(reason);
@@ -348,20 +231,15 @@ fn process_source<R: ValidatedRecord>(
         records.extend(shard.records);
     }
     let seen = records.len() as u64 + parse_errors;
-    let kept = if opts.content_checks {
-        let validated = validate_source(records, source, opts, &mut counts, &mut entries);
-        for &ri in &validated.quarantined_indices {
-            let shard_idx = records_before
-                .partition_point(|&b| b <= ri)
-                .saturating_sub(1);
-            per_shard[shard_idx] += 1;
-        }
-        validated.kept
-    } else {
-        records
-    };
+    let validated = validate_source(records, source, opts, &mut counts, &mut entries);
+    for &ri in &validated.quarantined_indices {
+        let shard_idx = records_before
+            .partition_point(|&b| b <= ri)
+            .saturating_sub(1);
+        per_shard[shard_idx] += 1;
+    }
     SourceOutcome {
-        kept,
+        kept: validated.kept,
         seen,
         counts,
         entries,
@@ -449,19 +327,14 @@ fn check_budget<R>(
     })
 }
 
-fn shard_progress<R>(
-    shard: usize,
-    source: ShardSource,
-    tsv: &TsvShard<R>,
-    t0: Instant,
-) -> ShardProgress {
+fn shard_progress<R>(t: &Task<'_>, tsv: &TsvShard<R>, wall: Duration) -> ShardProgress {
     ShardProgress {
-        shard,
-        source,
+        shard: t.shard,
+        source: t.source,
         records: tsv.records.len() as u64,
         bytes: tsv.bytes,
         parse_errors: tsv.errors.len() as u64,
-        wall: t0.elapsed(),
+        wall,
     }
 }
 
@@ -565,7 +438,8 @@ mod tests {
         store.save(&dir).unwrap();
         let sequential = TraceStore::load(&dir).unwrap();
         for workers in [1, 2, 5] {
-            let (parallel, report) = load_store_parallel(&dir, workers).unwrap();
+            let (parallel, report) =
+                load_store_resilient(&dir, workers, &IngestOptions::default()).unwrap();
             assert_eq!(parallel.proxy(), sequential.proxy(), "workers={workers}");
             assert_eq!(parallel.mme(), sequential.mme(), "workers={workers}");
             assert_eq!(
@@ -573,20 +447,30 @@ mod tests {
                 (store.proxy().len() + store.mme().len()) as u64
             );
             assert_eq!(report.parse_errors(), 0);
+            assert!(report.quality.quarantined.is_empty());
             assert!(report.shards.len() > 1 || workers == 1);
         }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn malformed_line_fails_the_load_with_counts() {
+    fn malformed_line_fails_a_zero_budget_load() {
         let store = sample_store();
         let dir = temp_dir("bad");
         store.save(&dir).unwrap();
         replace_proxy_line(&dir, 250, "not\ta\tvalid\trecord");
-        let err = load_store_parallel(&dir, 4).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("1 malformed"), "{err}");
+        let opts = IngestOptions::default().with_max_error_rate(0.0);
+        match load_store_resilient(&dir, 4, &opts) {
+            Err(IngestError::ErrorBudget {
+                source,
+                quarantined,
+                ..
+            }) => {
+                assert_eq!(source, ShardSource::Proxy);
+                assert_eq!(quarantined, 1);
+            }
+            other => panic!("expected ErrorBudget, got {:?}", other.map(|_| ())),
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

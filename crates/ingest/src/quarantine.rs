@@ -35,9 +35,6 @@ pub struct IngestOptions {
     pub max_timestamp: Option<SimTime>,
     /// Where to write `quarantine.log` (`None` = don't write).
     pub quarantine_log: Option<PathBuf>,
-    /// Run the content checks (duplicate / out-of-order / skew / IMEI).
-    /// The legacy strict loader disables them.
-    pub content_checks: bool,
     /// Registry the load reports into: records seen/kept/quarantined per
     /// reason and bytes read (deterministic section), per-shard read times
     /// and retry counts (timing section). A fresh, unobserved registry by
@@ -54,25 +51,12 @@ impl Default for IngestOptions {
             max_error_rate: DEFAULT_MAX_ERROR_RATE,
             max_timestamp: None,
             quarantine_log: None,
-            content_checks: true,
             metrics: Registry::new(),
         }
     }
 }
 
 impl IngestOptions {
-    /// Zero tolerance, parse checks only — the legacy all-or-nothing
-    /// contract of [`crate::load_store_parallel`].
-    pub fn strict() -> IngestOptions {
-        IngestOptions {
-            max_error_rate: 0.0,
-            max_timestamp: None,
-            quarantine_log: None,
-            content_checks: false,
-            metrics: Registry::new(),
-        }
-    }
-
     /// Options for analyzing the world under `dir`: quarantine log beside
     /// the data, and a skew horizon derived from `manifest.tsv`'s window
     /// (summary days + 2 days of slack) when the manifest is readable.
@@ -401,7 +385,6 @@ mod tests {
         let opts = IngestOptions::for_world(&dir);
         assert_eq!(opts.max_timestamp, Some(SimTime::from_days(44)));
         assert_eq!(opts.quarantine_log, Some(dir.join("quarantine.log")));
-        assert!(opts.content_checks);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

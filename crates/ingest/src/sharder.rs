@@ -13,26 +13,21 @@ use wearscope_trace::{MmeRecord, ProxyRecord, TraceStore, UserId};
 /// The store partitioned into user-disjoint shards. Record references keep
 /// the store's time order within each shard.
 #[derive(Debug)]
-pub struct MemoryShards<'a> {
+pub(crate) struct MemoryShards<'a> {
     /// Per shard: that user set's proxy records, in log order.
-    pub proxy: Vec<Vec<&'a ProxyRecord>>,
+    pub(crate) proxy: Vec<Vec<&'a ProxyRecord>>,
     /// Per shard: that user set's MME records, in log order.
-    pub mme: Vec<Vec<&'a MmeRecord>>,
+    pub(crate) mme: Vec<Vec<&'a MmeRecord>>,
 }
 
 impl MemoryShards<'_> {
     /// Number of shards (identical for both logs).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.proxy.len()
     }
 
-    /// `true` if there are no shards.
-    pub fn is_empty(&self) -> bool {
-        self.proxy.is_empty()
-    }
-
     /// `true` if shard `i` holds no records of either log.
-    pub fn shard_is_empty(&self, i: usize) -> bool {
+    pub(crate) fn shard_is_empty(&self, i: usize) -> bool {
         self.proxy[i].is_empty() && self.mme[i].is_empty()
     }
 }
@@ -53,7 +48,7 @@ fn shard_of(user: UserId, shards: usize) -> usize {
 }
 
 /// Partitions `store` into `shards` user-disjoint shards (at least 1).
-pub fn shard_store(store: &TraceStore, shards: usize) -> MemoryShards<'_> {
+pub(crate) fn shard_store(store: &TraceStore, shards: usize) -> MemoryShards<'_> {
     let shards = shards.max(1);
     let mut out = MemoryShards {
         proxy: vec![Vec::new(); shards],

@@ -1,8 +1,7 @@
 //! The composed network: MME + proxy over a sector deployment.
 
-use parking_lot::Mutex;
-
 use std::collections::HashSet;
+use std::sync::{Mutex, PoisonError};
 
 use wearscope_devicedb::{DeviceDb, Imei};
 use wearscope_geo::SectorDirectory;
@@ -73,9 +72,11 @@ impl NetworkSummaries {
 /// The simulated mobile network: feeds a time-ordered [`NetworkEvent`]
 /// stream through the MME and the transparent proxy and collects their logs.
 ///
-/// Interior mutability (a [`parking_lot::Mutex`]) makes the network shareable
-/// across generator threads: each worker can `handle` events for disjoint
-/// user shards and the logs are merged time-sorted at collection.
+/// Interior mutability (a [`Mutex`]) makes the network shareable across
+/// generator threads: each worker can `handle` events for disjoint user
+/// shards and the logs are merged time-sorted at collection. A poisoned
+/// lock means a panic already happened elsewhere, so the network keeps
+/// going with the inner data.
 ///
 /// # Examples
 /// ```
@@ -177,7 +178,7 @@ impl MobileNetwork {
 
     /// Processes one event.
     pub fn handle(&self, event: NetworkEvent) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let t = event.time();
         if t < inner.last_time {
             inner.time_regressions += 1;
@@ -241,7 +242,10 @@ impl MobileNetwork {
     /// Finishes the run: returns the time-sorted trace store, the vantage
     /// point summaries, and run statistics.
     pub fn finish(self) -> (TraceStore, NetworkSummaries, NetworkStats) {
-        let mut inner = self.inner.into_inner();
+        let mut inner = self
+            .inner
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
         let stats = NetworkStats {
             events: inner.events,
             time_regressions: inner.time_regressions,

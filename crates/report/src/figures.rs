@@ -20,23 +20,13 @@ use crate::csv::CsvWriter;
 pub struct FigureCsvExporter<'a> {
     ctx: &'a StudyContext<'a>,
     summaries: &'a NetworkSummaries,
-    aggs: Option<&'a CoreAggregates>,
+    aggs: &'a CoreAggregates,
 }
 
 impl<'a> FigureCsvExporter<'a> {
-    /// Creates an exporter over a study context and vantage summaries; the
-    /// hot aggregates are computed sequentially during export.
-    pub fn new(ctx: &'a StudyContext<'a>, summaries: &'a NetworkSummaries) -> Self {
-        FigureCsvExporter {
-            ctx,
-            summaries,
-            aggs: None,
-        }
-    }
-
-    /// Creates an exporter over pre-computed hot aggregates — the entry
-    /// point used by the parallel ingest engine, which produces an
-    /// identical [`CoreAggregates`] via sharded mergeable folds.
+    /// Creates an exporter over a study context, vantage summaries and the
+    /// hot aggregates ([`CoreAggregates::sequential`] or the parallel
+    /// ingest engine's identical sharded fold).
     pub fn with_aggregates(
         ctx: &'a StudyContext<'a>,
         summaries: &'a NetworkSummaries,
@@ -45,7 +35,7 @@ impl<'a> FigureCsvExporter<'a> {
         FigureCsvExporter {
             ctx,
             summaries,
-            aggs: Some(aggs),
+            aggs,
         }
     }
 
@@ -55,14 +45,7 @@ impl<'a> FigureCsvExporter<'a> {
     /// # Errors
     /// Propagates filesystem errors.
     pub fn export_all(&self, dir: &Path) -> io::Result<usize> {
-        let computed;
-        let aggs = match self.aggs {
-            Some(a) => a,
-            None => {
-                computed = CoreAggregates::sequential(self.ctx);
-                &computed
-            }
-        };
+        let aggs = self.aggs;
         std::fs::create_dir_all(dir)?;
         let mut written = 0usize;
         let mut emit = |name: &str, content: String| -> io::Result<()> {
@@ -289,7 +272,8 @@ mod tests {
         );
         let summaries = NetworkSummaries::default();
         let dir = std::env::temp_dir().join(format!("wearscope-figs-{}", std::process::id()));
-        let n = FigureCsvExporter::new(&ctx, &summaries)
+        let aggs = CoreAggregates::sequential(&ctx);
+        let n = FigureCsvExporter::with_aggregates(&ctx, &summaries, &aggs)
             .export_all(&dir)
             .unwrap();
         assert!(n >= 16, "{n} files");

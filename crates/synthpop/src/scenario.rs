@@ -252,11 +252,11 @@ fn generate_day(
     }
     let chunk = subs.len().div_ceil(workers);
     let mut shards: Vec<Vec<NetworkEvent>> = Vec::new();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = subs
             .chunks(chunk)
             .map(|slice| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut out = Vec::new();
                     for sub in slice {
                         user_day_events(config, apps, grid, sub, day, weekend, in_detail, &mut out);
@@ -268,8 +268,7 @@ fn generate_day(
         for h in handles {
             shards.push(h.join().expect("generator worker panicked"));
         }
-    })
-    .expect("crossbeam scope");
+    });
     shards.into_iter().flatten().collect()
 }
 

@@ -1,7 +1,7 @@
 //! Streaming log writers and readers.
 //!
 //! Logs are plain text: one TSV-encoded record per `\n`-terminated line.
-//! The writer buffers into a [`bytes::BytesMut`] and flushes in large chunks;
+//! The writer buffers into a `Vec<u8>` and flushes in large chunks;
 //! the reader yields records one at a time without materializing the file.
 
 use std::fs::File;
@@ -9,7 +9,6 @@ use std::io::{self, BufRead, Read, Seek, SeekFrom, Write};
 use std::marker::PhantomData;
 use std::path::Path;
 
-use bytes::BytesMut;
 use wearscope_obs::{Counter, Registry};
 
 use crate::codec::{CodecError, TsvRecord};
@@ -105,7 +104,7 @@ pub fn decode_log_line<R: TsvRecord>(raw: &str) -> Option<Result<R, CodecError>>
 pub struct LogWriter<W: Write, R: TsvRecord> {
     /// `None` only transiently inside `into_inner`.
     sink: Option<W>,
-    buf: BytesMut,
+    buf: Vec<u8>,
     written: u64,
     _marker: PhantomData<fn(&R)>,
 }
@@ -118,7 +117,7 @@ impl<W: Write, R: TsvRecord> LogWriter<W, R> {
     pub fn new(sink: W) -> LogWriter<W, R> {
         LogWriter {
             sink: Some(sink),
-            buf: BytesMut::with_capacity(FLUSH_AT + 1024),
+            buf: Vec::with_capacity(FLUSH_AT + 1024),
             written: 0,
             _marker: PhantomData,
         }

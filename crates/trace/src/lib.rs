@@ -13,14 +13,13 @@
 //!
 //! This crate defines the record schemas, a line-oriented TSV codec with
 //! escaping (so logs can be shipped between the simulator and the analysis
-//! as plain files), a compact varint binary codec for archival
-//! ([`binary`]), streaming readers/writers, and [`TraceStore`], the
-//! in-memory time-ordered store the analysis pipelines fold over.
+//! as plain files), streaming readers/writers, byte-range shard planning
+//! for parallel loads, and [`TraceStore`], the in-memory time-ordered
+//! store the analysis pipelines fold over.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod binary;
 pub mod codec;
 pub mod ids;
 pub mod io;
@@ -29,13 +28,10 @@ pub mod proxy;
 pub mod shard;
 pub mod store;
 
-pub use binary::{decode_all, encode_all, BinaryError, BinaryRecord};
 pub use codec::{CodecError, FieldReader, FieldWriter, TsvRecord};
 pub use ids::UserId;
 pub use io::{decode_log_line, IoMeter, LogReader, LogWriter, TailItem, TailReader};
 pub use mme::{MmeEvent, MmeRecord};
 pub use proxy::{ProxyRecord, Scheme};
-pub use shard::{
-    plan_binary_shards, plan_tsv_shards, read_binary_shard, read_tsv_shard, ByteRange, TsvShard,
-};
+pub use shard::{plan_tsv_shards, read_tsv_shard, ByteRange, TsvShard};
 pub use store::TraceStore;

@@ -3,34 +3,24 @@
 //! Parallel ingestion needs to hand each worker a *self-contained* slice of
 //! a log file: one that starts and ends exactly on record boundaries, so the
 //! shards partition the file with no record lost, duplicated, or split.
-//! This module plans such shards for both on-disk codecs:
+//! Records are `\n`-terminated lines and the codec escapes embedded
+//! newlines, so a boundary is valid iff it sits immediately after a `\n`
+//! (or at EOF). [`plan_tsv_shards`] seeks to evenly spaced tentative
+//! offsets and scans forward to the next newline.
 //!
-//! * **TSV logs** ([`plan_tsv_shards`]): records are `\n`-terminated lines
-//!   and the codec escapes embedded newlines, so a boundary is valid iff it
-//!   sits immediately after a `\n` (or at EOF). The planner seeks to evenly
-//!   spaced tentative offsets and scans forward to the next newline.
-//! * **Binary archives** ([`plan_binary_shards`]): frames are
-//!   `[u16 len][payload]` with no resync marker, so boundaries can only be
-//!   found by walking the frame headers from the start. The walk reads two
-//!   bytes per frame and skips payloads, grouping frames into shards of
-//!   roughly equal byte size.
-//!
-//! [`read_tsv_shard`] / [`read_binary_shard`] then parse one planned range,
-//! reporting per-shard counters (records, bytes, malformed lines) that feed
-//! the ingest progress report.
+//! [`read_tsv_shard`] then parses one planned range, reporting per-shard
+//! counters (records, bytes, malformed lines) that feed the ingest progress
+//! report.
 
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom};
 use std::path::Path;
 
-use bytes::Bytes;
-
-use crate::binary::{decode_all, BinaryError, BinaryRecord};
 use crate::codec::{CodecError, TsvRecord};
 use crate::io::{LogReader, ReadError};
 
 /// A half-open byte range `[start, end)` of a log file, aligned to record
-/// boundaries by one of the planners.
+/// boundaries by [`plan_tsv_shards`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ByteRange {
     /// First byte of the shard.
@@ -90,58 +80,6 @@ pub fn plan_tsv_shards(path: &Path, max_shards: usize) -> io::Result<Vec<ByteRan
     Ok(ranges)
 }
 
-/// Plans up to `max_shards` frame-aligned byte ranges over a binary archive
-/// (`[u16 len][payload]` frames, see [`crate::binary`]).
-///
-/// The codec has no resync marker, so the planner walks every frame header
-/// from the start of the file (reading two bytes and seeking past each
-/// payload) and groups whole frames into shards of roughly equal size.
-///
-/// # Errors
-/// Filesystem errors, or [`io::ErrorKind::InvalidData`] if the file ends
-/// inside a frame (a truncated archive cannot be partitioned safely).
-pub fn plan_binary_shards(path: &Path, max_shards: usize) -> io::Result<Vec<ByteRange>> {
-    let file = File::open(path)?;
-    let len = file.metadata()?.len();
-    if len == 0 {
-        return Ok(Vec::new());
-    }
-    let shards = max_shards.max(1) as u64;
-    let target = len.div_ceil(shards);
-    let mut reader = BufReader::new(file);
-    let mut ranges = Vec::new();
-    let mut start = 0u64;
-    let mut pos = 0u64;
-    let mut header = [0u8; 2];
-    while pos < len {
-        if len - pos < 2 {
-            return Err(truncated_frame(pos));
-        }
-        reader.read_exact(&mut header)?;
-        let payload = u64::from(u16::from_le_bytes(header));
-        if len - pos - 2 < payload {
-            return Err(truncated_frame(pos));
-        }
-        reader.seek_relative(payload as i64)?;
-        pos += 2 + payload;
-        if pos - start >= target {
-            ranges.push(ByteRange { start, end: pos });
-            start = pos;
-        }
-    }
-    if start < len {
-        ranges.push(ByteRange { start, end: len });
-    }
-    Ok(ranges)
-}
-
-fn truncated_frame(offset: u64) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("binary log ends inside a frame starting at byte {offset}"),
-    )
-}
-
 /// The parsed contents and counters of one TSV shard.
 #[derive(Debug, Default)]
 pub struct TsvShard<R> {
@@ -154,8 +92,8 @@ pub struct TsvShard<R> {
     /// preceding shards turns a shard-local line number into a global one.
     pub lines: u64,
     /// Malformed lines, as `(1-based line within the shard, error)`. The
-    /// caller decides whether any error is fatal; the legacy loader treats
-    /// the first one as such.
+    /// caller decides what to do with them; the resilient loader
+    /// quarantines each one.
     pub errors: Vec<(u64, CodecError)>,
 }
 
@@ -190,26 +128,9 @@ pub fn read_tsv_shard<R: TsvRecord>(path: &Path, range: ByteRange) -> io::Result
     Ok(shard)
 }
 
-/// Parses one planned binary byte range.
-///
-/// The range must come from [`plan_binary_shards`] (frame-aligned).
-///
-/// # Errors
-/// Filesystem errors, or [`io::ErrorKind::InvalidData`] wrapping the
-/// [`BinaryError`] for malformed payloads.
-pub fn read_binary_shard<R: BinaryRecord>(path: &Path, range: ByteRange) -> io::Result<Vec<R>> {
-    let mut file = File::open(path)?;
-    file.seek(SeekFrom::Start(range.start))?;
-    let mut raw = vec![0u8; range.len() as usize];
-    file.read_exact(&mut raw)?;
-    decode_all(Bytes::from(raw))
-        .map_err(|e: BinaryError| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binary::encode_all;
     use crate::ids::UserId;
     use crate::io::LogWriter;
     use crate::mme::{MmeEvent, MmeRecord};
@@ -303,49 +224,6 @@ mod tests {
         assert_eq!(shard.records.len(), 2);
         assert_eq!(shard.errors.len(), 1);
         assert_eq!(shard.errors[0].0, 2);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn binary_shards_partition_exactly() {
-        let records: Vec<MmeRecord> = (0..500).map(mme).collect();
-        let encoded = encode_all(&records);
-        let path = temp_path("bin");
-        std::fs::write(&path, &encoded[..]).unwrap();
-
-        for shards in [1, 2, 5, 32] {
-            let ranges = plan_binary_shards(&path, shards).unwrap();
-            assert_partition(&ranges, encoded.len() as u64);
-            let mut all = Vec::new();
-            for r in &ranges {
-                all.extend(read_binary_shard::<MmeRecord>(&path, *r).unwrap());
-            }
-            assert_eq!(all, records);
-        }
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn binary_truncated_frame_rejected() {
-        let records: Vec<MmeRecord> = (0..10).map(mme).collect();
-        let encoded = encode_all(&records);
-        let path = temp_path("bin-trunc");
-        // Cuts must land strictly inside a frame — a cut exactly on a frame
-        // boundary is a valid (shorter) archive by construction.
-        let first_frame = 2 + u16::from_le_bytes([encoded[0], encoded[1]]) as usize;
-        for cut in [1, first_frame + 1, encoded.len() - 1] {
-            std::fs::write(&path, &encoded[..cut]).unwrap();
-            let err = plan_binary_shards(&path, 4).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "cut at {cut}");
-        }
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn binary_empty_file_plans_nothing() {
-        let path = temp_path("bin-empty");
-        std::fs::write(&path, b"").unwrap();
-        assert!(plan_binary_shards(&path, 3).unwrap().is_empty());
         std::fs::remove_file(&path).unwrap();
     }
 

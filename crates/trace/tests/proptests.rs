@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use wearscope_simtime::{SimTime, TimeRange};
 use wearscope_trace::{
-    binary, codec, MmeEvent, MmeRecord, ProxyRecord, Scheme, TraceStore, TsvRecord, UserId,
+    codec, MmeEvent, MmeRecord, ProxyRecord, Scheme, TraceStore, TsvRecord, UserId,
 };
 
 fn arb_proxy() -> impl Strategy<Value = ProxyRecord> {
@@ -90,37 +90,6 @@ proptest! {
         let want = proxy.iter().filter(|r| range.contains(r.timestamp)).count();
         prop_assert_eq!(got.len(), want);
         prop_assert!(got.iter().all(|r| range.contains(r.timestamp)));
-    }
-
-    /// Binary codec round-trips arbitrary records, and truncating the frame
-    /// stream anywhere is detected (never a silent partial decode beyond
-    /// whole frames).
-    #[test]
-    fn binary_roundtrip_and_truncation(
-        proxy in prop::collection::vec(arb_proxy(), 0..50),
-        mme in prop::collection::vec(arb_mme(), 0..50),
-        cut_frac in 0.0f64..1.0,
-    ) {
-        let encoded = binary::encode_all(&proxy);
-        let decoded: Vec<ProxyRecord> = binary::decode_all(encoded.clone()).unwrap();
-        prop_assert_eq!(&decoded, &proxy);
-
-        let encoded_mme = binary::encode_all(&mme);
-        let decoded_mme: Vec<MmeRecord> = binary::decode_all(encoded_mme).unwrap();
-        prop_assert_eq!(&decoded_mme, &mme);
-
-        if !encoded.is_empty() {
-            let cut = ((encoded.len() as f64 * cut_frac) as usize).min(encoded.len() - 1);
-            match binary::decode_all::<ProxyRecord>(encoded.slice(..cut)) {
-                // A cut at a frame boundary yields a clean prefix...
-                Ok(prefix) => {
-                    prop_assert!(prefix.len() <= proxy.len());
-                    prop_assert_eq!(&prefix[..], &proxy[..prefix.len()]);
-                }
-                // ...anywhere else is loudly Truncated.
-                Err(e) => prop_assert_eq!(e, binary::BinaryError::Truncated),
-            }
-        }
     }
 
     /// Reading a concatenation of serialized records yields them in order.

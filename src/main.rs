@@ -17,6 +17,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use wearscope::core::takeaways::Takeaways;
+use wearscope::core::CoreAggregates;
 use wearscope::faults::{corrupt_world, FaultSpec};
 use wearscope::ingest::{load_store_resilient, IngestEngine, IngestOptions};
 use wearscope::obs::Registry;
@@ -192,10 +193,12 @@ fn parse_duration(s: &str) -> Result<SimDuration, String> {
         Some(b'd') => (&s[..s.len() - 1], 86_400),
         _ => (s, 1),
     };
-    let n: u64 = digits
-        .parse()
-        .map_err(|_| format!("bad duration `{s}` (expected e.g. 90s, 15m, 1h, 2d)"))?;
-    Ok(SimDuration::from_secs(n * mult))
+    digits
+        .parse::<u64>()
+        .ok()
+        .and_then(|n| n.checked_mul(mult))
+        .map(SimDuration::from_secs)
+        .ok_or_else(|| format!("bad duration `{s}` (expected e.g. 90s, 15m, 1h, 2d)"))
 }
 
 /// Writes the registry's snapshot as sorted-key JSON to `path` and prints
@@ -302,13 +305,14 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
             .compute_with_metrics(&ctx, &metrics)
             .map_err(|e| format!("analyzing {}: {e}", dir.display()))?;
         eprintln!("analyze: {}", compute_report.summary_line());
-        Some(aggs)
+        aggs
     } else {
-        None
+        CoreAggregates::sequential(&ctx)
     };
     fold_span.finish();
 
     if args.iter().any(|a| a == "--full") {
+        let full_span = root.child("full");
         print!("{}", render_full_report(&ctx, &saved.summaries));
         println!();
         if !load_report.quality.quarantined.is_empty() {
@@ -316,22 +320,18 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
             print!("{}", load_report.quality.render_table());
             println!();
         }
+        full_span.finish();
     }
     let report_span = root.child("report");
-    let takeaways = match &aggs {
-        Some(a) => Takeaways::compute_with(&ctx, &saved.summaries, a),
-        None => Takeaways::compute(&ctx, &saved.summaries),
-    };
+    let takeaways = Takeaways::compute_with(&ctx, &saved.summaries, &aggs);
     let report =
         ExperimentReport::from_takeaways_with_window(&takeaways, saved.window.summary().num_days());
     print!("{}", report.render());
     if let Some(csv_dir) = flag(args, "--csv")? {
         let csv_dir = PathBuf::from(csv_dir);
-        let exporter = match &aggs {
-            Some(a) => FigureCsvExporter::with_aggregates(&ctx, &saved.summaries, a),
-            None => FigureCsvExporter::new(&ctx, &saved.summaries),
-        };
-        let written = exporter.export_all(&csv_dir).map_err(|e| e.to_string())?;
+        let written = FigureCsvExporter::with_aggregates(&ctx, &saved.summaries, &aggs)
+            .export_all(&csv_dir)
+            .map_err(|e| e.to_string())?;
         println!(
             "\n{} CSV figure files written to {}",
             written,
@@ -632,6 +632,13 @@ mod tests {
         assert!(parse_duration("h").is_err());
         assert!(parse_duration("1w").is_err());
         assert!(parse_duration("").is_err());
+        // n * 86 400 overflows u64 here: an error, not a wrapped window.
+        let err = parse_duration("213503982334602d").unwrap_err();
+        assert!(err.contains("bad duration"), "{err}");
+        assert_eq!(
+            parse_duration("213503982334601d").unwrap().as_secs(),
+            213_503_982_334_601 * 86_400
+        );
     }
 
     #[test]
