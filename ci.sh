@@ -13,6 +13,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
+# perfbench/ mirrors the CLI's public calls; a change to one of
+# them must fail here, not in the benchmark run. It is a workspace of its
+# own; sharing `target` keeps its build output out of perfbench/.
+echo "==> cargo build --release (perfbench)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml --target-dir target
+
 echo "==> cargo test -q"
 cargo test -q --workspace
 

@@ -19,6 +19,7 @@
 //! | [`sessions`] | Fig. 7 (1-minute-gap sessionization) |
 //! | [`thirdparty`] | Fig. 8 domain classes |
 //! | [`through_device`] | Sec. 6 Through-Device fingerprinting |
+//! | [`results`] | every derived analysis of one study, computed once |
 //! | [`takeaways`] | the headline scalars, gathered in one struct |
 //! | [`merge`] | mergeable partial aggregates — the parallel-ingest substrate |
 //! | [`snapshot`] | deterministic text snapshots of partials (stream checkpoints) |
@@ -39,6 +40,7 @@ pub mod devices;
 pub mod merge;
 pub mod mobility;
 pub mod quality;
+pub mod results;
 pub mod sessions;
 pub mod snapshot;
 pub mod stats;
@@ -49,5 +51,6 @@ pub mod weekly;
 
 pub use context::StudyContext;
 pub use merge::{CoreAggregates, Mergeable};
+pub use results::StudyResults;
 pub use snapshot::{Snapshot, SnapshotError, SnapshotReader};
 pub use stats::Ecdf;

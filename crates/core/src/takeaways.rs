@@ -1,22 +1,15 @@
 //! The paper's headline numbers, gathered in one struct.
 //!
-//! [`Takeaways::compute`] runs the full pipeline and extracts every scalar
-//! the paper states in its abstract, takeaway boxes, and conclusion. The
-//! EXPERIMENTS harness prints these side by side with the paper's values.
+//! [`Takeaways::from_results`] extracts every scalar the paper states in its
+//! abstract, takeaway boxes, and conclusion from one [`StudyResults`];
+//! [`Takeaways::compute`] runs the full pipeline first. The EXPERIMENTS
+//! harness prints these side by side with the paper's values.
 
 use wearscope_mobilenet::NetworkSummaries;
 
-use crate::activity::{self, ActivityCorrelation, ActivitySpans};
-use crate::adoption::{AdoptionTrend, CohortRetention, DataActiveShare};
-use crate::apps::InstallStats;
-use crate::compare::{OwnerVsRest, WearableShare};
 use crate::context::StudyContext;
-use crate::devices::DeviceMix;
 use crate::merge::CoreAggregates;
-use crate::mobility::{Displacement, LocationEntropy, MobilityActivity};
-use crate::thirdparty::DomainBreakdown;
-use crate::through_device::ThroughDeviceReport;
-use crate::weekly::WeeklyPattern;
+use crate::results::StudyResults;
 
 /// Every headline scalar in the paper, measured from the logs.
 #[derive(Clone, Debug)]
@@ -95,74 +88,51 @@ impl Takeaways {
         Takeaways::compute_with(ctx, summaries, &CoreAggregates::sequential(ctx))
     }
 
-    /// Extracts the takeaways from pre-computed hot aggregates — the entry
-    /// point used by the parallel ingest engine (`wearscope-ingest`), which
-    /// produces an identical [`CoreAggregates`] via sharded mergeable folds.
+    /// Extracts the takeaways from pre-computed hot aggregates (the
+    /// sequential fold or the parallel ingest engine's identical one).
     pub fn compute_with(
         ctx: &StudyContext<'_>,
         summaries: &NetworkSummaries,
         aggs: &CoreAggregates,
     ) -> Takeaways {
-        let trend = AdoptionTrend::compute(&summaries.mme, &ctx.window);
-        let retention = CohortRetention::compute(&summaries.mme, &ctx.window);
-        let data_active =
-            DataActiveShare::compute(&summaries.mme, &summaries.wearable_traffic, &ctx.window);
+        Takeaways::from_results(&StudyResults::new(ctx, summaries, aggs))
+    }
 
-        let activity_map = &aggs.activity;
-        let spans = ActivitySpans::compute(ctx, activity_map);
-        let tx_stats = &aggs.tx_stats;
-        let corr = ActivityCorrelation::compute(activity_map);
-        let daily_share = activity::daily_active_share(ctx);
-
-        let traffic = &aggs.traffic;
-        let owner_vs_rest = OwnerVsRest::compute(ctx, traffic);
-        let wearable_share = WearableShare::compute(ctx, traffic);
-
-        let mobility = &aggs.mobility;
-        let displacement = Displacement::compute(ctx, mobility);
-        let entropy = LocationEntropy::compute(ctx, mobility);
-        let mob_act = MobilityActivity::compute(ctx, mobility, activity_map);
-
-        let attributed = &aggs.attributed;
-        let installs = InstallStats::compute(attributed);
-        let breakdown = DomainBreakdown::compute(ctx);
-
-        let through = ThroughDeviceReport::compute(ctx, mobility);
-        let weekly = WeeklyPattern::compute(ctx);
-        let devices = DeviceMix::compute(ctx);
-
+    /// Reads every headline scalar off the study's results.
+    pub fn from_results(r: &StudyResults<'_>) -> Takeaways {
+        let tx_stats = &r.aggs.tx_stats;
         Takeaways {
-            monthly_growth: trend.monthly_growth_rate,
-            total_growth: trend.total_growth,
-            data_active_share: data_active.share,
-            cohort_active: retention.active_fraction,
-            cohort_gone: retention.gone_fraction,
-            daily_active_share: daily_share,
-            mean_active_days_per_week: spans.mean_days_per_week,
-            mean_active_hours_per_day: spans.mean_hours_per_day,
-            frac_over_10h: spans.frac_over_10h,
-            frac_under_5h: spans.frac_under_5h,
+            monthly_growth: r.trend.monthly_growth_rate,
+            total_growth: r.trend.total_growth,
+            data_active_share: r.data_active.share,
+            cohort_active: r.retention.active_fraction,
+            cohort_gone: r.retention.gone_fraction,
+            daily_active_share: r.daily_active_share,
+            mean_active_days_per_week: r.spans.mean_days_per_week,
+            mean_active_hours_per_day: r.spans.mean_hours_per_day,
+            frac_over_10h: r.spans.frac_over_10h,
+            frac_under_5h: r.spans.frac_under_5h,
             median_tx_bytes: tx_stats.median_bytes,
             frac_tx_under_10kb: tx_stats.frac_under_10kb,
-            activity_correlation: corr.pearson,
-            owner_bytes_ratio: owner_vs_rest.bytes_ratio,
-            owner_tx_ratio: owner_vs_rest.tx_ratio,
-            wearable_traffic_share: wearable_share.mean_ratio,
-            frac_owners_over_3pct: wearable_share.frac_over_3pct,
-            owner_displacement_km: displacement.owner_mean_km,
-            rest_displacement_km: displacement.rest_mean_km,
-            owners_under_30km: displacement.owners_under_30km,
-            entropy_ratio: entropy.ratio,
-            mobility_correlation: mob_act.pearson,
-            single_location_share: mob_act.single_location_share,
-            mean_apps_per_user: installs.mean_apps_per_user,
-            frac_under_20_apps: installs.frac_under_20,
-            single_app_day_share: installs.single_app_day_share,
-            thirdparty_same_magnitude: breakdown.thirdparty_within_order_of_magnitude(),
-            through_device_identified: through.users.len(),
-            through_device_mobility_similar: through.mobility_similar_to_sim_users(0.5),
-            weekend_relative_usage: weekly.weekend_relative_usage,
-            samsung_lg_share: devices.manufacturer_share(&["Samsung", "LG"]),
+            activity_correlation: r.correlation.pearson,
+            owner_bytes_ratio: r.owner_vs_rest.bytes_ratio,
+            owner_tx_ratio: r.owner_vs_rest.tx_ratio,
+            wearable_traffic_share: r.wearable_share.mean_ratio,
+            frac_owners_over_3pct: r.wearable_share.frac_over_3pct,
+            owner_displacement_km: r.displacement.owner_mean_km,
+            rest_displacement_km: r.displacement.rest_mean_km,
+            owners_under_30km: r.displacement.owners_under_30km,
+            entropy_ratio: r.entropy.ratio,
+            mobility_correlation: r.mobility_activity.pearson,
+            single_location_share: r.mobility_activity.single_location_share,
+            mean_apps_per_user: r.installs.mean_apps_per_user,
+            frac_under_20_apps: r.installs.frac_under_20,
+            single_app_day_share: r.installs.single_app_day_share,
+            thirdparty_same_magnitude: r.domains.thirdparty_within_order_of_magnitude(),
+            through_device_identified: r.through_device.users.len(),
+            through_device_mobility_similar: r.through_device.mobility_similar_to_sim_users(0.5),
+            weekend_relative_usage: r.weekly.weekend_relative_usage,
+            samsung_lg_share: r.devices.manufacturer_share(&["Samsung", "LG"]),
         }
     }
 }

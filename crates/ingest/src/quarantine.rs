@@ -188,6 +188,12 @@ pub(crate) struct Validated<R> {
 /// records contribute nothing to sequence state (the high-water mark and
 /// duplicate set advance on kept records only), so one skewed timestamp
 /// cannot cascade into quarantining the rest of the log.
+///
+/// The duplicate set only holds kept records at the high-water timestamp:
+/// a copy of an older kept record regresses behind the mark and is already
+/// quarantined `OutOfOrder`. So the set is cleared whenever a kept record
+/// advances the mark, and memory is O(records at one timestamp), not
+/// O(records).
 pub(crate) fn validate_source<R: ValidatedRecord>(
     records: Vec<R>,
     source: ShardSource,
@@ -198,7 +204,7 @@ pub(crate) fn validate_source<R: ValidatedRecord>(
     let mut keep = vec![true; records.len()];
     let mut quarantined_indices = Vec::new();
     {
-        let mut seen: HashSet<&R> = HashSet::with_capacity(records.len());
+        let mut seen: HashSet<&R> = HashSet::new();
         let mut watermark = SimTime::EPOCH;
         for (i, r) in records.iter().enumerate() {
             let verdict = if Imei::from_u64(r.imei()).is_err() {
@@ -223,13 +229,17 @@ pub(crate) fn validate_source<R: ValidatedRecord>(
                         watermark.as_secs()
                     ),
                 ))
+            } else if r.ts() > watermark {
+                watermark = r.ts();
+                seen.clear();
+                seen.insert(r);
+                None
             } else if !seen.insert(r) {
                 Some((
                     QuarantineReason::Duplicate,
                     "exact copy of an earlier record".into(),
                 ))
             } else {
-                watermark = watermark.max(r.ts());
                 None
             };
             if let Some((reason, detail)) = verdict {
@@ -323,6 +333,92 @@ mod tests {
         assert_eq!(kept.len(), 2);
         assert_eq!(counts.get(QuarantineReason::OutOfOrder), 1);
         assert_eq!(kept[1].user, UserId(2));
+    }
+
+    #[test]
+    fn duplicates_interleaved_at_one_timestamp() {
+        // Copies among distinct records sharing the high-water timestamp
+        // are still caught after the set was cleared by an advance.
+        let db = DeviceDb::standard();
+        let distinct =
+            [(50, 0), (100, 1), (100, 2), (100, 3), (101, 1)].map(|(t, u)| rec(&db, t, u));
+        let records = [0, 1, 2, 1, 3, 2, 1, 4, 3].map(|i| distinct[i].clone());
+        let (kept, counts) = run(records.to_vec(), &IngestOptions::default());
+        assert_eq!(counts.get(QuarantineReason::Duplicate), 3);
+        // The copy after the advance to 101 regresses instead.
+        assert_eq!(counts.get(QuarantineReason::OutOfOrder), 1);
+        assert_eq!(kept, [0, 1, 2, 3, 4].map(|i| distinct[i].clone()));
+    }
+
+    /// The content checks with a duplicate set over the whole log, as they
+    /// were before the set was pruned at the watermark.
+    fn whole_log_reference(
+        records: &[ProxyRecord],
+        opts: &IngestOptions,
+    ) -> Vec<(Position, QuarantineReason)> {
+        let mut seen = HashSet::new();
+        let mut watermark = SimTime::EPOCH;
+        let mut out = Vec::new();
+        for (i, r) in records.iter().enumerate() {
+            let reason = if Imei::from_u64(r.imei).is_err() {
+                QuarantineReason::UnknownImei
+            } else if opts.max_timestamp.is_some_and(|h| r.timestamp > h) {
+                QuarantineReason::Skewed
+            } else if r.timestamp < watermark {
+                QuarantineReason::OutOfOrder
+            } else if !seen.insert(r) {
+                QuarantineReason::Duplicate
+            } else {
+                watermark = r.timestamp;
+                continue;
+            };
+            out.push((Position::Record(i as u64), reason));
+        }
+        out
+    }
+
+    proptest::proptest! {
+        /// On random logs with copies, regressions, skew, bad IMEIs and
+        /// runs of equal timestamps, the pruned set quarantines exactly
+        /// what a whole-log set does.
+        #[test]
+        fn pruned_duplicate_set_matches_whole_log(
+            ops in proptest::prop::collection::vec((0u8..7, 0u64..3, 0u64..4, 0usize..1000), 0..200)
+        ) {
+            let db = DeviceDb::standard();
+            let opts = IngestOptions {
+                max_timestamp: Some(SimTime::from_secs(10_000)),
+                ..IngestOptions::default()
+            };
+            let mut records: Vec<ProxyRecord> = Vec::new();
+            let mut now = 0u64;
+            for (kind, step, user, pick) in ops {
+                let r = match kind {
+                    0..=2 => {
+                        now += step;
+                        rec(&db, now, user)
+                    }
+                    3 if !records.is_empty() => records[pick % records.len()].clone(),
+                    4 => rec(&db, now.saturating_sub(step + 1), user),
+                    5 => rec(&db, 20_000 + step, user),
+                    _ => {
+                        let mut bad = rec(&db, now, user);
+                        bad.imei += 1; // breaks the Luhn check digit
+                        bad
+                    }
+                };
+                records.push(r);
+            }
+            let expected = whole_log_reference(&records, &opts);
+            let mut counts = QuarantineCounts::default();
+            let mut entries = Vec::new();
+            let n = records.len();
+            let v = validate_source(records, ShardSource::Proxy, &opts, &mut counts, &mut entries);
+            let got: Vec<(Position, QuarantineReason)> =
+                entries.iter().map(|e| (e.position, e.reason)).collect();
+            proptest::prop_assert_eq!(got, expected);
+            proptest::prop_assert_eq!(v.kept.len() + entries.len(), n);
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! what factor, which fractions are in the right regime.
 
 use wearscope_core::takeaways::Takeaways;
+use wearscope_core::StudyResults;
 
 use crate::table::Table;
 
@@ -59,10 +60,10 @@ pub struct ExperimentReport {
 }
 
 impl ExperimentReport {
-    /// Builds every scalar comparison from the pipeline takeaways, using the
-    /// paper's 151-day window for window-length-dependent expectations.
-    pub fn from_takeaways(t: &Takeaways) -> ExperimentReport {
-        Self::from_takeaways_with_window(t, 151)
+    /// Builds the comparison from a study's results, over its own window.
+    pub fn from_results(r: &StudyResults<'_>) -> ExperimentReport {
+        let days = r.ctx.window.summary().num_days();
+        Self::from_takeaways_with_window(&Takeaways::from_results(r), days)
     }
 
     /// Builds the comparison for an observation of `summary_days` days (the
@@ -419,7 +420,7 @@ mod tests {
             weekend_relative_usage: 1.05,
             samsung_lg_share: 0.85,
         };
-        let report = ExperimentReport::from_takeaways(&t);
+        let report = ExperimentReport::from_takeaways_with_window(&t, 151);
         assert_eq!(report.passed(), report.total());
         assert!(report.total() >= 28);
         let rendered = report.render();

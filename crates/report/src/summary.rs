@@ -2,29 +2,28 @@
 //! CLI (and any embedding application) can produce the complete study
 //! output without re-assembling the analyses by hand.
 
-use wearscope_core::activity::{
-    self, ActivityCorrelation, ActivitySpans, HourlyProfile, TransactionStats,
-};
-use wearscope_core::adoption::{AdoptionTrend, CohortRetention, DataActiveShare};
-use wearscope_core::apps::{AppPopularity, AppUsage, CategoryPopularity};
-use wearscope_core::compare::{self, OwnerVsRest, WearableShare};
-use wearscope_core::devices::DeviceMix;
-use wearscope_core::mobility::{Displacement, LocationEntropy, MobilityActivity, MobilityIndex};
 use wearscope_core::quality::DataQualityReport;
-use wearscope_core::sessions::{self, PerUsage};
-use wearscope_core::thirdparty::DomainBreakdown;
-use wearscope_core::through_device::ThroughDeviceReport;
-use wearscope_core::weekly::WeeklyPattern;
-use wearscope_core::StudyContext;
+use wearscope_core::{CoreAggregates, StudyContext, StudyResults};
 use wearscope_mobilenet::NetworkSummaries;
 
 use crate::plot::{bar_chart_log, ecdf_plot, sparkline};
 use crate::table::Table;
 
 /// Renders the complete study as one text document: QA, every figure, and
-/// the headline comparisons. The same content `examples/reproduce_paper.rs`
-/// prints, but as a reusable library call.
+/// the headline comparisons. Folds the aggregates sequentially, then
+/// renders them with [`render_full`].
 pub fn render_full_report(ctx: &StudyContext<'_>, summaries: &NetworkSummaries) -> String {
+    render_full(&StudyResults::new(
+        ctx,
+        summaries,
+        &CoreAggregates::sequential(ctx),
+    ))
+}
+
+/// Renders the complete study from already computed results (the
+/// `analyze --full` report). Only the trace QA section scans the store.
+pub fn render_full(r: &StudyResults<'_>) -> String {
+    let (ctx, aggs) = (r.ctx, r.aggs);
     let mut out = String::new();
     let mut section = |title: &str, body: String| {
         out.push_str("\n== ");
@@ -49,7 +48,7 @@ pub fn render_full_report(ctx: &StudyContext<'_>, summaries: &NetworkSummaries) 
     );
 
     // Fig 2.
-    let trend = AdoptionTrend::compute(&summaries.mme, &ctx.window);
+    let trend = &r.trend;
     let series: Vec<f64> = trend.daily_normalized.iter().map(|(_, v)| *v).collect();
     section(
         "Fig 2(a): adoption",
@@ -60,8 +59,7 @@ pub fn render_full_report(ctx: &StudyContext<'_>, summaries: &NetworkSummaries) 
             100.0 * trend.total_growth
         ),
     );
-    let retention = CohortRetention::compute(&summaries.mme, &ctx.window);
-    let active = DataActiveShare::compute(&summaries.mme, &summaries.wearable_traffic, &ctx.window);
+    let (retention, active) = (&r.retention, &r.data_active);
     section(
         "Fig 2(b): cohort & data-active",
         format!(
@@ -77,15 +75,14 @@ pub fn render_full_report(ctx: &StudyContext<'_>, summaries: &NetworkSummaries) 
     );
 
     // Fig 3.
-    let profile = HourlyProfile::compute(ctx);
+    let profile = &aggs.hourly;
     let wd: Vec<f64> = profile.weekday.iter().map(|h| h.transactions).collect();
     let we: Vec<f64> = profile.weekend.iter().map(|h| h.transactions).collect();
     section(
         "Fig 3(a): hourly transactions",
         format!("weekday {}\nweekend {}\n", sparkline(&wd), sparkline(&we)),
     );
-    let act = activity::user_activity(ctx);
-    let spans = ActivitySpans::compute(ctx, &act);
+    let spans = &r.spans;
     section(
         "Fig 3(b): activity spans",
         format!(
@@ -98,7 +95,7 @@ pub fn render_full_report(ctx: &StudyContext<'_>, summaries: &NetworkSummaries) 
             100.0 * spans.frac_under_5h
         ),
     );
-    let tx_stats = TransactionStats::compute(ctx, &act);
+    let tx_stats = &aggs.tx_stats;
     section(
         "Fig 3(c): transaction sizes",
         format!(
@@ -108,33 +105,26 @@ pub fn render_full_report(ctx: &StudyContext<'_>, summaries: &NetworkSummaries) 
             100.0 * tx_stats.frac_under_10kb
         ),
     );
-    let corr = ActivityCorrelation::compute(&act);
     section(
         "Fig 3(d): span↔rate correlation",
         format!(
             "pearson {:.2}, spearman {:.2} (paper: clear positive)\n",
-            corr.pearson, corr.spearman
+            r.correlation.pearson, r.correlation.spearman
         ),
     );
 
     // Fig 4.
-    let traffic = compare::user_traffic(ctx);
-    let ovr = OwnerVsRest::compute(ctx, &traffic);
-    let share = WearableShare::compute(ctx, &traffic);
     section(
         "Fig 4(a,b): owners vs rest",
         format!(
             "bytes ratio {:.2} (paper 1.26) | tx ratio {:.2} (paper 1.48)\nwearable share mean {:.1e} (paper ~1e-3); ≥3%: {:.1}% (paper 10%)\n",
-            ovr.bytes_ratio,
-            ovr.tx_ratio,
-            share.mean_ratio,
-            100.0 * share.frac_over_3pct
+            r.owner_vs_rest.bytes_ratio,
+            r.owner_vs_rest.tx_ratio,
+            r.wearable_share.mean_ratio,
+            100.0 * r.wearable_share.frac_over_3pct
         ),
     );
-    let mob = MobilityIndex::build(ctx);
-    let disp = Displacement::compute(ctx, &mob);
-    let entropy = LocationEntropy::compute(ctx, &mob);
-    let ma = MobilityActivity::compute(ctx, &mob, &act);
+    let (disp, ma) = (&r.displacement, &r.mobility_activity);
     section(
         "Fig 4(c,d): mobility",
         format!(
@@ -143,22 +133,21 @@ pub fn render_full_report(ctx: &StudyContext<'_>, summaries: &NetworkSummaries) 
             disp.owner_mean_km,
             disp.rest_mean_km,
             100.0 * disp.owners_under_30km,
-            entropy.ratio,
+            r.entropy.ratio,
             ma.pearson,
             100.0 * ma.single_location_share
         ),
     );
 
     // Fig 5/6/7.
-    let attributed = sessions::attribute_transactions(ctx);
-    let pop = AppPopularity::compute(&attributed);
+    let pop = &aggs.popularity;
     let rows: Vec<(String, f64)> = pop
         .rank
         .iter()
         .take(15)
         .map(|app| {
             (
-                ctx.catalog.get(*app).map_or("?", |a| a.name).to_string(),
+                r.app_name(*app).to_string(),
                 100.0 * pop.daily_associated_users.get(app).copied().unwrap_or(0.0),
             )
         })
@@ -167,11 +156,10 @@ pub fn render_full_report(ctx: &StudyContext<'_>, summaries: &NetworkSummaries) 
         "Fig 5(a): app popularity (top 15)",
         bar_chart_log(&rows, 30, "%"),
     );
-    let sess = sessions::sessionize(&attributed);
-    let usage = AppUsage::compute(&sess);
-    let cats = CategoryPopularity::compute(ctx, &pop, &usage);
+    let figures = r.app_figures();
+    let cats = &figures.categories;
     let mut t = Table::new(vec!["category", "users%", "freq%", "tx%", "data%"]);
-    for (cat, users) in CategoryPopularity::ranked(&cats.users) {
+    for (cat, users) in wearscope_core::apps::CategoryPopularity::ranked(&cats.users) {
         let g = |m: &std::collections::HashMap<wearscope_appdb::AppCategory, f64>| {
             format!("{:.2}", 100.0 * m.get(&cat).copied().unwrap_or(0.0))
         };
@@ -184,26 +172,19 @@ pub fn render_full_report(ctx: &StudyContext<'_>, summaries: &NetworkSummaries) 
         ]);
     }
     section("Fig 6: categories", t.render());
-    let per = PerUsage::compute(&sess);
-    let mut per_rows: Vec<(String, f64)> = per
-        .by_app
+    let per_rows: Vec<(String, f64)> = figures
+        .per_usage
         .iter()
-        .map(|(app, (_, bytes, _))| {
-            (
-                ctx.catalog.get(*app).map_or("?", |a| a.name).to_string(),
-                bytes / 1024.0,
-            )
-        })
+        .take(10)
+        .map(|row| (row.app.to_string(), row.bytes_per_usage / 1024.0))
         .collect();
-    per_rows.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
-    per_rows.truncate(10);
     section(
         "Fig 7: KB per single usage (top 10)",
         bar_chart_log(&per_rows, 30, " KB"),
     );
 
     // Fig 8.
-    let breakdown = DomainBreakdown::compute(ctx);
+    let breakdown = &r.domains;
     let mut t = Table::new(vec!["class", "users%", "freq%", "data%"]);
     for class in wearscope_appdb::DomainClass::ALL {
         let i = class.index();
@@ -217,8 +198,7 @@ pub fn render_full_report(ctx: &StudyContext<'_>, summaries: &NetworkSummaries) 
     section("Fig 8: domain classes", t.render());
 
     // Sec 4.1/4.2 extensions.
-    let mix = DeviceMix::compute(ctx);
-    let weekly = WeeklyPattern::compute(ctx);
+    let (mix, weekly) = (&r.devices, &r.weekly);
     section(
         "Sec 4.1/4.2: devices & weekly pattern",
         format!(
@@ -232,7 +212,7 @@ pub fn render_full_report(ctx: &StudyContext<'_>, summaries: &NetworkSummaries) 
     );
 
     // Sec 6.
-    let through = ThroughDeviceReport::compute(ctx, &mob);
+    let through = &r.through_device;
     section(
         "Sec 6: Through-Device",
         format!(
@@ -300,6 +280,37 @@ mod tests {
             assert!(report.contains(heading), "missing section {heading}");
         }
         assert!(report.contains("Weather"));
+    }
+
+    #[test]
+    fn fig7_ties_render_in_name_order() {
+        let db = DeviceDb::standard();
+        let catalog = AppCatalog::standard();
+        let sectors = SectorDirectory::new();
+        let tx = |user: u64, host: &str| ProxyRecord {
+            timestamp: SimTime::from_hours(10),
+            user: UserId(user),
+            imei: db.example_imei(db.wearable_tacs()[0], user as u32).as_u64(),
+            host: host.into(),
+            scheme: Scheme::Https,
+            bytes_down: 4096,
+            bytes_up: 0,
+        };
+        let store = TraceStore::from_records(
+            vec![tx(1, "api.weather.com"), tx(2, "maps.googleapis.com")],
+            vec![],
+        );
+        let ctx = StudyContext::new(
+            &store,
+            &db,
+            &sectors,
+            &catalog,
+            ObservationWindow::compact(),
+        );
+        let report = render_full_report(&ctx, &NetworkSummaries::default());
+        let fig7 = &report[report.find("== Fig 7").unwrap()..report.find("== Fig 8").unwrap()];
+        let (maps, weather) = (fig7.find("Google-Maps"), fig7.find("Weather"));
+        assert!(maps.is_some() && maps < weather, "{fig7}");
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use wearscope::core::{CoreAggregates, StudyResults};
 use wearscope::prelude::*;
 use wearscope::report::ExperimentReport;
 
@@ -33,17 +34,14 @@ fn main() {
         &world.apps,
         world.config.window,
     );
-    let takeaways = Takeaways::compute(&ctx, &world.summaries);
+    let aggs = CoreAggregates::sequential(&ctx);
+    let results = StudyResults::new(&ctx, &world.summaries, &aggs);
 
     println!(
         "\n== paper vs measured (window: {} days; bands scaled accordingly) ==\n",
         config.window.summary().num_days()
     );
-    let report = ExperimentReport::from_takeaways_with_window(
-        &takeaways,
-        config.window.summary().num_days(),
-    );
-    print!("{}", report.render());
+    print!("{}", ExperimentReport::from_results(&results).render());
 
     println!("\nTip: `cargo run --release --example reproduce_paper` runs the full");
     println!("151-day, 5'100-subscriber reproduction and prints every figure.");

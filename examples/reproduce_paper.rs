@@ -1,5 +1,6 @@
 //! Full reproduction: regenerates every figure and takeaway of the paper and
-//! prints them as terminal tables/plots, ending with the paper-vs-measured
+//! prints them as terminal tables/plots (the `analyze --full` report plus
+//! the breakdowns it leaves out), ending with the paper-vs-measured
 //! comparison table.
 //!
 //! ```sh
@@ -7,20 +8,9 @@
 //! cargo run --release --example reproduce_paper -- quick   # reduced scale
 //! ```
 
-use wearscope::core::activity::{
-    self, ActivityCorrelation, ActivitySpans, HourlyProfile, TransactionStats,
-};
-use wearscope::core::adoption::{AdoptionTrend, CohortRetention, DataActiveShare};
-use wearscope::core::apps::{AppPopularity, AppUsage, CategoryPopularity};
-use wearscope::core::compare::{self, OwnerVsRest, WearableShare};
-use wearscope::core::devices::DeviceMix;
-use wearscope::core::mobility::{Displacement, LocationEntropy, MobilityActivity, MobilityIndex};
-use wearscope::core::sessions::{self, PerUsage};
-use wearscope::core::thirdparty::DomainBreakdown;
-use wearscope::core::through_device::ThroughDeviceReport;
-use wearscope::core::weekly::WeeklyPattern;
+use wearscope::core::{CoreAggregates, StudyResults};
 use wearscope::prelude::*;
-use wearscope::report::{bar_chart_log, ecdf_plot, sparkline, ExperimentReport, Table};
+use wearscope::report::{bar_chart_log, render_full, ExperimentReport, Table};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "quick" || a == "--quick");
@@ -57,272 +47,59 @@ fn main() {
         &world.apps,
         world.config.window,
     );
+    let aggs = CoreAggregates::sequential(&ctx);
+    let results = StudyResults::new(&ctx, &world.summaries, &aggs);
 
-    // ---- Fig. 2: adoption -------------------------------------------------
-    let trend = AdoptionTrend::compute(&world.summaries.mme, &ctx.window);
-    let series: Vec<f64> = trend.daily_normalized.iter().map(|(_, v)| *v).collect();
-    println!("\n== Fig. 2(a): daily SIM-enabled wearable users (normalized) ==");
-    println!("{}", sparkline(&series));
-    println!(
-        "fitted growth: {:+.2}%/month (paper: +1.5%/month); first→last week: {:+.1}% (paper: +9% over 5 months)",
-        100.0 * trend.monthly_growth_rate,
-        100.0 * trend.total_growth
-    );
-    let retention = CohortRetention::compute(&world.summaries.mme, &ctx.window);
-    println!(
-        "\n== Fig. 2(b): first-week cohort ({} users) ==",
-        retention.first_week_users
-    );
-    println!(
-        "still active: {:.0}% (paper 77%) | gone: {:.0}% (paper 7%) | intermittent: {:.0}%",
-        100.0 * retention.active_fraction,
-        100.0 * retention.gone_fraction,
-        100.0 * retention.intermittent_fraction
-    );
-    let active = DataActiveShare::compute(
-        &world.summaries.mme,
-        &world.summaries.wearable_traffic,
-        &ctx.window,
-    );
-    println!(
-        "data-active: {}/{} = {:.0}% (paper 34%)",
-        active.data_active,
-        active.registered,
-        100.0 * active.share
-    );
+    // Every figure (QA, Figs. 2–8, Sec. 4.1/4.2 and Sec. 6), as `analyze --full`.
+    print!("{}", render_full(&results));
 
-    // ---- Sec. 4.1: device mix ----------------------------------------------
-    let mix = DeviceMix::compute(&ctx);
-    println!(
-        "\n== Sec. 4.1: wearable device mix ({} users) ==",
-        mix.total_users
-    );
+    println!("\n== Sec. 4.1: wearable device models ==");
     let mut t = Table::new(vec!["model", "users"]);
-    for (model, n) in mix.ranked_models() {
+    for (model, n) in results.devices.ranked_models() {
         t.row(vec![model.to_string(), n.to_string()]);
     }
     print!("{}", t.render());
-    println!(
-        "Samsung+LG share: {:.0}% (paper: 'most users are using LG and Samsung watches')",
-        100.0 * mix.manufacturer_share(&["Samsung", "LG"])
-    );
 
-    // ---- Fig. 3: activity --------------------------------------------------
-    let profile = HourlyProfile::compute(&ctx);
-    println!("\n== Fig. 3(a): hourly share of weekly transactions (weekday vs weekend) ==");
-    let wd: Vec<f64> = profile.weekday.iter().map(|h| h.transactions).collect();
-    let we: Vec<f64> = profile.weekend.iter().map(|h| h.transactions).collect();
-    println!("weekday  {}", sparkline(&wd));
-    println!("weekend  {}", sparkline(&we));
-
-    let act = activity::user_activity(&ctx);
-    let spans = ActivitySpans::compute(&ctx, &act);
-    println!("\n== Fig. 3(b): activity spans ==");
-    println!("active days/week CDF:");
-    print!("{}", ecdf_plot(&spans.days_per_week, 40, " d/wk"));
-    println!("active hours/day CDF:");
-    print!("{}", ecdf_plot(&spans.hours_per_day, 40, " h/d"));
-    println!(
-        "means: {:.2} days/week (paper ~1), {:.2} h/day (paper ~3); >10h: {:.1}% (paper 7%); <5h: {:.0}% (paper 80%)",
-        spans.mean_days_per_week,
-        spans.mean_hours_per_day,
-        100.0 * spans.frac_over_10h,
-        100.0 * spans.frac_under_5h
-    );
-
-    let tx_stats = TransactionStats::compute(&ctx, &act);
-    println!("\n== Fig. 3(c): transaction sizes ==");
-    print!("{}", ecdf_plot(&tx_stats.size, 40, " B"));
-    println!(
-        "median {:.0} B (paper ~3 KB); under 10 KB: {:.0}% (paper 80%)",
-        tx_stats.median_bytes,
-        100.0 * tx_stats.frac_under_10kb
-    );
-    let corr = ActivityCorrelation::compute(&act);
-    println!(
-        "\n== Fig. 3(d): hours/day vs tx/hour: pearson {:.2}, spearman {:.2} (paper: clear positive) ==",
-        corr.pearson, corr.spearman
-    );
-
-    // ---- Sec. 4.2: weekly pattern --------------------------------------------
-    let weekly = WeeklyPattern::compute(&ctx);
-    println!("\n== Sec. 4.2: weekly pattern ==");
-    println!(
-        "weekday CV of wearable activity: {:.2} (paper: 'almost constant across days')",
-        weekly.weekday_cv()
-    );
-    println!(
-        "relative weekend usage: {:.2} | relative evening usage: {:.2} (paper: slightly > 1)",
-        weekly.weekend_relative_usage, weekly.evening_relative_usage
-    );
-
-    // ---- Fig. 4: comparison + mobility --------------------------------------
-    let traffic = compare::user_traffic(&ctx);
-    let ovr = OwnerVsRest::compute(&ctx, &traffic);
-    println!("\n== Fig. 4(a): owners vs remaining customers ==");
-    println!(
-        "bytes ratio {:.2} (paper 1.26) | tx ratio {:.2} (paper 1.48)",
-        ovr.bytes_ratio, ovr.tx_ratio
-    );
-    let share = WearableShare::compute(&ctx, &traffic);
-    println!("\n== Fig. 4(b): wearable share of owner traffic ==");
-    println!(
-        "mean {:.1e} (paper ~1e-3) | owners ≥3%: {:.1}% (paper 10%)",
-        share.mean_ratio,
-        100.0 * share.frac_over_3pct
-    );
-
-    let mob = MobilityIndex::build(&ctx);
-    let disp = Displacement::compute(&ctx, &mob);
-    println!("\n== Fig. 4(c): daily max displacement ==");
-    println!("owners CDF:");
-    print!("{}", ecdf_plot(&disp.owners, 40, " km"));
-    println!(
-        "owners mean {:.1} km vs rest {:.1} km (paper 31 vs 16); owners <30 km: {:.0}% (paper 90%)",
-        disp.owner_mean_km,
-        disp.rest_mean_km,
-        100.0 * disp.owners_under_30km
-    );
-    let entropy = LocationEntropy::compute(&ctx, &mob);
-    println!(
-        "location entropy ratio owners/rest: {:.2} (paper ~1.7)",
-        entropy.ratio
-    );
-    let ma = MobilityActivity::compute(&ctx, &mob, &act);
-    println!(
-        "\n== Fig. 4(d): displacement vs tx/hour: pearson {:.2}; single-location users {:.0}% (paper 60%) ==",
-        ma.pearson,
-        100.0 * ma.single_location_share
-    );
-
-    // ---- Fig. 5/6/7: apps ----------------------------------------------------
-    let attributed = sessions::attribute_transactions(&ctx);
-    let popularity = AppPopularity::compute(&attributed);
-    println!(
-        "\n== Fig. 5(a): app popularity (top 20 by daily associated users, % of daily total) =="
-    );
-    let rows: Vec<(String, f64)> = popularity
-        .rank
-        .iter()
-        .take(20)
-        .map(|app| {
-            (
-                ctx.catalog.get(*app).map_or("?", |a| a.name).to_string(),
-                100.0 * popularity.daily_associated_users[app],
-            )
-        })
-        .collect();
-    print!("{}", bar_chart_log(&rows, 40, "%"));
-
-    let sessions_vec = sessions::sessionize(&attributed);
-    let usage = AppUsage::compute(&sessions_vec);
     println!("\n== Fig. 5(b): top 10 apps by data share ==");
-    let mut by_data: Vec<(&wearscope::appdb::AppId, &f64)> = usage.data.iter().collect();
-    by_data.sort_by(|a, b| b.1.partial_cmp(a.1).unwrap());
+    let mut by_data: Vec<(&wearscope::appdb::AppId, &f64)> =
+        results.app_figures().usage.data.iter().collect();
+    by_data.sort_by(|a, b| b.1.total_cmp(a.1).then(a.0.cmp(b.0)));
     let rows: Vec<(String, f64)> = by_data
         .iter()
         .take(10)
-        .map(|(app, v)| {
-            (
-                ctx.catalog.get(**app).map_or("?", |a| a.name).to_string(),
-                100.0 * **v,
-            )
-        })
+        .map(|(app, v)| (results.app_name(**app).to_string(), 100.0 * **v))
         .collect();
     print!("{}", bar_chart_log(&rows, 40, "%"));
 
-    let cats = CategoryPopularity::compute(&ctx, &popularity, &usage);
-    println!("\n== Fig. 6: category shares (% of daily total) ==");
-    let mut t = Table::new(vec![
-        "category",
-        "users",
-        "frequency",
-        "transactions",
-        "data",
-    ]);
-    for (cat, users) in CategoryPopularity::ranked(&cats.users) {
-        t.row(vec![
-            cat.name().to_string(),
-            format!("{:.2}", 100.0 * users),
-            format!(
-                "{:.2}",
-                100.0 * cats.frequency.get(&cat).copied().unwrap_or(0.0)
-            ),
-            format!(
-                "{:.2}",
-                100.0 * cats.transactions.get(&cat).copied().unwrap_or(0.0)
-            ),
-            format!("{:.2}", 100.0 * cats.data.get(&cat).copied().unwrap_or(0.0)),
-        ]);
-    }
-    print!("{}", t.render());
-
-    let per_usage = PerUsage::compute(&sessions_vec);
-    println!("\n== Fig. 7: per-single-usage volume (top 10 apps by bytes/usage) ==");
-    let mut per: Vec<(&wearscope::appdb::AppId, &(f64, f64, usize))> =
-        per_usage.by_app.iter().collect();
-    per.sort_by(|a, b| b.1 .1.partial_cmp(&a.1 .1).unwrap());
+    println!("\n== Fig. 7: transactions per single usage (top 10 apps by bytes/usage) ==");
     let mut t = Table::new(vec!["app", "tx/usage", "KB/usage", "usages"]);
-    for (app, (tx, bytes, n)) in per.iter().take(10) {
+    for row in results.app_figures().per_usage.iter().take(10) {
         t.row(vec![
-            ctx.catalog.get(**app).map_or("?", |a| a.name).to_string(),
-            format!("{tx:.1}"),
-            format!("{:.1}", bytes / 1024.0),
-            n.to_string(),
+            row.app.to_string(),
+            format!("{:.1}", row.tx_per_usage),
+            format!("{:.1}", row.bytes_per_usage / 1024.0),
+            row.usages.to_string(),
         ]);
     }
     print!("{}", t.render());
 
-    // ---- Fig. 8: third parties -------------------------------------------------
-    let breakdown = DomainBreakdown::compute(&ctx);
-    println!("\n== Fig. 8: domain classes (% of daily total) ==");
-    let mut t = Table::new(vec!["class", "users", "frequency", "data"]);
-    for class in DomainClass::ALL {
-        let i = class.index();
-        t.row(vec![
-            class.name().to_string(),
-            format!("{:.2}", 100.0 * breakdown.users[i]),
-            format!("{:.2}", 100.0 * breakdown.frequency[i]),
-            format!("{:.2}", 100.0 * breakdown.data[i]),
-        ]);
-    }
-    print!("{}", t.render());
     println!(
-        "third-party within one order of magnitude of first-party: {} (paper: yes)",
-        breakdown.thirdparty_within_order_of_magnitude()
+        "\n== Fig. 8: third-party data within one order of magnitude of first-party: {} (paper: yes) ==",
+        results.domains.thirdparty_within_order_of_magnitude()
     );
 
-    // ---- Sec. 6: through-device --------------------------------------------------
-    let through = ThroughDeviceReport::compute(&ctx, &mob);
-    println!("\n== Sec. 6: Through-Device fingerprinting ==");
+    println!("\n== Sec. 6: Through-Device users by kind ==");
     let mut t = Table::new(vec!["kind", "identified users"]);
     for kind in wearscope::appdb::ThroughDeviceKind::ALL {
-        t.row(vec![
-            kind.name().to_string(),
-            through
-                .identified
-                .get(&kind)
-                .map_or(0, |s| s.len())
-                .to_string(),
-        ]);
+        let n = results
+            .through_device
+            .identified
+            .get(&kind)
+            .map_or(0, |s| s.len());
+        t.row(vec![kind.name().to_string(), n.to_string()]);
     }
     print!("{}", t.render());
-    println!(
-        "identified {} users; extrapolated total ~{} at {:.0}% coverage; mobility similar to SIM users: {}",
-        through.users.len(),
-        through.estimated_total,
-        100.0 * through.assumed_coverage,
-        through.mobility_similar_to_sim_users(0.5)
-    );
 
-    // ---- Final comparison table ----------------------------------------------------
-    let takeaways = Takeaways::compute(&ctx, &world.summaries);
-    let report = ExperimentReport::from_takeaways_with_window(
-        &takeaways,
-        config.window.summary().num_days(),
-    );
     println!("\n== EXPERIMENTS: paper vs measured ==\n");
-    print!("{}", report.render());
+    print!("{}", ExperimentReport::from_results(&results).render());
 }
-
-use wearscope::appdb::DomainClass;

@@ -9,6 +9,7 @@
 //! ## Quickstart
 //!
 //! ```
+//! use wearscope::core::{CoreAggregates, StudyResults};
 //! use wearscope::prelude::*;
 //!
 //! // Generate a small world (deterministic in the seed).
@@ -22,7 +23,10 @@
 //! let ctx = StudyContext::new(
 //!     &world.store, &world.db, &world.sectors, &world.apps, world.config.window,
 //! );
-//! let takeaways = Takeaways::compute(&ctx, &world.summaries);
+//! // Fold the logs once; every table, report and CSV renders from `results`.
+//! let aggs = CoreAggregates::sequential(&ctx);
+//! let results = StudyResults::new(&ctx, &world.summaries, &aggs);
+//! let takeaways = Takeaways::from_results(&results);
 //! assert!(takeaways.data_active_share > 0.0);
 //! ```
 //!

@@ -16,15 +16,12 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use wearscope::core::takeaways::Takeaways;
-use wearscope::core::CoreAggregates;
+use wearscope::core::{CoreAggregates, StudyResults};
 use wearscope::faults::{corrupt_world, FaultSpec};
 use wearscope::ingest::{load_store_resilient, IngestEngine, IngestOptions};
 use wearscope::obs::Registry;
 use wearscope::prelude::*;
-use wearscope::report::{
-    figures::FigureCsvExporter, render_full_report, render_stage_table, ExperimentReport,
-};
+use wearscope::report::{export_figures, render_full, render_stage_table, ExperimentReport};
 use wearscope::stream::{
     checkpoint, Backpressure, EventSource, PumpOptions, PumpOutcome, StreamConfig, StreamRuntime,
     WindowSpec, WorldSource,
@@ -311,9 +308,21 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     };
     fold_span.finish();
 
-    if args.iter().any(|a| a == "--full") {
+    let full = args.iter().any(|a| a == "--full");
+    let csv_dir = flag(args, "--csv")?.map(PathBuf::from);
+    let results_span = root.child("results");
+    let results = StudyResults::traced(&ctx, &saved.summaries, &aggs, |scan| {
+        results_span.child(scan)
+    });
+    if full || csv_dir.is_some() {
+        let _timer = results_span.child("app_figures");
+        results.app_figures();
+    }
+    results_span.finish();
+
+    if full {
         let full_span = root.child("full");
-        print!("{}", render_full_report(&ctx, &saved.summaries));
+        print!("{}", render_full(&results));
         println!();
         if !load_report.quality.quarantined.is_empty() {
             println!("## Data quality\n");
@@ -323,22 +332,18 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         full_span.finish();
     }
     let report_span = root.child("report");
-    let takeaways = Takeaways::compute_with(&ctx, &saved.summaries, &aggs);
-    let report =
-        ExperimentReport::from_takeaways_with_window(&takeaways, saved.window.summary().num_days());
-    print!("{}", report.render());
-    if let Some(csv_dir) = flag(args, "--csv")? {
-        let csv_dir = PathBuf::from(csv_dir);
-        let written = FigureCsvExporter::with_aggregates(&ctx, &saved.summaries, &aggs)
-            .export_all(&csv_dir)
-            .map_err(|e| e.to_string())?;
+    print!("{}", ExperimentReport::from_results(&results).render());
+    report_span.finish();
+    if let Some(csv_dir) = csv_dir {
+        let csv_span = root.child("csv");
+        let written = export_figures(&results, &csv_dir).map_err(|e| e.to_string())?;
         println!(
             "\n{} CSV figure files written to {}",
             written,
             csv_dir.display()
         );
+        csv_span.finish();
     }
-    report_span.finish();
     root.finish();
     if let Some(path) = metrics_path {
         write_metrics(&metrics, &path)?;
@@ -380,12 +385,9 @@ fn cmd_experiments(args: &[String]) -> Result<(), String> {
         &world.apps,
         world.config.window,
     );
-    let takeaways = Takeaways::compute(&ctx, &world.summaries);
-    let report = ExperimentReport::from_takeaways_with_window(
-        &takeaways,
-        config.window.summary().num_days(),
-    );
-    print!("{}", report.render());
+    let aggs = CoreAggregates::sequential(&ctx);
+    let results = StudyResults::new(&ctx, &world.summaries, &aggs);
+    print!("{}", ExperimentReport::from_results(&results).render());
     Ok(())
 }
 

@@ -10,7 +10,7 @@
 //! (a swap of equal timestamps is benign), so its count is pinned as a
 //! golden value for the fixed (world seed, corruption seed) pair.
 
-use wearscope::core::takeaways::Takeaways;
+use wearscope::core::StudyResults;
 use wearscope::faults::{corrupt_world, FaultClass, FaultSpec};
 use wearscope::ingest::{load_store_resilient, IngestEngine, IngestOptions};
 use wearscope::prelude::*;
@@ -124,10 +124,8 @@ fn every_fault_class_quarantines_exact_counts_and_analysis_completes() {
     let catalog = AppCatalog::standard();
     let ctx = StudyContext::new(&saved.store, &db, &saved.sectors, &catalog, saved.window);
     let (aggs, _) = IngestEngine::new(4).compute(&ctx).expect("compute");
-    let takeaways = Takeaways::compute_with(&ctx, &saved.summaries, &aggs);
-    let report =
-        ExperimentReport::from_takeaways_with_window(&takeaways, saved.window.summary().num_days());
-    assert!(!report.render().is_empty());
+    let results = StudyResults::new(&ctx, &saved.summaries, &aggs);
+    assert!(!ExperimentReport::from_results(&results).render().is_empty());
 
     std::fs::remove_dir_all(&dir).ok();
 }
