@@ -23,6 +23,8 @@ echo "==> cargo test -q"
 cargo test -q --workspace
 
 echo "==> fault matrix: corrupt a quick world, analyze --full with 1 and 4 workers, diff"
+# Each run rewrites WORLD/quarantine.log, so the 1-worker copy is saved
+# before the 4-worker run.
 FAULT_DIR="$(mktemp -d)"
 trap 'rm -rf "$FAULT_DIR"' EXIT
 WEARSCOPE=target/release/wearscope
@@ -30,11 +32,13 @@ WEARSCOPE=target/release/wearscope
 "$WEARSCOPE" corrupt --world "$FAULT_DIR/world" --seed 3 --faults all
 "$WEARSCOPE" analyze --world "$FAULT_DIR/world" --workers 1 --full --csv "$FAULT_DIR/csv1" \
     2>/dev/null | grep -v "CSV figure files" >"$FAULT_DIR/out1.txt"
+cp "$FAULT_DIR/world/quarantine.log" "$FAULT_DIR/quarantine1.log"
 "$WEARSCOPE" analyze --world "$FAULT_DIR/world" --workers 4 --full --csv "$FAULT_DIR/csv4" \
     2>/dev/null | grep -v "CSV figure files" >"$FAULT_DIR/out4.txt"
 diff "$FAULT_DIR/out1.txt" "$FAULT_DIR/out4.txt"
 diff -r "$FAULT_DIR/csv1" "$FAULT_DIR/csv4"
-echo "    corrupted-world analysis (full report, data quality, CSVs) identical across worker counts"
+diff "$FAULT_DIR/quarantine1.log" "$FAULT_DIR/world/quarantine.log"
+echo "    corrupted-world analysis (full report, data quality, CSVs, quarantine.log) identical across worker counts"
 
 echo "==> metrics determinism: analyze with 1 and 4 workers, diff snapshots"
 # Everything outside the snapshot's `timing` key is derived from record

@@ -1,6 +1,6 @@
-//! Parallel-ingest throughput: the sharded worker-pool engine vs the
-//! sequential fold, the byte-range parallel file loader, and the cost of
-//! the quarantine path on a 1%-corrupted world.
+//! Ingest throughput: the one fused aggregate fold, the byte-range
+//! parallel file loader, and the cost of the quarantine path on a
+//! 1%-corrupted world.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -8,7 +8,7 @@ use std::hint::black_box;
 use wearscope_bench::{ctx, small_world};
 use wearscope_core::merge::CoreAggregates;
 use wearscope_faults::{corrupt_world, FaultSpec};
-use wearscope_ingest::{load_store_resilient, IngestEngine, IngestOptions};
+use wearscope_ingest::{load_store_resilient, IngestOptions};
 
 fn worker_count_candidates() -> Vec<usize> {
     let cpus = wearscope_ingest::default_workers();
@@ -18,27 +18,17 @@ fn worker_count_candidates() -> Vec<usize> {
     counts
 }
 
-fn engine_scaling(c: &mut Criterion) {
+fn fold(c: &mut Criterion) {
     let world = small_world();
     let study = ctx(world);
     let records = (world.store.proxy().len() + world.store.mme().len()) as u64;
 
-    let mut group = c.benchmark_group("ingest-engine");
+    let mut group = c.benchmark_group("ingest-fold");
     group.sample_size(10);
     group.throughput(Throughput::Elements(records));
     group.bench_function("sequential", |b| {
         b.iter(|| CoreAggregates::sequential(black_box(&study)))
     });
-    for workers in worker_count_candidates() {
-        group.bench_with_input(
-            BenchmarkId::new("workers", workers),
-            &workers,
-            |b, &workers| {
-                let engine = IngestEngine::new(workers);
-                b.iter(|| engine.compute(black_box(&study)).unwrap())
-            },
-        );
-    }
     group.finish();
 }
 
@@ -95,5 +85,5 @@ fn corrupted_load(c: &mut Criterion) {
     std::fs::remove_dir_all(&dirty_dir).ok();
 }
 
-criterion_group!(benches, engine_scaling, parallel_load, corrupted_load);
+criterion_group!(benches, fold, parallel_load, corrupted_load);
 criterion_main!(benches);

@@ -54,8 +54,8 @@ impl UserActivity {
 /// Folds the wearable proxy log into per-user activity aggregates.
 ///
 /// Delegates to the mergeable [`crate::merge::ActivityPartial`] with a
-/// single implicit shard, so this sequential path and the parallel ingest
-/// engine run the same fold.
+/// single implicit shard, so this entry point and
+/// [`crate::CoreAggregates::sequential`] run the same fold.
 pub fn user_activity(ctx: &StudyContext<'_>) -> HashMap<UserId, UserActivity> {
     use crate::merge::{fold, ActivityPartial, Mergeable};
     fold::<ActivityPartial>(ctx, ctx.store.proxy()).finish(ctx)
@@ -95,7 +95,7 @@ impl HourlyProfile {
 
     /// The finish step: turns raw slot accumulators ((day type, hour) user
     /// sets plus exact counters) into the normalized weekly profile. Shared
-    /// by the sequential path and the parallel engine's merged partial.
+    /// by this entry point and every merged partial.
     pub(crate) fn from_slots(
         ctx: &StudyContext<'_>,
         users: &[HashSet<(u64, UserId)>],
@@ -237,7 +237,7 @@ impl TransactionStats {
 
     /// The finish step: builds the distributions from raw transaction sizes
     /// (any order — [`Ecdf`] sorts) and per-user aggregates. Shared with the
-    /// parallel engine's merged partial.
+    /// merged partial.
     pub(crate) fn from_parts(
         sizes: Vec<f64>,
         activity: &HashMap<UserId, UserActivity>,

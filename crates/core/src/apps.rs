@@ -42,7 +42,7 @@ impl AppPopularity {
 
     /// The finish step: normalizes the raw association index into the
     /// Fig. 5(a) shares. Shared by [`AppPopularity::compute`] and the
-    /// parallel engine's merged partial; all float reductions in here go
+    /// merged partial; all float reductions in here go
     /// through [`stats::stable_sum`] or exact integer-valued sums, so the
     /// map iteration order below cannot leak into the results.
     pub(crate) fn from_index(

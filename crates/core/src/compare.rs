@@ -28,8 +28,8 @@ pub struct UserTraffic {
 /// Folds the proxy log into per-user traffic totals.
 ///
 /// Delegates to the mergeable [`crate::merge::TrafficPartial`] with a
-/// single implicit shard, so this sequential path and the parallel ingest
-/// engine run the same fold.
+/// single implicit shard, so this entry point and
+/// [`crate::CoreAggregates::sequential`] run the same fold.
 pub fn user_traffic(ctx: &StudyContext<'_>) -> HashMap<UserId, UserTraffic> {
     use crate::merge::{fold, Mergeable, TrafficPartial};
     fold::<TrafficPartial>(ctx, ctx.store.proxy()).finish(ctx)

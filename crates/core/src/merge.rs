@@ -1,5 +1,6 @@
-//! Mergeable partial aggregates: the map-reduce substrate of the parallel
-//! ingest engine.
+//! Mergeable partial aggregates: the substrate of the batch fold
+//! ([`CoreAggregates::sequential`]) and of the streaming engine's
+//! event-time windows, both of which absorb into one [`CorePartials`].
 //!
 //! Every hot analysis in this crate is a fold over one log stream followed
 //! by a pure finish step. This module factors that shape into a trait:
@@ -21,10 +22,10 @@
 //! than how threads are scheduled: no partial ever carries a partially
 //! reduced float.
 //!
-//! The sequential entry points (`activity::user_activity`,
+//! The per-analysis entry points (`activity::user_activity`,
 //! `HourlyProfile::compute`, `MobilityIndex::build`, …) delegate to these
-//! same partials with a single implicit shard, so the legacy path and a
-//! one-worker engine run literally the same code.
+//! same partials with a single implicit shard, so they and the fused pass
+//! of [`CoreAggregates::sequential`] run literally the same code.
 
 use std::collections::{HashMap, HashSet};
 use std::marker::PhantomData;
@@ -68,8 +69,8 @@ pub trait Mergeable: Sized {
     fn finish(self, ctx: &StudyContext<'_>) -> Self::Output;
 }
 
-/// Folds an iterator of records into a fresh partial (the sequential path,
-/// and the per-shard worker body of the parallel engine).
+/// Folds an iterator of records into a fresh partial (the body of every
+/// per-analysis entry point).
 pub fn fold<'r, M>(ctx: &StudyContext<'_>, records: impl IntoIterator<Item = &'r M::Record>) -> M
 where
     M: Mergeable,
@@ -277,7 +278,7 @@ impl Mergeable for TrafficPartial {
 ///
 /// Two partials of the same stream can be merged in either of two shapes:
 ///
-/// * **user-disjoint shards** (the user-hash sharder) — no `(user, imei)`
+/// * **user-disjoint shards** — no `(user, imei)`
 ///   stream appears in both partials, and merge is a plain union;
 /// * **time-split segments** (the streaming engine's event-time windows) —
 ///   `other` holds the *later* segment of any stream both partials saw.
@@ -449,7 +450,7 @@ impl Mergeable for AppPopularityPartial {
 
 /// Builds a metric from another aggregate's output at finish time — the hook
 /// behind [`MapFinish`], letting downstream metrics keep their existing
-/// `compute(ctx, &aggregate)` API while still plugging into the engine.
+/// `compute(ctx, &aggregate)` API while still folding as a partial.
 pub trait FromAggregate<I>: Sized {
     /// Derives the metric from the finished aggregate.
     fn from_aggregate(ctx: &StudyContext<'_>, aggregate: &I) -> Self;
@@ -518,9 +519,8 @@ pub type LocationEntropyPartial = MapFinish<MobilityPartial, LocationEntropy>;
 // The aggregate bundle consumed by reports
 // ---------------------------------------------------------------------------
 
-/// The hot aggregates every report consumes, bundled so they can be produced
-/// either sequentially ([`CoreAggregates::sequential`]) or by the parallel
-/// ingest engine (`wearscope-ingest`), interchangeably.
+/// The hot aggregates every report consumes: the finished form of
+/// [`CorePartials`].
 #[derive(Clone, Debug)]
 pub struct CoreAggregates {
     /// Per-user wearable activity ([`crate::activity::user_activity`]).
@@ -540,23 +540,105 @@ pub struct CoreAggregates {
 }
 
 impl CoreAggregates {
-    /// Computes every aggregate on the current thread (the legacy path).
+    /// Computes every aggregate in one pass on the calling thread: each
+    /// proxy record, then each MME record, is absorbed into every partial
+    /// of a [`CorePartials`]; attribution, which needs each user's whole
+    /// proxy stream, runs after the record pass.
     pub fn sequential(ctx: &StudyContext<'_>) -> CoreAggregates {
-        let activity = crate::activity::user_activity(ctx);
-        let hourly = HourlyProfile::compute(ctx);
-        let tx_stats = TransactionStats::compute(ctx, &activity);
-        let traffic = crate::compare::user_traffic(ctx);
-        let mobility = MobilityIndex::build(ctx);
-        let attributed = sessions::attribute_transactions(ctx);
-        let popularity = AppPopularity::compute(&attributed);
+        let mut partials = CorePartials::identity();
+        for r in ctx.store.proxy() {
+            partials.absorb_proxy(ctx, r);
+        }
+        for r in ctx.store.mme() {
+            partials.absorb_mme(ctx, r);
+        }
+        for tx in &sessions::attribute_transactions(ctx) {
+            partials.absorb_attributed(ctx, tx);
+        }
+        partials.finish(ctx)
+    }
+}
+
+/// The partials behind [`CoreAggregates`]: the one bundle that both the
+/// batch fold ([`CoreAggregates::sequential`]) and the streaming engine's
+/// windows absorb into, merge, snapshot and finish.
+#[derive(Clone, Debug)]
+pub struct CorePartials {
+    /// Per-user wearable activity partial.
+    pub activity: ActivityPartial,
+    /// Hourly profile partial.
+    pub hourly: HourlyProfilePartial,
+    /// Transaction statistics partial.
+    pub tx_stats: TransactionStatsPartial,
+    /// All-device traffic partial.
+    pub traffic: TrafficPartial,
+    /// Mobility partial (MME side).
+    pub mobility: MobilityPartial,
+    /// App popularity partial, fed from attributed transactions.
+    pub popularity: AppPopularityPartial,
+    /// Attributed transactions, in absorption order.
+    pub attributed: Vec<AttributedTx>,
+}
+
+impl CorePartials {
+    /// The empty bundle.
+    pub fn identity() -> CorePartials {
+        CorePartials {
+            activity: ActivityPartial::identity(),
+            hourly: HourlyProfilePartial::identity(),
+            tx_stats: TransactionStatsPartial::identity(),
+            traffic: TrafficPartial::identity(),
+            mobility: MobilityPartial::identity(),
+            popularity: AppPopularityPartial::identity(),
+            attributed: Vec::new(),
+        }
+    }
+
+    /// Folds one proxy record into every proxy-side partial.
+    pub fn absorb_proxy(&mut self, ctx: &StudyContext<'_>, r: &ProxyRecord) {
+        self.activity.absorb(ctx, r);
+        self.hourly.absorb(ctx, r);
+        self.tx_stats.absorb(ctx, r);
+        self.traffic.absorb(ctx, r);
+    }
+
+    /// Folds one MME record into the mobility partial.
+    pub fn absorb_mme(&mut self, ctx: &StudyContext<'_>, r: &MmeRecord) {
+        self.mobility.absorb(ctx, r);
+    }
+
+    /// Folds one attributed transaction into the popularity partial and
+    /// keeps it for the session analyses.
+    pub fn absorb_attributed(&mut self, ctx: &StudyContext<'_>, tx: &AttributedTx) {
+        self.popularity.absorb(ctx, tx);
+        self.attributed.push(*tx);
+    }
+
+    /// Merges a later bundle into this one (see [`Mergeable::merge`]).
+    pub fn merge(&mut self, other: CorePartials) {
+        self.activity.merge(other.activity);
+        self.hourly.merge(other.hourly);
+        self.tx_stats.merge(other.tx_stats);
+        self.traffic.merge(other.traffic);
+        self.mobility.merge(other.mobility);
+        self.popularity.merge(other.popularity);
+        self.attributed.extend(other.attributed);
+    }
+
+    /// Finishes every partial. Attributed transactions end sorted by
+    /// `(user, timestamp)`; the sort is stable, so transactions sharing a
+    /// key keep their absorption order.
+    pub fn finish(self, ctx: &StudyContext<'_>) -> CoreAggregates {
+        let mut attributed = self.attributed;
+        attributed.sort_by_key(|t| (t.user, t.timestamp));
         CoreAggregates {
-            activity,
-            hourly,
-            tx_stats,
-            traffic,
-            mobility,
+            activity: self.activity.finish(ctx),
+            hourly: self.hourly.finish(ctx),
+            tx_stats: self.tx_stats.finish(ctx),
+            traffic: self.traffic.finish(ctx),
+            mobility: self.mobility.finish(ctx),
+            popularity: self.popularity.finish(ctx),
             attributed,
-            popularity,
         }
     }
 }

@@ -58,14 +58,14 @@ impl MobilityIndex {
     /// Builds the index from the study context's MME log.
     ///
     /// Delegates to the mergeable [`crate::merge::MobilityPartial`] with a
-    /// single implicit shard, so this sequential path and the parallel
-    /// ingest engine run the same fold.
+    /// single implicit shard, so this entry point and
+    /// [`crate::CoreAggregates::sequential`] run the same fold.
     pub fn build(ctx: &StudyContext<'_>) -> MobilityIndex {
         use crate::merge::{fold, Mergeable, MobilityPartial};
         fold::<MobilityPartial>(ctx, ctx.store.mme()).finish(ctx)
     }
 
-    /// The finish step shared with the parallel engine: dwell totals are
+    /// The finish step of every merged partial: dwell totals are
     /// already merged; daily max displacement is filled in (user, day) order
     /// so per-user float reductions downstream are run-to-run stable.
     pub(crate) fn from_dwell_and_days(

@@ -60,10 +60,10 @@ pub fn attribute_transactions(ctx: &StudyContext<'_>) -> Vec<AttributedTx> {
     attribute_records(ctx, ctx.store.proxy())
 }
 
-/// [`attribute_transactions`] over an explicit slice of proxy records — the
-/// per-shard entry point of the parallel ingest engine. Non-wearable
-/// records are skipped, so passing the whole log is equivalent to the
-/// sequential path.
+/// [`attribute_transactions`] over an explicit sequence of proxy records,
+/// for records that live outside a store. Non-wearable records are
+/// skipped, so passing the whole log is equivalent to
+/// [`attribute_transactions`].
 ///
 /// Attribution is user-local (anchors never cross users), so any sharding
 /// that keeps each user's records together and in log order yields shard

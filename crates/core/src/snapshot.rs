@@ -28,8 +28,8 @@ use wearscope_trace::UserId;
 use crate::activity::UserActivity;
 use crate::compare::UserTraffic;
 use crate::merge::{
-    ActivityPartial, AppPopularityPartial, HourlyProfilePartial, MobilityPartial, TrafficPartial,
-    TransactionStatsPartial,
+    ActivityPartial, AppPopularityPartial, CorePartials, HourlyProfilePartial, MobilityPartial,
+    TrafficPartial, TransactionStatsPartial,
 };
 use crate::mobility::UserMobility;
 use crate::sessions::AttributedTx;
@@ -548,6 +548,30 @@ impl Snapshot for Vec<AttributedTx> {
             });
         }
         Ok(out)
+    }
+}
+
+impl Snapshot for CorePartials {
+    fn snapshot(&self, out: &mut String) {
+        self.attributed.snapshot(out);
+        self.activity.snapshot(out);
+        self.hourly.snapshot(out);
+        self.tx_stats.snapshot(out);
+        self.traffic.snapshot(out);
+        self.mobility.snapshot(out);
+        self.popularity.snapshot(out);
+    }
+
+    fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(CorePartials {
+            attributed: Vec::<AttributedTx>::restore(r)?,
+            activity: ActivityPartial::restore(r)?,
+            hourly: HourlyProfilePartial::restore(r)?,
+            tx_stats: TransactionStatsPartial::restore(r)?,
+            traffic: TrafficPartial::restore(r)?,
+            mobility: MobilityPartial::restore(r)?,
+            popularity: AppPopularityPartial::restore(r)?,
+        })
     }
 }
 

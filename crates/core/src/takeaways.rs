@@ -88,8 +88,8 @@ impl Takeaways {
         Takeaways::compute_with(ctx, summaries, &CoreAggregates::sequential(ctx))
     }
 
-    /// Extracts the takeaways from pre-computed hot aggregates (the
-    /// sequential fold or the parallel ingest engine's identical one).
+    /// Extracts the takeaways from pre-computed hot aggregates
+    /// ([`CoreAggregates::sequential`] or merged stream windows).
     pub fn compute_with(
         ctx: &StudyContext<'_>,
         summaries: &NetworkSummaries,

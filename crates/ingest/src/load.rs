@@ -30,13 +30,18 @@ use wearscope_trace::{
     plan_tsv_shards, read_tsv_shard, ByteRange, MmeRecord, ProxyRecord, TraceStore, TsvShard,
 };
 
-use crate::engine::SHARDS_PER_WORKER;
 use crate::error::{with_io_retry, IngestError};
 use crate::pool::run_indexed;
 use crate::quarantine::{
     reason_for_codec, validate_source, write_quarantine_log, IngestOptions, Position,
     QuarantineEntry, ValidatedRecord,
 };
+use crate::MAX_WORKERS;
+
+/// Byte-range shards per worker and log: enough queue granularity that
+/// work stealing evens out skewed shards, without drowning the progress
+/// report.
+const SHARDS_PER_WORKER: usize = 4;
 
 /// One shard read: which log, which of its shards, and the byte range.
 struct Task<'a> {
@@ -52,8 +57,8 @@ enum Parsed {
 }
 
 /// Loads the store under `dir` (as written by `TraceStore::save`) with a
-/// pool of `workers` shard readers, quarantining per-record faults per
-/// `opts` instead of aborting.
+/// pool of `workers` shard readers (clamped to `1..=`[`MAX_WORKERS`]),
+/// quarantining per-record faults per `opts` instead of aborting.
 ///
 /// # Errors
 /// [`IngestError::Io`] for filesystem errors outside the shards,
@@ -67,11 +72,11 @@ pub fn load_store_resilient(
     workers: usize,
     opts: &IngestOptions,
 ) -> Result<(TraceStore, IngestReport), IngestError> {
-    let workers = workers.max(1);
+    let workers = workers.clamp(1, MAX_WORKERS);
     let start = Instant::now();
     let proxy_path = dir.join("proxy.log");
     let mme_path = dir.join("mme.log");
-    let max_shards = workers * SHARDS_PER_WORKER;
+    let max_shards = workers.saturating_mul(SHARDS_PER_WORKER);
     let plan = |source, path| -> io::Result<Vec<Task<'_>>> {
         Ok(plan_tsv_shards(path, max_shards)?
             .into_iter()

@@ -1,5 +1,4 @@
-//! The crate's one worker pool, shared by the shard reader
-//! ([`crate::load`]) and the shard fold ([`crate::engine`]).
+//! The crate's worker pool, used by the shard reader ([`crate::load`]).
 //!
 //! Workers are scoped threads that claim the next task index from a shared
 //! atomic counter, so a worker that draws a heavy task simply draws fewer.

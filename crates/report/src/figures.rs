@@ -18,8 +18,7 @@ pub struct FigureCsvExporter<'a> {
 
 impl<'a> FigureCsvExporter<'a> {
     /// Creates an exporter over a study context, vantage summaries and the
-    /// hot aggregates ([`CoreAggregates::sequential`] or the parallel
-    /// ingest engine's identical sharded fold).
+    /// hot aggregates ([`CoreAggregates::sequential`]).
     pub fn with_aggregates(
         ctx: &'a StudyContext<'a>,
         summaries: &'a NetworkSummaries,

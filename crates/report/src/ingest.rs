@@ -1,9 +1,9 @@
-//! Progress accounting for the parallel ingest engine.
+//! Progress accounting for the parallel log loader.
 //!
-//! The engine (`wearscope-ingest`) hands every worker a shard of the log
-//! and collects one [`ShardProgress`] per shard; the [`IngestReport`]
-//! aggregates them into the totals and the human-readable summary printed
-//! by `wearscope analyze --workers N`.
+//! The loader (`wearscope-ingest`) hands every worker a byte-range shard
+//! of a log and collects one [`ShardProgress`] per shard; the
+//! [`IngestReport`] aggregates them into the totals and the human-readable
+//! summary printed by `wearscope analyze --workers N`.
 
 use std::time::Duration;
 
@@ -17,8 +17,6 @@ pub enum ShardSource {
     Proxy,
     /// A byte range of the persisted MME TSV log.
     Mme,
-    /// A user-hash partition of an in-memory [`wearscope_trace::TraceStore`].
-    Memory,
 }
 
 impl ShardSource {
@@ -27,7 +25,6 @@ impl ShardSource {
         match self {
             ShardSource::Proxy => "proxy",
             ShardSource::Mme => "mme",
-            ShardSource::Memory => "memory",
         }
     }
 }
@@ -41,7 +38,7 @@ pub struct ShardProgress {
     pub source: ShardSource,
     /// Records successfully parsed/absorbed.
     pub records: u64,
-    /// Bytes covered by the shard (0 for in-memory shards).
+    /// Bytes covered by the shard.
     pub bytes: u64,
     /// Lines that failed to parse.
     pub parse_errors: u64,
@@ -53,7 +50,7 @@ pub struct ShardProgress {
 /// and wall time.
 #[derive(Clone, Debug, Default)]
 pub struct IngestReport {
-    /// Workers the engine ran with.
+    /// Workers the run used.
     pub workers: usize,
     /// One entry per shard, in merge (shard-index) order per source.
     pub shards: Vec<ShardProgress>,
@@ -100,16 +97,6 @@ impl IngestReport {
             self.records_per_sec(),
             self.parse_errors(),
         )
-    }
-
-    /// Folds another report (e.g. the compute phase after the load phase)
-    /// into this one. Wall times add — the phases run back to back — and
-    /// the worker count keeps the larger pool.
-    pub fn merge(&mut self, other: IngestReport) {
-        self.workers = self.workers.max(other.workers);
-        self.shards.extend(other.shards);
-        self.quality.merge(&other.quality);
-        self.wall += other.wall;
     }
 
     /// Per-shard table for verbose output.

@@ -1,22 +1,18 @@
 //! Per-window aggregate state.
 //!
-//! Each open window holds the same six [`Mergeable`] partials the parallel
-//! ingest engine shards over, plus the window's attributed transactions
-//! and a handful of exact counters. Because the partials obey the
-//! determinism contract of [`wearscope_core::merge`], merging every
-//! *tumbling* window's partials in index order and finishing once
-//! reproduces the batch [`CoreAggregates`] bit-identically — the golden
-//! equivalence the integration tests pin. (Sliding windows intentionally
-//! multi-count records across overlapping windows; their partials describe
-//! each window, not a partition of the stream.)
+//! Each open window holds one [`CorePartials`] bundle — the same partials
+//! the batch fold ([`CoreAggregates::sequential`]) absorbs into — plus a
+//! handful of exact counters. Because the partials obey the determinism
+//! contract of [`wearscope_core::merge`], merging every *tumbling* window's
+//! partials in index order and finishing once reproduces the batch
+//! [`CoreAggregates`] bit-identically — the golden equivalence the
+//! integration tests pin. (Sliding windows intentionally multi-count
+//! records across overlapping windows; their partials describe each
+//! window, not a partition of the stream.)
 
-use wearscope_core::merge::{
-    ActivityPartial, AppPopularityPartial, HourlyProfilePartial, Mergeable, MobilityPartial,
-    TrafficPartial, TransactionStatsPartial,
-};
 use wearscope_core::sessions::AttributedTx;
 use wearscope_core::snapshot::{Snapshot, SnapshotError, SnapshotReader};
-use wearscope_core::{CoreAggregates, StudyContext};
+use wearscope_core::{CoreAggregates, CorePartials, StudyContext};
 use wearscope_report::WindowReport;
 use wearscope_trace::{MmeRecord, ProxyRecord};
 
@@ -38,20 +34,9 @@ pub struct WindowCounters {
 /// Every partial aggregate of one event-time window.
 #[derive(Clone, Debug)]
 pub struct WindowAggregates {
-    /// Per-user wearable activity partial.
-    pub activity: ActivityPartial,
-    /// Hourly profile partial.
-    pub hourly: HourlyProfilePartial,
-    /// Transaction statistics partial.
-    pub tx_stats: TransactionStatsPartial,
-    /// All-device traffic partial.
-    pub traffic: TrafficPartial,
-    /// Mobility partial (MME side).
-    pub mobility: MobilityPartial,
-    /// App popularity partial, fed from attributed transactions.
-    pub popularity: AppPopularityPartial,
-    /// Attributed transactions routed to this window, in emission order.
-    pub attributed: Vec<AttributedTx>,
+    /// The window's partials, attributed transactions (routed here by
+    /// transaction time, in emission order) included.
+    pub partials: CorePartials,
     /// Report counters.
     pub counters: WindowCounters,
 }
@@ -60,13 +45,7 @@ impl WindowAggregates {
     /// The empty window.
     pub fn identity() -> WindowAggregates {
         WindowAggregates {
-            activity: ActivityPartial::identity(),
-            hourly: HourlyProfilePartial::identity(),
-            tx_stats: TransactionStatsPartial::identity(),
-            traffic: TrafficPartial::identity(),
-            mobility: MobilityPartial::identity(),
-            popularity: AppPopularityPartial::identity(),
-            attributed: Vec::new(),
+            partials: CorePartials::identity(),
             counters: WindowCounters::default(),
         }
     }
@@ -74,10 +53,7 @@ impl WindowAggregates {
     /// Folds one proxy record into the window. `late` marks a record that
     /// arrived behind the watermark but within the allowed lateness.
     pub fn absorb_proxy(&mut self, ctx: &StudyContext<'_>, r: &ProxyRecord, late: bool) {
-        self.activity.absorb(ctx, r);
-        self.hourly.absorb(ctx, r);
-        self.tx_stats.absorb(ctx, r);
-        self.traffic.absorb(ctx, r);
+        self.partials.absorb_proxy(ctx, r);
         self.counters.proxy_records += 1;
         self.counters.late_merged += u64::from(late);
         if ctx.is_wearable_record(r) {
@@ -88,27 +64,20 @@ impl WindowAggregates {
 
     /// Folds one MME record into the window.
     pub fn absorb_mme(&mut self, ctx: &StudyContext<'_>, r: &MmeRecord, late: bool) {
-        self.mobility.absorb(ctx, r);
+        self.partials.absorb_mme(ctx, r);
         self.counters.mme_records += 1;
         self.counters.late_merged += u64::from(late);
     }
 
     /// Folds one attributed transaction (routed by transaction time).
     pub fn absorb_attributed(&mut self, ctx: &StudyContext<'_>, tx: &AttributedTx) {
-        self.popularity.absorb(ctx, tx);
-        self.attributed.push(*tx);
+        self.partials.absorb_attributed(ctx, tx);
     }
 
     /// Merges another window's partials into this one (callers supply
-    /// ascending window index, matching the shard-order contract).
+    /// ascending window index, matching the merge-order contract).
     pub fn merge(&mut self, other: WindowAggregates) {
-        self.activity.merge(other.activity);
-        self.hourly.merge(other.hourly);
-        self.tx_stats.merge(other.tx_stats);
-        self.traffic.merge(other.traffic);
-        self.mobility.merge(other.mobility);
-        self.popularity.merge(other.popularity);
-        self.attributed.extend(other.attributed);
+        self.partials.merge(other.partials);
         self.counters.proxy_records += other.counters.proxy_records;
         self.counters.mme_records += other.counters.mme_records;
         self.counters.wearable_tx += other.counters.wearable_tx;
@@ -116,24 +85,15 @@ impl WindowAggregates {
         self.counters.late_merged += other.counters.late_merged;
     }
 
-    /// Finishes into the public aggregate bundle — same final stable sort
-    /// as the batch and parallel-ingest paths.
+    /// Finishes into the public aggregate bundle, exactly as the batch
+    /// fold does.
     pub fn finish(self, ctx: &StudyContext<'_>) -> CoreAggregates {
-        let mut attributed = self.attributed;
-        attributed.sort_by_key(|t| (t.user, t.timestamp));
-        CoreAggregates {
-            activity: self.activity.finish(ctx),
-            hourly: self.hourly.finish(ctx),
-            tx_stats: self.tx_stats.finish(ctx),
-            traffic: self.traffic.finish(ctx),
-            mobility: self.mobility.finish(ctx),
-            popularity: self.popularity.finish(ctx),
-            attributed,
-        }
+        self.partials.finish(ctx)
     }
 
     /// Renders the finalized window report.
     pub fn report(&self, index: u64, start_secs: u64, end_secs: u64, forced: bool) -> WindowReport {
+        let attributed = &self.partials.attributed;
         WindowReport {
             index,
             start_secs,
@@ -142,8 +102,8 @@ impl WindowAggregates {
             mme_records: self.counters.mme_records,
             wearable_tx: self.counters.wearable_tx,
             wearable_bytes: self.counters.wearable_bytes,
-            users: self.traffic.per_user.len() as u64,
-            attributed: self.attributed.iter().filter(|t| t.app.is_some()).count() as u64,
+            users: self.partials.traffic.per_user.len() as u64,
+            attributed: attributed.iter().filter(|t| t.app.is_some()).count() as u64,
             late_merged: self.counters.late_merged,
             forced,
         }
@@ -157,13 +117,7 @@ impl Snapshot for WindowAggregates {
             "window-counters\t{}\t{}\t{}\t{}\t{}\n",
             c.proxy_records, c.mme_records, c.wearable_tx, c.wearable_bytes, c.late_merged
         ));
-        self.attributed.snapshot(out);
-        self.activity.snapshot(out);
-        self.hourly.snapshot(out);
-        self.tx_stats.snapshot(out);
-        self.traffic.snapshot(out);
-        self.mobility.snapshot(out);
-        self.popularity.snapshot(out);
+        self.partials.snapshot(out);
     }
 
     fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
@@ -183,13 +137,7 @@ impl Snapshot for WindowAggregates {
             late_merged: num(fields[4])?,
         };
         Ok(WindowAggregates {
-            attributed: Vec::<AttributedTx>::restore(r)?,
-            activity: ActivityPartial::restore(r)?,
-            hourly: HourlyProfilePartial::restore(r)?,
-            tx_stats: TransactionStatsPartial::restore(r)?,
-            traffic: TrafficPartial::restore(r)?,
-            mobility: MobilityPartial::restore(r)?,
-            popularity: AppPopularityPartial::restore(r)?,
+            partials: CorePartials::restore(r)?,
             counters,
         })
     }
@@ -293,5 +241,104 @@ mod tests {
         assert_eq!(a.activity, b.activity);
         assert_eq!(a.traffic, b.traffic);
         assert_eq!(a.tx_stats, b.tx_stats);
+    }
+
+    /// The checkpoint body of one small window, byte for byte: counters
+    /// first, then attributed, activity, hourly, tx-stats, traffic,
+    /// mobility and popularity. A change to this text breaks `--resume`
+    /// from every checkpoint already on disk.
+    #[test]
+    fn snapshot_text_is_pinned() {
+        use wearscope_core::sessions::attribute_records;
+        use wearscope_devicedb::DeviceClass;
+        use wearscope_trace::MmeEvent;
+
+        let db = DeviceDb::standard();
+        let catalog = AppCatalog::standard();
+        let sectors = SectorDirectory::new();
+        let store = TraceStore::new();
+        let ctx = StudyContext::new(
+            &store,
+            &db,
+            &sectors,
+            &catalog,
+            ObservationWindow::new(14, 14, Calendar::PAPER),
+        );
+        let watch = db.example_imei(db.wearable_tacs()[0], 1).as_u64();
+        let phone = db
+            .example_imei(db.tacs_of_class(DeviceClass::Smartphone)[0], 2)
+            .as_u64();
+        let proxy = |t: u64, user: u64, imei: u64, host: &str, down: u64| ProxyRecord {
+            timestamp: SimTime::from_secs(t),
+            user: UserId(user),
+            imei,
+            host: host.into(),
+            scheme: Scheme::Https,
+            bytes_down: down,
+            bytes_up: 11,
+        };
+        let records = [
+            proxy(9 * 3600 + 5, 1, watch, "api.weather.com", 100),
+            proxy(9 * 3600 + 30, 1, watch, "ssl.google-analytics.com", 2000),
+            proxy(86_400 + 10 * 3600, 2, phone, "maps.googleapis.com", 500),
+        ];
+        let mme = |t: u64, event: MmeEvent, sector: u32| MmeRecord {
+            timestamp: SimTime::from_secs(t),
+            user: UserId(1),
+            imei: watch,
+            event,
+            sector,
+        };
+
+        let mut w = WindowAggregates::identity();
+        for (i, r) in records.iter().enumerate() {
+            w.absorb_proxy(&ctx, r, i == 1);
+        }
+        w.absorb_mme(&ctx, &mme(9 * 3600, MmeEvent::Attach, 2), false);
+        w.absorb_mme(&ctx, &mme(9 * 3600 + 600, MmeEvent::SectorUpdate, 3), true);
+        for tx in &attribute_records(&ctx, &records) {
+            w.absorb_attributed(&ctx, tx);
+        }
+        let mut text = String::new();
+        w.snapshot(&mut text);
+
+        // 48 hourly slots; only weekday hour 9 of day 0 saw the watch.
+        let hourly: String = (0..48)
+            .map(|slot| {
+                if slot == 9 {
+                    "2\t2122\t0:1\n"
+                } else {
+                    "0\t0\t-\n"
+                }
+            })
+            .collect();
+        let expected = [
+            "window-counters\t3\t2\t2\t2122\t2\n",
+            "attributed\t2\n",
+            "1\t32405\t0\t1\t111\n",
+            "1\t32430\t0\t0\t2011\n",
+            "activity\t1\n",
+            "1\t2\t2122\t0\t9\n",
+            "hourly\n",
+            &hourly,
+            "tx-stats\t2\n",
+            "405bc00000000000 409f6c0000000000\n",
+            "activity\t1\n",
+            "1\t2\t2122\t0\t9\n",
+            "traffic\t2\n",
+            "1\t2122\t2\t2122\t2\n",
+            "2\t511\t1\t0\t0\n",
+            "mobility\t1\t1\t1\t1\n",
+            "1\t352000000000012\t3\t33000\n",
+            "1\t0\t2 3\n",
+            "1\t2:600\n",
+            "1\t352000000000012\t32400\n",
+            "popularity\t1\t1\n",
+            "0\t0\t1\n",
+            "0\t1\t0\n",
+            "0\n",
+        ]
+        .concat();
+        assert_eq!(text, expected);
     }
 }

@@ -43,7 +43,7 @@
 //! | [`mobilenet`] | MME + transparent proxy simulator |
 //! | [`synthpop`] | calibrated population & behaviour generators |
 //! | [`core`] | the analysis pipeline (the paper's contribution) |
-//! | [`ingest`] | sharded parallel ingestion & mergeable-aggregate engine |
+//! | [`ingest`] | parallel, quarantining log loading |
 //! | [`stream`] | incremental event-time windowing, watermarks, checkpoint/resume |
 //! | [`faults`] | deterministic log-fault injection for resilience drills |
 //! | [`report`] | tables, CSV export, paper-vs-measured comparison |
@@ -72,7 +72,6 @@ pub mod prelude {
     pub use wearscope_core::StudyContext;
     pub use wearscope_devicedb::{DeviceClass, DeviceDb, Imei};
     pub use wearscope_geo::{CountryLayout, SectorDirectory};
-    pub use wearscope_ingest::IngestEngine;
     pub use wearscope_mobilenet::{MobileNetwork, NetworkEvent};
     pub use wearscope_simtime::{ObservationWindow, SimDuration, SimTime, TimeRange};
     pub use wearscope_stream::{StreamConfig, StreamRuntime, WindowSpec, WorldSource};

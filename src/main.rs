@@ -18,7 +18,7 @@ use std::process::ExitCode;
 
 use wearscope::core::{CoreAggregates, StudyResults};
 use wearscope::faults::{corrupt_world, FaultSpec};
-use wearscope::ingest::{load_store_resilient, IngestEngine, IngestOptions};
+use wearscope::ingest::{load_store_resilient, IngestOptions, MAX_WORKERS};
 use wearscope::obs::Registry;
 use wearscope::prelude::*;
 use wearscope::report::{export_figures, render_full, render_stage_table, ExperimentReport};
@@ -82,8 +82,9 @@ OPTIONS:
     --world DIR  directory written by generate
     --full       print the complete per-figure report, not just the table
     --csv DIR    also export every figure's data series as CSV files
-    --workers N  parallel ingest workers (default: all CPUs; 1 = sequential).
-                 Results are bit-identical for every N
+    --workers N  parallel log-read workers, 1 to 1024 (default: all CPUs);
+                 the analysis itself runs on one thread. Results are
+                 bit-identical for every N
     --max-error-rate R
                  abort analyze when a log's quarantined fraction exceeds R
                  (default 0.01); quarantined records are listed with typed
@@ -256,8 +257,12 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     let dir = PathBuf::from(flag(args, "--world")?.ok_or("analyze requires --world DIR")?);
     let workers: usize = match flag(args, "--workers")? {
         Some(s) => match s.parse() {
-            Ok(0) | Err(_) => return Err(format!("bad worker count `{s}` (need an integer >= 1)")),
-            Ok(n) => n,
+            Ok(n @ 1..=MAX_WORKERS) => n,
+            _ => {
+                return Err(format!(
+                    "bad worker count `{s}` (need an integer from 1 to {MAX_WORKERS})"
+                ))
+            }
         },
         None => wearscope::ingest::default_workers(),
     };
@@ -294,18 +299,8 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         }
     }
 
-    // --workers 1 folds the aggregates sequentially; N > 1 uses the
-    // worker-pool engine. Both produce bit-identical reports and CSVs.
     let fold_span = root.child("fold");
-    let aggs = if workers > 1 {
-        let (aggs, compute_report) = IngestEngine::new(workers)
-            .compute_with_metrics(&ctx, &metrics)
-            .map_err(|e| format!("analyzing {}: {e}", dir.display()))?;
-        eprintln!("analyze: {}", compute_report.summary_line());
-        aggs
-    } else {
-        CoreAggregates::sequential(&ctx)
-    };
+    let aggs = CoreAggregates::sequential(&ctx);
     fold_span.finish();
 
     let full = args.iter().any(|a| a == "--full");
@@ -619,6 +614,13 @@ mod tests {
         assert!(err.contains("worker count"), "{err}");
         let err = cmd_analyze(&args(&["--world", "/tmp/x", "--workers", "many"])).unwrap_err();
         assert!(err.contains("worker count"), "{err}");
+        // One loader thread per worker: a huge count is refused up front
+        // instead of aborting the process when thread setup fails.
+        let err = cmd_analyze(&args(&["--world", "/tmp/x", "--workers", "100000"])).unwrap_err();
+        assert!(err.contains("worker count"), "{err}");
+        let max = MAX_WORKERS.to_string();
+        let err = cmd_analyze(&args(&["--world", "/tmp/x", "--workers", &max])).unwrap_err();
+        assert!(!err.contains("worker count"), "{err}");
     }
 
     #[test]

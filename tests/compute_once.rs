@@ -1,6 +1,6 @@
 //! Compute once: the per-output entry points (`render_full_report`,
 //! `Takeaways::compute`, `FigureCsvExporter::with_aggregates`) and rendering
-//! from one `StudyResults` over the 2-worker engine's aggregates give the
+//! from one `StudyResults` over a 2-worker load's aggregates give the
 //! same bytes — full report, experiment table and every figure CSV — on a
 //! quick world, clean and after `corrupt --faults all`.
 
@@ -8,7 +8,7 @@ use std::path::Path;
 
 use wearscope::core::{CoreAggregates, StudyResults};
 use wearscope::faults::{corrupt_world, FaultSpec};
-use wearscope::ingest::{load_store_resilient, IngestEngine, IngestOptions};
+use wearscope::ingest::{load_store_resilient, IngestOptions};
 use wearscope::prelude::*;
 use wearscope::report::{
     export_figures, render_full, render_full_report, ExperimentReport, FigureCsvExporter,
@@ -41,13 +41,12 @@ fn assert_single_implementation(world: &Path, out: &Path) {
     let table =
         ExperimentReport::from_takeaways_with_window(&takeaways, saved.window.summary().num_days())
             .render();
-    let sequential = CoreAggregates::sequential(&ctx);
+    let aggs = CoreAggregates::sequential(&ctx);
     let legacy_csv = out.join("legacy");
-    FigureCsvExporter::with_aggregates(&ctx, summaries, &sequential)
+    FigureCsvExporter::with_aggregates(&ctx, summaries, &aggs)
         .export_all(&legacy_csv)
         .expect("export legacy csv");
 
-    let (aggs, _) = IngestEngine::new(2).compute(&ctx).expect("engine fold");
     let results = StudyResults::new(&ctx, summaries, &aggs);
     assert_eq!(render_full(&results), full);
     assert_eq!(ExperimentReport::from_results(&results).render(), table);

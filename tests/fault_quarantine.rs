@@ -10,9 +10,9 @@
 //! (a swap of equal timestamps is benign), so its count is pinned as a
 //! golden value for the fixed (world seed, corruption seed) pair.
 
-use wearscope::core::StudyResults;
+use wearscope::core::{CoreAggregates, StudyResults};
 use wearscope::faults::{corrupt_world, FaultClass, FaultSpec};
-use wearscope::ingest::{load_store_resilient, IngestEngine, IngestOptions};
+use wearscope::ingest::{load_store_resilient, IngestOptions};
 use wearscope::prelude::*;
 use wearscope::report::{ExperimentReport, QuarantineReason};
 
@@ -123,7 +123,7 @@ fn every_fault_class_quarantines_exact_counts_and_analysis_completes() {
     let db = DeviceDb::standard();
     let catalog = AppCatalog::standard();
     let ctx = StudyContext::new(&saved.store, &db, &saved.sectors, &catalog, saved.window);
-    let (aggs, _) = IngestEngine::new(4).compute(&ctx).expect("compute");
+    let aggs = CoreAggregates::sequential(&ctx);
     let results = StudyResults::new(&ctx, &saved.summaries, &aggs);
     assert!(!ExperimentReport::from_results(&results).render().is_empty());
 

@@ -1,5 +1,6 @@
-//! Property: the sharded parallel ingest engine is *bit-identical* to the
-//! sequential fold for every worker count.
+//! Properties: the one fused pass ([`CoreAggregates::sequential`]) is
+//! *bit-identical* to every analysis's own entry point, and the resilient
+//! loader keeps the same records for every worker count.
 //!
 //! `PartialEq` on the aggregates already catches most divergence, but the
 //! contract in `wearscope_core::merge` is stronger — no float may differ in
@@ -7,10 +8,16 @@
 //! through `f64::to_bits` (which also distinguishes `0.0` from `-0.0`).
 
 use proptest::prelude::*;
+use proptest::TestCaseError;
 
+use wearscope::core::activity::{user_activity, HourlyProfile, TransactionStats};
+use wearscope::core::apps::AppPopularity;
+use wearscope::core::compare::user_traffic;
 use wearscope::core::merge::CoreAggregates;
+use wearscope::core::mobility::MobilityIndex;
+use wearscope::core::sessions::attribute_transactions;
 use wearscope::faults::{corrupt_world, FaultSpec};
-use wearscope::ingest::{load_store_resilient, IngestEngine, IngestOptions};
+use wearscope::ingest::{load_store_resilient, IngestOptions};
 use wearscope::prelude::*;
 use wearscope::report::QuarantineReason;
 use wearscope::simtime::Calendar;
@@ -64,106 +71,7 @@ fn bits(samples: &[f64]) -> Vec<u64> {
     samples.iter().map(|x| x.to_bits()).collect()
 }
 
-proptest! {
-    /// For any random trace and any worker count 1–8, every float series the
-    /// parallel engine produces has the same bits as the sequential fold.
-    #[test]
-    fn sharded_ingest_is_bit_identical(proxy_raw in arb_proxy(), mme_raw in arb_mme()) {
-        let db = DeviceDb::standard();
-        let mut sectors = SectorDirectory::new();
-        for i in 0..5 {
-            sectors.push(
-                wearscope::geo::GeoPoint::new(40.0 + 0.07 * f64::from(i), -3.0 - 0.05 * f64::from(i)),
-                None,
-            );
-        }
-        let catalog = AppCatalog::standard();
-
-        let proxy: Vec<ProxyRecord> = proxy_raw
-            .into_iter()
-            .map(|(u, t, h, https, down, up)| ProxyRecord {
-                timestamp: SimTime::from_secs(t),
-                user: UserId(u),
-                imei: imei_for(&db, u),
-                host: HOSTS[h].into(),
-                scheme: if https { Scheme::Https } else { Scheme::Http },
-                bytes_down: down,
-                bytes_up: up,
-            })
-            .collect();
-        let mme: Vec<MmeRecord> = mme_raw
-            .into_iter()
-            .map(|(u, t, sector, detach)| MmeRecord {
-                timestamp: SimTime::from_secs(t),
-                user: UserId(u),
-                imei: imei_for(&db, u),
-                event: if detach { MmeEvent::Detach } else { MmeEvent::SectorUpdate },
-                sector,
-            })
-            .collect();
-        let store = TraceStore::from_records(proxy, mme);
-        let ctx = StudyContext::new(
-            &store,
-            &db,
-            &sectors,
-            &catalog,
-            ObservationWindow::new(14, 14, Calendar::PAPER),
-        );
-
-        let seq = CoreAggregates::sequential(&ctx);
-        for workers in 1..=8 {
-            let (par, report) = IngestEngine::new(workers).compute(&ctx).unwrap();
-
-            // Structural equality over everything first.
-            prop_assert_eq!(&par.activity, &seq.activity);
-            prop_assert_eq!(&par.hourly, &seq.hourly);
-            prop_assert_eq!(&par.tx_stats, &seq.tx_stats);
-            prop_assert_eq!(&par.traffic, &seq.traffic);
-            prop_assert_eq!(&par.mobility, &seq.mobility);
-            prop_assert_eq!(&par.attributed, &seq.attributed);
-            prop_assert_eq!(&par.popularity, &seq.popularity);
-
-            // Then bit-exactness of every float series.
-            prop_assert_eq!(
-                bits(par.tx_stats.size.samples()),
-                bits(seq.tx_stats.size.samples())
-            );
-            prop_assert_eq!(
-                bits(par.tx_stats.hourly_tx_per_user.samples()),
-                bits(seq.tx_stats.hourly_tx_per_user.samples())
-            );
-            prop_assert_eq!(
-                bits(par.tx_stats.hourly_bytes_per_user.samples()),
-                bits(seq.tx_stats.hourly_bytes_per_user.samples())
-            );
-            prop_assert_eq!(
-                par.tx_stats.median_bytes.to_bits(),
-                seq.tx_stats.median_bytes.to_bits()
-            );
-            for hour in 0..24 {
-                for (p, s) in [
-                    (&par.hourly.weekday[hour], &seq.hourly.weekday[hour]),
-                    (&par.hourly.weekend[hour], &seq.hourly.weekend[hour]),
-                ] {
-                    prop_assert_eq!(p.active_users.to_bits(), s.active_users.to_bits());
-                    prop_assert_eq!(p.transactions.to_bits(), s.transactions.to_bits());
-                    prop_assert_eq!(p.bytes.to_bits(), s.bytes.to_bits());
-                }
-            }
-            let mut users: Vec<_> = seq.mobility.per_user.keys().copied().collect();
-            users.sort();
-            for u in users {
-                prop_assert_eq!(
-                    bits(&par.mobility.per_user[&u].daily_max_displacement_km),
-                    bits(&seq.mobility.per_user[&u].daily_max_displacement_km)
-                );
-            }
-            prop_assert_eq!(report.parse_errors(), 0);
-        }
-    }
-}
-
-/// Builds the same record vectors the first property uses.
+/// Builds the proxy and MME record vectors from the raw draws.
 fn build_records(
     db: &DeviceDb,
     proxy_raw: Vec<(u64, u64, usize, bool, u64, u64)>,
@@ -198,11 +106,107 @@ fn build_records(
     (proxy, mme)
 }
 
+/// The five sectors every record draw refers to.
+fn sectors() -> SectorDirectory {
+    let mut sectors = SectorDirectory::new();
+    for i in 0..5 {
+        sectors.push(
+            wearscope::geo::GeoPoint::new(40.0 + 0.07 * f64::from(i), -3.0 - 0.05 * f64::from(i)),
+            None,
+        );
+    }
+    sectors
+}
+
+/// Folds `store` once with [`CoreAggregates::sequential`] and checks every
+/// aggregate against the analysis's own entry point, floats bit for bit.
+fn assert_fused_matches_entry_points(
+    db: &DeviceDb,
+    store: &TraceStore,
+) -> Result<(), TestCaseError> {
+    let sectors = sectors();
+    let catalog = AppCatalog::standard();
+    let ctx = StudyContext::new(
+        store,
+        db,
+        &sectors,
+        &catalog,
+        ObservationWindow::new(14, 14, Calendar::PAPER),
+    );
+    let fused = CoreAggregates::sequential(&ctx);
+
+    let activity = user_activity(&ctx);
+    let hourly = HourlyProfile::compute(&ctx);
+    let tx_stats = TransactionStats::compute(&ctx, &activity);
+    let traffic = user_traffic(&ctx);
+    let mobility = MobilityIndex::build(&ctx);
+    let attributed = attribute_transactions(&ctx);
+    let popularity = AppPopularity::compute(&attributed);
+
+    // Structural equality over everything first.
+    prop_assert_eq!(&fused.activity, &activity);
+    prop_assert_eq!(&fused.hourly, &hourly);
+    prop_assert_eq!(&fused.tx_stats, &tx_stats);
+    prop_assert_eq!(&fused.traffic, &traffic);
+    prop_assert_eq!(&fused.mobility, &mobility);
+    prop_assert_eq!(&fused.attributed, &attributed);
+    prop_assert_eq!(&fused.popularity, &popularity);
+
+    // Then bit-exactness of every float series.
+    prop_assert_eq!(
+        bits(fused.tx_stats.size.samples()),
+        bits(tx_stats.size.samples())
+    );
+    prop_assert_eq!(
+        bits(fused.tx_stats.hourly_tx_per_user.samples()),
+        bits(tx_stats.hourly_tx_per_user.samples())
+    );
+    prop_assert_eq!(
+        bits(fused.tx_stats.hourly_bytes_per_user.samples()),
+        bits(tx_stats.hourly_bytes_per_user.samples())
+    );
+    prop_assert_eq!(
+        fused.tx_stats.median_bytes.to_bits(),
+        tx_stats.median_bytes.to_bits()
+    );
+    for hour in 0..24 {
+        for (f, e) in [
+            (&fused.hourly.weekday[hour], &hourly.weekday[hour]),
+            (&fused.hourly.weekend[hour], &hourly.weekend[hour]),
+        ] {
+            prop_assert_eq!(f.active_users.to_bits(), e.active_users.to_bits());
+            prop_assert_eq!(f.transactions.to_bits(), e.transactions.to_bits());
+            prop_assert_eq!(f.bytes.to_bits(), e.bytes.to_bits());
+        }
+    }
+    let mut users: Vec<_> = mobility.per_user.keys().copied().collect();
+    users.sort();
+    for u in users {
+        prop_assert_eq!(
+            bits(&fused.mobility.per_user[&u].daily_max_displacement_km),
+            bits(&mobility.per_user[&u].daily_max_displacement_km)
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    /// For any random trace, every aggregate and float series of the fused
+    /// pass has the same bits as the analysis's own entry point.
+    #[test]
+    fn fused_fold_is_bit_identical(proxy_raw in arb_proxy(), mme_raw in arb_mme()) {
+        let db = DeviceDb::standard();
+        let (proxy, mme) = build_records(&db, proxy_raw, mme_raw);
+        let store = TraceStore::from_records(proxy, mme);
+        assert_fused_matches_entry_points(&db, &store)?;
+    }
+}
+
 proptest! {
     /// For any random trace, any corruption seed, and any worker count, the
     /// resilient load of the corrupted world quarantines the *same* records
-    /// (same survivors, same per-reason counts) and the sharded analysis of
-    /// the survivors stays bit-identical to the sequential fold.
+    /// (same survivors, same per-reason counts), and the fused pass over
+    /// the survivors stays bit-identical to the per-analysis entry points.
     #[test]
     fn corrupted_world_ingest_is_bit_identical(
         proxy_raw in arb_proxy(),
@@ -250,35 +254,8 @@ proptest! {
             }
         }
 
-        // The surviving store analyzes bit-identically, sharded vs not.
         let (survivors, _) = baseline.unwrap();
-        let mut sectors = SectorDirectory::new();
-        for i in 0..5 {
-            sectors.push(
-                wearscope::geo::GeoPoint::new(40.0 + 0.07 * f64::from(i), -3.0 - 0.05 * f64::from(i)),
-                None,
-            );
-        }
-        let catalog = AppCatalog::standard();
-        let ctx = StudyContext::new(
-            &survivors,
-            &db,
-            &sectors,
-            &catalog,
-            ObservationWindow::new(14, 14, Calendar::PAPER),
-        );
-        let seq = CoreAggregates::sequential(&ctx);
-        for workers in [2usize, 5, 8] {
-            let (par, _) = IngestEngine::new(workers).compute(&ctx).unwrap();
-            prop_assert_eq!(&par.activity, &seq.activity);
-            prop_assert_eq!(&par.tx_stats, &seq.tx_stats);
-            prop_assert_eq!(&par.mobility, &seq.mobility);
-            prop_assert_eq!(&par.attributed, &seq.attributed);
-            prop_assert_eq!(
-                bits(par.tx_stats.size.samples()),
-                bits(seq.tx_stats.size.samples())
-            );
-        }
+        assert_fused_matches_entry_points(&db, &survivors)?;
         std::fs::remove_dir_all(&dir).ok();
     }
 }
