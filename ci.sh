@@ -45,7 +45,7 @@ echo "==> metrics determinism: analyze with 1 and 4 workers, diff snapshots"
 # content only, so it must be byte-identical across worker counts. `timing`
 # is serialized last, so stripping it is a prefix cut.
 "$WEARSCOPE" analyze --world "$FAULT_DIR/world" --workers 1 \
-    --metrics "$FAULT_DIR/metrics1.json" >/dev/null 2>&1
+    --metrics "$FAULT_DIR/metrics1.json" >/dev/null 2>"$FAULT_DIR/analyze1.err"
 "$WEARSCOPE" analyze --world "$FAULT_DIR/world" --workers 4 \
     --metrics "$FAULT_DIR/metrics4.json" >/dev/null 2>&1
 awk '/^  "timing":/{exit} {print}' "$FAULT_DIR/metrics1.json" >"$FAULT_DIR/metrics1.det"
@@ -53,6 +53,24 @@ awk '/^  "timing":/{exit} {print}' "$FAULT_DIR/metrics4.json" >"$FAULT_DIR/metri
 test -s "$FAULT_DIR/metrics1.det"
 diff "$FAULT_DIR/metrics1.det" "$FAULT_DIR/metrics4.det"
 echo "    metric snapshots identical across worker counts (timing excluded)"
+
+echo "==> batch/stream agreement: stream --lateness 0s on the corrupted world, diff against analyze"
+# Batch and stream run one record validator per log. At lateness 0 they
+# differ only in the watermark (per-log high-water mark vs the merged
+# one), which quarantines no extra record on this world, so the
+# per-reason counts and the bytes read and decode errors must be equal.
+"$WEARSCOPE" stream --world "$FAULT_DIR/world" --lateness 0s \
+    --metrics "$FAULT_DIR/stream0.json" >/dev/null 2>"$FAULT_DIR/stream0.err"
+quarantine_counts() { grep -E '^(quality|stream):' "$1" | grep -o 'quarantined: .*'; }
+quarantine_counts "$FAULT_DIR/analyze1.err" >"$FAULT_DIR/analyze1.quarantine"
+quarantine_counts "$FAULT_DIR/stream0.err" >"$FAULT_DIR/stream0.quarantine"
+test -s "$FAULT_DIR/analyze1.quarantine"
+diff "$FAULT_DIR/analyze1.quarantine" "$FAULT_DIR/stream0.quarantine"
+awk '/^  "timing":/{exit} {print}' "$FAULT_DIR/stream0.json" | grep '"trace\.' >"$FAULT_DIR/stream0.trace"
+grep '"trace\.' "$FAULT_DIR/metrics1.det" >"$FAULT_DIR/analyze1.trace"
+test -s "$FAULT_DIR/analyze1.trace"
+diff "$FAULT_DIR/analyze1.trace" "$FAULT_DIR/stream0.trace"
+echo "    analyze and stream --lateness 0s agree on quarantine counts, bytes read and decode errors"
 
 echo "==> stream drill: kill mid-run, resume from checkpoint, diff reports"
 # Checkpoint writes are atomic AND durable: temp file in the same directory,

@@ -8,8 +8,9 @@
 //! What the takeaways need is computed eagerly in [`StudyResults::new`]: the
 //! summary analyses, the finish steps over the aggregates and the five
 //! store scans. The figure-only app analyses (sessions → Fig. 5(b), 6 and
-//! 7) are computed at most once, on the first call to
-//! [`StudyResults::app_figures`], so a run that prints only the table never
+//! 7) and the full report's trace QA scan are computed at most once, on
+//! the first call to [`StudyResults::app_figures`] and
+//! [`StudyResults::quality`], so a run that prints only the table never
 //! pays for them.
 
 use std::cell::OnceCell;
@@ -24,6 +25,7 @@ use crate::context::StudyContext;
 use crate::devices::DeviceMix;
 use crate::merge::CoreAggregates;
 use crate::mobility::{Displacement, LocationEntropy, MobilityActivity};
+use crate::quality::DataQualityReport;
 use crate::sessions::{self, PerUsage};
 use crate::thirdparty::DomainBreakdown;
 use crate::through_device::ThroughDeviceReport;
@@ -68,6 +70,7 @@ pub struct StudyResults<'a> {
     /// Sec. 4.1 device mix.
     pub devices: DeviceMix,
     app_figures: OnceCell<AppFigures>,
+    quality: OnceCell<DataQualityReport>,
 }
 
 /// The figure-only app analyses, derived from the 1-minute-gap sessions.
@@ -143,6 +146,7 @@ impl<'a> StudyResults<'a> {
             ctx,
             aggs,
             app_figures: OnceCell::new(),
+            quality: OnceCell::new(),
         }
     }
 
@@ -173,6 +177,12 @@ impl<'a> StudyResults<'a> {
                 per_usage,
             }
         })
+    }
+
+    /// The trace QA report, scanning the store on the first call.
+    pub fn quality(&self) -> &DataQualityReport {
+        self.quality
+            .get_or_init(|| DataQualityReport::compute(self.ctx))
     }
 
     /// The catalog name of `app`, `?` for an unknown id.

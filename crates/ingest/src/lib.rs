@@ -5,7 +5,8 @@
 //!   (planned by [`wearscope_trace::shard`]), quarantining per-record
 //!   faults (malformed lines, duplicates, timestamp regressions, clock
 //!   skew, invalid IMEIs) up to an error budget;
-//! * [`quarantine`] — the per-record validation pass and the typed
+//! * [`quarantine`] — [`RecordValidator`], the per-record content checks
+//!   the loader and the streaming runtime share, and the typed
 //!   [`QuarantineReason`](wearscope_report::QuarantineReason) ledger
 //!   written to `quarantine.log`;
 //! * [`engine`] — [`IngestEngine`], a delegation to the one aggregate fold,
@@ -37,7 +38,9 @@ pub mod quarantine;
 pub use engine::IngestEngine;
 pub use error::IngestError;
 pub use load::load_store_resilient;
-pub use quarantine::{reason_for_codec, IngestOptions, DEFAULT_MAX_ERROR_RATE};
+pub use quarantine::{
+    reason_for_codec, IngestOptions, LogRecord, RecordValidator, Rejection, DEFAULT_MAX_ERROR_RATE,
+};
 
 /// The most loader workers a run may ask for. Each worker is a thread, so
 /// an unbounded count can exhaust the process's thread resources.

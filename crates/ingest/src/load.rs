@@ -26,6 +26,7 @@ use wearscope_obs::{Counter, Registry};
 use wearscope_report::{
     DataQuality, IngestReport, QuarantineCounts, QuarantineReason, ShardProgress, ShardSource,
 };
+use wearscope_simtime::SimTime;
 use wearscope_trace::{
     plan_tsv_shards, read_tsv_shard, ByteRange, MmeRecord, ProxyRecord, TraceStore, TsvShard,
 };
@@ -33,8 +34,8 @@ use wearscope_trace::{
 use crate::error::{with_io_retry, IngestError};
 use crate::pool::run_indexed;
 use crate::quarantine::{
-    reason_for_codec, validate_source, write_quarantine_log, IngestOptions, Position,
-    QuarantineEntry, ValidatedRecord,
+    reason_for_codec, write_quarantine_log, IngestOptions, LogRecord, Position, QuarantineEntry,
+    RecordValidator, Rejection,
 };
 use crate::MAX_WORKERS;
 
@@ -192,59 +193,71 @@ fn shard_failed(t: &Task<'_>, panicked: bool, detail: String) -> IngestError {
 }
 
 /// One log's post-pool outcome: survivors plus the quarantine ledger.
-struct SourceOutcome<R> {
-    kept: Vec<R>,
+pub(crate) struct SourceOutcome<R> {
+    pub(crate) kept: Vec<R>,
     /// Non-blank lines attempted: parsed records + malformed lines.
-    seen: u64,
-    counts: QuarantineCounts,
-    entries: Vec<QuarantineEntry>,
+    pub(crate) seen: u64,
+    pub(crate) counts: QuarantineCounts,
+    pub(crate) entries: Vec<QuarantineEntry>,
     /// Quarantined records attributed to the shard they came from.
-    per_shard_quarantined: Vec<u64>,
+    pub(crate) per_shard_quarantined: Vec<u64>,
 }
 
-/// Concatenates one source's shards in file order, turning shard-local
-/// parse errors into global quarantine entries and then running the content
-/// checks over the parsed records.
-fn process_source<R: ValidatedRecord>(
+/// Drains one source's shards in file order into the survivors: shard-local
+/// parse errors become global quarantine entries, and each parsed record
+/// passes the content checks against the log's own high-water mark.
+pub(crate) fn process_source<R: LogRecord>(
     source: ShardSource,
     shards: Vec<TsvShard<R>>,
     opts: &IngestOptions,
 ) -> SourceOutcome<R> {
-    let mut counts = QuarantineCounts::default();
+    // Parse-fault entries, then content-fault entries.
     let mut entries = Vec::new();
-    let mut per_shard = vec![0u64; shards.len()];
-    let mut records: Vec<R> = Vec::new();
-    // Exclusive prefix record counts, for record-index → shard attribution.
-    let mut records_before: Vec<u64> = Vec::with_capacity(shards.len());
-    let mut line_base = 0u64;
-    let mut parse_errors = 0u64;
-    for (idx, shard) in shards.into_iter().enumerate() {
-        for (local_line, error) in &shard.errors {
-            let reason = reason_for_codec(error);
-            counts.note(reason);
-            per_shard[idx] += 1;
-            entries.push(QuarantineEntry {
-                source,
-                position: Position::Line(line_base + local_line),
-                reason,
-                detail: error.to_string(),
-            });
-        }
-        parse_errors += shard.errors.len() as u64;
+    let mut content_entries = Vec::new();
+    let mut per_shard = Vec::with_capacity(shards.len());
+    let mut kept = Vec::with_capacity(shards.iter().map(|s| s.records.len()).sum());
+    let mut validator = RecordValidator::new(opts.max_timestamp);
+    let mut high_water = SimTime::EPOCH;
+    let (mut seen, mut line_base, mut record_index) = (0u64, 0u64, 0u64);
+    for shard in shards {
+        let before = entries.len() + content_entries.len();
+        entries.extend(
+            shard
+                .errors
+                .iter()
+                .map(|(local_line, error)| QuarantineEntry {
+                    source,
+                    position: Position::Line(line_base + local_line),
+                    reason: reason_for_codec(error),
+                    detail: error.to_string(),
+                }),
+        );
+        seen += (shard.errors.len() + shard.records.len()) as u64;
         line_base += shard.lines;
-        records_before.push(records.len() as u64);
-        records.extend(shard.records);
+        for record in shard.records {
+            match validator.check(&record, high_water, false) {
+                Ok(()) => {
+                    high_water = record.timestamp();
+                    kept.push(record);
+                }
+                Err(Rejection { reason, detail }) => content_entries.push(QuarantineEntry {
+                    source,
+                    position: Position::Record(record_index),
+                    reason,
+                    detail,
+                }),
+            }
+            record_index += 1;
+        }
+        per_shard.push((entries.len() + content_entries.len() - before) as u64);
     }
-    let seen = records.len() as u64 + parse_errors;
-    let validated = validate_source(records, source, opts, &mut counts, &mut entries);
-    for &ri in &validated.quarantined_indices {
-        let shard_idx = records_before
-            .partition_point(|&b| b <= ri)
-            .saturating_sub(1);
-        per_shard[shard_idx] += 1;
+    entries.append(&mut content_entries);
+    let mut counts = QuarantineCounts::default();
+    for e in &entries {
+        counts.note(e.reason);
     }
     SourceOutcome {
-        kept: validated.kept,
+        kept,
         seen,
         counts,
         entries,

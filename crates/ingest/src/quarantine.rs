@@ -5,22 +5,23 @@
 //!
 //! * **Parse faults** (shard-local): malformed lines collected by the shard
 //!   readers, mapped to `Truncated`/`BadField` by [`reason_for_codec`].
-//! * **Content faults** (global): duplicates, timestamp regressions, clock
-//!   skew, and structurally invalid IMEIs, decided by [`validate_source`]
-//!   over the concatenated records **in file order**. Because shard ranges
-//!   partition the file exactly and all sequence state (high-water mark,
-//!   duplicate set) is rebuilt in that order on the merge thread, every
-//!   quarantine decision is independent of worker count and shard layout —
-//!   the determinism contract the `ingest_determinism` proptests pin down.
+//! * **Content faults**: duplicates, timestamp regressions, clock skew, and
+//!   structurally invalid IMEIs, decided one record at a time by a
+//!   [`RecordValidator`] per log. The batch loader feeds it each log's
+//!   records **in file order** on the merge thread, so every quarantine
+//!   decision is independent of worker count and shard layout — the
+//!   determinism contract the `ingest_determinism` proptests pin down. The
+//!   streaming runtime feeds the same validator in arrival order.
 
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use wearscope_devicedb::Imei;
 use wearscope_obs::Registry;
-use wearscope_report::{QuarantineCounts, QuarantineReason, ShardSource};
+use wearscope_report::{QuarantineReason, ShardSource};
 use wearscope_simtime::SimTime;
 use wearscope_trace::{CodecError, MmeRecord, ProxyRecord};
 
@@ -148,14 +149,17 @@ impl core::fmt::Display for QuarantineEntry {
     }
 }
 
-/// A record the content checks know how to judge.
-pub(crate) trait ValidatedRecord: std::hash::Hash + Eq {
-    fn ts(&self) -> SimTime;
+/// A log record the content checks can judge: exact equality for the
+/// duplicate check, plus the two fields the other checks read.
+pub trait LogRecord: std::hash::Hash + Eq + Clone {
+    /// Event timestamp.
+    fn timestamp(&self) -> SimTime;
+    /// Raw IMEI field.
     fn imei(&self) -> u64;
 }
 
-impl ValidatedRecord for ProxyRecord {
-    fn ts(&self) -> SimTime {
+impl LogRecord for ProxyRecord {
+    fn timestamp(&self) -> SimTime {
         self.timestamp
     }
     fn imei(&self) -> u64 {
@@ -163,8 +167,8 @@ impl ValidatedRecord for ProxyRecord {
     }
 }
 
-impl ValidatedRecord for MmeRecord {
-    fn ts(&self) -> SimTime {
+impl LogRecord for MmeRecord {
+    fn timestamp(&self) -> SimTime {
         self.timestamp
     }
     fn imei(&self) -> u64 {
@@ -172,97 +176,134 @@ impl ValidatedRecord for MmeRecord {
     }
 }
 
-/// Outcome of the content checks over one log's records.
-pub(crate) struct Validated<R> {
-    /// Surviving records, file order preserved.
-    pub kept: Vec<R>,
-    /// Indices (into the input, file order) of quarantined records.
-    pub quarantined_indices: Vec<u64>,
+/// Why [`RecordValidator::check`] refused a record.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Rejection {
+    /// The quarantine reason.
+    pub reason: QuarantineReason,
+    /// The `quarantine.log` detail text.
+    pub detail: String,
 }
 
-/// Runs the content checks over `records` in file order, appending
-/// quarantine entries/counts and returning the survivors.
+/// The content checks for one log, shared by the batch loader and the
+/// streaming runtime.
 ///
-/// Check precedence per record — content identity first, then sequence:
-/// `UnknownImei` → `Skewed` → `OutOfOrder` → `Duplicate`. Quarantined
-/// records contribute nothing to sequence state (the high-water mark and
-/// duplicate set advance on kept records only), so one skewed timestamp
-/// cannot cascade into quarantining the rest of the log.
+/// The caller supplies the watermark, which must never decrease: batch
+/// passes its log's own high-water mark (the newest kept timestamp),
+/// stream passes `max_event − lateness` over the merged pair of logs.
+/// Quarantined records change no state, so one skewed timestamp cannot
+/// cascade into quarantining the rest of the log.
 ///
-/// The duplicate set only holds kept records at the high-water timestamp:
-/// a copy of an older kept record regresses behind the mark and is already
-/// quarantined `OutOfOrder`. So the set is cleared whenever a kept record
-/// advances the mark, and memory is O(records at one timestamp), not
-/// O(records).
-pub(crate) fn validate_source<R: ValidatedRecord>(
-    records: Vec<R>,
-    source: ShardSource,
-    opts: &IngestOptions,
-    counts: &mut QuarantineCounts,
-    entries: &mut Vec<QuarantineEntry>,
-) -> Validated<R> {
-    let mut keep = vec![true; records.len()];
-    let mut quarantined_indices = Vec::new();
-    {
-        let mut seen: HashSet<&R> = HashSet::new();
-        let mut watermark = SimTime::EPOCH;
-        for (i, r) in records.iter().enumerate() {
-            let verdict = if Imei::from_u64(r.imei()).is_err() {
-                Some((
-                    QuarantineReason::UnknownImei,
-                    format!("imei {} is not a valid device identity", r.imei()),
-                ))
-            } else if opts.max_timestamp.is_some_and(|horizon| r.ts() > horizon) {
-                Some((
-                    QuarantineReason::Skewed,
-                    format!(
-                        "timestamp {}s is past the observation horizon",
-                        r.ts().as_secs()
-                    ),
-                ))
-            } else if r.ts() < watermark {
-                Some((
-                    QuarantineReason::OutOfOrder,
-                    format!(
-                        "timestamp {}s regresses behind {}s",
-                        r.ts().as_secs(),
-                        watermark.as_secs()
-                    ),
-                ))
-            } else if r.ts() > watermark {
-                watermark = r.ts();
-                seen.clear();
-                seen.insert(r);
-                None
-            } else if !seen.insert(r) {
-                Some((
-                    QuarantineReason::Duplicate,
-                    "exact copy of an earlier record".into(),
-                ))
-            } else {
-                None
-            };
-            if let Some((reason, detail)) = verdict {
-                keep[i] = false;
-                quarantined_indices.push(i as u64);
-                counts.note(reason);
-                entries.push(QuarantineEntry {
-                    source,
-                    position: Position::Record(i as u64),
-                    reason,
-                    detail,
-                });
+/// The duplicate memory holds the kept records. A record that passes the
+/// watermark check is at or after the watermark, so it can never equal a
+/// remembered record behind it: [`check`](RecordValidator::check) forgets
+/// those whenever the memory has doubled since it last did, which bounds
+/// memory without changing any decision.
+#[derive(Clone, Debug)]
+pub struct RecordValidator<R> {
+    /// Clock-skew horizon: records stamped after it are `Skewed`.
+    horizon: Option<SimTime>,
+    /// Remembered records, each with its arrival number.
+    remembered: HashMap<R, u64>,
+    arrivals: u64,
+    /// Memory size at which the next kept record forgets the records
+    /// behind the watermark.
+    forget_at: usize,
+}
+
+/// The smallest memory that triggers forgetting.
+const MIN_FORGET_AT: usize = 64;
+
+impl<R: LogRecord> RecordValidator<R> {
+    /// A validator with an empty memory and skew horizon `horizon`
+    /// (`None` disables the skew check).
+    pub fn new(horizon: Option<SimTime>) -> RecordValidator<R> {
+        RecordValidator {
+            horizon,
+            remembered: HashMap::new(),
+            arrivals: 0,
+            forget_at: MIN_FORGET_AT,
+        }
+    }
+
+    /// Judges one record and remembers it if kept. Check precedence —
+    /// content identity first, then sequence: `UnknownImei` → `Skewed` →
+    /// `OutOfOrder` (behind `watermark`, or `sealed`: the caller has
+    /// already closed everything the record could go to) → `Duplicate`.
+    ///
+    /// # Errors
+    /// The [`Rejection`] of a quarantined record.
+    pub fn check(&mut self, record: &R, watermark: SimTime, sealed: bool) -> Result<(), Rejection> {
+        let ts = record.timestamp();
+        let (reason, detail) = if Imei::from_u64(record.imei()).is_err() {
+            (
+                QuarantineReason::UnknownImei,
+                format!("imei {} is not a valid device identity", record.imei()),
+            )
+        } else if self.horizon.is_some_and(|horizon| ts > horizon) {
+            (
+                QuarantineReason::Skewed,
+                format!(
+                    "timestamp {}s is past the observation horizon",
+                    ts.as_secs()
+                ),
+            )
+        } else if ts < watermark {
+            (
+                QuarantineReason::OutOfOrder,
+                format!(
+                    "timestamp {}s regresses behind {}s",
+                    ts.as_secs(),
+                    watermark.as_secs()
+                ),
+            )
+        } else if sealed {
+            (
+                QuarantineReason::OutOfOrder,
+                format!("timestamp {}s falls only in sealed windows", ts.as_secs()),
+            )
+        } else if self.remember(record.clone()) {
+            if self.remembered.len() >= self.forget_at {
+                self.remembered.retain(|r, _| r.timestamp() >= watermark);
+                self.forget_at = (2 * self.remembered.len()).max(MIN_FORGET_AT);
+                self.remembered.shrink_to(self.forget_at);
+            }
+            return Ok(());
+        } else {
+            (
+                QuarantineReason::Duplicate,
+                "exact copy of an earlier record".into(),
+            )
+        };
+        Err(Rejection { reason, detail })
+    }
+
+    /// Adds `record` to the duplicate memory; `false` if it was already
+    /// there.
+    pub fn remember(&mut self, record: R) -> bool {
+        match self.remembered.entry(record) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
+                slot.insert(self.arrivals);
+                self.arrivals += 1;
+                true
             }
         }
     }
-    let kept = records
-        .into_iter()
-        .zip(keep)
-        .filter_map(|(r, k)| k.then_some(r))
-        .collect();
-    Validated {
-        kept,
-        quarantined_indices,
+
+    /// The remembered records at or after `watermark`, in time order, then
+    /// arrival order within a timestamp (the checkpoint body;
+    /// [`remember`](Self::remember) them in this order to restore the
+    /// memory).
+    pub fn remembered(&self, watermark: SimTime) -> Vec<&R> {
+        let mut live: Vec<(&R, u64)> = self
+            .remembered
+            .iter()
+            .filter(|(r, _)| r.timestamp() >= watermark)
+            .map(|(r, &arrival)| (r, arrival))
+            .collect();
+        live.sort_unstable_by_key(|&(r, arrival)| (r.timestamp(), arrival));
+        live.into_iter().map(|(r, _)| r).collect()
     }
 }
 
@@ -280,8 +321,12 @@ pub(crate) fn write_quarantine_log(path: &Path, entries: &[QuarantineEntry]) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+
+    use crate::load::process_source;
     use wearscope_devicedb::DeviceDb;
-    use wearscope_trace::{Scheme, UserId};
+    use wearscope_report::QuarantineCounts;
+    use wearscope_trace::{Scheme, TsvShard, UserId};
 
     fn rec(db: &DeviceDb, t: u64, user: u64) -> ProxyRecord {
         ProxyRecord {
@@ -295,15 +340,40 @@ mod tests {
         }
     }
 
+    /// The batch path: `records` split into `shards` file-order shards and
+    /// drained through the loader's per-log validation.
+    fn run_sharded(
+        records: Vec<ProxyRecord>,
+        shards: usize,
+        opts: &IngestOptions,
+    ) -> (Vec<ProxyRecord>, Vec<QuarantineEntry>) {
+        let per = records.len().div_ceil(shards.max(1)).max(1);
+        let mut rest = records.into_iter().peekable();
+        let mut parts = Vec::new();
+        while rest.peek().is_some() || parts.is_empty() {
+            let records: Vec<ProxyRecord> = rest.by_ref().take(per).collect();
+            parts.push(TsvShard {
+                lines: records.len() as u64,
+                records,
+                bytes: 0,
+                errors: Vec::new(),
+            });
+        }
+        let out = process_source(ShardSource::Proxy, parts, opts);
+        assert_eq!(out.entries.len() as u64, out.counts.total());
+        (out.kept, out.entries)
+    }
+
     fn run(
         records: Vec<ProxyRecord>,
         opts: &IngestOptions,
     ) -> (Vec<ProxyRecord>, QuarantineCounts) {
+        let (kept, entries) = run_sharded(records, 1, opts);
         let mut counts = QuarantineCounts::default();
-        let mut entries = Vec::new();
-        let v = validate_source(records, ShardSource::Proxy, opts, &mut counts, &mut entries);
-        assert_eq!(entries.len() as u64, counts.total());
-        (v.kept, counts)
+        for e in &entries {
+            counts.note(e.reason);
+        }
+        (kept, counts)
     }
 
     #[test]
@@ -379,11 +449,12 @@ mod tests {
 
     proptest::proptest! {
         /// On random logs with copies, regressions, skew, bad IMEIs and
-        /// runs of equal timestamps, the pruned set quarantines exactly
-        /// what a whole-log set does.
+        /// runs of equal timestamps, split into 1–3 shards, the validator's
+        /// pruned memory quarantines exactly what a whole-log set does.
         #[test]
         fn pruned_duplicate_set_matches_whole_log(
-            ops in proptest::prop::collection::vec((0u8..7, 0u64..3, 0u64..4, 0usize..1000), 0..200)
+            ops in proptest::prop::collection::vec((0u8..7, 0u64..3, 0u64..4, 0usize..1000), 0..200),
+            shards in 1usize..4,
         ) {
             let db = DeviceDb::standard();
             let opts = IngestOptions {
@@ -410,15 +481,27 @@ mod tests {
                 records.push(r);
             }
             let expected = whole_log_reference(&records, &opts);
-            let mut counts = QuarantineCounts::default();
-            let mut entries = Vec::new();
             let n = records.len();
-            let v = validate_source(records, ShardSource::Proxy, &opts, &mut counts, &mut entries);
+            let (kept, entries) = run_sharded(records, shards, &opts);
             let got: Vec<(Position, QuarantineReason)> =
                 entries.iter().map(|e| (e.position, e.reason)).collect();
             proptest::prop_assert_eq!(got, expected);
-            proptest::prop_assert_eq!(v.kept.len() + entries.len(), n);
+            proptest::prop_assert_eq!(kept.len() + entries.len(), n);
         }
+    }
+
+    #[test]
+    fn remembered_lists_live_records_by_time_then_arrival() {
+        let db = DeviceDb::standard();
+        let [a, b, c, d] = [(20, 1), (10, 2), (20, 3), (10, 4)].map(|(t, u)| rec(&db, t, u));
+        let mut v = RecordValidator::new(None);
+        for r in [&a, &b, &c, &d] {
+            assert!(v.remember(r.clone()));
+        }
+        assert!(!v.remember(c.clone()));
+        assert_eq!(v.remembered(SimTime::EPOCH), [&b, &d, &a, &c]);
+        // Records behind the watermark are left out before any forgetting.
+        assert_eq!(v.remembered(SimTime::from_secs(15)), [&a, &c]);
     }
 
     #[test]

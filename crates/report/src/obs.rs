@@ -11,15 +11,35 @@ use wearscope_obs::Snapshot;
 use crate::Table;
 
 /// Renders the snapshot's stage spans as a table in execution order,
-/// indenting each stage by its depth in the span tree (one span path per
-/// row; repeated spans accumulate into `count` and `total`).
+/// parents before their children and each stage indented by its depth in
+/// the span tree (one span path per row; repeated spans accumulate into
+/// `count` and `total`).
 pub fn render_stage_table(snapshot: &Snapshot) -> String {
     let stages = &snapshot.timing.stages;
     if stages.is_empty() {
         return String::new();
     }
+    // The snapshot lists spans as they first finish, children before their
+    // parent. Ordering each path by where every ancestor's subtree first
+    // appears puts parents first and keeps siblings in execution order.
+    let first_seen = |prefix: &str| {
+        stages
+            .iter()
+            .position(|s| {
+                s.path
+                    .strip_prefix(prefix)
+                    .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
+            })
+            .unwrap_or(usize::MAX)
+    };
+    let mut ordered: Vec<_> = stages.iter().collect();
+    ordered.sort_by_cached_key(|s| {
+        let path = s.path.as_str();
+        let ancestors = path.match_indices('/').map(|(i, _)| &path[..i]);
+        ancestors.chain([path]).map(first_seen).collect::<Vec<_>>()
+    });
     let mut t = Table::new(vec!["stage", "count", "total ms", "mean ms"]);
-    for s in stages {
+    for s in ordered {
         let depth = s.path.matches('/').count();
         let name = s.path.rsplit('/').next().unwrap_or(&s.path);
         let label = format!("{}{}", "  ".repeat(depth), name);
@@ -89,14 +109,36 @@ mod tests {
                 load.child("shard").finish();
             }
             root.child("fold").finish();
+            {
+                let results = root.child("results");
+                results.child("weekly").finish();
+                results.child("devices").finish();
+            }
+            root.child("report").finish();
         }
         let s = render_stage_table(&reg.snapshot());
-        let lines: Vec<&str> = s.lines().collect();
-        // Header, underline, then stages in first-seen order.
-        assert!(lines[2].starts_with("    shard"), "{s}");
-        assert!(lines[3].starts_with("  load"), "{s}");
-        assert!(lines[4].starts_with("  fold"), "{s}");
-        assert!(lines[5].starts_with("analyze"), "{s}");
+        let labels: Vec<&str> = s
+            .lines()
+            .skip(2) // header and underline
+            // Drop the count, total and mean columns.
+            .map(|l| l.trim_end_matches(|c: char| c.is_ascii_digit() || " .".contains(c)))
+            .collect();
+        // Pre-order: each parent before its children, siblings in
+        // execution order.
+        assert_eq!(
+            labels,
+            [
+                "analyze",
+                "  load",
+                "    shard",
+                "  fold",
+                "  results",
+                "    weekly",
+                "    devices",
+                "  report"
+            ],
+            "{s}"
+        );
     }
 
     #[test]

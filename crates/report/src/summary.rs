@@ -2,7 +2,6 @@
 //! CLI (and any embedding application) can produce the complete study
 //! output without re-assembling the analyses by hand.
 
-use wearscope_core::quality::DataQualityReport;
 use wearscope_core::{CoreAggregates, StudyContext, StudyResults};
 use wearscope_mobilenet::NetworkSummaries;
 
@@ -21,9 +20,11 @@ pub fn render_full_report(ctx: &StudyContext<'_>, summaries: &NetworkSummaries) 
 }
 
 /// Renders the complete study from already computed results (the
-/// `analyze --full` report). Only the trace QA section scans the store.
+/// `analyze --full` report). Scans the store only through
+/// [`StudyResults::quality`] and [`StudyResults::app_figures`], each at
+/// most once per `StudyResults`.
 pub fn render_full(r: &StudyResults<'_>) -> String {
-    let (ctx, aggs) = (r.ctx, r.aggs);
+    let aggs = r.aggs;
     let mut out = String::new();
     let mut section = |title: &str, body: String| {
         out.push_str("\n== ");
@@ -33,7 +34,7 @@ pub fn render_full(r: &StudyResults<'_>) -> String {
     };
 
     // QA first: nothing below is trustworthy if this is red.
-    let quality = DataQualityReport::compute(ctx);
+    let quality = r.quality();
     section(
         "trace QA",
         format!(

@@ -4,8 +4,9 @@
 //! The format is the same hand-rolled line/TSV discipline as
 //! [`wearscope_core::snapshot`] (no serialization framework is vendored):
 //! a version header, the configuration (verified on resume), the stream
-//! clock and counters, emitted reports, the duplicate sets (as raw record
-//! lines), the attributor queues, and one snapshot per open window.
+//! clock and counters, emitted reports, each log validator's duplicate
+//! memory (as raw record lines), the attributor queues, and one snapshot
+//! per open window.
 //! Writes are atomic and durable — temp file in the same directory,
 //! fsync, rename, then fsync the parent directory — so a crash mid-write
 //! leaves the previous checkpoint intact and a crash right after the
@@ -22,15 +23,14 @@ use std::path::Path;
 
 use wearscope_core::snapshot::{Snapshot, SnapshotReader};
 use wearscope_core::StudyContext;
+use wearscope_ingest::{LogRecord, RecordValidator};
 use wearscope_report::{DataQuality, QuarantineReason, WindowReport};
 use wearscope_simtime::{SimDuration, SimTime};
-use wearscope_trace::{decode_log_line, MmeRecord, ProxyRecord};
+use wearscope_trace::{decode_log_line, MmeRecord, ProxyRecord, TsvRecord};
 
 use crate::aggregates::WindowAggregates;
 use crate::attrib::StreamingAttributor;
-use crate::runtime::{
-    Backpressure, Dedup, Progress, StreamConfig, StreamError, StreamRecord, StreamRuntime,
-};
+use crate::runtime::{Backpressure, Progress, StreamConfig, StreamError, StreamRuntime};
 use crate::source::SourcePosition;
 use crate::window::WindowSpec;
 
@@ -90,8 +90,17 @@ pub fn to_text(rt: &StreamRuntime<'_>, position: Option<SourcePosition>) -> Stri
         out.push_str(&format!("collected-window\t{id}\n"));
         agg.snapshot(&mut out);
     }
-    push_dedup(&mut out, "dedup-proxy", &rt.dedup_proxy);
-    push_dedup(&mut out, "dedup-mme", &rt.dedup_mme);
+    let watermark = rt.watermark();
+    push_remembered(
+        &mut out,
+        "dedup-proxy",
+        rt.proxy_validator.remembered(watermark),
+    );
+    push_remembered(
+        &mut out,
+        "dedup-mme",
+        rt.mme_validator.remembered(watermark),
+    );
     rt.attributor.snapshot(&mut out);
     out.push_str(&format!("open\t{}\n", rt.open.len()));
     for (id, agg) in &rt.open {
@@ -102,8 +111,7 @@ pub fn to_text(rt: &StreamRuntime<'_>, position: Option<SourcePosition>) -> Stri
     out
 }
 
-fn push_dedup<R: StreamRecord>(out: &mut String, tag: &str, dedup: &Dedup<R>) {
-    let records: Vec<&R> = dedup.records().collect();
+fn push_remembered<R: TsvRecord>(out: &mut String, tag: &str, records: Vec<&R>) {
     out.push_str(&format!("{tag}\t{}\n", records.len()));
     for r in records {
         out.push_str(&r.to_line());
@@ -241,8 +249,9 @@ pub fn from_text<'s>(
         collected.push((id, WindowAggregates::restore(&mut r)?));
     }
 
-    let dedup_proxy = read_dedup::<ProxyRecord>(&mut r, "dedup-proxy")?;
-    let dedup_mme = read_dedup::<MmeRecord>(&mut r, "dedup-mme")?;
+    let horizon = config.max_timestamp;
+    let proxy_validator = read_validator::<ProxyRecord>(&mut r, "dedup-proxy", horizon)?;
+    let mme_validator = read_validator::<MmeRecord>(&mut r, "dedup-mme", horizon)?;
     let attributor = StreamingAttributor::restore(&mut r)?;
 
     let fields = r.tagged("open")?;
@@ -262,8 +271,8 @@ pub fn from_text<'s>(
     rt.reports = reports;
     rt.collected = collected;
     rt.attributor = attributor;
-    rt.dedup_proxy = dedup_proxy;
-    rt.dedup_mme = dedup_mme;
+    rt.proxy_validator = proxy_validator;
+    rt.mme_validator = mme_validator;
     rt.quality = quality;
     rt.late_merged = late_merged;
     rt.forced_emits = forced_emits;
@@ -311,17 +320,21 @@ fn check_config(config: &StreamConfig, fields: &[&str]) -> Result<(), StreamErro
     Ok(())
 }
 
-fn read_dedup<R: StreamRecord>(
+/// Rebuilds one log's validator from its checkpointed duplicate memory.
+fn read_validator<R: LogRecord + TsvRecord>(
     r: &mut SnapshotReader<'_>,
     tag: &str,
-) -> Result<Dedup<R>, StreamError> {
+    horizon: Option<SimTime>,
+) -> Result<RecordValidator<R>, StreamError> {
     let fields = r.tagged(tag)?;
     let n = num(r, fields.first().copied().unwrap_or(""))? as usize;
-    let mut records = Vec::with_capacity(n);
+    let mut validator = RecordValidator::new(horizon);
     for _ in 0..n {
         let line = r.line()?;
         match decode_log_line::<R>(line) {
-            Some(Ok(rec)) => records.push(rec),
+            Some(Ok(rec)) => {
+                validator.remember(rec);
+            }
             Some(Err(e)) => {
                 return Err(StreamError::Checkpoint {
                     line: r.line_no(),
@@ -336,7 +349,7 @@ fn read_dedup<R: StreamRecord>(
             }
         }
     }
-    Ok(Dedup::from_records(records))
+    Ok(validator)
 }
 
 fn expect_len(

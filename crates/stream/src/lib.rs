@@ -5,9 +5,9 @@
 //! and computes [`wearscope_core::CoreAggregates`] in one pass. This crate
 //! computes the *same* aggregates incrementally: records arrive as an
 //! ordered-ish event stream (a persisted world directory, a growing log
-//! being tailed, or an in-process channel), are validated with the same
-//! quarantine taxonomy, and are folded into per-window partial aggregates
-//! the moment they arrive.
+//! being tailed, or an in-process channel), are validated by the batch
+//! loader's [`RecordValidator`](wearscope_ingest::RecordValidator), and are
+//! folded into per-window partial aggregates the moment they arrive.
 //!
 //! The moving pieces:
 //!

@@ -13,10 +13,8 @@
 //!   either found its future anchor or provably never will
 //!   ([`crate::attrib`]).
 //!
-//! Validation mirrors the batch quarantine pass, in the same precedence
-//! (`UnknownImei` → `Skewed` → `OutOfOrder` → `Duplicate`); the duplicate
-//! set is pruned below the watermark, which is exact for time-sorted logs
-//! (a true duplicate beyond the lateness horizon is already `OutOfOrder`).
+//! Validation is the batch loader's: one [`RecordValidator`] per log, fed
+//! this watermark instead of the log's own high-water mark.
 //!
 //! Windows are emitted strictly in index order; an index range with no
 //! records between two active windows still yields (all-zero) reports, so
@@ -25,9 +23,8 @@
 //! [`Backpressure::DropOldest`] force-emits the oldest windows early,
 //! marking their reports `forced`.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::fmt;
-use std::hash::Hash;
 use std::io;
 use std::path::Path;
 
@@ -35,12 +32,11 @@ use wearscope_appdb::Classification;
 use wearscope_core::sessions::{AttributedTx, SESSION_GAP_SECS};
 use wearscope_core::snapshot::SnapshotError;
 use wearscope_core::StudyContext;
-use wearscope_devicedb::Imei;
-use wearscope_ingest::reason_for_codec;
+use wearscope_ingest::{reason_for_codec, RecordValidator};
 use wearscope_obs::{Counter, Gauge, Histogram, Registry};
 use wearscope_report::{QuarantineReason, StreamSummary, WindowReport};
 use wearscope_simtime::{SimDuration, SimTime};
-use wearscope_trace::{MmeRecord, ProxyRecord, TsvRecord};
+use wearscope_trace::{MmeRecord, ProxyRecord};
 
 use crate::aggregates::WindowAggregates;
 use crate::attrib::StreamingAttributor;
@@ -195,83 +191,6 @@ pub struct PumpOptions {
     pub stop_after: Option<u64>,
 }
 
-/// A record the streaming dedup set can hold.
-pub(crate) trait StreamRecord: TsvRecord + Hash + Eq + Clone {
-    /// Event timestamp.
-    fn ts(&self) -> SimTime;
-}
-
-impl StreamRecord for ProxyRecord {
-    fn ts(&self) -> SimTime {
-        self.timestamp
-    }
-}
-
-impl StreamRecord for MmeRecord {
-    fn ts(&self) -> SimTime {
-        self.timestamp
-    }
-}
-
-/// Watermark-pruned duplicate detector for one log.
-///
-/// Exact for time-sorted logs: a duplicate whose original fell behind the
-/// watermark would itself be behind the watermark, hence already
-/// quarantined `OutOfOrder` before the duplicate check runs.
-#[derive(Clone, Debug)]
-pub(crate) struct Dedup<R: StreamRecord> {
-    seen: HashSet<R>,
-    by_time: BTreeMap<SimTime, Vec<R>>,
-}
-
-impl<R: StreamRecord> Default for Dedup<R> {
-    fn default() -> Dedup<R> {
-        Dedup {
-            seen: HashSet::new(),
-            by_time: BTreeMap::new(),
-        }
-    }
-}
-
-impl<R: StreamRecord> Dedup<R> {
-    /// `true` if the record is new (and now remembered).
-    fn insert(&mut self, r: &R) -> bool {
-        if !self.seen.insert(r.clone()) {
-            return false;
-        }
-        self.by_time.entry(r.ts()).or_default().push(r.clone());
-        true
-    }
-
-    /// Forgets records behind the watermark (they can no longer collide
-    /// with a keepable record).
-    fn prune(&mut self, watermark: SimTime) {
-        while let Some((&t, _)) = self.by_time.first_key_value() {
-            if t >= watermark {
-                break;
-            }
-            let (_, records) = self.by_time.pop_first().expect("checked non-empty");
-            for r in records {
-                self.seen.remove(&r);
-            }
-        }
-    }
-
-    /// Records currently remembered, in time order (checkpoint body).
-    pub(crate) fn records(&self) -> impl Iterator<Item = &R> {
-        self.by_time.values().flatten()
-    }
-
-    /// Rebuilds the set from checkpointed records.
-    pub(crate) fn from_records(records: Vec<R>) -> Dedup<R> {
-        let mut d = Dedup::default();
-        for r in &records {
-            d.insert(r);
-        }
-        d
-    }
-}
-
 /// Pre-registered metric handles for one streaming run.
 ///
 /// The runtime is single-threaded, so everything derived from stream
@@ -357,8 +276,8 @@ pub struct StreamRuntime<'s> {
     /// Emitted windows' partials (only with `collect_aggregates`).
     pub(crate) collected: Vec<(u64, WindowAggregates)>,
     pub(crate) attributor: StreamingAttributor,
-    pub(crate) dedup_proxy: Dedup<ProxyRecord>,
-    pub(crate) dedup_mme: Dedup<MmeRecord>,
+    pub(crate) proxy_validator: RecordValidator<ProxyRecord>,
+    pub(crate) mme_validator: RecordValidator<MmeRecord>,
     pub(crate) quality: wearscope_report::DataQuality,
     /// Kept records that arrived behind the max event time.
     pub(crate) late_merged: u64,
@@ -390,8 +309,8 @@ impl<'s> StreamRuntime<'s> {
             reports: Vec::new(),
             collected: Vec::new(),
             attributor: StreamingAttributor::new(),
-            dedup_proxy: Dedup::default(),
-            dedup_mme: Dedup::default(),
+            proxy_validator: RecordValidator::new(config.max_timestamp),
+            mme_validator: RecordValidator::new(config.max_timestamp),
             quality: wearscope_report::DataQuality::default(),
             late_merged: 0,
             forced_emits: 0,
@@ -467,60 +386,34 @@ impl<'s> StreamRuntime<'s> {
     fn process_event(&mut self, ev: StreamEvent) -> Result<(), StreamError> {
         self.quality.records_seen += 1;
         let ts = ev.timestamp();
-        let imei = match &ev {
-            StreamEvent::Proxy(r) => r.imei,
-            StreamEvent::Mme(r) => r.imei,
-        };
-        // Same precedence as the batch content checks.
-        if Imei::from_u64(imei).is_err() {
-            self.note_quarantine(QuarantineReason::UnknownImei);
-            return Ok(());
-        }
-        if self
-            .config
-            .max_timestamp
-            .is_some_and(|horizon| ts > horizon)
-        {
-            self.note_quarantine(QuarantineReason::Skewed);
-            return Ok(());
-        }
-        if ts < self.watermark() {
-            self.note_quarantine(QuarantineReason::OutOfOrder);
-            return Ok(());
-        }
-        // Window availability: after forced emission, a record whose every
-        // target window is sealed has nowhere to go.
         let ids = self.config.spec.assign(ts);
         let (lo, hi) = (*ids.start(), *ids.end());
-        match &mut self.progress {
-            None => {
-                self.progress = Some(Progress {
-                    base: lo,
-                    next_emit: lo,
-                });
-            }
-            Some(p) => {
-                // Nothing emitted yet: the timeline may still start lower
-                // (a within-lateness record earlier than the first one).
-                if lo < p.next_emit && p.next_emit == p.base {
-                    p.base = lo;
-                    p.next_emit = lo;
-                }
-            }
-        }
-        let next_emit = self.progress.expect("progress initialized").next_emit;
-        if hi < next_emit {
-            self.note_quarantine(QuarantineReason::OutOfOrder);
-            return Ok(());
-        }
-        let fresh = match &ev {
-            StreamEvent::Proxy(r) => self.dedup_proxy.insert(r),
-            StreamEvent::Mme(r) => self.dedup_mme.insert(r),
+        // After forced emission, a record whose every target window is
+        // sealed has nowhere to go. Before any emission the timeline may
+        // still start lower, so nothing is sealed yet.
+        let sealed = self
+            .progress
+            .is_some_and(|p| p.next_emit != p.base && hi < p.next_emit);
+        let watermark = self.watermark();
+        let verdict = match &ev {
+            StreamEvent::Proxy(r) => self.proxy_validator.check(r, watermark, sealed),
+            StreamEvent::Mme(r) => self.mme_validator.check(r, watermark, sealed),
         };
-        if !fresh {
-            self.note_quarantine(QuarantineReason::Duplicate);
+        if let Err(rejected) = verdict {
+            self.note_quarantine(rejected.reason);
             return Ok(());
         }
+        let p = self.progress.get_or_insert(Progress {
+            base: lo,
+            next_emit: lo,
+        });
+        // Nothing emitted yet: a within-lateness record earlier than the
+        // first one moves the timeline's start down.
+        if lo < p.next_emit && p.next_emit == p.base {
+            p.base = lo;
+            p.next_emit = lo;
+        }
+        let next_emit = p.next_emit;
         // Kept.
         self.quality.records_kept += 1;
         self.obs.records_kept.inc();
@@ -579,15 +472,13 @@ impl<'s> StreamRuntime<'s> {
         }
     }
 
-    /// Advances the watermark machinery after a kept record: prune the
-    /// duplicate sets, and — only when a window is actually due, so the
-    /// attributor sweep amortizes to once per slide — resolve waiting
-    /// transactions and emit every due window (including empty gaps).
+    /// Advances the watermark machinery after a kept record: only when a
+    /// window is actually due, so the attributor sweep amortizes to once
+    /// per slide, resolve waiting transactions and emit every due window
+    /// (including empty gaps).
     fn advance_watermark(&mut self) {
         let w = self.watermark();
         self.obs.watermark_secs.set(w.as_secs() as i64);
-        self.dedup_proxy.prune(w);
-        self.dedup_mme.prune(w);
         let Some(p) = self.progress else { return };
         let spec = self.config.spec;
         let due = move |index: u64| -> bool {
@@ -946,6 +837,79 @@ mod tests {
         assert_eq!(snap.gauges["stream.open_windows"], 0);
         assert_eq!(snap.gauges["stream.open_windows_peak"], 1);
         assert_eq!(snap.gauges["stream.watermark_secs"], 1400);
+    }
+
+    /// The one way batch and stream validation disagree at lateness 0.
+    /// A proxy record with a bad IMEI, stamped far ahead, parks the proxy
+    /// log in the merge while the MME log advances past the next proxy
+    /// record. Batch measures that record against the proxy log's own
+    /// high-water mark and keeps it; stream measures it against the
+    /// merged watermark and quarantines it `OutOfOrder`.
+    #[test]
+    fn merged_watermark_is_the_only_rule_batch_does_not_share() {
+        use wearscope_ingest::{load_store_resilient, IngestOptions};
+        use wearscope_trace::{MmeEvent, TsvRecord};
+
+        let fx = Fixture::new();
+        let proxy = |t: u64| match fx.proxy(1, t, "api.weather.com") {
+            StreamEvent::Proxy(r) => r,
+            StreamEvent::Mme(_) => unreachable!(),
+        };
+        let mme = |t: u64| MmeRecord {
+            timestamp: SimTime::from_secs(t),
+            user: UserId(1),
+            imei: proxy(0).imei,
+            event: MmeEvent::SectorUpdate,
+            sector: 0,
+        };
+        let mut far_ahead = proxy(5000);
+        far_ahead.imei += 1; // breaks the Luhn check digit
+        let proxy_log = [proxy(100), far_ahead, proxy(200)];
+        let mme_log = [mme(150), mme(4000), mme(6000)];
+        let dir = std::env::temp_dir().join(format!("wearscope-rule-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let lines =
+            |records: &[String]| records.iter().map(|l| format!("{l}\n")).collect::<String>();
+        std::fs::write(
+            dir.join("proxy.log"),
+            lines(&proxy_log.map(|r| r.to_line())),
+        )
+        .unwrap();
+        std::fs::write(dir.join("mme.log"), lines(&mme_log.map(|r| r.to_line()))).unwrap();
+
+        let opts = IngestOptions::default().with_max_error_rate(1.0);
+        let (_, batch) = load_store_resilient(&dir, 1, &opts).unwrap();
+        assert_eq!(
+            batch.quality.quarantined.get(QuarantineReason::UnknownImei),
+            1
+        );
+        assert_eq!(
+            batch.quality.quarantined.get(QuarantineReason::OutOfOrder),
+            0
+        );
+        assert_eq!(batch.quality.records_kept, 5);
+
+        let ctx = fx.ctx();
+        let mut rt = StreamRuntime::new(&ctx, hour_config(0));
+        let mut src = crate::source::WorldSource::open(&dir, false).unwrap();
+        assert_eq!(
+            rt.pump(&mut src, &PumpOptions::default()).unwrap(),
+            PumpOutcome::Finished
+        );
+        let (stream, _) = rt.into_results();
+        assert_eq!(
+            stream
+                .quality
+                .quarantined
+                .get(QuarantineReason::UnknownImei),
+            1
+        );
+        assert_eq!(
+            stream.quality.quarantined.get(QuarantineReason::OutOfOrder),
+            1
+        );
+        assert_eq!(stream.quality.records_kept, 4);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

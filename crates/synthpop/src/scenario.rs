@@ -128,6 +128,11 @@ impl GeneratedWorld {
         );
         let sectors_file = std::fs::File::open(dir.join("sectors.tsv"))?;
         let sectors = SectorDirectory::read_tsv(std::io::BufReader::new(sectors_file))?;
+        // Every MME record names a sector; with no cell plan the mobility
+        // figures would silently read as zero.
+        if sectors.is_empty() {
+            return Err(invalid("sectors.tsv: empty cell plan (no sectors)"));
+        }
         let summaries = NetworkSummaries::load(dir)?;
         Ok(SavedWorld {
             store,
@@ -560,6 +565,20 @@ mod tests {
             saved.summaries.wearable_traffic.users_ever(),
             world.summaries.wearable_traffic.users_ever()
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn empty_cell_plan_is_an_error_naming_sectors_tsv() {
+        let world = generate(&tiny_config());
+        let dir = std::env::temp_dir().join(format!("wearscope-nocells-{}", std::process::id()));
+        world.save(&dir).unwrap();
+        std::fs::write(dir.join("sectors.tsv"), "").unwrap();
+        let err = GeneratedWorld::load_with_store(&dir, TraceStore::new())
+            .map(|_| ())
+            .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("sectors.tsv"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

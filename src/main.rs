@@ -313,6 +313,10 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         let _timer = results_span.child("app_figures");
         results.app_figures();
     }
+    if full {
+        let _timer = results_span.child("quality");
+        results.quality();
+    }
     results_span.finish();
 
     if full {

@@ -7,11 +7,16 @@
 //! are all allowed to reorder *work*, but never to change a single bit of
 //! the final analysis. Two window widths are exercised — one aligned with
 //! the hourly figures (1 h) and one that straddles day boundaries (25 h) —
-//! so both many-window and few-window merges are covered.
+//! so both many-window and few-window merges are covered. Two inputs are
+//! exercised: a pristine world, and the same world after every fault
+//! class, streamed at lateness 0, where batch and stream run the same
+//! record validator and must quarantine the same records.
 
 use wearscope::core::merge::CoreAggregates;
+use wearscope::faults::{corrupt_world, FaultSpec};
 use wearscope::ingest::{load_store_resilient, IngestOptions};
 use wearscope::prelude::*;
+use wearscope::report::QuarantineReason;
 use wearscope::stream::{PumpOptions, PumpOutcome, StreamRuntime, WindowAggregates};
 
 fn tiny_world(seed: u64) -> GeneratedWorld {
@@ -31,13 +36,25 @@ fn merged_stream_windows_reproduce_batch_aggregates_bit_identically() {
     let world = tiny_world(7);
     let dir = std::env::temp_dir().join(format!("wearscope-streq-{}", std::process::id()));
     world.save(&dir).expect("save world");
+    assert_equivalent(&dir, "pristine", SimDuration::from_secs(300));
+    corrupt_world(&dir, 3, &FaultSpec::all(0.002)).expect("corrupt world");
+    assert_equivalent(&dir, "corrupted", SimDuration::ZERO);
+    std::fs::remove_dir_all(&dir).ok();
+}
 
+/// Streams the world under `dir` at both widths and checks the merged
+/// windows and the quarantine ledger against the batch load and fold.
+fn assert_equivalent(dir: &std::path::Path, input: &str, lateness: SimDuration) {
     // Batch side: the same resilient load `wearscope analyze` performs.
-    let opts = IngestOptions::for_world(&dir);
-    let (store, load_report) = load_store_resilient(&dir, 1, &opts).expect("batch load");
-    assert!(load_report.quality.quarantined.is_empty(), "pristine world");
-    let records = (store.proxy().len() + store.mme().len()) as u64;
-    let saved = GeneratedWorld::load_with_store(&dir, store).expect("load metadata");
+    let opts = IngestOptions::for_world(dir).with_max_error_rate(1.0);
+    let (store, load_report) = load_store_resilient(dir, 1, &opts).expect("batch load");
+    let pristine = input == "pristine";
+    assert_eq!(
+        load_report.quality.quarantined.is_empty(),
+        pristine,
+        "{input}: batch quarantine"
+    );
+    let saved = GeneratedWorld::load_with_store(dir, store).expect("load metadata");
     let db = DeviceDb::standard();
     let catalog = AppCatalog::standard();
     let batch_ctx = StudyContext::new(&saved.store, &db, &saved.sectors, &catalog, saved.window);
@@ -48,28 +65,42 @@ fn merged_stream_windows_reproduce_batch_aggregates_bit_identically() {
     let stream_ctx = StudyContext::new(&empty, &db, &saved.sectors, &catalog, saved.window);
 
     for width_secs in [3_600u64, 90_000] {
+        let at = format!("{input}, width {width_secs}");
         let spec = WindowSpec::tumbling(SimDuration::from_secs(width_secs)).unwrap();
-        let mut config = StreamConfig::new(spec, SimDuration::from_secs(300));
+        let mut config = StreamConfig::new(spec, lateness);
         config.collect_aggregates = true;
         config.max_timestamp = opts.max_timestamp;
         let mut rt = StreamRuntime::new(&stream_ctx, config);
-        let mut src = WorldSource::open(&dir, false).expect("open source");
+        let mut src = WorldSource::open(dir, false)
+            .expect("open source")
+            .with_horizon(opts.max_timestamp);
         assert_eq!(
             rt.pump(&mut src, &PumpOptions::default()).expect("pump"),
             PumpOutcome::Finished
         );
         rt.finish();
         let (summary, collected) = rt.into_results();
+        let (got_q, want_q) = (&summary.quality, &load_report.quality);
         assert_eq!(
-            summary.quality.records_kept, records,
-            "width {width_secs}: every record of a pristine world is kept"
+            got_q.records_seen, want_q.records_seen,
+            "{at}: records seen"
         );
-        assert!(summary.quality.quarantined.is_empty(), "width {width_secs}");
-        assert_eq!(summary.late_merged, 0, "width {width_secs}: sorted input");
-        assert_eq!(summary.windows.len(), collected.len(), "width {width_secs}");
+        assert_eq!(
+            got_q.records_kept, want_q.records_kept,
+            "{at}: records kept"
+        );
+        for reason in QuarantineReason::ALL {
+            assert_eq!(
+                got_q.quarantined.get(reason),
+                want_q.quarantined.get(reason),
+                "{at}: {reason} quarantined"
+            );
+        }
+        assert_eq!(summary.late_merged, 0, "{at}: sorted input");
+        assert_eq!(summary.windows.len(), collected.len(), "{at}");
         // Emitted indices are gapless and ascending.
         for (i, pair) in collected.windows(2).enumerate() {
-            assert_eq!(pair[1].0, pair[0].0 + 1, "gap after window {i}");
+            assert_eq!(pair[1].0, pair[0].0 + 1, "{at}: gap after window {i}");
         }
 
         // Merge every window's partials in index order and finish with the
@@ -80,31 +111,29 @@ fn merged_stream_windows_reproduce_batch_aggregates_bit_identically() {
         }
         let got = merged.finish(&batch_ctx);
 
-        assert_eq!(got.activity, batch.activity, "width {width_secs}");
-        assert_eq!(got.traffic, batch.traffic, "width {width_secs}");
-        assert_eq!(got.mobility, batch.mobility, "width {width_secs}");
-        assert_eq!(got.attributed, batch.attributed, "width {width_secs}");
-        assert_eq!(got.popularity, batch.popularity, "width {width_secs}");
-        assert_eq!(got.hourly, batch.hourly, "width {width_secs}");
-        assert_eq!(got.tx_stats, batch.tx_stats, "width {width_secs}");
+        assert_eq!(got.activity, batch.activity, "{at}");
+        assert_eq!(got.traffic, batch.traffic, "{at}");
+        assert_eq!(got.mobility, batch.mobility, "{at}");
+        assert_eq!(got.attributed, batch.attributed, "{at}");
+        assert_eq!(got.popularity, batch.popularity, "{at}");
+        assert_eq!(got.hourly, batch.hourly, "{at}");
+        assert_eq!(got.tx_stats, batch.tx_stats, "{at}");
         // Float series compared through their bit patterns as well —
         // `PartialEq` would accept 0.0 == -0.0.
         assert_eq!(
             bits(got.tx_stats.size.samples()),
             bits(batch.tx_stats.size.samples()),
-            "width {width_secs}: transaction-size sample bits"
+            "{at}: transaction-size sample bits"
         );
         assert_eq!(
             bits(got.tx_stats.hourly_tx_per_user.samples()),
             bits(batch.tx_stats.hourly_tx_per_user.samples()),
-            "width {width_secs}: hourly-tx sample bits"
+            "{at}: hourly-tx sample bits"
         );
         assert_eq!(
             got.tx_stats.median_bytes.to_bits(),
             batch.tx_stats.median_bytes.to_bits(),
-            "width {width_secs}: median bits"
+            "{at}: median bits"
         );
     }
-
-    std::fs::remove_dir_all(&dir).ok();
 }
