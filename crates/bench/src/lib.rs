@@ -1,5 +1,5 @@
-//! Shared fixtures for the criterion benches: worlds are generated once per
-//! scale and cached for the whole bench process.
+//! Shared fixtures for the criterion ablation benches: the world is
+//! generated once and cached for the whole bench process.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -7,7 +7,6 @@
 use std::sync::OnceLock;
 
 use wearscope_core::StudyContext;
-use wearscope_simtime::{Calendar, ObservationWindow};
 use wearscope_synthpop::{generate, GeneratedWorld, ScenarioConfig};
 
 /// A small world: ~500 subscribers, 6 summary weeks (2 detailed).
@@ -18,20 +17,6 @@ pub fn small_world() -> &'static GeneratedWorld {
         config.wearable_users = 200;
         config.comparison_users = 250;
         config.through_device_users = 60;
-        generate(&config)
-    })
-}
-
-/// A medium world: ~1500 subscribers, 10 summary weeks (4 detailed).
-pub fn medium_world() -> &'static GeneratedWorld {
-    static WORLD: OnceLock<GeneratedWorld> = OnceLock::new();
-    WORLD.get_or_init(|| {
-        let mut config = ScenarioConfig::compact(1002);
-        config.window = ObservationWindow::new(70, 28, Calendar::PAPER);
-        config.wearable_users = 500;
-        config.comparison_users = 800;
-        config.through_device_users = 200;
-        config.workers = 4;
         generate(&config)
     })
 }

@@ -53,12 +53,14 @@ impl UserActivity {
 
 /// Folds the wearable proxy log into per-user activity aggregates.
 ///
-/// Delegates to the mergeable [`crate::merge::ActivityPartial`] with a
-/// single implicit shard, so this entry point and
-/// [`crate::CoreAggregates::sequential`] run the same fold.
+/// Absorbs into the same [`crate::merge::ActivityPartial`] as
+/// [`crate::CoreAggregates::sequential`].
 pub fn user_activity(ctx: &StudyContext<'_>) -> HashMap<UserId, UserActivity> {
-    use crate::merge::{fold, ActivityPartial, Mergeable};
-    fold::<ActivityPartial>(ctx, ctx.store.proxy()).finish(ctx)
+    let mut partial = crate::merge::ActivityPartial::default();
+    for r in ctx.wearable_proxy() {
+        partial.absorb(r);
+    }
+    partial.per_user
 }
 
 /// One hour-of-day slot of the Fig. 3(a) profile.
@@ -86,19 +88,23 @@ pub struct HourlyProfile {
 impl HourlyProfile {
     /// Computes the profile over the detailed window.
     ///
-    /// Delegates to the mergeable [`crate::merge::HourlyProfilePartial`]
-    /// with a single implicit shard.
+    /// Absorbs into the same [`crate::merge::HourlyProfilePartial`] as
+    /// [`crate::CoreAggregates::sequential`] and finishes it against
+    /// [`user_activity`].
     pub fn compute(ctx: &StudyContext<'_>) -> HourlyProfile {
-        use crate::merge::{fold, HourlyProfilePartial, Mergeable};
-        fold::<HourlyProfilePartial>(ctx, ctx.store.proxy()).finish(ctx)
+        let mut partial = crate::merge::HourlyProfilePartial::default();
+        for r in ctx.wearable_proxy() {
+            partial.absorb(ctx, r);
+        }
+        partial.finish(ctx, &user_activity(ctx))
     }
 
-    /// The finish step: turns raw slot accumulators ((day type, hour) user
-    /// sets plus exact counters) into the normalized weekly profile. Shared
-    /// by this entry point and every merged partial.
+    /// The finish step: turns raw slot accumulators (distinct active
+    /// user-days plus exact counters per (day type, hour) slot) into the
+    /// normalized weekly profile.
     pub(crate) fn from_slots(
         ctx: &StudyContext<'_>,
-        users: &[HashSet<(u64, UserId)>],
+        users: &[u64; 48],
         tx: &[u64; 48],
         bytes: &[u64; 48],
     ) -> HourlyProfile {
@@ -122,7 +128,7 @@ impl HourlyProfile {
         let mut b_avg = [0.0; 48];
         for s in 0..48 {
             let weekend = s >= 24;
-            u_avg[s] = avg(users[s].len() as f64, weekend);
+            u_avg[s] = avg(users[s] as f64, weekend);
             t_avg[s] = avg(tx[s] as f64, weekend);
             b_avg[s] = avg(bytes[s] as f64, weekend);
         }

@@ -27,12 +27,15 @@ pub struct UserTraffic {
 
 /// Folds the proxy log into per-user traffic totals.
 ///
-/// Delegates to the mergeable [`crate::merge::TrafficPartial`] with a
-/// single implicit shard, so this entry point and
-/// [`crate::CoreAggregates::sequential`] run the same fold.
+/// Absorbs into the same [`crate::merge::TrafficPartial`] as
+/// [`crate::CoreAggregates::sequential`] and fills the wearable fields
+/// from [`crate::activity::user_activity`].
 pub fn user_traffic(ctx: &StudyContext<'_>) -> HashMap<UserId, UserTraffic> {
-    use crate::merge::{fold, Mergeable, TrafficPartial};
-    fold::<TrafficPartial>(ctx, ctx.store.proxy()).finish(ctx)
+    let mut partial = crate::merge::TrafficPartial::default();
+    for r in ctx.store.proxy() {
+        partial.absorb(r);
+    }
+    partial.finish(&crate::activity::user_activity(ctx))
 }
 
 /// Fig. 4(a) (plus the +26 % / +48 % takeaways): the distribution of

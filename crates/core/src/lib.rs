@@ -21,7 +21,7 @@
 //! | [`through_device`] | Sec. 6 Through-Device fingerprinting |
 //! | [`results`] | every derived analysis of one study, computed once |
 //! | [`takeaways`] | the headline scalars, gathered in one struct |
-//! | [`merge`] | mergeable partial aggregates and the one fold behind `CoreAggregates` |
+//! | [`merge`] | partial aggregates and the one fold behind `CoreAggregates` |
 //! | [`snapshot`] | deterministic text snapshots of partials (stream checkpoints) |
 //! | [`quality`] | data-quality QA: coverage gaps, identification misses |
 //!
@@ -50,7 +50,7 @@ pub mod through_device;
 pub mod weekly;
 
 pub use context::StudyContext;
-pub use merge::{CoreAggregates, CorePartials, Mergeable};
+pub use merge::{CoreAggregates, CorePartials};
 pub use results::StudyResults;
 pub use snapshot::{Snapshot, SnapshotError, SnapshotReader};
 pub use stats::Ecdf;

@@ -1,121 +1,52 @@
-//! Mergeable partial aggregates: the substrate of the batch fold
+//! Partial aggregates: the substrate of the batch fold
 //! ([`CoreAggregates::sequential`]) and of the streaming engine's
 //! event-time windows, both of which absorb into one [`CorePartials`].
 //!
-//! Every hot analysis in this crate is a fold over one log stream followed
-//! by a pure finish step. This module factors that shape into a trait:
-//!
-//! * [`Mergeable::identity`] — the empty partial;
-//! * [`Mergeable::absorb`] — fold one record into a partial;
-//! * [`Mergeable::merge`] — combine two partials (shards);
-//! * [`Mergeable::finish`] — turn the merged partial into the public result.
-//!
-//! **Determinism contract.** A sharded fold (partition records, absorb per
-//! shard, merge partials in shard-index order, finish once) must be
-//! *bit-identical* to the sequential fold, for any partition that keeps each
-//! user's records together and in log order. The partials uphold this by
-//! keeping only exact state — integer counters, day/hour/user sets, dwell
-//! seconds — during absorb/merge, and deferring every float reduction to the
-//! single-threaded `finish` step, where iteration order is fixed by sorting
-//! (or by [`crate::stats::Ecdf`], which sorts its samples on construction).
-//! Float summation is not associative, so *when* a sum happens matters more
-//! than how threads are scheduled: no partial ever carries a partially
-//! reduced float.
+//! Each partial holds one kind of per-record fact, once. Everything the
+//! wearable proxy records say per user (active days and hours,
+//! transactions, bytes) lives in [`ActivityPartial`]; the hourly
+//! active-user counts, the per-user transaction rates and the wearable
+//! fields of [`UserTraffic`] are derived from it in
+//! [`CorePartials::finish`]. The other partials keep only what activity
+//! cannot give: per-slot counters ([`HourlyProfilePartial`]), transaction
+//! sizes ([`TransactionStatsPartial`]), all-device totals
+//! ([`TrafficPartial`]), MME dwell state ([`MobilityPartial`]) and app
+//! associations ([`AppPopularityPartial`]).
 //!
 //! The per-analysis entry points (`activity::user_activity`,
-//! `HourlyProfile::compute`, `MobilityIndex::build`, …) delegate to these
-//! same partials with a single implicit shard, so they and the fused pass
-//! of [`CoreAggregates::sequential`] run literally the same code.
+//! `HourlyProfile::compute`, `MobilityIndex::build`, …) absorb into these
+//! same partials and finish through the same derivations, so they and the
+//! fused pass of [`CoreAggregates::sequential`] run the same code.
 
 use std::collections::{HashMap, HashSet};
-use std::marker::PhantomData;
 
 use wearscope_simtime::SimTime;
 use wearscope_trace::{MmeEvent, MmeRecord, ProxyRecord, UserId};
 
 use crate::activity::{HourlyProfile, TransactionStats, UserActivity};
 use crate::apps::AppPopularity;
-use crate::compare::{OwnerVsRest, UserTraffic};
+use crate::compare::UserTraffic;
 use crate::context::StudyContext;
-use crate::mobility::{Displacement, LocationEntropy, MobilityIndex, UserMobility};
+use crate::mobility::{MobilityIndex, UserMobility};
 use crate::sessions::{self, AttributedTx};
 
 use wearscope_appdb::AppId;
-
-/// A partial aggregate that can be folded per shard and merged.
-///
-/// See the [module docs](self) for the determinism contract.
-pub trait Mergeable: Sized {
-    /// The record type this aggregate folds over.
-    type Record;
-    /// The public analysis result produced by [`Mergeable::finish`].
-    type Output;
-
-    /// The empty partial (the fold's neutral element).
-    fn identity() -> Self;
-
-    /// Folds one record into the partial.
-    fn absorb(&mut self, ctx: &StudyContext<'_>, record: &Self::Record);
-
-    /// Merges another shard's partial into this one.
-    ///
-    /// Callers merge in ascending shard index so the operation is
-    /// deterministic even for aggregates where order could matter; the
-    /// partials in this module are additionally order-insensitive because
-    /// they merge only exact state.
-    fn merge(&mut self, other: Self);
-
-    /// Produces the public result. Runs single-threaded, after all merges.
-    fn finish(self, ctx: &StudyContext<'_>) -> Self::Output;
-}
-
-/// Folds an iterator of records into a fresh partial (the body of every
-/// per-analysis entry point).
-pub fn fold<'r, M>(ctx: &StudyContext<'_>, records: impl IntoIterator<Item = &'r M::Record>) -> M
-where
-    M: Mergeable,
-    M::Record: 'r,
-{
-    let mut partial = M::identity();
-    for r in records {
-        partial.absorb(ctx, r);
-    }
-    partial
-}
-
-/// Merges partials in iteration order (callers supply ascending shard index).
-pub fn merge_all<M: Mergeable>(parts: impl IntoIterator<Item = M>) -> M {
-    let mut acc = M::identity();
-    for p in parts {
-        acc.merge(p);
-    }
-    acc
-}
 
 // ---------------------------------------------------------------------------
 // Activity
 // ---------------------------------------------------------------------------
 
-/// Partial for [`activity::user_activity`](crate::activity::user_activity):
-/// per-user day/hour sets and exact counters over wearable proxy records.
+/// Per-user day/hour sets and exact counters over wearable proxy records:
+/// the one copy of the per-user activity record.
 #[derive(Clone, Debug, Default)]
 pub struct ActivityPartial {
     /// Per-user aggregates so far.
     pub per_user: HashMap<UserId, UserActivity>,
 }
 
-impl Mergeable for ActivityPartial {
-    type Record = ProxyRecord;
-    type Output = HashMap<UserId, UserActivity>;
-
-    fn identity() -> Self {
-        ActivityPartial::default()
-    }
-
-    fn absorb(&mut self, ctx: &StudyContext<'_>, r: &ProxyRecord) {
-        if !ctx.is_wearable_record(r) {
-            return;
-        }
+impl ActivityPartial {
+    /// Folds one wearable proxy record.
+    pub fn absorb(&mut self, r: &ProxyRecord) {
         let agg = self.per_user.entry(r.user).or_default();
         agg.days.insert(r.timestamp.day_index());
         agg.hours.insert(r.timestamp.hour_index());
@@ -123,7 +54,8 @@ impl Mergeable for ActivityPartial {
         agg.bytes += r.bytes_total();
     }
 
-    fn merge(&mut self, other: Self) {
+    /// Merges another partial into this one.
+    pub fn merge(&mut self, other: ActivityPartial) {
         for (user, a) in other.per_user {
             let agg = self.per_user.entry(user).or_default();
             agg.days.extend(a.days);
@@ -132,62 +64,70 @@ impl Mergeable for ActivityPartial {
             agg.bytes += a.bytes;
         }
     }
-
-    fn finish(self, _ctx: &StudyContext<'_>) -> Self::Output {
-        self.per_user
-    }
 }
 
-/// Partial for [`HourlyProfile`]: per-slot `(day, user)` sets and exact
-/// transaction/byte counters (48 slots: 24 weekday + 24 weekend hours).
+/// Exact per-slot transaction and byte counters for [`HourlyProfile`]
+/// (48 slots: 24 weekday + 24 weekend hours). Active users per slot are
+/// counted from the activity hours at finish.
 #[derive(Clone, Debug)]
 pub struct HourlyProfilePartial {
-    pub(crate) users: Vec<HashSet<(u64, UserId)>>,
     pub(crate) tx: [u64; 48],
     pub(crate) bytes: [u64; 48],
 }
 
-impl Mergeable for HourlyProfilePartial {
-    type Record = ProxyRecord;
-    type Output = HourlyProfile;
-
-    fn identity() -> Self {
+impl Default for HourlyProfilePartial {
+    fn default() -> Self {
         HourlyProfilePartial {
-            users: vec![HashSet::new(); 48],
             tx: [0; 48],
             bytes: [0; 48],
         }
     }
+}
 
-    fn absorb(&mut self, ctx: &StudyContext<'_>, r: &ProxyRecord) {
-        if !ctx.is_wearable_record(r) {
-            return;
-        }
-        let day = r.timestamp.day_index();
-        let weekend = ctx.window.calendar().day_is_weekend(day);
-        let slot = usize::from(r.timestamp.hour_of_day()) + if weekend { 24 } else { 0 };
-        self.users[slot].insert((day, r.user));
+/// The profile slot of an absolute hour: its hour of day, plus 24 when its
+/// day is a weekend day.
+fn hour_slot(ctx: &StudyContext<'_>, hour_index: u64) -> usize {
+    let weekend = ctx.window.calendar().day_is_weekend(hour_index / 24);
+    (hour_index % 24) as usize + if weekend { 24 } else { 0 }
+}
+
+impl HourlyProfilePartial {
+    /// Folds one wearable proxy record.
+    pub fn absorb(&mut self, ctx: &StudyContext<'_>, r: &ProxyRecord) {
+        let slot = hour_slot(ctx, r.timestamp.hour_index());
         self.tx[slot] += 1;
         self.bytes[slot] += r.bytes_total();
     }
 
-    fn merge(&mut self, other: Self) {
-        for (mine, theirs) in self.users.iter_mut().zip(other.users) {
-            mine.extend(theirs);
-        }
+    /// Merges another partial into this one.
+    pub fn merge(&mut self, other: HourlyProfilePartial) {
         for s in 0..48 {
             self.tx[s] += other.tx[s];
             self.bytes[s] += other.bytes[s];
         }
     }
 
-    fn finish(self, ctx: &StudyContext<'_>) -> HourlyProfile {
-        HourlyProfile::from_slots(ctx, &self.users, &self.tx, &self.bytes)
+    /// Finishes the profile. Each distinct absolute hour `h` of a user is
+    /// exactly one distinct `(day h/24, user)` pair, in slot `h % 24` (plus
+    /// 24 when day `h/24` is a weekend day), so counting activity hours per
+    /// slot counts the slot's distinct active user-days.
+    pub fn finish(
+        self,
+        ctx: &StudyContext<'_>,
+        activity: &HashMap<UserId, UserActivity>,
+    ) -> HourlyProfile {
+        let mut users = [0u64; 48];
+        for a in activity.values() {
+            for &h in &a.hours {
+                users[hour_slot(ctx, h)] += 1;
+            }
+        }
+        HourlyProfile::from_slots(ctx, &users, &self.tx, &self.bytes)
     }
 }
 
-/// Partial for [`TransactionStats`]: wearable transaction sizes plus an
-/// embedded [`ActivityPartial`] for the per-user hourly rates.
+/// Wearable transaction sizes for [`TransactionStats`]; the per-user rates
+/// come from activity at finish.
 ///
 /// Sizes are concatenated in merge order; `finish` hands them to
 /// [`crate::stats::Ecdf`], which sorts, so the order never reaches a float
@@ -195,77 +135,52 @@ impl Mergeable for HourlyProfilePartial {
 #[derive(Clone, Debug, Default)]
 pub struct TransactionStatsPartial {
     pub(crate) sizes: Vec<f64>,
-    pub(crate) activity: ActivityPartial,
-}
-
-impl Mergeable for TransactionStatsPartial {
-    type Record = ProxyRecord;
-    type Output = TransactionStats;
-
-    fn identity() -> Self {
-        TransactionStatsPartial::default()
-    }
-
-    fn absorb(&mut self, ctx: &StudyContext<'_>, r: &ProxyRecord) {
-        if !ctx.is_wearable_record(r) {
-            return;
-        }
-        self.sizes.push(r.bytes_total() as f64);
-        self.activity.absorb(ctx, r);
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.sizes.extend(other.sizes);
-        self.activity.merge(other.activity);
-    }
-
-    fn finish(self, _ctx: &StudyContext<'_>) -> TransactionStats {
-        TransactionStats::from_parts(self.sizes, &self.activity.per_user)
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Traffic (owner vs rest)
 // ---------------------------------------------------------------------------
 
-/// Partial for [`compare::user_traffic`](crate::compare::user_traffic):
-/// per-user byte/transaction totals over *all* proxy records.
+/// Per-user `(bytes, transactions)` totals over *all* proxy records; the
+/// wearable fields of [`UserTraffic`] come from activity at finish.
 #[derive(Clone, Debug, Default)]
 pub struct TrafficPartial {
-    /// Per-user totals so far.
-    pub per_user: HashMap<UserId, UserTraffic>,
+    /// Per-user `(bytes_total, tx_total)` so far.
+    pub per_user: HashMap<UserId, (u64, u64)>,
 }
 
-impl Mergeable for TrafficPartial {
-    type Record = ProxyRecord;
-    type Output = HashMap<UserId, UserTraffic>;
-
-    fn identity() -> Self {
-        TrafficPartial::default()
+impl TrafficPartial {
+    /// Folds one proxy record of any device.
+    pub fn absorb(&mut self, r: &ProxyRecord) {
+        let (bytes, tx) = self.per_user.entry(r.user).or_default();
+        *bytes += r.bytes_total();
+        *tx += 1;
     }
 
-    fn absorb(&mut self, ctx: &StudyContext<'_>, r: &ProxyRecord) {
-        let t = self.per_user.entry(r.user).or_default();
-        t.bytes_total += r.bytes_total();
-        t.tx_total += 1;
-        if ctx.is_wearable_record(r) {
-            t.bytes_wearable += r.bytes_total();
-            t.tx_wearable += 1;
+    /// Merges another partial into this one.
+    pub fn merge(&mut self, other: TrafficPartial) {
+        for (user, (b, t)) in other.per_user {
+            let (bytes, tx) = self.per_user.entry(user).or_default();
+            *bytes += b;
+            *tx += t;
         }
     }
 
-    fn merge(&mut self, other: Self) {
-        for (user, o) in other.per_user {
-            let t = self.per_user.entry(user).or_default();
-            t.bytes_total += o.bytes_total;
-            t.tx_total += o.tx_total;
-            t.bytes_wearable += o.bytes_wearable;
-            t.tx_wearable += o.tx_wearable;
-        }
-    }
-
-    fn finish(self, _ctx: &StudyContext<'_>) -> Self::Output {
+    /// Joins the all-device totals with each user's wearable activity.
+    pub fn finish(self, activity: &HashMap<UserId, UserActivity>) -> HashMap<UserId, UserTraffic> {
         self.per_user
+            .into_iter()
+            .map(|(user, (bytes_total, tx_total))| {
+                let wearable = activity.get(&user);
+                let traffic = UserTraffic {
+                    bytes_total,
+                    tx_total,
+                    bytes_wearable: wearable.map_or(0, |a| a.bytes),
+                    tx_wearable: wearable.map_or(0, |a| a.transactions),
+                };
+                (user, traffic)
+            })
+            .collect()
     }
 }
 
@@ -318,15 +233,9 @@ fn close_dwell(
     }
 }
 
-impl Mergeable for MobilityPartial {
-    type Record = MmeRecord;
-    type Output = MobilityIndex;
-
-    fn identity() -> Self {
-        MobilityPartial::default()
-    }
-
-    fn absorb(&mut self, _ctx: &StudyContext<'_>, r: &MmeRecord) {
+impl MobilityPartial {
+    /// Folds one MME record.
+    pub fn absorb(&mut self, r: &MmeRecord) {
         let key = (r.user, r.imei);
         self.first_event.entry(key).or_insert(r.timestamp);
         match r.event {
@@ -347,7 +256,8 @@ impl Mergeable for MobilityPartial {
         }
     }
 
-    fn merge(&mut self, other: Self) {
+    /// Merges a user-disjoint or later time-split partial into this one.
+    pub fn merge(&mut self, other: MobilityPartial) {
         // Time-split closure: an attachment still open in this (earlier)
         // partial ends where the later segment's stream begins — the
         // sequential fold would have closed it at that same event
@@ -378,14 +288,15 @@ impl Mergeable for MobilityPartial {
         }
     }
 
-    fn finish(self, ctx: &StudyContext<'_>) -> MobilityIndex {
+    /// Closes devices still attached at the end of the detailed window and
+    /// builds the index.
+    pub fn finish(self, ctx: &StudyContext<'_>) -> MobilityIndex {
         let MobilityPartial {
             current,
             day_sectors,
             mut per_user,
             first_event: _,
         } = self;
-        // Close devices still attached at the end of the window.
         let end = ctx.window.detailed().end();
         for ((user, _), (sector, since)) in current {
             close_dwell(&mut per_user, user, sector, since, end);
@@ -407,15 +318,9 @@ pub struct AppPopularityPartial {
     pub(crate) apps: HashSet<AppId>,
 }
 
-impl Mergeable for AppPopularityPartial {
-    type Record = AttributedTx;
-    type Output = AppPopularity;
-
-    fn identity() -> Self {
-        AppPopularityPartial::default()
-    }
-
-    fn absorb(&mut self, _ctx: &StudyContext<'_>, tx: &AttributedTx) {
+impl AppPopularityPartial {
+    /// Folds one attributed transaction.
+    pub fn absorb(&mut self, tx: &AttributedTx) {
         let Some(app) = tx.app else { return };
         self.apps.insert(app);
         let day = tx.timestamp.day_index();
@@ -429,7 +334,8 @@ impl Mergeable for AppPopularityPartial {
             .insert(day);
     }
 
-    fn merge(&mut self, other: Self) {
+    /// Merges another partial into this one.
+    pub fn merge(&mut self, other: AppPopularityPartial) {
         for (key, users) in other.day_users {
             self.day_users.entry(key).or_default().extend(users);
         }
@@ -438,82 +344,7 @@ impl Mergeable for AppPopularityPartial {
         }
         self.apps.extend(other.apps);
     }
-
-    fn finish(self, _ctx: &StudyContext<'_>) -> AppPopularity {
-        AppPopularity::from_index(self.day_users, self.user_days, self.apps)
-    }
 }
-
-// ---------------------------------------------------------------------------
-// Blanket finish adapter
-// ---------------------------------------------------------------------------
-
-/// Builds a metric from another aggregate's output at finish time — the hook
-/// behind [`MapFinish`], letting downstream metrics keep their existing
-/// `compute(ctx, &aggregate)` API while still folding as a partial.
-pub trait FromAggregate<I>: Sized {
-    /// Derives the metric from the finished aggregate.
-    fn from_aggregate(ctx: &StudyContext<'_>, aggregate: &I) -> Self;
-}
-
-/// Blanket adapter: folds exactly like `M`, then derives `O` from `M`'s
-/// output in the finish step. All the fold/merge determinism is inherited;
-/// the extra step is single-threaded by construction.
-#[derive(Clone, Debug)]
-pub struct MapFinish<M, O> {
-    inner: M,
-    _marker: PhantomData<fn() -> O>,
-}
-
-impl<M: Mergeable, O: FromAggregate<M::Output>> Mergeable for MapFinish<M, O> {
-    type Record = M::Record;
-    type Output = O;
-
-    fn identity() -> Self {
-        MapFinish {
-            inner: M::identity(),
-            _marker: PhantomData,
-        }
-    }
-
-    fn absorb(&mut self, ctx: &StudyContext<'_>, record: &Self::Record) {
-        self.inner.absorb(ctx, record);
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.inner.merge(other.inner);
-    }
-
-    fn finish(self, ctx: &StudyContext<'_>) -> O {
-        let aggregate = self.inner.finish(ctx);
-        O::from_aggregate(ctx, &aggregate)
-    }
-}
-
-impl FromAggregate<HashMap<UserId, UserTraffic>> for OwnerVsRest {
-    fn from_aggregate(ctx: &StudyContext<'_>, traffic: &HashMap<UserId, UserTraffic>) -> Self {
-        OwnerVsRest::compute(ctx, traffic)
-    }
-}
-
-impl FromAggregate<MobilityIndex> for Displacement {
-    fn from_aggregate(ctx: &StudyContext<'_>, index: &MobilityIndex) -> Self {
-        Displacement::compute(ctx, index)
-    }
-}
-
-impl FromAggregate<MobilityIndex> for LocationEntropy {
-    fn from_aggregate(ctx: &StudyContext<'_>, index: &MobilityIndex) -> Self {
-        LocationEntropy::compute(ctx, index)
-    }
-}
-
-/// [`OwnerVsRest`] as a mergeable fold over all proxy records.
-pub type OwnerVsRestPartial = MapFinish<TrafficPartial, OwnerVsRest>;
-/// [`Displacement`] as a mergeable fold over the MME log.
-pub type DisplacementPartial = MapFinish<MobilityPartial, Displacement>;
-/// [`LocationEntropy`] as a mergeable fold over the MME log.
-pub type LocationEntropyPartial = MapFinish<MobilityPartial, LocationEntropy>;
 
 // ---------------------------------------------------------------------------
 // The aggregate bundle consumed by reports
@@ -541,36 +372,48 @@ pub struct CoreAggregates {
 
 impl CoreAggregates {
     /// Computes every aggregate in one pass on the calling thread: each
-    /// proxy record, then each MME record, is absorbed into every partial
-    /// of a [`CorePartials`]; attribution, which needs each user's whole
+    /// proxy record, then each MME record, is absorbed into a
+    /// [`CorePartials`]; attribution, which needs each user's whole
     /// proxy stream, runs after the record pass.
     pub fn sequential(ctx: &StudyContext<'_>) -> CoreAggregates {
-        let mut partials = CorePartials::identity();
+        let mut partials = CorePartials::default();
         for r in ctx.store.proxy() {
             partials.absorb_proxy(ctx, r);
         }
         for r in ctx.store.mme() {
-            partials.absorb_mme(ctx, r);
+            partials.absorb_mme(r);
         }
         for tx in &sessions::attribute_transactions(ctx) {
-            partials.absorb_attributed(ctx, tx);
+            partials.absorb_attributed(tx);
         }
         partials.finish(ctx)
     }
 }
 
-/// The partials behind [`CoreAggregates`]: the one bundle that both the
+/// The partials behind [`CoreAggregates`]: the one unit that both the
 /// batch fold ([`CoreAggregates::sequential`]) and the streaming engine's
 /// windows absorb into, merge, snapshot and finish.
-#[derive(Clone, Debug)]
+///
+/// **Determinism contract.** Merging bundles in ascending order (shard
+/// index, or window index for time-split segments) and finishing once must
+/// be *bit-identical* to one sequential fold, for any partition that keeps
+/// each `(user, imei)` MME stream in log order. The bundle upholds this by
+/// keeping only exact state — integer counters, day/hour/user sets, dwell
+/// seconds, raw transaction sizes — during absorb and merge, and deferring
+/// every float reduction to the single-threaded [`CorePartials::finish`],
+/// where iteration order is fixed by sorting (or by [`crate::stats::Ecdf`],
+/// which sorts its samples on construction). Float summation is not
+/// associative, so *when* a sum happens matters more than how threads are
+/// scheduled: no partial ever carries a partially reduced float.
+#[derive(Clone, Debug, Default)]
 pub struct CorePartials {
-    /// Per-user wearable activity partial.
+    /// Per-user wearable activity: the one copy of the per-user record.
     pub activity: ActivityPartial,
-    /// Hourly profile partial.
+    /// Hourly profile counters.
     pub hourly: HourlyProfilePartial,
-    /// Transaction statistics partial.
+    /// Wearable transaction sizes.
     pub tx_stats: TransactionStatsPartial,
-    /// All-device traffic partial.
+    /// All-device traffic totals.
     pub traffic: TrafficPartial,
     /// Mobility partial (MME side).
     pub mobility: MobilityPartial,
@@ -581,64 +424,59 @@ pub struct CorePartials {
 }
 
 impl CorePartials {
-    /// The empty bundle.
-    pub fn identity() -> CorePartials {
-        CorePartials {
-            activity: ActivityPartial::identity(),
-            hourly: HourlyProfilePartial::identity(),
-            tx_stats: TransactionStatsPartial::identity(),
-            traffic: TrafficPartial::identity(),
-            mobility: MobilityPartial::identity(),
-            popularity: AppPopularityPartial::identity(),
-            attributed: Vec::new(),
-        }
-    }
-
-    /// Folds one proxy record into every proxy-side partial.
+    /// Folds one proxy record: its all-device totals always, and — after
+    /// the one device-class check — its wearable facts.
     pub fn absorb_proxy(&mut self, ctx: &StudyContext<'_>, r: &ProxyRecord) {
-        self.activity.absorb(ctx, r);
+        self.traffic.absorb(r);
+        if !ctx.is_wearable_record(r) {
+            return;
+        }
+        self.activity.absorb(r);
         self.hourly.absorb(ctx, r);
-        self.tx_stats.absorb(ctx, r);
-        self.traffic.absorb(ctx, r);
+        self.tx_stats.sizes.push(r.bytes_total() as f64);
     }
 
     /// Folds one MME record into the mobility partial.
-    pub fn absorb_mme(&mut self, ctx: &StudyContext<'_>, r: &MmeRecord) {
-        self.mobility.absorb(ctx, r);
+    pub fn absorb_mme(&mut self, r: &MmeRecord) {
+        self.mobility.absorb(r);
     }
 
     /// Folds one attributed transaction into the popularity partial and
     /// keeps it for the session analyses.
-    pub fn absorb_attributed(&mut self, ctx: &StudyContext<'_>, tx: &AttributedTx) {
-        self.popularity.absorb(ctx, tx);
+    pub fn absorb_attributed(&mut self, tx: &AttributedTx) {
+        self.popularity.absorb(tx);
         self.attributed.push(*tx);
     }
 
-    /// Merges a later bundle into this one (see [`Mergeable::merge`]).
+    /// Merges a later bundle into this one (see the determinism contract).
     pub fn merge(&mut self, other: CorePartials) {
         self.activity.merge(other.activity);
         self.hourly.merge(other.hourly);
-        self.tx_stats.merge(other.tx_stats);
+        self.tx_stats.sizes.extend(other.tx_stats.sizes);
         self.traffic.merge(other.traffic);
         self.mobility.merge(other.mobility);
         self.popularity.merge(other.popularity);
         self.attributed.extend(other.attributed);
     }
 
-    /// Finishes every partial. Attributed transactions end sorted by
+    /// Finishes every partial, deriving the hourly active users, the
+    /// per-user rates and the wearable traffic fields from the one
+    /// activity record. Attributed transactions end sorted by
     /// `(user, timestamp)`; the sort is stable, so transactions sharing a
     /// key keep their absorption order.
     pub fn finish(self, ctx: &StudyContext<'_>) -> CoreAggregates {
+        let activity = self.activity.per_user;
         let mut attributed = self.attributed;
         attributed.sort_by_key(|t| (t.user, t.timestamp));
+        let p = self.popularity;
         CoreAggregates {
-            activity: self.activity.finish(ctx),
-            hourly: self.hourly.finish(ctx),
-            tx_stats: self.tx_stats.finish(ctx),
-            traffic: self.traffic.finish(ctx),
+            hourly: self.hourly.finish(ctx, &activity),
+            tx_stats: TransactionStats::from_parts(self.tx_stats.sizes, &activity),
+            traffic: self.traffic.finish(&activity),
             mobility: self.mobility.finish(ctx),
-            popularity: self.popularity.finish(ctx),
+            popularity: AppPopularity::from_index(p.day_users, p.user_days, p.apps),
             attributed,
+            activity,
         }
     }
 }
@@ -647,16 +485,16 @@ impl CorePartials {
 mod tests {
     use super::*;
     use wearscope_appdb::AppCatalog;
-    use wearscope_devicedb::DeviceDb;
+    use wearscope_devicedb::{DeviceClass, DeviceDb};
     use wearscope_geo::SectorDirectory;
     use wearscope_simtime::{Calendar, ObservationWindow};
     use wearscope_trace::{Scheme, TraceStore};
 
-    fn wtx(db: &DeviceDb, user: u64, t: u64, bytes: u64) -> ProxyRecord {
+    fn proxy(imei: u64, user: u64, t: u64, bytes: u64) -> ProxyRecord {
         ProxyRecord {
             timestamp: SimTime::from_secs(t),
             user: UserId(user),
-            imei: db.example_imei(db.wearable_tacs()[0], user as u32).as_u64(),
+            imei,
             host: "api.weather.com".into(),
             scheme: Scheme::Https,
             bytes_down: bytes,
@@ -664,12 +502,22 @@ mod tests {
         }
     }
 
-    /// Sharded fold (odd/even users) matches the sequential fold exactly.
+    /// Sharded fold (odd/even users) matches the sequential fold exactly,
+    /// derived fields included.
     #[test]
     fn sharded_fold_matches_sequential() {
         let db = DeviceDb::standard();
+        let phone = db.tacs_of_class(DeviceClass::Smartphone)[0];
         let records: Vec<ProxyRecord> = (0..200)
-            .map(|i| wtx(&db, i % 7, i * 311, 100 + i * 13))
+            .map(|i| {
+                let tac = if i % 3 == 0 {
+                    phone
+                } else {
+                    db.wearable_tacs()[0]
+                };
+                let imei = db.example_imei(tac, (i % 7) as u32).as_u64();
+                proxy(imei, i % 7, i * 311, 100 + i * 13)
+            })
             .collect();
         let store = TraceStore::from_records(records, vec![]);
         let sectors = SectorDirectory::new();
@@ -681,40 +529,21 @@ mod tests {
             &catalog,
             ObservationWindow::new(14, 14, Calendar::PAPER),
         );
-
-        let sequential: ActivityPartial = fold(&ctx, store.proxy());
-        let shard_a: ActivityPartial =
-            fold(&ctx, store.proxy().iter().filter(|r| r.user.0 % 2 == 0));
-        let shard_b: ActivityPartial =
-            fold(&ctx, store.proxy().iter().filter(|r| r.user.0 % 2 == 1));
-        let merged = merge_all([shard_a, shard_b]);
-        assert_eq!(merged.finish(&ctx), sequential.finish(&ctx));
-    }
-
-    /// The blanket adapter derives the downstream metric from the same fold.
-    #[test]
-    fn map_finish_adapter_matches_direct_compute() {
-        let db = DeviceDb::standard();
-        let records: Vec<ProxyRecord> = (0..60)
-            .map(|i| wtx(&db, 1 + i % 3, i * 997, 1000))
-            .collect();
-        let store = TraceStore::from_records(records, vec![]);
-        let sectors = SectorDirectory::new();
-        let catalog = AppCatalog::standard();
-        let ctx = StudyContext::new(
-            &store,
-            &db,
-            &sectors,
-            &catalog,
-            ObservationWindow::new(14, 14, Calendar::PAPER),
-        );
-        let via_adapter: OwnerVsRest = fold::<OwnerVsRestPartial>(&ctx, store.proxy()).finish(&ctx);
-        let direct = OwnerVsRest::compute(&ctx, &crate::compare::user_traffic(&ctx));
-        assert_eq!(
-            via_adapter.bytes_ratio.to_bits(),
-            direct.bytes_ratio.to_bits()
-        );
-        assert_eq!(via_adapter.tx_ratio.to_bits(), direct.tx_ratio.to_bits());
+        let fold = |keep: &dyn Fn(&ProxyRecord) -> bool| {
+            let mut p = CorePartials::default();
+            for r in store.proxy().iter().filter(|r| keep(r)) {
+                p.absorb_proxy(&ctx, r);
+            }
+            p
+        };
+        let sequential = fold(&|_| true).finish(&ctx);
+        let mut merged = fold(&|r| r.user.0 % 2 == 0);
+        merged.merge(fold(&|r| r.user.0 % 2 == 1));
+        let merged = merged.finish(&ctx);
+        assert_eq!(merged.activity, sequential.activity);
+        assert_eq!(merged.hourly, sequential.hourly);
+        assert_eq!(merged.tx_stats, sequential.tx_stats);
+        assert_eq!(merged.traffic, sequential.traffic);
     }
 
     /// Time-split merge (the streaming engine's shape): splitting one
@@ -753,20 +582,26 @@ mod tests {
             &catalog,
             ObservationWindow::new(14, 14, Calendar::PAPER),
         );
-        let sequential: MobilityPartial = fold(&ctx, &records);
+        let fold = |records: &[MmeRecord]| {
+            let mut p = MobilityPartial::default();
+            for r in records {
+                p.absorb(r);
+            }
+            p
+        };
+        let sequential = fold(&records).finish(&ctx);
         for split in [2, 5] {
-            let first: MobilityPartial = fold(&ctx, &records[..split]);
-            let second: MobilityPartial = fold(&ctx, &records[split..]);
-            let merged = merge_all([first, second]);
+            let mut merged = fold(&records[..split]);
+            merged.merge(fold(&records[split..]));
             assert_eq!(
                 merged.finish(&ctx).per_user,
-                sequential.clone().finish(&ctx).per_user,
+                sequential.per_user,
                 "split at {split}"
             );
         }
     }
 
-    /// Identity partials finish into empty results.
+    /// The empty bundle finishes into empty results.
     #[test]
     fn identity_is_empty() {
         let db = DeviceDb::standard();
@@ -780,14 +615,11 @@ mod tests {
             &catalog,
             ObservationWindow::compact(),
         );
-        assert!(ActivityPartial::identity().finish(&ctx).is_empty());
-        assert!(TrafficPartial::identity().finish(&ctx).is_empty());
-        assert!(MobilityPartial::identity().finish(&ctx).per_user.is_empty());
-        assert!(AppPopularityPartial::identity()
-            .finish(&ctx)
-            .rank
-            .is_empty());
-        let hourly = HourlyProfilePartial::identity().finish(&ctx);
-        assert_eq!(hourly.weekday[0].transactions, 0.0);
+        let empty = CorePartials::default().finish(&ctx);
+        assert!(empty.activity.is_empty());
+        assert!(empty.traffic.is_empty());
+        assert!(empty.mobility.per_user.is_empty());
+        assert!(empty.popularity.rank.is_empty());
+        assert_eq!(empty.hourly.weekday[0].transactions, 0.0);
     }
 }

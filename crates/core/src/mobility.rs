@@ -57,12 +57,14 @@ pub struct MobilityIndex {
 impl MobilityIndex {
     /// Builds the index from the study context's MME log.
     ///
-    /// Delegates to the mergeable [`crate::merge::MobilityPartial`] with a
-    /// single implicit shard, so this entry point and
-    /// [`crate::CoreAggregates::sequential`] run the same fold.
+    /// Absorbs into the same [`crate::merge::MobilityPartial`] as
+    /// [`crate::CoreAggregates::sequential`].
     pub fn build(ctx: &StudyContext<'_>) -> MobilityIndex {
-        use crate::merge::{fold, Mergeable, MobilityPartial};
-        fold::<MobilityPartial>(ctx, ctx.store.mme()).finish(ctx)
+        let mut partial = crate::merge::MobilityPartial::default();
+        for r in ctx.store.mme() {
+            partial.absorb(r);
+        }
+        partial.finish(ctx)
     }
 
     /// The finish step of every merged partial: dwell totals are

@@ -1,4 +1,4 @@
-//! Deterministic text snapshots of the mergeable partial aggregates — the
+//! Deterministic text snapshots of the partial aggregates — the
 //! substrate of the streaming engine's checkpoint files.
 //!
 //! No serialization framework is vendored, so the format is hand-rolled:
@@ -10,7 +10,7 @@
 //!   iteration order;
 //! * `f64` values are written as the **hex of their IEEE-754 bit pattern**
 //!   (`{:016x}` of [`f64::to_bits`]), so restore is bit-exact — the
-//!   determinism contract of [`crate::merge`] survives a round-trip;
+//!   determinism contract of [`CorePartials`] survives a round-trip;
 //! * empty collections and absent options are written as a literal `-`,
 //!   never as an empty field (TSV cannot distinguish those).
 //!
@@ -26,7 +26,6 @@ use wearscope_simtime::SimTime;
 use wearscope_trace::UserId;
 
 use crate::activity::UserActivity;
-use crate::compare::UserTraffic;
 use crate::merge::{
     ActivityPartial, AppPopularityPartial, CorePartials, HourlyProfilePartial, MobilityPartial,
     TrafficPartial, TransactionStatsPartial,
@@ -226,39 +225,17 @@ impl Snapshot for HourlyProfilePartial {
     fn snapshot(&self, out: &mut String) {
         out.push_str("hourly\n");
         for slot in 0..48 {
-            out.push_str(&format!("{}\t{}\t", self.tx[slot], self.bytes[slot]));
-            let mut pairs: Vec<(u64, UserId)> = self.users[slot].iter().copied().collect();
-            pairs.sort_unstable();
-            if pairs.is_empty() {
-                out.push('-');
-            } else {
-                for (i, (day, user)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(' ');
-                    }
-                    out.push_str(&format!("{day}:{}", user.0));
-                }
-            }
-            out.push('\n');
+            out.push_str(&format!("{}\t{}\n", self.tx[slot], self.bytes[slot]));
         }
     }
 
     fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         r.tagged("hourly")?;
-        let mut partial = <HourlyProfilePartial as crate::merge::Mergeable>::identity();
+        let mut partial = HourlyProfilePartial::default();
         for slot in 0..48 {
             let fields = split_fields(r.line()?);
             partial.tx[slot] = parse_u64(r, field(r, &fields, 0)?)?;
             partial.bytes[slot] = parse_u64(r, field(r, &fields, 1)?)?;
-            let pairs = field(r, &fields, 2)?;
-            if pairs != "-" {
-                for pair in pairs.split(' ') {
-                    let (day, user) = pair
-                        .split_once(':')
-                        .ok_or_else(|| r.err(format!("bad day:user pair `{pair}`")))?;
-                    partial.users[slot].insert((parse_u64(r, day)?, UserId(parse_u64(r, user)?)));
-                }
-            }
         }
         Ok(partial)
     }
@@ -278,7 +255,6 @@ impl Snapshot for TransactionStatsPartial {
             }
         }
         out.push('\n');
-        self.activity.snapshot(out);
     }
 
     fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
@@ -294,8 +270,7 @@ impl Snapshot for TransactionStatsPartial {
         if sizes.len() != n {
             return Err(r.err(format!("expected {n} sizes, found {}", sizes.len())));
         }
-        let activity = ActivityPartial::restore(r)?;
-        Ok(TransactionStatsPartial { sizes, activity })
+        Ok(TransactionStatsPartial { sizes })
     }
 }
 
@@ -305,11 +280,8 @@ impl Snapshot for TrafficPartial {
         users.sort_unstable();
         out.push_str(&format!("traffic\t{}\n", users.len()));
         for user in users {
-            let t = &self.per_user[user];
-            out.push_str(&format!(
-                "{}\t{}\t{}\t{}\t{}\n",
-                user.0, t.bytes_total, t.tx_total, t.bytes_wearable, t.tx_wearable
-            ));
+            let (bytes, tx) = self.per_user[user];
+            out.push_str(&format!("{}\t{bytes}\t{tx}\n", user.0));
         }
     }
 
@@ -321,12 +293,10 @@ impl Snapshot for TrafficPartial {
             let fields = split_fields(r.line()?);
             per_user.insert(
                 UserId(parse_u64(r, field(r, &fields, 0)?)?),
-                UserTraffic {
-                    bytes_total: parse_u64(r, field(r, &fields, 1)?)?,
-                    tx_total: parse_u64(r, field(r, &fields, 2)?)?,
-                    bytes_wearable: parse_u64(r, field(r, &fields, 3)?)?,
-                    tx_wearable: parse_u64(r, field(r, &fields, 4)?)?,
-                },
+                (
+                    parse_u64(r, field(r, &fields, 1)?)?,
+                    parse_u64(r, field(r, &fields, 2)?)?,
+                ),
             );
         }
         Ok(TrafficPartial { per_user })
@@ -579,7 +549,6 @@ impl Snapshot for CorePartials {
 mod tests {
     use super::*;
     use crate::context::StudyContext;
-    use crate::merge::{fold, Mergeable};
     use wearscope_appdb::AppCatalog;
     use wearscope_devicedb::DeviceDb;
     use wearscope_geo::SectorDirectory;
@@ -633,18 +602,18 @@ mod tests {
             &catalog,
             ObservationWindow::new(14, 14, Calendar::PAPER),
         );
-        let activity: ActivityPartial = fold(&ctx, store.proxy());
-        roundtrip(&activity);
-        let hourly: HourlyProfilePartial = fold(&ctx, store.proxy());
-        roundtrip(&hourly);
-        let tx_stats: TransactionStatsPartial = fold(&ctx, store.proxy());
-        let traffic: TrafficPartial = fold(&ctx, store.proxy());
-        roundtrip(&traffic);
+        let mut partials = CorePartials::default();
+        for r in store.proxy() {
+            partials.absorb_proxy(&ctx, r);
+        }
         // Restored partials must also *finish* identically.
-        let restored = roundtrip(&tx_stats);
-        let a = tx_stats.finish(&ctx);
+        let restored = roundtrip(&partials);
+        let a = partials.finish(&ctx);
         let b = restored.finish(&ctx);
-        assert_eq!(a, b);
+        assert_eq!(a.activity, b.activity);
+        assert_eq!(a.hourly, b.hourly);
+        assert_eq!(a.tx_stats, b.tx_stats);
+        assert_eq!(a.traffic, b.traffic);
     }
 
     #[test]
@@ -671,7 +640,10 @@ mod tests {
             &catalog,
             ObservationWindow::new(14, 14, Calendar::PAPER),
         );
-        let partial: MobilityPartial = fold(&ctx, &records);
+        let mut partial = MobilityPartial::default();
+        for r in &records {
+            partial.absorb(r);
+        }
         let restored = roundtrip(&partial);
         assert_eq!(restored.finish(&ctx), partial.finish(&ctx));
     }
@@ -696,18 +668,9 @@ mod tests {
         ];
         let restored = roundtrip(&txs);
         assert_eq!(restored, txs); // order preserved, not sorted
-        let store = TraceStore::new();
-        let (db, catalog, sectors) = sample_ctx(&store);
-        let ctx = StudyContext::new(
-            &store,
-            &db,
-            &sectors,
-            &catalog,
-            ObservationWindow::compact(),
-        );
-        let mut pop = AppPopularityPartial::identity();
+        let mut pop = AppPopularityPartial::default();
         for tx in &txs {
-            pop.absorb(&ctx, tx);
+            pop.absorb(tx);
         }
         roundtrip(&pop);
     }
@@ -728,7 +691,7 @@ mod tests {
         roundtrip(&MobilityPartial::default());
         roundtrip(&AppPopularityPartial::default());
         roundtrip(&TransactionStatsPartial::default());
-        roundtrip(&<HourlyProfilePartial as Mergeable>::identity());
+        roundtrip(&HourlyProfilePartial::default());
         roundtrip(&Vec::<AttributedTx>::new());
     }
 }

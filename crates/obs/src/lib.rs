@@ -39,8 +39,8 @@
 //!
 //! ## Merging
 //!
-//! [`Snapshot::merge`] follows the same contract as the `Mergeable` partial
-//! aggregates in `wearscope-core`: commutative and associative with
+//! [`Snapshot::merge`] follows the same contract as the partial aggregates
+//! (`CorePartials`) in `wearscope-core`: commutative and associative with
 //! [`Snapshot::default`] as the identity (counters and histogram buckets
 //! sum, gauges take the max, stage accumulators sum per path).
 

@@ -63,7 +63,7 @@ pub struct Snapshot {
 impl Snapshot {
     /// Merge `other` into `self`.
     ///
-    /// Mirrors the `Mergeable` contract of the core partial aggregates:
+    /// Mirrors the merge contract of the core partial aggregates:
     /// commutative and associative, with `Snapshot::default()` as the
     /// identity. Counters and histogram buckets sum; gauges take the max
     /// (a merged gauge reads as the peak across parts); stage accumulators

@@ -1,4 +1,4 @@
-//! Property tests for the `Mergeable`-style contract of [`Snapshot::merge`]:
+//! Property tests for the merge contract of [`Snapshot::merge`]:
 //! commutative, associative, identity — the same laws the core partial
 //! aggregates rely on for shard-order-independent folds.
 

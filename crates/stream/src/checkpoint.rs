@@ -34,14 +34,16 @@ use crate::runtime::{Backpressure, Progress, StreamConfig, StreamError, StreamRu
 use crate::source::SourcePosition;
 use crate::window::WindowSpec;
 
-const HEADER: &str = "wearscope-stream-checkpoint\tv1";
+/// The first field of every checkpoint's header line.
+const MAGIC: &str = "wearscope-stream-checkpoint";
+/// The checkpoint format this build writes and reads: the header's second
+/// field is `v` followed by it.
+const VERSION: u32 = 2;
 
 /// Serializes the runtime (and the source's committed position) to
 /// checkpoint text.
 pub fn to_text(rt: &StreamRuntime<'_>, position: Option<SourcePosition>) -> String {
-    let mut out = String::new();
-    out.push_str(HEADER);
-    out.push('\n');
+    let mut out = format!("{MAGIC}\tv{VERSION}\n");
     let c = &rt.config;
     out.push_str(&format!(
         "config\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
@@ -153,7 +155,8 @@ pub fn write(path: &Path, text: &str) -> io::Result<()> {
 /// matches the one the checkpoint was written under.
 ///
 /// # Errors
-/// [`StreamError::Checkpoint`] on malformed text,
+/// [`StreamError::CheckpointVersion`] when the checkpoint was written in
+/// another format version, [`StreamError::Checkpoint`] on malformed text,
 /// [`StreamError::ConfigMismatch`] when `config` disagrees with the
 /// checkpointed one.
 pub fn from_text<'s>(
@@ -163,11 +166,24 @@ pub fn from_text<'s>(
 ) -> Result<(StreamRuntime<'s>, Option<SourcePosition>), StreamError> {
     let mut r = SnapshotReader::new(text);
     let header = r.line().map_err(StreamError::from)?;
-    if header != HEADER {
-        return Err(StreamError::Checkpoint {
-            line: r.line_no(),
-            message: format!("not a stream checkpoint (header `{header}`)"),
-        });
+    let version = header
+        .strip_prefix(MAGIC)
+        .and_then(|rest| rest.strip_prefix("\tv"))
+        .and_then(|v| v.parse::<u32>().ok());
+    match version {
+        Some(VERSION) => {}
+        Some(found) => {
+            return Err(StreamError::CheckpointVersion {
+                found,
+                expected: VERSION,
+            })
+        }
+        None => {
+            return Err(StreamError::Checkpoint {
+                line: r.line_no(),
+                message: format!("not a stream checkpoint (header `{header}`)"),
+            })
+        }
     }
     let fields = r.tagged("config")?;
     check_config(&config, &fields)?;
@@ -565,6 +581,81 @@ mod tests {
         // read_config recovers the original.
         let recovered = read_config(&text).unwrap();
         assert_eq!(recovered, config);
+    }
+
+    #[test]
+    fn other_checkpoint_version_is_a_typed_error() {
+        let db = DeviceDb::standard();
+        let catalog = AppCatalog::standard();
+        let sectors = SectorDirectory::new();
+        let store = TraceStore::new();
+        let ctx = StudyContext::new(
+            &store,
+            &db,
+            &sectors,
+            &catalog,
+            ObservationWindow::new(14, 14, Calendar::PAPER),
+        );
+        let config = StreamConfig::new(
+            WindowSpec::tumbling(SimDuration::from_hours(1)).unwrap(),
+            SimDuration::from_secs(300),
+        );
+        let text = to_text(&StreamRuntime::new(&ctx, config), None);
+        let (header, body) = text.split_once('\n').unwrap();
+        assert_eq!(header, "wearscope-stream-checkpoint\tv2");
+        let old = format!("wearscope-stream-checkpoint\tv1\n{body}");
+        let err = from_text(&ctx, config, &old)
+            .map(|_| ())
+            .expect_err("a v1 checkpoint must be rejected");
+        assert!(
+            matches!(
+                err,
+                StreamError::CheckpointVersion {
+                    found: 1,
+                    expected: 2
+                }
+            ),
+            "{err}"
+        );
+        let message = err.to_string();
+        assert!(
+            message.contains("v1") && message.contains("v2"),
+            "{message}"
+        );
+        assert!(message.contains("without --resume"), "{message}");
+    }
+
+    #[test]
+    fn foreign_header_is_not_a_checkpoint() {
+        let db = DeviceDb::standard();
+        let catalog = AppCatalog::standard();
+        let sectors = SectorDirectory::new();
+        let store = TraceStore::new();
+        let ctx = StudyContext::new(
+            &store,
+            &db,
+            &sectors,
+            &catalog,
+            ObservationWindow::new(14, 14, Calendar::PAPER),
+        );
+        let config = StreamConfig::new(
+            WindowSpec::tumbling(SimDuration::from_hours(1)).unwrap(),
+            SimDuration::from_secs(300),
+        );
+        for header in ["wearscope-stream-checkpoint\tvX", "hello"] {
+            let err = from_text(&ctx, config, &format!("{header}\n"))
+                .map(|_| ())
+                .expect_err("a foreign header must be rejected");
+            match err {
+                StreamError::Checkpoint { line: 1, message } => {
+                    assert_eq!(
+                        message,
+                        format!("not a stream checkpoint (header `{header}`)")
+                    );
+                }
+                other => panic!("expected Checkpoint, got {other}"),
+            }
+        }
     }
 
     #[test]

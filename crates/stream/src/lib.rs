@@ -21,10 +21,9 @@
 //!   with explicit empty windows, bounded open windows with backpressure;
 //! * [`checkpoint`] — kill-and-resume snapshots; a resumed run's final
 //!   reports are byte-identical to an uninterrupted one;
-//! * [`aggregates`] — per-window [`Mergeable`](wearscope_core::merge::
-//!   Mergeable) partials whose merged-then-finished result matches the
-//!   batch aggregates bit-for-bit (the golden equivalence pinned by the
-//!   integration tests).
+//! * [`aggregates`] — per-window [`CorePartials`](wearscope_core::CorePartials)
+//!   whose merged-then-finished result matches the batch aggregates
+//!   bit-for-bit (the golden equivalence pinned by the integration tests).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -132,6 +132,13 @@ pub enum StreamError {
         /// What went wrong.
         message: String,
     },
+    /// A checkpoint was written in another checkpoint format version.
+    CheckpointVersion {
+        /// The version the checkpoint's header names.
+        found: u32,
+        /// The version this build reads.
+        expected: u32,
+    },
     /// A checkpoint was written under a different configuration.
     ConfigMismatch(String),
 }
@@ -147,6 +154,10 @@ impl fmt::Display for StreamError {
             StreamError::Checkpoint { line, message } => {
                 write!(f, "checkpoint line {line}: {message}")
             }
+            StreamError::CheckpointVersion { found, expected } => write!(
+                f,
+                "checkpoint format v{found} is not the v{expected} this build reads; rerun without --resume"
+            ),
             StreamError::ConfigMismatch(m) => write!(f, "checkpoint config mismatch: {m}"),
         }
     }
@@ -426,7 +437,7 @@ impl<'s> StreamRuntime<'s> {
             let ctx = self.ctx;
             match &ev {
                 StreamEvent::Proxy(r) => self.ensure_window(id)?.absorb_proxy(ctx, r, late),
-                StreamEvent::Mme(r) => self.ensure_window(id)?.absorb_mme(ctx, r, late),
+                StreamEvent::Mme(r) => self.ensure_window(id)?.absorb_mme(r, late),
             }
         }
         if let StreamEvent::Proxy(r) = &ev {
@@ -466,7 +477,7 @@ impl<'s> StreamRuntime<'s> {
                     continue;
                 }
                 if let Some(w) = self.open.get_mut(&id) {
-                    w.absorb_attributed(self.ctx, tx);
+                    w.absorb_attributed(tx);
                 }
             }
         }
@@ -505,10 +516,7 @@ impl<'s> StreamRuntime<'s> {
         let p = self.progress.as_mut().expect("emission needs progress");
         let index = p.next_emit;
         p.next_emit += 1;
-        let agg = self
-            .open
-            .remove(&index)
-            .unwrap_or_else(WindowAggregates::identity);
+        let agg = self.open.remove(&index).unwrap_or_default();
         let (start, end) = self.config.spec.bounds(index);
         self.reports
             .push(agg.report(index, start.as_secs(), end.as_secs(), forced));
@@ -545,7 +553,7 @@ impl<'s> StreamRuntime<'s> {
                     }
                 }
             }
-            self.open.insert(id, WindowAggregates::identity());
+            self.open.insert(id, WindowAggregates::default());
             self.obs.open_windows.set(self.open.len() as i64);
             self.obs.open_windows_peak.set_max(self.open.len() as i64);
         }

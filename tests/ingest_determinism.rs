@@ -1,11 +1,14 @@
 //! Properties: the one fused pass ([`CoreAggregates::sequential`]) is
-//! *bit-identical* to every analysis's own entry point, and the resilient
-//! loader keeps the same records for every worker count.
+//! *bit-identical* to every analysis's own entry point, the values it
+//! derives from the one activity record match direct counts over the log,
+//! and the resilient loader keeps the same records for every worker count.
 //!
 //! `PartialEq` on the aggregates already catches most divergence, but the
 //! contract in `wearscope_core::merge` is stronger — no float may differ in
 //! a single bit — so the float-bearing series are additionally compared
 //! through `f64::to_bits` (which also distinguishes `0.0` from `-0.0`).
+
+use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
@@ -185,6 +188,71 @@ fn assert_fused_matches_entry_points(
         prop_assert_eq!(
             bits(&fused.mobility.per_user[&u].daily_max_displacement_km),
             bits(&mobility.per_user[&u].daily_max_displacement_km)
+        );
+    }
+    assert_derived_match_direct_counts(&ctx, &fused)
+}
+
+/// Checks the values the fold derives from its one activity record
+/// against direct counts over the log: the hourly active-user shares
+/// against distinct `(day, user)` pairs per slot, and each user's traffic
+/// totals against direct sums.
+fn assert_derived_match_direct_counts(
+    ctx: &StudyContext<'_>,
+    fused: &CoreAggregates,
+) -> Result<(), TestCaseError> {
+    let cal = ctx.window.calendar();
+    let mut pairs: Vec<HashSet<(u64, UserId)>> = vec![HashSet::new(); 48];
+    for r in ctx.wearable_proxy() {
+        let day = r.timestamp.day_index();
+        let weekend = usize::from(cal.day_is_weekend(day));
+        let slot = usize::from(r.timestamp.hour_of_day()) + 24 * weekend;
+        pairs[slot].insert((day, r.user));
+    }
+    // The profile's normalization: per-day averages per slot, as shares
+    // of the average week (5 weekdays + 2 weekend days).
+    let detailed = ctx.window.detailed();
+    let n_we = detailed.days().filter(|&d| cal.day_is_weekend(d)).count();
+    let n_wd = detailed.days().count() - n_we;
+    let avg: Vec<f64> = (0..48)
+        .map(|s| pairs[s].len() as f64 / (if s < 24 { n_wd } else { n_we }).max(1) as f64)
+        .collect();
+    let week =
+        (5.0 * avg[..24].iter().sum::<f64>() + 2.0 * avg[24..].iter().sum::<f64>()).max(1e-12);
+    for hour in 0..24 {
+        prop_assert_eq!(
+            fused.hourly.weekday[hour].active_users.to_bits(),
+            (avg[hour] / week).to_bits()
+        );
+        prop_assert_eq!(
+            fused.hourly.weekend[hour].active_users.to_bits(),
+            (avg[hour + 24] / week).to_bits()
+        );
+    }
+
+    // (bytes_total, tx_total, bytes_wearable, tx_wearable) per user.
+    let mut sums: HashMap<UserId, [u64; 4]> = HashMap::new();
+    for r in ctx.store.proxy() {
+        let s = sums.entry(r.user).or_default();
+        s[0] += r.bytes_total();
+        s[1] += 1;
+    }
+    for r in ctx.wearable_proxy() {
+        let s = sums
+            .get_mut(&r.user)
+            .expect("a wearable record is a proxy record");
+        s[2] += r.bytes_total();
+        s[3] += 1;
+    }
+    prop_assert_eq!(fused.traffic.len(), sums.len());
+    for (user, s) in &sums {
+        let t = &fused.traffic[user];
+        prop_assert_eq!(
+            (
+                user,
+                [t.bytes_total, t.tx_total, t.bytes_wearable, t.tx_wearable]
+            ),
+            (user, *s)
         );
     }
     Ok(())

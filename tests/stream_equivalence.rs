@@ -105,7 +105,7 @@ fn assert_equivalent(dir: &std::path::Path, input: &str, lateness: SimDuration) 
 
         // Merge every window's partials in index order and finish with the
         // batch context — the exact contract of `wearscope_core::merge`.
-        let mut merged = WindowAggregates::identity();
+        let mut merged = WindowAggregates::default();
         for (_, w) in collected {
             merged.merge(w);
         }
