@@ -478,7 +478,7 @@ mod tests {
     use wearscope_devicedb::DeviceDb;
     use wearscope_geo::SectorDirectory;
     use wearscope_simtime::{Calendar, ObservationWindow};
-    use wearscope_trace::{Scheme, TraceStore, UserId};
+    use wearscope_trace::{MmeEvent, Scheme, TraceStore, UserId};
 
     fn proxy(db: &DeviceDb, user: u64, t: u64, host: &str) -> StreamEvent {
         StreamEvent::Proxy(ProxyRecord {
@@ -490,6 +490,158 @@ mod tests {
             bytes_down: 64,
             bytes_up: 8,
         })
+    }
+
+    /// Owns everything a [`StudyContext`] borrows.
+    struct Fixture {
+        store: TraceStore,
+        db: DeviceDb,
+        sectors: SectorDirectory,
+        catalog: AppCatalog,
+    }
+
+    impl Fixture {
+        fn new() -> Fixture {
+            Fixture {
+                store: TraceStore::new(),
+                db: DeviceDb::standard(),
+                sectors: SectorDirectory::new(),
+                catalog: AppCatalog::standard(),
+            }
+        }
+
+        fn ctx(&self) -> StudyContext<'_> {
+            StudyContext::new(
+                &self.store,
+                &self.db,
+                &self.sectors,
+                &self.catalog,
+                ObservationWindow::new(14, 14, Calendar::PAPER),
+            )
+        }
+    }
+
+    /// A runtime in the middle of a run over 1 h tumbling windows: window 0
+    /// emitted (and collected), window 1 open, one duplicate quarantined,
+    /// one record in each log's duplicate memory, and a third-party
+    /// transaction waiting in the attributor.
+    fn mid_flight<'s>(ctx: &'s StudyContext<'s>) -> StreamRuntime<'s> {
+        let mut config = StreamConfig::new(
+            WindowSpec::tumbling(SimDuration::from_hours(1)).unwrap(),
+            SimDuration::from_secs(300),
+        );
+        config.collect_aggregates = true;
+        let watch = ctx.db.example_imei(ctx.db.wearable_tacs()[0], 1).as_u64();
+        let mme = |t: u64, event: MmeEvent, sector: u32| {
+            StreamEvent::Mme(MmeRecord {
+                timestamp: SimTime::from_secs(t),
+                user: UserId(1),
+                imei: watch,
+                event,
+                sector,
+            })
+        };
+        let third_party = proxy(ctx.db, 1, 4000, "cdn.telemetry.example");
+        let events = [
+            proxy(ctx.db, 1, 100, "api.weather.com"),
+            mme(200, MmeEvent::Attach, 5),
+            mme(3900, MmeEvent::SectorUpdate, 6),
+            third_party.clone(),
+            third_party,
+        ];
+        let mut rt = StreamRuntime::new(ctx, config);
+        for ev in events {
+            rt.process_item(SourceItem::Event(ev)).unwrap();
+        }
+        rt
+    }
+
+    /// The whole checkpoint of [`mid_flight`], header to `end`, byte for
+    /// byte. A change to this text breaks `--resume` from every checkpoint
+    /// already on disk.
+    #[test]
+    fn checkpoint_text_is_pinned() {
+        let fx = Fixture::new();
+        let ctx = fx.ctx();
+        let rt = mid_flight(&ctx);
+        let position = SourcePosition {
+            proxy_offset: 321,
+            proxy_line: 3,
+            mme_offset: 123,
+            mme_line: 2,
+        };
+        let text = to_text(&rt, Some(position));
+
+        // 48 hourly slots, one of them non-zero.
+        let hourly = |hot: usize| -> String {
+            (0..48)
+                .map(|slot| if slot == hot { "1\t72\n" } else { "0\t0\n" })
+                .collect()
+        };
+        let expected = [
+            "wearscope-stream-checkpoint\tv2\n",
+            "config\t3600\t3600\t300\t4096\tblock\t-\t1\n",
+            "clock\t4000\t5\n",
+            "quality\t5\t4\t0\t0\t1\t0\t0\t0\t0000000000000000\n",
+            "counters\t0\t0\n",
+            "progress\t0\t1\n",
+            "position\t321\t3\t123\t2\n",
+            "reports\t1\n",
+            "0\t0\t3600\t1\t1\t1\t72\t1\t1\t0\t0\n",
+            "collected\t1\n",
+            "collected-window\t0\n",
+            "window-counters\t1\t0\n",
+            "attributed\t1\n",
+            "1\t100\t0\t1\t72\n",
+            "activity\t1\n",
+            "1\t1\t72\t0\t0\n",
+            "hourly\n",
+            &hourly(0),
+            "tx-stats\t1\n",
+            "4052000000000000\n",
+            "traffic\t1\n",
+            "1\t72\t1\n",
+            "mobility\t1\t1\t0\t1\n",
+            "1\t352000000000012\t5\t200\n",
+            "1\t0\t5\n",
+            "1\t352000000000012\t200\n",
+            "popularity\t1\t1\n",
+            "0\t0\t1\n",
+            "0\t1\t0\n",
+            "0\n",
+            "dedup-proxy\t1\n",
+            "4000\t1\t352000000000012\tcdn.telemetry.example\t1\t64\t8\n",
+            "dedup-mme\t1\n",
+            "3900\t1\t352000000000012\t2\t6\n",
+            "attributor\t1\n",
+            "u\t1\t100\t0\t1\n",
+            "q\t4000\t72\tW\t100\t0\n",
+            "open\t1\n",
+            "open-window\t1\n",
+            "window-counters\t1\t0\n",
+            "attributed\t0\n",
+            "activity\t1\n",
+            "1\t1\t72\t0\t1\n",
+            "hourly\n",
+            &hourly(1),
+            "tx-stats\t1\n",
+            "4052000000000000\n",
+            "traffic\t1\n",
+            "1\t72\t1\n",
+            "mobility\t1\t1\t0\t1\n",
+            "1\t352000000000012\t6\t3900\n",
+            "1\t0\t6\n",
+            "1\t352000000000012\t3900\n",
+            "popularity\t0\t0\n",
+            "-\n",
+            "end\n",
+        ]
+        .concat();
+        assert_eq!(text, expected);
+        // The pinned text restores to a runtime that writes it again.
+        let (resumed, restored) = from_text(&ctx, rt.config, &text).unwrap();
+        assert_eq!(restored, Some(position));
+        assert_eq!(to_text(&resumed, Some(position)), text);
     }
 
     #[test]
