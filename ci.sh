@@ -93,6 +93,24 @@ test -f "$FAULT_DIR/ckpt/stream.ckpt"
 diff "$FAULT_DIR/stream-full.txt" "$FAULT_DIR/stream-resumed.txt"
 echo "    resumed stream reports identical to the uninterrupted run"
 
+echo "==> crafted checkpoint: an inflated count is a typed error, not a crash"
+# A count in a checkpoint only bounds the loop over its block, so a count
+# far beyond the file must give `error: checkpoint line N: ...` and exit 1,
+# not a capacity-overflow panic (101) or an allocation abort (134).
+for count in 1000000000000000000 100000000000000; do
+    rm -rf "$FAULT_DIR/ckpt-crafted"
+    cp -r "$FAULT_DIR/ckpt" "$FAULT_DIR/ckpt-crafted"
+    sed -i "s/^reports\t[0-9]*\$/reports\t$count/" "$FAULT_DIR/ckpt-crafted/stream.ckpt"
+    grep -q "^reports.$count\$" "$FAULT_DIR/ckpt-crafted/stream.ckpt"
+    status=0
+    "$WEARSCOPE" stream --world "$FAULT_DIR/stream-world" --window 1h --lateness 5m \
+        --checkpoint "$FAULT_DIR/ckpt-crafted" --resume >/dev/null 2>"$FAULT_DIR/crafted.err" ||
+        status=$?
+    test "$status" -eq 1
+    grep -q "checkpoint line" "$FAULT_DIR/crafted.err"
+done
+echo "    crafted reports counts exit 1 with a checkpoint line error"
+
 echo "==> stream smoke on the corrupted world: quarantine instead of crash"
 "$WEARSCOPE" stream --world "$FAULT_DIR/world" --window 1h --lateness 5m \
     >/dev/null 2>"$FAULT_DIR/stream-corrupt-log.txt"

@@ -3,7 +3,7 @@
 use std::collections::{HashMap, HashSet};
 
 use wearscope_geo::SectorId;
-use wearscope_simtime::{SimTime, SECS_PER_DAY};
+use wearscope_simtime::SimTime;
 use wearscope_trace::{MmeEvent, UserId};
 
 use crate::activity::UserActivity;
@@ -36,11 +36,6 @@ impl UserMobility {
     pub fn location_entropy(&self) -> f64 {
         let weights: Vec<f64> = self.dwell_by_sector.values().map(|&d| d as f64).collect();
         stats::shannon_entropy(&weights)
-    }
-
-    /// Number of distinct sectors ever visited.
-    pub fn distinct_sectors(&self) -> usize {
-        self.dwell_by_sector.len()
     }
 }
 
@@ -268,28 +263,13 @@ impl MobilityActivity {
     }
 }
 
-/// Splits dwell seconds that cross midnight (utility for per-day views;
-/// exposed for the report crate's daily entropy ablation).
-pub fn split_dwell_by_day(since: SimTime, until: SimTime) -> Vec<(u64, u64)> {
-    let mut out = Vec::new();
-    let mut cur = since;
-    while cur < until {
-        let day = cur.day_index();
-        let day_end = SimTime::from_secs((day + 1) * SECS_PER_DAY);
-        let end = day_end.min(until);
-        out.push((day, (end - cur).as_secs()));
-        cur = end;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use wearscope_appdb::AppCatalog;
     use wearscope_devicedb::{DeviceClass, DeviceDb};
     use wearscope_geo::{GeoPoint, SectorDirectory};
-    use wearscope_simtime::{Calendar, ObservationWindow};
+    use wearscope_simtime::{Calendar, ObservationWindow, SECS_PER_DAY};
     use wearscope_trace::{MmeRecord, ProxyRecord, Scheme, TraceStore};
 
     /// Three sectors: 0 and 1 are ~11 km apart; 2 is ~100 km away.
@@ -458,15 +438,5 @@ mod tests {
         let activity = crate::activity::user_activity(&ctx);
         let ma = MobilityActivity::compute(&ctx, &index, &activity);
         assert_eq!(ma.single_location_share, 0.0);
-    }
-
-    #[test]
-    fn dwell_split_across_midnight() {
-        let parts = split_dwell_by_day(
-            SimTime::from_secs(SECS_PER_DAY - 100),
-            SimTime::from_secs(SECS_PER_DAY + 50),
-        );
-        assert_eq!(parts, vec![(0, 100), (1, 50)]);
-        assert!(split_dwell_by_day(SimTime::from_secs(5), SimTime::from_secs(5)).is_empty());
     }
 }

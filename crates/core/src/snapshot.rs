@@ -1,25 +1,39 @@
-//! Deterministic text snapshots of the partial aggregates — the
-//! substrate of the streaming engine's checkpoint files.
+//! The checkpoint codec: deterministic text snapshots of the partial
+//! aggregates, and the one row/field layer through which every block of a
+//! stream checkpoint is written and read.
 //!
-//! No serialization framework is vendored, so the format is hand-rolled:
-//! line-oriented, tab-separated fields, a tag + element counts first, then
-//! one line per element. Three rules make snapshots exact and stable:
+//! No serialization framework is vendored, so the format is hand-rolled
+//! and line-oriented. Its rules live here and nowhere else:
 //!
-//! * map/set contents are written in **sorted key order**, so two partials
-//!   with equal state produce byte-identical snapshots regardless of hash
-//!   iteration order;
+//! * a block opens with a **tagged header line** — the tag, then the
+//!   block's element counts — followed by one line per element;
+//! * fields are **tab-separated**; a list field is **space-separated**,
+//!   and an empty list is a literal `-`, never an empty field (TSV cannot
+//!   tell those apart); an absent option is a literal `-` too;
 //! * `f64` values are written as the **hex of their IEEE-754 bit pattern**
 //!   (`{:016x}` of [`f64::to_bits`]), so restore is bit-exact — the
 //!   determinism contract of [`CorePartials`] survives a round-trip;
-//! * empty collections and absent options are written as a literal `-`,
-//!   never as an empty field (TSV cannot distinguish those).
+//! * map and set contents are written in **sorted key order**, so two
+//!   partials with equal state produce byte-identical snapshots regardless
+//!   of hash iteration order. Sequence-valued state whose *order* is
+//!   semantic (attributed transactions, whose within-key order feeds a
+//!   stable sort downstream) is written in sequence order instead.
 //!
-//! Sequence-valued state whose *order* is semantic (e.g. attributed
-//! transactions, whose within-key order feeds a stable sort downstream) is
-//! written in sequence order, not sorted.
+//! A checkpoint is a file a user can hand us, so reading follows two more
+//! rules and a damaged one gives a [`SnapshotError`] naming its line, never
+//! a panic:
+//!
+//! * a **count only bounds a loop** that reads one line per element, so a
+//!   count larger than the text ends at the last line; no count sizes an
+//!   allocation;
+//! * every value is parsed into its **typed range** by its [`Field`] impl:
+//!   an app id above `u16::MAX` or a flag other than `0`/`1` is an error,
+//!   never a truncating cast.
+//!
+//! [`RowWriter`] writes a line and [`Row`] reads one back, field by field.
 
 use std::collections::{HashMap, HashSet};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use wearscope_appdb::AppId;
 use wearscope_simtime::SimTime;
@@ -50,6 +64,271 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
+// ---------------------------------------------------------------------------
+// Fields
+// ---------------------------------------------------------------------------
+
+/// A value that is one field (or one list element) of a snapshot line.
+pub trait Field: Sized {
+    /// Appends the value's text.
+    fn write(&self, out: &mut String);
+
+    /// Parses text written by [`Field::write`].
+    ///
+    /// # Errors
+    /// A description of the text when it is not a value of this type.
+    fn parse(s: &str) -> Result<Self, String>;
+}
+
+macro_rules! integer_field {
+    ($($t:ty),*) => {$(
+        impl Field for $t {
+            fn write(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+
+            fn parse(s: &str) -> Result<Self, String> {
+                s.parse()
+                    .map_err(|_| format!("`{s}` is not a {}", stringify!($t)))
+            }
+        }
+    )*};
+}
+
+integer_field!(u64, u32, u16, usize);
+
+impl Field for bool {
+    fn write(&self, out: &mut String) {
+        out.push(if *self { '1' } else { '0' });
+    }
+
+    fn parse(s: &str) -> Result<Self, String> {
+        match s {
+            "0" => Ok(false),
+            "1" => Ok(true),
+            _ => Err(format!("`{s}` is not a 0/1 flag")),
+        }
+    }
+}
+
+impl Field for f64 {
+    fn write(&self, out: &mut String) {
+        let _ = write!(out, "{:016x}", self.to_bits());
+    }
+
+    fn parse(s: &str) -> Result<Self, String> {
+        u64::from_str_radix(s, 16)
+            .map(f64::from_bits)
+            .map_err(|_| format!("`{s}` is not an f64 bit pattern"))
+    }
+}
+
+impl Field for SimTime {
+    fn write(&self, out: &mut String) {
+        self.as_secs().write(out);
+    }
+
+    fn parse(s: &str) -> Result<Self, String> {
+        u64::parse(s).map(SimTime::from_secs)
+    }
+}
+
+impl Field for UserId {
+    fn write(&self, out: &mut String) {
+        self.0.write(out);
+    }
+
+    fn parse(s: &str) -> Result<Self, String> {
+        u64::parse(s).map(UserId)
+    }
+}
+
+impl Field for AppId {
+    fn write(&self, out: &mut String) {
+        self.0.write(out);
+    }
+
+    fn parse(s: &str) -> Result<Self, String> {
+        u16::parse(s).map(AppId)
+    }
+}
+
+/// `-` for `None`.
+impl<T: Field> Field for Option<T> {
+    fn write(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write(out),
+            None => out.push('-'),
+        }
+    }
+
+    fn parse(s: &str) -> Result<Self, String> {
+        if s == "-" {
+            Ok(None)
+        } else {
+            T::parse(s).map(Some)
+        }
+    }
+}
+
+/// A `key:value` pair, for list elements.
+impl<A: Field, B: Field> Field for (A, B) {
+    fn write(&self, out: &mut String) {
+        self.0.write(out);
+        out.push(':');
+        self.1.write(out);
+    }
+
+    fn parse(s: &str) -> Result<Self, String> {
+        let (a, b) = s
+            .split_once(':')
+            .ok_or_else(|| format!("`{s}` is not a key:value pair"))?;
+        Ok((A::parse(a)?, B::parse(b)?))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Rows
+// ---------------------------------------------------------------------------
+
+/// Writes one snapshot line, field by field; [`RowWriter::end`] closes it.
+#[must_use = "a line is complete only after `end`"]
+#[derive(Debug)]
+pub struct RowWriter<'o> {
+    out: &'o mut String,
+    empty: bool,
+}
+
+impl<'o> RowWriter<'o> {
+    /// Starts an element line.
+    pub fn new(out: &'o mut String) -> RowWriter<'o> {
+        RowWriter { out, empty: true }
+    }
+
+    /// Starts a block's header line with its tag.
+    pub fn tagged(out: &'o mut String, tag: &str) -> RowWriter<'o> {
+        out.push_str(tag);
+        RowWriter { out, empty: false }
+    }
+
+    fn separate(&mut self) {
+        if !self.empty {
+            self.out.push('\t');
+        }
+        self.empty = false;
+    }
+
+    /// Appends one field.
+    pub fn put<T: Field>(mut self, value: T) -> RowWriter<'o> {
+        self.separate();
+        value.write(self.out);
+        self
+    }
+
+    /// Appends one field of literal text (a tag-like marker).
+    pub fn raw(mut self, text: &str) -> RowWriter<'o> {
+        self.separate();
+        self.out.push_str(text);
+        self
+    }
+
+    /// Appends one list field: the items space-separated, `-` if none.
+    pub fn list<T: Field>(mut self, items: impl IntoIterator<Item = T>) -> RowWriter<'o> {
+        self.separate();
+        let mut items = items.into_iter();
+        match items.next() {
+            None => self.out.push('-'),
+            Some(first) => {
+                first.write(self.out);
+                for item in items {
+                    self.out.push(' ');
+                    item.write(self.out);
+                }
+            }
+        }
+        self
+    }
+
+    /// Ends the line.
+    pub fn end(self) {
+        self.out.push('\n');
+    }
+}
+
+/// The fields of one snapshot line, read left to right.
+#[derive(Debug)]
+pub struct Row<'a> {
+    fields: std::str::Split<'a, char>,
+    line: u64,
+    read: usize,
+}
+
+impl<'a> Row<'a> {
+    /// The fields of `text`, which is line `line` (1-based) of a snapshot.
+    pub fn new(text: &'a str, line: u64) -> Row<'a> {
+        Row {
+            fields: text.split('\t'),
+            line,
+            read: 0,
+        }
+    }
+
+    /// An error anchored at this row's line.
+    pub fn err(&self, message: impl Into<String>) -> SnapshotError {
+        SnapshotError {
+            line: self.line,
+            message: message.into(),
+        }
+    }
+
+    /// The next field's text.
+    ///
+    /// # Errors
+    /// Fails when the line has no field left.
+    pub fn raw(&mut self) -> Result<&'a str, SnapshotError> {
+        self.read += 1;
+        match self.fields.next() {
+            Some(field) => Ok(field),
+            None => Err(self.err(format!("missing field {}", self.read))),
+        }
+    }
+
+    /// The next field as a `T`.
+    ///
+    /// # Errors
+    /// Fails when the field is missing or not a `T`.
+    pub fn field<T: Field>(&mut self) -> Result<T, SnapshotError> {
+        let text = self.raw()?;
+        T::parse(text).map_err(|m| self.err(format!("field {}: {m}", self.read)))
+    }
+
+    /// The next field as a list of `T` (`-` for an empty one), collected.
+    ///
+    /// # Errors
+    /// Fails when the field is missing or an item is not a `T`.
+    pub fn list<T: Field, C: FromIterator<T>>(&mut self) -> Result<C, SnapshotError> {
+        let text = self.raw()?;
+        if text == "-" {
+            return Ok(std::iter::empty().collect());
+        }
+        text.split(' ')
+            .map(T::parse)
+            .collect::<Result<C, String>>()
+            .map_err(|m| self.err(format!("field {}: {m}", self.read)))
+    }
+
+    /// Checks that every field was read.
+    ///
+    /// # Errors
+    /// Fails on a field left over.
+    pub fn end(mut self) -> Result<(), SnapshotError> {
+        match self.fields.next() {
+            None => Ok(()),
+            Some(extra) => Err(self.err(format!("unexpected field {} `{extra}`", self.read + 1))),
+        }
+    }
+}
+
 /// Line cursor over snapshot text, shared by every [`Snapshot::restore`].
 #[derive(Debug)]
 pub struct SnapshotReader<'a> {
@@ -66,12 +345,7 @@ impl<'a> SnapshotReader<'a> {
         }
     }
 
-    /// 1-based number of the last line returned.
-    pub fn line_no(&self) -> u64 {
-        self.line_no
-    }
-
-    /// An error anchored at the current line.
+    /// An error anchored at the last line read.
     pub fn err(&self, message: impl Into<String>) -> SnapshotError {
         SnapshotError {
             line: self.line_no,
@@ -79,7 +353,11 @@ impl<'a> SnapshotReader<'a> {
         }
     }
 
-    /// The next line, or an error at end of input.
+    /// The next line's text, for lines held in another format (the
+    /// header, log records).
+    ///
+    /// # Errors
+    /// Fails at the end of the text.
     pub fn line(&mut self) -> Result<&'a str, SnapshotError> {
         self.line_no += 1;
         self.lines.next().ok_or(SnapshotError {
@@ -88,16 +366,37 @@ impl<'a> SnapshotReader<'a> {
         })
     }
 
-    /// Reads a line whose first field must equal `tag`; returns the
-    /// remaining tab-separated fields.
-    pub fn tagged(&mut self, tag: &str) -> Result<Vec<&'a str>, SnapshotError> {
-        let line = self.line()?;
-        let mut fields = line.split('\t');
-        let got = fields.next().unwrap_or("");
-        if got != tag {
-            return Err(self.err(format!("expected `{tag}` block, found `{got}`")));
+    /// The next line's fields.
+    ///
+    /// # Errors
+    /// Fails at the end of the text.
+    pub fn row(&mut self) -> Result<Row<'a>, SnapshotError> {
+        let text = self.line()?;
+        Ok(Row::new(text, self.line_no))
+    }
+
+    /// The next line's fields after its first, which must be `tag`.
+    ///
+    /// # Errors
+    /// Fails at the end of the text or on another tag.
+    pub fn tagged(&mut self, tag: &str) -> Result<Row<'a>, SnapshotError> {
+        let mut row = self.row()?;
+        let found = row.raw()?;
+        if found != tag {
+            return Err(row.err(format!("expected `{tag}` block, found `{found}`")));
         }
-        Ok(fields.collect())
+        Ok(row)
+    }
+
+    /// Reads a header line `tag<TAB>count` and returns the count.
+    ///
+    /// # Errors
+    /// Fails like [`tagged`](Self::tagged), or on a bad or extra field.
+    pub fn count(&mut self, tag: &str) -> Result<u64, SnapshotError> {
+        let mut row = self.tagged(tag)?;
+        let n = row.field()?;
+        row.end()?;
+        Ok(n)
     }
 }
 
@@ -113,70 +412,18 @@ pub trait Snapshot: Sized {
     fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError>;
 }
 
-// ---------------------------------------------------------------------------
-// Field helpers
-// ---------------------------------------------------------------------------
-
-fn push_u64_list(out: &mut String, items: impl Iterator<Item = u64>) {
-    let mut any = false;
-    for (i, v) in items.enumerate() {
-        if i > 0 {
-            out.push(' ');
-        }
-        out.push_str(&v.to_string());
-        any = true;
-    }
-    if !any {
-        out.push('-');
-    }
-}
-
+/// A set's elements in ascending order.
 fn sorted<T: Ord + Copy>(set: &HashSet<T>) -> Vec<T> {
     let mut v: Vec<T> = set.iter().copied().collect();
     v.sort_unstable();
     v
 }
 
-fn parse_u64(r: &SnapshotReader<'_>, s: &str) -> Result<u64, SnapshotError> {
-    s.parse::<u64>()
-        .map_err(|_| r.err(format!("bad integer `{s}`")))
-}
-
-fn parse_usize(r: &SnapshotReader<'_>, s: &str) -> Result<usize, SnapshotError> {
-    s.parse::<usize>()
-        .map_err(|_| r.err(format!("bad count `{s}`")))
-}
-
-fn parse_u64_list(r: &SnapshotReader<'_>, s: &str) -> Result<Vec<u64>, SnapshotError> {
-    if s == "-" {
-        return Ok(Vec::new());
-    }
-    s.split(' ').map(|f| parse_u64(r, f)).collect()
-}
-
-fn f64_bits_hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-fn parse_f64_bits(r: &SnapshotReader<'_>, s: &str) -> Result<f64, SnapshotError> {
-    u64::from_str_radix(s, 16)
-        .map(f64::from_bits)
-        .map_err(|_| r.err(format!("bad f64 bit pattern `{s}`")))
-}
-
-fn field<'a>(
-    r: &SnapshotReader<'_>,
-    fields: &[&'a str],
-    idx: usize,
-) -> Result<&'a str, SnapshotError> {
-    fields
-        .get(idx)
-        .copied()
-        .ok_or_else(|| r.err(format!("missing field {idx}")))
-}
-
-fn split_fields(line: &str) -> Vec<&str> {
-    line.split('\t').collect()
+/// A map's entries in ascending key order.
+pub fn sorted_entries<K: Ord, V>(map: &HashMap<K, V>) -> Vec<(&K, &V)> {
+    let mut v: Vec<(&K, &V)> = map.iter().collect();
+    v.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    v
 }
 
 // ---------------------------------------------------------------------------
@@ -185,36 +432,32 @@ fn split_fields(line: &str) -> Vec<&str> {
 
 impl Snapshot for ActivityPartial {
     fn snapshot(&self, out: &mut String) {
-        let mut users: Vec<&UserId> = self.per_user.keys().collect();
-        users.sort_unstable();
-        out.push_str(&format!("activity\t{}\n", users.len()));
-        for user in users {
-            let a = &self.per_user[user];
-            out.push_str(&format!("{}\t{}\t{}\t", user.0, a.transactions, a.bytes));
-            push_u64_list(out, sorted(&a.days).into_iter());
-            out.push('\t');
-            push_u64_list(out, sorted(&a.hours).into_iter());
-            out.push('\n');
+        RowWriter::tagged(out, "activity")
+            .put(self.per_user.len())
+            .end();
+        for (user, a) in sorted_entries(&self.per_user) {
+            RowWriter::new(out)
+                .put(*user)
+                .put(a.transactions)
+                .put(a.bytes)
+                .list(sorted(&a.days))
+                .list(sorted(&a.hours))
+                .end();
         }
     }
 
     fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let head = r.tagged("activity")?;
-        let n = parse_usize(r, field(r, &head, 0)?)?;
-        let mut per_user = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let fields = split_fields(r.line()?);
-            let user = UserId(parse_u64(r, field(r, &fields, 0)?)?);
+        let mut per_user = HashMap::new();
+        for _ in 0..r.count("activity")? {
+            let mut row = r.row()?;
+            let user = row.field()?;
             let a = UserActivity {
-                transactions: parse_u64(r, field(r, &fields, 1)?)?,
-                bytes: parse_u64(r, field(r, &fields, 2)?)?,
-                days: parse_u64_list(r, field(r, &fields, 3)?)?
-                    .into_iter()
-                    .collect(),
-                hours: parse_u64_list(r, field(r, &fields, 4)?)?
-                    .into_iter()
-                    .collect(),
+                transactions: row.field()?,
+                bytes: row.field()?,
+                days: row.list()?,
+                hours: row.list()?,
             };
+            row.end()?;
             per_user.insert(user, a);
         }
         Ok(ActivityPartial { per_user })
@@ -223,19 +466,20 @@ impl Snapshot for ActivityPartial {
 
 impl Snapshot for HourlyProfilePartial {
     fn snapshot(&self, out: &mut String) {
-        out.push_str("hourly\n");
-        for slot in 0..48 {
-            out.push_str(&format!("{}\t{}\n", self.tx[slot], self.bytes[slot]));
+        RowWriter::tagged(out, "hourly").end();
+        for (tx, bytes) in self.tx.iter().zip(&self.bytes) {
+            RowWriter::new(out).put(*tx).put(*bytes).end();
         }
     }
 
     fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        r.tagged("hourly")?;
+        r.tagged("hourly")?.end()?;
         let mut partial = HourlyProfilePartial::default();
-        for slot in 0..48 {
-            let fields = split_fields(r.line()?);
-            partial.tx[slot] = parse_u64(r, field(r, &fields, 0)?)?;
-            partial.bytes[slot] = parse_u64(r, field(r, &fields, 1)?)?;
+        for (tx, bytes) in partial.tx.iter_mut().zip(&mut partial.bytes) {
+            let mut row = r.row()?;
+            *tx = row.field()?;
+            *bytes = row.field()?;
+            row.end()?;
         }
         Ok(partial)
     }
@@ -243,61 +487,40 @@ impl Snapshot for HourlyProfilePartial {
 
 impl Snapshot for TransactionStatsPartial {
     fn snapshot(&self, out: &mut String) {
-        out.push_str(&format!("tx-stats\t{}\n", self.sizes.len()));
-        if self.sizes.is_empty() {
-            out.push('-');
-        } else {
-            for (i, v) in self.sizes.iter().enumerate() {
-                if i > 0 {
-                    out.push(' ');
-                }
-                out.push_str(&f64_bits_hex(*v));
-            }
-        }
-        out.push('\n');
+        RowWriter::tagged(out, "tx-stats")
+            .put(self.sizes.len())
+            .end();
+        RowWriter::new(out).list(self.sizes.iter().copied()).end();
     }
 
     fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let head = r.tagged("tx-stats")?;
-        let n = parse_usize(r, field(r, &head, 0)?)?;
-        let line = r.line()?;
-        let mut sizes = Vec::with_capacity(n);
-        if line != "-" {
-            for f in line.split(' ') {
-                sizes.push(parse_f64_bits(r, f)?);
-            }
+        let n = r.count("tx-stats")?;
+        let mut row = r.row()?;
+        let sizes: Vec<f64> = row.list()?;
+        if sizes.len() as u64 != n {
+            return Err(row.err(format!("expected {n} sizes, found {}", sizes.len())));
         }
-        if sizes.len() != n {
-            return Err(r.err(format!("expected {n} sizes, found {}", sizes.len())));
-        }
+        row.end()?;
         Ok(TransactionStatsPartial { sizes })
     }
 }
 
 impl Snapshot for TrafficPartial {
     fn snapshot(&self, out: &mut String) {
-        let mut users: Vec<&UserId> = self.per_user.keys().collect();
-        users.sort_unstable();
-        out.push_str(&format!("traffic\t{}\n", users.len()));
-        for user in users {
-            let (bytes, tx) = self.per_user[user];
-            out.push_str(&format!("{}\t{bytes}\t{tx}\n", user.0));
+        RowWriter::tagged(out, "traffic")
+            .put(self.per_user.len())
+            .end();
+        for (user, &(bytes, tx)) in sorted_entries(&self.per_user) {
+            RowWriter::new(out).put(*user).put(bytes).put(tx).end();
         }
     }
 
     fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let head = r.tagged("traffic")?;
-        let n = parse_usize(r, field(r, &head, 0)?)?;
-        let mut per_user = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let fields = split_fields(r.line()?);
-            per_user.insert(
-                UserId(parse_u64(r, field(r, &fields, 0)?)?),
-                (
-                    parse_u64(r, field(r, &fields, 1)?)?,
-                    parse_u64(r, field(r, &fields, 2)?)?,
-                ),
-            );
+        let mut per_user = HashMap::new();
+        for _ in 0..r.count("traffic")? {
+            let mut row = r.row()?;
+            per_user.insert(row.field()?, (row.field()?, row.field()?));
+            row.end()?;
         }
         Ok(TrafficPartial { per_user })
     }
@@ -305,108 +528,75 @@ impl Snapshot for TrafficPartial {
 
 impl Snapshot for MobilityPartial {
     fn snapshot(&self, out: &mut String) {
-        out.push_str(&format!(
-            "mobility\t{}\t{}\t{}\t{}\n",
-            self.current.len(),
-            self.day_sectors.len(),
-            self.per_user.len(),
-            self.first_event.len()
-        ));
-        #[allow(clippy::type_complexity)]
-        let mut cur: Vec<(&(UserId, u64), &(u32, SimTime))> = self.current.iter().collect();
-        cur.sort_unstable_by_key(|(k, _)| **k);
-        for ((user, imei), (sector, since)) in cur {
-            out.push_str(&format!(
-                "{}\t{imei}\t{sector}\t{}\n",
-                user.0,
-                since.as_secs()
-            ));
+        RowWriter::tagged(out, "mobility")
+            .put(self.current.len())
+            .put(self.day_sectors.len())
+            .put(self.per_user.len())
+            .put(self.first_event.len())
+            .end();
+        for (&(user, imei), &(sector, since)) in sorted_entries(&self.current) {
+            RowWriter::new(out)
+                .put(user)
+                .put(imei)
+                .put(sector)
+                .put(since)
+                .end();
         }
-        let mut days: Vec<(&(UserId, u64), &HashSet<u32>)> = self.day_sectors.iter().collect();
-        days.sort_unstable_by_key(|(k, _)| **k);
-        for ((user, day), set) in days {
-            out.push_str(&format!("{}\t{day}\t", user.0));
-            push_u64_list(out, sorted(set).into_iter().map(u64::from));
-            out.push('\n');
+        for (&(user, day), sectors) in sorted_entries(&self.day_sectors) {
+            RowWriter::new(out)
+                .put(user)
+                .put(day)
+                .list(sorted(sectors))
+                .end();
         }
-        let mut users: Vec<&UserId> = self.per_user.keys().collect();
-        users.sort_unstable();
-        for user in users {
-            let m = &self.per_user[user];
+        for (user, m) in sorted_entries(&self.per_user) {
             debug_assert!(
                 m.daily_max_displacement_km.is_empty(),
                 "displacement is a finish-stage product, not partial state"
             );
-            out.push_str(&format!("{}\t", user.0));
-            let mut dwell: Vec<(u32, u64)> =
-                m.dwell_by_sector.iter().map(|(s, d)| (*s, *d)).collect();
-            dwell.sort_unstable();
-            if dwell.is_empty() {
-                out.push('-');
-            } else {
-                for (i, (sector, secs)) in dwell.iter().enumerate() {
-                    if i > 0 {
-                        out.push(' ');
-                    }
-                    out.push_str(&format!("{sector}:{secs}"));
-                }
-            }
-            out.push('\n');
+            let dwell = sorted_entries(&m.dwell_by_sector);
+            RowWriter::new(out)
+                .put(*user)
+                .list(dwell.into_iter().map(|(&sector, &secs)| (sector, secs)))
+                .end();
         }
-        let mut firsts: Vec<(&(UserId, u64), &SimTime)> = self.first_event.iter().collect();
-        firsts.sort_unstable_by_key(|(k, _)| **k);
-        for ((user, imei), t) in firsts {
-            out.push_str(&format!("{}\t{imei}\t{}\n", user.0, t.as_secs()));
+        for (&(user, imei), &t) in sorted_entries(&self.first_event) {
+            RowWriter::new(out).put(user).put(imei).put(t).end();
         }
     }
 
     fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let head = r.tagged("mobility")?;
-        let n_cur = parse_usize(r, field(r, &head, 0)?)?;
-        let n_days = parse_usize(r, field(r, &head, 1)?)?;
-        let n_users = parse_usize(r, field(r, &head, 2)?)?;
-        let n_first = parse_usize(r, field(r, &head, 3)?)?;
+        let mut head = r.tagged("mobility")?;
+        let counts: [u64; 4] = [head.field()?, head.field()?, head.field()?, head.field()?];
+        head.end()?;
         let mut partial = MobilityPartial::default();
-        for _ in 0..n_cur {
-            let fields = split_fields(r.line()?);
-            let user = UserId(parse_u64(r, field(r, &fields, 0)?)?);
-            let imei = parse_u64(r, field(r, &fields, 1)?)?;
-            let sector = parse_u64(r, field(r, &fields, 2)?)? as u32;
-            let since = SimTime::from_secs(parse_u64(r, field(r, &fields, 3)?)?);
-            partial.current.insert((user, imei), (sector, since));
+        for _ in 0..counts[0] {
+            let mut row = r.row()?;
+            let key = (row.field()?, row.field()?);
+            partial.current.insert(key, (row.field()?, row.field()?));
+            row.end()?;
         }
-        for _ in 0..n_days {
-            let fields = split_fields(r.line()?);
-            let user = UserId(parse_u64(r, field(r, &fields, 0)?)?);
-            let day = parse_u64(r, field(r, &fields, 1)?)?;
-            let sectors: HashSet<u32> = parse_u64_list(r, field(r, &fields, 2)?)?
-                .into_iter()
-                .map(|v| v as u32)
-                .collect();
-            partial.day_sectors.insert((user, day), sectors);
+        for _ in 0..counts[1] {
+            let mut row = r.row()?;
+            let key = (row.field()?, row.field()?);
+            partial.day_sectors.insert(key, row.list()?);
+            row.end()?;
         }
-        for _ in 0..n_users {
-            let fields = split_fields(r.line()?);
-            let user = UserId(parse_u64(r, field(r, &fields, 0)?)?);
-            let mut m = UserMobility::default();
-            let dwell = field(r, &fields, 1)?;
-            if dwell != "-" {
-                for pair in dwell.split(' ') {
-                    let (sector, secs) = pair
-                        .split_once(':')
-                        .ok_or_else(|| r.err(format!("bad sector:dwell pair `{pair}`")))?;
-                    m.dwell_by_sector
-                        .insert(parse_u64(r, sector)? as u32, parse_u64(r, secs)?);
-                }
-            }
+        for _ in 0..counts[2] {
+            let mut row = r.row()?;
+            let user = row.field()?;
+            let m = UserMobility {
+                dwell_by_sector: row.list()?,
+                ..UserMobility::default()
+            };
+            row.end()?;
             partial.per_user.insert(user, m);
         }
-        for _ in 0..n_first {
-            let fields = split_fields(r.line()?);
-            let user = UserId(parse_u64(r, field(r, &fields, 0)?)?);
-            let imei = parse_u64(r, field(r, &fields, 1)?)?;
-            let t = SimTime::from_secs(parse_u64(r, field(r, &fields, 2)?)?);
-            partial.first_event.insert((user, imei), t);
+        for _ in 0..counts[3] {
+            let mut row = r.row()?;
+            let key = (row.field()?, row.field()?);
+            partial.first_event.insert(key, row.field()?);
+            row.end()?;
         }
         Ok(partial)
     }
@@ -414,60 +604,47 @@ impl Snapshot for MobilityPartial {
 
 impl Snapshot for AppPopularityPartial {
     fn snapshot(&self, out: &mut String) {
-        out.push_str(&format!(
-            "popularity\t{}\t{}\n",
-            self.day_users.len(),
-            self.user_days.len()
-        ));
-        let mut day_users: Vec<(&(AppId, u64), &HashSet<UserId>)> = self.day_users.iter().collect();
-        day_users.sort_unstable_by_key(|(k, _)| **k);
-        for ((app, day), users) in day_users {
-            out.push_str(&format!("{}\t{day}\t", app.0));
-            push_u64_list(out, sorted(users).into_iter().map(|u| u.0));
-            out.push('\n');
+        RowWriter::tagged(out, "popularity")
+            .put(self.day_users.len())
+            .put(self.user_days.len())
+            .end();
+        for (&(app, day), users) in sorted_entries(&self.day_users) {
+            RowWriter::new(out)
+                .put(app)
+                .put(day)
+                .list(sorted(users))
+                .end();
         }
-        let mut user_days: Vec<(&(AppId, UserId), &HashSet<u64>)> = self.user_days.iter().collect();
-        user_days.sort_unstable_by_key(|(k, _)| **k);
-        for ((app, user), days) in user_days {
-            out.push_str(&format!("{}\t{}\t", app.0, user.0));
-            push_u64_list(out, sorted(days).into_iter());
-            out.push('\n');
+        for (&(app, user), days) in sorted_entries(&self.user_days) {
+            RowWriter::new(out)
+                .put(app)
+                .put(user)
+                .list(sorted(days))
+                .end();
         }
-        let mut apps: Vec<u16> = self.apps.iter().map(|a| a.0).collect();
-        apps.sort_unstable();
-        push_u64_list(out, apps.into_iter().map(u64::from));
-        out.push('\n');
+        RowWriter::new(out).list(sorted(&self.apps)).end();
     }
 
     fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let head = r.tagged("popularity")?;
-        let n_day_users = parse_usize(r, field(r, &head, 0)?)?;
-        let n_user_days = parse_usize(r, field(r, &head, 1)?)?;
+        let mut head = r.tagged("popularity")?;
+        let (n_day_users, n_user_days): (u64, u64) = (head.field()?, head.field()?);
+        head.end()?;
         let mut partial = AppPopularityPartial::default();
         for _ in 0..n_day_users {
-            let fields = split_fields(r.line()?);
-            let app = AppId(parse_u64(r, field(r, &fields, 0)?)? as u16);
-            let day = parse_u64(r, field(r, &fields, 1)?)?;
-            let users: HashSet<UserId> = parse_u64_list(r, field(r, &fields, 2)?)?
-                .into_iter()
-                .map(UserId)
-                .collect();
-            partial.day_users.insert((app, day), users);
+            let mut row = r.row()?;
+            let key = (row.field()?, row.field()?);
+            partial.day_users.insert(key, row.list()?);
+            row.end()?;
         }
         for _ in 0..n_user_days {
-            let fields = split_fields(r.line()?);
-            let app = AppId(parse_u64(r, field(r, &fields, 0)?)? as u16);
-            let user = UserId(parse_u64(r, field(r, &fields, 1)?)?);
-            let days: HashSet<u64> = parse_u64_list(r, field(r, &fields, 2)?)?
-                .into_iter()
-                .collect();
-            partial.user_days.insert((app, user), days);
+            let mut row = r.row()?;
+            let key = (row.field()?, row.field()?);
+            partial.user_days.insert(key, row.list()?);
+            row.end()?;
         }
-        let apps_line = r.line()?;
-        partial.apps = parse_u64_list(r, apps_line)?
-            .into_iter()
-            .map(|v| AppId(v as u16))
-            .collect();
+        let mut row = r.row()?;
+        partial.apps = row.list()?;
+        row.end()?;
         Ok(partial)
     }
 }
@@ -476,46 +653,30 @@ impl Snapshot for Vec<AttributedTx> {
     fn snapshot(&self, out: &mut String) {
         // Sequence order is semantic (it feeds a stable sort downstream):
         // written and restored in order, never sorted here.
-        out.push_str(&format!("attributed\t{}\n", self.len()));
+        RowWriter::tagged(out, "attributed").put(self.len()).end();
         for tx in self {
-            let app = match tx.app {
-                Some(a) => a.0.to_string(),
-                None => "-".into(),
-            };
-            out.push_str(&format!(
-                "{}\t{}\t{app}\t{}\t{}\n",
-                tx.user.0,
-                tx.timestamp.as_secs(),
-                u8::from(tx.first_party),
-                tx.bytes
-            ));
+            RowWriter::new(out)
+                .put(tx.user)
+                .put(tx.timestamp)
+                .put(tx.app)
+                .put(tx.first_party)
+                .put(tx.bytes)
+                .end();
         }
     }
 
     fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let head = r.tagged("attributed")?;
-        let n = parse_usize(r, field(r, &head, 0)?)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let fields = split_fields(r.line()?);
-            let app_field = field(r, &fields, 2)?;
-            let app = if app_field == "-" {
-                None
-            } else {
-                Some(AppId(parse_u64(r, app_field)? as u16))
-            };
-            let first_party = match field(r, &fields, 3)? {
-                "0" => false,
-                "1" => true,
-                other => return Err(r.err(format!("bad first-party flag `{other}`"))),
-            };
+        let mut out = Vec::new();
+        for _ in 0..r.count("attributed")? {
+            let mut row = r.row()?;
             out.push(AttributedTx {
-                user: UserId(parse_u64(r, field(r, &fields, 0)?)?),
-                timestamp: SimTime::from_secs(parse_u64(r, field(r, &fields, 1)?)?),
-                app,
-                first_party,
-                bytes: parse_u64(r, field(r, &fields, 4)?)?,
+                user: row.field()?,
+                timestamp: row.field()?,
+                app: row.field()?,
+                first_party: row.field()?,
+                bytes: row.field()?,
             });
+            row.end()?;
         }
         Ok(out)
     }
@@ -673,6 +834,107 @@ mod tests {
             pop.absorb(tx);
         }
         roundtrip(&pop);
+    }
+
+    /// Every field type reads back the text it writes.
+    #[test]
+    fn fields_roundtrip_through_a_row() {
+        let mut text = String::new();
+        RowWriter::tagged(&mut text, "t")
+            .put(7u64)
+            .put(u16::MAX)
+            .put(true)
+            .put(-0.0f64)
+            .put(SimTime::from_secs(9))
+            .put(UserId(3))
+            .put(Some(AppId(2)))
+            .put(None::<u32>)
+            .list(Vec::<u64>::new())
+            .list([(2u32, 600u64), (3, 1)])
+            .end();
+        assert_eq!(
+            text,
+            "t\t7\t65535\t1\t8000000000000000\t9\t3\t2\t-\t-\t2:600 3:1\n"
+        );
+        let mut row = SnapshotReader::new(&text).tagged("t").unwrap();
+        assert_eq!(row.field::<u64>().unwrap(), 7);
+        assert_eq!(row.field::<u16>().unwrap(), u16::MAX);
+        assert!(row.field::<bool>().unwrap());
+        assert_eq!(row.field::<f64>().unwrap().to_bits(), (-0.0f64).to_bits());
+        assert_eq!(row.field::<SimTime>().unwrap(), SimTime::from_secs(9));
+        assert_eq!(row.field::<UserId>().unwrap(), UserId(3));
+        assert_eq!(row.field::<Option<AppId>>().unwrap(), Some(AppId(2)));
+        assert_eq!(row.field::<Option<u32>>().unwrap(), None);
+        assert!(row.list::<u64, Vec<u64>>().unwrap().is_empty());
+        let pairs: Vec<(u32, u64)> = row.list().unwrap();
+        assert_eq!(pairs, [(2, 600), (3, 1)]);
+        row.end().unwrap();
+    }
+
+    /// A value outside its type's range, a bad flag, a missing or a stray
+    /// field is an error naming the line and the field, never a cast.
+    #[test]
+    fn bad_fields_are_errors_naming_line_and_field() {
+        fn err<T: fmt::Debug>(r: Result<T, SnapshotError>) -> String {
+            r.unwrap_err().to_string()
+        }
+        let at = |text| Row::new(text, 4);
+        let cases = [
+            (
+                err(at("65536").field::<u16>()),
+                "field 1: `65536` is not a u16",
+            ),
+            (
+                err(at("65537").field::<AppId>()),
+                "field 1: `65537` is not a u16",
+            ),
+            (
+                err(at("4294967296").field::<u32>()),
+                "field 1: `4294967296` is not a u32",
+            ),
+            (
+                err(at("18446744073709551616").field::<u64>()),
+                "field 1: `18446744073709551616` is not a u64",
+            ),
+            (
+                err(at("2").field::<bool>()),
+                "field 1: `2` is not a 0/1 flag",
+            ),
+            (err(at("").field::<UserId>()), "field 1: `` is not a u64"),
+            (
+                err(at("1 x").list::<u64, Vec<_>>()),
+                "field 1: `x` is not a u64",
+            ),
+            (
+                err(at("5").list::<(u32, u64), Vec<_>>()),
+                "field 1: `5` is not a key:value pair",
+            ),
+        ];
+        for (got, want) in cases {
+            assert_eq!(got, format!("snapshot line 4: {want}"));
+        }
+        let mut row = at("1\t2");
+        row.field::<u64>().unwrap();
+        row.field::<u64>().unwrap();
+        assert_eq!(err(row.field::<u64>()), "snapshot line 4: missing field 3");
+        let mut row = at("1\t2");
+        row.field::<u64>().unwrap();
+        assert_eq!(err(row.end()), "snapshot line 4: unexpected field 2 `2`");
+    }
+
+    /// A count only bounds the loop over its block: an inflated one ends
+    /// at the next block's tag instead of sizing an allocation.
+    #[test]
+    fn inflated_count_ends_at_the_next_block() {
+        let mut text = String::new();
+        ActivityPartial::default().snapshot(&mut text);
+        TrafficPartial::default().snapshot(&mut text);
+        let inflated = text.replace("activity\t0", "activity\t18446744073709551615");
+        let err = ActivityPartial::restore(&mut SnapshotReader::new(&inflated)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "snapshot line 2: field 1: `traffic` is not a u64"
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Third-party transaction analysis (Sec. 5.2, Fig. 8).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use wearscope_appdb::DomainClass;
 use wearscope_trace::UserId;
@@ -78,46 +78,6 @@ impl DomainBreakdown {
     }
 }
 
-/// Per-app third-party mixes (an extension beyond Fig. 8 used by the
-/// ablation benches): which apps drive each class.
-#[derive(Clone, Debug, Default)]
-pub struct PerAppDomainMix {
-    /// Per app name: bytes per domain class.
-    pub by_app: HashMap<String, [u64; 4]>,
-}
-
-impl PerAppDomainMix {
-    /// Computes per-app class byte mixes using timeframe attribution.
-    pub fn compute(ctx: &StudyContext<'_>) -> PerAppDomainMix {
-        let attributed = crate::sessions::attribute_transactions(ctx);
-        // Re-classify each attributed transaction's bytes under its class.
-        // `attribute_transactions` drops host info, so walk the log again in
-        // parallel: both are in (user, time) order for wearable records.
-        let mut class_by_key: HashMap<(UserId, u64, u64), usize> = HashMap::new();
-        for r in ctx.wearable_proxy() {
-            if let Some(c) = ctx.classifier.classify(&r.host) {
-                class_by_key
-                    .entry((r.user, r.timestamp.as_secs(), r.bytes_total()))
-                    .or_insert(c.domain_class().index());
-            }
-        }
-        let mut by_app: HashMap<String, [u64; 4]> = HashMap::new();
-        for tx in &attributed {
-            let Some(app) = tx.app else { continue };
-            let Some(&i) = class_by_key.get(&(tx.user, tx.timestamp.as_secs(), tx.bytes)) else {
-                continue;
-            };
-            let name = ctx
-                .catalog
-                .get(app)
-                .map(|a| a.name.to_string())
-                .unwrap_or_else(|| format!("app#{}", app.0));
-            by_app.entry(name).or_default()[i] += tx.bytes;
-        }
-        PerAppDomainMix { by_app }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,31 +131,6 @@ mod tests {
         // Third-party (0.2) within one order of magnitude of first (0.6).
         assert!(b.thirdparty_within_order_of_magnitude());
         assert_eq!(b.metric(&b.data, DomainClass::Application), b.data[0]);
-    }
-
-    #[test]
-    fn per_app_mix_attributes_thirdparty_bytes() {
-        let db = DeviceDb::standard();
-        let catalog = AppCatalog::standard();
-        let sectors = SectorDirectory::new();
-        let store = TraceStore::from_records(
-            vec![
-                rec(&db, 1, 10, "api.weather.com", 6000),
-                rec(&db, 1, 20, "ads.doubleclick.net", 1000), // attributed to Weather
-            ],
-            vec![],
-        );
-        let ctx = StudyContext::new(
-            &store,
-            &db,
-            &sectors,
-            &catalog,
-            ObservationWindow::new(14, 14, Calendar::PAPER),
-        );
-        let mix = PerAppDomainMix::compute(&ctx);
-        let weather = &mix.by_app["Weather"];
-        assert_eq!(weather[0], 6000);
-        assert_eq!(weather[2], 1000);
     }
 
     #[test]

@@ -89,7 +89,12 @@ pub struct QuarantineCounts {
 impl QuarantineCounts {
     /// Records one quarantined record.
     pub fn note(&mut self, reason: QuarantineReason) {
-        self.counts[reason.index()] += 1;
+        self.add(reason, 1);
+    }
+
+    /// Records `n` quarantined records.
+    pub fn add(&mut self, reason: QuarantineReason, n: u64) {
+        self.counts[reason.index()] += n;
     }
 
     /// Count for one reason.

@@ -10,6 +10,8 @@
 
 use core::fmt::Write as _;
 
+use wearscope_core::snapshot::{Row, RowWriter, SnapshotError};
+
 use crate::quality::DataQuality;
 
 /// The finalized summary of one event-time window.
@@ -60,58 +62,47 @@ impl WindowReport {
         )
     }
 
-    /// Machine-readable TSV line (checkpoint format).
+    /// Machine-readable TSV line (the `--report` and checkpoint format),
+    /// without its newline.
     pub fn to_tsv(&self) -> String {
-        format!(
-            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-            self.index,
-            self.start_secs,
-            self.end_secs,
-            self.proxy_records,
-            self.mme_records,
-            self.wearable_tx,
-            self.wearable_bytes,
-            self.users,
-            self.attributed,
-            self.late_merged,
-            u8::from(self.forced),
-        )
+        let mut line = String::new();
+        RowWriter::new(&mut line)
+            .put(self.index)
+            .put(self.start_secs)
+            .put(self.end_secs)
+            .put(self.proxy_records)
+            .put(self.mme_records)
+            .put(self.wearable_tx)
+            .put(self.wearable_bytes)
+            .put(self.users)
+            .put(self.attributed)
+            .put(self.late_merged)
+            .put(self.forced)
+            .end();
+        line.pop();
+        line
     }
 
-    /// Parses a line written by [`WindowReport::to_tsv`].
+    /// Parses the fields of a line written by [`WindowReport::to_tsv`].
     ///
     /// # Errors
-    /// Returns a description of the malformed field.
-    pub fn from_tsv(line: &str) -> Result<WindowReport, String> {
-        let fields: Vec<&str> = line.split('\t').collect();
-        if fields.len() != 11 {
-            return Err(format!(
-                "window report needs 11 fields, found {}",
-                fields.len()
-            ));
-        }
-        let num = |i: usize| -> Result<u64, String> {
-            fields[i]
-                .parse::<u64>()
-                .map_err(|_| format!("bad window report field {i}: `{}`", fields[i]))
+    /// Fails on a missing, malformed or extra field.
+    pub fn from_tsv(mut row: Row<'_>) -> Result<WindowReport, SnapshotError> {
+        let report = WindowReport {
+            index: row.field()?,
+            start_secs: row.field()?,
+            end_secs: row.field()?,
+            proxy_records: row.field()?,
+            mme_records: row.field()?,
+            wearable_tx: row.field()?,
+            wearable_bytes: row.field()?,
+            users: row.field()?,
+            attributed: row.field()?,
+            late_merged: row.field()?,
+            forced: row.field()?,
         };
-        Ok(WindowReport {
-            index: num(0)?,
-            start_secs: num(1)?,
-            end_secs: num(2)?,
-            proxy_records: num(3)?,
-            mme_records: num(4)?,
-            wearable_tx: num(5)?,
-            wearable_bytes: num(6)?,
-            users: num(7)?,
-            attributed: num(8)?,
-            late_merged: num(9)?,
-            forced: match fields[10] {
-                "0" => false,
-                "1" => true,
-                other => return Err(format!("bad forced flag `{other}`")),
-            },
-        })
+        row.end()?;
+        Ok(report)
     }
 }
 
@@ -192,19 +183,43 @@ mod tests {
         }
     }
 
+    fn parse(line: &str) -> Result<WindowReport, String> {
+        WindowReport::from_tsv(Row::new(line, 1)).map_err(|e| e.to_string())
+    }
+
     #[test]
     fn tsv_roundtrip() {
         let w = sample();
-        assert_eq!(WindowReport::from_tsv(&w.to_tsv()).unwrap(), w);
+        assert_eq!(
+            w.to_tsv(),
+            "3\t10800\t14400\t120\t44\t17\t90210\t9\t11\t2\t0"
+        );
+        assert_eq!(parse(&w.to_tsv()).unwrap(), w);
         let forced = WindowReport { forced: true, ..w };
-        assert_eq!(WindowReport::from_tsv(&forced.to_tsv()).unwrap(), forced);
+        assert_eq!(parse(&forced.to_tsv()).unwrap(), forced);
     }
 
     #[test]
     fn tsv_rejects_malformed() {
-        assert!(WindowReport::from_tsv("1\t2\t3").is_err());
+        assert_eq!(
+            parse("1\t2\t3").unwrap_err(),
+            "snapshot line 1: missing field 4"
+        );
         let w = sample().to_tsv().replace("120", "x");
-        assert!(WindowReport::from_tsv(&w).is_err());
+        assert_eq!(
+            parse(&w).unwrap_err(),
+            "snapshot line 1: field 4: `x` is not a u64"
+        );
+        let flag = sample().to_tsv().replace("\t2\t0", "\t2\t2");
+        assert_eq!(
+            parse(&flag).unwrap_err(),
+            "snapshot line 1: field 11: `2` is not a 0/1 flag"
+        );
+        let extra = format!("{}\t7", sample().to_tsv());
+        assert_eq!(
+            parse(&extra).unwrap_err(),
+            "snapshot line 1: unexpected field 12 `7`"
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! each window, not a partition of the stream.)
 
 use wearscope_core::sessions::AttributedTx;
-use wearscope_core::snapshot::{Snapshot, SnapshotError, SnapshotReader};
+use wearscope_core::snapshot::{RowWriter, Snapshot, SnapshotError, SnapshotReader};
 use wearscope_core::{CoreAggregates, CorePartials, StudyContext};
 use wearscope_report::WindowReport;
 use wearscope_trace::{MmeRecord, ProxyRecord};
@@ -93,26 +93,20 @@ impl WindowAggregates {
 impl Snapshot for WindowAggregates {
     fn snapshot(&self, out: &mut String) {
         let c = self.counters;
-        out.push_str(&format!(
-            "window-counters\t{}\t{}\n",
-            c.mme_records, c.late_merged
-        ));
+        RowWriter::tagged(out, "window-counters")
+            .put(c.mme_records)
+            .put(c.late_merged)
+            .end();
         self.partials.snapshot(out);
     }
 
     fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let fields = r.tagged("window-counters")?;
-        if fields.len() != 2 {
-            return Err(r.err("window-counters needs 2 fields"));
-        }
-        let num = |s: &str| -> Result<u64, SnapshotError> {
-            s.parse::<u64>()
-                .map_err(|_| r.err(format!("bad counter `{s}`")))
-        };
+        let mut row = r.tagged("window-counters")?;
         let counters = WindowCounters {
-            mme_records: num(fields[0])?,
-            late_merged: num(fields[1])?,
+            mme_records: row.field()?,
+            late_merged: row.field()?,
         };
+        row.end()?;
         Ok(WindowAggregates {
             partials: CorePartials::restore(r)?,
             counters,

@@ -29,13 +29,17 @@
 //! best-effort approximation of the batch result: the late transaction
 //! resolves against the current anchor state rather than the full
 //! timeline. On an in-order stream — every persisted world — the two are
-//! identical; the golden equivalence test pins that down.
+//! identical; the golden equivalence test pins that down. The runtime
+//! counts each such resolution in the `stream.attrib.approximate` metric,
+//! so a divergence from batch is never silent.
 
 use std::collections::{HashMap, VecDeque};
 
 use wearscope_appdb::AppId;
 use wearscope_core::sessions::{AttributedTx, SESSION_GAP_SECS};
-use wearscope_core::snapshot::{Snapshot, SnapshotError, SnapshotReader};
+use wearscope_core::snapshot::{
+    sorted_entries, Row, RowWriter, Snapshot, SnapshotError, SnapshotReader,
+};
 use wearscope_simtime::{SimDuration, SimTime};
 use wearscope_trace::UserId;
 
@@ -110,6 +114,8 @@ impl StreamingAttributor {
 
     /// Feeds one classified wearable transaction. Resolved transactions
     /// that reach the queue front are appended to `out` in arrival order.
+    /// Returns `true` when the transaction is late behind an anchor
+    /// already seen and was resolved by the late-record approximation.
     pub fn observe(
         &mut self,
         user: UserId,
@@ -118,8 +124,9 @@ impl StreamingAttributor {
         first_party: bool,
         bytes: u64,
         out: &mut Vec<AttributedTx>,
-    ) {
+    ) -> bool {
         let state = self.users.entry(user).or_default();
+        let mut approximate = false;
         match (first_party, app) {
             (true, Some(a)) => {
                 let anchor = (t, a);
@@ -161,14 +168,17 @@ impl StreamingAttributor {
                     // Late transaction behind the current anchor: resolve
                     // against it as an already-seen future anchor (the
                     // documented late-record approximation).
-                    Some((at, a)) if at > t => QueuedTx {
-                        t,
-                        bytes,
-                        state: TxState::Ready {
-                            app: resolve(None, Some((at, a)), t),
-                            first_party: false,
-                        },
-                    },
+                    Some((at, a)) if at > t => {
+                        approximate = true;
+                        QueuedTx {
+                            t,
+                            bytes,
+                            state: TxState::Ready {
+                                app: resolve(None, Some((at, a)), t),
+                                first_party: false,
+                            },
+                        }
+                    }
                     past => QueuedTx {
                         t,
                         bytes,
@@ -179,6 +189,7 @@ impl StreamingAttributor {
             }
         }
         Self::drain(user, state, out);
+        approximate
     }
 
     /// Advances the low watermark: transactions whose future-anchor window
@@ -228,46 +239,42 @@ impl StreamingAttributor {
     }
 }
 
+/// An anchor as two fields, time then app (`-\t-` for none).
+fn split_anchor(anchor: Option<(SimTime, AppId)>) -> (Option<SimTime>, Option<AppId>) {
+    (anchor.map(|(at, _)| at), anchor.map(|(_, app)| app))
+}
+
+/// Reads the two fields [`split_anchor`] writes.
+fn read_anchor(row: &mut Row<'_>) -> Result<Option<(SimTime, AppId)>, SnapshotError> {
+    match (row.field()?, row.field()?) {
+        (Some(at), Some(app)) => Ok(Some((at, app))),
+        (None, None) => Ok(None),
+        _ => Err(row.err("an anchor needs both its time and its app, or neither")),
+    }
+}
+
 impl Snapshot for StreamingAttributor {
     fn snapshot(&self, out: &mut String) {
-        let mut users: Vec<&UserId> = self.users.keys().collect();
-        users.sort_unstable();
-        out.push_str(&format!("attributor\t{}\n", users.len()));
-        for user in users {
-            let state = &self.users[user];
-            let (at, app) = match state.last_anchor {
-                Some((at, app)) => (at.as_secs().to_string(), app.0.to_string()),
-                None => ("-".into(), "-".into()),
-            };
-            out.push_str(&format!(
-                "u\t{}\t{at}\t{app}\t{}\n",
-                user.0,
-                state.queue.len()
-            ));
+        RowWriter::tagged(out, "attributor")
+            .put(self.users.len())
+            .end();
+        for (user, state) in sorted_entries(&self.users) {
+            let (at, app) = split_anchor(state.last_anchor);
+            RowWriter::tagged(out, "u")
+                .put(*user)
+                .put(at)
+                .put(app)
+                .put(state.queue.len())
+                .end();
             for entry in &state.queue {
+                let row = RowWriter::tagged(out, "q").put(entry.t).put(entry.bytes);
                 match entry.state {
                     TxState::Ready { app, first_party } => {
-                        let app = match app {
-                            Some(a) => a.0.to_string(),
-                            None => "-".into(),
-                        };
-                        out.push_str(&format!(
-                            "q\t{}\t{}\tR\t{app}\t{}\n",
-                            entry.t.as_secs(),
-                            entry.bytes,
-                            u8::from(first_party)
-                        ));
+                        row.raw("R").put(app).put(first_party).end();
                     }
                     TxState::Waiting { past } => {
-                        let (at, app) = match past {
-                            Some((at, app)) => (at.as_secs().to_string(), app.0.to_string()),
-                            None => ("-".into(), "-".into()),
-                        };
-                        out.push_str(&format!(
-                            "q\t{}\t{}\tW\t{at}\t{app}\n",
-                            entry.t.as_secs(),
-                            entry.bytes
-                        ));
+                        let (at, app) = split_anchor(past);
+                        row.raw("W").put(at).put(app).end();
                     }
                 }
             }
@@ -275,56 +282,28 @@ impl Snapshot for StreamingAttributor {
     }
 
     fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        fn num(r: &SnapshotReader<'_>, s: &str) -> Result<u64, SnapshotError> {
-            s.parse::<u64>()
-                .map_err(|_| r.err(format!("bad integer `{s}`")))
-        }
-        fn opt_anchor(
-            r: &SnapshotReader<'_>,
-            at: &str,
-            app: &str,
-        ) -> Result<Option<(SimTime, AppId)>, SnapshotError> {
-            if at == "-" {
-                return Ok(None);
-            }
-            Ok(Some((
-                SimTime::from_secs(num(r, at)?),
-                AppId(num(r, app)? as u16),
-            )))
-        }
-        let head = r.tagged("attributor")?;
-        let n_users = num(r, head.first().copied().unwrap_or(""))? as usize;
-        let mut users = HashMap::with_capacity(n_users);
-        for _ in 0..n_users {
-            let fields = r.tagged("u")?;
-            if fields.len() != 4 {
-                return Err(r.err("user line needs 4 fields"));
-            }
-            let user = UserId(num(r, fields[0])?);
-            let last_anchor = opt_anchor(r, fields[1], fields[2])?;
-            let n_queue = num(r, fields[3])? as usize;
-            let mut queue = VecDeque::with_capacity(n_queue);
+        let mut users = HashMap::new();
+        for _ in 0..r.count("attributor")? {
+            let mut row = r.tagged("u")?;
+            let user = row.field()?;
+            let last_anchor = read_anchor(&mut row)?;
+            let n_queue: u64 = row.field()?;
+            row.end()?;
+            let mut queue = VecDeque::new();
             for _ in 0..n_queue {
-                let q = r.tagged("q")?;
-                if q.len() != 5 {
-                    return Err(r.err("queue line needs 5 fields"));
-                }
-                let t = SimTime::from_secs(num(r, q[0])?);
-                let bytes = num(r, q[1])?;
-                let state = match q[2] {
+                let mut row = r.tagged("q")?;
+                let (t, bytes) = (row.field()?, row.field()?);
+                let state = match row.raw()? {
                     "R" => TxState::Ready {
-                        app: if q[3] == "-" {
-                            None
-                        } else {
-                            Some(AppId(num(r, q[3])? as u16))
-                        },
-                        first_party: q[4] == "1",
+                        app: row.field()?,
+                        first_party: row.field()?,
                     },
                     "W" => TxState::Waiting {
-                        past: opt_anchor(r, q[3], q[4])?,
+                        past: read_anchor(&mut row)?,
                     },
-                    other => return Err(r.err(format!("bad queue state `{other}`"))),
+                    other => return Err(row.err(format!("bad queue state `{other}`"))),
                 };
+                row.end()?;
                 queue.push_back(QueuedTx { t, bytes, state });
             }
             users.insert(user, UserState { queue, last_anchor });
@@ -349,15 +328,15 @@ mod tests {
         attrib: &mut StreamingAttributor,
         r: &ProxyRecord,
         out: &mut Vec<AttributedTx>,
-    ) {
+    ) -> bool {
         if !ctx.is_wearable_record(r) {
-            return;
+            return false;
         }
         let (app, first_party) = match ctx.classifier.classify(&r.host) {
             Some(Classification::FirstParty(a)) => (Some(a), true),
             _ => (None, false),
         };
-        attrib.observe(r.user, r.timestamp, app, first_party, r.bytes_total(), out);
+        attrib.observe(r.user, r.timestamp, app, first_party, r.bytes_total(), out)
     }
 
     fn wtx(db: &DeviceDb, user: u64, t: u64, host: &str) -> ProxyRecord {
@@ -408,7 +387,8 @@ mod tests {
         let mut attrib = StreamingAttributor::new();
         let mut streamed = Vec::new();
         for r in &records {
-            observe_record(&ctx, &mut attrib, r, &mut streamed);
+            let approximate = observe_record(&ctx, &mut attrib, r, &mut streamed);
+            assert!(!approximate, "an in-order stream needs no approximation");
             // Exercise watermark-driven resolution along the way.
             attrib.advance(
                 r.timestamp.saturating_sub(SimDuration::from_secs(300)),
@@ -483,6 +463,22 @@ mod tests {
         assert!(!out[0].first_party);
         assert_eq!(out[0].app, Some(AppId(3)));
         assert!(out[1].first_party);
+    }
+
+    /// A third-party transaction behind the latest anchor resolves at once
+    /// against it as a future anchor, and says so.
+    #[test]
+    fn late_transaction_behind_an_anchor_is_an_approximation() {
+        let mut attrib = StreamingAttributor::new();
+        let mut out = Vec::new();
+        let user = UserId(4);
+        let app = Some(AppId(2));
+        assert!(!attrib.observe(user, SimTime::from_secs(500), app, true, 9, &mut out));
+        assert!(attrib.observe(user, SimTime::from_secs(470), None, false, 3, &mut out));
+        // In order behind the anchor: waits for a future one instead.
+        assert!(!attrib.observe(user, SimTime::from_secs(520), None, false, 3, &mut out));
+        assert_eq!(out.len(), 2);
+        assert_eq!(out[1].app, app);
     }
 
     /// Watermark resolution: `t + 60 < W` closes the future window.

@@ -1,12 +1,21 @@
 //! Checkpoint files: serialize an in-flight [`StreamRuntime`] so a killed
 //! run can resume and produce byte-identical final reports.
 //!
-//! The format is the same hand-rolled line/TSV discipline as
-//! [`wearscope_core::snapshot`] (no serialization framework is vendored):
-//! a version header, the configuration (verified on resume), the stream
-//! clock and counters, emitted reports, each log validator's duplicate
-//! memory (as raw record lines), the attributor queues, and one snapshot
-//! per open window.
+//! Every block is written and read through the one row/field layer of
+//! [`wearscope_core::snapshot`] (no serialization framework is vendored),
+//! so the whole file follows its rules: tagged header lines with counts,
+//! tab-separated fields, `-` for an absent value or an empty list, `f64`
+//! as the hex of its bits, sorted map entries. The blocks, in order: a
+//! version header, the configuration (verified on resume), the stream
+//! clock and counters, the source position, emitted reports, collected
+//! windows, each log validator's duplicate memory (as raw record lines),
+//! the attributor queues, and one snapshot per open window.
+//!
+//! A checkpoint is a file a user can hand to `--resume`, so reading one
+//! never panics: a count only bounds the loop over its block's lines and
+//! never sizes an allocation, and every value is parsed into its type's
+//! range. A damaged file is a [`StreamError::Checkpoint`] naming its line.
+//!
 //! Writes are atomic and durable — temp file in the same directory,
 //! fsync, rename, then fsync the parent directory — so a crash mid-write
 //! leaves the previous checkpoint intact and a crash right after the
@@ -17,22 +26,22 @@
 //! resume guarantee is about the **final reports**, not the intermediate
 //! files.
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::Path;
 
-use wearscope_core::snapshot::{Snapshot, SnapshotReader};
+use wearscope_core::snapshot::{Row, RowWriter, Snapshot, SnapshotError, SnapshotReader};
 use wearscope_core::StudyContext;
 use wearscope_ingest::{LogRecord, RecordValidator};
 use wearscope_report::{DataQuality, QuarantineReason, WindowReport};
-use wearscope_simtime::{SimDuration, SimTime};
+use wearscope_simtime::SimTime;
 use wearscope_trace::{decode_log_line, MmeRecord, ProxyRecord, TsvRecord};
 
 use crate::aggregates::WindowAggregates;
 use crate::attrib::StreamingAttributor;
-use crate::runtime::{Backpressure, Progress, StreamConfig, StreamError, StreamRuntime};
+use crate::runtime::{Progress, StreamConfig, StreamError, StreamRuntime};
 use crate::source::SourcePosition;
-use crate::window::WindowSpec;
 
 /// The first field of every checkpoint's header line.
 const MAGIC: &str = "wearscope-stream-checkpoint";
@@ -40,58 +49,61 @@ const MAGIC: &str = "wearscope-stream-checkpoint";
 /// field is `v` followed by it.
 const VERSION: u32 = 2;
 
+/// The `config` line's fields, named for the mismatch message.
+const CONFIG_FIELDS: [&str; 7] = [
+    "window width",
+    "window slide",
+    "lateness",
+    "max open windows",
+    "backpressure",
+    "skew horizon",
+    "collect-aggregates",
+];
+
 /// Serializes the runtime (and the source's committed position) to
 /// checkpoint text.
 pub fn to_text(rt: &StreamRuntime<'_>, position: Option<SourcePosition>) -> String {
     let mut out = format!("{MAGIC}\tv{VERSION}\n");
-    let c = &rt.config;
-    out.push_str(&format!(
-        "config\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
-        c.spec.width().as_secs(),
-        c.spec.slide().as_secs(),
-        c.lateness.as_secs(),
-        c.max_open_windows,
-        c.backpressure.name(),
-        c.max_timestamp
-            .map_or("-".into(), |t| t.as_secs().to_string()),
-        u8::from(c.collect_aggregates),
-    ));
-    out.push_str(&format!(
-        "clock\t{}\t{}\n",
-        rt.max_event.map_or("-".into(), |t| t.as_secs().to_string()),
-        rt.records_processed,
-    ));
+    push_config(&mut out, &rt.config);
+    RowWriter::tagged(&mut out, "clock")
+        .put(rt.max_event)
+        .put(rt.records_processed)
+        .end();
     let q = &rt.quality;
-    out.push_str(&format!("quality\t{}\t{}", q.records_seen, q.records_kept));
+    let mut row = RowWriter::tagged(&mut out, "quality")
+        .put(q.records_seen)
+        .put(q.records_kept);
     for reason in QuarantineReason::ALL {
-        out.push_str(&format!("\t{}", q.quarantined.get(reason)));
+        row = row.put(q.quarantined.get(reason));
     }
-    out.push_str(&format!("\t{:016x}\n", q.max_error_rate.to_bits()));
-    out.push_str(&format!(
-        "counters\t{}\t{}\n",
-        rt.late_merged, rt.forced_emits
-    ));
-    match rt.progress {
-        Some(p) => out.push_str(&format!("progress\t{}\t{}\n", p.base, p.next_emit)),
-        None => out.push_str("progress\t-\t-\n"),
-    }
+    row.put(q.max_error_rate).end();
+    RowWriter::tagged(&mut out, "counters")
+        .put(rt.late_merged)
+        .put(rt.forced_emits)
+        .end();
+    RowWriter::tagged(&mut out, "progress")
+        .put(rt.progress.map(|p| p.base))
+        .put(rt.progress.map(|p| p.next_emit))
+        .end();
+    let row = RowWriter::tagged(&mut out, "position");
     match position {
-        Some(p) => out.push_str(&format!(
-            "position\t{}\t{}\t{}\t{}\n",
-            p.proxy_offset, p.proxy_line, p.mme_offset, p.mme_line
-        )),
-        None => out.push_str("position\t-\n"),
+        Some(p) => row
+            .put(p.proxy_offset)
+            .put(p.proxy_line)
+            .put(p.mme_offset)
+            .put(p.mme_line),
+        None => row.put(None::<u64>),
     }
-    out.push_str(&format!("reports\t{}\n", rt.reports.len()));
+    .end();
+    RowWriter::tagged(&mut out, "reports")
+        .put(rt.reports.len())
+        .end();
     for r in &rt.reports {
         out.push_str(&r.to_tsv());
         out.push('\n');
     }
-    out.push_str(&format!("collected\t{}\n", rt.collected.len()));
-    for (id, agg) in &rt.collected {
-        out.push_str(&format!("collected-window\t{id}\n"));
-        agg.snapshot(&mut out);
-    }
+    let collected = rt.collected.iter().map(|(id, w)| (*id, w));
+    push_windows(&mut out, "collected", "collected-window", collected);
     let watermark = rt.watermark();
     push_remembered(
         &mut out,
@@ -104,17 +116,55 @@ pub fn to_text(rt: &StreamRuntime<'_>, position: Option<SourcePosition>) -> Stri
         rt.mme_validator.remembered(watermark),
     );
     rt.attributor.snapshot(&mut out);
-    out.push_str(&format!("open\t{}\n", rt.open.len()));
-    for (id, agg) in &rt.open {
-        out.push_str(&format!("open-window\t{id}\n"));
-        agg.snapshot(&mut out);
-    }
-    out.push_str("end\n");
+    let open = rt.open.iter().map(|(id, w)| (*id, w));
+    push_windows(&mut out, "open", "open-window", open);
+    RowWriter::tagged(&mut out, "end").end();
     out
 }
 
+/// Writes the `config` line: the settings a resume must share.
+fn push_config(out: &mut String, c: &StreamConfig) {
+    RowWriter::tagged(out, "config")
+        .put(c.spec.width().as_secs())
+        .put(c.spec.slide().as_secs())
+        .put(c.lateness.as_secs())
+        .put(c.max_open_windows)
+        .raw(c.backpressure.name())
+        .put(c.max_timestamp)
+        .put(c.collect_aggregates)
+        .end();
+}
+
+/// Writes a `tag<TAB>n` block of `n` windows, each an `item<TAB>id` line
+/// followed by the window's snapshot.
+fn push_windows<'w>(
+    out: &mut String,
+    tag: &str,
+    item: &str,
+    windows: impl ExactSizeIterator<Item = (u64, &'w WindowAggregates)>,
+) {
+    RowWriter::tagged(out, tag).put(windows.len()).end();
+    for (id, w) in windows {
+        RowWriter::tagged(out, item).put(id).end();
+        w.snapshot(out);
+    }
+}
+
+/// Reads a block written by [`push_windows`].
+fn read_windows(
+    r: &mut SnapshotReader<'_>,
+    tag: &str,
+    item: &str,
+) -> Result<Vec<(u64, WindowAggregates)>, SnapshotError> {
+    let mut windows = Vec::new();
+    for _ in 0..r.count(tag)? {
+        windows.push((r.count(item)?, WindowAggregates::restore(r)?));
+    }
+    Ok(windows)
+}
+
 fn push_remembered<R: TsvRecord>(out: &mut String, tag: &str, records: Vec<&R>) {
-    out.push_str(&format!("{tag}\t{}\n", records.len()));
+    RowWriter::tagged(out, tag).put(records.len()).end();
     for r in records {
         out.push_str(&r.to_line());
         out.push('\n');
@@ -165,7 +215,7 @@ pub fn from_text<'s>(
     text: &str,
 ) -> Result<(StreamRuntime<'s>, Option<SourcePosition>), StreamError> {
     let mut r = SnapshotReader::new(text);
-    let header = r.line().map_err(StreamError::from)?;
+    let header = r.line()?;
     let version = header
         .strip_prefix(MAGIC)
         .and_then(|rest| rest.strip_prefix("\tv"))
@@ -179,161 +229,101 @@ pub fn from_text<'s>(
             })
         }
         None => {
-            return Err(StreamError::Checkpoint {
-                line: r.line_no(),
-                message: format!("not a stream checkpoint (header `{header}`)"),
-            })
+            return Err(r
+                .err(format!("not a stream checkpoint (header `{header}`)"))
+                .into())
         }
     }
-    let fields = r.tagged("config")?;
-    check_config(&config, &fields)?;
+    check_config(&config, r.tagged("config")?)?;
+    let mut rt = StreamRuntime::new(ctx, config);
 
-    let fields = r.tagged("clock")?;
-    expect_len(&r, &fields, 2, "clock")?;
-    let max_event = opt_secs(&r, fields[0])?.map(SimTime::from_secs);
-    let records_processed = num(&r, fields[1])?;
+    let mut row = r.tagged("clock")?;
+    rt.max_event = row.field()?;
+    rt.records_processed = row.field()?;
+    row.end()?;
 
-    let fields = r.tagged("quality")?;
-    expect_len(&r, &fields, 2 + QuarantineReason::ALL.len() + 1, "quality")?;
-    let mut quality = DataQuality {
-        records_seen: num(&r, fields[0])?,
-        records_kept: num(&r, fields[1])?,
-        ..DataQuality::default()
+    let mut row = r.tagged("quality")?;
+    rt.quality = read_quality(&mut row)?;
+    row.end()?;
+
+    let mut row = r.tagged("counters")?;
+    rt.late_merged = row.field()?;
+    rt.forced_emits = row.field()?;
+    row.end()?;
+
+    let mut row = r.tagged("progress")?;
+    rt.progress = match (row.field()?, row.field()?) {
+        (Some(base), Some(next_emit)) => Some(Progress { base, next_emit }),
+        (None, None) => None,
+        _ => return Err(row.err("progress needs both its fields, or neither").into()),
     };
-    for (i, reason) in QuarantineReason::ALL.into_iter().enumerate() {
-        let n = num(&r, fields[2 + i])?;
-        for _ in 0..n {
-            quality.quarantined.note(reason);
-        }
-    }
-    quality.max_error_rate = f64::from_bits(
-        u64::from_str_radix(fields[2 + QuarantineReason::ALL.len()], 16).map_err(|_| {
-            StreamError::Checkpoint {
-                line: r.line_no(),
-                message: "bad max_error_rate bit pattern".into(),
-            }
-        })?,
-    );
+    row.end()?;
 
-    let fields = r.tagged("counters")?;
-    expect_len(&r, &fields, 2, "counters")?;
-    let late_merged = num(&r, fields[0])?;
-    let forced_emits = num(&r, fields[1])?;
-
-    let fields = r.tagged("progress")?;
-    expect_len(&r, &fields, 2, "progress")?;
-    let progress = match opt_secs(&r, fields[0])? {
-        Some(base) => Some(Progress {
-            base,
-            next_emit: num(&r, fields[1])?,
+    let mut row = r.tagged("position")?;
+    let position = match row.field()? {
+        Some(proxy_offset) => Some(SourcePosition {
+            proxy_offset,
+            proxy_line: row.field()?,
+            mme_offset: row.field()?,
+            mme_line: row.field()?,
         }),
         None => None,
     };
+    row.end()?;
 
-    let fields = r.tagged("position")?;
-    let position = if fields == ["-"] {
-        None
-    } else {
-        expect_len(&r, &fields, 4, "position")?;
-        Some(SourcePosition {
-            proxy_offset: num(&r, fields[0])?,
-            proxy_line: num(&r, fields[1])?,
-            mme_offset: num(&r, fields[2])?,
-            mme_line: num(&r, fields[3])?,
-        })
-    };
-
-    let fields = r.tagged("reports")?;
-    let n = num(&r, fields.first().copied().unwrap_or(""))? as usize;
-    let mut reports = Vec::with_capacity(n);
-    for _ in 0..n {
-        let line = r.line()?;
-        reports.push(
-            WindowReport::from_tsv(line).map_err(|message| StreamError::Checkpoint {
-                line: r.line_no(),
-                message,
-            })?,
-        );
+    for _ in 0..r.count("reports")? {
+        rt.reports.push(WindowReport::from_tsv(r.row()?)?);
     }
-
-    let fields = r.tagged("collected")?;
-    let n = num(&r, fields.first().copied().unwrap_or(""))? as usize;
-    let mut collected = Vec::with_capacity(n);
-    for _ in 0..n {
-        let fields = r.tagged("collected-window")?;
-        let id = num(&r, fields.first().copied().unwrap_or(""))?;
-        collected.push((id, WindowAggregates::restore(&mut r)?));
-    }
-
+    rt.collected = read_windows(&mut r, "collected", "collected-window")?;
     let horizon = config.max_timestamp;
-    let proxy_validator = read_validator::<ProxyRecord>(&mut r, "dedup-proxy", horizon)?;
-    let mme_validator = read_validator::<MmeRecord>(&mut r, "dedup-mme", horizon)?;
-    let attributor = StreamingAttributor::restore(&mut r)?;
-
-    let fields = r.tagged("open")?;
-    let n = num(&r, fields.first().copied().unwrap_or(""))? as usize;
-    let mut open = std::collections::BTreeMap::new();
-    for _ in 0..n {
-        let fields = r.tagged("open-window")?;
-        let id = num(&r, fields.first().copied().unwrap_or(""))?;
-        open.insert(id, WindowAggregates::restore(&mut r)?);
-    }
-    r.tagged("end")?;
-
-    let mut rt = StreamRuntime::new(ctx, config);
-    rt.max_event = max_event;
-    rt.progress = progress;
-    rt.open = open;
-    rt.reports = reports;
-    rt.collected = collected;
-    rt.attributor = attributor;
-    rt.proxy_validator = proxy_validator;
-    rt.mme_validator = mme_validator;
-    rt.quality = quality;
-    rt.late_merged = late_merged;
-    rt.forced_emits = forced_emits;
-    rt.records_processed = records_processed;
+    rt.proxy_validator = read_validator::<ProxyRecord>(&mut r, "dedup-proxy", horizon)?;
+    rt.mme_validator = read_validator::<MmeRecord>(&mut r, "dedup-mme", horizon)?;
+    rt.attributor = StreamingAttributor::restore(&mut r)?;
+    rt.open = read_windows(&mut r, "open", "open-window")?
+        .into_iter()
+        .collect::<BTreeMap<_, _>>();
+    r.tagged("end")?.end()?;
     Ok((rt, position))
 }
 
-fn check_config(config: &StreamConfig, fields: &[&str]) -> Result<(), StreamError> {
-    let mismatch = |what: &str, ckpt: &str, now: String| {
-        Err(StreamError::ConfigMismatch(format!(
-            "{what} was {ckpt} at checkpoint time, {now} now — rerun with the original flags or drop --resume"
-        )))
-    };
-    if fields.len() != 7 {
-        return Err(StreamError::ConfigMismatch(format!(
-            "config line has {} fields, expected 7",
-            fields.len()
-        )));
-    }
-    let checks: [(&str, String); 6] = [
-        ("window width", config.spec.width().as_secs().to_string()),
-        ("window slide", config.spec.slide().as_secs().to_string()),
-        ("lateness", config.lateness.as_secs().to_string()),
-        ("max open windows", config.max_open_windows.to_string()),
-        ("backpressure", config.backpressure.name().to_string()),
-        (
-            "skew horizon",
-            config
-                .max_timestamp
-                .map_or("-".into(), |t| t.as_secs().to_string()),
-        ),
-    ];
-    for ((what, now), ckpt) in checks.into_iter().zip(fields) {
-        if *ckpt != now {
-            return mismatch(what, ckpt, now);
+/// Compares the checkpoint's `config` fields with the ones `config` writes.
+fn check_config(config: &StreamConfig, mut ckpt: Row<'_>) -> Result<(), StreamError> {
+    let mut text = String::new();
+    push_config(&mut text, config);
+    let mut now = SnapshotReader::new(&text).tagged("config")?;
+    for what in CONFIG_FIELDS {
+        let (was, is) = (ckpt.raw()?, now.raw()?);
+        if was != is {
+            return Err(StreamError::ConfigMismatch(format!(
+                "{what} was {was} at checkpoint time, {is} now — rerun with the original flags or drop --resume"
+            )));
         }
     }
-    if fields[6] != u8::from(config.collect_aggregates).to_string() {
-        return mismatch(
-            "collect-aggregates",
-            fields[6],
-            u8::from(config.collect_aggregates).to_string(),
-        );
+    Ok(ckpt.end()?)
+}
+
+/// Reads the `quality` fields: seen, kept, one count per quarantine
+/// reason, and the error budget. Kept plus quarantined must add up to
+/// seen, as they do for every runtime.
+fn read_quality(row: &mut Row<'_>) -> Result<DataQuality, SnapshotError> {
+    let mut quality = DataQuality {
+        records_seen: row.field()?,
+        records_kept: row.field()?,
+        ..DataQuality::default()
+    };
+    for reason in QuarantineReason::ALL {
+        quality.quarantined.add(reason, row.field()?);
     }
-    Ok(())
+    quality.max_error_rate = row.field()?;
+    let accounted = QuarantineReason::ALL
+        .into_iter()
+        .try_fold(quality.records_kept, |n, reason| {
+            n.checked_add(quality.quarantined.get(reason))
+        });
+    if accounted != Some(quality.records_seen) {
+        return Err(row.err("records kept and quarantined do not add up to records seen"));
+    }
+    Ok(quality)
 }
 
 /// Rebuilds one log's validator from its checkpointed duplicate memory.
@@ -341,143 +331,30 @@ fn read_validator<R: LogRecord + TsvRecord>(
     r: &mut SnapshotReader<'_>,
     tag: &str,
     horizon: Option<SimTime>,
-) -> Result<RecordValidator<R>, StreamError> {
-    let fields = r.tagged(tag)?;
-    let n = num(r, fields.first().copied().unwrap_or(""))? as usize;
+) -> Result<RecordValidator<R>, SnapshotError> {
     let mut validator = RecordValidator::new(horizon);
-    for _ in 0..n {
-        let line = r.line()?;
-        match decode_log_line::<R>(line) {
+    for _ in 0..r.count(tag)? {
+        match decode_log_line::<R>(r.line()?) {
             Some(Ok(rec)) => {
                 validator.remember(rec);
             }
-            Some(Err(e)) => {
-                return Err(StreamError::Checkpoint {
-                    line: r.line_no(),
-                    message: format!("bad dedup record: {e}"),
-                });
-            }
-            None => {
-                return Err(StreamError::Checkpoint {
-                    line: r.line_no(),
-                    message: "blank dedup record line".into(),
-                });
-            }
+            Some(Err(e)) => return Err(r.err(format!("bad dedup record: {e}"))),
+            None => return Err(r.err("blank dedup record line")),
         }
     }
     Ok(validator)
-}
-
-fn expect_len(
-    r: &SnapshotReader<'_>,
-    fields: &[&str],
-    n: usize,
-    tag: &str,
-) -> Result<(), StreamError> {
-    if fields.len() == n {
-        Ok(())
-    } else {
-        Err(StreamError::Checkpoint {
-            line: r.line_no(),
-            message: format!("{tag} needs {n} fields, got {}", fields.len()),
-        })
-    }
-}
-
-fn num(r: &SnapshotReader<'_>, s: &str) -> Result<u64, StreamError> {
-    s.parse::<u64>().map_err(|_| StreamError::Checkpoint {
-        line: r.line_no(),
-        message: format!("bad integer `{s}`"),
-    })
-}
-
-fn opt_secs(r: &SnapshotReader<'_>, s: &str) -> Result<Option<u64>, StreamError> {
-    if s == "-" {
-        Ok(None)
-    } else {
-        num(r, s).map(Some)
-    }
-}
-
-/// Parses checkpoint text just far enough to recover the source position
-/// (the CLI needs it before building the runtime).
-///
-/// # Errors
-/// [`StreamError::Checkpoint`] on malformed text.
-pub fn read_position(text: &str) -> Result<Option<SourcePosition>, StreamError> {
-    for line in text.lines() {
-        if let Some(rest) = line.strip_prefix("position\t") {
-            if rest == "-" {
-                return Ok(None);
-            }
-            let fields: Vec<&str> = rest.split('\t').collect();
-            let r = SnapshotReader::new("");
-            if fields.len() != 4 {
-                return Err(StreamError::Checkpoint {
-                    line: 0,
-                    message: "position line needs 4 fields".into(),
-                });
-            }
-            return Ok(Some(SourcePosition {
-                proxy_offset: num(&r, fields[0])?,
-                proxy_line: num(&r, fields[1])?,
-                mme_offset: num(&r, fields[2])?,
-                mme_line: num(&r, fields[3])?,
-            }));
-        }
-    }
-    Err(StreamError::Checkpoint {
-        line: 0,
-        message: "no position line in checkpoint".into(),
-    })
-}
-
-/// Reconstructs the [`StreamConfig`] a checkpoint was written under
-/// (window geometry and policies; the caller supplies `ctx`).
-///
-/// # Errors
-/// [`StreamError::Checkpoint`] on malformed text.
-pub fn read_config(text: &str) -> Result<StreamConfig, StreamError> {
-    let mut r = SnapshotReader::new(text);
-    let _header = r.line()?;
-    let fields = r.tagged("config")?;
-    if fields.len() != 7 {
-        return Err(StreamError::Checkpoint {
-            line: r.line_no(),
-            message: "config line needs 7 fields".into(),
-        });
-    }
-    let spec = WindowSpec::sliding(
-        SimDuration::from_secs(num(&r, fields[0])?),
-        SimDuration::from_secs(num(&r, fields[1])?),
-    )
-    .map_err(|message| StreamError::Checkpoint {
-        line: r.line_no(),
-        message,
-    })?;
-    Ok(StreamConfig {
-        spec,
-        lateness: SimDuration::from_secs(num(&r, fields[2])?),
-        max_open_windows: num(&r, fields[3])? as usize,
-        backpressure: Backpressure::parse(fields[4]).map_err(|message| {
-            StreamError::Checkpoint {
-                line: r.line_no(),
-                message,
-            }
-        })?,
-        max_timestamp: opt_secs(&r, fields[5])?.map(SimTime::from_secs),
-        collect_aggregates: fields[6] == "1",
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::source::{SourceItem, StreamEvent};
+    use crate::window::WindowSpec;
+    use proptest::prelude::*;
     use wearscope_appdb::AppCatalog;
     use wearscope_devicedb::DeviceDb;
     use wearscope_geo::SectorDirectory;
-    use wearscope_simtime::{Calendar, ObservationWindow};
+    use wearscope_simtime::{Calendar, ObservationWindow, SimDuration};
     use wearscope_trace::{MmeEvent, Scheme, TraceStore, UserId};
 
     fn proxy(db: &DeviceDb, user: u64, t: u64, host: &str) -> StreamEvent {
@@ -521,15 +398,20 @@ mod tests {
         }
     }
 
+    /// 1 h tumbling windows, 5 min lateness.
+    fn hour_config() -> StreamConfig {
+        StreamConfig::new(
+            WindowSpec::tumbling(SimDuration::from_hours(1)).unwrap(),
+            SimDuration::from_secs(300),
+        )
+    }
+
     /// A runtime in the middle of a run over 1 h tumbling windows: window 0
     /// emitted (and collected), window 1 open, one duplicate quarantined,
     /// one record in each log's duplicate memory, and a third-party
     /// transaction waiting in the attributor.
     fn mid_flight<'s>(ctx: &'s StudyContext<'s>) -> StreamRuntime<'s> {
-        let mut config = StreamConfig::new(
-            WindowSpec::tumbling(SimDuration::from_hours(1)).unwrap(),
-            SimDuration::from_secs(300),
-        );
+        let mut config = hour_config();
         config.collect_aggregates = true;
         let watch = ctx.db.example_imei(ctx.db.wearable_tacs()[0], 1).as_u64();
         let mme = |t: u64, event: MmeEvent, sector: u32| {
@@ -644,23 +526,180 @@ mod tests {
         assert_eq!(to_text(&resumed, Some(position)), text);
     }
 
+    /// Checkpoint text a user crafted: each case replaces the first match
+    /// of a pattern in the [`mid_flight`] checkpoint. Counts far beyond
+    /// the text and values outside their type's range are typed errors
+    /// naming the line, never a panic or an abort.
+    #[test]
+    fn crafted_checkpoints_are_typed_errors() {
+        let fx = Fixture::new();
+        let ctx = fx.ctx();
+        let rt = mid_flight(&ctx);
+        let text = to_text(&rt, None);
+        let cases = [
+            (
+                "reports\t1\n",
+                "reports\t1000000000000000000\n",
+                10,
+                "field 1: `collected` is not a u64",
+            ),
+            (
+                "reports\t1\n",
+                "reports\t100000000000000\n",
+                10,
+                "field 1: `collected` is not a u64",
+            ),
+            (
+                "attributor\t1\n",
+                "attributor\t1000000000000000000\n",
+                85,
+                "expected `u` block, found `open`",
+            ),
+            (
+                "tx-stats\t1\n",
+                "tx-stats\t1000000000000000000\n",
+                67,
+                "expected 1000000000000000000 sizes, found 1",
+            ),
+            (
+                "activity\t1\n",
+                "activity\t1000000000000000000\n",
+                17,
+                "field 1: `hourly` is not a u64",
+            ),
+            (
+                "1\t100\t0\t1\t72\n",
+                "1\t100\t65537\t1\t72\n",
+                14,
+                "field 3: `65537` is not a u16",
+            ),
+            (
+                "1\t100\t0\t1\t72\n",
+                "1\t100\t0\t2\t72\n",
+                14,
+                "field 4: `2` is not a 0/1 flag",
+            ),
+            (
+                "u\t1\t100\t0\t1\n",
+                "u\t1\t100\t65537\t1\n",
+                83,
+                "field 4: `65537` is not a u16",
+            ),
+            (
+                "u\t1\t100\t0\t1\n",
+                "u\t1\t-\t0\t1\n",
+                83,
+                "an anchor needs both its time and its app, or neither",
+            ),
+            (
+                "W\t100\t0\n",
+                "W\t100\t65537\n",
+                84,
+                "field 6: `65537` is not a u16",
+            ),
+            (
+                "1\t0\t5\n",
+                "1\t0\t4294967296\n",
+                72,
+                "field 3: `4294967296` is not a u32",
+            ),
+            (
+                "popularity\t1\t1\n0",
+                "popularity\t1\t1\n65537",
+                75,
+                "field 1: `65537` is not a u16",
+            ),
+            (
+                "clock\t4000\t5\n",
+                "clock\t4000\t18446744073709551616\n",
+                3,
+                "field 3: `18446744073709551616` is not a u64",
+            ),
+            (
+                "quality\t5\t4\t",
+                "quality\t5\t1000000000000000000\t",
+                4,
+                "records kept and quarantined do not add up to records seen",
+            ),
+            (
+                "progress\t0\t1\n",
+                "progress\t0\t-\n",
+                6,
+                "progress needs both its fields, or neither",
+            ),
+            ("end\n", "", 150, "unexpected end of snapshot"),
+        ];
+        for (from, to, line, message) in cases {
+            assert!(text.contains(from), "{from:?}");
+            let crafted = text.replacen(from, to, 1);
+            match from_text(&ctx, rt.config, &crafted).map(|_| ()) {
+                Err(StreamError::Checkpoint {
+                    line: l,
+                    message: m,
+                }) => {
+                    assert_eq!((l, m.as_str()), (line, message), "{to:?}");
+                }
+                other => panic!("{to:?}: expected a checkpoint error, got {other:?}"),
+            }
+        }
+    }
+
+    proptest! {
+        /// Seeded damage to a real mid-flight checkpoint — a truncation at
+        /// a line, one field replaced by a bad or out-of-range value, a
+        /// line dropped or duplicated — gives `Ok` or a typed error.
+        #[test]
+        fn damaged_checkpoints_never_panic(
+            kind in 0u8..4,
+            line_pick in 0usize..1000,
+            field_pick in 0usize..100,
+            value in 0usize..4,
+        ) {
+            const VALUES: [&str; 4] = ["x", "-", "18446744073709551616", "1000000000000000000"];
+            let fx = Fixture::new();
+            let ctx = fx.ctx();
+            let rt = mid_flight(&ctx);
+            let text = to_text(&rt, Some(SourcePosition {
+                proxy_offset: 321,
+                proxy_line: 3,
+                mme_offset: 123,
+                mme_line: 2,
+            }));
+            let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+            let at = line_pick % lines.len();
+            match kind {
+                0 => lines.truncate(at),
+                1 => {
+                    let mut fields: Vec<&str> = lines[at].split('\t').collect();
+                    let pick = field_pick % fields.len();
+                    fields[pick] = VALUES[value];
+                    lines[at] = fields.join("\t");
+                }
+                2 => {
+                    lines.remove(at);
+                }
+                _ => lines.insert(at, lines[at].clone()),
+            }
+            let damaged: String = lines.iter().map(|l| format!("{l}\n")).collect();
+            let result = from_text(&ctx, rt.config, &damaged).map(|_| ());
+            prop_assert!(
+                matches!(
+                    result,
+                    Ok(())
+                        | Err(StreamError::Checkpoint { .. }
+                            | StreamError::ConfigMismatch(_)
+                            | StreamError::CheckpointVersion { .. })
+                ),
+                "{result:?}"
+            );
+        }
+    }
+
     #[test]
     fn roundtrip_resumes_to_identical_final_reports() {
-        let db = DeviceDb::standard();
-        let catalog = AppCatalog::standard();
-        let sectors = SectorDirectory::new();
-        let store = TraceStore::new();
-        let ctx = StudyContext::new(
-            &store,
-            &db,
-            &sectors,
-            &catalog,
-            ObservationWindow::new(14, 14, Calendar::PAPER),
-        );
-        let mut config = StreamConfig::new(
-            WindowSpec::tumbling(SimDuration::from_hours(1)).unwrap(),
-            SimDuration::from_secs(300),
-        );
+        let fx = Fixture::new();
+        let ctx = fx.ctx();
+        let mut config = hour_config();
         config.collect_aggregates = true;
         let events: Vec<StreamEvent> = (0..200)
             .map(|i| {
@@ -669,7 +708,7 @@ mod tests {
                 } else {
                     "cdn.telemetry.example"
                 };
-                proxy(&db, 1 + i % 4, i * 97, host)
+                proxy(ctx.db, 1 + i % 4, i * 97, host)
             })
             .collect();
 
@@ -704,21 +743,9 @@ mod tests {
 
     #[test]
     fn config_mismatch_is_rejected() {
-        let db = DeviceDb::standard();
-        let catalog = AppCatalog::standard();
-        let sectors = SectorDirectory::new();
-        let store = TraceStore::new();
-        let ctx = StudyContext::new(
-            &store,
-            &db,
-            &sectors,
-            &catalog,
-            ObservationWindow::new(14, 14, Calendar::PAPER),
-        );
-        let config = StreamConfig::new(
-            WindowSpec::tumbling(SimDuration::from_hours(1)).unwrap(),
-            SimDuration::from_secs(300),
-        );
+        let fx = Fixture::new();
+        let ctx = fx.ctx();
+        let config = hour_config();
         let rt = StreamRuntime::new(&ctx, config);
         let text = to_text(&rt, None);
         let mut other = config;
@@ -730,28 +757,13 @@ mod tests {
             StreamError::ConfigMismatch(m) => assert!(m.contains("lateness"), "{m}"),
             other => panic!("expected ConfigMismatch, got {other}"),
         }
-        // read_config recovers the original.
-        let recovered = read_config(&text).unwrap();
-        assert_eq!(recovered, config);
     }
 
     #[test]
     fn other_checkpoint_version_is_a_typed_error() {
-        let db = DeviceDb::standard();
-        let catalog = AppCatalog::standard();
-        let sectors = SectorDirectory::new();
-        let store = TraceStore::new();
-        let ctx = StudyContext::new(
-            &store,
-            &db,
-            &sectors,
-            &catalog,
-            ObservationWindow::new(14, 14, Calendar::PAPER),
-        );
-        let config = StreamConfig::new(
-            WindowSpec::tumbling(SimDuration::from_hours(1)).unwrap(),
-            SimDuration::from_secs(300),
-        );
+        let fx = Fixture::new();
+        let ctx = fx.ctx();
+        let config = hour_config();
         let text = to_text(&StreamRuntime::new(&ctx, config), None);
         let (header, body) = text.split_once('\n').unwrap();
         assert_eq!(header, "wearscope-stream-checkpoint\tv2");
@@ -779,21 +791,9 @@ mod tests {
 
     #[test]
     fn foreign_header_is_not_a_checkpoint() {
-        let db = DeviceDb::standard();
-        let catalog = AppCatalog::standard();
-        let sectors = SectorDirectory::new();
-        let store = TraceStore::new();
-        let ctx = StudyContext::new(
-            &store,
-            &db,
-            &sectors,
-            &catalog,
-            ObservationWindow::new(14, 14, Calendar::PAPER),
-        );
-        let config = StreamConfig::new(
-            WindowSpec::tumbling(SimDuration::from_hours(1)).unwrap(),
-            SimDuration::from_secs(300),
-        );
+        let fx = Fixture::new();
+        let ctx = fx.ctx();
+        let config = hour_config();
         for header in ["wearscope-stream-checkpoint\tvX", "hello"] {
             let err = from_text(&ctx, config, &format!("{header}\n"))
                 .map(|_| ())
@@ -812,21 +812,9 @@ mod tests {
 
     #[test]
     fn position_roundtrips_through_text() {
-        let db = DeviceDb::standard();
-        let catalog = AppCatalog::standard();
-        let sectors = SectorDirectory::new();
-        let store = TraceStore::new();
-        let ctx = StudyContext::new(
-            &store,
-            &db,
-            &sectors,
-            &catalog,
-            ObservationWindow::new(14, 14, Calendar::PAPER),
-        );
-        let config = StreamConfig::new(
-            WindowSpec::tumbling(SimDuration::from_hours(1)).unwrap(),
-            SimDuration::from_secs(300),
-        );
+        let fx = Fixture::new();
+        let ctx = fx.ctx();
+        let config = hour_config();
         let rt = StreamRuntime::new(&ctx, config);
         let pos = SourcePosition {
             proxy_offset: 1234,
@@ -835,10 +823,10 @@ mod tests {
             mme_line: 12,
         };
         let text = to_text(&rt, Some(pos));
-        assert_eq!(read_position(&text).unwrap(), Some(pos));
         let (_, restored) = from_text(&ctx, config, &text).unwrap();
         assert_eq!(restored, Some(pos));
-        assert_eq!(read_position(&to_text(&rt, None)).unwrap(), None);
+        let (_, restored) = from_text(&ctx, config, &to_text(&rt, None)).unwrap();
+        assert_eq!(restored, None);
     }
 
     #[test]

@@ -217,6 +217,7 @@ pub(crate) struct StreamObs {
     records_kept: Counter,
     quarantined: Vec<(QuarantineReason, Counter)>,
     late_merged: Counter,
+    attrib_approximate: Counter,
     windows_emitted: Counter,
     forced_emits: Counter,
     backpressure_blocks: Counter,
@@ -237,6 +238,7 @@ impl StreamObs {
                 .map(|r| (r, m.counter(&format!("stream.quarantined.{}", r.name()))))
                 .collect(),
             late_merged: m.counter("stream.late_merged"),
+            attrib_approximate: m.counter("stream.attrib.approximate"),
             windows_emitted: m.counter("stream.windows_emitted"),
             forced_emits: m.counter("stream.forced_emits"),
             backpressure_blocks: m.counter("stream.backpressure_blocks"),
@@ -447,7 +449,7 @@ impl<'s> StreamRuntime<'s> {
                     _ => (None, false),
                 };
                 let mut emitted = Vec::new();
-                self.attributor.observe(
+                let approximate = self.attributor.observe(
                     r.user,
                     r.timestamp,
                     app,
@@ -455,6 +457,9 @@ impl<'s> StreamRuntime<'s> {
                     r.bytes_total(),
                     &mut emitted,
                 );
+                if approximate {
+                    self.obs.attrib_approximate.inc();
+                }
                 self.route_attributed(&emitted);
             }
         }
@@ -835,6 +840,7 @@ mod tests {
         assert_eq!(snap.counters["stream.records_processed"], 5);
         assert_eq!(snap.counters["stream.records_kept"], 3);
         assert_eq!(snap.counters["stream.late_merged"], 1);
+        assert_eq!(snap.counters["stream.attrib.approximate"], 0);
         assert_eq!(snap.counters["stream.quarantined.out-of-order"], 1);
         assert_eq!(snap.counters["stream.quarantined.duplicate"], 1);
         assert_eq!(snap.counters["stream.quarantined.truncated"], 0);
@@ -845,6 +851,29 @@ mod tests {
         assert_eq!(snap.gauges["stream.open_windows"], 0);
         assert_eq!(snap.gauges["stream.open_windows_peak"], 1);
         assert_eq!(snap.gauges["stream.watermark_secs"], 1400);
+    }
+
+    /// A third-party transaction that arrives behind a first-party anchor
+    /// already seen is resolved by the late-record approximation, and
+    /// counted; one that arrives in order waits and is not.
+    #[test]
+    fn late_attribution_approximations_are_counted() {
+        let fx = Fixture::new();
+        let ctx = fx.ctx();
+        let reg = Registry::new();
+        let mut rt = StreamRuntime::new(&ctx, hour_config(600)).with_metrics(&reg);
+        for (t, host) in [
+            (1000, "api.weather.com"),
+            (1030, "cdn.telemetry.example"),
+            (990, "cdn.telemetry.example"),
+        ] {
+            rt.process_item(SourceItem::Event(fx.proxy(1, t, host)))
+                .unwrap();
+        }
+        rt.finish();
+        assert_eq!(rt.late_merged, 1);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counters["stream.attrib.approximate"], 1);
     }
 
     /// The one way batch and stream validation disagree at lateness 0.

@@ -58,11 +58,6 @@ impl WindowSpec {
         self.slide
     }
 
-    /// `true` when `slide == width`.
-    pub fn is_tumbling(&self) -> bool {
-        self.slide == self.width
-    }
-
     /// The inclusive range of window indices containing `t`.
     pub fn assign(&self, t: SimTime) -> RangeInclusive<u64> {
         let ts = t.as_secs();
@@ -94,7 +89,7 @@ mod tests {
     #[test]
     fn tumbling_assigns_single_window_with_half_open_boundary() {
         let spec = WindowSpec::tumbling(SimDuration::from_hours(1)).unwrap();
-        assert!(spec.is_tumbling());
+        assert_eq!(spec.slide(), spec.width());
         assert_eq!(spec.assign(SimTime::from_secs(0)), 0..=0);
         assert_eq!(spec.assign(SimTime::from_secs(3599)), 0..=0);
         // Exactly at the boundary: next window.

@@ -4,8 +4,6 @@ use std::fs::File;
 use std::io::{self, BufReader, BufWriter};
 use std::path::Path;
 
-use wearscope_simtime::TimeRange;
-
 use crate::io::{LogReader, LogWriter, ReadError};
 use crate::mme::MmeRecord;
 use crate::proxy::ProxyRecord;
@@ -38,11 +36,6 @@ impl TraceStore {
     /// loading out-of-order data).
     pub fn push_proxy(&mut self, r: ProxyRecord) {
         self.proxy.push(r);
-    }
-
-    /// Appends an MME record.
-    pub fn push_mme(&mut self, r: MmeRecord) {
-        self.mme.push(r);
     }
 
     /// All proxy records, time-sorted.
@@ -87,23 +80,6 @@ impl TraceStore {
         self.proxy.extend(other.proxy);
         self.mme.extend(other.mme);
         self.sort_by_time();
-    }
-
-    /// The proxy records inside `range` (binary-searched; store must be
-    /// time-sorted).
-    pub fn proxy_in(&self, range: TimeRange) -> &[ProxyRecord] {
-        debug_assert!(self.is_time_sorted());
-        let lo = self.proxy.partition_point(|r| r.timestamp < range.start());
-        let hi = self.proxy.partition_point(|r| r.timestamp < range.end());
-        &self.proxy[lo..hi]
-    }
-
-    /// The MME records inside `range`.
-    pub fn mme_in(&self, range: TimeRange) -> &[MmeRecord] {
-        debug_assert!(self.is_time_sorted());
-        let lo = self.mme.partition_point(|r| r.timestamp < range.start());
-        let hi = self.mme.partition_point(|r| r.timestamp < range.end());
-        &self.mme[lo..hi]
     }
 
     /// Persists both logs as `proxy.log` and `mme.log` under `dir`.
@@ -181,19 +157,6 @@ mod tests {
     }
 
     #[test]
-    fn range_queries() {
-        let s = TraceStore::from_records(
-            (0..10).map(proxy_at).collect(),
-            (0..10).map(mme_at).collect(),
-        );
-        let r = TimeRange::new(SimTime::from_secs(3), SimTime::from_secs(7));
-        assert_eq!(s.proxy_in(r).len(), 4);
-        assert_eq!(s.mme_in(r).len(), 4);
-        assert_eq!(s.proxy_in(r)[0].timestamp.as_secs(), 3);
-        assert_eq!(s.proxy_in(r)[3].timestamp.as_secs(), 6);
-    }
-
-    #[test]
     fn merge_resorts() {
         let mut a = TraceStore::from_records(vec![proxy_at(10)], vec![]);
         let b = TraceStore::from_records(vec![proxy_at(5)], vec![mme_at(1)]);
@@ -221,7 +184,5 @@ mod tests {
         let s = TraceStore::new();
         assert!(s.is_empty());
         assert!(s.is_time_sorted());
-        let r = TimeRange::new(SimTime::EPOCH, SimTime::from_secs(100));
-        assert!(s.proxy_in(r).is_empty());
     }
 }

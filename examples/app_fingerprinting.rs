@@ -5,6 +5,8 @@
 //! cargo run --release --example app_fingerprinting
 //! ```
 
+use std::collections::HashMap;
+
 use wearscope::appdb::{AppCatalog, Classification, DomainClass, SignatureLearner, SniClassifier};
 use wearscope::core::sessions::{attribute_transactions, sessionize};
 use wearscope::prelude::*;
@@ -162,9 +164,29 @@ fn main() {
     );
 
     // --- 4. Who talks to advertisers? -----------------------------------------
-    let mix = wearscope::core::thirdparty::PerAppDomainMix::compute(&ctx);
-    let mut rows: Vec<(String, f64, f64)> = mix
-        .by_app
+    // Attribution keeps no host, so each attributed transaction's domain
+    // class is looked up by (user, time, bytes) in the wearable log.
+    let mut class_of: HashMap<(UserId, u64, u64), usize> = HashMap::new();
+    for r in ctx.wearable_proxy() {
+        if let Some(c) = ctx.classifier.classify(&r.host) {
+            class_of
+                .entry((r.user, r.timestamp.as_secs(), r.bytes_total()))
+                .or_insert(c.domain_class().index());
+        }
+    }
+    let mut by_app: HashMap<String, [u64; 4]> = HashMap::new();
+    for tx in &attributed {
+        let Some(app) = tx.app else { continue };
+        let Some(&class) = class_of.get(&(tx.user, tx.timestamp.as_secs(), tx.bytes)) else {
+            continue;
+        };
+        let name = ctx
+            .catalog
+            .get(app)
+            .map_or_else(|| format!("app#{}", app.0), |a| a.name.to_string());
+        by_app.entry(name).or_default()[class] += tx.bytes;
+    }
+    let mut rows: Vec<(String, f64, f64)> = by_app
         .iter()
         .map(|(name, bytes)| {
             let total: u64 = bytes.iter().sum();

@@ -15,6 +15,7 @@
 use wearscope::core::merge::CoreAggregates;
 use wearscope::faults::{corrupt_world, FaultSpec};
 use wearscope::ingest::{load_store_resilient, IngestOptions};
+use wearscope::obs::Registry;
 use wearscope::prelude::*;
 use wearscope::report::QuarantineReason;
 use wearscope::stream::{PumpOptions, PumpOutcome, StreamRuntime, WindowAggregates};
@@ -70,7 +71,8 @@ fn assert_equivalent(dir: &std::path::Path, input: &str, lateness: SimDuration) 
         let mut config = StreamConfig::new(spec, lateness);
         config.collect_aggregates = true;
         config.max_timestamp = opts.max_timestamp;
-        let mut rt = StreamRuntime::new(&stream_ctx, config);
+        let metrics = Registry::new();
+        let mut rt = StreamRuntime::new(&stream_ctx, config).with_metrics(&metrics);
         let mut src = WorldSource::open(dir, false)
             .expect("open source")
             .with_horizon(opts.max_timestamp);
@@ -97,6 +99,11 @@ fn assert_equivalent(dir: &std::path::Path, input: &str, lateness: SimDuration) 
             );
         }
         assert_eq!(summary.late_merged, 0, "{at}: sorted input");
+        assert_eq!(
+            metrics.snapshot().counters["stream.attrib.approximate"],
+            0,
+            "{at}: in-order attribution is exact"
+        );
         assert_eq!(summary.windows.len(), collected.len(), "{at}");
         // Emitted indices are gapless and ascending.
         for (i, pair) in collected.windows(2).enumerate() {
