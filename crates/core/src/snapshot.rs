@@ -388,7 +388,8 @@ impl<'a> SnapshotReader<'a> {
         Ok(row)
     }
 
-    /// Reads a header line `tag<TAB>count` and returns the count.
+    /// Reads a line `tag<TAB>n` and returns `n` (a block's count, or an
+    /// id).
     ///
     /// # Errors
     /// Fails like [`tagged`](Self::tagged), or on a bad or extra field.

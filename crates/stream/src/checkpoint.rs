@@ -26,7 +26,6 @@
 //! resume guarantee is about the **final reports**, not the intermediate
 //! files.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::Path;
@@ -163,6 +162,7 @@ fn read_windows(
     Ok(windows)
 }
 
+/// Writes a `tag<TAB>n` block of `n` log record lines.
 fn push_remembered<R: TsvRecord>(out: &mut String, tag: &str, records: Vec<&R>) {
     RowWriter::tagged(out, tag).put(records.len()).end();
     for r in records {
@@ -281,7 +281,7 @@ pub fn from_text<'s>(
     rt.attributor = StreamingAttributor::restore(&mut r)?;
     rt.open = read_windows(&mut r, "open", "open-window")?
         .into_iter()
-        .collect::<BTreeMap<_, _>>();
+        .collect();
     r.tagged("end")?.end()?;
     Ok((rt, position))
 }
