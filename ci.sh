@@ -56,7 +56,16 @@ awk '/^  "timing":/{exit} {print}' "$FAULT_DIR/metrics1.json" >"$FAULT_DIR/metri
 awk '/^  "timing":/{exit} {print}' "$FAULT_DIR/metrics4.json" >"$FAULT_DIR/metrics4.det"
 test -s "$FAULT_DIR/metrics1.det"
 diff "$FAULT_DIR/metrics1.det" "$FAULT_DIR/metrics4.det"
-echo "    metric snapshots identical across worker counts (timing excluded)"
+# Peak RSS varies run to run, so it must sit under `timing`, never in the
+# prefix diffed above.
+for m in metrics1 metrics4; do
+    awk '/^  "timing":/{t=1} t' "$FAULT_DIR/$m.json" | grep -q '"process.peak_rss_kb": [1-9]'
+    if grep -q 'process.peak_rss_kb' "$FAULT_DIR/$m.det"; then
+        echo "process.peak_rss_kb leaked into the deterministic section of $m.json" >&2
+        exit 1
+    fi
+done
+echo "    metric snapshots identical across worker counts (timing excluded); peak RSS under timing"
 
 echo "==> batch/stream agreement: stream --lateness 0s on the corrupted world, diff against analyze"
 # Batch and stream run one record validator per log. At lateness 0 they

@@ -141,9 +141,11 @@ impl SniClassifier {
     }
 }
 
-/// Lowercases and strips port, scheme, path, and trailing dots — tolerant of
-/// being handed a full URL instead of a bare host.
-fn normalize_host(raw: &str) -> String {
+/// Lowercases and strips port, scheme, path, userinfo, and leading and
+/// trailing dots — tolerant of being handed a full URL instead of a bare
+/// host. Both the classifier and [`crate::fingerprint_host`] match on this
+/// form.
+pub(crate) fn normalize_host(raw: &str) -> String {
     let s = raw.trim();
     let s = s.split_once("://").map_or(s, |(_, rest)| rest);
     let s = s.split(['/', '?', '#']).next().unwrap_or(s);

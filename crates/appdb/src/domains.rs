@@ -8,6 +8,7 @@
 //! * **Advertising** — ad networks.
 
 use core::fmt;
+use std::sync::OnceLock;
 
 /// The transaction category of a destination domain (Fig. 8's x-axis).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -183,12 +184,20 @@ pub fn third_party_domains() -> &'static [ThirdPartyDomain] {
     DOMAINS
 }
 
-/// The third-party domains of one class.
-pub fn domains_of_class(class: DomainClass) -> impl Iterator<Item = &'static str> {
-    third_party_domains()
-        .iter()
-        .filter(move |d| d.class == class)
-        .map(|d| d.domain)
+/// The third-party domains of one class, in catalog order. Each class's
+/// list is built once per process.
+pub fn domains_of_class(class: DomainClass) -> &'static [&'static str] {
+    static POOLS: OnceLock<[Vec<&'static str>; 4]> = OnceLock::new();
+    let pools = POOLS.get_or_init(|| {
+        DomainClass::ALL.map(|c| {
+            third_party_domains()
+                .iter()
+                .filter(|d| d.class == c)
+                .map(|d| d.domain)
+                .collect()
+        })
+    });
+    &pools[class.index()]
 }
 
 #[cfg(test)]
@@ -211,7 +220,7 @@ mod tests {
             DomainClass::Analytics,
         ] {
             assert!(
-                domains_of_class(class).count() >= 5,
+                domains_of_class(class).len() >= 5,
                 "thin coverage for {class}"
             );
         }

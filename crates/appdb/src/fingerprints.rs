@@ -11,6 +11,8 @@
 
 use core::fmt;
 
+use crate::classify::normalize_host;
+
 /// What kind of Through-Device wearable a fingerprint indicates.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum ThroughDeviceKind {
@@ -72,6 +74,8 @@ pub const SIGNATURES: &[(&str, ThroughDeviceKind)] = &[
 ];
 
 /// Fingerprints a proxy-log host; `None` if it carries no wearable signal.
+/// The host is normalized as [`crate::SniClassifier::classify`] normalizes
+/// it, so a port, scheme, path or case does not hide a signature.
 ///
 /// # Examples
 /// ```
@@ -80,10 +84,14 @@ pub const SIGNATURES: &[(&str, ThroughDeviceKind)] = &[
 ///     fingerprint_host("eu.sync.fitbit.com"),
 ///     Some(ThroughDeviceKind::Fitbit)
 /// );
+/// assert_eq!(
+///     fingerprint_host("https://eu.sync.fitbit.com:443/v1"),
+///     Some(ThroughDeviceKind::Fitbit)
+/// );
 /// assert_eq!(fingerprint_host("www.fitbit.com"), None); // storefront ≠ tracker
 /// ```
 pub fn fingerprint_host(host: &str) -> Option<ThroughDeviceKind> {
-    let host = host.trim().trim_end_matches('.').to_ascii_lowercase();
+    let host = normalize_host(host);
     for (sig, kind) in SIGNATURES {
         if suffix_matches(&host, sig) {
             return Some(*kind);
@@ -151,11 +159,19 @@ mod tests {
     }
 
     #[test]
-    fn case_and_trailing_dot_insensitive() {
-        assert_eq!(
-            fingerprint_host("SYNC.FITBIT.COM."),
-            Some(ThroughDeviceKind::Fitbit)
-        );
+    fn normalized_like_the_classifier() {
+        for host in [
+            "SYNC.FITBIT.COM.",
+            "eu.sync.fitbit.com:443",
+            "https://eu.sync.fitbit.com/v1",
+            "user@eu.sync.fitbit.com",
+        ] {
+            assert_eq!(
+                fingerprint_host(host),
+                Some(ThroughDeviceKind::Fitbit),
+                "failed for {host:?}"
+            );
+        }
     }
 
     #[test]

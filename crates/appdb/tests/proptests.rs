@@ -1,6 +1,7 @@
 //! Property-based tests for the SNI classifier.
 
 use proptest::prelude::*;
+use wearscope_appdb::fingerprints::SIGNATURES;
 use wearscope_appdb::{
     fingerprint_host, AppCatalog, AppId, Classification, SignatureLearner, SniClassifier,
 };
@@ -57,6 +58,27 @@ proptest! {
         prop_assert_eq!(clf.classify(&format!("{base}:{port}")), plain);
         prop_assert_eq!(clf.classify(&format!("https://{base}/{path}")), plain);
         prop_assert_eq!(clf.classify(&format!("{base}.")), plain);
+    }
+
+    /// fingerprint_host normalizes exactly as classify does: case, trailing
+    /// dots, ports, and schemes with paths never hide a signature.
+    #[test]
+    fn fingerprint_normalization_invariance(
+        sig_idx in 0usize..SIGNATURES.len(),
+        sub in prop::option::of(label()),
+        port in 1u16..u16::MAX,
+        path in "[a-z]{0,6}",
+    ) {
+        let (sig, kind) = SIGNATURES[sig_idx];
+        let base = match sub {
+            Some(sub) => format!("{sub}.{sig}"),
+            None => sig.to_string(),
+        };
+        prop_assert_eq!(fingerprint_host(&base), Some(kind));
+        prop_assert_eq!(fingerprint_host(&base.to_ascii_uppercase()), Some(kind));
+        prop_assert_eq!(fingerprint_host(&format!("{base}:{port}")), Some(kind));
+        prop_assert_eq!(fingerprint_host(&format!("https://{base}/{path}")), Some(kind));
+        prop_assert_eq!(fingerprint_host(&format!("{base}.")), Some(kind));
     }
 
     /// Arbitrary junk input never panics the classifier.

@@ -49,7 +49,7 @@ fn classifier_trie_vs_linear(c: &mut Criterion) {
         .proxy()
         .iter()
         .take(10_000)
-        .map(|r| r.host.as_str())
+        .map(|r| r.host.name())
         .collect();
     // Sanity: both classify identically on trace hosts.
     for h in hosts.iter().take(500) {

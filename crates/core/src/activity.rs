@@ -347,7 +347,7 @@ mod tests {
     use wearscope_devicedb::DeviceDb;
     use wearscope_geo::SectorDirectory;
     use wearscope_simtime::{ObservationWindow, SimDuration, SimTime};
-    use wearscope_trace::{ProxyRecord, Scheme, TraceStore};
+    use wearscope_trace::{HostId, ProxyRecord, Scheme, TraceStore};
 
     struct Fixture {
         store: TraceStore,
@@ -373,7 +373,7 @@ mod tests {
             timestamp: t,
             user: UserId(user),
             imei: db.example_imei(db.wearable_tacs()[0], user as u32).as_u64(),
-            host: "api.weather.com".into(),
+            host: HostId::intern("api.weather.com"),
             scheme: Scheme::Https,
             bytes_down: bytes,
             bytes_up: 0,

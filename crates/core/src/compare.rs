@@ -137,14 +137,14 @@ mod tests {
     use wearscope_devicedb::{DeviceClass, DeviceDb};
     use wearscope_geo::SectorDirectory;
     use wearscope_simtime::{ObservationWindow, SimTime};
-    use wearscope_trace::{ProxyRecord, Scheme, TraceStore};
+    use wearscope_trace::{HostId, ProxyRecord, Scheme, TraceStore};
 
     fn rec(user: u64, imei: u64, bytes: u64, t: u64) -> ProxyRecord {
         ProxyRecord {
             timestamp: SimTime::from_secs(t),
             user: UserId(user),
             imei,
-            host: "h.example.com".into(),
+            host: HostId::intern("h.example.com"),
             scheme: Scheme::Https,
             bytes_down: bytes,
             bytes_up: 0,

@@ -1,12 +1,25 @@
 //! The study context: logs plus lookup services, pre-indexed.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::{PoisonError, RwLock};
 
-use wearscope_appdb::{AppCatalog, SniClassifier};
+use wearscope_appdb::{
+    fingerprint_host, AppCatalog, Classification, SniClassifier, ThroughDeviceKind,
+};
 use wearscope_devicedb::{DeviceClass, DeviceDb, Imei};
 use wearscope_geo::SectorDirectory;
 use wearscope_simtime::ObservationWindow;
-use wearscope_trace::{ProxyRecord, TraceStore, UserId};
+use wearscope_trace::{HostId, ProxyRecord, TraceStore, UserId};
+
+/// What the study's signatures say about one destination host.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct HostClass {
+    /// First-party app or third-party domain class (Figs. 5, 7, 8);
+    /// `None` when no signature matches.
+    pub classification: Option<Classification>,
+    /// The Through-Device wearable the host fingerprints (Sec. 6).
+    pub through_device: Option<ThroughDeviceKind>,
+}
 
 /// Everything an analysis needs, bundled: the detailed-window logs, the
 /// three lookup services of Fig. 1 (device DB, cell plan, app signatures),
@@ -31,6 +44,8 @@ pub struct StudyContext<'a> {
     owners: HashSet<UserId>,
     /// All users observed in either log.
     all_users: HashSet<UserId>,
+    /// Each distinct host's class, worked out the first time a scan asks.
+    hosts: RwLock<HashMap<HostId, HostClass>>,
 }
 
 impl<'a> StudyContext<'a> {
@@ -74,7 +89,29 @@ impl<'a> StudyContext<'a> {
             class_by_imei,
             owners,
             all_users,
+            hosts: RwLock::default(),
         }
+    }
+
+    /// The class of a record's host. Each distinct host goes through the
+    /// classifier and the Through-Device fingerprints once; later calls
+    /// are a table lookup.
+    pub fn host_class(&self, host: HostId) -> HostClass {
+        let known = self.hosts.read().unwrap_or_else(PoisonError::into_inner);
+        if let Some(&class) = known.get(&host) {
+            return class;
+        }
+        drop(known);
+        let name = host.name();
+        let class = HostClass {
+            classification: self.classifier.classify(name),
+            through_device: fingerprint_host(name),
+        };
+        self.hosts
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(host, class);
+        class
     }
 
     /// The device class behind an IMEI, if the device DB knows it.
@@ -148,7 +185,7 @@ mod tests {
             timestamp: SimTime::from_secs(t),
             user: UserId(user),
             imei,
-            host: host.into(),
+            host: HostId::intern(host),
             scheme: Scheme::Https,
             bytes_down: 1000,
             bytes_up: 100,
@@ -238,5 +275,39 @@ mod tests {
             Some(DeviceClass::CellularWearable)
         );
         assert_eq!(ctx.device_class(42), None); // invalid IMEI stays unknown
+    }
+
+    #[test]
+    fn host_class_matches_the_signatures() {
+        let db = DeviceDb::standard();
+        let catalog = AppCatalog::standard();
+        let sectors = SectorDirectory::new();
+        let store = TraceStore::new();
+        let ctx = StudyContext::new(
+            &store,
+            &db,
+            &sectors,
+            &catalog,
+            ObservationWindow::compact(),
+        );
+        for name in [
+            "api.weather.com",
+            "stats.g.doubleclick.net",
+            "android-api.fitbit.com",
+            "unknown.example.org",
+        ] {
+            let expected = HostClass {
+                classification: ctx.classifier.classify(name),
+                through_device: fingerprint_host(name),
+            };
+            let host = HostId::intern(name);
+            assert_eq!(ctx.host_class(host), expected, "{name}");
+            assert_eq!(ctx.host_class(host), expected, "{name}, memoized");
+        }
+        assert_eq!(
+            ctx.host_class(HostId::intern("android-api.fitbit.com"))
+                .through_device,
+            Some(ThroughDeviceKind::Fitbit)
+        );
     }
 }

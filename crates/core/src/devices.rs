@@ -110,7 +110,7 @@ mod tests {
     use wearscope_devicedb::DeviceDb;
     use wearscope_geo::SectorDirectory;
     use wearscope_simtime::{ObservationWindow, SimTime};
-    use wearscope_trace::{MmeEvent, MmeRecord, ProxyRecord, Scheme, TraceStore};
+    use wearscope_trace::{HostId, MmeEvent, MmeRecord, ProxyRecord, Scheme, TraceStore};
 
     #[test]
     fn mix_counts_distinct_users_per_model() {
@@ -128,7 +128,7 @@ mod tests {
                 timestamp: SimTime::from_secs(10),
                 user: UserId(1),
                 imei: imei_a1,
-                host: "api.weather.com".into(),
+                host: HostId::intern("api.weather.com"),
                 scheme: Scheme::Https,
                 bytes_down: 100,
                 bytes_up: 10,

@@ -49,7 +49,7 @@ pub mod thirdparty;
 pub mod through_device;
 pub mod weekly;
 
-pub use context::StudyContext;
+pub use context::{HostClass, StudyContext};
 pub use merge::{CoreAggregates, CorePartials};
 pub use results::StudyResults;
 pub use snapshot::{Snapshot, SnapshotError, SnapshotReader};

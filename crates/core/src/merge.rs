@@ -488,14 +488,14 @@ mod tests {
     use wearscope_devicedb::{DeviceClass, DeviceDb};
     use wearscope_geo::SectorDirectory;
     use wearscope_simtime::{Calendar, ObservationWindow};
-    use wearscope_trace::{Scheme, TraceStore};
+    use wearscope_trace::{HostId, Scheme, TraceStore};
 
     fn proxy(imei: u64, user: u64, t: u64, bytes: u64) -> ProxyRecord {
         ProxyRecord {
             timestamp: SimTime::from_secs(t),
             user: UserId(user),
             imei,
-            host: "api.weather.com".into(),
+            host: HostId::intern("api.weather.com"),
             scheme: Scheme::Https,
             bytes_down: bytes,
             bytes_up: 0,

@@ -270,7 +270,7 @@ mod tests {
     use wearscope_devicedb::{DeviceClass, DeviceDb};
     use wearscope_geo::{GeoPoint, SectorDirectory};
     use wearscope_simtime::{Calendar, ObservationWindow, SECS_PER_DAY};
-    use wearscope_trace::{MmeRecord, ProxyRecord, Scheme, TraceStore};
+    use wearscope_trace::{HostId, MmeRecord, ProxyRecord, Scheme, TraceStore};
 
     /// Three sectors: 0 and 1 are ~11 km apart; 2 is ~100 km away.
     fn sectors() -> SectorDirectory {
@@ -296,7 +296,7 @@ mod tests {
             timestamp: SimTime::from_secs(t),
             user: UserId(user),
             imei,
-            host: "api.weather.com".into(),
+            host: HostId::intern("api.weather.com"),
             scheme: Scheme::Https,
             bytes_down: 1000,
             bytes_up: 0,

@@ -59,7 +59,7 @@ impl DataQualityReport {
             proxy_users.insert(r.user);
             if ctx.device_class(r.imei).is_none() {
                 report.unresolved_device_records += 1;
-            } else if ctx.is_wearable_record(r) && ctx.classifier.classify(&r.host).is_none() {
+            } else if ctx.is_wearable_record(r) && ctx.host_class(r.host).classification.is_none() {
                 report.unclassified_wearable_records += 1;
             }
             if !ctx.window.detailed().contains(r.timestamp) {
@@ -123,7 +123,7 @@ mod tests {
     use wearscope_devicedb::DeviceDb;
     use wearscope_geo::SectorDirectory;
     use wearscope_simtime::{Calendar, ObservationWindow, SimDuration, SimTime};
-    use wearscope_trace::{MmeEvent, MmeRecord, ProxyRecord, Scheme, TraceStore};
+    use wearscope_trace::{HostId, MmeEvent, MmeRecord, ProxyRecord, Scheme, TraceStore};
 
     fn window() -> ObservationWindow {
         ObservationWindow::new(7, 7, Calendar::PAPER)
@@ -134,7 +134,7 @@ mod tests {
             timestamp: SimTime::from_days(day) + SimDuration::from_hours(10),
             user: UserId(user),
             imei: db.example_imei(db.wearable_tacs()[0], user as u32).as_u64(),
-            host: host.into(),
+            host: HostId::intern(host),
             scheme: Scheme::Https,
             bytes_down: 1000,
             bytes_up: 100,

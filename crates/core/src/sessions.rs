@@ -81,7 +81,7 @@ pub fn attribute_records<'r>(
         if !ctx.is_wearable_record(r) {
             continue;
         }
-        let class = ctx.classifier.classify(&r.host);
+        let class = ctx.host_class(r.host).classification;
         let (app, first_party) = match class {
             Some(Classification::FirstParty(a)) => (Some(a), true),
             Some(Classification::ThirdParty(_)) => (None, false),
@@ -234,14 +234,14 @@ mod tests {
     use wearscope_devicedb::DeviceDb;
     use wearscope_geo::SectorDirectory;
     use wearscope_simtime::{Calendar, ObservationWindow};
-    use wearscope_trace::{ProxyRecord, Scheme, TraceStore};
+    use wearscope_trace::{HostId, ProxyRecord, Scheme, TraceStore};
 
     fn rec(db: &DeviceDb, user: u64, t: u64, host: &str, bytes: u64) -> ProxyRecord {
         ProxyRecord {
             timestamp: SimTime::from_secs(t),
             user: UserId(user),
             imei: db.example_imei(db.wearable_tacs()[0], user as u32).as_u64(),
-            host: host.into(),
+            host: HostId::intern(host),
             scheme: Scheme::Https,
             bytes_down: bytes,
             bytes_up: 0,

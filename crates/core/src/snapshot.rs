@@ -715,7 +715,7 @@ mod tests {
     use wearscope_devicedb::DeviceDb;
     use wearscope_geo::SectorDirectory;
     use wearscope_simtime::{Calendar, ObservationWindow};
-    use wearscope_trace::{MmeEvent, MmeRecord, ProxyRecord, Scheme, TraceStore};
+    use wearscope_trace::{HostId, MmeEvent, MmeRecord, ProxyRecord, Scheme, TraceStore};
 
     fn roundtrip<T: Snapshot>(value: &T) -> T {
         let mut text = String::new();
@@ -742,7 +742,7 @@ mod tests {
             timestamp: SimTime::from_secs(t),
             user: UserId(user),
             imei: db.example_imei(db.wearable_tacs()[0], user as u32).as_u64(),
-            host: "api.weather.com".into(),
+            host: HostId::intern("api.weather.com"),
             scheme: Scheme::Https,
             bytes_down: bytes,
             bytes_up: 7,

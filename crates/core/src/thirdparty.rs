@@ -30,7 +30,7 @@ impl DomainBreakdown {
         let mut bytes = [0u64; 4];
         let mut unclassified = 0u64;
         for r in ctx.wearable_proxy() {
-            match ctx.classifier.classify(&r.host) {
+            match ctx.host_class(r.host).classification {
                 Some(c) => {
                     let i = c.domain_class().index();
                     day_users[i].insert((r.timestamp.day_index(), r.user));
@@ -85,14 +85,14 @@ mod tests {
     use wearscope_devicedb::DeviceDb;
     use wearscope_geo::SectorDirectory;
     use wearscope_simtime::{Calendar, ObservationWindow, SimTime};
-    use wearscope_trace::{ProxyRecord, Scheme, TraceStore};
+    use wearscope_trace::{HostId, ProxyRecord, Scheme, TraceStore};
 
     fn rec(db: &DeviceDb, user: u64, t: u64, host: &str, bytes: u64) -> ProxyRecord {
         ProxyRecord {
             timestamp: SimTime::from_secs(t),
             user: UserId(user),
             imei: db.example_imei(db.wearable_tacs()[0], user as u32).as_u64(),
-            host: host.into(),
+            host: HostId::intern(host),
             scheme: Scheme::Https,
             bytes_down: bytes,
             bytes_up: 0,

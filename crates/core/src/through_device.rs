@@ -10,7 +10,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use wearscope_appdb::{fingerprint_host, ThroughDeviceKind};
+use wearscope_appdb::ThroughDeviceKind;
 use wearscope_trace::UserId;
 
 use crate::context::StudyContext;
@@ -49,7 +49,7 @@ impl ThroughDeviceReport {
         let mut identified: HashMap<ThroughDeviceKind, HashSet<UserId>> = HashMap::new();
         let mut users = HashSet::new();
         for r in ctx.phone_proxy() {
-            if let Some(kind) = fingerprint_host(&r.host) {
+            if let Some(kind) = ctx.host_class(r.host).through_device {
                 identified.entry(kind).or_default().insert(r.user);
                 users.insert(r.user);
             }
@@ -101,14 +101,14 @@ mod tests {
     use wearscope_devicedb::{DeviceClass, DeviceDb};
     use wearscope_geo::{GeoPoint, SectorDirectory};
     use wearscope_simtime::{Calendar, ObservationWindow, SimTime};
-    use wearscope_trace::{MmeEvent, MmeRecord, ProxyRecord, Scheme, TraceStore};
+    use wearscope_trace::{HostId, MmeEvent, MmeRecord, ProxyRecord, Scheme, TraceStore};
 
     fn rec(user: u64, imei: u64, t: u64, host: &str) -> ProxyRecord {
         ProxyRecord {
             timestamp: SimTime::from_secs(t),
             user: UserId(user),
             imei,
-            host: host.into(),
+            host: HostId::intern(host),
             scheme: Scheme::Https,
             bytes_down: 1000,
             bytes_up: 100,

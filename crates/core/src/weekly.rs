@@ -150,14 +150,14 @@ mod tests {
     use wearscope_devicedb::{DeviceClass, DeviceDb};
     use wearscope_geo::SectorDirectory;
     use wearscope_simtime::{Calendar, ObservationWindow, SimTime};
-    use wearscope_trace::{ProxyRecord, Scheme, TraceStore};
+    use wearscope_trace::{HostId, ProxyRecord, Scheme, TraceStore};
 
     fn rec(user: u64, imei: u64, day: u64, hour: u64) -> ProxyRecord {
         ProxyRecord {
             timestamp: SimTime::from_hours(day * 24 + hour),
             user: UserId(user),
             imei,
-            host: "h".into(),
+            host: HostId::intern("h"),
             scheme: Scheme::Https,
             bytes_down: 100,
             bytes_up: 0,

@@ -83,7 +83,7 @@ mod tests {
     use wearscope_devicedb::DeviceDb;
     use wearscope_geo::SectorDirectory;
     use wearscope_simtime::{ObservationWindow, SimTime};
-    use wearscope_trace::{ProxyRecord, Scheme, TraceStore, UserId};
+    use wearscope_trace::{HostId, ProxyRecord, Scheme, TraceStore, UserId};
 
     #[test]
     fn compute_delegates_to_the_one_fold_and_reports_one_thread() {
@@ -94,7 +94,7 @@ mod tests {
                 timestamp: SimTime::from_secs(i * 600),
                 user: UserId(1 + i % 3),
                 imei,
-                host: "api.weather.com".into(),
+                host: HostId::intern("api.weather.com"),
                 scheme: Scheme::Https,
                 bytes_down: 100 + i,
                 bytes_up: 10,

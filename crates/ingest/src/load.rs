@@ -389,7 +389,7 @@ mod tests {
     use super::*;
     use wearscope_report::QuarantineReason;
     use wearscope_simtime::SimTime;
-    use wearscope_trace::{MmeEvent, Scheme, UserId};
+    use wearscope_trace::{HostId, MmeEvent, Scheme, UserId};
 
     fn sample_store() -> TraceStore {
         let db = wearscope_devicedb::DeviceDb::standard();
@@ -400,7 +400,7 @@ mod tests {
                 imei: db
                     .example_imei(db.wearable_tacs()[0], (i % 11) as u32)
                     .as_u64(),
-                host: format!("host-{}.example.com", i % 5),
+                host: HostId::intern(&format!("host-{}.example.com", i % 5)),
                 scheme: if i % 2 == 0 {
                     Scheme::Https
                 } else {

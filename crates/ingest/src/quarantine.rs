@@ -150,8 +150,9 @@ impl core::fmt::Display for QuarantineEntry {
 }
 
 /// A log record the content checks can judge: exact equality for the
-/// duplicate check, plus the two fields the other checks read.
-pub trait LogRecord: std::hash::Hash + Eq + Clone {
+/// duplicate check, plus the two fields the other checks read. Records are
+/// small `Copy` values, so the duplicate memory holds copies.
+pub trait LogRecord: std::hash::Hash + Eq + Copy {
     /// Event timestamp.
     fn timestamp(&self) -> SimTime;
     /// Raw IMEI field.
@@ -262,7 +263,7 @@ impl<R: LogRecord> RecordValidator<R> {
                 QuarantineReason::OutOfOrder,
                 format!("timestamp {}s falls only in sealed windows", ts.as_secs()),
             )
-        } else if self.remember(record.clone()) {
+        } else if self.remember(*record) {
             if self.remembered.len() >= self.forget_at {
                 self.remembered.retain(|r, _| r.timestamp() >= watermark);
                 self.forget_at = (2 * self.remembered.len()).max(MIN_FORGET_AT);
@@ -326,14 +327,14 @@ mod tests {
     use crate::load::process_source;
     use wearscope_devicedb::DeviceDb;
     use wearscope_report::QuarantineCounts;
-    use wearscope_trace::{Scheme, TsvShard, UserId};
+    use wearscope_trace::{HostId, Scheme, TsvShard, UserId};
 
     fn rec(db: &DeviceDb, t: u64, user: u64) -> ProxyRecord {
         ProxyRecord {
             timestamp: SimTime::from_secs(t),
             user: UserId(user),
             imei: db.example_imei(db.wearable_tacs()[0], user as u32).as_u64(),
-            host: "api.weather.com".into(),
+            host: HostId::intern("api.weather.com"),
             scheme: Scheme::Https,
             bytes_down: 100,
             bytes_up: 10,
@@ -389,7 +390,7 @@ mod tests {
     fn duplicates_quarantine_second_occurrence_only() {
         let db = DeviceDb::standard();
         let a = rec(&db, 10, 1);
-        let records = vec![a.clone(), a.clone(), rec(&db, 20, 2)];
+        let records = vec![a, a, rec(&db, 20, 2)];
         let (kept, counts) = run(records, &IngestOptions::default());
         assert_eq!(kept.len(), 2);
         assert_eq!(counts.get(QuarantineReason::Duplicate), 1);
@@ -412,12 +413,12 @@ mod tests {
         let db = DeviceDb::standard();
         let distinct =
             [(50, 0), (100, 1), (100, 2), (100, 3), (101, 1)].map(|(t, u)| rec(&db, t, u));
-        let records = [0, 1, 2, 1, 3, 2, 1, 4, 3].map(|i| distinct[i].clone());
+        let records = [0, 1, 2, 1, 3, 2, 1, 4, 3].map(|i| distinct[i]);
         let (kept, counts) = run(records.to_vec(), &IngestOptions::default());
         assert_eq!(counts.get(QuarantineReason::Duplicate), 3);
         // The copy after the advance to 101 regresses instead.
         assert_eq!(counts.get(QuarantineReason::OutOfOrder), 1);
-        assert_eq!(kept, [0, 1, 2, 3, 4].map(|i| distinct[i].clone()));
+        assert_eq!(kept, [0, 1, 2, 3, 4].map(|i| distinct[i]));
     }
 
     /// The content checks with a duplicate set over the whole log, as they
@@ -469,7 +470,7 @@ mod tests {
                         now += step;
                         rec(&db, now, user)
                     }
-                    3 if !records.is_empty() => records[pick % records.len()].clone(),
+                    3 if !records.is_empty() => records[pick % records.len()],
                     4 => rec(&db, now.saturating_sub(step + 1), user),
                     5 => rec(&db, 20_000 + step, user),
                     _ => {
@@ -496,9 +497,9 @@ mod tests {
         let [a, b, c, d] = [(20, 1), (10, 2), (20, 3), (10, 4)].map(|(t, u)| rec(&db, t, u));
         let mut v = RecordValidator::new(None);
         for r in [&a, &b, &c, &d] {
-            assert!(v.remember(r.clone()));
+            assert!(v.remember(*r));
         }
-        assert!(!v.remember(c.clone()));
+        assert!(!v.remember(c));
         assert_eq!(v.remembered(SimTime::EPOCH), [&b, &d, &a, &c]);
         // Records behind the watermark are left out before any forgetting.
         assert_eq!(v.remembered(SimTime::from_secs(15)), [&a, &c]);

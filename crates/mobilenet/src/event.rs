@@ -48,7 +48,7 @@ pub enum NetworkEvent {
         /// Device IMEI.
         imei: u64,
         /// Destination host (SNI for HTTPS, URL host for HTTP).
-        host: String,
+        host: &'static str,
         /// Scheme.
         scheme: Scheme,
         /// Downlink bytes.
@@ -110,7 +110,7 @@ mod tests {
             t: SimTime::from_secs(9),
             user: UserId(2),
             imei: 7,
-            host: "h".into(),
+            host: "h",
             scheme: Scheme::Https,
             bytes_down: 1,
             bytes_up: 2,

@@ -96,7 +96,7 @@ impl NetworkSummaries {
 /// });
 /// net.handle(NetworkEvent::Transaction {
 ///     t: SimTime::from_secs(2), user: UserId(1), imei,
-///     host: "api.weather.com".into(), scheme: Scheme::Https,
+///     host: "api.weather.com", scheme: Scheme::Https,
 ///     bytes_down: 2500, bytes_up: 300,
 /// });
 /// let (store, summaries, stats) = net.finish();
@@ -221,7 +221,7 @@ impl MobileNetwork {
                     t,
                     user,
                     imei,
-                    &host,
+                    host,
                     scheme,
                     bytes_down,
                     bytes_up,
@@ -293,7 +293,7 @@ mod tests {
                 t: SimTime::from_secs(20),
                 user: u,
                 imei,
-                host: "h".into(),
+                host: "h",
                 scheme: Scheme::Https,
                 bytes_down: 1,
                 bytes_up: 2,

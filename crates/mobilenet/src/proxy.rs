@@ -3,7 +3,7 @@
 use std::collections::{BTreeMap, HashSet};
 
 use wearscope_simtime::SimTime;
-use wearscope_trace::{ProxyRecord, Scheme, UserId};
+use wearscope_trace::{HostId, ProxyRecord, Scheme, UserId};
 
 /// Aggregate transaction counters the proxy maintains (the ISP uses the
 /// proxy for traffic optimization; we keep the performance-metric side).
@@ -194,7 +194,7 @@ impl TransparentProxy {
                 timestamp: t,
                 user,
                 imei,
-                host: host.to_owned(),
+                host: HostId::intern(host),
                 scheme,
                 bytes_down,
                 bytes_up,
@@ -258,7 +258,7 @@ mod tests {
         assert_eq!(c.bytes_total(), 175);
         assert!((c.https_fraction() - 0.5).abs() < 1e-12);
         assert_eq!(p.log().len(), 2);
-        assert_eq!(p.log()[0].host, "a.com");
+        assert_eq!(p.log()[0].host.name(), "a.com");
     }
 
     #[test]

@@ -139,6 +139,17 @@ impl Registry {
         self.inner.timing.histogram(name, bounds)
     }
 
+    /// Sets the timing gauge `process.peak_rss_kb` to the process's peak
+    /// resident set size so far (`VmHWM` in `/proc/self/status`), so a
+    /// snapshot taken next doubles as a small bench record. Where that file
+    /// cannot be read the gauge stays absent.
+    pub fn note_peak_rss(&self) {
+        let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+        if let Some(kb) = vm_hwm_kb(&status) {
+            self.timing_gauge("process.peak_rss_kb").set(kb);
+        }
+    }
+
     /// Open a root wall-clock span named `name`. Time is recorded into the
     /// timing section when the span drops.
     pub fn stage(&self, name: &str) -> Span {
@@ -232,9 +243,37 @@ impl Drop for Span {
     }
 }
 
+/// The `VmHWM:` value of a `/proc/<pid>/status` text, in KiB.
+fn vm_hwm_kb(status: &str) -> Option<i64> {
+    let value = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    value.trim().strip_suffix("kB")?.trim_end().parse().ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn vm_hwm_is_read_from_the_status_text() {
+        let status =
+            "Name:\twearscope\nVmPeak:\t  20000 kB\nVmHWM:\t    4412 kB\nVmRSS:\t 4000 kB\n";
+        assert_eq!(vm_hwm_kb(status), Some(4412));
+        assert_eq!(vm_hwm_kb("Name:\twearscope\n"), None);
+        assert_eq!(vm_hwm_kb("VmHWM:\t12 MB\n"), None);
+    }
+
+    #[test]
+    fn peak_rss_is_a_timing_gauge() {
+        let reg = Registry::new();
+        reg.note_peak_rss();
+        let snap = reg.snapshot();
+        assert!(snap.gauges.is_empty());
+        if std::fs::read_to_string("/proc/self/status").is_ok() {
+            assert!(snap.timing.gauges["process.peak_rss_kb"] > 0);
+        } else {
+            assert!(snap.timing.gauges.is_empty());
+        }
+    }
 
     #[test]
     fn same_name_shares_the_cell() {

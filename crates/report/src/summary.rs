@@ -234,7 +234,7 @@ mod tests {
     use wearscope_devicedb::DeviceDb;
     use wearscope_geo::SectorDirectory;
     use wearscope_simtime::{ObservationWindow, SimTime};
-    use wearscope_trace::{ProxyRecord, Scheme, TraceStore, UserId};
+    use wearscope_trace::{HostId, ProxyRecord, Scheme, TraceStore, UserId};
 
     #[test]
     fn full_report_renders_every_section() {
@@ -246,7 +246,7 @@ mod tests {
                 timestamp: SimTime::from_hours(10),
                 user: UserId(1),
                 imei: db.example_imei(db.wearable_tacs()[0], 1).as_u64(),
-                host: "api.weather.com".into(),
+                host: HostId::intern("api.weather.com"),
                 scheme: Scheme::Https,
                 bytes_down: 2500,
                 bytes_up: 300,
@@ -292,7 +292,7 @@ mod tests {
             timestamp: SimTime::from_hours(10),
             user: UserId(user),
             imei: db.example_imei(db.wearable_tacs()[0], user as u32).as_u64(),
-            host: host.into(),
+            host: HostId::intern(host),
             scheme: Scheme::Https,
             bytes_down: 4096,
             bytes_up: 0,

@@ -121,7 +121,7 @@ mod tests {
     use wearscope_devicedb::{DeviceClass, DeviceDb};
     use wearscope_geo::SectorDirectory;
     use wearscope_simtime::{Calendar, ObservationWindow, SimTime};
-    use wearscope_trace::{Scheme, TraceStore, UserId};
+    use wearscope_trace::{HostId, Scheme, TraceStore, UserId};
 
     #[test]
     fn absorb_report_and_snapshot_roundtrip() {
@@ -149,7 +149,7 @@ mod tests {
                 timestamp: SimTime::from_secs(100 + i * 7),
                 user: UserId(user),
                 imei: db.example_imei(tac, user as u32).as_u64(),
-                host: "api.weather.com".into(),
+                host: HostId::intern("api.weather.com"),
                 scheme: Scheme::Https,
                 bytes_down: 100 + i,
                 bytes_up: 11,
@@ -199,7 +199,7 @@ mod tests {
                 imei: db
                     .example_imei(db.wearable_tacs()[0], (1 + i % 3) as u32)
                     .as_u64(),
-                host: "api.weather.com".into(),
+                host: HostId::intern("api.weather.com"),
                 scheme: Scheme::Https,
                 bytes_down: 50 + i,
                 bytes_up: 0,
@@ -252,7 +252,7 @@ mod tests {
             timestamp: SimTime::from_secs(t),
             user: UserId(user),
             imei,
-            host: host.into(),
+            host: HostId::intern(host),
             scheme: Scheme::Https,
             bytes_down: down,
             bytes_up: 11,

@@ -321,7 +321,7 @@ mod tests {
     use wearscope_devicedb::DeviceDb;
     use wearscope_geo::SectorDirectory;
     use wearscope_simtime::{Calendar, ObservationWindow};
-    use wearscope_trace::{ProxyRecord, Scheme, TraceStore};
+    use wearscope_trace::{HostId, ProxyRecord, Scheme, TraceStore};
 
     fn observe_record(
         ctx: &StudyContext<'_>,
@@ -332,7 +332,7 @@ mod tests {
         if !ctx.is_wearable_record(r) {
             return false;
         }
-        let (app, first_party) = match ctx.classifier.classify(&r.host) {
+        let (app, first_party) = match ctx.host_class(r.host).classification {
             Some(Classification::FirstParty(a)) => (Some(a), true),
             _ => (None, false),
         };
@@ -344,7 +344,7 @@ mod tests {
             timestamp: SimTime::from_secs(t),
             user: UserId(user),
             imei: db.example_imei(db.wearable_tacs()[0], user as u32).as_u64(),
-            host: host.into(),
+            host: HostId::intern(host),
             scheme: Scheme::Https,
             bytes_down: 100,
             bytes_up: 10,

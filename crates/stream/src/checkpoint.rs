@@ -355,14 +355,14 @@ mod tests {
     use wearscope_devicedb::DeviceDb;
     use wearscope_geo::SectorDirectory;
     use wearscope_simtime::{Calendar, ObservationWindow, SimDuration};
-    use wearscope_trace::{MmeEvent, Scheme, TraceStore, UserId};
+    use wearscope_trace::{HostId, MmeEvent, Scheme, TraceStore, UserId};
 
     fn proxy(db: &DeviceDb, user: u64, t: u64, host: &str) -> StreamEvent {
         StreamEvent::Proxy(ProxyRecord {
             timestamp: SimTime::from_secs(t),
             user: UserId(user),
             imei: db.example_imei(db.wearable_tacs()[0], user as u32).as_u64(),
-            host: host.into(),
+            host: HostId::intern(host),
             scheme: Scheme::Https,
             bytes_down: 64,
             bytes_up: 8,

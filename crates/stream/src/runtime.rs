@@ -444,7 +444,7 @@ impl<'s> StreamRuntime<'s> {
         }
         if let StreamEvent::Proxy(r) = &ev {
             if self.ctx.is_wearable_record(r) {
-                let (app, first_party) = match self.ctx.classifier.classify(&r.host) {
+                let (app, first_party) = match self.ctx.host_class(r.host).classification {
                     Some(Classification::FirstParty(a)) => (Some(a), true),
                     _ => (None, false),
                 };
@@ -653,7 +653,7 @@ mod tests {
     use wearscope_devicedb::DeviceDb;
     use wearscope_geo::SectorDirectory;
     use wearscope_simtime::{Calendar, ObservationWindow};
-    use wearscope_trace::{Scheme, TraceStore, UserId};
+    use wearscope_trace::{HostId, Scheme, TraceStore, UserId};
 
     struct Fixture {
         store: TraceStore,
@@ -690,7 +690,7 @@ mod tests {
                     .db
                     .example_imei(self.db.wearable_tacs()[0], user as u32)
                     .as_u64(),
-                host: host.into(),
+                host: HostId::intern(host),
                 scheme: Scheme::Https,
                 bytes_down: 100,
                 bytes_up: 0,

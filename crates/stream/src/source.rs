@@ -385,14 +385,14 @@ impl EventSource for ChannelSource {
 mod tests {
     use super::*;
     use wearscope_simtime::SimTime;
-    use wearscope_trace::{MmeEvent, Scheme, TsvRecord, UserId};
+    use wearscope_trace::{HostId, MmeEvent, Scheme, TsvRecord, UserId};
 
     fn proxy(t: u64) -> ProxyRecord {
         ProxyRecord {
             timestamp: SimTime::from_secs(t),
             user: UserId(1),
             imei: 352000011234564,
-            host: "api.weather.com".into(),
+            host: HostId::intern("api.weather.com"),
             scheme: Scheme::Https,
             bytes_down: 10,
             bytes_up: 1,

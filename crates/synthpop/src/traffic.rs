@@ -22,8 +22,8 @@ use crate::subscriber::Subscriber;
 pub struct TxDraft {
     /// Seconds since midnight.
     pub sec_of_day: u64,
-    /// Destination host.
-    pub host: String,
+    /// Destination host, a catalog entry.
+    pub host: &'static str,
     /// Scheme.
     pub scheme: Scheme,
     /// Downlink bytes.
@@ -144,15 +144,11 @@ pub fn wearable_day_traffic<R: Rng + ?Sized>(
                     2 => DomainClass::Advertising,
                     _ => DomainClass::Analytics,
                 };
-                let host = match class {
-                    DomainClass::Application => {
-                        app.domains[rng.random_range(0..app.domains.len())].to_string()
-                    }
-                    other => {
-                        let pool: Vec<&'static str> = domains::domains_of_class(other).collect();
-                        pool[rng.random_range(0..pool.len())].to_string()
-                    }
+                let pool = match class {
+                    DomainClass::Application => app.domains,
+                    other => domains::domains_of_class(other),
                 };
+                let host = pool[rng.random_range(0..pool.len())];
                 let median = app.traffic.median_tx_bytes * class_byte_scale(class);
                 let down =
                     dist::lognormal_median(rng, median, app.traffic.sigma_tx_bytes).max(64.0);
@@ -219,7 +215,7 @@ pub fn phone_day_traffic<R: Rng + ?Sized>(
         let up = down * rng.random_range(0.05..0.20);
         out.push(TxDraft {
             sec_of_day: sec,
-            host: PHONE_HOSTS[rng.random_range(0..PHONE_HOSTS.len())].to_string(),
+            host: PHONE_HOSTS[rng.random_range(0..PHONE_HOSTS.len())],
             scheme: if dist::coin(rng, 0.8) {
                 Scheme::Https
             } else {
@@ -240,9 +236,9 @@ pub fn phone_day_traffic<R: Rng + ?Sized>(
                 let hour = dist::weighted_index(rng, weights) as u64;
                 let sec = hour * SECS_PER_HOUR + rng.random_range(0..SECS_PER_HOUR);
                 let host = if sub.fingerprintable {
-                    tracker_host(kind).to_string()
+                    tracker_host(kind)
                 } else {
-                    "sync.generic-tracker.example".to_string()
+                    "sync.generic-tracker.example"
                 };
                 let down = dist::lognormal_median(rng, 8_000.0, 1.0).max(200.0);
                 out.push(TxDraft {
@@ -387,7 +383,7 @@ mod tests {
                 })
             {
                 assert!(
-                    clf.classify(&tx.host).is_some(),
+                    clf.classify(tx.host).is_some(),
                     "unclassifiable host {}",
                     tx.host
                 );
@@ -427,7 +423,7 @@ mod tests {
         let mut hits = 0;
         for _ in 0..40 {
             for tx in phone_day_traffic(&mut rng, &s, &cal, false) {
-                if fingerprint_host(&tx.host) == Some(ThroughDeviceKind::Fitbit) {
+                if fingerprint_host(tx.host) == Some(ThroughDeviceKind::Fitbit) {
                     hits += 1;
                 }
             }
@@ -438,7 +434,7 @@ mod tests {
         s.fingerprintable = false;
         for _ in 0..40 {
             for tx in phone_day_traffic(&mut rng, &s, &cal, false) {
-                assert!(fingerprint_host(&tx.host).is_none());
+                assert!(fingerprint_host(tx.host).is_none());
             }
         }
     }

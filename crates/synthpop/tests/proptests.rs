@@ -108,7 +108,7 @@ proptest! {
             prop_assert!(tx.sec_of_day < 24 * SECS_PER_HOUR);
             prop_assert!(tx.bytes_down >= 64);
             prop_assert!(tx.bytes_up < tx.bytes_down);
-            prop_assert!(clf.classify(&tx.host).is_some(), "host {}", tx.host);
+            prop_assert!(clf.classify(tx.host).is_some(), "host {}", tx.host);
         }
     }
 
@@ -130,7 +130,7 @@ proptest! {
                 wearable_day_traffic(&mut rng, &sub, &cal, &catalog, day, false, |_| true)
             {
                 if let Some(wearscope_appdb::Classification::FirstParty(app)) =
-                    clf.classify(&tx.host)
+                    clf.classify(tx.host)
                 {
                     seen.insert(app);
                 }

@@ -8,6 +8,8 @@
 
 use core::fmt;
 
+use crate::host::HostId;
+
 /// Errors raised while decoding a log line.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CodecError {
@@ -172,10 +174,15 @@ impl<'a> FieldReader<'a> {
         })
     }
 
-    /// Reads and unescapes a string field.
-    pub fn str(&mut self) -> Result<String, CodecError> {
+    /// Reads a host field and interns it, straight from the line unless
+    /// the field holds an escape.
+    pub fn host(&mut self) -> Result<HostId, CodecError> {
         let raw = self.next_raw()?;
-        unescape(raw)
+        if raw.contains('\\') {
+            Ok(HostId::intern(&unescape(raw)?))
+        } else {
+            Ok(HostId::intern(raw))
+        }
     }
 
     /// Asserts the line is exhausted.
@@ -240,7 +247,7 @@ mod tests {
         let line = w.finish();
         let mut r = FieldReader::new(&line, 3);
         assert_eq!(r.u64().unwrap(), 42);
-        assert_eq!(r.str().unwrap(), "host\twith\ttabs");
+        assert_eq!(r.host().unwrap().name(), "host\twith\ttabs");
         assert_eq!(r.u64().unwrap(), 7);
         r.finish().unwrap();
     }

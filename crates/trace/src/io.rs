@@ -77,14 +77,14 @@ pub fn decode_log_line<R: TsvRecord>(raw: &str) -> Option<Result<R, CodecError>>
 ///
 /// # Examples
 /// ```
-/// use wearscope_trace::{LogWriter, LogReader, ProxyRecord, Scheme, UserId};
+/// use wearscope_trace::{HostId, LogWriter, LogReader, ProxyRecord, Scheme, UserId};
 /// use wearscope_simtime::SimTime;
 ///
 /// let rec = ProxyRecord {
 ///     timestamp: SimTime::from_secs(1),
 ///     user: UserId(9),
 ///     imei: 352000011234564,
-///     host: "api.weather.com".into(),
+///     host: HostId::intern("api.weather.com"),
 ///     scheme: Scheme::Https,
 ///     bytes_down: 2000,
 ///     bytes_up: 300,

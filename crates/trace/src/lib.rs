@@ -11,16 +11,18 @@
 //! * the **device database** binds IMEIs to models (crate
 //!   `wearscope-devicedb`).
 //!
-//! This crate defines the record schemas, a line-oriented TSV codec with
-//! escaping (so logs can be shipped between the simulator and the analysis
-//! as plain files), streaming readers/writers, byte-range shard planning
-//! for parallel loads, and [`TraceStore`], the in-memory time-ordered
-//! store the analysis pipelines fold over.
+//! This crate defines the record schemas, the process-wide [`HostId`]
+//! interner that keeps a record free of heap strings, a line-oriented TSV
+//! codec with escaping (so logs can be shipped between the simulator and
+//! the analysis as plain files), streaming readers/writers, byte-range
+//! shard planning for parallel loads, and [`TraceStore`], the in-memory
+//! time-ordered store the analysis pipelines fold over.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod codec;
+pub mod host;
 pub mod ids;
 pub mod io;
 pub mod mme;
@@ -29,6 +31,7 @@ pub mod shard;
 pub mod store;
 
 pub use codec::{CodecError, FieldReader, FieldWriter, TsvRecord};
+pub use host::HostId;
 pub use ids::UserId;
 pub use io::{decode_log_line, IoMeter, LogReader, LogWriter, TailItem, TailReader};
 pub use mme::{MmeEvent, MmeRecord};

@@ -5,6 +5,7 @@ use core::fmt;
 use wearscope_simtime::SimTime;
 
 use crate::codec::{CodecError, FieldReader, FieldWriter, TsvRecord};
+use crate::host::HostId;
 use crate::ids::UserId;
 
 /// Transaction scheme as seen by the proxy.
@@ -47,7 +48,10 @@ impl fmt::Display for Scheme {
 /// This is the unit of every traffic analysis in the paper: Fig. 3(c)'s
 /// transaction sizes, Fig. 5's app usage, Fig. 7's sessions, and Fig. 8's
 /// domain classes are all folds over these records.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+///
+/// A record owns no heap memory: the host is an interned [`HostId`], so a
+/// record is a 48-byte `Copy` value.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ProxyRecord {
     /// Transaction start time.
     pub timestamp: SimTime,
@@ -57,7 +61,7 @@ pub struct ProxyRecord {
     /// (joined against the device DB to identify wearables).
     pub imei: u64,
     /// Destination host: SNI for HTTPS, URL host for HTTP.
-    pub host: String,
+    pub host: HostId,
     /// Scheme.
     pub scheme: Scheme,
     /// Downlink payload bytes.
@@ -65,6 +69,10 @@ pub struct ProxyRecord {
     /// Uplink payload bytes.
     pub bytes_up: u64,
 }
+
+// A field that brings back a heap pointer (a `String` host, say) fails
+// the build here.
+const _: () = assert!(std::mem::size_of::<ProxyRecord>() == 48);
 
 impl ProxyRecord {
     /// Total bytes moved by this transaction.
@@ -82,7 +90,7 @@ impl TsvRecord for ProxyRecord {
         w.u64(self.timestamp.as_secs())
             .u64(self.user.raw())
             .u64(self.imei)
-            .str(&self.host)
+            .str(self.host.name())
             .u64(self.scheme.code())
             .u64(self.bytes_down)
             .u64(self.bytes_up);
@@ -94,7 +102,7 @@ impl TsvRecord for ProxyRecord {
         let timestamp = SimTime::from_secs(r.u64()?);
         let user = UserId(r.u64()?);
         let imei = r.u64()?;
-        let host = r.str()?;
+        let host = r.host()?;
         let scheme = Scheme::from_code(r.u64()?).ok_or(CodecError::BadField {
             index: 4,
             expected: "scheme code 0|1",
@@ -117,13 +125,14 @@ impl TsvRecord for ProxyRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TraceStore;
 
     fn sample() -> ProxyRecord {
         ProxyRecord {
             timestamp: SimTime::from_secs(12345),
             user: UserId(77),
             imei: 352000011234564,
-            host: "graph.facebook.com".into(),
+            host: HostId::intern("graph.facebook.com"),
             scheme: Scheme::Https,
             bytes_down: 2800,
             bytes_up: 400,
@@ -138,12 +147,38 @@ mod tests {
     }
 
     #[test]
-    fn host_with_tabs_roundtrips() {
-        let mut rec = sample();
-        rec.host = "evil\thost\nname".into();
-        let line = rec.to_line();
-        assert!(!line.contains('\n'));
-        assert_eq!(ProxyRecord::from_line(&line).unwrap(), rec);
+    fn odd_hosts_survive_save_load_save() {
+        let hosts = [
+            "evil\thost\nname",
+            "back\\slash\\",
+            "carriage\rreturn",
+            "ünïcodé.example",
+            "",
+        ];
+        let records: Vec<ProxyRecord> = hosts
+            .iter()
+            .enumerate()
+            .map(|(i, host)| ProxyRecord {
+                timestamp: SimTime::from_secs(i as u64),
+                host: HostId::intern(host),
+                ..sample()
+            })
+            .collect();
+        for r in &records {
+            assert!(!r.to_line().contains('\n'));
+        }
+        let dir = std::env::temp_dir().join(format!("wearscope-odd-hosts-{}", std::process::id()));
+        let store = TraceStore::from_records(records.clone(), Vec::new());
+        store.save(&dir).unwrap();
+        let first = std::fs::read(dir.join("proxy.log")).unwrap();
+        let loaded = TraceStore::load(&dir).unwrap();
+        assert_eq!(loaded.proxy(), records.as_slice());
+        for (r, host) in loaded.proxy().iter().zip(hosts) {
+            assert_eq!(r.host.name(), host);
+        }
+        loaded.save(&dir).unwrap();
+        assert_eq!(std::fs::read(dir.join("proxy.log")).unwrap(), first);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

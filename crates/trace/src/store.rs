@@ -119,6 +119,7 @@ impl TraceStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::host::HostId;
     use crate::ids::UserId;
     use crate::mme::MmeEvent;
     use crate::proxy::Scheme;
@@ -129,7 +130,7 @@ mod tests {
             timestamp: SimTime::from_secs(t),
             user: UserId(1),
             imei: 352000011234564,
-            host: "x.example.com".into(),
+            host: HostId::intern("x.example.com"),
             scheme: Scheme::Https,
             bytes_down: 100,
             bytes_up: 10,

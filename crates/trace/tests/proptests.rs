@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use wearscope_simtime::SimTime;
 use wearscope_trace::{
-    codec, MmeEvent, MmeRecord, ProxyRecord, Scheme, TraceStore, TsvRecord, UserId,
+    codec, HostId, MmeEvent, MmeRecord, ProxyRecord, Scheme, TraceStore, TsvRecord, UserId,
 };
 
 fn arb_proxy() -> impl Strategy<Value = ProxyRecord> {
@@ -20,7 +20,7 @@ fn arb_proxy() -> impl Strategy<Value = ProxyRecord> {
             timestamp: SimTime::from_secs(t),
             user: UserId(u),
             imei,
-            host,
+            host: HostId::intern(&host),
             scheme: if https { Scheme::Https } else { Scheme::Http },
             bytes_down: down,
             bytes_up: up,

@@ -130,7 +130,7 @@ fn main() {
         for day in 0..3 {
             for tx in wearable_day_traffic(&mut rng, &lab_sub, &cal, &catalog, day, false, |_| true)
             {
-                learner.observe(&tx.host, id);
+                learner.observe(tx.host, id);
             }
         }
     }
@@ -150,8 +150,8 @@ fn main() {
         .store
         .proxy()
         .iter()
-        .filter_map(|r| match classifier.classify(&r.host) {
-            Some(Classification::FirstParty(app)) => Some((r.host.clone(), app)),
+        .filter_map(|r| match ctx.host_class(r.host).classification {
+            Some(Classification::FirstParty(app)) => Some((r.host.name().to_string(), app)),
             _ => None,
         })
         .take(5_000)
@@ -168,7 +168,7 @@ fn main() {
     // class is looked up by (user, time, bytes) in the wearable log.
     let mut class_of: HashMap<(UserId, u64, u64), usize> = HashMap::new();
     for r in ctx.wearable_proxy() {
-        if let Some(c) = ctx.classifier.classify(&r.host) {
+        if let Some(c) = ctx.host_class(r.host).classification {
             class_of
                 .entry((r.user, r.timestamp.as_secs(), r.bytes_total()))
                 .or_insert(c.domain_class().index());

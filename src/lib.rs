@@ -76,5 +76,5 @@ pub mod prelude {
     pub use wearscope_simtime::{ObservationWindow, SimDuration, SimTime, TimeRange};
     pub use wearscope_stream::{StreamConfig, StreamRuntime, WindowSpec, WorldSource};
     pub use wearscope_synthpop::{generate, Calibration, GeneratedWorld, ScenarioConfig};
-    pub use wearscope_trace::{MmeRecord, ProxyRecord, TraceStore, UserId};
+    pub use wearscope_trace::{HostId, MmeRecord, ProxyRecord, TraceStore, UserId};
 }

@@ -199,9 +199,11 @@ fn parse_duration(s: &str) -> Result<SimDuration, String> {
         .ok_or_else(|| format!("bad duration `{s}` (expected e.g. 90s, 15m, 1h, 2d)"))
 }
 
-/// Writes the registry's snapshot as sorted-key JSON to `path` and prints
-/// the stage-timing table to stderr.
+/// Writes the registry's snapshot, with the process's peak RSS so far in
+/// its timing section, as sorted-key JSON to `path` and prints the
+/// stage-timing table to stderr.
 fn write_metrics(registry: &Registry, path: &str) -> Result<(), String> {
+    registry.note_peak_rss();
     let snap = registry.snapshot();
     std::fs::write(path, snap.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
     let table = render_stage_table(&snap);

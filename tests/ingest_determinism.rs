@@ -86,7 +86,7 @@ fn build_records(
             timestamp: SimTime::from_secs(t),
             user: UserId(u),
             imei: imei_for(db, u),
-            host: HOSTS[h].into(),
+            host: HostId::intern(HOSTS[h]),
             scheme: if https { Scheme::Https } else { Scheme::Http },
             bytes_down: down,
             bytes_up: up,

@@ -136,7 +136,7 @@ fn analysis_ignores_foreign_devices() {
             timestamp: world.config.window.detailed().start() + SimDuration::from_secs(60 * k),
             user: UserId(0xDEAD_0000 + k),
             imei: foreign,
-            host: "api.weather.com".into(),
+            host: HostId::intern("api.weather.com"),
             scheme: wearscope::trace::Scheme::Https,
             bytes_down: 1_000,
             bytes_up: 100,

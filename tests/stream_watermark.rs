@@ -48,7 +48,7 @@ impl Fixture {
                 .db
                 .example_imei(self.db.wearable_tacs()[0], user as u32)
                 .as_u64(),
-            host: "api.weather.com".into(),
+            host: HostId::intern("api.weather.com"),
             scheme: Scheme::Https,
             bytes_down: 100,
             bytes_up: 10,
