@@ -120,6 +120,36 @@ for count in 1000000000000000000 100000000000000; do
 done
 echo "    crafted reports counts exit 1 with a checkpoint line error"
 
+echo "==> malformed world metadata: typed errors, not crashes"
+# A world's manifest and cell plan are files a user can hand us: a layout
+# the window cannot hold or a coordinate that is not a number must give
+# `error: ...` naming the file and exit 1 — never a panic (101), an
+# allocation abort (134) or a run over garbage (0).
+for bad in detailed max nan; do
+    rm -rf "$FAULT_DIR/bad-$bad"
+    cp -r "$FAULT_DIR/stream-world" "$FAULT_DIR/bad-$bad"
+done
+sed -i 's/^detailed_days\t.*$/detailed_days\t1000/' "$FAULT_DIR/bad-detailed/manifest.tsv"
+sed -i 's/^summary_days\t.*$/summary_days\t18446744073709551615/' "$FAULT_DIR/bad-max/manifest.tsv"
+sed -i '1s/^\([0-9]*\)\t[^\t]*\t/\1\tnan\t/' "$FAULT_DIR/bad-nan/sectors.tsv"
+grep -q "^0.nan" "$FAULT_DIR/bad-nan/sectors.tsv"
+for case in detailed:manifest.tsv max:manifest.tsv nan:sectors.tsv; do
+    bad="${case%%:*}"
+    file="${case#*:}"
+    for cmd in "analyze" "analyze --max-error-rate 1" "stream"; do
+        status=0
+        # shellcheck disable=SC2086 # the command's flags split on purpose
+        "$WEARSCOPE" $cmd --world "$FAULT_DIR/bad-$bad" >/dev/null 2>"$FAULT_DIR/bad.err" ||
+            status=$?
+        if [ "$status" -ne 1 ] || ! grep -q "^error: .*$file" "$FAULT_DIR/bad.err"; then
+            echo "$cmd on the $bad world: exit $status, expected 1 naming $file" >&2
+            cat "$FAULT_DIR/bad.err" >&2
+            exit 1
+        fi
+    done
+done
+echo "    bad manifest layouts and a nan sector coordinate exit 1 naming the file"
+
 echo "==> stream smoke on the corrupted world: quarantine instead of crash"
 "$WEARSCOPE" stream --world "$FAULT_DIR/world" --window 1h --lateness 5m \
     >/dev/null 2>"$FAULT_DIR/stream-corrupt-log.txt"

@@ -5,6 +5,7 @@ use std::collections::{HashMap, HashSet};
 use wearscope_trace::UserId;
 
 use crate::context::StudyContext;
+use crate::merge::CoreAggregates;
 use crate::stats::{self, Ecdf};
 
 /// Per-user activity aggregate over the detailed window, the shared
@@ -52,15 +53,8 @@ impl UserActivity {
 }
 
 /// Folds the wearable proxy log into per-user activity aggregates.
-///
-/// Absorbs into the same [`crate::merge::ActivityPartial`] as
-/// [`crate::CoreAggregates::sequential`].
 pub fn user_activity(ctx: &StudyContext<'_>) -> HashMap<UserId, UserActivity> {
-    let mut partial = crate::merge::ActivityPartial::default();
-    for r in ctx.wearable_proxy() {
-        partial.absorb(r);
-    }
-    partial.per_user
+    CoreAggregates::sequential(ctx).activity
 }
 
 /// One hour-of-day slot of the Fig. 3(a) profile.
@@ -87,16 +81,8 @@ pub struct HourlyProfile {
 
 impl HourlyProfile {
     /// Computes the profile over the detailed window.
-    ///
-    /// Absorbs into the same [`crate::merge::HourlyProfilePartial`] as
-    /// [`crate::CoreAggregates::sequential`] and finishes it against
-    /// [`user_activity`].
     pub fn compute(ctx: &StudyContext<'_>) -> HourlyProfile {
-        let mut partial = crate::merge::HourlyProfilePartial::default();
-        for r in ctx.wearable_proxy() {
-            partial.absorb(ctx, r);
-        }
-        partial.finish(ctx, &user_activity(ctx))
+        CoreAggregates::sequential(ctx).hourly
     }
 
     /// The finish step: turns raw slot accumulators (distinct active
@@ -230,15 +216,8 @@ pub struct TransactionStats {
 
 impl TransactionStats {
     /// Computes transaction statistics over the wearable proxy log.
-    pub fn compute(
-        ctx: &StudyContext<'_>,
-        activity: &HashMap<UserId, UserActivity>,
-    ) -> TransactionStats {
-        let sizes: Vec<f64> = ctx
-            .wearable_proxy()
-            .map(|r| r.bytes_total() as f64)
-            .collect();
-        TransactionStats::from_parts(sizes, activity)
+    pub fn compute(ctx: &StudyContext<'_>) -> TransactionStats {
+        CoreAggregates::sequential(ctx).tx_stats
     }
 
     /// The finish step: builds the distributions from raw transaction sizes
@@ -305,31 +284,19 @@ impl ActivityCorrelation {
 /// Sec. 4.2: the share of weekly-active users active on an average day
 /// (paper: ≈ 35 %).
 pub fn daily_active_share(ctx: &StudyContext<'_>) -> f64 {
-    let mut by_week: HashMap<u64, HashSet<UserId>> = HashMap::new();
-    let mut by_day: HashMap<u64, HashSet<UserId>> = HashMap::new();
-    for r in ctx.wearable_proxy() {
-        by_week
-            .entry(r.timestamp.week_index())
-            .or_default()
-            .insert(r.user);
-        by_day
-            .entry(r.timestamp.day_index())
-            .or_default()
-            .insert(r.user);
-    }
-    if by_week.is_empty() {
-        return 0.0;
-    }
-    let mut weeks: Vec<(&u64, &HashSet<UserId>)> = by_week.iter().collect();
-    weeks.sort_by_key(|(w, _)| **w);
+    daily_active_share_of(&user_activity(ctx))
+}
+
+/// [`daily_active_share`] from per-user aggregates.
+pub(crate) fn daily_active_share_of(activity: &HashMap<UserId, UserActivity>) -> f64 {
+    let (by_day, by_week) = active_users_by_day_and_week(activity);
+    let mut weeks: Vec<(u64, usize)> = by_week.into_iter().collect();
+    weeks.sort_unstable();
     let mut shares = Vec::new();
     for (week, weekly_users) in weeks {
-        if weekly_users.is_empty() {
-            continue;
-        }
         for day in (week * 7)..(week * 7 + 7) {
-            if let Some(daily) = by_day.get(&day) {
-                shares.push(daily.len() as f64 / weekly_users.len() as f64);
+            if let Some(&daily) = by_day.get(&day) {
+                shares.push(daily as f64 / weekly_users as f64);
             }
         }
     }
@@ -338,6 +305,29 @@ pub fn daily_active_share(ctx: &StudyContext<'_>) -> f64 {
     } else {
         shares.iter().sum::<f64>() / shares.len() as f64
     }
+}
+
+/// Distinct active users per day and per week (`day / 7`), counted from
+/// each user's active days.
+pub(crate) fn active_users_by_day_and_week(
+    activity: &HashMap<UserId, UserActivity>,
+) -> (HashMap<u64, usize>, HashMap<u64, usize>) {
+    let mut by_day: HashMap<u64, usize> = HashMap::new();
+    let mut by_week: HashMap<u64, usize> = HashMap::new();
+    let mut weeks: Vec<u64> = Vec::new();
+    for a in activity.values() {
+        weeks.clear();
+        for &day in &a.days {
+            *by_day.entry(day).or_default() += 1;
+            weeks.push(day / 7);
+        }
+        weeks.sort_unstable();
+        weeks.dedup();
+        for &week in &weeks {
+            *by_week.entry(week).or_default() += 1;
+        }
+    }
+    (by_day, by_week)
 }
 
 #[cfg(test)]
@@ -459,8 +449,7 @@ mod tests {
             .collect();
         let f = fixture(recs);
         let ctx = StudyContext::new(&f.store, &f.db, &f.sectors, &f.catalog, f.window);
-        let act = user_activity(&ctx);
-        let stats = TransactionStats::compute(&ctx, &act);
+        let stats = TransactionStats::compute(&ctx);
         assert_eq!(stats.median_bytes, 3000.0);
         assert!((stats.frac_under_10kb - 0.8).abs() < 1e-9);
         assert_eq!(stats.hourly_tx_per_user.mean(), 1.0);

@@ -244,7 +244,7 @@ mod tests {
             user: UserId(user),
             timestamp: SimTime::from_days(day) + wearscope_simtime::SimDuration::from_secs(sec),
             app: app.map(AppId),
-            first_party: true,
+            class: app.map(|a| wearscope_appdb::Classification::FirstParty(AppId(a))),
             bytes,
         }
     }

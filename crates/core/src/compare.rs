@@ -10,6 +10,7 @@ use std::collections::HashMap;
 use wearscope_trace::UserId;
 
 use crate::context::StudyContext;
+use crate::merge::CoreAggregates;
 use crate::stats::Ecdf;
 
 /// Per-user traffic totals over the detailed window.
@@ -26,16 +27,8 @@ pub struct UserTraffic {
 }
 
 /// Folds the proxy log into per-user traffic totals.
-///
-/// Absorbs into the same [`crate::merge::TrafficPartial`] as
-/// [`crate::CoreAggregates::sequential`] and fills the wearable fields
-/// from [`crate::activity::user_activity`].
 pub fn user_traffic(ctx: &StudyContext<'_>) -> HashMap<UserId, UserTraffic> {
-    let mut partial = crate::merge::TrafficPartial::default();
-    for r in ctx.store.proxy() {
-        partial.absorb(r);
-    }
-    partial.finish(&crate::activity::user_activity(ctx))
+    CoreAggregates::sequential(ctx).traffic
 }
 
 /// Fig. 4(a) (plus the +26 % / +48 % takeaways): the distribution of

@@ -44,8 +44,9 @@ pub struct StudyContext<'a> {
     owners: HashSet<UserId>,
     /// All users observed in either log.
     all_users: HashSet<UserId>,
-    /// Each distinct host's class, worked out the first time a scan asks.
-    hosts: RwLock<HashMap<HostId, HostClass>>,
+    /// Each distinct host's class by [`HostId::index`], worked out the
+    /// first time a record asks.
+    hosts: RwLock<Vec<Option<HostClass>>>,
 }
 
 impl<'a> StudyContext<'a> {
@@ -98,7 +99,7 @@ impl<'a> StudyContext<'a> {
     /// are a table lookup.
     pub fn host_class(&self, host: HostId) -> HostClass {
         let known = self.hosts.read().unwrap_or_else(PoisonError::into_inner);
-        if let Some(&class) = known.get(&host) {
+        if let Some(&Some(class)) = known.get(host.index()) {
             return class;
         }
         drop(known);
@@ -107,10 +108,11 @@ impl<'a> StudyContext<'a> {
             classification: self.classifier.classify(name),
             through_device: fingerprint_host(name),
         };
-        self.hosts
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(host, class);
+        let mut known = self.hosts.write().unwrap_or_else(PoisonError::into_inner);
+        if known.len() <= host.index() {
+            known.resize(host.index() + 1, None);
+        }
+        known[host.index()] = Some(class);
         class
     }
 
@@ -153,14 +155,6 @@ impl<'a> StudyContext<'a> {
             .proxy()
             .iter()
             .filter(move |r| self.device_class(r.imei) == Some(DeviceClass::CellularWearable))
-    }
-
-    /// Proxy records issued by smartphones.
-    pub fn phone_proxy(&self) -> impl Iterator<Item = &'a ProxyRecord> + '_ {
-        self.store
-            .proxy()
-            .iter()
-            .filter(move |r| self.device_class(r.imei) == Some(DeviceClass::Smartphone))
     }
 
     /// Number of whole weeks in the detailed window (averaging denominator).
@@ -232,7 +226,6 @@ mod tests {
         assert!(ctx.owners().contains(&UserId(3))); // seen via MME
         assert!(!ctx.owners().contains(&UserId(2)));
         assert_eq!(ctx.wearable_proxy().count(), 1);
-        assert_eq!(ctx.phone_proxy().count(), 2);
     }
 
     #[test]

@@ -8,13 +8,14 @@
 
 use std::collections::{HashMap, HashSet};
 
-use wearscope_devicedb::{DeviceClass, Imei};
+use wearscope_devicedb::Imei;
 use wearscope_trace::UserId;
 
 use crate::context::StudyContext;
+use crate::merge::CoreAggregates;
 
 /// The observed wearable device mix.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct DeviceMix {
     /// Distinct users per wearable model name.
     pub users_by_model: HashMap<&'static str, usize>,
@@ -29,46 +30,30 @@ pub struct DeviceMix {
 impl DeviceMix {
     /// Computes the mix over every wearable device seen in either log.
     pub fn compute(ctx: &StudyContext<'_>) -> DeviceMix {
-        // (user, imei) pairs for wearable devices, deduplicated.
-        let mut seen: HashSet<(UserId, u64)> = HashSet::new();
+        CoreAggregates::sequential(ctx).devices
+    }
+
+    /// The finish step: the mix over distinct wearable `(user, imei)`
+    /// pairs, each looked up in the device DB.
+    pub(crate) fn from_devices(
+        ctx: &StudyContext<'_>,
+        devices: &HashSet<(UserId, u64)>,
+    ) -> DeviceMix {
         let mut users_by_model: HashMap<&'static str, HashSet<UserId>> = HashMap::new();
         let mut users_by_manufacturer: HashMap<&'static str, HashSet<UserId>> = HashMap::new();
         let mut users_by_os: HashMap<&'static str, HashSet<UserId>> = HashMap::new();
         let mut all_users: HashSet<UserId> = HashSet::new();
-
-        let mut note = |user: UserId, imei: u64| {
-            if ctx.device_class(imei) != Some(DeviceClass::CellularWearable) {
-                return;
-            }
-            if !seen.insert((user, imei)) {
-                return;
-            }
+        for &(user, imei) in devices {
             let Some(rec) = Imei::from_u64(imei).ok().and_then(|i| ctx.db.lookup(i)) else {
-                return;
+                continue;
             };
             users_by_model.entry(rec.model).or_default().insert(user);
             users_by_manufacturer
                 .entry(rec.manufacturer)
                 .or_default()
                 .insert(user);
-            // OS display name is 'static via a small match.
-            let os: &'static str = match rec.os {
-                wearscope_devicedb::DeviceOs::AndroidWear => "AndroidWear",
-                wearscope_devicedb::DeviceOs::Tizen => "Tizen",
-                wearscope_devicedb::DeviceOs::Android => "Android",
-                wearscope_devicedb::DeviceOs::Ios => "iOS",
-                wearscope_devicedb::DeviceOs::WatchOs => "watchOS",
-                wearscope_devicedb::DeviceOs::Rtos => "RTOS",
-            };
-            users_by_os.entry(os).or_default().insert(user);
+            users_by_os.entry(rec.os.name()).or_default().insert(user);
             all_users.insert(user);
-        };
-
-        for r in ctx.store.proxy() {
-            note(r.user, r.imei);
-        }
-        for r in ctx.store.mme() {
-            note(r.user, r.imei);
         }
 
         let collapse = |m: HashMap<&'static str, HashSet<UserId>>| {

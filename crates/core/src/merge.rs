@@ -5,21 +5,25 @@
 //! Each partial holds one kind of per-record fact, once. Everything the
 //! wearable proxy records say per user (active days and hours,
 //! transactions, bytes) lives in [`ActivityPartial`]; the hourly
-//! active-user counts, the per-user transaction rates and the wearable
-//! fields of [`UserTraffic`] are derived from it in
+//! active-user counts, the per-user transaction rates, the wearable fields
+//! of [`UserTraffic`] and the daily user shares are derived from it in
 //! [`CorePartials::finish`]. The other partials keep only what activity
-//! cannot give: per-slot counters ([`HourlyProfilePartial`]), transaction
-//! sizes ([`TransactionStatsPartial`]), all-device totals
-//! ([`TrafficPartial`]), MME dwell state ([`MobilityPartial`]) and app
-//! associations ([`AppPopularityPartial`]).
+//! cannot give: per-(weekday, hour) counters ([`HourlyProfilePartial`]),
+//! transaction sizes ([`TransactionStatsPartial`]), all-device totals
+//! ([`TrafficPartial`]), MME dwell state ([`MobilityPartial`]), app
+//! associations ([`AppPopularityPartial`]), the wearable devices and
+//! fingerprinted Through-Device users the proxy log shows, and the trace
+//! QA counters ([`QualityPartial`]). The domain classes and the
+//! unclassified-host count are derived from the attributed transactions.
 //!
 //! The per-analysis entry points (`activity::user_activity`,
-//! `HourlyProfile::compute`, `MobilityIndex::build`, …) absorb into these
-//! same partials and finish through the same derivations, so they and the
-//! fused pass of [`CoreAggregates::sequential`] run the same code.
+//! `WeeklyPattern::compute`, `DataQualityReport::compute`, …) delegate to
+//! [`CoreAggregates::sequential`], so each figure has one implementation.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
+use wearscope_appdb::{AppId, ThroughDeviceKind};
+use wearscope_devicedb::DeviceClass;
 use wearscope_simtime::SimTime;
 use wearscope_trace::{MmeEvent, MmeRecord, ProxyRecord, UserId};
 
@@ -27,10 +31,13 @@ use crate::activity::{HourlyProfile, TransactionStats, UserActivity};
 use crate::apps::AppPopularity;
 use crate::compare::UserTraffic;
 use crate::context::StudyContext;
+use crate::devices::DeviceMix;
 use crate::mobility::{MobilityIndex, UserMobility};
+use crate::quality::DataQualityReport;
 use crate::sessions::{self, AttributedTx};
-
-use wearscope_appdb::AppId;
+use crate::thirdparty::DomainBreakdown;
+use crate::through_device::ThroughDeviceReport;
+use crate::weekly::WeeklyPattern;
 
 // ---------------------------------------------------------------------------
 // Activity
@@ -66,44 +73,50 @@ impl ActivityPartial {
     }
 }
 
-/// Exact per-slot transaction and byte counters for [`HourlyProfile`]
-/// (48 slots: 24 weekday + 24 weekend hours). Active users per slot are
-/// counted from the activity hours at finish.
+/// Exact per-slot counters for [`HourlyProfile`] and [`WeeklyPattern`]:
+/// 168 slots, one per (weekday, hour of day), Monday 0 h first. Each slot
+/// counts wearable transactions and bytes, and all-device transactions.
+/// Fig. 3(a)'s 48 (hour, weekend) slots and the weekly shares are exact
+/// sums of these; active users per slot come from the activity hours at
+/// finish.
 #[derive(Clone, Debug)]
 pub struct HourlyProfilePartial {
-    pub(crate) tx: [u64; 48],
-    pub(crate) bytes: [u64; 48],
+    pub(crate) tx: [u64; 168],
+    pub(crate) bytes: [u64; 168],
+    pub(crate) all_tx: [u64; 168],
 }
 
 impl Default for HourlyProfilePartial {
     fn default() -> Self {
         HourlyProfilePartial {
-            tx: [0; 48],
-            bytes: [0; 48],
+            tx: [0; 168],
+            bytes: [0; 168],
+            all_tx: [0; 168],
         }
     }
 }
 
-/// The profile slot of an absolute hour: its hour of day, plus 24 when its
-/// day is a weekend day.
+/// The weekly slot of an instant: its weekday (Monday 0) times 24 plus its
+/// hour of day.
+fn week_slot(ctx: &StudyContext<'_>, t: SimTime) -> usize {
+    let weekday = ctx.window.calendar().weekday(t).index() as usize;
+    weekday * 24 + usize::from(t.hour_of_day())
+}
+
+/// The Fig. 3(a) slot of an absolute hour: its hour of day, plus 24 when
+/// its day is a weekend day.
 fn hour_slot(ctx: &StudyContext<'_>, hour_index: u64) -> usize {
     let weekend = ctx.window.calendar().day_is_weekend(hour_index / 24);
     (hour_index % 24) as usize + if weekend { 24 } else { 0 }
 }
 
 impl HourlyProfilePartial {
-    /// Folds one wearable proxy record.
-    pub fn absorb(&mut self, ctx: &StudyContext<'_>, r: &ProxyRecord) {
-        let slot = hour_slot(ctx, r.timestamp.hour_index());
-        self.tx[slot] += 1;
-        self.bytes[slot] += r.bytes_total();
-    }
-
     /// Merges another partial into this one.
     pub fn merge(&mut self, other: HourlyProfilePartial) {
-        for s in 0..48 {
+        for s in 0..168 {
             self.tx[s] += other.tx[s];
             self.bytes[s] += other.bytes[s];
+            self.all_tx[s] += other.all_tx[s];
         }
     }
 
@@ -112,7 +125,7 @@ impl HourlyProfilePartial {
     /// 24 when day `h/24` is a weekend day), so counting activity hours per
     /// slot counts the slot's distinct active user-days.
     pub fn finish(
-        self,
+        &self,
         ctx: &StudyContext<'_>,
         activity: &HashMap<UserId, UserActivity>,
     ) -> HourlyProfile {
@@ -122,7 +135,13 @@ impl HourlyProfilePartial {
                 users[hour_slot(ctx, h)] += 1;
             }
         }
-        HourlyProfile::from_slots(ctx, &users, &self.tx, &self.bytes)
+        let (mut tx, mut bytes) = ([0u64; 48], [0u64; 48]);
+        for s in 0..168 {
+            let weekend = usize::from(s / 24 >= 5);
+            tx[s % 24 + 24 * weekend] += self.tx[s];
+            bytes[s % 24 + 24 * weekend] += self.bytes[s];
+        }
+        HourlyProfile::from_slots(ctx, &users, &tx, &bytes)
     }
 }
 
@@ -347,6 +366,35 @@ impl AppPopularityPartial {
 }
 
 // ---------------------------------------------------------------------------
+// Trace QA
+// ---------------------------------------------------------------------------
+
+/// The [`DataQualityReport`] counters the other partials cannot give.
+/// Record counts, users and unclassified hosts come from traffic,
+/// mobility and attribution at finish.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct QualityPartial {
+    /// MME records absorbed.
+    pub mme_records: u64,
+    /// Proxy records whose IMEI the device DB cannot resolve.
+    pub unresolved_device_records: u64,
+    /// Records of either log outside the detailed window.
+    pub out_of_window_records: u64,
+    /// Days with at least one proxy record.
+    pub proxy_days: BTreeSet<u64>,
+}
+
+impl QualityPartial {
+    /// Merges another partial into this one.
+    pub fn merge(&mut self, other: QualityPartial) {
+        self.mme_records += other.mme_records;
+        self.unresolved_device_records += other.unresolved_device_records;
+        self.out_of_window_records += other.out_of_window_records;
+        self.proxy_days.extend(other.proxy_days);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // The aggregate bundle consumed by reports
 // ---------------------------------------------------------------------------
 
@@ -368,25 +416,23 @@ pub struct CoreAggregates {
     pub attributed: Vec<AttributedTx>,
     /// Fig. 5(a) app popularity.
     pub popularity: AppPopularity,
+    /// Sec. 4.2 weekly pattern.
+    pub weekly: WeeklyPattern,
+    /// Fig. 8 domain classes.
+    pub domains: DomainBreakdown,
+    /// Sec. 4.1 wearable device mix.
+    pub devices: DeviceMix,
+    /// Sec. 6 Through-Device fingerprinting.
+    pub through_device: ThroughDeviceReport,
+    /// The trace QA report.
+    pub quality: DataQualityReport,
 }
 
 impl CoreAggregates {
-    /// Computes every aggregate in one pass on the calling thread: each
-    /// proxy record, then each MME record, is absorbed into a
-    /// [`CorePartials`]; attribution, which needs each user's whole
-    /// proxy stream, runs after the record pass.
+    /// Computes every aggregate in one pass on the calling thread:
+    /// [`CorePartials::fold`], then [`CorePartials::finish`].
     pub fn sequential(ctx: &StudyContext<'_>) -> CoreAggregates {
-        let mut partials = CorePartials::default();
-        for r in ctx.store.proxy() {
-            partials.absorb_proxy(ctx, r);
-        }
-        for r in ctx.store.mme() {
-            partials.absorb_mme(r);
-        }
-        for tx in &sessions::attribute_transactions(ctx) {
-            partials.absorb_attributed(tx);
-        }
-        partials.finish(ctx)
+        CorePartials::fold(ctx).finish(ctx)
     }
 }
 
@@ -409,7 +455,7 @@ impl CoreAggregates {
 pub struct CorePartials {
     /// Per-user wearable activity: the one copy of the per-user record.
     pub activity: ActivityPartial,
-    /// Hourly profile counters.
+    /// Per-slot counters of the hourly profile and the weekly pattern.
     pub hourly: HourlyProfilePartial,
     /// Wearable transaction sizes.
     pub tx_stats: TransactionStatsPartial,
@@ -421,28 +467,70 @@ pub struct CorePartials {
     pub popularity: AppPopularityPartial,
     /// Attributed transactions, in absorption order.
     pub attributed: Vec<AttributedTx>,
+    /// Wearable `(user, imei)` pairs seen in the proxy log (the MME side
+    /// of the device mix is the mobility partial's stream keys).
+    pub wearable_devices: HashSet<(UserId, u64)>,
+    /// `(kind, user)` pairs the Through-Device fingerprints identify in
+    /// smartphone traffic.
+    pub through_device: HashSet<(ThroughDeviceKind, UserId)>,
+    /// Trace QA counters.
+    pub quality: QualityPartial,
 }
 
 impl CorePartials {
-    /// Folds one proxy record: its all-device totals always, and — after
-    /// the one device-class check — its wearable facts.
-    pub fn absorb_proxy(&mut self, ctx: &StudyContext<'_>, r: &ProxyRecord) {
-        self.traffic.absorb(r);
-        if !ctx.is_wearable_record(r) {
-            return;
+    /// Folds the context's store: each proxy record, then each MME record;
+    /// attribution, which needs each user's whole proxy stream, runs after
+    /// the record pass.
+    pub fn fold(ctx: &StudyContext<'_>) -> CorePartials {
+        let mut partials = CorePartials::default();
+        for r in ctx.store.proxy() {
+            partials.absorb_proxy(ctx, r);
         }
-        self.activity.absorb(r);
-        self.hourly.absorb(ctx, r);
-        self.tx_stats.sizes.push(r.bytes_total() as f64);
+        for r in ctx.store.mme() {
+            partials.absorb_mme(ctx, r);
+        }
+        for tx in &sessions::attribute_transactions(ctx) {
+            partials.absorb_attributed(tx);
+        }
+        partials
     }
 
-    /// Folds one MME record into the mobility partial.
-    pub fn absorb_mme(&mut self, r: &MmeRecord) {
+    /// Folds one proxy record: its all-device facts always, then — after
+    /// the one device-class lookup — its wearable, smartphone or
+    /// unresolved-device facts.
+    pub fn absorb_proxy(&mut self, ctx: &StudyContext<'_>, r: &ProxyRecord) {
+        let slot = week_slot(ctx, r.timestamp);
+        self.traffic.absorb(r);
+        self.hourly.all_tx[slot] += 1;
+        self.quality.proxy_days.insert(r.timestamp.day_index());
+        self.quality.out_of_window_records += u64::from(!ctx.window.in_detail(r.timestamp));
+        match ctx.device_class(r.imei) {
+            Some(DeviceClass::CellularWearable) => {
+                self.activity.absorb(r);
+                self.hourly.tx[slot] += 1;
+                self.hourly.bytes[slot] += r.bytes_total();
+                self.tx_stats.sizes.push(r.bytes_total() as f64);
+                self.wearable_devices.insert((r.user, r.imei));
+            }
+            Some(DeviceClass::Smartphone) => {
+                if let Some(kind) = ctx.host_class(r.host).through_device {
+                    self.through_device.insert((kind, r.user));
+                }
+            }
+            Some(_) => {}
+            None => self.quality.unresolved_device_records += 1,
+        }
+    }
+
+    /// Folds one MME record into the mobility partial and the QA counters.
+    pub fn absorb_mme(&mut self, ctx: &StudyContext<'_>, r: &MmeRecord) {
         self.mobility.absorb(r);
+        self.quality.mme_records += 1;
+        self.quality.out_of_window_records += u64::from(!ctx.window.in_detail(r.timestamp));
     }
 
     /// Folds one attributed transaction into the popularity partial and
-    /// keeps it for the session analyses.
+    /// keeps it for the session and domain analyses.
     pub fn absorb_attributed(&mut self, tx: &AttributedTx) {
         self.popularity.absorb(tx);
         self.attributed.push(*tx);
@@ -457,24 +545,49 @@ impl CorePartials {
         self.mobility.merge(other.mobility);
         self.popularity.merge(other.popularity);
         self.attributed.extend(other.attributed);
+        self.wearable_devices.extend(other.wearable_devices);
+        self.through_device.extend(other.through_device);
+        self.quality.merge(other.quality);
     }
 
-    /// Finishes every partial, deriving the hourly active users, the
-    /// per-user rates and the wearable traffic fields from the one
-    /// activity record. Attributed transactions end sorted by
-    /// `(user, timestamp)`; the sort is stable, so transactions sharing a
-    /// key keep their absorption order.
+    /// Finishes every partial. The hourly active users, the per-user
+    /// rates, the wearable traffic fields and the daily user shares derive
+    /// from the one activity record; the domain classes and the
+    /// unclassified count from the attributed transactions; the MME side
+    /// of the device mix and the QA's MME users from the mobility stream
+    /// keys. Attributed transactions end sorted by `(user, timestamp)`;
+    /// the sort is stable, so transactions sharing a key keep their
+    /// absorption order.
     pub fn finish(self, ctx: &StudyContext<'_>) -> CoreAggregates {
         let activity = self.activity.per_user;
         let mut attributed = self.attributed;
         attributed.sort_by_key(|t| (t.user, t.timestamp));
         let p = self.popularity;
+        let streams = self.mobility.first_event.keys();
+        let mme_users: HashSet<UserId> = streams.clone().map(|&(user, _)| user).collect();
+        let mut devices = self.wearable_devices;
+        devices.extend(
+            streams.filter(|&&(_, imei)| {
+                ctx.device_class(imei) == Some(DeviceClass::CellularWearable)
+            }),
+        );
+        let owners: HashSet<UserId> = devices.iter().map(|&(user, _)| user).collect();
+        let traffic = self.traffic.finish(&activity);
+        let mobility = self.mobility.finish(ctx);
+        let domains = DomainBreakdown::from_attributed(&attributed);
+        let quality =
+            DataQualityReport::from_parts(ctx, self.quality, &traffic, &mme_users, &domains);
         CoreAggregates {
             hourly: self.hourly.finish(ctx, &activity),
+            weekly: WeeklyPattern::from_slots(ctx, &self.hourly.tx, &self.hourly.all_tx, &activity),
             tx_stats: TransactionStats::from_parts(self.tx_stats.sizes, &activity),
-            traffic: self.traffic.finish(&activity),
-            mobility: self.mobility.finish(ctx),
+            through_device: ThroughDeviceReport::join(self.through_device, &mobility, &owners),
+            devices: DeviceMix::from_devices(ctx, &devices),
             popularity: AppPopularity::from_index(p.day_users, p.user_days, p.apps),
+            traffic,
+            mobility,
+            domains,
+            quality,
             attributed,
             activity,
         }

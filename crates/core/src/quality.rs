@@ -6,14 +6,17 @@
 //! inconsistencies of a trace — the checks that catch a broken collection
 //! day before it silently skews every figure.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use wearscope_trace::UserId;
 
+use crate::compare::UserTraffic;
 use crate::context::StudyContext;
+use crate::merge::{CoreAggregates, QualityPartial};
+use crate::thirdparty::DomainBreakdown;
 
 /// The data-quality report for one trace.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct DataQualityReport {
     /// Total proxy records.
     pub proxy_records: u64,
@@ -46,48 +49,43 @@ pub struct DataQualityReport {
 impl DataQualityReport {
     /// Runs all checks.
     pub fn compute(ctx: &StudyContext<'_>) -> DataQualityReport {
-        let mut report = DataQualityReport {
-            proxy_records: ctx.store.proxy().len() as u64,
-            mme_records: ctx.store.mme().len() as u64,
-            ..DataQualityReport::default()
-        };
+        CoreAggregates::sequential(ctx).quality
+    }
 
-        let mut proxy_days: HashSet<u64> = HashSet::new();
-        let mut proxy_users: HashSet<UserId> = HashSet::new();
-        for r in ctx.store.proxy() {
-            proxy_days.insert(r.timestamp.day_index());
-            proxy_users.insert(r.user);
-            if ctx.device_class(r.imei).is_none() {
-                report.unresolved_device_records += 1;
-            } else if ctx.is_wearable_record(r) && ctx.host_class(r.host).classification.is_none() {
-                report.unclassified_wearable_records += 1;
-            }
-            if !ctx.window.detailed().contains(r.timestamp) {
-                report.out_of_window_records += 1;
-            }
-        }
-
-        let mut mme_users: HashSet<UserId> = HashSet::new();
-        for r in ctx.store.mme() {
-            mme_users.insert(r.user);
-            if !ctx.window.detailed().contains(r.timestamp) {
-                report.out_of_window_records += 1;
-            }
-        }
-
+    /// The finish step: the QA counters plus what the other aggregates
+    /// already hold — proxy records and users from `traffic`, MME users
+    /// from the mobility stream keys, unclassified wearable hosts from the
+    /// domain breakdown.
+    pub(crate) fn from_parts(
+        ctx: &StudyContext<'_>,
+        partial: QualityPartial,
+        traffic: &HashMap<UserId, UserTraffic>,
+        mme_users: &HashSet<UserId>,
+        domains: &DomainBreakdown,
+    ) -> DataQualityReport {
         let expected: Vec<u64> = ctx.window.detailed().days().collect();
-        report.silent_days = expected
+        let silent_days: Vec<u64> = expected
             .iter()
             .copied()
-            .filter(|d| !proxy_days.contains(d))
+            .filter(|d| !partial.proxy_days.contains(d))
             .collect();
-        report.day_coverage = if expected.is_empty() {
+        let day_coverage = if expected.is_empty() {
             0.0
         } else {
-            1.0 - report.silent_days.len() as f64 / expected.len() as f64
+            1.0 - silent_days.len() as f64 / expected.len() as f64
         };
-        report.proxy_only_users = proxy_users.difference(&mme_users).count();
-        report
+        DataQualityReport {
+            proxy_records: traffic.values().map(|t| t.tx_total).sum(),
+            mme_records: partial.mme_records,
+            unresolved_device_records: partial.unresolved_device_records,
+            unclassified_wearable_records: domains.unclassified_transactions,
+            silent_days,
+            day_coverage,
+            proxy_only_users: traffic.keys().filter(|u| !mme_users.contains(u)).count(),
+            out_of_window_records: partial.out_of_window_records,
+            ingest_records_seen: 0,
+            ingest_quarantined: 0,
+        }
     }
 
     /// Folds the ingestion layer's pre-validation tally into this report,

@@ -1,17 +1,16 @@
 //! Every derived analysis of one study, computed once.
 //!
 //! [`StudyResults`] is built once from the hot [`CoreAggregates`] plus the
-//! vantage summaries. The takeaways, the experiment table, the full report
-//! and the figure CSVs all render from it, so one run scans the store once
-//! per analysis however many outputs it prints.
+//! vantage summaries, and never reads the store: every per-record fact it
+//! needs was folded into the aggregates. The takeaways, the experiment
+//! table, the full report and the figure CSVs all render from it.
 //!
-//! What the takeaways need is computed eagerly in [`StudyResults::new`]: the
-//! summary analyses, the finish steps over the aggregates and the five
-//! store scans. The figure-only app analyses (sessions → Fig. 5(b), 6 and
-//! 7) and the full report's trace QA scan are computed at most once, on
-//! the first call to [`StudyResults::app_figures`] and
-//! [`StudyResults::quality`], so a run that prints only the table never
-//! pays for them.
+//! What the takeaways need is computed eagerly in [`StudyResults::new`]:
+//! the summary analyses and the derivations over the aggregates. Only the
+//! figure-only app analyses (sessions → Fig. 5(b), 6 and 7) are lazy,
+//! computed at most once on the first call to
+//! [`StudyResults::app_figures`], so a run that prints only the table
+//! never pays for them.
 
 use std::cell::OnceCell;
 
@@ -22,20 +21,17 @@ use crate::adoption::{AdoptionTrend, CohortRetention, DataActiveShare};
 use crate::apps::{AppUsage, CategoryPopularity, InstallStats};
 use crate::compare::{OwnerVsRest, WearableShare};
 use crate::context::StudyContext;
-use crate::devices::DeviceMix;
 use crate::merge::CoreAggregates;
 use crate::mobility::{Displacement, LocationEntropy, MobilityActivity};
-use crate::quality::DataQualityReport;
 use crate::sessions::{self, PerUsage};
-use crate::thirdparty::DomainBreakdown;
-use crate::through_device::ThroughDeviceReport;
-use crate::weekly::WeeklyPattern;
 
 /// The study's derived analyses over one context and one set of aggregates.
 pub struct StudyResults<'a> {
     /// The study the results describe.
     pub ctx: &'a StudyContext<'a>,
-    /// The hot aggregates the finish steps ran over.
+    /// The hot aggregates the finish steps ran over; they also hold the
+    /// weekly pattern, domain classes, device mix, Through-Device report
+    /// and trace QA.
     pub aggs: &'a CoreAggregates,
     /// Fig. 2(a) adoption trend.
     pub trend: AdoptionTrend,
@@ -61,16 +57,7 @@ pub struct StudyResults<'a> {
     pub mobility_activity: MobilityActivity,
     /// Sec. 4.3 app-install statistics.
     pub installs: InstallStats,
-    /// Fig. 8 domain classes.
-    pub domains: DomainBreakdown,
-    /// Sec. 6 Through-Device fingerprinting.
-    pub through_device: ThroughDeviceReport,
-    /// Sec. 4.2 weekly pattern.
-    pub weekly: WeeklyPattern,
-    /// Sec. 4.1 device mix.
-    pub devices: DeviceMix,
     app_figures: OnceCell<AppFigures>,
-    quality: OnceCell<DataQualityReport>,
 }
 
 /// The figure-only app analyses, derived from the 1-minute-gap sessions.
@@ -104,21 +91,6 @@ impl<'a> StudyResults<'a> {
         summaries: &NetworkSummaries,
         aggs: &'a CoreAggregates,
     ) -> StudyResults<'a> {
-        StudyResults::traced(ctx, summaries, aggs, |_| ())
-    }
-
-    /// [`StudyResults::new`], holding the guard `timer(name)` returns while
-    /// each store scan runs (the CLI opens a child span per scan).
-    pub fn traced<G>(
-        ctx: &'a StudyContext<'a>,
-        summaries: &NetworkSummaries,
-        aggs: &'a CoreAggregates,
-        mut timer: impl FnMut(&str) -> G,
-    ) -> StudyResults<'a> {
-        fn scan<G, T>(timer: &mut impl FnMut(&str) -> G, name: &str, f: impl FnOnce() -> T) -> T {
-            let _guard = timer(name);
-            f()
-        }
         let mme = &summaries.mme;
         StudyResults {
             trend: AdoptionTrend::compute(mme, &ctx.window),
@@ -126,27 +98,16 @@ impl<'a> StudyResults<'a> {
             data_active: DataActiveShare::compute(mme, &summaries.wearable_traffic, &ctx.window),
             spans: ActivitySpans::compute(ctx, &aggs.activity),
             correlation: ActivityCorrelation::compute(&aggs.activity),
-            daily_active_share: scan(&mut timer, "daily_active_share", || {
-                activity::daily_active_share(ctx)
-            }),
+            daily_active_share: activity::daily_active_share_of(&aggs.activity),
             owner_vs_rest: OwnerVsRest::compute(ctx, &aggs.traffic),
             wearable_share: WearableShare::compute(ctx, &aggs.traffic),
             displacement: Displacement::compute(ctx, &aggs.mobility),
             entropy: LocationEntropy::compute(ctx, &aggs.mobility),
             mobility_activity: MobilityActivity::compute(ctx, &aggs.mobility, &aggs.activity),
             installs: InstallStats::compute(&aggs.attributed),
-            domains: scan(&mut timer, "domain_breakdown", || {
-                DomainBreakdown::compute(ctx)
-            }),
-            through_device: scan(&mut timer, "through_device", || {
-                ThroughDeviceReport::compute(ctx, &aggs.mobility)
-            }),
-            weekly: scan(&mut timer, "weekly", || WeeklyPattern::compute(ctx)),
-            devices: scan(&mut timer, "devices", || DeviceMix::compute(ctx)),
             ctx,
             aggs,
             app_figures: OnceCell::new(),
-            quality: OnceCell::new(),
         }
     }
 
@@ -177,12 +138,6 @@ impl<'a> StudyResults<'a> {
                 per_usage,
             }
         })
-    }
-
-    /// The trace QA report, scanning the store on the first call.
-    pub fn quality(&self) -> &DataQualityReport {
-        self.quality
-            .get_or_init(|| DataQualityReport::compute(self.ctx))
     }
 
     /// The catalog name of `app`, `?` for an unknown id.

@@ -29,10 +29,20 @@ pub struct AttributedTx {
     pub timestamp: SimTime,
     /// The app this transaction belongs to (`None` if unattributable).
     pub app: Option<AppId>,
-    /// `true` if the destination was the app's own (first-party) domain.
-    pub first_party: bool,
+    /// What the signatures say about the destination host (`None` when no
+    /// signature matches).
+    pub class: Option<Classification>,
     /// Total bytes.
     pub bytes: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<AttributedTx>() == 32);
+
+impl AttributedTx {
+    /// `true` if the destination was the app's own (first-party) domain.
+    pub fn first_party(&self) -> bool {
+        matches!(self.class, Some(Classification::FirstParty(_)))
+    }
 }
 
 /// One usage session of one app by one user.
@@ -74,23 +84,18 @@ pub fn attribute_records<'r>(
     records: impl IntoIterator<Item = &'r wearscope_trace::ProxyRecord>,
 ) -> Vec<AttributedTx> {
     // Group wearable records per user, keeping log order (time-sorted):
-    // (timestamp, classified app, first-party?, bytes).
-    type RawTx = (SimTime, Option<AppId>, bool, u64);
+    // (timestamp, host classification, bytes).
+    type RawTx = (SimTime, Option<Classification>, u64);
     let mut per_user: HashMap<UserId, Vec<RawTx>> = HashMap::new();
     for r in records {
         if !ctx.is_wearable_record(r) {
             continue;
         }
         let class = ctx.host_class(r.host).classification;
-        let (app, first_party) = match class {
-            Some(Classification::FirstParty(a)) => (Some(a), true),
-            Some(Classification::ThirdParty(_)) => (None, false),
-            None => (None, false),
-        };
         per_user
             .entry(r.user)
             .or_default()
-            .push((r.timestamp, app, first_party, r.bytes_total()));
+            .push((r.timestamp, class, r.bytes_total()));
     }
 
     let mut out = Vec::new();
@@ -98,15 +103,21 @@ pub fn attribute_records<'r>(
         // First-party anchor times for nearest-neighbour attribution.
         let anchors: Vec<(SimTime, AppId)> = txs
             .iter()
-            .filter_map(|&(t, app, fp, _)| if fp { app.map(|a| (t, a)) } else { None })
+            .filter_map(|&(t, class, _)| match class {
+                Some(Classification::FirstParty(a)) => Some((t, a)),
+                _ => None,
+            })
             .collect();
-        for (t, app, fp, bytes) in txs {
-            let attributed = if fp { app } else { nearest_anchor(&anchors, t) };
+        for (t, class, bytes) in txs {
+            let app = match class {
+                Some(Classification::FirstParty(a)) => Some(a),
+                _ => nearest_anchor(&anchors, t),
+            };
             out.push(AttributedTx {
                 user,
                 timestamp: t,
-                app: attributed,
-                first_party: fp,
+                app,
+                class,
                 bytes,
             });
         }
@@ -275,7 +286,7 @@ mod tests {
         let attributed = attribute_transactions(&ctx);
         assert_eq!(attributed.len(), 1);
         assert_eq!(attributed[0].app, Some(weather));
-        assert!(attributed[0].first_party);
+        assert!(attributed[0].first_party());
     }
 
     #[test]

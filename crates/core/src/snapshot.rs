@@ -35,14 +35,14 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt::{self, Write as _};
 
-use wearscope_appdb::AppId;
+use wearscope_appdb::{AppId, Classification, DomainClass, ThroughDeviceKind};
 use wearscope_simtime::SimTime;
 use wearscope_trace::UserId;
 
 use crate::activity::UserActivity;
 use crate::merge::{
     ActivityPartial, AppPopularityPartial, CorePartials, HourlyProfilePartial, MobilityPartial,
-    TrafficPartial, TransactionStatsPartial,
+    QualityPartial, TrafficPartial, TransactionStatsPartial,
 };
 use crate::mobility::UserMobility;
 use crate::sessions::AttributedTx;
@@ -150,6 +150,38 @@ impl Field for AppId {
 
     fn parse(s: &str) -> Result<Self, String> {
         u16::parse(s).map(AppId)
+    }
+}
+
+/// A first-party app as its id, a third-party class by its name.
+impl Field for Classification {
+    fn write(&self, out: &mut String) {
+        match self {
+            Classification::FirstParty(app) => app.write(out),
+            Classification::ThirdParty(class) => out.push_str(class.name()),
+        }
+    }
+
+    fn parse(s: &str) -> Result<Self, String> {
+        match DomainClass::ALL.into_iter().find(|c| c.name() == s) {
+            Some(class) => Ok(Classification::ThirdParty(class)),
+            None => AppId::parse(s)
+                .map(Classification::FirstParty)
+                .map_err(|_| format!("`{s}` is not an app id or a domain class")),
+        }
+    }
+}
+
+impl Field for ThroughDeviceKind {
+    fn write(&self, out: &mut String) {
+        out.push_str(self.name());
+    }
+
+    fn parse(s: &str) -> Result<Self, String> {
+        ThroughDeviceKind::ALL
+            .into_iter()
+            .find(|k| k.name() == s)
+            .ok_or_else(|| format!("`{s}` is not a Through-Device kind"))
     }
 }
 
@@ -420,6 +452,17 @@ fn sorted<T: Ord + Copy>(set: &HashSet<T>) -> Vec<T> {
     v
 }
 
+/// Reads a one-line block: `tag`, then one list field.
+fn list_block<T: Field, C: FromIterator<T>>(
+    r: &mut SnapshotReader<'_>,
+    tag: &str,
+) -> Result<C, SnapshotError> {
+    let mut row = r.tagged(tag)?;
+    let items = row.list()?;
+    row.end()?;
+    Ok(items)
+}
+
 /// A map's entries in ascending key order.
 pub fn sorted_entries<K: Ord, V>(map: &HashMap<K, V>) -> Vec<(&K, &V)> {
     let mut v: Vec<(&K, &V)> = map.iter().collect();
@@ -465,21 +508,34 @@ impl Snapshot for ActivityPartial {
     }
 }
 
+/// Only the slots some record reached, as `slot tx bytes all-tx`.
 impl Snapshot for HourlyProfilePartial {
     fn snapshot(&self, out: &mut String) {
-        RowWriter::tagged(out, "hourly").end();
-        for (tx, bytes) in self.tx.iter().zip(&self.bytes) {
-            RowWriter::new(out).put(*tx).put(*bytes).end();
+        let slots: Vec<usize> = (0..168)
+            .filter(|&s| (self.tx[s], self.bytes[s], self.all_tx[s]) != (0, 0, 0))
+            .collect();
+        RowWriter::tagged(out, "hourly").put(slots.len()).end();
+        for s in slots {
+            RowWriter::new(out)
+                .put(s)
+                .put(self.tx[s])
+                .put(self.bytes[s])
+                .put(self.all_tx[s])
+                .end();
         }
     }
 
     fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        r.tagged("hourly")?.end()?;
         let mut partial = HourlyProfilePartial::default();
-        for (tx, bytes) in partial.tx.iter_mut().zip(&mut partial.bytes) {
+        for _ in 0..r.count("hourly")? {
             let mut row = r.row()?;
-            *tx = row.field()?;
-            *bytes = row.field()?;
+            let s: usize = row.field()?;
+            if s >= 168 {
+                return Err(row.err(format!("slot {s} is not below 168")));
+            }
+            partial.tx[s] = row.field()?;
+            partial.bytes[s] = row.field()?;
+            partial.all_tx[s] = row.field()?;
             row.end()?;
         }
         Ok(partial)
@@ -660,7 +716,7 @@ impl Snapshot for Vec<AttributedTx> {
                 .put(tx.user)
                 .put(tx.timestamp)
                 .put(tx.app)
-                .put(tx.first_party)
+                .put(tx.class)
                 .put(tx.bytes)
                 .end();
         }
@@ -674,12 +730,35 @@ impl Snapshot for Vec<AttributedTx> {
                 user: row.field()?,
                 timestamp: row.field()?,
                 app: row.field()?,
-                first_party: row.field()?,
+                class: row.field()?,
                 bytes: row.field()?,
             });
             row.end()?;
         }
         Ok(out)
+    }
+}
+
+impl Snapshot for QualityPartial {
+    fn snapshot(&self, out: &mut String) {
+        RowWriter::tagged(out, "trace-qa")
+            .put(self.mme_records)
+            .put(self.unresolved_device_records)
+            .put(self.out_of_window_records)
+            .list(self.proxy_days.iter().copied())
+            .end();
+    }
+
+    fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let mut row = r.tagged("trace-qa")?;
+        let partial = QualityPartial {
+            mme_records: row.field()?,
+            unresolved_device_records: row.field()?,
+            out_of_window_records: row.field()?,
+            proxy_days: row.list()?,
+        };
+        row.end()?;
+        Ok(partial)
     }
 }
 
@@ -692,6 +771,13 @@ impl Snapshot for CorePartials {
         self.traffic.snapshot(out);
         self.mobility.snapshot(out);
         self.popularity.snapshot(out);
+        RowWriter::tagged(out, "devices")
+            .list(sorted(&self.wearable_devices))
+            .end();
+        RowWriter::tagged(out, "through-device")
+            .list(sorted(&self.through_device))
+            .end();
+        self.quality.snapshot(out);
     }
 
     fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
@@ -703,6 +789,9 @@ impl Snapshot for CorePartials {
             traffic: TrafficPartial::restore(r)?,
             mobility: MobilityPartial::restore(r)?,
             popularity: AppPopularityPartial::restore(r)?,
+            wearable_devices: list_block(r, "devices")?,
+            through_device: list_block(r, "through-device")?,
+            quality: QualityPartial::restore(r)?,
         })
     }
 }
@@ -778,6 +867,64 @@ mod tests {
         assert_eq!(a.traffic, b.traffic);
     }
 
+    /// Every member of the bundle survives a round-trip: a watch, a phone
+    /// syncing a tracker, an unknown device, an out-of-window record, MME
+    /// records and attribution.
+    #[test]
+    fn whole_fold_roundtrips_and_finishes_identically() {
+        let db = DeviceDb::standard();
+        let phone = db
+            .example_imei(
+                db.tacs_of_class(wearscope_devicedb::DeviceClass::Smartphone)[0],
+                2,
+            )
+            .as_u64();
+        let mut records: Vec<ProxyRecord> = (0..60)
+            .map(|i| proxy(&db, i % 3, i * 7_333, 50 + i * 11))
+            .collect();
+        records.push(ProxyRecord {
+            imei: phone,
+            host: HostId::intern("android-api.fitbit.com"),
+            ..proxy(&db, 7, 500, 10)
+        });
+        records.push(ProxyRecord {
+            imei: 42,
+            ..proxy(&db, 8, 600, 10)
+        });
+        records.push(proxy(&db, 1, 20 * 86_400, 10));
+        let mme = (0..6)
+            .map(|i| MmeRecord {
+                timestamp: SimTime::from_secs(i * 4_000),
+                user: UserId(i % 2),
+                imei: db
+                    .example_imei(db.wearable_tacs()[0], (i % 2) as u32)
+                    .as_u64(),
+                event: MmeEvent::Attach,
+                sector: i as u32,
+            })
+            .collect();
+        let store = TraceStore::from_records(records, mme);
+        let (db, catalog, sectors) = sample_ctx(&store);
+        let ctx = StudyContext::new(
+            &store,
+            &db,
+            &sectors,
+            &catalog,
+            ObservationWindow::new(14, 14, Calendar::PAPER),
+        );
+        let partials = CorePartials::fold(&ctx);
+        assert_eq!(partials.through_device.len(), 1);
+        assert_eq!(partials.quality.unresolved_device_records, 1);
+        assert_eq!(partials.quality.out_of_window_records, 1);
+        let restored = roundtrip(&partials);
+        let (a, b) = (partials.finish(&ctx), restored.finish(&ctx));
+        assert_eq!(a.weekly, b.weekly);
+        assert_eq!(a.domains, b.domains);
+        assert_eq!(a.devices, b.devices);
+        assert_eq!(a.through_device, b.through_device);
+        assert_eq!(a.quality, b.quality);
+    }
+
     #[test]
     fn mobility_partial_roundtrips_with_open_dwell() {
         let db = DeviceDb::standard();
@@ -817,14 +964,14 @@ mod tests {
                 user: UserId(3),
                 timestamp: SimTime::from_secs(900),
                 app: Some(AppId(2)),
-                first_party: true,
+                class: Some(Classification::FirstParty(AppId(2))),
                 bytes: 512,
             },
             AttributedTx {
                 user: UserId(1),
                 timestamp: SimTime::from_secs(900),
                 app: None,
-                first_party: false,
+                class: Some(Classification::ThirdParty(DomainClass::Analytics)),
                 bytes: 64,
             },
         ];

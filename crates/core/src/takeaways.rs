@@ -128,11 +128,14 @@ impl Takeaways {
             mean_apps_per_user: r.installs.mean_apps_per_user,
             frac_under_20_apps: r.installs.frac_under_20,
             single_app_day_share: r.installs.single_app_day_share,
-            thirdparty_same_magnitude: r.domains.thirdparty_within_order_of_magnitude(),
-            through_device_identified: r.through_device.users.len(),
-            through_device_mobility_similar: r.through_device.mobility_similar_to_sim_users(0.5),
-            weekend_relative_usage: r.weekly.weekend_relative_usage,
-            samsung_lg_share: r.devices.manufacturer_share(&["Samsung", "LG"]),
+            thirdparty_same_magnitude: r.aggs.domains.thirdparty_within_order_of_magnitude(),
+            through_device_identified: r.aggs.through_device.users.len(),
+            through_device_mobility_similar: r
+                .aggs
+                .through_device
+                .mobility_similar_to_sim_users(0.5),
+            weekend_relative_usage: r.aggs.weekly.weekend_relative_usage,
+            samsung_lg_share: r.aggs.devices.manufacturer_share(&["Samsung", "LG"]),
         }
     }
 }

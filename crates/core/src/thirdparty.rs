@@ -6,10 +6,11 @@ use wearscope_appdb::DomainClass;
 use wearscope_trace::UserId;
 
 use crate::context::StudyContext;
+use crate::sessions::{self, AttributedTx};
 
 /// Fig. 8: per domain class (Application / Utilities / Advertising /
 /// Analytics), the share of daily users, transaction frequency, and data.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DomainBreakdown {
     /// Share of (day, user) pairs touching each class.
     pub users: [f64; 4],
@@ -25,17 +26,23 @@ pub struct DomainBreakdown {
 impl DomainBreakdown {
     /// Computes the breakdown over the wearable proxy log.
     pub fn compute(ctx: &StudyContext<'_>) -> DomainBreakdown {
+        DomainBreakdown::from_attributed(&sessions::attribute_transactions(ctx))
+    }
+
+    /// The breakdown over attributed wearable transactions (one per
+    /// wearable proxy record), by each destination's classification.
+    pub(crate) fn from_attributed(attributed: &[AttributedTx]) -> DomainBreakdown {
         let mut day_users: [HashSet<(u64, UserId)>; 4] = Default::default();
         let mut tx = [0u64; 4];
         let mut bytes = [0u64; 4];
         let mut unclassified = 0u64;
-        for r in ctx.wearable_proxy() {
-            match ctx.host_class(r.host).classification {
+        for t in attributed {
+            match t.class {
                 Some(c) => {
                     let i = c.domain_class().index();
-                    day_users[i].insert((r.timestamp.day_index(), r.user));
+                    day_users[i].insert((t.timestamp.day_index(), t.user));
                     tx[i] += 1;
-                    bytes[i] += r.bytes_total();
+                    bytes[i] += t.bytes;
                 }
                 None => unclassified += 1,
             }

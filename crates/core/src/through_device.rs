@@ -14,11 +14,12 @@ use wearscope_appdb::ThroughDeviceKind;
 use wearscope_trace::UserId;
 
 use crate::context::StudyContext;
+use crate::merge::CorePartials;
 use crate::mobility::MobilityIndex;
 use crate::stats::Ecdf;
 
 /// The Sec. 6 analysis output.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ThroughDeviceReport {
     /// Identified Through-Device users per tracker kind.
     pub identified: HashMap<ThroughDeviceKind, HashSet<UserId>>,
@@ -46,13 +47,26 @@ impl ThroughDeviceReport {
     /// Runs the fingerprinting over smartphone proxy traffic and joins with
     /// mobility.
     pub fn compute(ctx: &StudyContext<'_>, mobility: &MobilityIndex) -> ThroughDeviceReport {
+        ThroughDeviceReport::join(
+            CorePartials::fold(ctx).through_device,
+            mobility,
+            ctx.owners(),
+        )
+    }
+
+    /// The finish step: groups the identified `(kind, user)` pairs and
+    /// joins the users with their mobility, and with the mobility of the
+    /// SIM-wearable `owners`.
+    pub(crate) fn join(
+        pairs: HashSet<(ThroughDeviceKind, UserId)>,
+        mobility: &MobilityIndex,
+        owners: &HashSet<UserId>,
+    ) -> ThroughDeviceReport {
         let mut identified: HashMap<ThroughDeviceKind, HashSet<UserId>> = HashMap::new();
         let mut users = HashSet::new();
-        for r in ctx.phone_proxy() {
-            if let Some(kind) = ctx.host_class(r.host).through_device {
-                identified.entry(kind).or_default().insert(r.user);
-                users.insert(r.user);
-            }
+        for (kind, user) in pairs {
+            identified.entry(kind).or_default().insert(user);
+            users.insert(user);
         }
 
         let displacement_samples: Vec<f64> = users
@@ -65,7 +79,7 @@ impl ThroughDeviceReport {
         let owner_samples: Vec<f64> = mobility
             .per_user
             .iter()
-            .filter(|(u, _)| ctx.owners().contains(*u))
+            .filter(|(u, _)| owners.contains(*u))
             .map(|(_, m)| m.mean_daily_displacement())
             .collect();
         let owners = Ecdf::from_samples(owner_samples);

@@ -5,14 +5,16 @@
 //! wearable usage is slightly higher on weekends and evenings — attributed
 //! to the demographics of early wearable adopters.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use wearscope_trace::UserId;
 
+use crate::activity::{self, UserActivity};
 use crate::context::StudyContext;
+use crate::merge::CoreAggregates;
 
 /// Day-of-week activity profile plus the wearable-vs-overall relative usage.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WeeklyPattern {
     /// Share of wearable transactions per weekday (Mon..Sun), sums to 1.
     pub wearable_tx_by_weekday: [f64; 7],
@@ -31,42 +33,29 @@ pub struct WeeklyPattern {
 impl WeeklyPattern {
     /// Computes the pattern over the detailed window.
     pub fn compute(ctx: &StudyContext<'_>) -> WeeklyPattern {
-        let cal = ctx.window.calendar();
-        let mut wearable = [0.0_f64; 7];
-        let mut total = [0.0_f64; 7];
-        let mut wearable_evening = 0.0_f64;
-        let mut total_evening = 0.0_f64;
-        let mut wearable_all = 0.0_f64;
-        let mut total_all = 0.0_f64;
-        // Per (weekday, user): days seen, for the daily user share.
-        let mut users_by_day: HashMap<u64, HashSet<UserId>> = HashMap::new();
-        let mut weekly_users: HashMap<u64, HashSet<UserId>> = HashMap::new();
+        CoreAggregates::sequential(ctx).weekly
+    }
 
-        for r in ctx.store.proxy() {
-            let wd = cal.weekday(r.timestamp).index() as usize;
-            let is_wearable = ctx.is_wearable_record(r);
-            let evening = (16..22).contains(&r.timestamp.hour_of_day());
-            total[wd] += 1.0;
-            total_all += 1.0;
-            if evening {
-                total_evening += 1.0;
-            }
-            if is_wearable {
-                wearable[wd] += 1.0;
-                wearable_all += 1.0;
-                if evening {
-                    wearable_evening += 1.0;
-                }
-                users_by_day
-                    .entry(r.timestamp.day_index())
-                    .or_default()
-                    .insert(r.user);
-                weekly_users
-                    .entry(r.timestamp.week_index())
-                    .or_default()
-                    .insert(r.user);
-            }
-        }
+    /// The finish step: the pattern from the wearable and all-device
+    /// transaction counts per (weekday, hour) slot (168 slots, Monday 0 h
+    /// first) and the per-user activity.
+    pub(crate) fn from_slots(
+        ctx: &StudyContext<'_>,
+        wearable_tx: &[u64; 168],
+        all_tx: &[u64; 168],
+        activity: &HashMap<UserId, UserActivity>,
+    ) -> WeeklyPattern {
+        let cal = ctx.window.calendar();
+        let by_weekday = |slots: &[u64; 168]| -> [f64; 7] {
+            std::array::from_fn(|wd| slots[wd * 24..wd * 24 + 24].iter().sum::<u64>() as f64)
+        };
+        let evening = |slots: &[u64; 168]| -> f64 {
+            (0..7)
+                .map(|wd| slots[wd * 24 + 16..wd * 24 + 22].iter().sum::<u64>())
+                .sum::<u64>() as f64
+        };
+        let wearable_all = wearable_tx.iter().sum::<u64>() as f64;
+        let total_all = all_tx.iter().sum::<u64>() as f64;
 
         let norm = |xs: [f64; 7]| -> [f64; 7] {
             let sum: f64 = xs.iter().sum::<f64>().max(1e-12);
@@ -76,10 +65,11 @@ impl WeeklyPattern {
             }
             out
         };
-        let wearable_share = norm(wearable);
-        let total_share = norm(total);
+        let wearable_share = norm(by_weekday(wearable_tx));
+        let total_share = norm(by_weekday(all_tx));
 
         // Daily user share per weekday, averaged across the window's days.
+        let (users_by_day, weekly_users) = activity::active_users_by_day_and_week(activity);
         let mut day_share_acc = [0.0_f64; 7];
         let mut day_share_n = [0usize; 7];
         let mut days: Vec<u64> = ctx.window.detailed().days().collect();
@@ -87,11 +77,11 @@ impl WeeklyPattern {
         for day in days {
             let wd = cal.weekday_of_day(day).index() as usize;
             let week = day / 7;
-            let weekly = weekly_users.get(&week).map_or(0, HashSet::len);
+            let weekly = weekly_users.get(&week).copied().unwrap_or(0);
             if weekly == 0 {
                 continue;
             }
-            let daily = users_by_day.get(&day).map_or(0, HashSet::len);
+            let daily = users_by_day.get(&day).copied().unwrap_or(0);
             day_share_acc[wd] += daily as f64 / weekly as f64;
             day_share_n[wd] += 1;
         }
@@ -107,12 +97,12 @@ impl WeeklyPattern {
         let weekend_w = wearable_share[5] + wearable_share[6];
         let weekend_t = (total_share[5] + total_share[6]).max(1e-12);
         let evening_w = if wearable_all > 0.0 {
-            wearable_evening / wearable_all
+            evening(wearable_tx) / wearable_all
         } else {
             0.0
         };
         let evening_t = if total_all > 0.0 {
-            total_evening / total_all
+            evening(all_tx) / total_all
         } else {
             1e-12
         };

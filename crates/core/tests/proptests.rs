@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use wearscope_appdb::AppId;
+use wearscope_appdb::{AppId, Classification};
 use wearscope_core::sessions::{sessionize, AttributedTx, SESSION_GAP_SECS};
 use wearscope_core::stats::{self, Ecdf};
 use wearscope_simtime::SimTime;
@@ -25,7 +25,9 @@ fn arb_attributed() -> impl Strategy<Value = Vec<AttributedTx>> {
                 user: UserId(u),
                 timestamp: SimTime::from_secs(t),
                 app: app.map(AppId),
-                first_party: fp,
+                class: app
+                    .filter(|_| fp)
+                    .map(|a| Classification::FirstParty(AppId(a))),
                 bytes,
             })
             .collect()

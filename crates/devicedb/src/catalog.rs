@@ -61,17 +61,23 @@ pub enum DeviceOs {
     Rtos,
 }
 
-impl fmt::Display for DeviceOs {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl DeviceOs {
+    /// Display name.
+    pub const fn name(self) -> &'static str {
+        match self {
             DeviceOs::AndroidWear => "AndroidWear",
             DeviceOs::Tizen => "Tizen",
             DeviceOs::Android => "Android",
             DeviceOs::Ios => "iOS",
             DeviceOs::WatchOs => "watchOS",
             DeviceOs::Rtos => "RTOS",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for DeviceOs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 

@@ -143,7 +143,8 @@ impl SectorDirectory {
     ///
     /// # Errors
     /// Fails on I/O errors or malformed lines; ids must be dense and in
-    /// order (the write format guarantees this).
+    /// order (the write format guarantees this), and coordinates finite
+    /// with |lat| ≤ 90 and |lon| ≤ 180.
     pub fn read_tsv<R: BufRead>(r: R) -> io::Result<SectorDirectory> {
         let mut dir = SectorDirectory::new();
         for (line_no, line) in r.lines().enumerate() {
@@ -161,6 +162,12 @@ impl SectorDirectory {
             let id: u32 = fields.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
             let lat: f64 = fields.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
             let lon: f64 = fields.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
+            if !(lat.is_finite() && lon.is_finite() && lat.abs() <= 90.0 && lon.abs() <= 180.0) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("sectors.tsv line {}: bad coordinate", line_no + 1),
+                ));
+            }
             let city_raw = fields.next().ok_or_else(bad)?;
             let city = if city_raw.is_empty() {
                 None
@@ -267,6 +274,30 @@ mod tests {
         let ok = SectorDirectory::read_tsv("\n0\t40.0\t-3.0\t2\n\n".as_bytes()).unwrap();
         assert_eq!(ok.len(), 1);
         assert_eq!(ok.get(SectorId(0)).unwrap().city, Some(2));
+    }
+
+    #[test]
+    fn tsv_rejects_bad_coordinates() {
+        for (lat, lon) in [
+            ("nan", "-3.0"),
+            ("40.0", "NaN"),
+            ("inf", "-3.0"),
+            ("40.0", "-inf"),
+            ("999", "-3.0"),
+            ("-90.5", "-3.0"),
+            ("40.0", "180.1"),
+        ] {
+            let text = format!("0\t40.0\t-3.0\t\n1\t{lat}\t{lon}\t\n");
+            let err = SectorDirectory::read_tsv(text.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(
+                err.to_string(),
+                "sectors.tsv line 2: bad coordinate",
+                "{lat} {lon}"
+            );
+        }
+        let edges = SectorDirectory::read_tsv("0\t-90\t180\t\n1\t90\t-180\t\n".as_bytes());
+        assert_eq!(edges.unwrap().len(), 2);
     }
 
     #[test]

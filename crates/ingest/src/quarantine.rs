@@ -22,7 +22,7 @@ use std::path::{Path, PathBuf};
 use wearscope_devicedb::Imei;
 use wearscope_obs::Registry;
 use wearscope_report::{QuarantineReason, ShardSource};
-use wearscope_simtime::SimTime;
+use wearscope_simtime::{ObservationWindow, SimDuration, SimTime};
 use wearscope_trace::{CodecError, MmeRecord, ProxyRecord};
 
 /// Knobs for the resilient loader.
@@ -60,24 +60,15 @@ impl Default for IngestOptions {
 impl IngestOptions {
     /// Options for analyzing the world under `dir`: quarantine log beside
     /// the data, and a skew horizon derived from `manifest.tsv`'s window
-    /// (summary days + 2 days of slack) when the manifest is readable.
+    /// (summary days + 2 days of slack) when the manifest is valid.
     pub fn for_world(dir: &Path) -> IngestOptions {
-        let mut opts = IngestOptions {
+        let window = ObservationWindow::read_manifest(dir).ok();
+        IngestOptions {
             quarantine_log: Some(dir.join("quarantine.log")),
+            max_timestamp: window
+                .map(|w| w.summary().end().saturating_add(SimDuration::from_days(2))),
             ..IngestOptions::default()
-        };
-        if let Ok(manifest) = std::fs::read_to_string(dir.join("manifest.tsv")) {
-            for line in manifest.lines() {
-                if let Some((k, v)) = line.split_once('\t') {
-                    if k == "summary_days" {
-                        if let Ok(days) = v.trim().parse::<u64>() {
-                            opts.max_timestamp = Some(SimTime::from_days(days + 2));
-                        }
-                    }
-                }
-            }
         }
-        opts
     }
 
     /// Same options with a different error budget.

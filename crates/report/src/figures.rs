@@ -197,7 +197,7 @@ pub fn export_figures(r: &StudyResults<'_>, dir: &Path) -> io::Result<usize> {
     emit("fig7_per_usage.csv", w.finish())?;
 
     // Fig 8.
-    let breakdown = &r.domains;
+    let breakdown = &r.aggs.domains;
     let mut w = CsvWriter::new(vec!["class", "users", "frequency", "data"]);
     for class in wearscope_appdb::DomainClass::ALL {
         let i = class.index();

@@ -20,9 +20,9 @@ pub fn render_full_report(ctx: &StudyContext<'_>, summaries: &NetworkSummaries) 
 }
 
 /// Renders the complete study from already computed results (the
-/// `analyze --full` report). Scans the store only through
-/// [`StudyResults::quality`] and [`StudyResults::app_figures`], each at
-/// most once per `StudyResults`.
+/// `analyze --full` report). Never reads the store; the figure-only app
+/// analyses come from [`StudyResults::app_figures`], computed at most once
+/// per `StudyResults`.
 pub fn render_full(r: &StudyResults<'_>) -> String {
     let aggs = r.aggs;
     let mut out = String::new();
@@ -34,7 +34,7 @@ pub fn render_full(r: &StudyResults<'_>) -> String {
     };
 
     // QA first: nothing below is trustworthy if this is red.
-    let quality = r.quality();
+    let quality = &aggs.quality;
     section(
         "trace QA",
         format!(
@@ -185,7 +185,7 @@ pub fn render_full(r: &StudyResults<'_>) -> String {
     );
 
     // Fig 8.
-    let breakdown = &r.domains;
+    let breakdown = &r.aggs.domains;
     let mut t = Table::new(vec!["class", "users%", "freq%", "data%"]);
     for class in wearscope_appdb::DomainClass::ALL {
         let i = class.index();
@@ -199,7 +199,7 @@ pub fn render_full(r: &StudyResults<'_>) -> String {
     section("Fig 8: domain classes", t.render());
 
     // Sec 4.1/4.2 extensions.
-    let (mix, weekly) = (&r.devices, &r.weekly);
+    let (mix, weekly) = (&aggs.devices, &aggs.weekly);
     section(
         "Sec 4.1/4.2: devices & weekly pattern",
         format!(
@@ -213,7 +213,7 @@ pub fn render_full(r: &StudyResults<'_>) -> String {
     );
 
     // Sec 6.
-    let through = &r.through_device;
+    let through = &aggs.through_device;
     section(
         "Sec 6: Through-Device",
         format!(

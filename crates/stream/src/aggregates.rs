@@ -2,8 +2,8 @@
 //!
 //! Each open window holds one [`CorePartials`] bundle — the same partials
 //! the batch fold ([`CoreAggregates::sequential`]) absorbs into — plus the
-//! two counters the partials cannot give. A window report derives its
-//! proxy-record and wearable totals from the partials. Because the
+//! late-merge counter the partials cannot give. A window report derives
+//! its record and wearable totals from the partials. Because the
 //! partials obey the determinism contract of [`CorePartials`], merging
 //! every *tumbling* window's partials in index order and finishing once
 //! reproduces the batch [`CoreAggregates`] bit-identically — the golden
@@ -20,8 +20,6 @@ use wearscope_trace::{MmeRecord, ProxyRecord};
 /// The exact counters of a window that its partials do not hold.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WindowCounters {
-    /// MME records absorbed.
-    pub mme_records: u64,
     /// Late-but-within-lateness records merged into this window.
     pub late_merged: u64,
 }
@@ -45,9 +43,8 @@ impl WindowAggregates {
     }
 
     /// Folds one MME record into the window.
-    pub fn absorb_mme(&mut self, r: &MmeRecord, late: bool) {
-        self.partials.absorb_mme(r);
-        self.counters.mme_records += 1;
+    pub fn absorb_mme(&mut self, ctx: &StudyContext<'_>, r: &MmeRecord, late: bool) {
+        self.partials.absorb_mme(ctx, r);
         self.counters.late_merged += u64::from(late);
     }
 
@@ -60,7 +57,6 @@ impl WindowAggregates {
     /// ascending window index, matching the merge-order contract).
     pub fn merge(&mut self, other: WindowAggregates) {
         self.partials.merge(other.partials);
-        self.counters.mme_records += other.counters.mme_records;
         self.counters.late_merged += other.counters.late_merged;
     }
 
@@ -79,7 +75,7 @@ impl WindowAggregates {
             start_secs,
             end_secs,
             proxy_records: p.traffic.per_user.values().map(|&(_, tx)| tx).sum(),
-            mme_records: self.counters.mme_records,
+            mme_records: p.quality.mme_records,
             wearable_tx: activity.clone().map(|a| a.transactions).sum(),
             wearable_bytes: activity.map(|a| a.bytes).sum(),
             users: p.traffic.per_user.len() as u64,
@@ -92,10 +88,8 @@ impl WindowAggregates {
 
 impl Snapshot for WindowAggregates {
     fn snapshot(&self, out: &mut String) {
-        let c = self.counters;
         RowWriter::tagged(out, "window-counters")
-            .put(c.mme_records)
-            .put(c.late_merged)
+            .put(self.counters.late_merged)
             .end();
         self.partials.snapshot(out);
     }
@@ -103,7 +97,6 @@ impl Snapshot for WindowAggregates {
     fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         let mut row = r.tagged("window-counters")?;
         let counters = WindowCounters {
-            mme_records: row.field()?,
             late_merged: row.field()?,
         };
         row.end()?;
@@ -226,7 +219,7 @@ mod tests {
 
     /// The checkpoint body of one small window, byte for byte: counters
     /// first, then attributed, activity, hourly, tx-stats, traffic,
-    /// mobility and popularity. A change to this text breaks `--resume`
+    /// mobility, popularity, devices, through-device and trace-qa. A change to this text breaks `--resume`
     /// from every checkpoint already on disk.
     #[test]
     fn snapshot_text_is_pinned() {
@@ -274,27 +267,26 @@ mod tests {
         for (i, r) in records.iter().enumerate() {
             w.absorb_proxy(&ctx, r, i == 1);
         }
-        w.absorb_mme(&mme(9 * 3600, MmeEvent::Attach, 2), false);
-        w.absorb_mme(&mme(9 * 3600 + 600, MmeEvent::SectorUpdate, 3), true);
+        w.absorb_mme(&ctx, &mme(9 * 3600, MmeEvent::Attach, 2), false);
+        w.absorb_mme(&ctx, &mme(9 * 3600 + 600, MmeEvent::SectorUpdate, 3), true);
         for tx in &attribute_records(&ctx, &records) {
             w.absorb_attributed(tx);
         }
         let mut text = String::new();
         w.snapshot(&mut text);
 
-        // 48 hourly slots; only weekday hour 9 of day 0 saw the watch.
-        let hourly: String = (0..48)
-            .map(|slot| if slot == 9 { "2\t2122\n" } else { "0\t0\n" })
-            .collect();
+        // Day 0 is a Friday: the watch's hour 9 is weekly slot 105, the
+        // phone's Saturday hour 10 slot 130.
         let expected = [
-            "window-counters\t2\t2\n",
+            "window-counters\t2\n",
             "attributed\t2\n",
-            "1\t32405\t0\t1\t111\n",
-            "1\t32430\t0\t0\t2011\n",
+            "1\t32405\t0\t0\t111\n",
+            "1\t32430\t0\tAnalytics\t2011\n",
             "activity\t1\n",
             "1\t2\t2122\t0\t9\n",
-            "hourly\n",
-            &hourly,
+            "hourly\t2\n",
+            "105\t2\t2122\t2\n",
+            "130\t0\t0\t1\n",
             "tx-stats\t2\n",
             "405bc00000000000 409f6c0000000000\n",
             "traffic\t2\n",
@@ -309,6 +301,9 @@ mod tests {
             "0\t0\t1\n",
             "0\t1\t0\n",
             "0\n",
+            "devices\t1:352000000000012\n",
+            "through-device\t-\n",
+            "trace-qa\t2\t0\t0\t0 1\n",
         ]
         .concat();
         assert_eq!(text, expected);

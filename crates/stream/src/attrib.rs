@@ -35,7 +35,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use wearscope_appdb::AppId;
+use wearscope_appdb::{AppId, Classification};
 use wearscope_core::sessions::{AttributedTx, SESSION_GAP_SECS};
 use wearscope_core::snapshot::{
     sorted_entries, Row, RowWriter, Snapshot, SnapshotError, SnapshotReader,
@@ -51,10 +51,7 @@ fn gap() -> SimDuration {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum TxState {
     /// Attribution decided; waiting only for queue order.
-    Ready {
-        app: Option<AppId>,
-        first_party: bool,
-    },
+    Ready { app: Option<AppId> },
     /// Waiting for a possible future anchor, carrying the best past one.
     Waiting { past: Option<(SimTime, AppId)> },
 }
@@ -63,6 +60,7 @@ enum TxState {
 struct QueuedTx {
     t: SimTime,
     bytes: u64,
+    class: Option<Classification>,
     state: TxState,
 }
 
@@ -112,23 +110,23 @@ impl StreamingAttributor {
         self.users.values().map(|u| u.queue.len()).sum()
     }
 
-    /// Feeds one classified wearable transaction. Resolved transactions
-    /// that reach the queue front are appended to `out` in arrival order.
-    /// Returns `true` when the transaction is late behind an anchor
-    /// already seen and was resolved by the late-record approximation.
+    /// Feeds one wearable transaction with its host's classification.
+    /// Resolved transactions that reach the queue front are appended to
+    /// `out` in arrival order. Returns `true` when the transaction is late
+    /// behind an anchor already seen and was resolved by the late-record
+    /// approximation.
     pub fn observe(
         &mut self,
         user: UserId,
         t: SimTime,
-        app: Option<AppId>,
-        first_party: bool,
+        class: Option<Classification>,
         bytes: u64,
         out: &mut Vec<AttributedTx>,
     ) -> bool {
         let state = self.users.entry(user).or_default();
         let mut approximate = false;
-        match (first_party, app) {
-            (true, Some(a)) => {
+        match class {
+            Some(Classification::FirstParty(a)) => {
                 let anchor = (t, a);
                 for entry in state.queue.iter_mut() {
                     if let TxState::Waiting { past } = entry.state {
@@ -138,7 +136,6 @@ impl StreamingAttributor {
                             // time-ordered on in-order streams).
                             entry.state = TxState::Ready {
                                 app: resolve(past, Some(anchor), entry.t),
-                                first_party: false,
                             };
                         } else {
                             // A (newer) past candidate: later log order
@@ -153,10 +150,8 @@ impl StreamingAttributor {
                 state.queue.push_back(QueuedTx {
                     t,
                     bytes,
-                    state: TxState::Ready {
-                        app: Some(a),
-                        first_party: true,
-                    },
+                    class,
+                    state: TxState::Ready { app: Some(a) },
                 });
                 let replace = state.last_anchor.is_none_or(|(at, _)| at <= t);
                 if replace {
@@ -173,15 +168,16 @@ impl StreamingAttributor {
                         QueuedTx {
                             t,
                             bytes,
+                            class,
                             state: TxState::Ready {
                                 app: resolve(None, Some((at, a)), t),
-                                first_party: false,
                             },
                         }
                     }
                     past => QueuedTx {
                         t,
                         bytes,
+                        class,
                         state: TxState::Waiting { past },
                     },
                 };
@@ -205,7 +201,6 @@ impl StreamingAttributor {
                     if entry.t.saturating_add(gap()) < watermark {
                         entry.state = TxState::Ready {
                             app: resolve(past, None, entry.t),
-                            first_party: false,
                         };
                     }
                 }
@@ -223,12 +218,12 @@ impl StreamingAttributor {
     fn drain(user: UserId, state: &mut UserState, out: &mut Vec<AttributedTx>) {
         while let Some(front) = state.queue.front() {
             match front.state {
-                TxState::Ready { app, first_party } => {
+                TxState::Ready { app } => {
                     out.push(AttributedTx {
                         user,
                         timestamp: front.t,
                         app,
-                        first_party,
+                        class: front.class,
                         bytes: front.bytes,
                     });
                     state.queue.pop_front();
@@ -267,10 +262,13 @@ impl Snapshot for StreamingAttributor {
                 .put(state.queue.len())
                 .end();
             for entry in &state.queue {
-                let row = RowWriter::tagged(out, "q").put(entry.t).put(entry.bytes);
+                let row = RowWriter::tagged(out, "q")
+                    .put(entry.t)
+                    .put(entry.bytes)
+                    .put(entry.class);
                 match entry.state {
-                    TxState::Ready { app, first_party } => {
-                        row.raw("R").put(app).put(first_party).end();
+                    TxState::Ready { app } => {
+                        row.raw("R").put(app).end();
                     }
                     TxState::Waiting { past } => {
                         let (at, app) = split_anchor(past);
@@ -292,19 +290,21 @@ impl Snapshot for StreamingAttributor {
             let mut queue = VecDeque::new();
             for _ in 0..n_queue {
                 let mut row = r.tagged("q")?;
-                let (t, bytes) = (row.field()?, row.field()?);
+                let (t, bytes, class) = (row.field()?, row.field()?, row.field()?);
                 let state = match row.raw()? {
-                    "R" => TxState::Ready {
-                        app: row.field()?,
-                        first_party: row.field()?,
-                    },
+                    "R" => TxState::Ready { app: row.field()? },
                     "W" => TxState::Waiting {
                         past: read_anchor(&mut row)?,
                     },
                     other => return Err(row.err(format!("bad queue state `{other}`"))),
                 };
                 row.end()?;
-                queue.push_back(QueuedTx { t, bytes, state });
+                queue.push_back(QueuedTx {
+                    t,
+                    bytes,
+                    class,
+                    state,
+                });
             }
             users.insert(user, UserState { queue, last_anchor });
         }
@@ -315,7 +315,7 @@ impl Snapshot for StreamingAttributor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wearscope_appdb::{AppCatalog, Classification};
+    use wearscope_appdb::AppCatalog;
     use wearscope_core::sessions::attribute_records;
     use wearscope_core::StudyContext;
     use wearscope_devicedb::DeviceDb;
@@ -332,11 +332,8 @@ mod tests {
         if !ctx.is_wearable_record(r) {
             return false;
         }
-        let (app, first_party) = match ctx.host_class(r.host).classification {
-            Some(Classification::FirstParty(a)) => (Some(a), true),
-            _ => (None, false),
-        };
-        attrib.observe(r.user, r.timestamp, app, first_party, r.bytes_total(), out)
+        let class = ctx.host_class(r.host).classification;
+        attrib.observe(r.user, r.timestamp, class, r.bytes_total(), out)
     }
 
     fn wtx(db: &DeviceDb, user: u64, t: u64, host: &str) -> ProxyRecord {
@@ -444,12 +441,11 @@ mod tests {
         // Third-party at t=100 (waits), first-party at t=100 (tie time):
         // the anchor is not strictly later, so the third-party tx keeps
         // waiting — and the first-party tx must queue behind it.
-        attrib.observe(user, SimTime::from_secs(100), None, false, 5, &mut out);
+        attrib.observe(user, SimTime::from_secs(100), None, 5, &mut out);
         attrib.observe(
             user,
             SimTime::from_secs(100),
-            Some(AppId(3)),
-            true,
+            Some(Classification::FirstParty(AppId(3))),
             7,
             &mut out,
         );
@@ -460,9 +456,9 @@ mod tests {
         // Arrival order preserved; the waiting tx resolved to the tie-time
         // anchor (gap 0, past side).
         assert_eq!(out[0].timestamp, SimTime::from_secs(100));
-        assert!(!out[0].first_party);
+        assert!(!out[0].first_party());
         assert_eq!(out[0].app, Some(AppId(3)));
-        assert!(out[1].first_party);
+        assert!(out[1].first_party());
     }
 
     /// A third-party transaction behind the latest anchor resolves at once
@@ -473,10 +469,11 @@ mod tests {
         let mut out = Vec::new();
         let user = UserId(4);
         let app = Some(AppId(2));
-        assert!(!attrib.observe(user, SimTime::from_secs(500), app, true, 9, &mut out));
-        assert!(attrib.observe(user, SimTime::from_secs(470), None, false, 3, &mut out));
+        let class = Some(Classification::FirstParty(AppId(2)));
+        assert!(!attrib.observe(user, SimTime::from_secs(500), class, 9, &mut out));
+        assert!(attrib.observe(user, SimTime::from_secs(470), None, 3, &mut out));
         // In order behind the anchor: waits for a future one instead.
-        assert!(!attrib.observe(user, SimTime::from_secs(520), None, false, 3, &mut out));
+        assert!(!attrib.observe(user, SimTime::from_secs(520), None, 3, &mut out));
         assert_eq!(out.len(), 2);
         assert_eq!(out[1].app, app);
     }
@@ -487,7 +484,7 @@ mod tests {
         let mut attrib = StreamingAttributor::new();
         let mut out = Vec::new();
         let user = UserId(1);
-        attrib.observe(user, SimTime::from_secs(100), None, false, 1, &mut out);
+        attrib.observe(user, SimTime::from_secs(100), None, 1, &mut out);
         // W = 160: 100 + 60 is not < 160 → still waiting (an anchor at
         // exactly t=160 could still claim it with gap 60).
         attrib.advance(SimTime::from_secs(160), &mut out);
@@ -506,13 +503,12 @@ mod tests {
         attrib.observe(
             UserId(2),
             SimTime::from_secs(50),
-            Some(AppId(4)),
-            true,
+            Some(Classification::FirstParty(AppId(4))),
             9,
             &mut out,
         );
-        attrib.observe(UserId(1), SimTime::from_secs(80), None, false, 3, &mut out);
-        attrib.observe(UserId(1), SimTime::from_secs(90), None, false, 4, &mut out);
+        attrib.observe(UserId(1), SimTime::from_secs(80), None, 3, &mut out);
+        attrib.observe(UserId(1), SimTime::from_secs(90), None, 4, &mut out);
         let mut text = String::new();
         attrib.snapshot(&mut text);
         let mut reader = SnapshotReader::new(&text);

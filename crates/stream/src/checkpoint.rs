@@ -46,7 +46,7 @@ use crate::source::SourcePosition;
 const MAGIC: &str = "wearscope-stream-checkpoint";
 /// The checkpoint format this build writes and reads: the header's second
 /// field is `v` followed by it.
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
 /// The `config` line's fields, named for the mismatch message.
 const CONFIG_FIELDS: [&str; 7] = [
@@ -454,14 +454,9 @@ mod tests {
         };
         let text = to_text(&rt, Some(position));
 
-        // 48 hourly slots, one of them non-zero.
-        let hourly = |hot: usize| -> String {
-            (0..48)
-                .map(|slot| if slot == hot { "1\t72\n" } else { "0\t0\n" })
-                .collect()
-        };
+        // Day 0 is a Friday: hours 0 and 1 are weekly slots 96 and 97.
         let expected = [
-            "wearscope-stream-checkpoint\tv2\n",
+            "wearscope-stream-checkpoint\tv3\n",
             "config\t3600\t3600\t300\t4096\tblock\t-\t1\n",
             "clock\t4000\t5\n",
             "quality\t5\t4\t0\t0\t1\t0\t0\t0\t0000000000000000\n",
@@ -472,13 +467,13 @@ mod tests {
             "0\t0\t3600\t1\t1\t1\t72\t1\t1\t0\t0\n",
             "collected\t1\n",
             "collected-window\t0\n",
-            "window-counters\t1\t0\n",
+            "window-counters\t0\n",
             "attributed\t1\n",
-            "1\t100\t0\t1\t72\n",
+            "1\t100\t0\t0\t72\n",
             "activity\t1\n",
             "1\t1\t72\t0\t0\n",
-            "hourly\n",
-            &hourly(0),
+            "hourly\t1\n",
+            "96\t1\t72\t1\n",
             "tx-stats\t1\n",
             "4052000000000000\n",
             "traffic\t1\n",
@@ -491,21 +486,24 @@ mod tests {
             "0\t0\t1\n",
             "0\t1\t0\n",
             "0\n",
+            "devices\t1:352000000000012\n",
+            "through-device\t-\n",
+            "trace-qa\t1\t0\t0\t0\n",
             "dedup-proxy\t1\n",
             "4000\t1\t352000000000012\tcdn.telemetry.example\t1\t64\t8\n",
             "dedup-mme\t1\n",
             "3900\t1\t352000000000012\t2\t6\n",
             "attributor\t1\n",
             "u\t1\t100\t0\t1\n",
-            "q\t4000\t72\tW\t100\t0\n",
+            "q\t4000\t72\t-\tW\t100\t0\n",
             "open\t1\n",
             "open-window\t1\n",
-            "window-counters\t1\t0\n",
+            "window-counters\t0\n",
             "attributed\t0\n",
             "activity\t1\n",
             "1\t1\t72\t0\t1\n",
-            "hourly\n",
-            &hourly(1),
+            "hourly\t1\n",
+            "97\t1\t72\t1\n",
             "tx-stats\t1\n",
             "4052000000000000\n",
             "traffic\t1\n",
@@ -516,6 +514,9 @@ mod tests {
             "1\t352000000000012\t3900\n",
             "popularity\t0\t0\n",
             "-\n",
+            "devices\t1:352000000000012\n",
+            "through-device\t-\n",
+            "trace-qa\t1\t0\t0\t0\n",
             "end\n",
         ]
         .concat();
@@ -552,13 +553,13 @@ mod tests {
             (
                 "attributor\t1\n",
                 "attributor\t1000000000000000000\n",
-                85,
+                41,
                 "expected `u` block, found `open`",
             ),
             (
                 "tx-stats\t1\n",
                 "tx-stats\t1000000000000000000\n",
-                67,
+                20,
                 "expected 1000000000000000000 sizes, found 1",
             ),
             (
@@ -568,45 +569,69 @@ mod tests {
                 "field 1: `hourly` is not a u64",
             ),
             (
-                "1\t100\t0\t1\t72\n",
-                "1\t100\t65537\t1\t72\n",
+                "1\t100\t0\t0\t72\n",
+                "1\t100\t65537\t0\t72\n",
                 14,
                 "field 3: `65537` is not a u16",
             ),
             (
-                "1\t100\t0\t1\t72\n",
-                "1\t100\t0\t2\t72\n",
+                "1\t100\t0\t0\t72\n",
+                "1\t100\t0\tBogus\t72\n",
                 14,
-                "field 4: `2` is not a 0/1 flag",
+                "field 4: `Bogus` is not an app id or a domain class",
+            ),
+            (
+                "96\t1\t72\t1\n",
+                "168\t1\t72\t1\n",
+                18,
+                "slot 168 is not below 168",
+            ),
+            (
+                "devices\t1:352000000000012\n",
+                "devices\t1:x\n",
+                31,
+                "field 2: `x` is not a u64",
+            ),
+            (
+                "through-device\t-\n",
+                "through-device\tBogus:1\n",
+                32,
+                "field 2: `Bogus` is not a Through-Device kind",
             ),
             (
                 "u\t1\t100\t0\t1\n",
                 "u\t1\t100\t65537\t1\n",
-                83,
+                39,
                 "field 4: `65537` is not a u16",
             ),
             (
                 "u\t1\t100\t0\t1\n",
                 "u\t1\t-\t0\t1\n",
-                83,
+                39,
                 "an anchor needs both its time and its app, or neither",
+            ),
+            (
+                "q\t4000\t72\t-\t",
+                "q\t4000\t72\tX\t",
+                40,
+                "field 4: `X` is not an app id or a domain class",
             ),
             (
                 "W\t100\t0\n",
                 "W\t100\t65537\n",
-                84,
-                "field 6: `65537` is not a u16",
+                40,
+                "field 7: `65537` is not a u16",
             ),
             (
                 "1\t0\t5\n",
                 "1\t0\t4294967296\n",
-                72,
+                25,
                 "field 3: `4294967296` is not a u32",
             ),
             (
                 "popularity\t1\t1\n0",
                 "popularity\t1\t1\n65537",
-                75,
+                28,
                 "field 1: `65537` is not a u16",
             ),
             (
@@ -627,7 +652,7 @@ mod tests {
                 6,
                 "progress needs both its fields, or neither",
             ),
-            ("end\n", "", 150, "unexpected end of snapshot"),
+            ("end\n", "", 62, "unexpected end of snapshot"),
         ];
         for (from, to, line, message) in cases {
             assert!(text.contains(from), "{from:?}");
@@ -766,27 +791,23 @@ mod tests {
         let config = hour_config();
         let text = to_text(&StreamRuntime::new(&ctx, config), None);
         let (header, body) = text.split_once('\n').unwrap();
-        assert_eq!(header, "wearscope-stream-checkpoint\tv2");
-        let old = format!("wearscope-stream-checkpoint\tv1\n{body}");
-        let err = from_text(&ctx, config, &old)
-            .map(|_| ())
-            .expect_err("a v1 checkpoint must be rejected");
-        assert!(
-            matches!(
-                err,
-                StreamError::CheckpointVersion {
-                    found: 1,
-                    expected: 2
-                }
-            ),
-            "{err}"
-        );
-        let message = err.to_string();
-        assert!(
-            message.contains("v1") && message.contains("v2"),
-            "{message}"
-        );
-        assert!(message.contains("without --resume"), "{message}");
+        assert_eq!(header, "wearscope-stream-checkpoint\tv3");
+        for found in [1, 2] {
+            let old = format!("wearscope-stream-checkpoint\tv{found}\n{body}");
+            let err = from_text(&ctx, config, &old)
+                .map(|_| ())
+                .expect_err("an older checkpoint must be rejected");
+            assert!(
+                matches!(err, StreamError::CheckpointVersion { found: f, expected: 3 } if f == found),
+                "{err}"
+            );
+            let message = err.to_string();
+            assert!(
+                message.contains(&format!("v{found}")) && message.contains("v3"),
+                "{message}"
+            );
+            assert!(message.contains("without --resume"), "{message}");
+        }
     }
 
     #[test]

@@ -28,7 +28,6 @@ use std::fmt;
 use std::io;
 use std::path::Path;
 
-use wearscope_appdb::Classification;
 use wearscope_core::sessions::{AttributedTx, SESSION_GAP_SECS};
 use wearscope_core::snapshot::SnapshotError;
 use wearscope_core::StudyContext;
@@ -439,21 +438,16 @@ impl<'s> StreamRuntime<'s> {
             let ctx = self.ctx;
             match &ev {
                 StreamEvent::Proxy(r) => self.ensure_window(id)?.absorb_proxy(ctx, r, late),
-                StreamEvent::Mme(r) => self.ensure_window(id)?.absorb_mme(r, late),
+                StreamEvent::Mme(r) => self.ensure_window(id)?.absorb_mme(ctx, r, late),
             }
         }
         if let StreamEvent::Proxy(r) = &ev {
             if self.ctx.is_wearable_record(r) {
-                let (app, first_party) = match self.ctx.host_class(r.host).classification {
-                    Some(Classification::FirstParty(a)) => (Some(a), true),
-                    _ => (None, false),
-                };
                 let mut emitted = Vec::new();
                 let approximate = self.attributor.observe(
                     r.user,
                     r.timestamp,
-                    app,
-                    first_party,
+                    self.ctx.host_class(r.host).classification,
                     r.bytes_total(),
                     &mut emitted,
                 );

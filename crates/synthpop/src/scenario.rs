@@ -103,29 +103,7 @@ impl GeneratedWorld {
         dir: &std::path::Path,
         store: TraceStore,
     ) -> std::io::Result<SavedWorld> {
-        let manifest = std::fs::read_to_string(dir.join("manifest.tsv"))?;
-        let mut summary_days = 0u64;
-        let mut detailed_days = 0u64;
-        for line in manifest.lines() {
-            if let Some((k, v)) = line.split_once('\t') {
-                match k {
-                    "summary_days" => summary_days = v.parse().map_err(invalid)?,
-                    "detailed_days" => detailed_days = v.parse().map_err(invalid)?,
-                    _ => {}
-                }
-            }
-        }
-        if summary_days == 0 || detailed_days == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "manifest.tsv missing window layout",
-            ));
-        }
-        let window = wearscope_simtime::ObservationWindow::new(
-            summary_days,
-            detailed_days,
-            wearscope_simtime::Calendar::PAPER,
-        );
+        let window = wearscope_simtime::ObservationWindow::read_manifest(dir)?;
         let sectors_file = std::fs::File::open(dir.join("sectors.tsv"))?;
         let sectors = SectorDirectory::read_tsv(std::io::BufReader::new(sectors_file))?;
         // Every MME record names a sector; with no cell plan the mobility

@@ -97,7 +97,9 @@ impl HostId {
         })
     }
 
-    fn index(self) -> usize {
+    /// The id's position in interning order: ids are dense from 0, so a
+    /// per-host table can be a `Vec` indexed by it.
+    pub fn index(self) -> usize {
         self.0 as usize
     }
 }

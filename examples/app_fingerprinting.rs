@@ -61,14 +61,14 @@ fn main() {
 
     let attributed = attribute_transactions(&ctx);
     let total = attributed.len();
-    let first_party = attributed.iter().filter(|t| t.first_party).count();
+    let first_party = attributed.iter().filter(|t| t.first_party()).count();
     let attributed_third = attributed
         .iter()
-        .filter(|t| !t.first_party && t.app.is_some())
+        .filter(|t| !t.first_party() && t.app.is_some())
         .count();
     let orphans = attributed
         .iter()
-        .filter(|t| !t.first_party && t.app.is_none())
+        .filter(|t| !t.first_party() && t.app.is_none())
         .count();
     println!("\n== timeframe attribution over {total} wearable transactions ==");
     println!("first-party (SNI identifies the app directly): {first_party}");

@@ -55,7 +55,7 @@ fn main() {
 
     println!("\n== Sec. 4.1: wearable device models ==");
     let mut t = Table::new(vec!["model", "users"]);
-    for (model, n) in results.devices.ranked_models() {
+    for (model, n) in results.aggs.devices.ranked_models() {
         t.row(vec![model.to_string(), n.to_string()]);
     }
     print!("{}", t.render());
@@ -85,13 +85,14 @@ fn main() {
 
     println!(
         "\n== Fig. 8: third-party data within one order of magnitude of first-party: {} (paper: yes) ==",
-        results.domains.thirdparty_within_order_of_magnitude()
+        results.aggs.domains.thirdparty_within_order_of_magnitude()
     );
 
     println!("\n== Sec. 6: Through-Device users by kind ==");
     let mut t = Table::new(vec!["kind", "identified users"]);
     for kind in wearscope::appdb::ThroughDeviceKind::ALL {
         let n = results
+            .aggs
             .through_device
             .identified
             .get(&kind)

@@ -281,13 +281,17 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     }
     let loading = |e: std::io::Error| format!("loading {}: {e}", dir.display());
 
-    // Every worker count goes through the resilient loader — quarantine
-    // decisions depend only on file content and order, so the surviving
-    // store (and everything downstream) is bit-identical for every N.
+    // The world's metadata (manifest, cell plan, summaries) is read before
+    // its logs, so a bad metadata file is named rather than blamed on a
+    // log shard. Every worker count goes through the resilient loader —
+    // quarantine decisions depend only on file content and order, so the
+    // surviving store (and everything downstream) is bit-identical for
+    // every N.
     let load_span = root.child("load");
+    let mut saved = GeneratedWorld::load_with_store(&dir, TraceStore::new()).map_err(loading)?;
     let (store, load_report) = load_store_resilient(&dir, workers, &opts)
         .map_err(|e| format!("loading {}: {e}", dir.display()))?;
-    let saved = GeneratedWorld::load_with_store(&dir, store).map_err(loading)?;
+    saved.store = store;
     load_span.finish();
     let db = DeviceDb::standard();
     let catalog = AppCatalog::standard();
@@ -308,16 +312,9 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     let full = args.iter().any(|a| a == "--full");
     let csv_dir = flag(args, "--csv")?.map(PathBuf::from);
     let results_span = root.child("results");
-    let results = StudyResults::traced(&ctx, &saved.summaries, &aggs, |scan| {
-        results_span.child(scan)
-    });
+    let results = StudyResults::new(&ctx, &saved.summaries, &aggs);
     if full || csv_dir.is_some() {
-        let _timer = results_span.child("app_figures");
         results.app_figures();
-    }
-    if full {
-        let _timer = results_span.child("quality");
-        results.quality();
     }
     results_span.finish();
 
@@ -427,8 +424,6 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     if let Some(s) = flag(args, "--backpressure")? {
         config.backpressure = Backpressure::parse(&s)?;
     }
-    // Same clock-skew horizon as the batch loader derives for this world.
-    config.max_timestamp = IngestOptions::for_world(&dir).max_timestamp;
 
     let follow = args.iter().any(|a| a == "--follow");
     let resume = args.iter().any(|a| a == "--resume");
@@ -457,6 +452,8 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     // back to the live device DB on the empty store).
     let saved = GeneratedWorld::load_with_store(&dir, TraceStore::new())
         .map_err(|e| format!("loading {}: {e}", dir.display()))?;
+    // Same clock-skew horizon as the batch loader derives for this world.
+    config.max_timestamp = IngestOptions::for_world(&dir).max_timestamp;
     let db = DeviceDb::standard();
     let catalog = AppCatalog::standard();
     let ctx = StudyContext::new(&saved.store, &db, &saved.sectors, &catalog, saved.window);

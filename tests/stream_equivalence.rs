@@ -2,6 +2,9 @@
 //! event-time windows and merging every emitted window's partials must
 //! reproduce the batch aggregates **bit-identically**.
 //!
+//! The figures folded from the same partials (weekly pattern, domain
+//! classes, device mix, Through-Device report, trace QA) are compared too.
+//!
 //! This is the streaming engine's core correctness contract: windowing,
 //! watermark-driven emission, online attribution and late-merge handling
 //! are all allowed to reorder *work*, but never to change a single bit of
@@ -141,6 +144,55 @@ fn assert_equivalent(dir: &std::path::Path, input: &str, lateness: SimDuration) 
             got.tx_stats.median_bytes.to_bits(),
             batch.tx_stats.median_bytes.to_bits(),
             "{at}: median bits"
+        );
+
+        // The figures folded from the same partials.
+        assert_eq!(got.weekly, batch.weekly, "{at}");
+        assert_eq!(got.domains, batch.domains, "{at}");
+        assert_eq!(got.devices, batch.devices, "{at}");
+        assert_eq!(got.through_device, batch.through_device, "{at}");
+        assert_eq!(got.quality, batch.quality, "{at}");
+        assert!(batch.devices.total_users > 0, "{at}: wearables seen");
+        assert!(
+            !batch.through_device.users.is_empty(),
+            "{at}: fingerprints seen"
+        );
+        let (w, bw) = (&got.weekly, &batch.weekly);
+        for (a, b) in [
+            (
+                &w.wearable_tx_by_weekday[..],
+                &bw.wearable_tx_by_weekday[..],
+            ),
+            (&w.total_tx_by_weekday, &bw.total_tx_by_weekday),
+            (&w.daily_user_share, &bw.daily_user_share),
+            (&got.domains.users, &batch.domains.users),
+            (&got.domains.frequency, &batch.domains.frequency),
+            (&got.domains.data, &batch.domains.data),
+        ] {
+            assert_eq!(bits(a), bits(b), "{at}: weekly and domain share bits");
+        }
+        let (t, bt) = (&got.through_device, &batch.through_device);
+        assert_eq!(
+            [
+                w.weekend_relative_usage.to_bits(),
+                w.evening_relative_usage.to_bits(),
+                t.displacement_mean_km.to_bits(),
+                t.sim_owner_displacement_mean_km.to_bits(),
+                got.quality.day_coverage.to_bits(),
+            ],
+            [
+                bw.weekend_relative_usage.to_bits(),
+                bw.evening_relative_usage.to_bits(),
+                bt.displacement_mean_km.to_bits(),
+                bt.sim_owner_displacement_mean_km.to_bits(),
+                batch.quality.day_coverage.to_bits(),
+            ],
+            "{at}: scalar bits"
+        );
+        assert_eq!(
+            bits(t.displacement.samples()),
+            bits(bt.displacement.samples()),
+            "{at}: Through-Device displacement bits"
         );
     }
 }
