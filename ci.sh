@@ -102,6 +102,38 @@ test -f "$FAULT_DIR/ckpt/stream.ckpt"
 diff "$FAULT_DIR/stream-full.txt" "$FAULT_DIR/stream-resumed.txt"
 echo "    resumed stream reports identical to the uninterrupted run"
 
+echo "==> a non-UTF-8 log byte is quarantined, not fatal"
+# Storage damage that leaves a line undecodable as UTF-8 is one bad line,
+# like a bit flip: analyze and stream must both exit 0, list it as
+# bad-field and agree on the decode-error counters.
+rm -rf "$FAULT_DIR/utf8-world"
+cp -r "$FAULT_DIR/stream-world" "$FAULT_DIR/utf8-world"
+break_utf8() { # FILE LINE: overwrite the line's first byte with 0xff
+    local offset
+    offset=$(head -n "$(($2 - 1))" "$1" | wc -c)
+    printf '\377' | dd of="$1" bs=1 seek="$offset" conv=notrunc status=none
+}
+break_utf8 "$FAULT_DIR/utf8-world/proxy.log" 100
+break_utf8 "$FAULT_DIR/utf8-world/mme.log" 50
+"$WEARSCOPE" analyze --world "$FAULT_DIR/utf8-world" --workers 2 \
+    --metrics "$FAULT_DIR/utf8-analyze.json" >/dev/null 2>"$FAULT_DIR/utf8-analyze.err"
+"$WEARSCOPE" stream --world "$FAULT_DIR/utf8-world" --lateness 0s \
+    --metrics "$FAULT_DIR/utf8-stream.json" >/dev/null 2>"$FAULT_DIR/utf8-stream.err"
+grep -q "^proxy.line:100.bad-field" "$FAULT_DIR/utf8-world/quarantine.log"
+grep -q "^mme.line:50.bad-field" "$FAULT_DIR/utf8-world/quarantine.log"
+quarantine_counts "$FAULT_DIR/utf8-analyze.err" >"$FAULT_DIR/utf8-analyze.quarantine"
+quarantine_counts "$FAULT_DIR/utf8-stream.err" >"$FAULT_DIR/utf8-stream.quarantine"
+grep -q "quarantined: 2 bad-field;" "$FAULT_DIR/utf8-analyze.quarantine"
+diff "$FAULT_DIR/utf8-analyze.quarantine" "$FAULT_DIR/utf8-stream.quarantine"
+for run in analyze stream; do
+    awk '/^  "timing":/{exit} {print}' "$FAULT_DIR/utf8-$run.json" |
+        grep '"trace\.' >"$FAULT_DIR/utf8-$run.trace"
+done
+grep -q '"trace.proxy.decode_errors": 1' "$FAULT_DIR/utf8-analyze.trace"
+grep -q '"trace.mme.decode_errors": 1' "$FAULT_DIR/utf8-analyze.trace"
+diff "$FAULT_DIR/utf8-analyze.trace" "$FAULT_DIR/utf8-stream.trace"
+echo "    0xff bytes in proxy.log and mme.log quarantined as bad-field by analyze and stream"
+
 echo "==> crafted checkpoint: an inflated count is a typed error, not a crash"
 # A count in a checkpoint only bounds the loop over its block, so a count
 # far beyond the file must give `error: checkpoint line N: ...` and exit 1,

@@ -11,6 +11,7 @@
 //! [`FaultClass::ALL`] order (truncate first — it owns the file tail), so
 //! overlapping draws resolve the same way on every run.
 
+use std::borrow::Cow;
 use std::io;
 use std::path::Path;
 
@@ -128,9 +129,10 @@ enum Fate {
 }
 
 /// Pure corruption of one log's text. Exposed to the unit tests; the
-/// public entry point is [`corrupt_world`].
+/// public entry point is [`corrupt_world`]. Lines stay borrowed from
+/// `content` unless a fault rewrites them.
 fn corrupt_log(content: &str, file: &str, seed: u64, spec: &FaultSpec) -> (String, FileCorruption) {
-    let mut lines: Vec<String> = content.lines().map(str::to_string).collect();
+    let mut lines: Vec<Cow<str>> = content.lines().map(Cow::Borrowed).collect();
     let n = lines.len();
     let mut corruption = FileCorruption {
         file: file.to_string(),
@@ -184,19 +186,19 @@ fn corrupt_log(content: &str, file: &str, seed: u64, spec: &FaultSpec) -> (Strin
                     corruption.counts[class.index()] += 1;
                     match class {
                         FaultClass::BitFlip => {
-                            lines[i] = bitflip(&lines[i], &mut rng);
+                            lines[i] = Cow::Owned(bitflip(&lines[i], &mut rng));
                             fates[i] = Fate::Mutated;
                         }
                         FaultClass::Garbage => {
-                            lines[i] = garbage(&mut rng);
+                            lines[i] = Cow::Owned(garbage(&mut rng));
                             fates[i] = Fate::Mutated;
                         }
                         FaultClass::BadImei => {
-                            lines[i] = bad_imei(&lines[i], &mut rng);
+                            lines[i] = Cow::Owned(bad_imei(&lines[i], &mut rng));
                             fates[i] = Fate::Mutated;
                         }
                         FaultClass::Skew => {
-                            lines[i] = skew(&lines[i]);
+                            lines[i] = Cow::Owned(skew(&lines[i]));
                             fates[i] = Fate::Mutated;
                         }
                         FaultClass::Duplicate => fates[i] = Fate::Duplicate,

@@ -91,9 +91,10 @@ impl IngestOptions {
 pub fn reason_for_codec(error: &CodecError) -> QuarantineReason {
     match error {
         CodecError::MissingField { .. } => QuarantineReason::Truncated,
-        CodecError::BadField { .. } | CodecError::TrailingFields { .. } | CodecError::BadEscape => {
-            QuarantineReason::BadField
-        }
+        CodecError::BadField { .. }
+        | CodecError::TrailingFields { .. }
+        | CodecError::BadEscape
+        | CodecError::InvalidUtf8 => QuarantineReason::BadField,
     }
 }
 
@@ -540,6 +541,10 @@ mod tests {
         );
         assert_eq!(
             reason_for_codec(&CodecError::BadEscape),
+            QuarantineReason::BadField
+        );
+        assert_eq!(
+            reason_for_codec(&CodecError::InvalidUtf8),
             QuarantineReason::BadField
         );
     }

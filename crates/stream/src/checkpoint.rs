@@ -334,7 +334,7 @@ fn read_validator<R: LogRecord + TsvRecord>(
 ) -> Result<RecordValidator<R>, SnapshotError> {
     let mut validator = RecordValidator::new(horizon);
     for _ in 0..r.count(tag)? {
-        match decode_log_line::<R>(r.line()?) {
+        match decode_log_line::<R>(r.line()?.as_bytes()) {
             Some(Ok(rec)) => {
                 validator.remember(rec);
             }

@@ -66,9 +66,7 @@ impl GeneratedWorld {
     /// Propagates filesystem errors.
     pub fn save(&self, dir: &std::path::Path) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
-        self.store
-            .save(dir)
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
+        self.store.save(dir)?;
         let sectors = std::fs::File::create(dir.join("sectors.tsv"))?;
         self.sectors.write_tsv(std::io::BufWriter::new(sectors))?;
         self.summaries.save(dir)?;
@@ -171,7 +169,7 @@ pub fn generate_instrumented(config: &ScenarioConfig, registry: &Registry) -> Ge
         let weekend = config.window.calendar().day_is_weekend(day);
         let in_detail = day >= detail_start_day;
         let mut events = generate_day(config, &population, &apps, &grid, day, weekend, in_detail);
-        events.sort_by_key(NetworkEvent::time);
+        events.sort_by_cached_key(NetworkEvent::time);
         events_counter.add(events.len() as u64);
         days_counter.inc();
         network.handle_all(events);

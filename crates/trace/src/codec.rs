@@ -32,6 +32,8 @@ pub enum CodecError {
     },
     /// An escape sequence was malformed.
     BadEscape,
+    /// The line's bytes are not valid UTF-8 (storage damage).
+    InvalidUtf8,
 }
 
 impl fmt::Display for CodecError {
@@ -45,6 +47,7 @@ impl fmt::Display for CodecError {
                 write!(f, "more than {expected} fields")
             }
             CodecError::BadEscape => write!(f, "malformed escape sequence"),
+            CodecError::InvalidUtf8 => write!(f, "line is not valid UTF-8"),
         }
     }
 }
@@ -87,53 +90,33 @@ pub fn unescape(s: &str) -> Result<String, CodecError> {
     Ok(out)
 }
 
-/// Incremental writer for one TSV line.
-#[derive(Debug, Default)]
-pub struct FieldWriter {
-    line: String,
-    first: bool,
-}
-
-impl FieldWriter {
-    /// Starts an empty line.
-    pub fn new() -> FieldWriter {
-        FieldWriter {
-            line: String::new(),
-            first: true,
+/// Appends `v` in decimal, formatted on the stack.
+pub(crate) fn push_u64(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
         }
     }
-
-    fn sep(&mut self) {
-        if self.first {
-            self.first = false;
-        } else {
-            self.line.push('\t');
-        }
-    }
-
-    /// Appends an unsigned integer field.
-    pub fn u64(&mut self, v: u64) -> &mut Self {
-        self.sep();
-        let buf = itoa(v);
-        self.line.push_str(&buf);
-        self
-    }
-
-    /// Appends a string field, escaped.
-    pub fn str(&mut self, s: &str) -> &mut Self {
-        self.sep();
-        escape_into(s, &mut self.line);
-        self
-    }
-
-    /// Finishes the line (no trailing newline).
-    pub fn finish(self) -> String {
-        self.line
-    }
+    out.extend_from_slice(&digits[at..]);
 }
 
-fn itoa(v: u64) -> String {
-    v.to_string()
+/// Appends a string field: as-is, or through [`escape_into`] when it
+/// holds a byte the codec escapes.
+pub(crate) fn push_str(out: &mut Vec<u8>, s: &str) {
+    if s.bytes()
+        .any(|b| matches!(b, b'\\' | b'\t' | b'\n' | b'\r'))
+    {
+        let mut escaped = String::with_capacity(s.len() + 4);
+        escape_into(s, &mut escaped);
+        out.extend_from_slice(escaped.as_bytes());
+    } else {
+        out.extend_from_slice(s.as_bytes());
+    }
 }
 
 /// Incremental reader over one TSV line.
@@ -202,8 +185,16 @@ pub trait TsvRecord: Sized {
     /// Number of TSV fields.
     const FIELDS: usize;
 
+    /// Appends the record's line (no newline) to `out`: the one encoder
+    /// behind both the log writer and [`TsvRecord::to_line`].
+    fn encode_into(&self, out: &mut Vec<u8>);
+
     /// Serializes to one line (no newline).
-    fn to_line(&self) -> String;
+    fn to_line(&self) -> String {
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        String::from_utf8(out).expect("the encoder writes UTF-8")
+    }
 
     /// Parses from one line.
     ///
@@ -242,9 +233,13 @@ mod tests {
 
     #[test]
     fn writer_reader_roundtrip() {
-        let mut w = FieldWriter::new();
-        w.u64(42).str("host\twith\ttabs").u64(7);
-        let line = w.finish();
+        let mut out = Vec::new();
+        push_u64(&mut out, 42);
+        out.push(b'\t');
+        push_str(&mut out, "host\twith\ttabs");
+        out.push(b'\t');
+        push_u64(&mut out, 7);
+        let line = String::from_utf8(out).unwrap();
         let mut r = FieldReader::new(&line, 3);
         assert_eq!(r.u64().unwrap(), 42);
         assert_eq!(r.host().unwrap().name(), "host\twith\ttabs");
@@ -283,5 +278,15 @@ mod tests {
             "missing field 3"
         );
         assert!(CodecError::BadEscape.to_string().contains("escape"));
+        assert!(CodecError::InvalidUtf8.to_string().contains("UTF-8"));
+    }
+
+    #[test]
+    fn push_u64_matches_display() {
+        for v in [0, 1, 9, 10, 99, 100, 352_000_011_234_564, u64::MAX] {
+            let mut out = Vec::new();
+            push_u64(&mut out, v);
+            assert_eq!(out, v.to_string().into_bytes());
+        }
     }
 }

@@ -57,20 +57,28 @@ impl IoMeter {
 }
 
 /// Decodes one raw log line (trailing `\n`/`\r` included) into a record:
-/// `None` for a blank line, `Some(Err(..))` for a malformed one.
+/// `None` for a blank line, `Some(Err(..))` for a malformed one — a line
+/// whose bytes are not UTF-8 is [`CodecError::InvalidUtf8`], quarantined
+/// like any other damaged line.
 ///
 /// This is **the** line decoder: the batch shard readers ([`LogReader`],
 /// backing [`crate::read_tsv_shard`]) and the streaming tail reader
 /// ([`TailReader`]) both route through it, so the batch and streaming
 /// paths parse byte-for-byte identically — the invariant the streaming
 /// engine's batch-equivalence test rests on.
-pub fn decode_log_line<R: TsvRecord>(raw: &str) -> Option<Result<R, CodecError>> {
-    let line = raw.trim_end_matches(['\n', '\r']);
-    if line.is_empty() {
-        None
-    } else {
-        Some(R::from_line(line))
+pub fn decode_log_line<R: TsvRecord>(raw: &[u8]) -> Option<Result<R, CodecError>> {
+    let end = raw
+        .iter()
+        .rposition(|&b| b != b'\n' && b != b'\r')
+        .map_or(0, |i| i + 1);
+    if end == 0 {
+        return None;
     }
+    Some(
+        std::str::from_utf8(&raw[..end])
+            .map_err(|_| CodecError::InvalidUtf8)
+            .and_then(R::from_line),
+    )
 }
 
 /// Buffered line-oriented writer for any [`TsvRecord`].
@@ -128,8 +136,8 @@ impl<W: Write, R: TsvRecord> LogWriter<W, R> {
     /// # Errors
     /// Propagates I/O errors from the underlying sink.
     pub fn write(&mut self, record: &R) -> io::Result<()> {
-        self.buf.extend_from_slice(record.to_line().as_bytes());
-        self.buf.extend_from_slice(b"\n");
+        record.encode_into(&mut self.buf);
+        self.buf.push(b'\n');
         self.written += 1;
         if self.buf.len() >= FLUSH_AT {
             self.flush_buf()?;
@@ -210,7 +218,7 @@ impl std::error::Error for ReadError {}
 pub struct LogReader<S: BufRead, R: TsvRecord> {
     source: S,
     line_no: u64,
-    buf: String,
+    buf: Vec<u8>,
     _marker: PhantomData<fn() -> R>,
 }
 
@@ -220,7 +228,7 @@ impl<S: BufRead, R: TsvRecord> LogReader<S, R> {
         LogReader {
             source,
             line_no: 0,
-            buf: String::new(),
+            buf: Vec::new(),
             _marker: PhantomData,
         }
     }
@@ -238,7 +246,7 @@ impl<S: BufRead, R: TsvRecord> Iterator for LogReader<S, R> {
     fn next(&mut self) -> Option<Self::Item> {
         loop {
             self.buf.clear();
-            match self.source.read_line(&mut self.buf) {
+            match self.source.read_until(b'\n', &mut self.buf) {
                 Ok(0) => return None,
                 Ok(_) => {
                     self.line_no += 1;
@@ -381,14 +389,8 @@ impl<R: TsvRecord> TailReader<R> {
 
     /// Consumes `buf[start..end]` as one raw line and decodes it.
     /// Returns `None` for a blank line (caller keeps scanning).
-    fn consume(&mut self, end: usize) -> io::Result<Option<TailItem<R>>> {
-        let raw = std::str::from_utf8(&self.buf[self.start..end]).map_err(|_| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                "stream did not contain valid UTF-8",
-            )
-        })?;
-        let item = decode_log_line::<R>(raw);
+    fn consume(&mut self, end: usize) -> Option<TailItem<R>> {
+        let item = decode_log_line::<R>(&self.buf[self.start..end]);
         self.offset += (end - self.start) as u64;
         self.line_no += 1;
         self.start = end;
@@ -399,10 +401,9 @@ impl<R: TsvRecord> TailReader<R> {
             self.scanned -= self.start;
             self.start = 0;
         }
-        Ok(match item {
-            None => None,
-            Some(Ok(r)) => Some(TailItem::Record(r)),
-            Some(Err(error)) => {
+        match item? {
+            Ok(r) => Some(TailItem::Record(r)),
+            Err(error) => {
                 if let Some(meter) = &self.meter {
                     meter.add_decode_error();
                 }
@@ -411,19 +412,20 @@ impl<R: TsvRecord> TailReader<R> {
                     error,
                 })
             }
-        })
+        }
     }
 
     /// Yields the next item. See [`TailItem`] for the follow-mode contract.
+    /// A line that is not UTF-8 is [`TailItem::Malformed`], as in
+    /// [`LogReader`].
     ///
     /// # Errors
-    /// Propagates I/O errors (including invalid UTF-8, mirroring
-    /// [`LogReader`]'s `read_line` behavior).
+    /// Propagates I/O errors reading the file.
     pub fn next_item(&mut self) -> io::Result<TailItem<R>> {
         loop {
             if let Some(nl) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
                 let end = self.scanned + nl + 1;
-                if let Some(item) = self.consume(end)? {
+                if let Some(item) = self.consume(end) {
                     return Ok(item);
                 }
                 continue;
@@ -441,7 +443,7 @@ impl<R: TsvRecord> TailReader<R> {
                 if self.start < self.buf.len() {
                     // Final unterminated line.
                     let end = self.buf.len();
-                    if let Some(item) = self.consume(end)? {
+                    if let Some(item) = self.consume(end) {
                         return Ok(item);
                     }
                     continue;
@@ -520,6 +522,45 @@ mod tests {
         match &results[1] {
             Err(ReadError::Codec { line, .. }) => assert_eq!(*line, 2),
             other => panic!("expected codec error, got {other:?}"),
+        }
+    }
+
+    /// Two good lines around one with a byte that is not UTF-8.
+    fn text_with_invalid_utf8() -> Vec<u8> {
+        let good = recs(1)[0].to_line();
+        let mut bad = good.clone().into_bytes();
+        bad[1] = 0xff;
+        let mut text = Vec::new();
+        for line in [good.as_bytes(), &bad, good.as_bytes()] {
+            text.extend_from_slice(line);
+            text.push(b'\n');
+        }
+        text
+    }
+
+    #[test]
+    fn invalid_utf8_is_a_malformed_line_not_an_io_error() {
+        let text = text_with_invalid_utf8();
+        let results: Vec<_> = LogReader::<_, MmeRecord>::new(text.as_slice()).collect();
+        assert_eq!(results.len(), 3);
+        assert!(results[0].is_ok() && results[2].is_ok());
+        match &results[1] {
+            Err(ReadError::Codec { line: 2, error }) => assert_eq!(*error, CodecError::InvalidUtf8),
+            other => panic!("expected a codec error on line 2, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn decode_trims_line_endings_and_skips_blank_lines() {
+        let line = recs(1)[0].to_line();
+        for raw in [format!("{line}\n"), format!("{line}\r\n"), line.clone()] {
+            let rec = decode_log_line::<MmeRecord>(raw.as_bytes())
+                .unwrap()
+                .unwrap();
+            assert_eq!(rec, recs(1)[0]);
+        }
+        for blank in ["", "\n", "\r\n", "\r\r\n"] {
+            assert!(decode_log_line::<MmeRecord>(blank.as_bytes()).is_none());
         }
     }
 
@@ -664,6 +705,23 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap.counters["trace.mme.bytes_read"], text.len() as u64);
         assert_eq!(snap.counters["trace.mme.decode_errors"], 1);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn tail_reader_quarantines_invalid_utf8() {
+        let path = std::env::temp_dir().join(format!("wearscope-io-{}-utf8", std::process::id()));
+        std::fs::write(&path, text_with_invalid_utf8()).unwrap();
+        let mut tail: TailReader<MmeRecord> = TailReader::open(&path, false).unwrap();
+        assert!(matches!(tail.next_item().unwrap(), TailItem::Record(_)));
+        match tail.next_item().unwrap() {
+            TailItem::Malformed { line, error } => {
+                assert_eq!((line, error), (2, CodecError::InvalidUtf8));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert!(matches!(tail.next_item().unwrap(), TailItem::Record(_)));
+        assert!(matches!(tail.next_item().unwrap(), TailItem::End));
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -30,7 +30,7 @@ pub mod proxy;
 pub mod shard;
 pub mod store;
 
-pub use codec::{CodecError, FieldReader, FieldWriter, TsvRecord};
+pub use codec::{CodecError, FieldReader, TsvRecord};
 pub use host::HostId;
 pub use ids::UserId;
 pub use io::{decode_log_line, IoMeter, LogReader, LogWriter, TailItem, TailReader};

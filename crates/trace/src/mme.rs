@@ -4,7 +4,7 @@ use core::fmt;
 
 use wearscope_simtime::SimTime;
 
-use crate::codec::{CodecError, FieldReader, FieldWriter, TsvRecord};
+use crate::codec::{push_u64, CodecError, FieldReader, TsvRecord};
 use crate::ids::UserId;
 
 /// The MME events the study uses.
@@ -71,14 +71,16 @@ pub struct MmeRecord {
 impl TsvRecord for MmeRecord {
     const FIELDS: usize = 5;
 
-    fn to_line(&self) -> String {
-        let mut w = FieldWriter::new();
-        w.u64(self.timestamp.as_secs())
-            .u64(self.user.raw())
-            .u64(self.imei)
-            .u64(self.event.code())
-            .u64(self.sector as u64);
-        w.finish()
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        push_u64(out, self.timestamp.as_secs());
+        out.push(b'\t');
+        push_u64(out, self.user.raw());
+        out.push(b'\t');
+        push_u64(out, self.imei);
+        out.push(b'\t');
+        push_u64(out, self.event.code());
+        out.push(b'\t');
+        push_u64(out, u64::from(self.sector));
     }
 
     fn from_line(line: &str) -> Result<MmeRecord, CodecError> {

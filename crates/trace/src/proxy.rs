@@ -4,7 +4,7 @@ use core::fmt;
 
 use wearscope_simtime::SimTime;
 
-use crate::codec::{CodecError, FieldReader, FieldWriter, TsvRecord};
+use crate::codec::{push_str, push_u64, CodecError, FieldReader, TsvRecord};
 use crate::host::HostId;
 use crate::ids::UserId;
 
@@ -85,16 +85,20 @@ impl ProxyRecord {
 impl TsvRecord for ProxyRecord {
     const FIELDS: usize = 7;
 
-    fn to_line(&self) -> String {
-        let mut w = FieldWriter::new();
-        w.u64(self.timestamp.as_secs())
-            .u64(self.user.raw())
-            .u64(self.imei)
-            .str(self.host.name())
-            .u64(self.scheme.code())
-            .u64(self.bytes_down)
-            .u64(self.bytes_up);
-        w.finish()
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        push_u64(out, self.timestamp.as_secs());
+        out.push(b'\t');
+        push_u64(out, self.user.raw());
+        out.push(b'\t');
+        push_u64(out, self.imei);
+        out.push(b'\t');
+        push_str(out, self.host.name());
+        out.push(b'\t');
+        push_u64(out, self.scheme.code());
+        out.push(b'\t');
+        push_u64(out, self.bytes_down);
+        out.push(b'\t');
+        push_u64(out, self.bytes_up);
     }
 
     fn from_line(line: &str) -> Result<ProxyRecord, CodecError> {

@@ -1,7 +1,7 @@
 //! In-memory trace store.
 
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter};
+use std::io::{self, BufReader};
 use std::path::Path;
 
 use crate::io::{LogReader, LogWriter, ReadError};
@@ -88,12 +88,12 @@ impl TraceStore {
     /// Propagates filesystem errors.
     pub fn save(&self, dir: &Path) -> io::Result<()> {
         std::fs::create_dir_all(dir)?;
-        let mut pw = LogWriter::new(BufWriter::new(File::create(dir.join("proxy.log"))?));
+        let mut pw = LogWriter::new(File::create(dir.join("proxy.log"))?);
         for r in &self.proxy {
             pw.write(r)?;
         }
         pw.flush()?;
-        let mut mw = LogWriter::new(BufWriter::new(File::create(dir.join("mme.log"))?));
+        let mut mw = LogWriter::new(File::create(dir.join("mme.log"))?);
         for r in &self.mme {
             mw.write(r)?;
         }

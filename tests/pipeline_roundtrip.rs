@@ -185,3 +185,61 @@ fn network_summaries_consistent_with_logs() {
         );
     }
 }
+
+/// FNV-1a, 64-bit: a dependency-free fingerprint of a file's bytes.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The fingerprint of each of a saved world's six files, in name order.
+fn world_fingerprints(dir: &std::path::Path) -> Vec<(&'static str, u64)> {
+    [
+        "manifest.tsv",
+        "mme.log",
+        "proxy.log",
+        "sectors.tsv",
+        "summary_mme.tsv",
+        "summary_traffic.tsv",
+    ]
+    .into_iter()
+    .map(|name| (name, fnv1a64(&std::fs::read(dir.join(name)).unwrap())))
+    .collect()
+}
+
+/// Saved worlds are pinned to known-good bytes, clean and after
+/// `corrupt --seed 3 --faults all`: an encoder or injector change that
+/// moves one byte of any file fails here, not only in a comparison of two
+/// runs of the same code.
+#[test]
+fn saved_world_bytes_are_pinned() {
+    use wearscope::faults::{corrupt_world, FaultSpec, DEFAULT_RATE};
+    let world = small_world(71);
+    let dir = std::env::temp_dir().join(format!("wearscope-pinned-{}", std::process::id()));
+    world.save(&dir).expect("save world");
+    assert_eq!(
+        world_fingerprints(&dir),
+        [
+            ("manifest.tsv", 0x23295737f8e514fe),
+            ("mme.log", 0x35a7c549ee86b9bd),
+            ("proxy.log", 0xdedbd5d9a7e415c2),
+            ("sectors.tsv", 0x6b18f2fcfb57dfdd),
+            ("summary_mme.tsv", 0xcb0df1a95f4653dd),
+            ("summary_traffic.tsv", 0xbd7bdb341afec7a8),
+        ]
+    );
+    corrupt_world(&dir, 3, &FaultSpec::all(DEFAULT_RATE)).expect("corrupt world");
+    assert_eq!(
+        world_fingerprints(&dir),
+        [
+            ("manifest.tsv", 0x23295737f8e514fe),
+            ("mme.log", 0xce9bc494bd6439c0),
+            ("proxy.log", 0xfe2d56426134f57c),
+            ("sectors.tsv", 0x6b18f2fcfb57dfdd),
+            ("summary_mme.tsv", 0xcb0df1a95f4653dd),
+            ("summary_traffic.tsv", 0xbd7bdb341afec7a8),
+        ]
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
