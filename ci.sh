@@ -102,6 +102,26 @@ test -f "$FAULT_DIR/ckpt/stream.ckpt"
 diff "$FAULT_DIR/stream-full.txt" "$FAULT_DIR/stream-resumed.txt"
 echo "    resumed stream reports identical to the uninterrupted run"
 
+echo "==> stream drill with late records: kill and resume a reordered world, diff reports"
+# `reorder` moves records by less than the 5 m lateness, so they merge late
+# rather than being quarantined. The checkpoint at the kill point must hold
+# pending attributor transactions (`q` rows): the resume then restores
+# attribution state that still waits for the watermark.
+rm -rf "$FAULT_DIR/late-world"
+cp -r "$FAULT_DIR/stream-world" "$FAULT_DIR/late-world"
+"$WEARSCOPE" corrupt --world "$FAULT_DIR/late-world" --seed 5 --faults reorder=0.05 >/dev/null
+"$WEARSCOPE" stream --world "$FAULT_DIR/late-world" --window 1h --lateness 5m \
+    --report "$FAULT_DIR/late-full.txt" >/dev/null 2>"$FAULT_DIR/late-full.err"
+grep -Eq ' [1-9][0-9]* late merged' "$FAULT_DIR/late-full.err"
+"$WEARSCOPE" stream --world "$FAULT_DIR/late-world" --window 1h --lateness 5m \
+    --checkpoint "$FAULT_DIR/late-ckpt" --checkpoint-every 100 --stop-after 40100 >/dev/null 2>&1
+grep -q "^q"$'\t' "$FAULT_DIR/late-ckpt/stream.ckpt"
+"$WEARSCOPE" stream --world "$FAULT_DIR/late-world" --window 1h --lateness 5m \
+    --checkpoint "$FAULT_DIR/late-ckpt" --resume --report "$FAULT_DIR/late-resumed.txt" \
+    >/dev/null 2>&1
+diff "$FAULT_DIR/late-full.txt" "$FAULT_DIR/late-resumed.txt"
+echo "    late-merged records and pending attribution survive kill/resume"
+
 echo "==> a non-UTF-8 log byte is quarantined, not fatal"
 # Storage damage that leaves a line undecodable as UTF-8 is one bad line,
 # like a bit flip: analyze and stream must both exit 0, list it as

@@ -6,11 +6,18 @@
 //! their SNI; following Sec. 3.3 they are attributed to the app with the
 //! nearest first-party transaction of the same user within a ±60 s
 //! timeframe.
+//!
+//! One [`Attributor`] implements that rule for both pipelines. The batch
+//! fold feeds it a whole store and flushes ([`attribute_records`]); the
+//! streaming runtime feeds it records as they arrive and advances it with
+//! the low watermark, which releases a transaction once no anchor that
+//! could claim it can still be admitted. Both see the same answer for
+//! any arrival order the watermark admits.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use wearscope_appdb::{AppId, Classification};
-use wearscope_simtime::SimTime;
+use wearscope_simtime::{SimDuration, SimTime};
 use wearscope_trace::UserId;
 
 use crate::context::StudyContext;
@@ -73,60 +80,133 @@ pub fn attribute_transactions(ctx: &StudyContext<'_>) -> Vec<AttributedTx> {
 /// [`attribute_transactions`] over an explicit sequence of proxy records,
 /// for records that live outside a store. Non-wearable records are
 /// skipped, so passing the whole log is equivalent to
-/// [`attribute_transactions`].
-///
-/// Attribution is user-local (anchors never cross users), so any sharding
-/// that keeps each user's records together and in log order yields shard
-/// outputs whose concatenation, re-sorted by `(user, timestamp)`, is
-/// identical to the sequential result.
+/// [`attribute_transactions`]. The result is sorted by `(user, timestamp)`;
+/// equal keys keep record order.
 pub fn attribute_records<'r>(
     ctx: &StudyContext<'_>,
     records: impl IntoIterator<Item = &'r wearscope_trace::ProxyRecord>,
 ) -> Vec<AttributedTx> {
-    // Group wearable records per user, keeping log order (time-sorted):
-    // (timestamp, host classification, bytes).
-    type RawTx = (SimTime, Option<Classification>, u64);
-    let mut per_user: HashMap<UserId, Vec<RawTx>> = HashMap::new();
+    let mut attributor = Attributor::new();
     for r in records {
-        if !ctx.is_wearable_record(r) {
-            continue;
-        }
-        let class = ctx.host_class(r.host).classification;
-        per_user
-            .entry(r.user)
-            .or_default()
-            .push((r.timestamp, class, r.bytes_total()));
-    }
-
-    let mut out = Vec::new();
-    for (user, txs) in per_user {
-        // First-party anchor times for nearest-neighbour attribution.
-        let anchors: Vec<(SimTime, AppId)> = txs
-            .iter()
-            .filter_map(|&(t, class, _)| match class {
-                Some(Classification::FirstParty(a)) => Some((t, a)),
-                _ => None,
-            })
-            .collect();
-        for (t, class, bytes) in txs {
-            let app = match class {
-                Some(Classification::FirstParty(a)) => Some(a),
-                _ => nearest_anchor(&anchors, t),
-            };
-            out.push(AttributedTx {
-                user,
-                timestamp: t,
-                app,
-                class,
-                bytes,
-            });
+        if ctx.is_wearable_record(r) {
+            let class = ctx.host_class(r.host).classification;
+            attributor.observe(r.user, r.timestamp, class, r.bytes_total());
         }
     }
+    let mut out = Vec::with_capacity(attributor.pending());
+    attributor.flush(&mut out);
     out.sort_by_key(|t| (t.user, t.timestamp));
     out
 }
 
-/// The app of the nearest anchor within ±`SESSION_GAP_SECS`, or `None`.
+/// The ± attribution gap as a duration.
+fn gap() -> SimDuration {
+    SimDuration::from_secs(SESSION_GAP_SECS)
+}
+
+/// One user's unreleased attribution state.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct UserTxs {
+    /// First-party anchors, time-sorted; equal times keep arrival order.
+    pub(crate) anchors: VecDeque<(SimTime, AppId)>,
+    /// Transactions not yet released, in arrival order:
+    /// (time, bytes, host classification).
+    pub(crate) pending: VecDeque<(SimTime, u64, Option<Classification>)>,
+}
+
+/// The nearest-anchor attribution rule, fed one transaction at a time.
+///
+/// A transaction at `t` is released by [`advance`](Attributor::advance)
+/// once the watermark `W` passes `t + 60 s`: every record behind `W` is
+/// rejected before it gets here, so every anchor that could claim the
+/// transaction has arrived by then. The answer is therefore the one the
+/// whole timeline gives, for any arrival order the watermark admits.
+/// [`flush`](Attributor::flush) releases everything, which is all the
+/// batch fold does.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Attributor {
+    pub(crate) users: HashMap<UserId, UserTxs>,
+}
+
+impl Attributor {
+    /// An attributor with no state.
+    pub fn new() -> Attributor {
+        Attributor::default()
+    }
+
+    /// Transactions observed and not yet released, across all users.
+    pub fn pending(&self) -> usize {
+        self.users.values().map(|u| u.pending.len()).sum()
+    }
+
+    /// Takes one wearable transaction with its host's classification.
+    pub fn observe(&mut self, user: UserId, t: SimTime, class: Option<Classification>, bytes: u64) {
+        let state = self.users.entry(user).or_default();
+        if let Some(Classification::FirstParty(app)) = class {
+            let at = state.anchors.partition_point(|a| a.0 <= t);
+            state.anchors.insert(at, (t, app));
+        }
+        state.pending.push_back((t, bytes, class));
+    }
+
+    /// Releases into `out` every transaction with `t + 60 s < watermark`,
+    /// users in id order and each user's in arrival order, then forgets
+    /// what no admissible transaction can use.
+    pub fn advance(&mut self, watermark: SimTime, out: &mut Vec<AttributedTx>) {
+        self.release(Some(watermark), out);
+    }
+
+    /// End of input: releases every transaction and forgets every user.
+    pub fn flush(&mut self, out: &mut Vec<AttributedTx>) {
+        self.release(None, out);
+    }
+
+    /// [`advance`](Attributor::advance) to `watermark`, or past everything
+    /// when it is `None`.
+    fn release(&mut self, watermark: Option<SimTime>, out: &mut Vec<AttributedTx>) {
+        let before =
+            |t: SimTime, slack: SimDuration| watermark.is_none_or(|w| t.saturating_add(slack) < w);
+        let mut users: Vec<UserId> = self.users.keys().copied().collect();
+        users.sort_unstable();
+        for user in users {
+            let state = self.users.get_mut(&user).expect("user state present");
+            let anchors = &*state.anchors.make_contiguous();
+            state.pending.retain(|&(t, bytes, class)| {
+                if !before(t, gap()) {
+                    return true;
+                }
+                let app = match class {
+                    Some(Classification::FirstParty(app)) => Some(app),
+                    _ => nearest_anchor(anchors, t),
+                };
+                out.push(AttributedTx {
+                    user,
+                    timestamp: t,
+                    app,
+                    class,
+                    bytes,
+                });
+                false
+            });
+            // Still-pending transactions have `t >= W - 60 s` and
+            // admissible ones `t >= W`, so an anchor with `at + 120 s < W`
+            // is more than 60 s from every transaction that can still ask.
+            while state
+                .anchors
+                .front()
+                .is_some_and(|&(at, _)| before(at, gap() * 2))
+            {
+                state.anchors.pop_front();
+            }
+            if state.anchors.is_empty() && state.pending.is_empty() {
+                self.users.remove(&user);
+            }
+        }
+    }
+}
+
+/// The app of the nearest anchor within ±`SESSION_GAP_SECS` (the past one
+/// on a tie), or `None`.
 fn nearest_anchor(anchors: &[(SimTime, AppId)], t: SimTime) -> Option<AppId> {
     if anchors.is_empty() {
         return None;
@@ -241,6 +321,7 @@ impl PerUsage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::{Snapshot, SnapshotReader};
     use wearscope_appdb::AppCatalog;
     use wearscope_devicedb::DeviceDb;
     use wearscope_geo::SectorDirectory;
@@ -315,6 +396,167 @@ mod tests {
         assert_eq!(by_time[&110], Some(weather));
         assert_eq!(by_time[&540], Some(maps));
         assert_eq!(by_time[&9000], None);
+    }
+
+    /// Feeds `(t, class)` arrivals for user 1 as the streaming runtime
+    /// does, advancing to `max_seen - lateness` after each, then flushes.
+    /// Returns the released transactions sorted by time.
+    fn stream(arrivals: &[(u64, Option<Classification>)], lateness: u64) -> Vec<AttributedTx> {
+        let mut attributor = Attributor::new();
+        let mut out = Vec::new();
+        let mut max_seen = 0;
+        for &(t, class) in arrivals {
+            attributor.observe(UserId(1), SimTime::from_secs(t), class, 1);
+            max_seen = max_seen.max(t);
+            let w = SimTime::from_secs(max_seen.saturating_sub(lateness));
+            attributor.advance(w, &mut out);
+        }
+        attributor.flush(&mut out);
+        out.sort_by_key(|tx| tx.timestamp);
+        out
+    }
+
+    fn fp(app: u16) -> Option<Classification> {
+        Some(Classification::FirstParty(AppId(app)))
+    }
+
+    /// A transaction arriving late behind an anchor that is as close as
+    /// the anchor before it: the past anchor wins the tie, as in batch.
+    #[test]
+    fn late_transaction_behind_an_anchor_takes_the_past_anchor_on_a_tie() {
+        let (weather, accuweather) = (1, 2);
+        let out = stream(
+            &[(900, fp(weather)), (1000, fp(accuweather)), (950, None)],
+            600,
+        );
+        assert_eq!(out[1].timestamp, SimTime::from_secs(950));
+        assert_eq!(out[1].app, Some(AppId(weather)));
+    }
+
+    /// An anchor arriving late, after a farther one already arrived on the
+    /// other side, still claims the transaction it is nearest to.
+    #[test]
+    fn late_anchor_claims_the_transaction_it_is_nearest_to() {
+        let (weather, accuweather) = (1, 2);
+        let out = stream(
+            &[(1000, None), (1050, fp(accuweather)), (990, fp(weather))],
+            600,
+        );
+        assert_eq!(out[1].timestamp, SimTime::from_secs(1000));
+        assert_eq!(out[1].app, Some(AppId(weather)));
+    }
+
+    #[test]
+    fn past_anchor_wins_ties_and_future_wins_strictly_closer() {
+        let (a, b) = (1, 2);
+        // Tie: past at t-30, future at t+30 → past.
+        let out = stream(&[(70, fp(a)), (100, None), (130, fp(b))], 0);
+        assert_eq!(out[1].app, Some(AppId(a)));
+        // Future strictly closer → future.
+        let out = stream(&[(30, fp(a)), (100, None), (120, fp(b))], 0);
+        assert_eq!(out[1].app, Some(AppId(b)));
+        // Both out of range → unattributed.
+        let out = stream(&[(0, fp(a)), (100, None), (200, fp(b))], 0);
+        assert_eq!(out[1].app, None);
+    }
+
+    /// Transactions at one timestamp are released in arrival order, and an
+    /// anchor at the same instant claims the third-party one (gap 0).
+    #[test]
+    fn release_preserves_arrival_order_within_one_timestamp() {
+        let mut attributor = Attributor::new();
+        let mut out = Vec::new();
+        let t = SimTime::from_secs(100);
+        attributor.observe(UserId(9), t, None, 5);
+        attributor.observe(UserId(9), t, fp(3), 7);
+        attributor.flush(&mut out);
+        assert_eq!(out.len(), 2);
+        assert!(!out[0].first_party());
+        assert_eq!(out[0].app, Some(AppId(3)));
+        assert!(out[1].first_party());
+    }
+
+    /// `t + 60 < W` closes the future window: an anchor at exactly
+    /// `t + 60` could still claim the transaction.
+    #[test]
+    fn advance_releases_only_past_the_gap() {
+        let mut attributor = Attributor::new();
+        let mut out = Vec::new();
+        attributor.observe(UserId(1), SimTime::from_secs(100), None, 1);
+        attributor.advance(SimTime::from_secs(160), &mut out);
+        assert_eq!(attributor.pending(), 1);
+        attributor.advance(SimTime::from_secs(161), &mut out);
+        assert_eq!(attributor.pending(), 0);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].app, None);
+    }
+
+    /// State is bounded by the watermark: a flush leaves nothing, and
+    /// `advance` forgets a user once nothing is pending and no anchor is
+    /// within 120 s of the watermark.
+    #[test]
+    fn attributor_state_is_bounded() {
+        let mut attributor = Attributor::new();
+        let mut out = Vec::new();
+        attributor.observe(UserId(1), SimTime::from_secs(100), fp(1), 1);
+        attributor.observe(UserId(2), SimTime::from_secs(150), None, 1);
+        // W = 211: both released; user 1's anchor (100 + 120 >= 211) stays.
+        attributor.advance(SimTime::from_secs(211), &mut out);
+        assert_eq!((attributor.pending(), out.len()), (0, 2));
+        assert_eq!(attributor.users.len(), 1);
+        assert_eq!(attributor.users[&UserId(1)].anchors.len(), 1);
+        attributor.advance(SimTime::from_secs(221), &mut out);
+        assert!(attributor.users.is_empty());
+
+        attributor.observe(UserId(3), SimTime::from_secs(500), fp(2), 1);
+        attributor.observe(UserId(3), SimTime::from_secs(510), None, 1);
+        attributor.flush(&mut out);
+        assert_eq!(attributor.pending(), 0);
+        let mut text = String::new();
+        attributor.snapshot(&mut text);
+        assert_eq!(text, "attributor\t0\n");
+    }
+
+    #[test]
+    fn attributor_snapshot_roundtrips_mid_flight_state() {
+        let mut attributor = Attributor::new();
+        attributor.observe(UserId(2), SimTime::from_secs(50), fp(4), 9);
+        attributor.observe(UserId(1), SimTime::from_secs(90), None, 4);
+        attributor.observe(UserId(1), SimTime::from_secs(80), fp(4), 3);
+        attributor.observe(UserId(1), SimTime::from_secs(80), fp(5), 3);
+        let mut text = String::new();
+        attributor.snapshot(&mut text);
+        assert_eq!(
+            text,
+            [
+                "attributor\t2\n",
+                "u\t1\t2\t3\n",
+                "a\t80\t4\n",
+                "a\t80\t5\n",
+                "q\t90\t4\t-\n",
+                "q\t80\t3\t4\n",
+                "q\t80\t3\t5\n",
+                "u\t2\t1\t1\n",
+                "a\t50\t4\n",
+                "q\t50\t9\t4\n",
+            ]
+            .concat()
+        );
+        let mut restored = Attributor::restore(&mut SnapshotReader::new(&text)).unwrap();
+        assert_eq!(restored, attributor);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        attributor.flush(&mut a);
+        restored.flush(&mut b);
+        assert_eq!(a, b);
+        // The later anchor at a tied time wins the past side.
+        assert_eq!(a[0].app, Some(AppId(5)));
+
+        let unsorted = text.replacen("a\t80\t5", "a\t70\t5", 1);
+        let err = Attributor::restore(&mut SnapshotReader::new(&unsorted)).unwrap_err();
+        assert_eq!(
+            (err.line, err.message.as_str()),
+            (4, "anchors are not in time order")
+        );
     }
 
     #[test]

@@ -45,7 +45,7 @@ use crate::merge::{
     QualityPartial, TrafficPartial, TransactionStatsPartial,
 };
 use crate::mobility::UserMobility;
-use crate::sessions::AttributedTx;
+use crate::sessions::{AttributedTx, Attributor, UserTxs};
 
 /// Error from [`Snapshot::restore`]: the snapshot text did not parse.
 #[derive(Debug)]
@@ -736,6 +736,60 @@ impl Snapshot for Vec<AttributedTx> {
             row.end()?;
         }
         Ok(out)
+    }
+}
+
+impl Snapshot for Attributor {
+    fn snapshot(&self, out: &mut String) {
+        RowWriter::tagged(out, "attributor")
+            .put(self.users.len())
+            .end();
+        for (user, state) in sorted_entries(&self.users) {
+            RowWriter::tagged(out, "u")
+                .put(*user)
+                .put(state.anchors.len())
+                .put(state.pending.len())
+                .end();
+            for &(at, app) in &state.anchors {
+                RowWriter::tagged(out, "a").put(at).put(app).end();
+            }
+            for &(t, bytes, class) in &state.pending {
+                RowWriter::tagged(out, "q")
+                    .put(t)
+                    .put(bytes)
+                    .put(class)
+                    .end();
+            }
+        }
+    }
+
+    fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let mut users = HashMap::new();
+        for _ in 0..r.count("attributor")? {
+            let mut row = r.tagged("u")?;
+            let user = row.field()?;
+            let (n_anchors, n_pending): (u64, u64) = (row.field()?, row.field()?);
+            row.end()?;
+            let mut state = UserTxs::default();
+            for _ in 0..n_anchors {
+                let mut row = r.tagged("a")?;
+                let anchor: (SimTime, AppId) = (row.field()?, row.field()?);
+                if state.anchors.back().is_some_and(|a| a.0 > anchor.0) {
+                    return Err(row.err("anchors are not in time order"));
+                }
+                row.end()?;
+                state.anchors.push_back(anchor);
+            }
+            for _ in 0..n_pending {
+                let mut row = r.tagged("q")?;
+                state
+                    .pending
+                    .push_back((row.field()?, row.field()?, row.field()?));
+                row.end()?;
+            }
+            users.insert(user, state);
+        }
+        Ok(Attributor { users })
     }
 }
 

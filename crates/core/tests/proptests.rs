@@ -2,11 +2,16 @@
 
 use proptest::prelude::*;
 
-use wearscope_appdb::{AppId, Classification};
-use wearscope_core::sessions::{sessionize, AttributedTx, SESSION_GAP_SECS};
+use wearscope_appdb::{AppCatalog, AppId, Classification};
+use wearscope_core::sessions::{
+    attribute_records, sessionize, AttributedTx, Attributor, SESSION_GAP_SECS,
+};
 use wearscope_core::stats::{self, Ecdf};
-use wearscope_simtime::SimTime;
-use wearscope_trace::UserId;
+use wearscope_core::StudyContext;
+use wearscope_devicedb::DeviceDb;
+use wearscope_geo::SectorDirectory;
+use wearscope_simtime::{Calendar, ObservationWindow, SimDuration, SimTime};
+use wearscope_trace::{HostId, ProxyRecord, Scheme, TraceStore, UserId};
 
 fn arb_attributed() -> impl Strategy<Value = Vec<AttributedTx>> {
     prop::collection::vec(
@@ -34,7 +39,83 @@ fn arb_attributed() -> impl Strategy<Value = Vec<AttributedTx>> {
     })
 }
 
+/// Two first-party apps, two third-party classes and an unmatched host.
+const HOSTS: [&str; 5] = [
+    "api.weather.com",
+    "api.accuweather.com",
+    "ssl.google-analytics.com",
+    "media.akamaized.net",
+    "unmatched.example",
+];
+
 proptest! {
+    /// The attributor is exact for every arrival order a watermark admits.
+    /// Each record arrives up to `lateness` after its own time, so it is
+    /// never behind the watermark `max_seen - lateness`; the watermark
+    /// advances after arbitrary arrivals. The released transactions,
+    /// sorted, equal the batch rule over the stable time sort of the
+    /// admitted records. Times sit on a 10 s grid and most delays are the
+    /// whole lateness, so equal times, gaps of exactly 60 s and records
+    /// exactly at the watermark are common.
+    #[test]
+    fn attributor_is_exact_under_within_lateness_shuffles(
+        raw in prop::collection::vec(
+            (1u64..4, 0u64..150, 0usize..5, 0u64..80, any::<bool>()),
+            0..120,
+        ),
+        lateness in 0u64..40,
+    ) {
+        let db = DeviceDb::standard();
+        let catalog = AppCatalog::standard();
+        let sectors = SectorDirectory::new();
+        let store = TraceStore::new();
+        let window = ObservationWindow::new(14, 14, Calendar::PAPER);
+        let ctx = StudyContext::new(&store, &db, &sectors, &catalog, window);
+        let tac = db.wearable_tacs()[0];
+        let mut arrivals: Vec<(u64, ProxyRecord, bool)> = raw
+            .iter()
+            .map(|&(user, t, host, delay, advance)| {
+                let (t, delay) = (t * 10, delay.min(lateness) * 10);
+                let r = ProxyRecord {
+                    timestamp: SimTime::from_secs(t),
+                    user: UserId(user),
+                    imei: db.example_imei(tac, user as u32).as_u64(),
+                    host: HostId::intern(HOSTS[host]),
+                    scheme: Scheme::Https,
+                    bytes_down: t % 97,
+                    bytes_up: 1,
+                };
+                (t + delay, r, advance)
+            })
+            .collect();
+        arrivals.sort_by_key(|a| a.0);
+
+        let lateness = SimDuration::from_secs(lateness * 10);
+        let mut attributor = Attributor::new();
+        let mut streamed = Vec::new();
+        let mut admitted = Vec::new();
+        let mut max_seen: Option<SimTime> = None;
+        for (_, r, advance) in arrivals {
+            let watermark = max_seen.map_or(SimTime::EPOCH, |m| m.saturating_sub(lateness));
+            if r.timestamp < watermark {
+                continue;
+            }
+            admitted.push(r);
+            let class = ctx.host_class(r.host).classification;
+            attributor.observe(r.user, r.timestamp, class, r.bytes_total());
+            let max = max_seen.map_or(r.timestamp, |m| m.max(r.timestamp));
+            max_seen = Some(max);
+            if advance {
+                attributor.advance(max.saturating_sub(lateness), &mut streamed);
+            }
+        }
+        attributor.flush(&mut streamed);
+        prop_assert_eq!(attributor.pending(), 0);
+        streamed.sort_by_key(|tx| (tx.user, tx.timestamp));
+        admitted.sort_by_key(|r| r.timestamp);
+        prop_assert_eq!(streamed, attribute_records(&ctx, &admitted));
+    }
+
     /// Sessionization invariants: transactions and bytes are conserved for
     /// attributed traffic; intra-session gaps < 60 s; sessions of the same
     /// (user, app) are ≥ 60 s apart; start ≤ end.

@@ -9,7 +9,8 @@
 //! version header, the configuration (verified on resume), the stream
 //! clock and counters, the source position, emitted reports, collected
 //! windows, each log validator's duplicate memory (as raw record lines),
-//! the attributor queues, and one snapshot per open window.
+//! the attributor's anchors and pending transactions, and one snapshot
+//! per open window.
 //!
 //! A checkpoint is a file a user can hand to `--resume`, so reading one
 //! never panics: a count only bounds the loop over its block's lines and
@@ -30,6 +31,7 @@ use std::fs;
 use std::io::{self, Write as _};
 use std::path::Path;
 
+use wearscope_core::sessions::Attributor;
 use wearscope_core::snapshot::{Row, RowWriter, Snapshot, SnapshotError, SnapshotReader};
 use wearscope_core::StudyContext;
 use wearscope_ingest::{LogRecord, RecordValidator};
@@ -38,7 +40,6 @@ use wearscope_simtime::SimTime;
 use wearscope_trace::{decode_log_line, MmeRecord, ProxyRecord, TsvRecord};
 
 use crate::aggregates::WindowAggregates;
-use crate::attrib::StreamingAttributor;
 use crate::runtime::{Progress, StreamConfig, StreamError, StreamRuntime};
 use crate::source::SourcePosition;
 
@@ -46,7 +47,7 @@ use crate::source::SourcePosition;
 const MAGIC: &str = "wearscope-stream-checkpoint";
 /// The checkpoint format this build writes and reads: the header's second
 /// field is `v` followed by it.
-const VERSION: u32 = 3;
+const VERSION: u32 = 4;
 
 /// The `config` line's fields, named for the mismatch message.
 const CONFIG_FIELDS: [&str; 7] = [
@@ -278,7 +279,7 @@ pub fn from_text<'s>(
     let horizon = config.max_timestamp;
     rt.proxy_validator = read_validator::<ProxyRecord>(&mut r, "dedup-proxy", horizon)?;
     rt.mme_validator = read_validator::<MmeRecord>(&mut r, "dedup-mme", horizon)?;
-    rt.attributor = StreamingAttributor::restore(&mut r)?;
+    rt.attributor = Attributor::restore(&mut r)?;
     rt.open = read_windows(&mut r, "open", "open-window")?
         .into_iter()
         .collect();
@@ -408,8 +409,9 @@ mod tests {
 
     /// A runtime in the middle of a run over 1 h tumbling windows: window 0
     /// emitted (and collected), window 1 open, one duplicate quarantined,
-    /// one record in each log's duplicate memory, and a third-party
-    /// transaction waiting in the attributor.
+    /// one record in each log's duplicate memory, and in the attributor an
+    /// anchor within 120 s of the watermark and a pending third-party
+    /// transaction.
     fn mid_flight<'s>(ctx: &'s StudyContext<'s>) -> StreamRuntime<'s> {
         let mut config = hour_config();
         config.collect_aggregates = true;
@@ -425,8 +427,8 @@ mod tests {
         };
         let third_party = proxy(ctx.db, 1, 4000, "cdn.telemetry.example");
         let events = [
-            proxy(ctx.db, 1, 100, "api.weather.com"),
             mme(200, MmeEvent::Attach, 5),
+            proxy(ctx.db, 1, 3590, "api.weather.com"),
             mme(3900, MmeEvent::SectorUpdate, 6),
             third_party.clone(),
             third_party,
@@ -456,7 +458,7 @@ mod tests {
 
         // Day 0 is a Friday: hours 0 and 1 are weekly slots 96 and 97.
         let expected = [
-            "wearscope-stream-checkpoint\tv3\n",
+            "wearscope-stream-checkpoint\tv4\n",
             "config\t3600\t3600\t300\t4096\tblock\t-\t1\n",
             "clock\t4000\t5\n",
             "quality\t5\t4\t0\t0\t1\t0\t0\t0\t0000000000000000\n",
@@ -469,7 +471,7 @@ mod tests {
             "collected-window\t0\n",
             "window-counters\t0\n",
             "attributed\t1\n",
-            "1\t100\t0\t0\t72\n",
+            "1\t3590\t0\t0\t72\n",
             "activity\t1\n",
             "1\t1\t72\t0\t0\n",
             "hourly\t1\n",
@@ -494,8 +496,9 @@ mod tests {
             "dedup-mme\t1\n",
             "3900\t1\t352000000000012\t2\t6\n",
             "attributor\t1\n",
-            "u\t1\t100\t0\t1\n",
-            "q\t4000\t72\t-\tW\t100\t0\n",
+            "u\t1\t1\t1\n",
+            "a\t3590\t0\n",
+            "q\t4000\t72\t-\n",
             "open\t1\n",
             "open-window\t1\n",
             "window-counters\t0\n",
@@ -553,7 +556,7 @@ mod tests {
             (
                 "attributor\t1\n",
                 "attributor\t1000000000000000000\n",
-                41,
+                42,
                 "expected `u` block, found `open`",
             ),
             (
@@ -569,14 +572,14 @@ mod tests {
                 "field 1: `hourly` is not a u64",
             ),
             (
-                "1\t100\t0\t0\t72\n",
-                "1\t100\t65537\t0\t72\n",
+                "1\t3590\t0\t0\t72\n",
+                "1\t3590\t65537\t0\t72\n",
                 14,
                 "field 3: `65537` is not a u16",
             ),
             (
-                "1\t100\t0\t0\t72\n",
-                "1\t100\t0\tBogus\t72\n",
+                "1\t3590\t0\t0\t72\n",
+                "1\t3590\t0\tBogus\t72\n",
                 14,
                 "field 4: `Bogus` is not an app id or a domain class",
             ),
@@ -599,28 +602,28 @@ mod tests {
                 "field 2: `Bogus` is not a Through-Device kind",
             ),
             (
-                "u\t1\t100\t0\t1\n",
-                "u\t1\t100\t65537\t1\n",
-                39,
-                "field 4: `65537` is not a u16",
+                "u\t1\t1\t1\n",
+                "u\t1\t1000000000000000000\t1\n",
+                41,
+                "expected `a` block, found `q`",
             ),
             (
-                "u\t1\t100\t0\t1\n",
-                "u\t1\t-\t0\t1\n",
-                39,
-                "an anchor needs both its time and its app, or neither",
-            ),
-            (
-                "q\t4000\t72\t-\t",
-                "q\t4000\t72\tX\t",
+                "a\t3590\t0\n",
+                "a\t3590\t65537\n",
                 40,
+                "field 3: `65537` is not a u16",
+            ),
+            (
+                "q\t4000\t72\t-\n",
+                "q\t4000\t72\tX\n",
+                41,
                 "field 4: `X` is not an app id or a domain class",
             ),
             (
-                "W\t100\t0\n",
-                "W\t100\t65537\n",
-                40,
-                "field 7: `65537` is not a u16",
+                "q\t4000\t72\t-\n",
+                "q\t4000\t72\t-\tW\t3590\t0\n",
+                41,
+                "unexpected field 5 `W`",
             ),
             (
                 "1\t0\t5\n",
@@ -652,7 +655,7 @@ mod tests {
                 6,
                 "progress needs both its fields, or neither",
             ),
-            ("end\n", "", 62, "unexpected end of snapshot"),
+            ("end\n", "", 63, "unexpected end of snapshot"),
         ];
         for (from, to, line, message) in cases {
             assert!(text.contains(from), "{from:?}");
@@ -791,19 +794,19 @@ mod tests {
         let config = hour_config();
         let text = to_text(&StreamRuntime::new(&ctx, config), None);
         let (header, body) = text.split_once('\n').unwrap();
-        assert_eq!(header, "wearscope-stream-checkpoint\tv3");
-        for found in [1, 2] {
+        assert_eq!(header, "wearscope-stream-checkpoint\tv4");
+        for found in [1, 2, 3] {
             let old = format!("wearscope-stream-checkpoint\tv{found}\n{body}");
             let err = from_text(&ctx, config, &old)
                 .map(|_| ())
                 .expect_err("an older checkpoint must be rejected");
             assert!(
-                matches!(err, StreamError::CheckpointVersion { found: f, expected: 3 } if f == found),
+                matches!(err, StreamError::CheckpointVersion { found: f, expected: 4 } if f == found),
                 "{err}"
             );
             let message = err.to_string();
             assert!(
-                message.contains(&format!("v{found}")) && message.contains("v3"),
+                message.contains(&format!("v{found}")) && message.contains("v4"),
                 "{message}"
             );
             assert!(message.contains("without --resume"), "{message}");

@@ -14,9 +14,6 @@
 //! * [`window`] — index-addressed tumbling/sliding window geometry;
 //! * [`source`] — pull-based [`EventSource`]s merging the proxy and MME
 //!   logs by event time;
-//! * [`attrib`] — an online version of the batch nearest-anchor app
-//!   attribution, emitting transactions once their future-anchor horizon
-//!   has provably passed;
 //! * [`runtime`] — the watermark machinery: lateness, in-order emission
 //!   with explicit empty windows, bounded open windows with backpressure;
 //! * [`checkpoint`] — kill-and-resume snapshots; a resumed run's final
@@ -29,14 +26,12 @@
 #![warn(missing_docs)]
 
 pub mod aggregates;
-pub mod attrib;
 pub mod checkpoint;
 pub mod runtime;
 pub mod source;
 pub mod window;
 
 pub use aggregates::{WindowAggregates, WindowCounters};
-pub use attrib::StreamingAttributor;
 pub use runtime::{
     Backpressure, PumpOptions, PumpOutcome, StreamConfig, StreamError, StreamRuntime,
 };

@@ -9,9 +9,8 @@
 //! * a record behind the max event time but at-or-ahead of the watermark
 //!   is **late-merged**: absorbed normally and counted;
 //! * a window finalizes once the watermark passes its end plus the ±60 s
-//!   attribution slack, so every third-party transaction inside it has
-//!   either found its future anchor or provably never will
-//!   ([`crate::attrib`]).
+//!   attribution slack, so the [`Attributor`] has released every
+//!   transaction inside it with its final app.
 //!
 //! Validation is the batch loader's: one [`RecordValidator`] per log, fed
 //! this watermark instead of the log's own high-water mark.
@@ -28,7 +27,7 @@ use std::fmt;
 use std::io;
 use std::path::Path;
 
-use wearscope_core::sessions::{AttributedTx, SESSION_GAP_SECS};
+use wearscope_core::sessions::{AttributedTx, Attributor, SESSION_GAP_SECS};
 use wearscope_core::snapshot::SnapshotError;
 use wearscope_core::StudyContext;
 use wearscope_ingest::{reason_for_codec, RecordValidator};
@@ -38,7 +37,6 @@ use wearscope_simtime::{SimDuration, SimTime};
 use wearscope_trace::{MmeRecord, ProxyRecord};
 
 use crate::aggregates::WindowAggregates;
-use crate::attrib::StreamingAttributor;
 use crate::source::{EventSource, Polled, SourceItem, SourcePosition, StreamEvent};
 use crate::window::WindowSpec;
 
@@ -216,7 +214,6 @@ pub(crate) struct StreamObs {
     records_kept: Counter,
     quarantined: Vec<(QuarantineReason, Counter)>,
     late_merged: Counter,
-    attrib_approximate: Counter,
     windows_emitted: Counter,
     forced_emits: Counter,
     backpressure_blocks: Counter,
@@ -237,7 +234,6 @@ impl StreamObs {
                 .map(|r| (r, m.counter(&format!("stream.quarantined.{}", r.name()))))
                 .collect(),
             late_merged: m.counter("stream.late_merged"),
-            attrib_approximate: m.counter("stream.attrib.approximate"),
             windows_emitted: m.counter("stream.windows_emitted"),
             forced_emits: m.counter("stream.forced_emits"),
             backpressure_blocks: m.counter("stream.backpressure_blocks"),
@@ -287,7 +283,7 @@ pub struct StreamRuntime<'s> {
     pub(crate) reports: Vec<WindowReport>,
     /// Emitted windows' partials (only with `collect_aggregates`).
     pub(crate) collected: Vec<(u64, WindowAggregates)>,
-    pub(crate) attributor: StreamingAttributor,
+    pub(crate) attributor: Attributor,
     pub(crate) proxy_validator: RecordValidator<ProxyRecord>,
     pub(crate) mme_validator: RecordValidator<MmeRecord>,
     pub(crate) quality: wearscope_report::DataQuality,
@@ -320,7 +316,7 @@ impl<'s> StreamRuntime<'s> {
             open: BTreeMap::new(),
             reports: Vec::new(),
             collected: Vec::new(),
-            attributor: StreamingAttributor::new(),
+            attributor: Attributor::new(),
             proxy_validator: RecordValidator::new(config.max_timestamp),
             mme_validator: RecordValidator::new(config.max_timestamp),
             quality: wearscope_report::DataQuality::default(),
@@ -443,18 +439,12 @@ impl<'s> StreamRuntime<'s> {
         }
         if let StreamEvent::Proxy(r) = &ev {
             if self.ctx.is_wearable_record(r) {
-                let mut emitted = Vec::new();
-                let approximate = self.attributor.observe(
+                self.attributor.observe(
                     r.user,
                     r.timestamp,
                     self.ctx.host_class(r.host).classification,
                     r.bytes_total(),
-                    &mut emitted,
                 );
-                if approximate {
-                    self.obs.attrib_approximate.inc();
-                }
-                self.route_attributed(&emitted);
             }
         }
         if self.max_event.is_none_or(|m| m < ts) {
@@ -464,10 +454,10 @@ impl<'s> StreamRuntime<'s> {
         Ok(())
     }
 
-    /// Routes resolved transactions into their windows by event time.
-    /// Target windows are provably still open (a transaction resolves no
-    /// later than the close of any window containing it); windows sealed
-    /// early by forced emission are skipped.
+    /// Routes released transactions into their windows by event time.
+    /// Target windows are provably still open (a transaction is released
+    /// no later than the close of any window containing it); windows
+    /// sealed early by forced emission are skipped.
     fn route_attributed(&mut self, emitted: &[AttributedTx]) {
         let next_emit = self.progress.map_or(0, |p| p.next_emit);
         for tx in emitted {
@@ -498,7 +488,7 @@ impl<'s> StreamRuntime<'s> {
         if !due(p.next_emit) {
             return;
         }
-        // Resolve attribution up to the watermark *before* sealing windows:
+        // Release attribution up to the watermark *before* sealing windows:
         // every transaction in a due window is past its future-anchor
         // horizon (t + 60 < end + 60 <= W).
         let mut emitted = Vec::new();
@@ -834,7 +824,6 @@ mod tests {
         assert_eq!(snap.counters["stream.records_processed"], 5);
         assert_eq!(snap.counters["stream.records_kept"], 3);
         assert_eq!(snap.counters["stream.late_merged"], 1);
-        assert_eq!(snap.counters["stream.attrib.approximate"], 0);
         assert_eq!(snap.counters["stream.quarantined.out-of-order"], 1);
         assert_eq!(snap.counters["stream.quarantined.duplicate"], 1);
         assert_eq!(snap.counters["stream.quarantined.truncated"], 0);
@@ -847,27 +836,34 @@ mod tests {
         assert_eq!(snap.gauges["stream.watermark_secs"], 1400);
     }
 
-    /// A third-party transaction that arrives behind a first-party anchor
-    /// already seen is resolved by the late-record approximation, and
-    /// counted; one that arrives in order waits and is not.
+    /// A released transaction behind a later-stamped one still waiting
+    /// reaches its window before the window seals: window 0 counts the
+    /// late first-party transaction, and all four transactions land.
     #[test]
-    fn late_attribution_approximations_are_counted() {
+    fn released_transactions_reach_their_window_before_it_seals() {
         let fx = Fixture::new();
         let ctx = fx.ctx();
-        let reg = Registry::new();
-        let mut rt = StreamRuntime::new(&ctx, hour_config(600)).with_metrics(&reg);
+        let mut config = hour_config(600);
+        config.collect_aggregates = true;
+        let mut rt = StreamRuntime::new(&ctx, config);
         for (t, host) in [
-            (1000, "api.weather.com"),
-            (1030, "cdn.telemetry.example"),
-            (990, "cdn.telemetry.example"),
+            (3700, "cdn.telemetry.example"),
+            (3300, "api.weather.com"),
+            (4300, "cdn.telemetry.example"),
+            (9000, "cdn.telemetry.example"),
         ] {
             rt.process_item(SourceItem::Event(fx.proxy(1, t, host)))
                 .unwrap();
         }
         rt.finish();
         assert_eq!(rt.late_merged, 1);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counters["stream.attrib.approximate"], 1);
+        let (summary, collected) = rt.into_results();
+        assert_eq!(summary.windows[0].attributed, 1);
+        let routed: usize = collected
+            .iter()
+            .map(|(_, w)| w.partials.attributed.len())
+            .sum();
+        assert_eq!(routed, 4);
     }
 
     /// The one way batch and stream validation disagree at lateness 0.

@@ -14,14 +14,22 @@
 //! exercised: a pristine world, and the same world after every fault
 //! class, streamed at lateness 0, where batch and stream run the same
 //! record validator and must quarantine the same records.
+//!
+//! A third case shuffles a world's records within the lateness horizon
+//! and feeds them through a channel: attribution must still match the
+//! batch rule over the same records exactly.
 
 use wearscope::core::merge::CoreAggregates;
 use wearscope::faults::{corrupt_world, FaultSpec};
 use wearscope::ingest::{load_store_resilient, IngestOptions};
-use wearscope::obs::Registry;
 use wearscope::prelude::*;
 use wearscope::report::QuarantineReason;
-use wearscope::stream::{PumpOptions, PumpOutcome, StreamRuntime, WindowAggregates};
+use wearscope::stream::{
+    ChannelSource, PumpOptions, PumpOutcome, StreamEvent, StreamRuntime, WindowAggregates,
+};
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn tiny_world(seed: u64) -> GeneratedWorld {
     let mut config = ScenarioConfig::compact(seed);
@@ -44,6 +52,84 @@ fn merged_stream_windows_reproduce_batch_aggregates_bit_identically() {
     corrupt_world(&dir, 3, &FaultSpec::all(0.002)).expect("corrupt world");
     assert_equivalent(&dir, "corrupted", SimDuration::ZERO);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Records arriving out of order within the lateness horizon: each is
+/// delayed by a seeded draw of up to the lateness, so none falls behind
+/// the watermark. The merged windows attribute exactly as batch does over
+/// the same records.
+#[test]
+fn shuffled_within_lateness_stream_attributes_like_batch() {
+    const LATENESS: u64 = 600;
+    let world = tiny_world(7);
+    let mut rng = StdRng::seed_from_u64(17);
+    let mut arrivals: Vec<(u64, StreamEvent)> = world
+        .store
+        .proxy()
+        .iter()
+        .map(|r| (r.timestamp.as_secs(), StreamEvent::Proxy(*r)))
+        .chain(
+            world
+                .store
+                .mme()
+                .iter()
+                .map(|r| (r.timestamp.as_secs(), StreamEvent::Mme(*r))),
+        )
+        .map(|(t, ev)| (t + rng.random_range(0..=LATENESS), ev))
+        .collect();
+    arrivals.sort_by_key(|a| a.0);
+
+    // Stream side: the shuffled records through a channel.
+    let empty = TraceStore::new();
+    let (db, catalog) = (DeviceDb::standard(), AppCatalog::standard());
+    let window = world.config.window;
+    let stream_ctx = StudyContext::new(&empty, &db, &world.sectors, &catalog, window);
+    let spec = WindowSpec::tumbling(SimDuration::from_hours(1)).unwrap();
+    let mut config = StreamConfig::new(spec, SimDuration::from_secs(LATENESS));
+    config.collect_aggregates = true;
+    let mut rt = StreamRuntime::new(&stream_ctx, config);
+    let (tx, mut src) = ChannelSource::pair();
+    let (mut proxy, mut mme) = (Vec::new(), Vec::new());
+    for (_, ev) in arrivals {
+        match &ev {
+            StreamEvent::Proxy(r) => proxy.push(*r),
+            StreamEvent::Mme(r) => mme.push(*r),
+        }
+        tx.send(ev).unwrap();
+    }
+    drop(tx);
+    assert_eq!(
+        rt.pump(&mut src, &PumpOptions::default()).expect("pump"),
+        PumpOutcome::Finished
+    );
+    rt.finish();
+    let (summary, collected) = rt.into_results();
+    assert!(summary.quality.quarantined.is_empty());
+    assert!(summary.late_merged > 1000, "{} late", summary.late_merged);
+
+    // Batch side: the same records, stably time-sorted by the store.
+    let store = TraceStore::from_records(proxy, mme);
+    let batch_ctx = StudyContext::new(&store, &db, &world.sectors, &catalog, window);
+    let batch = CoreAggregates::sequential(&batch_ctx);
+    let mut merged = WindowAggregates::default();
+    for (_, w) in collected {
+        merged.merge(w);
+    }
+    let got = merged.finish(&batch_ctx);
+    assert!(batch
+        .attributed
+        .iter()
+        .any(|t| t.app.is_some() && !t.first_party()));
+    assert_eq!(got.attributed, batch.attributed);
+    assert_eq!(got.popularity, batch.popularity);
+    assert_eq!(got.domains, batch.domains);
+    for (a, b) in [
+        (&got.domains.users, &batch.domains.users),
+        (&got.domains.frequency, &batch.domains.frequency),
+        (&got.domains.data, &batch.domains.data),
+    ] {
+        assert_eq!(bits(a), bits(b), "domain share bits");
+    }
 }
 
 /// Streams the world under `dir` at both widths and checks the merged
@@ -74,8 +160,7 @@ fn assert_equivalent(dir: &std::path::Path, input: &str, lateness: SimDuration) 
         let mut config = StreamConfig::new(spec, lateness);
         config.collect_aggregates = true;
         config.max_timestamp = opts.max_timestamp;
-        let metrics = Registry::new();
-        let mut rt = StreamRuntime::new(&stream_ctx, config).with_metrics(&metrics);
+        let mut rt = StreamRuntime::new(&stream_ctx, config);
         let mut src = WorldSource::open(dir, false)
             .expect("open source")
             .with_horizon(opts.max_timestamp);
@@ -102,11 +187,6 @@ fn assert_equivalent(dir: &std::path::Path, input: &str, lateness: SimDuration) 
             );
         }
         assert_eq!(summary.late_merged, 0, "{at}: sorted input");
-        assert_eq!(
-            metrics.snapshot().counters["stream.attrib.approximate"],
-            0,
-            "{at}: in-order attribution is exact"
-        );
         assert_eq!(summary.windows.len(), collected.len(), "{at}");
         // Emitted indices are gapless and ascending.
         for (i, pair) in collected.windows(2).enumerate() {
