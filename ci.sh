@@ -174,18 +174,20 @@ echo "    crafted reports counts exit 1 with a checkpoint line error"
 
 echo "==> malformed world metadata: typed errors, not crashes"
 # A world's manifest and cell plan are files a user can hand us: a layout
-# the window cannot hold or a coordinate that is not a number must give
+# the window cannot hold, a summary window past 100 years or a coordinate
+# that is not a number must give
 # `error: ...` naming the file and exit 1 — never a panic (101), an
 # allocation abort (134) or a run over garbage (0).
-for bad in detailed max nan; do
+for bad in detailed max huge nan; do
     rm -rf "$FAULT_DIR/bad-$bad"
     cp -r "$FAULT_DIR/stream-world" "$FAULT_DIR/bad-$bad"
 done
 sed -i 's/^detailed_days\t.*$/detailed_days\t1000/' "$FAULT_DIR/bad-detailed/manifest.tsv"
 sed -i 's/^summary_days\t.*$/summary_days\t18446744073709551615/' "$FAULT_DIR/bad-max/manifest.tsv"
+sed -i 's/^summary_days\t.*$/summary_days\t1000000000000/' "$FAULT_DIR/bad-huge/manifest.tsv"
 sed -i '1s/^\([0-9]*\)\t[^\t]*\t/\1\tnan\t/' "$FAULT_DIR/bad-nan/sectors.tsv"
 grep -q "^0.nan" "$FAULT_DIR/bad-nan/sectors.tsv"
-for case in detailed:manifest.tsv max:manifest.tsv nan:sectors.tsv; do
+for case in detailed:manifest.tsv max:manifest.tsv huge:manifest.tsv nan:sectors.tsv; do
     bad="${case%%:*}"
     file="${case#*:}"
     for cmd in "analyze" "analyze --max-error-rate 1" "stream"; do

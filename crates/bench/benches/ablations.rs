@@ -2,17 +2,15 @@
 //!
 //! 1. longest-suffix **trie vs linear scan** for SNI classification;
 //! 2. **bucket grid vs brute force** nearest-sector lookup;
-//! 3. **streaming fold vs materialize-then-scan** for per-user traffic;
-//! 4. **merged time-sort vs per-user ordering** of generated events.
+//! 3. **merged time-sort vs per-user ordering** of generated events;
+//! 4. **session-gap sensitivity** of the 1-minute sessionization rule.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use wearscope_appdb::{AppCatalog, Classification, SniClassifier};
 use wearscope_bench::{ctx, small_world};
-use wearscope_core::compare;
 use wearscope_geo::{GeoPoint, SectorGrid};
-use wearscope_trace::UserId;
 
 /// Ablation 1: the production trie against the naive per-signature suffix
 /// scan it replaces.
@@ -119,38 +117,7 @@ fn grid_vs_brute_force(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ablation 3: the single-pass per-user traffic fold vs re-scanning the log
-/// once per user (the naive "query per user" shape).
-fn streaming_vs_rescan(c: &mut Criterion) {
-    let world = small_world();
-    let context = ctx(world);
-    let mut group = c.benchmark_group("ablation_user_traffic");
-    group.sample_size(20);
-    group.bench_function("single_pass_fold", |b| {
-        b.iter(|| compare::user_traffic(black_box(&context)))
-    });
-    group.bench_function("rescan_per_user", |b| {
-        // Bounded to 100 users: the full quadratic rescan would dominate the
-        // bench wall-clock, which is exactly the point being made.
-        let users: Vec<UserId> = context.all_users().iter().copied().take(100).collect();
-        b.iter(|| {
-            let mut total = 0u64;
-            for u in &users {
-                total += world
-                    .store
-                    .proxy()
-                    .iter()
-                    .filter(|r| r.user == *u)
-                    .map(|r| r.bytes_total())
-                    .sum::<u64>();
-            }
-            total
-        })
-    });
-    group.finish();
-}
-
-/// Ablation 4: cost of globally time-sorting a day's events vs leaving them
+/// Ablation 3: cost of globally time-sorting a day's events vs leaving them
 /// in per-user order (what the merged event stream buys).
 fn event_ordering(c: &mut Criterion) {
     let world = small_world();
@@ -180,7 +147,7 @@ fn event_ordering(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ablation 5: sensitivity of the paper's 1-minute sessionization gap —
+/// Ablation 4: sensitivity of the paper's 1-minute sessionization gap —
 /// runtime is flat in the gap, but the resulting session count (printed via
 /// criterion labels in the bench names) is what the parameter controls.
 fn session_gap_sensitivity(c: &mut Criterion) {
@@ -201,7 +168,6 @@ criterion_group!(
     ablations,
     classifier_trie_vs_linear,
     grid_vs_brute_force,
-    streaming_vs_rescan,
     event_ordering,
     session_gap_sensitivity
 );

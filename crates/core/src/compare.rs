@@ -3,14 +3,13 @@
 //! "Users that have wearable devices" are identified from the logs alone:
 //! any subscriber observed with a SIM-enabled-wearable IMEI. Their *total*
 //! traffic (all devices — the wearable plus their smartphone) is compared
-//! against the remaining customers.
+//! against the remaining customers. Both the owner set and the per-user
+//! totals come from the one fold ([`crate::CoreAggregates`]).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use wearscope_trace::UserId;
 
-use crate::context::StudyContext;
-use crate::merge::CoreAggregates;
 use crate::stats::Ecdf;
 
 /// Per-user traffic totals over the detailed window.
@@ -24,11 +23,6 @@ pub struct UserTraffic {
     pub bytes_wearable: u64,
     /// Transactions from the wearable alone.
     pub tx_wearable: u64,
-}
-
-/// Folds the proxy log into per-user traffic totals.
-pub fn user_traffic(ctx: &StudyContext<'_>) -> HashMap<UserId, UserTraffic> {
-    CoreAggregates::sequential(ctx).traffic
 }
 
 /// Fig. 4(a) (plus the +26 % / +48 % takeaways): the distribution of
@@ -51,7 +45,10 @@ pub struct OwnerVsRest {
 
 impl OwnerVsRest {
     /// Computes the comparison over all data-active users.
-    pub fn compute(ctx: &StudyContext<'_>, traffic: &HashMap<UserId, UserTraffic>) -> OwnerVsRest {
+    pub fn compute(
+        owners: &HashSet<UserId>,
+        traffic: &HashMap<UserId, UserTraffic>,
+    ) -> OwnerVsRest {
         let mut ob = Vec::new();
         let mut rb = Vec::new();
         let mut ot = Vec::new();
@@ -60,7 +57,7 @@ impl OwnerVsRest {
             if t.tx_total == 0 {
                 continue;
             }
-            if ctx.owners().contains(user) {
+            if owners.contains(user) {
                 ob.push(t.bytes_total as f64);
                 ot.push(t.tx_total as f64);
             } else {
@@ -106,12 +103,12 @@ pub struct WearableShare {
 impl WearableShare {
     /// Computes the share over wearable owners with any traffic.
     pub fn compute(
-        ctx: &StudyContext<'_>,
+        owners: &HashSet<UserId>,
         traffic: &HashMap<UserId, UserTraffic>,
     ) -> WearableShare {
         let ratios: Vec<f64> = traffic
             .iter()
-            .filter(|(user, t)| ctx.owners().contains(user) && t.bytes_total > 0)
+            .filter(|(user, t)| owners.contains(user) && t.bytes_total > 0)
             .map(|(_, t)| t.bytes_wearable as f64 / t.bytes_total as f64)
             .collect();
         let ratio = Ecdf::from_samples(ratios);
@@ -126,6 +123,7 @@ impl WearableShare {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CoreAggregates, StudyContext};
     use wearscope_appdb::AppCatalog;
     use wearscope_devicedb::{DeviceClass, DeviceDb};
     use wearscope_geo::SectorDirectory;
@@ -180,19 +178,21 @@ mod tests {
             &catalog,
             ObservationWindow::compact(),
         );
-        let traffic = user_traffic(&ctx);
+        let CoreAggregates {
+            owners, traffic, ..
+        } = CoreAggregates::sequential(&ctx);
         assert_eq!(traffic[&UserId(1)].bytes_total, 10_100);
         assert_eq!(traffic[&UserId(1)].bytes_wearable, 100);
         assert_eq!(traffic[&UserId(1)].tx_wearable, 1);
         assert_eq!(traffic[&UserId(2)].bytes_wearable, 0);
 
-        let cmp = OwnerVsRest::compute(&ctx, &traffic);
+        let cmp = OwnerVsRest::compute(&owners, &traffic);
         assert_eq!(cmp.owner_bytes.len(), 1);
         assert_eq!(cmp.rest_bytes.len(), 1);
         assert!((cmp.bytes_ratio - 10_100.0 / 8_000.0).abs() < 1e-9);
         assert!((cmp.tx_ratio - 3.0 / 2.0).abs() < 1e-9);
 
-        let share = WearableShare::compute(&ctx, &traffic);
+        let share = WearableShare::compute(&owners, &traffic);
         assert_eq!(share.ratio.len(), 1);
         assert!((share.mean_ratio - 100.0 / 10_100.0).abs() < 1e-9);
         assert_eq!(share.frac_over_3pct, 0.0);
@@ -221,8 +221,8 @@ mod tests {
             &catalog,
             ObservationWindow::compact(),
         );
-        let traffic = user_traffic(&ctx);
-        let share = WearableShare::compute(&ctx, &traffic);
+        let aggs = CoreAggregates::sequential(&ctx);
+        let share = WearableShare::compute(&aggs.owners, &aggs.traffic);
         assert_eq!(share.ratio.len(), 2);
         assert!((share.frac_over_3pct - 0.5).abs() < 1e-9);
     }
@@ -237,10 +237,11 @@ mod tests {
             &catalog,
             ObservationWindow::compact(),
         );
-        let traffic = user_traffic(&ctx);
-        let cmp = OwnerVsRest::compute(&ctx, &traffic);
+        let aggs = CoreAggregates::sequential(&ctx);
+        assert!(aggs.owners.is_empty());
+        let cmp = OwnerVsRest::compute(&aggs.owners, &aggs.traffic);
         assert_eq!(cmp.bytes_ratio, 0.0);
-        let share = WearableShare::compute(&ctx, &traffic);
+        let share = WearableShare::compute(&aggs.owners, &aggs.traffic);
         assert!(share.ratio.is_empty());
     }
 }

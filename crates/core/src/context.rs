@@ -1,6 +1,5 @@
-//! The study context: logs plus lookup services, pre-indexed.
+//! The study context: logs plus lookup services.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::{PoisonError, RwLock};
 
 use wearscope_appdb::{
@@ -9,7 +8,7 @@ use wearscope_appdb::{
 use wearscope_devicedb::{DeviceClass, DeviceDb, Imei};
 use wearscope_geo::SectorDirectory;
 use wearscope_simtime::ObservationWindow;
-use wearscope_trace::{HostId, ProxyRecord, TraceStore, UserId};
+use wearscope_trace::{HostId, ProxyRecord, TraceStore};
 
 /// What the study's signatures say about one destination host.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -25,6 +24,10 @@ pub struct HostClass {
 /// three lookup services of Fig. 1 (device DB, cell plan, app signatures),
 /// and the observation window. Mirrors exactly the inputs the paper's
 /// authors had — no generator ground truth.
+///
+/// Building a context reads no log, so batch and stream build the same
+/// one; every per-record fact (the owners, the device mix, …) comes from
+/// the fold over the logs.
 pub struct StudyContext<'a> {
     /// Detailed-window logs.
     pub store: &'a TraceStore,
@@ -38,19 +41,13 @@ pub struct StudyContext<'a> {
     pub classifier: SniClassifier,
     /// Observation window.
     pub window: ObservationWindow,
-    /// Cached IMEI → device class for every IMEI in the logs.
-    class_by_imei: HashMap<u64, Option<DeviceClass>>,
-    /// Users observed with a SIM-enabled wearable device.
-    owners: HashSet<UserId>,
-    /// All users observed in either log.
-    all_users: HashSet<UserId>,
     /// Each distinct host's class by [`HostId::index`], worked out the
     /// first time a record asks.
     hosts: RwLock<Vec<Option<HostClass>>>,
 }
 
 impl<'a> StudyContext<'a> {
-    /// Builds the context, scanning the logs once to index devices/users.
+    /// Builds the context; the store is only handed through.
     pub fn new(
         store: &'a TraceStore,
         db: &'a DeviceDb,
@@ -58,38 +55,13 @@ impl<'a> StudyContext<'a> {
         catalog: &'a AppCatalog,
         window: ObservationWindow,
     ) -> StudyContext<'a> {
-        let classifier = SniClassifier::build(catalog);
-        let mut class_by_imei: HashMap<u64, Option<DeviceClass>> = HashMap::new();
-        let mut owners = HashSet::new();
-        let mut all_users = HashSet::new();
-        let mut classify = |imei: u64, user: UserId| {
-            let class = *class_by_imei.entry(imei).or_insert_with(|| {
-                Imei::from_u64(imei)
-                    .ok()
-                    .and_then(|i| db.lookup(i))
-                    .map(|r| r.class)
-            });
-            all_users.insert(user);
-            if class == Some(DeviceClass::CellularWearable) {
-                owners.insert(user);
-            }
-        };
-        for r in store.proxy() {
-            classify(r.imei, r.user);
-        }
-        for r in store.mme() {
-            classify(r.imei, r.user);
-        }
         StudyContext {
             store,
             db,
             sectors,
             catalog,
-            classifier,
+            classifier: SniClassifier::build(catalog),
             window,
-            class_by_imei,
-            owners,
-            all_users,
             hosts: RwLock::default(),
         }
     }
@@ -117,20 +89,11 @@ impl<'a> StudyContext<'a> {
     }
 
     /// The device class behind an IMEI, if the device DB knows it.
-    ///
-    /// IMEIs present in the store at construction time are answered from
-    /// the cache; anything else falls back to a live device-DB lookup, so
-    /// a context built over an empty store (the streaming engine's case —
-    /// records arrive after construction) classifies identically to a
-    /// batch context built over the full store.
     pub fn device_class(&self, imei: u64) -> Option<DeviceClass> {
-        match self.class_by_imei.get(&imei) {
-            Some(class) => *class,
-            None => Imei::from_u64(imei)
-                .ok()
-                .and_then(|i| self.db.lookup(i))
-                .map(|r| r.class),
-        }
+        Imei::from_u64(imei)
+            .ok()
+            .and_then(|i| self.db.lookup(i))
+            .map(|r| r.class)
     }
 
     /// `true` if this proxy record was issued by a SIM-enabled wearable.
@@ -138,23 +101,12 @@ impl<'a> StudyContext<'a> {
         self.device_class(r.imei) == Some(DeviceClass::CellularWearable)
     }
 
-    /// Users observed with a SIM-enabled wearable (the paper's "users that
-    /// have wearable devices").
-    pub fn owners(&self) -> &HashSet<UserId> {
-        &self.owners
-    }
-
-    /// All users observed in the detailed logs.
-    pub fn all_users(&self) -> &HashSet<UserId> {
-        &self.all_users
-    }
-
     /// Proxy records issued by SIM-enabled wearables.
     pub fn wearable_proxy(&self) -> impl Iterator<Item = &'a ProxyRecord> + '_ {
         self.store
             .proxy()
             .iter()
-            .filter(move |r| self.device_class(r.imei) == Some(DeviceClass::CellularWearable))
+            .filter(move |r| self.is_wearable_record(r))
     }
 
     /// Number of whole weeks in the detailed window (averaging denominator).
@@ -172,7 +124,7 @@ impl<'a> StudyContext<'a> {
 mod tests {
     use super::*;
     use wearscope_simtime::SimTime;
-    use wearscope_trace::{MmeEvent, MmeRecord, Scheme};
+    use wearscope_trace::{Scheme, UserId};
 
     fn proxy(user: u64, imei: u64, host: &str, t: u64) -> ProxyRecord {
         ProxyRecord {
@@ -187,7 +139,7 @@ mod tests {
     }
 
     #[test]
-    fn indexes_devices_and_owners() {
+    fn classifies_devices_from_the_db() {
         let db = DeviceDb::standard();
         let catalog = AppCatalog::standard();
         let sectors = SectorDirectory::new();
@@ -200,13 +152,7 @@ mod tests {
                 proxy(1, p_imei, "m.popular-video.example", 20),
                 proxy(2, p_imei, "m.popular-video.example", 30),
             ],
-            vec![MmeRecord {
-                timestamp: SimTime::from_secs(5),
-                user: UserId(3),
-                imei: w_imei,
-                event: MmeEvent::Attach,
-                sector: 0,
-            }],
+            vec![],
         );
         let ctx = StudyContext::new(
             &store,
@@ -220,11 +166,7 @@ mod tests {
             Some(DeviceClass::CellularWearable)
         );
         assert_eq!(ctx.device_class(p_imei), Some(DeviceClass::Smartphone));
-        assert_eq!(ctx.device_class(42), None);
-        assert_eq!(ctx.all_users().len(), 3);
-        assert!(ctx.owners().contains(&UserId(1)));
-        assert!(ctx.owners().contains(&UserId(3))); // seen via MME
-        assert!(!ctx.owners().contains(&UserId(2)));
+        assert_eq!(ctx.device_class(42), None); // invalid IMEI stays unknown
         assert_eq!(ctx.wearable_proxy().count(), 1);
     }
 
@@ -241,33 +183,7 @@ mod tests {
             &catalog,
             ObservationWindow::compact(),
         );
-        assert!(ctx.owners().is_empty());
-        assert!(ctx.all_users().is_empty());
         assert_eq!(ctx.wearable_proxy().count(), 0);
-    }
-
-    #[test]
-    fn device_class_falls_back_to_db_on_cache_miss() {
-        // The streaming engine builds its context over an empty store and
-        // classifies records as they arrive — the uncached path must agree
-        // with the cached one.
-        let db = DeviceDb::standard();
-        let catalog = AppCatalog::standard();
-        let sectors = SectorDirectory::new();
-        let store = TraceStore::new();
-        let ctx = StudyContext::new(
-            &store,
-            &db,
-            &sectors,
-            &catalog,
-            ObservationWindow::compact(),
-        );
-        let w_imei = db.example_imei(db.wearable_tacs()[0], 1).as_u64();
-        assert_eq!(
-            ctx.device_class(w_imei),
-            Some(DeviceClass::CellularWearable)
-        );
-        assert_eq!(ctx.device_class(42), None); // invalid IMEI stays unknown
     }
 
     #[test]

@@ -34,7 +34,7 @@ use crate::context::StudyContext;
 use crate::devices::DeviceMix;
 use crate::mobility::{MobilityIndex, UserMobility};
 use crate::quality::DataQualityReport;
-use crate::sessions::{self, AttributedTx};
+use crate::sessions::{AttributedTx, Attributor};
 use crate::thirdparty::DomainBreakdown;
 use crate::through_device::ThroughDeviceReport;
 use crate::weekly::WeeklyPattern;
@@ -408,7 +408,7 @@ pub struct CoreAggregates {
     pub hourly: HourlyProfile,
     /// Fig. 3(c) transaction statistics.
     pub tx_stats: TransactionStats,
-    /// Per-user traffic totals ([`crate::compare::user_traffic`]).
+    /// Per-user traffic totals ([`UserTraffic`]).
     pub traffic: HashMap<UserId, UserTraffic>,
     /// The mobility index (Fig. 4(c,d) substrate).
     pub mobility: MobilityIndex,
@@ -426,6 +426,9 @@ pub struct CoreAggregates {
     pub through_device: ThroughDeviceReport,
     /// The trace QA report.
     pub quality: DataQualityReport,
+    /// Users seen with a SIM-enabled wearable IMEI in either log: the
+    /// paper's "users that have wearable devices" (Sec. 3.2).
+    pub owners: HashSet<UserId>,
 }
 
 impl CoreAggregates {
@@ -478,27 +481,35 @@ pub struct CorePartials {
 }
 
 impl CorePartials {
-    /// Folds the context's store: each proxy record, then each MME record;
-    /// attribution, which needs each user's whole proxy stream, runs after
-    /// the record pass.
+    /// Folds the context's store: each proxy record, feeding the wearable
+    /// ones to one [`Attributor`], then each MME record; the attributor is
+    /// flushed at the end, since a transaction's app can depend on a later
+    /// record.
     pub fn fold(ctx: &StudyContext<'_>) -> CorePartials {
         let mut partials = CorePartials::default();
+        let mut attributor = Attributor::new();
         for r in ctx.store.proxy() {
-            partials.absorb_proxy(ctx, r);
+            if partials.absorb_proxy(ctx, r) {
+                let class = ctx.host_class(r.host).classification;
+                attributor.observe(r.user, r.timestamp, class, r.bytes_total());
+            }
         }
         for r in ctx.store.mme() {
             partials.absorb_mme(ctx, r);
         }
-        for tx in &sessions::attribute_transactions(ctx) {
-            partials.absorb_attributed(tx);
+        partials.attributed.reserve(attributor.pending());
+        attributor.flush(&mut partials.attributed);
+        for tx in &partials.attributed {
+            partials.popularity.absorb(tx);
         }
         partials
     }
 
     /// Folds one proxy record: its all-device facts always, then — after
     /// the one device-class lookup — its wearable, smartphone or
-    /// unresolved-device facts.
-    pub fn absorb_proxy(&mut self, ctx: &StudyContext<'_>, r: &ProxyRecord) {
+    /// unresolved-device facts. Returns whether a SIM-enabled wearable
+    /// issued the record, which is what attribution needs to know.
+    pub fn absorb_proxy(&mut self, ctx: &StudyContext<'_>, r: &ProxyRecord) -> bool {
         let slot = week_slot(ctx, r.timestamp);
         self.traffic.absorb(r);
         self.hourly.all_tx[slot] += 1;
@@ -511,6 +522,7 @@ impl CorePartials {
                 self.hourly.bytes[slot] += r.bytes_total();
                 self.tx_stats.sizes.push(r.bytes_total() as f64);
                 self.wearable_devices.insert((r.user, r.imei));
+                return true;
             }
             Some(DeviceClass::Smartphone) => {
                 if let Some(kind) = ctx.host_class(r.host).through_device {
@@ -520,6 +532,7 @@ impl CorePartials {
             Some(_) => {}
             None => self.quality.unresolved_device_records += 1,
         }
+        false
     }
 
     /// Folds one MME record into the mobility partial and the QA counters.
@@ -555,9 +568,9 @@ impl CorePartials {
     /// from the one activity record; the domain classes and the
     /// unclassified count from the attributed transactions; the MME side
     /// of the device mix and the QA's MME users from the mobility stream
-    /// keys. Attributed transactions end sorted by `(user, timestamp)`;
-    /// the sort is stable, so transactions sharing a key keep their
-    /// absorption order.
+    /// keys; the owners from the wearable devices of both logs. Attributed
+    /// transactions end sorted by `(user, timestamp)`; the sort is stable,
+    /// so transactions sharing a key keep their absorption order.
     pub fn finish(self, ctx: &StudyContext<'_>) -> CoreAggregates {
         let activity = self.activity.per_user;
         let mut attributed = self.attributed;
@@ -590,6 +603,7 @@ impl CorePartials {
             quality,
             attributed,
             activity,
+            owners,
         }
     }
 }
@@ -714,6 +728,42 @@ mod tests {
         }
     }
 
+    /// Owners are the users seen with a SIM-enabled wearable IMEI in
+    /// either log: a user seen only through the MME counts, a
+    /// smartphone-only user does not.
+    #[test]
+    fn owners_come_from_both_logs() {
+        let db = DeviceDb::standard();
+        let w_imei = db.example_imei(db.wearable_tacs()[0], 1).as_u64();
+        let p_tac = db.tacs_of_class(DeviceClass::Smartphone)[0];
+        let p_imei = db.example_imei(p_tac, 2).as_u64();
+        let store = TraceStore::from_records(
+            vec![
+                proxy(w_imei, 1, 10, 100),
+                proxy(p_imei, 1, 20, 100),
+                proxy(p_imei, 2, 30, 100),
+            ],
+            vec![MmeRecord {
+                timestamp: SimTime::from_secs(5),
+                user: UserId(3),
+                imei: w_imei,
+                event: MmeEvent::Attach,
+                sector: 0,
+            }],
+        );
+        let sectors = SectorDirectory::new();
+        let catalog = AppCatalog::standard();
+        let ctx = StudyContext::new(
+            &store,
+            &db,
+            &sectors,
+            &catalog,
+            ObservationWindow::compact(),
+        );
+        let owners = CoreAggregates::sequential(&ctx).owners;
+        assert_eq!(owners, HashSet::from([UserId(1), UserId(3)]));
+    }
+
     /// The empty bundle finishes into empty results.
     #[test]
     fn identity_is_empty() {
@@ -733,6 +783,7 @@ mod tests {
         assert!(empty.traffic.is_empty());
         assert!(empty.mobility.per_user.is_empty());
         assert!(empty.popularity.rank.is_empty());
+        assert!(empty.owners.is_empty());
         assert_eq!(empty.hourly.weekday[0].transactions, 0.0);
     }
 }

@@ -110,22 +110,22 @@ pub struct Displacement {
 
 impl Displacement {
     /// Computes displacement statistics from the mobility index.
-    pub fn compute(ctx: &StudyContext<'_>, index: &MobilityIndex) -> Displacement {
+    pub fn compute(owners: &HashSet<UserId>, index: &MobilityIndex) -> Displacement {
         // Sorted by user id: the non-stationary means below sum these Vecs
         // directly, so hash order would leak into the float reductions.
         let mut entries: Vec<(&UserId, &UserMobility)> = index.per_user.iter().collect();
         entries.sort_by_key(|(u, _)| **u);
-        let mut owners = Vec::new();
-        let mut rest = Vec::new();
+        let mut owner_km = Vec::new();
+        let mut rest_km = Vec::new();
         for (user, m) in entries {
             let v = m.mean_daily_displacement();
-            if ctx.owners().contains(user) {
-                owners.push(v);
+            if owners.contains(user) {
+                owner_km.push(v);
             } else {
-                rest.push(v);
+                rest_km.push(v);
             }
         }
-        let all = Ecdf::from_samples(owners.iter().chain(&rest).copied().collect());
+        let all = Ecdf::from_samples(owner_km.iter().chain(&rest_km).copied().collect());
         let nonstationary_mean = |xs: &[f64]| {
             let nz: Vec<f64> = xs.iter().copied().filter(|&x| x > 0.0).collect();
             if nz.is_empty() {
@@ -134,14 +134,14 @@ impl Displacement {
                 nz.iter().sum::<f64>() / nz.len() as f64
             }
         };
-        let owners_e = Ecdf::from_samples(owners.clone());
-        let rest_e = Ecdf::from_samples(rest.clone());
+        let owners_e = Ecdf::from_samples(owner_km.clone());
+        let rest_e = Ecdf::from_samples(rest_km.clone());
         Displacement {
             owner_mean_km: owners_e.mean(),
             rest_mean_km: rest_e.mean(),
             owners_under_30km: owners_e.fraction_below(30.0),
-            owner_nonstationary_mean_km: nonstationary_mean(&owners),
-            rest_nonstationary_mean_km: nonstationary_mean(&rest),
+            owner_nonstationary_mean_km: nonstationary_mean(&owner_km),
+            rest_nonstationary_mean_km: nonstationary_mean(&rest_km),
             owners: owners_e,
             rest: rest_e,
             all,
@@ -162,19 +162,19 @@ pub struct LocationEntropy {
 
 impl LocationEntropy {
     /// Computes entropy statistics from the mobility index.
-    pub fn compute(ctx: &StudyContext<'_>, index: &MobilityIndex) -> LocationEntropy {
-        let mut owners = Vec::new();
-        let mut rest = Vec::new();
+    pub fn compute(owners: &HashSet<UserId>, index: &MobilityIndex) -> LocationEntropy {
+        let mut owner_h = Vec::new();
+        let mut rest_h = Vec::new();
         for (user, m) in &index.per_user {
             let h = m.location_entropy();
-            if ctx.owners().contains(user) {
-                owners.push(h);
+            if owners.contains(user) {
+                owner_h.push(h);
             } else {
-                rest.push(h);
+                rest_h.push(h);
             }
         }
-        let owners = Ecdf::from_samples(owners);
-        let rest = Ecdf::from_samples(rest);
+        let owners = Ecdf::from_samples(owner_h);
+        let rest = Ecdf::from_samples(rest_h);
         let ratio = if rest.mean() > 0.0 {
             owners.mean() / rest.mean()
         } else {
@@ -331,8 +331,8 @@ mod tests {
         let sectors = sectors();
         let (dbr, catalog) = (db, AppCatalog::standard());
         let ctx = StudyContext::new(&store, &dbr, &sectors, &catalog, window());
-        let index = MobilityIndex::build(&ctx);
-        let disp = Displacement::compute(&ctx, &index);
+        let aggs = crate::CoreAggregates::sequential(&ctx);
+        let disp = Displacement::compute(&aggs.owners, &aggs.mobility);
         assert_eq!(disp.owners.len(), 1);
         assert_eq!(disp.rest.len(), 1);
         assert!(
@@ -373,7 +373,8 @@ mod tests {
         assert!((owner.location_entropy() - std::f64::consts::LN_2).abs() < 1e-9);
         let rest = &index.per_user[&UserId(2)];
         assert_eq!(rest.location_entropy(), 0.0);
-        let ent = LocationEntropy::compute(&ctx, &index);
+        let owners = crate::CoreAggregates::sequential(&ctx).owners;
+        let ent = LocationEntropy::compute(&owners, &index);
         assert_eq!(ent.ratio, 0.0); // rest mean is zero → ratio degenerate
         assert_eq!(ent.owners.len(), 1);
     }

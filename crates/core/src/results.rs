@@ -1,8 +1,10 @@
 //! Every derived analysis of one study, computed once.
 //!
 //! [`StudyResults`] is built once from the hot [`CoreAggregates`] plus the
-//! vantage summaries, and never reads the store: every per-record fact it
-//! needs was folded into the aggregates. The takeaways, the experiment
+//! vantage summaries. Its one store reader is the Fig. 4(d) sector join of
+//! [`MobilityActivity::compute`], which joins the MME log with the wearable
+//! proxy records; every other per-record fact it needs, the owners
+//! included, was folded into the aggregates. The takeaways, the experiment
 //! table, the full report and the figure CSVs all render from it.
 //!
 //! What the takeaways need is computed eagerly in [`StudyResults::new`]:
@@ -99,10 +101,10 @@ impl<'a> StudyResults<'a> {
             spans: ActivitySpans::compute(ctx, &aggs.activity),
             correlation: ActivityCorrelation::compute(&aggs.activity),
             daily_active_share: activity::daily_active_share_of(&aggs.activity),
-            owner_vs_rest: OwnerVsRest::compute(ctx, &aggs.traffic),
-            wearable_share: WearableShare::compute(ctx, &aggs.traffic),
-            displacement: Displacement::compute(ctx, &aggs.mobility),
-            entropy: LocationEntropy::compute(ctx, &aggs.mobility),
+            owner_vs_rest: OwnerVsRest::compute(&aggs.owners, &aggs.traffic),
+            wearable_share: WearableShare::compute(&aggs.owners, &aggs.traffic),
+            displacement: Displacement::compute(&aggs.owners, &aggs.mobility),
+            entropy: LocationEntropy::compute(&aggs.owners, &aggs.mobility),
             mobility_activity: MobilityActivity::compute(ctx, &aggs.mobility, &aggs.activity),
             installs: InstallStats::compute(&aggs.attributed),
             ctx,

@@ -47,11 +47,9 @@ impl ThroughDeviceReport {
     /// Runs the fingerprinting over smartphone proxy traffic and joins with
     /// mobility.
     pub fn compute(ctx: &StudyContext<'_>, mobility: &MobilityIndex) -> ThroughDeviceReport {
-        ThroughDeviceReport::join(
-            CorePartials::fold(ctx).through_device,
-            mobility,
-            ctx.owners(),
-        )
+        let mut partials = CorePartials::fold(ctx);
+        let pairs = std::mem::take(&mut partials.through_device);
+        ThroughDeviceReport::join(pairs, mobility, &partials.finish(ctx).owners)
     }
 
     /// The finish step: groups the identified `(kind, user)` pairs and

@@ -17,12 +17,14 @@ pub enum IngestError {
     /// shards, writing `quarantine.log`).
     Io(io::Error),
     /// The quarantined fraction of a log exceeded `--max-error-rate`.
-    /// Names the shard contributing the most quarantined records.
+    /// Names the log's first `quarantine.log` entry, which depends only on
+    /// the file's content.
     ErrorBudget {
         /// Which log blew the budget.
         source: ShardSource,
-        /// The worst-offending shard of that log.
-        shard: usize,
+        /// The log's first quarantined record: its source, position and
+        /// reason, e.g. `proxy record:0 skewed`.
+        first: String,
         /// Records quarantined across the log.
         quarantined: u64,
         /// Records seen across the log.
@@ -51,18 +53,17 @@ impl fmt::Display for IngestError {
             IngestError::Io(e) => write!(f, "I/O error: {e}"),
             IngestError::ErrorBudget {
                 source,
-                shard,
+                first,
                 quarantined,
                 seen,
                 budget,
             } => write!(
                 f,
                 "{} log: {quarantined}/{seen} records quarantined ({:.3}%), over the \
-                 --max-error-rate budget of {:.3}% (worst shard: {} shard {shard})",
+                 --max-error-rate budget of {:.3}% (first: {first})",
                 source.name(),
                 *quarantined as f64 / (*seen).max(1) as f64 * 100.0,
                 budget * 100.0,
-                source.name(),
             ),
             IngestError::ShardFailed {
                 source,
@@ -184,16 +185,16 @@ mod tests {
     }
 
     #[test]
-    fn error_display_names_the_shard() {
+    fn error_display_names_the_first_entry_and_the_failed_shard() {
         let e = IngestError::ErrorBudget {
             source: ShardSource::Proxy,
-            shard: 7,
+            first: "proxy record:0 skewed".into(),
             quarantined: 30,
             seen: 1000,
             budget: 0.01,
         };
         let s = e.to_string();
-        assert!(s.contains("proxy shard 7"), "{s}");
+        assert!(s.contains("(first: proxy record:0 skewed)"), "{s}");
         assert!(s.contains("30/1000"), "{s}");
         let e = IngestError::ShardFailed {
             source: ShardSource::Mme,

@@ -199,8 +199,6 @@ pub(crate) struct SourceOutcome<R> {
     pub(crate) seen: u64,
     pub(crate) counts: QuarantineCounts,
     pub(crate) entries: Vec<QuarantineEntry>,
-    /// Quarantined records attributed to the shard they came from.
-    pub(crate) per_shard_quarantined: Vec<u64>,
 }
 
 /// Drains one source's shards in file order into the survivors: shard-local
@@ -214,13 +212,11 @@ pub(crate) fn process_source<R: LogRecord>(
     // Parse-fault entries, then content-fault entries.
     let mut entries = Vec::new();
     let mut content_entries = Vec::new();
-    let mut per_shard = Vec::with_capacity(shards.len());
     let mut kept = Vec::with_capacity(shards.iter().map(|s| s.records.len()).sum());
     let mut validator = RecordValidator::new(opts.max_timestamp);
     let mut high_water = SimTime::EPOCH;
     let (mut seen, mut line_base, mut record_index) = (0u64, 0u64, 0u64);
     for shard in shards {
-        let before = entries.len() + content_entries.len();
         entries.extend(
             shard
                 .errors
@@ -249,7 +245,6 @@ pub(crate) fn process_source<R: LogRecord>(
             }
             record_index += 1;
         }
-        per_shard.push((entries.len() + content_entries.len() - before) as u64);
     }
     entries.append(&mut content_entries);
     let mut counts = QuarantineCounts::default();
@@ -261,7 +256,6 @@ pub(crate) fn process_source<R: LogRecord>(
         seen,
         counts,
         entries,
-        per_shard_quarantined: per_shard,
     }
 }
 
@@ -269,8 +263,7 @@ pub(crate) fn process_source<R: LogRecord>(
 /// quarantined-per-reason (all functions of file content alone), plus the
 /// source's byte and decode-error totals from the shard progress (their
 /// sums are the file size and the malformed-line count, both independent
-/// of shard layout). Per-shard quarantine attribution is layout-dependent,
-/// so it goes to the timing section.
+/// of shard layout).
 fn record_source_metrics<R>(
     m: &Registry,
     source: ShardSource,
@@ -293,10 +286,6 @@ fn record_source_metrics<R>(
     m.counter(&format!("trace.{name}.bytes_read")).add(bytes);
     m.counter(&format!("trace.{name}.decode_errors"))
         .add(decode_errors);
-    for (i, q) in outcome.per_shard_quarantined.iter().enumerate() {
-        m.timing_counter(&format!("ingest.{name}.shard{i:03}.quarantined"))
-            .add(*q);
-    }
 }
 
 /// Pool-level timings: worker count, shard count, and the per-shard read
@@ -325,20 +314,14 @@ fn check_budget<R>(
     if outcome.seen == 0 || quarantined as f64 / outcome.seen as f64 <= opts.max_error_rate {
         return Ok(());
     }
-    // Name the shard contributing the most quarantined records (first on
-    // ties) — where an operator should start looking. The (count, lowest
-    // index wins) key is unique per shard, so `max_by_key` cannot fall
-    // back to its last-maximal-element rule and the documented
-    // first-shard-wins tie-break provably holds.
-    let shard = outcome
-        .per_shard_quarantined
-        .iter()
-        .enumerate()
-        .max_by_key(|&(i, &n)| (n, std::cmp::Reverse(i)))
-        .map_or(0, |(i, _)| i);
+    // Name the log's first `quarantine.log` entry — where an operator
+    // should start looking, and a function of file content alone.
+    let first = outcome.entries.first().map_or_else(String::new, |e| {
+        format!("{} {} {}", e.source.name(), e.position, e.reason.name())
+    });
     Err(IngestError::ErrorBudget {
         source,
-        shard,
+        first,
         quarantined,
         seen: outcome.seen,
         budget: opts.max_error_rate,
@@ -558,7 +541,7 @@ mod tests {
     }
 
     #[test]
-    fn error_budget_failure_names_offending_shard() {
+    fn error_budget_failure_names_the_first_entry_at_any_worker_count() {
         let store = sample_store();
         let dir = temp_dir("budget");
         store.save(&dir).unwrap();
@@ -578,6 +561,12 @@ mod tests {
             .collect();
         std::fs::write(&path, lines.join("\n") + "\n").unwrap();
         let err = load_store_resilient(&dir, 4, &IngestOptions::default()).unwrap_err();
+        let text = err.to_string();
+        assert!(text.contains("(first: proxy line:1 bad-field)"), "{text}");
+        for workers in [1, 2, 3] {
+            let other = load_store_resilient(&dir, workers, &IngestOptions::default());
+            assert_eq!(other.unwrap_err().to_string(), text, "workers={workers}");
+        }
         match err {
             IngestError::ErrorBudget {
                 source,
@@ -607,42 +596,8 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Regression: with two equally-quarantined shards, the error-budget
-    /// message must name the *first* one, as the comparator's docs promise.
-    /// The old `max_by` comparator got this right only through an obscure
-    /// index-reversal trick; the `max_by_key` form is unambiguous.
-    #[test]
-    fn error_budget_tie_break_picks_first_shard() {
-        let mut counts = QuarantineCounts::default();
-        for _ in 0..10 {
-            counts.note(QuarantineReason::BadField);
-        }
-        let outcome = SourceOutcome::<ProxyRecord> {
-            kept: Vec::new(),
-            seen: 20,
-            counts,
-            entries: Vec::new(),
-            per_shard_quarantined: vec![5, 5, 0],
-        };
-        match check_budget(ShardSource::Proxy, &outcome, &IngestOptions::default()) {
-            Err(IngestError::ErrorBudget { shard, .. }) => assert_eq!(shard, 0),
-            other => panic!("expected ErrorBudget, got {:?}", other),
-        }
-        // And with the maximum later: the tie-break must not drag the pick
-        // back to shard 0.
-        let outcome = SourceOutcome::<ProxyRecord> {
-            per_shard_quarantined: vec![2, 5, 5],
-            ..outcome
-        };
-        match check_budget(ShardSource::Proxy, &outcome, &IngestOptions::default()) {
-            Err(IngestError::ErrorBudget { shard, .. }) => assert_eq!(shard, 1),
-            other => panic!("expected ErrorBudget, got {:?}", other),
-        }
-    }
-
     /// The resilient loader's registry: deterministic counters identical
-    /// across worker counts, and per-shard quarantine attribution (timing
-    /// section) consistent with the quarantine totals.
+    /// across worker counts.
     #[test]
     fn resilient_load_metrics_are_deterministic() {
         let store = sample_store();
@@ -664,15 +619,6 @@ mod tests {
             assert_eq!(snap.counters["ingest.io_retries"], 0);
             assert_eq!(snap.counters["trace.proxy.bytes_read"], proxy_bytes);
             assert_eq!(snap.counters["trace.proxy.decode_errors"], 1);
-            // Per-shard attribution sums to the quarantine total.
-            let attributed: u64 = snap
-                .timing
-                .counters
-                .iter()
-                .filter(|(k, _)| k.starts_with("ingest.proxy.shard"))
-                .map(|(_, v)| v)
-                .sum();
-            assert_eq!(attributed, 1, "workers={workers}");
             // The deterministic section is byte-identical across workers.
             let mut stripped = snap.clone();
             stripped.timing = Default::default();

@@ -1,7 +1,6 @@
 //! The composed network: MME + proxy over a sector deployment.
 
 use std::collections::HashSet;
-use std::sync::{Mutex, PoisonError};
 
 use wearscope_devicedb::{DeviceDb, Imei};
 use wearscope_geo::SectorDirectory;
@@ -71,12 +70,7 @@ impl NetworkSummaries {
 
 /// The simulated mobile network: feeds a time-ordered [`NetworkEvent`]
 /// stream through the MME and the transparent proxy and collects their logs.
-///
-/// Interior mutability (a [`Mutex`]) makes the network shareable across
-/// generator threads: each worker can `handle` events for disjoint user
-/// shards and the logs are merged time-sorted at collection. A poisoned
-/// lock means a panic already happened elsewhere, so the network keeps
-/// going with the inner data.
+/// The generator drives it from one thread, one time-sorted day at a time.
 ///
 /// # Examples
 /// ```
@@ -89,7 +83,7 @@ impl NetworkSummaries {
 /// let db = DeviceDb::standard();
 /// let mut sectors = SectorDirectory::new();
 /// sectors.push(GeoPoint::new(40.0, -3.0), None);
-/// let net = MobileNetwork::new(db.clone(), sectors);
+/// let mut net = MobileNetwork::new(db.clone(), sectors);
 /// let imei = db.example_imei(db.wearable_tacs()[0], 1).as_u64();
 /// net.handle(NetworkEvent::Attach {
 ///     t: SimTime::from_secs(1), user: UserId(1), imei, sector: SectorId(0),
@@ -108,14 +102,9 @@ impl NetworkSummaries {
 /// ```
 #[derive(Debug)]
 pub struct MobileNetwork {
-    inner: Mutex<Inner>,
     sectors: SectorDirectory,
     wearable_tacs: HashSet<u32>,
     window: Option<ObservationWindow>,
-}
-
-#[derive(Debug)]
-struct Inner {
     mme: Mme,
     proxy: TransparentProxy,
     last_time: SimTime,
@@ -152,16 +141,14 @@ impl MobileNetwork {
             None => Mme::new(&db),
         };
         MobileNetwork {
-            inner: Mutex::new(Inner {
-                mme,
-                proxy: TransparentProxy::new(),
-                last_time: SimTime::EPOCH,
-                events: 0,
-                time_regressions: 0,
-            }),
             sectors,
             wearable_tacs,
             window,
+            mme,
+            proxy: TransparentProxy::new(),
+            last_time: SimTime::EPOCH,
+            events: 0,
+            time_regressions: 0,
         }
     }
 
@@ -177,15 +164,14 @@ impl MobileNetwork {
     }
 
     /// Processes one event.
-    pub fn handle(&self, event: NetworkEvent) {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+    pub fn handle(&mut self, event: NetworkEvent) {
         let t = event.time();
-        if t < inner.last_time {
-            inner.time_regressions += 1;
+        if t < self.last_time {
+            self.time_regressions += 1;
         } else {
-            inner.last_time = t;
+            self.last_time = t;
         }
-        inner.events += 1;
+        self.events += 1;
         match event {
             NetworkEvent::Attach {
                 t,
@@ -193,10 +179,10 @@ impl MobileNetwork {
                 imei,
                 sector,
             } => {
-                inner.mme.attach(t, user, imei, sector);
+                self.mme.attach(t, user, imei, sector);
             }
             NetworkEvent::Detach { t, user, imei } => {
-                inner.mme.detach(t, user, imei);
+                self.mme.detach(t, user, imei);
             }
             NetworkEvent::Move {
                 t,
@@ -204,7 +190,7 @@ impl MobileNetwork {
                 imei,
                 sector,
             } => {
-                inner.mme.sector_update(t, user, imei, sector);
+                self.mme.sector_update(t, user, imei, sector);
             }
             NetworkEvent::Transaction {
                 t,
@@ -217,7 +203,7 @@ impl MobileNetwork {
             } => {
                 let is_wearable = self.is_wearable(imei);
                 let retain = self.window.is_none_or(|w| w.in_detail(t));
-                inner.proxy.observe(
+                self.proxy.observe(
                     t,
                     user,
                     imei,
@@ -233,7 +219,7 @@ impl MobileNetwork {
     }
 
     /// Processes a batch of events.
-    pub fn handle_all<I: IntoIterator<Item = NetworkEvent>>(&self, events: I) {
+    pub fn handle_all<I: IntoIterator<Item = NetworkEvent>>(&mut self, events: I) {
         for e in events {
             self.handle(e);
         }
@@ -241,22 +227,18 @@ impl MobileNetwork {
 
     /// Finishes the run: returns the time-sorted trace store, the vantage
     /// point summaries, and run statistics.
-    pub fn finish(self) -> (TraceStore, NetworkSummaries, NetworkStats) {
-        let mut inner = self
-            .inner
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
+    pub fn finish(mut self) -> (TraceStore, NetworkSummaries, NetworkStats) {
         let stats = NetworkStats {
-            events: inner.events,
-            time_regressions: inner.time_regressions,
-            mme_anomalies: inner.mme.anomalies(),
-            proxy: inner.proxy.counters(),
+            events: self.events,
+            time_regressions: self.time_regressions,
+            mme_anomalies: self.mme.anomalies(),
+            proxy: self.proxy.counters(),
         };
-        let store = TraceStore::from_records(inner.proxy.take_log(), inner.mme.take_log());
+        let store = TraceStore::from_records(self.proxy.take_log(), self.mme.take_log());
         let summaries = NetworkSummaries {
-            mme: inner.mme.summary().clone(),
-            wearable_traffic: inner.proxy.wearable_summary().clone(),
-            census: inner.mme.census().clone(),
+            mme: self.mme.summary().clone(),
+            wearable_traffic: self.proxy.wearable_summary().clone(),
+            census: self.mme.census().clone(),
         };
         (store, summaries, stats)
     }
@@ -280,7 +262,7 @@ mod tests {
 
     #[test]
     fn event_stream_produces_sorted_store() {
-        let (_, net, imei) = setup();
+        let (_, mut net, imei) = setup();
         let u = UserId(1);
         net.handle_all(vec![
             NetworkEvent::Attach {
@@ -321,7 +303,7 @@ mod tests {
 
     #[test]
     fn time_regressions_counted_but_sorted_away() {
-        let (_, net, imei) = setup();
+        let (_, mut net, imei) = setup();
         let u = UserId(1);
         net.handle(NetworkEvent::Attach {
             t: SimTime::from_secs(100),
@@ -338,34 +320,5 @@ mod tests {
         let (store, _, stats) = net.finish();
         assert_eq!(stats.time_regressions, 1);
         assert!(store.is_time_sorted());
-    }
-
-    #[test]
-    fn shared_across_threads() {
-        let (db, net, _) = setup();
-        let net = std::sync::Arc::new(net);
-        let tac = db.wearable_tacs()[0];
-        std::thread::scope(|s| {
-            for w in 0..4u64 {
-                let net = net.clone();
-                let imei = db.example_imei(tac, 100 + w as u32).as_u64();
-                s.spawn(move || {
-                    for k in 0..100u64 {
-                        net.handle(NetworkEvent::Move {
-                            t: SimTime::from_secs(k),
-                            user: UserId(w),
-                            imei,
-                            sector: SectorId((k % 2) as u32),
-                        });
-                    }
-                });
-            }
-        });
-        let net = std::sync::Arc::into_inner(net).unwrap();
-        let (store, summaries, stats) = net.finish();
-        assert_eq!(stats.events, 400);
-        assert_eq!(store.mme().len(), 400);
-        assert!(store.is_time_sorted());
-        assert_eq!(summaries.mme.users_on_day(0), 4);
     }
 }

@@ -20,9 +20,10 @@ pub fn render_full_report(ctx: &StudyContext<'_>, summaries: &NetworkSummaries) 
 }
 
 /// Renders the complete study from already computed results (the
-/// `analyze --full` report). Never reads the store; the figure-only app
-/// analyses come from [`StudyResults::app_figures`], computed at most once
-/// per `StudyResults`.
+/// `analyze --full` report). Reads no store itself: the results' one
+/// store reader, the Fig. 4(d) sector join, ran when they were built. The
+/// figure-only app analyses come from [`StudyResults::app_figures`],
+/// computed at most once per `StudyResults`.
 pub fn render_full(r: &StudyResults<'_>) -> String {
     let aggs = r.aggs;
     let mut out = String::new();

@@ -28,6 +28,12 @@ pub struct ObservationWindow {
 }
 
 impl ObservationWindow {
+    /// The longest summary window a world's `manifest.tsv` may declare:
+    /// 100 years of days. The analyses size per-day tables by the summary
+    /// window (Fig. 2(a)'s adoption trend has one slot per day), so a
+    /// larger count would be an allocation abort, not a report.
+    pub const MAX_MANIFEST_DAYS: u64 = 36_525;
+
     /// The paper's layout: 151 summary days (~5 months), with the last
     /// 49 days (7 weeks) retained in detail. Day 0 is a Friday.
     pub fn paper() -> ObservationWindow {
@@ -104,7 +110,14 @@ impl ObservationWindow {
         let (Some(summary), Some(detailed)) = (summary, detailed) else {
             return Err("missing window layout".into());
         };
-        ObservationWindow::checked(summary, detailed, Calendar::PAPER)
+        let window = ObservationWindow::checked(summary, detailed, Calendar::PAPER)?;
+        if summary > Self::MAX_MANIFEST_DAYS {
+            return Err(format!(
+                "a summary window of {summary} days is longer than the {} a manifest may declare",
+                Self::MAX_MANIFEST_DAYS
+            ));
+        }
+        Ok(window)
     }
 
     /// The window the world under `dir` declares in its `manifest.tsv`:
@@ -113,7 +126,9 @@ impl ObservationWindow {
     ///
     /// # Errors
     /// The file cannot be read, a day count is missing or not a number,
-    /// or the layout is one [`ObservationWindow::new`] panics on; the
+    /// the layout is one [`ObservationWindow::new`] panics on, or the
+    /// summary window is longer than
+    /// [`MAX_MANIFEST_DAYS`](ObservationWindow::MAX_MANIFEST_DAYS); the
     /// message names `manifest.tsv`.
     pub fn read_manifest(dir: &Path) -> io::Result<ObservationWindow> {
         let named =
@@ -253,6 +268,10 @@ mod tests {
             parse("seed\t7\nsummary_days\t42\ndetailed_days\t14\n"),
             Ok(ObservationWindow::new(42, 14, Calendar::PAPER))
         );
+        assert_eq!(
+            parse("summary_days\t36525\ndetailed_days\t7\n"),
+            Ok(ObservationWindow::new(36_525, 7, Calendar::PAPER))
+        );
         let cases = [
             ("seed\t7\n", "missing window layout"),
             ("summary_days\t42\n", "missing window layout"),
@@ -275,6 +294,15 @@ mod tests {
             (
                 "summary_days\t18446744073709551615\ndetailed_days\t7\n",
                 "a summary window of 18446744073709551615 days overflows the clock",
+            ),
+            (
+                "summary_days\t36526\ndetailed_days\t7\n",
+                "a summary window of 36526 days is longer than the 36525 a manifest may declare",
+            ),
+            (
+                "summary_days\t1000000000000\ndetailed_days\t7\n",
+                "a summary window of 1000000000000 days is longer than the 36525 a manifest may \
+                 declare",
             ),
         ];
         for (text, want) in cases {

@@ -37,9 +37,10 @@ pub struct WindowAggregates {
 impl WindowAggregates {
     /// Folds one proxy record into the window. `late` marks a record that
     /// arrived behind the watermark but within the allowed lateness.
-    pub fn absorb_proxy(&mut self, ctx: &StudyContext<'_>, r: &ProxyRecord, late: bool) {
-        self.partials.absorb_proxy(ctx, r);
+    /// Returns whether a SIM-enabled wearable issued the record.
+    pub fn absorb_proxy(&mut self, ctx: &StudyContext<'_>, r: &ProxyRecord, late: bool) -> bool {
         self.counters.late_merged += u64::from(late);
+        self.partials.absorb_proxy(ctx, r)
     }
 
     /// Folds one MME record into the window.

@@ -430,15 +430,18 @@ impl<'s> StreamRuntime<'s> {
             self.late_merged += 1;
             self.obs.late_merged.inc();
         }
+        let mut wearable = false;
         for id in lo.max(next_emit)..=hi {
             let ctx = self.ctx;
             match &ev {
-                StreamEvent::Proxy(r) => self.ensure_window(id)?.absorb_proxy(ctx, r, late),
+                StreamEvent::Proxy(r) => {
+                    wearable = self.ensure_window(id)?.absorb_proxy(ctx, r, late);
+                }
                 StreamEvent::Mme(r) => self.ensure_window(id)?.absorb_mme(ctx, r, late),
             }
         }
         if let StreamEvent::Proxy(r) = &ev {
-            if self.ctx.is_wearable_record(r) {
+            if wearable {
                 self.attributor.observe(
                     r.user,
                     r.timestamp,

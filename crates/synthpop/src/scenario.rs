@@ -159,7 +159,7 @@ pub fn generate_instrumented(config: &ScenarioConfig, registry: &Registry) -> Ge
         .counter("synthpop.subscribers")
         .add(population.subscribers.len() as u64);
 
-    let network = MobileNetwork::with_window(db.clone(), sectors.clone(), config.window);
+    let mut network = MobileNetwork::with_window(db.clone(), sectors.clone(), config.window);
     let events_counter = registry.counter("synthpop.events");
     let days_counter = registry.counter("synthpop.days");
     let stage = root.child("simulate");

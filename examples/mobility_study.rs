@@ -5,8 +5,8 @@
 //! cargo run --release --example mobility_study
 //! ```
 
-use wearscope::core::activity;
-use wearscope::core::mobility::{Displacement, LocationEntropy, MobilityActivity, MobilityIndex};
+use wearscope::core::mobility::{Displacement, LocationEntropy, MobilityActivity};
+use wearscope::core::CoreAggregates;
 use wearscope::prelude::*;
 use wearscope::report::{ecdf_plot, Table};
 
@@ -35,10 +35,11 @@ fn main() {
         &world.apps,
         world.config.window,
     );
-    let index = MobilityIndex::build(&ctx);
+    let aggs = CoreAggregates::sequential(&ctx);
+    let index = &aggs.mobility;
 
     // --- Fig. 4(c): displacement --------------------------------------------
-    let disp = Displacement::compute(&ctx, &index);
+    let disp = Displacement::compute(&aggs.owners, index);
     println!("== daily max displacement: SIM-wearable users ==");
     print!("{}", ecdf_plot(&disp.owners, 40, " km"));
     println!("\n== daily max displacement: remaining customers ==");
@@ -65,7 +66,7 @@ fn main() {
     print!("\n{}", t.render());
 
     // --- Entropy ---------------------------------------------------------------
-    let entropy = LocationEntropy::compute(&ctx, &index);
+    let entropy = LocationEntropy::compute(&aggs.owners, index);
     println!("\n== time-weighted location entropy (nats) ==");
     println!(
         "owners mean {:.3} vs rest {:.3} → ratio {:.2} (paper: +70% → 1.7)",
@@ -75,8 +76,7 @@ fn main() {
     );
 
     // --- Fig. 4(d) + single location ----------------------------------------------
-    let act = activity::user_activity(&ctx);
-    let ma = MobilityActivity::compute(&ctx, &index, &act);
+    let ma = MobilityActivity::compute(&ctx, index, &aggs.activity);
     println!("\n== mobility vs activity ==");
     println!(
         "pearson(displacement, tx/hour) = {:.2}; spearman = {:.2} (paper: clearly positive)",

@@ -172,6 +172,7 @@ fn assert_fused_matches_entry_points(
     prop_assert_eq!(&fused.devices, &oracle::devices(&ctx));
     prop_assert_eq!(&fused.through_device, &through_device);
     prop_assert_eq!(&fused.quality, &oracle::quality(&ctx));
+    prop_assert_eq!(&fused.owners, &oracle::owners(&ctx));
 
     // Then bit-exactness of every float.
     let sizes: Vec<f64> = ctx
@@ -404,8 +405,9 @@ proptest! {
 }
 
 /// The store scans each folded figure ran before it joined the fold, kept
-/// verbatim as references (only `ctx.phone_proxy()`, since deleted, is
-/// spelled out as its filter).
+/// verbatim as references (only `ctx.phone_proxy()` and `ctx.owners()`,
+/// since deleted, are spelled out: the first as its filter, the second as
+/// [`oracle::owners`]).
 mod oracle {
     use std::collections::{HashMap, HashSet};
 
@@ -418,6 +420,19 @@ mod oracle {
     use wearscope::core::weekly::WeeklyPattern;
     use wearscope::core::Ecdf;
     use wearscope::prelude::*;
+
+    /// The owner index `StudyContext::new` built before the owners joined
+    /// the fold: every user seen in either log with a SIM-enabled wearable
+    /// IMEI.
+    pub fn owners(ctx: &StudyContext<'_>) -> HashSet<UserId> {
+        let proxy = ctx.store.proxy().iter().map(|r| (r.user, r.imei));
+        let mme = ctx.store.mme().iter().map(|r| (r.user, r.imei));
+        proxy
+            .chain(mme)
+            .filter(|&(_, imei)| ctx.device_class(imei) == Some(DeviceClass::CellularWearable))
+            .map(|(user, _)| user)
+            .collect()
+    }
 
     /// `activity::user_activity`.
     pub fn user_activity(ctx: &StudyContext<'_>) -> HashMap<UserId, UserActivity> {
@@ -686,10 +701,11 @@ mod oracle {
             .collect();
         let displacement = Ecdf::from_samples(displacement_samples);
 
+        let owner_set = owners(ctx);
         let owner_samples: Vec<f64> = mobility
             .per_user
             .iter()
-            .filter(|(u, _)| ctx.owners().contains(*u))
+            .filter(|(u, _)| owner_set.contains(*u))
             .map(|(_, m)| m.mean_daily_displacement())
             .collect();
         let owners = Ecdf::from_samples(owner_samples);

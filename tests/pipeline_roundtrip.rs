@@ -2,9 +2,11 @@
 //! drive the pipeline to identical results, determinism must hold end to
 //! end, and the reader must survive injected corruption.
 
+use std::collections::HashSet;
 use std::io::Write;
 
 use wearscope::core::takeaways::Takeaways;
+use wearscope::core::CoreAggregates;
 use wearscope::prelude::*;
 
 fn small_world(seed: u64) -> GeneratedWorld {
@@ -13,6 +15,18 @@ fn small_world(seed: u64) -> GeneratedWorld {
     config.comparison_users = 150;
     config.through_device_users = 40;
     generate(&config)
+}
+
+/// Users seen in either log with a SIM-enabled wearable IMEI, by a plain
+/// scan of the store: the reference for the fold's `CoreAggregates::owners`.
+fn owners_by_scan(ctx: &StudyContext<'_>) -> HashSet<UserId> {
+    let proxy = ctx.store.proxy().iter().map(|r| (r.user, r.imei));
+    let mme = ctx.store.mme().iter().map(|r| (r.user, r.imei));
+    proxy
+        .chain(mme)
+        .filter(|&(_, imei)| ctx.device_class(imei) == Some(DeviceClass::CellularWearable))
+        .map(|(user, _)| user)
+        .collect()
 }
 
 fn takeaways_of(world: &GeneratedWorld, store: &TraceStore) -> Takeaways {
@@ -122,7 +136,7 @@ fn analysis_ignores_foreign_devices() {
             &world.apps,
             world.config.window,
         );
-        ctx.owners().len()
+        owners_by_scan(&ctx).len()
     };
     // Inject transactions from an unknown IMEI (valid Luhn, unknown TAC).
     let foreign = wearscope::devicedb::Imei::from_parts(
@@ -150,11 +164,13 @@ fn analysis_ignores_foreign_devices() {
         &world.apps,
         world.config.window,
     );
+    let owners = owners_by_scan(&ctx);
     assert_eq!(
-        ctx.owners().len(),
+        owners.len(),
         n_before_owners,
         "foreign devices must not become owners"
     );
+    assert_eq!(CoreAggregates::sequential(&ctx).owners, owners);
     assert_eq!(ctx.device_class(foreign), None);
     // Pipeline still runs.
     let t = Takeaways::compute(&ctx, &world.summaries);

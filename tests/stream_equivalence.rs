@@ -3,7 +3,10 @@
 //! reproduce the batch aggregates **bit-identically**.
 //!
 //! The figures folded from the same partials (weekly pattern, domain
-//! classes, device mix, Through-Device report, trace QA) are compared too.
+//! classes, device mix, Through-Device report, trace QA, owners) are
+//! compared too, and so are the four owner-split figures of
+//! [`StudyResults`] over the merged aggregates and the stream's own
+//! context.
 //!
 //! This is the streaming engine's core correctness contract: windowing,
 //! watermark-driven emission, online attribution and late-merge handling
@@ -20,6 +23,7 @@
 //! batch rule over the same records exactly.
 
 use wearscope::core::merge::CoreAggregates;
+use wearscope::core::{Ecdf, StudyResults};
 use wearscope::faults::{corrupt_world, FaultSpec};
 use wearscope::ingest::{load_store_resilient, IngestOptions};
 use wearscope::prelude::*;
@@ -41,6 +45,54 @@ fn tiny_world(seed: u64) -> GeneratedWorld {
 
 fn bits(samples: &[f64]) -> Vec<u64> {
     samples.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The bits of every sample and scalar of the figures that split users
+/// into owners and the rest: Fig. 4(a), 4(b), 4(c) and the Sec. 4.4
+/// entropy.
+fn owner_split_bits(r: &StudyResults<'_>) -> [(&'static str, Vec<u64>); 4] {
+    let (o, s, d, e) = (
+        &r.owner_vs_rest,
+        &r.wearable_share,
+        &r.displacement,
+        &r.entropy,
+    );
+    let with = |ecdfs: &[&Ecdf], scalars: &[f64]| {
+        let mut v = Vec::new();
+        for ecdf in ecdfs {
+            v.push(ecdf.samples().len() as u64);
+            v.extend(bits(ecdf.samples()));
+        }
+        v.extend(bits(scalars));
+        v
+    };
+    [
+        (
+            "owner_vs_rest",
+            with(
+                &[&o.owner_bytes, &o.rest_bytes, &o.owner_tx, &o.rest_tx],
+                &[o.bytes_ratio, o.tx_ratio],
+            ),
+        ),
+        (
+            "wearable_share",
+            with(&[&s.ratio], &[s.mean_ratio, s.frac_over_3pct]),
+        ),
+        (
+            "displacement",
+            with(
+                &[&d.owners, &d.rest, &d.all],
+                &[
+                    d.owner_mean_km,
+                    d.rest_mean_km,
+                    d.owners_under_30km,
+                    d.owner_nonstationary_mean_km,
+                    d.rest_nonstationary_mean_km,
+                ],
+            ),
+        ),
+        ("entropy", with(&[&e.owners, &e.rest], &[e.ratio])),
+    ]
 }
 
 #[test]
@@ -149,6 +201,12 @@ fn assert_equivalent(dir: &std::path::Path, input: &str, lateness: SimDuration) 
     let catalog = AppCatalog::standard();
     let batch_ctx = StudyContext::new(&saved.store, &db, &saved.sectors, &catalog, saved.window);
     let batch = CoreAggregates::sequential(&batch_ctx);
+    let batch_results = StudyResults::new(&batch_ctx, &saved.summaries, &batch);
+    assert!(!batch.owners.is_empty(), "{input}: owners seen");
+    assert!(
+        batch_results.owner_vs_rest.bytes_ratio > 0.0,
+        "{input}: owners transact"
+    );
 
     // Stream side: empty-store context; records arrive through the source.
     let empty = TraceStore::new();
@@ -194,12 +252,12 @@ fn assert_equivalent(dir: &std::path::Path, input: &str, lateness: SimDuration) 
         }
 
         // Merge every window's partials in index order and finish with the
-        // batch context — the exact contract of `wearscope_core::merge`.
+        // stream's context — the exact contract of `wearscope_core::merge`.
         let mut merged = WindowAggregates::default();
         for (_, w) in collected {
             merged.merge(w);
         }
-        let got = merged.finish(&batch_ctx);
+        let got = merged.finish(&stream_ctx);
 
         assert_eq!(got.activity, batch.activity, "{at}");
         assert_eq!(got.traffic, batch.traffic, "{at}");
@@ -232,6 +290,7 @@ fn assert_equivalent(dir: &std::path::Path, input: &str, lateness: SimDuration) 
         assert_eq!(got.devices, batch.devices, "{at}");
         assert_eq!(got.through_device, batch.through_device, "{at}");
         assert_eq!(got.quality, batch.quality, "{at}");
+        assert_eq!(got.owners, batch.owners, "{at}");
         assert!(batch.devices.total_users > 0, "{at}: wearables seen");
         assert!(
             !batch.through_device.users.is_empty(),
@@ -274,5 +333,15 @@ fn assert_equivalent(dir: &std::path::Path, input: &str, lateness: SimDuration) 
             bits(bt.displacement.samples()),
             "{at}: Through-Device displacement bits"
         );
+
+        // The owner-split figures of the study results, on the stream's
+        // context: owners come from the fold, not from a store index.
+        let results = StudyResults::new(&stream_ctx, &saved.summaries, &got);
+        for ((name, a), (_, b)) in owner_split_bits(&results)
+            .into_iter()
+            .zip(owner_split_bits(&batch_results))
+        {
+            assert_eq!(a, b, "{at}: {name} bits");
+        }
     }
 }
