@@ -154,6 +154,25 @@ grep -q '"trace.mme.decode_errors": 1' "$FAULT_DIR/utf8-analyze.trace"
 diff "$FAULT_DIR/utf8-analyze.trace" "$FAULT_DIR/utf8-stream.trace"
 echo "    0xff bytes in proxy.log and mme.log quarantined as bad-field by analyze and stream"
 
+echo "==> a sector outside the cell plan is quarantined, not kept"
+# An MME record naming sector 999999 (not in sectors.tsv) must be
+# quarantined as unknown-sector by analyze and stream alike, with the same
+# per-reason counts.
+rm -rf "$FAULT_DIR/sector-world"
+cp -r "$FAULT_DIR/stream-world" "$FAULT_DIR/sector-world"
+sed -i '50s/\t[0-9]*$/\t999999/' "$FAULT_DIR/sector-world/mme.log"
+sed -n '50p' "$FAULT_DIR/sector-world/mme.log" | grep -q $'\t999999$'
+"$WEARSCOPE" analyze --world "$FAULT_DIR/sector-world" --workers 2 \
+    >/dev/null 2>"$FAULT_DIR/sector-analyze.err"
+"$WEARSCOPE" stream --world "$FAULT_DIR/sector-world" --lateness 0s \
+    >/dev/null 2>"$FAULT_DIR/sector-stream.err"
+quarantine_counts "$FAULT_DIR/sector-analyze.err" >"$FAULT_DIR/sector-analyze.quarantine"
+quarantine_counts "$FAULT_DIR/sector-stream.err" >"$FAULT_DIR/sector-stream.quarantine"
+grep -q "quarantined: 1 unknown-sector;" "$FAULT_DIR/sector-analyze.quarantine"
+diff "$FAULT_DIR/sector-analyze.quarantine" "$FAULT_DIR/sector-stream.quarantine"
+grep -q $'^mme\trecord:49\tunknown-sector\tsector 999999 ' "$FAULT_DIR/sector-world/quarantine.log"
+echo "    sector 999999 quarantined as unknown-sector by analyze and stream"
+
 echo "==> crafted checkpoint: an inflated count is a typed error, not a crash"
 # A count in a checkpoint only bounds the loop over its block, so a count
 # far beyond the file must give `error: checkpoint line N: ...` and exit 1,
@@ -178,7 +197,7 @@ echo "==> malformed world metadata: typed errors, not crashes"
 # that is not a number must give
 # `error: ...` naming the file and exit 1 — never a panic (101), an
 # allocation abort (134) or a run over garbage (0).
-for bad in detailed max huge nan; do
+for bad in detailed max huge nan cut; do
     rm -rf "$FAULT_DIR/bad-$bad"
     cp -r "$FAULT_DIR/stream-world" "$FAULT_DIR/bad-$bad"
 done
@@ -187,7 +206,12 @@ sed -i 's/^summary_days\t.*$/summary_days\t18446744073709551615/' "$FAULT_DIR/ba
 sed -i 's/^summary_days\t.*$/summary_days\t1000000000000/' "$FAULT_DIR/bad-huge/manifest.tsv"
 sed -i '1s/^\([0-9]*\)\t[^\t]*\t/\1\tnan\t/' "$FAULT_DIR/bad-nan/sectors.tsv"
 grep -q "^0.nan" "$FAULT_DIR/bad-nan/sectors.tsv"
-for case in detailed:manifest.tsv max:manifest.tsv huge:manifest.tsv nan:sectors.tsv; do
+# A summary cut to half its lines no longer matches its manifest check.
+summary="$FAULT_DIR/bad-cut/summary_mme.tsv"
+head -n "$(($(wc -l <"$summary") / 2))" "$summary" >"$summary.half"
+mv "$summary.half" "$summary"
+for case in detailed:manifest.tsv max:manifest.tsv huge:manifest.tsv nan:sectors.tsv \
+    cut:manifest.tsv.*summary_mme.tsv; do
     bad="${case%%:*}"
     file="${case#*:}"
     for cmd in "analyze" "analyze --max-error-rate 1" "stream"; do
@@ -202,7 +226,33 @@ for case in detailed:manifest.tsv max:manifest.tsv huge:manifest.tsv nan:sectors
         fi
     done
 done
-echo "    bad manifest layouts and a nan sector coordinate exit 1 naming the file"
+echo "    bad manifest layouts, a nan sector coordinate and a cut summary exit 1 naming the file"
+
+echo "==> a world without manifest checks loads with one warning"
+rm -rf "$FAULT_DIR/unchecked-world"
+cp -r "$FAULT_DIR/stream-world" "$FAULT_DIR/unchecked-world"
+sed -i '/^check\t/d' "$FAULT_DIR/unchecked-world/manifest.tsv"
+"$WEARSCOPE" analyze --world "$FAULT_DIR/unchecked-world" >/dev/null 2>"$FAULT_DIR/unchecked.err"
+test "$(grep -c '^warning: ' "$FAULT_DIR/unchecked.err")" -eq 1
+grep -q "^warning: manifest.tsv records no check for summary_mme.tsv, summary_traffic.tsv, sectors.tsv" \
+    "$FAULT_DIR/unchecked.err"
+echo "    analyze exits 0 and names the unchecked files once"
+
+echo "==> memory gate: analyze holds less than a store of its proxy records"
+# The pipeline folds records as they are parsed, so peak RSS follows fold
+# state, not log size: on a compact world it must stay below what the
+# kept proxy records alone would take in a store (48 B each).
+"$WEARSCOPE" generate --out "$FAULT_DIR/mem-world" --seed 7 --scale compact 2>/dev/null
+"$WEARSCOPE" analyze --world "$FAULT_DIR/mem-world" --workers 2 --full --csv "$FAULT_DIR/mem-csv" \
+    --metrics "$FAULT_DIR/mem.json" >/dev/null 2>&1
+metric() { grep -o "\"$1\": [0-9]*" "$FAULT_DIR/mem.json" | grep -o '[0-9]*$'; }
+rss_kb=$(metric process.peak_rss_kb)
+store_kb=$(($(metric ingest.proxy.records_kept) * 48 / 1024))
+if [ "$rss_kb" -ge "$store_kb" ]; then
+    echo "analyze peak RSS ${rss_kb} KB is not below the ${store_kb} KB of its proxy records" >&2
+    exit 1
+fi
+echo "    analyze peak RSS ${rss_kb} KB < ${store_kb} KB of proxy records in a store"
 
 echo "==> stream smoke on the corrupted world: quarantine instead of crash"
 "$WEARSCOPE" stream --world "$FAULT_DIR/world" --window 1h --lateness 5m \

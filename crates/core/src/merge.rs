@@ -10,7 +10,8 @@
 //! [`CorePartials::finish`]. The other partials keep only what activity
 //! cannot give: per-(weekday, hour) counters ([`HourlyProfilePartial`]),
 //! transaction sizes ([`TransactionStatsPartial`]), all-device totals
-//! ([`TrafficPartial`]), MME dwell state ([`MobilityPartial`]), app
+//! ([`TrafficPartial`]), MME dwell state ([`MobilityPartial`]), the
+//! Fig. 4(d) sector join's timelines ([`SectorJoinPartial`]), app
 //! associations ([`AppPopularityPartial`]), the wearable devices and
 //! fingerprinted Through-Device users the proxy log shows, and the trace
 //! QA counters ([`QualityPartial`]). The domain classes and the
@@ -19,6 +20,8 @@
 //! The per-analysis entry points (`activity::user_activity`,
 //! `WeeklyPattern::compute`, `DataQualityReport::compute`, …) delegate to
 //! [`CoreAggregates::sequential`], so each figure has one implementation.
+//! Batch folds run through one [`Fold`], whether over a store
+//! ([`CorePartials::fold`]) or over records as the loader parses them.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -226,12 +229,22 @@ impl TrafficPartial {
 #[derive(Clone, Debug, Default)]
 pub struct MobilityPartial {
     pub(crate) current: HashMap<(UserId, u64), (u32, SimTime)>,
-    pub(crate) day_sectors: HashMap<(UserId, u64), HashSet<u32>>,
+    /// Per `(user, day)`: the sectors seen, ascending and distinct. A
+    /// user-day sees a few sectors, so a sorted `Vec` holds them in a
+    /// fraction of a `HashSet`'s memory.
+    pub(crate) day_sectors: HashMap<(UserId, u64), Vec<u32>>,
     pub(crate) per_user: HashMap<UserId, UserMobility>,
     /// Per `(user, imei)`: timestamp of the first MME event this partial
     /// absorbed for that stream — the boundary a later time-split segment
     /// supplies so an earlier segment's open dwell can be closed in merge.
     pub(crate) first_event: HashMap<(UserId, u64), SimTime>,
+}
+
+/// Adds `sector` to an ascending, distinct sector list.
+fn insert_sector(sectors: &mut Vec<u32>, sector: u32) {
+    if let Err(at) = sectors.binary_search(&sector) {
+        sectors.insert(at, sector);
+    }
 }
 
 fn close_dwell(
@@ -262,10 +275,8 @@ impl MobilityPartial {
                 if let Some((sector, since)) = self.current.insert(key, (r.sector, r.timestamp)) {
                     close_dwell(&mut self.per_user, r.user, sector, since, r.timestamp);
                 }
-                self.day_sectors
-                    .entry((r.user, r.timestamp.day_index()))
-                    .or_default()
-                    .insert(r.sector);
+                let day = self.day_sectors.entry((r.user, r.timestamp.day_index()));
+                insert_sector(day.or_default(), r.sector);
             }
             MmeEvent::Detach => {
                 if let Some((sector, since)) = self.current.remove(&key) {
@@ -293,7 +304,10 @@ impl MobilityPartial {
             self.first_event.entry(key).or_insert(first);
         }
         for (key, sectors) in other.day_sectors {
-            self.day_sectors.entry(key).or_default().extend(sectors);
+            let mine = self.day_sectors.entry(key).or_default();
+            for sector in sectors {
+                insert_sector(mine, sector);
+            }
         }
         for (user, m) in other.per_user {
             let mine = self.per_user.entry(user).or_default();
@@ -321,6 +335,83 @@ impl MobilityPartial {
             close_dwell(&mut per_user, user, sector, since, end);
         }
         MobilityIndex::from_dwell_and_days(ctx, per_user, day_sectors)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Sector join (Fig. 4(d))
+// ---------------------------------------------------------------------------
+
+/// The Fig. 4(d) join of the two logs, kept as exact state: each wearable
+/// `(user, imei)`'s sector timeline from its Attach and SectorUpdate
+/// records, and the times of its proxy transactions. [`finish`] attributes
+/// each transaction to the sector the device was last seen in that same
+/// day.
+///
+/// Merge concatenates, so merged time-split segments hold each timeline
+/// in segment order; [`finish`] stably sorts each timeline by time, which
+/// is a no-op for a fold in log order.
+///
+/// [`finish`]: SectorJoinPartial::finish
+#[derive(Clone, Debug, Default)]
+pub struct SectorJoinPartial {
+    pub(crate) timelines: HashMap<(UserId, u64), Vec<(SimTime, u32)>>,
+    pub(crate) transactions: HashMap<(UserId, u64), Vec<SimTime>>,
+}
+
+impl SectorJoinPartial {
+    /// Folds one wearable proxy transaction.
+    pub fn absorb_transaction(&mut self, r: &ProxyRecord) {
+        self.transactions
+            .entry((r.user, r.imei))
+            .or_default()
+            .push(r.timestamp);
+    }
+
+    /// Folds one wearable MME record: Attach and SectorUpdate place the
+    /// device in a sector.
+    pub fn absorb_sighting(&mut self, r: &MmeRecord) {
+        if matches!(r.event, MmeEvent::Attach | MmeEvent::SectorUpdate) {
+            self.timelines
+                .entry((r.user, r.imei))
+                .or_default()
+                .push((r.timestamp, r.sector));
+        }
+    }
+
+    /// Merges a later segment into this one.
+    pub fn merge(&mut self, other: SectorJoinPartial) {
+        for (key, sightings) in other.timelines {
+            self.timelines.entry(key).or_default().extend(sightings);
+        }
+        for (key, times) in other.transactions {
+            self.transactions.entry(key).or_default().extend(times);
+        }
+    }
+
+    /// The sectors each user's wearable transactions came from: a
+    /// transaction is in the sector of the device's last sighting at or
+    /// before it, if that sighting was on the same day (wearables detach
+    /// nightly, so a cross-day carry-over would be stale).
+    pub fn finish(self) -> HashMap<UserId, HashSet<u32>> {
+        let mut timelines = self.timelines;
+        let mut out: HashMap<UserId, HashSet<u32>> = HashMap::new();
+        for (key, times) in self.transactions {
+            let Some(tl) = timelines.get_mut(&key) else {
+                continue;
+            };
+            tl.sort_by_key(|&(t, _)| t);
+            for t in times {
+                let idx = tl.partition_point(|&(at, _)| at <= t);
+                if idx > 0 {
+                    let (at, sector) = tl[idx - 1];
+                    if at.day_index() == t.day_index() {
+                        out.entry(key.0).or_default().insert(sector);
+                    }
+                }
+            }
+        }
+        out
     }
 }
 
@@ -429,6 +520,9 @@ pub struct CoreAggregates {
     /// Users seen with a SIM-enabled wearable IMEI in either log: the
     /// paper's "users that have wearable devices" (Sec. 3.2).
     pub owners: HashSet<UserId>,
+    /// The sectors each user's wearable transactions came from (the
+    /// Fig. 4(d) sector join).
+    pub transaction_sectors: HashMap<UserId, HashSet<u32>>,
 }
 
 impl CoreAggregates {
@@ -466,6 +560,8 @@ pub struct CorePartials {
     pub traffic: TrafficPartial,
     /// Mobility partial (MME side).
     pub mobility: MobilityPartial,
+    /// The Fig. 4(d) sector join's timelines and transaction times.
+    pub sector_join: SectorJoinPartial,
     /// App popularity partial, fed from attributed transactions.
     pub popularity: AppPopularityPartial,
     /// Attributed transactions, in absorption order.
@@ -481,28 +577,17 @@ pub struct CorePartials {
 }
 
 impl CorePartials {
-    /// Folds the context's store: each proxy record, feeding the wearable
-    /// ones to one [`Attributor`], then each MME record; the attributor is
-    /// flushed at the end, since a transaction's app can depend on a later
-    /// record.
+    /// Folds the context's store through one [`Fold`]: each proxy
+    /// record, then each MME record.
     pub fn fold(ctx: &StudyContext<'_>) -> CorePartials {
-        let mut partials = CorePartials::default();
-        let mut attributor = Attributor::new();
+        let mut fold = Fold::new(ctx);
         for r in ctx.store.proxy() {
-            if partials.absorb_proxy(ctx, r) {
-                let class = ctx.host_class(r.host).classification;
-                attributor.observe(r.user, r.timestamp, class, r.bytes_total());
-            }
+            fold.proxy(r);
         }
         for r in ctx.store.mme() {
-            partials.absorb_mme(ctx, r);
+            fold.mme(r);
         }
-        partials.attributed.reserve(attributor.pending());
-        attributor.flush(&mut partials.attributed);
-        for tx in &partials.attributed {
-            partials.popularity.absorb(tx);
-        }
-        partials
+        fold.into_partials()
     }
 
     /// Folds one proxy record: its all-device facts always, then — after
@@ -522,6 +607,7 @@ impl CorePartials {
                 self.hourly.bytes[slot] += r.bytes_total();
                 self.tx_stats.sizes.push(r.bytes_total() as f64);
                 self.wearable_devices.insert((r.user, r.imei));
+                self.sector_join.absorb_transaction(r);
                 return true;
             }
             Some(DeviceClass::Smartphone) => {
@@ -535,9 +621,13 @@ impl CorePartials {
         false
     }
 
-    /// Folds one MME record into the mobility partial and the QA counters.
+    /// Folds one MME record into the mobility partial, the QA counters
+    /// and, for a wearable, the sector join.
     pub fn absorb_mme(&mut self, ctx: &StudyContext<'_>, r: &MmeRecord) {
         self.mobility.absorb(r);
+        if ctx.device_class(r.imei) == Some(DeviceClass::CellularWearable) {
+            self.sector_join.absorb_sighting(r);
+        }
         self.quality.mme_records += 1;
         self.quality.out_of_window_records += u64::from(!ctx.window.in_detail(r.timestamp));
     }
@@ -556,6 +646,7 @@ impl CorePartials {
         self.tx_stats.sizes.extend(other.tx_stats.sizes);
         self.traffic.merge(other.traffic);
         self.mobility.merge(other.mobility);
+        self.sector_join.merge(other.sector_join);
         self.popularity.merge(other.popularity);
         self.attributed.extend(other.attributed);
         self.wearable_devices.extend(other.wearable_devices);
@@ -604,7 +695,60 @@ impl CorePartials {
             attributed,
             activity,
             owners,
+            transaction_sectors: self.sector_join.finish(),
         }
+    }
+}
+
+/// The one batch fold: a [`CorePartials`] and the one [`Attributor`], fed
+/// every proxy record and then every MME record, each log in time order.
+/// [`CorePartials::fold`] drives it over a store; the loader drives it
+/// over records as its shard workers parse them.
+pub struct Fold<'c> {
+    ctx: &'c StudyContext<'c>,
+    partials: CorePartials,
+    attributor: Attributor,
+}
+
+impl<'c> Fold<'c> {
+    /// An empty fold over `ctx`.
+    pub fn new(ctx: &'c StudyContext<'c>) -> Fold<'c> {
+        Fold {
+            ctx,
+            partials: CorePartials::default(),
+            attributor: Attributor::new(),
+        }
+    }
+
+    /// Folds one proxy record, feeding a wearable one to the attributor.
+    pub fn proxy(&mut self, r: &ProxyRecord) {
+        if self.partials.absorb_proxy(self.ctx, r) {
+            let class = self.ctx.host_class(r.host).classification;
+            self.attributor
+                .observe(r.user, r.timestamp, class, r.bytes_total());
+        }
+    }
+
+    /// Folds one MME record.
+    pub fn mme(&mut self, r: &MmeRecord) {
+        self.partials.absorb_mme(self.ctx, r);
+    }
+
+    /// Flushes the attributor (a transaction's app can depend on a later
+    /// record, so none is released before the end) and returns the
+    /// partials.
+    pub fn into_partials(self) -> CorePartials {
+        let Fold {
+            mut partials,
+            mut attributor,
+            ..
+        } = self;
+        partials.attributed.reserve(attributor.pending());
+        attributor.flush(&mut partials.attributed);
+        for tx in &partials.attributed {
+            partials.popularity.absorb(tx);
+        }
+        partials
     }
 }
 
@@ -762,6 +906,27 @@ mod tests {
         );
         let owners = CoreAggregates::sequential(&ctx).owners;
         assert_eq!(owners, HashSet::from([UserId(1), UserId(3)]));
+    }
+
+    /// A sighting that arrives late (a stream window absorbs in arrival
+    /// order) still places the transactions after it: the join sorts each
+    /// timeline by time before it looks anything up.
+    #[test]
+    fn sector_join_places_transactions_after_late_sightings() {
+        let sighting = |t: u64, sector: u32| MmeRecord {
+            timestamp: SimTime::from_secs(t),
+            user: UserId(1),
+            imei: 7,
+            event: MmeEvent::SectorUpdate,
+            sector,
+        };
+        let mut join = SectorJoinPartial::default();
+        for (t, sector) in [(100, 1), (300, 3), (200, 2)] {
+            join.absorb_sighting(&sighting(t, sector));
+        }
+        join.absorb_transaction(&proxy(7, 1, 250, 10));
+        let sectors = join.finish();
+        assert_eq!(sectors[&UserId(1)], HashSet::from([2]));
     }
 
     /// The empty bundle finishes into empty results.

@@ -3,8 +3,7 @@
 use std::collections::{HashMap, HashSet};
 
 use wearscope_geo::SectorId;
-use wearscope_simtime::SimTime;
-use wearscope_trace::{MmeEvent, UserId};
+use wearscope_trace::UserId;
 
 use crate::activity::UserActivity;
 use crate::context::StudyContext;
@@ -68,13 +67,13 @@ impl MobilityIndex {
     pub(crate) fn from_dwell_and_days(
         ctx: &StudyContext<'_>,
         mut per_user: HashMap<UserId, UserMobility>,
-        day_sectors: HashMap<(UserId, u64), HashSet<u32>>,
+        day_sectors: HashMap<(UserId, u64), Vec<u32>>,
     ) -> MobilityIndex {
-        let mut days: Vec<((UserId, u64), HashSet<u32>)> = day_sectors.into_iter().collect();
+        let mut days: Vec<((UserId, u64), Vec<u32>)> = day_sectors.into_iter().collect();
         days.sort_by_key(|(key, _)| *key);
         for ((user, _day), sectors) in days {
-            let mut ids: Vec<SectorId> = sectors.into_iter().map(SectorId).collect();
-            ids.sort();
+            // Already ascending: the partial keeps each day's sectors so.
+            let ids: Vec<SectorId> = sectors.into_iter().map(SectorId).collect();
             let km = ctx.sectors.max_displacement_km(&ids);
             per_user
                 .entry(user)
@@ -204,12 +203,13 @@ pub struct MobilityActivity {
 }
 
 impl MobilityActivity {
-    /// Joins mobility with activity and attributes each wearable
-    /// transaction to the sector the user was attached to at that instant.
+    /// Joins mobility with activity; the single-location share counts the
+    /// sectors each user's wearable transactions came from (the sector
+    /// join of [`crate::merge::SectorJoinPartial`]).
     pub fn compute(
-        ctx: &StudyContext<'_>,
         index: &MobilityIndex,
         activity: &HashMap<UserId, UserActivity>,
+        transaction_sectors: &HashMap<UserId, HashSet<u32>>,
     ) -> MobilityActivity {
         // Sorted by user id so float reductions are run-to-run stable.
         let mut entries: Vec<(&UserId, &UserActivity)> = activity.iter().collect();
@@ -223,33 +223,9 @@ impl MobilityActivity {
             .collect();
         let xs: Vec<f64> = points.iter().map(|p| p.0).collect();
         let ys: Vec<f64> = points.iter().map(|p| p.1).collect();
-
-        // Sector timeline per (user, imei) for transaction attribution.
-        let mut timeline: HashMap<(UserId, u64), Vec<(SimTime, u32)>> = HashMap::new();
-        for r in ctx.store.mme() {
-            if matches!(r.event, MmeEvent::Attach | MmeEvent::SectorUpdate) {
-                timeline
-                    .entry((r.user, r.imei))
-                    .or_default()
-                    .push((r.timestamp, r.sector));
-            }
-        }
-        let mut tx_sectors: HashMap<UserId, HashSet<u32>> = HashMap::new();
-        for r in ctx.wearable_proxy() {
-            if let Some(tl) = timeline.get(&(r.user, r.imei)) {
-                let idx = tl.partition_point(|&(t, _)| t <= r.timestamp);
-                if idx > 0 {
-                    // Only attribute within the same day: wearables detach
-                    // nightly, so a cross-day carry-over would be stale.
-                    let (t, sector) = tl[idx - 1];
-                    if t.day_index() == r.timestamp.day_index() {
-                        tx_sectors.entry(r.user).or_default().insert(sector);
-                    }
-                }
-            }
-        }
-        let with_sectors = tx_sectors.values().filter(|s| !s.is_empty()).count();
-        let single = tx_sectors.values().filter(|s| s.len() == 1).count();
+        let sectors = transaction_sectors.values();
+        let with_sectors = sectors.clone().filter(|s| !s.is_empty()).count();
+        let single = sectors.filter(|s| s.len() == 1).count();
         MobilityActivity {
             pearson: stats::pearson(&xs, &ys),
             spearman: stats::spearman(&xs, &ys),
@@ -269,8 +245,8 @@ mod tests {
     use wearscope_appdb::AppCatalog;
     use wearscope_devicedb::{DeviceClass, DeviceDb};
     use wearscope_geo::{GeoPoint, SectorDirectory};
-    use wearscope_simtime::{Calendar, ObservationWindow, SECS_PER_DAY};
-    use wearscope_trace::{HostId, MmeRecord, ProxyRecord, Scheme, TraceStore};
+    use wearscope_simtime::{Calendar, ObservationWindow, SimTime, SECS_PER_DAY};
+    use wearscope_trace::{HostId, MmeEvent, MmeRecord, ProxyRecord, Scheme, TraceStore};
 
     /// Three sectors: 0 and 1 are ~11 km apart; 2 is ~100 km away.
     fn sectors() -> SectorDirectory {
@@ -416,9 +392,9 @@ mod tests {
         let sectors = sectors();
         let catalog = AppCatalog::standard();
         let ctx = StudyContext::new(&store, &db, &sectors, &catalog, window());
-        let index = MobilityIndex::build(&ctx);
-        let activity = crate::activity::user_activity(&ctx);
-        let ma = MobilityActivity::compute(&ctx, &index, &activity);
+        let aggs = crate::CoreAggregates::sequential(&ctx);
+        let ma =
+            MobilityActivity::compute(&aggs.mobility, &aggs.activity, &aggs.transaction_sectors);
         assert!((ma.single_location_share - 0.5).abs() < 1e-9);
         assert_eq!(ma.points.len(), 2);
     }
@@ -435,9 +411,10 @@ mod tests {
         let sectors = sectors();
         let catalog = AppCatalog::standard();
         let ctx = StudyContext::new(&store, &db, &sectors, &catalog, window());
-        let index = MobilityIndex::build(&ctx);
-        let activity = crate::activity::user_activity(&ctx);
-        let ma = MobilityActivity::compute(&ctx, &index, &activity);
+        let aggs = crate::CoreAggregates::sequential(&ctx);
+        assert!(aggs.transaction_sectors.is_empty());
+        let ma =
+            MobilityActivity::compute(&aggs.mobility, &aggs.activity, &aggs.transaction_sectors);
         assert_eq!(ma.single_location_share, 0.0);
     }
 }

@@ -1,11 +1,11 @@
 //! Every derived analysis of one study, computed once.
 //!
 //! [`StudyResults`] is built once from the hot [`CoreAggregates`] plus the
-//! vantage summaries. Its one store reader is the Fig. 4(d) sector join of
-//! [`MobilityActivity::compute`], which joins the MME log with the wearable
-//! proxy records; every other per-record fact it needs, the owners
-//! included, was folded into the aggregates. The takeaways, the experiment
-//! table, the full report and the figure CSVs all render from it.
+//! vantage summaries. It reads no store: every per-record fact it needs,
+//! the owners and the Fig. 4(d) sector join included, was folded into the
+//! aggregates, so batch and stream results come from the same state. The
+//! takeaways, the experiment table, the full report and the figure CSVs
+//! all render from it.
 //!
 //! What the takeaways need is computed eagerly in [`StudyResults::new`]:
 //! the summary analyses and the derivations over the aggregates. Only the
@@ -105,7 +105,11 @@ impl<'a> StudyResults<'a> {
             wearable_share: WearableShare::compute(&aggs.owners, &aggs.traffic),
             displacement: Displacement::compute(&aggs.owners, &aggs.mobility),
             entropy: LocationEntropy::compute(&aggs.owners, &aggs.mobility),
-            mobility_activity: MobilityActivity::compute(ctx, &aggs.mobility, &aggs.activity),
+            mobility_activity: MobilityActivity::compute(
+                &aggs.mobility,
+                &aggs.activity,
+                &aggs.transaction_sectors,
+            ),
             installs: InstallStats::compute(&aggs.attributed),
             ctx,
             aggs,

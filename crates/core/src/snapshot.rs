@@ -32,7 +32,7 @@
 //!
 //! [`RowWriter`] writes a line and [`Row`] reads one back, field by field.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt::{self, Write as _};
 
 use wearscope_appdb::{AppId, Classification, DomainClass, ThroughDeviceKind};
@@ -42,7 +42,7 @@ use wearscope_trace::UserId;
 use crate::activity::UserActivity;
 use crate::merge::{
     ActivityPartial, AppPopularityPartial, CorePartials, HourlyProfilePartial, MobilityPartial,
-    QualityPartial, TrafficPartial, TransactionStatsPartial,
+    QualityPartial, SectorJoinPartial, TrafficPartial, TransactionStatsPartial,
 };
 use crate::mobility::UserMobility;
 use crate::sessions::{AttributedTx, Attributor, UserTxs};
@@ -603,7 +603,7 @@ impl Snapshot for MobilityPartial {
             RowWriter::new(out)
                 .put(user)
                 .put(day)
-                .list(sorted(sectors))
+                .list(sectors.iter().copied())
                 .end();
         }
         for (user, m) in sorted_entries(&self.per_user) {
@@ -636,7 +636,11 @@ impl Snapshot for MobilityPartial {
         for _ in 0..counts[1] {
             let mut row = r.row()?;
             let key = (row.field()?, row.field()?);
-            partial.day_sectors.insert(key, row.list()?);
+            // Ascending and distinct, whatever order the text has.
+            let sectors: BTreeSet<u32> = row.list()?;
+            partial
+                .day_sectors
+                .insert(key, sectors.into_iter().collect());
             row.end()?;
         }
         for _ in 0..counts[2] {
@@ -653,6 +657,51 @@ impl Snapshot for MobilityPartial {
             let mut row = r.row()?;
             let key = (row.field()?, row.field()?);
             partial.first_event.insert(key, row.field()?);
+            row.end()?;
+        }
+        Ok(partial)
+    }
+}
+
+impl Snapshot for SectorJoinPartial {
+    fn snapshot(&self, out: &mut String) {
+        // Timeline and transaction order is semantic: written and restored
+        // in order, never sorted here.
+        RowWriter::tagged(out, "sector-join")
+            .put(self.timelines.len())
+            .put(self.transactions.len())
+            .end();
+        for (&(user, imei), sightings) in sorted_entries(&self.timelines) {
+            RowWriter::new(out)
+                .put(user)
+                .put(imei)
+                .list(sightings.iter().copied())
+                .end();
+        }
+        for (&(user, imei), times) in sorted_entries(&self.transactions) {
+            RowWriter::new(out)
+                .put(user)
+                .put(imei)
+                .list(times.iter().copied())
+                .end();
+        }
+    }
+
+    fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let mut head = r.tagged("sector-join")?;
+        let (n_timelines, n_transactions): (u64, u64) = (head.field()?, head.field()?);
+        head.end()?;
+        let mut partial = SectorJoinPartial::default();
+        for _ in 0..n_timelines {
+            let mut row = r.row()?;
+            let key = (row.field()?, row.field()?);
+            partial.timelines.insert(key, row.list()?);
+            row.end()?;
+        }
+        for _ in 0..n_transactions {
+            let mut row = r.row()?;
+            let key = (row.field()?, row.field()?);
+            partial.transactions.insert(key, row.list()?);
             row.end()?;
         }
         Ok(partial)
@@ -824,6 +873,7 @@ impl Snapshot for CorePartials {
         self.tx_stats.snapshot(out);
         self.traffic.snapshot(out);
         self.mobility.snapshot(out);
+        self.sector_join.snapshot(out);
         self.popularity.snapshot(out);
         RowWriter::tagged(out, "devices")
             .list(sorted(&self.wearable_devices))
@@ -842,6 +892,7 @@ impl Snapshot for CorePartials {
             tx_stats: TransactionStatsPartial::restore(r)?,
             traffic: TrafficPartial::restore(r)?,
             mobility: MobilityPartial::restore(r)?,
+            sector_join: SectorJoinPartial::restore(r)?,
             popularity: AppPopularityPartial::restore(r)?,
             wearable_devices: list_block(r, "devices")?,
             through_device: list_block(r, "through-device")?,

@@ -10,11 +10,11 @@ use wearscope_report::ShardSource;
 /// Per-record problems never surface here — they are quarantined and
 /// reported in the [`DataQuality`](wearscope_report::DataQuality) section.
 /// This type covers the failures that make the run's output untrustworthy:
-/// whole shards lost, or corruption past the error budget.
+/// a whole chunk lost, or corruption past the error budget.
 #[derive(Debug)]
 pub enum IngestError {
-    /// A filesystem error outside any shard (opening the logs, planning
-    /// shards, writing `quarantine.log`).
+    /// A filesystem error outside any chunk (opening the logs, planning
+    /// chunks, writing `quarantine.log`).
     Io(io::Error),
     /// The quarantined fraction of a log exceeded `--max-error-rate`.
     /// Names the log's first `quarantine.log` entry, which depends only on
@@ -32,13 +32,13 @@ pub enum IngestError {
         /// The configured budget (fraction).
         budget: f64,
     },
-    /// One or more shards failed outright — a worker panic or an I/O error
-    /// that survived the retry budget. The remaining shards completed;
-    /// this names the first failed shard.
+    /// A chunk failed outright — a worker panic or an I/O error that
+    /// survived the retry budget. The run stops at the first failed chunk
+    /// in file order (proxy, then MME), which this names.
     ShardFailed {
-        /// Which log (or in-memory partition) the shard belonged to.
+        /// Which log the chunk belonged to.
         source: ShardSource,
-        /// The failed shard's index.
+        /// The failed chunk's index within its log.
         shard: usize,
         /// `true` for a panic, `false` for a persistent I/O error.
         panicked: bool,
@@ -72,7 +72,7 @@ impl fmt::Display for IngestError {
                 detail,
             } => write!(
                 f,
-                "{} shard {shard} {}: {detail} (remaining shards completed)",
+                "{} shard {shard} {}: {detail}",
                 source.name(),
                 if *panicked { "panicked" } else { "failed" },
             ),

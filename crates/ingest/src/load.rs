@@ -1,27 +1,39 @@
-//! Parallel loading of persisted `proxy.log` / `mme.log` files.
+//! The batch pipeline over persisted `proxy.log` / `mme.log` files.
 //!
-//! The shard planner ([`wearscope_trace::plan_tsv_shards`]) splits each
-//! file into record-aligned byte ranges; the crate's worker pool then parses
-//! ranges concurrently and the shards are concatenated in file order, so
-//! the resulting [`TraceStore`] is identical to a sequential
-//! [`TraceStore::load`] for any worker count.
+//! Each log is cut into fixed-size, newline-aligned byte chunks
+//! (`CHUNK_BYTES`, 256 KiB, planned by [`wearscope_trace::plan_tsv_shards`]).
+//! `workers` shard threads parse them: chunk `i` goes to worker
+//! `i % workers`, which holds at most `IN_FLIGHT` (two) parsed chunks the
+//! calling thread has not taken yet. The calling thread takes the chunks
+//! in file order, proxy first, then MME. It quarantines each chunk's
+//! malformed lines, runs the log's [`RecordValidator`] against the log's
+//! own high-water mark, and hands the kept records to a sink while the
+//! workers parse ahead. [`fold_logs_resilient`] folds them into the
+//! aggregates through one [`Fold`], so memory follows fold state, not log
+//! size; [`load_store_resilient`] collects them into a [`TraceStore`].
 //!
-//! [`load_store_resilient`] **quarantines and degrades**: malformed lines,
-//! duplicates, timestamp regressions, clock skew, and invalid IMEIs are
-//! quarantined per record (see [`crate::quarantine`]) and the load succeeds
-//! on the survivors, up to the `--max-error-rate` budget. Shard reads retry
-//! transient I/O errors with backoff and run under `catch_unwind`, so a
-//! poisoned shard is recorded as failed while the remaining shards
-//! complete.
+//! Both **quarantine and degrade**: malformed lines, duplicates,
+//! timestamp regressions, clock skew, invalid IMEIs and sectors outside
+//! the cell plan are quarantined per record (see [`crate::quarantine`])
+//! and the run succeeds on the survivors, up to the `--max-error-rate`
+//! budget. Chunk reads retry transient I/O errors with backoff and run
+//! under `catch_unwind`, so a poisoned chunk is a typed error, not a
+//! crash.
 //!
 //! Every quarantine decision is a function of file content and file order
-//! only — never of shard layout or scheduling — so resilient loads are
-//! bit-identical for every worker count, corrupted input included.
+//! only: chunks are cut by size, not by worker count, and are validated in
+//! file order. So runs are bit-identical for every worker count, corrupted
+//! input included.
 
+use std::any::Any;
 use std::io;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::time::{Duration, Instant};
 
+use wearscope_core::merge::Fold;
+use wearscope_core::{CoreAggregates, StudyContext};
 use wearscope_obs::{Counter, Registry};
 use wearscope_report::{
     DataQuality, IngestReport, QuarantineCounts, QuarantineReason, ShardProgress, ShardSource,
@@ -32,19 +44,20 @@ use wearscope_trace::{
 };
 
 use crate::error::{with_io_retry, IngestError};
-use crate::pool::run_indexed;
 use crate::quarantine::{
     reason_for_codec, write_quarantine_log, IngestOptions, LogRecord, Position, QuarantineEntry,
     RecordValidator, Rejection,
 };
 use crate::MAX_WORKERS;
 
-/// Byte-range shards per worker and log: enough queue granularity that
-/// work stealing evens out skewed shards, without drowning the progress
-/// report.
-const SHARDS_PER_WORKER: usize = 4;
+/// Bytes per chunk: a proxy chunk parses into a few thousand records, so
+/// the chunks in flight stay small next to the fold state.
+const CHUNK_BYTES: u64 = 256 * 1024;
 
-/// One shard read: which log, which of its shards, and the byte range.
+/// Parsed chunks a worker may hold before the calling thread takes them.
+const IN_FLIGHT: usize = 2;
+
+/// One chunk read: which log, which of its chunks, and the byte range.
 struct Task<'a> {
     source: ShardSource,
     path: &'a Path,
@@ -57,29 +70,128 @@ enum Parsed {
     Mme(TsvShard<MmeRecord>),
 }
 
-/// Loads the store under `dir` (as written by `TraceStore::save`) with a
-/// pool of `workers` shard readers (clamped to `1..=`[`MAX_WORKERS`]),
+/// A worker's outcome for one chunk: the parsed chunk and its parse time,
+/// an I/O error that survived the retries, or a panic's message.
+type Done = Result<io::Result<(Parsed, Duration)>, String>;
+
+/// Where the pipeline hands each chunk's kept records: every proxy chunk,
+/// then every MME chunk, each in file order.
+trait Sink {
+    fn proxy(&mut self, kept: &[ProxyRecord]);
+    fn mme(&mut self, kept: &[MmeRecord]);
+}
+
+impl Sink for Fold<'_> {
+    fn proxy(&mut self, kept: &[ProxyRecord]) {
+        for r in kept {
+            Fold::proxy(self, r);
+        }
+    }
+
+    fn mme(&mut self, kept: &[MmeRecord]) {
+        for r in kept {
+            Fold::mme(self, r);
+        }
+    }
+}
+
+/// Collects the kept records of both logs.
+#[derive(Default)]
+struct Collect {
+    proxy: Vec<ProxyRecord>,
+    mme: Vec<MmeRecord>,
+}
+
+impl Sink for Collect {
+    fn proxy(&mut self, kept: &[ProxyRecord]) {
+        self.proxy.extend_from_slice(kept);
+    }
+
+    fn mme(&mut self, kept: &[MmeRecord]) {
+        self.mme.extend_from_slice(kept);
+    }
+}
+
+/// Folds the logs under `dir` into the aggregates of `ctx` as `workers`
+/// shard threads (clamped to `1..=`[`MAX_WORKERS`]) parse them,
+/// quarantining per-record faults per `opts` instead of aborting. The
+/// result equals [`CoreAggregates::sequential`] over the store
+/// [`load_store_resilient`] returns, for every worker count.
+///
+/// # Errors
+/// As [`load_store_resilient`].
+pub fn fold_logs_resilient(
+    dir: &Path,
+    workers: usize,
+    opts: &IngestOptions,
+    ctx: &StudyContext<'_>,
+) -> Result<(CoreAggregates, IngestReport), IngestError> {
+    let mut fold = Fold::new(ctx);
+    let report = run(dir, workers, opts, CHUNK_BYTES, &mut fold)?;
+    Ok((fold.into_partials().finish(ctx), report))
+}
+
+/// Loads the store under `dir` (as written by `TraceStore::save`) with
+/// `workers` shard threads (clamped to `1..=`[`MAX_WORKERS`]),
 /// quarantining per-record faults per `opts` instead of aborting.
 ///
 /// # Errors
-/// [`IngestError::Io`] for filesystem errors outside the shards,
-/// [`IngestError::ShardFailed`] when a shard panicked or exhausted its I/O
-/// retries (the remaining shards still complete; the first failed shard in
-/// proxy-then-MME, lowest-index order is reported), and
-/// [`IngestError::ErrorBudget`] when a log's quarantined fraction exceeds
-/// `opts.max_error_rate` (`quarantine.log` is still written first).
+/// [`IngestError::Io`] for filesystem errors outside the chunks,
+/// [`IngestError::ShardFailed`] when a chunk panicked or exhausted its I/O
+/// retries (the first failed chunk in proxy-then-MME, lowest-index order
+/// is reported), and [`IngestError::ErrorBudget`] when a log's
+/// quarantined fraction exceeds `opts.max_error_rate` (`quarantine.log` is
+/// still written first).
 pub fn load_store_resilient(
     dir: &Path,
     workers: usize,
     opts: &IngestOptions,
 ) -> Result<(TraceStore, IngestReport), IngestError> {
+    load_in_chunks(dir, workers, opts, CHUNK_BYTES)
+}
+
+/// [`load_store_resilient`] with chunks of about `chunk_bytes` bytes.
+fn load_in_chunks(
+    dir: &Path,
+    workers: usize,
+    opts: &IngestOptions,
+    chunk_bytes: u64,
+) -> Result<(TraceStore, IngestReport), IngestError> {
+    let mut logs = Collect::default();
+    let report = run(dir, workers, opts, chunk_bytes, &mut logs)?;
+    // Kept records never regress in time, so the store's stable time sort
+    // leaves them in file order.
+    Ok((TraceStore::from_records(logs.proxy, logs.mme), report))
+}
+
+/// Accumulated phase times of the calling thread.
+#[derive(Default)]
+pub(crate) struct PhaseTimers {
+    /// Waiting for the next chunk in file order.
+    wait: Duration,
+    /// Quarantining malformed lines and running the content checks.
+    validate: Duration,
+    /// Handing the kept records to the sink.
+    fold: Duration,
+}
+
+/// The pipeline: plans both logs' chunks, parses them on `workers`
+/// threads, and validates and sinks them in file order on this one.
+fn run<S: Sink>(
+    dir: &Path,
+    workers: usize,
+    opts: &IngestOptions,
+    chunk_bytes: u64,
+    sink: &mut S,
+) -> Result<IngestReport, IngestError> {
     let workers = workers.clamp(1, MAX_WORKERS);
     let start = Instant::now();
     let proxy_path = dir.join("proxy.log");
     let mme_path = dir.join("mme.log");
-    let max_shards = workers.saturating_mul(SHARDS_PER_WORKER);
     let plan = |source, path| -> io::Result<Vec<Task<'_>>> {
-        Ok(plan_tsv_shards(path, max_shards)?
+        let chunks = std::fs::metadata(path)?.len().div_ceil(chunk_bytes.max(1));
+        let ranges = plan_tsv_shards(path, usize::try_from(chunks).unwrap_or(usize::MAX))?;
+        Ok(ranges
             .into_iter()
             .enumerate()
             .map(|(shard, range)| Task {
@@ -94,42 +206,53 @@ pub fn load_store_resilient(
     tasks.extend(plan(ShardSource::Mme, &mme_path)?);
 
     let retries = opts.metrics.counter("ingest.io_retries");
-    let results = run_indexed(workers, &tasks, |t| {
-        let t0 = Instant::now();
-        read_task(t, &retries).map(|parsed| (parsed, t0.elapsed()))
-    });
-
-    let mut proxy_shards = Vec::new();
-    let mut mme_shards = Vec::new();
-    let mut progress = Vec::with_capacity(results.len());
-    // Task order is proxy first, then MME, each by ascending shard, so the
-    // first failure met here is the deterministic one to report.
-    for (t, result) in tasks.iter().zip(results) {
-        let (parsed, wall) = match result {
-            Ok(Ok(done)) => done,
-            Ok(Err(e)) => return Err(shard_failed(t, false, e.to_string())),
-            Err(panic) => return Err(shard_failed(t, true, panic)),
-        };
-        progress.push(match parsed {
-            Parsed::Proxy(shard) => {
-                let p = shard_progress(t, &shard, wall);
-                proxy_shards.push(shard);
-                p
+    let threads = workers.min(tasks.len()).max(1);
+    let mut proxy = LogIngest::new(ShardSource::Proxy, opts);
+    let mut mme = LogIngest::new(ShardSource::Mme, opts);
+    let mut progress = Vec::with_capacity(tasks.len());
+    let mut timers = PhaseTimers::default();
+    std::thread::scope(|s| {
+        let inboxes: Vec<_> = (0..threads)
+            .map(|w| {
+                let (tx, rx) = sync_channel(IN_FLIGHT);
+                let (tasks, retries) = (&tasks, &retries);
+                s.spawn(move || parse_chunks(tasks, w, threads, &tx, retries));
+                rx
+            })
+            .collect();
+        // Tasks are proxy chunks, then MME chunks, each by ascending index,
+        // so the first failure met here is the deterministic one to report.
+        // Returning drops the inboxes, which stops the workers.
+        for (i, t) in tasks.iter().enumerate() {
+            let waited = Instant::now();
+            let done = inboxes[i % threads]
+                .recv()
+                .unwrap_or_else(|_| Err("parse worker exited".into()));
+            timers.wait += waited.elapsed();
+            let (parsed, wall) = match done {
+                Ok(Ok(done)) => done,
+                Ok(Err(e)) => return Err(shard_failed(t, false, e.to_string())),
+                Err(panic) => return Err(shard_failed(t, true, panic)),
+            };
+            match parsed {
+                Parsed::Proxy(chunk) => {
+                    progress.push(shard_progress(t, &chunk, wall));
+                    proxy.take(chunk, &mut timers, |kept| sink.proxy(kept));
+                }
+                Parsed::Mme(chunk) => {
+                    progress.push(shard_progress(t, &chunk, wall));
+                    mme.take(chunk, &mut timers, |kept| sink.mme(kept));
+                }
             }
-            Parsed::Mme(shard) => {
-                let p = shard_progress(t, &shard, wall);
-                mme_shards.push(shard);
-                p
-            }
-        });
-    }
-
-    let proxy = process_source(ShardSource::Proxy, proxy_shards, opts);
-    let mme = process_source(ShardSource::Mme, mme_shards, opts);
+        }
+        Ok(())
+    })?;
+    let proxy = proxy.finish();
+    let mme = mme.finish();
 
     record_source_metrics(&opts.metrics, ShardSource::Proxy, &proxy, &progress);
     record_source_metrics(&opts.metrics, ShardSource::Mme, &mme, &progress);
-    record_pool_timings(&opts.metrics, workers, &progress, start);
+    record_pool_timings(&opts.metrics, workers, &progress, &timers, start);
 
     if let Some(path) = &opts.quarantine_log {
         if proxy.entries.is_empty() && mme.entries.is_empty() {
@@ -152,26 +275,52 @@ pub fn load_store_resilient(
     quarantined.merge(&mme.counts);
     let quality = DataQuality {
         records_seen: proxy.seen + mme.seen,
-        records_kept: (proxy.kept.len() + mme.kept.len()) as u64,
+        records_kept: proxy.kept + mme.kept,
         quarantined,
         failed_shards: Vec::new(),
         max_error_rate: opts.max_error_rate,
     };
-
-    // Concatenated in shard-index order = file order; `from_records`' stable
-    // time sort then reproduces the sequential load exactly.
-    let store = TraceStore::from_records(proxy.kept, mme.kept);
-    let report = IngestReport {
+    Ok(IngestReport {
         workers,
         shards: progress,
         quality,
         wall: start.elapsed(),
-    };
-    Ok((store, report))
+    })
 }
 
-/// Reads one shard inside a pool worker, retrying transient I/O errors
-/// with backoff.
+/// Worker `w` of `workers`: parses chunks `w`, `w + workers`, … in order
+/// and sends each outcome to the calling thread, until the tasks run out
+/// or the calling thread stops taking them.
+fn parse_chunks(
+    tasks: &[Task<'_>],
+    w: usize,
+    workers: usize,
+    outbox: &SyncSender<Done>,
+    retries: &Counter,
+) {
+    for t in tasks.iter().skip(w).step_by(workers) {
+        let t0 = Instant::now();
+        let done = catch_unwind(AssertUnwindSafe(|| read_task(t, retries)))
+            .map(|read| read.map(|parsed| (parsed, t0.elapsed())))
+            .map_err(|payload| panic_message(payload.as_ref()));
+        if outbox.send(done).is_err() {
+            return;
+        }
+    }
+}
+
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "opaque panic payload".into()
+    }
+}
+
+/// Reads one chunk inside a worker, retrying transient I/O errors with
+/// backoff.
 fn read_task(t: &Task<'_>, retries: &Counter) -> io::Result<Parsed> {
     #[cfg(test)]
     test_hooks::maybe_panic(t.path, t.source, t.shard);
@@ -192,33 +341,61 @@ fn shard_failed(t: &Task<'_>, panicked: bool, detail: String) -> IngestError {
     }
 }
 
-/// One log's post-pool outcome: survivors plus the quarantine ledger.
-pub(crate) struct SourceOutcome<R> {
-    pub(crate) kept: Vec<R>,
+/// One log's validation state while its chunks arrive in file order.
+pub(crate) struct LogIngest<R> {
+    source: ShardSource,
+    validator: RecordValidator<R>,
+    high_water: SimTime,
+    seen: u64,
+    kept: u64,
+    /// Lines in the chunks taken so far: a chunk's line base.
+    line_base: u64,
+    /// Parsed records in the chunks taken so far.
+    record_index: u64,
+    parse_entries: Vec<QuarantineEntry>,
+    content_entries: Vec<QuarantineEntry>,
+}
+
+/// One log's outcome: counts plus the quarantine ledger.
+pub(crate) struct SourceOutcome {
     /// Non-blank lines attempted: parsed records + malformed lines.
     pub(crate) seen: u64,
+    pub(crate) kept: u64,
     pub(crate) counts: QuarantineCounts,
+    /// Parse-fault entries, then content-fault entries.
     pub(crate) entries: Vec<QuarantineEntry>,
 }
 
-/// Drains one source's shards in file order into the survivors: shard-local
-/// parse errors become global quarantine entries, and each parsed record
-/// passes the content checks against the log's own high-water mark.
-pub(crate) fn process_source<R: LogRecord>(
-    source: ShardSource,
-    shards: Vec<TsvShard<R>>,
-    opts: &IngestOptions,
-) -> SourceOutcome<R> {
-    // Parse-fault entries, then content-fault entries.
-    let mut entries = Vec::new();
-    let mut content_entries = Vec::new();
-    let mut kept = Vec::with_capacity(shards.iter().map(|s| s.records.len()).sum());
-    let mut validator = RecordValidator::new(opts.max_timestamp);
-    let mut high_water = SimTime::EPOCH;
-    let (mut seen, mut line_base, mut record_index) = (0u64, 0u64, 0u64);
-    for shard in shards {
-        entries.extend(
-            shard
+impl<R: LogRecord> LogIngest<R> {
+    pub(crate) fn new(source: ShardSource, opts: &IngestOptions) -> LogIngest<R> {
+        LogIngest {
+            source,
+            validator: RecordValidator::new(opts.max_timestamp)
+                .with_sector_count(opts.sector_count),
+            high_water: SimTime::EPOCH,
+            seen: 0,
+            kept: 0,
+            line_base: 0,
+            record_index: 0,
+            parse_entries: Vec::new(),
+            content_entries: Vec::new(),
+        }
+    }
+
+    /// Takes the log's next chunk: its parse errors become quarantine
+    /// entries at global line numbers, each parsed record passes the
+    /// content checks against the log's high-water mark, and the kept
+    /// records go to `sink`.
+    pub(crate) fn take(
+        &mut self,
+        mut chunk: TsvShard<R>,
+        timers: &mut PhaseTimers,
+        sink: impl FnOnce(&[R]),
+    ) {
+        let t0 = Instant::now();
+        let (source, line_base) = (self.source, self.line_base);
+        self.parse_entries.extend(
+            chunk
                 .errors
                 .iter()
                 .map(|(local_line, error)| QuarantineEntry {
@@ -228,53 +405,66 @@ pub(crate) fn process_source<R: LogRecord>(
                     detail: error.to_string(),
                 }),
         );
-        seen += (shard.errors.len() + shard.records.len()) as u64;
-        line_base += shard.lines;
-        for record in shard.records {
-            match validator.check(&record, high_water, false) {
+        self.seen += (chunk.errors.len() + chunk.records.len()) as u64;
+        self.line_base += chunk.lines;
+        chunk.records.retain(|record| {
+            let position = Position::Record(self.record_index);
+            self.record_index += 1;
+            match self.validator.check(record, self.high_water, false) {
                 Ok(()) => {
-                    high_water = record.timestamp();
-                    kept.push(record);
+                    self.high_water = record.timestamp();
+                    true
                 }
-                Err(Rejection { reason, detail }) => content_entries.push(QuarantineEntry {
-                    source,
-                    position: Position::Record(record_index),
-                    reason,
-                    detail,
-                }),
+                Err(Rejection { reason, detail }) => {
+                    self.content_entries.push(QuarantineEntry {
+                        source,
+                        position,
+                        reason,
+                        detail,
+                    });
+                    false
+                }
             }
-            record_index += 1;
+        });
+        self.kept += chunk.records.len() as u64;
+        let t1 = Instant::now();
+        sink(&chunk.records);
+        timers.validate += t1 - t0;
+        timers.fold += t1.elapsed();
+    }
+
+    pub(crate) fn finish(self) -> SourceOutcome {
+        let mut entries = self.parse_entries;
+        entries.extend(self.content_entries);
+        let mut counts = QuarantineCounts::default();
+        for e in &entries {
+            counts.note(e.reason);
         }
-    }
-    entries.append(&mut content_entries);
-    let mut counts = QuarantineCounts::default();
-    for e in &entries {
-        counts.note(e.reason);
-    }
-    SourceOutcome {
-        kept,
-        seen,
-        counts,
-        entries,
+        SourceOutcome {
+            seen: self.seen,
+            kept: self.kept,
+            counts,
+            entries,
+        }
     }
 }
 
 /// Records one source's outcome into the registry: records seen/kept and
 /// quarantined-per-reason (all functions of file content alone), plus the
-/// source's byte and decode-error totals from the shard progress (their
+/// source's byte and decode-error totals from the chunk progress (their
 /// sums are the file size and the malformed-line count, both independent
-/// of shard layout).
-fn record_source_metrics<R>(
+/// of the chunk layout).
+fn record_source_metrics(
     m: &Registry,
     source: ShardSource,
-    outcome: &SourceOutcome<R>,
+    outcome: &SourceOutcome,
     progress: &[ShardProgress],
 ) {
     let name = source.name();
     m.counter(&format!("ingest.{name}.records_seen"))
         .add(outcome.seen);
     m.counter(&format!("ingest.{name}.records_kept"))
-        .add(outcome.kept.len() as u64);
+        .add(outcome.kept);
     for reason in QuarantineReason::ALL {
         m.counter(&format!("ingest.{name}.quarantined.{}", reason.name()))
             .add(outcome.counts.get(reason));
@@ -288,10 +478,16 @@ fn record_source_metrics<R>(
         .add(decode_errors);
 }
 
-/// Pool-level timings: worker count, shard count, and the per-shard read
-/// wall-time distribution. All shard-layout- or clock-dependent, hence the
-/// timing section.
-fn record_pool_timings(m: &Registry, workers: usize, progress: &[ShardProgress], start: Instant) {
+/// Pipeline timings: worker and chunk counts, the per-chunk parse time
+/// distribution, and the calling thread's accumulated wait, validate and
+/// fold times. All clock- or thread-dependent, hence the timing section.
+fn record_pool_timings(
+    m: &Registry,
+    workers: usize,
+    progress: &[ShardProgress],
+    timers: &PhaseTimers,
+    start: Instant,
+) {
     m.timing_gauge("ingest.workers").set(workers as i64);
     m.timing_counter("ingest.shards").add(progress.len() as u64);
     let shard_us = m.timing_histogram(
@@ -301,13 +497,20 @@ fn record_pool_timings(m: &Registry, workers: usize, progress: &[ShardProgress],
     for p in progress {
         shard_us.observe(p.wall.as_micros() as u64);
     }
+    for (name, spent) in [
+        ("ingest.wait_ns", timers.wait),
+        ("ingest.validate_ns", timers.validate),
+        ("ingest.fold_ns", timers.fold),
+    ] {
+        m.timing_counter(name).add(spent.as_nanos() as u64);
+    }
     m.timing_gauge("ingest.load_wall_us")
         .set(start.elapsed().as_micros() as i64);
 }
 
-fn check_budget<R>(
+fn check_budget(
     source: ShardSource,
-    outcome: &SourceOutcome<R>,
+    outcome: &SourceOutcome,
     opts: &IngestOptions,
 ) -> Result<(), IngestError> {
     let quarantined = outcome.counts.total();
@@ -341,8 +544,8 @@ fn shard_progress<R>(t: &Task<'_>, tsv: &TsvShard<R>, wall: Duration) -> ShardPr
 
 #[cfg(test)]
 pub(crate) mod test_hooks {
-    //! Deterministic fault injection for the pool tests: panic when a
-    //! specific (file, source, shard) is read. Keyed by the log file's
+    //! Deterministic fault injection for the pipeline tests: panic when a
+    //! specific (file, source, chunk) is read. Keyed by the log file's
     //! path so concurrently running tests (each with its own temp dir)
     //! never trip each other's hook.
     use std::path::{Path, PathBuf};
@@ -432,6 +635,9 @@ mod tests {
         std::fs::write(&path, out).unwrap();
     }
 
+    /// Chunks small enough that the sample logs span many of them.
+    const SMALL: u64 = 1024;
+
     #[test]
     fn parallel_load_equals_sequential_load() {
         let store = sample_store();
@@ -439,18 +645,65 @@ mod tests {
         store.save(&dir).unwrap();
         let sequential = TraceStore::load(&dir).unwrap();
         for workers in [1, 2, 5] {
-            let (parallel, report) =
-                load_store_resilient(&dir, workers, &IngestOptions::default()).unwrap();
-            assert_eq!(parallel.proxy(), sequential.proxy(), "workers={workers}");
-            assert_eq!(parallel.mme(), sequential.mme(), "workers={workers}");
-            assert_eq!(
-                report.records(),
-                (store.proxy().len() + store.mme().len()) as u64
-            );
-            assert_eq!(report.parse_errors(), 0);
-            assert!(report.quality.quarantined.is_empty());
-            assert!(report.shards.len() > 1 || workers == 1);
+            for chunk_bytes in [SMALL, CHUNK_BYTES] {
+                let (parallel, report) =
+                    load_in_chunks(&dir, workers, &IngestOptions::default(), chunk_bytes).unwrap();
+                assert_eq!(parallel.proxy(), sequential.proxy(), "workers={workers}");
+                assert_eq!(parallel.mme(), sequential.mme(), "workers={workers}");
+                assert_eq!(
+                    report.records(),
+                    (store.proxy().len() + store.mme().len()) as u64
+                );
+                assert_eq!(report.parse_errors(), 0);
+                assert!(report.quality.quarantined.is_empty());
+                // The chunk layout follows the chunk size, not the workers.
+                assert!(report.shards.len() > 2 || chunk_bytes == CHUNK_BYTES);
+            }
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Folding the records as they are parsed gives the aggregates of the
+    /// sequential fold over the loaded store, at any worker count.
+    #[test]
+    fn pipeline_fold_equals_fold_over_the_store() {
+        use wearscope_appdb::AppCatalog;
+        use wearscope_devicedb::DeviceDb;
+        use wearscope_geo::{GeoPoint, SectorDirectory};
+        use wearscope_simtime::{Calendar, ObservationWindow};
+
+        let store = sample_store();
+        let dir = temp_dir("fold");
+        store.save(&dir).unwrap();
+        let db = DeviceDb::standard();
+        let catalog = AppCatalog::standard();
+        let mut sectors = SectorDirectory::new();
+        for i in 0..7 {
+            sectors.push(GeoPoint::new(40.0 + 0.1 * f64::from(i), -3.0), None);
+        }
+        let window = ObservationWindow::new(14, 14, Calendar::PAPER);
+        let store_ctx = StudyContext::new(&store, &db, &sectors, &catalog, window);
+        let want = CoreAggregates::sequential(&store_ctx);
+        assert!(!want.transaction_sectors.is_empty());
+        let empty = TraceStore::new();
+        let ctx = StudyContext::new(&empty, &db, &sectors, &catalog, window);
+        for workers in [1, 3] {
+            let mut fold = Fold::new(&ctx);
+            let report = run(&dir, workers, &IngestOptions::default(), SMALL, &mut fold).unwrap();
+            assert!(report.shards.len() > 2);
+            let got = fold.into_partials().finish(&ctx);
+            assert_eq!(got.activity, want.activity, "workers={workers}");
+            assert_eq!(got.traffic, want.traffic, "workers={workers}");
+            assert_eq!(got.mobility, want.mobility, "workers={workers}");
+            assert_eq!(got.attributed, want.attributed, "workers={workers}");
+            assert_eq!(got.owners, want.owners, "workers={workers}");
+            assert_eq!(
+                got.transaction_sectors, want.transaction_sectors,
+                "workers={workers}"
+            );
+        }
+        let (got, _) = fold_logs_resilient(&dir, 2, &IngestOptions::default(), &ctx).unwrap();
+        assert_eq!(got.activity, want.activity);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -496,7 +749,7 @@ mod tests {
         };
         let mut baseline: Option<(TraceStore, Vec<u64>)> = None;
         for workers in [1, 2, 5, 8] {
-            let (loaded, report) = load_store_resilient(&dir, workers, &opts).unwrap();
+            let (loaded, report) = load_in_chunks(&dir, workers, &opts, SMALL).unwrap();
             let q = &report.quality;
             assert_eq!(q.quarantined.get(QuarantineReason::BadField), 1);
             assert_eq!(q.quarantined.get(QuarantineReason::Duplicate), 1);
@@ -564,7 +817,7 @@ mod tests {
         let text = err.to_string();
         assert!(text.contains("(first: proxy line:1 bad-field)"), "{text}");
         for workers in [1, 2, 3] {
-            let other = load_store_resilient(&dir, workers, &IngestOptions::default());
+            let other = load_in_chunks(&dir, workers, &IngestOptions::default(), SMALL);
             assert_eq!(other.unwrap_err().to_string(), text, "workers={workers}");
         }
         match err {
@@ -610,7 +863,7 @@ mod tests {
         for workers in [1, 4] {
             let reg = wearscope_obs::Registry::new();
             let opts = IngestOptions::default().with_metrics(reg.clone());
-            load_store_resilient(&dir, workers, &opts).unwrap();
+            load_in_chunks(&dir, workers, &opts, SMALL).unwrap();
             let snap = reg.snapshot();
             assert_eq!(snap.counters["ingest.proxy.records_seen"], 500);
             assert_eq!(snap.counters["ingest.proxy.records_kept"], 499);
@@ -653,7 +906,7 @@ mod tests {
         store.save(&dir).unwrap();
         let proxy_path = dir.join("proxy.log");
         *test_hooks::PANIC_ON.lock().unwrap() = Some((proxy_path.clone(), ShardSource::Proxy, 1));
-        let result = load_store_resilient(&dir, 4, &IngestOptions::default());
+        let result = load_in_chunks(&dir, 4, &IngestOptions::default(), SMALL);
         *test_hooks::PANIC_ON.lock().unwrap() = None;
         match result {
             Err(IngestError::ShardFailed {
@@ -669,9 +922,8 @@ mod tests {
             }
             other => panic!("expected ShardFailed, got {:?}", other.map(|_| ())),
         }
-        // The same world loads fine once the poison is gone: the pool was
-        // not torn down permanently.
-        let (loaded, _) = load_store_resilient(&dir, 4, &IngestOptions::default()).unwrap();
+        // The same world loads fine once the poison is gone.
+        let (loaded, _) = load_in_chunks(&dir, 4, &IngestOptions::default(), SMALL).unwrap();
         assert_eq!(loaded.len(), store.len());
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -3,23 +3,26 @@
 //! Per-record defects are quarantined — written to `quarantine.log` with a
 //! typed [`QuarantineReason`] — instead of aborting the load. Two layers:
 //!
-//! * **Parse faults** (shard-local): malformed lines collected by the shard
-//!   readers, mapped to `Truncated`/`BadField` by [`reason_for_codec`].
-//! * **Content faults**: duplicates, timestamp regressions, clock skew, and
-//!   structurally invalid IMEIs, decided one record at a time by a
-//!   [`RecordValidator`] per log. The batch loader feeds it each log's
-//!   records **in file order** on the merge thread, so every quarantine
-//!   decision is independent of worker count and shard layout — the
+//! * **Parse faults** (chunk-local): malformed lines collected by the
+//!   parse workers, mapped to `Truncated`/`BadField` by
+//!   [`reason_for_codec`].
+//! * **Content faults**: duplicates, timestamp regressions, clock skew,
+//!   structurally invalid IMEIs and sectors outside the cell plan, decided
+//!   one record at a time by a [`RecordValidator`] per log. The batch
+//!   pipeline feeds it each log's records **in file order** on the calling
+//!   thread, so every quarantine decision is independent of worker count
+//!   and chunk layout — the
 //!   determinism contract the `ingest_determinism` proptests pin down. The
 //!   streaming runtime feeds the same validator in arrival order.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{self, BufWriter, Write};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use wearscope_devicedb::Imei;
+use wearscope_geo::SectorDirectory;
 use wearscope_obs::Registry;
 use wearscope_report::{QuarantineReason, ShardSource};
 use wearscope_simtime::{ObservationWindow, SimDuration, SimTime};
@@ -34,6 +37,10 @@ pub struct IngestOptions {
     /// Horizon for the clock-skew check: records stamped after this are
     /// quarantined as `Skewed`. `None` disables the check.
     pub max_timestamp: Option<SimTime>,
+    /// Sectors in the world's cell plan: an MME record naming a sector
+    /// outside it is quarantined as `UnknownSector`. `None` disables the
+    /// check.
+    pub sector_count: Option<u32>,
     /// Where to write `quarantine.log` (`None` = don't write).
     pub quarantine_log: Option<PathBuf>,
     /// Registry the load reports into: records seen/kept/quarantined per
@@ -51,6 +58,7 @@ impl Default for IngestOptions {
         IngestOptions {
             max_error_rate: DEFAULT_MAX_ERROR_RATE,
             max_timestamp: None,
+            sector_count: None,
             quarantine_log: None,
             metrics: Registry::new(),
         }
@@ -59,14 +67,19 @@ impl Default for IngestOptions {
 
 impl IngestOptions {
     /// Options for analyzing the world under `dir`: quarantine log beside
-    /// the data, and a skew horizon derived from `manifest.tsv`'s window
-    /// (summary days + 2 days of slack) when the manifest is valid.
+    /// the data, a skew horizon derived from `manifest.tsv`'s window
+    /// (summary days + 2 days of slack) when the manifest is valid, and
+    /// the sector count of `sectors.tsv` when the cell plan is valid.
     pub fn for_world(dir: &Path) -> IngestOptions {
         let window = ObservationWindow::read_manifest(dir).ok();
+        let plan = File::open(dir.join("sectors.tsv"))
+            .and_then(|f| SectorDirectory::read_tsv(BufReader::new(f)))
+            .ok();
         IngestOptions {
             quarantine_log: Some(dir.join("quarantine.log")),
             max_timestamp: window
                 .map(|w| w.summary().end().saturating_add(SimDuration::from_days(2))),
+            sector_count: plan.and_then(|p| u32::try_from(p.len()).ok()),
             ..IngestOptions::default()
         }
     }
@@ -142,13 +155,17 @@ impl core::fmt::Display for QuarantineEntry {
 }
 
 /// A log record the content checks can judge: exact equality for the
-/// duplicate check, plus the two fields the other checks read. Records are
+/// duplicate check, plus the fields the other checks read. Records are
 /// small `Copy` values, so the duplicate memory holds copies.
 pub trait LogRecord: std::hash::Hash + Eq + Copy {
     /// Event timestamp.
     fn timestamp(&self) -> SimTime;
     /// Raw IMEI field.
     fn imei(&self) -> u64;
+    /// The cell-plan sector the record names, if its log names one.
+    fn sector(&self) -> Option<u32> {
+        None
+    }
 }
 
 impl LogRecord for ProxyRecord {
@@ -166,6 +183,9 @@ impl LogRecord for MmeRecord {
     }
     fn imei(&self) -> u64 {
         self.imei
+    }
+    fn sector(&self) -> Option<u32> {
+        Some(self.sector)
     }
 }
 
@@ -196,6 +216,9 @@ pub struct Rejection {
 pub struct RecordValidator<R> {
     /// Clock-skew horizon: records stamped after it are `Skewed`.
     horizon: Option<SimTime>,
+    /// Cell-plan size: a record naming a sector at or past it is
+    /// `UnknownSector`.
+    sector_count: Option<u32>,
     /// Remembered records, each with its arrival number.
     remembered: HashMap<R, u64>,
     arrivals: u64,
@@ -213,14 +236,24 @@ impl<R: LogRecord> RecordValidator<R> {
     pub fn new(horizon: Option<SimTime>) -> RecordValidator<R> {
         RecordValidator {
             horizon,
+            sector_count: None,
             remembered: HashMap::new(),
             arrivals: 0,
             forget_at: MIN_FORGET_AT,
         }
     }
 
+    /// The same validator, also checking each record's sector against a
+    /// cell plan of `sector_count` sectors (`None` disables the check).
+    #[must_use]
+    pub fn with_sector_count(mut self, sector_count: Option<u32>) -> RecordValidator<R> {
+        self.sector_count = sector_count;
+        self
+    }
+
     /// Judges one record and remembers it if kept. Check precedence —
-    /// content identity first, then sequence: `UnknownImei` → `Skewed` →
+    /// content identity first, then sequence: `UnknownImei` →
+    /// `UnknownSector` → `Skewed` →
     /// `OutOfOrder` (behind `watermark`, or `sealed`: the caller has
     /// already closed everything the record could go to) → `Duplicate`.
     ///
@@ -232,6 +265,14 @@ impl<R: LogRecord> RecordValidator<R> {
             (
                 QuarantineReason::UnknownImei,
                 format!("imei {} is not a valid device identity", record.imei()),
+            )
+        } else if let Some(sector) = record
+            .sector()
+            .filter(|&s| self.sector_count.is_some_and(|n| s >= n))
+        {
+            (
+                QuarantineReason::UnknownSector,
+                format!("sector {sector} is not in the cell plan"),
             )
         } else if self.horizon.is_some_and(|horizon| ts > horizon) {
             (
@@ -316,7 +357,7 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
 
-    use crate::load::process_source;
+    use crate::load::{LogIngest, PhaseTimers};
     use wearscope_devicedb::DeviceDb;
     use wearscope_report::QuarantineCounts;
     use wearscope_trace::{HostId, Scheme, TsvShard, UserId};
@@ -333,8 +374,8 @@ mod tests {
         }
     }
 
-    /// The batch path: `records` split into `shards` file-order shards and
-    /// drained through the loader's per-log validation.
+    /// The batch path: `records` split into `shards` file-order chunks and
+    /// taken through the pipeline's per-log validation.
     fn run_sharded(
         records: Vec<ProxyRecord>,
         shards: usize,
@@ -342,19 +383,23 @@ mod tests {
     ) -> (Vec<ProxyRecord>, Vec<QuarantineEntry>) {
         let per = records.len().div_ceil(shards.max(1)).max(1);
         let mut rest = records.into_iter().peekable();
-        let mut parts = Vec::new();
-        while rest.peek().is_some() || parts.is_empty() {
+        let mut log = LogIngest::new(ShardSource::Proxy, opts);
+        let mut timers = PhaseTimers::default();
+        let mut kept = Vec::new();
+        while rest.peek().is_some() {
             let records: Vec<ProxyRecord> = rest.by_ref().take(per).collect();
-            parts.push(TsvShard {
+            let chunk = TsvShard {
                 lines: records.len() as u64,
                 records,
                 bytes: 0,
                 errors: Vec::new(),
-            });
+            };
+            log.take(chunk, &mut timers, |k| kept.extend_from_slice(k));
         }
-        let out = process_source(ShardSource::Proxy, parts, opts);
+        let out = log.finish();
         assert_eq!(out.entries.len() as u64, out.counts.total());
-        (out.kept, out.entries)
+        assert_eq!(out.kept, kept.len() as u64);
+        (kept, out.entries)
     }
 
     fn run(
@@ -527,6 +572,29 @@ mod tests {
     }
 
     #[test]
+    fn sector_outside_the_plan_quarantined() {
+        let db = DeviceDb::standard();
+        let mme = |t: u64, sector: u32| MmeRecord {
+            timestamp: SimTime::from_secs(t),
+            user: UserId(1),
+            imei: db.example_imei(db.wearable_tacs()[0], 1).as_u64(),
+            event: wearscope_trace::MmeEvent::SectorUpdate,
+            sector,
+        };
+        let mut v = RecordValidator::new(None).with_sector_count(Some(3));
+        assert!(v.check(&mme(10, 2), SimTime::EPOCH, false).is_ok());
+        let rejection = v.check(&mme(20, 3), SimTime::EPOCH, false).unwrap_err();
+        assert_eq!(rejection.reason, QuarantineReason::UnknownSector);
+        assert_eq!(rejection.detail, "sector 3 is not in the cell plan");
+        // Without a plan, any sector passes; the check never applies to
+        // proxy records, which name no sector.
+        let mut open = RecordValidator::new(None);
+        assert!(open.check(&mme(30, 999_999), SimTime::EPOCH, false).is_ok());
+        let mut proxy = RecordValidator::new(None).with_sector_count(Some(0));
+        assert!(proxy.check(&rec(&db, 10, 1), SimTime::EPOCH, false).is_ok());
+    }
+
+    #[test]
     fn codec_errors_map_to_reasons() {
         assert_eq!(
             reason_for_codec(&CodecError::MissingField { index: 3 }),
@@ -561,6 +629,9 @@ mod tests {
         let opts = IngestOptions::for_world(&dir);
         assert_eq!(opts.max_timestamp, Some(SimTime::from_days(44)));
         assert_eq!(opts.quarantine_log, Some(dir.join("quarantine.log")));
+        assert_eq!(opts.sector_count, None, "no cell plan, no sector check");
+        std::fs::write(dir.join("sectors.tsv"), "0\t40\t-3\t\n1\t40.1\t-3\t\n").unwrap();
+        assert_eq!(IngestOptions::for_world(&dir).sector_count, Some(2));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -37,17 +37,22 @@ pub enum QuarantineReason {
     /// The IMEI is not a structurally valid device identity (Luhn check
     /// failure — a device the TAC database could never resolve).
     UnknownImei,
+    /// An MME record names a sector the cell plan (`sectors.tsv`) does
+    /// not have.
+    UnknownSector,
 }
 
 impl QuarantineReason {
-    /// Every reason, in check order.
-    pub const ALL: [QuarantineReason; 6] = [
+    /// Every reason: the parse faults, then the content faults (new
+    /// reasons go last, so per-reason rows keep their columns).
+    pub const ALL: [QuarantineReason; 7] = [
         QuarantineReason::Truncated,
         QuarantineReason::BadField,
         QuarantineReason::Duplicate,
         QuarantineReason::OutOfOrder,
         QuarantineReason::Skewed,
         QuarantineReason::UnknownImei,
+        QuarantineReason::UnknownSector,
     ];
 
     /// Stable lowercase label (used in `quarantine.log` and tables).
@@ -59,6 +64,7 @@ impl QuarantineReason {
             QuarantineReason::OutOfOrder => "out-of-order",
             QuarantineReason::Skewed => "skewed",
             QuarantineReason::UnknownImei => "unknown-imei",
+            QuarantineReason::UnknownSector => "unknown-sector",
         }
     }
 
@@ -70,6 +76,7 @@ impl QuarantineReason {
             QuarantineReason::OutOfOrder => 3,
             QuarantineReason::Skewed => 4,
             QuarantineReason::UnknownImei => 5,
+            QuarantineReason::UnknownSector => 6,
         }
     }
 }
@@ -121,8 +128,8 @@ impl QuarantineCounts {
 }
 
 /// One shard that could not be processed at all (worker panic or an I/O
-/// error that survived the retry budget). The remaining shards still
-/// complete; the load then fails with a typed error naming this shard.
+/// error that survived the retry budget); the load then fails with a
+/// typed error naming this shard.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardFailure {
     /// Which log the shard belonged to.
@@ -220,11 +227,15 @@ impl DataQuality {
         }
     }
 
-    /// Per-reason table for verbose output.
+    /// Per-reason table for verbose output: one row per reason that
+    /// quarantined records, then the kept row.
     pub fn render_table(&self) -> String {
         let mut t = Table::new(vec!["reason", "records", "share of seen"]);
         for reason in QuarantineReason::ALL {
             let n = self.quarantined.get(reason);
+            if n == 0 {
+                continue;
+            }
             let share = if self.records_seen == 0 {
                 0.0
             } else {
@@ -287,6 +298,8 @@ mod tests {
         assert!(line.contains("7 bad-field"), "{line}");
         let table = q.render_table();
         assert!(table.contains("out-of-order"), "{table}");
+        // Reasons that quarantined nothing get no row.
+        assert!(!table.contains("skewed"), "{table}");
     }
 
     #[test]
@@ -340,7 +353,8 @@ mod tests {
                 "duplicate",
                 "out-of-order",
                 "skewed",
-                "unknown-imei"
+                "unknown-imei",
+                "unknown-sector"
             ]
         );
     }

@@ -298,6 +298,9 @@ mod tests {
             "1\t0\t2 3\n",
             "1\t2:600\n",
             "1\t352000000000012\t32400\n",
+            "sector-join\t1\t1\n",
+            "1\t352000000000012\t32400:2 33000:3\n",
+            "1\t352000000000012\t32405 32430\n",
             "popularity\t1\t1\n",
             "0\t0\t1\n",
             "0\t1\t0\n",

@@ -47,7 +47,7 @@ use crate::source::SourcePosition;
 const MAGIC: &str = "wearscope-stream-checkpoint";
 /// The checkpoint format this build writes and reads: the header's second
 /// field is `v` followed by it.
-const VERSION: u32 = 4;
+const VERSION: u32 = 5;
 
 /// The `config` line's fields, named for the mismatch message.
 const CONFIG_FIELDS: [&str; 7] = [
@@ -278,7 +278,8 @@ pub fn from_text<'s>(
     rt.collected = read_windows(&mut r, "collected", "collected-window")?;
     let horizon = config.max_timestamp;
     rt.proxy_validator = read_validator::<ProxyRecord>(&mut r, "dedup-proxy", horizon)?;
-    rt.mme_validator = read_validator::<MmeRecord>(&mut r, "dedup-mme", horizon)?;
+    rt.mme_validator = read_validator::<MmeRecord>(&mut r, "dedup-mme", horizon)?
+        .with_sector_count(config.sector_count);
     rt.attributor = Attributor::restore(&mut r)?;
     rt.open = read_windows(&mut r, "open", "open-window")?
         .into_iter()
@@ -458,10 +459,10 @@ mod tests {
 
         // Day 0 is a Friday: hours 0 and 1 are weekly slots 96 and 97.
         let expected = [
-            "wearscope-stream-checkpoint\tv4\n",
+            "wearscope-stream-checkpoint\tv5\n",
             "config\t3600\t3600\t300\t4096\tblock\t-\t1\n",
             "clock\t4000\t5\n",
-            "quality\t5\t4\t0\t0\t1\t0\t0\t0\t0000000000000000\n",
+            "quality\t5\t4\t0\t0\t1\t0\t0\t0\t0\t0000000000000000\n",
             "counters\t0\t0\n",
             "progress\t0\t1\n",
             "position\t321\t3\t123\t2\n",
@@ -484,6 +485,9 @@ mod tests {
             "1\t352000000000012\t5\t200\n",
             "1\t0\t5\n",
             "1\t352000000000012\t200\n",
+            "sector-join\t1\t1\n",
+            "1\t352000000000012\t200:5\n",
+            "1\t352000000000012\t3590\n",
             "popularity\t1\t1\n",
             "0\t0\t1\n",
             "0\t1\t0\n",
@@ -515,6 +519,9 @@ mod tests {
             "1\t352000000000012\t6\t3900\n",
             "1\t0\t6\n",
             "1\t352000000000012\t3900\n",
+            "sector-join\t1\t1\n",
+            "1\t352000000000012\t3900:6\n",
+            "1\t352000000000012\t4000\n",
             "popularity\t0\t0\n",
             "-\n",
             "devices\t1:352000000000012\n",
@@ -556,7 +563,7 @@ mod tests {
             (
                 "attributor\t1\n",
                 "attributor\t1000000000000000000\n",
-                42,
+                45,
                 "expected `u` block, found `open`",
             ),
             (
@@ -592,37 +599,37 @@ mod tests {
             (
                 "devices\t1:352000000000012\n",
                 "devices\t1:x\n",
-                31,
+                34,
                 "field 2: `x` is not a u64",
             ),
             (
                 "through-device\t-\n",
                 "through-device\tBogus:1\n",
-                32,
+                35,
                 "field 2: `Bogus` is not a Through-Device kind",
             ),
             (
                 "u\t1\t1\t1\n",
                 "u\t1\t1000000000000000000\t1\n",
-                41,
+                44,
                 "expected `a` block, found `q`",
             ),
             (
                 "a\t3590\t0\n",
                 "a\t3590\t65537\n",
-                40,
+                43,
                 "field 3: `65537` is not a u16",
             ),
             (
                 "q\t4000\t72\t-\n",
                 "q\t4000\t72\tX\n",
-                41,
+                44,
                 "field 4: `X` is not an app id or a domain class",
             ),
             (
                 "q\t4000\t72\t-\n",
                 "q\t4000\t72\t-\tW\t3590\t0\n",
-                41,
+                44,
                 "unexpected field 5 `W`",
             ),
             (
@@ -634,7 +641,7 @@ mod tests {
             (
                 "popularity\t1\t1\n0",
                 "popularity\t1\t1\n65537",
-                28,
+                31,
                 "field 1: `65537` is not a u16",
             ),
             (
@@ -655,7 +662,7 @@ mod tests {
                 6,
                 "progress needs both its fields, or neither",
             ),
-            ("end\n", "", 63, "unexpected end of snapshot"),
+            ("end\n", "", 69, "unexpected end of snapshot"),
         ];
         for (from, to, line, message) in cases {
             assert!(text.contains(from), "{from:?}");
@@ -794,19 +801,19 @@ mod tests {
         let config = hour_config();
         let text = to_text(&StreamRuntime::new(&ctx, config), None);
         let (header, body) = text.split_once('\n').unwrap();
-        assert_eq!(header, "wearscope-stream-checkpoint\tv4");
-        for found in [1, 2, 3] {
+        assert_eq!(header, "wearscope-stream-checkpoint\tv5");
+        for found in [1, 2, 3, 4] {
             let old = format!("wearscope-stream-checkpoint\tv{found}\n{body}");
             let err = from_text(&ctx, config, &old)
                 .map(|_| ())
                 .expect_err("an older checkpoint must be rejected");
             assert!(
-                matches!(err, StreamError::CheckpointVersion { found: f, expected: 4 } if f == found),
+                matches!(err, StreamError::CheckpointVersion { found: f, expected: 5 } if f == found),
                 "{err}"
             );
             let message = err.to_string();
             assert!(
-                message.contains(&format!("v{found}")) && message.contains("v4"),
+                message.contains(&format!("v{found}")) && message.contains("v5"),
                 "{message}"
             );
             assert!(message.contains("without --resume"), "{message}");

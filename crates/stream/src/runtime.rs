@@ -89,6 +89,9 @@ pub struct StreamConfig {
     pub backpressure: Backpressure,
     /// Clock-skew horizon (same semantics as the batch loader's).
     pub max_timestamp: Option<SimTime>,
+    /// Sectors in the cell plan: an MME record naming one outside it is
+    /// quarantined, as the batch loader does. `None` disables the check.
+    pub sector_count: Option<u32>,
     /// Keep each emitted window's partial aggregates in memory so the
     /// whole stream can be merged and finished into batch aggregates
     /// (the golden-equivalence path; off for plain report runs).
@@ -97,7 +100,7 @@ pub struct StreamConfig {
 
 impl StreamConfig {
     /// A configuration with the default cap (4096), blocking backpressure,
-    /// no skew horizon, and aggregate collection off.
+    /// no skew horizon, no sector check, and aggregate collection off.
     pub fn new(spec: WindowSpec, lateness: SimDuration) -> StreamConfig {
         StreamConfig {
             spec,
@@ -105,6 +108,7 @@ impl StreamConfig {
             max_open_windows: 4096,
             backpressure: Backpressure::Block,
             max_timestamp: None,
+            sector_count: None,
             collect_aggregates: false,
         }
     }
@@ -318,7 +322,8 @@ impl<'s> StreamRuntime<'s> {
             collected: Vec::new(),
             attributor: Attributor::new(),
             proxy_validator: RecordValidator::new(config.max_timestamp),
-            mme_validator: RecordValidator::new(config.max_timestamp),
+            mme_validator: RecordValidator::new(config.max_timestamp)
+                .with_sector_count(config.sector_count),
             quality: wearscope_report::DataQuality::default(),
             late_merged: 0,
             forced_emits: 0,

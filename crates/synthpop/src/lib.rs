@@ -20,6 +20,7 @@
 pub mod config;
 pub mod dist;
 pub mod diurnal;
+pub mod manifest;
 pub mod mobility;
 pub mod population;
 pub mod scenario;

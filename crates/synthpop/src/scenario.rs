@@ -13,6 +13,7 @@ use wearscope_trace::TraceStore;
 
 use crate::config::ScenarioConfig;
 use crate::dist;
+use crate::manifest;
 use crate::mobility::day_plan;
 use crate::population::{build_population, Population};
 use crate::subscriber::{Subscriber, SubscriberKind};
@@ -55,12 +56,17 @@ pub struct SavedWorld {
     pub summaries: NetworkSummaries,
     /// Observation window.
     pub window: wearscope_simtime::ObservationWindow,
+    /// The metadata files `manifest.tsv` records no integrity check for
+    /// (a world written before checks were recorded); they loaded
+    /// unverified.
+    pub unchecked: Vec<&'static str>,
 }
 
 impl GeneratedWorld {
     /// Persists everything an analysis needs under `dir`: the raw logs
     /// (`proxy.log`, `mme.log`), the cell plan (`sectors.tsv`), the vantage
-    /// point summaries, and a `manifest.tsv` recording the window layout.
+    /// point summaries, and a `manifest.tsv` recording the window layout
+    /// and the metadata files' integrity checks ([`crate::manifest`]).
     ///
     /// # Errors
     /// Propagates filesystem errors.
@@ -73,10 +79,11 @@ impl GeneratedWorld {
         std::fs::write(
             dir.join("manifest.tsv"),
             format!(
-                "seed\t{}\nsummary_days\t{}\ndetailed_days\t{}\n",
+                "seed\t{}\nsummary_days\t{}\ndetailed_days\t{}\n{}",
                 self.config.seed,
                 self.config.window.summary().num_days(),
                 self.config.window.detailed().num_days(),
+                manifest::check_lines(dir)?,
             ),
         )
     }
@@ -93,10 +100,12 @@ impl GeneratedWorld {
     /// [`GeneratedWorld::load`] with the logs supplied by the caller — the
     /// entry point for the parallel ingest path, which loads
     /// `proxy.log`/`mme.log` itself via byte-range shards and only needs
-    /// the manifest, cell plan, and summaries from here.
+    /// the manifest, cell plan, and summaries from here. The files are
+    /// parsed first, then checked against the manifest's integrity checks.
     ///
     /// # Errors
-    /// Fails on filesystem errors or malformed files.
+    /// Fails on filesystem errors, malformed files, or a file that differs
+    /// from its manifest check.
     pub fn load_with_store(
         dir: &std::path::Path,
         store: TraceStore,
@@ -110,11 +119,13 @@ impl GeneratedWorld {
             return Err(invalid("sectors.tsv: empty cell plan (no sectors)"));
         }
         let summaries = NetworkSummaries::load(dir)?;
+        let unchecked = manifest::verify(dir)?;
         Ok(SavedWorld {
             store,
             sectors,
             summaries,
             window,
+            unchecked,
         })
     }
 }

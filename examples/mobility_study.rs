@@ -76,7 +76,7 @@ fn main() {
     );
 
     // --- Fig. 4(d) + single location ----------------------------------------------
-    let ma = MobilityActivity::compute(&ctx, index, &aggs.activity);
+    let ma = MobilityActivity::compute(index, &aggs.activity, &aggs.transaction_sectors);
     println!("\n== mobility vs activity ==");
     println!(
         "pearson(displacement, tx/hour) = {:.2}; spearman = {:.2} (paper: clearly positive)",

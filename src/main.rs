@@ -18,7 +18,7 @@ use std::process::ExitCode;
 
 use wearscope::core::{CoreAggregates, StudyResults};
 use wearscope::faults::{corrupt_world, FaultSpec};
-use wearscope::ingest::{load_store_resilient, IngestOptions, MAX_WORKERS};
+use wearscope::ingest::{fold_logs_resilient, IngestOptions, MAX_WORKERS};
 use wearscope::obs::Registry;
 use wearscope::prelude::*;
 use wearscope::report::{export_figures, render_full, render_stage_table, ExperimentReport};
@@ -82,9 +82,9 @@ OPTIONS:
     --world DIR  directory written by generate
     --full       print the complete per-figure report, not just the table
     --csv DIR    also export every figure's data series as CSV files
-    --workers N  parallel log-read workers, 1 to 1024 (default: all CPUs);
-                 the analysis itself runs on one thread. Results are
-                 bit-identical for every N
+    --workers N  log-parse threads, 1 to 1024 (default: all CPUs); the
+                 calling thread validates and folds the records as they
+                 are parsed. Results are bit-identical for every N
     --max-error-rate R
                  abort analyze when a log's quarantined fraction exceeds R
                  (default 0.01); quarantined records are listed with typed
@@ -214,6 +214,17 @@ fn write_metrics(registry: &Registry, path: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Warns once when a world's manifest records no integrity check for some
+/// of its metadata files.
+fn warn_unchecked(unchecked: &[&str]) {
+    if !unchecked.is_empty() {
+        eprintln!(
+            "warning: manifest.tsv records no check for {}; loaded unverified",
+            unchecked.join(", ")
+        );
+    }
+}
+
 fn cmd_generate(args: &[String]) -> Result<(), String> {
     reject_unknown(args, &["--out", "--seed", "--scale", "--metrics"], &[])?;
     let out = PathBuf::from(flag(args, "--out")?.ok_or("generate requires --out DIR")?);
@@ -279,23 +290,24 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         }
         opts = opts.with_max_error_rate(rate);
     }
-    let loading = |e: std::io::Error| format!("loading {}: {e}", dir.display());
+    let loading = |e: &dyn std::fmt::Display| format!("loading {}: {e}", dir.display());
 
     // The world's metadata (manifest, cell plan, summaries) is read before
     // its logs, so a bad metadata file is named rather than blamed on a
-    // log shard. Every worker count goes through the resilient loader —
-    // quarantine decisions depend only on file content and order, so the
-    // surviving store (and everything downstream) is bit-identical for
-    // every N.
-    let load_span = root.child("load");
-    let mut saved = GeneratedWorld::load_with_store(&dir, TraceStore::new()).map_err(loading)?;
-    let (store, load_report) = load_store_resilient(&dir, workers, &opts)
-        .map_err(|e| format!("loading {}: {e}", dir.display()))?;
-    saved.store = store;
-    load_span.finish();
+    // log chunk. The context holds no store: the loader folds each kept
+    // record into the aggregates as the shard workers parse it.
+    // Quarantine decisions depend only on file content and order, so the
+    // aggregates (and everything downstream) are bit-identical for every N.
+    let ingest_span = root.child("ingest");
+    let saved =
+        GeneratedWorld::load_with_store(&dir, TraceStore::new()).map_err(|e| loading(&e))?;
+    warn_unchecked(&saved.unchecked);
     let db = DeviceDb::standard();
     let catalog = AppCatalog::standard();
     let ctx = StudyContext::new(&saved.store, &db, &saved.sectors, &catalog, saved.window);
+    let (aggs, load_report) =
+        fold_logs_resilient(&dir, workers, &opts, &ctx).map_err(|e| loading(&e))?;
+    ingest_span.finish();
 
     eprintln!("load:    {}", load_report.summary_line());
     eprintln!("quality: {}", load_report.quality.summary_line());
@@ -304,10 +316,6 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
             eprintln!("quality: quarantined records listed in {}", log.display());
         }
     }
-
-    let fold_span = root.child("fold");
-    let aggs = CoreAggregates::sequential(&ctx);
-    fold_span.finish();
 
     let full = args.iter().any(|a| a == "--full");
     let csv_dir = flag(args, "--csv")?.map(PathBuf::from);
@@ -452,8 +460,12 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     // back to the live device DB on the empty store).
     let saved = GeneratedWorld::load_with_store(&dir, TraceStore::new())
         .map_err(|e| format!("loading {}: {e}", dir.display()))?;
-    // Same clock-skew horizon as the batch loader derives for this world.
-    config.max_timestamp = IngestOptions::for_world(&dir).max_timestamp;
+    warn_unchecked(&saved.unchecked);
+    // Same clock-skew horizon and cell plan as the batch loader derives
+    // for this world.
+    let world_opts = IngestOptions::for_world(&dir);
+    config.max_timestamp = world_opts.max_timestamp;
+    config.sector_count = world_opts.sector_count;
     let db = DeviceDb::standard();
     let catalog = AppCatalog::standard();
     let ctx = StudyContext::new(&saved.store, &db, &saved.sectors, &catalog, saved.window);

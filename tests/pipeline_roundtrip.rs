@@ -8,6 +8,7 @@ use std::io::Write;
 use wearscope::core::takeaways::Takeaways;
 use wearscope::core::CoreAggregates;
 use wearscope::prelude::*;
+use wearscope::synthpop::manifest::fnv1a;
 
 fn small_world(seed: u64) -> GeneratedWorld {
     let mut config = ScenarioConfig::compact(seed);
@@ -202,14 +203,8 @@ fn network_summaries_consistent_with_logs() {
     }
 }
 
-/// FNV-1a, 64-bit: a dependency-free fingerprint of a file's bytes.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
-/// The fingerprint of each of a saved world's six files, in name order.
+/// The FNV-1a fingerprint of each of a saved world's six files, in name
+/// order.
 fn world_fingerprints(dir: &std::path::Path) -> Vec<(&'static str, u64)> {
     [
         "manifest.tsv",
@@ -220,7 +215,7 @@ fn world_fingerprints(dir: &std::path::Path) -> Vec<(&'static str, u64)> {
         "summary_traffic.tsv",
     ]
     .into_iter()
-    .map(|name| (name, fnv1a64(&std::fs::read(dir.join(name)).unwrap())))
+    .map(|name| (name, fnv1a(&std::fs::read(dir.join(name)).unwrap())))
     .collect()
 }
 
@@ -237,7 +232,7 @@ fn saved_world_bytes_are_pinned() {
     assert_eq!(
         world_fingerprints(&dir),
         [
-            ("manifest.tsv", 0x23295737f8e514fe),
+            ("manifest.tsv", 0xff380c2c3182b2fe),
             ("mme.log", 0x35a7c549ee86b9bd),
             ("proxy.log", 0xdedbd5d9a7e415c2),
             ("sectors.tsv", 0x6b18f2fcfb57dfdd),
@@ -249,7 +244,7 @@ fn saved_world_bytes_are_pinned() {
     assert_eq!(
         world_fingerprints(&dir),
         [
-            ("manifest.tsv", 0x23295737f8e514fe),
+            ("manifest.tsv", 0xff380c2c3182b2fe),
             ("mme.log", 0xce9bc494bd6439c0),
             ("proxy.log", 0xfe2d56426134f57c),
             ("sectors.tsv", 0x6b18f2fcfb57dfdd),

@@ -4,9 +4,9 @@
 //!
 //! The figures folded from the same partials (weekly pattern, domain
 //! classes, device mix, Through-Device report, trace QA, owners) are
-//! compared too, and so are the four owner-split figures of
-//! [`StudyResults`] over the merged aggregates and the stream's own
-//! context.
+//! compared too, and so are the four owner-split figures and the
+//! Fig. 4(d) single-location share of [`StudyResults`] over the merged
+//! aggregates and the stream's own context.
 //!
 //! This is the streaming engine's core correctness contract: windowing,
 //! watermark-driven emission, online attribution and late-merge handling
@@ -175,6 +175,9 @@ fn shuffled_within_lateness_stream_attributes_like_batch() {
     assert_eq!(got.attributed, batch.attributed);
     assert_eq!(got.popularity, batch.popularity);
     assert_eq!(got.domains, batch.domains);
+    // Late sightings reach the sector join out of time order; the join
+    // sorts each timeline before it looks anything up.
+    assert_eq!(got.transaction_sectors, batch.transaction_sectors);
     for (a, b) in [
         (&got.domains.users, &batch.domains.users),
         (&got.domains.frequency, &batch.domains.frequency),
@@ -343,5 +346,19 @@ fn assert_equivalent(dir: &std::path::Path, input: &str, lateness: SimDuration) 
         {
             assert_eq!(a, b, "{at}: {name} bits");
         }
+
+        // Fig. 4(d)'s single-location share joins the two logs; the join
+        // is fold state, so merged windows give batch's share exactly.
+        assert_eq!(got.transaction_sectors, batch.transaction_sectors, "{at}");
+        let (share, batch_share) = (
+            results.mobility_activity.single_location_share,
+            batch_results.mobility_activity.single_location_share,
+        );
+        assert!(batch_share > 0.0, "{at}: transactions located");
+        assert_eq!(
+            share.to_bits(),
+            batch_share.to_bits(),
+            "{at}: single-location share bits"
+        );
     }
 }
