@@ -85,22 +85,52 @@ test -s "$FAULT_DIR/analyze1.trace"
 diff "$FAULT_DIR/analyze1.trace" "$FAULT_DIR/stream0.trace"
 echo "    analyze and stream --lateness 0s agree on quarantine counts, bytes read and decode errors"
 
-echo "==> stream drill: kill mid-run, resume from checkpoint, diff reports"
+echo "==> stream drill: kill at a sweep of points, resume from checkpoint, diff reports"
 # Checkpoint writes are atomic AND durable: temp file in the same directory,
 # fsync the bytes, rename over the old checkpoint, then fsync the parent
 # directory so the rename itself survives a crash — a kill right after the
 # rename cannot resurrect the previous checkpoint.
 "$WEARSCOPE" generate --out "$FAULT_DIR/stream-world" --seed 11 --scale quick 2>/dev/null
 "$WEARSCOPE" stream --world "$FAULT_DIR/stream-world" --window 1h --lateness 5m \
-    --report "$FAULT_DIR/stream-full.txt" >/dev/null 2>&1
-"$WEARSCOPE" stream --world "$FAULT_DIR/stream-world" --window 1h --lateness 5m \
-    --checkpoint "$FAULT_DIR/ckpt" --checkpoint-every 2000 --stop-after 6100 >/dev/null 2>&1
-test -f "$FAULT_DIR/ckpt/stream.ckpt"
-"$WEARSCOPE" stream --world "$FAULT_DIR/stream-world" --window 1h --lateness 5m \
-    --checkpoint "$FAULT_DIR/ckpt" --resume --report "$FAULT_DIR/stream-resumed.txt" \
-    >/dev/null 2>&1
-diff "$FAULT_DIR/stream-full.txt" "$FAULT_DIR/stream-resumed.txt"
-echo "    resumed stream reports identical to the uninterrupted run"
+    --report "$FAULT_DIR/stream-full.txt" --metrics "$FAULT_DIR/stream-full.json" >/dev/null 2>&1
+records=$(grep -o '"stream.records_processed": [0-9]*' "$FAULT_DIR/stream-full.json" |
+    grep -o '[0-9]*$')
+# Kill points: just before, at and just after the checkpoint at item 6000,
+# and two drawn with a fixed seed from between the first checkpoint and
+# the last item. The log reader runs ahead of the runtime, so a kill
+# always leaves read but unprocessed items behind.
+kill_points="5999 6000 6001 $(awk -v n="$records" \
+    'BEGIN { srand(20); for (i = 0; i < 2; i++) print 2000 + int(rand() * (n - 2000)) }')"
+for stop in $kill_points; do
+    rm -rf "$FAULT_DIR/ckpt"
+    "$WEARSCOPE" stream --world "$FAULT_DIR/stream-world" --window 1h --lateness 5m \
+        --checkpoint "$FAULT_DIR/ckpt" --checkpoint-every 2000 --stop-after "$stop" \
+        >/dev/null 2>&1
+    test -f "$FAULT_DIR/ckpt/stream.ckpt"
+    "$WEARSCOPE" stream --world "$FAULT_DIR/stream-world" --window 1h --lateness 5m \
+        --checkpoint "$FAULT_DIR/ckpt" --resume --report "$FAULT_DIR/stream-resumed.txt" \
+        >/dev/null 2>&1
+    if ! diff -q "$FAULT_DIR/stream-full.txt" "$FAULT_DIR/stream-resumed.txt" >/dev/null; then
+        echo "resuming after a kill at item $stop changed the window reports" >&2
+        exit 1
+    fi
+done
+echo "    resumed stream reports identical to the uninterrupted run at kill points:" $kill_points
+
+echo "==> stream metrics determinism: two identical stopped runs, diff snapshots"
+# I/O is counted as the runtime takes items, not as the reader thread
+# reads them, so a stopped run's deterministic section does not depend on
+# how far the reader got ahead.
+for run in a b; do
+    rm -rf "$FAULT_DIR/stop-ckpt-$run"
+    "$WEARSCOPE" stream --world "$FAULT_DIR/stream-world" --window 1h --lateness 5m \
+        --checkpoint "$FAULT_DIR/stop-ckpt-$run" --checkpoint-every 2000 --stop-after 6001 \
+        --metrics "$FAULT_DIR/stop-$run.json" >/dev/null 2>&1
+    awk '/^  "timing":/{exit} {print}' "$FAULT_DIR/stop-$run.json" >"$FAULT_DIR/stop-$run.det"
+done
+grep -q '"stream.records_processed": 6001' "$FAULT_DIR/stop-a.det"
+diff "$FAULT_DIR/stop-a.det" "$FAULT_DIR/stop-b.det"
+echo "    two runs stopped after 6001 items write identical deterministic metrics"
 
 echo "==> stream drill with late records: kill and resume a reordered world, diff reports"
 # `reorder` moves records by less than the 5 m lateness, so they merge late
@@ -143,7 +173,7 @@ grep -q "^proxy.line:100.bad-field" "$FAULT_DIR/utf8-world/quarantine.log"
 grep -q "^mme.line:50.bad-field" "$FAULT_DIR/utf8-world/quarantine.log"
 quarantine_counts "$FAULT_DIR/utf8-analyze.err" >"$FAULT_DIR/utf8-analyze.quarantine"
 quarantine_counts "$FAULT_DIR/utf8-stream.err" >"$FAULT_DIR/utf8-stream.quarantine"
-grep -q "quarantined: 2 bad-field;" "$FAULT_DIR/utf8-analyze.quarantine"
+grep -q "quarantined: 2 bad-field)" "$FAULT_DIR/utf8-analyze.quarantine"
 diff "$FAULT_DIR/utf8-analyze.quarantine" "$FAULT_DIR/utf8-stream.quarantine"
 for run in analyze stream; do
     awk '/^  "timing":/{exit} {print}' "$FAULT_DIR/utf8-$run.json" |
@@ -168,7 +198,7 @@ sed -n '50p' "$FAULT_DIR/sector-world/mme.log" | grep -q $'\t999999$'
     >/dev/null 2>"$FAULT_DIR/sector-stream.err"
 quarantine_counts "$FAULT_DIR/sector-analyze.err" >"$FAULT_DIR/sector-analyze.quarantine"
 quarantine_counts "$FAULT_DIR/sector-stream.err" >"$FAULT_DIR/sector-stream.quarantine"
-grep -q "quarantined: 1 unknown-sector;" "$FAULT_DIR/sector-analyze.quarantine"
+grep -q "quarantined: 1 unknown-sector)" "$FAULT_DIR/sector-analyze.quarantine"
 diff "$FAULT_DIR/sector-analyze.quarantine" "$FAULT_DIR/sector-stream.quarantine"
 grep -q $'^mme\trecord:49\tunknown-sector\tsector 999999 ' "$FAULT_DIR/sector-world/quarantine.log"
 echo "    sector 999999 quarantined as unknown-sector by analyze and stream"

@@ -277,7 +277,6 @@ fn run<S: Sink>(
         records_seen: proxy.seen + mme.seen,
         records_kept: proxy.kept + mme.kept,
         quarantined,
-        failed_shards: Vec::new(),
         max_error_rate: opts.max_error_rate,
     };
     Ok(IngestReport {

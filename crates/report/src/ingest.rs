@@ -54,7 +54,7 @@ pub struct IngestReport {
     pub workers: usize,
     /// One entry per shard, in merge (shard-index) order per source.
     pub shards: Vec<ShardProgress>,
-    /// Records seen/kept/quarantined and shard failures.
+    /// Records seen, kept and quarantined, and the error budget.
     pub quality: DataQuality,
     /// End-to-end wall time of the parallel section.
     pub wall: Duration,

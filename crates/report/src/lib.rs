@@ -21,7 +21,7 @@ pub use figures::{export_figures, FigureCsvExporter};
 pub use ingest::{IngestReport, ShardProgress, ShardSource};
 pub use obs::{render_metrics, render_stage_table};
 pub use plot::{bar_chart_log, ecdf_plot, sparkline};
-pub use quality::{DataQuality, QuarantineCounts, QuarantineReason, ShardFailure};
+pub use quality::{DataQuality, QuarantineCounts, QuarantineReason};
 pub use stream::{StreamSummary, WindowReport};
 pub use summary::{render_full, render_full_report};
 pub use table::Table;

@@ -10,7 +10,6 @@
 
 use core::fmt;
 
-use crate::ingest::ShardSource;
 use crate::table::Table;
 
 /// Why one record was quarantined instead of analyzed.
@@ -127,37 +126,8 @@ impl QuarantineCounts {
     }
 }
 
-/// One shard that could not be processed at all (worker panic or an I/O
-/// error that survived the retry budget); the load then fails with a
-/// typed error naming this shard.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShardFailure {
-    /// Which log the shard belonged to.
-    pub source: ShardSource,
-    /// Shard index within its source.
-    pub shard: usize,
-    /// `true` if the worker panicked (vs a persistent I/O error).
-    pub panicked: bool,
-    /// Human-readable failure detail.
-    pub detail: String,
-}
-
-impl fmt::Display for ShardFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} shard {} {}: {}",
-            self.source.name(),
-            self.shard,
-            if self.panicked { "panicked" } else { "failed" },
-            self.detail
-        )
-    }
-}
-
 /// The data-quality section of an ingest run: records seen vs kept,
-/// quarantine counts by reason, shard failures, and the error budget the
-/// run was held to.
+/// quarantine counts by reason, and the error budget the run was held to.
 #[derive(Clone, Debug, Default)]
 pub struct DataQuality {
     /// Non-blank log lines considered (kept + quarantined).
@@ -166,8 +136,6 @@ pub struct DataQuality {
     pub records_kept: u64,
     /// Quarantined records by reason.
     pub quarantined: QuarantineCounts,
-    /// Shards that failed outright (empty on a successful load).
-    pub failed_shards: Vec<ShardFailure>,
     /// The `--max-error-rate` budget the run was checked against.
     pub max_error_rate: f64,
 }
@@ -197,8 +165,6 @@ impl DataQuality {
         self.records_seen += other.records_seen;
         self.records_kept += other.records_kept;
         self.quarantined.merge(&other.quarantined);
-        self.failed_shards
-            .extend(other.failed_shards.iter().cloned());
         if other.max_error_rate > self.max_error_rate {
             self.max_error_rate = other.max_error_rate;
         }
@@ -206,7 +172,7 @@ impl DataQuality {
 
     /// One-line summary for log output.
     pub fn summary_line(&self) -> String {
-        if self.quarantined.is_empty() && self.failed_shards.is_empty() {
+        if self.quarantined.is_empty() {
             format!("kept all {} records (clean)", self.records_kept)
         } else {
             let mut by_reason: Vec<String> = Vec::new();
@@ -217,12 +183,11 @@ impl DataQuality {
                 }
             }
             format!(
-                "kept {}/{} records ({:.2}% quarantined: {}; {} failed shards)",
+                "kept {}/{} records ({:.2}% quarantined: {})",
                 self.records_kept,
                 self.records_seen,
                 self.quarantine_rate() * 100.0,
                 by_reason.join(", "),
-                self.failed_shards.len(),
             )
         }
     }
@@ -326,19 +291,11 @@ mod tests {
             ..DataQuality::default()
         };
         b.quarantined.note(QuarantineReason::Truncated);
-        b.failed_shards.push(ShardFailure {
-            source: ShardSource::Mme,
-            shard: 3,
-            panicked: true,
-            detail: "boom".into(),
-        });
         a.merge(&b);
         assert_eq!(a.records_seen, 15);
         assert_eq!(a.records_kept, 13);
         assert_eq!(a.quarantined.total(), 2);
-        assert_eq!(a.failed_shards.len(), 1);
         assert_eq!(a.max_error_rate, 0.02);
-        assert!(a.failed_shards[0].to_string().contains("mme shard 3"));
     }
 
     #[test]

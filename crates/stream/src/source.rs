@@ -12,12 +12,21 @@
 //! [`WorldSource`] reports a **committed position** ([`SourcePosition`])
 //! suitable for checkpointing: byte offsets that account for the merge
 //! lookahead, so a resumed source re-reads nothing and skips nothing.
+//!
+//! [`ReadAhead`] moves any source onto a reader thread of its own, so the
+//! runtime thread spends no time reading or decoding: it takes the items
+//! in bounded batches, each with the position after it, and yields them
+//! exactly as the wrapped source would have.
 
+use std::any::Any;
 use std::io;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::mpsc;
+use std::thread::{self, JoinHandle};
+use std::time::{Duration, Instant};
 
-use wearscope_obs::Registry;
+use wearscope_obs::{Counter, Registry};
 use wearscope_simtime::SimTime;
 use wearscope_trace::{CodecError, IoMeter, MmeRecord, ProxyRecord, TailItem, TailReader};
 
@@ -344,6 +353,250 @@ impl EventSource for WorldSource {
     }
 }
 
+/// Items the reader thread of a [`ReadAhead`] collects before handing
+/// them over.
+const BATCH_ITEMS: usize = 256;
+
+/// Full batches that may wait for the runtime; the reader blocks beyond.
+const IN_FLIGHT: usize = 2;
+
+/// How long the reader waits before polling a stalled source again.
+const STALL_PAUSE: Duration = Duration::from_millis(50);
+
+/// Why the reader ended a batch before it was full. `End` carries the
+/// source's final position (past any trailing blank lines).
+#[derive(Debug)]
+enum Stop {
+    Pending,
+    End(Option<SourcePosition>),
+    Failed(io::Error),
+}
+
+/// One hand-off from the reader thread: items in source order, each with
+/// the source's position after it, and why the batch ended (`None`: it
+/// is full).
+#[derive(Debug)]
+struct Batch {
+    items: Vec<(SourceItem, Option<SourcePosition>)>,
+    stop: Option<Stop>,
+}
+
+/// The reader thread and the receiving end of its batches.
+#[derive(Debug)]
+struct Reader {
+    batches: mpsc::Receiver<Batch>,
+    thread: JoinHandle<()>,
+}
+
+impl Reader {
+    /// Disconnects and joins the thread: a reader blocked on a full
+    /// channel or pausing on a stall exits at its next send.
+    fn join(self) -> thread::Result<()> {
+        drop(self.batches);
+        self.thread.join()
+    }
+}
+
+/// A source polled ahead on its own thread.
+///
+/// [`ReadAhead::spawn`] moves the wrapped source onto one named thread
+/// (`stream-reader`) that polls it and hands over batches of at most 256
+/// items, each with the source's position after it; at most 2 full
+/// batches wait in the channel, so the reader runs at most about a
+/// thousand items ahead. [`EventSource::poll`] yields the same items, the
+/// same end and the same error, in the same order, as polling the
+/// wrapped source directly, and [`EventSource::position`] is the position
+/// after the last item handed out, so a checkpoint taken between any two
+/// items resumes exactly.
+///
+/// When the source reports [`Polled::Pending`] (a follow-mode log with no
+/// complete line yet), the reader hands over its partial batch, which
+/// then polls `Pending`, pauses 50 ms and polls the source again; a
+/// non-follow [`WorldSource`] never reports it. A source error, or a
+/// panic while polling, ends the reader: it is returned as an
+/// [`io::Error`] after the items before it.
+///
+/// Everything deterministic is counted on the caller's thread, as items
+/// are taken, never as they are read: the `trace.proxy.*`/`trace.mme.*`
+/// bytes (position deltas) and decode errors, under the names
+/// [`WorldSource::with_metrics`] uses — so wrap a source without those
+/// meters. Two timing counters say where the time went, updated once per
+/// batch: `stream.wait_ns` (the caller blocked on the reader) and
+/// `stream.read_ns` (the reader polling the source).
+///
+/// Dropping it disconnects the reader and joins it, so the thread never
+/// outlives the source.
+#[derive(Debug)]
+pub struct ReadAhead {
+    /// `None` once the reader has been joined after a failure.
+    reader: Option<Reader>,
+    /// The rest of the batch being handed out.
+    items: std::vec::IntoIter<(SourceItem, Option<SourcePosition>)>,
+    /// Why that batch ended (`End` stays here once reached).
+    stop: Option<Stop>,
+    /// Position after the last item handed out.
+    position: Option<SourcePosition>,
+    proxy_meter: IoMeter,
+    mme_meter: IoMeter,
+    wait_ns: Counter,
+}
+
+impl ReadAhead {
+    /// Moves `source` onto a new reader thread, recording the source's
+    /// meters and timers into `registry`.
+    ///
+    /// # Errors
+    /// Fails if the thread cannot be started.
+    pub fn spawn<S>(source: S, registry: &Registry) -> io::Result<ReadAhead>
+    where
+        S: EventSource + Send + 'static,
+    {
+        let position = source.position();
+        let read_ns = registry.timing_counter("stream.read_ns");
+        let (tx, batches) = mpsc::sync_channel(IN_FLIGHT);
+        let thread = thread::Builder::new()
+            .name("stream-reader".into())
+            .spawn(move || read_ahead(source, &tx, &read_ns))?;
+        Ok(ReadAhead {
+            reader: Some(Reader { batches, thread }),
+            items: Vec::new().into_iter(),
+            stop: None,
+            position,
+            proxy_meter: IoMeter::new(registry, "trace.proxy"),
+            mme_meter: IoMeter::new(registry, "trace.mme"),
+            wait_ns: registry.timing_counter("stream.wait_ns"),
+        })
+    }
+
+    /// Moves the committed position to `to`, counting the bytes between.
+    fn advance(&mut self, to: Option<SourcePosition>) {
+        if let (Some(from), Some(to)) = (self.position, to) {
+            if to.proxy_offset != from.proxy_offset {
+                self.proxy_meter
+                    .add_bytes(to.proxy_offset.saturating_sub(from.proxy_offset));
+            }
+            if to.mme_offset != from.mme_offset {
+                self.mme_meter
+                    .add_bytes(to.mme_offset.saturating_sub(from.mme_offset));
+            }
+        }
+        self.position = to;
+    }
+
+    /// Blocks for the reader's next batch.
+    fn next_batch(&mut self) -> io::Result<()> {
+        let Some(reader) = &self.reader else {
+            return Err(io::Error::other("the log reader has stopped"));
+        };
+        let started = Instant::now();
+        let received = reader.batches.recv();
+        self.wait_ns.add(started.elapsed().as_nanos() as u64);
+        match received {
+            Ok(batch) => {
+                self.items = batch.items.into_iter();
+                self.stop = batch.stop;
+                Ok(())
+            }
+            // The reader ended without a stop: it panicked outside a poll.
+            Err(mpsc::RecvError) => {
+                let joined = self.reader.take().map(Reader::join);
+                Err(match joined {
+                    Some(Err(payload)) => panicked(payload),
+                    _ => io::Error::other("the log reader stopped early"),
+                })
+            }
+        }
+    }
+}
+
+impl EventSource for ReadAhead {
+    fn poll(&mut self) -> io::Result<Polled> {
+        loop {
+            if let Some((item, position)) = self.items.next() {
+                if let SourceItem::Malformed { kind, .. } = &item {
+                    match kind {
+                        SourceKind::Proxy => self.proxy_meter.add_decode_error(),
+                        SourceKind::Mme => self.mme_meter.add_decode_error(),
+                    }
+                }
+                self.advance(position);
+                return Ok(Polled::Item(item));
+            }
+            match self.stop.take() {
+                Some(Stop::Pending) => return Ok(Polled::Pending),
+                Some(Stop::End(position)) => {
+                    self.advance(position);
+                    self.stop = Some(Stop::End(position));
+                    return Ok(Polled::End);
+                }
+                Some(Stop::Failed(e)) => {
+                    if let Some(reader) = self.reader.take() {
+                        // The reader returned after sending the failure.
+                        let _ = reader.join();
+                    }
+                    return Err(e);
+                }
+                None => self.next_batch()?,
+            }
+        }
+    }
+
+    fn position(&self) -> Option<SourcePosition> {
+        self.position
+    }
+}
+
+impl Drop for ReadAhead {
+    fn drop(&mut self) {
+        if let Some(reader) = self.reader.take() {
+            // A panic outside a poll has nobody left to report to.
+            let _ = reader.join();
+        }
+    }
+}
+
+/// The reader thread: polls `source` into batches until it ends, fails,
+/// or the [`ReadAhead`] is dropped.
+fn read_ahead<S: EventSource>(mut source: S, tx: &mpsc::SyncSender<Batch>, read_ns: &Counter) {
+    loop {
+        let started = Instant::now();
+        let mut items = Vec::with_capacity(BATCH_ITEMS);
+        let stop = loop {
+            match panic::catch_unwind(AssertUnwindSafe(|| source.poll())) {
+                Ok(Ok(Polled::Item(item))) => {
+                    items.push((item, source.position()));
+                    if items.len() == BATCH_ITEMS {
+                        break None;
+                    }
+                }
+                Ok(Ok(Polled::Pending)) => break Some(Stop::Pending),
+                Ok(Ok(Polled::End)) => break Some(Stop::End(source.position())),
+                Ok(Err(e)) => break Some(Stop::Failed(e)),
+                Err(payload) => break Some(Stop::Failed(panicked(payload))),
+            }
+        };
+        read_ns.add(started.elapsed().as_nanos() as u64);
+        let stalled = matches!(stop, Some(Stop::Pending));
+        let last = matches!(stop, Some(Stop::End(_) | Stop::Failed(_)));
+        if tx.send(Batch { items, stop }).is_err() || last {
+            return;
+        }
+        if stalled {
+            thread::sleep(STALL_PAUSE);
+        }
+    }
+}
+
+/// The error a panic on the reader thread becomes.
+fn panicked(payload: Box<dyn Any + Send>) -> io::Error {
+    let message = payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_owned())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "no message".into());
+    io::Error::other(format!("the log reader panicked: {message}"))
+}
+
 /// An in-process channel source (live simulator or test harness).
 ///
 /// Wraps the receiving half of a [`std::sync::mpsc::channel`]: an empty
@@ -384,7 +637,6 @@ impl EventSource for ChannelSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wearscope_simtime::SimTime;
     use wearscope_trace::{HostId, MmeEvent, Scheme, TsvRecord, UserId};
 
     fn proxy(t: u64) -> ProxyRecord {
@@ -410,21 +662,112 @@ mod tests {
     }
 
     fn world_dir(name: &str, proxies: &[ProxyRecord], mmes: &[MmeRecord]) -> std::path::PathBuf {
+        raw_world_dir(name, &log_text(proxies), &log_text(mmes))
+    }
+
+    fn log_text<R: TsvRecord>(records: &[R]) -> String {
+        let mut text = String::new();
+        for r in records {
+            text.push_str(&r.to_line());
+            text.push('\n');
+        }
+        text
+    }
+
+    fn raw_world_dir(name: &str, proxy_log: &str, mme_log: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("wearscope-src-{}-{name}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let mut text = String::new();
-        for p in proxies {
-            text.push_str(&p.to_line());
-            text.push('\n');
-        }
-        std::fs::write(dir.join("proxy.log"), text).unwrap();
-        let mut text = String::new();
-        for m in mmes {
-            text.push_str(&m.to_line());
-            text.push('\n');
-        }
-        std::fs::write(dir.join("mme.log"), text).unwrap();
+        std::fs::write(dir.join("proxy.log"), proxy_log).unwrap();
+        std::fs::write(dir.join("mme.log"), mme_log).unwrap();
         dir
+    }
+
+    /// Everything a source yields until it ends or fails: each poll's
+    /// outcome with the position after it.
+    fn transcript<S: EventSource>(src: &mut S) -> Vec<String> {
+        let mut out = Vec::new();
+        loop {
+            match src.poll() {
+                Ok(Polled::End) => return out,
+                Ok(polled) => out.push(format!("{polled:?} @ {:?}", src.position())),
+                Err(e) => {
+                    out.push(format!("error {:?}: {e}", e.kind()));
+                    return out;
+                }
+            }
+        }
+    }
+
+    /// The first `n` items of a source with the position after each,
+    /// skipping `Pending` (its count depends on when the reader polled).
+    fn items(src: &mut impl EventSource, n: usize) -> Vec<String> {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let mut out = Vec::new();
+        while out.len() < n {
+            assert!(Instant::now() < deadline, "only {} of {n} items", out.len());
+            match src.poll().unwrap() {
+                Polled::Item(item) => out.push(format!("{item:?} @ {:?}", src.position())),
+                Polled::Pending => thread::sleep(Duration::from_millis(5)),
+                Polled::End => panic!("end after {} of {n} items", out.len()),
+            }
+        }
+        out
+    }
+
+    /// Polls a fresh bare source and a read-ahead one over the same world
+    /// and compares them item for item; returns the read-ahead's meters.
+    fn assert_read_ahead_matches(dir: &Path, horizon: Option<SimTime>) -> wearscope_obs::Snapshot {
+        let open = || WorldSource::open(dir, false).unwrap().with_horizon(horizon);
+        let bare_metrics = Registry::new();
+        let bare = transcript(&mut open().with_metrics(&bare_metrics));
+        let metrics = Registry::new();
+        let mut ahead = ReadAhead::spawn(open(), &metrics).unwrap();
+        assert_eq!(transcript(&mut ahead), bare);
+        // End is sticky and keeps the final position.
+        assert!(matches!(ahead.poll().unwrap(), Polled::End));
+        drop(ahead);
+        // Counted on consumption, the complete run's totals are the
+        // bare reader's.
+        let (got, want) = (metrics.snapshot(), bare_metrics.snapshot());
+        assert_eq!(got.counters, want.counters);
+        assert!(got.timing.counters.contains_key("stream.read_ns"));
+        assert!(got.timing.counters.contains_key("stream.wait_ns"));
+        got
+    }
+
+    /// Yields `len` proxy records, failing (or panicking) at `fail_at`.
+    struct Scripted {
+        next: u64,
+        len: u64,
+        fail_at: u64,
+        panics: bool,
+    }
+
+    impl EventSource for Scripted {
+        fn poll(&mut self) -> io::Result<Polled> {
+            if self.next == self.fail_at {
+                assert!(!self.panics, "scripted panic at {}", self.next);
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("scripted failure at {}", self.next),
+                ));
+            }
+            if self.next == self.len {
+                return Ok(Polled::End);
+            }
+            self.next += 1;
+            Ok(Polled::Item(SourceItem::Event(StreamEvent::Proxy(proxy(
+                self.next,
+            )))))
+        }
+
+        fn position(&self) -> Option<SourcePosition> {
+            Some(SourcePosition {
+                proxy_offset: self.next * 10,
+                proxy_line: self.next,
+                ..SourcePosition::default()
+            })
+        }
     }
 
     fn drain(src: &mut WorldSource) -> Vec<StreamEvent> {
@@ -510,6 +853,157 @@ mod tests {
         let times: Vec<u64> = events.iter().map(|e| e.timestamp().as_secs()).collect();
         assert_eq!(times, vec![10, 500_000_000, 20, 30, 40, 50, 60]);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn read_ahead_matches_the_bare_source_across_batches() {
+        // More items than three batches, with ties and interleaving.
+        let proxies: Vec<ProxyRecord> = (0..700).map(|i| proxy(i * 3)).collect();
+        let mmes: Vec<MmeRecord> = (0..300).map(|i| mme(i * 7)).collect();
+        let dir = world_dir("ahead-clean", &proxies, &mmes);
+        let snap = assert_read_ahead_matches(&dir, None);
+        let log_bytes = |name: &str| std::fs::metadata(dir.join(name)).unwrap().len();
+        assert_eq!(
+            snap.counters["trace.proxy.bytes_read"],
+            log_bytes("proxy.log")
+        );
+        assert_eq!(snap.counters["trace.mme.bytes_read"], log_bytes("mme.log"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn read_ahead_matches_on_malformed_and_blank_lines() {
+        let mut proxy_log = log_text(&(0..300).map(|i| proxy(i * 2)).collect::<Vec<_>>());
+        proxy_log.insert_str(0, "not a record\n\n");
+        proxy_log.push_str("1\t2\n\n");
+        let mut mme_log = log_text(&(0..40).map(|i| mme(i * 5)).collect::<Vec<_>>());
+        mme_log.push_str("garbage\n");
+        let dir = raw_world_dir("ahead-bad", &proxy_log, &mme_log);
+        let snap = assert_read_ahead_matches(&dir, None);
+        assert_eq!(snap.counters["trace.proxy.decode_errors"], 2);
+        assert_eq!(snap.counters["trace.mme.decode_errors"], 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn read_ahead_matches_on_an_unterminated_last_line() {
+        let mut proxy_log = log_text(&(0..10).map(|i| proxy(i * 2)).collect::<Vec<_>>());
+        proxy_log.push_str(&proxy(30).to_line());
+        let mut mme_log = log_text(&[mme(1)]);
+        mme_log.push_str("3\t4"); // cut short
+        let dir = raw_world_dir("ahead-cut", &proxy_log, &mme_log);
+        let snap = assert_read_ahead_matches(&dir, None);
+        assert_eq!(snap.counters["trace.mme.decode_errors"], 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn read_ahead_matches_with_a_record_past_the_horizon() {
+        let dir = world_dir(
+            "ahead-skew",
+            &[proxy(10), proxy(500_000_000), proxy(30), proxy(50)],
+            &[mme(20), mme(40), mme(60)],
+        );
+        assert_read_ahead_matches(&dir, Some(SimTime::from_secs(1000)));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn read_ahead_follows_a_stalled_log_once_it_grows() {
+        // proxy.log ends mid-line; mme.log is complete. Both sources stall
+        // on the same prefix, then read the same rest once the line ends.
+        let proxies: Vec<ProxyRecord> = (0..600).map(|i| proxy(i * 2)).collect();
+        let mmes: Vec<MmeRecord> = (0..50).map(|i| mme(i * 3)).collect();
+        let full = log_text(&proxies);
+        let cut = full.len() - proxies[599].to_line().len() / 2;
+        let grown = |dir: &Path| {
+            use std::io::Write as _;
+            let mut f = std::fs::OpenOptions::new()
+                .append(true)
+                .open(dir.join("proxy.log"))
+                .unwrap();
+            f.write_all(&full.as_bytes()[cut..]).unwrap();
+        };
+        let bare_dir = raw_world_dir("follow-bare", &full[..cut], &log_text(&mmes));
+        let mut bare = WorldSource::open(&bare_dir, true).unwrap();
+        let mut want = Vec::new();
+        loop {
+            match bare.poll().unwrap() {
+                Polled::Item(item) => want.push(format!("{item:?} @ {:?}", bare.position())),
+                Polled::Pending => break,
+                Polled::End => panic!("end while following"),
+            }
+        }
+        let stalled = want.len();
+        assert_eq!(stalled, 649);
+        grown(&bare_dir);
+        want.extend(items(&mut bare, 1));
+        assert!(matches!(bare.poll().unwrap(), Polled::Pending));
+
+        let dir = raw_world_dir("follow-ahead", &full[..cut], &log_text(&mmes));
+        let mut ahead =
+            ReadAhead::spawn(WorldSource::open(&dir, true).unwrap(), &Registry::new()).unwrap();
+        let got = items(&mut ahead, stalled);
+        assert!(matches!(ahead.poll().unwrap(), Polled::Pending));
+        grown(&dir);
+        let mut got = got;
+        got.extend(items(&mut ahead, 1));
+        assert_eq!(got, want);
+        // Dropping a reader that pauses on a stall joins it.
+        drop(ahead);
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&bare_dir).unwrap();
+    }
+
+    #[test]
+    fn source_errors_surface_at_the_same_item() {
+        let script = || Scripted {
+            next: 0,
+            len: 1000,
+            fail_at: 600,
+            panics: false,
+        };
+        let bare = transcript(&mut script());
+        assert_eq!(bare.len(), 601);
+        assert!(bare[600].contains("InvalidData: scripted failure at 600"));
+        let mut ahead = ReadAhead::spawn(script(), &Registry::new()).unwrap();
+        assert_eq!(transcript(&mut ahead), bare);
+        // The failure ends the reader; polling on is an error, not End.
+        assert!(ahead.poll().is_err());
+    }
+
+    #[test]
+    fn a_reader_panic_is_an_error_after_the_items_before_it() {
+        let script = Scripted {
+            next: 0,
+            len: 1000,
+            fail_at: 300,
+            panics: true,
+        };
+        let got = transcript(&mut ReadAhead::spawn(script, &Registry::new()).unwrap());
+        assert_eq!(got.len(), 301);
+        assert!(got[299].starts_with("Item("), "{}", got[299]);
+        assert!(
+            got[300].contains("the log reader panicked: scripted panic at 300"),
+            "{}",
+            got[300]
+        );
+    }
+
+    #[test]
+    fn dropping_a_read_ahead_mid_stream_joins_its_reader() {
+        let script = Scripted {
+            next: 0,
+            len: 100_000,
+            fail_at: u64::MAX,
+            panics: false,
+        };
+        let mut ahead = ReadAhead::spawn(script, &Registry::new()).unwrap();
+        assert!(matches!(ahead.poll().unwrap(), Polled::Item(_)));
+        // Position is the one after the last item handed out, not the
+        // reader's.
+        assert_eq!(ahead.position().unwrap().proxy_line, 1);
+        drop(ahead);
     }
 
     #[test]

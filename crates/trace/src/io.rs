@@ -120,6 +120,10 @@ pub struct LogWriter<W: Write, R: TsvRecord> {
 /// Flush threshold for the in-memory buffer.
 const FLUSH_AT: usize = 64 * 1024;
 
+/// A [`TailReader`]'s initial buffer, which bounds each read until one
+/// line outgrows it.
+const READ_BYTES: usize = 64 * 1024;
+
 impl<W: Write, R: TsvRecord> LogWriter<W, R> {
     /// Wraps a sink.
     pub fn new(sink: W) -> LogWriter<W, R> {
@@ -302,10 +306,14 @@ pub enum TailItem<R> {
 #[derive(Debug)]
 pub struct TailReader<R: TsvRecord> {
     file: File,
-    /// Bytes read from the file but not yet consumed as complete lines.
+    /// Read buffer. `buf[start..filled]` holds bytes read from the file
+    /// but not yet consumed as complete lines; reads land in place in
+    /// `buf[filled..]`, which is zeroed once, when the buffer grows.
     buf: Vec<u8>,
-    /// Consumed prefix of `buf` (compacted once it grows large).
+    /// Consumed prefix of `buf` (compacted before the next read).
     start: usize,
+    /// End of the bytes read into `buf`.
+    filled: usize,
     /// Scan resume point within `buf` (avoids rescanning on refills).
     scanned: usize,
     /// Byte offset in the file of `buf[start]` — the committed position.
@@ -352,8 +360,9 @@ impl<R: TsvRecord> TailReader<R> {
         file.seek(SeekFrom::Start(offset))?;
         Ok(TailReader {
             file,
-            buf: Vec::with_capacity(64 * 1024),
+            buf: vec![0; READ_BYTES],
             start: 0,
+            filled: 0,
             scanned: 0,
             offset,
             line_no,
@@ -395,12 +404,6 @@ impl<R: TsvRecord> TailReader<R> {
         self.line_no += 1;
         self.start = end;
         self.scanned = end;
-        // Compact the consumed prefix once it dominates the buffer.
-        if self.start > 32 * 1024 {
-            self.buf.drain(..self.start);
-            self.scanned -= self.start;
-            self.start = 0;
-        }
         match item? {
             Ok(r) => Some(TailItem::Record(r)),
             Err(error) => {
@@ -423,16 +426,17 @@ impl<R: TsvRecord> TailReader<R> {
     /// Propagates I/O errors reading the file.
     pub fn next_item(&mut self) -> io::Result<TailItem<R>> {
         loop {
-            if let Some(nl) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
+            let unscanned = &self.buf[self.scanned..self.filled];
+            if let Some(nl) = unscanned.iter().position(|&b| b == b'\n') {
                 let end = self.scanned + nl + 1;
                 if let Some(item) = self.consume(end) {
                     return Ok(item);
                 }
                 continue;
             }
-            self.scanned = self.buf.len();
-            let mut chunk = [0u8; 64 * 1024];
-            let n = self.file.read(&mut chunk)?;
+            self.scanned = self.filled;
+            self.make_room();
+            let n = self.file.read(&mut self.buf[self.filled..])?;
             if let Some(meter) = &self.meter {
                 meter.add_bytes(n as u64);
             }
@@ -440,9 +444,9 @@ impl<R: TsvRecord> TailReader<R> {
                 if self.follow {
                     return Ok(TailItem::Pending);
                 }
-                if self.start < self.buf.len() {
+                if self.start < self.filled {
                     // Final unterminated line.
-                    let end = self.buf.len();
+                    let end = self.filled;
                     if let Some(item) = self.consume(end) {
                         return Ok(item);
                     }
@@ -450,7 +454,22 @@ impl<R: TsvRecord> TailReader<R> {
                 }
                 return Ok(TailItem::End);
             }
-            self.buf.extend_from_slice(&chunk[..n]);
+            self.filled += n;
+        }
+    }
+
+    /// Frees the buffer's tail for the next read: the unconsumed partial
+    /// line moves to the front, and the buffer doubles only when that one
+    /// line fills it.
+    fn make_room(&mut self) {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.filled, 0);
+            self.filled -= self.start;
+            self.scanned -= self.start;
+            self.start = 0;
+        }
+        if self.filled == self.buf.len() {
+            self.buf.resize(self.buf.len() * 2, 0);
         }
     }
 }
@@ -634,6 +653,26 @@ mod tests {
             }
         }
         assert_eq!(first, records);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn tail_reader_reads_a_line_longer_than_its_buffer() {
+        // A damaged line of 2.5 buffers, then a good record: the buffer
+        // grows to hold the long line, and nothing is lost or repeated.
+        let good = recs(1)[0].to_line();
+        let long = "x".repeat(READ_BYTES * 5 / 2);
+        let text = format!("{good}\n{long}\n{good}\n");
+        let path = temp_log("long", &text);
+        let mut tail: TailReader<MmeRecord> = TailReader::open(&path, false).unwrap();
+        assert!(matches!(tail.next_item().unwrap(), TailItem::Record(_)));
+        assert!(matches!(
+            tail.next_item().unwrap(),
+            TailItem::Malformed { line: 2, .. }
+        ));
+        assert!(matches!(tail.next_item().unwrap(), TailItem::Record(_)));
+        assert!(matches!(tail.next_item().unwrap(), TailItem::End));
+        assert_eq!(tail.offset(), text.len() as u64);
         std::fs::remove_file(&path).unwrap();
     }
 

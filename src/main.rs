@@ -23,8 +23,8 @@ use wearscope::obs::Registry;
 use wearscope::prelude::*;
 use wearscope::report::{export_figures, render_full, render_stage_table, ExperimentReport};
 use wearscope::stream::{
-    checkpoint, Backpressure, EventSource, PumpOptions, PumpOutcome, StreamConfig, StreamRuntime,
-    WindowSpec, WorldSource,
+    checkpoint, Backpressure, EventSource, PumpOptions, PumpOutcome, ReadAhead, StreamConfig,
+    StreamRuntime, WindowSpec, WorldSource,
 };
 use wearscope::synthpop::generate_instrumented;
 
@@ -483,13 +483,16 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     // Counters report this process's work: a resumed run starts at zero,
     // the checkpoint's cumulative ledger lives in the quality summary.
     let mut rt = rt.with_metrics(&metrics);
-    let mut source = match &start_pos {
+    let logs = match &start_pos {
         Some(pos) => WorldSource::resume(&dir, pos, follow),
         None => WorldSource::open(&dir, follow),
     }
     .map_err(|e| format!("opening logs in {}: {e}", dir.display()))?
-    .with_horizon(config.max_timestamp)
-    .with_metrics(&metrics);
+    .with_horizon(config.max_timestamp);
+    // The logs are read and decoded on a thread of their own; this one
+    // validates, windows and checkpoints.
+    let mut source =
+        ReadAhead::spawn(logs, &metrics).map_err(|e| format!("starting the log reader: {e}"))?;
 
     let pump_opts = PumpOptions {
         checkpoint: ckpt_path.clone().map(|p| (p, every)),
@@ -512,14 +515,9 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
         }
         match outcome {
             PumpOutcome::Finished => break,
-            PumpOutcome::Pending => {
-                if follow {
-                    std::thread::sleep(std::time::Duration::from_millis(50));
-                } else {
-                    // A log stalled mid-line without follow mode: drain to EOF.
-                    source.finish();
-                }
-            }
+            // Follow mode only: the reader polls the logs again after a
+            // pause, and the next pump waits for it.
+            PumpOutcome::Pending => {}
             PumpOutcome::Stopped => {
                 eprintln!(
                     "stream:  stopped after {} records (no checkpoint at the stop point)",
