@@ -91,14 +91,18 @@ echo "==> stream drill: kill at a sweep of points, resume from checkpoint, diff 
 # directory so the rename itself survives a crash — a kill right after the
 # rename cannot resurrect the previous checkpoint.
 "$WEARSCOPE" generate --out "$FAULT_DIR/stream-world" --seed 11 --scale quick 2>/dev/null
+rm -rf "$FAULT_DIR/full-ckpt"
 "$WEARSCOPE" stream --world "$FAULT_DIR/stream-world" --window 1h --lateness 5m \
+    --checkpoint "$FAULT_DIR/full-ckpt" --checkpoint-every 2000 \
     --report "$FAULT_DIR/stream-full.txt" --metrics "$FAULT_DIR/stream-full.json" >/dev/null 2>&1
 records=$(grep -o '"stream.records_processed": [0-9]*' "$FAULT_DIR/stream-full.json" |
     grep -o '[0-9]*$')
 # Kill points: just before, at and just after the checkpoint at item 6000,
 # and two drawn with a fixed seed from between the first checkpoint and
 # the last item. The log reader runs ahead of the runtime, so a kill
-# always leaves read but unprocessed items behind.
+# always leaves read but unprocessed items behind. Each resumed run must
+# also end on the uninterrupted run's final checkpoint, byte for byte:
+# the duplicate memory, attributor and windows restore exactly.
 kill_points="5999 6000 6001 $(awk -v n="$records" \
     'BEGIN { srand(20); for (i = 0; i < 2; i++) print 2000 + int(rand() * (n - 2000)) }')"
 for stop in $kill_points; do
@@ -114,8 +118,12 @@ for stop in $kill_points; do
         echo "resuming after a kill at item $stop changed the window reports" >&2
         exit 1
     fi
+    if ! cmp -s "$FAULT_DIR/full-ckpt/stream.ckpt" "$FAULT_DIR/ckpt/stream.ckpt"; then
+        echo "resuming after a kill at item $stop changed the final checkpoint" >&2
+        exit 1
+    fi
 done
-echo "    resumed stream reports identical to the uninterrupted run at kill points:" $kill_points
+echo "    resumed stream reports and final checkpoints identical to the uninterrupted run at kill points:" $kill_points
 
 echo "==> stream metrics determinism: two identical stopped runs, diff snapshots"
 # I/O is counted as the runtime takes items, not as the reader thread

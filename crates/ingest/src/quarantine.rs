@@ -15,8 +15,7 @@
 //!   determinism contract the `ingest_determinism` proptests pin down. The
 //!   streaming runtime feeds the same validator in arrival order.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{vec_deque, HashSet, VecDeque};
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -207,11 +206,14 @@ pub struct Rejection {
 /// Quarantined records change no state, so one skewed timestamp cannot
 /// cascade into quarantining the rest of the log.
 ///
-/// The duplicate memory holds the kept records. A record that passes the
-/// watermark check is at or after the watermark, so it can never equal a
-/// remembered record behind it: [`check`](RecordValidator::check) forgets
-/// those whenever the memory has doubled since it last did, which bounds
-/// memory without changing any decision.
+/// The duplicate memory holds the kept records at or after the
+/// watermark, by time, then arrival within a second. A record that passes
+/// the watermark check can only equal one of its own second, so
+/// [`check`](RecordValidator::check) looks for a copy only there and
+/// forgets the records behind the watermark: batch holds about one
+/// second of records, stream its lateness span. A second of 32 or more
+/// records is also indexed by a hash set, so a long run is not scanned
+/// once per record.
 #[derive(Clone, Debug)]
 pub struct RecordValidator<R> {
     /// Clock-skew horizon: records stamped after it are `Skewed`.
@@ -219,16 +221,14 @@ pub struct RecordValidator<R> {
     /// Cell-plan size: a record naming a sector at or past it is
     /// `UnknownSector`.
     sector_count: Option<u32>,
-    /// Remembered records, each with its arrival number.
-    remembered: HashMap<R, u64>,
-    arrivals: u64,
-    /// Memory size at which the next kept record forgets the records
-    /// behind the watermark.
-    forget_at: usize,
+    /// Remembered records, by time, then arrival within a second.
+    memory: VecDeque<R>,
+    /// The remembered records of the seconds with at least 32 of them.
+    indexed: HashSet<R>,
 }
 
-/// The smallest memory that triggers forgetting.
-const MIN_FORGET_AT: usize = 64;
+/// The run length of one second at which its records are indexed.
+const INDEX_RUN: usize = 32;
 
 impl<R: LogRecord> RecordValidator<R> {
     /// A validator with an empty memory and skew horizon `horizon`
@@ -237,9 +237,8 @@ impl<R: LogRecord> RecordValidator<R> {
         RecordValidator {
             horizon,
             sector_count: None,
-            remembered: HashMap::new(),
-            arrivals: 0,
-            forget_at: MIN_FORGET_AT,
+            memory: VecDeque::new(),
+            indexed: HashSet::new(),
         }
     }
 
@@ -296,12 +295,7 @@ impl<R: LogRecord> RecordValidator<R> {
                 QuarantineReason::OutOfOrder,
                 format!("timestamp {}s falls only in sealed windows", ts.as_secs()),
             )
-        } else if self.remember(*record) {
-            if self.remembered.len() >= self.forget_at {
-                self.remembered.retain(|r, _| r.timestamp() >= watermark);
-                self.forget_at = (2 * self.remembered.len()).max(MIN_FORGET_AT);
-                self.remembered.shrink_to(self.forget_at);
-            }
+        } else if self.forget_behind(watermark).remember(*record) {
             return Ok(());
         } else {
             (
@@ -315,29 +309,41 @@ impl<R: LogRecord> RecordValidator<R> {
     /// Adds `record` to the duplicate memory; `false` if it was already
     /// there.
     pub fn remember(&mut self, record: R) -> bool {
-        match self.remembered.entry(record) {
-            Entry::Occupied(_) => false,
-            Entry::Vacant(slot) => {
-                slot.insert(self.arrivals);
-                self.arrivals += 1;
-                true
+        let ts = record.timestamp();
+        let start = self.memory.partition_point(|r| r.timestamp() < ts);
+        let end = self.memory.partition_point(|r| r.timestamp() <= ts);
+        let run = self.memory.range(start..end);
+        if run.len() >= INDEX_RUN {
+            if !self.indexed.insert(record) {
+                return false;
+            }
+        } else if run.clone().any(|r| *r == record) {
+            return false;
+        } else if run.len() + 1 == INDEX_RUN {
+            self.indexed.extend(run.copied().chain([record]));
+        }
+        self.memory.insert(end, record);
+        true
+    }
+
+    /// Forgets the records behind `watermark`: no record a check keeps
+    /// can equal one of them.
+    fn forget_behind(&mut self, watermark: SimTime) -> &mut Self {
+        while let Some(r) = self.memory.pop_front_if(|r| r.timestamp() < watermark) {
+            if !self.indexed.is_empty() {
+                self.indexed.remove(&r);
             }
         }
+        self
     }
 
     /// The remembered records at or after `watermark`, in time order, then
     /// arrival order within a timestamp (the checkpoint body;
     /// [`remember`](Self::remember) them in this order to restore the
     /// memory).
-    pub fn remembered(&self, watermark: SimTime) -> Vec<&R> {
-        let mut live: Vec<(&R, u64)> = self
-            .remembered
-            .iter()
-            .filter(|(r, _)| r.timestamp() >= watermark)
-            .map(|(r, &arrival)| (r, arrival))
-            .collect();
-        live.sort_unstable_by_key(|&(r, arrival)| (r.timestamp(), arrival));
-        live.into_iter().map(|(r, _)| r).collect()
+    pub fn remembered(&self, watermark: SimTime) -> vec_deque::Iter<'_, R> {
+        let start = self.memory.partition_point(|r| r.timestamp() < watermark);
+        self.memory.range(start..)
     }
 }
 
@@ -355,7 +361,6 @@ pub(crate) fn write_quarantine_log(path: &Path, entries: &[QuarantineEntry]) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
 
     use crate::load::{LogIngest, PhaseTimers};
     use wearscope_devicedb::DeviceDb;
@@ -487,11 +492,12 @@ mod tests {
 
     proptest::proptest! {
         /// On random logs with copies, regressions, skew, bad IMEIs and
-        /// runs of equal timestamps, split into 1–3 shards, the validator's
-        /// pruned memory quarantines exactly what a whole-log set does.
+        /// runs of equal timestamps, some past the length at which a run
+        /// is indexed, split into 1–3 shards, the validator's pruned
+        /// memory quarantines exactly what a whole-log set does.
         #[test]
         fn pruned_duplicate_set_matches_whole_log(
-            ops in proptest::prop::collection::vec((0u8..7, 0u64..3, 0u64..4, 0usize..1000), 0..200),
+            ops in proptest::prop::collection::vec((0u8..8, 0u64..3, 0u64..4, 0usize..1000), 0..200),
             shards in 1usize..4,
         ) {
             let db = DeviceDb::standard();
@@ -502,6 +508,16 @@ mod tests {
             let mut records: Vec<ProxyRecord> = Vec::new();
             let mut now = 0u64;
             for (kind, step, user, pick) in ops {
+                if kind == 7 {
+                    // A run at `now` longer than INDEX_RUN, with about a
+                    // quarter of it copies of earlier records of the run.
+                    now += step;
+                    records.extend((0..INDEX_RUN as u64 + 16).map(|j| {
+                        let u = if (j + pick as u64).is_multiple_of(4) { j / 2 } else { j };
+                        rec(&db, now, 100 + u)
+                    }));
+                    continue;
+                }
                 let r = match kind {
                     0..=2 => {
                         now += step;
@@ -537,9 +553,73 @@ mod tests {
             assert!(v.remember(*r));
         }
         assert!(!v.remember(c));
-        assert_eq!(v.remembered(SimTime::EPOCH), [&b, &d, &a, &c]);
+        let live = |v: &RecordValidator<ProxyRecord>, t| -> Vec<ProxyRecord> {
+            v.remembered(SimTime::from_secs(t)).copied().collect()
+        };
+        assert_eq!(live(&v, 0), [b, d, a, c]);
         // Records behind the watermark are left out before any forgetting.
-        assert_eq!(v.remembered(SimTime::from_secs(15)), [&a, &c]);
+        assert_eq!(live(&v, 15), [a, c]);
+
+        // An indexed run at 15 s, remembered between the two seconds.
+        let run: Vec<ProxyRecord> = (0..2 * INDEX_RUN as u64)
+            .map(|u| rec(&db, 15, 10 + u))
+            .collect();
+        for r in &run {
+            assert!(v.remember(*r));
+        }
+        assert!(!v.remember(run[INDEX_RUN]));
+        let expected: Vec<ProxyRecord> = [b, d]
+            .into_iter()
+            .chain(run.iter().copied())
+            .chain([a, c])
+            .collect();
+        assert_eq!(live(&v, 0), expected);
+
+        // Restoring from `remembered()` rebuilds the same memory.
+        let mut restored = RecordValidator::new(None);
+        for r in v.remembered(SimTime::from_secs(15)) {
+            assert!(restored.remember(*r));
+        }
+        assert_eq!(live(&restored, 0), live(&v, 15));
+        let late = rec(&db, 15, 999);
+        for r in run.iter().chain([&a, &c, &late]) {
+            let w = SimTime::from_secs(15);
+            assert_eq!(
+                restored.check(r, w, false),
+                v.check(r, w, false),
+                "record of user {:?}",
+                r.user
+            );
+        }
+        assert_eq!(live(&restored, 0), live(&v, 0));
+    }
+
+    #[test]
+    fn one_second_of_copies_is_not_quadratic() {
+        // 100 000 distinct records in one second, then a copy of each: a
+        // scan of the second per record would take minutes.
+        let db = DeviceDb::standard();
+        let t = SimTime::from_secs(7);
+        let records: Vec<ProxyRecord> = (0..100_000).map(|u| rec(&db, 7, u)).collect();
+        let mut v = RecordValidator::new(None);
+        for r in &records {
+            assert_eq!(v.check(r, t, false), Ok(()));
+        }
+        let duplicates = records
+            .iter()
+            .filter(|r| {
+                v.check(r, t, false)
+                    .is_err_and(|e| e.reason == QuarantineReason::Duplicate)
+            })
+            .count();
+        assert_eq!(duplicates, 100_000);
+        assert_eq!(v.remembered(t).len(), 100_000);
+        // Once the watermark passes the second, its records and their
+        // index are forgotten.
+        let next = rec(&db, 8, 0);
+        assert_eq!(v.check(&next, next.timestamp, false), Ok(()));
+        assert_eq!(v.memory, [next]);
+        assert!(v.indexed.is_empty());
     }
 
     #[test]

@@ -164,7 +164,11 @@ fn read_windows(
 }
 
 /// Writes a `tag<TAB>n` block of `n` log record lines.
-fn push_remembered<R: TsvRecord>(out: &mut String, tag: &str, records: Vec<&R>) {
+fn push_remembered<'r, R: TsvRecord + 'r>(
+    out: &mut String,
+    tag: &str,
+    records: impl ExactSizeIterator<Item = &'r R>,
+) {
     RowWriter::tagged(out, tag).put(records.len()).end();
     for r in records {
         out.push_str(&r.to_line());

@@ -28,7 +28,9 @@ use std::time::{Duration, Instant};
 
 use wearscope_obs::{Counter, Registry};
 use wearscope_simtime::SimTime;
-use wearscope_trace::{CodecError, IoMeter, MmeRecord, ProxyRecord, TailItem, TailReader};
+use wearscope_trace::{
+    CodecError, IoMeter, MmeRecord, ProxyRecord, TailItem, TailReader, TsvRecord,
+};
 
 /// One record from either vantage point.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -117,8 +119,8 @@ pub trait EventSource {
 /// lookahead** so the merge can pick the earlier timestamp (ties go to the
 /// proxy log, matching the deterministic source order of the batch
 /// loader). The committed position deliberately *excludes* the stashed
-/// lookahead record — it is captured at refill time, before the stash is
-/// consumed — so a checkpoint taken between any two items resumes exactly.
+/// lookahead record — it only moves past a line once that line is served
+/// — so a checkpoint taken between any two items resumes exactly.
 ///
 /// A record whose timestamp lies past the [`with_horizon`] bound is served
 /// the moment it is stashed instead of entering the timestamp comparison:
@@ -129,16 +131,86 @@ pub trait EventSource {
 /// [`with_horizon`]: WorldSource::with_horizon
 #[derive(Debug)]
 pub struct WorldSource {
-    proxy: TailReader<ProxyRecord>,
-    mme: TailReader<MmeRecord>,
-    /// Lookahead: the next proxy record, plus the position *before* it.
-    proxy_next: Option<(ProxyRecord, u64, u64)>,
-    mme_next: Option<(MmeRecord, u64, u64)>,
-    proxy_done: bool,
-    mme_done: bool,
-    pos: SourcePosition,
-    follow: bool,
+    proxy: Lane<ProxyRecord>,
+    mme: Lane<MmeRecord>,
     horizon: Option<SimTime>,
+}
+
+/// One log of a [`WorldSource`]: its reader, one record of lookahead and
+/// the committed position, which excludes the lookahead.
+#[derive(Debug)]
+struct Lane<R: TsvRecord> {
+    kind: SourceKind,
+    wrap: fn(R) -> StreamEvent,
+    reader: TailReader<R>,
+    /// The next record, read but not yet served.
+    next: Option<StreamEvent>,
+    done: bool,
+    /// Byte offset of the first line not yet served.
+    offset: u64,
+    /// Lines served.
+    line: u64,
+}
+
+impl<R: TsvRecord> Lane<R> {
+    fn new(kind: SourceKind, wrap: fn(R) -> StreamEvent, reader: TailReader<R>) -> Lane<R> {
+        Lane {
+            kind,
+            wrap,
+            next: None,
+            done: false,
+            offset: reader.offset(),
+            line: reader.line_no(),
+            reader,
+        }
+    }
+
+    /// Refills the lookahead. Returns a non-record outcome to pass
+    /// through, if any (malformed line, pending, or nothing: stash filled
+    /// or log done).
+    fn refill(&mut self) -> io::Result<Option<Polled>> {
+        if self.next.is_some() || self.done {
+            return Ok(None);
+        }
+        match self.reader.next_item()? {
+            TailItem::Record(r) => {
+                self.next = Some((self.wrap)(r));
+                Ok(None)
+            }
+            TailItem::Malformed { line, error } => {
+                self.commit();
+                Ok(Some(Polled::Item(SourceItem::Malformed {
+                    kind: self.kind,
+                    line,
+                    error,
+                })))
+            }
+            TailItem::Pending => Ok(Some(Polled::Pending)),
+            TailItem::End => {
+                self.done = true;
+                self.commit();
+                Ok(None)
+            }
+        }
+    }
+
+    /// Serves the stashed record.
+    fn emit(&mut self) -> Polled {
+        let event = self.next.take().expect("lookahead filled");
+        self.commit();
+        Polled::Item(SourceItem::Event(event))
+    }
+
+    /// Moves the committed position past everything the reader consumed.
+    fn commit(&mut self) {
+        self.offset = self.reader.offset();
+        self.line = self.reader.line_no();
+    }
+
+    /// The stashed record's timestamp.
+    fn next_time(&self) -> Option<SimTime> {
+        self.next.as_ref().map(StreamEvent::timestamp)
+    }
 }
 
 impl WorldSource {
@@ -164,14 +236,8 @@ impl WorldSource {
         )?;
         let mme = TailReader::resume(&dir.join("mme.log"), pos.mme_offset, pos.mme_line, follow)?;
         Ok(WorldSource {
-            proxy,
-            mme,
-            proxy_next: None,
-            mme_next: None,
-            proxy_done: false,
-            mme_done: false,
-            pos: *pos,
-            follow,
+            proxy: Lane::new(SourceKind::Proxy, StreamEvent::Proxy, proxy),
+            mme: Lane::new(SourceKind::Mme, StreamEvent::Mme, mme),
             horizon: None,
         })
     }
@@ -194,93 +260,21 @@ impl WorldSource {
     /// directly comparable.
     #[must_use]
     pub fn with_metrics(mut self, registry: &Registry) -> WorldSource {
-        self.proxy = self.proxy.with_meter(IoMeter::new(registry, "trace.proxy"));
-        self.mme = self.mme.with_meter(IoMeter::new(registry, "trace.mme"));
+        self.proxy.reader = self
+            .proxy
+            .reader
+            .with_meter(IoMeter::new(registry, "trace.proxy"));
+        self.mme.reader = self
+            .mme
+            .reader
+            .with_meter(IoMeter::new(registry, "trace.mme"));
         self
     }
 
     /// Leaves follow mode on both logs (drains to `End` at EOF).
     pub fn finish(&mut self) {
-        self.follow = false;
-        self.proxy.finish();
-        self.mme.finish();
-    }
-
-    /// Refills the proxy lookahead. Returns a non-record outcome to pass
-    /// through, if any (malformed line, pending, or nothing: stash filled
-    /// or log done).
-    fn refill_proxy(&mut self) -> io::Result<Option<Polled>> {
-        if self.proxy_next.is_some() || self.proxy_done {
-            return Ok(None);
-        }
-        // Committed position *before* the stashed record: a checkpoint
-        // taken while this record sits in the stash must re-read it.
-        let (off, line) = (self.proxy.offset(), self.proxy.line_no());
-        match self.proxy.next_item()? {
-            TailItem::Record(r) => {
-                self.proxy_next = Some((r, off, line));
-                Ok(None)
-            }
-            TailItem::Malformed { line, error } => {
-                self.pos.proxy_offset = self.proxy.offset();
-                self.pos.proxy_line = self.proxy.line_no();
-                Ok(Some(Polled::Item(SourceItem::Malformed {
-                    kind: SourceKind::Proxy,
-                    line,
-                    error,
-                })))
-            }
-            TailItem::Pending => Ok(Some(Polled::Pending)),
-            TailItem::End => {
-                self.proxy_done = true;
-                self.pos.proxy_offset = self.proxy.offset();
-                self.pos.proxy_line = self.proxy.line_no();
-                Ok(None)
-            }
-        }
-    }
-
-    fn refill_mme(&mut self) -> io::Result<Option<Polled>> {
-        if self.mme_next.is_some() || self.mme_done {
-            return Ok(None);
-        }
-        let (off, line) = (self.mme.offset(), self.mme.line_no());
-        match self.mme.next_item()? {
-            TailItem::Record(r) => {
-                self.mme_next = Some((r, off, line));
-                Ok(None)
-            }
-            TailItem::Malformed { line, error } => {
-                self.pos.mme_offset = self.mme.offset();
-                self.pos.mme_line = self.mme.line_no();
-                Ok(Some(Polled::Item(SourceItem::Malformed {
-                    kind: SourceKind::Mme,
-                    line,
-                    error,
-                })))
-            }
-            TailItem::Pending => Ok(Some(Polled::Pending)),
-            TailItem::End => {
-                self.mme_done = true;
-                self.pos.mme_offset = self.mme.offset();
-                self.pos.mme_line = self.mme.line_no();
-                Ok(None)
-            }
-        }
-    }
-
-    fn emit_proxy(&mut self) -> Polled {
-        let (r, _, _) = self.proxy_next.take().expect("proxy stash filled");
-        self.pos.proxy_offset = self.proxy.offset();
-        self.pos.proxy_line = self.proxy.line_no();
-        Polled::Item(SourceItem::Event(StreamEvent::Proxy(r)))
-    }
-
-    fn emit_mme(&mut self) -> Polled {
-        let (r, _, _) = self.mme_next.take().expect("mme stash filled");
-        self.pos.mme_offset = self.mme.offset();
-        self.pos.mme_line = self.mme.line_no();
-        Polled::Item(SourceItem::Event(StreamEvent::Mme(r)))
+        self.proxy.reader.finish();
+        self.mme.reader.finish();
     }
 }
 
@@ -288,27 +282,27 @@ impl EventSource for WorldSource {
     fn poll(&mut self) -> io::Result<Polled> {
         // Malformed lines and Pending pass straight through; a filled
         // stash or End falls out as None and the merge below decides.
-        if let Some(out) = self.refill_proxy()? {
+        if let Some(out) = self.proxy.refill()? {
             match out {
-                Polled::Pending if self.mme_next.is_some() || !self.mme_done => {
+                Polled::Pending if self.mme.next.is_some() || !self.mme.done => {
                     // One log stalled mid-line: serve the other (lateness
                     // absorbs the cross-file skew). Only if the other side
                     // also has nothing do we report Pending.
-                    if let Some(out) = self.refill_mme()? {
+                    if let Some(out) = self.mme.refill()? {
                         return Ok(out);
                     }
-                    if self.mme_next.is_some() {
-                        return Ok(self.emit_mme());
+                    if self.mme.next.is_some() {
+                        return Ok(self.mme.emit());
                     }
                     return Ok(Polled::Pending);
                 }
                 other => return Ok(other),
             }
         }
-        if let Some(out) = self.refill_mme()? {
+        if let Some(out) = self.mme.refill()? {
             match out {
-                Polled::Pending if self.proxy_next.is_some() => {
-                    return Ok(self.emit_proxy());
+                Polled::Pending if self.proxy.next.is_some() => {
+                    return Ok(self.proxy.emit());
                 }
                 other => return Ok(other),
             }
@@ -317,39 +311,29 @@ impl EventSource for WorldSource {
         // quarantine — flush it now, in file order, instead of letting it
         // hold its file hostage in the merge below.
         if let Some(h) = self.horizon {
-            if self
-                .proxy_next
-                .as_ref()
-                .is_some_and(|(p, _, _)| p.timestamp > h)
-            {
-                return Ok(self.emit_proxy());
+            if self.proxy.next_time().is_some_and(|t| t > h) {
+                return Ok(self.proxy.emit());
             }
-            if self
-                .mme_next
-                .as_ref()
-                .is_some_and(|(m, _, _)| m.timestamp > h)
-            {
-                return Ok(self.emit_mme());
+            if self.mme.next_time().is_some_and(|t| t > h) {
+                return Ok(self.mme.emit());
             }
         }
-        match (&self.proxy_next, &self.mme_next) {
-            (Some((p, _, _)), Some((m, _, _))) => {
-                // Merge by timestamp; ties go to the proxy log (the batch
-                // loader's deterministic source order).
-                if p.timestamp <= m.timestamp {
-                    Ok(self.emit_proxy())
-                } else {
-                    Ok(self.emit_mme())
-                }
-            }
-            (Some(_), None) => Ok(self.emit_proxy()),
-            (None, Some(_)) => Ok(self.emit_mme()),
+        match (self.proxy.next_time(), self.mme.next_time()) {
             (None, None) => Ok(Polled::End),
+            // Merge by timestamp; ties go to the proxy log (the batch
+            // loader's deterministic source order).
+            (Some(p), m) if m.is_none_or(|m| p <= m) => Ok(self.proxy.emit()),
+            _ => Ok(self.mme.emit()),
         }
     }
 
     fn position(&self) -> Option<SourcePosition> {
-        Some(self.pos)
+        Some(SourcePosition {
+            proxy_offset: self.proxy.offset,
+            proxy_line: self.proxy.line,
+            mme_offset: self.mme.offset,
+            mme_line: self.mme.line,
+        })
     }
 }
 
@@ -637,7 +621,7 @@ impl EventSource for ChannelSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wearscope_trace::{HostId, MmeEvent, Scheme, TsvRecord, UserId};
+    use wearscope_trace::{HostId, MmeEvent, Scheme, UserId};
 
     fn proxy(t: u64) -> ProxyRecord {
         ProxyRecord {
