@@ -160,10 +160,13 @@ grep -q "^q"$'\t' "$FAULT_DIR/late-ckpt/stream.ckpt"
 diff "$FAULT_DIR/late-full.txt" "$FAULT_DIR/late-resumed.txt"
 echo "    late-merged records and pending attribution survive kill/resume"
 
-echo "==> a non-UTF-8 log byte is quarantined, not fatal"
+echo "==> a non-UTF-8 log byte is quarantined, not fatal; crafted lines keep the decoder's precedence"
 # Storage damage that leaves a line undecodable as UTF-8 is one bad line,
 # like a bit flip: analyze and stream must both exit 0, list it as
-# bad-field and agree on the decode-error counters.
+# bad-field and agree on the decode-error counters. A 0xff byte inside a
+# number is still "not valid UTF-8", not a bad field; a user id past
+# u64::MAX and an eighth field are bad fields; a `+`-signed timestamp and
+# a host with `\t` and `\\` escapes decode as records.
 rm -rf "$FAULT_DIR/utf8-world"
 cp -r "$FAULT_DIR/stream-world" "$FAULT_DIR/utf8-world"
 break_utf8() { # FILE LINE: overwrite the line's first byte with 0xff
@@ -173,24 +176,37 @@ break_utf8() { # FILE LINE: overwrite the line's first byte with 0xff
 }
 break_utf8 "$FAULT_DIR/utf8-world/proxy.log" 100
 break_utf8 "$FAULT_DIR/utf8-world/mme.log" 50
+LC_ALL=C sed -i -e '200s/^\([0-9]\{3\}\)/\1\xff/' \
+    -e '300s/^\([0-9]*\)\t[0-9]*\t/\1\t18446744073709551616\t/' \
+    -e '400s/^/+/' \
+    -e '500s/^\(\([^\t]*\t\)\{3\}\)[^\t]*/\1tab\\tand\\\\slash.example/' \
+    -e '600s/$/\t9/' "$FAULT_DIR/utf8-world/proxy.log"
+sed -n '500p' "$FAULT_DIR/utf8-world/proxy.log" | grep -qF $'\ttab\\tand\\\\slash.example\t'
 "$WEARSCOPE" analyze --world "$FAULT_DIR/utf8-world" --workers 2 \
     --metrics "$FAULT_DIR/utf8-analyze.json" >/dev/null 2>"$FAULT_DIR/utf8-analyze.err"
 "$WEARSCOPE" stream --world "$FAULT_DIR/utf8-world" --lateness 0s \
     --metrics "$FAULT_DIR/utf8-stream.json" >/dev/null 2>"$FAULT_DIR/utf8-stream.err"
-grep -q "^proxy.line:100.bad-field" "$FAULT_DIR/utf8-world/quarantine.log"
-grep -q "^mme.line:50.bad-field" "$FAULT_DIR/utf8-world/quarantine.log"
+# The quarantine.log that the string decoder this byte decoder replaced
+# wrote for this world.
+diff - "$FAULT_DIR/utf8-world/quarantine.log" <<'QUARANTINE'
+proxy	line:100	bad-field	line is not valid UTF-8
+proxy	line:200	bad-field	line is not valid UTF-8
+proxy	line:300	bad-field	field 1 is not a valid u64
+proxy	line:600	bad-field	more than 7 fields
+mme	line:50	bad-field	line is not valid UTF-8
+QUARANTINE
 quarantine_counts "$FAULT_DIR/utf8-analyze.err" >"$FAULT_DIR/utf8-analyze.quarantine"
 quarantine_counts "$FAULT_DIR/utf8-stream.err" >"$FAULT_DIR/utf8-stream.quarantine"
-grep -q "quarantined: 2 bad-field)" "$FAULT_DIR/utf8-analyze.quarantine"
+grep -q "quarantined: 5 bad-field)" "$FAULT_DIR/utf8-analyze.quarantine"
 diff "$FAULT_DIR/utf8-analyze.quarantine" "$FAULT_DIR/utf8-stream.quarantine"
 for run in analyze stream; do
     awk '/^  "timing":/{exit} {print}' "$FAULT_DIR/utf8-$run.json" |
         grep '"trace\.' >"$FAULT_DIR/utf8-$run.trace"
 done
-grep -q '"trace.proxy.decode_errors": 1' "$FAULT_DIR/utf8-analyze.trace"
+grep -q '"trace.proxy.decode_errors": 4' "$FAULT_DIR/utf8-analyze.trace"
 grep -q '"trace.mme.decode_errors": 1' "$FAULT_DIR/utf8-analyze.trace"
 diff "$FAULT_DIR/utf8-analyze.trace" "$FAULT_DIR/utf8-stream.trace"
-echo "    0xff bytes in proxy.log and mme.log quarantined as bad-field by analyze and stream"
+echo "    0xff bytes and crafted fields quarantined as the string decoder did, by analyze and stream"
 
 echo "==> a sector outside the cell plan is quarantined, not kept"
 # An MME record naming sector 999999 (not in sectors.tsv) must be
@@ -210,6 +226,26 @@ grep -q "quarantined: 1 unknown-sector)" "$FAULT_DIR/sector-analyze.quarantine"
 diff "$FAULT_DIR/sector-analyze.quarantine" "$FAULT_DIR/sector-stream.quarantine"
 grep -q $'^mme\trecord:49\tunknown-sector\tsector 999999 ' "$FAULT_DIR/sector-world/quarantine.log"
 echo "    sector 999999 quarantined as unknown-sector by analyze and stream"
+
+echo "==> stream applies analyze's error budget"
+# A 15-day summary window on a 42-day world puts every detailed record
+# past the skew horizon: both commands must exit 1 with the same budget
+# error, naming the proxy log's first quarantined record.
+rm -rf "$FAULT_DIR/skewed-world"
+cp -r "$FAULT_DIR/stream-world" "$FAULT_DIR/skewed-world"
+sed -i 's/^summary_days\t.*$/summary_days\t15/' "$FAULT_DIR/skewed-world/manifest.tsv"
+for cmd in analyze stream; do
+    status=0
+    "$WEARSCOPE" "$cmd" --world "$FAULT_DIR/skewed-world" >/dev/null 2>"$FAULT_DIR/skewed-$cmd.err" ||
+        status=$?
+    test "$status" -eq 1
+    grep -o 'proxy log: .*' "$FAULT_DIR/skewed-$cmd.err" >"$FAULT_DIR/skewed-$cmd.budget"
+done
+grep -q "records quarantined (100.000%), .*(first: proxy record:0 skewed)" \
+    "$FAULT_DIR/skewed-stream.budget"
+diff "$FAULT_DIR/skewed-analyze.budget" "$FAULT_DIR/skewed-stream.budget"
+"$WEARSCOPE" stream --world "$FAULT_DIR/skewed-world" --max-error-rate 1 >/dev/null 2>&1
+echo "    analyze and stream exit 1 with the same budget error; --max-error-rate 1 lets stream pass"
 
 echo "==> crafted checkpoint: an inflated count is a typed error, not a crash"
 # A count in a checkpoint only bounds the loop over its block, so a count

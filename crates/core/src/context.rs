@@ -88,12 +88,19 @@ impl<'a> StudyContext<'a> {
         class
     }
 
-    /// The device class behind an IMEI, if the device DB knows it.
+    /// The device class behind an IMEI, if it is valid and the device DB
+    /// knows it.
     pub fn device_class(&self, imei: u64) -> Option<DeviceClass> {
         Imei::from_u64(imei)
             .ok()
-            .and_then(|i| self.db.lookup(i))
-            .map(|r| r.class)
+            .and_then(|i| self.device_class_of(i))
+    }
+
+    /// The device class behind an IMEI already checked, such as the one
+    /// the record validator hands on with a kept record: the device-DB
+    /// lookup alone.
+    pub fn device_class_of(&self, imei: Imei) -> Option<DeviceClass> {
+        self.db.lookup(imei).map(|r| r.class)
     }
 
     /// `true` if this proxy record was issued by a SIM-enabled wearable.

@@ -26,7 +26,7 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 use wearscope_appdb::{AppId, ThroughDeviceKind};
-use wearscope_devicedb::DeviceClass;
+use wearscope_devicedb::{DeviceClass, Imei};
 use wearscope_simtime::SimTime;
 use wearscope_trace::{MmeEvent, MmeRecord, ProxyRecord, UserId};
 
@@ -590,17 +590,24 @@ impl CorePartials {
         fold.into_partials()
     }
 
-    /// Folds one proxy record: its all-device facts always, then — after
-    /// the one device-class lookup — its wearable, smartphone or
-    /// unresolved-device facts. Returns whether a SIM-enabled wearable
-    /// issued the record, which is what attribution needs to know.
-    pub fn absorb_proxy(&mut self, ctx: &StudyContext<'_>, r: &ProxyRecord) -> bool {
+    /// Folds one proxy record issued by a device of class `device` (from
+    /// [`StudyContext::device_class`], or [`StudyContext::device_class_of`]
+    /// for a validated record): its all-device facts always, then its
+    /// wearable, smartphone or unresolved-device facts. Returns whether a
+    /// SIM-enabled wearable issued the record, which is what attribution
+    /// needs to know.
+    pub fn absorb_proxy(
+        &mut self,
+        ctx: &StudyContext<'_>,
+        r: &ProxyRecord,
+        device: Option<DeviceClass>,
+    ) -> bool {
         let slot = week_slot(ctx, r.timestamp);
         self.traffic.absorb(r);
         self.hourly.all_tx[slot] += 1;
         self.quality.proxy_days.insert(r.timestamp.day_index());
         self.quality.out_of_window_records += u64::from(!ctx.window.in_detail(r.timestamp));
-        match ctx.device_class(r.imei) {
+        match device {
             Some(DeviceClass::CellularWearable) => {
                 self.activity.absorb(r);
                 self.hourly.tx[slot] += 1;
@@ -621,11 +628,17 @@ impl CorePartials {
         false
     }
 
-    /// Folds one MME record into the mobility partial, the QA counters
-    /// and, for a wearable, the sector join.
-    pub fn absorb_mme(&mut self, ctx: &StudyContext<'_>, r: &MmeRecord) {
+    /// Folds one MME record from a device of class `device` into the
+    /// mobility partial, the QA counters and, for a wearable, the sector
+    /// join.
+    pub fn absorb_mme(
+        &mut self,
+        ctx: &StudyContext<'_>,
+        r: &MmeRecord,
+        device: Option<DeviceClass>,
+    ) {
         self.mobility.absorb(r);
-        if ctx.device_class(r.imei) == Some(DeviceClass::CellularWearable) {
+        if device == Some(DeviceClass::CellularWearable) {
             self.sector_join.absorb_sighting(r);
         }
         self.quality.mme_records += 1;
@@ -722,7 +735,17 @@ impl<'c> Fold<'c> {
 
     /// Folds one proxy record, feeding a wearable one to the attributor.
     pub fn proxy(&mut self, r: &ProxyRecord) {
-        if self.partials.absorb_proxy(self.ctx, r) {
+        self.proxy_from(r, self.ctx.device_class(r.imei));
+    }
+
+    /// [`Fold::proxy`] for a record the validator kept, with the IMEI it
+    /// checked: the device class is looked up without a second check.
+    pub fn kept_proxy(&mut self, r: &ProxyRecord, imei: Imei) {
+        self.proxy_from(r, self.ctx.device_class_of(imei));
+    }
+
+    fn proxy_from(&mut self, r: &ProxyRecord, device: Option<DeviceClass>) {
+        if self.partials.absorb_proxy(self.ctx, r, device) {
             let class = self.ctx.host_class(r.host).classification;
             self.attributor
                 .observe(r.user, r.timestamp, class, r.bytes_total());
@@ -731,7 +754,15 @@ impl<'c> Fold<'c> {
 
     /// Folds one MME record.
     pub fn mme(&mut self, r: &MmeRecord) {
-        self.partials.absorb_mme(self.ctx, r);
+        let device = self.ctx.device_class(r.imei);
+        self.partials.absorb_mme(self.ctx, r, device);
+    }
+
+    /// [`Fold::mme`] for a record the validator kept, with the IMEI it
+    /// checked.
+    pub fn kept_mme(&mut self, r: &MmeRecord, imei: Imei) {
+        let device = self.ctx.device_class_of(imei);
+        self.partials.absorb_mme(self.ctx, r, device);
     }
 
     /// Flushes the attributor (a transaction's app can depend on a later
@@ -803,7 +834,7 @@ mod tests {
         let fold = |keep: &dyn Fn(&ProxyRecord) -> bool| {
             let mut p = CorePartials::default();
             for r in store.proxy().iter().filter(|r| keep(r)) {
-                p.absorb_proxy(&ctx, r);
+                p.absorb_proxy(&ctx, r, ctx.device_class(r.imei));
             }
             p
         };

@@ -960,7 +960,7 @@ mod tests {
         );
         let mut partials = CorePartials::default();
         for r in store.proxy() {
-            partials.absorb_proxy(&ctx, r);
+            partials.absorb_proxy(&ctx, r, ctx.device_class(r.imei));
         }
         // Restored partials must also *finish* identically.
         let restored = roundtrip(&partials);

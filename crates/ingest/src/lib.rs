@@ -37,7 +37,8 @@ pub use engine::IngestEngine;
 pub use error::IngestError;
 pub use load::{fold_logs_resilient, load_store_resilient};
 pub use quarantine::{
-    reason_for_codec, IngestOptions, LogRecord, RecordValidator, Rejection, DEFAULT_MAX_ERROR_RATE,
+    reason_for_codec, BudgetTally, IngestOptions, LogRecord, RecordValidator, Rejection,
+    DEFAULT_MAX_ERROR_RATE,
 };
 
 /// The most parse workers a run may ask for. Each worker is a thread, so

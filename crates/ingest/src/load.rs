@@ -34,6 +34,7 @@ use std::time::{Duration, Instant};
 
 use wearscope_core::merge::Fold;
 use wearscope_core::{CoreAggregates, StudyContext};
+use wearscope_devicedb::Imei;
 use wearscope_obs::{Counter, Registry};
 use wearscope_report::{
     DataQuality, IngestReport, QuarantineCounts, QuarantineReason, ShardProgress, ShardSource,
@@ -45,8 +46,8 @@ use wearscope_trace::{
 
 use crate::error::{with_io_retry, IngestError};
 use crate::quarantine::{
-    reason_for_codec, write_quarantine_log, IngestOptions, LogRecord, Position, QuarantineEntry,
-    RecordValidator, Rejection,
+    check_budget, reason_for_codec, write_quarantine_log, IngestOptions, LogRecord, Position,
+    QuarantineEntry, RecordValidator, Rejection,
 };
 use crate::MAX_WORKERS;
 
@@ -74,23 +75,24 @@ enum Parsed {
 /// an I/O error that survived the retries, or a panic's message.
 type Done = Result<io::Result<(Parsed, Duration)>, String>;
 
-/// Where the pipeline hands each chunk's kept records: every proxy chunk,
-/// then every MME chunk, each in file order.
+/// Where the pipeline hands each chunk's kept records, with the IMEIs
+/// the validator checked: every proxy chunk, then every MME chunk, each
+/// in file order.
 trait Sink {
-    fn proxy(&mut self, kept: &[ProxyRecord]);
-    fn mme(&mut self, kept: &[MmeRecord]);
+    fn proxy(&mut self, kept: &[ProxyRecord], imeis: &[Imei]);
+    fn mme(&mut self, kept: &[MmeRecord], imeis: &[Imei]);
 }
 
 impl Sink for Fold<'_> {
-    fn proxy(&mut self, kept: &[ProxyRecord]) {
-        for r in kept {
-            Fold::proxy(self, r);
+    fn proxy(&mut self, kept: &[ProxyRecord], imeis: &[Imei]) {
+        for (r, &imei) in kept.iter().zip(imeis) {
+            self.kept_proxy(r, imei);
         }
     }
 
-    fn mme(&mut self, kept: &[MmeRecord]) {
-        for r in kept {
-            Fold::mme(self, r);
+    fn mme(&mut self, kept: &[MmeRecord], imeis: &[Imei]) {
+        for (r, &imei) in kept.iter().zip(imeis) {
+            self.kept_mme(r, imei);
         }
     }
 }
@@ -103,11 +105,11 @@ struct Collect {
 }
 
 impl Sink for Collect {
-    fn proxy(&mut self, kept: &[ProxyRecord]) {
+    fn proxy(&mut self, kept: &[ProxyRecord], _: &[Imei]) {
         self.proxy.extend_from_slice(kept);
     }
 
-    fn mme(&mut self, kept: &[MmeRecord]) {
+    fn mme(&mut self, kept: &[MmeRecord], _: &[Imei]) {
         self.mme.extend_from_slice(kept);
     }
 }
@@ -237,11 +239,11 @@ fn run<S: Sink>(
             match parsed {
                 Parsed::Proxy(chunk) => {
                     progress.push(shard_progress(t, &chunk, wall));
-                    proxy.take(chunk, &mut timers, |kept| sink.proxy(kept));
+                    proxy.take(chunk, &mut timers, |kept, imeis| sink.proxy(kept, imeis));
                 }
                 Parsed::Mme(chunk) => {
                     progress.push(shard_progress(t, &chunk, wall));
-                    mme.take(chunk, &mut timers, |kept| sink.mme(kept));
+                    mme.take(chunk, &mut timers, |kept, imeis| sink.mme(kept, imeis));
                 }
             }
         }
@@ -268,8 +270,15 @@ fn run<S: Sink>(
         }
     }
 
-    check_budget(ShardSource::Proxy, &proxy, opts)?;
-    check_budget(ShardSource::Mme, &mme, opts)?;
+    for (source, outcome) in [(ShardSource::Proxy, &proxy), (ShardSource::Mme, &mme)] {
+        check_budget(
+            source,
+            outcome.seen,
+            outcome.counts.total(),
+            outcome.entries.first().map(|e| (e.position, e.reason)),
+            opts.max_error_rate,
+        )?;
+    }
 
     let mut quarantined = proxy.counts;
     quarantined.merge(&mme.counts);
@@ -353,6 +362,8 @@ pub(crate) struct LogIngest<R> {
     record_index: u64,
     parse_entries: Vec<QuarantineEntry>,
     content_entries: Vec<QuarantineEntry>,
+    /// The checked IMEIs of the chunk's kept records, in order.
+    imeis: Vec<Imei>,
 }
 
 /// One log's outcome: counts plus the quarantine ledger.
@@ -378,6 +389,7 @@ impl<R: LogRecord> LogIngest<R> {
             record_index: 0,
             parse_entries: Vec::new(),
             content_entries: Vec::new(),
+            imeis: Vec::new(),
         }
     }
 
@@ -389,7 +401,7 @@ impl<R: LogRecord> LogIngest<R> {
         &mut self,
         mut chunk: TsvShard<R>,
         timers: &mut PhaseTimers,
-        sink: impl FnOnce(&[R]),
+        sink: impl FnOnce(&[R], &[Imei]),
     ) {
         let t0 = Instant::now();
         let (source, line_base) = (self.source, self.line_base);
@@ -406,12 +418,14 @@ impl<R: LogRecord> LogIngest<R> {
         );
         self.seen += (chunk.errors.len() + chunk.records.len()) as u64;
         self.line_base += chunk.lines;
+        self.imeis.clear();
         chunk.records.retain(|record| {
             let position = Position::Record(self.record_index);
             self.record_index += 1;
             match self.validator.check(record, self.high_water, false) {
-                Ok(()) => {
+                Ok(imei) => {
                     self.high_water = record.timestamp();
+                    self.imeis.push(imei);
                     true
                 }
                 Err(Rejection { reason, detail }) => {
@@ -427,7 +441,7 @@ impl<R: LogRecord> LogIngest<R> {
         });
         self.kept += chunk.records.len() as u64;
         let t1 = Instant::now();
-        sink(&chunk.records);
+        sink(&chunk.records, &self.imeis);
         timers.validate += t1 - t0;
         timers.fold += t1.elapsed();
     }
@@ -505,29 +519,6 @@ fn record_pool_timings(
     }
     m.timing_gauge("ingest.load_wall_us")
         .set(start.elapsed().as_micros() as i64);
-}
-
-fn check_budget(
-    source: ShardSource,
-    outcome: &SourceOutcome,
-    opts: &IngestOptions,
-) -> Result<(), IngestError> {
-    let quarantined = outcome.counts.total();
-    if outcome.seen == 0 || quarantined as f64 / outcome.seen as f64 <= opts.max_error_rate {
-        return Ok(());
-    }
-    // Name the log's first `quarantine.log` entry — where an operator
-    // should start looking, and a function of file content alone.
-    let first = outcome.entries.first().map_or_else(String::new, |e| {
-        format!("{} {} {}", e.source.name(), e.position, e.reason.name())
-    });
-    Err(IngestError::ErrorBudget {
-        source,
-        first,
-        quarantined,
-        seen: outcome.seen,
-        budget: opts.max_error_rate,
-    })
 }
 
 fn shard_progress<R>(t: &Task<'_>, tsv: &TsvShard<R>, wall: Duration) -> ShardProgress {

@@ -27,6 +27,8 @@ use wearscope_report::{QuarantineReason, ShardSource};
 use wearscope_simtime::{ObservationWindow, SimDuration, SimTime};
 use wearscope_trace::{CodecError, MmeRecord, ProxyRecord};
 
+use crate::error::IngestError;
+
 /// Knobs for the resilient loader.
 #[derive(Clone, Debug)]
 pub struct IngestOptions {
@@ -126,6 +128,97 @@ impl core::fmt::Display for Position {
             Position::Line(n) => write!(f, "line:{n}"),
             Position::Record(n) => write!(f, "record:{n}"),
         }
+    }
+}
+
+/// The `--max-error-rate` rule for one log, applied when the run ends: at
+/// most `budget` of the records `seen` may be quarantined. The error
+/// names `first`, the log's first `quarantine.log` entry, as in
+/// `proxy line:12 bad-field` or `mme record:0 skewed`.
+pub(crate) fn check_budget(
+    source: ShardSource,
+    seen: u64,
+    quarantined: u64,
+    first: Option<(Position, QuarantineReason)>,
+    budget: f64,
+) -> Result<(), IngestError> {
+    if seen == 0 || quarantined as f64 / seen as f64 <= budget {
+        return Ok(());
+    }
+    Err(IngestError::ErrorBudget {
+        source,
+        first: first.map_or_else(String::new, |(position, reason)| {
+            format!("{} {position} {}", source.name(), reason.name())
+        }),
+        quarantined,
+        seen,
+        budget,
+    })
+}
+
+/// One log's count against the `--max-error-rate` budget, kept record by
+/// record as the stream runtime meets them, so a stream run applies the
+/// rule and names the first entry as the batch loader does for the same
+/// log. A resumed run counts from its checkpoint on.
+#[derive(Clone, Debug)]
+pub struct BudgetTally {
+    source: ShardSource,
+    /// Non-blank lines met: parsed records plus malformed lines.
+    seen: u64,
+    quarantined: u64,
+    /// Records parsed so far: the next rejection's `record:N` position.
+    parsed: u64,
+    /// The first malformed line, which `quarantine.log` lists before
+    /// every rejection.
+    first_malformed: Option<(Position, QuarantineReason)>,
+    first_rejected: Option<(Position, QuarantineReason)>,
+}
+
+impl BudgetTally {
+    /// An empty tally for `source`.
+    pub fn new(source: ShardSource) -> BudgetTally {
+        BudgetTally {
+            source,
+            seen: 0,
+            quarantined: 0,
+            parsed: 0,
+            first_malformed: None,
+            first_rejected: None,
+        }
+    }
+
+    /// Counts the line at 1-based `line`, which failed to decode.
+    pub fn malformed(&mut self, line: u64, reason: QuarantineReason) {
+        self.seen += 1;
+        self.quarantined += 1;
+        self.first_malformed
+            .get_or_insert((Position::Line(line), reason));
+    }
+
+    /// Counts a parsed record, quarantined for `rejected` if that is set.
+    pub fn parsed(&mut self, rejected: Option<QuarantineReason>) {
+        if let Some(reason) = rejected {
+            self.quarantined += 1;
+            self.first_rejected
+                .get_or_insert((Position::Record(self.parsed), reason));
+        }
+        self.seen += 1;
+        self.parsed += 1;
+    }
+
+    /// The batch loader's budget rule over this tally.
+    ///
+    /// # Errors
+    /// [`IngestError::ErrorBudget`] when more than `budget` of the records
+    /// seen were quarantined.
+    pub fn check(&self, budget: f64) -> Result<(), IngestError> {
+        check_budget(
+            self.source,
+            self.seen,
+            self.quarantined,
+            self.first_malformed.or(self.first_rejected),
+            budget,
+        )
     }
 }
 
@@ -256,16 +349,25 @@ impl<R: LogRecord> RecordValidator<R> {
     /// `OutOfOrder` (behind `watermark`, or `sealed`: the caller has
     /// already closed everything the record could go to) → `Duplicate`.
     ///
+    /// A kept record's IMEI comes back checked, so the fold can look its
+    /// device up without a second Luhn check.
+    ///
     /// # Errors
     /// The [`Rejection`] of a quarantined record.
-    pub fn check(&mut self, record: &R, watermark: SimTime, sealed: bool) -> Result<(), Rejection> {
+    pub fn check(
+        &mut self,
+        record: &R,
+        watermark: SimTime,
+        sealed: bool,
+    ) -> Result<Imei, Rejection> {
         let ts = record.timestamp();
-        let (reason, detail) = if Imei::from_u64(record.imei()).is_err() {
-            (
-                QuarantineReason::UnknownImei,
-                format!("imei {} is not a valid device identity", record.imei()),
-            )
-        } else if let Some(sector) = record
+        let Ok(imei) = Imei::from_u64(record.imei()) else {
+            return Err(Rejection {
+                reason: QuarantineReason::UnknownImei,
+                detail: format!("imei {} is not a valid device identity", record.imei()),
+            });
+        };
+        let (reason, detail) = if let Some(sector) = record
             .sector()
             .filter(|&s| self.sector_count.is_some_and(|n| s >= n))
         {
@@ -296,7 +398,7 @@ impl<R: LogRecord> RecordValidator<R> {
                 format!("timestamp {}s falls only in sealed windows", ts.as_secs()),
             )
         } else if self.forget_behind(watermark).remember(*record) {
-            return Ok(());
+            return Ok(imei);
         } else {
             (
                 QuarantineReason::Duplicate,
@@ -399,7 +501,7 @@ mod tests {
                 bytes: 0,
                 errors: Vec::new(),
             };
-            log.take(chunk, &mut timers, |k| kept.extend_from_slice(k));
+            log.take(chunk, &mut timers, |k, _| kept.extend_from_slice(k));
         }
         let out = log.finish();
         assert_eq!(out.entries.len() as u64, out.counts.total());
@@ -603,7 +705,7 @@ mod tests {
         let records: Vec<ProxyRecord> = (0..100_000).map(|u| rec(&db, 7, u)).collect();
         let mut v = RecordValidator::new(None);
         for r in &records {
-            assert_eq!(v.check(r, t, false), Ok(()));
+            assert!(v.check(r, t, false).is_ok());
         }
         let duplicates = records
             .iter()
@@ -617,7 +719,7 @@ mod tests {
         // Once the watermark passes the second, its records and their
         // index are forgotten.
         let next = rec(&db, 8, 0);
-        assert_eq!(v.check(&next, next.timestamp, false), Ok(()));
+        assert!(v.check(&next, next.timestamp, false).is_ok());
         assert_eq!(v.memory, [next]);
         assert!(v.indexed.is_empty());
     }

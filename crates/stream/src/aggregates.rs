@@ -14,6 +14,7 @@
 use wearscope_core::sessions::AttributedTx;
 use wearscope_core::snapshot::{RowWriter, Snapshot, SnapshotError, SnapshotReader};
 use wearscope_core::{CoreAggregates, CorePartials, StudyContext};
+use wearscope_devicedb::DeviceClass;
 use wearscope_report::WindowReport;
 use wearscope_trace::{MmeRecord, ProxyRecord};
 
@@ -35,17 +36,31 @@ pub struct WindowAggregates {
 }
 
 impl WindowAggregates {
-    /// Folds one proxy record into the window. `late` marks a record that
-    /// arrived behind the watermark but within the allowed lateness.
-    /// Returns whether a SIM-enabled wearable issued the record.
-    pub fn absorb_proxy(&mut self, ctx: &StudyContext<'_>, r: &ProxyRecord, late: bool) -> bool {
+    /// Folds one proxy record, issued by a device of class `device`, into
+    /// the window. `late` marks a record that arrived behind the
+    /// watermark but within the allowed lateness. Returns whether a
+    /// SIM-enabled wearable issued the record.
+    pub fn absorb_proxy(
+        &mut self,
+        ctx: &StudyContext<'_>,
+        r: &ProxyRecord,
+        device: Option<DeviceClass>,
+        late: bool,
+    ) -> bool {
         self.counters.late_merged += u64::from(late);
-        self.partials.absorb_proxy(ctx, r)
+        self.partials.absorb_proxy(ctx, r, device)
     }
 
-    /// Folds one MME record into the window.
-    pub fn absorb_mme(&mut self, ctx: &StudyContext<'_>, r: &MmeRecord, late: bool) {
-        self.partials.absorb_mme(ctx, r);
+    /// Folds one MME record, from a device of class `device`, into the
+    /// window.
+    pub fn absorb_mme(
+        &mut self,
+        ctx: &StudyContext<'_>,
+        r: &MmeRecord,
+        device: Option<DeviceClass>,
+        late: bool,
+    ) {
+        self.partials.absorb_mme(ctx, r, device);
         self.counters.late_merged += u64::from(late);
     }
 
@@ -112,7 +127,7 @@ impl Snapshot for WindowAggregates {
 mod tests {
     use super::*;
     use wearscope_appdb::AppCatalog;
-    use wearscope_devicedb::{DeviceClass, DeviceDb};
+    use wearscope_devicedb::DeviceDb;
     use wearscope_geo::SectorDirectory;
     use wearscope_simtime::{Calendar, ObservationWindow, SimTime};
     use wearscope_trace::{HostId, Scheme, TraceStore, UserId};
@@ -148,7 +163,7 @@ mod tests {
                 bytes_down: 100 + i,
                 bytes_up: 11,
             };
-            w.absorb_proxy(&ctx, &r, i == 9);
+            w.absorb_proxy(&ctx, &r, ctx.device_class(r.imei), i == 9);
             proxy_records += 1;
             if watch {
                 wearable_tx += 1;
@@ -203,11 +218,11 @@ mod tests {
         let mut first = WindowAggregates::default();
         let mut second = WindowAggregates::default();
         for r in &recs {
-            whole.absorb_proxy(&ctx, r, false);
+            whole.absorb_proxy(&ctx, r, ctx.device_class(r.imei), false);
             if r.timestamp.as_secs() < 3600 {
-                first.absorb_proxy(&ctx, r, false);
+                first.absorb_proxy(&ctx, r, ctx.device_class(r.imei), false);
             } else {
-                second.absorb_proxy(&ctx, r, false);
+                second.absorb_proxy(&ctx, r, ctx.device_class(r.imei), false);
             }
         }
         first.merge(second);
@@ -266,10 +281,12 @@ mod tests {
 
         let mut w = WindowAggregates::default();
         for (i, r) in records.iter().enumerate() {
-            w.absorb_proxy(&ctx, r, i == 1);
+            w.absorb_proxy(&ctx, r, ctx.device_class(r.imei), i == 1);
         }
-        w.absorb_mme(&ctx, &mme(9 * 3600, MmeEvent::Attach, 2), false);
-        w.absorb_mme(&ctx, &mme(9 * 3600 + 600, MmeEvent::SectorUpdate, 3), true);
+        let wearable = ctx.device_class(watch);
+        w.absorb_mme(&ctx, &mme(9 * 3600, MmeEvent::Attach, 2), wearable, false);
+        let update = mme(9 * 3600 + 600, MmeEvent::SectorUpdate, 3);
+        w.absorb_mme(&ctx, &update, wearable, true);
         for tx in &attribute_records(&ctx, &records) {
             w.absorb_attributed(tx);
         }

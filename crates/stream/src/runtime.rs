@@ -30,14 +30,14 @@ use std::path::Path;
 use wearscope_core::sessions::{AttributedTx, Attributor, SESSION_GAP_SECS};
 use wearscope_core::snapshot::SnapshotError;
 use wearscope_core::StudyContext;
-use wearscope_ingest::{reason_for_codec, RecordValidator};
+use wearscope_ingest::{reason_for_codec, BudgetTally, IngestError, RecordValidator};
 use wearscope_obs::{Counter, Gauge, Histogram, Registry};
-use wearscope_report::{QuarantineReason, StreamSummary, WindowReport};
+use wearscope_report::{QuarantineReason, ShardSource, StreamSummary, WindowReport};
 use wearscope_simtime::{SimDuration, SimTime};
 use wearscope_trace::{MmeRecord, ProxyRecord};
 
 use crate::aggregates::WindowAggregates;
-use crate::source::{EventSource, Polled, SourceItem, SourcePosition, StreamEvent};
+use crate::source::{EventSource, Polled, SourceItem, SourceKind, SourcePosition, StreamEvent};
 use crate::window::WindowSpec;
 
 /// What to do when the open-window cap is reached.
@@ -291,6 +291,10 @@ pub struct StreamRuntime<'s> {
     pub(crate) proxy_validator: RecordValidator<ProxyRecord>,
     pub(crate) mme_validator: RecordValidator<MmeRecord>,
     pub(crate) quality: wearscope_report::DataQuality,
+    /// Each log's count against the error budget, for this process's
+    /// records (not checkpointed).
+    pub(crate) proxy_budget: BudgetTally,
+    pub(crate) mme_budget: BudgetTally,
     /// Kept records that arrived behind the max event time.
     pub(crate) late_merged: u64,
     /// Windows emitted early by drop-oldest backpressure.
@@ -325,6 +329,8 @@ impl<'s> StreamRuntime<'s> {
             mme_validator: RecordValidator::new(config.max_timestamp)
                 .with_sector_count(config.sector_count),
             quality: wearscope_report::DataQuality::default(),
+            proxy_budget: BudgetTally::new(ShardSource::Proxy),
+            mme_budget: BudgetTally::new(ShardSource::Mme),
             late_merged: 0,
             forced_emits: 0,
             records_processed: 0,
@@ -381,9 +387,14 @@ impl<'s> StreamRuntime<'s> {
         self.records_processed += 1;
         self.obs.records_processed.inc();
         match item {
-            SourceItem::Malformed { error, .. } => {
+            SourceItem::Malformed { kind, line, error } => {
                 self.quality.records_seen += 1;
-                self.note_quarantine(reason_for_codec(&error));
+                let reason = reason_for_codec(&error);
+                match kind {
+                    SourceKind::Proxy => self.proxy_budget.malformed(line, reason),
+                    SourceKind::Mme => self.mme_budget.malformed(line, reason),
+                }
+                self.note_quarantine(reason);
                 Ok(())
             }
             SourceItem::Event(ev) => self.process_event(ev),
@@ -408,14 +419,24 @@ impl<'s> StreamRuntime<'s> {
             .progress
             .is_some_and(|p| p.next_emit != p.base && hi < p.next_emit);
         let watermark = self.watermark();
-        let verdict = match &ev {
-            StreamEvent::Proxy(r) => self.proxy_validator.check(r, watermark, sealed),
-            StreamEvent::Mme(r) => self.mme_validator.check(r, watermark, sealed),
+        let (verdict, tally) = match &ev {
+            StreamEvent::Proxy(r) => (
+                self.proxy_validator.check(r, watermark, sealed),
+                &mut self.proxy_budget,
+            ),
+            StreamEvent::Mme(r) => (
+                self.mme_validator.check(r, watermark, sealed),
+                &mut self.mme_budget,
+            ),
         };
-        if let Err(rejected) = verdict {
-            self.note_quarantine(rejected.reason);
-            return Ok(());
-        }
+        tally.parsed(verdict.as_ref().err().map(|rejected| rejected.reason));
+        let device = match verdict {
+            Ok(imei) => self.ctx.device_class_of(imei),
+            Err(rejected) => {
+                self.note_quarantine(rejected.reason);
+                return Ok(());
+            }
+        };
         let p = self.progress.get_or_insert(Progress {
             base: lo,
             next_emit: lo,
@@ -440,9 +461,9 @@ impl<'s> StreamRuntime<'s> {
             let ctx = self.ctx;
             match &ev {
                 StreamEvent::Proxy(r) => {
-                    wearable = self.ensure_window(id)?.absorb_proxy(ctx, r, late);
+                    wearable = self.ensure_window(id)?.absorb_proxy(ctx, r, device, late);
                 }
-                StreamEvent::Mme(r) => self.ensure_window(id)?.absorb_mme(ctx, r, late),
+                StreamEvent::Mme(r) => self.ensure_window(id)?.absorb_mme(ctx, r, device, late),
             }
         }
         if let StreamEvent::Proxy(r) = &ev {
@@ -618,6 +639,17 @@ impl<'s> StreamRuntime<'s> {
         while !self.open.is_empty() {
             self.emit_next(false);
         }
+    }
+
+    /// Applies `analyze`'s `--max-error-rate` rule to each log, proxy
+    /// first, over the records this process has met: call it when the
+    /// run ends.
+    ///
+    /// # Errors
+    /// [`IngestError::ErrorBudget`] for the first log over `budget`.
+    pub fn check_error_budget(&self, budget: f64) -> Result<(), IngestError> {
+        self.proxy_budget.check(budget)?;
+        self.mme_budget.check(budget)
     }
 
     /// Consumes the runtime into its summary and (if collected) the

@@ -119,63 +119,187 @@ pub(crate) fn push_str(out: &mut Vec<u8>, s: &str) {
     }
 }
 
-/// Incremental reader over one TSV line.
+/// `0x01` in every byte lane of a word.
+const LANES: u64 = u64::from_le_bytes([0x01; 8]);
+
+/// The index of the first `byte` in `haystack`, eight bytes a step.
+///
+/// This is the one line splitter's scan (and the host field's tab scan):
+/// each `u64` word is XORed with `byte` in every lane, and the classic
+/// has-zero-byte test finds the lanes that matched. A borrow can only set
+/// the flag of a lane above a true zero, so the lowest flag is exact.
+pub(crate) fn find_byte(haystack: &[u8], byte: u8) -> Option<usize> {
+    let needle = LANES * u64::from(byte);
+    let mut words = haystack.chunks_exact(8);
+    let mut at = 0;
+    for word in &mut words {
+        let x = u64::from_le_bytes(word.try_into().expect("chunks of 8")) ^ needle;
+        let found = x.wrapping_sub(LANES) & !x & (LANES * 0x80);
+        if found != 0 {
+            return Some(at + (found.trailing_zeros() / 8) as usize);
+        }
+        at += 8;
+    }
+    words
+        .remainder()
+        .iter()
+        .position(|&b| b == byte)
+        .map(|i| at + i)
+}
+
+/// Decimal digits that cannot overflow a `u64`: any 19-digit value is
+/// below 10^19 < `u64::MAX`.
+const SAFE_DIGITS: usize = 19;
+
+/// 10^n for the digit counts one word can hold.
+const POW10: [u64; 9] = [
+    1,
+    10,
+    100,
+    1_000,
+    10_000,
+    100_000,
+    1_000_000,
+    10_000_000,
+    100_000_000,
+];
+
+/// The leading digits of `digits` as a number, and how many there are,
+/// eight bytes a step: each word is tested for digits and converted in
+/// lanes. `None` on overflow.
+fn leading_digits(digits: &[u8]) -> Option<(u64, usize)> {
+    let mut value = 0u64;
+    let mut len = 0;
+    while let Some(word) = digits.get(len..len + 8) {
+        // Lanes 0..=9 where the byte is a digit; the high bit of a lane
+        // flags a byte that is not.
+        let x = u64::from_le_bytes(word.try_into().expect("8 bytes")) ^ (LANES * u64::from(b'0'));
+        let not_digit = (((x & (LANES * 0x7f)) + LANES * (0x80 - 10)) | x) & (LANES * 0x80);
+        let n = (not_digit.trailing_zeros() / 8) as usize;
+        if n > 0 {
+            // The first digit sits in the lowest lane: shift the n digits
+            // to the top, below which empty lanes read as leading zeros.
+            let word = lanes_to_u64(x << (64 - 8 * n));
+            value = if len + n <= SAFE_DIGITS {
+                value * POW10[n] + word
+            } else {
+                value
+                    .checked_mul(POW10[n])
+                    .and_then(|v| v.checked_add(word))?
+            };
+            len += n;
+        }
+        if n < 8 {
+            return Some((value, len));
+        }
+    }
+    for &b in &digits[len..] {
+        let digit = b.wrapping_sub(b'0');
+        if digit > 9 {
+            break;
+        }
+        value = if len < SAFE_DIGITS {
+            value * 10 + u64::from(digit)
+        } else {
+            value.checked_mul(10)?.checked_add(u64::from(digit))?
+        };
+        len += 1;
+    }
+    Some((value, len))
+}
+
+/// The value of eight decimal digits, one per byte lane (0..=9), the most
+/// significant in the lowest lane: pairs, then quads, then the whole.
+fn lanes_to_u64(x: u64) -> u64 {
+    let x = (x & 0x000f_000f_000f_000f) * 10 + ((x >> 8) & 0x000f_000f_000f_000f);
+    let x = (x & 0x0000_00ff_0000_00ff) * 100 + ((x >> 16) & 0x0000_00ff_0000_00ff);
+    (x & 0x0000_0000_0000_ffff) * 10_000 + ((x >> 32) & 0x0000_0000_0000_ffff)
+}
+
+/// Incremental reader over one TSV line's bytes.
+///
+/// Fields are read in order, straight from the bytes: a `u64` in one pass
+/// that checks its digits and finds the tab after them, a host through
+/// an unescape only when it holds `\`. Only the host field is checked
+/// for UTF-8; [`TsvRecord::from_bytes`] settles the rest of the line.
 #[derive(Debug)]
 pub struct FieldReader<'a> {
-    fields: std::str::Split<'a, char>,
+    /// The line after the last field read, or `None` once the last field
+    /// (the one no tab ends) has been read.
+    rest: Option<&'a [u8]>,
     index: usize,
     expected_total: usize,
 }
 
 impl<'a> FieldReader<'a> {
     /// Wraps a line expected to contain exactly `expected_total` fields.
-    pub fn new(line: &'a str, expected_total: usize) -> FieldReader<'a> {
+    pub fn new(line: &'a [u8], expected_total: usize) -> FieldReader<'a> {
         FieldReader {
-            fields: line.split('\t'),
+            rest: Some(line),
             index: 0,
             expected_total,
         }
     }
 
-    fn next_raw(&mut self) -> Result<&'a str, CodecError> {
-        match self.fields.next() {
-            Some(f) => {
-                self.index += 1;
-                Ok(f)
-            }
-            None => Err(CodecError::MissingField { index: self.index }),
-        }
+    /// The unread line, counting the field about to be read.
+    fn next_rest(&mut self) -> Result<&'a [u8], CodecError> {
+        let rest = self
+            .rest
+            .ok_or(CodecError::MissingField { index: self.index })?;
+        self.index += 1;
+        Ok(rest)
     }
 
-    /// Reads a `u64` field.
+    /// Reads a `u64` field by `str::parse`'s rules: one optional leading
+    /// `+`, then at least one ASCII digit (leading zeros are fine), with
+    /// overflow an error.
     pub fn u64(&mut self) -> Result<u64, CodecError> {
-        let idx = self.index;
-        let raw = self.next_raw()?;
-        raw.parse().map_err(|_| CodecError::BadField {
-            index: idx,
+        let index = self.index;
+        let bad = || CodecError::BadField {
+            index,
             expected: "u64",
-        })
+        };
+        let rest = self.next_rest()?;
+        let digits = rest.strip_prefix(b"+").unwrap_or(rest);
+        let (value, len) = leading_digits(digits).ok_or_else(bad)?;
+        match digits.get(len) {
+            _ if len == 0 => return Err(bad()),
+            None => self.rest = None,
+            Some(b'\t') => self.rest = Some(&digits[len + 1..]),
+            Some(_) => return Err(bad()),
+        }
+        Ok(value)
     }
 
     /// Reads a host field and interns it, straight from the line unless
     /// the field holds an escape.
     pub fn host(&mut self) -> Result<HostId, CodecError> {
-        let raw = self.next_raw()?;
-        if raw.contains('\\') {
-            Ok(HostId::intern(&unescape(raw)?))
+        let rest = self.next_rest()?;
+        let raw = match find_byte(rest, b'\t') {
+            Some(tab) => {
+                self.rest = Some(&rest[tab + 1..]);
+                &rest[..tab]
+            }
+            None => {
+                self.rest = None;
+                rest
+            }
+        };
+        if raw.contains(&b'\\') {
+            let name = std::str::from_utf8(raw).map_err(|_| CodecError::InvalidUtf8)?;
+            Ok(HostId::intern(&unescape(name)?))
         } else {
-            Ok(HostId::intern(raw))
+            HostId::intern_bytes(raw).ok_or(CodecError::InvalidUtf8)
         }
     }
 
     /// Asserts the line is exhausted.
-    pub fn finish(mut self) -> Result<(), CodecError> {
-        if self.fields.next().is_some() {
-            Err(CodecError::TrailingFields {
+    pub fn finish(self) -> Result<(), CodecError> {
+        match self.rest {
+            Some(_) => Err(CodecError::TrailingFields {
                 expected: self.expected_total,
-            })
-        } else {
-            Ok(())
+            }),
+            None => Ok(()),
         }
     }
 }
@@ -196,11 +320,39 @@ pub trait TsvRecord: Sized {
         String::from_utf8(out).expect("the encoder writes UTF-8")
     }
 
+    /// Reads the record's fields in schema order, ending with
+    /// [`FieldReader::finish`].
+    ///
+    /// # Errors
+    /// The first field's [`CodecError`].
+    fn read_fields(fields: FieldReader<'_>) -> Result<Self, CodecError>;
+
+    /// Parses from one line's bytes (no line ending): the one decoder.
+    ///
+    /// A line that is not UTF-8 is [`CodecError::InvalidUtf8`], whatever
+    /// else is wrong with it. The line is not checked up front: a line
+    /// that parses holds only ASCII digits, `+` and tabs outside its host
+    /// field, and the host field is checked as it is read, so only a line
+    /// that fails needs the whole-line check.
+    ///
+    /// # Errors
+    /// Any [`CodecError`] on schema mismatch.
+    fn from_bytes(line: &[u8]) -> Result<Self, CodecError> {
+        Self::read_fields(FieldReader::new(line, Self::FIELDS)).map_err(|error| {
+            match std::str::from_utf8(line) {
+                Ok(_) => error,
+                Err(_) => CodecError::InvalidUtf8,
+            }
+        })
+    }
+
     /// Parses from one line.
     ///
     /// # Errors
     /// Any [`CodecError`] on schema mismatch.
-    fn from_line(line: &str) -> Result<Self, CodecError>;
+    fn from_line(line: &str) -> Result<Self, CodecError> {
+        Self::from_bytes(line.as_bytes())
+    }
 }
 
 #[cfg(test)]
@@ -240,7 +392,7 @@ mod tests {
         out.push(b'\t');
         push_u64(&mut out, 7);
         let line = String::from_utf8(out).unwrap();
-        let mut r = FieldReader::new(&line, 3);
+        let mut r = FieldReader::new(line.as_bytes(), 3);
         assert_eq!(r.u64().unwrap(), 42);
         assert_eq!(r.host().unwrap().name(), "host\twith\ttabs");
         assert_eq!(r.u64().unwrap(), 7);
@@ -249,11 +401,11 @@ mod tests {
 
     #[test]
     fn missing_and_trailing_fields() {
-        let mut r = FieldReader::new("1", 2);
+        let mut r = FieldReader::new(b"1", 2);
         assert_eq!(r.u64().unwrap(), 1);
         assert_eq!(r.u64(), Err(CodecError::MissingField { index: 1 }));
 
-        let mut r = FieldReader::new("1\t2\t3", 2);
+        let mut r = FieldReader::new(b"1\t2\t3", 2);
         let _ = r.u64().unwrap();
         let _ = r.u64().unwrap();
         assert_eq!(r.finish(), Err(CodecError::TrailingFields { expected: 2 }));
@@ -261,7 +413,7 @@ mod tests {
 
     #[test]
     fn bad_numeric_field() {
-        let mut r = FieldReader::new("abc", 1);
+        let mut r = FieldReader::new(b"abc", 1);
         assert_eq!(
             r.u64(),
             Err(CodecError::BadField {
@@ -279,6 +431,33 @@ mod tests {
         );
         assert!(CodecError::BadEscape.to_string().contains("escape"));
         assert!(CodecError::InvalidUtf8.to_string().contains("UTF-8"));
+    }
+
+    #[test]
+    fn find_byte_matches_position() {
+        // Every length up to eight words, every needle offset, and bytes
+        // next to `\n` around it (a borrow across lanes must not fake a
+        // match below the real one), from every start within a word.
+        let filler = [0x0b, 0x8a, 0x09, 0xff, 0x00, b'a', 0x8a, 0x01];
+        for len in 0..=64 {
+            let base: Vec<u8> = (0..len).map(|i| filler[i % filler.len()]).collect();
+            let mut bufs = vec![base.clone()];
+            for at in 0..len {
+                let mut buf = base.clone();
+                buf[at] = b'\n';
+                if at + 3 < len {
+                    buf[at + 3] = b'\n';
+                }
+                bufs.push(buf);
+            }
+            for buf in &bufs {
+                for from in 0..len.min(8) {
+                    let hay = &buf[from..];
+                    let want = hay.iter().position(|&b| b == b'\n');
+                    assert_eq!(find_byte(hay, b'\n'), want, "{hay:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -55,14 +55,73 @@ thread_local! {
     /// parse workers take the shared lock once per new host, not once per
     /// record.
     static CACHE: RefCell<Names> = RefCell::default();
+
+    /// A small cache in front of [`CACHE`], keyed by a cheap inline hash
+    /// of the name and checked against the name, so most records skip
+    /// the map's SipHash. Each hash picks a set of two ways, so two
+    /// busy hosts that share a set do not evict each other; a third
+    /// falls back to the map, never onto the shared lock.
+    static RECENT: RefCell<[RecentSet; RECENT_SETS]> =
+        const { RefCell::new([[None; 2]; RECENT_SETS]) };
+}
+
+/// One set of [`RECENT`]: two hosts with the name the table keeps.
+type RecentSet = [Option<(&'static str, HostId)>; 2];
+
+/// Sets in [`RECENT`]: a few times the hundred or so hosts of a log.
+const RECENT_SETS: usize = 256;
+
+/// `name`'s set in [`RECENT`]: a multiplicative hash over the name's
+/// eight-byte words (the last one overlapping the one before it, or
+/// zero-padded in a name shorter than a word), folded to the set count.
+fn recent_set(name: &[u8]) -> usize {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("8 bytes"));
+    let mut hash = name.len() as u64;
+    let last = match name.len() {
+        0..8 => name.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b)),
+        n => {
+            for w in name[..n - 1].chunks_exact(8) {
+                hash = (hash.rotate_left(5) ^ word(w)).wrapping_mul(K);
+            }
+            word(&name[n - 8..])
+        }
+    };
+    hash = (hash.rotate_left(5) ^ last).wrapping_mul(K);
+    (hash >> 32) as usize % RECENT_SETS
 }
 
 impl HostId {
     /// The id of `name`, adding it to the process table on first sight.
     pub fn intern(name: &str) -> HostId {
+        HostId::intern_bytes(name.as_bytes()).expect("a str is UTF-8")
+    }
+
+    /// [`HostId::intern`] for a name still in bytes: `None` if they are
+    /// not UTF-8. A name this thread met recently is compared as bytes
+    /// with the one the table keeps, so it is not checked again.
+    pub(crate) fn intern_bytes(name: &[u8]) -> Option<HostId> {
+        let set = recent_set(name);
+        RECENT.with_borrow_mut(|recent| {
+            let ways = &mut recent[set];
+            for (known, id) in ways.iter().flatten() {
+                if known.as_bytes() == name {
+                    return Some(*id);
+                }
+            }
+            let entry = HostId::intern_cached(std::str::from_utf8(name).ok()?);
+            // Fill the set's first way, moving what it held to the second.
+            ways[1] = ways[0].replace(entry);
+            Some(entry.1)
+        })
+    }
+
+    /// [`HostId::intern`] through this thread's map, with the name as the
+    /// table keeps it.
+    fn intern_cached(name: &str) -> (&'static str, HostId) {
         CACHE.with_borrow_mut(|cache| {
-            if let Some(&id) = cache.ids.get(name) {
-                return id;
+            if let Some((&known, &id)) = cache.ids.get_key_value(name) {
+                return (known, id);
             }
             // Nothing that can unwind runs between the push and the insert
             // below, so a poisoned table is still consistent.
@@ -79,8 +138,9 @@ impl HostId {
                     id
                 }
             };
-            cache.ids.insert(shared.names[id.index()], id);
-            id
+            let known = shared.names[id.index()];
+            cache.ids.insert(known, id);
+            (known, id)
         })
     }
 

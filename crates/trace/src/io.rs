@@ -11,7 +11,7 @@ use std::path::Path;
 
 use wearscope_obs::{Counter, Registry};
 
-use crate::codec::{CodecError, TsvRecord};
+use crate::codec::{find_byte, CodecError, TsvRecord};
 
 /// Byte and decode-error meters for trace I/O.
 ///
@@ -74,11 +74,98 @@ pub fn decode_log_line<R: TsvRecord>(raw: &[u8]) -> Option<Result<R, CodecError>
     if end == 0 {
         return None;
     }
-    Some(
-        std::str::from_utf8(&raw[..end])
-            .map_err(|_| CodecError::InvalidUtf8)
-            .and_then(R::from_line),
-    )
+    Some(R::from_bytes(&raw[..end]))
+}
+
+/// The one line splitter, behind [`LogReader`], [`TailReader`] and the
+/// chunk reader ([`crate::read_tsv_shard`]): it reads its source into a
+/// buffer it reuses, finds each `\n` a word at a time, and hands out the
+/// lines in place, so no line is copied out of the buffer.
+#[derive(Debug)]
+pub(crate) struct Lines<S> {
+    source: S,
+    /// `buf[start..filled]` holds bytes read but not yet handed out as
+    /// lines; reads land in place in `buf[filled..]`, which is zeroed
+    /// once, when the buffer grows.
+    buf: Vec<u8>,
+    /// Handed-out prefix of `buf` (compacted before the next read).
+    start: usize,
+    /// End of the bytes read into `buf`.
+    filled: usize,
+    /// Scan resume point within `buf` (avoids rescanning on refills).
+    scanned: usize,
+}
+
+impl<S: Read> Lines<S> {
+    /// Splits `source` through a buffer of `capacity` bytes, which bounds
+    /// each read until one line outgrows it.
+    pub(crate) fn new(source: S, capacity: usize) -> Lines<S> {
+        Lines {
+            source,
+            buf: vec![0; capacity.max(1)],
+            start: 0,
+            filled: 0,
+            scanned: 0,
+        }
+    }
+
+    /// The source, to attach a meter to it.
+    pub(crate) fn source_mut(&mut self) -> &mut S {
+        &mut self.source
+    }
+
+    /// The next line, its `\n` included, reading the source as needed.
+    /// At the end of the source an unterminated last line is handed out
+    /// too, unless `hold_partial` (a follower waits for its `\n`, and
+    /// finds it by calling again once the source has grown). `None` when
+    /// no line is available.
+    ///
+    /// # Errors
+    /// Propagates read errors other than [`io::ErrorKind::Interrupted`].
+    pub(crate) fn next_line(&mut self, hold_partial: bool) -> io::Result<Option<&[u8]>> {
+        loop {
+            if let Some(nl) = find_byte(&self.buf[self.scanned..self.filled], b'\n') {
+                return Ok(Some(self.hand_out(self.scanned + nl + 1)));
+            }
+            self.scanned = self.filled;
+            self.make_room();
+            let n = match self.source.read(&mut self.buf[self.filled..]) {
+                Ok(n) => n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            if n == 0 {
+                if hold_partial || self.start == self.filled {
+                    return Ok(None);
+                }
+                return Ok(Some(self.hand_out(self.filled)));
+            }
+            self.filled += n;
+        }
+    }
+
+    /// Hands out `buf[start..end]` as one line.
+    fn hand_out(&mut self, end: usize) -> &[u8] {
+        let line = &self.buf[self.start..end];
+        self.start = end;
+        self.scanned = end;
+        line
+    }
+
+    /// Frees the buffer's tail for the next read: the unconsumed partial
+    /// line moves to the front, and the buffer doubles only when that one
+    /// line fills it.
+    fn make_room(&mut self) {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.filled, 0);
+            self.filled -= self.start;
+            self.scanned -= self.start;
+            self.start = 0;
+        }
+        if self.filled == self.buf.len() {
+            self.buf.resize(self.buf.len() * 2, 0);
+        }
+    }
 }
 
 /// Buffered line-oriented writer for any [`TsvRecord`].
@@ -120,7 +207,7 @@ pub struct LogWriter<W: Write, R: TsvRecord> {
 /// Flush threshold for the in-memory buffer.
 const FLUSH_AT: usize = 64 * 1024;
 
-/// A [`TailReader`]'s initial buffer, which bounds each read until one
+/// The line splitter's initial buffer, which bounds each read until one
 /// line outgrows it.
 const READ_BYTES: usize = 64 * 1024;
 
@@ -220,9 +307,8 @@ impl std::error::Error for ReadError {}
 /// Streaming reader yielding `Result<R, ReadError>` per line.
 #[derive(Debug)]
 pub struct LogReader<S: BufRead, R: TsvRecord> {
-    source: S,
+    lines: Lines<S>,
     line_no: u64,
-    buf: Vec<u8>,
     _marker: PhantomData<fn() -> R>,
 }
 
@@ -230,9 +316,8 @@ impl<S: BufRead, R: TsvRecord> LogReader<S, R> {
     /// Wraps a buffered source.
     pub fn new(source: S) -> LogReader<S, R> {
         LogReader {
-            source,
+            lines: Lines::new(source, READ_BYTES),
             line_no: 0,
-            buf: Vec::new(),
             _marker: PhantomData,
         }
     }
@@ -249,22 +334,17 @@ impl<S: BufRead, R: TsvRecord> Iterator for LogReader<S, R> {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            self.buf.clear();
-            match self.source.read_until(b'\n', &mut self.buf) {
-                Ok(0) => return None,
-                Ok(_) => {
-                    self.line_no += 1;
-                    match decode_log_line::<R>(&self.buf) {
-                        None => continue, // tolerate blank lines
-                        Some(item) => {
-                            return Some(item.map_err(|error| ReadError::Codec {
-                                line: self.line_no,
-                                error,
-                            }));
-                        }
-                    }
-                }
+            let line = match self.lines.next_line(false) {
+                Ok(line) => line?,
                 Err(e) => return Some(Err(ReadError::Io(e))),
+            };
+            self.line_no += 1;
+            // Blank lines are tolerated.
+            if let Some(item) = decode_log_line::<R>(line) {
+                return Some(item.map_err(|error| ReadError::Codec {
+                    line: self.line_no,
+                    error,
+                }));
             }
         }
     }
@@ -305,23 +385,31 @@ pub enum TailItem<R> {
 /// decoded as a final (possibly truncated) record, matching [`LogReader`].
 #[derive(Debug)]
 pub struct TailReader<R: TsvRecord> {
-    file: File,
-    /// Read buffer. `buf[start..filled]` holds bytes read from the file
-    /// but not yet consumed as complete lines; reads land in place in
-    /// `buf[filled..]`, which is zeroed once, when the buffer grows.
-    buf: Vec<u8>,
-    /// Consumed prefix of `buf` (compacted before the next read).
-    start: usize,
-    /// End of the bytes read into `buf`.
-    filled: usize,
-    /// Scan resume point within `buf` (avoids rescanning on refills).
-    scanned: usize,
-    /// Byte offset in the file of `buf[start]` — the committed position.
+    lines: Lines<MeteredFile>,
+    /// Byte offset in the file of the first line not yet consumed — the
+    /// committed position.
     offset: u64,
     line_no: u64,
     follow: bool,
-    meter: Option<IoMeter>,
     _marker: PhantomData<fn() -> R>,
+}
+
+/// A log file that counts the bytes read from it, once a meter is
+/// attached.
+#[derive(Debug)]
+struct MeteredFile {
+    file: File,
+    meter: Option<IoMeter>,
+}
+
+impl Read for MeteredFile {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.file.read(buf)?;
+        if let Some(meter) = &self.meter {
+            meter.add_bytes(n as u64);
+        }
+        Ok(n)
+    }
 }
 
 impl<R: TsvRecord> TailReader<R> {
@@ -358,16 +446,12 @@ impl<R: TsvRecord> TailReader<R> {
             ));
         }
         file.seek(SeekFrom::Start(offset))?;
+        let file = MeteredFile { file, meter: None };
         Ok(TailReader {
-            file,
-            buf: vec![0; READ_BYTES],
-            start: 0,
-            filled: 0,
-            scanned: 0,
+            lines: Lines::new(file, READ_BYTES),
             offset,
             line_no,
             follow,
-            meter: None,
             _marker: PhantomData,
         })
     }
@@ -376,7 +460,7 @@ impl<R: TsvRecord> TailReader<R> {
     /// lines are counted from this point on.
     #[must_use]
     pub fn with_meter(mut self, meter: IoMeter) -> TailReader<R> {
-        self.meter = Some(meter);
+        self.lines.source_mut().meter = Some(meter);
         self
     }
 
@@ -396,28 +480,6 @@ impl<R: TsvRecord> TailReader<R> {
         self.follow = false;
     }
 
-    /// Consumes `buf[start..end]` as one raw line and decodes it.
-    /// Returns `None` for a blank line (caller keeps scanning).
-    fn consume(&mut self, end: usize) -> Option<TailItem<R>> {
-        let item = decode_log_line::<R>(&self.buf[self.start..end]);
-        self.offset += (end - self.start) as u64;
-        self.line_no += 1;
-        self.start = end;
-        self.scanned = end;
-        match item? {
-            Ok(r) => Some(TailItem::Record(r)),
-            Err(error) => {
-                if let Some(meter) = &self.meter {
-                    meter.add_decode_error();
-                }
-                Some(TailItem::Malformed {
-                    line: self.line_no,
-                    error,
-                })
-            }
-        }
-    }
-
     /// Yields the next item. See [`TailItem`] for the follow-mode contract.
     /// A line that is not UTF-8 is [`TailItem::Malformed`], as in
     /// [`LogReader`].
@@ -426,50 +488,28 @@ impl<R: TsvRecord> TailReader<R> {
     /// Propagates I/O errors reading the file.
     pub fn next_item(&mut self) -> io::Result<TailItem<R>> {
         loop {
-            let unscanned = &self.buf[self.scanned..self.filled];
-            if let Some(nl) = unscanned.iter().position(|&b| b == b'\n') {
-                let end = self.scanned + nl + 1;
-                if let Some(item) = self.consume(end) {
-                    return Ok(item);
-                }
-                continue;
-            }
-            self.scanned = self.filled;
-            self.make_room();
-            let n = self.file.read(&mut self.buf[self.filled..])?;
-            if let Some(meter) = &self.meter {
-                meter.add_bytes(n as u64);
-            }
-            if n == 0 {
-                if self.follow {
-                    return Ok(TailItem::Pending);
-                }
-                if self.start < self.filled {
-                    // Final unterminated line.
-                    let end = self.filled;
-                    if let Some(item) = self.consume(end) {
-                        return Ok(item);
+            let Some(line) = self.lines.next_line(self.follow)? else {
+                return Ok(if self.follow {
+                    TailItem::Pending
+                } else {
+                    TailItem::End
+                });
+            };
+            self.offset += line.len() as u64;
+            self.line_no += 1;
+            match decode_log_line::<R>(line) {
+                None => continue, // a blank line
+                Some(Ok(r)) => return Ok(TailItem::Record(r)),
+                Some(Err(error)) => {
+                    if let Some(meter) = &self.lines.source_mut().meter {
+                        meter.add_decode_error();
                     }
-                    continue;
+                    return Ok(TailItem::Malformed {
+                        line: self.line_no,
+                        error,
+                    });
                 }
-                return Ok(TailItem::End);
             }
-            self.filled += n;
-        }
-    }
-
-    /// Frees the buffer's tail for the next read: the unconsumed partial
-    /// line moves to the front, and the buffer doubles only when that one
-    /// line fills it.
-    fn make_room(&mut self) {
-        if self.start > 0 {
-            self.buf.copy_within(self.start..self.filled, 0);
-            self.filled -= self.start;
-            self.scanned -= self.start;
-            self.start = 0;
-        }
-        if self.filled == self.buf.len() {
-            self.buf.resize(self.buf.len() * 2, 0);
         }
     }
 }

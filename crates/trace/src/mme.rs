@@ -83,8 +83,7 @@ impl TsvRecord for MmeRecord {
         push_u64(out, u64::from(self.sector));
     }
 
-    fn from_line(line: &str) -> Result<MmeRecord, CodecError> {
-        let mut r = FieldReader::new(line, Self::FIELDS);
+    fn read_fields(mut r: FieldReader<'_>) -> Result<MmeRecord, CodecError> {
         let timestamp = SimTime::from_secs(r.u64()?);
         let user = UserId(r.u64()?);
         let imei = r.u64()?;

@@ -101,8 +101,7 @@ impl TsvRecord for ProxyRecord {
         push_u64(out, self.bytes_up);
     }
 
-    fn from_line(line: &str) -> Result<ProxyRecord, CodecError> {
-        let mut r = FieldReader::new(line, Self::FIELDS);
+    fn read_fields(mut r: FieldReader<'_>) -> Result<ProxyRecord, CodecError> {
         let timestamp = SimTime::from_secs(r.u64()?);
         let user = UserId(r.u64()?);
         let imei = r.u64()?;

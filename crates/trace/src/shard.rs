@@ -17,7 +17,7 @@ use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom};
 use std::path::Path;
 
 use crate::codec::{CodecError, TsvRecord};
-use crate::io::{LogReader, ReadError};
+use crate::io::{decode_log_line, Lines};
 
 /// A half-open byte range `[start, end)` of a log file, aligned to record
 /// boundaries by [`plan_tsv_shards`].
@@ -97,6 +97,10 @@ pub struct TsvShard<R> {
     pub errors: Vec<(u64, CodecError)>,
 }
 
+/// The chunk reader's buffer. Each parse worker holds one, so it stays
+/// small: a 256 KiB chunk takes sixteen reads.
+const READ_BYTES: usize = 16 * 1024;
+
 /// Parses one planned TSV byte range.
 ///
 /// The range must come from [`plan_tsv_shards`] (newline-aligned), so the
@@ -109,22 +113,21 @@ pub struct TsvShard<R> {
 pub fn read_tsv_shard<R: TsvRecord>(path: &Path, range: ByteRange) -> io::Result<TsvShard<R>> {
     let mut file = File::open(path)?;
     file.seek(SeekFrom::Start(range.start))?;
-    let source = BufReader::new(file.take(range.len()));
+    let mut lines = Lines::new(file.take(range.len()), READ_BYTES);
     let mut shard = TsvShard {
         records: Vec::new(),
         bytes: range.len(),
         lines: 0,
         errors: Vec::new(),
     };
-    let mut reader = LogReader::<_, R>::new(source);
-    for item in reader.by_ref() {
-        match item {
-            Ok(record) => shard.records.push(record),
-            Err(ReadError::Codec { line, error }) => shard.errors.push((line, error)),
-            Err(ReadError::Io(e)) => return Err(e),
+    while let Some(line) = lines.next_line(false)? {
+        shard.lines += 1;
+        match decode_log_line::<R>(line) {
+            None => {} // a blank line
+            Some(Ok(record)) => shard.records.push(record),
+            Some(Err(error)) => shard.errors.push((shard.lines, error)),
         }
     }
-    shard.lines = reader.lines_read();
     Ok(shard)
 }
 
@@ -331,6 +334,91 @@ mod tests {
         assert_eq!(lines, 5);
         assert_eq!(global_error_lines, vec![4]);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Lines, records and `(line, error)` pairs of `text` as the
+    /// `read_until` splitter the shared one replaced found them.
+    type Split = (u64, Vec<MmeRecord>, Vec<(u64, CodecError)>);
+
+    fn read_until_split(text: &[u8]) -> Split {
+        let mut source = BufReader::new(text);
+        let (mut lines, mut records, mut errors) = (0, Vec::new(), Vec::new());
+        let mut line = Vec::new();
+        while source.read_until(b'\n', &mut line).unwrap() > 0 {
+            lines += 1;
+            match decode_log_line::<MmeRecord>(&line) {
+                None => {}
+                Some(Ok(r)) => records.push(r),
+                Some(Err(e)) => errors.push((lines, e)),
+            }
+            line.clear();
+        }
+        (lines, records, errors)
+    }
+
+    #[test]
+    fn every_reader_splits_as_read_until_did() {
+        use crate::io::{LogReader, ReadError, TailItem, TailReader};
+        let good = |i| mme(i).to_line();
+        // Longer than both the chunk reader's and the tail reader's buffer.
+        let long = "7".repeat(150_000);
+        let body = format!(
+            "{}\n\n{}\r\n{long}\n\r\n{}\nnot a record\n{}\r\n",
+            good(1),
+            good(2),
+            good(3),
+            good(4)
+        );
+        for text in [
+            body.clone(),
+            format!("{body}{}", good(5)),
+            format!("{body}truncated\t1"),
+            format!("\n\n{body}\r"),
+        ] {
+            let want = read_until_split(text.as_bytes());
+            let path = temp_path("splitter");
+            std::fs::write(&path, &text).unwrap();
+
+            for shards in [1, 3, 64] {
+                let mut got: Split = (0, Vec::new(), Vec::new());
+                for range in plan_tsv_shards(&path, shards).unwrap() {
+                    let shard: TsvShard<MmeRecord> = read_tsv_shard(&path, range).unwrap();
+                    let base = got.0;
+                    got.0 += shard.lines;
+                    got.1.extend(shard.records);
+                    got.2
+                        .extend(shard.errors.into_iter().map(|(l, e)| (base + l, e)));
+                }
+                assert_eq!(got, want, "{shards} chunks");
+            }
+
+            let mut tail = TailReader::<MmeRecord>::open(&path, false).unwrap();
+            let mut got: Split = (0, Vec::new(), Vec::new());
+            loop {
+                match tail.next_item().unwrap() {
+                    TailItem::Record(r) => got.1.push(r),
+                    TailItem::Malformed { line, error } => got.2.push((line, error)),
+                    TailItem::End => break,
+                    TailItem::Pending => unreachable!("not following"),
+                }
+            }
+            got.0 = tail.line_no();
+            assert_eq!(got, want, "tail reader");
+            assert_eq!(tail.offset(), text.len() as u64);
+
+            let mut reader = LogReader::new(BufReader::new(File::open(&path).unwrap()));
+            let mut got: Split = (0, Vec::new(), Vec::new());
+            for item in reader.by_ref() {
+                match item {
+                    Ok(r) => got.1.push(r),
+                    Err(ReadError::Codec { line, error }) => got.2.push((line, error)),
+                    Err(ReadError::Io(e)) => panic!("{e}"),
+                }
+            }
+            got.0 = reader.lines_read();
+            assert_eq!(got, want, "log reader");
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 
     #[test]

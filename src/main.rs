@@ -18,7 +18,7 @@ use std::process::ExitCode;
 
 use wearscope::core::{CoreAggregates, StudyResults};
 use wearscope::faults::{corrupt_world, FaultSpec};
-use wearscope::ingest::{fold_logs_resilient, IngestOptions, MAX_WORKERS};
+use wearscope::ingest::{fold_logs_resilient, IngestOptions, DEFAULT_MAX_ERROR_RATE, MAX_WORKERS};
 use wearscope::obs::Registry;
 use wearscope::prelude::*;
 use wearscope::report::{export_figures, render_full, render_stage_table, ExperimentReport};
@@ -65,7 +65,7 @@ USAGE:
                          [--checkpoint DIR] [--checkpoint-every N] [--resume]
                          [--max-open N] [--backpressure block|drop-oldest]
                          [--stop-after N] [--report FILE] [--follow]
-                         [--metrics FILE]
+                         [--max-error-rate R] [--metrics FILE]
 
 COMMANDS:
     generate     simulate a world and persist logs + cell plan + summaries
@@ -86,9 +86,10 @@ OPTIONS:
                  calling thread validates and folds the records as they
                  are parsed. Results are bit-identical for every N
     --max-error-rate R
-                 abort analyze when a log's quarantined fraction exceeds R
-                 (default 0.01); quarantined records are listed with typed
-                 reasons in WORLD/quarantine.log
+                 fail analyze, or stream once its logs end, when a log's
+                 quarantined fraction exceeds R (default 0.01); analyze
+                 lists quarantined records with typed reasons in
+                 WORLD/quarantine.log
     --faults SPEC
                  comma-separated fault classes for corrupt: `all` or any of
                  truncate/bitflip/garbage/dup/reorder/crlf/badimei/skew,
@@ -255,6 +256,18 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// The `--max-error-rate` budget, if given: a fraction in [0, 1].
+fn max_error_rate(args: &[String]) -> Result<Option<f64>, String> {
+    let Some(s) = flag(args, "--max-error-rate")? else {
+        return Ok(None);
+    };
+    let rate: f64 = s.parse().map_err(|_| format!("bad error rate `{s}`"))?;
+    if !(0.0..=1.0).contains(&rate) {
+        return Err(format!("--max-error-rate must be in [0, 1], got {rate}"));
+    }
+    Ok(Some(rate))
+}
+
 fn cmd_analyze(args: &[String]) -> Result<(), String> {
     reject_unknown(
         args,
@@ -283,11 +296,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     let metrics = Registry::new();
     let root = metrics.stage("analyze");
     let mut opts = IngestOptions::for_world(&dir).with_metrics(metrics.clone());
-    if let Some(s) = flag(args, "--max-error-rate")? {
-        let rate: f64 = s.parse().map_err(|_| format!("bad error rate `{s}`"))?;
-        if !(0.0..=1.0).contains(&rate) {
-            return Err(format!("--max-error-rate must be in [0, 1], got {rate}"));
-        }
+    if let Some(rate) = max_error_rate(args)? {
         opts = opts.with_max_error_rate(rate);
     }
     let loading = |e: &dyn std::fmt::Display| format!("loading {}: {e}", dir.display());
@@ -412,6 +421,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
             "--backpressure",
             "--report",
             "--metrics",
+            "--max-error-rate",
         ],
         &["--resume", "--follow"],
     )?;
@@ -432,6 +442,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     if let Some(s) = flag(args, "--backpressure")? {
         config.backpressure = Backpressure::parse(&s)?;
     }
+    let budget = max_error_rate(args)?.unwrap_or(DEFAULT_MAX_ERROR_RATE);
 
     let follow = args.iter().any(|a| a == "--follow");
     let resume = args.iter().any(|a| a == "--resume");
@@ -536,6 +547,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
         rt.write_checkpoint(path, source.position())
             .map_err(|e| e.to_string())?;
     }
+    rt.check_error_budget(budget).map_err(|e| e.to_string())?;
     pump_span.finish();
     let (summary, _) = rt.into_results();
     eprintln!("stream:  {}", summary.summary_line());
@@ -668,6 +680,8 @@ mod tests {
         assert!(err.contains("--max-open"), "{err}");
         let err = cmd_stream(&args(&["--world", "/tmp/x", "--backpressure", "panic"])).unwrap_err();
         assert!(err.contains("backpressure"), "{err}");
+        let err = cmd_stream(&args(&["--world", "/tmp/x", "--max-error-rate", "2"])).unwrap_err();
+        assert!(err.contains("--max-error-rate"), "{err}");
         // Slide wider than the window is rejected by the window spec.
         let err = cmd_stream(&args(&[
             "--world", "/tmp/x", "--window", "15m", "--slide", "1h",

@@ -12,7 +12,7 @@
 //!   swap count.
 
 use wearscope::faults::{corrupt_world, FaultClass, FaultSpec};
-use wearscope::ingest::IngestOptions;
+use wearscope::ingest::{fold_logs_resilient, IngestOptions, DEFAULT_MAX_ERROR_RATE};
 use wearscope::prelude::*;
 use wearscope::report::QuarantineReason;
 use wearscope::stream::{PumpOptions, PumpOutcome, StreamRuntime};
@@ -25,8 +25,12 @@ fn tiny_world(seed: u64) -> GeneratedWorld {
     generate(&config)
 }
 
-/// Streams a world directory to completion with the given lateness.
-fn stream_world(dir: &std::path::Path, lateness_secs: u64) -> wearscope::report::StreamSummary {
+/// Streams a world directory to completion with the given lateness:
+/// the summary, and the run's verdict under the default error budget.
+fn stream_world(
+    dir: &std::path::Path,
+    lateness_secs: u64,
+) -> (wearscope::report::StreamSummary, Result<(), String>) {
     let db = DeviceDb::standard();
     let catalog = AppCatalog::standard();
     let empty = TraceStore::new();
@@ -47,7 +51,10 @@ fn stream_world(dir: &std::path::Path, lateness_secs: u64) -> wearscope::report:
         PumpOutcome::Finished
     );
     rt.finish();
-    rt.into_results().0
+    let budget = rt
+        .check_error_budget(DEFAULT_MAX_ERROR_RATE)
+        .map_err(|e| e.to_string());
+    (rt.into_results().0, budget)
 }
 
 #[test]
@@ -72,7 +79,7 @@ fn injected_faults_surface_as_matching_stream_quarantine_counts() {
 
     // A one-hour lateness horizon comfortably covers the duplicate
     // adjacency, so the duplicate set still remembers every original.
-    let summary = stream_world(&dir, 3600);
+    let (summary, _) = stream_world(&dir, 3600);
     let q = &summary.quality.quarantined;
     assert_eq!(
         q.get(QuarantineReason::Truncated),
@@ -119,7 +126,8 @@ fn reordered_records_within_the_lateness_horizon_merge_late() {
     let swaps = injected.count(FaultClass::Reorder);
     assert!(swaps > 0, "reorder never fired");
 
-    let summary = stream_world(&dir, 3600);
+    let (summary, budget) = stream_world(&dir, 3600);
+    assert_eq!(budget, Ok(()));
     assert!(
         summary.quality.quarantined.is_empty(),
         "a 1h lateness horizon absorbs adjacent swaps: {}",
@@ -133,6 +141,45 @@ fn reordered_records_within_the_lateness_horizon_merge_late() {
         summary.late_merged <= 2 * swaps,
         "each swap displaces at most two records ({} late, {swaps} swaps)",
         summary.late_merged
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn stream_fails_the_batch_error_budget_with_the_same_message() {
+    let world = tiny_world(5);
+    let dir = std::env::temp_dir().join(format!("wearscope-strbudget-{}", std::process::id()));
+    world.save(&dir).expect("save world");
+    // A 15-day summary window on a 42-day world puts every detailed record
+    // past the skew horizon: the whole proxy log is quarantined.
+    let manifest = dir.join("manifest.tsv");
+    let text = std::fs::read_to_string(&manifest).expect("read manifest");
+    let days = text
+        .lines()
+        .find(|l| l.starts_with("summary_days\t"))
+        .expect("summary_days line");
+    std::fs::write(&manifest, text.replace(days, "summary_days\t15")).expect("write manifest");
+
+    let db = DeviceDb::standard();
+    let catalog = AppCatalog::standard();
+    let empty = TraceStore::new();
+    let window = GeneratedWorld::load_with_store(&dir, TraceStore::new())
+        .expect("load metadata")
+        .window;
+    let sectors = SectorDirectory::new();
+    let ctx = StudyContext::new(&empty, &db, &sectors, &catalog, window);
+    let batch = fold_logs_resilient(&dir, 2, &IngestOptions::for_world(&dir), &ctx)
+        .expect_err("analyze fails the budget")
+        .to_string();
+
+    let (summary, budget) = stream_world(&dir, 300);
+    assert_eq!(summary.quality.records_kept, 0);
+    let stream = budget.expect_err("stream fails the budget");
+    assert_eq!(stream, batch);
+    assert!(
+        stream.contains("(100.000%)") && stream.ends_with("(first: proxy record:0 skewed)"),
+        "{stream}"
     );
 
     std::fs::remove_dir_all(&dir).ok();
