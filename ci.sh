@@ -208,6 +208,34 @@ grep -q '"trace.mme.decode_errors": 1' "$FAULT_DIR/utf8-analyze.trace"
 diff "$FAULT_DIR/utf8-analyze.trace" "$FAULT_DIR/utf8-stream.trace"
 echo "    0xff bytes and crafted fields quarantined as the string decoder did, by analyze and stream"
 
+echo "==> corrupt reads and writes the logs as bytes"
+# `corrupt` splits the logs on `\n` only and writes every line no fault
+# claims back byte for byte: a spec that injects nothing leaves the
+# non-UTF-8 world's logs as they are, and leaves a CRLF-damaged world's
+# `\r`s in place. Every fault class runs on the non-UTF-8 world, and
+# analyze then still lists its 0xff lines as bad-field.
+rm -rf "$FAULT_DIR/bytes-world" "$FAULT_DIR/crlf-world" "$FAULT_DIR/crlf-once"
+cp -r "$FAULT_DIR/utf8-world" "$FAULT_DIR/bytes-world"
+"$WEARSCOPE" corrupt --world "$FAULT_DIR/bytes-world" --faults dup=0 >/dev/null
+cp -r "$FAULT_DIR/stream-world" "$FAULT_DIR/crlf-world"
+"$WEARSCOPE" corrupt --world "$FAULT_DIR/crlf-world" --faults crlf=0.01 >/dev/null
+grep -q $'\r$' "$FAULT_DIR/crlf-world/proxy.log"
+cp -r "$FAULT_DIR/crlf-world" "$FAULT_DIR/crlf-once"
+"$WEARSCOPE" corrupt --world "$FAULT_DIR/crlf-world" --faults dup=0 >/dev/null
+for log in proxy.log mme.log; do
+    cmp "$FAULT_DIR/utf8-world/$log" "$FAULT_DIR/bytes-world/$log"
+    cmp "$FAULT_DIR/crlf-once/$log" "$FAULT_DIR/crlf-world/$log"
+done
+"$WEARSCOPE" corrupt --world "$FAULT_DIR/bytes-world" --seed 3 --faults all >/dev/null
+"$WEARSCOPE" analyze --world "$FAULT_DIR/bytes-world" --workers 2 >/dev/null 2>&1
+utf8_lines() { # LOG: quarantine.log's not-UTF-8 entries for LOG
+    grep -cE "^$1"$'\tline:[0-9]+\tbad-field\tline is not valid UTF-8$' \
+        "$FAULT_DIR/bytes-world/quarantine.log"
+}
+test "$(utf8_lines proxy)" -eq 2
+test "$(utf8_lines mme)" -eq 1
+echo "    a no-op spec rewrites non-UTF-8 and CRLF logs byte for byte; every class corrupts a non-UTF-8 world"
+
 echo "==> a sector outside the cell plan is quarantined, not kept"
 # An MME record naming sector 999999 (not in sectors.tsv) must be
 # quarantined as unknown-sector by analyze and stream alike, with the same

@@ -108,9 +108,6 @@ impl SniClassifier {
         let normalized = normalize_host(domain);
         let mut node = &mut self.root;
         for label in normalized.rsplit('.') {
-            if label.is_empty() {
-                continue;
-            }
             node = node.children.entry(label.into()).or_default();
         }
         if node.leaf.replace(class).is_none() {
@@ -123,10 +120,9 @@ impl SniClassifier {
         let normalized = normalize_host(host);
         let mut node = &self.root;
         let mut best = node.leaf;
+        // An empty label is a label like any other: `facebook..com` is
+        // not `facebook.com`, while `cdn..facebook.com` is under it.
         for label in normalized.rsplit('.') {
-            if label.is_empty() {
-                continue;
-            }
             match node.children.get(label) {
                 Some(next) => {
                     node = next;
@@ -145,7 +141,7 @@ impl SniClassifier {
 /// trailing dots — tolerant of being handed a full URL instead of a bare
 /// host. Both the classifier and [`crate::fingerprint_host`] match on this
 /// form.
-pub(crate) fn normalize_host(raw: &str) -> String {
+pub fn normalize_host(raw: &str) -> String {
     let s = raw.trim();
     let s = s.split_once("://").map_or(s, |(_, rest)| rest);
     let s = s.split(['/', '?', '#']).next().unwrap_or(s);
@@ -210,6 +206,16 @@ mod tests {
         // "notexample.com" must not match "example.com".
         assert_eq!(clf.classify("notexample.com"), None);
         assert_eq!(clf.classify("com"), None);
+    }
+
+    #[test]
+    fn an_empty_label_is_not_skipped() {
+        let clf = SniClassifier::build(&tiny_catalog());
+        assert_eq!(clf.classify("example..com"), None);
+        assert_eq!(
+            clf.classify("cdn..example.com"),
+            Some(Classification::FirstParty(AppId(1)))
+        );
     }
 
     #[test]

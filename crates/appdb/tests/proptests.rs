@@ -1,13 +1,45 @@
 //! Property-based tests for the SNI classifier.
 
 use proptest::prelude::*;
+use wearscope_appdb::classify::normalize_host;
 use wearscope_appdb::fingerprints::SIGNATURES;
 use wearscope_appdb::{
-    fingerprint_host, AppCatalog, AppId, Classification, SignatureLearner, SniClassifier,
+    fingerprint_host, third_party_domains, AppCatalog, AppId, Classification, SignatureLearner,
+    SniClassifier,
 };
 
 fn label() -> impl Strategy<Value = String> {
     "[a-z0-9][a-z0-9-]{0,8}".prop_map(|s| s)
+}
+
+/// Every signature the classifier is built from, in insertion order:
+/// the catalog's first-party domains, then the third-party catalog.
+fn signatures(catalog: &AppCatalog) -> Vec<(&'static str, Classification)> {
+    let mut sigs = Vec::new();
+    for (id, app) in catalog.iter() {
+        for domain in app.domains {
+            sigs.push((*domain, Classification::FirstParty(id)));
+        }
+    }
+    for tp in third_party_domains() {
+        sigs.push((tp.domain, Classification::ThirdParty(tp.class)));
+    }
+    sigs
+}
+
+/// The linear scan the trie replaced, as the oracle: the longest
+/// signature that is the normalised host, or ends it at a label boundary.
+fn linear_classify(longest_first: &[(&str, Classification)], host: &str) -> Option<Classification> {
+    let host = normalize_host(host);
+    longest_first
+        .iter()
+        .find(|(sig, _)| {
+            host == *sig
+                || (host.len() > sig.len()
+                    && host.ends_with(sig)
+                    && host.as_bytes()[host.len() - sig.len() - 1] == b'.')
+        })
+        .map(|&(_, class)| class)
 }
 
 proptest! {
@@ -79,6 +111,43 @@ proptest! {
         prop_assert_eq!(fingerprint_host(&format!("{base}:{port}")), Some(kind));
         prop_assert_eq!(fingerprint_host(&format!("https://{base}/{path}")), Some(kind));
         prop_assert_eq!(fingerprint_host(&format!("{base}.")), Some(kind));
+    }
+
+    /// The trie agrees with the linear longest-suffix scan on every signed
+    /// domain dressed the same way: random subdomain labels (empty ones
+    /// too), mixed case, a run of printable junk spliced in anywhere, and
+    /// one of the URL forms the normalisation strips.
+    #[test]
+    fn trie_matches_the_linear_scan(
+        subs in prop::collection::vec("[a-zA-Z0-9-]{0,6}", 0..4),
+        upper in any::<u64>(),
+        junk in "[ -~]{0,4}",
+        junk_at in 0usize..64,
+        form in 0usize..5,
+    ) {
+        let catalog = AppCatalog::standard();
+        let clf = SniClassifier::build(&catalog);
+        let sigs = signatures(&catalog);
+        let mut longest_first = sigs.clone();
+        longest_first.sort_by_key(|(sig, _)| std::cmp::Reverse(sig.len()));
+        for (sig, _) in sigs {
+            let plain: String = subs.iter().map(|s| format!("{s}.")).collect::<String>() + sig;
+            let mut host: String = plain
+                .chars()
+                .enumerate()
+                .map(|(i, c)| if upper >> (i % 64) & 1 == 1 { c.to_ascii_uppercase() } else { c })
+                .collect();
+            host.insert_str(junk_at % (host.len() + 1), &junk);
+            let host = match form {
+                0 => format!("https://{host}/path"),
+                1 => format!("{host}:443"),
+                2 => format!("{host}."),
+                3 => format!("user@{host}"),
+                _ => host,
+            };
+            let (trie, linear) = (clf.classify(&host), linear_classify(&longest_first, &host));
+            prop_assert!(trie == linear, "{host:?}: trie {trie:?}, linear scan {linear:?}");
+        }
     }
 
     /// Arbitrary junk input never panics the classifier.

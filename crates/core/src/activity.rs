@@ -80,11 +80,6 @@ pub struct HourlyProfile {
 }
 
 impl HourlyProfile {
-    /// Computes the profile over the detailed window.
-    pub fn compute(ctx: &StudyContext<'_>) -> HourlyProfile {
-        CoreAggregates::sequential(ctx).hourly
-    }
-
     /// The finish step: turns raw slot accumulators (distinct active
     /// user-days plus exact counters per (day type, hour) slot) into the
     /// normalized weekly profile.
@@ -215,11 +210,6 @@ pub struct TransactionStats {
 }
 
 impl TransactionStats {
-    /// Computes transaction statistics over the wearable proxy log.
-    pub fn compute(ctx: &StudyContext<'_>) -> TransactionStats {
-        CoreAggregates::sequential(ctx).tx_stats
-    }
-
     /// The finish step: builds the distributions from raw transaction sizes
     /// (any order — [`Ecdf`] sorts) and per-user aggregates. Shared with the
     /// merged partial.
@@ -406,7 +396,7 @@ mod tests {
         ];
         let f = fixture(recs);
         let ctx = StudyContext::new(&f.store, &f.db, &f.sectors, &f.catalog, f.window);
-        let p = HourlyProfile::compute(&ctx);
+        let p = CoreAggregates::sequential(&ctx).hourly;
         assert!((p.weekly_total_users() - 1.0).abs() < 1e-9);
         // Weekday 9h saw one user on one of the 10 weekdays.
         assert!(p.weekday[9].active_users > 0.0);
@@ -449,7 +439,7 @@ mod tests {
             .collect();
         let f = fixture(recs);
         let ctx = StudyContext::new(&f.store, &f.db, &f.sectors, &f.catalog, f.window);
-        let stats = TransactionStats::compute(&ctx);
+        let stats = CoreAggregates::sequential(&ctx).tx_stats;
         assert_eq!(stats.median_bytes, 3000.0);
         assert!((stats.frac_under_10kb - 0.8).abs() < 1e-9);
         assert_eq!(stats.hourly_tx_per_user.mean(), 1.0);

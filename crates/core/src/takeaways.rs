@@ -1,9 +1,8 @@
 //! The paper's headline numbers, gathered in one struct.
 //!
 //! [`Takeaways::from_results`] extracts every scalar the paper states in its
-//! abstract, takeaway boxes, and conclusion from one [`StudyResults`];
-//! [`Takeaways::compute`] runs the full pipeline first. The EXPERIMENTS
-//! harness prints these side by side with the paper's values.
+//! abstract, takeaway boxes, and conclusion from one [`StudyResults`]. The
+//! EXPERIMENTS harness prints these side by side with the paper's values.
 
 use wearscope_mobilenet::NetworkSummaries;
 
@@ -83,11 +82,6 @@ pub struct Takeaways {
 }
 
 impl Takeaways {
-    /// Runs the full pipeline, computing every aggregate sequentially.
-    pub fn compute(ctx: &StudyContext<'_>, summaries: &NetworkSummaries) -> Takeaways {
-        Takeaways::compute_with(ctx, summaries, &CoreAggregates::sequential(ctx))
-    }
-
     /// Extracts the takeaways from pre-computed hot aggregates
     /// ([`CoreAggregates::sequential`] or merged stream windows).
     pub fn compute_with(
@@ -162,7 +156,9 @@ mod tests {
             &catalog,
             ObservationWindow::compact(),
         );
-        let t = Takeaways::compute(&ctx, &NetworkSummaries::default());
+        let summaries = NetworkSummaries::default();
+        let aggs = CoreAggregates::sequential(&ctx);
+        let t = Takeaways::from_results(&StudyResults::new(&ctx, &summaries, &aggs));
         assert_eq!(t.data_active_share, 0.0);
         assert_eq!(t.median_tx_bytes, 0.0);
         assert_eq!(t.through_device_identified, 0);

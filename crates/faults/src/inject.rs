@@ -10,6 +10,11 @@
 //! A line receives at most one fault. Classes claim victims in
 //! [`FaultClass::ALL`] order (truncate first — it owns the file tail), so
 //! overlapping draws resolve the same way on every run.
+//!
+//! Logs are bytes, not text: a line is what lies between two `\n`s, so a
+//! `\r` or a byte that is not UTF-8 is line content like any other. Every
+//! line no fault claims is written back byte for byte, its `\r` and a
+//! missing final `\n` included.
 
 use std::borrow::Cow;
 use std::io;
@@ -105,7 +110,7 @@ pub fn corrupt_world(dir: &Path, seed: u64, spec: &FaultSpec) -> io::Result<Corr
     let mut files = Vec::new();
     for file in ["proxy.log", "mme.log"] {
         let path = dir.join(file);
-        let content = std::fs::read_to_string(&path)?;
+        let content = std::fs::read(&path)?;
         let (corrupted, corruption) = corrupt_log(&content, file, seed, spec);
         std::fs::write(&path, corrupted)?;
         files.push(corruption);
@@ -128,11 +133,21 @@ enum Fate {
     Truncate,
 }
 
-/// Pure corruption of one log's text. Exposed to the unit tests; the
+/// Pure corruption of one log's bytes. Exposed to the unit tests; the
 /// public entry point is [`corrupt_world`]. Lines stay borrowed from
 /// `content` unless a fault rewrites them.
-fn corrupt_log(content: &str, file: &str, seed: u64, spec: &FaultSpec) -> (String, FileCorruption) {
-    let mut lines: Vec<Cow<str>> = content.lines().map(Cow::Borrowed).collect();
+fn corrupt_log(
+    content: &[u8],
+    file: &str,
+    seed: u64,
+    spec: &FaultSpec,
+) -> (Vec<u8>, FileCorruption) {
+    let mut lines: Vec<Cow<[u8]>> = content.split(|&b| b == b'\n').map(Cow::Borrowed).collect();
+    // A final `\n` ends the last line rather than starting an empty one.
+    let terminated = content.last() == Some(&b'\n');
+    if terminated || content.is_empty() {
+        lines.pop();
+    }
     let n = lines.len();
     let mut corruption = FileCorruption {
         file: file.to_string(),
@@ -140,7 +155,7 @@ fn corrupt_log(content: &str, file: &str, seed: u64, spec: &FaultSpec) -> (Strin
         counts: [0; 8],
     };
     if n == 0 {
-        return (content.to_string(), corruption);
+        return (content.to_vec(), corruption);
     }
 
     let mut fates = vec![Fate::Keep; n];
@@ -154,12 +169,11 @@ fn corrupt_log(content: &str, file: &str, seed: u64, spec: &FaultSpec) -> (Strin
                 // it inside its first field so the reader sees a record
                 // with a missing field, exactly like a writer that died.
                 if fates[n - 1] == Fate::Keep {
-                    let line = &lines[n - 1];
-                    let field_end = line.find('\t').unwrap_or(line.len());
-                    truncate_keep = if field_end > 1 {
-                        rng.random_range(1..field_end)
+                    let first = field_end(&lines[n - 1]);
+                    truncate_keep = if first > 1 {
+                        rng.random_range(1..first)
                     } else {
-                        field_end.min(1)
+                        first.min(1)
                     };
                     fates[n - 1] = Fate::Truncate;
                     corruption.counts[class.index()] = 1;
@@ -210,39 +224,44 @@ fn corrupt_log(content: &str, file: &str, seed: u64, spec: &FaultSpec) -> (Strin
         }
     }
 
-    let mut out = String::with_capacity(content.len() + 64);
+    let mut out = Vec::with_capacity(content.len() + 64);
     let mut i = 0;
     while i < n {
         match fates[i] {
-            Fate::Keep | Fate::Mutated => {
-                out.push_str(&lines[i]);
-                out.push('\n');
-            }
+            Fate::Keep | Fate::Mutated => push_line(&mut out, &lines[i]),
             Fate::Duplicate => {
-                out.push_str(&lines[i]);
-                out.push('\n');
-                out.push_str(&lines[i]);
-                out.push('\n');
+                push_line(&mut out, &lines[i]);
+                push_line(&mut out, &lines[i]);
             }
             Fate::ReorderFirst => {
-                out.push_str(&lines[i + 1]);
-                out.push('\n');
-                out.push_str(&lines[i]);
-                out.push('\n');
+                push_line(&mut out, &lines[i + 1]);
+                push_line(&mut out, &lines[i]);
                 i += 1;
             }
             Fate::ReorderSecond => unreachable!("consumed by ReorderFirst"),
             Fate::Crlf => {
-                out.push_str(&lines[i]);
-                out.push_str("\r\n");
+                out.extend_from_slice(&lines[i]);
+                out.extend_from_slice(b"\r\n");
             }
-            Fate::Truncate => {
-                out.push_str(&lines[i][..truncate_keep]);
-            }
+            Fate::Truncate => out.extend_from_slice(&lines[i][..truncate_keep]),
         }
         i += 1;
     }
+    // An unterminated last line that no fault claimed stays unterminated.
+    if !terminated && fates[n - 1] == Fate::Keep {
+        out.pop();
+    }
     (out, corruption)
+}
+
+fn push_line(out: &mut Vec<u8>, line: &[u8]) {
+    out.extend_from_slice(line);
+    out.push(b'\n');
+}
+
+/// The end of a line's first field: its first tab, or the line's end.
+fn field_end(line: &[u8]) -> usize {
+    line.iter().position(|&b| b == b'\t').unwrap_or(line.len())
 }
 
 /// An independent deterministic stream per (seed, class, file).
@@ -259,65 +278,66 @@ fn fnv1a(s: &str) -> u64 {
     h
 }
 
+/// Positions of the ASCII digits in `field`.
+fn digit_positions(field: &[u8]) -> Vec<usize> {
+    (0..field.len())
+        .filter(|&i| field[i].is_ascii_digit())
+        .collect()
+}
+
 /// Sets bit 6 on one digit of the first field, turning `0x30..0x39` into
 /// `p..y` — a single flipped storage bit that breaks the numeric parse.
-fn bitflip(line: &str, rng: &mut StdRng) -> String {
-    let field_end = line.find('\t').unwrap_or(line.len());
-    let digits: Vec<usize> = line[..field_end]
-        .bytes()
-        .enumerate()
-        .filter(|(_, b)| b.is_ascii_digit())
-        .map(|(i, _)| i)
-        .collect();
-    let mut bytes = line.as_bytes().to_vec();
+fn bitflip(line: &[u8], rng: &mut StdRng) -> Vec<u8> {
+    let digits = digit_positions(&line[..field_end(line)]);
+    let mut bytes = line.to_vec();
     if digits.is_empty() {
         bytes.insert(0, b'\x7f');
     } else {
         let pos = digits[rng.random_range(0..digits.len())];
         bytes[pos] |= 0x40;
     }
-    String::from_utf8(bytes).expect("ascii stays ascii")
+    bytes
 }
 
 /// A line of printable junk with no tabs — nothing the codec can parse.
-fn garbage(rng: &mut StdRng) -> String {
+fn garbage(rng: &mut StdRng) -> Vec<u8> {
     const CHARSET: &[u8] = b"#@!$%^&*~abcdefghjkmnpqrstuvwxyz";
     let len = rng.random_range(5..24usize);
     (0..len)
-        .map(|_| CHARSET[rng.random_range(0..CHARSET.len())] as char)
+        .map(|_| CHARSET[rng.random_range(0..CHARSET.len())])
         .collect()
 }
 
 /// Bumps one digit of the IMEI field (index 2) by one, which always breaks
 /// the Luhn checksum — the record now names a device no DB row matches.
-fn bad_imei(line: &str, rng: &mut StdRng) -> String {
-    let mut fields: Vec<String> = line.split('\t').map(str::to_string).collect();
-    if let Some(imei) = fields.get_mut(2) {
-        let digits: Vec<usize> = imei
-            .bytes()
-            .enumerate()
-            .filter(|(_, b)| b.is_ascii_digit())
-            .map(|(i, _)| i)
-            .collect();
+fn bad_imei(line: &[u8], rng: &mut StdRng) -> Vec<u8> {
+    let mut bytes = line.to_vec();
+    let mut fields = line.split(|&b| b == b'\t');
+    let start: usize = fields.by_ref().take(2).map(|f| f.len() + 1).sum();
+    if let Some(imei) = fields.next() {
+        let digits = digit_positions(imei);
         if !digits.is_empty() {
-            let pos = digits[rng.random_range(0..digits.len())];
-            let mut bytes = imei.clone().into_bytes();
+            let pos = start + digits[rng.random_range(0..digits.len())];
             bytes[pos] = b'0' + (bytes[pos] - b'0' + 1) % 10;
-            *imei = String::from_utf8(bytes).expect("ascii stays ascii");
         }
     }
-    fields.join("\t")
+    bytes
 }
 
 /// Pushes the timestamp (field 0, seconds) ten years forward.
-fn skew(line: &str) -> String {
-    let mut fields: Vec<String> = line.split('\t').map(str::to_string).collect();
-    if let Some(ts) = fields.first_mut() {
-        if let Ok(secs) = ts.parse::<u64>() {
-            *ts = (secs + SKEW_OFFSET_SECS).to_string();
+fn skew(line: &[u8]) -> Vec<u8> {
+    let end = field_end(line);
+    let secs = std::str::from_utf8(&line[..end])
+        .ok()
+        .and_then(|ts| ts.parse::<u64>().ok());
+    match secs {
+        Some(secs) => {
+            let mut bytes = (secs + SKEW_OFFSET_SECS).to_string().into_bytes();
+            bytes.extend_from_slice(&line[end..]);
+            bytes
         }
+        None => line.to_vec(),
     }
-    fields.join("\t")
 }
 
 #[cfg(test)]
@@ -339,16 +359,26 @@ mod tests {
         (0..lines).map(|i| proxy_line(i) + "\n").collect()
     }
 
+    /// [`corrupt_log`] over text that stays text.
+    fn corrupt_text(log: &str, seed: u64, spec: &FaultSpec) -> (String, FileCorruption) {
+        let (out, report) = corrupt_log(log.as_bytes(), "proxy.log", seed, spec);
+        (String::from_utf8(out).unwrap(), report)
+    }
+
+    fn text(bytes: Vec<u8>) -> String {
+        String::from_utf8(bytes).unwrap()
+    }
+
     #[test]
     fn same_inputs_same_bytes() {
         let log = sample_log(200);
         let spec: FaultSpec = "all=0.05".parse().unwrap();
-        let (a, ra) = corrupt_log(&log, "proxy.log", 7, &spec);
-        let (b, rb) = corrupt_log(&log, "proxy.log", 7, &spec);
+        let (a, ra) = corrupt_text(&log, 7, &spec);
+        let (b, rb) = corrupt_text(&log, 7, &spec);
         assert_eq!(a, b);
         assert_eq!(ra.counts, rb.counts);
         assert!(ra.total() > 0);
-        let (c, _) = corrupt_log(&log, "proxy.log", 8, &spec);
+        let (c, _) = corrupt_text(&log, 8, &spec);
         assert_ne!(a, c, "different seed must move the faults");
     }
 
@@ -357,8 +387,8 @@ mod tests {
         let log = sample_log(400);
         let solo: FaultSpec = "bitflip=0.03".parse().unwrap();
         let mixed: FaultSpec = "bitflip=0.03,dup=0.05,crlf=0.05".parse().unwrap();
-        let (a, ra) = corrupt_log(&log, "proxy.log", 11, &solo);
-        let (b, rb) = corrupt_log(&log, "proxy.log", 11, &mixed);
+        let (a, ra) = corrupt_text(&log, 11, &solo);
+        let (b, rb) = corrupt_text(&log, 11, &mixed);
         assert_eq!(
             ra.count(FaultClass::BitFlip),
             rb.count(FaultClass::BitFlip),
@@ -382,7 +412,7 @@ mod tests {
     fn truncate_cuts_inside_the_first_field() {
         let log = sample_log(50);
         let spec = FaultSpec::single(FaultClass::Truncate, 1.0);
-        let (out, report) = corrupt_log(&log, "proxy.log", 3, &spec);
+        let (out, report) = corrupt_text(&log, 3, &spec);
         assert_eq!(report.count(FaultClass::Truncate), 1);
         assert!(!out.ends_with('\n'), "tail must be cut, not line-aligned");
         let tail = out.rsplit('\n').next().unwrap();
@@ -393,7 +423,7 @@ mod tests {
     fn duplicate_and_reorder_change_structure_not_content() {
         let log = sample_log(100);
         let spec: FaultSpec = "dup=0.1,reorder=0.1".parse().unwrap();
-        let (out, report) = corrupt_log(&log, "proxy.log", 5, &spec);
+        let (out, report) = corrupt_text(&log, 5, &spec);
         let dups = report.count(FaultClass::Duplicate);
         let swaps = report.count(FaultClass::Reorder);
         assert!(dups > 0 && swaps > 0);
@@ -408,24 +438,88 @@ mod tests {
     fn mutators_break_exactly_what_they_claim() {
         let mut rng = StdRng::seed_from_u64(1);
         let line = proxy_line(42);
-        let flipped = bitflip(&line, &mut rng);
+        let flipped = text(bitflip(line.as_bytes(), &mut rng));
         assert!(flipped.split('\t').next().unwrap().parse::<u64>().is_err());
-        let bad = bad_imei(&line, &mut rng);
+        let bad = text(bad_imei(line.as_bytes(), &mut rng));
         let imei_field: Vec<&str> = bad.split('\t').collect();
         assert_ne!(imei_field[2], "356656100000000");
         assert_eq!(imei_field[2].len(), 15);
-        let skewed = skew(&line);
+        let skewed = text(skew(line.as_bytes()));
         let ts: u64 = skewed.split('\t').next().unwrap().parse().unwrap();
         assert!(ts >= SKEW_OFFSET_SECS);
-        assert!(!garbage(&mut rng).contains('\t'));
+        assert!(!garbage(&mut rng).contains(&b'\t'));
     }
 
     #[test]
     fn empty_log_is_left_alone() {
         let spec: FaultSpec = "all=0.5".parse().unwrap();
-        let (out, report) = corrupt_log("", "proxy.log", 1, &spec);
+        let (out, report) = corrupt_log(b"", "proxy.log", 1, &spec);
         assert!(out.is_empty());
         assert_eq!(report.total(), 0);
+    }
+
+    /// A world directory holding `proxy` and a clean `mme.log`.
+    fn world_with_proxy_log(tag: &str, proxy: &[u8]) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("wearscope-faults-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("proxy.log"), proxy).unwrap();
+        let mme: String = (0..60)
+            .map(|i| format!("{}\t{}\t356656100000000\tattach\t3\n", i * 90, i % 5))
+            .collect();
+        std::fs::write(dir.join("mme.log"), mme).unwrap();
+        dir
+    }
+
+    #[test]
+    fn a_log_with_a_non_utf8_byte_is_corrupted_and_untouched_lines_keep_their_bytes() {
+        let mut lines: Vec<Vec<u8>> = (0..120).map(|i| proxy_line(i).into_bytes()).collect();
+        let dash = lines[3].iter().position(|&b| b == b'-').unwrap();
+        lines[3][dash] = 0xff;
+        let log: Vec<u8> = lines
+            .iter()
+            .flat_map(|l| [&l[..], b"\n"].concat())
+            .collect();
+        let dir = world_with_proxy_log("non-utf8", &log);
+        let spec: FaultSpec = "bitflip=0.05".parse().unwrap();
+        let report = corrupt_world(&dir, 9, &spec).unwrap();
+        let out = std::fs::read(dir.join("proxy.log")).unwrap();
+        let out: Vec<&[u8]> = out
+            .strip_suffix(b"\n")
+            .unwrap()
+            .split(|&b| b == b'\n')
+            .collect();
+        assert_eq!(out.len(), lines.len());
+        let changed = out
+            .iter()
+            .zip(&lines)
+            .filter(|(o, l)| **o != &l[..])
+            .count();
+        assert!(changed > 0);
+        assert_eq!(report.files[0].file, "proxy.log");
+        assert_eq!(changed as u64, report.files[0].count(FaultClass::BitFlip));
+        assert_eq!(
+            out[3],
+            &lines[3][..],
+            "the 0xff line is not a victim, so it is kept"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_spec_that_injects_nothing_leaves_crlf_lines_byte_identical() {
+        let mut log = String::new();
+        for i in 0..60 {
+            log.push_str(&proxy_line(i));
+            log.push_str(if i % 3 == 0 { "\r\n" } else { "\n" });
+        }
+        log.push_str(&proxy_line(60)); // no final newline
+        let dir = world_with_proxy_log("crlf", log.as_bytes());
+        let spec: FaultSpec = "dup=0".parse().unwrap();
+        let report = corrupt_world(&dir, 3, &spec).unwrap();
+        assert_eq!(report.total(), 0);
+        assert_eq!(std::fs::read_to_string(dir.join("proxy.log")).unwrap(), log);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! the word `all` (optionally `all=rate`) enabling every class at once.
 //! Rates are per-line probabilities; a class without an explicit rate runs
 //! at [`DEFAULT_RATE`]. `truncate` is special-cased by the injector to at
-//! most one cut per file — its rate only gates whether it fires.
+//! most one cut per file — its rate only gates whether it fires. A rate of
+//! 0 turns a class off, so `dup=0` is a spec that injects nothing: the
+//! injector then rewrites each log byte for byte.
 
 use core::fmt;
 use std::str::FromStr;
@@ -149,7 +151,9 @@ impl FromStr for FaultSpec {
 
     fn from_str(s: &str) -> Result<FaultSpec, ParseFaultSpecError> {
         let mut spec = FaultSpec::none();
+        let mut terms = 0;
         for term in s.split(',').map(str::trim).filter(|t| !t.is_empty()) {
+            terms += 1;
             let (name, rate) = match term.split_once('=') {
                 Some((name, rate)) => {
                     let rate: f64 = rate
@@ -173,7 +177,7 @@ impl FromStr for FaultSpec {
                 spec.set(class, rate);
             }
         }
-        if spec.is_empty() {
+        if terms == 0 {
             return Err(ParseFaultSpecError(s.to_string()));
         }
         Ok(spec)
@@ -182,6 +186,9 @@ impl FromStr for FaultSpec {
 
 impl fmt::Display for FaultSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.is_empty() {
+            return f.write_str("all=0");
+        }
         let mut first = true;
         for class in self.classes() {
             if !first {
@@ -213,6 +220,9 @@ mod tests {
         assert_eq!(spec.rate(FaultClass::Skew), 0.005);
         assert_eq!(spec.rate(FaultClass::Garbage), 0.0);
         assert_eq!(spec.classes().count(), 3);
+
+        let spec: FaultSpec = "dup=0".parse().unwrap();
+        assert!(spec.is_empty());
     }
 
     #[test]
@@ -221,6 +231,7 @@ mod tests {
         assert!("bitflip=1.5".parse::<FaultSpec>().is_err());
         assert!("bitflip=x".parse::<FaultSpec>().is_err());
         assert!("".parse::<FaultSpec>().is_err());
+        assert!(" , ".parse::<FaultSpec>().is_err());
         let msg = "zap".parse::<FaultSpec>().unwrap_err().to_string();
         assert!(msg.contains("zap"), "{msg}");
         assert!(msg.contains("bitflip"), "{msg}");
@@ -228,9 +239,11 @@ mod tests {
 
     #[test]
     fn display_round_trips() {
-        let spec: FaultSpec = "dup=0.01,crlf=0.5".parse().unwrap();
-        let again: FaultSpec = spec.to_string().parse().unwrap();
-        assert_eq!(spec, again);
+        for text in ["dup=0.01,crlf=0.5", "dup=0"] {
+            let spec: FaultSpec = text.parse().unwrap();
+            let again: FaultSpec = spec.to_string().parse().unwrap();
+            assert_eq!(spec, again);
+        }
     }
 
     #[test]

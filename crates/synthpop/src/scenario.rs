@@ -88,20 +88,12 @@ impl GeneratedWorld {
         )
     }
 
-    /// Loads a world previously written with [`GeneratedWorld::save`].
-    ///
-    /// # Errors
-    /// Fails on filesystem errors or malformed files.
-    pub fn load(dir: &std::path::Path) -> std::io::Result<SavedWorld> {
-        let store = TraceStore::load(dir).map_err(|e| std::io::Error::other(e.to_string()))?;
-        Self::load_with_store(dir, store)
-    }
-
-    /// [`GeneratedWorld::load`] with the logs supplied by the caller — the
-    /// entry point for the parallel ingest path, which loads
-    /// `proxy.log`/`mme.log` itself via byte-range shards and only needs
-    /// the manifest, cell plan, and summaries from here. The files are
-    /// parsed first, then checked against the manifest's integrity checks.
+    /// Loads the metadata of a world written with [`GeneratedWorld::save`]:
+    /// the manifest's window, the cell plan and the summaries, around logs
+    /// the caller supplies. The logs are never read here: `analyze` folds
+    /// `proxy.log`/`mme.log` through the chunk pipeline and `stream` tails
+    /// them, and both pass an empty store. The files are parsed first,
+    /// then checked against the manifest's integrity checks.
     ///
     /// # Errors
     /// Fails on filesystem errors, malformed files, or a file that differs
@@ -413,6 +405,15 @@ fn user_day_events(
 mod tests {
     use super::*;
     use wearscope_devicedb::{DeviceClass, Imei};
+    use wearscope_trace::{read_tsv_shard, ByteRange, MmeRecord, ProxyRecord, TsvRecord};
+
+    /// Every record of a saved log, read as one chunk with no bad line.
+    fn read_log<R: TsvRecord>(path: &std::path::Path) -> Vec<R> {
+        let end = std::fs::metadata(path).unwrap().len();
+        let shard = read_tsv_shard(path, ByteRange { start: 0, end }).unwrap();
+        assert!(shard.errors.is_empty(), "{:?}", shard.errors);
+        shard.records
+    }
 
     fn tiny_config() -> ScenarioConfig {
         let mut c = ScenarioConfig::compact(42);
@@ -538,9 +539,15 @@ mod tests {
         let world = generate(&tiny_config());
         let dir = std::env::temp_dir().join(format!("wearscope-world-{}", std::process::id()));
         world.save(&dir).unwrap();
-        let saved = GeneratedWorld::load(&dir).unwrap();
-        assert_eq!(saved.store.proxy(), world.store.proxy());
-        assert_eq!(saved.store.mme(), world.store.mme());
+        let saved = GeneratedWorld::load_with_store(&dir, TraceStore::new()).unwrap();
+        assert_eq!(
+            read_log::<ProxyRecord>(&dir.join("proxy.log")),
+            world.store.proxy()
+        );
+        assert_eq!(
+            read_log::<MmeRecord>(&dir.join("mme.log")),
+            world.store.mme()
+        );
         assert_eq!(saved.sectors.len(), world.sectors.len());
         assert_eq!(saved.window, world.config.window);
         // Summaries carry the long-horizon data the logs do not.

@@ -1,11 +1,11 @@
 //! Streaming log writers and readers.
 //!
 //! Logs are plain text: one TSV-encoded record per `\n`-terminated line.
-//! The writer buffers into a `Vec<u8>` and flushes in large chunks;
-//! the reader yields records one at a time without materializing the file.
+//! The writer buffers into a `Vec<u8>` and flushes in large chunks; the
+//! tail reader yields records one at a time without materializing the file.
 
 use std::fs::File;
-use std::io::{self, BufRead, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::marker::PhantomData;
 use std::path::Path;
 
@@ -61,8 +61,8 @@ impl IoMeter {
 /// whose bytes are not UTF-8 is [`CodecError::InvalidUtf8`], quarantined
 /// like any other damaged line.
 ///
-/// This is **the** line decoder: the batch shard readers ([`LogReader`],
-/// backing [`crate::read_tsv_shard`]) and the streaming tail reader
+/// This is **the** line decoder: the batch chunk reader
+/// ([`crate::read_tsv_shard`]) and the streaming tail reader
 /// ([`TailReader`]) both route through it, so the batch and streaming
 /// paths parse byte-for-byte identically — the invariant the streaming
 /// engine's batch-equivalence test rests on.
@@ -77,10 +77,10 @@ pub fn decode_log_line<R: TsvRecord>(raw: &[u8]) -> Option<Result<R, CodecError>
     Some(R::from_bytes(&raw[..end]))
 }
 
-/// The one line splitter, behind [`LogReader`], [`TailReader`] and the
-/// chunk reader ([`crate::read_tsv_shard`]): it reads its source into a
-/// buffer it reuses, finds each `\n` a word at a time, and hands out the
-/// lines in place, so no line is copied out of the buffer.
+/// The one line splitter, behind [`TailReader`] and the chunk reader
+/// ([`crate::read_tsv_shard`]): it reads its source into a buffer it
+/// reuses, finds each `\n` a word at a time, and hands out the lines in
+/// place, so no line is copied out of the buffer.
 #[derive(Debug)]
 pub(crate) struct Lines<S> {
     source: S,
@@ -172,7 +172,7 @@ impl<S: Read> Lines<S> {
 ///
 /// # Examples
 /// ```
-/// use wearscope_trace::{HostId, LogWriter, LogReader, ProxyRecord, Scheme, UserId};
+/// use wearscope_trace::{decode_log_line, HostId, LogWriter, ProxyRecord, Scheme, UserId};
 /// use wearscope_simtime::SimTime;
 ///
 /// let rec = ProxyRecord {
@@ -190,10 +190,8 @@ impl<S: Read> Lines<S> {
 ///     w.write(&rec).unwrap();
 ///     w.flush().unwrap();
 /// }
-/// let recs: Vec<ProxyRecord> = LogReader::new(buf.as_slice())
-///     .collect::<Result<_, _>>()
-///     .unwrap();
-/// assert_eq!(recs, vec![rec]);
+/// let line = decode_log_line::<ProxyRecord>(&buf).unwrap().unwrap();
+/// assert_eq!(line, rec);
 /// ```
 #[derive(Debug)]
 pub struct LogWriter<W: Write, R: TsvRecord> {
@@ -279,77 +277,6 @@ impl<W: Write, R: TsvRecord> Drop for LogWriter<W, R> {
     }
 }
 
-/// Errors yielded by [`LogReader`].
-#[derive(Debug)]
-pub enum ReadError {
-    /// An I/O error from the source.
-    Io(io::Error),
-    /// A malformed line, with its 1-based line number.
-    Codec {
-        /// 1-based line number of the bad line.
-        line: u64,
-        /// The decode failure.
-        error: CodecError,
-    },
-}
-
-impl std::fmt::Display for ReadError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReadError::Io(e) => write!(f, "I/O error: {e}"),
-            ReadError::Codec { line, error } => write!(f, "line {line}: {error}"),
-        }
-    }
-}
-
-impl std::error::Error for ReadError {}
-
-/// Streaming reader yielding `Result<R, ReadError>` per line.
-#[derive(Debug)]
-pub struct LogReader<S: BufRead, R: TsvRecord> {
-    lines: Lines<S>,
-    line_no: u64,
-    _marker: PhantomData<fn() -> R>,
-}
-
-impl<S: BufRead, R: TsvRecord> LogReader<S, R> {
-    /// Wraps a buffered source.
-    pub fn new(source: S) -> LogReader<S, R> {
-        LogReader {
-            lines: Lines::new(source, READ_BYTES),
-            line_no: 0,
-            _marker: PhantomData,
-        }
-    }
-
-    /// Lines consumed so far, blank lines included — the 1-based line
-    /// number of the last yielded item, or the total once exhausted.
-    pub fn lines_read(&self) -> u64 {
-        self.line_no
-    }
-}
-
-impl<S: BufRead, R: TsvRecord> Iterator for LogReader<S, R> {
-    type Item = Result<R, ReadError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            let line = match self.lines.next_line(false) {
-                Ok(line) => line?,
-                Err(e) => return Some(Err(ReadError::Io(e))),
-            };
-            self.line_no += 1;
-            // Blank lines are tolerated.
-            if let Some(item) = decode_log_line::<R>(line) {
-                return Some(item.map_err(|error| ReadError::Codec {
-                    line: self.line_no,
-                    error,
-                }));
-            }
-        }
-    }
-}
-
 /// One item yielded by [`TailReader::next_item`].
 #[derive(Debug)]
 pub enum TailItem<R> {
@@ -371,7 +298,7 @@ pub enum TailItem<R> {
 
 /// Incremental reader over a possibly-growing log file.
 ///
-/// Unlike [`LogReader`], a `TailReader` tracks a *committed byte offset*:
+/// A `TailReader` tracks a *committed byte offset*:
 /// after each yielded item, [`TailReader::offset`] points at the first byte
 /// of the next unconsumed line, and [`TailReader::resume`] can reopen the
 /// log at exactly that position. That pair is what makes streaming
@@ -382,7 +309,8 @@ pub enum TailItem<R> {
 /// [`TailItem::Pending`] instead of [`TailItem::End`] and a trailing
 /// unterminated line is held back until its `\n` arrives (the writer may
 /// still be mid-line). In non-follow mode a trailing unterminated line is
-/// decoded as a final (possibly truncated) record, matching [`LogReader`].
+/// decoded as a final (possibly truncated) record, as the chunk reader
+/// ([`crate::read_tsv_shard`]) decodes it.
 #[derive(Debug)]
 pub struct TailReader<R: TsvRecord> {
     lines: Lines<MeteredFile>,
@@ -481,8 +409,8 @@ impl<R: TsvRecord> TailReader<R> {
     }
 
     /// Yields the next item. See [`TailItem`] for the follow-mode contract.
-    /// A line that is not UTF-8 is [`TailItem::Malformed`], as in
-    /// [`LogReader`].
+    /// A line that is not UTF-8 is [`TailItem::Malformed`], as in the
+    /// chunk reader.
     ///
     /// # Errors
     /// Propagates I/O errors reading the file.
@@ -545,9 +473,10 @@ mod tests {
             assert_eq!(w.records_written(), 5000);
             w.flush().unwrap();
         }
-        let read: Vec<MmeRecord> = LogReader::new(sink.as_slice())
-            .collect::<Result<_, _>>()
-            .unwrap();
+        let read: Vec<MmeRecord> = sink
+            .split_inclusive(|&b| b == b'\n')
+            .map(|line| decode_log_line(line).unwrap().unwrap())
+            .collect();
         assert_eq!(read, records);
     }
 
@@ -562,28 +491,6 @@ mod tests {
         assert!(!sink.is_empty());
     }
 
-    #[test]
-    fn blank_lines_skipped() {
-        let line = recs(1)[0].to_line();
-        let text = format!("\n{line}\n\n{line}\n");
-        let read: Vec<MmeRecord> = LogReader::new(text.as_bytes())
-            .collect::<Result<_, _>>()
-            .unwrap();
-        assert_eq!(read.len(), 2);
-    }
-
-    #[test]
-    fn bad_line_reports_line_number() {
-        let good = recs(1)[0].to_line();
-        let text = format!("{good}\nnot a record\n");
-        let results: Vec<_> = LogReader::<_, MmeRecord>::new(text.as_bytes()).collect();
-        assert!(results[0].is_ok());
-        match &results[1] {
-            Err(ReadError::Codec { line, .. }) => assert_eq!(*line, 2),
-            other => panic!("expected codec error, got {other:?}"),
-        }
-    }
-
     /// Two good lines around one with a byte that is not UTF-8.
     fn text_with_invalid_utf8() -> Vec<u8> {
         let good = recs(1)[0].to_line();
@@ -595,18 +502,6 @@ mod tests {
             text.push(b'\n');
         }
         text
-    }
-
-    #[test]
-    fn invalid_utf8_is_a_malformed_line_not_an_io_error() {
-        let text = text_with_invalid_utf8();
-        let results: Vec<_> = LogReader::<_, MmeRecord>::new(text.as_slice()).collect();
-        assert_eq!(results.len(), 3);
-        assert!(results[0].is_ok() && results[2].is_ok());
-        match &results[1] {
-            Err(ReadError::Codec { line: 2, error }) => assert_eq!(*error, CodecError::InvalidUtf8),
-            other => panic!("expected a codec error on line 2, got {other:?}"),
-        }
     }
 
     #[test]
@@ -639,7 +534,7 @@ mod tests {
     }
 
     #[test]
-    fn tail_reader_matches_log_reader() {
+    fn tail_reader_reads_every_record_past_a_blank_line() {
         let records = recs(500);
         let mut text = String::new();
         for r in &records {

@@ -1,10 +1,10 @@
 //! In-memory trace store.
 
 use std::fs::File;
-use std::io::{self, BufReader};
+use std::io;
 use std::path::Path;
 
-use crate::io::{LogReader, LogWriter, ReadError};
+use crate::io::LogWriter;
 use crate::mme::MmeRecord;
 use crate::proxy::ProxyRecord;
 
@@ -75,13 +75,6 @@ impl TraceStore {
                 .all(|w| w[0].timestamp <= w[1].timestamp)
     }
 
-    /// Merges another store into this one, re-sorting.
-    pub fn merge(&mut self, other: TraceStore) {
-        self.proxy.extend(other.proxy);
-        self.mme.extend(other.mme);
-        self.sort_by_time();
-    }
-
     /// Persists both logs as `proxy.log` and `mme.log` under `dir`.
     ///
     /// # Errors
@@ -100,20 +93,6 @@ impl TraceStore {
         mw.flush()?;
         Ok(())
     }
-
-    /// Loads a store previously written by [`TraceStore::save`].
-    ///
-    /// # Errors
-    /// Fails on filesystem errors or malformed lines.
-    pub fn load(dir: &Path) -> Result<TraceStore, ReadError> {
-        let proxy_file = File::open(dir.join("proxy.log")).map_err(ReadError::Io)?;
-        let proxy: Vec<ProxyRecord> =
-            LogReader::new(BufReader::new(proxy_file)).collect::<Result<_, _>>()?;
-        let mme_file = File::open(dir.join("mme.log")).map_err(ReadError::Io)?;
-        let mme: Vec<MmeRecord> =
-            LogReader::new(BufReader::new(mme_file)).collect::<Result<_, _>>()?;
-        Ok(TraceStore::from_records(proxy, mme))
-    }
 }
 
 #[cfg(test)]
@@ -123,6 +102,7 @@ mod tests {
     use crate::ids::UserId;
     use crate::mme::MmeEvent;
     use crate::proxy::Scheme;
+    use crate::shard::read_whole_log;
     use wearscope_simtime::SimTime;
 
     fn proxy_at(t: u64) -> ProxyRecord {
@@ -158,25 +138,17 @@ mod tests {
     }
 
     #[test]
-    fn merge_resorts() {
-        let mut a = TraceStore::from_records(vec![proxy_at(10)], vec![]);
-        let b = TraceStore::from_records(vec![proxy_at(5)], vec![mme_at(1)]);
-        a.merge(b);
-        assert!(a.is_time_sorted());
-        assert_eq!(a.proxy()[0].timestamp.as_secs(), 5);
-    }
-
-    #[test]
-    fn save_load_roundtrip() {
+    fn save_read_roundtrip() {
         let s = TraceStore::from_records(
             (0..100).map(proxy_at).collect(),
             (0..50).map(mme_at).collect(),
         );
         let dir = std::env::temp_dir().join(format!("wearscope-store-{}", std::process::id()));
         s.save(&dir).unwrap();
-        let loaded = TraceStore::load(&dir).unwrap();
-        assert_eq!(loaded.proxy(), s.proxy());
-        assert_eq!(loaded.mme(), s.mme());
+        let proxy: Vec<ProxyRecord> = read_whole_log(&dir.join("proxy.log"));
+        let mme: Vec<MmeRecord> = read_whole_log(&dir.join("mme.log"));
+        assert_eq!(proxy, s.proxy());
+        assert_eq!(mme, s.mme());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -251,7 +251,7 @@ proptest! {
     /// Reading a concatenation of serialized records yields them in order.
     #[test]
     fn log_stream_roundtrip(recs in prop::collection::vec(arb_mme(), 0..50)) {
-        use wearscope_trace::{LogReader, LogWriter};
+        use wearscope_trace::{decode_log_line, LogWriter};
         let mut sink = Vec::new();
         {
             let mut w = LogWriter::new(&mut sink);
@@ -260,9 +260,10 @@ proptest! {
             }
             w.flush().unwrap();
         }
-        let read: Vec<MmeRecord> = LogReader::new(sink.as_slice())
-            .collect::<Result<_, _>>()
-            .unwrap();
+        let read: Vec<MmeRecord> = sink
+            .split_inclusive(|&b| b == b'\n')
+            .map(|line| decode_log_line(line).unwrap().unwrap())
+            .collect();
         prop_assert_eq!(read, recs);
     }
 }

@@ -9,7 +9,7 @@
 //! cargo run --release --example calibration_sweep
 //! ```
 
-use wearscope::core::takeaways::Takeaways;
+use wearscope::core::{CoreAggregates, StudyResults};
 use wearscope::prelude::*;
 use wearscope::report::Table;
 
@@ -22,7 +22,8 @@ fn measure(config: &ScenarioConfig) -> Takeaways {
         &world.apps,
         world.config.window,
     );
-    Takeaways::compute(&ctx, &world.summaries)
+    let aggs = CoreAggregates::sequential(&ctx);
+    Takeaways::from_results(&StudyResults::new(&ctx, &world.summaries, &aggs))
 }
 
 fn base_config(seed: u64) -> ScenarioConfig {

@@ -2,7 +2,7 @@
 //! the corresponding *measured* observable must move with it, through the
 //! full system (generator → network elements → logs → analysis).
 
-use wearscope::core::takeaways::Takeaways;
+use wearscope::core::{CoreAggregates, StudyResults};
 use wearscope::prelude::*;
 
 fn measure(config: &ScenarioConfig) -> Takeaways {
@@ -14,7 +14,8 @@ fn measure(config: &ScenarioConfig) -> Takeaways {
         &world.apps,
         world.config.window,
     );
-    Takeaways::compute(&ctx, &world.summaries)
+    let aggs = CoreAggregates::sequential(&ctx);
+    Takeaways::from_results(&StudyResults::new(&ctx, &world.summaries, &aggs))
 }
 
 fn base_config(seed: u64) -> ScenarioConfig {

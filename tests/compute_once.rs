@@ -1,7 +1,7 @@
 //! Compute once: the per-output entry points (`render_full_report`,
-//! `Takeaways::compute`, `FigureCsvExporter::with_aggregates`) and rendering
-//! from one `StudyResults` over a 2-worker load's aggregates give the
-//! same bytes — full report, experiment table and every figure CSV — on a
+//! `Takeaways::compute_with`, `FigureCsvExporter::with_aggregates`) and
+//! rendering from one `StudyResults` over a 2-worker load's aggregates give
+//! the same bytes — full report, experiment table and every figure CSV — on a
 //! quick world, clean and after `corrupt --faults all`.
 
 use std::path::Path;
@@ -37,11 +37,11 @@ fn assert_single_implementation(world: &Path, out: &Path) {
     let summaries = &saved.summaries;
 
     let full = render_full_report(&ctx, summaries);
-    let takeaways = Takeaways::compute(&ctx, summaries);
+    let aggs = CoreAggregates::sequential(&ctx);
+    let takeaways = Takeaways::compute_with(&ctx, summaries, &aggs);
     let table =
         ExperimentReport::from_takeaways_with_window(&takeaways, saved.window.summary().num_days())
             .render();
-    let aggs = CoreAggregates::sequential(&ctx);
     let legacy_csv = out.join("legacy");
     FigureCsvExporter::with_aggregates(&ctx, summaries, &aggs)
         .export_all(&legacy_csv)

@@ -6,11 +6,11 @@
 use std::sync::OnceLock;
 
 use wearscope::appdb::AppCategory;
-use wearscope::core::activity::HourlyProfile;
 use wearscope::core::apps::{AppPopularity, AppUsage, CategoryPopularity};
 use wearscope::core::sessions::{self, PerUsage};
 use wearscope::core::stats;
 use wearscope::core::thirdparty::DomainBreakdown;
+use wearscope::core::CoreAggregates;
 use wearscope::prelude::*;
 
 struct Shared {
@@ -46,7 +46,7 @@ fn ctx(world: &GeneratedWorld) -> StudyContext<'_> {
 fn fig3a_diurnal_shape() {
     let world = &shared().world;
     let c = ctx(world);
-    let p = HourlyProfile::compute(&c);
+    let p = CoreAggregates::sequential(&c).hourly;
 
     // Normalization: metrics sum to 1 over the average week.
     assert!((p.weekly_total_users() - 1.0).abs() < 1e-9);

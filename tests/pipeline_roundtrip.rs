@@ -5,8 +5,8 @@
 use std::collections::HashSet;
 use std::io::Write;
 
-use wearscope::core::takeaways::Takeaways;
-use wearscope::core::CoreAggregates;
+use wearscope::core::{CoreAggregates, StudyResults};
+use wearscope::ingest::{load_store_resilient, IngestError, IngestOptions};
 use wearscope::prelude::*;
 use wearscope::synthpop::manifest::fnv1a;
 
@@ -38,7 +38,8 @@ fn takeaways_of(world: &GeneratedWorld, store: &TraceStore) -> Takeaways {
         &world.apps,
         world.config.window,
     );
-    Takeaways::compute(&ctx, &world.summaries)
+    let aggs = CoreAggregates::sequential(&ctx);
+    Takeaways::from_results(&StudyResults::new(&ctx, &world.summaries, &aggs))
 }
 
 #[test]
@@ -46,7 +47,9 @@ fn disk_roundtrip_preserves_analysis() {
     let world = small_world(71);
     let dir = std::env::temp_dir().join(format!("wearscope-e2e-{}", std::process::id()));
     world.store.save(&dir).expect("save traces");
-    let reloaded = TraceStore::load(&dir).expect("load traces");
+    let (reloaded, report) =
+        load_store_resilient(&dir, 2, &IngestOptions::default()).expect("load traces");
+    assert!(report.quality.quarantined.is_empty());
     assert_eq!(reloaded.proxy(), world.store.proxy());
     assert_eq!(reloaded.mme(), world.store.mme());
 
@@ -81,7 +84,7 @@ fn different_seeds_give_different_worlds() {
 
 #[test]
 fn corrupted_log_lines_are_reported_not_ignored() {
-    use wearscope::trace::{LogReader, ProxyRecord, TsvRecord};
+    use wearscope::trace::{ProxyRecord, TsvRecord};
     let world = small_world(75);
     let dir = std::env::temp_dir().join(format!("wearscope-corrupt-{}", std::process::id()));
     world.store.save(&dir).expect("save traces");
@@ -97,22 +100,24 @@ fn corrupted_log_lines_are_reported_not_ignored() {
         .write_all(content.as_bytes())
         .unwrap();
 
-    // Strict load fails loudly...
-    assert!(TraceStore::load(&dir).is_err());
-
-    // ...while a tolerant reader can skip exactly the bad line.
-    let file = std::fs::File::open(&path).unwrap();
-    let reader = LogReader::<_, ProxyRecord>::new(std::io::BufReader::new(file));
-    let mut good = 0usize;
-    let mut bad = 0usize;
-    for item in reader {
-        match item {
-            Ok(_) => good += 1,
-            Err(_) => bad += 1,
-        }
+    // A zero error budget fails the load on the one bad line...
+    let strict = IngestOptions {
+        max_error_rate: 0.0,
+        ..IngestOptions::default()
+    };
+    match load_store_resilient(&dir, 2, &strict) {
+        Err(IngestError::ErrorBudget { quarantined, .. }) => assert_eq!(quarantined, 1),
+        other => panic!(
+            "expected an error-budget failure, got {:?}",
+            other.map(|_| ())
+        ),
     }
-    assert_eq!(bad, 1);
-    assert_eq!(good, world.store.proxy().len());
+
+    // ...while the default budget quarantines exactly that line.
+    let (store, report) =
+        load_store_resilient(&dir, 2, &IngestOptions::default()).expect("load traces");
+    assert_eq!(report.parse_errors(), 1);
+    assert_eq!(store.proxy(), world.store.proxy());
 
     // Round-trip sanity for a single record line.
     let line = world.store.proxy()[0].to_line();
@@ -174,7 +179,8 @@ fn analysis_ignores_foreign_devices() {
     assert_eq!(CoreAggregates::sequential(&ctx).owners, owners);
     assert_eq!(ctx.device_class(foreign), None);
     // Pipeline still runs.
-    let t = Takeaways::compute(&ctx, &world.summaries);
+    let aggs = CoreAggregates::sequential(&ctx);
+    let t = Takeaways::from_results(&StudyResults::new(&ctx, &world.summaries, &aggs));
     assert!(t.median_tx_bytes > 0.0);
 }
 

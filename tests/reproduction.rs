@@ -6,6 +6,7 @@
 
 use std::sync::OnceLock;
 
+use wearscope::core::{CoreAggregates, StudyResults};
 use wearscope::prelude::*;
 use wearscope::report::{Band, ExperimentReport};
 
@@ -33,7 +34,8 @@ fn shared() -> &'static Shared {
             &world.apps,
             world.config.window,
         );
-        let takeaways = Takeaways::compute(&ctx, &world.summaries);
+        let aggs = CoreAggregates::sequential(&ctx);
+        let takeaways = Takeaways::from_results(&StudyResults::new(&ctx, &world.summaries, &aggs));
         Shared { world, takeaways }
     })
 }
