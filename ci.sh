@@ -33,7 +33,15 @@ FAULT_DIR="$(mktemp -d)"
 trap 'rm -rf "$FAULT_DIR"' EXIT
 WEARSCOPE=target/release/wearscope
 "$WEARSCOPE" generate --out "$FAULT_DIR/world" --seed 7 --scale quick 2>/dev/null
+cp -r "$FAULT_DIR/world" "$FAULT_DIR/world-twin"
 "$WEARSCOPE" corrupt --world "$FAULT_DIR/world" --seed 3 --faults all
+"$WEARSCOPE" corrupt --world "$FAULT_DIR/world-twin" --seed 3 --faults all >/dev/null
+# corrupt streams each log into `<log>.tmp` and renames it over the log:
+# no temp file is left, and the same (world, seed, spec) gives the same bytes.
+test -z "$(find "$FAULT_DIR/world" "$FAULT_DIR/world-twin" -name '*.tmp')"
+for log in proxy.log mme.log; do
+    cmp "$FAULT_DIR/world/$log" "$FAULT_DIR/world-twin/$log"
+done
 "$WEARSCOPE" analyze --world "$FAULT_DIR/world" --workers 1 --full --csv "$FAULT_DIR/csv1" \
     2>/dev/null | grep -v "CSV figure files" >"$FAULT_DIR/out1.txt"
 cp "$FAULT_DIR/world/quarantine.log" "$FAULT_DIR/quarantine1.log"
@@ -124,6 +132,19 @@ for stop in $kill_points; do
     fi
 done
 echo "    resumed stream reports and final checkpoints identical to the uninterrupted run at kill points:" $kill_points
+
+echo "==> stream drill: a checkpoint after every record, diff report and final checkpoint"
+# A writer thread makes the periodic checkpoints durable while the runtime
+# goes on; with one due after every record, each hand-off waits for the
+# previous write. The interval must change neither the report nor the
+# final checkpoint.
+rm -rf "$FAULT_DIR/every1-ckpt"
+"$WEARSCOPE" stream --world "$FAULT_DIR/stream-world" --window 1h --lateness 5m \
+    --checkpoint "$FAULT_DIR/every1-ckpt" --checkpoint-every 1 \
+    --report "$FAULT_DIR/stream-every1.txt" >/dev/null 2>&1
+diff "$FAULT_DIR/stream-full.txt" "$FAULT_DIR/stream-every1.txt"
+cmp "$FAULT_DIR/full-ckpt/stream.ckpt" "$FAULT_DIR/every1-ckpt/stream.ckpt"
+echo "    --checkpoint-every 1 and 2000 end on identical reports and final checkpoints"
 
 echo "==> stream metrics determinism: two identical stopped runs, diff snapshots"
 # I/O is counted as the runtime takes items, not as the reader thread

@@ -1,10 +1,9 @@
 //! User activity analysis (Sec. 4.2–4.3, Fig. 3).
 
-use std::collections::{HashMap, HashSet};
-
 use wearscope_trace::UserId;
 
 use crate::context::StudyContext;
+use crate::hash::{HashMap, HashSet};
 use crate::merge::CoreAggregates;
 use crate::stats::{self, Ecdf};
 
@@ -89,8 +88,8 @@ impl HourlyProfile {
         tx: &[u64; 48],
         bytes: &[u64; 48],
     ) -> HourlyProfile {
-        let mut weekday_days: HashSet<u64> = HashSet::new();
-        let mut weekend_days: HashSet<u64> = HashSet::new();
+        let mut weekday_days: HashSet<u64> = HashSet::default();
+        let mut weekend_days: HashSet<u64> = HashSet::default();
         let cal = ctx.window.calendar();
         for d in ctx.window.detailed().days() {
             if cal.day_is_weekend(d) {
@@ -302,8 +301,8 @@ pub(crate) fn daily_active_share_of(activity: &HashMap<UserId, UserActivity>) ->
 pub(crate) fn active_users_by_day_and_week(
     activity: &HashMap<UserId, UserActivity>,
 ) -> (HashMap<u64, usize>, HashMap<u64, usize>) {
-    let mut by_day: HashMap<u64, usize> = HashMap::new();
-    let mut by_week: HashMap<u64, usize> = HashMap::new();
+    let mut by_day: HashMap<u64, usize> = HashMap::default();
+    let mut by_week: HashMap<u64, usize> = HashMap::default();
     let mut weeks: Vec<u64> = Vec::new();
     for a in activity.values() {
         weeks.clear();

@@ -138,8 +138,8 @@ impl RetentionCurves {
             .map(|w| mme.users_in_days(w * 7, (w + 1) * 7))
             .collect();
         // Adoption week = first week a user appears.
-        let mut adopted_in: std::collections::HashMap<wearscope_trace::UserId, u64> =
-            std::collections::HashMap::new();
+        let mut adopted_in: crate::hash::HashMap<wearscope_trace::UserId, u64> =
+            crate::hash::HashMap::default();
         for (w, users) in by_week.iter().enumerate() {
             for u in users {
                 adopted_in.entry(*u).or_insert(w as u64);

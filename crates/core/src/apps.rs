@@ -1,11 +1,10 @@
 //! Application popularity and category analysis (Sec. 5.1, Figs. 5 and 6).
 
-use std::collections::{HashMap, HashSet};
-
 use wearscope_appdb::{AppCategory, AppId};
 use wearscope_trace::UserId;
 
 use crate::context::StudyContext;
+use crate::hash::{HashMap, HashSet};
 use crate::sessions::{AttributedTx, Session};
 use crate::stats::{self, Ecdf};
 
@@ -27,9 +26,9 @@ impl AppPopularity {
     /// Computes Fig. 5(a) from attributed transactions.
     pub fn compute(attributed: &[AttributedTx]) -> AppPopularity {
         // (app, day) → users; (app, user) → days used.
-        let mut day_users: HashMap<(AppId, u64), HashSet<UserId>> = HashMap::new();
-        let mut user_days: HashMap<(AppId, UserId), HashSet<u64>> = HashMap::new();
-        let mut apps: HashSet<AppId> = HashSet::new();
+        let mut day_users: HashMap<(AppId, u64), HashSet<UserId>> = HashMap::default();
+        let mut user_days: HashMap<(AppId, UserId), HashSet<u64>> = HashMap::default();
+        let mut apps: HashSet<AppId> = HashSet::default();
         for tx in attributed {
             let Some(app) = tx.app else { continue };
             apps.insert(app);
@@ -51,8 +50,8 @@ impl AppPopularity {
         apps: HashSet<AppId>,
     ) -> AppPopularity {
         // Average daily associated users per app.
-        let mut assoc: HashMap<AppId, f64> = HashMap::new();
-        let mut days_per_app: HashMap<AppId, usize> = HashMap::new();
+        let mut assoc: HashMap<AppId, f64> = HashMap::default();
+        let mut days_per_app: HashMap<AppId, usize> = HashMap::default();
         for ((app, _day), users) in &day_users {
             *assoc.entry(*app).or_default() += users.len() as f64;
             *days_per_app.entry(*app).or_default() += 1;
@@ -73,8 +72,8 @@ impl AppPopularity {
         }
 
         // Average used-days per associated user, normalized across apps.
-        let mut used_days: HashMap<AppId, f64> = HashMap::new();
-        let mut users_per_app: HashMap<AppId, usize> = HashMap::new();
+        let mut used_days: HashMap<AppId, f64> = HashMap::default();
+        let mut users_per_app: HashMap<AppId, usize> = HashMap::default();
         for ((app, _user), days) in &user_days {
             *used_days.entry(*app).or_default() += days.len() as f64;
             *users_per_app.entry(*app).or_default() += 1;
@@ -119,9 +118,9 @@ pub struct AppUsage {
 impl AppUsage {
     /// Computes Fig. 5(b) from sessions.
     pub fn compute(sessions: &[Session]) -> AppUsage {
-        let mut freq: HashMap<AppId, f64> = HashMap::new();
-        let mut tx: HashMap<AppId, f64> = HashMap::new();
-        let mut data: HashMap<AppId, f64> = HashMap::new();
+        let mut freq: HashMap<AppId, f64> = HashMap::default();
+        let mut tx: HashMap<AppId, f64> = HashMap::default();
+        let mut data: HashMap<AppId, f64> = HashMap::default();
         for s in sessions {
             *freq.entry(s.app).or_default() += 1.0;
             *tx.entry(s.app).or_default() += s.transactions as f64;
@@ -166,7 +165,7 @@ impl CategoryPopularity {
             // Summed in app-id order so the float totals are run-to-run stable.
             let mut entries: Vec<(&AppId, &f64)> = per_app.iter().collect();
             entries.sort_by_key(|(app, _)| **app);
-            let mut out: HashMap<AppCategory, f64> = HashMap::new();
+            let mut out: HashMap<AppCategory, f64> = HashMap::default();
             for (app, v) in entries {
                 if let Some(profile) = ctx.catalog.get(*app) {
                     *out.entry(profile.category).or_default() += v;
@@ -209,8 +208,8 @@ pub struct InstallStats {
 impl InstallStats {
     /// Computes install statistics from attributed transactions.
     pub fn compute(attributed: &[AttributedTx]) -> InstallStats {
-        let mut per_user: HashMap<UserId, HashSet<AppId>> = HashMap::new();
-        let mut per_user_day: HashMap<(UserId, u64), HashSet<AppId>> = HashMap::new();
+        let mut per_user: HashMap<UserId, HashSet<AppId>> = HashMap::default();
+        let mut per_user_day: HashMap<(UserId, u64), HashSet<AppId>> = HashMap::default();
         for tx in attributed {
             let Some(app) = tx.app else { continue };
             per_user.entry(tx.user).or_default().insert(app);

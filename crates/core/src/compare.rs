@@ -6,10 +6,9 @@
 //! against the remaining customers. Both the owner set and the per-user
 //! totals come from the one fold ([`crate::CoreAggregates`]).
 
-use std::collections::{HashMap, HashSet};
-
 use wearscope_trace::UserId;
 
+use crate::hash::{HashMap, HashSet};
 use crate::stats::Ecdf;
 
 /// Per-user traffic totals over the detailed window.

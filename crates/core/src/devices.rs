@@ -6,12 +6,11 @@
 //! logs via the device-database join — the same IMEI → TAC → model pipeline
 //! used for identification.
 
-use std::collections::{HashMap, HashSet};
-
 use wearscope_devicedb::Imei;
 use wearscope_trace::UserId;
 
 use crate::context::StudyContext;
+use crate::hash::{HashMap, HashSet};
 use crate::merge::CoreAggregates;
 
 /// The observed wearable device mix.
@@ -39,10 +38,10 @@ impl DeviceMix {
         ctx: &StudyContext<'_>,
         devices: &HashSet<(UserId, u64)>,
     ) -> DeviceMix {
-        let mut users_by_model: HashMap<&'static str, HashSet<UserId>> = HashMap::new();
-        let mut users_by_manufacturer: HashMap<&'static str, HashSet<UserId>> = HashMap::new();
-        let mut users_by_os: HashMap<&'static str, HashSet<UserId>> = HashMap::new();
-        let mut all_users: HashSet<UserId> = HashSet::new();
+        let mut users_by_model: HashMap<&'static str, HashSet<UserId>> = HashMap::default();
+        let mut users_by_manufacturer: HashMap<&'static str, HashSet<UserId>> = HashMap::default();
+        let mut users_by_os: HashMap<&'static str, HashSet<UserId>> = HashMap::default();
+        let mut all_users: HashSet<UserId> = HashSet::default();
         for &(user, imei) in devices {
             let Some(rec) = Imei::from_u64(imei).ok().and_then(|i| ctx.db.lookup(i)) else {
                 continue;

@@ -22,6 +22,7 @@
 //! | [`results`] | every derived analysis of one study, computed once |
 //! | [`takeaways`] | the headline scalars, gathered in one struct |
 //! | [`merge`] | partial aggregates and the one fold behind `CoreAggregates` |
+//! | [`hash`] | the fixed fast hasher behind the per-record maps |
 //! | [`snapshot`] | deterministic text snapshots of partials (stream checkpoints) |
 //! | [`quality`] | data-quality QA: coverage gaps, identification misses |
 //!
@@ -37,6 +38,7 @@ pub mod apps;
 pub mod compare;
 pub mod context;
 pub mod devices;
+pub mod hash;
 pub mod merge;
 pub mod mobility;
 pub mod quality;

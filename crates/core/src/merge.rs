@@ -23,7 +23,7 @@
 //! Batch folds run through one [`Fold`], whether over a store
 //! ([`CorePartials::fold`]) or over records as the loader parses them.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 
 use wearscope_appdb::{AppId, ThroughDeviceKind};
 use wearscope_devicedb::{DeviceClass, Imei};
@@ -35,6 +35,7 @@ use crate::apps::AppPopularity;
 use crate::compare::UserTraffic;
 use crate::context::StudyContext;
 use crate::devices::DeviceMix;
+use crate::hash::{HashMap, HashSet};
 use crate::mobility::{MobilityIndex, UserMobility};
 use crate::quality::DataQualityReport;
 use crate::sessions::{AttributedTx, Attributor};
@@ -395,7 +396,7 @@ impl SectorJoinPartial {
     /// nightly, so a cross-day carry-over would be stale).
     pub fn finish(self) -> HashMap<UserId, HashSet<u32>> {
         let mut timelines = self.timelines;
-        let mut out: HashMap<UserId, HashSet<u32>> = HashMap::new();
+        let mut out: HashMap<UserId, HashSet<u32>> = HashMap::default();
         for (key, times) in self.transactions {
             let Some(tl) = timelines.get_mut(&key) else {
                 continue;
@@ -936,7 +937,7 @@ mod tests {
             ObservationWindow::compact(),
         );
         let owners = CoreAggregates::sequential(&ctx).owners;
-        assert_eq!(owners, HashSet::from([UserId(1), UserId(3)]));
+        assert_eq!(owners, HashSet::from_iter([UserId(1), UserId(3)]));
     }
 
     /// A sighting that arrives late (a stream window absorbs in arrival
@@ -957,7 +958,7 @@ mod tests {
         }
         join.absorb_transaction(&proxy(7, 1, 250, 10));
         let sectors = join.finish();
-        assert_eq!(sectors[&UserId(1)], HashSet::from([2]));
+        assert_eq!(sectors[&UserId(1)], HashSet::from_iter([2]));
     }
 
     /// The empty bundle finishes into empty results.

@@ -1,12 +1,11 @@
 //! User mobility analysis (Sec. 4.4, Fig. 4(c,d)).
 
-use std::collections::{HashMap, HashSet};
-
 use wearscope_geo::SectorId;
 use wearscope_trace::UserId;
 
 use crate::activity::UserActivity;
 use crate::context::StudyContext;
+use crate::hash::{HashMap, HashSet};
 use crate::stats::{self, Ecdf};
 
 /// Per-user mobility aggregates derived from the MME log.

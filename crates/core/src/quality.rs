@@ -6,12 +6,11 @@
 //! inconsistencies of a trace — the checks that catch a broken collection
 //! day before it silently skews every figure.
 
-use std::collections::{HashMap, HashSet};
-
 use wearscope_trace::UserId;
 
 use crate::compare::UserTraffic;
 use crate::context::StudyContext;
+use crate::hash::{HashMap, HashSet};
 use crate::merge::{CoreAggregates, QualityPartial};
 use crate::thirdparty::DomainBreakdown;
 

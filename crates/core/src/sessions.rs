@@ -14,13 +14,14 @@
 //! could claim it can still be admitted. Both see the same answer for
 //! any arrival order the watermark admits.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use wearscope_appdb::{AppId, Classification};
 use wearscope_simtime::{SimDuration, SimTime};
 use wearscope_trace::UserId;
 
 use crate::context::StudyContext;
+use crate::hash::HashMap;
 use crate::stats::Ecdf;
 
 /// The sessionization gap: two consecutive transactions belong to the same
@@ -239,7 +240,7 @@ pub fn sessionize(attributed: &[AttributedTx]) -> Vec<Session> {
 /// that choice matters).
 pub fn sessionize_with_gap(attributed: &[AttributedTx], gap_secs: u64) -> Vec<Session> {
     // (user, app) → ordered transactions.
-    let mut groups: HashMap<(UserId, AppId), Vec<(SimTime, u64)>> = HashMap::new();
+    let mut groups: HashMap<(UserId, AppId), Vec<(SimTime, u64)>> = HashMap::default();
     for tx in attributed {
         if let Some(app) = tx.app {
             groups
@@ -295,7 +296,7 @@ pub struct PerUsage {
 impl PerUsage {
     /// Aggregates sessions per app.
     pub fn compute(sessions: &[Session]) -> PerUsage {
-        let mut acc: HashMap<AppId, (u64, u64, usize)> = HashMap::new();
+        let mut acc: HashMap<AppId, (u64, u64, usize)> = HashMap::default();
         for s in sessions {
             let e = acc.entry(s.app).or_default();
             e.0 += s.transactions;

@@ -32,7 +32,7 @@
 //!
 //! [`RowWriter`] writes a line and [`Row`] reads one back, field by field.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 use std::fmt::{self, Write as _};
 
 use wearscope_appdb::{AppId, Classification, DomainClass, ThroughDeviceKind};
@@ -40,6 +40,7 @@ use wearscope_simtime::SimTime;
 use wearscope_trace::UserId;
 
 use crate::activity::UserActivity;
+use crate::hash::{HashMap, HashSet};
 use crate::merge::{
     ActivityPartial, AppPopularityPartial, CorePartials, HourlyProfilePartial, MobilityPartial,
     QualityPartial, SectorJoinPartial, TrafficPartial, TransactionStatsPartial,
@@ -491,7 +492,7 @@ impl Snapshot for ActivityPartial {
     }
 
     fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let mut per_user = HashMap::new();
+        let mut per_user = HashMap::default();
         for _ in 0..r.count("activity")? {
             let mut row = r.row()?;
             let user = row.field()?;
@@ -573,7 +574,7 @@ impl Snapshot for TrafficPartial {
     }
 
     fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let mut per_user = HashMap::new();
+        let mut per_user = HashMap::default();
         for _ in 0..r.count("traffic")? {
             let mut row = r.row()?;
             per_user.insert(row.field()?, (row.field()?, row.field()?));
@@ -813,7 +814,7 @@ impl Snapshot for Attributor {
     }
 
     fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let mut users = HashMap::new();
+        let mut users = HashMap::default();
         for _ in 0..r.count("attributor")? {
             let mut row = r.tagged("u")?;
             let user = row.field()?;

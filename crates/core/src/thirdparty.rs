@@ -1,11 +1,10 @@
 //! Third-party transaction analysis (Sec. 5.2, Fig. 8).
 
-use std::collections::HashSet;
-
 use wearscope_appdb::DomainClass;
 use wearscope_trace::UserId;
 
 use crate::context::StudyContext;
+use crate::hash::HashSet;
 use crate::sessions::{self, AttributedTx};
 
 /// Fig. 8: per domain class (Application / Utilities / Advertising /

@@ -8,12 +8,11 @@
 //! Through-Device users, estimated from market reports) is then compared
 //! against SIM-enabled users on macroscopic behaviour and mobility.
 
-use std::collections::{HashMap, HashSet};
-
 use wearscope_appdb::ThroughDeviceKind;
 use wearscope_trace::UserId;
 
 use crate::context::StudyContext;
+use crate::hash::{HashMap, HashSet};
 use crate::merge::CorePartials;
 use crate::mobility::MobilityIndex;
 use crate::stats::Ecdf;
@@ -60,8 +59,8 @@ impl ThroughDeviceReport {
         mobility: &MobilityIndex,
         owners: &HashSet<UserId>,
     ) -> ThroughDeviceReport {
-        let mut identified: HashMap<ThroughDeviceKind, HashSet<UserId>> = HashMap::new();
-        let mut users = HashSet::new();
+        let mut identified: HashMap<ThroughDeviceKind, HashSet<UserId>> = HashMap::default();
+        let mut users = HashSet::default();
         for (kind, user) in pairs {
             identified.entry(kind).or_default().insert(user);
             users.insert(user);

@@ -5,12 +5,11 @@
 //! wearable usage is slightly higher on weekends and evenings — attributed
 //! to the demographics of early wearable adopters.
 
-use std::collections::HashMap;
-
 use wearscope_trace::UserId;
 
 use crate::activity::{self, UserActivity};
 use crate::context::StudyContext;
+use crate::hash::HashMap;
 use crate::merge::CoreAggregates;
 
 /// Day-of-week activity profile plus the wearable-vs-overall relative usage.

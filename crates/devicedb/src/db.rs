@@ -1,7 +1,5 @@
 //! The device database: TAC ranges, IMEI allocation, and model lookup.
 
-use std::collections::HashMap;
-
 use rand::Rng;
 
 use crate::catalog::{DeviceClass, DeviceModel, DeviceOs};
@@ -30,8 +28,9 @@ pub struct DeviceRecord {
 /// The operator's device database.
 ///
 /// Each model owns one or more TACs (real models often span several TACs for
-/// regional variants; we allocate `tacs_per_model` each). Lookup strips the
-/// serial and check digit and resolves the TAC.
+/// regional variants; we allocate `TACS_PER_MODEL` each). Lookup strips the
+/// serial and check digit and resolves the TAC. The TACs are consecutive
+/// from `TAC_BASE`, so the model id is arithmetic on the TAC: no map.
 ///
 /// # Examples
 /// ```
@@ -46,7 +45,6 @@ pub struct DeviceRecord {
 #[derive(Clone, Debug)]
 pub struct DeviceDb {
     models: Vec<DeviceModel>,
-    tac_to_model: HashMap<Tac, ModelId>,
     tacs_by_model: Vec<Vec<Tac>>,
 }
 
@@ -57,23 +55,22 @@ const TAC_BASE: u32 = 35_200_000;
 const TACS_PER_MODEL: u32 = 2;
 
 impl DeviceDb {
-    /// Builds a database assigning consecutive TACs to each catalog model.
+    /// Builds a database assigning consecutive TACs to each catalog model:
+    /// model `i` gets `TAC_BASE + i·TACS_PER_MODEL + k` for each `k` below
+    /// `TACS_PER_MODEL`.
     pub fn with_catalog(models: Vec<DeviceModel>) -> DeviceDb {
-        let mut tac_to_model = HashMap::new();
         let mut tacs_by_model = Vec::with_capacity(models.len());
         for (i, _) in models.iter().enumerate() {
             let mut tacs = Vec::with_capacity(TACS_PER_MODEL as usize);
             for k in 0..TACS_PER_MODEL {
                 let tac = Tac::new(TAC_BASE + (i as u32) * TACS_PER_MODEL + k)
                     .expect("TAC_BASE keeps allocations in range");
-                tac_to_model.insert(tac, ModelId(i as u16));
                 tacs.push(tac);
             }
             tacs_by_model.push(tacs);
         }
         DeviceDb {
             models,
-            tac_to_model,
             tacs_by_model,
         }
     }
@@ -96,10 +93,10 @@ impl DeviceDb {
     /// Resolves an IMEI to its device record via the TAC, or `None` for
     /// devices from other operators/regions not in this database.
     pub fn lookup(&self, imei: Imei) -> Option<DeviceRecord> {
-        let id = *self.tac_to_model.get(&imei.tac())?;
-        let m = &self.models[id.0 as usize];
+        let index = imei.tac().value().checked_sub(TAC_BASE)? / TACS_PER_MODEL;
+        let m = self.models.get(index as usize)?;
         Some(DeviceRecord {
-            model_id: id,
+            model_id: ModelId(index as u16),
             model: m.name,
             manufacturer: m.manufacturer,
             os: m.os,
@@ -187,6 +184,7 @@ mod tests {
     use crate::catalog::standard_catalog;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::HashMap;
 
     #[test]
     fn lookup_roundtrip_for_every_model() {
@@ -197,6 +195,34 @@ mod tests {
             let rec = db.lookup(imei).expect("allocated IMEI must resolve");
             assert_eq!(rec.model_id, id);
             assert_eq!(rec.model, db.model(id).unwrap().name);
+        }
+    }
+
+    /// The TAC-to-model map `lookup` used to build, as the oracle for the
+    /// arithmetic: every planned TAC, the ones just outside the plan, and
+    /// the ends of the TAC range resolve as the map resolved them.
+    #[test]
+    fn lookup_by_arithmetic_matches_the_tac_map() {
+        for db in [DeviceDb::standard(), DeviceDb::with_catalog(vec![])] {
+            let mut map = HashMap::new();
+            for i in 0..db.num_models() {
+                for k in 0..TACS_PER_MODEL {
+                    let tac = Tac::new(TAC_BASE + i as u32 * TACS_PER_MODEL + k).unwrap();
+                    map.insert(tac, ModelId(i as u16));
+                }
+            }
+            let planned_end = TAC_BASE + db.num_models() as u32 * TACS_PER_MODEL;
+            let tacs = (TAC_BASE - 5..planned_end + 5).chain([0, 1, 99_999_999]);
+            for tac in tacs.map(|t| Tac::new(t).unwrap()) {
+                let imei = Imei::from_parts(tac, 4242).unwrap();
+                let got = db.lookup(imei);
+                assert_eq!(got.as_ref().map(|r| r.model_id), map.get(&tac).copied());
+                if let Some(rec) = got {
+                    let m = db.model(rec.model_id).unwrap();
+                    assert_eq!((rec.model, rec.manufacturer), (m.name, m.manufacturer));
+                    assert_eq!((rec.os, rec.class), (m.os, m.class));
+                }
+            }
         }
     }
 

@@ -16,8 +16,8 @@
 //! line no fault claims is written back byte for byte, its `\r` and a
 //! missing final `\n` included.
 
-use std::borrow::Cow;
-use std::io;
+use std::fs::{self, File};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
 use rand::rngs::StdRng;
@@ -101,7 +101,15 @@ impl CorruptionReport {
     }
 }
 
+/// Bytes each log is read and written through.
+const BUFFER: usize = 64 * 1024;
+
 /// Corrupts the world under `dir` in place.
+///
+/// Each log streams through a 64 KiB buffer into `<log>.tmp`
+/// beside it, which is then renamed over the log: memory holds a few
+/// lines whatever the log's size, and a process killed midway leaves
+/// the whole old log or the whole new one, never a half-written one.
 ///
 /// # Errors
 /// Propagates I/O errors reading or rewriting `proxy.log` / `mme.log`
@@ -110,12 +118,30 @@ pub fn corrupt_world(dir: &Path, seed: u64, spec: &FaultSpec) -> io::Result<Corr
     let mut files = Vec::new();
     for file in ["proxy.log", "mme.log"] {
         let path = dir.join(file);
-        let content = std::fs::read(&path)?;
-        let (corrupted, corruption) = corrupt_log(&content, file, seed, spec);
-        std::fs::write(&path, corrupted)?;
+        let tmp = dir.join(format!("{file}.tmp"));
+        let corruption = corrupt_file(&path, &tmp, file, seed, spec)
+            .and_then(|corruption| fs::rename(&tmp, &path).map(|()| corruption))
+            .inspect_err(|_| {
+                let _ = fs::remove_file(&tmp);
+            })?;
         files.push(corruption);
     }
     Ok(CorruptionReport { seed, files })
+}
+
+/// Writes the corruption of the log at `path` to `tmp`.
+fn corrupt_file(
+    path: &Path,
+    tmp: &Path,
+    file: &str,
+    seed: u64,
+    spec: &FaultSpec,
+) -> io::Result<FileCorruption> {
+    let input = BufReader::with_capacity(BUFFER, File::open(path)?);
+    let mut out = BufWriter::with_capacity(BUFFER, File::create(tmp)?);
+    let corruption = corrupt_log(input, &mut out, file, seed, spec)?;
+    out.flush()?;
+    Ok(corruption)
 }
 
 /// What a claimed line turns into when the output is assembled.
@@ -129,134 +155,211 @@ enum Fate {
     /// Second line of a swapped pair — emitted before its predecessor.
     ReorderSecond,
     Crlf,
-    /// The file tail is cut inside this (final) line.
-    Truncate,
+    /// The file tail is cut inside this (final) line, after `keep` bytes.
+    Truncate {
+        keep: usize,
+    },
 }
 
-/// Pure corruption of one log's bytes. Exposed to the unit tests; the
-/// public entry point is [`corrupt_world`]. Lines stay borrowed from
-/// `content` unless a fault rewrites them.
-fn corrupt_log(
-    content: &[u8],
-    file: &str,
-    seed: u64,
-    spec: &FaultSpec,
-) -> (Vec<u8>, FileCorruption) {
-    let mut lines: Vec<Cow<[u8]>> = content.split(|&b| b == b'\n').map(Cow::Borrowed).collect();
-    // A final `\n` ends the last line rather than starting an empty one.
-    let terminated = content.last() == Some(&b'\n');
-    if terminated || content.is_empty() {
-        lines.pop();
-    }
-    let n = lines.len();
-    let mut corruption = FileCorruption {
-        file: file.to_string(),
-        lines: n as u64,
-        counts: [0; 8],
-    };
-    if n == 0 {
-        return (content.to_vec(), corruption);
+/// One log line, without its `\n`, and what becomes of it.
+struct Line {
+    bytes: Vec<u8>,
+    fate: Fate,
+}
+
+/// A log's lines, read one ahead so each is known to be the last or not.
+struct Lines<R> {
+    input: R,
+    ahead: Option<Vec<u8>>,
+    /// Lines handed out.
+    count: u64,
+    /// `false` once a line without a final `\n` was read.
+    terminated: bool,
+}
+
+impl<R: BufRead> Lines<R> {
+    fn new(input: R) -> io::Result<Lines<R>> {
+        let mut lines = Lines {
+            input,
+            ahead: None,
+            count: 0,
+            terminated: true,
+        };
+        lines.ahead = lines.read()?;
+        Ok(lines)
     }
 
-    let mut fates = vec![Fate::Keep; n];
-    let mut truncate_keep = 0usize;
-    for class in spec.classes() {
-        let mut rng = class_rng(seed, class, file);
-        let rate = spec.rate(class);
-        match class {
-            FaultClass::Truncate => {
+    fn read(&mut self) -> io::Result<Option<Vec<u8>>> {
+        let mut line = Vec::new();
+        if self.input.read_until(b'\n', &mut line)? == 0 {
+            return Ok(None);
+        }
+        if line.last() == Some(&b'\n') {
+            line.pop();
+        } else {
+            self.terminated = false;
+        }
+        Ok(Some(line))
+    }
+
+    /// The next line, and whether it is the log's last.
+    fn next(&mut self) -> io::Result<Option<(Vec<u8>, bool)>> {
+        let Some(line) = self.ahead.take() else {
+            return Ok(None);
+        };
+        self.ahead = self.read()?;
+        self.count += 1;
+        Ok(Some((line, self.ahead.is_none())))
+    }
+}
+
+/// Each enabled class's RNG stream over one log, and the faults injected.
+struct Injector<'s> {
+    spec: &'s FaultSpec,
+    rngs: [Option<StdRng>; 8],
+    counts: [u64; 8],
+}
+
+impl Injector<'_> {
+    fn new<'s>(spec: &'s FaultSpec, seed: u64, file: &str) -> Injector<'s> {
+        let mut rngs = [const { None }; 8];
+        for class in spec.classes() {
+            rngs[class.index()] = Some(class_rng(seed, class, file));
+        }
+        Injector {
+            spec,
+            rngs,
+            counts: [0; 8],
+        }
+    }
+
+    /// A hit of `class` on the current line: one draw whenever the class
+    /// is enabled, claimed line or not, so its victims do not depend on
+    /// what other classes selected.
+    fn draw(&mut self, class: FaultClass) -> Option<(bool, &mut StdRng)> {
+        let rng = self.rngs[class.index()].as_mut()?;
+        Some((rng.random_bool(self.spec.rate(class)), rng))
+    }
+
+    /// The classes ahead of `reorder`, which claim a line by itself:
+    /// truncate (the last line only), then the mutators and `dup`.
+    fn claim(&mut self, bytes: Vec<u8>, last: bool) -> Line {
+        let mut line = Line {
+            bytes,
+            fate: Fate::Keep,
+        };
+        if last {
+            if let Some(rng) = self.rngs[FaultClass::Truncate.index()].as_mut() {
                 // One cut per file: drop the tail of the last line, ending
                 // it inside its first field so the reader sees a record
                 // with a missing field, exactly like a writer that died.
-                if fates[n - 1] == Fate::Keep {
-                    let first = field_end(&lines[n - 1]);
-                    truncate_keep = if first > 1 {
-                        rng.random_range(1..first)
-                    } else {
-                        first.min(1)
-                    };
-                    fates[n - 1] = Fate::Truncate;
-                    corruption.counts[class.index()] = 1;
-                }
-            }
-            FaultClass::Reorder => {
-                for i in 0..n {
-                    // One draw per line, claimed or not, so this class's
-                    // victims do not depend on what others selected.
-                    let hit = rng.random_bool(rate);
-                    if hit && i + 1 < n && fates[i] == Fate::Keep && fates[i + 1] == Fate::Keep {
-                        fates[i] = Fate::ReorderFirst;
-                        fates[i + 1] = Fate::ReorderSecond;
-                        corruption.counts[class.index()] += 1;
-                    }
-                }
-            }
-            _ => {
-                for i in 0..n {
-                    let hit = rng.random_bool(rate);
-                    if !hit || fates[i] != Fate::Keep {
-                        continue;
-                    }
-                    corruption.counts[class.index()] += 1;
-                    match class {
-                        FaultClass::BitFlip => {
-                            lines[i] = Cow::Owned(bitflip(&lines[i], &mut rng));
-                            fates[i] = Fate::Mutated;
-                        }
-                        FaultClass::Garbage => {
-                            lines[i] = Cow::Owned(garbage(&mut rng));
-                            fates[i] = Fate::Mutated;
-                        }
-                        FaultClass::BadImei => {
-                            lines[i] = Cow::Owned(bad_imei(&lines[i], &mut rng));
-                            fates[i] = Fate::Mutated;
-                        }
-                        FaultClass::Skew => {
-                            lines[i] = Cow::Owned(skew(&lines[i]));
-                            fates[i] = Fate::Mutated;
-                        }
-                        FaultClass::Duplicate => fates[i] = Fate::Duplicate,
-                        FaultClass::Crlf => fates[i] = Fate::Crlf,
-                        FaultClass::Truncate | FaultClass::Reorder => unreachable!(),
-                    }
-                }
+                let first = field_end(&line.bytes);
+                let keep = if first > 1 {
+                    rng.random_range(1..first)
+                } else {
+                    first.min(1)
+                };
+                line.fate = Fate::Truncate { keep };
+                self.counts[FaultClass::Truncate.index()] = 1;
             }
         }
+        for class in [
+            FaultClass::BitFlip,
+            FaultClass::Garbage,
+            FaultClass::BadImei,
+            FaultClass::Skew,
+            FaultClass::Duplicate,
+        ] {
+            let Some((hit, rng)) = self.draw(class) else {
+                continue;
+            };
+            if !hit || line.fate != Fate::Keep {
+                continue;
+            }
+            (line.bytes, line.fate) = match class {
+                FaultClass::BitFlip => (bitflip(&line.bytes, rng), Fate::Mutated),
+                FaultClass::Garbage => (garbage(rng), Fate::Mutated),
+                FaultClass::BadImei => (bad_imei(&line.bytes, rng), Fate::Mutated),
+                FaultClass::Skew => (skew(&line.bytes), Fate::Mutated),
+                _ => (line.bytes, Fate::Duplicate),
+            };
+            self.counts[class.index()] += 1;
+        }
+        line
     }
 
-    let mut out = Vec::with_capacity(content.len() + 64);
-    let mut i = 0;
-    while i < n {
-        match fates[i] {
-            Fate::Keep | Fate::Mutated => push_line(&mut out, &lines[i]),
-            Fate::Duplicate => {
-                push_line(&mut out, &lines[i]);
-                push_line(&mut out, &lines[i]);
+    /// `reorder` then `crlf` on `line`, whose successor `next` (if any)
+    /// has been through [`claim`](Injector::claim) only.
+    fn settle(&mut self, line: &mut Line, next: Option<&mut Line>) {
+        if let Some((hit, _)) = self.draw(FaultClass::Reorder) {
+            if let Some(next) =
+                next.filter(|n| hit && line.fate == Fate::Keep && n.fate == Fate::Keep)
+            {
+                line.fate = Fate::ReorderFirst;
+                next.fate = Fate::ReorderSecond;
+                self.counts[FaultClass::Reorder.index()] += 1;
             }
-            Fate::ReorderFirst => {
-                push_line(&mut out, &lines[i + 1]);
-                push_line(&mut out, &lines[i]);
-                i += 1;
-            }
-            Fate::ReorderSecond => unreachable!("consumed by ReorderFirst"),
-            Fate::Crlf => {
-                out.extend_from_slice(&lines[i]);
-                out.extend_from_slice(b"\r\n");
-            }
-            Fate::Truncate => out.extend_from_slice(&lines[i][..truncate_keep]),
         }
-        i += 1;
+        if let Some((hit, _)) = self.draw(FaultClass::Crlf) {
+            if hit && line.fate == Fate::Keep {
+                line.fate = Fate::Crlf;
+                self.counts[FaultClass::Crlf.index()] += 1;
+            }
+        }
     }
-    // An unterminated last line that no fault claimed stays unterminated.
-    if !terminated && fates[n - 1] == Fate::Keep {
-        out.pop();
-    }
-    (out, corruption)
 }
 
-fn push_line(out: &mut Vec<u8>, line: &[u8]) {
-    out.extend_from_slice(line);
-    out.push(b'\n');
+/// Corrupts one log from `input` to `out`, a line at a time. Classes
+/// claim victims in [`FaultClass::ALL`] order: every class but the last
+/// two needs only the line (and whether it is the last), `reorder` also
+/// needs its successor's claim, so lines are claimed one ahead of being
+/// settled and written.
+fn corrupt_log<R: BufRead, W: Write>(
+    input: R,
+    out: &mut W,
+    file: &str,
+    seed: u64,
+    spec: &FaultSpec,
+) -> io::Result<FileCorruption> {
+    let mut lines = Lines::new(input)?;
+    let mut injector = Injector::new(spec, seed, file);
+    let mut next = lines.next()?.map(|(b, last)| injector.claim(b, last));
+    // The first line of a swapped pair, written after its successor.
+    let mut held: Option<Vec<u8>> = None;
+    while let Some(mut line) = next.take() {
+        next = lines.next()?.map(|(b, last)| injector.claim(b, last));
+        injector.settle(&mut line, next.as_mut());
+        match line.fate {
+            // An unterminated last line that no fault claimed stays
+            // unterminated.
+            Fate::Keep if next.is_none() && !lines.terminated => out.write_all(&line.bytes)?,
+            Fate::Keep | Fate::Mutated => push_line(out, &line.bytes)?,
+            Fate::Duplicate => {
+                push_line(out, &line.bytes)?;
+                push_line(out, &line.bytes)?;
+            }
+            Fate::ReorderFirst => held = Some(line.bytes),
+            Fate::ReorderSecond => {
+                push_line(out, &line.bytes)?;
+                push_line(out, &held.take().expect("held by ReorderFirst"))?;
+            }
+            Fate::Crlf => {
+                out.write_all(&line.bytes)?;
+                out.write_all(b"\r\n")?;
+            }
+            Fate::Truncate { keep } => out.write_all(&line.bytes[..keep])?,
+        }
+    }
+    Ok(FileCorruption {
+        file: file.to_string(),
+        lines: lines.count,
+        counts: injector.counts,
+    })
+}
+
+fn push_line<W: Write>(out: &mut W, line: &[u8]) -> io::Result<()> {
+    out.write_all(line)?;
+    out.write_all(b"\n")
 }
 
 /// The end of a line's first field: its first tab, or the line's end.
@@ -359,9 +462,18 @@ mod tests {
         (0..lines).map(|i| proxy_line(i) + "\n").collect()
     }
 
+    /// [`corrupt_log`] over bytes in memory, read through a 7-byte buffer
+    /// so lines straddle its refills.
+    fn corrupt_bytes(log: &[u8], seed: u64, spec: &FaultSpec) -> (Vec<u8>, FileCorruption) {
+        let mut out = Vec::new();
+        let input = BufReader::with_capacity(7, log);
+        let report = corrupt_log(input, &mut out, "proxy.log", seed, spec).unwrap();
+        (out, report)
+    }
+
     /// [`corrupt_log`] over text that stays text.
     fn corrupt_text(log: &str, seed: u64, spec: &FaultSpec) -> (String, FileCorruption) {
-        let (out, report) = corrupt_log(log.as_bytes(), "proxy.log", seed, spec);
+        let (out, report) = corrupt_bytes(log.as_bytes(), seed, spec);
         (String::from_utf8(out).unwrap(), report)
     }
 
@@ -453,9 +565,247 @@ mod tests {
     #[test]
     fn empty_log_is_left_alone() {
         let spec: FaultSpec = "all=0.5".parse().unwrap();
-        let (out, report) = corrupt_log(b"", "proxy.log", 1, &spec);
+        let (out, report) = corrupt_bytes(b"", 1, &spec);
         assert!(out.is_empty());
         assert_eq!(report.total(), 0);
+        assert_eq!(report.lines, 0);
+    }
+
+    /// The injector as it was before it streamed: the whole log in
+    /// memory, one pass per class over a vector of fates. The streaming
+    /// [`corrupt_log`] must give the same bytes and counts.
+    fn corrupt_in_memory(
+        content: &[u8],
+        file: &str,
+        seed: u64,
+        spec: &FaultSpec,
+    ) -> (Vec<u8>, FileCorruption) {
+        #[derive(Clone, Copy, PartialEq)]
+        enum F {
+            Keep,
+            Mutated,
+            Duplicate,
+            ReorderFirst,
+            ReorderSecond,
+            Crlf,
+            Truncate,
+        }
+        let mut lines: Vec<Vec<u8>> = content.split(|&b| b == b'\n').map(<[u8]>::to_vec).collect();
+        let terminated = content.last() == Some(&b'\n');
+        if terminated || content.is_empty() {
+            lines.pop();
+        }
+        let n = lines.len();
+        let mut counts = [0u64; 8];
+        let mut fates = vec![F::Keep; n];
+        let mut truncate_keep = 0usize;
+        for class in spec.classes() {
+            let mut rng = class_rng(seed, class, file);
+            let rate = spec.rate(class);
+            match class {
+                FaultClass::Truncate => {
+                    if n > 0 && fates[n - 1] == F::Keep {
+                        let first = field_end(&lines[n - 1]);
+                        truncate_keep = if first > 1 {
+                            rng.random_range(1..first)
+                        } else {
+                            first.min(1)
+                        };
+                        fates[n - 1] = F::Truncate;
+                        counts[class.index()] = 1;
+                    }
+                }
+                FaultClass::Reorder => {
+                    for i in 0..n {
+                        let hit = rng.random_bool(rate);
+                        if hit && i + 1 < n && fates[i] == F::Keep && fates[i + 1] == F::Keep {
+                            fates[i] = F::ReorderFirst;
+                            fates[i + 1] = F::ReorderSecond;
+                            counts[class.index()] += 1;
+                        }
+                    }
+                }
+                _ => {
+                    for i in 0..n {
+                        let hit = rng.random_bool(rate);
+                        if !hit || fates[i] != F::Keep {
+                            continue;
+                        }
+                        counts[class.index()] += 1;
+                        fates[i] = F::Mutated;
+                        match class {
+                            FaultClass::BitFlip => lines[i] = bitflip(&lines[i], &mut rng),
+                            FaultClass::Garbage => lines[i] = garbage(&mut rng),
+                            FaultClass::BadImei => lines[i] = bad_imei(&lines[i], &mut rng),
+                            FaultClass::Skew => lines[i] = skew(&lines[i]),
+                            FaultClass::Duplicate => fates[i] = F::Duplicate,
+                            FaultClass::Crlf => fates[i] = F::Crlf,
+                            FaultClass::Truncate | FaultClass::Reorder => unreachable!(),
+                        }
+                    }
+                }
+            }
+        }
+        let mut out = Vec::new();
+        let push = |out: &mut Vec<u8>, line: &[u8]| {
+            out.extend_from_slice(line);
+            out.push(b'\n');
+        };
+        let mut i = 0;
+        while i < n {
+            match fates[i] {
+                F::Keep | F::Mutated => push(&mut out, &lines[i]),
+                F::Duplicate => {
+                    push(&mut out, &lines[i]);
+                    push(&mut out, &lines[i]);
+                }
+                F::ReorderFirst => {
+                    push(&mut out, &lines[i + 1]);
+                    push(&mut out, &lines[i]);
+                    i += 1;
+                }
+                F::ReorderSecond => unreachable!("consumed by ReorderFirst"),
+                F::Crlf => {
+                    out.extend_from_slice(&lines[i]);
+                    out.extend_from_slice(b"\r\n");
+                }
+                F::Truncate => out.extend_from_slice(&lines[i][..truncate_keep]),
+            }
+            i += 1;
+        }
+        if n > 0 && !terminated && fates[n - 1] == F::Keep {
+            out.pop();
+        }
+        let corruption = FileCorruption {
+            file: file.to_string(),
+            lines: n as u64,
+            counts,
+        };
+        (out, corruption)
+    }
+
+    /// The streaming injector and the in-memory one agree on `log` under
+    /// a spread of specs and seeds.
+    fn assert_matches_in_memory(log: &[u8]) {
+        let specs = [
+            "all",
+            "all=0.2",
+            "dup=0",
+            "truncate",
+            "reorder=0.3,crlf=0.3",
+            "truncate,dup=0.5,reorder=0.5",
+            "reorder=1",
+            "bitflip=0.4,garbage=0.3,badimei=0.3,skew=0.3",
+        ];
+        for spec in specs {
+            let spec: FaultSpec = spec.parse().unwrap();
+            for seed in [3, 5] {
+                let (streamed, got) = corrupt_bytes(log, seed, &spec);
+                let (expected, want) = corrupt_in_memory(log, "proxy.log", seed, &spec);
+                assert_eq!(streamed, expected, "spec {spec:?} seed {seed}");
+                assert_eq!((got.lines, got.counts), (want.lines, want.counts));
+            }
+        }
+    }
+
+    #[test]
+    fn streaming_matches_the_in_memory_injector() {
+        assert_matches_in_memory(sample_log(500).as_bytes());
+        assert_matches_in_memory(b"");
+        assert_matches_in_memory(b"\n\n\n");
+        assert_matches_in_memory(b"x");
+    }
+
+    #[test]
+    fn an_unterminated_last_line_is_kept_unterminated_or_claimed() {
+        let mut log = sample_log(40);
+        log.push_str(&proxy_line(40));
+        assert_matches_in_memory(log.as_bytes());
+        let spec: FaultSpec = "dup=0".parse().unwrap();
+        assert_eq!(corrupt_text(&log, 3, &spec).0, log);
+        // Duplicated, the last line gains the `\n` that separates the two.
+        let spec: FaultSpec = "dup=1".parse().unwrap();
+        let (out, report) = corrupt_text(&log, 3, &spec);
+        assert_eq!(report.count(FaultClass::Duplicate), 41);
+        assert!(out.ends_with(&format!("{0}\n{0}\n", proxy_line(40))));
+    }
+
+    #[test]
+    fn crlf_lines_stream_byte_for_byte() {
+        let log: String = (0..80)
+            .map(|i| proxy_line(i) + if i % 2 == 0 { "\r\n" } else { "\n" })
+            .collect();
+        assert_matches_in_memory(log.as_bytes());
+        let spec: FaultSpec = "crlf=0.5".parse().unwrap();
+        let (out, report) = corrupt_text(&log, 5, &spec);
+        assert!(report.count(FaultClass::Crlf) > 0);
+        assert_eq!(out.lines().count(), 80);
+    }
+
+    #[test]
+    fn a_non_utf8_byte_streams_as_line_content() {
+        let mut log = sample_log(60).into_bytes();
+        log[10] = 0xff;
+        assert_matches_in_memory(&log);
+        let spec: FaultSpec = "dup=0".parse().unwrap();
+        assert_eq!(corrupt_bytes(&log, 3, &spec).0, log);
+    }
+
+    #[test]
+    fn a_one_line_log_is_truncated_inside_its_first_field() {
+        let log = format!("{}\n", proxy_line(30));
+        assert_matches_in_memory(log.as_bytes());
+        let spec = FaultSpec::single(FaultClass::Truncate, 1.0);
+        let (out, report) = corrupt_text(&log, 3, &spec);
+        assert_eq!((report.lines, report.count(FaultClass::Truncate)), (1, 1));
+        assert!(!out.is_empty() && log.starts_with(&out) && !out.contains('\t'));
+    }
+
+    #[test]
+    fn the_last_pair_can_be_swapped() {
+        // At rate 1 every free pair swaps: (0, 1) and (2, 3).
+        let spec: FaultSpec = "reorder=1".parse().unwrap();
+        for log in ["a\nb\nc\nd\n", "a\nb\nc\nd"] {
+            assert_matches_in_memory(log.as_bytes());
+            let (out, report) = corrupt_text(log, 7, &spec);
+            assert_eq!(out, "b\na\nd\nc\n");
+            assert_eq!(report.count(FaultClass::Reorder), 2);
+        }
+    }
+
+    #[test]
+    fn a_line_longer_than_the_buffer_streams_whole() {
+        let long = format!(
+            "1\t2\t356656100000000\t{}\thttps\t3\t4",
+            "h".repeat(3 * BUFFER)
+        );
+        let mut log = sample_log(20);
+        log.push_str(&long);
+        log.push('\n');
+        log.push_str(&sample_log(20));
+        assert_matches_in_memory(log.as_bytes());
+        let dir = world_with_proxy_log("long-line", log.as_bytes());
+        let spec: FaultSpec = "dup=0".parse().unwrap();
+        corrupt_world(&dir, 3, &spec).unwrap();
+        assert_eq!(std::fs::read_to_string(dir.join("proxy.log")).unwrap(), log);
+        assert!(!dir.join("proxy.log.tmp").exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_missing_log_fails_and_leaves_no_temp_file() {
+        let dir = world_with_proxy_log("missing", sample_log(5).as_bytes());
+        std::fs::remove_file(dir.join("mme.log")).unwrap();
+        let spec: FaultSpec = "all".parse().unwrap();
+        let err = corrupt_world(&dir, 3, &spec).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        let mut left: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        left.sort();
+        assert_eq!(left, ["proxy.log"]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A world directory holding `proxy` and a clean `mme.log`.

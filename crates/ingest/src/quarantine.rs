@@ -15,11 +15,12 @@
 //!   determinism contract the `ingest_determinism` proptests pin down. The
 //!   streaming runtime feeds the same validator in arrival order.
 
-use std::collections::{vec_deque, HashSet, VecDeque};
+use std::collections::{vec_deque, VecDeque};
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
+use wearscope_core::hash::HashSet;
 use wearscope_devicedb::Imei;
 use wearscope_geo::SectorDirectory;
 use wearscope_obs::Registry;
@@ -331,7 +332,7 @@ impl<R: LogRecord> RecordValidator<R> {
             horizon,
             sector_count: None,
             memory: VecDeque::new(),
-            indexed: HashSet::new(),
+            indexed: HashSet::default(),
         }
     }
 
@@ -571,7 +572,7 @@ mod tests {
         records: &[ProxyRecord],
         opts: &IngestOptions,
     ) -> Vec<(Position, QuarantineReason)> {
-        let mut seen = HashSet::new();
+        let mut seen = HashSet::default();
         let mut watermark = SimTime::EPOCH;
         let mut out = Vec::new();
         for (i, r) in records.iter().enumerate() {

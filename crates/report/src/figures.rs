@@ -151,7 +151,7 @@ pub fn export_figures(r: &StudyResults<'_>, dir: &Path) -> io::Result<usize> {
     let usage = &figures.usage;
     let mut w = CsvWriter::new(vec!["app", "frequency", "transactions", "data"]);
     for app in &pop.rank {
-        let g = |m: &std::collections::HashMap<wearscope_appdb::AppId, f64>| {
+        let g = |m: &wearscope_core::hash::HashMap<wearscope_appdb::AppId, f64>| {
             format!("{:.8}", m.get(app).copied().unwrap_or(0.0))
         };
         w.row(vec![
@@ -172,7 +172,7 @@ pub fn export_figures(r: &StudyResults<'_>, dir: &Path) -> io::Result<usize> {
         "data",
     ]);
     for (cat, users) in CategoryPopularity::ranked(&cats.users) {
-        let g = |m: &std::collections::HashMap<wearscope_appdb::AppCategory, f64>| {
+        let g = |m: &wearscope_core::hash::HashMap<wearscope_appdb::AppCategory, f64>| {
             format!("{:.8}", m.get(&cat).copied().unwrap_or(0.0))
         };
         w.row(vec![

@@ -162,7 +162,7 @@ pub fn render_full(r: &StudyResults<'_>) -> String {
     let cats = &figures.categories;
     let mut t = Table::new(vec!["category", "users%", "freq%", "tx%", "data%"]);
     for (cat, users) in wearscope_core::apps::CategoryPopularity::ranked(&cats.users) {
-        let g = |m: &std::collections::HashMap<wearscope_appdb::AppCategory, f64>| {
+        let g = |m: &wearscope_core::hash::HashMap<wearscope_appdb::AppCategory, f64>| {
             format!("{:.2}", 100.0 * m.get(&cat).copied().unwrap_or(0.0))
         };
         t.row(vec![

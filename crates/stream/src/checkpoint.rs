@@ -98,10 +98,7 @@ pub fn to_text(rt: &StreamRuntime<'_>, position: Option<SourcePosition>) -> Stri
     RowWriter::tagged(&mut out, "reports")
         .put(rt.reports.len())
         .end();
-    for r in &rt.reports {
-        out.push_str(&r.to_tsv());
-        out.push('\n');
-    }
+    out.push_str(&rt.reports_tsv);
     let collected = rt.collected.iter().map(|(id, w)| (*id, w));
     push_windows(&mut out, "collected", "collected-window", collected);
     let watermark = rt.watermark();
@@ -277,7 +274,7 @@ pub fn from_text<'s>(
     row.end()?;
 
     for _ in 0..r.count("reports")? {
-        rt.reports.push(WindowReport::from_tsv(r.row()?)?);
+        rt.push_report(WindowReport::from_tsv(r.row()?)?);
     }
     rt.collected = read_windows(&mut r, "collected", "collected-window")?;
     let horizon = config.max_timestamp;

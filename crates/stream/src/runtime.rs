@@ -21,11 +21,19 @@
 //! is hit, [`Backpressure::Block`] surfaces a typed error and
 //! [`Backpressure::DropOldest`] force-emits the oldest windows early,
 //! marking their reports `forced`.
+//!
+//! [`StreamRuntime::pump`] renders each periodic checkpoint on the
+//! runtime thread and hands it to a writer thread that makes it durable,
+//! so the runtime never waits on the disk unless the previous write is
+//! still running.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::path::Path;
+use std::sync::mpsc;
+use std::thread::{self, Scope, ScopedJoinHandle};
+use std::time::Instant;
 
 use wearscope_core::sessions::{AttributedTx, Attributor, SESSION_GAP_SECS};
 use wearscope_core::snapshot::SnapshotError;
@@ -37,7 +45,9 @@ use wearscope_simtime::{SimDuration, SimTime};
 use wearscope_trace::{MmeRecord, ProxyRecord};
 
 use crate::aggregates::WindowAggregates;
-use crate::source::{EventSource, Polled, SourceItem, SourceKind, SourcePosition, StreamEvent};
+use crate::source::{
+    panicked, EventSource, Polled, SourceItem, SourceKind, SourcePosition, StreamEvent,
+};
 use crate::window::WindowSpec;
 
 /// What to do when the open-window cap is reached.
@@ -207,9 +217,12 @@ pub struct PumpOptions {
 ///
 /// The runtime is single-threaded, so everything derived from stream
 /// content and configuration — records, quarantines, window emissions,
-/// the open-window gauge, the watermark — goes in the registry's
-/// deterministic section. Only checkpoint write latency is wall-clock
-/// and lands in the timing section. Counters start at zero per process:
+/// checkpoints handed over, the open-window gauge, the watermark — goes
+/// in the registry's deterministic section. Only checkpoint write
+/// latency (`stream.checkpoint_write_us`, on whichever thread writes) and
+/// the time the runtime waited to hand a checkpoint to the writer thread
+/// (`stream.checkpoint_wait_ns`) are wall-clock and land in the timing
+/// section. Counters start at zero per process:
 /// a resumed run reports the work *it* did, not the checkpoint's
 /// cumulative [`DataQuality`](wearscope_report::DataQuality) ledger.
 #[derive(Clone, Debug)]
@@ -226,6 +239,7 @@ pub(crate) struct StreamObs {
     open_windows_peak: Gauge,
     watermark_secs: Gauge,
     checkpoint_write_us: Histogram,
+    checkpoint_wait_ns: Counter,
 }
 
 impl StreamObs {
@@ -247,6 +261,7 @@ impl StreamObs {
             watermark_secs: m.gauge("stream.watermark_secs"),
             checkpoint_write_us: m
                 .timing_histogram("stream.checkpoint_write_us", &[100, 1_000, 10_000, 100_000]),
+            checkpoint_wait_ns: m.timing_counter("stream.checkpoint_wait_ns"),
         }
     }
 
@@ -285,6 +300,9 @@ pub struct StreamRuntime<'s> {
     pub(crate) open: BTreeMap<u64, WindowAggregates>,
     /// Emitted window reports, ascending index.
     pub(crate) reports: Vec<WindowReport>,
+    /// `reports` as checkpoint lines, each report's `to_tsv` and a
+    /// newline, appended as it is emitted so a checkpoint only copies them.
+    pub(crate) reports_tsv: String,
     /// Emitted windows' partials (only with `collect_aggregates`).
     pub(crate) collected: Vec<(u64, WindowAggregates)>,
     pub(crate) attributor: Attributor,
@@ -323,6 +341,7 @@ impl<'s> StreamRuntime<'s> {
             progress: None,
             open: BTreeMap::new(),
             reports: Vec::new(),
+            reports_tsv: String::new(),
             collected: Vec::new(),
             attributor: Attributor::new(),
             proxy_validator: RecordValidator::new(config.max_timestamp),
@@ -536,8 +555,7 @@ impl<'s> StreamRuntime<'s> {
         p.next_emit += 1;
         let agg = self.open.remove(&index).unwrap_or_default();
         let (start, end) = self.config.spec.bounds(index);
-        self.reports
-            .push(agg.report(index, start.as_secs(), end.as_secs(), forced));
+        self.push_report(agg.report(index, start.as_secs(), end.as_secs(), forced));
         self.obs.windows_emitted.inc();
         self.obs.open_windows.set(self.open.len() as i64);
         if forced {
@@ -547,6 +565,13 @@ impl<'s> StreamRuntime<'s> {
         if self.config.collect_aggregates {
             self.collected.push((index, agg));
         }
+    }
+
+    /// Appends an emitted report, and its checkpoint line.
+    pub(crate) fn push_report(&mut self, report: WindowReport) {
+        self.reports_tsv.push_str(&report.to_tsv());
+        self.reports_tsv.push('\n');
+        self.reports.push(report);
     }
 
     /// An open window, creating it under the backpressure policy.
@@ -581,13 +606,41 @@ impl<'s> StreamRuntime<'s> {
     /// Pulls the source until it ends, stalls, or the stop budget is hit,
     /// writing periodic checkpoints if configured.
     ///
+    /// Each periodic checkpoint is rendered here, at the record it is due,
+    /// and handed to a `stream-checkpoint` thread that writes it as
+    /// [`write_checkpoint`](StreamRuntime::write_checkpoint) does. The
+    /// hand-off waits while the previous write is still running, so at
+    /// most one write is in flight. The thread starts at this call's
+    /// first checkpoint and is joined before the call returns, whatever
+    /// the outcome: every checkpoint handed over is on disk by then.
+    ///
     /// # Errors
     /// Source I/O, checkpoint I/O, or backpressure under
-    /// [`Backpressure::Block`].
+    /// [`Backpressure::Block`]. A failed checkpoint write is returned at
+    /// the next hand-off or when the call ends, whichever comes first.
     pub fn pump<S: EventSource>(
         &mut self,
         source: &mut S,
         opts: &PumpOptions,
+    ) -> Result<PumpOutcome, StreamError> {
+        thread::scope(|scope| {
+            let mut writer = None;
+            let outcome = self.pump_into(source, opts, scope, &mut writer);
+            // A failed write stops the writer, which ends the loop at the
+            // next hand-off: the write's error is the cause.
+            writer.map_or(Ok(()), CheckpointWriter::join)?;
+            outcome
+        })
+    }
+
+    /// [`pump`](StreamRuntime::pump)'s loop, handing checkpoints to
+    /// `writer` (started on first use).
+    fn pump_into<'scope, 'env, S: EventSource>(
+        &mut self,
+        source: &mut S,
+        opts: &'env PumpOptions,
+        scope: &'scope Scope<'scope, 'env>,
+        writer: &mut Option<CheckpointWriter<'scope>>,
     ) -> Result<PumpOutcome, StreamError> {
         loop {
             if opts
@@ -599,10 +652,19 @@ impl<'s> StreamRuntime<'s> {
             match source.poll()? {
                 Polled::Item(item) => {
                     self.process_item(item)?;
-                    if let Some((path, every)) = &opts.checkpoint {
-                        if *every > 0 && self.records_processed.is_multiple_of(*every) {
-                            self.write_checkpoint(path, source.position())?;
+                    let Some((path, every)) = &opts.checkpoint else {
+                        continue;
+                    };
+                    if *every > 0 && self.records_processed.is_multiple_of(*every) {
+                        let text = crate::checkpoint::to_text(self, source.position());
+                        let w = match writer {
+                            Some(w) => w,
+                            None => writer.insert(CheckpointWriter::spawn(scope, path, &self.obs)?),
+                        };
+                        if !w.hand_over(text, &self.obs.checkpoint_wait_ns) {
+                            return Err(io::Error::other("the checkpoint writer stopped").into());
                         }
+                        self.obs.checkpoints.inc();
                     }
                 }
                 Polled::Pending => return Ok(PumpOutcome::Pending),
@@ -620,7 +682,7 @@ impl<'s> StreamRuntime<'s> {
         path: &Path,
         position: Option<SourcePosition>,
     ) -> Result<(), StreamError> {
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         crate::checkpoint::write(path, &crate::checkpoint::to_text(self, position))?;
         self.obs.checkpoints.inc();
         self.obs
@@ -666,6 +728,57 @@ impl<'s> StreamRuntime<'s> {
             },
             self.collected,
         )
+    }
+}
+
+/// The thread that makes a pump's periodic checkpoints durable.
+struct CheckpointWriter<'scope> {
+    /// Rendered checkpoints; a rendezvous channel, so a hand-off waits
+    /// for the writer to be idle.
+    texts: mpsc::SyncSender<String>,
+    thread: ScopedJoinHandle<'scope, io::Result<()>>,
+}
+
+impl<'scope> CheckpointWriter<'scope> {
+    /// Starts the writer of checkpoints to `path`; it records each
+    /// write's latency as `obs` does.
+    fn spawn<'env>(
+        scope: &'scope Scope<'scope, 'env>,
+        path: &'env Path,
+        obs: &StreamObs,
+    ) -> io::Result<CheckpointWriter<'scope>> {
+        let (texts, received) = mpsc::sync_channel::<String>(0);
+        let write_us = obs.checkpoint_write_us.clone();
+        let thread = thread::Builder::new()
+            .name("stream-checkpoint".into())
+            .spawn_scoped(scope, move || {
+                // The first failed write ends the thread, which drops the
+                // receiver: the runtime's next hand-off fails.
+                for text in received {
+                    let started = Instant::now();
+                    crate::checkpoint::write(path, &text)?;
+                    write_us.observe(started.elapsed().as_micros() as u64);
+                }
+                Ok(())
+            })?;
+        Ok(CheckpointWriter { texts, thread })
+    }
+
+    /// Hands `text` over, waiting while the previous write runs; `false`
+    /// if the writer stopped on a failed write.
+    fn hand_over(&self, text: String, wait_ns: &Counter) -> bool {
+        let started = Instant::now();
+        let sent = self.texts.send(text).is_ok();
+        wait_ns.add(started.elapsed().as_nanos() as u64);
+        sent
+    }
+
+    /// Lets the last write finish and returns the first failed one.
+    fn join(self) -> io::Result<()> {
+        drop(self.texts);
+        self.thread
+            .join()
+            .unwrap_or_else(|payload| Err(panicked("checkpoint writer", payload)))
     }
 }
 

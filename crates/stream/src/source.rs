@@ -485,7 +485,7 @@ impl ReadAhead {
             Err(mpsc::RecvError) => {
                 let joined = self.reader.take().map(Reader::join);
                 Err(match joined {
-                    Some(Err(payload)) => panicked(payload),
+                    Some(Err(payload)) => panicked("log reader", payload),
                     _ => io::Error::other("the log reader stopped early"),
                 })
             }
@@ -556,7 +556,7 @@ fn read_ahead<S: EventSource>(mut source: S, tx: &mpsc::SyncSender<Batch>, read_
                 Ok(Ok(Polled::Pending)) => break Some(Stop::Pending),
                 Ok(Ok(Polled::End)) => break Some(Stop::End(source.position())),
                 Ok(Err(e)) => break Some(Stop::Failed(e)),
-                Err(payload) => break Some(Stop::Failed(panicked(payload))),
+                Err(payload) => break Some(Stop::Failed(panicked("log reader", payload))),
             }
         };
         read_ns.add(started.elapsed().as_nanos() as u64);
@@ -571,14 +571,15 @@ fn read_ahead<S: EventSource>(mut source: S, tx: &mpsc::SyncSender<Batch>, read_
     }
 }
 
-/// The error a panic on the reader thread becomes.
-fn panicked(payload: Box<dyn Any + Send>) -> io::Error {
+/// The error a panic on one of the stream's helper threads (`thread`
+/// names it) becomes.
+pub(crate) fn panicked(thread: &str, payload: Box<dyn Any + Send>) -> io::Error {
     let message = payload
         .downcast_ref::<&str>()
         .map(|s| (*s).to_owned())
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "no message".into());
-    io::Error::other(format!("the log reader panicked: {message}"))
+    io::Error::other(format!("the {thread} panicked: {message}"))
 }
 
 /// An in-process channel source (live simulator or test harness).

@@ -65,7 +65,7 @@ fn main() {
     // Ground-truth check (available only in simulation): how good was the
     // identification? Precision should be 1.0 — the signatures are
     // wearable-specific by construction, exactly the paper's argument.
-    let truth: std::collections::HashSet<UserId> = world
+    let truth: wearscope::core::hash::HashSet<UserId> = world
         .population
         .of_kind(SubscriberKind::ThroughDeviceOwner)
         .filter(|s| s.fingerprintable)

@@ -409,7 +409,7 @@ proptest! {
 /// since deleted, are spelled out: the first as its filter, the second as
 /// [`oracle::owners`]).
 mod oracle {
-    use std::collections::{HashMap, HashSet};
+    use wearscope::core::hash::{HashMap, HashSet};
 
     use wearscope::core::activity::UserActivity;
     use wearscope::core::devices::DeviceMix;
@@ -436,7 +436,7 @@ mod oracle {
 
     /// `activity::user_activity`.
     pub fn user_activity(ctx: &StudyContext<'_>) -> HashMap<UserId, UserActivity> {
-        let mut per_user: HashMap<UserId, UserActivity> = HashMap::new();
+        let mut per_user: HashMap<UserId, UserActivity> = HashMap::default();
         for r in ctx.wearable_proxy() {
             let agg = per_user.entry(r.user).or_default();
             agg.days.insert(r.timestamp.day_index());
@@ -449,8 +449,8 @@ mod oracle {
 
     /// `activity::daily_active_share`.
     pub fn daily_active_share(ctx: &StudyContext<'_>) -> f64 {
-        let mut by_week: HashMap<u64, HashSet<UserId>> = HashMap::new();
-        let mut by_day: HashMap<u64, HashSet<UserId>> = HashMap::new();
+        let mut by_week: HashMap<u64, HashSet<UserId>> = HashMap::default();
+        let mut by_day: HashMap<u64, HashSet<UserId>> = HashMap::default();
         for r in ctx.wearable_proxy() {
             by_week
                 .entry(r.timestamp.week_index())
@@ -494,8 +494,8 @@ mod oracle {
         let mut wearable_all = 0.0_f64;
         let mut total_all = 0.0_f64;
         // Per (weekday, user): days seen, for the daily user share.
-        let mut users_by_day: HashMap<u64, HashSet<UserId>> = HashMap::new();
-        let mut weekly_users: HashMap<u64, HashSet<UserId>> = HashMap::new();
+        let mut users_by_day: HashMap<u64, HashSet<UserId>> = HashMap::default();
+        let mut weekly_users: HashMap<u64, HashSet<UserId>> = HashMap::default();
 
         for r in ctx.store.proxy() {
             let wd = cal.weekday(r.timestamp).index() as usize;
@@ -623,11 +623,11 @@ mod oracle {
     /// `DeviceMix::compute`.
     pub fn devices(ctx: &StudyContext<'_>) -> DeviceMix {
         // (user, imei) pairs for wearable devices, deduplicated.
-        let mut seen: HashSet<(UserId, u64)> = HashSet::new();
-        let mut users_by_model: HashMap<&'static str, HashSet<UserId>> = HashMap::new();
-        let mut users_by_manufacturer: HashMap<&'static str, HashSet<UserId>> = HashMap::new();
-        let mut users_by_os: HashMap<&'static str, HashSet<UserId>> = HashMap::new();
-        let mut all_users: HashSet<UserId> = HashSet::new();
+        let mut seen: HashSet<(UserId, u64)> = HashSet::default();
+        let mut users_by_model: HashMap<&'static str, HashSet<UserId>> = HashMap::default();
+        let mut users_by_manufacturer: HashMap<&'static str, HashSet<UserId>> = HashMap::default();
+        let mut users_by_os: HashMap<&'static str, HashSet<UserId>> = HashMap::default();
+        let mut all_users: HashSet<UserId> = HashSet::default();
 
         let mut note = |user: UserId, imei: u64| {
             if ctx.device_class(imei) != Some(DeviceClass::CellularWearable) {
@@ -677,8 +677,8 @@ mod oracle {
 
     /// `ThroughDeviceReport::compute`.
     pub fn through_device(ctx: &StudyContext<'_>, mobility: &MobilityIndex) -> ThroughDeviceReport {
-        let mut identified = HashMap::new();
-        let mut users = HashSet::new();
+        let mut identified = HashMap::default();
+        let mut users = HashSet::default();
         let phone_proxy = ctx
             .store
             .proxy()
@@ -688,7 +688,7 @@ mod oracle {
             if let Some(kind) = ctx.host_class(r.host).through_device {
                 identified
                     .entry(kind)
-                    .or_insert_with(HashSet::new)
+                    .or_insert_with(HashSet::default)
                     .insert(r.user);
                 users.insert(r.user);
             }
@@ -730,8 +730,8 @@ mod oracle {
             ..DataQualityReport::default()
         };
 
-        let mut proxy_days: HashSet<u64> = HashSet::new();
-        let mut proxy_users: HashSet<UserId> = HashSet::new();
+        let mut proxy_days: HashSet<u64> = HashSet::default();
+        let mut proxy_users: HashSet<UserId> = HashSet::default();
         for r in ctx.store.proxy() {
             proxy_days.insert(r.timestamp.day_index());
             proxy_users.insert(r.user);
@@ -745,7 +745,7 @@ mod oracle {
             }
         }
 
-        let mut mme_users: HashSet<UserId> = HashSet::new();
+        let mut mme_users: HashSet<UserId> = HashSet::default();
         for r in ctx.store.mme() {
             mme_users.insert(r.user);
             if !ctx.window.detailed().contains(r.timestamp) {

@@ -2,8 +2,8 @@
 //! drive the pipeline to identical results, determinism must hold end to
 //! end, and the reader must survive injected corruption.
 
-use std::collections::HashSet;
 use std::io::Write;
+use wearscope::core::hash::HashSet;
 
 use wearscope::core::{CoreAggregates, StudyResults};
 use wearscope::ingest::{load_store_resilient, IngestError, IngestOptions};
