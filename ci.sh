@@ -21,7 +21,15 @@ cargo build --release
 # them must fail here, not in the benchmark run. It is a workspace of its
 # own; sharing `target` keeps its build output out of perfbench/.
 echo "==> cargo build --release (perfbench)"
+# The build rewrites perfbench/Cargo.lock; the committed file is put back
+# afterwards, also when the build fails, so the run leaves the tree clean.
+LOCK_COPY="$(mktemp)"
+cp perfbench/Cargo.lock "$LOCK_COPY"
+trap 'cp "$LOCK_COPY" perfbench/Cargo.lock; rm -f "$LOCK_COPY"' EXIT
 cargo build --release --offline --manifest-path perfbench/Cargo.toml --target-dir target
+cp "$LOCK_COPY" perfbench/Cargo.lock
+rm -f "$LOCK_COPY"
+trap - EXIT
 
 echo "==> cargo test -q"
 cargo test -q --workspace

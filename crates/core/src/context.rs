@@ -1,6 +1,6 @@
 //! The study context: logs plus lookup services.
 
-use std::sync::{PoisonError, RwLock};
+use std::sync::OnceLock;
 
 use wearscope_appdb::{
     fingerprint_host, AppCatalog, Classification, SniClassifier, ThroughDeviceKind,
@@ -43,7 +43,40 @@ pub struct StudyContext<'a> {
     pub window: ObservationWindow,
     /// Each distinct host's class by [`HostId::index`], worked out the
     /// first time a record asks.
-    hosts: RwLock<Vec<Option<HostClass>>>,
+    hosts: HostTable,
+}
+
+/// Ids in the table's first segment; segment `k` holds `FIRST << k`.
+const FIRST: usize = 64;
+
+/// Segments enough for every `u32` host id.
+const SEGMENTS: usize = 27;
+
+/// An append-only table of host classes by [`HostId::index`], read
+/// without a lock: segment `k` covers ids `FIRST·(2^k − 1)` up to
+/// `FIRST·(2^(k+1) − 1)`, and both a segment and each of its slots are
+/// filled once. A lookup of a known host is two loads and an index.
+struct HostTable {
+    segments: [OnceLock<Box<[OnceLock<HostClass>]>>; SEGMENTS],
+}
+
+impl Default for HostTable {
+    fn default() -> HostTable {
+        HostTable {
+            segments: std::array::from_fn(|_| OnceLock::new()),
+        }
+    }
+}
+
+impl HostTable {
+    /// The slot of the host with index `index`.
+    fn slot(&self, index: usize) -> &OnceLock<HostClass> {
+        let biased = index + FIRST;
+        let k = (biased.ilog2() - FIRST.ilog2()) as usize;
+        let segment =
+            self.segments[k].get_or_init(|| (0..FIRST << k).map(|_| OnceLock::new()).collect());
+        &segment[biased - (FIRST << k)]
+    }
 }
 
 impl<'a> StudyContext<'a> {
@@ -62,7 +95,7 @@ impl<'a> StudyContext<'a> {
             catalog,
             classifier: SniClassifier::build(catalog),
             window,
-            hosts: RwLock::default(),
+            hosts: HostTable::default(),
         }
     }
 
@@ -70,22 +103,13 @@ impl<'a> StudyContext<'a> {
     /// classifier and the Through-Device fingerprints once; later calls
     /// are a table lookup.
     pub fn host_class(&self, host: HostId) -> HostClass {
-        let known = self.hosts.read().unwrap_or_else(PoisonError::into_inner);
-        if let Some(&Some(class)) = known.get(host.index()) {
-            return class;
-        }
-        drop(known);
-        let name = host.name();
-        let class = HostClass {
-            classification: self.classifier.classify(name),
-            through_device: fingerprint_host(name),
-        };
-        let mut known = self.hosts.write().unwrap_or_else(PoisonError::into_inner);
-        if known.len() <= host.index() {
-            known.resize(host.index() + 1, None);
-        }
-        known[host.index()] = Some(class);
-        class
+        *self.hosts.slot(host.index()).get_or_init(|| {
+            let name = host.name();
+            HostClass {
+                classification: self.classifier.classify(name),
+                through_device: fingerprint_host(name),
+            }
+        })
     }
 
     /// The device class behind an IMEI, if it is valid and the device DB
@@ -225,5 +249,85 @@ mod tests {
                 .through_device,
             Some(ThroughDeviceKind::Fitbit)
         );
+    }
+
+    /// Hosts whose ids straddle the first segment boundaries, first asked
+    /// for from four threads at once, each walking them from a different
+    /// offset, get the classifier's and the fingerprints' answers.
+    #[test]
+    fn host_table_agrees_across_segments_and_threads() {
+        let db = DeviceDb::standard();
+        let catalog = AppCatalog::standard();
+        let sectors = SectorDirectory::new();
+        let store = TraceStore::new();
+        let ctx = StudyContext::new(
+            &store,
+            &db,
+            &sectors,
+            &catalog,
+            ObservationWindow::compact(),
+        );
+        let bases = [
+            "api.weather.com",
+            "stats.g.doubleclick.net",
+            "android-api.fitbit.com",
+            "unknown.example.org",
+        ];
+        // Ids are process-wide; intern new names until they pass the
+        // fourth boundary.
+        let mut hosts = Vec::new();
+        while hosts.last().is_none_or(|h: &HostId| h.index() < 1_100) {
+            let name = format!("t{}.{}", hosts.len(), bases[hosts.len() % 4]);
+            hosts.push(HostId::intern(&name));
+        }
+        hosts.extend(bases.map(HostId::intern));
+        for boundary in [64, 192, 448, 960] {
+            let near = |lo: usize, hi: usize| hosts.iter().any(|h| (lo..hi).contains(&h.index()));
+            assert!(near(boundary - 8, boundary) && near(boundary, boundary + 8));
+        }
+        let start = std::sync::Barrier::new(4);
+        let answers: Vec<Vec<HostClass>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|t| {
+                    let (ctx, hosts, start) = (&ctx, &hosts, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        let mut got = vec![None; hosts.len()];
+                        for k in 0..hosts.len() {
+                            let i = (k + t * hosts.len() / 4) % hosts.len();
+                            got[i] = Some(ctx.host_class(hosts[i]));
+                        }
+                        got.into_iter().map(Option::unwrap).collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (i, host) in hosts.iter().enumerate() {
+            let name = host.name();
+            let expected = HostClass {
+                classification: ctx.classifier.classify(name),
+                through_device: fingerprint_host(name),
+            };
+            for got in &answers {
+                assert_eq!(got[i], expected, "{name}");
+            }
+        }
+    }
+
+    /// Every id up to past the fifth segment has a slot of its own, and
+    /// segment `k` starts at `64·(2^k − 1)`.
+    #[test]
+    fn host_table_slots_are_distinct() {
+        let table = HostTable::default();
+        let slots: std::collections::HashSet<*const OnceLock<HostClass>> = (0..3_000)
+            .map(|i| std::ptr::from_ref(table.slot(i)))
+            .collect();
+        assert_eq!(slots.len(), 3_000);
+        for (k, start) in [0, 64, 192, 448, 960, 1984].into_iter().enumerate() {
+            let segment = table.segments[k].get().expect("segment in use");
+            assert!(std::ptr::eq(table.slot(start), &segment[0]), "segment {k}");
+            assert_eq!(segment.len(), FIRST << k);
+        }
     }
 }

@@ -606,7 +606,11 @@ impl CorePartials {
         let slot = week_slot(ctx, r.timestamp);
         self.traffic.absorb(r);
         self.hourly.all_tx[slot] += 1;
-        self.quality.proxy_days.insert(r.timestamp.day_index());
+        // Records come in time order, so most share the newest day.
+        let day = r.timestamp.day_index();
+        if self.quality.proxy_days.last() != Some(&day) {
+            self.quality.proxy_days.insert(day);
+        }
         self.quality.out_of_window_records += u64::from(!ctx.window.in_detail(r.timestamp));
         match device {
             Some(DeviceClass::CellularWearable) => {
@@ -666,6 +670,58 @@ impl CorePartials {
         self.wearable_devices.extend(other.wearable_devices);
         self.through_device.extend(other.through_device);
         self.quality.merge(other.quality);
+    }
+
+    /// Empties the bundle, keeping what its maps and vectors have
+    /// allocated, so a stream window can be reused for the next one. It
+    /// then snapshots as [`CorePartials::default`] does. Every field is
+    /// named, so a field added later cannot be missed.
+    pub fn clear(&mut self) {
+        let CorePartials {
+            activity: ActivityPartial { per_user: activity },
+            hourly,
+            tx_stats: TransactionStatsPartial { sizes },
+            traffic: TrafficPartial { per_user: traffic },
+            mobility:
+                MobilityPartial {
+                    current,
+                    day_sectors,
+                    per_user: mobility,
+                    first_event,
+                },
+            sector_join:
+                SectorJoinPartial {
+                    timelines,
+                    transactions,
+                },
+            popularity:
+                AppPopularityPartial {
+                    day_users,
+                    user_days,
+                    apps,
+                },
+            attributed,
+            wearable_devices,
+            through_device,
+            quality,
+        } = self;
+        activity.clear();
+        *hourly = HourlyProfilePartial::default();
+        sizes.clear();
+        traffic.clear();
+        current.clear();
+        day_sectors.clear();
+        mobility.clear();
+        first_event.clear();
+        timelines.clear();
+        transactions.clear();
+        day_users.clear();
+        user_days.clear();
+        apps.clear();
+        attributed.clear();
+        wearable_devices.clear();
+        through_device.clear();
+        *quality = QualityPartial::default();
     }
 
     /// Finishes every partial. The hourly active users, the per-user

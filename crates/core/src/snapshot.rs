@@ -973,12 +973,10 @@ mod tests {
         assert_eq!(a.traffic, b.traffic);
     }
 
-    /// Every member of the bundle survives a round-trip: a watch, a phone
-    /// syncing a tracker, an unknown device, an out-of-window record, MME
-    /// records and attribution.
-    #[test]
-    fn whole_fold_roundtrips_and_finishes_identically() {
-        let db = DeviceDb::standard();
+    /// A store with every kind of record the bundle keeps: a watch, a
+    /// phone syncing a tracker, an unknown device, an out-of-window
+    /// record, MME records and, once folded, attribution.
+    fn whole_store(db: &DeviceDb) -> TraceStore {
         let phone = db
             .example_imei(
                 db.tacs_of_class(wearscope_devicedb::DeviceClass::Smartphone)[0],
@@ -986,18 +984,18 @@ mod tests {
             )
             .as_u64();
         let mut records: Vec<ProxyRecord> = (0..60)
-            .map(|i| proxy(&db, i % 3, i * 7_333, 50 + i * 11))
+            .map(|i| proxy(db, i % 3, i * 7_333, 50 + i * 11))
             .collect();
         records.push(ProxyRecord {
             imei: phone,
             host: HostId::intern("android-api.fitbit.com"),
-            ..proxy(&db, 7, 500, 10)
+            ..proxy(db, 7, 500, 10)
         });
         records.push(ProxyRecord {
             imei: 42,
-            ..proxy(&db, 8, 600, 10)
+            ..proxy(db, 8, 600, 10)
         });
-        records.push(proxy(&db, 1, 20 * 86_400, 10));
+        records.push(proxy(db, 1, 20 * 86_400, 10));
         let mme = (0..6)
             .map(|i| MmeRecord {
                 timestamp: SimTime::from_secs(i * 4_000),
@@ -1009,7 +1007,13 @@ mod tests {
                 sector: i as u32,
             })
             .collect();
-        let store = TraceStore::from_records(records, mme);
+        TraceStore::from_records(records, mme)
+    }
+
+    /// Every member of the bundle survives a round-trip.
+    #[test]
+    fn whole_fold_roundtrips_and_finishes_identically() {
+        let store = whole_store(&DeviceDb::standard());
         let (db, catalog, sectors) = sample_ctx(&store);
         let ctx = StudyContext::new(
             &store,
@@ -1029,6 +1033,41 @@ mod tests {
         assert_eq!(a.devices, b.devices);
         assert_eq!(a.through_device, b.through_device);
         assert_eq!(a.quality, b.quality);
+    }
+
+    /// A cleared bundle snapshots as a fresh one does, and absorbs the
+    /// same records into the same snapshot as a fresh one.
+    #[test]
+    fn cleared_partials_snapshot_as_default() {
+        let store = whole_store(&DeviceDb::standard());
+        let (db, catalog, sectors) = sample_ctx(&store);
+        let ctx = StudyContext::new(
+            &store,
+            &db,
+            &sectors,
+            &catalog,
+            ObservationWindow::new(14, 14, Calendar::PAPER),
+        );
+        let text = |p: &CorePartials| {
+            let mut out = String::new();
+            p.snapshot(&mut out);
+            out
+        };
+        let mut partials = CorePartials::fold(&ctx);
+        assert!(!partials.attributed.is_empty() && !partials.popularity.apps.is_empty());
+        assert_ne!(text(&partials), text(&CorePartials::default()));
+        partials.clear();
+        assert_eq!(text(&partials), text(&CorePartials::default()));
+        let mut fresh = CorePartials::default();
+        for p in [&mut partials, &mut fresh] {
+            for r in store.proxy() {
+                p.absorb_proxy(&ctx, r, ctx.device_class(r.imei));
+            }
+            for r in store.mme() {
+                p.absorb_mme(&ctx, r, ctx.device_class(r.imei));
+            }
+        }
+        assert_eq!(text(&partials), text(&fresh));
     }
 
     #[test]

@@ -308,6 +308,9 @@ pub struct Rejection {
 /// second of records, stream its lateness span. A second of 32 or more
 /// records is also indexed by a hash set, so a long run is not scanned
 /// once per record.
+///
+/// A small direct-mapped memo keeps IMEIs that passed the Luhn check, so
+/// a device's records are checked once while its slot holds it.
 #[derive(Clone, Debug)]
 pub struct RecordValidator<R> {
     /// Clock-skew horizon: records stamped after it are `Skewed`.
@@ -319,10 +322,21 @@ pub struct RecordValidator<R> {
     memory: VecDeque<R>,
     /// The remembered records of the seconds with at least 32 of them.
     indexed: HashSet<R>,
+    /// IMEIs that passed the check, each in the slot [`imei_slot`] picks.
+    checked: Box<[Option<Imei>; IMEI_MEMO]>,
 }
 
 /// The run length of one second at which its records are indexed.
 const INDEX_RUN: usize = 32;
+
+/// Slots in the memo of checked IMEIs.
+const IMEI_MEMO: usize = 1024;
+
+/// A raw IMEI's memo slot: the top bits of a multiplicative hash, so
+/// IMEIs that differ in any digit spread over the slots.
+fn imei_slot(raw: u64) -> usize {
+    (raw.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - IMEI_MEMO.ilog2())) as usize
+}
 
 impl<R: LogRecord> RecordValidator<R> {
     /// A validator with an empty memory and skew horizon `horizon`
@@ -333,6 +347,7 @@ impl<R: LogRecord> RecordValidator<R> {
             sector_count: None,
             memory: VecDeque::new(),
             indexed: HashSet::default(),
+            checked: Box::new([None; IMEI_MEMO]),
         }
     }
 
@@ -362,7 +377,7 @@ impl<R: LogRecord> RecordValidator<R> {
         sealed: bool,
     ) -> Result<Imei, Rejection> {
         let ts = record.timestamp();
-        let Ok(imei) = Imei::from_u64(record.imei()) else {
+        let Some(imei) = self.checked_imei(record.imei()) else {
             return Err(Rejection {
                 reason: QuarantineReason::UnknownImei,
                 detail: format!("imei {} is not a valid device identity", record.imei()),
@@ -409,10 +424,30 @@ impl<R: LogRecord> RecordValidator<R> {
         Err(Rejection { reason, detail })
     }
 
+    /// `raw` as a checked IMEI, from the memo if its slot holds it; a
+    /// valid one that is not there takes the slot. `None` if the Luhn
+    /// check fails, which leaves the memo as it was.
+    fn checked_imei(&mut self, raw: u64) -> Option<Imei> {
+        let slot = &mut self.checked[imei_slot(raw)];
+        match *slot {
+            Some(imei) if imei.as_u64() == raw => Some(imei),
+            _ => {
+                let imei = Imei::from_u64(raw).ok()?;
+                *slot = Some(imei);
+                Some(imei)
+            }
+        }
+    }
+
     /// Adds `record` to the duplicate memory; `false` if it was already
     /// there.
     pub fn remember(&mut self, record: R) -> bool {
         let ts = record.timestamp();
+        // Newer than every remembered record: its second holds nothing.
+        if self.memory.back().is_none_or(|r| r.timestamp() < ts) {
+            self.memory.push_back(record);
+            return true;
+        }
         let start = self.memory.partition_point(|r| r.timestamp() < ts);
         let end = self.memory.partition_point(|r| r.timestamp() <= ts);
         let run = self.memory.range(start..end);
@@ -645,6 +680,137 @@ mod tests {
             proptest::prop_assert_eq!(got, expected);
             proptest::prop_assert_eq!(kept.len() + entries.len(), n);
         }
+    }
+
+    /// The stream's content checks with a duplicate set over the whole
+    /// log: the watermark trails the newest kept record by `lateness`.
+    fn stream_reference(
+        records: &[ProxyRecord],
+        horizon: SimTime,
+        lateness: u64,
+    ) -> Vec<(usize, QuarantineReason)> {
+        let mut seen = HashSet::default();
+        let mut newest: Option<SimTime> = None;
+        let mut out = Vec::new();
+        for (i, r) in records.iter().enumerate() {
+            let watermark = newest.map_or(SimTime::EPOCH, |t| {
+                t.saturating_sub(SimDuration::from_secs(lateness))
+            });
+            let reason = if Imei::from_u64(r.imei).is_err() {
+                QuarantineReason::UnknownImei
+            } else if r.timestamp > horizon {
+                QuarantineReason::Skewed
+            } else if r.timestamp < watermark {
+                QuarantineReason::OutOfOrder
+            } else if !seen.insert(r) {
+                QuarantineReason::Duplicate
+            } else {
+                newest = newest.max(Some(r.timestamp));
+                continue;
+            };
+            out.push((i, reason));
+        }
+        out
+    }
+
+    proptest::proptest! {
+        /// In the stream's shape — arrival order, the watermark at the
+        /// newest kept time minus the lateness, records late within it and
+        /// past it, copies, runs past the indexed length, skew, bad IMEIs
+        /// and more devices than the IMEI memo has slots — the validator
+        /// quarantines exactly what a whole-log set does, and hands back
+        /// each kept record's IMEI.
+        #[test]
+        fn stream_shaped_checks_match_whole_log(
+            ops in proptest::prop::collection::vec((0u8..9, 0u64..4, 0u64..3000, 0usize..1000), 0..250),
+            lateness in 0u64..40,
+        ) {
+            let db = DeviceDb::standard();
+            let horizon = SimTime::from_secs(100_000);
+            let mut records: Vec<ProxyRecord> = Vec::new();
+            let mut now = 0u64;
+            for (kind, step, user, pick) in ops {
+                match kind {
+                    0..=2 => {
+                        now += step;
+                        records.push(rec(&db, now, user));
+                    }
+                    // Late by up to twice the lateness: within it or past it.
+                    3 | 4 => {
+                        let back = pick as u64 % (2 * lateness + 2);
+                        records.push(rec(&db, now.saturating_sub(back), user % 8));
+                    }
+                    5 if !records.is_empty() => records.push(records[pick % records.len()]),
+                    6 => records.push(rec(&db, 200_000 + step, user)),
+                    7 => {
+                        let mut bad = rec(&db, now, user);
+                        bad.imei += 1 + step % 9; // breaks the Luhn check digit
+                        records.push(bad);
+                    }
+                    _ => records.extend((0..INDEX_RUN as u64 + 8).map(|j| {
+                        let u = if (j + pick as u64).is_multiple_of(3) { j / 2 } else { j };
+                        rec(&db, now, 5000 + u)
+                    })),
+                }
+            }
+            let expected = stream_reference(&records, horizon, lateness);
+            let mut v = RecordValidator::new(Some(horizon));
+            let mut newest: Option<SimTime> = None;
+            let mut got = Vec::new();
+            for (i, r) in records.iter().enumerate() {
+                let watermark = newest.map_or(SimTime::EPOCH, |t| {
+                    t.saturating_sub(SimDuration::from_secs(lateness))
+                });
+                match v.check(r, watermark, false) {
+                    Ok(imei) => {
+                        proptest::prop_assert_eq!(imei.as_u64(), r.imei);
+                        newest = newest.max(Some(r.timestamp));
+                    }
+                    Err(rejection) => got.push((i, rejection.reason)),
+                }
+            }
+            proptest::prop_assert_eq!(got, expected);
+        }
+    }
+
+    /// Two valid IMEIs that share a memo slot, in alternation, are each
+    /// kept and handed back; an invalid IMEI that shares the slot of a
+    /// remembered one is still `UnknownImei`, and leaves the slot alone.
+    #[test]
+    fn imei_memo_slot_sharing() {
+        let db = DeviceDb::standard();
+        let tac = db.wearable_tacs()[0];
+        let first = db.example_imei(tac, 1);
+        let slot = imei_slot(first.as_u64());
+        let rival = (2..)
+            .map(|serial| db.example_imei(tac, serial))
+            .find(|imei| imei_slot(imei.as_u64()) == slot)
+            .expect("a rival in the same slot");
+        let invalid = (first.as_u64() + 1..)
+            .find(|&raw| Imei::from_u64(raw).is_err() && imei_slot(raw) == slot)
+            .expect("an invalid IMEI in the same slot");
+        let with_imei = |t: u64, imei: u64| ProxyRecord {
+            imei,
+            ..rec(&db, t, 1)
+        };
+        let mut v = RecordValidator::new(None);
+        for t in 0..6 {
+            let imei = if t % 2 == 0 { first } else { rival };
+            let kept = v.check(&with_imei(t, imei.as_u64()), SimTime::EPOCH, false);
+            assert_eq!(kept, Ok(imei), "second {t}");
+            assert_eq!(v.checked[slot], Some(imei));
+        }
+        let rejected = v
+            .check(&with_imei(10, invalid), SimTime::EPOCH, false)
+            .unwrap_err();
+        assert_eq!(rejected.reason, QuarantineReason::UnknownImei);
+        assert_eq!(
+            rejected.detail,
+            format!("imei {invalid} is not a valid device identity")
+        );
+        assert_eq!(v.checked[slot], Some(rival));
+        let kept = v.check(&with_imei(11, rival.as_u64()), SimTime::EPOCH, false);
+        assert_eq!(kept, Ok(rival));
     }
 
     #[test]

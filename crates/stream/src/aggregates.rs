@@ -64,6 +64,14 @@ impl WindowAggregates {
         self.counters.late_merged += u64::from(late);
     }
 
+    /// Empties the window, keeping what its partials have allocated, so
+    /// it can be opened again as another window.
+    pub(crate) fn clear(&mut self) {
+        let WindowAggregates { partials, counters } = self;
+        partials.clear();
+        *counters = WindowCounters::default();
+    }
+
     /// Folds one attributed transaction (routed by transaction time).
     pub fn absorb_attributed(&mut self, tx: &AttributedTx) {
         self.partials.absorb_attributed(tx);

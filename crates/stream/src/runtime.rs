@@ -27,6 +27,7 @@
 //! so the runtime never waits on the disk unless the previous write is
 //! still running.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
@@ -219,12 +220,18 @@ pub struct PumpOptions {
 /// content and configuration — records, quarantines, window emissions,
 /// checkpoints handed over, the open-window gauge, the watermark — goes
 /// in the registry's deterministic section. Only checkpoint write
-/// latency (`stream.checkpoint_write_us`, on whichever thread writes) and
+/// latency (`stream.checkpoint_write_us`, on whichever thread writes),
 /// the time the runtime waited to hand a checkpoint to the writer thread
-/// (`stream.checkpoint_wait_ns`) are wall-clock and land in the timing
-/// section. Counters start at zero per process:
+/// (`stream.checkpoint_wait_ns`) and the time it spent releasing
+/// attribution and emitting windows (`stream.emit_ns`) are wall-clock and
+/// land in the timing section. Counters start at zero per process:
 /// a resumed run reports the work *it* did, not the checkpoint's
 /// cumulative [`DataQuality`](wearscope_report::DataQuality) ledger.
+///
+/// The per-record counts (records processed and kept, late merges) and
+/// the watermark reach the registry only when
+/// [`StreamRuntime::sync_metrics`] runs: when `pump` returns, at `finish`
+/// and at `write_checkpoint`. The runtime counts them in plain fields.
 #[derive(Clone, Debug)]
 pub(crate) struct StreamObs {
     records_processed: Counter,
@@ -240,6 +247,18 @@ pub(crate) struct StreamObs {
     watermark_secs: Gauge,
     checkpoint_write_us: Histogram,
     checkpoint_wait_ns: Counter,
+    emit_ns: Counter,
+    /// The runtime's counts as last added to the registry.
+    synced: Cell<Synced>,
+}
+
+/// The runtime's per-record counts, as [`StreamRuntime::sync_metrics`]
+/// last added them to the registry.
+#[derive(Clone, Copy, Debug, Default)]
+struct Synced {
+    processed: u64,
+    kept: u64,
+    late_merged: u64,
 }
 
 impl StreamObs {
@@ -262,6 +281,8 @@ impl StreamObs {
             checkpoint_write_us: m
                 .timing_histogram("stream.checkpoint_write_us", &[100, 1_000, 10_000, 100_000]),
             checkpoint_wait_ns: m.timing_counter("stream.checkpoint_wait_ns"),
+            emit_ns: m.timing_counter("stream.emit_ns"),
+            synced: Cell::default(),
         }
     }
 
@@ -305,6 +326,9 @@ pub struct StreamRuntime<'s> {
     pub(crate) reports_tsv: String,
     /// Emitted windows' partials (only with `collect_aggregates`).
     pub(crate) collected: Vec<(u64, WindowAggregates)>,
+    /// An emitted window, cleared, kept to be the next one opened, so its
+    /// maps are not allocated again (without `collect_aggregates`).
+    spare: Option<WindowAggregates>,
     pub(crate) attributor: Attributor,
     pub(crate) proxy_validator: RecordValidator<ProxyRecord>,
     pub(crate) mme_validator: RecordValidator<MmeRecord>,
@@ -343,6 +367,7 @@ impl<'s> StreamRuntime<'s> {
             reports: Vec::new(),
             reports_tsv: String::new(),
             collected: Vec::new(),
+            spare: None,
             attributor: Attributor::new(),
             proxy_validator: RecordValidator::new(config.max_timestamp),
             mme_validator: RecordValidator::new(config.max_timestamp)
@@ -363,7 +388,36 @@ impl<'s> StreamRuntime<'s> {
     #[must_use]
     pub fn with_metrics(mut self, registry: &Registry) -> StreamRuntime<'s> {
         self.obs = StreamObs::new(registry);
+        self.obs.synced.set(self.counts());
         self
+    }
+
+    /// The per-record counts [`sync_metrics`](Self::sync_metrics) adds to
+    /// the registry.
+    fn counts(&self) -> Synced {
+        Synced {
+            processed: self.records_processed,
+            kept: self.quality.records_kept,
+            late_merged: self.late_merged,
+        }
+    }
+
+    /// Adds the records processed and kept and the late merges since the
+    /// last call to the registry's counters, and sets the watermark gauge
+    /// if a record was kept since then (only a kept record moves it).
+    fn sync_metrics(&self) {
+        let now = self.counts();
+        let was = self.obs.synced.replace(now);
+        self.obs
+            .records_processed
+            .add(now.processed - was.processed);
+        self.obs.records_kept.add(now.kept - was.kept);
+        self.obs.late_merged.add(now.late_merged - was.late_merged);
+        if now.kept != was.kept {
+            self.obs
+                .watermark_secs
+                .set(self.watermark().as_secs() as i64);
+        }
     }
 
     /// The current low watermark.
@@ -404,7 +458,6 @@ impl<'s> StreamRuntime<'s> {
     /// open-window cap.
     pub fn process_item(&mut self, item: SourceItem) -> Result<(), StreamError> {
         self.records_processed += 1;
-        self.obs.records_processed.inc();
         match item {
             SourceItem::Malformed { kind, line, error } => {
                 self.quality.records_seen += 1;
@@ -469,20 +522,18 @@ impl<'s> StreamRuntime<'s> {
         let next_emit = p.next_emit;
         // Kept.
         self.quality.records_kept += 1;
-        self.obs.records_kept.inc();
         let late = self.max_event.is_some_and(|m| ts < m);
-        if late {
-            self.late_merged += 1;
-            self.obs.late_merged.inc();
-        }
+        self.late_merged += u64::from(late);
         let mut wearable = false;
         for id in lo.max(next_emit)..=hi {
             let ctx = self.ctx;
+            let window = match self.open.get_mut(&id) {
+                Some(window) => window,
+                None => self.open_window(id)?,
+            };
             match &ev {
-                StreamEvent::Proxy(r) => {
-                    wearable = self.ensure_window(id)?.absorb_proxy(ctx, r, device, late);
-                }
-                StreamEvent::Mme(r) => self.ensure_window(id)?.absorb_mme(ctx, r, device, late),
+                StreamEvent::Proxy(r) => wearable = window.absorb_proxy(ctx, r, device, late),
+                StreamEvent::Mme(r) => window.absorb_mme(ctx, r, device, late),
             }
         }
         if let StreamEvent::Proxy(r) = &ev {
@@ -526,7 +577,6 @@ impl<'s> StreamRuntime<'s> {
     /// (including empty gaps).
     fn advance_watermark(&mut self) {
         let w = self.watermark();
-        self.obs.watermark_secs.set(w.as_secs() as i64);
         let Some(p) = self.progress else { return };
         let spec = self.config.spec;
         let due = move |index: u64| -> bool {
@@ -539,12 +589,14 @@ impl<'s> StreamRuntime<'s> {
         // Release attribution up to the watermark *before* sealing windows:
         // every transaction in a due window is past its future-anchor
         // horizon (t + 60 < end + 60 <= W).
+        let started = Instant::now();
         let mut emitted = Vec::new();
         self.attributor.advance(w, &mut emitted);
         self.route_attributed(&emitted);
         while self.progress.is_some_and(|p| due(p.next_emit)) {
             self.emit_next(false);
         }
+        self.obs.emit_ns.add(started.elapsed().as_nanos() as u64);
     }
 
     /// Emits window `next_emit` (an absent index emits an all-zero report)
@@ -553,9 +605,13 @@ impl<'s> StreamRuntime<'s> {
         let p = self.progress.as_mut().expect("emission needs progress");
         let index = p.next_emit;
         p.next_emit += 1;
-        let agg = self.open.remove(&index).unwrap_or_default();
+        let agg = self.open.remove(&index);
         let (start, end) = self.config.spec.bounds(index);
-        self.push_report(agg.report(index, start.as_secs(), end.as_secs(), forced));
+        let report = |w: &WindowAggregates| w.report(index, start.as_secs(), end.as_secs(), forced);
+        self.push_report(
+            agg.as_ref()
+                .map_or_else(|| report(&WindowAggregates::default()), report),
+        );
         self.obs.windows_emitted.inc();
         self.obs.open_windows.set(self.open.len() as i64);
         if forced {
@@ -563,7 +619,10 @@ impl<'s> StreamRuntime<'s> {
             self.obs.forced_emits.inc();
         }
         if self.config.collect_aggregates {
-            self.collected.push((index, agg));
+            self.collected.push((index, agg.unwrap_or_default()));
+        } else if let Some(mut agg) = agg.filter(|_| self.spare.is_none()) {
+            agg.clear();
+            self.spare = Some(agg);
         }
     }
 
@@ -574,33 +633,33 @@ impl<'s> StreamRuntime<'s> {
         self.reports.push(report);
     }
 
-    /// An open window, creating it under the backpressure policy.
-    fn ensure_window(&mut self, id: u64) -> Result<&mut WindowAggregates, StreamError> {
-        if !self.open.contains_key(&id) {
-            if self.open.len() >= self.config.max_open_windows {
-                match self.config.backpressure {
-                    Backpressure::Block => {
-                        self.obs.backpressure_blocks.inc();
-                        return Err(StreamError::Backpressure {
-                            open: self.open.len(),
-                            limit: self.config.max_open_windows,
-                        });
-                    }
-                    Backpressure::DropOldest => {
-                        // Seal everything up to and including the oldest open
-                        // window; the early reports are marked `forced`.
-                        let oldest = *self.open.keys().next().expect("cap > 0 implies non-empty");
-                        while self.progress.is_some_and(|p| p.next_emit <= oldest) {
-                            self.emit_next(true);
-                        }
+    /// Opens window `id`, which is not open, under the backpressure
+    /// policy.
+    fn open_window(&mut self, id: u64) -> Result<&mut WindowAggregates, StreamError> {
+        if self.open.len() >= self.config.max_open_windows {
+            match self.config.backpressure {
+                Backpressure::Block => {
+                    self.obs.backpressure_blocks.inc();
+                    return Err(StreamError::Backpressure {
+                        open: self.open.len(),
+                        limit: self.config.max_open_windows,
+                    });
+                }
+                Backpressure::DropOldest => {
+                    // Seal everything up to and including the oldest open
+                    // window; the early reports are marked `forced`.
+                    let oldest = *self.open.keys().next().expect("cap > 0 implies non-empty");
+                    while self.progress.is_some_and(|p| p.next_emit <= oldest) {
+                        self.emit_next(true);
                     }
                 }
             }
-            self.open.insert(id, WindowAggregates::default());
-            self.obs.open_windows.set(self.open.len() as i64);
-            self.obs.open_windows_peak.set_max(self.open.len() as i64);
         }
-        Ok(self.open.get_mut(&id).expect("just ensured present"))
+        let window = self.spare.take().unwrap_or_default();
+        let open = self.open.len() as i64 + 1;
+        self.obs.open_windows.set(open);
+        self.obs.open_windows_peak.set_max(open);
+        Ok(self.open.entry(id).or_insert(window))
     }
 
     /// Pulls the source until it ends, stalls, or the stop budget is hit,
@@ -623,14 +682,16 @@ impl<'s> StreamRuntime<'s> {
         source: &mut S,
         opts: &PumpOptions,
     ) -> Result<PumpOutcome, StreamError> {
-        thread::scope(|scope| {
+        let outcome = thread::scope(|scope| {
             let mut writer = None;
             let outcome = self.pump_into(source, opts, scope, &mut writer);
             // A failed write stops the writer, which ends the loop at the
             // next hand-off: the write's error is the cause.
             writer.map_or(Ok(()), CheckpointWriter::join)?;
             outcome
-        })
+        });
+        self.sync_metrics();
+        outcome
     }
 
     /// [`pump`](StreamRuntime::pump)'s loop, handing checkpoints to
@@ -682,6 +743,7 @@ impl<'s> StreamRuntime<'s> {
         path: &Path,
         position: Option<SourcePosition>,
     ) -> Result<(), StreamError> {
+        self.sync_metrics();
         let started = Instant::now();
         crate::checkpoint::write(path, &crate::checkpoint::to_text(self, position))?;
         self.obs.checkpoints.inc();
@@ -695,12 +757,15 @@ impl<'s> StreamRuntime<'s> {
     /// remaining window (trailing empty indices between open windows
     /// included; nothing past the highest open one).
     pub fn finish(&mut self) {
+        let started = Instant::now();
         let mut emitted = Vec::new();
         self.attributor.flush(&mut emitted);
         self.route_attributed(&emitted);
         while !self.open.is_empty() {
             self.emit_next(false);
         }
+        self.obs.emit_ns.add(started.elapsed().as_nanos() as u64);
+        self.sync_metrics();
     }
 
     /// Applies `analyze`'s `--max-error-rate` rule to each log, proxy

@@ -404,9 +404,12 @@ impl Reader {
 /// are taken, never as they are read: the `trace.proxy.*`/`trace.mme.*`
 /// bytes (position deltas) and decode errors, under the names
 /// [`WorldSource::with_metrics`] uses — so wrap a source without those
-/// meters. Two timing counters say where the time went, updated once per
-/// batch: `stream.wait_ns` (the caller blocked on the reader) and
-/// `stream.read_ns` (the reader polling the source).
+/// meters. The bytes are added once per batch, when its last item has
+/// been handed out, and at `Pending`, the end, a failure and drop, so
+/// the totals are those of the items handed out. Two timing counters say
+/// where the time went, updated once per batch: `stream.wait_ns` (the
+/// caller blocked on the reader) and `stream.read_ns` (the reader polling
+/// the source).
 ///
 /// Dropping it disconnects the reader and joins it, so the thread never
 /// outlives the source.
@@ -420,6 +423,8 @@ pub struct ReadAhead {
     stop: Option<Stop>,
     /// Position after the last item handed out.
     position: Option<SourcePosition>,
+    /// Position up to which the bytes are counted.
+    metered: Option<SourcePosition>,
     proxy_meter: IoMeter,
     mme_meter: IoMeter,
     wait_ns: Counter,
@@ -446,15 +451,17 @@ impl ReadAhead {
             items: Vec::new().into_iter(),
             stop: None,
             position,
+            metered: position,
             proxy_meter: IoMeter::new(registry, "trace.proxy"),
             mme_meter: IoMeter::new(registry, "trace.mme"),
             wait_ns: registry.timing_counter("stream.wait_ns"),
         })
     }
 
-    /// Moves the committed position to `to`, counting the bytes between.
-    fn advance(&mut self, to: Option<SourcePosition>) {
-        if let (Some(from), Some(to)) = (self.position, to) {
+    /// Counts the bytes between the metered position and the committed
+    /// one.
+    fn meter(&mut self) {
+        if let (Some(from), Some(to)) = (self.metered, self.position) {
             if to.proxy_offset != from.proxy_offset {
                 self.proxy_meter
                     .add_bytes(to.proxy_offset.saturating_sub(from.proxy_offset));
@@ -464,7 +471,7 @@ impl ReadAhead {
                     .add_bytes(to.mme_offset.saturating_sub(from.mme_offset));
             }
         }
-        self.position = to;
+        self.metered = self.position;
     }
 
     /// Blocks for the reader's next batch.
@@ -503,13 +510,16 @@ impl EventSource for ReadAhead {
                         SourceKind::Mme => self.mme_meter.add_decode_error(),
                     }
                 }
-                self.advance(position);
+                self.position = position;
                 return Ok(Polled::Item(item));
             }
+            // The batch is handed out.
+            self.meter();
             match self.stop.take() {
                 Some(Stop::Pending) => return Ok(Polled::Pending),
                 Some(Stop::End(position)) => {
-                    self.advance(position);
+                    self.position = position;
+                    self.meter();
                     self.stop = Some(Stop::End(position));
                     return Ok(Polled::End);
                 }
@@ -531,7 +541,10 @@ impl EventSource for ReadAhead {
 }
 
 impl Drop for ReadAhead {
+    /// Counts the bytes of the items handed out since the last batch
+    /// ended, and stops the reader.
     fn drop(&mut self) {
+        self.meter();
         if let Some(reader) = self.reader.take() {
             // A panic outside a poll has nobody left to report to.
             let _ = reader.join();
@@ -926,14 +939,22 @@ mod tests {
         assert!(matches!(bare.poll().unwrap(), Polled::Pending));
 
         let dir = raw_world_dir("follow-ahead", &full[..cut], &log_text(&mmes));
-        let mut ahead =
-            ReadAhead::spawn(WorldSource::open(&dir, true).unwrap(), &Registry::new()).unwrap();
+        let metrics = Registry::new();
+        let mut ahead = ReadAhead::spawn(WorldSource::open(&dir, true).unwrap(), &metrics).unwrap();
         let got = items(&mut ahead, stalled);
         assert!(matches!(ahead.poll().unwrap(), Polled::Pending));
         grown(&dir);
         let mut got = got;
         got.extend(items(&mut ahead, 1));
         assert_eq!(got, want);
+        // Once the drain stalls again, every byte of both logs is counted.
+        while !matches!(ahead.poll().unwrap(), Polled::Pending) {}
+        let counters = metrics.snapshot().counters;
+        assert_eq!(counters["trace.proxy.bytes_read"], full.len() as u64);
+        assert_eq!(
+            counters["trace.mme.bytes_read"],
+            log_text(&mmes).len() as u64
+        );
         // Dropping a reader that pauses on a stall joins it.
         drop(ahead);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -955,6 +976,43 @@ mod tests {
         assert_eq!(transcript(&mut ahead), bare);
         // The failure ends the reader; polling on is an error, not End.
         assert!(ahead.poll().is_err());
+    }
+
+    /// Bytes are counted once per batch, and when the reader fails they
+    /// are those of the items handed out.
+    #[test]
+    fn bytes_are_metered_per_batch_and_at_a_failure() {
+        let metrics = Registry::new();
+        let script = Scripted {
+            next: 0,
+            len: 1000,
+            fail_at: 600,
+            panics: false,
+        };
+        let bytes = |m: &Registry| m.snapshot().counters["trace.proxy.bytes_read"];
+        let mut ahead = ReadAhead::spawn(script, &metrics).unwrap();
+        let first = items(&mut ahead, BATCH_ITEMS + 1);
+        assert_eq!(first.len(), BATCH_ITEMS + 1);
+        // The first batch is counted once it is all handed out.
+        assert_eq!(bytes(&metrics), 10 * BATCH_ITEMS as u64);
+        while ahead.poll().is_ok() {}
+        assert_eq!(bytes(&metrics), 6000);
+    }
+
+    /// A read-ahead dropped mid-batch counts the items it handed out.
+    #[test]
+    fn dropping_mid_batch_meters_the_items_handed_out() {
+        let metrics = Registry::new();
+        let script = Scripted {
+            next: 0,
+            len: 1000,
+            fail_at: u64::MAX,
+            panics: false,
+        };
+        let mut ahead = ReadAhead::spawn(script, &metrics).unwrap();
+        items(&mut ahead, 300);
+        drop(ahead);
+        assert_eq!(metrics.snapshot().counters["trace.proxy.bytes_read"], 3000);
     }
 
     #[test]

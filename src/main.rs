@@ -535,6 +535,9 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
                     rt.records_processed()
                 );
                 pump_span.finish();
+                // The reader counts the bytes of the items it handed out
+                // since its last batch ended when it is dropped.
+                drop(source);
                 if let Some(path) = &metrics_path {
                     write_metrics(&metrics, path)?;
                 }
