@@ -301,8 +301,21 @@ done
 grep -q "records quarantined (100.000%), .*(first: proxy record:0 skewed)" \
     "$FAULT_DIR/skewed-stream.budget"
 diff "$FAULT_DIR/skewed-analyze.budget" "$FAULT_DIR/skewed-stream.budget"
+# The per-log ledgers are checkpointed, so a run killed part-way and
+# resumed applies the budget over the whole log, not only the records it
+# read itself.
+rm -rf "$FAULT_DIR/skewed-ckpt"
+"$WEARSCOPE" stream --world "$FAULT_DIR/skewed-world" --checkpoint "$FAULT_DIR/skewed-ckpt" \
+    --checkpoint-every 2000 --stop-after 50001 >/dev/null 2>&1
+status=0
+"$WEARSCOPE" stream --world "$FAULT_DIR/skewed-world" --checkpoint "$FAULT_DIR/skewed-ckpt" \
+    --resume >/dev/null 2>"$FAULT_DIR/skewed-resumed.err" || status=$?
+test "$status" -eq 1
+grep -o 'proxy log: .*' "$FAULT_DIR/skewed-resumed.err" >"$FAULT_DIR/skewed-resumed.budget"
+diff "$FAULT_DIR/skewed-analyze.budget" "$FAULT_DIR/skewed-resumed.budget"
 "$WEARSCOPE" stream --world "$FAULT_DIR/skewed-world" --max-error-rate 1 >/dev/null 2>&1
-echo "    analyze and stream exit 1 with the same budget error; --max-error-rate 1 lets stream pass"
+echo "    analyze, stream and a killed and resumed stream exit 1 with the same budget error;"
+echo "    --max-error-rate 1 lets stream pass"
 
 echo "==> crafted checkpoint: an inflated count is a typed error, not a crash"
 # A count in a checkpoint only bounds the loop over its block, so a count

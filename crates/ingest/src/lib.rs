@@ -8,8 +8,9 @@
 //!   quarantine per-record faults (malformed lines, duplicates, timestamp
 //!   regressions, clock skew, invalid IMEIs, sectors outside the cell
 //!   plan) up to an error budget;
-//! * [`quarantine`] — [`RecordValidator`], the per-record content checks
-//!   the pipeline and the streaming runtime share, and the typed
+//! * [`quarantine`] — [`LogLedger`], the one per-log ledger the pipeline
+//!   and the streaming runtime share: its [`RecordValidator`] (the
+//!   per-record content checks), its counts, and the typed
 //!   [`QuarantineReason`](wearscope_report::QuarantineReason) ledger
 //!   written to `quarantine.log`;
 //! * [`engine`] — [`IngestEngine`], a delegation to the one aggregate fold,
@@ -35,9 +36,9 @@ pub mod quarantine;
 
 pub use engine::IngestEngine;
 pub use error::IngestError;
-pub use load::{fold_logs_resilient, load_store_resilient};
+pub use load::{fold_logs_resilient, load_store_resilient, panic_message};
 pub use quarantine::{
-    reason_for_codec, BudgetTally, IngestOptions, LogRecord, RecordValidator, Rejection,
+    reason_for_codec, IngestOptions, LogLedger, LogRecord, RecordValidator, Rejection,
     DEFAULT_MAX_ERROR_RATE,
 };
 

@@ -36,9 +36,7 @@ use wearscope_core::merge::Fold;
 use wearscope_core::{CoreAggregates, StudyContext};
 use wearscope_devicedb::Imei;
 use wearscope_obs::{Counter, Registry};
-use wearscope_report::{
-    DataQuality, IngestReport, QuarantineCounts, QuarantineReason, ShardProgress, ShardSource,
-};
+use wearscope_report::{DataQuality, IngestReport, QuarantineReason, ShardProgress, ShardSource};
 use wearscope_simtime::SimTime;
 use wearscope_trace::{
     plan_tsv_shards, read_tsv_shard, ByteRange, MmeRecord, ProxyRecord, TraceStore, TsvShard,
@@ -46,7 +44,7 @@ use wearscope_trace::{
 
 use crate::error::{with_io_retry, IngestError};
 use crate::quarantine::{
-    check_budget, reason_for_codec, write_quarantine_log, IngestOptions, LogRecord, Position,
+    reason_for_codec, write_quarantine_log, IngestOptions, LogLedger, LogRecord, Position,
     QuarantineEntry, RecordValidator, Rejection,
 };
 use crate::MAX_WORKERS;
@@ -249,45 +247,33 @@ fn run<S: Sink>(
         }
         Ok(())
     })?;
-    let proxy = proxy.finish();
-    let mme = mme.finish();
+    let (proxy, mut entries) = proxy.finish();
+    let (mme, mme_entries) = mme.finish();
+    entries.extend(mme_entries);
+    let (proxy_quality, mme_quality) = (proxy.quality(), mme.quality());
 
-    record_source_metrics(&opts.metrics, ShardSource::Proxy, &proxy, &progress);
-    record_source_metrics(&opts.metrics, ShardSource::Mme, &mme, &progress);
+    record_source_metrics(&opts.metrics, ShardSource::Proxy, &proxy_quality, &progress);
+    record_source_metrics(&opts.metrics, ShardSource::Mme, &mme_quality, &progress);
     record_pool_timings(&opts.metrics, workers, &progress, &timers, start);
 
     if let Some(path) = &opts.quarantine_log {
-        if proxy.entries.is_empty() && mme.entries.is_empty() {
+        if entries.is_empty() {
             match std::fs::remove_file(path) {
                 Ok(()) => {}
                 Err(e) if e.kind() == io::ErrorKind::NotFound => {}
                 Err(e) => return Err(IngestError::Io(e)),
             }
         } else {
-            let mut entries = proxy.entries.clone();
-            entries.extend(mme.entries.iter().cloned());
             write_quarantine_log(path, &entries)?;
         }
     }
 
-    for (source, outcome) in [(ShardSource::Proxy, &proxy), (ShardSource::Mme, &mme)] {
-        check_budget(
-            source,
-            outcome.seen,
-            outcome.counts.total(),
-            outcome.entries.first().map(|e| (e.position, e.reason)),
-            opts.max_error_rate,
-        )?;
-    }
+    proxy.check_budget(opts.max_error_rate)?;
+    mme.check_budget(opts.max_error_rate)?;
 
-    let mut quarantined = proxy.counts;
-    quarantined.merge(&mme.counts);
-    let quality = DataQuality {
-        records_seen: proxy.seen + mme.seen,
-        records_kept: proxy.kept + mme.kept,
-        quarantined,
-        max_error_rate: opts.max_error_rate,
-    };
+    let mut quality = proxy_quality;
+    quality.merge(&mme_quality);
+    quality.max_error_rate = opts.max_error_rate;
     Ok(IngestReport {
         workers,
         shards: progress,
@@ -317,7 +303,9 @@ fn parse_chunks(
     }
 }
 
-fn panic_message(payload: &(dyn Any + Send)) -> String {
+/// A panic payload's message: its `&str` or `String`, or a placeholder
+/// for any other payload.
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -349,44 +337,28 @@ fn shard_failed(t: &Task<'_>, panicked: bool, detail: String) -> IngestError {
     }
 }
 
-/// One log's validation state while its chunks arrive in file order.
+/// One log's ledger while its chunks arrive in file order, plus what only
+/// batch keeps: the log's high-water mark, the line base, the
+/// `quarantine.log` entries and the checked IMEIs of the chunk in hand.
 pub(crate) struct LogIngest<R> {
-    source: ShardSource,
-    validator: RecordValidator<R>,
+    ledger: LogLedger<R>,
     high_water: SimTime,
-    seen: u64,
-    kept: u64,
     /// Lines in the chunks taken so far: a chunk's line base.
     line_base: u64,
-    /// Parsed records in the chunks taken so far.
-    record_index: u64,
     parse_entries: Vec<QuarantineEntry>,
     content_entries: Vec<QuarantineEntry>,
     /// The checked IMEIs of the chunk's kept records, in order.
     imeis: Vec<Imei>,
 }
 
-/// One log's outcome: counts plus the quarantine ledger.
-pub(crate) struct SourceOutcome {
-    /// Non-blank lines attempted: parsed records + malformed lines.
-    pub(crate) seen: u64,
-    pub(crate) kept: u64,
-    pub(crate) counts: QuarantineCounts,
-    /// Parse-fault entries, then content-fault entries.
-    pub(crate) entries: Vec<QuarantineEntry>,
-}
-
 impl<R: LogRecord> LogIngest<R> {
     pub(crate) fn new(source: ShardSource, opts: &IngestOptions) -> LogIngest<R> {
+        let validator =
+            RecordValidator::new(opts.max_timestamp).with_sector_count(opts.sector_count);
         LogIngest {
-            source,
-            validator: RecordValidator::new(opts.max_timestamp)
-                .with_sector_count(opts.sector_count),
+            ledger: LogLedger::new(source, validator),
             high_water: SimTime::EPOCH,
-            seen: 0,
-            kept: 0,
             line_base: 0,
-            record_index: 0,
             parse_entries: Vec::new(),
             content_entries: Vec::new(),
             imeis: Vec::new(),
@@ -404,25 +376,22 @@ impl<R: LogRecord> LogIngest<R> {
         sink: impl FnOnce(&[R], &[Imei]),
     ) {
         let t0 = Instant::now();
-        let (source, line_base) = (self.source, self.line_base);
-        self.parse_entries.extend(
-            chunk
-                .errors
-                .iter()
-                .map(|(local_line, error)| QuarantineEntry {
-                    source,
-                    position: Position::Line(line_base + local_line),
-                    reason: reason_for_codec(error),
-                    detail: error.to_string(),
-                }),
-        );
-        self.seen += (chunk.errors.len() + chunk.records.len()) as u64;
+        let source = self.ledger.source;
+        for (local_line, error) in &chunk.errors {
+            let (line, reason) = (self.line_base + local_line, reason_for_codec(error));
+            self.ledger.malformed(line, reason);
+            self.parse_entries.push(QuarantineEntry {
+                source,
+                position: Position::Line(line),
+                reason,
+                detail: error.to_string(),
+            });
+        }
         self.line_base += chunk.lines;
         self.imeis.clear();
         chunk.records.retain(|record| {
-            let position = Position::Record(self.record_index);
-            self.record_index += 1;
-            match self.validator.check(record, self.high_water, false) {
+            let position = Position::Record(self.ledger.records);
+            match self.ledger.check(record, self.high_water, false) {
                 Ok(imei) => {
                     self.high_water = record.timestamp();
                     self.imeis.push(imei);
@@ -439,26 +408,18 @@ impl<R: LogRecord> LogIngest<R> {
                 }
             }
         });
-        self.kept += chunk.records.len() as u64;
         let t1 = Instant::now();
         sink(&chunk.records, &self.imeis);
         timers.validate += t1 - t0;
         timers.fold += t1.elapsed();
     }
 
-    pub(crate) fn finish(self) -> SourceOutcome {
+    /// The log's ledger and its `quarantine.log` entries: parse faults,
+    /// then content faults.
+    pub(crate) fn finish(self) -> (LogLedger<R>, Vec<QuarantineEntry>) {
         let mut entries = self.parse_entries;
         entries.extend(self.content_entries);
-        let mut counts = QuarantineCounts::default();
-        for e in &entries {
-            counts.note(e.reason);
-        }
-        SourceOutcome {
-            seen: self.seen,
-            kept: self.kept,
-            counts,
-            entries,
-        }
+        (self.ledger, entries)
     }
 }
 
@@ -470,17 +431,17 @@ impl<R: LogRecord> LogIngest<R> {
 fn record_source_metrics(
     m: &Registry,
     source: ShardSource,
-    outcome: &SourceOutcome,
+    quality: &DataQuality,
     progress: &[ShardProgress],
 ) {
     let name = source.name();
     m.counter(&format!("ingest.{name}.records_seen"))
-        .add(outcome.seen);
+        .add(quality.records_seen);
     m.counter(&format!("ingest.{name}.records_kept"))
-        .add(outcome.kept);
+        .add(quality.records_kept);
     for reason in QuarantineReason::ALL {
         m.counter(&format!("ingest.{name}.quarantined.{}", reason.name()))
-            .add(outcome.counts.get(reason));
+            .add(quality.quarantined.get(reason));
     }
     let (bytes, decode_errors) = progress
         .iter()

@@ -21,10 +21,11 @@ use std::io::{self, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use wearscope_core::hash::HashSet;
+use wearscope_core::snapshot::{RowWriter, SnapshotError, SnapshotReader};
 use wearscope_devicedb::Imei;
 use wearscope_geo::SectorDirectory;
 use wearscope_obs::Registry;
-use wearscope_report::{QuarantineReason, ShardSource};
+use wearscope_report::{DataQuality, QuarantineReason, ShardSource};
 use wearscope_simtime::{ObservationWindow, SimDuration, SimTime};
 use wearscope_trace::{CodecError, MmeRecord, ProxyRecord};
 
@@ -132,94 +133,156 @@ impl core::fmt::Display for Position {
     }
 }
 
-/// The `--max-error-rate` rule for one log, applied when the run ends: at
-/// most `budget` of the records `seen` may be quarantined. The error
-/// names `first`, the log's first `quarantine.log` entry, as in
-/// `proxy line:12 bad-field` or `mme record:0 skewed`.
-pub(crate) fn check_budget(
-    source: ShardSource,
-    seen: u64,
-    quarantined: u64,
-    first: Option<(Position, QuarantineReason)>,
-    budget: f64,
-) -> Result<(), IngestError> {
-    if seen == 0 || quarantined as f64 / seen as f64 <= budget {
-        return Ok(());
-    }
-    Err(IngestError::ErrorBudget {
-        source,
-        first: first.map_or_else(String::new, |(position, reason)| {
-            format!("{} {position} {}", source.name(), reason.name())
-        }),
-        quarantined,
-        seen,
-        budget,
-    })
-}
-
-/// One log's count against the `--max-error-rate` budget, kept record by
-/// record as the stream runtime meets them, so a stream run applies the
-/// rule and names the first entry as the batch loader does for the same
-/// log. A resumed run counts from its checkpoint on.
+/// One log's record ledger, the only one batch and stream keep: the
+/// log's [`RecordValidator`], the lines seen and records kept, the
+/// parsed-record index behind `record:N`, the quarantine counts by reason,
+/// and the log's first malformed line and first rejected record. Kept plus
+/// quarantined is always seen.
+///
+/// `quarantine.log` lists a log's malformed lines before its rejected
+/// records, so the first malformed line, if there is one, is the log's
+/// first entry: the one the `--max-error-rate` error names.
 #[derive(Clone, Debug)]
-pub struct BudgetTally {
-    source: ShardSource,
-    /// Non-blank lines met: parsed records plus malformed lines.
-    seen: u64,
-    quarantined: u64,
-    /// Records parsed so far: the next rejection's `record:N` position.
-    parsed: u64,
-    /// The first malformed line, which `quarantine.log` lists before
-    /// every rejection.
-    first_malformed: Option<(Position, QuarantineReason)>,
-    first_rejected: Option<(Position, QuarantineReason)>,
+pub struct LogLedger<R> {
+    pub(crate) source: ShardSource,
+    /// The log's content checks (a resumed run restores their duplicate
+    /// memory here).
+    pub validator: RecordValidator<R>,
+    /// Lines seen (parsed records plus malformed lines), records kept and
+    /// quarantines by reason; no budget.
+    quality: DataQuality,
+    /// Records parsed so far: the next record's `record:N` index.
+    pub(crate) records: u64,
+    /// The first malformed line's 1-based number, and its reason.
+    first_malformed: Option<(u64, QuarantineReason)>,
+    /// The first rejected record's index, and its reason.
+    first_rejected: Option<(u64, QuarantineReason)>,
 }
 
-impl BudgetTally {
-    /// An empty tally for `source`.
-    pub fn new(source: ShardSource) -> BudgetTally {
-        BudgetTally {
+impl<R: LogRecord> LogLedger<R> {
+    /// An empty ledger for `source` that judges records with `validator`.
+    pub fn new(source: ShardSource, validator: RecordValidator<R>) -> LogLedger<R> {
+        LogLedger {
             source,
-            seen: 0,
-            quarantined: 0,
-            parsed: 0,
+            validator,
+            quality: DataQuality::default(),
+            records: 0,
             first_malformed: None,
             first_rejected: None,
         }
     }
 
-    /// Counts the line at 1-based `line`, which failed to decode.
+    /// Books the line at 1-based `line`, which failed to decode.
     pub fn malformed(&mut self, line: u64, reason: QuarantineReason) {
-        self.seen += 1;
-        self.quarantined += 1;
-        self.first_malformed
-            .get_or_insert((Position::Line(line), reason));
+        self.quality.records_seen += 1;
+        self.quality.quarantined.note(reason);
+        self.first_malformed.get_or_insert((line, reason));
     }
 
-    /// Counts a parsed record, quarantined for `rejected` if that is set.
-    pub fn parsed(&mut self, rejected: Option<QuarantineReason>) {
-        if let Some(reason) = rejected {
-            self.quarantined += 1;
-            self.first_rejected
-                .get_or_insert((Position::Record(self.parsed), reason));
-        }
-        self.seen += 1;
-        self.parsed += 1;
-    }
-
-    /// The batch loader's budget rule over this tally.
+    /// Judges the log's next parsed record as [`RecordValidator::check`]
+    /// does, and books the verdict.
     ///
     /// # Errors
-    /// [`IngestError::ErrorBudget`] when more than `budget` of the records
+    /// The [`Rejection`] of a quarantined record.
+    pub fn check(
+        &mut self,
+        record: &R,
+        watermark: SimTime,
+        sealed: bool,
+    ) -> Result<Imei, Rejection> {
+        let verdict = self.validator.check(record, watermark, sealed);
+        match &verdict {
+            Ok(_) => self.quality.records_kept += 1,
+            Err(rejection) => {
+                self.quality.quarantined.note(rejection.reason);
+                self.first_rejected
+                    .get_or_insert((self.records, rejection.reason));
+            }
+        }
+        self.quality.records_seen += 1;
+        self.records += 1;
+        verdict
+    }
+
+    /// The `--max-error-rate` rule, applied when the run ends: at most
+    /// `budget` of the lines seen may be quarantined. The error names the
+    /// log's first `quarantine.log` entry, as in `proxy line:12 bad-field`
+    /// or `mme record:0 skewed`.
+    ///
+    /// # Errors
+    /// [`IngestError::ErrorBudget`] when more than `budget` of the lines
     /// seen were quarantined.
-    pub fn check(&self, budget: f64) -> Result<(), IngestError> {
-        check_budget(
-            self.source,
-            self.seen,
-            self.quarantined,
-            self.first_malformed.or(self.first_rejected),
+    pub fn check_budget(&self, budget: f64) -> Result<(), IngestError> {
+        let (seen, quarantined) = (self.quality.records_seen, self.quality.quarantined.total());
+        if seen == 0 || quarantined as f64 / seen as f64 <= budget {
+            return Ok(());
+        }
+        let first = match (self.first_malformed, self.first_rejected) {
+            (Some((line, reason)), _) => Some((Position::Line(line), reason)),
+            (None, Some((index, reason))) => Some((Position::Record(index), reason)),
+            (None, None) => None,
+        };
+        Err(IngestError::ErrorBudget {
+            source: self.source,
+            first: first.map_or_else(String::new, |(position, reason)| {
+                format!("{} {position} {reason}", self.source.name())
+            }),
+            quarantined,
+            seen,
             budget,
-        )
+        })
+    }
+
+    /// This log's part of a run's [`DataQuality`], with no budget set.
+    pub fn quality(&self) -> DataQuality {
+        self.quality
+    }
+
+    /// Writes the ledger's counts as one checkpoint row tagged `tag`:
+    /// seen, kept, the next record index, one count per reason in
+    /// [`QuarantineReason::ALL`] order, then the first malformed line and
+    /// the first rejected record as `N:reason`, or `-`.
+    pub fn snapshot_row(&self, out: &mut String, tag: &str) {
+        let q = &self.quality;
+        let mut row = RowWriter::tagged(out, tag)
+            .put(q.records_seen)
+            .put(q.records_kept)
+            .put(self.records);
+        for reason in QuarantineReason::ALL {
+            row = row.put(q.quarantined.get(reason));
+        }
+        row.put(self.first_malformed).put(self.first_rejected).end();
+    }
+
+    /// Reads a row [`snapshot_row`](Self::snapshot_row) wrote into this
+    /// ledger, whose validator it keeps.
+    ///
+    /// # Errors
+    /// A bad or missing field, or kept plus quarantined not adding up to
+    /// seen.
+    pub fn restore_row(
+        &mut self,
+        r: &mut SnapshotReader<'_>,
+        tag: &str,
+    ) -> Result<(), SnapshotError> {
+        let mut row = r.tagged(tag)?;
+        let q = &mut self.quality;
+        *q = DataQuality::default();
+        q.records_seen = row.field()?;
+        q.records_kept = row.field()?;
+        self.records = row.field()?;
+        let mut accounted = Some(q.records_kept);
+        for reason in QuarantineReason::ALL {
+            let n = row.field()?;
+            q.quarantined.add(reason, n);
+            accounted = accounted.and_then(|a| a.checked_add(n));
+        }
+        self.first_malformed = row.field()?;
+        self.first_rejected = row.field()?;
+        if accounted != Some(q.records_seen) {
+            return Err(row.err("records kept and quarantined do not add up to records seen"));
+        }
+        row.end()
     }
 }
 
@@ -539,10 +602,11 @@ mod tests {
             };
             log.take(chunk, &mut timers, |k, _| kept.extend_from_slice(k));
         }
-        let out = log.finish();
-        assert_eq!(out.entries.len() as u64, out.counts.total());
-        assert_eq!(out.kept, kept.len() as u64);
-        (kept, out.entries)
+        let (ledger, entries) = log.finish();
+        let quality = ledger.quality();
+        assert_eq!(entries.len() as u64, quality.quarantined.total());
+        assert_eq!(quality.records_kept, kept.len() as u64);
+        (kept, entries)
     }
 
     fn run(

@@ -10,6 +10,8 @@
 
 use core::fmt;
 
+use wearscope_core::snapshot::Field;
+
 use crate::table::Table;
 
 /// Why one record was quarantined instead of analyzed.
@@ -86,6 +88,20 @@ impl fmt::Display for QuarantineReason {
     }
 }
 
+/// A reason as its [`name`](QuarantineReason::name), in checkpoints.
+impl Field for QuarantineReason {
+    fn write(&self, out: &mut String) {
+        out.push_str(self.name());
+    }
+
+    fn parse(s: &str) -> Result<Self, String> {
+        QuarantineReason::ALL
+            .into_iter()
+            .find(|r| r.name() == s)
+            .ok_or_else(|| format!("`{s}` is not a quarantine reason"))
+    }
+}
+
 /// Per-reason quarantine counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QuarantineCounts {
@@ -128,7 +144,7 @@ impl QuarantineCounts {
 
 /// The data-quality section of an ingest run: records seen vs kept,
 /// quarantine counts by reason, and the error budget the run was held to.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct DataQuality {
     /// Non-blank log lines considered (kept + quarantined).
     pub records_seen: u64,

@@ -7,10 +7,11 @@
 //! tab-separated fields, `-` for an absent value or an empty list, `f64`
 //! as the hex of its bits, sorted map entries. The blocks, in order: a
 //! version header, the configuration (verified on resume), the stream
-//! clock and counters, the source position, emitted reports, collected
-//! windows, each log validator's duplicate memory (as raw record lines),
-//! the attributor's anchors and pending transactions, and one snapshot
-//! per open window.
+//! clock, each log's ledger (its counts and first quarantined entries),
+//! the counters, the source position, emitted reports, collected windows,
+//! each log validator's duplicate memory (as raw record lines), the
+//! attributor's anchors and pending transactions, and one snapshot per
+//! open window.
 //!
 //! A checkpoint is a file a user can hand to `--resume`, so reading one
 //! never panics: a count only bounds the loop over its block's lines and
@@ -35,9 +36,8 @@ use wearscope_core::sessions::Attributor;
 use wearscope_core::snapshot::{Row, RowWriter, Snapshot, SnapshotError, SnapshotReader};
 use wearscope_core::StudyContext;
 use wearscope_ingest::{LogRecord, RecordValidator};
-use wearscope_report::{DataQuality, QuarantineReason, WindowReport};
-use wearscope_simtime::SimTime;
-use wearscope_trace::{decode_log_line, MmeRecord, ProxyRecord, TsvRecord};
+use wearscope_report::WindowReport;
+use wearscope_trace::{decode_log_line, TsvRecord};
 
 use crate::aggregates::WindowAggregates;
 use crate::runtime::{Progress, StreamConfig, StreamError, StreamRuntime};
@@ -47,7 +47,7 @@ use crate::source::SourcePosition;
 const MAGIC: &str = "wearscope-stream-checkpoint";
 /// The checkpoint format this build writes and reads: the header's second
 /// field is `v` followed by it.
-const VERSION: u32 = 5;
+const VERSION: u32 = 6;
 
 /// The `config` line's fields, named for the mismatch message.
 const CONFIG_FIELDS: [&str; 7] = [
@@ -65,18 +65,9 @@ const CONFIG_FIELDS: [&str; 7] = [
 pub fn to_text(rt: &StreamRuntime<'_>, position: Option<SourcePosition>) -> String {
     let mut out = format!("{MAGIC}\tv{VERSION}\n");
     push_config(&mut out, &rt.config);
-    RowWriter::tagged(&mut out, "clock")
-        .put(rt.max_event)
-        .put(rt.records_processed)
-        .end();
-    let q = &rt.quality;
-    let mut row = RowWriter::tagged(&mut out, "quality")
-        .put(q.records_seen)
-        .put(q.records_kept);
-    for reason in QuarantineReason::ALL {
-        row = row.put(q.quarantined.get(reason));
-    }
-    row.put(q.max_error_rate).end();
+    RowWriter::tagged(&mut out, "clock").put(rt.max_event).end();
+    rt.proxy.snapshot_row(&mut out, "ledger-proxy");
+    rt.mme.snapshot_row(&mut out, "ledger-mme");
     RowWriter::tagged(&mut out, "counters")
         .put(rt.late_merged)
         .put(rt.forced_emits)
@@ -105,12 +96,12 @@ pub fn to_text(rt: &StreamRuntime<'_>, position: Option<SourcePosition>) -> Stri
     push_remembered(
         &mut out,
         "dedup-proxy",
-        rt.proxy_validator.remembered(watermark),
+        rt.proxy.validator.remembered(watermark),
     );
     push_remembered(
         &mut out,
         "dedup-mme",
-        rt.mme_validator.remembered(watermark),
+        rt.mme.validator.remembered(watermark),
     );
     rt.attributor.snapshot(&mut out);
     let open = rt.open.iter().map(|(id, w)| (*id, w));
@@ -241,12 +232,9 @@ pub fn from_text<'s>(
 
     let mut row = r.tagged("clock")?;
     rt.max_event = row.field()?;
-    rt.records_processed = row.field()?;
     row.end()?;
-
-    let mut row = r.tagged("quality")?;
-    rt.quality = read_quality(&mut row)?;
-    row.end()?;
+    rt.proxy.restore_row(&mut r, "ledger-proxy")?;
+    rt.mme.restore_row(&mut r, "ledger-mme")?;
 
     let mut row = r.tagged("counters")?;
     rt.late_merged = row.field()?;
@@ -277,10 +265,8 @@ pub fn from_text<'s>(
         rt.push_report(WindowReport::from_tsv(r.row()?)?);
     }
     rt.collected = read_windows(&mut r, "collected", "collected-window")?;
-    let horizon = config.max_timestamp;
-    rt.proxy_validator = read_validator::<ProxyRecord>(&mut r, "dedup-proxy", horizon)?;
-    rt.mme_validator = read_validator::<MmeRecord>(&mut r, "dedup-mme", horizon)?
-        .with_sector_count(config.sector_count);
+    read_remembered(&mut r, "dedup-proxy", &mut rt.proxy.validator)?;
+    read_remembered(&mut r, "dedup-mme", &mut rt.mme.validator)?;
     rt.attributor = Attributor::restore(&mut r)?;
     rt.open = read_windows(&mut r, "open", "open-window")?
         .into_iter()
@@ -305,37 +291,13 @@ fn check_config(config: &StreamConfig, mut ckpt: Row<'_>) -> Result<(), StreamEr
     Ok(ckpt.end()?)
 }
 
-/// Reads the `quality` fields: seen, kept, one count per quarantine
-/// reason, and the error budget. Kept plus quarantined must add up to
-/// seen, as they do for every runtime.
-fn read_quality(row: &mut Row<'_>) -> Result<DataQuality, SnapshotError> {
-    let mut quality = DataQuality {
-        records_seen: row.field()?,
-        records_kept: row.field()?,
-        ..DataQuality::default()
-    };
-    for reason in QuarantineReason::ALL {
-        quality.quarantined.add(reason, row.field()?);
-    }
-    quality.max_error_rate = row.field()?;
-    let accounted = QuarantineReason::ALL
-        .into_iter()
-        .try_fold(quality.records_kept, |n, reason| {
-            n.checked_add(quality.quarantined.get(reason))
-        });
-    if accounted != Some(quality.records_seen) {
-        return Err(row.err("records kept and quarantined do not add up to records seen"));
-    }
-    Ok(quality)
-}
-
-/// Rebuilds one log's validator from its checkpointed duplicate memory.
-fn read_validator<R: LogRecord + TsvRecord>(
+/// Restores one log validator's duplicate memory from its checkpoint
+/// block.
+fn read_remembered<R: LogRecord + TsvRecord>(
     r: &mut SnapshotReader<'_>,
     tag: &str,
-    horizon: Option<SimTime>,
-) -> Result<RecordValidator<R>, SnapshotError> {
-    let mut validator = RecordValidator::new(horizon);
+    validator: &mut RecordValidator<R>,
+) -> Result<(), SnapshotError> {
     for _ in 0..r.count(tag)? {
         match decode_log_line::<R>(r.line()?.as_bytes()) {
             Some(Ok(rec)) => {
@@ -345,7 +307,7 @@ fn read_validator<R: LogRecord + TsvRecord>(
             None => return Err(r.err("blank dedup record line")),
         }
     }
-    Ok(validator)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -357,8 +319,8 @@ mod tests {
     use wearscope_appdb::AppCatalog;
     use wearscope_devicedb::DeviceDb;
     use wearscope_geo::SectorDirectory;
-    use wearscope_simtime::{Calendar, ObservationWindow, SimDuration};
-    use wearscope_trace::{HostId, MmeEvent, Scheme, TraceStore, UserId};
+    use wearscope_simtime::{Calendar, ObservationWindow, SimDuration, SimTime};
+    use wearscope_trace::{HostId, MmeEvent, MmeRecord, ProxyRecord, Scheme, TraceStore, UserId};
 
     fn proxy(db: &DeviceDb, user: u64, t: u64, host: &str) -> StreamEvent {
         StreamEvent::Proxy(ProxyRecord {
@@ -460,10 +422,11 @@ mod tests {
 
         // Day 0 is a Friday: hours 0 and 1 are weekly slots 96 and 97.
         let expected = [
-            "wearscope-stream-checkpoint\tv5\n",
+            "wearscope-stream-checkpoint\tv6\n",
             "config\t3600\t3600\t300\t4096\tblock\t-\t1\n",
-            "clock\t4000\t5\n",
-            "quality\t5\t4\t0\t0\t1\t0\t0\t0\t0\t0000000000000000\n",
+            "clock\t4000\n",
+            "ledger-proxy\t3\t2\t3\t0\t0\t1\t0\t0\t0\t0\t-\t2:duplicate\n",
+            "ledger-mme\t2\t2\t2\t0\t0\t0\t0\t0\t0\t0\t-\t-\n",
             "counters\t0\t0\n",
             "progress\t0\t1\n",
             "position\t321\t3\t123\t2\n",
@@ -552,118 +515,136 @@ mod tests {
             (
                 "reports\t1\n",
                 "reports\t1000000000000000000\n",
-                10,
+                11,
                 "field 1: `collected` is not a u64",
             ),
             (
                 "reports\t1\n",
                 "reports\t100000000000000\n",
-                10,
+                11,
                 "field 1: `collected` is not a u64",
             ),
             (
                 "attributor\t1\n",
                 "attributor\t1000000000000000000\n",
-                45,
+                46,
                 "expected `u` block, found `open`",
             ),
             (
                 "tx-stats\t1\n",
                 "tx-stats\t1000000000000000000\n",
-                20,
+                21,
                 "expected 1000000000000000000 sizes, found 1",
             ),
             (
                 "activity\t1\n",
                 "activity\t1000000000000000000\n",
-                17,
+                18,
                 "field 1: `hourly` is not a u64",
             ),
             (
                 "1\t3590\t0\t0\t72\n",
                 "1\t3590\t65537\t0\t72\n",
-                14,
+                15,
                 "field 3: `65537` is not a u16",
             ),
             (
                 "1\t3590\t0\t0\t72\n",
                 "1\t3590\t0\tBogus\t72\n",
-                14,
+                15,
                 "field 4: `Bogus` is not an app id or a domain class",
             ),
             (
                 "96\t1\t72\t1\n",
                 "168\t1\t72\t1\n",
-                18,
+                19,
                 "slot 168 is not below 168",
             ),
             (
                 "devices\t1:352000000000012\n",
                 "devices\t1:x\n",
-                34,
+                35,
                 "field 2: `x` is not a u64",
             ),
             (
                 "through-device\t-\n",
                 "through-device\tBogus:1\n",
-                35,
+                36,
                 "field 2: `Bogus` is not a Through-Device kind",
             ),
             (
                 "u\t1\t1\t1\n",
                 "u\t1\t1000000000000000000\t1\n",
-                44,
+                45,
                 "expected `a` block, found `q`",
             ),
             (
                 "a\t3590\t0\n",
                 "a\t3590\t65537\n",
-                43,
+                44,
                 "field 3: `65537` is not a u16",
             ),
             (
                 "q\t4000\t72\t-\n",
                 "q\t4000\t72\tX\n",
-                44,
+                45,
                 "field 4: `X` is not an app id or a domain class",
             ),
             (
                 "q\t4000\t72\t-\n",
                 "q\t4000\t72\t-\tW\t3590\t0\n",
-                44,
+                45,
                 "unexpected field 5 `W`",
             ),
             (
                 "1\t0\t5\n",
                 "1\t0\t4294967296\n",
-                25,
+                26,
                 "field 3: `4294967296` is not a u32",
             ),
             (
                 "popularity\t1\t1\n0",
                 "popularity\t1\t1\n65537",
-                31,
+                32,
                 "field 1: `65537` is not a u16",
             ),
             (
-                "clock\t4000\t5\n",
-                "clock\t4000\t18446744073709551616\n",
+                "clock\t4000\n",
+                "clock\t18446744073709551616\n",
                 3,
-                "field 3: `18446744073709551616` is not a u64",
+                "field 2: `18446744073709551616` is not a u64",
             ),
             (
-                "quality\t5\t4\t",
-                "quality\t5\t1000000000000000000\t",
+                "ledger-proxy\t3\t2\t",
+                "ledger-proxy\t3\t1000000000000000000\t",
                 4,
                 "records kept and quarantined do not add up to records seen",
             ),
             (
+                "ledger-mme\t2\t",
+                "ledger-mme\t3\t",
+                5,
+                "records kept and quarantined do not add up to records seen",
+            ),
+            (
+                "\t2:duplicate\n",
+                "\t2:bogus\n",
+                4,
+                "field 13: `bogus` is not a quarantine reason",
+            ),
+            (
+                "\t2:duplicate\n",
+                "\t2\n",
+                4,
+                "field 13: `2` is not a key:value pair",
+            ),
+            (
                 "progress\t0\t1\n",
                 "progress\t0\t-\n",
-                6,
+                7,
                 "progress needs both its fields, or neither",
             ),
-            ("end\n", "", 69, "unexpected end of snapshot"),
+            ("end\n", "", 70, "unexpected end of snapshot"),
         ];
         for (from, to, line, message) in cases {
             assert!(text.contains(from), "{from:?}");
@@ -728,6 +709,52 @@ mod tests {
                 ),
                 "{result:?}"
             );
+        }
+    }
+
+    proptest! {
+        /// Seeded damage to a ledger row of a real mid-flight checkpoint —
+        /// a count changed so kept plus quarantined is not seen, a first
+        /// entry with an unknown reason, or one with no reason — is a
+        /// checkpoint error naming that row's line.
+        #[test]
+        fn damaged_ledger_rows_name_their_line(
+            mme in prop::bool::ANY,
+            kind in 0u8..3,
+            field_pick in 0usize..9,
+            delta in 1u64..1000,
+            index in 0u64..100_000,
+            reason_pick in 0usize..5,
+        ) {
+            const NOT_REASONS: [&str; 5] = ["bogus", "", "Duplicate", "bad_field", "-"];
+            let fx = Fixture::new();
+            let ctx = fx.ctx();
+            let rt = mid_flight(&ctx);
+            let text = to_text(&rt, None);
+            let tag = if mme { "ledger-mme\t" } else { "ledger-proxy\t" };
+            let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+            let at = lines.iter().position(|l| l.starts_with(tag)).unwrap();
+            // tag, seen, kept, next record, 7 reason counts, two firsts.
+            let mut fields: Vec<String> = lines[at].split('\t').map(str::to_owned).collect();
+            prop_assert_eq!(fields.len(), 13);
+            let first = 11 + field_pick % 2;
+            match kind {
+                0 => {
+                    let pick = [1, 2, 4, 5, 6, 7, 8, 9, 10][field_pick];
+                    let n: u64 = fields[pick].parse().unwrap();
+                    fields[pick] = (n + delta).to_string();
+                }
+                1 => fields[first] = format!("{index}:{}", NOT_REASONS[reason_pick]),
+                _ => fields[first] = index.to_string(),
+            }
+            lines[at] = fields.join("\t");
+            let damaged: String = lines.iter().map(|l| format!("{l}\n")).collect();
+            match from_text(&ctx, rt.config, &damaged).map(|_| ()) {
+                Err(StreamError::Checkpoint { line, .. }) => {
+                    prop_assert_eq!(line, at as u64 + 1);
+                }
+                other => prop_assert!(false, "{:?}", other),
+            }
         }
     }
 
@@ -802,19 +829,19 @@ mod tests {
         let config = hour_config();
         let text = to_text(&StreamRuntime::new(&ctx, config), None);
         let (header, body) = text.split_once('\n').unwrap();
-        assert_eq!(header, "wearscope-stream-checkpoint\tv5");
-        for found in [1, 2, 3, 4] {
+        assert_eq!(header, "wearscope-stream-checkpoint\tv6");
+        for found in [1, 2, 3, 4, 5] {
             let old = format!("wearscope-stream-checkpoint\tv{found}\n{body}");
             let err = from_text(&ctx, config, &old)
                 .map(|_| ())
                 .expect_err("an older checkpoint must be rejected");
             assert!(
-                matches!(err, StreamError::CheckpointVersion { found: f, expected: 5 } if f == found),
+                matches!(err, StreamError::CheckpointVersion { found: f, expected: 6 } if f == found),
                 "{err}"
             );
             let message = err.to_string();
             assert!(
-                message.contains(&format!("v{found}")) && message.contains("v5"),
+                message.contains(&format!("v{found}")) && message.contains("v6"),
                 "{message}"
             );
             assert!(message.contains("without --resume"), "{message}");

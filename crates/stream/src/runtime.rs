@@ -12,8 +12,10 @@
 //!   attribution slack, so the [`Attributor`] has released every
 //!   transaction inside it with its final app.
 //!
-//! Validation is the batch loader's: one [`RecordValidator`] per log, fed
-//! this watermark instead of the log's own high-water mark.
+//! Validation and bookkeeping are the batch loader's: one [`LogLedger`]
+//! per log, whose [`RecordValidator`] is fed this watermark instead of the
+//! log's own high-water mark. The ledgers are checkpointed, so a resumed
+//! run counts and judges its logs as an uninterrupted one does.
 //!
 //! Windows are emitted strictly in index order; an index range with no
 //! records between two active windows still yields (all-zero) reports, so
@@ -39,9 +41,9 @@ use std::time::Instant;
 use wearscope_core::sessions::{AttributedTx, Attributor, SESSION_GAP_SECS};
 use wearscope_core::snapshot::SnapshotError;
 use wearscope_core::StudyContext;
-use wearscope_ingest::{reason_for_codec, BudgetTally, IngestError, RecordValidator};
+use wearscope_ingest::{reason_for_codec, IngestError, LogLedger, RecordValidator};
 use wearscope_obs::{Counter, Gauge, Histogram, Registry};
-use wearscope_report::{QuarantineReason, ShardSource, StreamSummary, WindowReport};
+use wearscope_report::{DataQuality, QuarantineReason, ShardSource, StreamSummary, WindowReport};
 use wearscope_simtime::{SimDuration, SimTime};
 use wearscope_trace::{MmeRecord, ProxyRecord};
 
@@ -226,12 +228,13 @@ pub struct PumpOptions {
 /// attribution and emitting windows (`stream.emit_ns`) are wall-clock and
 /// land in the timing section. Counters start at zero per process:
 /// a resumed run reports the work *it* did, not the checkpoint's
-/// cumulative [`DataQuality`](wearscope_report::DataQuality) ledger.
+/// cumulative [`DataQuality`] ledger.
 ///
-/// The per-record counts (records processed and kept, late merges) and
-/// the watermark reach the registry only when
+/// The per-record counts (records processed, kept and quarantined by
+/// reason, late merges) and the watermark reach the registry only when
 /// [`StreamRuntime::sync_metrics`] runs: when `pump` returns, at `finish`
-/// and at `write_checkpoint`. The runtime counts them in plain fields.
+/// and at `write_checkpoint`. The runtime keeps them in its log ledgers
+/// and a plain field.
 #[derive(Clone, Debug)]
 pub(crate) struct StreamObs {
     records_processed: Counter,
@@ -248,17 +251,9 @@ pub(crate) struct StreamObs {
     checkpoint_write_us: Histogram,
     checkpoint_wait_ns: Counter,
     emit_ns: Counter,
-    /// The runtime's counts as last added to the registry.
-    synced: Cell<Synced>,
-}
-
-/// The runtime's per-record counts, as [`StreamRuntime::sync_metrics`]
-/// last added them to the registry.
-#[derive(Clone, Copy, Debug, Default)]
-struct Synced {
-    processed: u64,
-    kept: u64,
-    late_merged: u64,
+    /// The runtime's quality section and late merges as last added to
+    /// the registry.
+    synced: Cell<(DataQuality, u64)>,
 }
 
 impl StreamObs {
@@ -283,12 +278,6 @@ impl StreamObs {
             checkpoint_wait_ns: m.timing_counter("stream.checkpoint_wait_ns"),
             emit_ns: m.timing_counter("stream.emit_ns"),
             synced: Cell::default(),
-        }
-    }
-
-    fn quarantine(&self, reason: QuarantineReason) {
-        if let Some((_, c)) = self.quarantined.iter().find(|(r, _)| *r == reason) {
-            c.inc();
         }
     }
 }
@@ -330,19 +319,13 @@ pub struct StreamRuntime<'s> {
     /// maps are not allocated again (without `collect_aggregates`).
     spare: Option<WindowAggregates>,
     pub(crate) attributor: Attributor,
-    pub(crate) proxy_validator: RecordValidator<ProxyRecord>,
-    pub(crate) mme_validator: RecordValidator<MmeRecord>,
-    pub(crate) quality: wearscope_report::DataQuality,
-    /// Each log's count against the error budget, for this process's
-    /// records (not checkpointed).
-    pub(crate) proxy_budget: BudgetTally,
-    pub(crate) mme_budget: BudgetTally,
+    /// Each log's validator and counts.
+    pub(crate) proxy: LogLedger<ProxyRecord>,
+    pub(crate) mme: LogLedger<MmeRecord>,
     /// Kept records that arrived behind the max event time.
     pub(crate) late_merged: u64,
     /// Windows emitted early by drop-oldest backpressure.
     pub(crate) forced_emits: u64,
-    /// Source items processed (kept + quarantined + malformed).
-    pub(crate) records_processed: u64,
     /// Metric handles (a private unobserved registry unless
     /// [`with_metrics`](StreamRuntime::with_metrics) routed them).
     pub(crate) obs: StreamObs,
@@ -369,15 +352,16 @@ impl<'s> StreamRuntime<'s> {
             collected: Vec::new(),
             spare: None,
             attributor: Attributor::new(),
-            proxy_validator: RecordValidator::new(config.max_timestamp),
-            mme_validator: RecordValidator::new(config.max_timestamp)
-                .with_sector_count(config.sector_count),
-            quality: wearscope_report::DataQuality::default(),
-            proxy_budget: BudgetTally::new(ShardSource::Proxy),
-            mme_budget: BudgetTally::new(ShardSource::Mme),
+            proxy: LogLedger::new(
+                ShardSource::Proxy,
+                RecordValidator::new(config.max_timestamp),
+            ),
+            mme: LogLedger::new(
+                ShardSource::Mme,
+                RecordValidator::new(config.max_timestamp).with_sector_count(config.sector_count),
+            ),
             late_merged: 0,
             forced_emits: 0,
-            records_processed: 0,
             obs: StreamObs::default(),
         }
     }
@@ -388,32 +372,28 @@ impl<'s> StreamRuntime<'s> {
     #[must_use]
     pub fn with_metrics(mut self, registry: &Registry) -> StreamRuntime<'s> {
         self.obs = StreamObs::new(registry);
-        self.obs.synced.set(self.counts());
+        self.obs.synced.set((self.quality(), self.late_merged));
         self
     }
 
-    /// The per-record counts [`sync_metrics`](Self::sync_metrics) adds to
-    /// the registry.
-    fn counts(&self) -> Synced {
-        Synced {
-            processed: self.records_processed,
-            kept: self.quality.records_kept,
-            late_merged: self.late_merged,
-        }
-    }
-
-    /// Adds the records processed and kept and the late merges since the
-    /// last call to the registry's counters, and sets the watermark gauge
-    /// if a record was kept since then (only a kept record moves it).
+    /// Adds the records processed, kept and quarantined and the late
+    /// merges since the last call to the registry's counters, and sets the
+    /// watermark gauge if a record was kept since then (only a kept record
+    /// moves it).
     fn sync_metrics(&self) {
-        let now = self.counts();
-        let was = self.obs.synced.replace(now);
+        let (now, late_merged) = (self.quality(), self.late_merged);
+        let (was, was_late_merged) = self.obs.synced.replace((now, late_merged));
         self.obs
             .records_processed
-            .add(now.processed - was.processed);
-        self.obs.records_kept.add(now.kept - was.kept);
-        self.obs.late_merged.add(now.late_merged - was.late_merged);
-        if now.kept != was.kept {
+            .add(now.records_seen - was.records_seen);
+        self.obs
+            .records_kept
+            .add(now.records_kept - was.records_kept);
+        for (reason, counter) in &self.obs.quarantined {
+            counter.add(now.quarantined.get(*reason) - was.quarantined.get(*reason));
+        }
+        self.obs.late_merged.add(late_merged - was_late_merged);
+        if now.records_kept != was.records_kept {
             self.obs
                 .watermark_secs
                 .set(self.watermark().as_secs() as i64);
@@ -428,7 +408,15 @@ impl<'s> StreamRuntime<'s> {
 
     /// Source items processed so far (kept + quarantined + malformed).
     pub fn records_processed(&self) -> u64 {
-        self.records_processed
+        self.proxy.quality().records_seen + self.mme.quality().records_seen
+    }
+
+    /// Both logs' ledgers as one quality section: seen, kept and
+    /// quarantined by reason.
+    pub(crate) fn quality(&self) -> DataQuality {
+        let mut quality = self.proxy.quality();
+        quality.merge(&self.mme.quality());
+        quality
     }
 
     /// Currently open windows.
@@ -457,30 +445,20 @@ impl<'s> StreamRuntime<'s> {
     /// [`StreamError::Backpressure`] under [`Backpressure::Block`] at the
     /// open-window cap.
     pub fn process_item(&mut self, item: SourceItem) -> Result<(), StreamError> {
-        self.records_processed += 1;
         match item {
             SourceItem::Malformed { kind, line, error } => {
-                self.quality.records_seen += 1;
                 let reason = reason_for_codec(&error);
                 match kind {
-                    SourceKind::Proxy => self.proxy_budget.malformed(line, reason),
-                    SourceKind::Mme => self.mme_budget.malformed(line, reason),
+                    SourceKind::Proxy => self.proxy.malformed(line, reason),
+                    SourceKind::Mme => self.mme.malformed(line, reason),
                 }
-                self.note_quarantine(reason);
                 Ok(())
             }
             SourceItem::Event(ev) => self.process_event(ev),
         }
     }
 
-    /// Books a quarantine in both the quality ledger and the metrics.
-    fn note_quarantine(&mut self, reason: QuarantineReason) {
-        self.quality.quarantined.note(reason);
-        self.obs.quarantine(reason);
-    }
-
     fn process_event(&mut self, ev: StreamEvent) -> Result<(), StreamError> {
-        self.quality.records_seen += 1;
         let ts = ev.timestamp();
         let ids = self.config.spec.assign(ts);
         let (lo, hi) = (*ids.start(), *ids.end());
@@ -491,24 +469,14 @@ impl<'s> StreamRuntime<'s> {
             .progress
             .is_some_and(|p| p.next_emit != p.base && hi < p.next_emit);
         let watermark = self.watermark();
-        let (verdict, tally) = match &ev {
-            StreamEvent::Proxy(r) => (
-                self.proxy_validator.check(r, watermark, sealed),
-                &mut self.proxy_budget,
-            ),
-            StreamEvent::Mme(r) => (
-                self.mme_validator.check(r, watermark, sealed),
-                &mut self.mme_budget,
-            ),
+        let verdict = match &ev {
+            StreamEvent::Proxy(r) => self.proxy.check(r, watermark, sealed),
+            StreamEvent::Mme(r) => self.mme.check(r, watermark, sealed),
         };
-        tally.parsed(verdict.as_ref().err().map(|rejected| rejected.reason));
-        let device = match verdict {
-            Ok(imei) => self.ctx.device_class_of(imei),
-            Err(rejected) => {
-                self.note_quarantine(rejected.reason);
-                return Ok(());
-            }
+        let Ok(imei) = verdict else {
+            return Ok(());
         };
+        let device = self.ctx.device_class_of(imei);
         let p = self.progress.get_or_insert(Progress {
             base: lo,
             next_emit: lo,
@@ -520,8 +488,6 @@ impl<'s> StreamRuntime<'s> {
             p.next_emit = lo;
         }
         let next_emit = p.next_emit;
-        // Kept.
-        self.quality.records_kept += 1;
         let late = self.max_event.is_some_and(|m| ts < m);
         self.late_merged += u64::from(late);
         let mut wearable = false;
@@ -706,7 +672,7 @@ impl<'s> StreamRuntime<'s> {
         loop {
             if opts
                 .stop_after
-                .is_some_and(|budget| self.records_processed >= budget)
+                .is_some_and(|budget| self.records_processed() >= budget)
             {
                 return Ok(PumpOutcome::Stopped);
             }
@@ -716,7 +682,7 @@ impl<'s> StreamRuntime<'s> {
                     let Some((path, every)) = &opts.checkpoint else {
                         continue;
                     };
-                    if *every > 0 && self.records_processed.is_multiple_of(*every) {
+                    if *every > 0 && self.records_processed().is_multiple_of(*every) {
                         let text = crate::checkpoint::to_text(self, source.position());
                         let w = match writer {
                             Some(w) => w,
@@ -769,24 +735,25 @@ impl<'s> StreamRuntime<'s> {
     }
 
     /// Applies `analyze`'s `--max-error-rate` rule to each log, proxy
-    /// first, over the records this process has met: call it when the
-    /// run ends.
+    /// first, over the whole log (a resumed run's ledgers carry the
+    /// checkpointed counts): call it when the run ends.
     ///
     /// # Errors
     /// [`IngestError::ErrorBudget`] for the first log over `budget`.
     pub fn check_error_budget(&self, budget: f64) -> Result<(), IngestError> {
-        self.proxy_budget.check(budget)?;
-        self.mme_budget.check(budget)
+        self.proxy.check_budget(budget)?;
+        self.mme.check_budget(budget)
     }
 
     /// Consumes the runtime into its summary and (if collected) the
     /// emitted windows' partial aggregates in index order.
     pub fn into_results(self) -> (StreamSummary, Vec<(u64, WindowAggregates)>) {
         let final_watermark_secs = self.max_event.map(|_| self.watermark().as_secs());
+        let quality = self.quality();
         (
             StreamSummary {
                 windows: self.reports,
-                quality: self.quality,
+                quality,
                 late_merged: self.late_merged,
                 forced_emits: self.forced_emits,
                 final_watermark_secs,
@@ -967,8 +934,11 @@ mod tests {
         // 1500 < max_event 2000 → late-merged; 1399 < watermark 1400 → out
         // of order.
         assert_eq!(rt.late_merged, 1);
-        assert_eq!(rt.quality.quarantined.get(QuarantineReason::OutOfOrder), 1);
-        assert_eq!(rt.quality.records_kept, 3);
+        assert_eq!(
+            rt.quality().quarantined.get(QuarantineReason::OutOfOrder),
+            1
+        );
+        assert_eq!(rt.quality().records_kept, 3);
     }
 
     #[test]
@@ -979,8 +949,8 @@ mod tests {
         let ev = fx.proxy(1, 1000, "api.weather.com");
         rt.process_item(SourceItem::Event(ev.clone())).unwrap();
         rt.process_item(SourceItem::Event(ev)).unwrap();
-        assert_eq!(rt.quality.quarantined.get(QuarantineReason::Duplicate), 1);
-        assert_eq!(rt.quality.records_kept, 1);
+        assert_eq!(rt.quality().quarantined.get(QuarantineReason::Duplicate), 1);
+        assert_eq!(rt.quality().records_kept, 1);
     }
 
     #[test]
@@ -1016,7 +986,10 @@ mod tests {
         // A record for the sealed window now has nowhere to go.
         rt.process_item(SourceItem::Event(fx.proxy(1, 200, "api.weather.com")))
             .unwrap();
-        assert_eq!(rt.quality.quarantined.get(QuarantineReason::OutOfOrder), 1);
+        assert_eq!(
+            rt.quality().quarantined.get(QuarantineReason::OutOfOrder),
+            1
+        );
         rt.finish();
         let (summary, _) = rt.into_results();
         assert_eq!(summary.forced_emits, 1);

@@ -26,6 +26,7 @@ use std::sync::mpsc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+use wearscope_ingest::panic_message;
 use wearscope_obs::{Counter, Registry};
 use wearscope_simtime::SimTime;
 use wearscope_trace::{
@@ -587,11 +588,7 @@ fn read_ahead<S: EventSource>(mut source: S, tx: &mpsc::SyncSender<Batch>, read_
 /// The error a panic on one of the stream's helper threads (`thread`
 /// names it) becomes.
 pub(crate) fn panicked(thread: &str, payload: Box<dyn Any + Send>) -> io::Error {
-    let message = payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_owned())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "no message".into());
+    let message = panic_message(payload.as_ref());
     io::Error::other(format!("the {thread} panicked: {message}"))
 }
 

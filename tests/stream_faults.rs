@@ -15,7 +15,10 @@ use wearscope::faults::{corrupt_world, FaultClass, FaultSpec};
 use wearscope::ingest::{fold_logs_resilient, IngestOptions, DEFAULT_MAX_ERROR_RATE};
 use wearscope::prelude::*;
 use wearscope::report::QuarantineReason;
-use wearscope::stream::{PumpOptions, PumpOutcome, StreamRuntime};
+use wearscope::stream::{
+    checkpoint, EventSource, Polled, PumpOptions, PumpOutcome, SourceItem, SourceKind,
+    StreamRuntime,
+};
 
 fn tiny_world(seed: u64) -> GeneratedWorld {
     let mut config = ScenarioConfig::compact(seed);
@@ -30,6 +33,17 @@ fn tiny_world(seed: u64) -> GeneratedWorld {
 fn stream_world(
     dir: &std::path::Path,
     lateness_secs: u64,
+) -> (wearscope::report::StreamSummary, Result<(), String>) {
+    stream_world_killed_at(dir, lateness_secs, None)
+}
+
+/// [`stream_world`], killed after `kill` items (if set) and resumed from
+/// a checkpoint of the runtime and source position taken there, as
+/// `stream --checkpoint DIR --resume` does.
+fn stream_world_killed_at(
+    dir: &std::path::Path,
+    lateness_secs: u64,
+    kill: Option<u64>,
 ) -> (wearscope::report::StreamSummary, Result<(), String>) {
     let db = DeviceDb::standard();
     let catalog = AppCatalog::standard();
@@ -46,6 +60,22 @@ fn stream_world(
     let mut src = WorldSource::open(dir, false)
         .expect("open source")
         .with_horizon(config.max_timestamp);
+    if let Some(stop_after) = kill {
+        let opts = PumpOptions {
+            stop_after: Some(stop_after),
+            ..PumpOptions::default()
+        };
+        assert_eq!(
+            rt.pump(&mut src, &opts).expect("pump"),
+            PumpOutcome::Stopped
+        );
+        let text = checkpoint::to_text(&rt, src.position());
+        let (resumed, position) = checkpoint::from_text(&ctx, config, &text).expect("restore");
+        rt = resumed;
+        src = WorldSource::resume(dir, &position.expect("a world position"), false)
+            .expect("resume source")
+            .with_horizon(config.max_timestamp);
+    }
     assert_eq!(
         rt.pump(&mut src, &PumpOptions::default()).expect("pump"),
         PumpOutcome::Finished
@@ -181,6 +211,75 @@ fn stream_fails_the_batch_error_budget_with_the_same_message() {
         stream.contains("(100.000%)") && stream.ends_with("(first: proxy record:0 skewed)"),
         "{stream}"
     );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A resumed run judges the logs as an uninterrupted one: killed before,
+/// inside or after an early stretch of malformed proxy lines (2 % of the
+/// log), each resumed run fails the error budget with `analyze`'s message
+/// and ends with the uninterrupted run's data quality.
+#[test]
+fn resumed_stream_keeps_the_error_budget() {
+    let world = tiny_world(7);
+    let dir = std::env::temp_dir().join(format!("wearscope-strresume-{}", std::process::id()));
+    world.save(&dir).expect("save world");
+    // Lines 2, 3, … get a non-numeric user field.
+    let path = dir.join("proxy.log");
+    let text = std::fs::read_to_string(&path).expect("read proxy log");
+    let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+    let damaged = lines.len() / 50 + 1;
+    for line in &mut lines[1..=damaged] {
+        let mut fields: Vec<&str> = line.split('\t').collect();
+        fields[1] = "x";
+        *line = fields.join("\t");
+    }
+    std::fs::write(&path, lines.join("\n") + "\n").expect("write proxy log");
+
+    // Where the damaged lines fall among the merged items.
+    let mut src = WorldSource::open(&dir, false).expect("open source");
+    let mut malformed = Vec::new();
+    let mut items = 0u64;
+    while let Polled::Item(item) = src.poll().expect("poll") {
+        if matches!(
+            item,
+            SourceItem::Malformed {
+                kind: SourceKind::Proxy,
+                ..
+            }
+        ) {
+            malformed.push(items);
+        }
+        items += 1;
+    }
+    assert_eq!(malformed.len(), damaged);
+    let (first, last) = (malformed[0], malformed[damaged - 1]);
+
+    let db = DeviceDb::standard();
+    let catalog = AppCatalog::standard();
+    let empty = TraceStore::new();
+    let window = GeneratedWorld::load_with_store(&dir, TraceStore::new())
+        .expect("load metadata")
+        .window;
+    let sectors = SectorDirectory::new();
+    let ctx = StudyContext::new(&empty, &db, &sectors, &catalog, window);
+    let batch = fold_logs_resilient(&dir, 2, &IngestOptions::for_world(&dir), &ctx)
+        .expect_err("analyze fails the budget")
+        .to_string();
+    assert!(
+        batch.starts_with(&format!("proxy log: {damaged}/"))
+            && batch.ends_with("(first: proxy line:2 bad-field)"),
+        "{batch}"
+    );
+
+    let (whole, budget) = stream_world(&dir, 300);
+    assert_eq!(budget, Err(batch.clone()));
+    for kill in [first, (first + last) / 2, last + 1 + (items - last) / 2] {
+        let (resumed, budget) = stream_world_killed_at(&dir, 300, Some(kill));
+        assert_eq!(budget, Err(batch.clone()), "killed after {kill} items");
+        assert_eq!(resumed.quality, whole.quality, "killed after {kill} items");
+        assert_eq!(resumed.windows, whole.windows, "killed after {kill} items");
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }
