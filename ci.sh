@@ -333,7 +333,27 @@ for count in 1000000000000000000 100000000000000; do
     test "$status" -eq 1
     grep -q "checkpoint line" "$FAULT_DIR/crafted.err"
 done
-echo "    crafted reports counts exit 1 with a checkpoint line error"
+# Each MME stream is one mobility row, `user imei first sector since`: an
+# attachment has both its sector and its since, or neither (`-` and `-`).
+# A stopped run's checkpoint holds open windows, so it has such rows.
+rm -rf "$FAULT_DIR/ckpt-crafted"
+"$WEARSCOPE" stream --world "$FAULT_DIR/stream-world" --window 1h --lateness 5m \
+    --checkpoint "$FAULT_DIR/ckpt-crafted" --checkpoint-every 2000 --stop-after 6001 >/dev/null 2>&1
+awk 'BEGIN { FS = OFS = "\t" }
+     row == 1 { if ($4 == "-") $4 = 1; $5 = "-"; row = 2 }
+     /^mobility\t[1-9]/ && !row { row = 1 }
+     { print }
+     END { exit row != 2 }' "$FAULT_DIR/ckpt-crafted/stream.ckpt" >"$FAULT_DIR/crafted.ckpt"
+mv "$FAULT_DIR/crafted.ckpt" "$FAULT_DIR/ckpt-crafted/stream.ckpt"
+status=0
+"$WEARSCOPE" stream --world "$FAULT_DIR/stream-world" --window 1h --lateness 5m \
+    --checkpoint "$FAULT_DIR/ckpt-crafted" --resume >/dev/null 2>"$FAULT_DIR/crafted.err" ||
+    status=$?
+test "$status" -eq 1
+grep -q 'checkpoint line [0-9]*: sector and since must both be present or both `-`' \
+    "$FAULT_DIR/crafted.err"
+echo "    crafted reports counts and a mobility row with a sector but no since exit 1"
+echo "    with a checkpoint line error"
 
 echo "==> malformed world metadata: typed errors, not crashes"
 # A world's manifest and cell plan are files a user can hand us: a layout

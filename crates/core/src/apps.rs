@@ -36,25 +36,12 @@ impl AppPopularity {
             day_users.entry((app, day)).or_default().insert(tx.user);
             user_days.entry((app, tx.user)).or_default().insert(day);
         }
-        AppPopularity::from_index(day_users, user_days, apps)
-    }
-
-    /// The finish step: normalizes the raw association index into the
-    /// Fig. 5(a) shares. Shared by [`AppPopularity::compute`] and the
-    /// merged partial; all float reductions in here go
-    /// through [`stats::stable_sum`] or exact integer-valued sums, so the
-    /// map iteration order below cannot leak into the results.
-    pub(crate) fn from_index(
-        day_users: HashMap<(AppId, u64), HashSet<UserId>>,
-        user_days: HashMap<(AppId, UserId), HashSet<u64>>,
-        apps: HashSet<AppId>,
-    ) -> AppPopularity {
-        // Average daily associated users per app.
+        // Every float reduction below goes through [`stats::stable_sum`] or
+        // an exact integer-valued sum, so the map iteration order cannot
+        // leak into the results. Average daily associated users per app:
         let mut assoc: HashMap<AppId, f64> = HashMap::default();
-        let mut days_per_app: HashMap<AppId, usize> = HashMap::default();
         for ((app, _day), users) in &day_users {
             *assoc.entry(*app).or_default() += users.len() as f64;
-            *days_per_app.entry(*app).or_default() += 1;
         }
         // Normalize: each app's average daily users over the sum across apps.
         let total_days = day_users

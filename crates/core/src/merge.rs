@@ -2,20 +2,21 @@
 //! ([`CoreAggregates::sequential`]) and of the streaming engine's
 //! event-time windows, both of which absorb into one [`CorePartials`].
 //!
-//! Each partial holds one kind of per-record fact, once. Everything the
-//! wearable proxy records say per user (active days and hours,
-//! transactions, bytes) lives in [`ActivityPartial`]; the hourly
-//! active-user counts, the per-user transaction rates, the wearable fields
-//! of [`UserTraffic`] and the daily user shares are derived from it in
-//! [`CorePartials::finish`]. The other partials keep only what activity
-//! cannot give: per-(weekday, hour) counters ([`HourlyProfilePartial`]),
-//! transaction sizes ([`TransactionStatsPartial`]), all-device totals
-//! ([`TrafficPartial`]), MME dwell state ([`MobilityPartial`]), the
-//! Fig. 4(d) sector join's timelines ([`SectorJoinPartial`]), app
-//! associations ([`AppPopularityPartial`]), the wearable devices and
-//! fingerprinted Through-Device users the proxy log shows, and the trace
-//! QA counters ([`QualityPartial`]). The domain classes and the
-//! unclassified-host count are derived from the attributed transactions.
+//! Each partial holds one kind of per-record fact, once, and
+//! [`CorePartials::finish`] derives everything that is a function of
+//! those facts. Each wearable proxy transaction is one `(time, bytes)`
+//! entry of its device in [`WearablePartial`], beside the device's sector
+//! sightings; the per-user activity (and from it the hourly active users,
+//! the per-user rates, the wearable fields of [`UserTraffic`] and the
+//! daily user shares), the wearable per-slot counters, the transaction
+//! sizes, the wearable device set and the Fig. 4(d) sector join come from
+//! those lists. Each attributed transaction is kept once, in
+//! [`CorePartials::attributed`]; app popularity, the domain classes and
+//! the unclassified-host count come from it. The other partials keep what
+//! neither gives: all-device per-slot counts ([`HourlyProfilePartial`]),
+//! all-device totals ([`TrafficPartial`]), one dwell state per MME stream
+//! ([`MobilityPartial`]), the fingerprinted Through-Device users and the
+//! trace QA counters ([`QualityPartial`]).
 //!
 //! The per-analysis entry points (`activity::user_activity`,
 //! `WeeklyPattern::compute`, `DataQualityReport::compute`, …) delegate to
@@ -23,9 +24,10 @@
 //! Batch folds run through one [`Fold`], whether over a store
 //! ([`CorePartials::fold`]) or over records as the loader parses them.
 
+use std::collections::hash_map::Entry;
 use std::collections::BTreeSet;
 
-use wearscope_appdb::{AppId, ThroughDeviceKind};
+use wearscope_appdb::ThroughDeviceKind;
 use wearscope_devicedb::{DeviceClass, Imei};
 use wearscope_simtime::SimTime;
 use wearscope_trace::{MmeEvent, MmeRecord, ProxyRecord, UserId};
@@ -44,58 +46,29 @@ use crate::through_device::ThroughDeviceReport;
 use crate::weekly::WeeklyPattern;
 
 // ---------------------------------------------------------------------------
-// Activity
+// Hourly profile
 // ---------------------------------------------------------------------------
 
-/// Per-user day/hour sets and exact counters over wearable proxy records:
-/// the one copy of the per-user activity record.
-#[derive(Clone, Debug, Default)]
-pub struct ActivityPartial {
-    /// Per-user aggregates so far.
-    pub per_user: HashMap<UserId, UserActivity>,
-}
-
-impl ActivityPartial {
-    /// Folds one wearable proxy record.
-    pub fn absorb(&mut self, r: &ProxyRecord) {
-        let agg = self.per_user.entry(r.user).or_default();
-        agg.days.insert(r.timestamp.day_index());
-        agg.hours.insert(r.timestamp.hour_index());
-        agg.transactions += 1;
-        agg.bytes += r.bytes_total();
-    }
-
-    /// Merges another partial into this one.
-    pub fn merge(&mut self, other: ActivityPartial) {
-        for (user, a) in other.per_user {
-            let agg = self.per_user.entry(user).or_default();
-            agg.days.extend(a.days);
-            agg.hours.extend(a.hours);
-            agg.transactions += a.transactions;
-            agg.bytes += a.bytes;
-        }
-    }
-}
-
-/// Exact per-slot counters for [`HourlyProfile`] and [`WeeklyPattern`]:
-/// 168 slots, one per (weekday, hour of day), Monday 0 h first. Each slot
-/// counts wearable transactions and bytes, and all-device transactions.
-/// Fig. 3(a)'s 48 (hour, weekend) slots and the weekly shares are exact
-/// sums of these; active users per slot come from the activity hours at
-/// finish.
+/// All-device transactions per weekly slot for [`WeeklyPattern`]: 168
+/// slots, one per (weekday, hour of day), Monday 0 h first. The wearable
+/// slots, and Fig. 3(a)'s 48 (hour, weekend) slots, come from the wearable
+/// transactions at finish.
 #[derive(Clone, Debug)]
 pub struct HourlyProfilePartial {
-    pub(crate) tx: [u64; 168],
-    pub(crate) bytes: [u64; 168],
     pub(crate) all_tx: [u64; 168],
 }
 
 impl Default for HourlyProfilePartial {
     fn default() -> Self {
-        HourlyProfilePartial {
-            tx: [0; 168],
-            bytes: [0; 168],
-            all_tx: [0; 168],
+        HourlyProfilePartial { all_tx: [0; 168] }
+    }
+}
+
+impl HourlyProfilePartial {
+    /// Merges another partial into this one.
+    pub fn merge(&mut self, other: HourlyProfilePartial) {
+        for s in 0..168 {
+            self.all_tx[s] += other.all_tx[s];
         }
     }
 }
@@ -114,50 +87,29 @@ fn hour_slot(ctx: &StudyContext<'_>, hour_index: u64) -> usize {
     (hour_index % 24) as usize + if weekend { 24 } else { 0 }
 }
 
-impl HourlyProfilePartial {
-    /// Merges another partial into this one.
-    pub fn merge(&mut self, other: HourlyProfilePartial) {
-        for s in 0..168 {
-            self.tx[s] += other.tx[s];
-            self.bytes[s] += other.bytes[s];
-            self.all_tx[s] += other.all_tx[s];
+/// Fig. 3(a) from the wearable per-slot counters. Each distinct absolute
+/// hour `h` of a user is exactly one distinct `(day h/24, user)` pair, in
+/// slot `h % 24` (plus 24 when day `h/24` is a weekend day), so counting
+/// activity hours per slot counts the slot's distinct active user-days.
+fn hourly_profile(
+    ctx: &StudyContext<'_>,
+    activity: &HashMap<UserId, UserActivity>,
+    week_tx: &[u64; 168],
+    week_bytes: &[u64; 168],
+) -> HourlyProfile {
+    let mut users = [0u64; 48];
+    for a in activity.values() {
+        for &h in &a.hours {
+            users[hour_slot(ctx, h)] += 1;
         }
     }
-
-    /// Finishes the profile. Each distinct absolute hour `h` of a user is
-    /// exactly one distinct `(day h/24, user)` pair, in slot `h % 24` (plus
-    /// 24 when day `h/24` is a weekend day), so counting activity hours per
-    /// slot counts the slot's distinct active user-days.
-    pub fn finish(
-        &self,
-        ctx: &StudyContext<'_>,
-        activity: &HashMap<UserId, UserActivity>,
-    ) -> HourlyProfile {
-        let mut users = [0u64; 48];
-        for a in activity.values() {
-            for &h in &a.hours {
-                users[hour_slot(ctx, h)] += 1;
-            }
-        }
-        let (mut tx, mut bytes) = ([0u64; 48], [0u64; 48]);
-        for s in 0..168 {
-            let weekend = usize::from(s / 24 >= 5);
-            tx[s % 24 + 24 * weekend] += self.tx[s];
-            bytes[s % 24 + 24 * weekend] += self.bytes[s];
-        }
-        HourlyProfile::from_slots(ctx, &users, &tx, &bytes)
+    let (mut tx, mut bytes) = ([0u64; 48], [0u64; 48]);
+    for s in 0..168 {
+        let weekend = usize::from(s / 24 >= 5);
+        tx[s % 24 + 24 * weekend] += week_tx[s];
+        bytes[s % 24 + 24 * weekend] += week_bytes[s];
     }
-}
-
-/// Wearable transaction sizes for [`TransactionStats`]; the per-user rates
-/// come from activity at finish.
-///
-/// Sizes are concatenated in merge order; `finish` hands them to
-/// [`crate::stats::Ecdf`], which sorts, so the order never reaches a float
-/// reduction.
-#[derive(Clone, Debug, Default)]
-pub struct TransactionStatsPartial {
-    pub(crate) sizes: Vec<f64>,
+    HourlyProfile::from_slots(ctx, &users, &tx, &bytes)
 }
 
 // ---------------------------------------------------------------------------
@@ -211,34 +163,35 @@ impl TrafficPartial {
 // Mobility
 // ---------------------------------------------------------------------------
 
-/// Partial for [`MobilityIndex`]: in-flight attachments, per-day sector
+/// One `(user, imei)` MME stream's state within a partial.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct MmeStream {
+    /// The first MME event this partial absorbed for the stream: where a
+    /// merge closes an earlier segment's open attachment.
+    pub(crate) first: SimTime,
+    /// The attachment still open: its sector and since when.
+    pub(crate) open: Option<(u32, SimTime)>,
+}
+
+/// Partial for [`MobilityIndex`]: one state per MME stream, per-day sector
 /// sets, and exact dwell counters.
 ///
-/// Two partials of the same stream can be merged in either of two shapes:
-///
-/// * **user-disjoint shards** — no `(user, imei)`
-///   stream appears in both partials, and merge is a plain union;
-/// * **time-split segments** (the streaming engine's event-time windows) —
-///   `other` holds the *later* segment of any stream both partials saw.
-///   An attachment left open in `self` is closed at the first event the
-///   later segment recorded for that stream ([`MobilityPartial`] tracks
-///   that timestamp in `first_event`), which is exactly where the
-///   sequential fold would have closed it.
+/// [`merge`](MobilityPartial::merge) takes the *later* time-split segment
+/// of any stream both partials saw (the streaming engine's event-time
+/// windows). An attachment left open in the earlier partial is closed at
+/// the later segment's first event for that stream, which is exactly where
+/// the sequential fold would have closed it.
 ///
 /// Within each partial, each `(user, imei)` stream must be absorbed in log
 /// (time) order — dwell tracking is stateful.
 #[derive(Clone, Debug, Default)]
 pub struct MobilityPartial {
-    pub(crate) current: HashMap<(UserId, u64), (u32, SimTime)>,
+    pub(crate) streams: HashMap<(UserId, u64), MmeStream>,
     /// Per `(user, day)`: the sectors seen, ascending and distinct. A
     /// user-day sees a few sectors, so a sorted `Vec` holds them in a
     /// fraction of a `HashSet`'s memory.
     pub(crate) day_sectors: HashMap<(UserId, u64), Vec<u32>>,
     pub(crate) per_user: HashMap<UserId, UserMobility>,
-    /// Per `(user, imei)`: timestamp of the first MME event this partial
-    /// absorbed for that stream — the boundary a later time-split segment
-    /// supplies so an earlier segment's open dwell can be closed in merge.
-    pub(crate) first_event: HashMap<(UserId, u64), SimTime>,
 }
 
 /// Adds `sector` to an ascending, distinct sector list.
@@ -269,40 +222,42 @@ fn close_dwell(
 impl MobilityPartial {
     /// Folds one MME record.
     pub fn absorb(&mut self, r: &MmeRecord) {
-        let key = (r.user, r.imei);
-        self.first_event.entry(key).or_insert(r.timestamp);
-        match r.event {
+        let stream = self.streams.entry((r.user, r.imei)).or_insert(MmeStream {
+            first: r.timestamp,
+            open: None,
+        });
+        let closed = match r.event {
             MmeEvent::Attach | MmeEvent::SectorUpdate => {
-                if let Some((sector, since)) = self.current.insert(key, (r.sector, r.timestamp)) {
-                    close_dwell(&mut self.per_user, r.user, sector, since, r.timestamp);
-                }
                 let day = self.day_sectors.entry((r.user, r.timestamp.day_index()));
                 insert_sector(day.or_default(), r.sector);
+                stream.open.replace((r.sector, r.timestamp))
             }
-            MmeEvent::Detach => {
-                if let Some((sector, since)) = self.current.remove(&key) {
-                    close_dwell(&mut self.per_user, r.user, sector, since, r.timestamp);
-                }
-            }
+            MmeEvent::Detach => stream.open.take(),
+        };
+        if let Some((sector, since)) = closed {
+            close_dwell(&mut self.per_user, r.user, sector, since, r.timestamp);
         }
     }
 
-    /// Merges a user-disjoint or later time-split partial into this one.
+    /// Merges a later time-split partial into this one.
     pub fn merge(&mut self, other: MobilityPartial) {
-        // Time-split closure: an attachment still open in this (earlier)
-        // partial ends where the later segment's stream begins — the
-        // sequential fold would have closed it at that same event
-        // (Attach/SectorUpdate close the previous sector; a leading Detach
-        // closes at detach time). For user-disjoint shards no key overlaps
-        // and this loop is a no-op.
-        for (key, first) in &other.first_event {
-            if let Some((sector, since)) = self.current.remove(key) {
-                close_dwell(&mut self.per_user, key.0, sector, since, *first);
+        for (key, later) in other.streams {
+            match self.streams.entry(key) {
+                // The sequential fold would have closed this stream's open
+                // attachment at the later segment's first event
+                // (Attach/SectorUpdate close the previous sector; a
+                // leading Detach closes at detach time).
+                Entry::Occupied(mut e) => {
+                    let mine = e.get_mut();
+                    if let Some((sector, since)) = mine.open.take() {
+                        close_dwell(&mut self.per_user, key.0, sector, since, later.first);
+                    }
+                    mine.open = later.open;
+                }
+                Entry::Vacant(e) => {
+                    e.insert(later);
+                }
             }
-        }
-        self.current.extend(other.current);
-        for (key, first) in other.first_event {
-            self.first_event.entry(key).or_insert(first);
         }
         for (key, sectors) in other.day_sectors {
             let mine = self.day_sectors.entry(key).or_default();
@@ -326,47 +281,52 @@ impl MobilityPartial {
     /// builds the index.
     pub fn finish(self, ctx: &StudyContext<'_>) -> MobilityIndex {
         let MobilityPartial {
-            current,
+            streams,
             day_sectors,
             mut per_user,
-            first_event: _,
         } = self;
         let end = ctx.window.detailed().end();
-        for ((user, _), (sector, since)) in current {
-            close_dwell(&mut per_user, user, sector, since, end);
+        for ((user, _), stream) in streams {
+            if let Some((sector, since)) = stream.open {
+                close_dwell(&mut per_user, user, sector, since, end);
+            }
         }
         MobilityIndex::from_dwell_and_days(ctx, per_user, day_sectors)
     }
 }
 
 // ---------------------------------------------------------------------------
-// Sector join (Fig. 4(d))
+// Wearable devices (Figs. 3 and 4(d))
 // ---------------------------------------------------------------------------
 
-/// The Fig. 4(d) join of the two logs, kept as exact state: each wearable
-/// `(user, imei)`'s sector timeline from its Attach and SectorUpdate
-/// records, and the times of its proxy transactions. [`finish`] attributes
-/// each transaction to the sector the device was last seen in that same
-/// day.
+/// The wearable facts of both logs, kept once per `(user, imei)`: each
+/// proxy transaction as `(time, bytes)`, and the sector timeline of its
+/// Attach and SectorUpdate records. [`CorePartials::finish`] derives the
+/// activity, the wearable slot counters, the sizes and the device set from
+/// the transactions; [`finish`] joins them with the timelines for
+/// Fig. 4(d), attributing each transaction to the sector the device was
+/// last seen in that same day.
 ///
-/// Merge concatenates, so merged time-split segments hold each timeline
-/// in segment order; [`finish`] stably sorts each timeline by time, which
-/// is a no-op for a fold in log order.
+/// Merge concatenates, so merged time-split segments hold each list in
+/// segment order; [`finish`] stably sorts each timeline by time, which is
+/// a no-op for a fold in log order.
 ///
-/// [`finish`]: SectorJoinPartial::finish
+/// [`finish`]: WearablePartial::finish
 #[derive(Clone, Debug, Default)]
-pub struct SectorJoinPartial {
+pub struct WearablePartial {
     pub(crate) timelines: HashMap<(UserId, u64), Vec<(SimTime, u32)>>,
-    pub(crate) transactions: HashMap<(UserId, u64), Vec<SimTime>>,
+    /// Per wearable `(user, imei)`: its proxy transactions' `(time,
+    /// bytes)`, in absorption order.
+    pub transactions: HashMap<(UserId, u64), Vec<(SimTime, u64)>>,
 }
 
-impl SectorJoinPartial {
+impl WearablePartial {
     /// Folds one wearable proxy transaction.
     pub fn absorb_transaction(&mut self, r: &ProxyRecord) {
         self.transactions
             .entry((r.user, r.imei))
             .or_default()
-            .push(r.timestamp);
+            .push((r.timestamp, r.bytes_total()));
     }
 
     /// Folds one wearable MME record: Attach and SectorUpdate place the
@@ -381,12 +341,12 @@ impl SectorJoinPartial {
     }
 
     /// Merges a later segment into this one.
-    pub fn merge(&mut self, other: SectorJoinPartial) {
+    pub fn merge(&mut self, other: WearablePartial) {
         for (key, sightings) in other.timelines {
             self.timelines.entry(key).or_default().extend(sightings);
         }
-        for (key, times) in other.transactions {
-            self.transactions.entry(key).or_default().extend(times);
+        for (key, txs) in other.transactions {
+            self.transactions.entry(key).or_default().extend(txs);
         }
     }
 
@@ -397,12 +357,12 @@ impl SectorJoinPartial {
     pub fn finish(self) -> HashMap<UserId, HashSet<u32>> {
         let mut timelines = self.timelines;
         let mut out: HashMap<UserId, HashSet<u32>> = HashMap::default();
-        for (key, times) in self.transactions {
+        for (key, txs) in self.transactions {
             let Some(tl) = timelines.get_mut(&key) else {
                 continue;
             };
             tl.sort_by_key(|&(t, _)| t);
-            for t in times {
+            for (t, _) in txs {
                 let idx = tl.partition_point(|&(at, _)| at <= t);
                 if idx > 0 {
                     let (at, sector) = tl[idx - 1];
@@ -413,47 +373,6 @@ impl SectorJoinPartial {
             }
         }
         out
-    }
-}
-
-// ---------------------------------------------------------------------------
-// App popularity
-// ---------------------------------------------------------------------------
-
-/// Partial for [`AppPopularity`]: `(app, day) → users` and
-/// `(app, user) → days` sets over attributed wearable transactions.
-#[derive(Clone, Debug, Default)]
-pub struct AppPopularityPartial {
-    pub(crate) day_users: HashMap<(AppId, u64), HashSet<UserId>>,
-    pub(crate) user_days: HashMap<(AppId, UserId), HashSet<u64>>,
-    pub(crate) apps: HashSet<AppId>,
-}
-
-impl AppPopularityPartial {
-    /// Folds one attributed transaction.
-    pub fn absorb(&mut self, tx: &AttributedTx) {
-        let Some(app) = tx.app else { return };
-        self.apps.insert(app);
-        let day = tx.timestamp.day_index();
-        self.day_users
-            .entry((app, day))
-            .or_default()
-            .insert(tx.user);
-        self.user_days
-            .entry((app, tx.user))
-            .or_default()
-            .insert(day);
-    }
-
-    /// Merges another partial into this one.
-    pub fn merge(&mut self, other: AppPopularityPartial) {
-        for (key, users) in other.day_users {
-            self.day_users.entry(key).or_default().extend(users);
-        }
-        for (key, days) in other.user_days {
-            self.user_days.entry(key).or_default().extend(days);
-        }
-        self.apps.extend(other.apps);
     }
 }
 
@@ -538,38 +457,30 @@ impl CoreAggregates {
 /// batch fold ([`CoreAggregates::sequential`]) and the streaming engine's
 /// windows absorb into, merge, snapshot and finish.
 ///
-/// **Determinism contract.** Merging bundles in ascending order (shard
-/// index, or window index for time-split segments) and finishing once must
-/// be *bit-identical* to one sequential fold, for any partition that keeps
+/// **Determinism contract.** Merging bundles in ascending order (window
+/// index for time-split segments) and finishing once must be
+/// *bit-identical* to one sequential fold, for any partition that keeps
 /// each `(user, imei)` MME stream in log order. The bundle upholds this by
-/// keeping only exact state — integer counters, day/hour/user sets, dwell
-/// seconds, raw transaction sizes — during absorb and merge, and deferring
-/// every float reduction to the single-threaded [`CorePartials::finish`],
-/// where iteration order is fixed by sorting (or by [`crate::stats::Ecdf`],
-/// which sorts its samples on construction). Float summation is not
-/// associative, so *when* a sum happens matters more than how threads are
-/// scheduled: no partial ever carries a partially reduced float.
+/// keeping only exact state — integer counters, day sets, dwell seconds,
+/// raw transactions — during absorb and merge, and deferring every
+/// derivation and float reduction to the single-threaded
+/// [`CorePartials::finish`], where iteration order is fixed by sorting (or
+/// by [`crate::stats::Ecdf`], which sorts its samples on construction).
+/// Float summation is not associative, so *when* a sum happens matters
+/// more than how threads are scheduled: no partial ever carries a
+/// partially reduced float.
 #[derive(Clone, Debug, Default)]
 pub struct CorePartials {
-    /// Per-user wearable activity: the one copy of the per-user record.
-    pub activity: ActivityPartial,
-    /// Per-slot counters of the hourly profile and the weekly pattern.
+    /// All-device per-slot counters of the weekly pattern.
     pub hourly: HourlyProfilePartial,
-    /// Wearable transaction sizes.
-    pub tx_stats: TransactionStatsPartial,
     /// All-device traffic totals.
     pub traffic: TrafficPartial,
     /// Mobility partial (MME side).
     pub mobility: MobilityPartial,
-    /// The Fig. 4(d) sector join's timelines and transaction times.
-    pub sector_join: SectorJoinPartial,
-    /// App popularity partial, fed from attributed transactions.
-    pub popularity: AppPopularityPartial,
+    /// Each wearable device's transactions and sector timeline.
+    pub wearable: WearablePartial,
     /// Attributed transactions, in absorption order.
     pub attributed: Vec<AttributedTx>,
-    /// Wearable `(user, imei)` pairs seen in the proxy log (the MME side
-    /// of the device mix is the mobility partial's stream keys).
-    pub wearable_devices: HashSet<(UserId, u64)>,
     /// `(kind, user)` pairs the Through-Device fingerprints identify in
     /// smartphone traffic.
     pub through_device: HashSet<(ThroughDeviceKind, UserId)>,
@@ -603,9 +514,8 @@ impl CorePartials {
         r: &ProxyRecord,
         device: Option<DeviceClass>,
     ) -> bool {
-        let slot = week_slot(ctx, r.timestamp);
         self.traffic.absorb(r);
-        self.hourly.all_tx[slot] += 1;
+        self.hourly.all_tx[week_slot(ctx, r.timestamp)] += 1;
         // Records come in time order, so most share the newest day.
         let day = r.timestamp.day_index();
         if self.quality.proxy_days.last() != Some(&day) {
@@ -614,12 +524,7 @@ impl CorePartials {
         self.quality.out_of_window_records += u64::from(!ctx.window.in_detail(r.timestamp));
         match device {
             Some(DeviceClass::CellularWearable) => {
-                self.activity.absorb(r);
-                self.hourly.tx[slot] += 1;
-                self.hourly.bytes[slot] += r.bytes_total();
-                self.tx_stats.sizes.push(r.bytes_total() as f64);
-                self.wearable_devices.insert((r.user, r.imei));
-                self.sector_join.absorb_transaction(r);
+                self.wearable.absorb_transaction(r);
                 return true;
             }
             Some(DeviceClass::Smartphone) => {
@@ -634,8 +539,8 @@ impl CorePartials {
     }
 
     /// Folds one MME record from a device of class `device` into the
-    /// mobility partial, the QA counters and, for a wearable, the sector
-    /// join.
+    /// mobility partial, the QA counters and, for a wearable, its sector
+    /// timeline.
     pub fn absorb_mme(
         &mut self,
         ctx: &StudyContext<'_>,
@@ -644,30 +549,25 @@ impl CorePartials {
     ) {
         self.mobility.absorb(r);
         if device == Some(DeviceClass::CellularWearable) {
-            self.sector_join.absorb_sighting(r);
+            self.wearable.absorb_sighting(r);
         }
         self.quality.mme_records += 1;
         self.quality.out_of_window_records += u64::from(!ctx.window.in_detail(r.timestamp));
     }
 
-    /// Folds one attributed transaction into the popularity partial and
-    /// keeps it for the session and domain analyses.
+    /// Keeps one attributed transaction for the popularity, session and
+    /// domain analyses.
     pub fn absorb_attributed(&mut self, tx: &AttributedTx) {
-        self.popularity.absorb(tx);
         self.attributed.push(*tx);
     }
 
     /// Merges a later bundle into this one (see the determinism contract).
     pub fn merge(&mut self, other: CorePartials) {
-        self.activity.merge(other.activity);
         self.hourly.merge(other.hourly);
-        self.tx_stats.sizes.extend(other.tx_stats.sizes);
         self.traffic.merge(other.traffic);
         self.mobility.merge(other.mobility);
-        self.sector_join.merge(other.sector_join);
-        self.popularity.merge(other.popularity);
+        self.wearable.merge(other.wearable);
         self.attributed.extend(other.attributed);
-        self.wearable_devices.extend(other.wearable_devices);
         self.through_device.extend(other.through_device);
         self.quality.merge(other.quality);
     }
@@ -678,86 +578,92 @@ impl CorePartials {
     /// named, so a field added later cannot be missed.
     pub fn clear(&mut self) {
         let CorePartials {
-            activity: ActivityPartial { per_user: activity },
             hourly,
-            tx_stats: TransactionStatsPartial { sizes },
             traffic: TrafficPartial { per_user: traffic },
             mobility:
                 MobilityPartial {
-                    current,
+                    streams,
                     day_sectors,
                     per_user: mobility,
-                    first_event,
                 },
-            sector_join:
-                SectorJoinPartial {
+            wearable:
+                WearablePartial {
                     timelines,
                     transactions,
                 },
-            popularity:
-                AppPopularityPartial {
-                    day_users,
-                    user_days,
-                    apps,
-                },
             attributed,
-            wearable_devices,
             through_device,
             quality,
         } = self;
-        activity.clear();
         *hourly = HourlyProfilePartial::default();
-        sizes.clear();
         traffic.clear();
-        current.clear();
+        streams.clear();
         day_sectors.clear();
         mobility.clear();
-        first_event.clear();
         timelines.clear();
         transactions.clear();
-        day_users.clear();
-        user_days.clear();
-        apps.clear();
         attributed.clear();
-        wearable_devices.clear();
         through_device.clear();
         *quality = QualityPartial::default();
     }
 
-    /// Finishes every partial. The hourly active users, the per-user
-    /// rates, the wearable traffic fields and the daily user shares derive
-    /// from the one activity record; the domain classes and the
-    /// unclassified count from the attributed transactions; the MME side
-    /// of the device mix and the QA's MME users from the mobility stream
-    /// keys; the owners from the wearable devices of both logs. Attributed
+    /// Finishes every partial. One pass over the wearable transactions
+    /// gives the per-user activity, the wearable slot counters and the
+    /// transaction sizes; the hourly active users, the per-user rates, the
+    /// wearable traffic fields and the daily user shares derive from that
+    /// activity. App popularity, the domain classes and the unclassified
+    /// count come from the attributed transactions; the MME side of the
+    /// device mix and the QA's MME users from the mobility stream keys;
+    /// the owners from the wearable devices of both logs. Attributed
     /// transactions end sorted by `(user, timestamp)`; the sort is stable,
     /// so transactions sharing a key keep their absorption order.
     pub fn finish(self, ctx: &StudyContext<'_>) -> CoreAggregates {
-        let activity = self.activity.per_user;
-        let mut attributed = self.attributed;
+        let CorePartials {
+            hourly,
+            traffic,
+            mobility,
+            wearable,
+            mut attributed,
+            through_device,
+            quality,
+        } = self;
+        let mut activity: HashMap<UserId, UserActivity> = HashMap::default();
+        let (mut week_tx, mut week_bytes) = ([0u64; 168], [0u64; 168]);
+        let mut sizes = Vec::new();
+        for (&(user, _), txs) in &wearable.transactions {
+            let a = activity.entry(user).or_default();
+            for &(t, bytes) in txs {
+                a.days.insert(t.day_index());
+                a.hours.insert(t.hour_index());
+                a.transactions += 1;
+                a.bytes += bytes;
+                let slot = week_slot(ctx, t);
+                week_tx[slot] += 1;
+                week_bytes[slot] += bytes;
+                sizes.push(bytes as f64);
+            }
+        }
         attributed.sort_by_key(|t| (t.user, t.timestamp));
-        let p = self.popularity;
-        let streams = self.mobility.first_event.keys();
+        let streams = mobility.streams.keys();
         let mme_users: HashSet<UserId> = streams.clone().map(|&(user, _)| user).collect();
-        let mut devices = self.wearable_devices;
+        let mut devices: HashSet<(UserId, u64)> = wearable.transactions.keys().copied().collect();
         devices.extend(
             streams.filter(|&&(_, imei)| {
                 ctx.device_class(imei) == Some(DeviceClass::CellularWearable)
             }),
         );
         let owners: HashSet<UserId> = devices.iter().map(|&(user, _)| user).collect();
-        let traffic = self.traffic.finish(&activity);
-        let mobility = self.mobility.finish(ctx);
+        let traffic = traffic.finish(&activity);
+        let mobility = mobility.finish(ctx);
         let domains = DomainBreakdown::from_attributed(&attributed);
-        let quality =
-            DataQualityReport::from_parts(ctx, self.quality, &traffic, &mme_users, &domains);
+        let quality = DataQualityReport::from_parts(ctx, quality, &traffic, &mme_users, &domains);
         CoreAggregates {
-            hourly: self.hourly.finish(ctx, &activity),
-            weekly: WeeklyPattern::from_slots(ctx, &self.hourly.tx, &self.hourly.all_tx, &activity),
-            tx_stats: TransactionStats::from_parts(self.tx_stats.sizes, &activity),
-            through_device: ThroughDeviceReport::join(self.through_device, &mobility, &owners),
+            hourly: hourly_profile(ctx, &activity, &week_tx, &week_bytes),
+            weekly: WeeklyPattern::from_slots(ctx, &week_tx, &hourly.all_tx, &activity),
+            tx_stats: TransactionStats::from_parts(sizes, &activity),
+            through_device: ThroughDeviceReport::join(through_device, &mobility, &owners),
             devices: DeviceMix::from_devices(ctx, &devices),
-            popularity: AppPopularity::from_index(p.day_users, p.user_days, p.apps),
+            popularity: AppPopularity::compute(&attributed),
             traffic,
             mobility,
             domains,
@@ -765,7 +671,7 @@ impl CorePartials {
             attributed,
             activity,
             owners,
-            transaction_sectors: self.sector_join.finish(),
+            transaction_sectors: wearable.finish(),
         }
     }
 }
@@ -833,9 +739,6 @@ impl<'c> Fold<'c> {
         } = self;
         partials.attributed.reserve(attributor.pending());
         attributor.flush(&mut partials.attributed);
-        for tx in &partials.attributed {
-            partials.popularity.absorb(tx);
-        }
         partials
     }
 }
@@ -1008,7 +911,7 @@ mod tests {
             event: MmeEvent::SectorUpdate,
             sector,
         };
-        let mut join = SectorJoinPartial::default();
+        let mut join = WearablePartial::default();
         for (t, sector) in [(100, 1), (300, 3), (200, 2)] {
             join.absorb_sighting(&sighting(t, sector));
         }

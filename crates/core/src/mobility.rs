@@ -204,7 +204,7 @@ pub struct MobilityActivity {
 impl MobilityActivity {
     /// Joins mobility with activity; the single-location share counts the
     /// sectors each user's wearable transactions came from (the sector
-    /// join of [`crate::merge::SectorJoinPartial`]).
+    /// join of [`crate::merge::WearablePartial`]).
     pub fn compute(
         index: &MobilityIndex,
         activity: &HashMap<UserId, UserActivity>,

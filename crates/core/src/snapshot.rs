@@ -10,14 +10,15 @@
 //! * fields are **tab-separated**; a list field is **space-separated**,
 //!   and an empty list is a literal `-`, never an empty field (TSV cannot
 //!   tell those apart); an absent option is a literal `-` too;
-//! * `f64` values are written as the **hex of their IEEE-754 bit pattern**
-//!   (`{:016x}` of [`f64::to_bits`]), so restore is bit-exact — the
-//!   determinism contract of [`CorePartials`] survives a round-trip;
+//! * there is **no float**: [`CorePartials`] holds only exact state and
+//!   derives every float in `finish`, so its determinism contract
+//!   survives a round-trip;
 //! * map and set contents are written in **sorted key order**, so two
 //!   partials with equal state produce byte-identical snapshots regardless
 //!   of hash iteration order. Sequence-valued state whose *order* is
 //!   semantic (attributed transactions, whose within-key order feeds a
-//!   stable sort downstream) is written in sequence order instead.
+//!   stable sort downstream, and each wearable device's sightings and
+//!   transactions) is written in sequence order instead.
 //!
 //! A checkpoint is a file a user can hand us, so reading follows two more
 //! rules and a damaged one gives a [`SnapshotError`] naming its line, never
@@ -39,11 +40,10 @@ use wearscope_appdb::{AppId, Classification, DomainClass, ThroughDeviceKind};
 use wearscope_simtime::SimTime;
 use wearscope_trace::UserId;
 
-use crate::activity::UserActivity;
 use crate::hash::{HashMap, HashSet};
 use crate::merge::{
-    ActivityPartial, AppPopularityPartial, CorePartials, HourlyProfilePartial, MobilityPartial,
-    QualityPartial, SectorJoinPartial, TrafficPartial, TransactionStatsPartial,
+    CorePartials, HourlyProfilePartial, MmeStream, MobilityPartial, QualityPartial, TrafficPartial,
+    WearablePartial,
 };
 use crate::mobility::UserMobility;
 use crate::sessions::{AttributedTx, Attributor, UserTxs};
@@ -109,18 +109,6 @@ impl Field for bool {
             "1" => Ok(true),
             _ => Err(format!("`{s}` is not a 0/1 flag")),
         }
-    }
-}
-
-impl Field for f64 {
-    fn write(&self, out: &mut String) {
-        let _ = write!(out, "{:016x}", self.to_bits());
-    }
-
-    fn parse(s: &str) -> Result<Self, String> {
-        u64::from_str_radix(s, 16)
-            .map(f64::from_bits)
-            .map_err(|_| format!("`{s}` is not an f64 bit pattern"))
     }
 }
 
@@ -475,54 +463,13 @@ pub fn sorted_entries<K: Ord, V>(map: &HashMap<K, V>) -> Vec<(&K, &V)> {
 // Partial impls
 // ---------------------------------------------------------------------------
 
-impl Snapshot for ActivityPartial {
-    fn snapshot(&self, out: &mut String) {
-        RowWriter::tagged(out, "activity")
-            .put(self.per_user.len())
-            .end();
-        for (user, a) in sorted_entries(&self.per_user) {
-            RowWriter::new(out)
-                .put(*user)
-                .put(a.transactions)
-                .put(a.bytes)
-                .list(sorted(&a.days))
-                .list(sorted(&a.hours))
-                .end();
-        }
-    }
-
-    fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let mut per_user = HashMap::default();
-        for _ in 0..r.count("activity")? {
-            let mut row = r.row()?;
-            let user = row.field()?;
-            let a = UserActivity {
-                transactions: row.field()?,
-                bytes: row.field()?,
-                days: row.list()?,
-                hours: row.list()?,
-            };
-            row.end()?;
-            per_user.insert(user, a);
-        }
-        Ok(ActivityPartial { per_user })
-    }
-}
-
-/// Only the slots some record reached, as `slot tx bytes all-tx`.
+/// Only the slots some record reached, as `slot all-tx`.
 impl Snapshot for HourlyProfilePartial {
     fn snapshot(&self, out: &mut String) {
-        let slots: Vec<usize> = (0..168)
-            .filter(|&s| (self.tx[s], self.bytes[s], self.all_tx[s]) != (0, 0, 0))
-            .collect();
+        let slots: Vec<usize> = (0..168).filter(|&s| self.all_tx[s] != 0).collect();
         RowWriter::tagged(out, "hourly").put(slots.len()).end();
         for s in slots {
-            RowWriter::new(out)
-                .put(s)
-                .put(self.tx[s])
-                .put(self.bytes[s])
-                .put(self.all_tx[s])
-                .end();
+            RowWriter::new(out).put(s).put(self.all_tx[s]).end();
         }
     }
 
@@ -534,32 +481,10 @@ impl Snapshot for HourlyProfilePartial {
             if s >= 168 {
                 return Err(row.err(format!("slot {s} is not below 168")));
             }
-            partial.tx[s] = row.field()?;
-            partial.bytes[s] = row.field()?;
             partial.all_tx[s] = row.field()?;
             row.end()?;
         }
         Ok(partial)
-    }
-}
-
-impl Snapshot for TransactionStatsPartial {
-    fn snapshot(&self, out: &mut String) {
-        RowWriter::tagged(out, "tx-stats")
-            .put(self.sizes.len())
-            .end();
-        RowWriter::new(out).list(self.sizes.iter().copied()).end();
-    }
-
-    fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let n = r.count("tx-stats")?;
-        let mut row = r.row()?;
-        let sizes: Vec<f64> = row.list()?;
-        if sizes.len() as u64 != n {
-            return Err(row.err(format!("expected {n} sizes, found {}", sizes.len())));
-        }
-        row.end()?;
-        Ok(TransactionStatsPartial { sizes })
     }
 }
 
@@ -584,20 +509,23 @@ impl Snapshot for TrafficPartial {
     }
 }
 
+/// One row per MME stream, `user imei first sector since`, with `-` and
+/// `-` for a stream that is not attached; then the day sectors and the
+/// dwell counters.
 impl Snapshot for MobilityPartial {
     fn snapshot(&self, out: &mut String) {
         RowWriter::tagged(out, "mobility")
-            .put(self.current.len())
+            .put(self.streams.len())
             .put(self.day_sectors.len())
             .put(self.per_user.len())
-            .put(self.first_event.len())
             .end();
-        for (&(user, imei), &(sector, since)) in sorted_entries(&self.current) {
+        for (&(user, imei), stream) in sorted_entries(&self.streams) {
             RowWriter::new(out)
                 .put(user)
                 .put(imei)
-                .put(sector)
-                .put(since)
+                .put(stream.first)
+                .put(stream.open.map(|(sector, _)| sector))
+                .put(stream.open.map(|(_, since)| since))
                 .end();
         }
         for (&(user, day), sectors) in sorted_entries(&self.day_sectors) {
@@ -618,21 +546,24 @@ impl Snapshot for MobilityPartial {
                 .list(dwell.into_iter().map(|(&sector, &secs)| (sector, secs)))
                 .end();
         }
-        for (&(user, imei), &t) in sorted_entries(&self.first_event) {
-            RowWriter::new(out).put(user).put(imei).put(t).end();
-        }
     }
 
     fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         let mut head = r.tagged("mobility")?;
-        let counts: [u64; 4] = [head.field()?, head.field()?, head.field()?, head.field()?];
+        let counts: [u64; 3] = [head.field()?, head.field()?, head.field()?];
         head.end()?;
         let mut partial = MobilityPartial::default();
         for _ in 0..counts[0] {
             let mut row = r.row()?;
             let key = (row.field()?, row.field()?);
-            partial.current.insert(key, (row.field()?, row.field()?));
+            let first = row.field()?;
+            let open = match (row.field()?, row.field()?) {
+                (Some(sector), Some(since)) => Some((sector, since)),
+                (None, None) => None,
+                _ => return Err(row.err("sector and since must both be present or both `-`")),
+            };
             row.end()?;
+            partial.streams.insert(key, MmeStream { first, open });
         }
         for _ in 0..counts[1] {
             let mut row = r.row()?;
@@ -654,21 +585,17 @@ impl Snapshot for MobilityPartial {
             row.end()?;
             partial.per_user.insert(user, m);
         }
-        for _ in 0..counts[3] {
-            let mut row = r.row()?;
-            let key = (row.field()?, row.field()?);
-            partial.first_event.insert(key, row.field()?);
-            row.end()?;
-        }
         Ok(partial)
     }
 }
 
-impl Snapshot for SectorJoinPartial {
+/// The timelines as `t:sector` lists, then the transactions as `t:bytes`
+/// lists.
+impl Snapshot for WearablePartial {
     fn snapshot(&self, out: &mut String) {
         // Timeline and transaction order is semantic: written and restored
         // in order, never sorted here.
-        RowWriter::tagged(out, "sector-join")
+        RowWriter::tagged(out, "wearable")
             .put(self.timelines.len())
             .put(self.transactions.len())
             .end();
@@ -679,20 +606,20 @@ impl Snapshot for SectorJoinPartial {
                 .list(sightings.iter().copied())
                 .end();
         }
-        for (&(user, imei), times) in sorted_entries(&self.transactions) {
+        for (&(user, imei), txs) in sorted_entries(&self.transactions) {
             RowWriter::new(out)
                 .put(user)
                 .put(imei)
-                .list(times.iter().copied())
+                .list(txs.iter().copied())
                 .end();
         }
     }
 
     fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let mut head = r.tagged("sector-join")?;
+        let mut head = r.tagged("wearable")?;
         let (n_timelines, n_transactions): (u64, u64) = (head.field()?, head.field()?);
         head.end()?;
-        let mut partial = SectorJoinPartial::default();
+        let mut partial = WearablePartial::default();
         for _ in 0..n_timelines {
             let mut row = r.row()?;
             let key = (row.field()?, row.field()?);
@@ -705,53 +632,6 @@ impl Snapshot for SectorJoinPartial {
             partial.transactions.insert(key, row.list()?);
             row.end()?;
         }
-        Ok(partial)
-    }
-}
-
-impl Snapshot for AppPopularityPartial {
-    fn snapshot(&self, out: &mut String) {
-        RowWriter::tagged(out, "popularity")
-            .put(self.day_users.len())
-            .put(self.user_days.len())
-            .end();
-        for (&(app, day), users) in sorted_entries(&self.day_users) {
-            RowWriter::new(out)
-                .put(app)
-                .put(day)
-                .list(sorted(users))
-                .end();
-        }
-        for (&(app, user), days) in sorted_entries(&self.user_days) {
-            RowWriter::new(out)
-                .put(app)
-                .put(user)
-                .list(sorted(days))
-                .end();
-        }
-        RowWriter::new(out).list(sorted(&self.apps)).end();
-    }
-
-    fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let mut head = r.tagged("popularity")?;
-        let (n_day_users, n_user_days): (u64, u64) = (head.field()?, head.field()?);
-        head.end()?;
-        let mut partial = AppPopularityPartial::default();
-        for _ in 0..n_day_users {
-            let mut row = r.row()?;
-            let key = (row.field()?, row.field()?);
-            partial.day_users.insert(key, row.list()?);
-            row.end()?;
-        }
-        for _ in 0..n_user_days {
-            let mut row = r.row()?;
-            let key = (row.field()?, row.field()?);
-            partial.user_days.insert(key, row.list()?);
-            row.end()?;
-        }
-        let mut row = r.row()?;
-        partial.apps = row.list()?;
-        row.end()?;
         Ok(partial)
     }
 }
@@ -869,16 +749,10 @@ impl Snapshot for QualityPartial {
 impl Snapshot for CorePartials {
     fn snapshot(&self, out: &mut String) {
         self.attributed.snapshot(out);
-        self.activity.snapshot(out);
         self.hourly.snapshot(out);
-        self.tx_stats.snapshot(out);
         self.traffic.snapshot(out);
         self.mobility.snapshot(out);
-        self.sector_join.snapshot(out);
-        self.popularity.snapshot(out);
-        RowWriter::tagged(out, "devices")
-            .list(sorted(&self.wearable_devices))
-            .end();
+        self.wearable.snapshot(out);
         RowWriter::tagged(out, "through-device")
             .list(sorted(&self.through_device))
             .end();
@@ -888,14 +762,10 @@ impl Snapshot for CorePartials {
     fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         Ok(CorePartials {
             attributed: Vec::<AttributedTx>::restore(r)?,
-            activity: ActivityPartial::restore(r)?,
             hourly: HourlyProfilePartial::restore(r)?,
-            tx_stats: TransactionStatsPartial::restore(r)?,
             traffic: TrafficPartial::restore(r)?,
             mobility: MobilityPartial::restore(r)?,
-            sector_join: SectorJoinPartial::restore(r)?,
-            popularity: AppPopularityPartial::restore(r)?,
-            wearable_devices: list_block(r, "devices")?,
+            wearable: WearablePartial::restore(r)?,
             through_device: list_block(r, "through-device")?,
             quality: QualityPartial::restore(r)?,
         })
@@ -1054,7 +924,7 @@ mod tests {
             out
         };
         let mut partials = CorePartials::fold(&ctx);
-        assert!(!partials.attributed.is_empty() && !partials.popularity.apps.is_empty());
+        assert!(partials.attributed.iter().any(|t| t.app.is_some()));
         assert_ne!(text(&partials), text(&CorePartials::default()));
         partials.clear();
         assert_eq!(text(&partials), text(&CorePartials::default()));
@@ -1103,7 +973,7 @@ mod tests {
     }
 
     #[test]
-    fn popularity_and_attributed_roundtrip() {
+    fn attributed_roundtrips_in_order() {
         let txs = vec![
             AttributedTx {
                 user: UserId(3),
@@ -1122,11 +992,29 @@ mod tests {
         ];
         let restored = roundtrip(&txs);
         assert_eq!(restored, txs); // order preserved, not sorted
-        let mut pop = AppPopularityPartial::default();
-        for tx in &txs {
-            pop.absorb(tx);
-        }
-        roundtrip(&pop);
+    }
+
+    /// A detached stream is one row with `-` for its sector and its
+    /// since; it keeps its first event for a later segment's merge.
+    #[test]
+    fn detached_stream_is_one_row() {
+        let mme = |t: u64, event: MmeEvent| MmeRecord {
+            timestamp: SimTime::from_secs(t),
+            user: UserId(1),
+            imei: 7,
+            event,
+            sector: 5,
+        };
+        let mut partial = MobilityPartial::default();
+        partial.absorb(&mme(100, MmeEvent::Attach));
+        partial.absorb(&mme(400, MmeEvent::Detach));
+        let mut text = String::new();
+        partial.snapshot(&mut text);
+        assert_eq!(
+            text,
+            "mobility\t1\t1\t1\n1\t7\t100\t-\t-\n1\t0\t5\n1\t5:300\n"
+        );
+        roundtrip(&partial);
     }
 
     /// Every field type reads back the text it writes.
@@ -1137,7 +1025,6 @@ mod tests {
             .put(7u64)
             .put(u16::MAX)
             .put(true)
-            .put(-0.0f64)
             .put(SimTime::from_secs(9))
             .put(UserId(3))
             .put(Some(AppId(2)))
@@ -1145,15 +1032,11 @@ mod tests {
             .list(Vec::<u64>::new())
             .list([(2u32, 600u64), (3, 1)])
             .end();
-        assert_eq!(
-            text,
-            "t\t7\t65535\t1\t8000000000000000\t9\t3\t2\t-\t-\t2:600 3:1\n"
-        );
+        assert_eq!(text, "t\t7\t65535\t1\t9\t3\t2\t-\t-\t2:600 3:1\n");
         let mut row = SnapshotReader::new(&text).tagged("t").unwrap();
         assert_eq!(row.field::<u64>().unwrap(), 7);
         assert_eq!(row.field::<u16>().unwrap(), u16::MAX);
         assert!(row.field::<bool>().unwrap());
-        assert_eq!(row.field::<f64>().unwrap().to_bits(), (-0.0f64).to_bits());
         assert_eq!(row.field::<SimTime>().unwrap(), SimTime::from_secs(9));
         assert_eq!(row.field::<UserId>().unwrap(), UserId(3));
         assert_eq!(row.field::<Option<AppId>>().unwrap(), Some(AppId(2)));
@@ -1220,20 +1103,20 @@ mod tests {
     #[test]
     fn inflated_count_ends_at_the_next_block() {
         let mut text = String::new();
-        ActivityPartial::default().snapshot(&mut text);
         TrafficPartial::default().snapshot(&mut text);
-        let inflated = text.replace("activity\t0", "activity\t18446744073709551615");
-        let err = ActivityPartial::restore(&mut SnapshotReader::new(&inflated)).unwrap_err();
+        MobilityPartial::default().snapshot(&mut text);
+        let inflated = text.replace("traffic\t0", "traffic\t18446744073709551615");
+        let err = TrafficPartial::restore(&mut SnapshotReader::new(&inflated)).unwrap_err();
         assert_eq!(
             err.to_string(),
-            "snapshot line 2: field 1: `traffic` is not a u64"
+            "snapshot line 2: field 1: `mobility` is not a u64"
         );
     }
 
     #[test]
     fn restore_rejects_wrong_tag() {
         let mut text = String::new();
-        ActivityPartial::default().snapshot(&mut text);
+        HourlyProfilePartial::default().snapshot(&mut text);
         let mut reader = SnapshotReader::new(&text);
         let err = TrafficPartial::restore(&mut reader).unwrap_err();
         assert!(err.to_string().contains("traffic"), "{err}");
@@ -1241,11 +1124,9 @@ mod tests {
 
     #[test]
     fn empty_partials_roundtrip() {
-        roundtrip(&ActivityPartial::default());
         roundtrip(&TrafficPartial::default());
         roundtrip(&MobilityPartial::default());
-        roundtrip(&AppPopularityPartial::default());
-        roundtrip(&TransactionStatsPartial::default());
+        roundtrip(&WearablePartial::default());
         roundtrip(&HourlyProfilePartial::default());
         roundtrip(&Vec::<AttributedTx>::new());
     }

@@ -210,62 +210,6 @@ pub fn normalize_max(values: &[f64]) -> Vec<f64> {
     }
 }
 
-/// A bootstrap confidence interval for a sample mean.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MeanCi {
-    /// Point estimate (sample mean).
-    pub mean: f64,
-    /// Lower bound of the interval.
-    pub lo: f64,
-    /// Upper bound of the interval.
-    pub hi: f64,
-}
-
-/// Percentile-bootstrap CI for the mean: `resamples` draws with replacement,
-/// interval at `confidence` (e.g. 0.95). Deterministic in `seed` (a small
-/// xorshift — no external RNG so the stats layer stays dependency-free).
-///
-/// Returns a degenerate interval for fewer than 2 samples.
-pub fn bootstrap_mean_ci(samples: &[f64], resamples: usize, confidence: f64, seed: u64) -> MeanCi {
-    let n = samples.len();
-    let mean = if n == 0 {
-        0.0
-    } else {
-        samples.iter().sum::<f64>() / n as f64
-    };
-    if n < 2 || resamples == 0 {
-        return MeanCi {
-            mean,
-            lo: mean,
-            hi: mean,
-        };
-    }
-    let mut state = seed | 1;
-    let mut next = || {
-        // xorshift64*
-        state ^= state >> 12;
-        state ^= state << 25;
-        state ^= state >> 27;
-        (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as usize
-    };
-    let mut means = Vec::with_capacity(resamples);
-    for _ in 0..resamples {
-        let mut acc = 0.0;
-        for _ in 0..n {
-            acc += samples[next() % n];
-        }
-        means.push(acc / n as f64);
-    }
-    means.sort_by(f64::total_cmp);
-    let alpha = (1.0 - confidence.clamp(0.0, 1.0)) / 2.0;
-    let idx = |q: f64| ((q * resamples as f64) as usize).min(resamples - 1);
-    MeanCi {
-        mean,
-        lo: means[idx(alpha)],
-        hi: means[idx(1.0 - alpha)],
-    }
-}
-
 /// Least-squares slope of `y` against `x` (per-unit-x growth), 0 when
 /// degenerate. Used to fit the Fig. 2(a) adoption trend.
 pub fn linear_slope(xs: &[f64], ys: &[f64]) -> f64 {
@@ -427,32 +371,6 @@ mod tests {
         let ys: Vec<f64> = xs.iter().map(|x| 3.0 + 0.015 * x).collect();
         assert!((linear_slope(&xs, &ys) - 0.015).abs() < 1e-12);
         assert_eq!(linear_slope(&[1.0], &[1.0]), 0.0);
-    }
-
-    #[test]
-    fn bootstrap_ci_brackets_the_mean() {
-        let samples: Vec<f64> = (0..500).map(|i| (i % 37) as f64).collect();
-        let ci = bootstrap_mean_ci(&samples, 500, 0.95, 42);
-        assert!(ci.lo <= ci.mean && ci.mean <= ci.hi);
-        // Interval is tight around the true mean for a large sample.
-        let true_mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        assert!((ci.mean - true_mean).abs() < 1e-9);
-        assert!(ci.hi - ci.lo < 3.0, "interval too wide: {ci:?}");
-        // Deterministic in the seed.
-        assert_eq!(ci, bootstrap_mean_ci(&samples, 500, 0.95, 42));
-        // Wider confidence → wider interval.
-        let ci99 = bootstrap_mean_ci(&samples, 500, 0.99, 42);
-        assert!(ci99.hi - ci99.lo >= ci.hi - ci.lo);
-    }
-
-    #[test]
-    fn bootstrap_degenerate_inputs() {
-        let ci = bootstrap_mean_ci(&[], 100, 0.95, 1);
-        assert_eq!(ci.mean, 0.0);
-        assert_eq!(ci.lo, ci.hi);
-        let ci = bootstrap_mean_ci(&[5.0], 100, 0.95, 1);
-        assert_eq!(ci.mean, 5.0);
-        assert_eq!((ci.lo, ci.hi), (5.0, 5.0));
     }
 
     #[test]

@@ -321,32 +321,6 @@ impl ExperimentReport {
     }
 }
 
-impl ExperimentReport {
-    /// Renders the comparison as a GitHub-flavoured markdown table (the
-    /// EXPERIMENTS.md format).
-    pub fn render_markdown(&self) -> String {
-        let mut out = String::from(
-            "| Experiment | Description | Paper | Measured | OK |\n|---|---|---:|---:|:-:|\n",
-        );
-        for r in &self.rows {
-            out.push_str(&format!(
-                "| {} | {} | {} | {} | {} |\n",
-                r.id,
-                r.description,
-                format_value(r.paper),
-                format_value(r.measured),
-                if r.passes() { "✓" } else { "✗" }
-            ));
-        }
-        out.push_str(&format!(
-            "\n{}/{} within band\n",
-            self.passed(),
-            self.total()
-        ));
-        out
-    }
-}
-
 fn format_value(v: f64) -> String {
     if v == 0.0 {
         "0".into()
@@ -426,23 +400,6 @@ mod tests {
         let rendered = report.render();
         assert!(rendered.contains("Fig2a-growth"));
         assert!(rendered.contains("within band"));
-    }
-
-    #[test]
-    fn markdown_rendering() {
-        let report = ExperimentReport {
-            rows: vec![ExperimentRow {
-                id: "X",
-                description: "demo",
-                paper: 1.0,
-                measured: 1.0,
-                band: Band::Relative(0.1),
-            }],
-        };
-        let md = report.render_markdown();
-        assert!(md.starts_with("| Experiment |"));
-        assert!(md.contains("| X | demo | 1.00 | 1.00 | ✓ |"));
-        assert!(md.contains("1/1 within band"));
     }
 
     #[test]

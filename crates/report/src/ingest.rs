@@ -8,7 +8,6 @@
 use std::time::Duration;
 
 use crate::quality::DataQuality;
-use crate::table::Table;
 
 /// Which log a shard came from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -98,22 +97,6 @@ impl IngestReport {
             self.parse_errors(),
         )
     }
-
-    /// Per-shard table for verbose output.
-    pub fn render_table(&self) -> String {
-        let mut t = Table::new(vec!["source", "shard", "records", "bytes", "errors", "ms"]);
-        for s in &self.shards {
-            t.row(vec![
-                s.source.name().into(),
-                s.shard.to_string(),
-                s.records.to_string(),
-                s.bytes.to_string(),
-                s.parse_errors.to_string(),
-                format!("{:.1}", s.wall.as_secs_f64() * 1e3),
-            ]);
-        }
-        t.render()
-    }
 }
 
 #[cfg(test)]
@@ -144,7 +127,6 @@ mod tests {
         assert_eq!(report.parse_errors(), 2);
         assert!(report.records_per_sec() > 0.0);
         assert!(report.summary_line().contains("150 records"));
-        assert!(report.render_table().contains("proxy"));
     }
 
     #[test]

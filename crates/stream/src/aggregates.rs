@@ -93,15 +93,15 @@ impl WindowAggregates {
     /// Renders the finalized window report.
     pub fn report(&self, index: u64, start_secs: u64, end_secs: u64, forced: bool) -> WindowReport {
         let p = &self.partials;
-        let activity = p.activity.per_user.values();
+        let wearable = p.wearable.transactions.values();
         WindowReport {
             index,
             start_secs,
             end_secs,
             proxy_records: p.traffic.per_user.values().map(|&(_, tx)| tx).sum(),
             mme_records: p.quality.mme_records,
-            wearable_tx: activity.clone().map(|a| a.transactions).sum(),
-            wearable_bytes: activity.map(|a| a.bytes).sum(),
+            wearable_tx: wearable.clone().map(|txs| txs.len() as u64).sum(),
+            wearable_bytes: wearable.flatten().map(|&(_, bytes)| bytes).sum(),
             users: p.traffic.per_user.len() as u64,
             attributed: p.attributed.iter().filter(|t| t.app.is_some()).count() as u64,
             late_merged: self.counters.late_merged,
@@ -242,9 +242,9 @@ mod tests {
     }
 
     /// The checkpoint body of one small window, byte for byte: counters
-    /// first, then attributed, activity, hourly, tx-stats, traffic,
-    /// mobility, popularity, devices, through-device and trace-qa. A change to this text breaks `--resume`
-    /// from every checkpoint already on disk.
+    /// first, then attributed, hourly, traffic, mobility, wearable,
+    /// through-device and trace-qa. A change to this text breaks
+    /// `--resume` from every checkpoint already on disk.
     #[test]
     fn snapshot_text_is_pinned() {
         use wearscope_core::sessions::attribute_records;
@@ -308,29 +308,19 @@ mod tests {
             "attributed\t2\n",
             "1\t32405\t0\t0\t111\n",
             "1\t32430\t0\tAnalytics\t2011\n",
-            "activity\t1\n",
-            "1\t2\t2122\t0\t9\n",
             "hourly\t2\n",
-            "105\t2\t2122\t2\n",
-            "130\t0\t0\t1\n",
-            "tx-stats\t2\n",
-            "405bc00000000000 409f6c0000000000\n",
+            "105\t2\n",
+            "130\t1\n",
             "traffic\t2\n",
             "1\t2122\t2\n",
             "2\t511\t1\n",
-            "mobility\t1\t1\t1\t1\n",
-            "1\t352000000000012\t3\t33000\n",
+            "mobility\t1\t1\t1\n",
+            "1\t352000000000012\t32400\t3\t33000\n",
             "1\t0\t2 3\n",
             "1\t2:600\n",
-            "1\t352000000000012\t32400\n",
-            "sector-join\t1\t1\n",
+            "wearable\t1\t1\n",
             "1\t352000000000012\t32400:2 33000:3\n",
-            "1\t352000000000012\t32405 32430\n",
-            "popularity\t1\t1\n",
-            "0\t0\t1\n",
-            "0\t1\t0\n",
-            "0\n",
-            "devices\t1:352000000000012\n",
+            "1\t352000000000012\t32405:111 32430:2011\n",
             "through-device\t-\n",
             "trace-qa\t2\t0\t0\t0 1\n",
         ]

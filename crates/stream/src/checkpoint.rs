@@ -4,14 +4,13 @@
 //! Every block is written and read through the one row/field layer of
 //! [`wearscope_core::snapshot`] (no serialization framework is vendored),
 //! so the whole file follows its rules: tagged header lines with counts,
-//! tab-separated fields, `-` for an absent value or an empty list, `f64`
-//! as the hex of its bits, sorted map entries. The blocks, in order: a
-//! version header, the configuration (verified on resume), the stream
-//! clock, each log's ledger (its counts and first quarantined entries),
-//! the counters, the source position, emitted reports, collected windows,
-//! each log validator's duplicate memory (as raw record lines), the
-//! attributor's anchors and pending transactions, and one snapshot per
-//! open window.
+//! tab-separated fields, `-` for an absent value or an empty list, sorted
+//! map entries. The blocks, in order: a version header, the configuration
+//! (verified on resume), the stream clock, each log's ledger (its counts
+//! and first quarantined entries), the counters, the source position,
+//! emitted reports, collected windows, each log validator's duplicate
+//! memory (as raw record lines), the attributor's anchors and pending
+//! transactions, and one snapshot per open window.
 //!
 //! A checkpoint is a file a user can hand to `--resume`, so reading one
 //! never panics: a count only bounds the loop over its block's lines and
@@ -47,16 +46,17 @@ use crate::source::SourcePosition;
 const MAGIC: &str = "wearscope-stream-checkpoint";
 /// The checkpoint format this build writes and reads: the header's second
 /// field is `v` followed by it.
-const VERSION: u32 = 6;
+const VERSION: u32 = 7;
 
 /// The `config` line's fields, named for the mismatch message.
-const CONFIG_FIELDS: [&str; 7] = [
+const CONFIG_FIELDS: [&str; 8] = [
     "window width",
     "window slide",
     "lateness",
     "max open windows",
     "backpressure",
     "skew horizon",
+    "cell plan sectors",
     "collect-aggregates",
 ];
 
@@ -119,6 +119,7 @@ fn push_config(out: &mut String, c: &StreamConfig) {
         .put(c.max_open_windows)
         .raw(c.backpressure.name())
         .put(c.max_timestamp)
+        .put(c.sector_count)
         .put(c.collect_aggregates)
         .end();
 }
@@ -422,8 +423,8 @@ mod tests {
 
         // Day 0 is a Friday: hours 0 and 1 are weekly slots 96 and 97.
         let expected = [
-            "wearscope-stream-checkpoint\tv6\n",
-            "config\t3600\t3600\t300\t4096\tblock\t-\t1\n",
+            "wearscope-stream-checkpoint\tv7\n",
+            "config\t3600\t3600\t300\t4096\tblock\t-\t-\t1\n",
             "clock\t4000\n",
             "ledger-proxy\t3\t2\t3\t0\t0\t1\t0\t0\t0\t0\t-\t2:duplicate\n",
             "ledger-mme\t2\t2\t2\t0\t0\t0\t0\t0\t0\t0\t-\t-\n",
@@ -437,26 +438,16 @@ mod tests {
             "window-counters\t0\n",
             "attributed\t1\n",
             "1\t3590\t0\t0\t72\n",
-            "activity\t1\n",
-            "1\t1\t72\t0\t0\n",
             "hourly\t1\n",
-            "96\t1\t72\t1\n",
-            "tx-stats\t1\n",
-            "4052000000000000\n",
+            "96\t1\n",
             "traffic\t1\n",
             "1\t72\t1\n",
-            "mobility\t1\t1\t0\t1\n",
-            "1\t352000000000012\t5\t200\n",
+            "mobility\t1\t1\t0\n",
+            "1\t352000000000012\t200\t5\t200\n",
             "1\t0\t5\n",
-            "1\t352000000000012\t200\n",
-            "sector-join\t1\t1\n",
+            "wearable\t1\t1\n",
             "1\t352000000000012\t200:5\n",
-            "1\t352000000000012\t3590\n",
-            "popularity\t1\t1\n",
-            "0\t0\t1\n",
-            "0\t1\t0\n",
-            "0\n",
-            "devices\t1:352000000000012\n",
+            "1\t352000000000012\t3590:72\n",
             "through-device\t-\n",
             "trace-qa\t1\t0\t0\t0\n",
             "dedup-proxy\t1\n",
@@ -471,24 +462,16 @@ mod tests {
             "open-window\t1\n",
             "window-counters\t0\n",
             "attributed\t0\n",
-            "activity\t1\n",
-            "1\t1\t72\t0\t1\n",
             "hourly\t1\n",
-            "97\t1\t72\t1\n",
-            "tx-stats\t1\n",
-            "4052000000000000\n",
+            "97\t1\n",
             "traffic\t1\n",
             "1\t72\t1\n",
-            "mobility\t1\t1\t0\t1\n",
-            "1\t352000000000012\t6\t3900\n",
+            "mobility\t1\t1\t0\n",
+            "1\t352000000000012\t3900\t6\t3900\n",
             "1\t0\t6\n",
-            "1\t352000000000012\t3900\n",
-            "sector-join\t1\t1\n",
+            "wearable\t1\t1\n",
             "1\t352000000000012\t3900:6\n",
-            "1\t352000000000012\t4000\n",
-            "popularity\t0\t0\n",
-            "-\n",
-            "devices\t1:352000000000012\n",
+            "1\t352000000000012\t4000:72\n",
             "through-device\t-\n",
             "trace-qa\t1\t0\t0\t0\n",
             "end\n",
@@ -527,20 +510,20 @@ mod tests {
             (
                 "attributor\t1\n",
                 "attributor\t1000000000000000000\n",
-                46,
+                36,
                 "expected `u` block, found `open`",
             ),
             (
-                "tx-stats\t1\n",
-                "tx-stats\t1000000000000000000\n",
-                21,
-                "expected 1000000000000000000 sizes, found 1",
+                "wearable\t1\t1\n",
+                "wearable\t1\t1000000000000000000\n",
+                26,
+                "field 1: `through-device` is not a u64",
             ),
             (
-                "activity\t1\n",
-                "activity\t1000000000000000000\n",
+                "hourly\t1\n",
+                "hourly\t1000000000000000000\n",
                 18,
-                "field 1: `hourly` is not a u64",
+                "field 1: `traffic` is not a usize",
             ),
             (
                 "1\t3590\t0\t0\t72\n",
@@ -554,59 +537,56 @@ mod tests {
                 15,
                 "field 4: `Bogus` is not an app id or a domain class",
             ),
+            ("96\t1\n", "168\t1\n", 17, "slot 168 is not below 168"),
+            ("\t200:5\n", "\t200:x\n", 24, "field 3: `x` is not a u32"),
+            ("\t3590:72\n", "\t3590:x\n", 25, "field 3: `x` is not a u64"),
             (
-                "96\t1\t72\t1\n",
-                "168\t1\t72\t1\n",
-                19,
-                "slot 168 is not below 168",
+                "\t200\t5\t200\n",
+                "\t200\t5\t-\n",
+                21,
+                "sector and since must both be present or both `-`",
             ),
             (
-                "devices\t1:352000000000012\n",
-                "devices\t1:x\n",
-                35,
-                "field 2: `x` is not a u64",
+                "\t200\t5\t200\n",
+                "\t200\t-\t200\n",
+                21,
+                "sector and since must both be present or both `-`",
             ),
             (
                 "through-device\t-\n",
                 "through-device\tBogus:1\n",
-                36,
+                26,
                 "field 2: `Bogus` is not a Through-Device kind",
             ),
             (
                 "u\t1\t1\t1\n",
                 "u\t1\t1000000000000000000\t1\n",
-                45,
+                35,
                 "expected `a` block, found `q`",
             ),
             (
                 "a\t3590\t0\n",
                 "a\t3590\t65537\n",
-                44,
+                34,
                 "field 3: `65537` is not a u16",
             ),
             (
                 "q\t4000\t72\t-\n",
                 "q\t4000\t72\tX\n",
-                45,
+                35,
                 "field 4: `X` is not an app id or a domain class",
             ),
             (
                 "q\t4000\t72\t-\n",
                 "q\t4000\t72\t-\tW\t3590\t0\n",
-                45,
+                35,
                 "unexpected field 5 `W`",
             ),
             (
                 "1\t0\t5\n",
                 "1\t0\t4294967296\n",
-                26,
+                22,
                 "field 3: `4294967296` is not a u32",
-            ),
-            (
-                "popularity\t1\t1\n0",
-                "popularity\t1\t1\n65537",
-                32,
-                "field 1: `65537` is not a u16",
             ),
             (
                 "clock\t4000\n",
@@ -644,7 +624,7 @@ mod tests {
                 7,
                 "progress needs both its fields, or neither",
             ),
-            ("end\n", "", 70, "unexpected end of snapshot"),
+            ("end\n", "", 52, "unexpected end of snapshot"),
         ];
         for (from, to, line, message) in cases {
             assert!(text.contains(from), "{from:?}");
@@ -822,6 +802,39 @@ mod tests {
         }
     }
 
+    /// The validator quarantines by the cell plan, so a resume under
+    /// another plan would go on under other rules.
+    #[test]
+    fn resume_under_another_cell_plan_is_rejected() {
+        let fx = Fixture::new();
+        let ctx = fx.ctx();
+        let mut config = hour_config();
+        config.sector_count = Some(64);
+        let text = to_text(&StreamRuntime::new(&ctx, config), None);
+        for other in [Some(65), None] {
+            let err = from_text(
+                &ctx,
+                StreamConfig {
+                    sector_count: other,
+                    ..config
+                },
+                &text,
+            )
+            .map(|_| ())
+            .expect_err("another cell plan must be rejected");
+            match err {
+                StreamError::ConfigMismatch(m) => {
+                    assert!(
+                        m.starts_with("cell plan sectors was 64 at checkpoint time"),
+                        "{m}"
+                    );
+                }
+                other => panic!("expected ConfigMismatch, got {other}"),
+            }
+        }
+        assert!(from_text(&ctx, config, &text).is_ok());
+    }
+
     #[test]
     fn other_checkpoint_version_is_a_typed_error() {
         let fx = Fixture::new();
@@ -829,19 +842,19 @@ mod tests {
         let config = hour_config();
         let text = to_text(&StreamRuntime::new(&ctx, config), None);
         let (header, body) = text.split_once('\n').unwrap();
-        assert_eq!(header, "wearscope-stream-checkpoint\tv6");
-        for found in [1, 2, 3, 4, 5] {
+        assert_eq!(header, "wearscope-stream-checkpoint\tv7");
+        for found in [1, 2, 3, 4, 5, 6] {
             let old = format!("wearscope-stream-checkpoint\tv{found}\n{body}");
             let err = from_text(&ctx, config, &old)
                 .map(|_| ())
                 .expect_err("an older checkpoint must be rejected");
             assert!(
-                matches!(err, StreamError::CheckpointVersion { found: f, expected: 6 } if f == found),
+                matches!(err, StreamError::CheckpointVersion { found: f, expected: 7 } if f == found),
                 "{err}"
             );
             let message = err.to_string();
             assert!(
-                message.contains(&format!("v{found}")) && message.contains("v6"),
+                message.contains(&format!("v{found}")) && message.contains("v7"),
                 "{message}"
             );
             assert!(message.contains("without --resume"), "{message}");

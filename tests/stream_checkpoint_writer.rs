@@ -9,6 +9,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 use wearscope::ingest::IngestOptions;
 use wearscope::prelude::*;
@@ -97,6 +98,22 @@ fn writer_threads() -> usize {
         .count()
 }
 
+/// [`writer_threads`] once it reads zero, or after 5 s. `pthread_join`
+/// returns once the kernel clears the thread's id, which is before the
+/// thread's `/proc` entry goes, so a joined writer can be listed for a
+/// moment longer; a writer that was never joined stays blocked on its
+/// channel and is still counted when the 5 s are up.
+fn writer_threads_after_join() -> usize {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let n = writer_threads();
+        if n == 0 || Instant::now() >= deadline {
+            return n;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 /// A source that runs `hook` once, after handing out item `at`.
 struct Hooked<F: FnMut()> {
     inner: WorldSource,
@@ -167,7 +184,7 @@ fn a_failed_periodic_write_is_an_error_from_pump_and_the_writer_is_joined() {
         matches!(&err, StreamError::Io(e) if e.kind() == io::ErrorKind::NotFound),
         "{err}"
     );
-    assert_eq!(writer_threads(), 0, "the writer outlived pump");
+    assert_eq!(writer_threads_after_join(), 0, "the writer outlived pump");
 
     // A directory sits where the temp file goes: the first write fails.
     let blocked = work.join("blocked");
@@ -176,14 +193,14 @@ fn a_failed_periodic_write_is_an_error_from_pump_and_the_writer_is_joined() {
     let err = pump_with_hook(&world, &ckpt, 500, 0, || {}).expect_err("the temp file is a dir");
     assert!(matches!(err, StreamError::Io(_)), "{err}");
     assert!(!ckpt.exists());
-    assert_eq!(writer_threads(), 0, "the writer outlived pump");
+    assert_eq!(writer_threads_after_join(), 0, "the writer outlived pump");
 
     // The same world pumps to the end when the writes succeed.
     let fine = work.join("fine");
     std::fs::create_dir_all(&fine).unwrap();
     let outcome = pump_with_hook(&world, &fine.join("stream.ckpt"), 500, 0, || {});
     assert_eq!(outcome.unwrap(), PumpOutcome::Finished);
-    assert_eq!(writer_threads(), 0, "the writer outlived pump");
+    assert_eq!(writer_threads_after_join(), 0, "the writer outlived pump");
     std::fs::remove_dir_all(&work).ok();
 }
 
