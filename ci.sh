@@ -189,6 +189,28 @@ grep -q "^q"$'\t' "$FAULT_DIR/late-ckpt/stream.ckpt"
 diff "$FAULT_DIR/late-full.txt" "$FAULT_DIR/late-resumed.txt"
 echo "    late-merged records and pending attribution survive kill/resume"
 
+echo "==> stream drill with forced windows: drop-oldest backpressure, kill and resume"
+# Two open windows and 2 h of lateness: a third window opens before the
+# watermark closes the first, so drop-oldest forces windows out. The
+# runtime keeps neither the forced count nor the timeline's start; a
+# resumed run reads both from the checkpointed reports, so its stdout and
+# report must equal the uninterrupted run's.
+drop=(--window 1h --max-open 2 --backpressure drop-oldest --lateness 2h)
+"$WEARSCOPE" stream --world "$FAULT_DIR/stream-world" "${drop[@]}" \
+    --report "$FAULT_DIR/drop-full.tsv" >"$FAULT_DIR/drop-full.out" 2>/dev/null
+grep -q '\[forced\]$' "$FAULT_DIR/drop-full.out"
+"$WEARSCOPE" stream --world "$FAULT_DIR/stream-world" "${drop[@]}" \
+    --checkpoint "$FAULT_DIR/drop-ckpt" --checkpoint-every 500 --stop-after 5000 >/dev/null 2>&1
+# The checkpoint at the kill point already holds a forced report.
+awk -F'\t' '/^reports\t/ { r = 1; next } /^collected\t/ { r = 0 } r && $11 == 1 { found = 1 }
+    END { exit !found }' "$FAULT_DIR/drop-ckpt/stream.ckpt"
+"$WEARSCOPE" stream --world "$FAULT_DIR/stream-world" "${drop[@]}" \
+    --checkpoint "$FAULT_DIR/drop-ckpt" --resume --report "$FAULT_DIR/drop-resumed.tsv" \
+    >"$FAULT_DIR/drop-resumed.out" 2>/dev/null
+diff "$FAULT_DIR/drop-full.out" "$FAULT_DIR/drop-resumed.out"
+diff "$FAULT_DIR/drop-full.tsv" "$FAULT_DIR/drop-resumed.tsv"
+echo "    forced windows: $(grep -c '\[forced\]$' "$FAULT_DIR/drop-full.out"); a resume after the first is identical"
+
 echo "==> a non-UTF-8 log byte is quarantined, not fatal; crafted lines keep the decoder's precedence"
 # Storage damage that leaves a line undecodable as UTF-8 is one bad line,
 # like a bit flip: analyze and stream must both exit 0, list it as

@@ -51,15 +51,6 @@ impl DomainMix {
     pub fn application(&self) -> f64 {
         1.0 - self.utilities - self.advertising - self.analytics
     }
-
-    /// `true` when all shares are within [0, 1] and sum to ≤ 1.
-    pub fn is_valid(&self) -> bool {
-        let ok = |x: f64| (0.0..=1.0).contains(&x);
-        ok(self.utilities)
-            && ok(self.advertising)
-            && ok(self.analytics)
-            && self.application() >= -1e-9
-    }
 }
 
 /// How an app talks to the network when it is used — the generator-facing
@@ -86,11 +77,6 @@ impl TrafficProfile {
     pub fn mean_tx_bytes(&self) -> f64 {
         self.median_tx_bytes * (self.sigma_tx_bytes.powi(2) / 2.0).exp()
     }
-
-    /// Expected bytes of one usage session.
-    pub fn mean_usage_bytes(&self) -> f64 {
-        self.tx_per_usage * self.mean_tx_bytes()
-    }
 }
 
 /// Everything the study knows about one wearable app.
@@ -115,22 +101,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn domain_mix_validity() {
-        assert!(DomainMix::FIRST_PARTY_ONLY.is_valid());
+    fn application_share_is_the_remainder() {
         assert_eq!(DomainMix::FIRST_PARTY_ONLY.application(), 1.0);
         let m = DomainMix {
             utilities: 0.2,
             advertising: 0.1,
             analytics: 0.1,
         };
-        assert!(m.is_valid());
         assert!((m.application() - 0.6).abs() < 1e-12);
-        let bad = DomainMix {
-            utilities: 0.7,
-            advertising: 0.5,
-            analytics: 0.1,
-        };
-        assert!(!bad.is_valid());
     }
 
     #[test]
@@ -143,6 +121,5 @@ mod tests {
             mix: DomainMix::FIRST_PARTY_ONLY,
         };
         assert!(t.mean_tx_bytes() > t.median_tx_bytes);
-        assert!((t.mean_usage_bytes() - 3.0 * t.mean_tx_bytes()).abs() < 1e-9);
     }
 }

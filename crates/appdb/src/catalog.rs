@@ -518,7 +518,13 @@ mod tests {
     fn all_domain_mixes_valid() {
         let cat = AppCatalog::standard();
         for (_, a) in cat.iter() {
-            assert!(a.traffic.mix.is_valid(), "{} has invalid mix", a.name);
+            let mix = a.traffic.mix;
+            let shares = [mix.utilities, mix.advertising, mix.analytics];
+            assert!(
+                shares.iter().all(|x| (0.0..=1.0).contains(x)) && mix.application() >= -1e-9,
+                "{} has invalid mix",
+                a.name
+            );
             assert!(!a.domains.is_empty(), "{} has no domains", a.name);
             assert!(a.traffic.median_tx_bytes > 0.0);
             assert!(a.traffic.usages_per_active_day > 0.0);
@@ -558,7 +564,10 @@ mod tests {
         // Shape check backing Fig. 7: WhatsApp/Deezer/Snapchat per-usage bytes
         // dominate the payment apps by orders of magnitude.
         let cat = AppCatalog::standard();
-        let per_usage = |name: &str| cat.by_name(name).unwrap().1.traffic.mean_usage_bytes();
+        let per_usage = |name: &str| {
+            let t = cat.by_name(name).unwrap().1.traffic;
+            t.tx_per_usage * t.mean_tx_bytes()
+        };
         for heavy in ["WhatsApp", "Deezer", "Snapchat"] {
             for light in ["Samsung-Pay", "TrueCaller", "Bank-App-3"] {
                 assert!(

@@ -72,11 +72,6 @@ impl AppCategory {
             AppCategory::Lifestyle => "Lifestyle",
         }
     }
-
-    /// Parses a display name back to a category.
-    pub fn from_name(s: &str) -> Option<AppCategory> {
-        Self::ALL.iter().copied().find(|c| c.name() == s)
-    }
 }
 
 impl fmt::Display for AppCategory {
@@ -99,14 +94,6 @@ mod tests {
         for (i, c) in AppCategory::ALL.iter().enumerate() {
             assert_eq!(c.index(), i);
         }
-    }
-
-    #[test]
-    fn name_roundtrip() {
-        for c in AppCategory::ALL {
-            assert_eq!(AppCategory::from_name(c.name()), Some(c));
-        }
-        assert_eq!(AppCategory::from_name("Nope"), None);
     }
 
     #[test]

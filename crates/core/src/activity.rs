@@ -138,12 +138,6 @@ impl HourlyProfile {
         }
         HourlyProfile { weekday, weekend }
     }
-
-    /// Sum of a metric over the average week (should be ≈ 1).
-    pub fn weekly_total_users(&self) -> f64 {
-        5.0 * self.weekday.iter().map(|h| h.active_users).sum::<f64>()
-            + 2.0 * self.weekend.iter().map(|h| h.active_users).sum::<f64>()
-    }
 }
 
 /// Fig. 3(b): distributions of active days per week and active hours per day.
@@ -396,7 +390,9 @@ mod tests {
         let f = fixture(recs);
         let ctx = StudyContext::new(&f.store, &f.db, &f.sectors, &f.catalog, f.window);
         let p = CoreAggregates::sequential(&ctx).hourly;
-        assert!((p.weekly_total_users() - 1.0).abs() < 1e-9);
+        let weekday: f64 = p.weekday.iter().map(|h| h.active_users).sum();
+        let weekend: f64 = p.weekend.iter().map(|h| h.active_users).sum();
+        assert!((5.0 * weekday + 2.0 * weekend - 1.0).abs() < 1e-9);
         // Weekday 9h saw one user on one of the 10 weekdays.
         assert!(p.weekday[9].active_users > 0.0);
         assert_eq!(p.weekday[10].active_users, 0.0);

@@ -144,11 +144,6 @@ impl<'a> StudyContext<'a> {
     pub fn detail_weeks(&self) -> f64 {
         (self.window.detailed().num_whole_weeks() as f64).max(1.0)
     }
-
-    /// Number of days in the detailed window.
-    pub fn detail_days(&self) -> f64 {
-        (self.window.detailed().num_days() as f64).max(1.0)
-    }
 }
 
 #[cfg(test)]

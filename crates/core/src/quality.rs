@@ -87,13 +87,6 @@ impl DataQualityReport {
         }
     }
 
-    /// Folds the ingestion layer's pre-validation tally into this report,
-    /// so downstream QA sees quarantined records as a coverage loss.
-    pub fn note_ingest(&mut self, records_seen: u64, quarantined: u64) {
-        self.ingest_records_seen = records_seen;
-        self.ingest_quarantined = quarantined;
-    }
-
     /// `true` when the trace is fit for the full analysis: no silent days,
     /// no retention violations, and identification misses plus ingest
     /// quarantine losses below `tolerance` (fraction of records).
@@ -177,8 +170,8 @@ mod tests {
         let ctx = StudyContext::new(&store, &db, &sectors, &catalog, window());
         let mut q = DataQualityReport::compute(&ctx);
         assert!(q.is_healthy(0.05));
-        q.note_ingest(1000, 100);
-        assert_eq!(q.ingest_quarantined, 100);
+        q.ingest_records_seen = 1000;
+        q.ingest_quarantined = 100;
         assert!(
             !q.is_healthy(0.05),
             "10% quarantined must fail 5% tolerance"

@@ -22,7 +22,6 @@ use wearscope_trace::UserId;
 
 use crate::context::StudyContext;
 use crate::hash::HashMap;
-use crate::stats::Ecdf;
 
 /// The sessionization gap: two consecutive transactions belong to the same
 /// usage iff they are less than this many seconds apart.
@@ -311,11 +310,6 @@ impl PerUsage {
                 })
                 .collect(),
         }
-    }
-
-    /// ECDF of per-usage bytes across all apps (supporting the Fig. 7 span).
-    pub fn usage_bytes_ecdf(sessions: &[Session]) -> Ecdf {
-        Ecdf::from_samples(sessions.iter().map(|s| s.bytes as f64).collect())
     }
 }
 
@@ -622,8 +616,6 @@ mod tests {
         assert_eq!(n, 2);
         assert!((tx - 1.5).abs() < 1e-9);
         assert!((bytes - 4000.0).abs() < 1e-9);
-        let ecdf = PerUsage::usage_bytes_ecdf(&sessions);
-        assert_eq!(ecdf.len(), 2);
     }
 
     #[test]

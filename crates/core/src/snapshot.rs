@@ -940,6 +940,93 @@ mod tests {
         assert_eq!(text(&partials), text(&fresh));
     }
 
+    /// The snapshot of one small bundle, byte for byte: attributed,
+    /// hourly, traffic, mobility, wearable, through-device and trace-qa. A
+    /// stream checkpoint holds one per window, so a change to this text
+    /// breaks `--resume` from every checkpoint already on disk.
+    #[test]
+    fn snapshot_text_is_pinned() {
+        use crate::sessions::attribute_records;
+        use wearscope_devicedb::DeviceClass;
+
+        let store = TraceStore::new();
+        let (db, catalog, sectors) = sample_ctx(&store);
+        let ctx = StudyContext::new(
+            &store,
+            &db,
+            &sectors,
+            &catalog,
+            ObservationWindow::new(14, 14, Calendar::PAPER),
+        );
+        let watch = db.example_imei(db.wearable_tacs()[0], 1).as_u64();
+        let phone = db
+            .example_imei(db.tacs_of_class(DeviceClass::Smartphone)[0], 2)
+            .as_u64();
+        let proxy = |t: u64, user: u64, imei: u64, host: &str, down: u64| ProxyRecord {
+            timestamp: SimTime::from_secs(t),
+            user: UserId(user),
+            imei,
+            host: HostId::intern(host),
+            scheme: Scheme::Https,
+            bytes_down: down,
+            bytes_up: 11,
+        };
+        let records = [
+            proxy(9 * 3600 + 5, 1, watch, "api.weather.com", 100),
+            proxy(9 * 3600 + 30, 1, watch, "ssl.google-analytics.com", 2000),
+            proxy(86_400 + 10 * 3600, 2, phone, "maps.googleapis.com", 500),
+        ];
+        let mme = |t: u64, event: MmeEvent, sector: u32| MmeRecord {
+            timestamp: SimTime::from_secs(t),
+            user: UserId(1),
+            imei: watch,
+            event,
+            sector,
+        };
+
+        let mut partials = CorePartials::default();
+        for r in &records {
+            partials.absorb_proxy(&ctx, r, ctx.device_class(r.imei));
+        }
+        for r in [
+            mme(9 * 3600, MmeEvent::Attach, 2),
+            mme(9 * 3600 + 600, MmeEvent::SectorUpdate, 3),
+        ] {
+            partials.absorb_mme(&ctx, &r, ctx.device_class(watch));
+        }
+        for tx in &attribute_records(&ctx, &records) {
+            partials.absorb_attributed(tx);
+        }
+        let mut text = String::new();
+        partials.snapshot(&mut text);
+
+        // Day 0 is a Friday: the watch's hour 9 is weekly slot 105, the
+        // phone's Saturday hour 10 slot 130.
+        let expected = [
+            "attributed\t2\n",
+            "1\t32405\t0\t0\t111\n",
+            "1\t32430\t0\tAnalytics\t2011\n",
+            "hourly\t2\n",
+            "105\t2\n",
+            "130\t1\n",
+            "traffic\t2\n",
+            "1\t2122\t2\n",
+            "2\t511\t1\n",
+            "mobility\t1\t1\t1\n",
+            "1\t352000000000012\t32400\t3\t33000\n",
+            "1\t0\t2 3\n",
+            "1\t2:600\n",
+            "wearable\t1\t1\n",
+            "1\t352000000000012\t32400:2 33000:3\n",
+            "1\t352000000000012\t32405:111 32430:2011\n",
+            "through-device\t-\n",
+            "trace-qa\t2\t0\t0\t0 1\n",
+        ]
+        .concat();
+        assert_eq!(text, expected);
+        roundtrip(&partials);
+    }
+
     #[test]
     fn mobility_partial_roundtrips_with_open_dwell() {
         let db = DeviceDb::standard();

@@ -189,27 +189,6 @@ fn ranks(xs: &[f64]) -> Vec<f64> {
     out
 }
 
-/// Normalizes values so they sum to 1 (all-zero input stays zero).
-pub fn normalize_sum(values: &[f64]) -> Vec<f64> {
-    let total: f64 = values.iter().sum();
-    if total <= 0.0 {
-        vec![0.0; values.len()]
-    } else {
-        values.iter().map(|v| v / total).collect()
-    }
-}
-
-/// Normalizes values by their maximum (the paper's confidentiality
-/// normalization for Fig. 2(a)/4); all-zero input stays zero.
-pub fn normalize_max(values: &[f64]) -> Vec<f64> {
-    let max = values.iter().cloned().fold(0.0_f64, f64::max);
-    if max <= 0.0 {
-        vec![0.0; values.len()]
-    } else {
-        values.iter().map(|v| v / max).collect()
-    }
-}
-
 /// Least-squares slope of `y` against `x` (per-unit-x growth), 0 when
 /// degenerate. Used to fit the Fig. 2(a) adoption trend.
 pub fn linear_slope(xs: &[f64], ys: &[f64]) -> f64 {
@@ -355,14 +334,6 @@ mod tests {
         let ys = [1.0, 8.0, 27.0, 64.0, 125.0];
         assert!((spearman(&xs, &ys) - 1.0).abs() < 1e-12);
         assert!(pearson(&xs, &ys) < 1.0);
-    }
-
-    #[test]
-    fn normalizations() {
-        assert_eq!(normalize_sum(&[1.0, 3.0]), vec![0.25, 0.75]);
-        assert_eq!(normalize_max(&[1.0, 4.0, 2.0]), vec![0.25, 1.0, 0.5]);
-        assert_eq!(normalize_sum(&[0.0, 0.0]), vec![0.0, 0.0]);
-        assert_eq!(normalize_max(&[]), Vec::<f64>::new());
     }
 
     #[test]

@@ -203,22 +203,6 @@ proptest! {
         prop_assert!((stats::pearson(&xs, &xs) - 1.0).abs() < 1e-9 || xs.iter().all(|&x| x == xs[0]));
     }
 
-    /// normalize_sum returns a distribution; normalize_max peaks at 1.
-    #[test]
-    fn normalization_laws(values in prop::collection::vec(0.0f64..1e9, 1..50)) {
-        let any_positive = values.iter().any(|v| *v > 0.0);
-        let ns = stats::normalize_sum(&values);
-        let nm = stats::normalize_max(&values);
-        if any_positive {
-            prop_assert!((ns.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-            let max = nm.iter().cloned().fold(0.0_f64, f64::max);
-            prop_assert!((max - 1.0).abs() < 1e-9);
-        } else {
-            prop_assert!(ns.iter().all(|v| *v == 0.0));
-        }
-        prop_assert!(ns.iter().all(|v| (0.0..=1.0 + 1e-12).contains(v)));
-    }
-
     /// stable_sum equals the naive sum up to float tolerance and is exactly
     /// permutation-invariant.
     #[test]

@@ -80,11 +80,6 @@ impl DeviceDb {
         DeviceDb::with_catalog(crate::catalog::standard_catalog())
     }
 
-    /// Number of models.
-    pub fn num_models(&self) -> usize {
-        self.models.len()
-    }
-
     /// The model with id `id`.
     pub fn model(&self, id: ModelId) -> Option<&DeviceModel> {
         self.models.get(id.0 as usize)
@@ -126,11 +121,6 @@ impl DeviceDb {
             }
         }
         out
-    }
-
-    /// The TACs allocated to one model.
-    pub fn tacs_of_model(&self, id: ModelId) -> &[Tac] {
-        &self.tacs_by_model[id.0 as usize]
     }
 
     /// Picks a model of `class` with probability proportional to market
@@ -189,7 +179,7 @@ mod tests {
     #[test]
     fn lookup_roundtrip_for_every_model() {
         let db = DeviceDb::standard();
-        for i in 0..db.num_models() {
+        for i in 0..db.models.len() {
             let id = ModelId(i as u16);
             let imei = db.allocate_imei(id, 123);
             let rec = db.lookup(imei).expect("allocated IMEI must resolve");
@@ -205,13 +195,13 @@ mod tests {
     fn lookup_by_arithmetic_matches_the_tac_map() {
         for db in [DeviceDb::standard(), DeviceDb::with_catalog(vec![])] {
             let mut map = HashMap::new();
-            for i in 0..db.num_models() {
+            for i in 0..db.models.len() {
                 for k in 0..TACS_PER_MODEL {
                     let tac = Tac::new(TAC_BASE + i as u32 * TACS_PER_MODEL + k).unwrap();
                     map.insert(tac, ModelId(i as u16));
                 }
             }
-            let planned_end = TAC_BASE + db.num_models() as u32 * TACS_PER_MODEL;
+            let planned_end = TAC_BASE + db.models.len() as u32 * TACS_PER_MODEL;
             let tacs = (TAC_BASE - 5..planned_end + 5).chain([0, 1, 99_999_999]);
             for tac in tacs.map(|t| Tac::new(t).unwrap()) {
                 let imei = Imei::from_parts(tac, 4242).unwrap();
@@ -252,9 +242,7 @@ mod tests {
     #[test]
     fn tacs_are_disjoint_across_models() {
         let db = DeviceDb::standard();
-        let mut all: Vec<Tac> = (0..db.num_models())
-            .flat_map(|i| db.tacs_of_model(ModelId(i as u16)).to_vec())
-            .collect();
+        let mut all: Vec<Tac> = db.tacs_by_model.concat();
         let before = all.len();
         all.sort();
         all.dedup();

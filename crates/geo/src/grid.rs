@@ -149,11 +149,6 @@ impl SectorGrid {
         }
         best
     }
-
-    /// Number of grid cells.
-    pub fn num_cells(&self) -> usize {
-        self.buckets.len()
-    }
 }
 
 #[cfg(test)]

@@ -74,16 +74,6 @@ impl GeoPoint {
         let dlon = east_km / (EARTH_RADIUS_KM * coslat) * (180.0 / core::f64::consts::PI);
         GeoPoint::new(self.lat_deg + dlat, self.lon_deg + dlon)
     }
-
-    /// Linear interpolation between `self` (t = 0) and `other` (t = 1) in
-    /// coordinate space. Adequate for intra-country commute paths.
-    pub fn lerp(self, other: GeoPoint, t: f64) -> GeoPoint {
-        let t = t.clamp(0.0, 1.0);
-        GeoPoint::new(
-            self.lat_deg + (other.lat_deg - self.lat_deg) * t,
-            self.lon_deg + (other.lon_deg - self.lon_deg) * t,
-        )
-    }
 }
 
 impl Eq for GeoPoint {}
@@ -161,18 +151,5 @@ mod tests {
         assert!(p.offset_km(0.0, 1.0).lat() > p.lat());
         assert!(p.offset_km(1.0, 0.0).lon() > p.lon());
         assert!(p.offset_km(0.0, -1.0).lat() < p.lat());
-    }
-
-    #[test]
-    fn lerp_endpoints_and_midpoint() {
-        let a = GeoPoint::new(40.0, -3.0);
-        let b = GeoPoint::new(42.0, 1.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        let m = a.lerp(b, 0.5);
-        assert!((m.lat() - 41.0).abs() < 1e-9);
-        assert!((m.lon() - (-1.0)).abs() < 1e-9);
-        // t is clamped.
-        assert_eq!(a.lerp(b, 2.0), b);
     }
 }

@@ -151,11 +151,6 @@ impl MmeSummary {
         self.daily_users.get(&day).map_or(0, HashSet::len)
     }
 
-    /// The set of users registered on `day`.
-    pub fn user_set(&self, day: u64) -> Option<&HashSet<UserId>> {
-        self.daily_users.get(&day)
-    }
-
     /// Distinct users registered on any day in `[from, to)`.
     pub fn users_in_days(&self, from: u64, to: u64) -> HashSet<UserId> {
         let mut out = HashSet::new();
@@ -270,16 +265,6 @@ impl Mme {
         &self.census
     }
 
-    /// The sector a device is currently attached at.
-    pub fn current_sector(&self, user: UserId, imei: u64) -> Option<SectorId> {
-        self.registered.get(&(user, imei)).map(|r| r.sector)
-    }
-
-    /// Number of currently registered devices.
-    pub fn registered_count(&self) -> usize {
-        self.registered.len()
-    }
-
     /// Count of tolerated protocol anomalies.
     pub fn anomalies(&self) -> u64 {
         self.anomalies
@@ -304,6 +289,43 @@ impl Mme {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The sector a device is registered at.
+    fn current_sector(mme: &Mme, user: UserId, imei: u64) -> Option<SectorId> {
+        mme.registered.get(&(user, imei)).map(|r| r.sector)
+    }
+
+    proptest! {
+        /// A device is registered at its last attach or move's sector, and
+        /// not at all after a detach.
+        #[test]
+        fn current_sector_is_last_write(
+            ops in prop::collection::vec((0u64..8, 0u8..3, 0u32..5), 0..100),
+        ) {
+            let db = DeviceDb::standard();
+            let imei = db.example_imei(db.wearable_tacs()[0], 2).as_u64();
+            let mut mme = Mme::new(&db);
+            let mut shadow = HashMap::new();
+            for (i, &(user, kind, sector)) in ops.iter().enumerate() {
+                let (t, u) = (SimTime::from_secs(i as u64), UserId(user));
+                match kind {
+                    0 => mme.attach(t, u, imei, SectorId(sector)),
+                    1 => mme.sector_update(t, u, imei, SectorId(sector)),
+                    _ => {
+                        mme.detach(t, u, imei);
+                        shadow.remove(&user);
+                        continue;
+                    }
+                }
+                shadow.insert(user, sector);
+            }
+            for user in 0..8u64 {
+                let got = current_sector(&mme, UserId(user), imei).map(|s| s.raw());
+                prop_assert_eq!(got, shadow.get(&user).copied());
+            }
+        }
+    }
 
     fn wearable_imei(db: &DeviceDb) -> u64 {
         db.example_imei(db.wearable_tacs()[0], 1).as_u64()
@@ -320,11 +342,11 @@ mod tests {
         let mut mme = Mme::new(&db);
         let (u, i) = (UserId(1), wearable_imei(&db));
         mme.attach(SimTime::from_secs(10), u, i, SectorId(5));
-        assert_eq!(mme.current_sector(u, i), Some(SectorId(5)));
+        assert_eq!(current_sector(&mme, u, i), Some(SectorId(5)));
         mme.sector_update(SimTime::from_secs(20), u, i, SectorId(6));
-        assert_eq!(mme.current_sector(u, i), Some(SectorId(6)));
+        assert_eq!(current_sector(&mme, u, i), Some(SectorId(6)));
         mme.detach(SimTime::from_secs(30), u, i);
-        assert_eq!(mme.current_sector(u, i), None);
+        assert_eq!(current_sector(&mme, u, i), None);
         assert_eq!(mme.anomalies(), 0);
         assert_eq!(mme.log().len(), 3);
         assert_eq!(mme.log()[0].event, MmeEvent::Attach);
@@ -339,7 +361,7 @@ mod tests {
         // Move before attach: implicit attach.
         mme.sector_update(SimTime::from_secs(1), u, i, SectorId(2));
         assert_eq!(mme.anomalies(), 1);
-        assert_eq!(mme.current_sector(u, i), Some(SectorId(2)));
+        assert_eq!(current_sector(&mme, u, i), Some(SectorId(2)));
         // Double attach.
         mme.attach(SimTime::from_secs(2), u, i, SectorId(3));
         assert_eq!(mme.anomalies(), 2);

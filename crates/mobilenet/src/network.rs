@@ -293,7 +293,8 @@ mod tests {
             },
         ]);
         let (store, _, stats) = net.finish();
-        assert!(store.is_time_sorted());
+        assert!(store.proxy().is_sorted_by_key(|r| r.timestamp));
+        assert!(store.mme().is_sorted_by_key(|r| r.timestamp));
         assert_eq!(store.mme().len(), 3);
         assert_eq!(store.proxy().len(), 1);
         assert_eq!(stats.events, 4);
@@ -319,6 +320,7 @@ mod tests {
         });
         let (store, _, stats) = net.finish();
         assert_eq!(stats.time_regressions, 1);
-        assert!(store.is_time_sorted());
+        assert!(store.proxy().is_sorted_by_key(|r| r.timestamp));
+        assert!(store.mme().is_sorted_by_key(|r| r.timestamp));
     }
 }

@@ -24,15 +24,6 @@ impl ProxyCounters {
     pub fn bytes_total(&self) -> u64 {
         self.bytes_down + self.bytes_up
     }
-
-    /// Fraction of transactions that were HTTPS (0 when empty).
-    pub fn https_fraction(&self) -> f64 {
-        if self.transactions == 0 {
-            0.0
-        } else {
-            self.https_transactions as f64 / self.transactions as f64
-        }
-    }
 }
 
 /// Long-horizon summary of *wearable-device* transactions, kept even outside
@@ -125,24 +116,9 @@ impl WearableTrafficSummary {
         out
     }
 
-    /// Users with at least one wearable transaction ever.
-    pub fn users_ever(&self) -> HashSet<UserId> {
-        self.users_in_days(0, u64::MAX)
-    }
-
     /// Distinct wearable-transacting users on `day`.
     pub fn users_on_day(&self, day: u64) -> usize {
         self.users_by_day.get(&day).map_or(0, HashSet::len)
-    }
-
-    /// Wearable transactions on `day`.
-    pub fn transactions_on_day(&self, day: u64) -> u64 {
-        self.transactions_by_day.get(&day).copied().unwrap_or(0)
-    }
-
-    /// Wearable bytes on `day`.
-    pub fn bytes_on_day(&self, day: u64) -> u64 {
-        self.bytes_by_day.get(&day).copied().unwrap_or(0)
     }
 }
 
@@ -256,7 +232,6 @@ mod tests {
         assert_eq!(c.transactions, 2);
         assert_eq!(c.https_transactions, 1);
         assert_eq!(c.bytes_total(), 175);
-        assert!((c.https_fraction() - 0.5).abs() < 1e-12);
         assert_eq!(p.log().len(), 2);
         assert_eq!(p.log()[0].host.name(), "a.com");
     }
@@ -282,11 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_fraction_is_zero() {
-        assert_eq!(TransparentProxy::new().counters().https_fraction(), 0.0);
-    }
-
-    #[test]
     fn unretained_transactions_still_counted_and_summarized() {
         let mut p = TransparentProxy::new();
         p.observe(
@@ -302,10 +272,11 @@ mod tests {
         );
         assert!(p.log().is_empty());
         assert_eq!(p.counters().transactions, 1);
-        assert_eq!(p.wearable_summary().users_on_day(3), 1);
-        assert_eq!(p.wearable_summary().transactions_on_day(3), 1);
-        assert_eq!(p.wearable_summary().bytes_on_day(3), 120);
-        assert!(p.wearable_summary().users_ever().contains(&UserId(7)));
+        let summary = p.wearable_summary();
+        assert_eq!(summary.users_on_day(3), 1);
+        assert_eq!(summary.transactions_by_day[&3], 1);
+        assert_eq!(summary.bytes_by_day[&3], 120);
+        assert!(summary.users_in_days(0, u64::MAX).contains(&UserId(7)));
     }
 
     #[test]
@@ -348,9 +319,12 @@ mod tests {
         p.wearable_summary().write_tsv(&mut buf).unwrap();
         let back = WearableTrafficSummary::read_tsv(buf.as_slice()).unwrap();
         assert_eq!(back.users_on_day(0), 2);
-        assert_eq!(back.transactions_on_day(0), 2);
-        assert_eq!(back.bytes_on_day(0), 170);
-        assert_eq!(back.users_ever(), p.wearable_summary().users_ever());
+        assert_eq!(back.transactions_by_day[&0], 2);
+        assert_eq!(back.bytes_by_day[&0], 170);
+        assert_eq!(
+            back.users_in_days(0, u64::MAX),
+            p.wearable_summary().users_in_days(0, u64::MAX)
+        );
         assert!(WearableTrafficSummary::read_tsv("X\t1".as_bytes()).is_err());
     }
 

@@ -36,13 +36,6 @@
 //! Spans record into the timing section on drop, keyed by their
 //! slash-separated path (`"analyze/load"`), preserving first-seen order so
 //! reports can render the stage tree in execution order.
-//!
-//! ## Merging
-//!
-//! [`Snapshot::merge`] follows the same contract as the partial aggregates
-//! (`CorePartials`) in `wearscope-core`: commutative and associative with
-//! [`Snapshot::default`] as the identity (counters and histogram buckets
-//! sum, gauges take the max, stage accumulators sum per path).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -41,11 +41,6 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
-    /// Add a (possibly negative) delta.
-    pub fn add(&self, delta: i64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
     /// Raise the gauge to `v` if `v` is larger (peak tracking).
     pub fn set_max(&self, v: i64) {
         self.0.fetch_max(v, Ordering::Relaxed);
@@ -143,8 +138,7 @@ mod tests {
         assert_eq!(c.get(), 43);
 
         let g = Gauge::default();
-        g.set(7);
-        g.add(-3);
+        g.set(4);
         assert_eq!(g.get(), 4);
         g.set_max(10);
         g.set_max(2);

@@ -1,4 +1,4 @@
-//! Frozen metric snapshots: merge semantics and deterministic JSON.
+//! Frozen metric snapshots and their deterministic JSON.
 
 use std::collections::BTreeMap;
 use std::fmt::Write;
@@ -61,35 +61,6 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Merge `other` into `self`.
-    ///
-    /// Mirrors the merge contract of the core partial aggregates:
-    /// commutative and associative, with `Snapshot::default()` as the
-    /// identity. Counters and histogram buckets sum; gauges take the max
-    /// (a merged gauge reads as the peak across parts); stage accumulators
-    /// sum per path, with paths unknown to `self` appended in `other`'s
-    /// order.
-    ///
-    /// Histograms with the same name must have identical bounds; merging
-    /// mismatched bounds is a configuration error and panics.
-    pub fn merge(&mut self, other: &Snapshot) {
-        merge_counters(&mut self.counters, &other.counters);
-        merge_gauges(&mut self.gauges, &other.gauges);
-        merge_histograms(&mut self.histograms, &other.histograms);
-        merge_counters(&mut self.timing.counters, &other.timing.counters);
-        merge_gauges(&mut self.timing.gauges, &other.timing.gauges);
-        merge_histograms(&mut self.timing.histograms, &other.timing.histograms);
-        for stage in &other.timing.stages {
-            match self.timing.stages.iter_mut().find(|s| s.path == stage.path) {
-                Some(s) => {
-                    s.count += stage.count;
-                    s.total_ns = s.total_ns.saturating_add(stage.total_ns);
-                }
-                None => self.timing.stages.push(stage.clone()),
-            }
-        }
-    }
-
     /// Serialize to pretty-printed JSON with two-space indent.
     ///
     /// Keys are emitted in sorted order within every object, and the
@@ -140,43 +111,6 @@ impl Snapshot {
         out.push_str("}\n");
         out.push_str("}\n");
         out
-    }
-}
-
-fn merge_counters(dst: &mut BTreeMap<String, u64>, src: &BTreeMap<String, u64>) {
-    for (k, v) in src {
-        *dst.entry(k.clone()).or_insert(0) += v;
-    }
-}
-
-fn merge_gauges(dst: &mut BTreeMap<String, i64>, src: &BTreeMap<String, i64>) {
-    for (k, v) in src {
-        let slot = dst.entry(k.clone()).or_insert(i64::MIN);
-        *slot = (*slot).max(*v);
-    }
-}
-
-fn merge_histograms(
-    dst: &mut BTreeMap<String, HistogramSnapshot>,
-    src: &BTreeMap<String, HistogramSnapshot>,
-) {
-    for (k, v) in src {
-        match dst.get_mut(k) {
-            Some(d) => {
-                assert_eq!(
-                    d.bounds, v.bounds,
-                    "histogram {k:?} merged with mismatched bounds"
-                );
-                for (a, b) in d.counts.iter_mut().zip(&v.counts) {
-                    *a += b;
-                }
-                d.count += v.count;
-                d.sum = d.sum.wrapping_add(v.sum);
-            }
-            None => {
-                dst.insert(k.clone(), v.clone());
-            }
-        }
     }
 }
 
@@ -323,33 +257,5 @@ mod tests {
             json,
             "{\n  \"counters\": {},\n  \"gauges\": {},\n  \"histograms\": {},\n  \"timing\": {\n    \"counters\": {},\n    \"gauges\": {},\n    \"histograms\": {},\n    \"stages\": []\n  }\n}\n"
         );
-    }
-
-    #[test]
-    fn merge_identity_and_sums() {
-        let mut a = sample();
-        a.merge(&Snapshot::default());
-        assert_eq!(a, sample());
-
-        let mut b = Snapshot::default();
-        b.merge(&sample());
-        b.merge(&sample());
-        assert_eq!(b.counters["ingest.seen"], 200);
-        assert_eq!(b.gauges["stream.open_windows"], 3); // max, not sum
-        assert_eq!(b.histograms["stream.window_events"].counts, vec![2, 4, 0]);
-        assert_eq!(b.timing.stages[0].count, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "mismatched bounds")]
-    fn merge_rejects_mismatched_histogram_bounds() {
-        let mut a = sample();
-        let mut other = sample();
-        other
-            .histograms
-            .get_mut("stream.window_events")
-            .unwrap()
-            .bounds = vec![1];
-        a.merge(&other);
     }
 }

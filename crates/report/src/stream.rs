@@ -116,13 +116,16 @@ pub struct StreamSummary {
     pub quality: DataQuality,
     /// Total late-but-within-lateness records merged across all windows.
     pub late_merged: u64,
-    /// Windows emitted early by drop-oldest backpressure.
-    pub forced_emits: u64,
     /// Final low watermark in sim-seconds (`None` for an empty stream).
     pub final_watermark_secs: Option<u64>,
 }
 
 impl StreamSummary {
+    /// Windows emitted early by drop-oldest backpressure.
+    fn forced(&self) -> usize {
+        self.windows.iter().filter(|w| w.forced).count()
+    }
+
     /// Full deterministic report: one line per window, then totals.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -136,7 +139,7 @@ impl StreamSummary {
             out,
             "windows emitted: {} ({} forced)",
             self.windows.len(),
-            self.forced_emits
+            self.forced()
         );
         let _ = writeln!(out, "late merged: {}", self.late_merged);
         match self.final_watermark_secs {
@@ -156,7 +159,7 @@ impl StreamSummary {
         format!(
             "{} windows ({} forced), {} late merged, {}",
             self.windows.len(),
-            self.forced_emits,
+            self.forced(),
             self.late_merged,
             self.quality.summary_line()
         )
@@ -248,5 +251,12 @@ mod tests {
             ..sample()
         };
         assert!(w.render_line().ends_with("[forced]"));
+        // The summary counts the forced windows among its reports.
+        let s = StreamSummary {
+            windows: vec![sample(), w],
+            ..StreamSummary::default()
+        };
+        assert!(s.render().contains("windows emitted: 2 (1 forced)"));
+        assert!(s.summary_line().starts_with("2 windows (1 forced)"));
     }
 }

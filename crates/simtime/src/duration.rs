@@ -81,12 +81,6 @@ impl SimDuration {
         self.0 as f64 / SECS_PER_HOUR as f64
     }
 
-    /// Duration in fractional days.
-    #[inline]
-    pub fn as_days_f64(self) -> f64 {
-        self.0 as f64 / SECS_PER_DAY as f64
-    }
-
     /// `true` if this is the zero duration.
     #[inline]
     pub const fn is_zero(self) -> bool {
@@ -185,7 +179,6 @@ mod tests {
     #[test]
     fn fractional_views() {
         assert_eq!(SimDuration::from_minutes(90).as_hours_f64(), 1.5);
-        assert_eq!(SimDuration::from_hours(36).as_days_f64(), 1.5);
     }
 
     #[test]

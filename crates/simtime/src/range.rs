@@ -81,13 +81,6 @@ impl TimeRange {
         t >= self.start && t < self.end
     }
 
-    /// The intersection of two ranges, or an empty range at `self.start`.
-    pub fn intersect(self, other: TimeRange) -> TimeRange {
-        let start = self.start.max(other.start);
-        let end = self.end.min(other.end).max(start);
-        TimeRange { start, end }
-    }
-
     /// Number of calendar days the range touches (partial days count).
     pub fn num_days(self) -> u64 {
         if self.is_empty() {
@@ -200,18 +193,6 @@ mod tests {
         assert!(r.contains(SimTime::from_secs(19)));
         assert!(!r.contains(SimTime::from_secs(20)));
         assert!(!r.contains(SimTime::from_secs(9)));
-    }
-
-    #[test]
-    fn intersection() {
-        let a = TimeRange::new(SimTime::from_secs(0), SimTime::from_secs(10));
-        let b = TimeRange::new(SimTime::from_secs(5), SimTime::from_secs(15));
-        let c = a.intersect(b);
-        assert_eq!(c.start(), SimTime::from_secs(5));
-        assert_eq!(c.end(), SimTime::from_secs(10));
-
-        let disjoint = TimeRange::new(SimTime::from_secs(20), SimTime::from_secs(30));
-        assert!(a.intersect(disjoint).is_empty());
     }
 
     #[test]

@@ -7,10 +7,13 @@
 //! tab-separated fields, `-` for an absent value or an empty list, sorted
 //! map entries. The blocks, in order: a version header, the configuration
 //! (verified on resume), the stream clock, each log's ledger (its counts
-//! and first quarantined entries), the counters, the source position,
-//! emitted reports, collected windows, each log validator's duplicate
-//! memory (as raw record lines), the attributor's anchors and pending
-//! transactions, and one snapshot per open window.
+//! and first quarantined entries), the late merges, the next window index
+//! to emit, the source position, emitted reports, collected windows (each
+//! a `collected-window id` row and its partials), each log validator's
+//! duplicate memory (as raw record lines), the attributor's anchors and
+//! pending transactions, and the open windows (each an `open-window id
+//! late` row and its partials). The forced emissions and the timeline's
+//! start are not written: the reports hold them.
 //!
 //! A checkpoint is a file a user can hand to `--resume`, so reading one
 //! never panics: a count only bounds the loop over its block's lines and
@@ -33,20 +36,19 @@ use std::path::Path;
 
 use wearscope_core::sessions::Attributor;
 use wearscope_core::snapshot::{Row, RowWriter, Snapshot, SnapshotError, SnapshotReader};
-use wearscope_core::StudyContext;
+use wearscope_core::{CorePartials, StudyContext};
 use wearscope_ingest::{LogRecord, RecordValidator};
 use wearscope_report::WindowReport;
 use wearscope_trace::{decode_log_line, TsvRecord};
 
-use crate::aggregates::WindowAggregates;
-use crate::runtime::{Progress, StreamConfig, StreamError, StreamRuntime};
+use crate::runtime::{StreamConfig, StreamError, StreamRuntime};
 use crate::source::SourcePosition;
 
 /// The first field of every checkpoint's header line.
 const MAGIC: &str = "wearscope-stream-checkpoint";
 /// The checkpoint format this build writes and reads: the header's second
 /// field is `v` followed by it.
-const VERSION: u32 = 7;
+const VERSION: u32 = 8;
 
 /// The `config` line's fields, named for the mismatch message.
 const CONFIG_FIELDS: [&str; 8] = [
@@ -70,11 +72,9 @@ pub fn to_text(rt: &StreamRuntime<'_>, position: Option<SourcePosition>) -> Stri
     rt.mme.snapshot_row(&mut out, "ledger-mme");
     RowWriter::tagged(&mut out, "counters")
         .put(rt.late_merged)
-        .put(rt.forced_emits)
         .end();
     RowWriter::tagged(&mut out, "progress")
-        .put(rt.progress.map(|p| p.base))
-        .put(rt.progress.map(|p| p.next_emit))
+        .put(rt.progress)
         .end();
     let row = RowWriter::tagged(&mut out, "position");
     match position {
@@ -90,8 +90,15 @@ pub fn to_text(rt: &StreamRuntime<'_>, position: Option<SourcePosition>) -> Stri
         .put(rt.reports.len())
         .end();
     out.push_str(&rt.reports_tsv);
-    let collected = rt.collected.iter().map(|(id, w)| (*id, w));
-    push_windows(&mut out, "collected", "collected-window", collected);
+    RowWriter::tagged(&mut out, "collected")
+        .put(rt.collected.len())
+        .end();
+    for (id, partials) in &rt.collected {
+        RowWriter::tagged(&mut out, "collected-window")
+            .put(*id)
+            .end();
+        partials.snapshot(&mut out);
+    }
     let watermark = rt.watermark();
     push_remembered(
         &mut out,
@@ -104,8 +111,14 @@ pub fn to_text(rt: &StreamRuntime<'_>, position: Option<SourcePosition>) -> Stri
         rt.mme.validator.remembered(watermark),
     );
     rt.attributor.snapshot(&mut out);
-    let open = rt.open.iter().map(|(id, w)| (*id, w));
-    push_windows(&mut out, "open", "open-window", open);
+    RowWriter::tagged(&mut out, "open").put(rt.open.len()).end();
+    for (id, (partials, late_merged)) in &rt.open {
+        RowWriter::tagged(&mut out, "open-window")
+            .put(*id)
+            .put(*late_merged)
+            .end();
+        partials.snapshot(&mut out);
+    }
     RowWriter::tagged(&mut out, "end").end();
     out
 }
@@ -122,34 +135,6 @@ fn push_config(out: &mut String, c: &StreamConfig) {
         .put(c.sector_count)
         .put(c.collect_aggregates)
         .end();
-}
-
-/// Writes a `tag<TAB>n` block of `n` windows, each an `item<TAB>id` line
-/// followed by the window's snapshot.
-fn push_windows<'w>(
-    out: &mut String,
-    tag: &str,
-    item: &str,
-    windows: impl ExactSizeIterator<Item = (u64, &'w WindowAggregates)>,
-) {
-    RowWriter::tagged(out, tag).put(windows.len()).end();
-    for (id, w) in windows {
-        RowWriter::tagged(out, item).put(id).end();
-        w.snapshot(out);
-    }
-}
-
-/// Reads a block written by [`push_windows`].
-fn read_windows(
-    r: &mut SnapshotReader<'_>,
-    tag: &str,
-    item: &str,
-) -> Result<Vec<(u64, WindowAggregates)>, SnapshotError> {
-    let mut windows = Vec::new();
-    for _ in 0..r.count(tag)? {
-        windows.push((r.count(item)?, WindowAggregates::restore(r)?));
-    }
-    Ok(windows)
 }
 
 /// Writes a `tag<TAB>n` block of `n` log record lines.
@@ -239,15 +224,10 @@ pub fn from_text<'s>(
 
     let mut row = r.tagged("counters")?;
     rt.late_merged = row.field()?;
-    rt.forced_emits = row.field()?;
     row.end()?;
 
     let mut row = r.tagged("progress")?;
-    rt.progress = match (row.field()?, row.field()?) {
-        (Some(base), Some(next_emit)) => Some(Progress { base, next_emit }),
-        (None, None) => None,
-        _ => return Err(row.err("progress needs both its fields, or neither").into()),
-    };
+    rt.progress = row.field()?;
     row.end()?;
 
     let mut row = r.tagged("position")?;
@@ -265,13 +245,27 @@ pub fn from_text<'s>(
     for _ in 0..r.count("reports")? {
         rt.push_report(WindowReport::from_tsv(r.row()?)?);
     }
-    rt.collected = read_windows(&mut r, "collected", "collected-window")?;
+    for _ in 0..r.count("collected")? {
+        let id = r.count("collected-window")?;
+        rt.collected.push((id, CorePartials::restore(&mut r)?));
+    }
     read_remembered(&mut r, "dedup-proxy", &mut rt.proxy.validator)?;
     read_remembered(&mut r, "dedup-mme", &mut rt.mme.validator)?;
     rt.attributor = Attributor::restore(&mut r)?;
-    rt.open = read_windows(&mut r, "open", "open-window")?
-        .into_iter()
-        .collect();
+    for _ in 0..r.count("open")? {
+        let mut row = r.tagged("open-window")?;
+        let (id, late_merged) = (row.field()?, row.field()?);
+        // Emission removes a window and moves the next index past it, so
+        // an open window is never behind the next index to emit.
+        if rt.progress.is_none_or(|next| id < next) {
+            return Err(row
+                .err("open window is behind the next index to emit")
+                .into());
+        }
+        row.end()?;
+        rt.open
+            .insert(id, (CorePartials::restore(&mut r)?, late_merged));
+    }
     r.tagged("end")?.end()?;
     Ok((rt, position))
 }
@@ -423,19 +417,18 @@ mod tests {
 
         // Day 0 is a Friday: hours 0 and 1 are weekly slots 96 and 97.
         let expected = [
-            "wearscope-stream-checkpoint\tv7\n",
+            "wearscope-stream-checkpoint\tv8\n",
             "config\t3600\t3600\t300\t4096\tblock\t-\t-\t1\n",
             "clock\t4000\n",
             "ledger-proxy\t3\t2\t3\t0\t0\t1\t0\t0\t0\t0\t-\t2:duplicate\n",
             "ledger-mme\t2\t2\t2\t0\t0\t0\t0\t0\t0\t0\t-\t-\n",
-            "counters\t0\t0\n",
-            "progress\t0\t1\n",
+            "counters\t0\n",
+            "progress\t1\n",
             "position\t321\t3\t123\t2\n",
             "reports\t1\n",
             "0\t0\t3600\t1\t1\t1\t72\t1\t1\t0\t0\n",
             "collected\t1\n",
             "collected-window\t0\n",
-            "window-counters\t0\n",
             "attributed\t1\n",
             "1\t3590\t0\t0\t72\n",
             "hourly\t1\n",
@@ -459,8 +452,7 @@ mod tests {
             "a\t3590\t0\n",
             "q\t4000\t72\t-\n",
             "open\t1\n",
-            "open-window\t1\n",
-            "window-counters\t0\n",
+            "open-window\t1\t0\n",
             "attributed\t0\n",
             "hourly\t1\n",
             "97\t1\n",
@@ -510,82 +502,82 @@ mod tests {
             (
                 "attributor\t1\n",
                 "attributor\t1000000000000000000\n",
-                36,
+                35,
                 "expected `u` block, found `open`",
             ),
             (
                 "wearable\t1\t1\n",
                 "wearable\t1\t1000000000000000000\n",
-                26,
+                25,
                 "field 1: `through-device` is not a u64",
             ),
             (
                 "hourly\t1\n",
                 "hourly\t1000000000000000000\n",
-                18,
+                17,
                 "field 1: `traffic` is not a usize",
             ),
             (
                 "1\t3590\t0\t0\t72\n",
                 "1\t3590\t65537\t0\t72\n",
-                15,
+                14,
                 "field 3: `65537` is not a u16",
             ),
             (
                 "1\t3590\t0\t0\t72\n",
                 "1\t3590\t0\tBogus\t72\n",
-                15,
+                14,
                 "field 4: `Bogus` is not an app id or a domain class",
             ),
-            ("96\t1\n", "168\t1\n", 17, "slot 168 is not below 168"),
-            ("\t200:5\n", "\t200:x\n", 24, "field 3: `x` is not a u32"),
-            ("\t3590:72\n", "\t3590:x\n", 25, "field 3: `x` is not a u64"),
+            ("96\t1\n", "168\t1\n", 16, "slot 168 is not below 168"),
+            ("\t200:5\n", "\t200:x\n", 23, "field 3: `x` is not a u32"),
+            ("\t3590:72\n", "\t3590:x\n", 24, "field 3: `x` is not a u64"),
             (
                 "\t200\t5\t200\n",
                 "\t200\t5\t-\n",
-                21,
+                20,
                 "sector and since must both be present or both `-`",
             ),
             (
                 "\t200\t5\t200\n",
                 "\t200\t-\t200\n",
-                21,
+                20,
                 "sector and since must both be present or both `-`",
             ),
             (
                 "through-device\t-\n",
                 "through-device\tBogus:1\n",
-                26,
+                25,
                 "field 2: `Bogus` is not a Through-Device kind",
             ),
             (
                 "u\t1\t1\t1\n",
                 "u\t1\t1000000000000000000\t1\n",
-                35,
+                34,
                 "expected `a` block, found `q`",
             ),
             (
                 "a\t3590\t0\n",
                 "a\t3590\t65537\n",
-                34,
+                33,
                 "field 3: `65537` is not a u16",
             ),
             (
                 "q\t4000\t72\t-\n",
                 "q\t4000\t72\tX\n",
-                35,
+                34,
                 "field 4: `X` is not an app id or a domain class",
             ),
             (
                 "q\t4000\t72\t-\n",
                 "q\t4000\t72\t-\tW\t3590\t0\n",
-                35,
+                34,
                 "unexpected field 5 `W`",
             ),
             (
                 "1\t0\t5\n",
                 "1\t0\t4294967296\n",
-                22,
+                21,
                 "field 3: `4294967296` is not a u32",
             ),
             (
@@ -619,12 +611,30 @@ mod tests {
                 "field 13: `2` is not a key:value pair",
             ),
             (
+                "progress\t1\n",
                 "progress\t0\t1\n",
-                "progress\t0\t-\n",
                 7,
-                "progress needs both its fields, or neither",
+                "unexpected field 3 `1`",
             ),
-            ("end\n", "", 52, "unexpected end of snapshot"),
+            (
+                "open-window\t1\t0\n",
+                "open-window\t1\n",
+                36,
+                "missing field 3",
+            ),
+            (
+                "open-window\t1\t0\n",
+                "open-window\t0\t0\n",
+                36,
+                "open window is behind the next index to emit",
+            ),
+            (
+                "progress\t1\n",
+                "progress\t-\n",
+                36,
+                "open window is behind the next index to emit",
+            ),
+            ("end\n", "", 50, "unexpected end of snapshot"),
         ];
         for (from, to, line, message) in cases {
             assert!(text.contains(from), "{from:?}");
@@ -842,19 +852,19 @@ mod tests {
         let config = hour_config();
         let text = to_text(&StreamRuntime::new(&ctx, config), None);
         let (header, body) = text.split_once('\n').unwrap();
-        assert_eq!(header, "wearscope-stream-checkpoint\tv7");
-        for found in [1, 2, 3, 4, 5, 6] {
+        assert_eq!(header, "wearscope-stream-checkpoint\tv8");
+        for found in [1, 2, 3, 4, 5, 6, 7] {
             let old = format!("wearscope-stream-checkpoint\tv{found}\n{body}");
             let err = from_text(&ctx, config, &old)
                 .map(|_| ())
                 .expect_err("an older checkpoint must be rejected");
             assert!(
-                matches!(err, StreamError::CheckpointVersion { found: f, expected: 7 } if f == found),
+                matches!(err, StreamError::CheckpointVersion { found: f, expected: 8 } if f == found),
                 "{err}"
             );
             let message = err.to_string();
             assert!(
-                message.contains(&format!("v{found}")) && message.contains("v7"),
+                message.contains(&format!("v{found}")) && message.contains("v8"),
                 "{message}"
             );
             assert!(message.contains("without --resume"), "{message}");

@@ -1,8 +1,9 @@
 //! The streaming runtime: validation, windowing, watermarks, emission.
 //!
-//! [`StreamRuntime`] pulls items from an [`EventSource`] and maintains one
-//! [`WindowAggregates`] per open event-time window. The **low watermark**
-//! is `max_event_time − lateness`:
+//! [`StreamRuntime`] pulls items from an [`EventSource`] and keeps each
+//! open event-time window as its [`CorePartials`] — the partials the batch
+//! fold absorbs into — and its late-merge count. The **low watermark** is
+//! `max_event_time − lateness`:
 //!
 //! * a record behind the watermark is quarantined as `OutOfOrder` (the
 //!   streaming analogue of the batch loader's high-water-mark check);
@@ -22,7 +23,17 @@
 //! downstream consumers see a gapless timeline. When the open-window cap
 //! is hit, [`Backpressure::Block`] surfaces a typed error and
 //! [`Backpressure::DropOldest`] force-emits the oldest windows early,
-//! marking their reports `forced`.
+//! marking their reports `forced`. Every emission pushes one report, so
+//! the reports alone say how many windows were forced and whether the
+//! timeline has started: the runtime keeps neither.
+//!
+//! Merging every *tumbling* window's partials in index order and
+//! finishing once reproduces the batch [`CoreAggregates`] bit-identically
+//! (the golden equivalence the integration tests pin). Sliding windows
+//! count a record in each window that holds it, so their partials
+//! describe each window, not a partition of the stream.
+//!
+//! [`CoreAggregates`]: wearscope_core::CoreAggregates
 //!
 //! [`StreamRuntime::pump`] renders each periodic checkpoint on the
 //! runtime thread and hands it to a writer thread that makes it durable,
@@ -40,14 +51,13 @@ use std::time::Instant;
 
 use wearscope_core::sessions::{AttributedTx, Attributor, SESSION_GAP_SECS};
 use wearscope_core::snapshot::SnapshotError;
-use wearscope_core::StudyContext;
+use wearscope_core::{CorePartials, StudyContext};
 use wearscope_ingest::{reason_for_codec, IngestError, LogLedger, RecordValidator};
 use wearscope_obs::{Counter, Gauge, Histogram, Registry};
 use wearscope_report::{DataQuality, QuarantineReason, ShardSource, StreamSummary, WindowReport};
 use wearscope_simtime::{SimDuration, SimTime};
 use wearscope_trace::{MmeRecord, ProxyRecord};
 
-use crate::aggregates::WindowAggregates;
 use crate::source::{
     panicked, EventSource, Polled, SourceItem, SourceKind, SourcePosition, StreamEvent,
 };
@@ -290,42 +300,34 @@ impl Default for StreamObs {
     }
 }
 
-/// Emission progress: windows strictly below `next_emit` are sealed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct Progress {
-    /// Lowest window index the stream ever opened.
-    pub(crate) base: u64,
-    /// Next window index to emit.
-    pub(crate) next_emit: u64,
-}
-
 /// The incremental event-time streaming engine.
 pub struct StreamRuntime<'s> {
     pub(crate) ctx: &'s StudyContext<'s>,
     pub(crate) config: StreamConfig,
     /// Largest kept event timestamp (`None` before the first kept record).
     pub(crate) max_event: Option<SimTime>,
-    pub(crate) progress: Option<Progress>,
-    /// Open windows by index.
-    pub(crate) open: BTreeMap<u64, WindowAggregates>,
+    /// The next window index to emit (`None` before the first kept
+    /// record); once a window is emitted, every window below it is sealed.
+    pub(crate) progress: Option<u64>,
+    /// Open windows by index: each window's partials and its late merges.
+    pub(crate) open: BTreeMap<u64, (CorePartials, u64)>,
     /// Emitted window reports, ascending index.
     pub(crate) reports: Vec<WindowReport>,
     /// `reports` as checkpoint lines, each report's `to_tsv` and a
     /// newline, appended as it is emitted so a checkpoint only copies them.
     pub(crate) reports_tsv: String,
     /// Emitted windows' partials (only with `collect_aggregates`).
-    pub(crate) collected: Vec<(u64, WindowAggregates)>,
-    /// An emitted window, cleared, kept to be the next one opened, so its
-    /// maps are not allocated again (without `collect_aggregates`).
-    spare: Option<WindowAggregates>,
+    pub(crate) collected: Vec<(u64, CorePartials)>,
+    /// An emitted window's partials, cleared, kept to be the next window
+    /// opened, so its maps are not allocated again (without
+    /// `collect_aggregates`).
+    spare: Option<CorePartials>,
     pub(crate) attributor: Attributor,
     /// Each log's validator and counts.
     pub(crate) proxy: LogLedger<ProxyRecord>,
     pub(crate) mme: LogLedger<MmeRecord>,
     /// Kept records that arrived behind the max event time.
     pub(crate) late_merged: u64,
-    /// Windows emitted early by drop-oldest backpressure.
-    pub(crate) forced_emits: u64,
     /// Metric handles (a private unobserved registry unless
     /// [`with_metrics`](StreamRuntime::with_metrics) routed them).
     pub(crate) obs: StreamObs,
@@ -361,7 +363,6 @@ impl<'s> StreamRuntime<'s> {
                 RecordValidator::new(config.max_timestamp).with_sector_count(config.sector_count),
             ),
             late_merged: 0,
-            forced_emits: 0,
             obs: StreamObs::default(),
         }
     }
@@ -465,9 +466,7 @@ impl<'s> StreamRuntime<'s> {
         // After forced emission, a record whose every target window is
         // sealed has nowhere to go. Before any emission the timeline may
         // still start lower, so nothing is sealed yet.
-        let sealed = self
-            .progress
-            .is_some_and(|p| p.next_emit != p.base && hi < p.next_emit);
+        let sealed = !self.reports.is_empty() && self.progress.is_some_and(|next| hi < next);
         let watermark = self.watermark();
         let verdict = match &ev {
             StreamEvent::Proxy(r) => self.proxy.check(r, watermark, sealed),
@@ -477,29 +476,26 @@ impl<'s> StreamRuntime<'s> {
             return Ok(());
         };
         let device = self.ctx.device_class_of(imei);
-        let p = self.progress.get_or_insert(Progress {
-            base: lo,
-            next_emit: lo,
-        });
-        // Nothing emitted yet: a within-lateness record earlier than the
-        // first one moves the timeline's start down.
-        if lo < p.next_emit && p.next_emit == p.base {
-            p.base = lo;
-            p.next_emit = lo;
-        }
-        let next_emit = p.next_emit;
+        let next_emit = match self.progress {
+            Some(next) if !self.reports.is_empty() => next,
+            // Nothing emitted yet: a within-lateness record earlier than
+            // the first one moves the timeline's start down.
+            next => next.map_or(lo, |next| next.min(lo)),
+        };
+        self.progress = Some(next_emit);
         let late = self.max_event.is_some_and(|m| ts < m);
         self.late_merged += u64::from(late);
         let mut wearable = false;
         for id in lo.max(next_emit)..=hi {
             let ctx = self.ctx;
-            let window = match self.open.get_mut(&id) {
+            let (partials, late_merged) = match self.open.get_mut(&id) {
                 Some(window) => window,
                 None => self.open_window(id)?,
             };
+            *late_merged += u64::from(late);
             match &ev {
-                StreamEvent::Proxy(r) => wearable = window.absorb_proxy(ctx, r, device, late),
-                StreamEvent::Mme(r) => window.absorb_mme(ctx, r, device, late),
+                StreamEvent::Proxy(r) => wearable = partials.absorb_proxy(ctx, r, device),
+                StreamEvent::Mme(r) => partials.absorb_mme(ctx, r, device),
             }
         }
         if let StreamEvent::Proxy(r) = &ev {
@@ -524,14 +520,14 @@ impl<'s> StreamRuntime<'s> {
     /// no later than the close of any window containing it); windows
     /// sealed early by forced emission are skipped.
     fn route_attributed(&mut self, emitted: &[AttributedTx]) {
-        let next_emit = self.progress.map_or(0, |p| p.next_emit);
+        let next_emit = self.progress.unwrap_or(0);
         for tx in emitted {
             for id in self.config.spec.assign(tx.timestamp) {
                 if id < next_emit {
                     continue;
                 }
-                if let Some(w) = self.open.get_mut(&id) {
-                    w.absorb_attributed(tx);
+                if let Some((partials, _)) = self.open.get_mut(&id) {
+                    partials.absorb_attributed(tx);
                 }
             }
         }
@@ -543,13 +539,15 @@ impl<'s> StreamRuntime<'s> {
     /// (including empty gaps).
     fn advance_watermark(&mut self) {
         let w = self.watermark();
-        let Some(p) = self.progress else { return };
+        let Some(next_emit) = self.progress else {
+            return;
+        };
         let spec = self.config.spec;
         let due = move |index: u64| -> bool {
             let (_, end) = spec.bounds(index);
             end.saturating_add(slack()) <= w
         };
-        if !due(p.next_emit) {
+        if !due(next_emit) {
             return;
         }
         // Release attribution up to the watermark *before* sealing windows:
@@ -559,7 +557,7 @@ impl<'s> StreamRuntime<'s> {
         let mut emitted = Vec::new();
         self.attributor.advance(w, &mut emitted);
         self.route_attributed(&emitted);
-        while self.progress.is_some_and(|p| due(p.next_emit)) {
+        while self.progress.is_some_and(due) {
             self.emit_next(false);
         }
         self.obs.emit_ns.add(started.elapsed().as_nanos() as u64);
@@ -568,27 +566,21 @@ impl<'s> StreamRuntime<'s> {
     /// Emits window `next_emit` (an absent index emits an all-zero report)
     /// and advances the cursor.
     fn emit_next(&mut self, forced: bool) {
-        let p = self.progress.as_mut().expect("emission needs progress");
-        let index = p.next_emit;
-        p.next_emit += 1;
-        let agg = self.open.remove(&index);
-        let (start, end) = self.config.spec.bounds(index);
-        let report = |w: &WindowAggregates| w.report(index, start.as_secs(), end.as_secs(), forced);
-        self.push_report(
-            agg.as_ref()
-                .map_or_else(|| report(&WindowAggregates::default()), report),
-        );
+        let index = self.progress.expect("emission needs progress");
+        self.progress = Some(index + 1);
+        let (mut partials, late_merged) = self.open.remove(&index).unwrap_or_default();
+        let report = window_report(self.config.spec, index, &partials, late_merged, forced);
+        self.push_report(report);
         self.obs.windows_emitted.inc();
         self.obs.open_windows.set(self.open.len() as i64);
         if forced {
-            self.forced_emits += 1;
             self.obs.forced_emits.inc();
         }
         if self.config.collect_aggregates {
-            self.collected.push((index, agg.unwrap_or_default()));
-        } else if let Some(mut agg) = agg.filter(|_| self.spare.is_none()) {
-            agg.clear();
-            self.spare = Some(agg);
+            self.collected.push((index, partials));
+        } else if self.spare.is_none() {
+            partials.clear();
+            self.spare = Some(partials);
         }
     }
 
@@ -601,7 +593,7 @@ impl<'s> StreamRuntime<'s> {
 
     /// Opens window `id`, which is not open, under the backpressure
     /// policy.
-    fn open_window(&mut self, id: u64) -> Result<&mut WindowAggregates, StreamError> {
+    fn open_window(&mut self, id: u64) -> Result<&mut (CorePartials, u64), StreamError> {
         if self.open.len() >= self.config.max_open_windows {
             match self.config.backpressure {
                 Backpressure::Block => {
@@ -615,17 +607,17 @@ impl<'s> StreamRuntime<'s> {
                     // Seal everything up to and including the oldest open
                     // window; the early reports are marked `forced`.
                     let oldest = *self.open.keys().next().expect("cap > 0 implies non-empty");
-                    while self.progress.is_some_and(|p| p.next_emit <= oldest) {
+                    while self.progress.is_some_and(|next| next <= oldest) {
                         self.emit_next(true);
                     }
                 }
             }
         }
-        let window = self.spare.take().unwrap_or_default();
+        let partials = self.spare.take().unwrap_or_default();
         let open = self.open.len() as i64 + 1;
         self.obs.open_windows.set(open);
         self.obs.open_windows_peak.set_max(open);
-        Ok(self.open.entry(id).or_insert(window))
+        Ok(self.open.entry(id).or_insert((partials, 0)))
     }
 
     /// Pulls the source until it ends, stalls, or the stop budget is hit,
@@ -747,7 +739,7 @@ impl<'s> StreamRuntime<'s> {
 
     /// Consumes the runtime into its summary and (if collected) the
     /// emitted windows' partial aggregates in index order.
-    pub fn into_results(self) -> (StreamSummary, Vec<(u64, WindowAggregates)>) {
+    pub fn into_results(self) -> (StreamSummary, Vec<(u64, CorePartials)>) {
         let final_watermark_secs = self.max_event.map(|_| self.watermark().as_secs());
         let quality = self.quality();
         (
@@ -755,11 +747,36 @@ impl<'s> StreamRuntime<'s> {
                 windows: self.reports,
                 quality,
                 late_merged: self.late_merged,
-                forced_emits: self.forced_emits,
                 final_watermark_secs,
             },
             self.collected,
         )
+    }
+}
+
+/// The report of window `index` of `spec`, from its partials and its late
+/// merges: its record and wearable totals are the partials'.
+fn window_report(
+    spec: WindowSpec,
+    index: u64,
+    p: &CorePartials,
+    late_merged: u64,
+    forced: bool,
+) -> WindowReport {
+    let (start, end) = spec.bounds(index);
+    let wearable = p.wearable.transactions.values();
+    WindowReport {
+        index,
+        start_secs: start.as_secs(),
+        end_secs: end.as_secs(),
+        proxy_records: p.traffic.per_user.values().map(|&(_, tx)| tx).sum(),
+        mme_records: p.quality.mme_records,
+        wearable_tx: wearable.clone().map(|txs| txs.len() as u64).sum(),
+        wearable_bytes: wearable.flatten().map(|&(_, bytes)| bytes).sum(),
+        users: p.traffic.per_user.len() as u64,
+        attributed: p.attributed.iter().filter(|t| t.app.is_some()).count() as u64,
+        late_merged,
+        forced,
     }
 }
 
@@ -980,7 +997,6 @@ mod tests {
             rt.process_item(SourceItem::Event(fx.proxy(1, t, "api.weather.com")))
                 .unwrap();
         }
-        assert_eq!(rt.forced_emits, 1);
         assert_eq!(rt.reports.len(), 1);
         assert!(rt.reports[0].forced);
         // A record for the sealed window now has nowhere to go.
@@ -992,8 +1008,64 @@ mod tests {
         );
         rt.finish();
         let (summary, _) = rt.into_results();
-        assert_eq!(summary.forced_emits, 1);
-        assert_eq!(summary.windows.len(), 3);
+        let forced: Vec<bool> = summary.windows.iter().map(|w| w.forced).collect();
+        assert_eq!(forced, [true, false, false]);
+        assert!(summary.render().contains("windows emitted: 3 (1 forced)"));
+    }
+
+    /// A window's report totals, checked against counts taken record by
+    /// record: users 1 and 2 carry watches, user 3 a phone.
+    #[test]
+    fn window_report_totals_its_partials() {
+        use wearscope_devicedb::DeviceClass;
+
+        let fx = Fixture::new();
+        let ctx = fx.ctx();
+        let phone = fx.db.tacs_of_class(DeviceClass::Smartphone)[0];
+        let (mut proxy_records, mut wearable_tx, mut wearable_bytes) = (0, 0, 0);
+        let mut partials = CorePartials::default();
+        for i in 0..15u64 {
+            let user = 1 + i % 3;
+            let watch = user != 3;
+            let tac = if watch {
+                fx.db.wearable_tacs()[0]
+            } else {
+                phone
+            };
+            let r = ProxyRecord {
+                timestamp: SimTime::from_secs(100 + i * 7),
+                user: UserId(user),
+                imei: fx.db.example_imei(tac, user as u32).as_u64(),
+                host: HostId::intern("api.weather.com"),
+                scheme: Scheme::Https,
+                bytes_down: 100 + i,
+                bytes_up: 11,
+            };
+            partials.absorb_proxy(&ctx, &r, ctx.device_class(r.imei));
+            proxy_records += 1;
+            if watch {
+                wearable_tx += 1;
+                wearable_bytes += 111 + i;
+            }
+        }
+        let spec = hour_config(0).spec;
+        let report = window_report(spec, 2, &partials, 1, true);
+        assert_eq!(
+            report,
+            WindowReport {
+                index: 2,
+                start_secs: 7200,
+                end_secs: 10_800,
+                proxy_records,
+                mme_records: 0,
+                wearable_tx,
+                wearable_bytes,
+                users: 3,
+                attributed: 0,
+                late_merged: 1,
+                forced: true,
+            }
+        );
     }
 
     #[test]
@@ -1050,10 +1122,7 @@ mod tests {
         assert_eq!(rt.late_merged, 1);
         let (summary, collected) = rt.into_results();
         assert_eq!(summary.windows[0].attributed, 1);
-        let routed: usize = collected
-            .iter()
-            .map(|(_, w)| w.partials.attributed.len())
-            .sum();
+        let routed: usize = collected.iter().map(|(_, p)| p.attributed.len()).sum();
         assert_eq!(routed, 4);
     }
 

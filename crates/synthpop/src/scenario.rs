@@ -492,7 +492,8 @@ mod tests {
         for r in world.store.mme() {
             assert!(detail.contains(r.timestamp), "mme record outside window");
         }
-        assert!(world.store.is_time_sorted());
+        assert!(world.store.proxy().is_sorted_by_key(|r| r.timestamp));
+        assert!(world.store.mme().is_sorted_by_key(|r| r.timestamp));
     }
 
     #[test]
@@ -556,8 +557,8 @@ mod tests {
             world.summaries.mme.users_on_day(0)
         );
         assert_eq!(
-            saved.summaries.wearable_traffic.users_ever(),
-            world.summaries.wearable_traffic.users_ever()
+            saved.summaries.wearable_traffic.users_in_days(0, u64::MAX),
+            world.summaries.wearable_traffic.users_in_days(0, u64::MAX)
         );
         std::fs::remove_dir_all(&dir).ok();
     }

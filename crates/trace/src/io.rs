@@ -44,16 +44,6 @@ impl IoMeter {
     pub fn add_decode_error(&self) {
         self.decode_errors.inc();
     }
-
-    /// Total bytes read so far.
-    pub fn bytes_read(&self) -> u64 {
-        self.bytes_read.get()
-    }
-
-    /// Total malformed lines so far.
-    pub fn decode_errors(&self) -> u64 {
-        self.decode_errors.get()
-    }
 }
 
 /// Decodes one raw log line (trailing `\n`/`\r` included) into a record:
@@ -198,7 +188,6 @@ pub struct LogWriter<W: Write, R: TsvRecord> {
     /// `None` only transiently inside `into_inner`.
     sink: Option<W>,
     buf: Vec<u8>,
-    written: u64,
     _marker: PhantomData<fn(&R)>,
 }
 
@@ -215,7 +204,6 @@ impl<W: Write, R: TsvRecord> LogWriter<W, R> {
         LogWriter {
             sink: Some(sink),
             buf: Vec::with_capacity(FLUSH_AT + 1024),
-            written: 0,
             _marker: PhantomData,
         }
     }
@@ -227,7 +215,6 @@ impl<W: Write, R: TsvRecord> LogWriter<W, R> {
     pub fn write(&mut self, record: &R) -> io::Result<()> {
         record.encode_into(&mut self.buf);
         self.buf.push(b'\n');
-        self.written += 1;
         if self.buf.len() >= FLUSH_AT {
             self.flush_buf()?;
         }
@@ -254,11 +241,6 @@ impl<W: Write, R: TsvRecord> LogWriter<W, R> {
             Some(sink) => sink.flush(),
             None => Ok(()),
         }
-    }
-
-    /// Records written so far.
-    pub fn records_written(&self) -> u64 {
-        self.written
     }
 
     /// Flushes and returns the sink.
@@ -470,7 +452,6 @@ mod tests {
             for r in &records {
                 w.write(r).unwrap();
             }
-            assert_eq!(w.records_written(), 5000);
             w.flush().unwrap();
         }
         let read: Vec<MmeRecord> = sink

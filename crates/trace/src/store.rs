@@ -25,17 +25,11 @@ impl TraceStore {
         TraceStore::default()
     }
 
-    /// A store from pre-collected records (sorted on construction).
-    pub fn from_records(proxy: Vec<ProxyRecord>, mme: Vec<MmeRecord>) -> TraceStore {
-        let mut s = TraceStore { proxy, mme };
-        s.sort_by_time();
-        s
-    }
-
-    /// Appends a proxy record (call [`TraceStore::sort_by_time`] after bulk
-    /// loading out-of-order data).
-    pub fn push_proxy(&mut self, r: ProxyRecord) {
-        self.proxy.push(r);
+    /// A store from pre-collected records, each log stably sorted by time.
+    pub fn from_records(mut proxy: Vec<ProxyRecord>, mut mme: Vec<MmeRecord>) -> TraceStore {
+        proxy.sort_by_key(|r| r.timestamp);
+        mme.sort_by_key(|r| r.timestamp);
+        TraceStore { proxy, mme }
     }
 
     /// All proxy records, time-sorted.
@@ -56,23 +50,6 @@ impl TraceStore {
     /// `true` when both logs are empty.
     pub fn is_empty(&self) -> bool {
         self.proxy.is_empty() && self.mme.is_empty()
-    }
-
-    /// Stably sorts both logs by timestamp.
-    pub fn sort_by_time(&mut self) {
-        self.proxy.sort_by_key(|r| r.timestamp);
-        self.mme.sort_by_key(|r| r.timestamp);
-    }
-
-    /// `true` if both logs are time-ordered.
-    pub fn is_time_sorted(&self) -> bool {
-        self.proxy
-            .windows(2)
-            .all(|w| w[0].timestamp <= w[1].timestamp)
-            && self
-                .mme
-                .windows(2)
-                .all(|w| w[0].timestamp <= w[1].timestamp)
     }
 
     /// Persists both logs as `proxy.log` and `mme.log` under `dir`.
@@ -133,7 +110,8 @@ mod tests {
             vec![proxy_at(5), proxy_at(1), proxy_at(3)],
             vec![mme_at(9), mme_at(2)],
         );
-        assert!(s.is_time_sorted());
+        assert!(s.proxy().is_sorted_by_key(|r| r.timestamp));
+        assert!(s.mme().is_sorted_by_key(|r| r.timestamp));
         assert_eq!(s.len(), 5);
     }
 
@@ -156,6 +134,5 @@ mod tests {
     fn empty_store() {
         let s = TraceStore::new();
         assert!(s.is_empty());
-        assert!(s.is_time_sorted());
     }
 }

@@ -244,7 +244,7 @@ proptest! {
     fn store_from_records_is_sorted(proxy in prop::collection::vec(arb_proxy(), 0..80)) {
         let total = proxy.len();
         let store = TraceStore::from_records(proxy, vec![]);
-        prop_assert!(store.is_time_sorted());
+        prop_assert!(store.proxy().is_sorted_by_key(|r| r.timestamp));
         prop_assert_eq!(store.proxy().len(), total);
     }
 

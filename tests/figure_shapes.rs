@@ -49,7 +49,9 @@ fn fig3a_diurnal_shape() {
     let p = CoreAggregates::sequential(&c).hourly;
 
     // Normalization: metrics sum to 1 over the average week.
-    assert!((p.weekly_total_users() - 1.0).abs() < 1e-9);
+    let weekday: f64 = p.weekday.iter().map(|h| h.active_users).sum();
+    let weekend: f64 = p.weekend.iter().map(|h| h.active_users).sum();
+    assert!((5.0 * weekday + 2.0 * weekend - 1.0).abs() < 1e-9);
 
     // Nights are quiet on both day types.
     let night_tx: f64 = (1..5).map(|h| p.weekday[h].transactions).sum();
@@ -214,7 +216,7 @@ fn fig7_per_usage_spread() {
     );
 
     // The paper's Fig. 7 spans roughly 1 KB – 1 MB per usage.
-    let ecdf = PerUsage::usage_bytes_ecdf(&sess);
+    let ecdf = stats::Ecdf::from_samples(sess.iter().map(|s| s.bytes as f64).collect());
     assert!(ecdf.quantile(0.05) > 200.0);
     assert!(ecdf.quantile(0.99) > 50_000.0);
 }

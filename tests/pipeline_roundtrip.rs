@@ -133,10 +133,9 @@ fn analysis_ignores_foreign_devices() {
     // Records from devices outside the device DB must not crash the pipeline
     // nor count as wearables.
     let world = small_world(76);
-    let mut store = world.store.clone();
     let n_before_owners = {
         let ctx = StudyContext::new(
-            &store,
+            &world.store,
             &world.db,
             &world.sectors,
             &world.apps,
@@ -151,18 +150,17 @@ fn analysis_ignores_foreign_devices() {
     )
     .unwrap()
     .as_u64();
-    for k in 0..50u64 {
-        store.push_proxy(ProxyRecord {
-            timestamp: world.config.window.detailed().start() + SimDuration::from_secs(60 * k),
-            user: UserId(0xDEAD_0000 + k),
-            imei: foreign,
-            host: HostId::intern("api.weather.com"),
-            scheme: wearscope::trace::Scheme::Https,
-            bytes_down: 1_000,
-            bytes_up: 100,
-        });
-    }
-    store.sort_by_time();
+    let mut proxy = world.store.proxy().to_vec();
+    proxy.extend((0..50u64).map(|k| ProxyRecord {
+        timestamp: world.config.window.detailed().start() + SimDuration::from_secs(60 * k),
+        user: UserId(0xDEAD_0000 + k),
+        imei: foreign,
+        host: HostId::intern("api.weather.com"),
+        scheme: wearscope::trace::Scheme::Https,
+        bytes_down: 1_000,
+        bytes_up: 100,
+    }));
+    let store = TraceStore::from_records(proxy, world.store.mme().to_vec());
     let ctx = StudyContext::new(
         &store,
         &world.db,

@@ -22,15 +22,13 @@
 //! and feeds them through a channel: attribution must still match the
 //! batch rule over the same records exactly.
 
-use wearscope::core::merge::CoreAggregates;
+use wearscope::core::merge::{CoreAggregates, CorePartials};
 use wearscope::core::{Ecdf, StudyResults};
 use wearscope::faults::{corrupt_world, FaultSpec};
 use wearscope::ingest::{load_store_resilient, IngestOptions};
 use wearscope::prelude::*;
 use wearscope::report::QuarantineReason;
-use wearscope::stream::{
-    ChannelSource, PumpOptions, PumpOutcome, StreamEvent, StreamRuntime, WindowAggregates,
-};
+use wearscope::stream::{ChannelSource, PumpOptions, PumpOutcome, StreamEvent, StreamRuntime};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -163,9 +161,9 @@ fn shuffled_within_lateness_stream_attributes_like_batch() {
     let store = TraceStore::from_records(proxy, mme);
     let batch_ctx = StudyContext::new(&store, &db, &world.sectors, &catalog, window);
     let batch = CoreAggregates::sequential(&batch_ctx);
-    let mut merged = WindowAggregates::default();
-    for (_, w) in collected {
-        merged.merge(w);
+    let mut merged = CorePartials::default();
+    for (_, partials) in collected {
+        merged.merge(partials);
     }
     let got = merged.finish(&batch_ctx);
     assert!(batch
@@ -256,9 +254,9 @@ fn assert_equivalent(dir: &std::path::Path, input: &str, lateness: SimDuration) 
 
         // Merge every window's partials in index order and finish with the
         // stream's context — the exact contract of `wearscope_core::merge`.
-        let mut merged = WindowAggregates::default();
-        for (_, w) in collected {
-            merged.merge(w);
+        let mut merged = CorePartials::default();
+        for (_, partials) in collected {
+            merged.merge(partials);
         }
         let got = merged.finish(&stream_ctx);
 

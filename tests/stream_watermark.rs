@@ -6,11 +6,13 @@
 //! * a late-but-allowed record arriving *after* a checkpoint + resume is
 //!   merged exactly as in the uninterrupted run — final reports are
 //!   byte-identical;
+//! * a drop-oldest run resumed before or after its first forced emission
+//!   seals, counts and reports its windows as the uninterrupted run does;
 //! * a silent window between two active ones still emits (all zeros).
 
 use wearscope::prelude::*;
 use wearscope::report::QuarantineReason;
-use wearscope::stream::{checkpoint, SourceItem, StreamEvent, StreamRuntime};
+use wearscope::stream::{checkpoint, Backpressure, SourceItem, StreamEvent, StreamRuntime};
 use wearscope::trace::Scheme;
 
 struct Fixture {
@@ -138,6 +140,81 @@ fn late_record_after_checkpoint_resume_merges_identically() {
     assert_eq!(got.late_merged, 1);
     assert_eq!(got.windows, want.windows);
     assert_eq!(got.render(), want.render(), "byte-identical reports");
+}
+
+/// The out-of-order quarantines of a runtime's ledgers.
+fn out_of_order(rt: StreamRuntime<'_>) -> u64 {
+    let (summary, _) = rt.into_results();
+    summary
+        .quality
+        .quarantined
+        .get(QuarantineReason::OutOfOrder)
+}
+
+/// The runtime keeps no forced-emission count and no timeline start: a
+/// resumed run reads both from its restored reports. Cut at every point
+/// of a drop-oldest run (two open windows, 10 h lateness, so only the cap
+/// emits), the resumed run's summary, reports and final checkpoint equal
+/// the uninterrupted run's.
+#[test]
+fn drop_oldest_resume_derives_forced_windows_and_sealing_from_reports() {
+    let fx = Fixture::new();
+    let ctx = fx.ctx();
+    let mut config = hour_config(36_000);
+    config.max_open_windows = 2;
+    config.backpressure = Backpressure::DropOldest;
+    // 100 moves the timeline's start down to window 0; 7300 forces window
+    // 0 out, so 200 is sealed; 10 900 forces window 1, so 5000 is sealed;
+    // 8000 merges late into window 2; 14 500 and 20 000 force 2 and 3.
+    let events = [3700u64, 100, 7300, 200, 10_900, 5000, 8000, 14_500, 20_000];
+
+    let mut whole = StreamRuntime::new(&ctx, config);
+    for t in events {
+        whole.process_item(fx.proxy(1, t)).unwrap();
+    }
+    whole.finish();
+    let want_text = checkpoint::to_text(&whole, None);
+    let (want, _) = whole.into_results();
+    let forced: Vec<bool> = want.windows.iter().map(|w| w.forced).collect();
+    assert_eq!(forced, [true, true, true, true, false, false]);
+    assert_eq!(
+        want.quality.quarantined.get(QuarantineReason::OutOfOrder),
+        2
+    );
+    assert_eq!(want.late_merged, 2, "100 and 8000");
+
+    for cut in 0..=events.len() {
+        let mut first = StreamRuntime::new(&ctx, config);
+        for t in &events[..cut] {
+            first.process_item(fx.proxy(1, *t)).unwrap();
+        }
+        let text = checkpoint::to_text(&first, None);
+        let restore = || checkpoint::from_text(&ctx, config, &text).unwrap().0;
+
+        // A record for window 0 is sealed once a report is out, and before
+        // that moves the timeline's start (or already lies on it).
+        let emitted = !restore().reports().is_empty();
+        let mut probe = restore();
+        probe.process_item(fx.proxy(2, 50)).unwrap();
+        assert_eq!(
+            out_of_order(probe),
+            out_of_order(restore()) + u64::from(emitted),
+            "cut {cut}"
+        );
+
+        let mut resumed = restore();
+        assert_eq!(checkpoint::to_text(&resumed, None), text, "cut {cut}");
+        for t in &events[cut..] {
+            resumed.process_item(fx.proxy(1, *t)).unwrap();
+        }
+        resumed.finish();
+        assert_eq!(checkpoint::to_text(&resumed, None), want_text, "cut {cut}");
+        let (got, _) = resumed.into_results();
+        assert_eq!(got.windows, want.windows, "cut {cut}");
+        assert_eq!(got.late_merged, want.late_merged, "cut {cut}");
+        assert_eq!(got.quality, want.quality, "cut {cut}");
+        assert_eq!(got.render(), want.render(), "cut {cut}");
+    }
 }
 
 #[test]
