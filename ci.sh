@@ -414,6 +414,29 @@ for case in detailed:manifest.tsv max:manifest.tsv huge:manifest.tsv nan:sectors
 done
 echo "    bad manifest layouts, a nan sector coordinate and a cut summary exit 1 naming the file"
 
+echo "==> trace-QA verdict: ingest loss past the 1% tolerance is not healthy"
+# About 15% of this world's lines are quarantined after the corruption:
+# within a raised --max-error-rate, so analyze succeeds, but the figures
+# then describe only what was kept, and the verdict must say so.
+rm -rf "$FAULT_DIR/qa-world"
+cp -r "$FAULT_DIR/stream-world" "$FAULT_DIR/qa-world"
+qa_line() {
+    "$WEARSCOPE" analyze --world "$FAULT_DIR/qa-world" --full "$@" 2>/dev/null |
+        grep -A1 '^== trace QA ==$' | tail -n 1
+}
+clean_qa=$(qa_line)
+case "$clean_qa" in
+*"healthy: true") ;;
+*) echo "clean world's trace QA: $clean_qa (expected healthy: true)" >&2 && exit 1 ;;
+esac
+"$WEARSCOPE" corrupt --world "$FAULT_DIR/qa-world" --seed 3 --faults all=0.03 >/dev/null
+dirty_qa=$(qa_line --max-error-rate 0.2)
+case "$dirty_qa" in
+*"healthy: false") ;;
+*) echo "corrupted world's trace QA: $dirty_qa (expected healthy: false)" >&2 && exit 1 ;;
+esac
+echo "    healthy: true on the clean world, healthy: false after quarantining 15% of it"
+
 echo "==> a world without manifest checks loads with one warning"
 rm -rf "$FAULT_DIR/unchecked-world"
 cp -r "$FAULT_DIR/stream-world" "$FAULT_DIR/unchecked-world"

@@ -71,14 +71,6 @@ pub struct TrafficProfile {
     pub mix: DomainMix,
 }
 
-impl TrafficProfile {
-    /// Mean bytes of one transaction, from the log-normal parameters
-    /// (`median · exp(σ²/2)`).
-    pub fn mean_tx_bytes(&self) -> f64 {
-        self.median_tx_bytes * (self.sigma_tx_bytes.powi(2) / 2.0).exp()
-    }
-}
-
 /// Everything the study knows about one wearable app.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AppProfile {
@@ -109,17 +101,5 @@ mod tests {
             analytics: 0.1,
         };
         assert!((m.application() - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lognormal_mean_exceeds_median() {
-        let t = TrafficProfile {
-            usages_per_active_day: 2.0,
-            tx_per_usage: 3.0,
-            median_tx_bytes: 3000.0,
-            sigma_tx_bytes: 1.4,
-            mix: DomainMix::FIRST_PARTY_ONLY,
-        };
-        assert!(t.mean_tx_bytes() > t.median_tx_bytes);
     }
 }

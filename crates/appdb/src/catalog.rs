@@ -566,7 +566,8 @@ mod tests {
         let cat = AppCatalog::standard();
         let per_usage = |name: &str| {
             let t = cat.by_name(name).unwrap().1.traffic;
-            t.tx_per_usage * t.mean_tx_bytes()
+            // Log-normal mean: median · exp(σ²/2).
+            t.tx_per_usage * t.median_tx_bytes * (t.sigma_tx_bytes.powi(2) / 2.0).exp()
         };
         for heavy in ["WhatsApp", "Deezer", "Snapchat"] {
             for light in ["Samsung-Pay", "TrueCaller", "Bank-App-3"] {

@@ -613,7 +613,7 @@ impl CorePartials {
     /// wearable traffic fields and the daily user shares derive from that
     /// activity. App popularity, the domain classes and the unclassified
     /// count come from the attributed transactions; the MME side of the
-    /// device mix and the QA's MME users from the mobility stream keys;
+    /// device mix from the mobility stream keys;
     /// the owners from the wearable devices of both logs. Attributed
     /// transactions end sorted by `(user, timestamp)`; the sort is stable,
     /// so transactions sharing a key keep their absorption order.
@@ -644,11 +644,9 @@ impl CorePartials {
             }
         }
         attributed.sort_by_key(|t| (t.user, t.timestamp));
-        let streams = mobility.streams.keys();
-        let mme_users: HashSet<UserId> = streams.clone().map(|&(user, _)| user).collect();
         let mut devices: HashSet<(UserId, u64)> = wearable.transactions.keys().copied().collect();
         devices.extend(
-            streams.filter(|&&(_, imei)| {
+            mobility.streams.keys().filter(|&&(_, imei)| {
                 ctx.device_class(imei) == Some(DeviceClass::CellularWearable)
             }),
         );
@@ -656,7 +654,7 @@ impl CorePartials {
         let traffic = traffic.finish(&activity);
         let mobility = mobility.finish(ctx);
         let domains = DomainBreakdown::from_attributed(&attributed);
-        let quality = DataQualityReport::from_parts(ctx, quality, &traffic, &mme_users, &domains);
+        let quality = DataQualityReport::from_parts(ctx, quality, &traffic, &domains);
         CoreAggregates {
             hourly: hourly_profile(ctx, &activity, &week_tx, &week_bytes),
             weekly: WeeklyPattern::from_slots(ctx, &week_tx, &hourly.all_tx, &activity),

@@ -10,7 +10,7 @@ use wearscope_trace::UserId;
 
 use crate::compare::UserTraffic;
 use crate::context::StudyContext;
-use crate::hash::{HashMap, HashSet};
+use crate::hash::HashMap;
 use crate::merge::{CoreAggregates, QualityPartial};
 use crate::thirdparty::DomainBreakdown;
 
@@ -31,18 +31,9 @@ pub struct DataQualityReport {
     pub silent_days: Vec<u64>,
     /// Fraction of expected detailed-window days with data.
     pub day_coverage: f64,
-    /// Users appearing in the proxy log but never in the MME log (traffic
-    /// without registration — a join inconsistency).
-    pub proxy_only_users: usize,
     /// Proxy records timestamped outside the detailed window (retention
     /// violations).
     pub out_of_window_records: u64,
-    /// Records the ingestion layer saw before validation, when the store
-    /// came through the resilient loader (0 for in-memory stores).
-    pub ingest_records_seen: u64,
-    /// Records the ingestion layer quarantined before this report's checks
-    /// ran — the part of the trace these figures *cannot* describe.
-    pub ingest_quarantined: u64,
 }
 
 impl DataQualityReport {
@@ -52,14 +43,12 @@ impl DataQualityReport {
     }
 
     /// The finish step: the QA counters plus what the other aggregates
-    /// already hold — proxy records and users from `traffic`, MME users
-    /// from the mobility stream keys, unclassified wearable hosts from the
-    /// domain breakdown.
+    /// already hold — proxy records from `traffic`, unclassified wearable
+    /// hosts from the domain breakdown.
     pub(crate) fn from_parts(
         ctx: &StudyContext<'_>,
         partial: QualityPartial,
         traffic: &HashMap<UserId, UserTraffic>,
-        mme_users: &HashSet<UserId>,
         domains: &DomainBreakdown,
     ) -> DataQualityReport {
         let expected: Vec<u64> = ctx.window.detailed().days().collect();
@@ -80,26 +69,22 @@ impl DataQualityReport {
             unclassified_wearable_records: domains.unclassified_transactions,
             silent_days,
             day_coverage,
-            proxy_only_users: traffic.keys().filter(|u| !mme_users.contains(u)).count(),
             out_of_window_records: partial.out_of_window_records,
-            ingest_records_seen: 0,
-            ingest_quarantined: 0,
         }
     }
 
     /// `true` when the trace is fit for the full analysis: no silent days,
-    /// no retention violations, and identification misses plus ingest
-    /// quarantine losses below `tolerance` (fraction of records).
-    pub fn is_healthy(&self, tolerance: f64) -> bool {
+    /// no retention violations, and the unresolved devices, the
+    /// unclassified wearable hosts and `ingest_loss` each at most
+    /// `tolerance`. `ingest_loss` is the fraction of the run's log lines
+    /// that ingest quarantined (the ledgers' quarantine rate; 0 for a
+    /// trace that was never read from disk): the part of the trace these
+    /// figures cannot describe.
+    pub fn is_healthy(&self, tolerance: f64, ingest_loss: f64) -> bool {
         if !self.silent_days.is_empty() || self.out_of_window_records > 0 {
             return false;
         }
         let total = self.proxy_records.max(1) as f64;
-        let ingest_loss = if self.ingest_records_seen > 0 {
-            self.ingest_quarantined as f64 / self.ingest_records_seen as f64
-        } else {
-            0.0
-        };
         (self.unresolved_device_records as f64 / total) <= tolerance
             && (self.unclassified_wearable_records as f64 / total) <= tolerance
             && ingest_loss <= tolerance
@@ -155,9 +140,8 @@ mod tests {
         assert_eq!(q.day_coverage, 1.0);
         assert_eq!(q.unresolved_device_records, 0);
         assert_eq!(q.unclassified_wearable_records, 0);
-        assert_eq!(q.proxy_only_users, 0);
         assert_eq!(q.out_of_window_records, 0);
-        assert!(q.is_healthy(0.01));
+        assert!(q.is_healthy(0.01, 0.0));
     }
 
     #[test]
@@ -168,15 +152,14 @@ mod tests {
         let proxy: Vec<ProxyRecord> = (0..7).map(|d| rec(&db, 1, d, "api.weather.com")).collect();
         let store = TraceStore::from_records(proxy, vec![]);
         let ctx = StudyContext::new(&store, &db, &sectors, &catalog, window());
-        let mut q = DataQualityReport::compute(&ctx);
-        assert!(q.is_healthy(0.05));
-        q.ingest_records_seen = 1000;
-        q.ingest_quarantined = 100;
+        let q = DataQualityReport::compute(&ctx);
+        assert!(q.is_healthy(0.05, 0.0));
         assert!(
-            !q.is_healthy(0.05),
+            !q.is_healthy(0.05, 0.1),
             "10% quarantined must fail 5% tolerance"
         );
-        assert!(q.is_healthy(0.2));
+        assert!(q.is_healthy(0.05, 0.05), "the tolerance is inclusive");
+        assert!(q.is_healthy(0.2, 0.1));
     }
 
     #[test]
@@ -201,9 +184,7 @@ mod tests {
         assert!((q.day_coverage - 2.0 / 7.0).abs() < 1e-9);
         assert_eq!(q.unresolved_device_records, 1);
         assert_eq!(q.unclassified_wearable_records, 1);
-        // All proxy users missing from MME.
-        assert_eq!(q.proxy_only_users, 3);
-        assert!(!q.is_healthy(0.5));
+        assert!(!q.is_healthy(0.5, 0.0));
     }
 
     #[test]
@@ -220,7 +201,7 @@ mod tests {
         let ctx = StudyContext::new(&store, &db, &sectors, &catalog, w);
         let q = DataQualityReport::compute(&ctx);
         assert_eq!(q.out_of_window_records, 1);
-        assert!(!q.is_healthy(1.0));
+        assert!(!q.is_healthy(1.0, 0.0));
     }
 
     #[test]
@@ -234,6 +215,6 @@ mod tests {
         assert_eq!(q.proxy_records, 0);
         assert_eq!(q.silent_days.len(), 7);
         assert_eq!(q.day_coverage, 0.0);
-        assert!(!q.is_healthy(1.0));
+        assert!(!q.is_healthy(1.0, 0.0));
     }
 }

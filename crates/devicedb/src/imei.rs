@@ -129,12 +129,6 @@ impl Imei {
     pub const fn serial(self) -> u32 {
         ((self.0 / 10) % 1_000_000) as u32
     }
-
-    /// The Luhn check digit.
-    #[inline]
-    pub const fn check_digit(self) -> u8 {
-        (self.0 % 10) as u8
-    }
 }
 
 impl FromStr for Imei {
@@ -189,7 +183,7 @@ mod tests {
         // Classic reference IMEI: body 49015420323751 → check digit 8.
         assert_eq!(luhn_check_digit(49_015_420_323_751), 8);
         let imei = Imei::from_u64(490_154_203_237_518).unwrap();
-        assert_eq!(imei.check_digit(), 8);
+        assert_eq!(imei.as_u64() % 10, 8);
         assert_eq!(imei.tac().value(), 49_015_420);
         assert_eq!(imei.serial(), 323_751);
     }

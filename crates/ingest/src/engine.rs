@@ -64,7 +64,7 @@ impl IngestEngine {
         let records = (ctx.store.proxy().len() + ctx.store.mme().len()) as u64;
         let report = IngestReport {
             workers: 1,
-            shards: Vec::new(),
+            shards: 0,
             quality: DataQuality {
                 records_seen: records,
                 records_kept: records,
@@ -118,7 +118,7 @@ mod tests {
         assert_eq!(aggs.attributed, expected.attributed);
         assert_eq!(engine.workers(), 1);
         assert_eq!(report.workers, 1);
-        assert!(report.shards.is_empty());
+        assert_eq!(report.shards, 0);
         assert_eq!(report.quality.records_kept, 50);
         let snap = reg.snapshot();
         assert!(snap.counters.is_empty());

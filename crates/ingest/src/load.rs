@@ -36,7 +36,7 @@ use wearscope_core::merge::Fold;
 use wearscope_core::{CoreAggregates, StudyContext};
 use wearscope_devicedb::Imei;
 use wearscope_obs::{Counter, Registry};
-use wearscope_report::{DataQuality, IngestReport, QuarantineReason, ShardProgress, ShardSource};
+use wearscope_report::{DataQuality, IngestReport, QuarantineReason, ShardSource};
 use wearscope_simtime::SimTime;
 use wearscope_trace::{
     plan_tsv_shards, read_tsv_shard, ByteRange, MmeRecord, ProxyRecord, TraceStore, TsvShard,
@@ -207,9 +207,12 @@ fn run<S: Sink>(
 
     let retries = opts.metrics.counter("ingest.io_retries");
     let threads = workers.min(tasks.len()).max(1);
+    let shard_us = opts.metrics.timing_histogram(
+        "ingest.shard_read_us",
+        &[100, 1_000, 10_000, 100_000, 1_000_000],
+    );
     let mut proxy = LogIngest::new(ShardSource::Proxy, opts);
     let mut mme = LogIngest::new(ShardSource::Mme, opts);
-    let mut progress = Vec::with_capacity(tasks.len());
     let mut timers = PhaseTimers::default();
     std::thread::scope(|s| {
         let inboxes: Vec<_> = (0..threads)
@@ -234,13 +237,12 @@ fn run<S: Sink>(
                 Ok(Err(e)) => return Err(shard_failed(t, false, e.to_string())),
                 Err(panic) => return Err(shard_failed(t, true, panic)),
             };
+            shard_us.observe(wall.as_micros() as u64);
             match parsed {
                 Parsed::Proxy(chunk) => {
-                    progress.push(shard_progress(t, &chunk, wall));
                     proxy.take(chunk, &mut timers, |kept, imeis| sink.proxy(kept, imeis));
                 }
                 Parsed::Mme(chunk) => {
-                    progress.push(shard_progress(t, &chunk, wall));
                     mme.take(chunk, &mut timers, |kept, imeis| sink.mme(kept, imeis));
                 }
             }
@@ -252,9 +254,9 @@ fn run<S: Sink>(
     entries.extend(mme_entries);
     let (proxy_quality, mme_quality) = (proxy.quality(), mme.quality());
 
-    record_source_metrics(&opts.metrics, ShardSource::Proxy, &proxy_quality, &progress);
-    record_source_metrics(&opts.metrics, ShardSource::Mme, &mme_quality, &progress);
-    record_pool_timings(&opts.metrics, workers, &progress, &timers, start);
+    record_source_metrics(&opts.metrics, ShardSource::Proxy, &proxy_quality, &tasks);
+    record_source_metrics(&opts.metrics, ShardSource::Mme, &mme_quality, &tasks);
+    record_pool_timings(&opts.metrics, workers, tasks.len(), &timers, start);
 
     if let Some(path) = &opts.quarantine_log {
         if entries.is_empty() {
@@ -273,10 +275,9 @@ fn run<S: Sink>(
 
     let mut quality = proxy_quality;
     quality.merge(&mme_quality);
-    quality.max_error_rate = opts.max_error_rate;
     Ok(IngestReport {
         workers,
-        shards: progress,
+        shards: tasks.len(),
         quality,
         wall: start.elapsed(),
     })
@@ -423,17 +424,11 @@ impl<R: LogRecord> LogIngest<R> {
     }
 }
 
-/// Records one source's outcome into the registry: records seen/kept and
-/// quarantined-per-reason (all functions of file content alone), plus the
-/// source's byte and decode-error totals from the chunk progress (their
-/// sums are the file size and the malformed-line count, both independent
-/// of the chunk layout).
-fn record_source_metrics(
-    m: &Registry,
-    source: ShardSource,
-    quality: &DataQuality,
-    progress: &[ShardProgress],
-) {
+/// Records one source's outcome into the registry: records seen/kept,
+/// quarantined-per-reason and decode errors from its ledger, and the bytes
+/// its chunks cover (the file size). All are functions of file content
+/// alone.
+fn record_source_metrics(m: &Registry, source: ShardSource, quality: &DataQuality, tasks: &[Task]) {
     let name = source.name();
     m.counter(&format!("ingest.{name}.records_seen"))
         .add(quality.records_seen);
@@ -443,34 +438,26 @@ fn record_source_metrics(
         m.counter(&format!("ingest.{name}.quarantined.{}", reason.name()))
             .add(quality.quarantined.get(reason));
     }
-    let (bytes, decode_errors) = progress
-        .iter()
-        .filter(|p| p.source == source)
-        .fold((0u64, 0u64), |(b, e), p| (b + p.bytes, e + p.parse_errors));
-    m.counter(&format!("trace.{name}.bytes_read")).add(bytes);
+    let chunks = tasks.iter().filter(|t| t.source == source);
+    m.counter(&format!("trace.{name}.bytes_read"))
+        .add(chunks.map(|t| t.range.len()).sum());
     m.counter(&format!("trace.{name}.decode_errors"))
-        .add(decode_errors);
+        .add(quality.malformed());
 }
 
-/// Pipeline timings: worker and chunk counts, the per-chunk parse time
-/// distribution, and the calling thread's accumulated wait, validate and
-/// fold times. All clock- or thread-dependent, hence the timing section.
+/// Pipeline timings: worker and chunk counts, and the calling thread's
+/// accumulated wait, validate and fold times (the per-chunk parse times
+/// went into `ingest.shard_read_us` as the chunks arrived). All clock- or
+/// thread-dependent, hence the timing section.
 fn record_pool_timings(
     m: &Registry,
     workers: usize,
-    progress: &[ShardProgress],
+    shards: usize,
     timers: &PhaseTimers,
     start: Instant,
 ) {
     m.timing_gauge("ingest.workers").set(workers as i64);
-    m.timing_counter("ingest.shards").add(progress.len() as u64);
-    let shard_us = m.timing_histogram(
-        "ingest.shard_read_us",
-        &[100, 1_000, 10_000, 100_000, 1_000_000],
-    );
-    for p in progress {
-        shard_us.observe(p.wall.as_micros() as u64);
-    }
+    m.timing_counter("ingest.shards").add(shards as u64);
     for (name, spent) in [
         ("ingest.wait_ns", timers.wait),
         ("ingest.validate_ns", timers.validate),
@@ -480,17 +467,6 @@ fn record_pool_timings(
     }
     m.timing_gauge("ingest.load_wall_us")
         .set(start.elapsed().as_micros() as i64);
-}
-
-fn shard_progress<R>(t: &Task<'_>, tsv: &TsvShard<R>, wall: Duration) -> ShardProgress {
-    ShardProgress {
-        shard: t.shard,
-        source: t.source,
-        records: tsv.records.len() as u64,
-        bytes: tsv.bytes,
-        parse_errors: tsv.errors.len() as u64,
-        wall,
-    }
 }
 
 #[cfg(test)]
@@ -607,7 +583,7 @@ mod tests {
                 assert_eq!(report.parse_errors(), 0);
                 assert!(report.quality.quarantined.is_empty());
                 // The chunk layout follows the chunk size, not the workers.
-                assert!(report.shards.len() > 2 || chunk_bytes == CHUNK_BYTES);
+                assert!(report.shards > 2 || chunk_bytes == CHUNK_BYTES);
             }
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -640,7 +616,7 @@ mod tests {
         for workers in [1, 3] {
             let mut fold = Fold::new(&ctx);
             let report = run(&dir, workers, &IngestOptions::default(), SMALL, &mut fold).unwrap();
-            assert!(report.shards.len() > 2);
+            assert!(report.shards > 2);
             let got = fold.into_partials().finish(&ctx);
             assert_eq!(got.activity, want.activity, "workers={workers}");
             assert_eq!(got.traffic, want.traffic, "workers={workers}");

@@ -69,22 +69,33 @@ impl Default for IngestOptions {
 }
 
 impl IngestOptions {
-    /// Options for analyzing the world under `dir`: quarantine log beside
-    /// the data, a skew horizon derived from `manifest.tsv`'s window
-    /// (summary days + 2 days of slack) when the manifest is valid, and
-    /// the sector count of `sectors.tsv` when the cell plan is valid.
+    /// Options for analyzing the world under `dir` whose metadata is
+    /// already parsed: quarantine log beside the data, a skew horizon of
+    /// the `window`'s summary end plus 2 days of slack, and the sector
+    /// count of the cell plan `sectors`. A `None` disables its check.
+    pub fn from_metadata(
+        dir: &Path,
+        window: Option<ObservationWindow>,
+        sectors: Option<&SectorDirectory>,
+    ) -> IngestOptions {
+        IngestOptions {
+            quarantine_log: Some(dir.join("quarantine.log")),
+            max_timestamp: window
+                .map(|w| w.summary().end().saturating_add(SimDuration::from_days(2))),
+            sector_count: sectors.and_then(|p| u32::try_from(p.len()).ok()),
+            ..IngestOptions::default()
+        }
+    }
+
+    /// [`IngestOptions::from_metadata`] over the world's `manifest.tsv`
+    /// and `sectors.tsv`, each read here; a file that does not parse
+    /// disables its check.
     pub fn for_world(dir: &Path) -> IngestOptions {
         let window = ObservationWindow::read_manifest(dir).ok();
         let plan = File::open(dir.join("sectors.tsv"))
             .and_then(|f| SectorDirectory::read_tsv(BufReader::new(f)))
             .ok();
-        IngestOptions {
-            quarantine_log: Some(dir.join("quarantine.log")),
-            max_timestamp: window
-                .map(|w| w.summary().end().saturating_add(SimDuration::from_days(2))),
-            sector_count: plan.and_then(|p| u32::try_from(p.len()).ok()),
-            ..IngestOptions::default()
-        }
+        IngestOptions::from_metadata(dir, window, plan.as_ref())
     }
 
     /// Same options with a different error budget.

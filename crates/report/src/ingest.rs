@@ -1,20 +1,20 @@
-//! Progress accounting for the parallel log loader.
+//! The loader's run report.
 //!
-//! The loader (`wearscope-ingest`) hands every worker a byte-range shard
-//! of a log and collects one [`ShardProgress`] per shard; the
-//! [`IngestReport`] aggregates them into the totals and the human-readable
-//! summary printed by `wearscope analyze --workers N`.
+//! The loader (`wearscope-ingest`) cuts each log into byte-range chunks
+//! and books every line in its log's ledger; the [`IngestReport`] carries
+//! the ledgers' merged counts, the worker and chunk counts and the wall
+//! time, and renders the `load:` line `wearscope analyze` prints.
 
 use std::time::Duration;
 
 use crate::quality::DataQuality;
 
-/// Which log a shard came from.
+/// Which log a chunk or a quarantined record came from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShardSource {
-    /// A byte range of the persisted proxy TSV log.
+    /// The persisted proxy TSV log.
     Proxy,
-    /// A byte range of the persisted MME TSV log.
+    /// The persisted MME TSV log.
     Mme,
 }
 
@@ -28,51 +28,29 @@ impl ShardSource {
     }
 }
 
-/// Per-shard progress counters, filled by the worker that processed it.
-#[derive(Clone, Debug)]
-pub struct ShardProgress {
-    /// Shard index within its source (merge order).
-    pub shard: usize,
-    /// Which log the shard came from.
-    pub source: ShardSource,
-    /// Records successfully parsed/absorbed.
-    pub records: u64,
-    /// Bytes covered by the shard.
-    pub bytes: u64,
-    /// Lines that failed to parse.
-    pub parse_errors: u64,
-    /// Wall time the worker spent on this shard.
-    pub wall: Duration,
-}
-
-/// The full ingest run: worker count, per-shard progress, data quality,
-/// and wall time.
+/// The full ingest run: worker and chunk counts, data quality, and wall
+/// time.
 #[derive(Clone, Debug, Default)]
 pub struct IngestReport {
     /// Workers the run used.
     pub workers: usize,
-    /// One entry per shard, in merge (shard-index) order per source.
-    pub shards: Vec<ShardProgress>,
-    /// Records seen, kept and quarantined, and the error budget.
+    /// Chunks the two logs were cut into.
+    pub shards: usize,
+    /// Records seen, kept and quarantined: both logs' ledgers, merged.
     pub quality: DataQuality,
     /// End-to-end wall time of the parallel section.
     pub wall: Duration,
 }
 
 impl IngestReport {
-    /// Total records absorbed across all shards.
+    /// Records parsed: the lines seen that did not fail to decode.
     pub fn records(&self) -> u64 {
-        self.shards.iter().map(|s| s.records).sum()
+        self.quality.records_seen - self.parse_errors()
     }
 
-    /// Total bytes covered across all shards.
-    pub fn bytes(&self) -> u64 {
-        self.shards.iter().map(|s| s.bytes).sum()
-    }
-
-    /// Total parse errors across all shards.
+    /// Lines that failed to decode.
     pub fn parse_errors(&self) -> u64 {
-        self.shards.iter().map(|s| s.parse_errors).sum()
+        self.quality.malformed()
     }
 
     /// Records per second of wall time (0 for an instantaneous run).
@@ -90,7 +68,7 @@ impl IngestReport {
         format!(
             "ingested {} records in {} shards with {} workers in {:.1?} ({:.0} records/s, {} parse errors)",
             self.records(),
-            self.shards.len(),
+            self.shards,
             self.workers,
             self.wall,
             self.records_per_sec(),
@@ -102,31 +80,31 @@ impl IngestReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn shard(i: usize, records: u64, errors: u64) -> ShardProgress {
-        ShardProgress {
-            shard: i,
-            source: ShardSource::Proxy,
-            records,
-            bytes: records * 50,
-            parse_errors: errors,
-            wall: Duration::from_millis(10),
-        }
-    }
+    use crate::quality::QuarantineReason;
 
     #[test]
-    fn totals_sum_over_shards() {
+    fn parsed_records_are_the_lines_seen_less_the_malformed_ones() {
+        let mut quality = DataQuality {
+            records_seen: 152,
+            records_kept: 148,
+            ..DataQuality::default()
+        };
+        quality.quarantined.note(QuarantineReason::Truncated);
+        quality.quarantined.note(QuarantineReason::BadField);
+        quality.quarantined.note(QuarantineReason::Duplicate);
+        quality.quarantined.note(QuarantineReason::Skewed);
         let report = IngestReport {
             workers: 4,
-            shards: vec![shard(0, 100, 0), shard(1, 50, 2)],
+            shards: 2,
+            quality,
             wall: Duration::from_millis(30),
-            ..IngestReport::default()
         };
         assert_eq!(report.records(), 150);
-        assert_eq!(report.bytes(), 7500);
         assert_eq!(report.parse_errors(), 2);
         assert!(report.records_per_sec() > 0.0);
-        assert!(report.summary_line().contains("150 records"));
+        let line = report.summary_line();
+        assert!(line.contains("150 records in 2 shards"), "{line}");
+        assert!(line.contains("2 parse errors"), "{line}");
     }
 
     #[test]

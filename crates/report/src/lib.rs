@@ -18,7 +18,7 @@ pub mod table;
 pub use csv::CsvWriter;
 pub use experiments::{Band, ExperimentReport, ExperimentRow};
 pub use figures::{export_figures, FigureCsvExporter};
-pub use ingest::{IngestReport, ShardProgress, ShardSource};
+pub use ingest::{IngestReport, ShardSource};
 pub use obs::{render_metrics, render_stage_table};
 pub use plot::{bar_chart_log, ecdf_plot, sparkline};
 pub use quality::{DataQuality, QuarantineCounts, QuarantineReason};

@@ -142,9 +142,9 @@ impl QuarantineCounts {
     }
 }
 
-/// The data-quality section of an ingest run: records seen vs kept,
-/// quarantine counts by reason, and the error budget the run was held to.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
+/// The data-quality section of an ingest run: records seen vs kept, and
+/// quarantine counts by reason.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DataQuality {
     /// Non-blank log lines considered (kept + quarantined).
     pub records_seen: u64,
@@ -152,8 +152,6 @@ pub struct DataQuality {
     pub records_kept: u64,
     /// Quarantined records by reason.
     pub quarantined: QuarantineCounts,
-    /// The `--max-error-rate` budget the run was checked against.
-    pub max_error_rate: f64,
 }
 
 impl DataQuality {
@@ -164,6 +162,13 @@ impl DataQuality {
         } else {
             self.quarantined.total() as f64 / self.records_seen as f64
         }
+    }
+
+    /// Lines that failed to decode: the `truncated` and `bad-field`
+    /// quarantines. The content checks never use those two reasons.
+    pub fn malformed(&self) -> u64 {
+        self.quarantined.get(QuarantineReason::Truncated)
+            + self.quarantined.get(QuarantineReason::BadField)
     }
 
     /// Coverage: fraction of seen records kept (1 for an empty run).
@@ -181,9 +186,6 @@ impl DataQuality {
         self.records_seen += other.records_seen;
         self.records_kept += other.records_kept;
         self.quarantined.merge(&other.quarantined);
-        if other.max_error_rate > self.max_error_rate {
-            self.max_error_rate = other.max_error_rate;
-        }
     }
 
     /// One-line summary for log output.
@@ -263,7 +265,6 @@ mod tests {
         let mut q = DataQuality {
             records_seen: 1000,
             records_kept: 990,
-            max_error_rate: 0.01,
             ..DataQuality::default()
         };
         for _ in 0..7 {
@@ -273,6 +274,7 @@ mod tests {
             q.quarantined.note(QuarantineReason::OutOfOrder);
         }
         assert!((q.quarantine_rate() - 0.01).abs() < 1e-12);
+        assert_eq!(q.malformed(), 7);
         assert!((q.coverage() - 0.99).abs() < 1e-12);
         let line = q.summary_line();
         assert!(line.contains("990/1000"), "{line}");
@@ -296,14 +298,12 @@ mod tests {
         let mut a = DataQuality {
             records_seen: 10,
             records_kept: 9,
-            max_error_rate: 0.01,
             ..DataQuality::default()
         };
         a.quarantined.note(QuarantineReason::Skewed);
         let mut b = DataQuality {
             records_seen: 5,
             records_kept: 4,
-            max_error_rate: 0.02,
             ..DataQuality::default()
         };
         b.quarantined.note(QuarantineReason::Truncated);
@@ -311,7 +311,6 @@ mod tests {
         assert_eq!(a.records_seen, 15);
         assert_eq!(a.records_kept, 13);
         assert_eq!(a.quarantined.total(), 2);
-        assert_eq!(a.max_error_rate, 0.02);
     }
 
     #[test]

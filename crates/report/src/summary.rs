@@ -10,21 +10,24 @@ use crate::table::Table;
 
 /// Renders the complete study as one text document: QA, every figure, and
 /// the headline comparisons. Folds the aggregates sequentially, then
-/// renders them with [`render_full`].
+/// renders them with [`render_full`] and no ingest loss (the store's
+/// records are all there is).
 pub fn render_full_report(ctx: &StudyContext<'_>, summaries: &NetworkSummaries) -> String {
-    render_full(&StudyResults::new(
-        ctx,
-        summaries,
-        &CoreAggregates::sequential(ctx),
-    ))
+    render_full(
+        &StudyResults::new(ctx, summaries, &CoreAggregates::sequential(ctx)),
+        0.0,
+    )
 }
 
 /// Renders the complete study from already computed results (the
 /// `analyze --full` report). Reads no store itself: the results' one
 /// store reader, the Fig. 4(d) sector join, ran when they were built. The
 /// figure-only app analyses come from [`StudyResults::app_figures`],
-/// computed at most once per `StudyResults`.
-pub fn render_full(r: &StudyResults<'_>) -> String {
+/// computed at most once per `StudyResults`. `ingest_loss` is the share
+/// of log lines ingest quarantined
+/// ([`DataQuality::quarantine_rate`](crate::DataQuality::quarantine_rate)),
+/// which the trace-QA verdict judges with the figures' own misses.
+pub fn render_full(r: &StudyResults<'_>, ingest_loss: f64) -> String {
     let aggs = r.aggs;
     let mut out = String::new();
     let mut section = |title: &str, body: String| {
@@ -45,7 +48,7 @@ pub fn render_full(r: &StudyResults<'_>) -> String {
             100.0 * quality.day_coverage,
             quality.unresolved_device_records,
             quality.unclassified_wearable_records,
-            quality.is_healthy(0.01),
+            quality.is_healthy(0.01, ingest_loss),
         ),
     );
 

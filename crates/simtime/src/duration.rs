@@ -57,24 +57,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Whole minutes, truncating.
-    #[inline]
-    pub const fn as_minutes(self) -> u64 {
-        self.0 / SECS_PER_MINUTE
-    }
-
-    /// Whole hours, truncating.
-    #[inline]
-    pub const fn as_hours(self) -> u64 {
-        self.0 / SECS_PER_HOUR
-    }
-
-    /// Whole days, truncating.
-    #[inline]
-    pub const fn as_days(self) -> u64 {
-        self.0 / SECS_PER_DAY
-    }
-
     /// Duration in fractional hours.
     #[inline]
     pub fn as_hours_f64(self) -> f64 {
@@ -171,9 +153,9 @@ mod tests {
     #[test]
     fn constructors() {
         assert_eq!(SimDuration::from_minutes(2).as_secs(), 120);
-        assert_eq!(SimDuration::from_hours(1).as_minutes(), 60);
-        assert_eq!(SimDuration::from_days(2).as_hours(), 48);
-        assert_eq!(SimDuration::from_weeks(1).as_days(), 7);
+        assert_eq!(SimDuration::from_hours(1).as_secs(), 3_600);
+        assert_eq!(SimDuration::from_days(2).as_secs(), 172_800);
+        assert_eq!(SimDuration::from_weeks(1).as_secs(), 604_800);
     }
 
     #[test]
@@ -185,10 +167,10 @@ mod tests {
     fn arithmetic() {
         let a = SimDuration::from_hours(2);
         let b = SimDuration::from_minutes(30);
-        assert_eq!((a + b).as_minutes(), 150);
-        assert_eq!((a - b).as_minutes(), 90);
-        assert_eq!((a * 3).as_hours(), 6);
-        assert_eq!((a / 4).as_minutes(), 30);
+        assert_eq!(a + b, SimDuration::from_minutes(150));
+        assert_eq!(a - b, SimDuration::from_minutes(90));
+        assert_eq!(a * 3, SimDuration::from_hours(6));
+        assert_eq!(a / 4, SimDuration::from_minutes(30));
     }
 
     #[test]

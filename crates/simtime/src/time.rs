@@ -97,49 +97,16 @@ impl SimTime {
         (self.0 % SECS_PER_MINUTE) as u8
     }
 
-    /// Seconds elapsed since the most recent midnight.
-    #[inline]
-    pub const fn secs_of_day(self) -> u64 {
-        self.0 % SECS_PER_DAY
-    }
-
     /// The absolute hour index since the epoch (day 0 hour 0 = 0).
     #[inline]
     pub const fn hour_index(self) -> u64 {
         self.0 / SECS_PER_HOUR
     }
 
-    /// Midnight of the day this instant falls in.
-    #[inline]
-    pub const fn floor_day(self) -> SimTime {
-        SimTime(self.0 - self.0 % SECS_PER_DAY)
-    }
-
-    /// The top of the hour this instant falls in.
-    #[inline]
-    pub const fn floor_hour(self) -> SimTime {
-        SimTime(self.0 - self.0 % SECS_PER_HOUR)
-    }
-
-    /// Start of the week this instant falls in.
-    #[inline]
-    pub const fn floor_week(self) -> SimTime {
-        SimTime(self.0 - self.0 % SECS_PER_WEEK)
-    }
-
     /// Duration since `earlier`, or zero if `earlier` is later than `self`.
     #[inline]
     pub const fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration::from_secs(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Duration since `earlier`; `None` if `earlier > self`.
-    #[inline]
-    pub const fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        match self.0.checked_sub(earlier.0) {
-            Some(s) => Some(SimDuration::from_secs(s)),
-            None => None,
-        }
     }
 
     /// Adds a duration, saturating at `SimTime::MAX`.
@@ -249,14 +216,6 @@ mod tests {
     }
 
     #[test]
-    fn floors() {
-        let t = SimTime::from_secs(10 * SECS_PER_DAY + 5 * SECS_PER_HOUR + 123);
-        assert_eq!(t.floor_day(), SimTime::from_days(10));
-        assert_eq!(t.floor_hour(), SimTime::from_hours(10 * 24 + 5));
-        assert_eq!(t.floor_week(), SimTime::from_weeks(1));
-    }
-
-    #[test]
     fn arithmetic() {
         let t = SimTime::from_hours(5);
         assert_eq!(t + SimDuration::from_hours(3), SimTime::from_hours(8));
@@ -281,7 +240,6 @@ mod tests {
             SimTime::EPOCH.saturating_since(SimTime::from_secs(5)),
             SimDuration::ZERO
         );
-        assert_eq!(SimTime::EPOCH.checked_since(SimTime::from_secs(5)), None);
     }
 
     #[test]

@@ -23,20 +23,6 @@ proptest! {
         prop_assert!(t.second_of_minute() < 60);
     }
 
-    /// Floors never move time forward and land on exact boundaries.
-    #[test]
-    fn floor_properties(secs in 0u64..10_000_000_000) {
-        let t = SimTime::from_secs(secs);
-        prop_assert!(t.floor_day() <= t);
-        prop_assert!(t.floor_hour() <= t);
-        prop_assert!(t.floor_week() <= t);
-        prop_assert_eq!(t.floor_day().secs_of_day(), 0);
-        prop_assert_eq!(t.floor_hour().minute_of_hour(), 0);
-        prop_assert_eq!(t.floor_week().day_index() % 7, 0);
-        prop_assert!(t.floor_week() <= t.floor_day());
-        prop_assert!(t.floor_day() <= t.floor_hour());
-    }
-
     /// Weekday cycling: +7 days is the identity, weekend is exactly 2/7.
     #[test]
     fn weekday_cycle(day in 0u64..10_000, anchor in 0usize..7) {

@@ -39,7 +39,10 @@ fn main() {
         quality.unresolved_device_records,
         quality.unclassified_wearable_records,
     );
-    println!("healthy at 1% tolerance: {}\n", quality.is_healthy(0.01));
+    println!(
+        "healthy at 1% tolerance: {}\n",
+        quality.is_healthy(0.01, 0.0)
+    );
 
     // --- 1. Busiest sectors by peak attachment --------------------------------
     println!("== busiest sectors (peak simultaneous attachments) ==");

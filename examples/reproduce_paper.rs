@@ -51,7 +51,7 @@ fn main() {
     let results = StudyResults::new(&ctx, &world.summaries, &aggs);
 
     // Every figure (QA, Figs. 2–8, Sec. 4.1/4.2 and Sec. 6), as `analyze --full`.
-    print!("{}", render_full(&results));
+    print!("{}", render_full(&results, 0.0));
 
     println!("\n== Sec. 4.1: wearable device models ==");
     let mut t = Table::new(vec!["model", "users"]);

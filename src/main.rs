@@ -295,10 +295,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     let metrics_path = flag(args, "--metrics")?;
     let metrics = Registry::new();
     let root = metrics.stage("analyze");
-    let mut opts = IngestOptions::for_world(&dir).with_metrics(metrics.clone());
-    if let Some(rate) = max_error_rate(args)? {
-        opts = opts.with_max_error_rate(rate);
-    }
+    let budget = max_error_rate(args)?.unwrap_or(DEFAULT_MAX_ERROR_RATE);
     let loading = |e: &dyn std::fmt::Display| format!("loading {}: {e}", dir.display());
 
     // The world's metadata (manifest, cell plan, summaries) is read before
@@ -311,6 +308,9 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     let saved =
         GeneratedWorld::load_with_store(&dir, TraceStore::new()).map_err(|e| loading(&e))?;
     warn_unchecked(&saved.unchecked);
+    let opts = IngestOptions::from_metadata(&dir, Some(saved.window), Some(&saved.sectors))
+        .with_metrics(metrics.clone())
+        .with_max_error_rate(budget);
     let db = DeviceDb::standard();
     let catalog = AppCatalog::standard();
     let ctx = StudyContext::new(&saved.store, &db, &saved.sectors, &catalog, saved.window);
@@ -337,7 +337,10 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
 
     if full {
         let full_span = root.child("full");
-        print!("{}", render_full(&results));
+        print!(
+            "{}",
+            render_full(&results, load_report.quality.quarantine_rate())
+        );
         println!();
         if !load_report.quality.quarantined.is_empty() {
             println!("## Data quality\n");
@@ -474,7 +477,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     warn_unchecked(&saved.unchecked);
     // Same clock-skew horizon and cell plan as the batch loader derives
     // for this world.
-    let world_opts = IngestOptions::for_world(&dir);
+    let world_opts = IngestOptions::from_metadata(&dir, Some(saved.window), Some(&saved.sectors));
     config.max_timestamp = world_opts.max_timestamp;
     config.sector_count = world_opts.sector_count;
     let db = DeviceDb::standard();

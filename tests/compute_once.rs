@@ -48,7 +48,7 @@ fn assert_single_implementation(world: &Path, out: &Path) {
         .expect("export legacy csv");
 
     let results = StudyResults::new(&ctx, summaries, &aggs);
-    assert_eq!(render_full(&results), full);
+    assert_eq!(render_full(&results, 0.0), full);
     assert_eq!(ExperimentReport::from_results(&results).render(), table);
     let csv = out.join("results");
     let written = export_figures(&results, &csv).expect("export csv");

@@ -10,11 +10,15 @@
 //! (a swap of equal timestamps is benign), so its count is pinned as a
 //! golden value for the fixed (world seed, corruption seed) pair.
 
+use std::path::Path;
+use std::process::Command;
+
 use wearscope::core::{CoreAggregates, StudyResults};
 use wearscope::faults::{corrupt_world, FaultClass, FaultSpec};
 use wearscope::ingest::{load_store_resilient, IngestOptions};
 use wearscope::prelude::*;
 use wearscope::report::{ExperimentReport, QuarantineReason};
+use wearscope::trace::{read_tsv_shard, ByteRange, MmeRecord, ProxyRecord, TsvRecord};
 
 /// Same population as `wearscope --scale quick`.
 fn quick_world(seed: u64) -> GeneratedWorld {
@@ -152,5 +156,94 @@ fn corruption_past_the_budget_aborts_naming_the_first_quarantined_record() {
     // A raised budget turns the same world loadable.
     let opts = IngestOptions::for_world(&dir).with_max_error_rate(0.10);
     assert!(load_store_resilient(&dir, 4, &opts).is_ok());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Records and malformed lines of the whole log at `path`, parsed as one
+/// chunk.
+fn whole_log_parse<R: TsvRecord>(path: &Path) -> (u64, u64) {
+    let end = std::fs::metadata(path).expect("log size").len();
+    let shard = read_tsv_shard::<R>(path, ByteRange { start: 0, end }).expect("read log");
+    (shard.records.len() as u64, shard.errors.len() as u64)
+}
+
+#[test]
+fn ingest_report_parse_counts_are_the_ledgers_and_match_a_whole_log_parse() {
+    let world = quick_world(7);
+    let dir = std::env::temp_dir().join(format!("wearscope-faultparse-{}", std::process::id()));
+    world.save(&dir).expect("save world");
+    corrupt_world(&dir, 3, &"all".parse().expect("spec")).expect("corrupt");
+    let (proxy_records, proxy_errors) = whole_log_parse::<ProxyRecord>(&dir.join("proxy.log"));
+    let (mme_records, mme_errors) = whole_log_parse::<MmeRecord>(&dir.join("mme.log"));
+    assert!(proxy_errors > 0, "the corruption must break some lines");
+    for workers in [1, 4] {
+        let (_, report) = load_store_resilient(&dir, workers, &IngestOptions::for_world(&dir))
+            .expect("load under the default budget");
+        let q = &report.quality;
+        let malformed = q.quarantined.get(QuarantineReason::Truncated)
+            + q.quarantined.get(QuarantineReason::BadField);
+        assert_eq!(report.parse_errors(), malformed, "workers={workers}");
+        assert_eq!(
+            report.records(),
+            q.records_seen - malformed,
+            "workers={workers}"
+        );
+        assert_eq!(
+            report.parse_errors(),
+            proxy_errors + mme_errors,
+            "workers={workers}"
+        );
+        assert_eq!(
+            report.records(),
+            proxy_records + mme_records,
+            "workers={workers}"
+        );
+        assert!(report.shards > 0, "workers={workers}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The trace-QA line of `wearscope analyze --world DIR --full ARGS`,
+/// which must exit 0.
+fn trace_qa_line(dir: &Path, args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_wearscope"))
+        .arg("analyze")
+        .arg("--world")
+        .arg(dir)
+        .arg("--full")
+        .args(args)
+        .output()
+        .expect("run wearscope");
+    assert!(
+        out.status.success(),
+        "analyze {args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).expect("UTF-8 stdout");
+    let qa = stdout.lines().skip_while(|l| *l != "== trace QA ==").nth(1);
+    qa.expect("a trace QA line").to_string()
+}
+
+#[test]
+fn trace_qa_judges_what_ingest_quarantined() {
+    let world = quick_world(11);
+    let dir = std::env::temp_dir().join(format!("wearscope-faultqa-{}", std::process::id()));
+    world.save(&dir).expect("save world");
+    let clean = trace_qa_line(&dir, &[]);
+    assert!(clean.ends_with("healthy: true"), "{clean}");
+
+    // About 15% of the lines quarantined: past the verdict's 1% tolerance,
+    // under the raised error budget, so the run succeeds.
+    corrupt_world(&dir, 3, &"all=0.03".parse().expect("spec")).expect("corrupt");
+    let (_, report) = load_store_resilient(
+        &dir,
+        2,
+        &IngestOptions::for_world(&dir).with_max_error_rate(0.2),
+    )
+    .expect("load under the raised budget");
+    let loss = report.quality.quarantine_rate();
+    assert!(loss > 0.01 && loss <= 0.2, "quarantined {loss}");
+    let dirty = trace_qa_line(&dir, &["--max-error-rate", "0.2"]);
+    assert!(dirty.ends_with("healthy: false"), "{dirty}");
     std::fs::remove_dir_all(&dir).ok();
 }

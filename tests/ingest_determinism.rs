@@ -731,10 +731,8 @@ mod oracle {
         };
 
         let mut proxy_days: HashSet<u64> = HashSet::default();
-        let mut proxy_users: HashSet<UserId> = HashSet::default();
         for r in ctx.store.proxy() {
             proxy_days.insert(r.timestamp.day_index());
-            proxy_users.insert(r.user);
             if ctx.device_class(r.imei).is_none() {
                 report.unresolved_device_records += 1;
             } else if ctx.is_wearable_record(r) && ctx.host_class(r.host).classification.is_none() {
@@ -745,9 +743,7 @@ mod oracle {
             }
         }
 
-        let mut mme_users: HashSet<UserId> = HashSet::default();
         for r in ctx.store.mme() {
-            mme_users.insert(r.user);
             if !ctx.window.detailed().contains(r.timestamp) {
                 report.out_of_window_records += 1;
             }
@@ -764,7 +760,6 @@ mod oracle {
         } else {
             1.0 - report.silent_days.len() as f64 / expected.len() as f64
         };
-        report.proxy_only_users = proxy_users.difference(&mme_users).count();
         report
     }
 }

@@ -259,7 +259,7 @@ fn s6_through_device() {
 fn experiment_report_mostly_green() {
     let report = ExperimentReport::from_takeaways_with_window(&shared().takeaways, 98);
     let rendered = report.render();
-    // At least 24 of the rows must be within band; print the table on failure.
+    // At most three rows may miss their band; print the table on failure.
     assert!(
         report.passed() >= report.total() - 3,
         "only {}/{} rows in band:\n{rendered}",
