@@ -86,10 +86,12 @@ echo "    metric snapshots identical across worker counts (timing excluded); pea
 echo "==> batch/stream agreement: stream --lateness 0s on the corrupted world, diff against analyze"
 # Batch and stream run one record validator per log. At lateness 0 they
 # differ only in the watermark (per-log high-water mark vs the merged
-# one), which quarantines no extra record on this world, so the
-# per-reason counts and the bytes read and decode errors must be equal.
+# one), which quarantines no extra record on this world: stream counts
+# none, so the per-reason counts and the bytes read and decode errors
+# must be equal.
 "$WEARSCOPE" stream --world "$FAULT_DIR/world" --lateness 0s \
     --metrics "$FAULT_DIR/stream0.json" >/dev/null 2>"$FAULT_DIR/stream0.err"
+grep -q '"stream.watermark_only_quarantined": 0,\?$' "$FAULT_DIR/stream0.json"
 quarantine_counts() { grep -E '^(quality|stream):' "$1" | grep -o 'quarantined: .*'; }
 quarantine_counts "$FAULT_DIR/analyze1.err" >"$FAULT_DIR/analyze1.quarantine"
 quarantine_counts "$FAULT_DIR/stream0.err" >"$FAULT_DIR/stream0.quarantine"
@@ -188,6 +190,31 @@ grep -q "^q"$'\t' "$FAULT_DIR/late-ckpt/stream.ckpt"
     >/dev/null 2>&1
 diff "$FAULT_DIR/late-full.txt" "$FAULT_DIR/late-resumed.txt"
 echo "    late-merged records and pending attribution survive kill/resume"
+
+echo "==> stream drill with one long window: closed user-days survive kill/resume"
+# A 400-day window holds the whole log. Each user-day the watermark has
+# passed is kept as its farthest sector pair, the days still open as
+# sector sets; the checkpoint at the kill point must hold both, and the
+# resumed run must end on the uninterrupted run's stdout, report and
+# final checkpoint.
+long=(--window 400d --lateness 5m --checkpoint-every 5000)
+rm -rf "$FAULT_DIR/long-full-ckpt" "$FAULT_DIR/long-ckpt"
+"$WEARSCOPE" stream --world "$FAULT_DIR/stream-world" "${long[@]}" \
+    --checkpoint "$FAULT_DIR/long-full-ckpt" --report "$FAULT_DIR/long-full.tsv" \
+    >"$FAULT_DIR/long-full.out" 2>/dev/null
+"$WEARSCOPE" stream --world "$FAULT_DIR/stream-world" "${long[@]}" \
+    --checkpoint "$FAULT_DIR/long-ckpt" --stop-after 70001 >/dev/null 2>&1
+# The mobility header counts streams, open days, users with closed days
+# and dwell users.
+grep -Eq '^mobility'$'\t''[0-9]+'$'\t''[1-9][0-9]*'$'\t''[1-9][0-9]*'$'\t' \
+    "$FAULT_DIR/long-ckpt/stream.ckpt"
+"$WEARSCOPE" stream --world "$FAULT_DIR/stream-world" "${long[@]}" \
+    --checkpoint "$FAULT_DIR/long-ckpt" --resume --report "$FAULT_DIR/long-resumed.tsv" \
+    >"$FAULT_DIR/long-resumed.out" 2>/dev/null
+diff "$FAULT_DIR/long-full.out" "$FAULT_DIR/long-resumed.out"
+diff "$FAULT_DIR/long-full.tsv" "$FAULT_DIR/long-resumed.tsv"
+cmp "$FAULT_DIR/long-full-ckpt/stream.ckpt" "$FAULT_DIR/long-ckpt/stream.ckpt"
+echo "    a 400-day window killed with closed and open user-days resumes to the same output"
 
 echo "==> stream drill with forced windows: drop-oldest backpressure, kill and resume"
 # Two open windows and 2 h of lateness: a third window opens before the

@@ -26,9 +26,11 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 use wearscope_appdb::ThroughDeviceKind;
 use wearscope_devicedb::{DeviceClass, Imei};
+use wearscope_geo::{SectorDirectory, SectorId};
 use wearscope_simtime::SimTime;
 use wearscope_trace::{MmeEvent, MmeRecord, ProxyRecord, UserId};
 
@@ -173,32 +175,88 @@ pub(crate) struct MmeStream {
     pub(crate) open: Option<(u32, SimTime)>,
 }
 
-/// Partial for [`MobilityIndex`]: one state per MME stream, per-day sector
-/// sets, and exact dwell counters.
-///
-/// [`merge`](MobilityPartial::merge) takes the *later* time-split segment
-/// of any stream both partials saw (the streaming engine's event-time
-/// windows). An attachment left open in the earlier partial is closed at
-/// the later segment's first event for that stream, which is exactly where
-/// the sequential fold would have closed it.
-///
-/// Within each partial, each `(user, imei)` stream must be absorbed in log
-/// (time) order — dwell tracking is stateful.
-#[derive(Clone, Debug, Default)]
-pub struct MobilityPartial {
-    pub(crate) streams: HashMap<(UserId, u64), MmeStream>,
-    /// Per `(user, day)`: the sectors seen, ascending and distinct. A
-    /// user-day sees a few sectors, so a sorted `Vec` holds them in a
-    /// fraction of a `HashSet`'s memory.
-    pub(crate) day_sectors: HashMap<(UserId, u64), Vec<u32>>,
-    pub(crate) per_user: HashMap<UserId, UserMobility>,
+/// What Fig. 4(c) keeps of a final user-day: the two sectors, `a < b`,
+/// whose distance [`SectorDirectory::max_displacement_km`] returns for the
+/// day's sector set, or one sector as both ends (`a == b`) when no two of
+/// the day's sectors are apart: the day's displacement is then 0 km.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct FarthestPair(pub(crate) u32, pub(crate) u32);
+
+impl FarthestPair {
+    /// The pair of an ascending, distinct, non-empty sector set: the
+    /// first pair, in `max_displacement_km`'s loop order, at the largest
+    /// distance. Sectors outside the plan are skipped, as it skips them.
+    fn of(sectors: &SectorDirectory, set: &[u32]) -> FarthestPair {
+        let (mut best, mut pair) = (0.0, FarthestPair(set[0], set[0]));
+        for (i, &a) in set.iter().enumerate() {
+            let Some(at) = sectors.location(SectorId(a)) else {
+                continue;
+            };
+            for &b in &set[i + 1..] {
+                let Some(bt) = sectors.location(SectorId(b)) else {
+                    continue;
+                };
+                let km = at.distance_km(bt);
+                if km > best {
+                    (best, pair) = (km, FarthestPair(a, b));
+                }
+            }
+        }
+        pair
+    }
+
+    /// The day's max displacement: the distance of the pair, measured as
+    /// `max_displacement_km` measured it over the whole set.
+    fn km(self, sectors: &SectorDirectory) -> f64 {
+        let FarthestPair(a, b) = self;
+        let ends = [SectorId(a), SectorId(b)];
+        sectors.max_displacement_km(if a == b { &ends[..1] } else { &ends })
+    }
 }
+
+/// A user's final days, ascending, each as its [`FarthestPair`]. A day is
+/// kept as a `u32`, so a closed day takes 12 bytes, not 16: a day past
+/// `u32::MAX` (eleven million years on) is never closed.
+pub(crate) type ClosedDays = Vec<(u32, FarthestPair)>;
 
 /// Adds `sector` to an ascending, distinct sector list.
 fn insert_sector(sectors: &mut Vec<u32>, sector: u32) {
     if let Err(at) = sectors.binary_search(&sector) {
         sectors.insert(at, sector);
     }
+}
+
+/// Partial for [`MobilityIndex`]: one state per MME stream, the user-days,
+/// and exact dwell counters.
+///
+/// A user-day is kept as its sector set while a record can still join it,
+/// and as its farthest sector pair once [`close_days`] says it is final:
+/// no record of it can still be absorbed, here or in any partial merged
+/// with this one. So the days held as sets follow the days still open,
+/// not the whole window. Every float is still derived in [`finish`]: the
+/// pair is two sector ids.
+///
+/// [`merge`](MobilityPartial::merge) takes the *later* time-split segment
+/// of any stream both partials saw (the streaming engine's event-time
+/// windows). An attachment left open in the earlier partial is closed at
+/// the later segment's first event for that stream, which is exactly where
+/// the sequential fold would have closed it. A user-day both partials hold
+/// is open in both, and merges as the union of its sets.
+///
+/// Within each partial, each `(user, imei)` stream must be absorbed in log
+/// (time) order — dwell tracking is stateful.
+///
+/// [`close_days`]: MobilityPartial::close_days
+/// [`finish`]: MobilityPartial::finish
+#[derive(Clone, Debug, Default)]
+pub struct MobilityPartial {
+    pub(crate) streams: HashMap<(UserId, u64), MmeStream>,
+    /// Per open `(user, day)`: the sectors seen, ascending and distinct.
+    /// A user-day sees a few sectors, so a sorted `Vec` holds them in a
+    /// fraction of a `HashSet`'s memory.
+    pub(crate) open_days: HashMap<(UserId, u64), Vec<u32>>,
+    pub(crate) closed_days: HashMap<UserId, ClosedDays>,
+    pub(crate) per_user: HashMap<UserId, UserMobility>,
 }
 
 fn close_dwell(
@@ -228,8 +286,14 @@ impl MobilityPartial {
         });
         let closed = match r.event {
             MmeEvent::Attach | MmeEvent::SectorUpdate => {
-                let day = self.day_sectors.entry((r.user, r.timestamp.day_index()));
-                insert_sector(day.or_default(), r.sector);
+                let day = r.timestamp.day_index();
+                debug_assert!(
+                    self.closed_days
+                        .get(&r.user)
+                        .is_none_or(|c| c.iter().all(|&(d, _)| u64::from(d) != day)),
+                    "a record joined a closed day"
+                );
+                insert_sector(self.open_days.entry((r.user, day)).or_default(), r.sector);
                 stream.open.replace((r.sector, r.timestamp))
             }
             MmeEvent::Detach => stream.open.take(),
@@ -237,6 +301,50 @@ impl MobilityPartial {
         if let Some((sector, since)) = closed {
             close_dwell(&mut self.per_user, r.user, sector, since, r.timestamp);
         }
+    }
+
+    /// Reduces every open user-day in `days` to its farthest sector pair.
+    /// The caller vouches that each is final: no record of it can still
+    /// reach this partial or a partial it will be merged with. The batch
+    /// fold closes each day the MME log's high-water mark has passed; a
+    /// stream window closes the days the watermark has passed that lie
+    /// wholly inside it.
+    pub fn close_days(&mut self, sectors: &SectorDirectory, days: Range<u64>) {
+        if days.is_empty() {
+            return;
+        }
+        let closed_days = &mut self.closed_days;
+        self.open_days.retain(|&(user, day), set| {
+            let Some(day) = u32::try_from(day).ok().filter(|_| days.contains(&day)) else {
+                return true;
+            };
+            let closed = closed_days.entry(user).or_default();
+            closed.push((day, FarthestPair::of(sectors, set)));
+            // The map is walked in hash order, and a merge may have
+            // brought in later days: keep the list ascending.
+            if closed.len() > 1 && closed[closed.len() - 2].0 > day {
+                closed.sort_unstable_by_key(|&(d, _)| d);
+            }
+            false
+        });
+    }
+
+    /// Frees the room the days grew into: a batch fold's partial is
+    /// finished, not grown, once the fold ends.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.open_days.shrink_to_fit();
+        for closed in self.closed_days.values_mut() {
+            closed.shrink_to_fit();
+        }
+    }
+
+    /// The number of open days of each user with one.
+    pub fn open_days_per_user(&self) -> impl Iterator<Item = usize> {
+        let mut open: HashMap<UserId, usize> = HashMap::default();
+        for &(user, _) in self.open_days.keys() {
+            *open.entry(user).or_default() += 1;
+        }
+        open.into_values()
     }
 
     /// Merges a later time-split partial into this one.
@@ -259,11 +367,16 @@ impl MobilityPartial {
                 }
             }
         }
-        for (key, sectors) in other.day_sectors {
-            let mine = self.day_sectors.entry(key).or_default();
+        for (key, sectors) in other.open_days {
+            let mine = self.open_days.entry(key).or_default();
             for sector in sectors {
                 insert_sector(mine, sector);
             }
+        }
+        for (user, later) in other.closed_days {
+            let mine = self.closed_days.entry(user).or_default();
+            mine.extend(later);
+            mine.sort_unstable_by_key(|&(d, _)| d);
         }
         for (user, m) in other.per_user {
             let mine = self.per_user.entry(user).or_default();
@@ -278,11 +391,14 @@ impl MobilityPartial {
     }
 
     /// Closes devices still attached at the end of the detailed window and
-    /// builds the index.
+    /// builds the index: each user's daily max displacements in day order,
+    /// filled in user order so per-user float reductions downstream are
+    /// run-to-run stable.
     pub fn finish(self, ctx: &StudyContext<'_>) -> MobilityIndex {
         let MobilityPartial {
             streams,
-            day_sectors,
+            open_days,
+            closed_days,
             mut per_user,
         } = self;
         let end = ctx.window.detailed().end();
@@ -291,7 +407,26 @@ impl MobilityPartial {
                 close_dwell(&mut per_user, user, sector, since, end);
             }
         }
-        MobilityIndex::from_dwell_and_days(ctx, per_user, day_sectors)
+        let mut days: HashMap<UserId, Vec<(u64, f64)>> = HashMap::default();
+        for ((user, day), sectors) in open_days {
+            let ids: Vec<SectorId> = sectors.into_iter().map(SectorId).collect();
+            let km = ctx.sectors.max_displacement_km(&ids);
+            days.entry(user).or_default().push((day, km));
+        }
+        for (user, closed) in closed_days {
+            let km = closed
+                .into_iter()
+                .map(|(day, pair)| (u64::from(day), pair.km(ctx.sectors)));
+            days.entry(user).or_default().extend(km);
+        }
+        let mut days: Vec<(UserId, Vec<(u64, f64)>)> = days.into_iter().collect();
+        days.sort_unstable_by_key(|&(user, _)| user);
+        for (user, mut km) in days {
+            km.sort_unstable_by_key(|&(day, _)| day);
+            per_user.entry(user).or_default().daily_max_displacement_km =
+                km.into_iter().map(|(_, km)| km).collect();
+        }
+        MobilityIndex { per_user }
     }
 }
 
@@ -460,9 +595,11 @@ impl CoreAggregates {
 /// **Determinism contract.** Merging bundles in ascending order (window
 /// index for time-split segments) and finishing once must be
 /// *bit-identical* to one sequential fold, for any partition that keeps
-/// each `(user, imei)` MME stream in log order. The bundle upholds this by
-/// keeping only exact state — integer counters, day sets, dwell seconds,
-/// raw transactions — during absorb and merge, and deferring every
+/// each `(user, imei)` MME stream in log order and closes no user-day a
+/// record of another part can still join. The bundle upholds this by
+/// keeping only exact state — integer counters, open day sets, the
+/// farthest sector pair of each final day, dwell seconds, raw
+/// transactions — during absorb and merge, and deferring every
 /// derivation and float reduction to the single-threaded
 /// [`CorePartials::finish`], where iteration order is fixed by sorting (or
 /// by [`crate::stats::Ecdf`], which sorts its samples on construction).
@@ -583,7 +720,8 @@ impl CorePartials {
             mobility:
                 MobilityPartial {
                     streams,
-                    day_sectors,
+                    open_days,
+                    closed_days,
                     per_user: mobility,
                 },
             wearable:
@@ -598,7 +736,8 @@ impl CorePartials {
         *hourly = HourlyProfilePartial::default();
         traffic.clear();
         streams.clear();
-        day_sectors.clear();
+        open_days.clear();
+        closed_days.clear();
         mobility.clear();
         timelines.clear();
         transactions.clear();
@@ -678,10 +817,17 @@ impl CorePartials {
 /// every proxy record and then every MME record, each log in time order.
 /// [`CorePartials::fold`] drives it over a store; the loader drives it
 /// over records as its shard workers parse them.
+///
+/// The MME records come in time order, so once one is stamped on a later
+/// day than the last, every earlier day is final: the fold closes them
+/// ([`MobilityPartial::close_days`]), and its mobility state follows the
+/// day in hand rather than the window.
 pub struct Fold<'c> {
     ctx: &'c StudyContext<'c>,
     partials: CorePartials,
     attributor: Attributor,
+    /// The day of the newest MME record folded.
+    mme_day: u64,
 }
 
 impl<'c> Fold<'c> {
@@ -691,6 +837,7 @@ impl<'c> Fold<'c> {
             ctx,
             partials: CorePartials::default(),
             attributor: Attributor::new(),
+            mme_day: 0,
         }
     }
 
@@ -715,20 +862,27 @@ impl<'c> Fold<'c> {
 
     /// Folds one MME record.
     pub fn mme(&mut self, r: &MmeRecord) {
-        let device = self.ctx.device_class(r.imei);
-        self.partials.absorb_mme(self.ctx, r, device);
+        self.mme_from(r, self.ctx.device_class(r.imei));
     }
 
     /// [`Fold::mme`] for a record the validator kept, with the IMEI it
     /// checked.
     pub fn kept_mme(&mut self, r: &MmeRecord, imei: Imei) {
-        let device = self.ctx.device_class_of(imei);
+        self.mme_from(r, self.ctx.device_class_of(imei));
+    }
+
+    fn mme_from(&mut self, r: &MmeRecord, device: Option<DeviceClass>) {
+        let day = r.timestamp.day_index();
+        if day > self.mme_day {
+            self.mme_day = day;
+            self.partials.mobility.close_days(self.ctx.sectors, 0..day);
+        }
         self.partials.absorb_mme(self.ctx, r, device);
     }
 
     /// Flushes the attributor (a transaction's app can depend on a later
     /// record, so none is released before the end) and returns the
-    /// partials.
+    /// partials, their user-days shrunk to fit.
     pub fn into_partials(self) -> CorePartials {
         let Fold {
             mut partials,
@@ -737,6 +891,7 @@ impl<'c> Fold<'c> {
         } = self;
         partials.attributed.reserve(attributor.pending());
         attributor.flush(&mut partials.attributed);
+        partials.mobility.shrink_to_fit();
         partials
     }
 }
@@ -747,7 +902,7 @@ mod tests {
     use wearscope_appdb::AppCatalog;
     use wearscope_devicedb::{DeviceClass, DeviceDb};
     use wearscope_geo::SectorDirectory;
-    use wearscope_simtime::{Calendar, ObservationWindow};
+    use wearscope_simtime::{Calendar, ObservationWindow, SimDuration};
     use wearscope_trace::{HostId, Scheme, TraceStore};
 
     fn proxy(imei: u64, user: u64, t: u64, bytes: u64) -> ProxyRecord {
@@ -916,6 +1071,123 @@ mod tests {
         join.absorb_transaction(&proxy(7, 1, 250, 10));
         let sectors = join.finish();
         assert_eq!(sectors[&UserId(1)], HashSet::from_iter([2]));
+    }
+
+    /// Seven sectors 0–6, two of them (0 and 3) at one place; sector 7
+    /// is outside the plan.
+    fn day_sectors() -> SectorDirectory {
+        let mut d = SectorDirectory::new();
+        for (lat, lon) in [
+            (40.0, -3.0),
+            (40.1, -3.0),
+            (40.9, -3.0),
+            (40.0, -3.0),
+            (41.5, -2.0),
+            (40.2, -3.3),
+            (39.9, -2.9),
+        ] {
+            d.push(wearscope_geo::GeoPoint::new(lat, lon), None);
+        }
+        d
+    }
+
+    proptest::proptest! {
+        /// Folding MME records as the stream admits them (each arrives at
+        /// most `lateness` after its time), split into parts at arbitrary
+        /// record indices, each part closing the days the watermark has
+        /// passed that no earlier part can hold, then merging the parts in
+        /// order, gives the index a set-based oracle gives, bit for bit.
+        #[test]
+        fn closed_days_merge_like_sets(
+            draws in proptest::prop::collection::vec(
+                (0u64..4, 0u64..3, 0u64..4 * 86_400, 0u8..3, 0u32..8, 0u64..=10_800),
+                0..120,
+            ),
+            lateness_pick in 0usize..3,
+            cuts in proptest::prop::collection::vec(0usize..120, 0..4),
+        ) {
+            let lateness = [0, 600, 10_800][lateness_pick];
+            let mut arrivals: Vec<(u64, MmeRecord)> = draws
+                .iter()
+                .map(|&(user, imei, t, event, sector, delay)| {
+                    let events = [MmeEvent::Attach, MmeEvent::SectorUpdate, MmeEvent::Detach];
+                    let r = MmeRecord {
+                        timestamp: SimTime::from_secs(t),
+                        user: UserId(user),
+                        imei: user * 10 + imei,
+                        event: events[usize::from(event)],
+                        sector,
+                    };
+                    (t + delay.min(lateness), r)
+                })
+                .collect();
+            arrivals.sort_by_key(|&(at, r)| (at, r.timestamp));
+            let records: Vec<MmeRecord> = arrivals.into_iter().map(|(_, r)| r).collect();
+
+            let store = TraceStore::new();
+            let db = DeviceDb::standard();
+            let sectors = day_sectors();
+            let catalog = AppCatalog::standard();
+            let ctx = StudyContext::new(
+                &store,
+                &db,
+                &sectors,
+                &catalog,
+                ObservationWindow::new(14, 14, Calendar::PAPER),
+            );
+
+            // The oracle: each user-day's whole set, reduced at the end
+            // in (user, day) order; dwell from one unsplit fold.
+            let mut unsplit = MobilityPartial::default();
+            let mut sets: std::collections::BTreeMap<(UserId, u64), BTreeSet<u32>> =
+                std::collections::BTreeMap::new();
+            for r in &records {
+                unsplit.absorb(r);
+                if r.event != MmeEvent::Detach {
+                    sets.entry((r.user, r.timestamp.day_index())).or_default().insert(r.sector);
+                }
+            }
+            let mut oracle = unsplit.finish(&ctx).per_user;
+            for m in oracle.values_mut() {
+                m.daily_max_displacement_km.clear();
+            }
+            for ((user, _), set) in sets {
+                let ids: Vec<SectorId> = set.into_iter().map(SectorId).collect();
+                let km = sectors.max_displacement_km(&ids);
+                oracle.entry(user).or_default().daily_max_displacement_km.push(km);
+            }
+
+            // The parts, closed as the stream's watermark passes each day.
+            let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(records.len())).collect();
+            bounds.extend([0, records.len()]);
+            bounds.sort_unstable();
+            let mut max_event: Option<SimTime> = None;
+            let mut merged = MobilityPartial::default();
+            for part in bounds.windows(2) {
+                // An earlier part holds no record past the max event so far.
+                let first_own_day = max_event.map_or(0, |m| m.day_index() + 1);
+                let mut partial = MobilityPartial::default();
+                for r in &records[part[0]..part[1]] {
+                    partial.absorb(r);
+                    let m = max_event.map_or(r.timestamp, |m| m.max(r.timestamp));
+                    max_event = Some(m);
+                    let watermark = m.saturating_sub(SimDuration::from_secs(lateness));
+                    partial.close_days(&sectors, first_own_day..watermark.day_index());
+                }
+                proptest::prop_assert!(partial.open_days_per_user().all(|n| n <= 3));
+                merged.merge(partial);
+            }
+            let got = merged.finish(&ctx).per_user;
+            proptest::prop_assert_eq!(got.len(), oracle.len());
+            for (user, want) in &oracle {
+                let have = &got[user];
+                let bits = |m: &UserMobility| -> Vec<u64> {
+                    m.daily_max_displacement_km.iter().map(|k| k.to_bits()).collect()
+                };
+                proptest::prop_assert_eq!(bits(have), bits(want));
+                proptest::prop_assert_eq!(&have.dwell_by_sector, &want.dwell_by_sector);
+            }
+        }
     }
 
     /// The empty bundle finishes into empty results.

@@ -1,6 +1,5 @@
 //! User mobility analysis (Sec. 4.4, Fig. 4(c,d)).
 
-use wearscope_geo::SectorId;
 use wearscope_trace::UserId;
 
 use crate::activity::UserActivity;
@@ -58,29 +57,6 @@ impl MobilityIndex {
             partial.absorb(r);
         }
         partial.finish(ctx)
-    }
-
-    /// The finish step of every merged partial: dwell totals are
-    /// already merged; daily max displacement is filled in (user, day) order
-    /// so per-user float reductions downstream are run-to-run stable.
-    pub(crate) fn from_dwell_and_days(
-        ctx: &StudyContext<'_>,
-        mut per_user: HashMap<UserId, UserMobility>,
-        day_sectors: HashMap<(UserId, u64), Vec<u32>>,
-    ) -> MobilityIndex {
-        let mut days: Vec<((UserId, u64), Vec<u32>)> = day_sectors.into_iter().collect();
-        days.sort_by_key(|(key, _)| *key);
-        for ((user, _day), sectors) in days {
-            // Already ascending: the partial keeps each day's sectors so.
-            let ids: Vec<SectorId> = sectors.into_iter().map(SectorId).collect();
-            let km = ctx.sectors.max_displacement_km(&ids);
-            per_user
-                .entry(user)
-                .or_default()
-                .daily_max_displacement_km
-                .push(km);
-        }
-        MobilityIndex { per_user }
     }
 }
 

@@ -35,6 +35,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt::{self, Write as _};
+use std::ops::Range;
 
 use wearscope_appdb::{AppId, Classification, DomainClass, ThroughDeviceKind};
 use wearscope_simtime::SimTime;
@@ -42,8 +43,8 @@ use wearscope_trace::UserId;
 
 use crate::hash::{HashMap, HashSet};
 use crate::merge::{
-    CorePartials, HourlyProfilePartial, MmeStream, MobilityPartial, QualityPartial, TrafficPartial,
-    WearablePartial,
+    CorePartials, FarthestPair, HourlyProfilePartial, MmeStream, MobilityPartial, QualityPartial,
+    TrafficPartial, WearablePartial,
 };
 use crate::mobility::UserMobility;
 use crate::sessions::{AttributedTx, Attributor, UserTxs};
@@ -188,6 +189,28 @@ impl<T: Field> Field for Option<T> {
             Ok(None)
         } else {
             T::parse(s).map(Some)
+        }
+    }
+}
+
+/// `a-b` for a pair of sectors `a < b`, `a` for one sector.
+impl Field for FarthestPair {
+    fn write(&self, out: &mut String) {
+        self.0.write(out);
+        if self.1 != self.0 {
+            out.push('-');
+            self.1.write(out);
+        }
+    }
+
+    fn parse(s: &str) -> Result<Self, String> {
+        let not_a_pair = || format!("`{s}` is not a sector pair a-b with a < b, or one sector");
+        match s.split_once('-') {
+            None => u32::parse(s).map(|a| FarthestPair(a, a)),
+            Some((a, b)) => match (u32::parse(a), u32::parse(b)) {
+                (Ok(a), Ok(b)) if a < b => Ok(FarthestPair(a, b)),
+                _ => Err(not_a_pair()),
+            },
         }
     }
 }
@@ -350,11 +373,22 @@ impl<'a> Row<'a> {
     }
 }
 
+/// What a closed user-day read back must be: a day its partial could
+/// have closed, whose farthest pair names sectors of the cell plan.
+#[derive(Clone, Debug)]
+pub struct ClosedDayBounds {
+    /// Sectors in the cell plan.
+    pub sectors: usize,
+    /// The days the partial could have closed.
+    pub days: Range<u64>,
+}
+
 /// Line cursor over snapshot text, shared by every [`Snapshot::restore`].
 #[derive(Debug)]
 pub struct SnapshotReader<'a> {
     lines: std::str::Lines<'a>,
     line_no: u64,
+    closed_days: Option<ClosedDayBounds>,
 }
 
 impl<'a> SnapshotReader<'a> {
@@ -363,7 +397,14 @@ impl<'a> SnapshotReader<'a> {
         SnapshotReader {
             lines: text.lines(),
             line_no: 0,
+            closed_days: None,
         }
+    }
+
+    /// Checks each closed user-day read from here on against `bounds`
+    /// (by default, none is checked).
+    pub fn bound_closed_days(&mut self, bounds: ClosedDayBounds) {
+        self.closed_days = Some(bounds);
     }
 
     /// An error anchored at the last line read.
@@ -510,13 +551,15 @@ impl Snapshot for TrafficPartial {
 }
 
 /// One row per MME stream, `user imei first sector since`, with `-` and
-/// `-` for a stream that is not attached; then the day sectors and the
-/// dwell counters.
+/// `-` for a stream that is not attached; then one `user day sectors` row
+/// per open user-day, one `user day:pair …` row per user with closed
+/// days (ascending), and the dwell counters.
 impl Snapshot for MobilityPartial {
     fn snapshot(&self, out: &mut String) {
         RowWriter::tagged(out, "mobility")
             .put(self.streams.len())
-            .put(self.day_sectors.len())
+            .put(self.open_days.len())
+            .put(self.closed_days.len())
             .put(self.per_user.len())
             .end();
         for (&(user, imei), stream) in sorted_entries(&self.streams) {
@@ -528,11 +571,17 @@ impl Snapshot for MobilityPartial {
                 .put(stream.open.map(|(_, since)| since))
                 .end();
         }
-        for (&(user, day), sectors) in sorted_entries(&self.day_sectors) {
+        for (&(user, day), sectors) in sorted_entries(&self.open_days) {
             RowWriter::new(out)
                 .put(user)
                 .put(day)
                 .list(sectors.iter().copied())
+                .end();
+        }
+        for (&user, closed) in sorted_entries(&self.closed_days) {
+            RowWriter::new(out)
+                .put(user)
+                .list(closed.iter().copied())
                 .end();
         }
         for (user, m) in sorted_entries(&self.per_user) {
@@ -550,7 +599,7 @@ impl Snapshot for MobilityPartial {
 
     fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         let mut head = r.tagged("mobility")?;
-        let counts: [u64; 3] = [head.field()?, head.field()?, head.field()?];
+        let counts: [u64; 4] = [head.field()?, head.field()?, head.field()?, head.field()?];
         head.end()?;
         let mut partial = MobilityPartial::default();
         for _ in 0..counts[0] {
@@ -567,15 +616,52 @@ impl Snapshot for MobilityPartial {
         }
         for _ in 0..counts[1] {
             let mut row = r.row()?;
-            let key = (row.field()?, row.field()?);
+            let (user, day): (UserId, u64) = (row.field()?, row.field()?);
             // Ascending and distinct, whatever order the text has.
             let sectors: BTreeSet<u32> = row.list()?;
-            partial
-                .day_sectors
-                .insert(key, sectors.into_iter().collect());
             row.end()?;
+            let sectors = sectors.into_iter().collect::<Vec<u32>>();
+            if sectors.is_empty() || partial.open_days.insert((user, day), sectors).is_some() {
+                return Err(r.err(format!("open day {day} is empty or listed twice")));
+            }
         }
         for _ in 0..counts[2] {
+            let mut row = r.row()?;
+            let user: UserId = row.field()?;
+            let closed: Vec<(u32, FarthestPair)> = row.list()?;
+            row.end()?;
+            if closed.is_empty()
+                || partial.closed_days.contains_key(&user)
+                || !closed.windows(2).all(|w| w[0].0 < w[1].0)
+            {
+                return Err(r.err("a user's closed days must be one row of ascending days"));
+            }
+            for &(day, FarthestPair(a, b)) in &closed {
+                let day = u64::from(day);
+                if partial.open_days.contains_key(&(user, day)) {
+                    return Err(r.err(format!("day {day} is both open and closed")));
+                }
+                if let Some(bounds) = &r.closed_days {
+                    if !bounds.days.contains(&day) {
+                        return Err(r.err(format!(
+                            "closed day {day} is not final in this window (final days {}..{})",
+                            bounds.days.start, bounds.days.end
+                        )));
+                    }
+                    // One sector is 0 km whatever it names: only a pair is
+                    // measured.
+                    let outside = |s: u32| a != b && s as usize >= bounds.sectors;
+                    if let Some(s) = [a, b].into_iter().find(|&s| outside(s)) {
+                        return Err(r.err(format!(
+                            "closed day {day} names sector {s}, outside the {}-sector cell plan",
+                            bounds.sectors
+                        )));
+                    }
+                }
+            }
+            partial.closed_days.insert(user, closed);
+        }
+        for _ in 0..counts[3] {
             let mut row = r.row()?;
             let user = row.field()?;
             let m = UserMobility {
@@ -950,7 +1036,13 @@ mod tests {
         use wearscope_devicedb::DeviceClass;
 
         let store = TraceStore::new();
-        let (db, catalog, sectors) = sample_ctx(&store);
+        let (db, catalog, mut sectors) = sample_ctx(&store);
+        for i in 0..4 {
+            sectors.push(
+                wearscope_geo::GeoPoint::new(40.0 + 0.1 * f64::from(i), -3.0),
+                None,
+            );
+        }
         let ctx = StudyContext::new(
             &store,
             &db,
@@ -991,9 +1083,11 @@ mod tests {
         for r in [
             mme(9 * 3600, MmeEvent::Attach, 2),
             mme(9 * 3600 + 600, MmeEvent::SectorUpdate, 3),
+            mme(86_400 + 9 * 3600, MmeEvent::SectorUpdate, 1),
         ] {
             partials.absorb_mme(&ctx, &r, ctx.device_class(watch));
         }
+        partials.mobility.close_days(&sectors, 0..1);
         for tx in &attribute_records(&ctx, &records) {
             partials.absorb_attributed(tx);
         }
@@ -1001,7 +1095,8 @@ mod tests {
         partials.snapshot(&mut text);
 
         // Day 0 is a Friday: the watch's hour 9 is weekly slot 105, the
-        // phone's Saturday hour 10 slot 130.
+        // phone's Saturday hour 10 slot 130. Day 0 is closed, to the pair
+        // of its two sectors; day 1 is open.
         let expected = [
             "attributed\t2\n",
             "1\t32405\t0\t0\t111\n",
@@ -1012,15 +1107,16 @@ mod tests {
             "traffic\t2\n",
             "1\t2122\t2\n",
             "2\t511\t1\n",
-            "mobility\t1\t1\t1\n",
-            "1\t352000000000012\t32400\t3\t33000\n",
-            "1\t0\t2 3\n",
-            "1\t2:600\n",
+            "mobility\t1\t1\t1\t1\n",
+            "1\t352000000000012\t32400\t1\t118800\n",
+            "1\t1\t1\n",
+            "1\t0:2-3\n",
+            "1\t2:600 3:85800\n",
             "wearable\t1\t1\n",
-            "1\t352000000000012\t32400:2 33000:3\n",
+            "1\t352000000000012\t32400:2 33000:3 118800:1\n",
             "1\t352000000000012\t32405:111 32430:2011\n",
             "through-device\t-\n",
-            "trace-qa\t2\t0\t0\t0 1\n",
+            "trace-qa\t3\t0\t0\t0 1\n",
         ]
         .concat();
         assert_eq!(text, expected);
@@ -1099,7 +1195,7 @@ mod tests {
         partial.snapshot(&mut text);
         assert_eq!(
             text,
-            "mobility\t1\t1\t1\n1\t7\t100\t-\t-\n1\t0\t5\n1\t5:300\n"
+            "mobility\t1\t1\t0\t1\n1\t7\t100\t-\t-\n1\t0\t5\n1\t5:300\n"
         );
         roundtrip(&partial);
     }
@@ -1118,8 +1214,12 @@ mod tests {
             .put(None::<u32>)
             .list(Vec::<u64>::new())
             .list([(2u32, 600u64), (3, 1)])
+            .list([(0u32, FarthestPair(2, 5)), (1, FarthestPair(3, 3))])
             .end();
-        assert_eq!(text, "t\t7\t65535\t1\t9\t3\t2\t-\t-\t2:600 3:1\n");
+        assert_eq!(
+            text,
+            "t\t7\t65535\t1\t9\t3\t2\t-\t-\t2:600 3:1\t0:2-5 1:3\n"
+        );
         let mut row = SnapshotReader::new(&text).tagged("t").unwrap();
         assert_eq!(row.field::<u64>().unwrap(), 7);
         assert_eq!(row.field::<u16>().unwrap(), u16::MAX);
@@ -1131,6 +1231,8 @@ mod tests {
         assert!(row.list::<u64, Vec<u64>>().unwrap().is_empty());
         let pairs: Vec<(u32, u64)> = row.list().unwrap();
         assert_eq!(pairs, [(2, 600), (3, 1)]);
+        let closed: Vec<(u32, FarthestPair)> = row.list().unwrap();
+        assert_eq!(closed, [(0, FarthestPair(2, 5)), (1, FarthestPair(3, 3))]);
         row.end().unwrap();
     }
 

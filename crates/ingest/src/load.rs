@@ -37,7 +37,6 @@ use wearscope_core::{CoreAggregates, StudyContext};
 use wearscope_devicedb::Imei;
 use wearscope_obs::{Counter, Registry};
 use wearscope_report::{DataQuality, IngestReport, QuarantineReason, ShardSource};
-use wearscope_simtime::SimTime;
 use wearscope_trace::{
     plan_tsv_shards, read_tsv_shard, ByteRange, MmeRecord, ProxyRecord, TraceStore, TsvShard,
 };
@@ -339,11 +338,10 @@ fn shard_failed(t: &Task<'_>, panicked: bool, detail: String) -> IngestError {
 }
 
 /// One log's ledger while its chunks arrive in file order, plus what only
-/// batch keeps: the log's high-water mark, the line base, the
-/// `quarantine.log` entries and the checked IMEIs of the chunk in hand.
+/// batch keeps: the line base, the `quarantine.log` entries and the
+/// checked IMEIs of the chunk in hand.
 pub(crate) struct LogIngest<R> {
     ledger: LogLedger<R>,
-    high_water: SimTime,
     /// Lines in the chunks taken so far: a chunk's line base.
     line_base: u64,
     parse_entries: Vec<QuarantineEntry>,
@@ -358,7 +356,6 @@ impl<R: LogRecord> LogIngest<R> {
             RecordValidator::new(opts.max_timestamp).with_sector_count(opts.sector_count);
         LogIngest {
             ledger: LogLedger::new(source, validator),
-            high_water: SimTime::EPOCH,
             line_base: 0,
             parse_entries: Vec::new(),
             content_entries: Vec::new(),
@@ -392,9 +389,8 @@ impl<R: LogRecord> LogIngest<R> {
         self.imeis.clear();
         chunk.records.retain(|record| {
             let position = Position::Record(self.ledger.records);
-            match self.ledger.check(record, self.high_water, false) {
+            match self.ledger.check(record, self.ledger.high_water(), false) {
                 Ok(imei) => {
-                    self.high_water = record.timestamp();
                     self.imeis.push(imei);
                     true
                 }

@@ -147,8 +147,8 @@ impl core::fmt::Display for Position {
 /// One log's record ledger, the only one batch and stream keep: the
 /// log's [`RecordValidator`], the lines seen and records kept, the
 /// parsed-record index behind `record:N`, the quarantine counts by reason,
-/// and the log's first malformed line and first rejected record. Kept plus
-/// quarantined is always seen.
+/// the log's first malformed line and first rejected record, and its
+/// high-water mark. Kept plus quarantined is always seen.
 ///
 /// `quarantine.log` lists a log's malformed lines before its rejected
 /// records, so the first malformed line, if there is one, is the log's
@@ -168,6 +168,9 @@ pub struct LogLedger<R> {
     first_malformed: Option<(u64, QuarantineReason)>,
     /// The first rejected record's index, and its reason.
     first_rejected: Option<(u64, QuarantineReason)>,
+    /// The newest timestamp among the records kept: the watermark batch
+    /// checks the log's next record against.
+    high_water: SimTime,
 }
 
 impl<R: LogRecord> LogLedger<R> {
@@ -180,7 +183,13 @@ impl<R: LogRecord> LogLedger<R> {
             records: 0,
             first_malformed: None,
             first_rejected: None,
+            high_water: SimTime::EPOCH,
         }
+    }
+
+    /// The newest timestamp among the records kept so far.
+    pub fn high_water(&self) -> SimTime {
+        self.high_water
     }
 
     /// Books the line at 1-based `line`, which failed to decode.
@@ -203,7 +212,10 @@ impl<R: LogRecord> LogLedger<R> {
     ) -> Result<Imei, Rejection> {
         let verdict = self.validator.check(record, watermark, sealed);
         match &verdict {
-            Ok(_) => self.quality.records_kept += 1,
+            Ok(_) => {
+                self.quality.records_kept += 1;
+                self.high_water = self.high_water.max(record.timestamp());
+            }
             Err(rejection) => {
                 self.quality.quarantined.note(rejection.reason);
                 self.first_rejected
@@ -251,8 +263,9 @@ impl<R: LogRecord> LogLedger<R> {
 
     /// Writes the ledger's counts as one checkpoint row tagged `tag`:
     /// seen, kept, the next record index, one count per reason in
-    /// [`QuarantineReason::ALL`] order, then the first malformed line and
-    /// the first rejected record as `N:reason`, or `-`.
+    /// [`QuarantineReason::ALL`] order, the first malformed line and the
+    /// first rejected record as `N:reason`, or `-`, then the high-water
+    /// mark.
     pub fn snapshot_row(&self, out: &mut String, tag: &str) {
         let q = &self.quality;
         let mut row = RowWriter::tagged(out, tag)
@@ -262,7 +275,10 @@ impl<R: LogRecord> LogLedger<R> {
         for reason in QuarantineReason::ALL {
             row = row.put(q.quarantined.get(reason));
         }
-        row.put(self.first_malformed).put(self.first_rejected).end();
+        row.put(self.first_malformed)
+            .put(self.first_rejected)
+            .put(self.high_water)
+            .end();
     }
 
     /// Reads a row [`snapshot_row`](Self::snapshot_row) wrote into this
@@ -290,6 +306,7 @@ impl<R: LogRecord> LogLedger<R> {
         }
         self.first_malformed = row.field()?;
         self.first_rejected = row.field()?;
+        self.high_water = row.field()?;
         if accounted != Some(q.records_seen) {
             return Err(row.err("records kept and quarantined do not add up to records seen"));
         }

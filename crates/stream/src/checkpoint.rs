@@ -13,7 +13,10 @@
 //! duplicate memory (as raw record lines), the attributor's anchors and
 //! pending transactions, and the open windows (each an `open-window id
 //! late` row and its partials). The forced emissions and the timeline's
-//! start are not written: the reports hold them.
+//! start are not written: the reports hold them. A window's mobility
+//! block holds its open user-days as sector sets and its closed ones as
+//! farthest pairs; a closed day must be one the window could have closed
+//! under the checkpoint's watermark, naming sectors of the cell plan.
 //!
 //! A checkpoint is a file a user can hand to `--resume`, so reading one
 //! never panics: a count only bounds the loop over its block's lines and
@@ -35,20 +38,22 @@ use std::io::{self, Write as _};
 use std::path::Path;
 
 use wearscope_core::sessions::Attributor;
-use wearscope_core::snapshot::{Row, RowWriter, Snapshot, SnapshotError, SnapshotReader};
+use wearscope_core::snapshot::{
+    ClosedDayBounds, Row, RowWriter, Snapshot, SnapshotError, SnapshotReader,
+};
 use wearscope_core::{CorePartials, StudyContext};
 use wearscope_ingest::{LogRecord, RecordValidator};
 use wearscope_report::WindowReport;
 use wearscope_trace::{decode_log_line, TsvRecord};
 
-use crate::runtime::{StreamConfig, StreamError, StreamRuntime};
+use crate::runtime::{final_window_days, StreamConfig, StreamError, StreamRuntime};
 use crate::source::SourcePosition;
 
 /// The first field of every checkpoint's header line.
 const MAGIC: &str = "wearscope-stream-checkpoint";
 /// The checkpoint format this build writes and reads: the header's second
 /// field is `v` followed by it.
-const VERSION: u32 = 8;
+const VERSION: u32 = 9;
 
 /// The `config` line's fields, named for the mismatch message.
 const CONFIG_FIELDS: [&str; 8] = [
@@ -245,8 +250,14 @@ pub fn from_text<'s>(
     for _ in 0..r.count("reports")? {
         rt.push_report(WindowReport::from_tsv(r.row()?)?);
     }
+    let final_days = rt.watermark().day_index();
+    let bounds = |id| ClosedDayBounds {
+        sectors: ctx.sectors.len(),
+        days: final_window_days(config.spec, id, final_days),
+    };
     for _ in 0..r.count("collected")? {
         let id = r.count("collected-window")?;
+        r.bound_closed_days(bounds(id));
         rt.collected.push((id, CorePartials::restore(&mut r)?));
     }
     read_remembered(&mut r, "dedup-proxy", &mut rt.proxy.validator)?;
@@ -263,6 +274,7 @@ pub fn from_text<'s>(
                 .into());
         }
         row.end()?;
+        r.bound_closed_days(bounds(id));
         rt.open
             .insert(id, (CorePartials::restore(&mut r)?, late_merged));
     }
@@ -313,7 +325,7 @@ mod tests {
     use proptest::prelude::*;
     use wearscope_appdb::AppCatalog;
     use wearscope_devicedb::DeviceDb;
-    use wearscope_geo::SectorDirectory;
+    use wearscope_geo::{GeoPoint, SectorDirectory};
     use wearscope_simtime::{Calendar, ObservationWindow, SimDuration, SimTime};
     use wearscope_trace::{HostId, MmeEvent, MmeRecord, ProxyRecord, Scheme, TraceStore, UserId};
 
@@ -338,11 +350,16 @@ mod tests {
     }
 
     impl Fixture {
+        /// Eight sectors, 0.1° of latitude apart.
         fn new() -> Fixture {
+            let mut sectors = SectorDirectory::new();
+            for i in 0..8 {
+                sectors.push(GeoPoint::new(40.0 + 0.1 * f64::from(i), -3.0), None);
+            }
             Fixture {
                 store: TraceStore::new(),
                 db: DeviceDb::standard(),
-                sectors: SectorDirectory::new(),
+                sectors,
                 catalog: AppCatalog::standard(),
             }
         }
@@ -399,6 +416,31 @@ mod tests {
         rt
     }
 
+    /// A runtime over 2-day tumbling windows with the watermark past day
+    /// 0: window 0 holds day 0 closed, to the pair of its sectors 2 and 5,
+    /// and day 1 open.
+    fn two_days<'s>(ctx: &'s StudyContext<'s>) -> StreamRuntime<'s> {
+        let spec = WindowSpec::tumbling(SimDuration::from_secs(2 * 86_400)).unwrap();
+        let mut rt = StreamRuntime::new(ctx, StreamConfig::new(spec, SimDuration::from_secs(300)));
+        let watch = ctx.db.example_imei(ctx.db.wearable_tacs()[0], 1).as_u64();
+        for (t, event, sector) in [
+            (3_600, MmeEvent::Attach, 2),
+            (7_200, MmeEvent::SectorUpdate, 5),
+            (90_000, MmeEvent::SectorUpdate, 3),
+        ] {
+            let r = MmeRecord {
+                timestamp: SimTime::from_secs(t),
+                user: UserId(1),
+                imei: watch,
+                event,
+                sector,
+            };
+            rt.process_item(SourceItem::Event(StreamEvent::Mme(r)))
+                .unwrap();
+        }
+        rt
+    }
+
     /// The whole checkpoint of [`mid_flight`], header to `end`, byte for
     /// byte. A change to this text breaks `--resume` from every checkpoint
     /// already on disk.
@@ -417,11 +459,11 @@ mod tests {
 
         // Day 0 is a Friday: hours 0 and 1 are weekly slots 96 and 97.
         let expected = [
-            "wearscope-stream-checkpoint\tv8\n",
+            "wearscope-stream-checkpoint\tv9\n",
             "config\t3600\t3600\t300\t4096\tblock\t-\t-\t1\n",
             "clock\t4000\n",
-            "ledger-proxy\t3\t2\t3\t0\t0\t1\t0\t0\t0\t0\t-\t2:duplicate\n",
-            "ledger-mme\t2\t2\t2\t0\t0\t0\t0\t0\t0\t0\t-\t-\n",
+            "ledger-proxy\t3\t2\t3\t0\t0\t1\t0\t0\t0\t0\t-\t2:duplicate\t4000\n",
+            "ledger-mme\t2\t2\t2\t0\t0\t0\t0\t0\t0\t0\t-\t-\t3900\n",
             "counters\t0\n",
             "progress\t1\n",
             "position\t321\t3\t123\t2\n",
@@ -435,7 +477,7 @@ mod tests {
             "96\t1\n",
             "traffic\t1\n",
             "1\t72\t1\n",
-            "mobility\t1\t1\t0\n",
+            "mobility\t1\t1\t0\t0\n",
             "1\t352000000000012\t200\t5\t200\n",
             "1\t0\t5\n",
             "wearable\t1\t1\n",
@@ -458,7 +500,7 @@ mod tests {
             "97\t1\n",
             "traffic\t1\n",
             "1\t72\t1\n",
-            "mobility\t1\t1\t0\n",
+            "mobility\t1\t1\t0\t0\n",
             "1\t352000000000012\t3900\t6\t3900\n",
             "1\t0\t6\n",
             "wearable\t1\t1\n",
@@ -477,7 +519,8 @@ mod tests {
     }
 
     /// Checkpoint text a user crafted: each case replaces the first match
-    /// of a pattern in the [`mid_flight`] checkpoint. Counts far beyond
+    /// of a pattern in the [`mid_flight`] checkpoint, or in the
+    /// [`two_days`] one for closed user-days. Counts far beyond
     /// the text and values outside their type's range are typed errors
     /// naming the line, never a panic or an abort.
     #[test]
@@ -599,16 +642,22 @@ mod tests {
                 "records kept and quarantined do not add up to records seen",
             ),
             (
-                "\t2:duplicate\n",
-                "\t2:bogus\n",
+                "\t2:duplicate\t",
+                "\t2:bogus\t",
                 4,
                 "field 13: `bogus` is not a quarantine reason",
             ),
             (
-                "\t2:duplicate\n",
-                "\t2\n",
+                "\t2:duplicate\t",
+                "\t2\t",
                 4,
                 "field 13: `2` is not a key:value pair",
+            ),
+            (
+                "\t2:duplicate\t4000\n",
+                "\t2:duplicate\t-\n",
+                4,
+                "field 14: `-` is not a u64",
             ),
             (
                 "progress\t1\n",
@@ -646,6 +695,43 @@ mod tests {
                 }) => {
                     assert_eq!((l, m.as_str()), (line, message), "{to:?}");
                 }
+                other => panic!("{to:?}: expected a checkpoint error, got {other:?}"),
+            }
+        }
+
+        // A window's closed user-days read back only as days it could have
+        // closed, with a well-formed pair of sectors of the cell plan.
+        let rt = two_days(&ctx);
+        let text = to_text(&rt, None);
+        let block = "mobility\t1\t1\t1\t1\n1\t352000000000012\t3600\t3\t90000\n1\t1\t3\n1\t0:2-5\n";
+        assert!(text.contains(block), "{text}");
+        let (resumed, _) = from_text(&ctx, rt.config, &text).unwrap();
+        assert_eq!(to_text(&resumed, None), text);
+        let cases = [
+            (
+                "\t0:2-9\n",
+                "closed day 0 names sector 9, outside the 8-sector cell plan",
+            ),
+            (
+                "\t0:2-5 2:4\n",
+                "closed day 2 is not final in this window (final days 0..1)",
+            ),
+            (
+                "\t0:5-2\n",
+                "field 2: `5-2` is not a sector pair a-b with a < b, or one sector",
+            ),
+            ("\t0:2-5 1:3\n", "day 1 is both open and closed"),
+        ];
+        let line = 1 + text[..text.find("\t0:2-5\n").unwrap()]
+            .matches('\n')
+            .count() as u64;
+        for (to, message) in cases {
+            let crafted = text.replacen("\t0:2-5\n", to, 1);
+            match from_text(&ctx, rt.config, &crafted).map(|_| ()) {
+                Err(StreamError::Checkpoint {
+                    line: l,
+                    message: m,
+                }) => assert_eq!((l, m.as_str()), (line, message), "{to:?}"),
                 other => panic!("{to:?}: expected a checkpoint error, got {other:?}"),
             }
         }
@@ -724,9 +810,10 @@ mod tests {
             let tag = if mme { "ledger-mme\t" } else { "ledger-proxy\t" };
             let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
             let at = lines.iter().position(|l| l.starts_with(tag)).unwrap();
-            // tag, seen, kept, next record, 7 reason counts, two firsts.
+            // tag, seen, kept, next record, 7 reason counts, two firsts,
+            // the high-water mark.
             let mut fields: Vec<String> = lines[at].split('\t').map(str::to_owned).collect();
-            prop_assert_eq!(fields.len(), 13);
+            prop_assert_eq!(fields.len(), 14);
             let first = 11 + field_pick % 2;
             match kind {
                 0 => {
@@ -852,19 +939,19 @@ mod tests {
         let config = hour_config();
         let text = to_text(&StreamRuntime::new(&ctx, config), None);
         let (header, body) = text.split_once('\n').unwrap();
-        assert_eq!(header, "wearscope-stream-checkpoint\tv8");
-        for found in [1, 2, 3, 4, 5, 6, 7] {
+        assert_eq!(header, "wearscope-stream-checkpoint\tv9");
+        for found in 1..=8 {
             let old = format!("wearscope-stream-checkpoint\tv{found}\n{body}");
             let err = from_text(&ctx, config, &old)
                 .map(|_| ())
                 .expect_err("an older checkpoint must be rejected");
             assert!(
-                matches!(err, StreamError::CheckpointVersion { found: f, expected: 8 } if f == found),
+                matches!(err, StreamError::CheckpointVersion { found: f, expected: 9 } if f == found),
                 "{err}"
             );
             let message = err.to_string();
             assert!(
-                message.contains(&format!("v{found}")) && message.contains("v8"),
+                message.contains(&format!("v{found}")) && message.contains("v9"),
                 "{message}"
             );
             assert!(message.contains("without --resume"), "{message}");

@@ -11,7 +11,12 @@
 //!   is **late-merged**: absorbed normally and counted;
 //! * a window finalizes once the watermark passes its end plus the ±60 s
 //!   attribution slack, so the [`Attributor`] has released every
-//!   transaction inside it with its final app.
+//!   transaction inside it with its final app;
+//! * a user-day wholly inside a window is final once the watermark passes
+//!   its end: no record of it can be admitted any more, and no other
+//!   tumbling window holds one. The window then keeps the day as its
+//!   farthest sector pair, not its sector set
+//!   ([`MobilityPartial::close_days`]).
 //!
 //! Validation and bookkeeping are the batch loader's: one [`LogLedger`]
 //! per log, whose [`RecordValidator`] is fed this watermark instead of the
@@ -34,6 +39,7 @@
 //! describe each window, not a partition of the stream.
 //!
 //! [`CoreAggregates`]: wearscope_core::CoreAggregates
+//! [`MobilityPartial::close_days`]: wearscope_core::merge::MobilityPartial::close_days
 //!
 //! [`StreamRuntime::pump`] renders each periodic checkpoint on the
 //! runtime thread and hands it to a writer thread that makes it durable,
@@ -44,6 +50,7 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::mpsc;
 use std::thread::{self, Scope, ScopedJoinHandle};
@@ -55,7 +62,7 @@ use wearscope_core::{CorePartials, StudyContext};
 use wearscope_ingest::{reason_for_codec, IngestError, LogLedger, RecordValidator};
 use wearscope_obs::{Counter, Gauge, Histogram, Registry};
 use wearscope_report::{DataQuality, QuarantineReason, ShardSource, StreamSummary, WindowReport};
-use wearscope_simtime::{SimDuration, SimTime};
+use wearscope_simtime::{SimDuration, SimTime, SECS_PER_DAY};
 use wearscope_trace::{MmeRecord, ProxyRecord};
 
 use crate::source::{
@@ -241,7 +248,8 @@ pub struct PumpOptions {
 /// cumulative [`DataQuality`] ledger.
 ///
 /// The per-record counts (records processed, kept and quarantined by
-/// reason, late merges) and the watermark reach the registry only when
+/// reason, late merges, watermark-only quarantines) and the watermark
+/// reach the registry only when
 /// [`StreamRuntime::sync_metrics`] runs: when `pump` returns, at `finish`
 /// and at `write_checkpoint`. The runtime keeps them in its log ledgers
 /// and a plain field.
@@ -251,6 +259,7 @@ pub(crate) struct StreamObs {
     records_kept: Counter,
     quarantined: Vec<(QuarantineReason, Counter)>,
     late_merged: Counter,
+    watermark_only_quarantined: Counter,
     windows_emitted: Counter,
     forced_emits: Counter,
     backpressure_blocks: Counter,
@@ -261,9 +270,9 @@ pub(crate) struct StreamObs {
     checkpoint_write_us: Histogram,
     checkpoint_wait_ns: Counter,
     emit_ns: Counter,
-    /// The runtime's quality section and late merges as last added to
-    /// the registry.
-    synced: Cell<(DataQuality, u64)>,
+    /// The runtime's quality section, late merges and watermark-only
+    /// quarantines as last added to the registry.
+    synced: Cell<(DataQuality, u64, u64)>,
 }
 
 impl StreamObs {
@@ -276,6 +285,7 @@ impl StreamObs {
                 .map(|r| (r, m.counter(&format!("stream.quarantined.{}", r.name()))))
                 .collect(),
             late_merged: m.counter("stream.late_merged"),
+            watermark_only_quarantined: m.counter("stream.watermark_only_quarantined"),
             windows_emitted: m.counter("stream.windows_emitted"),
             forced_emits: m.counter("stream.forced_emits"),
             backpressure_blocks: m.counter("stream.backpressure_blocks"),
@@ -328,6 +338,14 @@ pub struct StreamRuntime<'s> {
     pub(crate) mme: LogLedger<MmeRecord>,
     /// Kept records that arrived behind the max event time.
     pub(crate) late_merged: u64,
+    /// Records quarantined out of order by the merged watermark although
+    /// they are not behind their own log's high-water mark, the one
+    /// batch checks them against (DESIGN decision 9). Counted per run,
+    /// as the registry's other counters are.
+    watermark_only_quarantined: u64,
+    /// Every day before this one was final when the open windows were
+    /// last closed.
+    final_days: u64,
     /// Metric handles (a private unobserved registry unless
     /// [`with_metrics`](StreamRuntime::with_metrics) routed them).
     pub(crate) obs: StreamObs,
@@ -363,6 +381,8 @@ impl<'s> StreamRuntime<'s> {
                 RecordValidator::new(config.max_timestamp).with_sector_count(config.sector_count),
             ),
             late_merged: 0,
+            watermark_only_quarantined: 0,
+            final_days: 0,
             obs: StreamObs::default(),
         }
     }
@@ -373,17 +393,28 @@ impl<'s> StreamRuntime<'s> {
     #[must_use]
     pub fn with_metrics(mut self, registry: &Registry) -> StreamRuntime<'s> {
         self.obs = StreamObs::new(registry);
-        self.obs.synced.set((self.quality(), self.late_merged));
+        self.obs.synced.set(self.synced_counts());
         self
     }
 
-    /// Adds the records processed, kept and quarantined and the late
-    /// merges since the last call to the registry's counters, and sets the
-    /// watermark gauge if a record was kept since then (only a kept record
-    /// moves it).
+    /// The counts [`sync_metrics`](Self::sync_metrics) adds to the
+    /// registry.
+    fn synced_counts(&self) -> (DataQuality, u64, u64) {
+        (
+            self.quality(),
+            self.late_merged,
+            self.watermark_only_quarantined,
+        )
+    }
+
+    /// Adds the records processed, kept and quarantined, the late merges
+    /// and the watermark-only quarantines since the last call to the
+    /// registry's counters, and sets the watermark gauge if a record was
+    /// kept since then (only a kept record moves it).
     fn sync_metrics(&self) {
-        let (now, late_merged) = (self.quality(), self.late_merged);
-        let (was, was_late_merged) = self.obs.synced.replace((now, late_merged));
+        let counts = self.synced_counts();
+        let (now, late_merged, watermark_only) = counts;
+        let (was, was_late_merged, was_watermark_only) = self.obs.synced.replace(counts);
         self.obs
             .records_processed
             .add(now.records_seen - was.records_seen);
@@ -394,6 +425,9 @@ impl<'s> StreamRuntime<'s> {
             counter.add(now.quarantined.get(*reason) - was.quarantined.get(*reason));
         }
         self.obs.late_merged.add(late_merged - was_late_merged);
+        self.obs
+            .watermark_only_quarantined
+            .add(watermark_only - was_watermark_only);
         if now.records_kept != was.records_kept {
             self.obs
                 .watermark_secs
@@ -468,12 +502,23 @@ impl<'s> StreamRuntime<'s> {
         // still start lower, so nothing is sealed yet.
         let sealed = !self.reports.is_empty() && self.progress.is_some_and(|next| hi < next);
         let watermark = self.watermark();
-        let verdict = match &ev {
-            StreamEvent::Proxy(r) => self.proxy.check(r, watermark, sealed),
-            StreamEvent::Mme(r) => self.mme.check(r, watermark, sealed),
+        let (verdict, own_high_water) = match &ev {
+            StreamEvent::Proxy(r) => (
+                self.proxy.check(r, watermark, sealed),
+                self.proxy.high_water(),
+            ),
+            StreamEvent::Mme(r) => (self.mme.check(r, watermark, sealed), self.mme.high_water()),
         };
-        let Ok(imei) = verdict else {
-            return Ok(());
+        let imei = match verdict {
+            Ok(imei) => imei,
+            Err(rejection) => {
+                // The validator checks the watermark after the IMEI, the
+                // sector and the skew horizon, as batch does.
+                let watermark_only = rejection.reason == QuarantineReason::OutOfOrder
+                    && (own_high_water..watermark).contains(&ts);
+                self.watermark_only_quarantined += u64::from(watermark_only);
+                return Ok(());
+            }
         };
         let device = self.ctx.device_class_of(imei);
         let next_emit = match self.progress {
@@ -510,9 +555,24 @@ impl<'s> StreamRuntime<'s> {
         }
         if self.max_event.is_none_or(|m| m < ts) {
             self.max_event = Some(ts);
+            self.close_final_days();
         }
         self.advance_watermark();
         Ok(())
+    }
+
+    /// Once the watermark passes a midnight, closes in each open window
+    /// the user-days it holds wholly that are now final.
+    fn close_final_days(&mut self) {
+        let final_days = self.watermark().day_index();
+        if final_days <= self.final_days {
+            return;
+        }
+        self.final_days = final_days;
+        for (&id, (partials, _)) in &mut self.open {
+            let days = final_window_days(self.config.spec, id, final_days);
+            partials.mobility.close_days(self.ctx.sectors, days);
+        }
     }
 
     /// Routes released transactions into their windows by event time.
@@ -752,6 +812,14 @@ impl<'s> StreamRuntime<'s> {
             self.collected,
         )
     }
+}
+
+/// The days window `index` of `spec` holds wholly that are before day
+/// `final_days`: the days it may keep closed.
+pub(crate) fn final_window_days(spec: WindowSpec, index: u64, final_days: u64) -> Range<u64> {
+    let (start, end) = spec.bounds(index);
+    let first = start.as_secs().div_ceil(SECS_PER_DAY);
+    first..(end.as_secs() / SECS_PER_DAY).min(final_days)
 }
 
 /// The report of window `index` of `spec`, from its partials and its late
@@ -1089,6 +1157,8 @@ mod tests {
         assert_eq!(snap.counters["stream.late_merged"], 1);
         assert_eq!(snap.counters["stream.quarantined.out-of-order"], 1);
         assert_eq!(snap.counters["stream.quarantined.duplicate"], 1);
+        // 1399 is behind the proxy log's own high-water mark, 2000, too.
+        assert_eq!(snap.counters["stream.watermark_only_quarantined"], 0);
         assert_eq!(snap.counters["stream.quarantined.truncated"], 0);
         assert_eq!(snap.counters["stream.windows_emitted"], 1);
         assert_eq!(snap.counters["stream.forced_emits"], 0);
@@ -1131,7 +1201,8 @@ mod tests {
     /// log in the merge while the MME log advances past the next proxy
     /// record. Batch measures that record against the proxy log's own
     /// high-water mark and keeps it; stream measures it against the
-    /// merged watermark and quarantines it `OutOfOrder`.
+    /// merged watermark and quarantines it `OutOfOrder`, and counts it in
+    /// `stream.watermark_only_quarantined`.
     #[test]
     fn merged_watermark_is_the_only_rule_batch_does_not_share() {
         use wearscope_ingest::{load_store_resilient, IngestOptions};
@@ -1177,7 +1248,8 @@ mod tests {
         assert_eq!(batch.quality.records_kept, 5);
 
         let ctx = fx.ctx();
-        let mut rt = StreamRuntime::new(&ctx, hour_config(0));
+        let reg = Registry::new();
+        let mut rt = StreamRuntime::new(&ctx, hour_config(0)).with_metrics(&reg);
         let mut src = crate::source::WorldSource::open(&dir, false).unwrap();
         assert_eq!(
             rt.pump(&mut src, &PumpOptions::default()).unwrap(),
@@ -1196,6 +1268,8 @@ mod tests {
             1
         );
         assert_eq!(stream.quality.records_kept, 4);
+        let counters = reg.snapshot().counters;
+        assert_eq!(counters["stream.watermark_only_quarantined"], 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
