@@ -477,18 +477,28 @@ echo "    analyze exits 0 and names the unchecked files once"
 echo "==> memory gate: analyze holds less than a store of its proxy records"
 # The pipeline folds records as they are parsed, so peak RSS follows fold
 # state, not log size: on a compact world it must stay below what the
-# kept proxy records alone would take in a store (48 B each).
+# kept proxy records alone would take in a store (48 B each). A second
+# parse worker may add a bounded queue of parsed chunks, never a second
+# copy of anything: its peak must stay within 1 MiB of one worker's.
 "$WEARSCOPE" generate --out "$FAULT_DIR/mem-world" --seed 7 --scale compact 2>/dev/null
-"$WEARSCOPE" analyze --world "$FAULT_DIR/mem-world" --workers 2 --full --csv "$FAULT_DIR/mem-csv" \
-    --metrics "$FAULT_DIR/mem.json" >/dev/null 2>&1
-metric() { grep -o "\"$1\": [0-9]*" "$FAULT_DIR/mem.json" | grep -o '[0-9]*$'; }
-rss_kb=$(metric process.peak_rss_kb)
-store_kb=$(($(metric ingest.proxy.records_kept) * 48 / 1024))
+for workers in 1 2; do
+    "$WEARSCOPE" analyze --world "$FAULT_DIR/mem-world" --workers "$workers" --full \
+        --csv "$FAULT_DIR/mem-csv$workers" --metrics "$FAULT_DIR/mem$workers.json" >/dev/null 2>&1
+done
+metric() { grep -o "\"$2\": [0-9]*" "$FAULT_DIR/mem$1.json" | grep -o '[0-9]*$'; }
+rss_kb=$(metric 2 process.peak_rss_kb)
+one_worker_kb=$(metric 1 process.peak_rss_kb)
+store_kb=$(($(metric 2 ingest.proxy.records_kept) * 48 / 1024))
 if [ "$rss_kb" -ge "$store_kb" ]; then
     echo "analyze peak RSS ${rss_kb} KB is not below the ${store_kb} KB of its proxy records" >&2
     exit 1
 fi
-echo "    analyze peak RSS ${rss_kb} KB < ${store_kb} KB of proxy records in a store"
+if [ "$rss_kb" -ge $((one_worker_kb + 1024)) ]; then
+    echo "analyze --workers 2 peak RSS ${rss_kb} KB is 1 MiB or more above --workers 1's ${one_worker_kb} KB" >&2
+    exit 1
+fi
+echo "    analyze peak RSS ${rss_kb} KB < ${store_kb} KB of proxy records in a store,"
+echo "    and < ${one_worker_kb} KB at --workers 1 plus 1 MiB"
 
 echo "==> stream smoke on the corrupted world: quarantine instead of crash"
 "$WEARSCOPE" stream --world "$FAULT_DIR/world" --window 1h --lateness 5m \

@@ -31,7 +31,7 @@ use std::ops::Range;
 use wearscope_appdb::ThroughDeviceKind;
 use wearscope_devicedb::{DeviceClass, Imei};
 use wearscope_geo::{SectorDirectory, SectorId};
-use wearscope_simtime::SimTime;
+use wearscope_simtime::{SimDuration, SimTime};
 use wearscope_trace::{MmeEvent, MmeRecord, ProxyRecord, UserId};
 
 use crate::activity::{HourlyProfile, TransactionStats, UserActivity};
@@ -42,7 +42,7 @@ use crate::devices::DeviceMix;
 use crate::hash::{HashMap, HashSet};
 use crate::mobility::{MobilityIndex, UserMobility};
 use crate::quality::DataQualityReport;
-use crate::sessions::{AttributedTx, Attributor};
+use crate::sessions::{AttributedTx, Attributor, SESSION_GAP_SECS};
 use crate::thirdparty::DomainBreakdown;
 use crate::through_device::ThroughDeviceReport;
 use crate::weekly::WeeklyPattern;
@@ -313,7 +313,7 @@ impl MobilityPartial {
         if days.is_empty() {
             return;
         }
-        let closed_days = &mut self.closed_days;
+        let (closed_days, open) = (&mut self.closed_days, self.open_days.len());
         self.open_days.retain(|&(user, day), set| {
             let Some(day) = u32::try_from(day).ok().filter(|_| days.contains(&day)) else {
                 return true;
@@ -327,6 +327,12 @@ impl MobilityPartial {
             }
             false
         });
+        // The slots `retain` erased still count against the table's
+        // growth budget, so a map refilled day after day would double
+        // past its live size: once most entries are gone, rebuild it.
+        if self.open_days.len() < open / 2 {
+            self.open_days.shrink_to_fit();
+        }
     }
 
     /// Frees the room the days grew into: a batch fold's partial is
@@ -627,11 +633,15 @@ pub struct CorePartials {
 
 impl CorePartials {
     /// Folds the context's store through one [`Fold`]: each proxy
-    /// record, then each MME record.
+    /// record, then each MME record, releasing attribution after every
+    /// `RELEASE_EVERY` proxy records as the loader does after each chunk.
     pub fn fold(ctx: &StudyContext<'_>) -> CorePartials {
         let mut fold = Fold::new(ctx);
-        for r in ctx.store.proxy() {
-            fold.proxy(r);
+        for chunk in ctx.store.proxy().chunks(RELEASE_EVERY) {
+            for r in chunk {
+                fold.proxy(r);
+            }
+            fold.release_attributed();
         }
         for r in ctx.store.mme() {
             fold.mme(r);
@@ -813,6 +823,11 @@ impl CorePartials {
     }
 }
 
+/// Proxy records [`CorePartials::fold`] folds between two
+/// [`Fold::release_attributed`] calls: about what the loader's 64 KiB
+/// chunk holds.
+const RELEASE_EVERY: usize = 1024;
+
 /// The one batch fold: a [`CorePartials`] and the one [`Attributor`], fed
 /// every proxy record and then every MME record, each log in time order.
 /// [`CorePartials::fold`] drives it over a store; the loader drives it
@@ -821,13 +836,22 @@ impl CorePartials {
 /// The MME records come in time order, so once one is stamped on a later
 /// day than the last, every earlier day is final: the fold closes them
 /// ([`MobilityPartial::close_days`]), and its mobility state follows the
-/// day in hand rather than the window.
+/// day in hand rather than the window. The proxy records come in time
+/// order too, so the newest one's time is a watermark no later record
+/// falls behind: [`Fold::release_attributed`] advances the attributor on
+/// it, and the attributor holds the transactions of the last minute or
+/// so rather than every one.
 pub struct Fold<'c> {
     ctx: &'c StudyContext<'c>,
     partials: CorePartials,
     attributor: Attributor,
     /// The day of the newest MME record folded.
     mme_day: u64,
+    /// The time of the newest proxy record folded: the proxy log's
+    /// high-water mark.
+    proxy_time: SimTime,
+    /// The earliest transaction time the attributor holds, if any.
+    earliest_pending: Option<SimTime>,
 }
 
 impl<'c> Fold<'c> {
@@ -838,6 +862,8 @@ impl<'c> Fold<'c> {
             partials: CorePartials::default(),
             attributor: Attributor::new(),
             mme_day: 0,
+            proxy_time: SimTime::EPOCH,
+            earliest_pending: None,
         }
     }
 
@@ -853,11 +879,40 @@ impl<'c> Fold<'c> {
     }
 
     fn proxy_from(&mut self, r: &ProxyRecord, device: Option<DeviceClass>) {
+        self.proxy_time = self.proxy_time.max(r.timestamp);
         if self.partials.absorb_proxy(self.ctx, r, device) {
             let class = self.ctx.host_class(r.host).classification;
             self.attributor
                 .observe(r.user, r.timestamp, class, r.bytes_total());
+            let t = self
+                .earliest_pending
+                .map_or(r.timestamp, |e| e.min(r.timestamp));
+            self.earliest_pending = Some(t);
         }
+    }
+
+    /// Releases into the attributed transactions every one whose
+    /// `t + 60 s` the proxy log's high-water mark has passed: no later
+    /// record can be an anchor within 60 s of it, and every record at its
+    /// `(user, timestamp)` has been folded. A release sweeps every user the
+    /// attributor holds, so it runs only when the earliest pending
+    /// transaction is due; callers call this once per batch of records.
+    /// Attribution is the same as one flush at the end, and so is the
+    /// `(user, timestamp)`-sorted result.
+    pub fn release_attributed(&mut self) {
+        let gap = SimDuration::from_secs(SESSION_GAP_SECS);
+        match self.earliest_pending {
+            Some(t) if t.saturating_add(gap) < self.proxy_time => {}
+            _ => return,
+        }
+        // Grown by a quarter at a time, so its spare room stays small next
+        // to what the attributor no longer holds.
+        let attributed = &mut self.partials.attributed;
+        let pending = self.attributor.pending();
+        if attributed.capacity() - attributed.len() < pending {
+            attributed.reserve_exact(pending.max(attributed.len() / 4));
+        }
+        self.earliest_pending = self.attributor.advance(self.proxy_time, attributed);
     }
 
     /// Folds one MME record.
@@ -880,16 +935,15 @@ impl<'c> Fold<'c> {
         self.partials.absorb_mme(self.ctx, r, device);
     }
 
-    /// Flushes the attributor (a transaction's app can depend on a later
-    /// record, so none is released before the end) and returns the
-    /// partials, their user-days shrunk to fit.
+    /// Flushes what the attributor still holds and returns the partials,
+    /// their user-days shrunk to fit.
     pub fn into_partials(self) -> CorePartials {
         let Fold {
             mut partials,
             mut attributor,
             ..
         } = self;
-        partials.attributed.reserve(attributor.pending());
+        partials.attributed.reserve_exact(attributor.pending());
         attributor.flush(&mut partials.attributed);
         partials.mobility.shrink_to_fit();
         partials

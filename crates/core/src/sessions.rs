@@ -8,11 +8,12 @@
 //! timeframe.
 //!
 //! One [`Attributor`] implements that rule for both pipelines. The batch
-//! fold feeds it a whole store and flushes ([`attribute_records`]); the
-//! streaming runtime feeds it records as they arrive and advances it with
-//! the low watermark, which releases a transaction once no anchor that
-//! could claim it can still be admitted. Both see the same answer for
-//! any arrival order the watermark admits.
+//! fold advances it on the proxy log's high-water mark as the records
+//! arrive in time order, and flushes the rest at the end; the streaming
+//! runtime feeds it records as they arrive and advances it with the low
+//! watermark. Either releases a transaction once no anchor that could
+//! claim it can still be admitted, so both see the same answer for any
+//! arrival order the watermark admits.
 
 use std::collections::VecDeque;
 
@@ -121,8 +122,9 @@ pub(crate) struct UserTxs {
 /// rejected before it gets here, so every anchor that could claim the
 /// transaction has arrived by then. The answer is therefore the one the
 /// whole timeline gives, for any arrival order the watermark admits.
-/// [`flush`](Attributor::flush) releases everything, which is all the
-/// batch fold does.
+/// [`flush`](Attributor::flush) releases everything. The batch fold's
+/// records arrive in time order, so its watermark is the proxy log's
+/// high-water mark: it advances on it as it goes and flushes at the end.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Attributor {
     pub(crate) users: HashMap<UserId, UserTxs>,
@@ -151,9 +153,10 @@ impl Attributor {
 
     /// Releases into `out` every transaction with `t + 60 s < watermark`,
     /// users in id order and each user's in arrival order, then forgets
-    /// what no admissible transaction can use.
-    pub fn advance(&mut self, watermark: SimTime, out: &mut Vec<AttributedTx>) {
-        self.release(Some(watermark), out);
+    /// what no admissible transaction can use. Returns the earliest time
+    /// still pending, so a caller can tell when the next call has work.
+    pub fn advance(&mut self, watermark: SimTime, out: &mut Vec<AttributedTx>) -> Option<SimTime> {
+        self.release(Some(watermark), out)
     }
 
     /// End of input: releases every transaction and forgets every user.
@@ -163,16 +166,22 @@ impl Attributor {
 
     /// [`advance`](Attributor::advance) to `watermark`, or past everything
     /// when it is `None`.
-    fn release(&mut self, watermark: Option<SimTime>, out: &mut Vec<AttributedTx>) {
+    fn release(
+        &mut self,
+        watermark: Option<SimTime>,
+        out: &mut Vec<AttributedTx>,
+    ) -> Option<SimTime> {
         let before =
             |t: SimTime, slack: SimDuration| watermark.is_none_or(|w| t.saturating_add(slack) < w);
         let mut users: Vec<UserId> = self.users.keys().copied().collect();
         users.sort_unstable();
+        let mut earliest: Option<SimTime> = None;
         for user in users {
             let state = self.users.get_mut(&user).expect("user state present");
             let anchors = &*state.anchors.make_contiguous();
             state.pending.retain(|&(t, bytes, class)| {
                 if !before(t, gap()) {
+                    earliest = Some(earliest.map_or(t, |e| e.min(t)));
                     return true;
                 }
                 let app = match class {
@@ -202,6 +211,7 @@ impl Attributor {
                 self.users.remove(&user);
             }
         }
+        earliest
     }
 }
 
@@ -317,7 +327,7 @@ impl PerUsage {
 mod tests {
     use super::*;
     use crate::snapshot::{Snapshot, SnapshotReader};
-    use wearscope_appdb::AppCatalog;
+    use wearscope_appdb::{AppCatalog, DomainClass};
     use wearscope_devicedb::DeviceDb;
     use wearscope_geo::SectorDirectory;
     use wearscope_simtime::{Calendar, ObservationWindow};
@@ -510,6 +520,60 @@ mod tests {
         let mut text = String::new();
         attributor.snapshot(&mut text);
         assert_eq!(text, "attributor\t0\n");
+    }
+
+    proptest::proptest! {
+        /// The batch fold's release: wearable transactions of interleaved
+        /// users in time order, many sharing a timestamp, with anchors
+        /// from 0 to 121 s after a transaction, the attributor advanced to
+        /// the newest time after every `k` of them and flushed at the end,
+        /// sorted stably by `(user, timestamp)`, equal one flush. Each
+        /// advance returns the earliest time it leaves pending.
+        #[test]
+        fn advancing_on_the_proxy_clock_attributes_like_one_flush(
+            draws in proptest::prop::collection::vec(
+                (0u64..4, 0usize..10, 0u8..5, 1u64..1000),
+                0..150,
+            ),
+            k in 1usize..20,
+        ) {
+            const STEPS: [u64; 10] = [0, 0, 0, 1, 5, 30, 59, 60, 61, 121];
+            let mut t = 1_000;
+            let txs: Vec<_> = draws
+                .iter()
+                .map(|&(user, step, class, bytes)| {
+                    t += STEPS[step];
+                    let class = match class {
+                        0 => None,
+                        1 => Some(Classification::ThirdParty(DomainClass::Advertising)),
+                        app => fp(u16::from(app)),
+                    };
+                    (UserId(user), SimTime::from_secs(t), class, bytes)
+                })
+                .collect();
+
+            let mut once = Attributor::new();
+            for &(user, t, class, bytes) in &txs {
+                once.observe(user, t, class, bytes);
+            }
+            let mut want = Vec::new();
+            once.flush(&mut want);
+
+            let mut stepped = Attributor::new();
+            let mut got = Vec::new();
+            for (i, &(user, t, class, bytes)) in txs.iter().enumerate() {
+                stepped.observe(user, t, class, bytes);
+                if (i + 1) % k == 0 {
+                    let earliest = stepped.advance(t, &mut got);
+                    let pending = stepped.users.values().flat_map(|u| u.pending.iter());
+                    proptest::prop_assert_eq!(earliest, pending.map(|p| p.0).min());
+                }
+            }
+            stepped.flush(&mut got);
+            want.sort_by_key(|tx| (tx.user, tx.timestamp));
+            got.sort_by_key(|tx| (tx.user, tx.timestamp));
+            proptest::prop_assert_eq!(got, want);
+        }
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //! * [`engine`] — [`IngestEngine`], a delegation to the one aggregate fold,
 //!   [`CoreAggregates::sequential`](wearscope_core::CoreAggregates::sequential).
 //!
-//! `wearscope analyze --workers N` runs N parse threads. Each parses every
-//! N-th chunk, under `catch_unwind` and with transient I/O errors retried,
-//! and holds at most two parsed chunks ahead. The calling thread
+//! `wearscope analyze --workers N` runs N parse threads. Each claims the
+//! next 64 KiB chunk and parses it under `catch_unwind`, with transient
+//! I/O errors retried, while at most three chunks per thread are claimed
+//! ahead of the calling thread. The calling thread
 //! takes the chunks in file order, validates them and folds the kept
 //! records on its own: the fold is one pass, never parallel. A poisoned
 //! chunk surfaces as a typed [`IngestError::ShardFailed`]. Quarantine

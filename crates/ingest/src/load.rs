@@ -1,16 +1,26 @@
 //! The batch pipeline over persisted `proxy.log` / `mme.log` files.
 //!
 //! Each log is cut into fixed-size, newline-aligned byte chunks
-//! (`CHUNK_BYTES`, 256 KiB, planned by [`wearscope_trace::plan_tsv_shards`]).
-//! `workers` shard threads parse them: chunk `i` goes to worker
-//! `i % workers`, which holds at most `IN_FLIGHT` (two) parsed chunks the
-//! calling thread has not taken yet. The calling thread takes the chunks
-//! in file order, proxy first, then MME. It quarantines each chunk's
-//! malformed lines, runs the log's [`RecordValidator`] against the log's
-//! own high-water mark, and hands the kept records to a sink while the
-//! workers parse ahead. [`fold_logs_resilient`] folds them into the
+//! (`CHUNK_BYTES`, 64 KiB, planned by [`wearscope_trace::plan_tsv_shards`]).
+//! `workers` shard threads parse them: each claims the next chunk in file
+//! order, proxy first, then MME, as long as fewer than `workers ×
+//! (IN_FLIGHT + 1)` chunks are claimed and not yet taken (`IN_FLIGHT`,
+//! two, parsed chunks waiting per worker, and the one it is parsing). The
+//! calling thread takes the chunks in the same order. It quarantines each
+//! chunk's malformed lines, runs the log's [`RecordValidator`] against the
+//! log's own high-water mark, and hands the kept records to a sink while
+//! the workers parse ahead. [`fold_logs_resilient`] folds them into the
 //! aggregates through one [`Fold`], so memory follows fold state, not log
 //! size; [`load_store_resilient`] collects them into a [`TraceStore`].
+//!
+//! No chunk allocates once the pipeline is running. Each worker reads all
+//! its chunks through one [`ShardReader`] (one open file, reopened when
+//! the log changes, and one line buffer), into a parsed chunk from a pool
+//! the calling thread gives each chunk back to once it has validated and
+//! sunk it. So at most `workers × (IN_FLIGHT + 1) + 1` parsed chunks exist
+//! at once: the claimed ones and the one being folded. A calling thread
+//! that has to wait waits for half of the claimed window to be parsed,
+//! not for one chunk, so it sleeps and wakes once per batch of chunks.
 //!
 //! Both **quarantine and degrade**: malformed lines, duplicates,
 //! timestamp regressions, clock skew, invalid IMEIs and sectors outside
@@ -26,10 +36,11 @@
 //! input included.
 
 use std::any::Any;
+use std::collections::VecDeque;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use wearscope_core::merge::Fold;
@@ -38,7 +49,7 @@ use wearscope_devicedb::Imei;
 use wearscope_obs::{Counter, Registry};
 use wearscope_report::{DataQuality, IngestReport, QuarantineReason, ShardSource};
 use wearscope_trace::{
-    plan_tsv_shards, read_tsv_shard, ByteRange, MmeRecord, ProxyRecord, TraceStore, TsvShard,
+    plan_tsv_shards, ByteRange, MmeRecord, ProxyRecord, ShardReader, TraceStore, TsvShard,
 };
 
 use crate::error::{with_io_retry, IngestError};
@@ -48,11 +59,11 @@ use crate::quarantine::{
 };
 use crate::MAX_WORKERS;
 
-/// Bytes per chunk: a proxy chunk parses into a few thousand records, so
+/// Bytes per chunk: a proxy chunk parses into about a thousand records, so
 /// the chunks in flight stay small next to the fold state.
-const CHUNK_BYTES: u64 = 256 * 1024;
+const CHUNK_BYTES: u64 = 64 * 1024;
 
-/// Parsed chunks a worker may hold before the calling thread takes them.
+/// Parsed chunks per worker that may wait for the calling thread.
 const IN_FLIGHT: usize = 2;
 
 /// One chunk read: which log, which of its chunks, and the byte range.
@@ -66,6 +77,141 @@ struct Task<'a> {
 enum Parsed {
     Proxy(TsvShard<ProxyRecord>),
     Mme(TsvShard<MmeRecord>),
+}
+
+impl Parsed {
+    fn source(&self) -> ShardSource {
+        match self {
+            Parsed::Proxy(_) => ShardSource::Proxy,
+            Parsed::Mme(_) => ShardSource::Mme,
+        }
+    }
+}
+
+/// The chunks between the parse workers and the calling thread. Workers
+/// claim tasks in order and leave each outcome in its slot; the calling
+/// thread takes the outcomes in the same order and gives each parsed
+/// chunk back to be parsed into again.
+struct Queue {
+    state: Mutex<QueueState>,
+    /// Signalled for the calling thread when its next outcome is in.
+    parsed: Condvar,
+    /// Signalled for the workers when the calling thread takes an outcome
+    /// or stops.
+    taken: Condvar,
+    /// The most tasks claimed and not yet taken.
+    window: usize,
+}
+
+#[derive(Default)]
+struct QueueState {
+    /// The next task a worker claims.
+    claimed: usize,
+    /// The outcomes of the claimed tasks not yet taken, in task order:
+    /// `None` while a worker parses it.
+    outcomes: VecDeque<Option<Done>>,
+    /// Parsed chunks given back, to parse into again.
+    pool: Vec<Parsed>,
+    /// The outcomes at the front that are in.
+    ready: usize,
+    /// Workers waiting for the window to move.
+    idle: usize,
+    /// While the calling thread waits: the outcomes it waits to be ready.
+    wake_at: Option<usize>,
+    /// The calling thread takes no more outcomes.
+    stopped: bool,
+}
+
+impl Queue {
+    fn new(window: usize) -> Queue {
+        Queue {
+            state: Mutex::default(),
+            parsed: Condvar::new(),
+            taken: Condvar::new(),
+            window,
+        }
+    }
+
+    /// The state, also after a panic elsewhere: every change to it is
+    /// made whole under the lock.
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// For a worker: the next task and a parsed chunk to read it into, once
+    /// the window has room; `None` when the tasks are all claimed or the
+    /// calling thread has stopped.
+    fn claim(&self, tasks: &[Task<'_>]) -> Option<(usize, Parsed)> {
+        let mut state = self.lock();
+        while !state.stopped && state.claimed < tasks.len() && state.outcomes.len() >= self.window {
+            state.idle += 1;
+            state = self
+                .taken
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+            state.idle -= 1;
+        }
+        if state.stopped || state.claimed == tasks.len() {
+            return None;
+        }
+        let task = state.claimed;
+        state.claimed += 1;
+        state.outcomes.push_back(None);
+        Some((task, reusable(&mut state.pool, tasks[task].source)))
+    }
+
+    /// For a worker: the outcome of a task it claimed.
+    fn finish(&self, task: usize, done: Done) {
+        let mut state = self.lock();
+        // The calling thread's next task is `claimed - outcomes.len()`,
+        // and it waits for this one before it takes any later one.
+        let slot = task + state.outcomes.len() - state.claimed;
+        state.outcomes[slot] = Some(done);
+        while state.outcomes.get(state.ready).is_some_and(Option::is_some) {
+            state.ready += 1;
+        }
+        if state.wake_at.is_some_and(|n| state.ready >= n) {
+            self.parsed.notify_one();
+        }
+    }
+
+    /// For the calling thread: its next outcome, once parsed, after giving
+    /// back the chunk it parsed before, if any. `left` counts the tasks it
+    /// has still to take, this one included.
+    fn take(&self, given_back: Option<Parsed>, left: usize) -> Done {
+        let mut state = self.lock();
+        state.pool.extend(given_back);
+        if state.ready == 0 {
+            // A wait costs a sleep and a wake-up, so it is for half a
+            // window of outcomes, not one: the workers parse on meanwhile.
+            let batch = self.window.div_ceil(2).min(left);
+            state.wake_at = Some(batch);
+            while state.ready < batch {
+                state = self
+                    .parsed
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            state.wake_at = None;
+        }
+        let done = state.outcomes.pop_front().flatten().expect("ready");
+        state.ready -= 1;
+        if state.idle > 0 {
+            self.taken.notify_one();
+        }
+        done
+    }
+}
+
+/// Stops the workers when dropped: the calling thread leaves the loop
+/// over the tasks, by returning or by unwinding.
+struct StopOnDrop<'q>(&'q Queue);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.lock().stopped = true;
+        self.0.taken.notify_all();
+    }
 }
 
 /// A worker's outcome for one chunk: the parsed chunk and its parse time,
@@ -85,6 +231,7 @@ impl Sink for Fold<'_> {
         for (r, &imei) in kept.iter().zip(imeis) {
             self.kept_proxy(r, imei);
         }
+        self.release_attributed();
     }
 
     fn mme(&mut self, kept: &[MmeRecord], imeis: &[Imei]) {
@@ -213,37 +360,38 @@ fn run<S: Sink>(
     let mut proxy = LogIngest::new(ShardSource::Proxy, opts);
     let mut mme = LogIngest::new(ShardSource::Mme, opts);
     let mut timers = PhaseTimers::default();
+    let queue = Queue::new(threads * (IN_FLIGHT + 1));
     std::thread::scope(|s| {
-        let inboxes: Vec<_> = (0..threads)
-            .map(|w| {
-                let (tx, rx) = sync_channel(IN_FLIGHT);
-                let (tasks, retries) = (&tasks, &retries);
-                s.spawn(move || parse_chunks(tasks, w, threads, &tx, retries));
-                rx
-            })
-            .collect();
+        for _ in 0..threads {
+            let (tasks, queue, retries) = (&tasks, &queue, &retries);
+            s.spawn(move || parse_chunks(tasks, queue, retries));
+        }
+        let _stop = StopOnDrop(&queue);
         // Tasks are proxy chunks, then MME chunks, each by ascending index,
         // so the first failure met here is the deterministic one to report.
-        // Returning drops the inboxes, which stops the workers.
+        let mut given_back = None;
         for (i, t) in tasks.iter().enumerate() {
             let waited = Instant::now();
-            let done = inboxes[i % threads]
-                .recv()
-                .unwrap_or_else(|_| Err("parse worker exited".into()));
+            let done = queue.take(given_back.take(), tasks.len() - i);
             timers.wait += waited.elapsed();
-            let (parsed, wall) = match done {
+            let (mut parsed, wall) = match done {
                 Ok(Ok(done)) => done,
                 Ok(Err(e)) => return Err(shard_failed(t, false, e.to_string())),
                 Err(panic) => return Err(shard_failed(t, true, panic)),
             };
             shard_us.observe(wall.as_micros() as u64);
-            match parsed {
+            match &mut parsed {
                 Parsed::Proxy(chunk) => {
                     proxy.take(chunk, &mut timers, |kept, imeis| sink.proxy(kept, imeis));
                 }
                 Parsed::Mme(chunk) => {
                     mme.take(chunk, &mut timers, |kept, imeis| sink.mme(kept, imeis));
                 }
+            }
+            // Tasks are grouped by log: once a log's last chunk is in,
+            // its chunks are dropped, not given back.
+            if tasks.get(i + 1).is_some_and(|next| next.source == t.source) {
+                given_back = Some(parsed);
             }
         }
         Ok(())
@@ -282,24 +430,36 @@ fn run<S: Sink>(
     })
 }
 
-/// Worker `w` of `workers`: parses chunks `w`, `w + workers`, … in order
-/// and sends each outcome to the calling thread, until the tasks run out
-/// or the calling thread stops taking them.
-fn parse_chunks(
-    tasks: &[Task<'_>],
-    w: usize,
-    workers: usize,
-    outbox: &SyncSender<Done>,
-    retries: &Counter,
-) {
-    for t in tasks.iter().skip(w).step_by(workers) {
+/// A parse worker: claims the next task, parses it through its one
+/// reader and leaves the outcome in the queue, until the tasks run out or
+/// the calling thread stops taking them.
+fn parse_chunks(tasks: &[Task<'_>], queue: &Queue, retries: &Counter) {
+    let mut reader = ShardReader::new();
+    while let Some((task, mut parsed)) = queue.claim(tasks) {
         let t0 = Instant::now();
-        let done = catch_unwind(AssertUnwindSafe(|| read_task(t, retries)))
-            .map(|read| read.map(|parsed| (parsed, t0.elapsed())))
-            .map_err(|payload| panic_message(payload.as_ref()));
-        if outbox.send(done).is_err() {
-            return;
+        let read = catch_unwind(AssertUnwindSafe(|| {
+            read_task(&tasks[task], &mut reader, &mut parsed, retries)
+        }));
+        let done = match read {
+            Ok(Ok(())) => Ok(Ok((parsed, t0.elapsed()))),
+            Ok(Err(e)) => Ok(Err(e)),
+            Err(payload) => Err(panic_message(payload.as_ref())),
+        };
+        queue.finish(task, done);
+    }
+}
+
+/// A parsed chunk to read a chunk of `source` into: one given back for
+/// that log, or a new one. Given-back chunks of the other log are dropped.
+fn reusable(pool: &mut Vec<Parsed>, source: ShardSource) -> Parsed {
+    while let Some(parsed) = pool.pop() {
+        if parsed.source() == source {
+            return parsed;
         }
+    }
+    match source {
+        ShardSource::Proxy => Parsed::Proxy(TsvShard::default()),
+        ShardSource::Mme => Parsed::Mme(TsvShard::default()),
     }
 }
 
@@ -315,16 +475,20 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// Reads one chunk inside a worker, retrying transient I/O errors with
-/// backoff.
-fn read_task(t: &Task<'_>, retries: &Counter) -> io::Result<Parsed> {
+/// Reads one chunk into `parsed` (of the chunk's log) inside a worker,
+/// retrying transient I/O errors with backoff.
+fn read_task(
+    t: &Task<'_>,
+    reader: &mut ShardReader,
+    parsed: &mut Parsed,
+    retries: &Counter,
+) -> io::Result<()> {
     #[cfg(test)]
     test_hooks::maybe_panic(t.path, t.source, t.shard);
     let retries = Some(retries);
-    if t.source == ShardSource::Proxy {
-        with_io_retry(|| read_tsv_shard(t.path, t.range), retries).map(Parsed::Proxy)
-    } else {
-        with_io_retry(|| read_tsv_shard(t.path, t.range), retries).map(Parsed::Mme)
+    match parsed {
+        Parsed::Proxy(chunk) => with_io_retry(|| reader.read_into(t.path, t.range, chunk), retries),
+        Parsed::Mme(chunk) => with_io_retry(|| reader.read_into(t.path, t.range, chunk), retries),
     }
 }
 
@@ -369,7 +533,7 @@ impl<R: LogRecord> LogIngest<R> {
     /// records go to `sink`.
     pub(crate) fn take(
         &mut self,
-        mut chunk: TsvShard<R>,
+        chunk: &mut TsvShard<R>,
         timers: &mut PhaseTimers,
         sink: impl FnOnce(&[R], &[Imei]),
     ) {

@@ -622,13 +622,13 @@ mod tests {
         let mut kept = Vec::new();
         while rest.peek().is_some() {
             let records: Vec<ProxyRecord> = rest.by_ref().take(per).collect();
-            let chunk = TsvShard {
+            let mut chunk = TsvShard {
                 lines: records.len() as u64,
                 records,
                 bytes: 0,
                 errors: Vec::new(),
             };
-            log.take(chunk, &mut timers, |k, _| kept.extend_from_slice(k));
+            log.take(&mut chunk, &mut timers, |k, _| kept.extend_from_slice(k));
         }
         let (ledger, entries) = log.finish();
         let quality = ledger.quality();

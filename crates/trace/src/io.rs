@@ -68,7 +68,7 @@ pub fn decode_log_line<R: TsvRecord>(raw: &[u8]) -> Option<Result<R, CodecError>
 }
 
 /// The one line splitter, behind [`TailReader`] and the chunk reader
-/// ([`crate::read_tsv_shard`]): it reads its source into a buffer it
+/// ([`crate::ShardReader`]): it reads its source into a buffer it
 /// reuses, finds each `\n` a word at a time, and hands out the lines in
 /// place, so no line is copied out of the buffer.
 #[derive(Debug)]
@@ -99,9 +99,15 @@ impl<S: Read> Lines<S> {
         }
     }
 
-    /// The source, to attach a meter to it.
+    /// The source, to attach a meter to it or to point it elsewhere.
     pub(crate) fn source_mut(&mut self) -> &mut S {
         &mut self.source
+    }
+
+    /// Forgets the bytes read but not handed out, so the next line comes
+    /// from wherever the source now reads; the buffer is kept.
+    pub(crate) fn discard(&mut self) {
+        (self.start, self.filled, self.scanned) = (0, 0, 0);
     }
 
     /// The next line, its `\n` included, reading the source as needed.

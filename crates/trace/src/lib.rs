@@ -37,5 +37,5 @@ pub use ids::UserId;
 pub use io::{decode_log_line, IoMeter, LogWriter, TailItem, TailReader};
 pub use mme::{MmeEvent, MmeRecord};
 pub use proxy::{ProxyRecord, Scheme};
-pub use shard::{plan_tsv_shards, read_tsv_shard, ByteRange, TsvShard};
+pub use shard::{plan_tsv_shards, read_tsv_shard, ByteRange, ShardReader, TsvShard};
 pub use store::TraceStore;

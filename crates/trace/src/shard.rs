@@ -8,13 +8,16 @@
 //! (or at EOF). [`plan_tsv_shards`] seeks to evenly spaced tentative
 //! offsets and scans forward to the next newline.
 //!
-//! [`read_tsv_shard`] then parses one planned range, reporting per-shard
-//! counters (records, bytes, malformed lines) that feed the ingest progress
-//! report.
+//! A [`ShardReader`] then parses planned ranges one after another, into a
+//! [`TsvShard`] the caller owns, reporting per-shard counters (records,
+//! bytes, malformed lines) that feed the ingest progress report. It keeps
+//! its open file and line buffer from chunk to chunk, and a caller that
+//! hands the same shard back for every chunk keeps its vectors too;
+//! [`read_tsv_shard`] reads one range through a reader of its own.
 
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom};
-use std::path::Path;
+use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Take};
+use std::path::{Path, PathBuf};
 
 use crate::codec::{CodecError, TsvRecord};
 use crate::io::{decode_log_line, Lines};
@@ -41,6 +44,9 @@ impl ByteRange {
     }
 }
 
+/// The planner's read buffer: longer than a typical log line.
+const PLAN_READ_BYTES: usize = 512;
+
 /// Plans up to `max_shards` newline-aligned byte ranges over a TSV log.
 ///
 /// The ranges are contiguous, non-overlapping, and cover the file exactly;
@@ -58,8 +64,10 @@ pub fn plan_tsv_shards(path: &Path, max_shards: usize) -> io::Result<Vec<ByteRan
     }
     let shards = max_shards.max(1) as u64;
     let target = len.div_ceil(shards);
-    let mut reader = BufReader::new(file);
-    let mut ranges = Vec::new();
+    // Each cut reads on from a seek only to the next newline, so a small
+    // buffer reads a line or two rather than 8 KiB per cut.
+    let mut reader = BufReader::with_capacity(PLAN_READ_BYTES, file);
+    let (mut ranges, mut skipped) = (Vec::new(), Vec::new());
     let mut start = 0u64;
     while start < len {
         let tentative = (start + target).min(len);
@@ -70,7 +78,7 @@ pub fn plan_tsv_shards(path: &Path, max_shards: usize) -> io::Result<Vec<ByteRan
             // shard ends just past it. A record longer than `target` simply
             // produces an oversized shard.
             reader.seek(SeekFrom::Start(tentative))?;
-            let mut skipped = Vec::new();
+            skipped.clear();
             let n = reader.read_until(b'\n', &mut skipped)? as u64;
             tentative + n
         };
@@ -81,7 +89,7 @@ pub fn plan_tsv_shards(path: &Path, max_shards: usize) -> io::Result<Vec<ByteRan
 }
 
 /// The parsed contents and counters of one TSV shard.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct TsvShard<R> {
     /// Successfully decoded records, in file order.
     pub records: Vec<R>,
@@ -97,37 +105,101 @@ pub struct TsvShard<R> {
     pub errors: Vec<(u64, CodecError)>,
 }
 
+impl<R> Default for TsvShard<R> {
+    fn default() -> TsvShard<R> {
+        TsvShard {
+            records: Vec::new(),
+            bytes: 0,
+            lines: 0,
+            errors: Vec::new(),
+        }
+    }
+}
+
 /// The chunk reader's buffer. Each parse worker holds one, so it stays
-/// small: a 256 KiB chunk takes sixteen reads.
+/// small: a 64 KiB chunk takes four reads.
 const READ_BYTES: usize = 16 * 1024;
 
-/// Parses one planned TSV byte range.
-///
-/// The range must come from [`plan_tsv_shards`] (newline-aligned), so the
-/// slice is a whole number of lines. Malformed lines are counted and
-/// collected rather than aborting the shard, letting the parallel loader
-/// report totals before failing.
+/// Parses planned TSV byte ranges one after another, keeping what it
+/// allocates: the open log file (reopened only when the path changes) and
+/// one line buffer. The records and malformed lines go into a [`TsvShard`]
+/// the caller owns, so a caller that hands the same shard back for every
+/// range allocates nothing once its vectors have grown to the largest one.
+#[derive(Debug, Default)]
+pub struct ShardReader {
+    /// The open log's path, and the line splitter over it.
+    open: Option<(PathBuf, Lines<Take<File>>)>,
+}
+
+impl ShardReader {
+    /// A reader with no file open yet.
+    pub fn new() -> ShardReader {
+        ShardReader::default()
+    }
+
+    /// Parses one planned range of the log at `path` into `shard`,
+    /// replacing what it held but keeping its vectors' room.
+    ///
+    /// The range must come from [`plan_tsv_shards`] (newline-aligned), so
+    /// the slice is a whole number of lines. Malformed lines are counted
+    /// and collected rather than aborting the shard, letting the parallel
+    /// loader report totals before failing. Every call starts afresh, so a
+    /// call after a failed one reads its range whole.
+    ///
+    /// # Errors
+    /// Propagates filesystem errors only.
+    pub fn read_into<R: TsvRecord>(
+        &mut self,
+        path: &Path,
+        range: ByteRange,
+        shard: &mut TsvShard<R>,
+    ) -> io::Result<()> {
+        if !matches!(&self.open, Some((open, _)) if open == path) {
+            let file = File::open(path)?.take(0);
+            match &mut self.open {
+                Some((open, lines)) => {
+                    *lines.source_mut() = file;
+                    *open = path.to_path_buf();
+                }
+                None => self.open = Some((path.to_path_buf(), Lines::new(file, READ_BYTES))),
+            }
+        }
+        let (_, lines) = self.open.as_mut().expect("a file is open");
+        let source = lines.source_mut();
+        source.get_mut().seek(SeekFrom::Start(range.start))?;
+        source.set_limit(range.len());
+        lines.discard();
+        shard.records.clear();
+        shard.errors.clear();
+        shard.bytes = range.len();
+        shard.lines = 0;
+        let room = shard.records.capacity();
+        while let Some(line) = lines.next_line(false)? {
+            shard.lines += 1;
+            match decode_log_line::<R>(line) {
+                None => {} // a blank line
+                Some(Ok(record)) => shard.records.push(record),
+                Some(Err(error)) => shard.errors.push((shard.lines, error)),
+            }
+        }
+        // The shard keeps its room for the ranges it is handed back for,
+        // so what doubling added past this range's records, less a
+        // sixteenth for the next range, is given back.
+        if shard.records.capacity() > room {
+            let len = shard.records.len();
+            shard.records.shrink_to(len + len / 16);
+        }
+        Ok(())
+    }
+}
+
+/// Parses one planned TSV byte range through a [`ShardReader`] of its own.
 ///
 /// # Errors
 /// Propagates filesystem errors only.
 pub fn read_tsv_shard<R: TsvRecord>(path: &Path, range: ByteRange) -> io::Result<TsvShard<R>> {
-    let mut file = File::open(path)?;
-    file.seek(SeekFrom::Start(range.start))?;
-    let mut lines = Lines::new(file.take(range.len()), READ_BYTES);
-    let mut shard = TsvShard {
-        records: Vec::new(),
-        bytes: range.len(),
-        lines: 0,
-        errors: Vec::new(),
-    };
-    while let Some(line) = lines.next_line(false)? {
-        shard.lines += 1;
-        match decode_log_line::<R>(line) {
-            None => {} // a blank line
-            Some(Ok(record)) => shard.records.push(record),
-            Some(Err(error)) => shard.errors.push((shard.lines, error)),
-        }
-    }
+    let mut shard = TsvShard::default();
+    ShardReader::new().read_into(path, range, &mut shard)?;
     Ok(shard)
 }
 
@@ -416,6 +488,53 @@ mod tests {
             assert_eq!(tail.offset(), text.len() as u64);
             std::fs::remove_file(&path).unwrap();
         }
+    }
+
+    /// One reader and one shard, handed back for every range of two logs
+    /// in an order that switches files and goes backwards, read what a
+    /// fresh reader reads; a failed open leaves the reader usable.
+    #[test]
+    fn a_reused_reader_and_shard_read_what_fresh_ones_do() {
+        let good = |i| mme(i).to_line();
+        let damaged = temp_path("reuse-damaged");
+        let mut text = String::new();
+        for i in 0..60 {
+            match i % 9 {
+                4 => text.push_str("not a record\n"),
+                7 => text.push('\n'),
+                _ => text.push_str(&format!("{}\n", good(i))),
+            }
+        }
+        std::fs::write(&damaged, &text).unwrap();
+        let crlf = temp_path("reuse-crlf");
+        let lines: Vec<String> = (0..45).map(|i| format!("{}\r\n", good(i))).collect();
+        std::fs::write(&crlf, lines.concat()).unwrap();
+
+        let mut order = Vec::new();
+        for path in [&damaged, &crlf] {
+            for range in plan_tsv_shards(path, 5).unwrap() {
+                order.push((path.clone(), range));
+            }
+        }
+        // Interleave the two logs, then read them again in reverse.
+        let (first, second) = order.split_at(order.len() / 2);
+        let mut order: Vec<_> = first.iter().zip(second).flat_map(|(a, b)| [a, b]).collect();
+        order.extend(order.clone().into_iter().rev());
+
+        let mut reader = ShardReader::new();
+        let mut shard = TsvShard::<MmeRecord>::default();
+        let missing = temp_path("reuse-missing");
+        let range = ByteRange { start: 0, end: 1 };
+        assert!(reader.read_into(&missing, range, &mut shard).is_err());
+        for (path, range) in order {
+            reader.read_into(path, *range, &mut shard).unwrap();
+            let fresh: TsvShard<MmeRecord> = read_tsv_shard(path, *range).unwrap();
+            assert_eq!(shard.records, fresh.records, "{range:?}");
+            assert_eq!(shard.errors, fresh.errors, "{range:?}");
+            assert_eq!((shard.lines, shard.bytes), (fresh.lines, range.len()));
+        }
+        std::fs::remove_file(&damaged).unwrap();
+        std::fs::remove_file(&crlf).unwrap();
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The memory of the batch fold, counted: a counting global allocator
 //! (std only) measures the live heap bytes each partial holds after one
 //! single-threaded [`CorePartials::fold`] of the compact seed-7 world, so
-//! the counts are deterministic. Run with `--nocapture` to see them.
+//! the counts are deterministic, and what the `analyze` pipeline holds
+//! on top of that fold. Run with `--nocapture` to see them.
 //!
 //! Before the fold reduced each final user-day to its farthest sector
 //! pair, its mobility partial held 1 069 328 bytes by this count on this
@@ -9,8 +10,10 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use wearscope::core::CorePartials;
+use wearscope::core::{CoreAggregates, CorePartials};
+use wearscope::ingest::{fold_logs_resilient, load_store_resilient, IngestOptions};
 use wearscope::prelude::*;
 
 /// The system allocator, counting the bytes live and their peak.
@@ -65,6 +68,21 @@ fn live() -> usize {
     LIVE.load(Ordering::Relaxed)
 }
 
+/// The tests share the counters, so they take turns.
+fn one_at_a_time() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// `f`'s result, and the most bytes live during `f` beyond those live
+/// before it.
+fn peak_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let base = live();
+    PEAK.store(base, Ordering::Relaxed);
+    let out = f();
+    (out, PEAK.load(Ordering::Relaxed) - base)
+}
+
 /// The live bytes `value` holds: what dropping it frees.
 fn held<T>(value: T) -> usize {
     let before = live();
@@ -75,9 +93,10 @@ fn held<T>(value: T) -> usize {
 /// The mobility partial holds at most 465 KB, less than half of what it
 /// held: its streams and dwell maps stay, its user-days shrink to the
 /// open ones and one pair per final day. No user keeps more than two
-/// open days.
+/// open days. The fold's peak is pinned within 2 %.
 #[test]
 fn fold_state_follows_the_open_days() {
+    let _turn = one_at_a_time();
     let world = generate(&ScenarioConfig::compact(7));
     let ctx = StudyContext::new(
         &world.store,
@@ -87,9 +106,7 @@ fn fold_state_follows_the_open_days() {
         world.config.window,
     );
     let base = live();
-    PEAK.store(base, Ordering::Relaxed);
-    let partials = CorePartials::fold(&ctx);
-    let peak = PEAK.load(Ordering::Relaxed) - base;
+    let (partials, peak) = peak_of(|| CorePartials::fold(&ctx));
     let total = live() - base;
     let most_open = partials.mobility.open_days_per_user().max();
 
@@ -118,4 +135,51 @@ fn fold_state_follows_the_open_days() {
     let mobility = counts[0].1;
     assert!(mobility <= 465_000, "mobility holds {mobility} B");
     assert!(most_open.is_some_and(|n| n <= 2), "{most_open:?} open days");
+    assert!(peak <= FOLD_PEAK * 102 / 100, "the fold peaks at {peak} B");
+}
+
+/// The fold's peak on this world, by this count. It was 1 357 160 B while
+/// the fold held every wearable transaction for one attribution flush at
+/// the end and `close_days` left its emptied day map at twice its size.
+const FOLD_PEAK: usize = 1_058_476;
+
+/// The loader's chunk size and the parsed chunks each worker may queue
+/// (`CHUNK_BYTES` and `IN_FLIGHT` in `crates/ingest/src/load.rs`).
+const CHUNK_BYTES: usize = 64 * 1024;
+const IN_FLIGHT: usize = 2;
+
+/// `analyze`'s pipeline over the saved world holds its fold and a bounded
+/// queue: its peak, less the peak of folding and finishing the same
+/// records from a store, stays below what `workers × (IN_FLIGHT + 1) + 1`
+/// chunks take as text, the most parsed chunks that can be alive at once.
+/// A queue that grows with the log, or a second copy of the records,
+/// fails here.
+#[test]
+fn the_pipeline_holds_its_fold_and_a_bounded_queue() {
+    let _turn = one_at_a_time();
+    let dir = std::env::temp_dir().join(format!("wearscope-fold-memory-{}", std::process::id()));
+    generate(&ScenarioConfig::compact(7)).save(&dir).unwrap();
+    let saved = GeneratedWorld::load_with_store(&dir, TraceStore::new()).unwrap();
+    let (db, catalog) = (DeviceDb::standard(), AppCatalog::standard());
+    let opts = IngestOptions::from_metadata(&dir, Some(saved.window), Some(&saved.sectors));
+
+    let (store, _) = load_store_resilient(&dir, 1, &opts).unwrap();
+    let store_ctx = StudyContext::new(&store, &db, &saved.sectors, &catalog, saved.window);
+    let (want, fold_peak) = peak_of(|| CoreAggregates::sequential(&store_ctx));
+    drop(store_ctx);
+    drop(store);
+
+    let ctx = StudyContext::new(&saved.store, &db, &saved.sectors, &catalog, saved.window);
+    for workers in [1, 2] {
+        let ((got, _), peak) = peak_of(|| fold_logs_resilient(&dir, workers, &opts, &ctx).unwrap());
+        assert_eq!(got.attributed, want.attributed, "workers={workers}");
+        let queue = peak.saturating_sub(fold_peak);
+        let bound = (workers * (IN_FLIGHT + 1) + 1) * CHUNK_BYTES;
+        println!("--workers {workers}: {peak} B at the peak, {queue} B above the fold's {fold_peak} B (bound {bound} B)");
+        assert!(
+            queue < bound,
+            "workers={workers}: {queue} B above the fold, bound {bound} B"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
