@@ -401,8 +401,24 @@ status=0
 test "$status" -eq 1
 grep -q 'checkpoint line [0-9]*: sector and since must both be present or both `-`' \
     "$FAULT_DIR/crafted.err"
-echo "    crafted reports counts and a mobility row with a sector but no since exit 1"
-echo "    with a checkpoint line error"
+# A `position` row must point at a line start of each log: one byte into
+# a proxy line is refused, not resumed with the line's tail quarantined.
+rm -rf "$FAULT_DIR/ckpt-crafted"
+"$WEARSCOPE" stream --world "$FAULT_DIR/stream-world" --window 1h --lateness 5m \
+    --checkpoint "$FAULT_DIR/ckpt-crafted" --checkpoint-every 2000 --stop-after 6001 >/dev/null 2>&1
+awk 'BEGIN { FS = OFS = "\t" }
+     $1 == "position" { $2 += 1; moved = 1 }
+     { print }
+     END { exit !moved }' "$FAULT_DIR/ckpt-crafted/stream.ckpt" >"$FAULT_DIR/crafted.ckpt"
+mv "$FAULT_DIR/crafted.ckpt" "$FAULT_DIR/ckpt-crafted/stream.ckpt"
+status=0
+"$WEARSCOPE" stream --world "$FAULT_DIR/stream-world" --window 1h --lateness 5m \
+    --checkpoint "$FAULT_DIR/ckpt-crafted" --resume >/dev/null 2>"$FAULT_DIR/crafted.err" ||
+    status=$?
+test "$status" -eq 1
+grep -q 'proxy\.log is not at a line start' "$FAULT_DIR/crafted.err"
+echo "    crafted reports counts, a mobility row with a sector but no since and a"
+echo "    position inside a proxy line exit 1 with a typed error"
 
 echo "==> malformed world metadata: typed errors, not crashes"
 # A world's manifest and cell plan are files a user can hand us: a layout

@@ -36,7 +36,7 @@ pub use runtime::{
     Backpressure, PumpOptions, PumpOutcome, StreamConfig, StreamError, StreamRuntime,
 };
 pub use source::{
-    ChannelSource, EventSource, Polled, ReadAhead, SourceItem, SourceKind, SourcePosition,
-    StreamEvent, WorldSource,
+    ChannelSource, EventSource, Polled, ReadAhead, SourceItem, SourcePosition, StreamEvent,
+    WorldSource,
 };
 pub use window::WindowSpec;

@@ -65,9 +65,7 @@ use wearscope_report::{DataQuality, QuarantineReason, ShardSource, StreamSummary
 use wearscope_simtime::{SimDuration, SimTime, SECS_PER_DAY};
 use wearscope_trace::{MmeRecord, ProxyRecord};
 
-use crate::source::{
-    panicked, EventSource, Polled, SourceItem, SourceKind, SourcePosition, StreamEvent,
-};
+use crate::source::{panicked, EventSource, Polled, SourceItem, SourcePosition, StreamEvent};
 use crate::window::WindowSpec;
 
 /// What to do when the open-window cap is reached.
@@ -484,8 +482,8 @@ impl<'s> StreamRuntime<'s> {
             SourceItem::Malformed { kind, line, error } => {
                 let reason = reason_for_codec(&error);
                 match kind {
-                    SourceKind::Proxy => self.proxy.malformed(line, reason),
-                    SourceKind::Mme => self.mme.malformed(line, reason),
+                    ShardSource::Proxy => self.proxy.malformed(line, reason),
+                    ShardSource::Mme => self.mme.malformed(line, reason),
                 }
                 Ok(())
             }

@@ -1,25 +1,27 @@
 //! Event sources: where the stream's records come from.
 //!
-//! Three producers feed the runtime through one trait, [`EventSource`]:
+//! The runtime pulls records through one trait, [`EventSource`]:
 //!
 //! * [`WorldSource`] — the two persisted vantage-point logs of a generated
 //!   world (`proxy.log` + `mme.log`), merged by timestamp into one
 //!   ordered-ish stream, optionally tailing files that are still growing;
+//! * [`ReadAhead`] — any source moved onto a reader thread of its own, so
+//!   the runtime thread spends no time reading or decoding: it takes the
+//!   items in bounded batches, each with the position after it, and
+//!   yields them exactly as the wrapped source would have;
 //! * [`ChannelSource`] — an in-process channel, for wiring a live
-//!   simulator (or tests) straight into the runtime;
-//! * anything else implementing the trait.
+//!   simulator (or tests) straight into the runtime.
 //!
-//! [`WorldSource`] reports a **committed position** ([`SourcePosition`])
-//! suitable for checkpointing: byte offsets that account for the merge
-//! lookahead, so a resumed source re-reads nothing and skips nothing.
-//!
-//! [`ReadAhead`] moves any source onto a reader thread of its own, so the
-//! runtime thread spends no time reading or decoding: it takes the items
-//! in bounded batches, each with the position after it, and yields them
-//! exactly as the wrapped source would have.
+//! Each log is read through one layer, its lane in the [`WorldSource`]:
+//! the trace crate's [`Lines`] splitter and [`decode_log_line`], with the
+//! committed position ([`SourcePosition`]) a checkpoint stores — byte
+//! offsets that account for the merge lookahead, so a resumed source
+//! re-reads nothing and skips nothing. Whichever source hands the items
+//! out counts their `trace.{proxy,mme}.*` bytes and decode errors.
 
 use std::any::Any;
-use std::io;
+use std::fs::File;
+use std::io::{self, Read, Seek, SeekFrom};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::mpsc;
@@ -28,10 +30,9 @@ use std::time::{Duration, Instant};
 
 use wearscope_ingest::panic_message;
 use wearscope_obs::{Counter, Registry};
+use wearscope_report::ShardSource;
 use wearscope_simtime::SimTime;
-use wearscope_trace::{
-    CodecError, IoMeter, MmeRecord, ProxyRecord, TailItem, TailReader, TsvRecord,
-};
+use wearscope_trace::{decode_log_line, CodecError, Lines, MmeRecord, ProxyRecord, TsvRecord};
 
 /// One record from either vantage point.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -52,15 +53,6 @@ impl StreamEvent {
     }
 }
 
-/// Which log a malformed line came from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SourceKind {
-    /// `proxy.log`.
-    Proxy,
-    /// `mme.log`.
-    Mme,
-}
-
 /// One item from an event source: a record, or a malformed line.
 #[derive(Debug)]
 pub enum SourceItem {
@@ -69,7 +61,7 @@ pub enum SourceItem {
     /// A line that failed to decode (counted against the quality ledger).
     Malformed {
         /// Which log the line came from.
-        kind: SourceKind,
+        kind: ShardSource,
         /// 1-based line number within that log.
         line: u64,
         /// The decode failure.
@@ -114,14 +106,75 @@ pub trait EventSource {
     fn position(&self) -> Option<SourcePosition>;
 }
 
+/// The `trace.{proxy,mme}.{bytes_read,decode_errors}` counters of a
+/// stream run, under the names the batch loader reports, so batch and
+/// stream runs of one world are directly comparable. Both are counted as
+/// items are handed out, never as they are read: the bytes are the
+/// committed position's advance and the errors the malformed items, so
+/// for a given input they are functions of the log content and of where
+/// the run stopped, and they sit in the **deterministic** section.
+#[derive(Debug)]
+struct LogMeter {
+    proxy_bytes: Counter,
+    proxy_errors: Counter,
+    mme_bytes: Counter,
+    mme_errors: Counter,
+    /// Position up to which the bytes are counted.
+    counted: Option<SourcePosition>,
+}
+
+impl LogMeter {
+    /// Registers the four counters, counting bytes from `position` on.
+    fn new(registry: &Registry, position: Option<SourcePosition>) -> LogMeter {
+        LogMeter {
+            proxy_bytes: registry.counter("trace.proxy.bytes_read"),
+            proxy_errors: registry.counter("trace.proxy.decode_errors"),
+            mme_bytes: registry.counter("trace.mme.bytes_read"),
+            mme_errors: registry.counter("trace.mme.decode_errors"),
+            counted: position,
+        }
+    }
+
+    /// Counts `item` if it is a malformed line.
+    fn item(&self, item: &SourceItem) {
+        if let SourceItem::Malformed { kind, .. } = item {
+            match kind {
+                ShardSource::Proxy => self.proxy_errors.inc(),
+                ShardSource::Mme => self.mme_errors.inc(),
+            }
+        }
+    }
+
+    /// Counts the bytes between the counted position and `to`.
+    fn advance(&mut self, to: Option<SourcePosition>) {
+        if let (Some(from), Some(to)) = (self.counted, to) {
+            if to.proxy_offset != from.proxy_offset {
+                self.proxy_bytes
+                    .add(to.proxy_offset.saturating_sub(from.proxy_offset));
+            }
+            if to.mme_offset != from.mme_offset {
+                self.mme_bytes
+                    .add(to.mme_offset.saturating_sub(from.mme_offset));
+            }
+        }
+        self.counted = to;
+    }
+}
+
 /// The two persisted logs of a world directory, merged by timestamp.
 ///
-/// Each log is read through a [`TailReader`] with **one record of
-/// lookahead** so the merge can pick the earlier timestamp (ties go to the
-/// proxy log, matching the deterministic source order of the batch
-/// loader). The committed position deliberately *excludes* the stashed
-/// lookahead record — it only moves past a line once that line is served
-/// — so a checkpoint taken between any two items resumes exactly.
+/// Each log is read with **one record of lookahead** so the merge can
+/// pick the earlier timestamp (ties go to the proxy log, matching the
+/// deterministic source order of the batch loader). The committed
+/// position deliberately *excludes* the stashed lookahead record — it
+/// only moves past a line once that line is served — so a checkpoint
+/// taken between any two items resumes exactly.
+///
+/// In follow mode a log's end is [`Polled::Pending`], not the end of the
+/// stream, and a trailing unterminated line is held back until its `\n`
+/// arrives (the writer may still be mid-line); otherwise a trailing
+/// unterminated line is decoded as a final (possibly truncated) record,
+/// as the batch chunk reader decodes it.
 ///
 /// A record whose timestamp lies past the [`with_horizon`] bound is served
 /// the moment it is stashed instead of entering the timestamp comparison:
@@ -135,62 +188,116 @@ pub struct WorldSource {
     proxy: Lane<ProxyRecord>,
     mme: Lane<MmeRecord>,
     horizon: Option<SimTime>,
+    meter: Option<LogMeter>,
 }
 
-/// One log of a [`WorldSource`]: its reader, one record of lookahead and
-/// the committed position, which excludes the lookahead.
+/// The line splitter's initial buffer, which bounds each read until one
+/// line outgrows it.
+const READ_BYTES: usize = 64 * 1024;
+
+/// One log of a [`WorldSource`]: its lines, one record of lookahead, and
+/// two positions — after the last line read, and the committed one, which
+/// excludes the lookahead.
 #[derive(Debug)]
 struct Lane<R: TsvRecord> {
-    kind: SourceKind,
+    kind: ShardSource,
     wrap: fn(R) -> StreamEvent,
-    reader: TailReader<R>,
-    /// The next record, read but not yet served.
-    next: Option<StreamEvent>,
-    done: bool,
+    lines: Lines<File>,
+    /// Byte offset and line count after the last line read.
+    read_offset: u64,
+    read_line: u64,
     /// Byte offset of the first line not yet served.
     offset: u64,
     /// Lines served.
     line: u64,
+    /// At the log's end, wait for it to grow (and hold back a partial
+    /// last line) instead of ending.
+    follow: bool,
+    /// The next record, read but not yet served.
+    next: Option<StreamEvent>,
+    done: bool,
 }
 
 impl<R: TsvRecord> Lane<R> {
-    fn new(kind: SourceKind, wrap: fn(R) -> StreamEvent, reader: TailReader<R>) -> Lane<R> {
-        Lane {
+    /// Opens the log at `path` at a committed position: byte `offset`,
+    /// after `line` lines.
+    ///
+    /// # Errors
+    /// Fails if the file cannot be opened, or if `offset` is neither 0,
+    /// nor just after a `\n`, nor the file's length (the checkpoint points
+    /// into a line or past the log: corruption or the wrong world).
+    fn open(
+        kind: ShardSource,
+        wrap: fn(R) -> StreamEvent,
+        path: &Path,
+        (offset, line): (u64, u64),
+        follow: bool,
+    ) -> io::Result<Lane<R>> {
+        let mut file = File::open(path)?;
+        let len = file.seek(SeekFrom::End(0))?;
+        let refuse = |message| Err(io::Error::new(io::ErrorKind::InvalidData, message));
+        let path = path.display();
+        if offset > len {
+            return refuse(format!(
+                "resume offset {offset} beyond end of {path} ({len} bytes)"
+            ));
+        }
+        file.seek(SeekFrom::Start(offset.saturating_sub(1)))?;
+        if offset > 0 {
+            let mut before = [0];
+            file.read_exact(&mut before)?;
+            if before != *b"\n" && offset != len {
+                return refuse(format!(
+                    "resume offset {offset} in {path} is not at a line start"
+                ));
+            }
+        }
+        Ok(Lane {
             kind,
             wrap,
+            lines: Lines::new(file, READ_BYTES),
+            read_offset: offset,
+            read_line: line,
+            offset,
+            line,
+            follow,
             next: None,
             done: false,
-            offset: reader.offset(),
-            line: reader.line_no(),
-            reader,
-        }
+        })
     }
 
     /// Refills the lookahead. Returns a non-record outcome to pass
     /// through, if any (malformed line, pending, or nothing: stash filled
-    /// or log done).
+    /// or log done). Blank lines are read past.
     fn refill(&mut self) -> io::Result<Option<Polled>> {
         if self.next.is_some() || self.done {
             return Ok(None);
         }
-        match self.reader.next_item()? {
-            TailItem::Record(r) => {
-                self.next = Some((self.wrap)(r));
-                Ok(None)
-            }
-            TailItem::Malformed { line, error } => {
-                self.commit();
-                Ok(Some(Polled::Item(SourceItem::Malformed {
-                    kind: self.kind,
-                    line,
-                    error,
-                })))
-            }
-            TailItem::Pending => Ok(Some(Polled::Pending)),
-            TailItem::End => {
+        loop {
+            let Some(raw) = self.lines.next_line(self.follow)? else {
+                if self.follow {
+                    return Ok(Some(Polled::Pending));
+                }
                 self.done = true;
                 self.commit();
-                Ok(None)
+                return Ok(None);
+            };
+            self.read_offset += raw.len() as u64;
+            self.read_line += 1;
+            match decode_log_line::<R>(raw) {
+                None => {}
+                Some(Ok(record)) => {
+                    self.next = Some((self.wrap)(record));
+                    return Ok(None);
+                }
+                Some(Err(error)) => {
+                    self.commit();
+                    return Ok(Some(Polled::Item(SourceItem::Malformed {
+                        kind: self.kind,
+                        line: self.line,
+                        error,
+                    })));
+                }
             }
         }
     }
@@ -202,10 +309,9 @@ impl<R: TsvRecord> Lane<R> {
         Polled::Item(SourceItem::Event(event))
     }
 
-    /// Moves the committed position past everything the reader consumed.
+    /// Moves the committed position past every line read.
     fn commit(&mut self) {
-        self.offset = self.reader.offset();
-        self.line = self.reader.line_no();
+        (self.offset, self.line) = (self.read_offset, self.read_line);
     }
 
     /// The stashed record's timestamp.
@@ -226,20 +332,26 @@ impl WorldSource {
     /// Reopens the logs at a checkpointed position.
     ///
     /// # Errors
-    /// Fails if either log cannot be opened or is shorter than the
-    /// checkpointed offset.
+    /// Fails if either log cannot be opened, or if a checkpointed offset
+    /// lies past the log's end or inside one of its lines.
     pub fn resume(dir: &Path, pos: &SourcePosition, follow: bool) -> io::Result<WorldSource> {
-        let proxy = TailReader::resume(
-            &dir.join("proxy.log"),
-            pos.proxy_offset,
-            pos.proxy_line,
-            follow,
-        )?;
-        let mme = TailReader::resume(&dir.join("mme.log"), pos.mme_offset, pos.mme_line, follow)?;
         Ok(WorldSource {
-            proxy: Lane::new(SourceKind::Proxy, StreamEvent::Proxy, proxy),
-            mme: Lane::new(SourceKind::Mme, StreamEvent::Mme, mme),
+            proxy: Lane::open(
+                ShardSource::Proxy,
+                StreamEvent::Proxy,
+                &dir.join("proxy.log"),
+                (pos.proxy_offset, pos.proxy_line),
+                follow,
+            )?,
+            mme: Lane::open(
+                ShardSource::Mme,
+                StreamEvent::Mme,
+                &dir.join("mme.log"),
+                (pos.mme_offset, pos.mme_line),
+                follow,
+            )?,
             horizon: None,
+            meter: None,
         })
     }
 
@@ -255,32 +367,24 @@ impl WorldSource {
         self
     }
 
-    /// Meters both logs' I/O into `registry`: bytes read and decode
-    /// errors, under the same `trace.proxy.*` / `trace.mme.*` names the
-    /// batch loader reports, so batch and stream runs of one world are
-    /// directly comparable.
+    /// Counts both logs into `registry` as items are served: the
+    /// `trace.proxy.*` / `trace.mme.*` bytes and decode errors (see the
+    /// module docs). Leave it off a source wrapped in a [`ReadAhead`],
+    /// which counts them itself.
     #[must_use]
     pub fn with_metrics(mut self, registry: &Registry) -> WorldSource {
-        self.proxy.reader = self
-            .proxy
-            .reader
-            .with_meter(IoMeter::new(registry, "trace.proxy"));
-        self.mme.reader = self
-            .mme
-            .reader
-            .with_meter(IoMeter::new(registry, "trace.mme"));
+        self.meter = Some(LogMeter::new(registry, self.position()));
         self
     }
 
     /// Leaves follow mode on both logs (drains to `End` at EOF).
     pub fn finish(&mut self) {
-        self.proxy.reader.finish();
-        self.mme.reader.finish();
+        self.proxy.follow = false;
+        self.mme.follow = false;
     }
-}
 
-impl EventSource for WorldSource {
-    fn poll(&mut self) -> io::Result<Polled> {
+    /// The merge: the next item of either log.
+    fn merge(&mut self) -> io::Result<Polled> {
         // Malformed lines and Pending pass straight through; a filled
         // stash or End falls out as None and the merge below decides.
         if let Some(out) = self.proxy.refill()? {
@@ -326,6 +430,20 @@ impl EventSource for WorldSource {
             (Some(p), m) if m.is_none_or(|m| p <= m) => Ok(self.proxy.emit()),
             _ => Ok(self.mme.emit()),
         }
+    }
+}
+
+impl EventSource for WorldSource {
+    fn poll(&mut self) -> io::Result<Polled> {
+        let polled = self.merge()?;
+        let position = self.position();
+        if let Some(meter) = &mut self.meter {
+            if let Polled::Item(item) = &polled {
+                meter.item(item);
+            }
+            meter.advance(position);
+        }
+        Ok(polled)
     }
 
     fn position(&self) -> Option<SourcePosition> {
@@ -403,11 +521,11 @@ impl Reader {
 ///
 /// Everything deterministic is counted on the caller's thread, as items
 /// are taken, never as they are read: the `trace.proxy.*`/`trace.mme.*`
-/// bytes (position deltas) and decode errors, under the names
-/// [`WorldSource::with_metrics`] uses — so wrap a source without those
-/// meters. The bytes are added once per batch, when its last item has
-/// been handed out, and at `Pending`, the end, a failure and drop, so
-/// the totals are those of the items handed out. Two timing counters say
+/// bytes (position deltas) and decode errors that
+/// [`WorldSource::with_metrics`] counts — so wrap a source without them.
+/// The bytes are added once per batch, when its last item has been
+/// handed out, and at `Pending`, the end, a failure and drop, so the
+/// totals are those of the items handed out. Two timing counters say
 /// where the time went, updated once per batch: `stream.wait_ns` (the
 /// caller blocked on the reader) and `stream.read_ns` (the reader polling
 /// the source).
@@ -424,10 +542,7 @@ pub struct ReadAhead {
     stop: Option<Stop>,
     /// Position after the last item handed out.
     position: Option<SourcePosition>,
-    /// Position up to which the bytes are counted.
-    metered: Option<SourcePosition>,
-    proxy_meter: IoMeter,
-    mme_meter: IoMeter,
+    meter: LogMeter,
     wait_ns: Counter,
 }
 
@@ -452,27 +567,9 @@ impl ReadAhead {
             items: Vec::new().into_iter(),
             stop: None,
             position,
-            metered: position,
-            proxy_meter: IoMeter::new(registry, "trace.proxy"),
-            mme_meter: IoMeter::new(registry, "trace.mme"),
+            meter: LogMeter::new(registry, position),
             wait_ns: registry.timing_counter("stream.wait_ns"),
         })
-    }
-
-    /// Counts the bytes between the metered position and the committed
-    /// one.
-    fn meter(&mut self) {
-        if let (Some(from), Some(to)) = (self.metered, self.position) {
-            if to.proxy_offset != from.proxy_offset {
-                self.proxy_meter
-                    .add_bytes(to.proxy_offset.saturating_sub(from.proxy_offset));
-            }
-            if to.mme_offset != from.mme_offset {
-                self.mme_meter
-                    .add_bytes(to.mme_offset.saturating_sub(from.mme_offset));
-            }
-        }
-        self.metered = self.position;
     }
 
     /// Blocks for the reader's next batch.
@@ -505,22 +602,17 @@ impl EventSource for ReadAhead {
     fn poll(&mut self) -> io::Result<Polled> {
         loop {
             if let Some((item, position)) = self.items.next() {
-                if let SourceItem::Malformed { kind, .. } = &item {
-                    match kind {
-                        SourceKind::Proxy => self.proxy_meter.add_decode_error(),
-                        SourceKind::Mme => self.mme_meter.add_decode_error(),
-                    }
-                }
+                self.meter.item(&item);
                 self.position = position;
                 return Ok(Polled::Item(item));
             }
             // The batch is handed out.
-            self.meter();
+            self.meter.advance(self.position);
             match self.stop.take() {
                 Some(Stop::Pending) => return Ok(Polled::Pending),
                 Some(Stop::End(position)) => {
                     self.position = position;
-                    self.meter();
+                    self.meter.advance(position);
                     self.stop = Some(Stop::End(position));
                     return Ok(Polled::End);
                 }
@@ -545,7 +637,7 @@ impl Drop for ReadAhead {
     /// Counts the bytes of the items handed out since the last batch
     /// ended, and stops the reader.
     fn drop(&mut self) {
-        self.meter();
+        self.meter.advance(self.position);
         if let Some(reader) = self.reader.take() {
             // A panic outside a poll has nobody left to report to.
             let _ = reader.join();
@@ -848,6 +940,273 @@ mod tests {
         let times: Vec<u64> = events.iter().map(|e| e.timestamp().as_secs()).collect();
         assert_eq!(times, vec![10, 500_000_000, 20, 30, 40, 50, 60]);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A world whose `mme.log` is `text` and whose `proxy.log` is empty.
+    fn mme_world(name: &str, text: &str) -> std::path::PathBuf {
+        raw_world_dir(name, "", text)
+    }
+
+    /// What a non-following source yields until it ends: each record's
+    /// time, or a malformed line's number and error.
+    fn outline(src: &mut WorldSource) -> Vec<Result<u64, (u64, CodecError)>> {
+        let mut out = Vec::new();
+        loop {
+            match src.poll().unwrap() {
+                Polled::Item(SourceItem::Event(ev)) => out.push(Ok(ev.timestamp().as_secs())),
+                Polled::Item(SourceItem::Malformed { line, error, .. }) => {
+                    out.push(Err((line, error)));
+                }
+                Polled::Pending => panic!("pending in non-follow mode"),
+                Polled::End => return out,
+            }
+        }
+    }
+
+    fn resume_mme(dir: &Path, mme_offset: u64, mme_line: u64) -> io::Result<WorldSource> {
+        let pos = SourcePosition {
+            mme_offset,
+            mme_line,
+            ..SourcePosition::default()
+        };
+        WorldSource::resume(dir, &pos, false)
+    }
+
+    #[test]
+    fn a_lane_reads_every_record_past_a_blank_line() {
+        let records: Vec<MmeRecord> = (0..500).map(mme).collect();
+        let text = format!("\n{}", log_text(&records));
+        let dir = mme_world("blank", &text);
+        let mut src = WorldSource::open(&dir, false).unwrap();
+        let want: Vec<StreamEvent> = records.into_iter().map(StreamEvent::Mme).collect();
+        assert_eq!(drain(&mut src), want);
+        let pos = src.position().unwrap();
+        // 500 records and the blank line.
+        assert_eq!((pos.mme_offset, pos.mme_line), (text.len() as u64, 501));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_lane_resumes_exactly() {
+        let records: Vec<MmeRecord> = (0..100).map(mme).collect();
+        let dir = mme_world("resume", &log_text(&records));
+        let mut src = WorldSource::open(&dir, false).unwrap();
+        let mut got = Vec::new();
+        for _ in 0..40 {
+            match src.poll().unwrap() {
+                Polled::Item(SourceItem::Event(ev)) => got.push(ev),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        let pos = src.position().unwrap();
+        drop(src);
+        got.extend(drain(&mut WorldSource::resume(&dir, &pos, false).unwrap()));
+        let want: Vec<StreamEvent> = records.into_iter().map(StreamEvent::Mme).collect();
+        assert_eq!(got, want);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_lane_reads_a_line_longer_than_its_buffer() {
+        // A damaged line of more than two buffers, then a good record: the
+        // buffer grows to hold the long line, and nothing is lost or
+        // repeated.
+        let good = mme(1).to_line();
+        let text = format!("{good}\n{}\n{good}\n", "x".repeat(150_000));
+        let dir = mme_world("long", &text);
+        let mut src = WorldSource::open(&dir, false).unwrap();
+        let got = outline(&mut src);
+        assert_eq!(got.len(), 3);
+        assert_eq!((&got[0], &got[2]), (&Ok(1), &Ok(1)));
+        assert!(matches!(got[1], Err((2, _))), "{:?}", got[1]);
+        assert_eq!(src.position().unwrap().mme_offset, text.len() as u64);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_lane_opens_at_a_line_start_or_the_end_only() {
+        let (first, second) = (mme(1).to_line(), mme(2).to_line());
+        // The last line is unterminated: a non-following run ends past it.
+        let text = format!("{first}\n{second}");
+        let dir = mme_world("line-start", &text);
+        let len = text.len() as u64;
+        // At 0, just after a `\n`, and at the length.
+        assert_eq!(
+            outline(&mut resume_mme(&dir, 0, 0).unwrap()),
+            [Ok(1), Ok(2)]
+        );
+        let after_first = first.len() as u64 + 1;
+        assert_eq!(
+            outline(&mut resume_mme(&dir, after_first, 1).unwrap()),
+            [Ok(2)]
+        );
+        let mut src = WorldSource::open(&dir, false).unwrap();
+        outline(&mut src);
+        assert_eq!(src.position().unwrap().mme_offset, len);
+        assert_eq!(outline(&mut resume_mme(&dir, len, 2).unwrap()), []);
+        // Anywhere else in a line is refused, naming the log.
+        for offset in [1, after_first - 1, after_first + 1, len - 1] {
+            let err = resume_mme(&dir, offset, 1).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let message = err.to_string();
+            assert!(message.contains("mme.log"), "{message}");
+            assert!(message.contains("not at a line start"), "{message}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_lane_refuses_an_offset_past_the_end() {
+        let dir = mme_world("beyond", "short\n");
+        let err = resume_mme(&dir, 999, 0).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("mme.log"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_following_lane_holds_back_a_partial_line() {
+        let (line0, line1) = (mme(1).to_line(), mme(2).to_line());
+        let half = line1.len() / 2;
+        let dir = mme_world("follow", &format!("{line0}\n{}", &line1[..half]));
+        let mut src = WorldSource::open(&dir, true).unwrap();
+        let next = |src: &mut WorldSource| match src.poll().unwrap() {
+            Polled::Item(SourceItem::Event(ev)) => ev,
+            other => panic!("unexpected {other:?}"),
+        };
+        assert_eq!(next(&mut src), StreamEvent::Mme(mme(1)));
+        // The unterminated tail must not be decoded while following.
+        assert!(matches!(src.poll().unwrap(), Polled::Pending));
+        assert_eq!(src.position().unwrap().mme_offset, line0.len() as u64 + 1);
+        // The writer completes the line; the lane picks it up.
+        {
+            use std::io::Write as _;
+            let mut f = std::fs::OpenOptions::new()
+                .append(true)
+                .open(dir.join("mme.log"))
+                .unwrap();
+            writeln!(f, "{}", &line1[half..]).unwrap();
+        }
+        assert_eq!(next(&mut src), StreamEvent::Mme(mme(2)));
+        // `finish` turns the log's end into End, decoding nothing extra.
+        src.finish();
+        assert!(matches!(src.poll().unwrap(), Polled::End));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_lane_decodes_an_unterminated_tail_when_not_following() {
+        let dir = mme_world("tail", &mme(3).to_line()); // no trailing \n
+        assert_eq!(
+            outline(&mut WorldSource::open(&dir, false).unwrap()),
+            [Ok(3)]
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn with_metrics_counts_bytes_and_decode_errors() {
+        let good = mme(1).to_line();
+        let text = format!("{good}\nnot a record\n{good}\n");
+        let dir = mme_world("meter", &text);
+        let reg = Registry::new();
+        let mut src = WorldSource::open(&dir, false).unwrap().with_metrics(&reg);
+        assert_eq!(outline(&mut src).len(), 3);
+        let counters = reg.snapshot().counters;
+        assert_eq!(counters["trace.mme.bytes_read"], text.len() as u64);
+        assert_eq!(counters["trace.mme.decode_errors"], 1);
+        assert_eq!(counters["trace.proxy.bytes_read"], 0);
+        assert_eq!(counters["trace.proxy.decode_errors"], 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_lane_quarantines_invalid_utf8() {
+        let good = mme(1).to_line();
+        let mut bad = good.clone().into_bytes();
+        bad[1] = 0xff;
+        let mut text = Vec::new();
+        for line in [good.as_bytes(), &bad, good.as_bytes()] {
+            text.extend_from_slice(line);
+            text.push(b'\n');
+        }
+        let dir = mme_world("utf8", "");
+        std::fs::write(dir.join("mme.log"), text).unwrap();
+        assert_eq!(
+            outline(&mut WorldSource::open(&dir, false).unwrap()),
+            [Ok(1), Err((2, CodecError::InvalidUtf8)), Ok(1)]
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_lane_reports_malformed_line_numbers() {
+        let good = mme(1).to_line();
+        let dir = mme_world("bad", &format!("{good}\n\nnot a record\n{good}\n"));
+        let got = outline(&mut WorldSource::open(&dir, false).unwrap());
+        assert_eq!(got.len(), 3);
+        assert!(matches!(got[1], Err((3, _))), "{:?}", got[1]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Lines, records and `(line, error)` pairs of `text` as a
+    /// `read_until` splitter finds them.
+    type Split = (u64, Vec<MmeRecord>, Vec<(u64, CodecError)>);
+
+    fn read_until_split(text: &[u8]) -> Split {
+        use std::io::BufRead as _;
+        let mut source = std::io::BufReader::new(text);
+        let (mut lines, mut records, mut errors) = (0, Vec::new(), Vec::new());
+        let mut line = Vec::new();
+        while source.read_until(b'\n', &mut line).unwrap() > 0 {
+            lines += 1;
+            match decode_log_line::<MmeRecord>(&line) {
+                None => {}
+                Some(Ok(r)) => records.push(r),
+                Some(Err(e)) => errors.push((lines, e)),
+            }
+            line.clear();
+        }
+        (lines, records, errors)
+    }
+
+    #[test]
+    fn a_lane_splits_as_read_until_does() {
+        let good = |i| mme(i).to_line();
+        // Longer than the lane's buffer.
+        let long = "7".repeat(150_000);
+        let body = format!(
+            "{}\n\n{}\r\n{long}\n\r\n{}\nnot a record\n{}\r\n",
+            good(1),
+            good(2),
+            good(3),
+            good(4)
+        );
+        for text in [
+            body.clone(),
+            format!("{body}{}", good(5)),
+            format!("{body}truncated\t1"),
+            format!("\n\n{body}\r"),
+        ] {
+            let dir = mme_world("splitter", &text);
+            let mut src = WorldSource::open(&dir, false).unwrap();
+            let mut got: Split = (0, Vec::new(), Vec::new());
+            loop {
+                match src.poll().unwrap() {
+                    Polled::Item(SourceItem::Event(StreamEvent::Mme(r))) => got.1.push(r),
+                    Polled::Item(SourceItem::Malformed { line, error, .. }) => {
+                        got.2.push((line, error));
+                    }
+                    Polled::End => break,
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+            let pos = src.position().unwrap();
+            got.0 = pos.mme_line;
+            assert_eq!(got, read_until_split(text.as_bytes()));
+            assert_eq!(pos.mme_offset, text.len() as u64);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

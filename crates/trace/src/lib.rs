@@ -14,10 +14,10 @@
 //! This crate defines the record schemas, the process-wide [`HostId`]
 //! interner that keeps a record free of heap strings, a line-oriented TSV
 //! codec with escaping (so logs can be shipped between the simulator and
-//! the analysis as plain files), the log writer, one line decoder behind
-//! the chunk reader and the streaming tail reader, byte-range shard
-//! planning for parallel loads, and [`TraceStore`], the in-memory
-//! time-ordered store the analysis pipelines fold over.
+//! the analysis as plain files), the log writer, the one line splitter
+//! and line decoder behind the chunk reader and the stream's log reader,
+//! byte-range shard planning for parallel loads, and [`TraceStore`], the
+//! in-memory time-ordered store the analysis pipelines fold over.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -34,7 +34,7 @@ pub mod store;
 pub use codec::{CodecError, FieldReader, TsvRecord};
 pub use host::HostId;
 pub use ids::UserId;
-pub use io::{decode_log_line, IoMeter, LogWriter, TailItem, TailReader};
+pub use io::{decode_log_line, Lines, LogWriter};
 pub use mme::{MmeEvent, MmeRecord};
 pub use proxy::{ProxyRecord, Scheme};
 pub use shard::{plan_tsv_shards, read_tsv_shard, ByteRange, ShardReader, TsvShard};

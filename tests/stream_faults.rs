@@ -14,10 +14,9 @@
 use wearscope::faults::{corrupt_world, FaultClass, FaultSpec};
 use wearscope::ingest::{fold_logs_resilient, IngestOptions, DEFAULT_MAX_ERROR_RATE};
 use wearscope::prelude::*;
-use wearscope::report::QuarantineReason;
+use wearscope::report::{QuarantineReason, ShardSource};
 use wearscope::stream::{
-    checkpoint, EventSource, Polled, PumpOptions, PumpOutcome, SourceItem, SourceKind,
-    StreamRuntime,
+    checkpoint, EventSource, Polled, PumpOptions, PumpOutcome, SourceItem, StreamRuntime,
 };
 
 fn tiny_world(seed: u64) -> GeneratedWorld {
@@ -244,7 +243,7 @@ fn resumed_stream_keeps_the_error_budget() {
         if matches!(
             item,
             SourceItem::Malformed {
-                kind: SourceKind::Proxy,
+                kind: ShardSource::Proxy,
                 ..
             }
         ) {

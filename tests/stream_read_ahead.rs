@@ -79,6 +79,9 @@ fn stream<S: EventSource>(
         rt.write_checkpoint(ckpt, src.position())
             .expect("checkpoint");
     }
+    // As `wearscope stream` does before it writes `--metrics`: a
+    // read-ahead source counts the last items it handed out when dropped.
+    drop(src);
     let checkpoint = std::fs::read_to_string(ckpt).unwrap_or_default();
     let summary = rt.into_results().0.render();
     Run {
@@ -109,16 +112,13 @@ fn check_world(dir: &Path, work: &Path) {
         assert!(!want.checkpoint.is_empty());
         assert_eq!(got, want, "checkpoint every {every}");
     }
-    // Stopped runs: the last checkpoint and every counter but the bytes
-    // are the same, however far the reader got ahead. The bare source
-    // counts bytes as it reads them, the read-ahead one as it hands them
-    // out.
+    // Stopped runs: the last checkpoint and every counter, the bytes
+    // included, are the same, however far the reader got ahead: both
+    // sources count the bytes of the items they hand out, not of what
+    // they have read.
     for (every, stop) in [(1, 300), (777, 6000)] {
-        let mut want = stream(dir, &ckpt("bare-stop"), every, Some(stop), bare);
-        let mut got = stream(dir, &ckpt("ahead-stop"), every, Some(stop), ahead);
-        for run in [&mut want, &mut got] {
-            run.metrics.retain(|k, _| !k.ends_with(".bytes_read"));
-        }
+        let want = stream(dir, &ckpt("bare-stop"), every, Some(stop), bare);
+        let got = stream(dir, &ckpt("ahead-stop"), every, Some(stop), ahead);
         assert_eq!(got, want, "checkpoint every {every}, stop after {stop}");
     }
 }
