@@ -41,6 +41,18 @@ FAULT_DIR="$(mktemp -d)"
 trap 'rm -rf "$FAULT_DIR"' EXIT
 WEARSCOPE=target/release/wearscope
 "$WEARSCOPE" generate --out "$FAULT_DIR/world" --seed 7 --scale quick 2>/dev/null
+# The generator is pinned byte for byte: any drift in the simulated
+# behaviour, the network or the log encoder changes one of these digests.
+(cd "$FAULT_DIR/world" && sha256sum --quiet -c -) <<'DIGESTS'
+7c66cc6d5c0430153e0efd5d163cbd0f7411152a75005d0a982bf322b639c84c  manifest.tsv
+eb2cb2ac57ca9ed749d23a9603240aef0e43277e1e0fc2cc070ab674046c7a58  mme.log
+bc427c022f9ff7f7b63450a3d1cbfae384b45cacc38b9fb34ea37346766eff89  proxy.log
+4a4890f95f73456e9be7f7fb2b6a4159ed297b6a20134994fc4e538093f1a339  sectors.tsv
+d010dcb92b170fa4eed95278d4b9ab1a304a475b5c444d64a67fa37df330eda1  summary_mme.tsv
+7de98562e68ccb7d2e194cc662e4d3722b28f03f7fbc6aa15c5e038c5b618dbc  summary_traffic.tsv
+DIGESTS
+test "$(find "$FAULT_DIR/world" -type f | wc -l)" -eq 6
+echo "    the quick seed-7 world's six files match their pinned sha256 digests"
 cp -r "$FAULT_DIR/world" "$FAULT_DIR/world-twin"
 "$WEARSCOPE" corrupt --world "$FAULT_DIR/world" --seed 3 --faults all
 "$WEARSCOPE" corrupt --world "$FAULT_DIR/world-twin" --seed 3 --faults all >/dev/null
@@ -417,8 +429,28 @@ status=0
     status=$?
 test "$status" -eq 1
 grep -q 'proxy\.log is not at a line start' "$FAULT_DIR/crafted.err"
-echo "    crafted reports counts, a mobility row with a sector but no since and a"
-echo "    position inside a proxy line exit 1 with a typed error"
+# Its line counts must be the lines before each offset: a proxy count
+# 1000 too high would shift every line number the ledgers report. The
+# world is a corrupted compact one, so the ledgers hold such numbers.
+rm -rf "$FAULT_DIR/count-world" "$FAULT_DIR/ckpt-crafted"
+"$WEARSCOPE" generate --out "$FAULT_DIR/count-world" --seed 7 --scale compact 2>/dev/null
+"$WEARSCOPE" corrupt --world "$FAULT_DIR/count-world" --seed 3 --faults all >/dev/null
+"$WEARSCOPE" stream --world "$FAULT_DIR/count-world" --checkpoint "$FAULT_DIR/ckpt-crafted" \
+    --checkpoint-every 1000 --stop-after 1001 >/dev/null 2>&1
+awk 'BEGIN { FS = OFS = "\t" }
+     $1 == "position" { $3 += 1000; moved = 1 }
+     { print }
+     END { exit !moved }' "$FAULT_DIR/ckpt-crafted/stream.ckpt" >"$FAULT_DIR/crafted.ckpt"
+mv "$FAULT_DIR/crafted.ckpt" "$FAULT_DIR/ckpt-crafted/stream.ckpt"
+status=0
+"$WEARSCOPE" stream --world "$FAULT_DIR/count-world" --checkpoint "$FAULT_DIR/ckpt-crafted" \
+    --resume >/dev/null 2>"$FAULT_DIR/crafted.err" || status=$?
+test "$status" -eq 1
+grep -q 'resume line count [0-9]* in .*proxy\.log is not the [0-9]* lines before offset' \
+    "$FAULT_DIR/crafted.err"
+echo "    crafted reports counts, a mobility row with a sector but no since, a"
+echo "    position inside a proxy line and a proxy line count 1000 too high exit 1"
+echo "    with a typed error"
 
 echo "==> malformed world metadata: typed errors, not crashes"
 # A world's manifest and cell plan are files a user can hand us: a layout

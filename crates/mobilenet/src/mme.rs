@@ -28,8 +28,8 @@ pub struct Mme {
     log: Vec<MmeRecord>,
     /// Daily distinct *wearable* registered users (the Fig. 2(a) series).
     summary: MmeSummary,
-    /// TACs considered SIM-enabled wearables for the summary.
-    wearable_tacs: HashSet<u32>,
+    /// TACs of SIM-enabled wearable models, sorted.
+    wearable_tacs: Vec<u32>,
     /// When set, raw records are only retained inside the detailed window;
     /// the summary always updates (the paper's retention regime).
     window: Option<ObservationWindow>,
@@ -169,7 +169,8 @@ impl Mme {
     /// An MME that summarizes registrations of devices whose TAC belongs to
     /// a SIM-enabled wearable model in `db`.
     pub fn new(db: &DeviceDb) -> Mme {
-        let wearable_tacs = db.wearable_tacs().iter().map(|t| t.value()).collect();
+        let mut wearable_tacs: Vec<u32> = db.wearable_tacs().iter().map(|t| t.value()).collect();
+        wearable_tacs.sort_unstable();
         Mme {
             registered: HashMap::new(),
             log: Vec::new(),
@@ -189,10 +190,17 @@ impl Mme {
         mme
     }
 
-    fn is_wearable(&self, imei: u64) -> bool {
-        Imei::from_u64(imei)
-            .map(|i| self.wearable_tacs.contains(&i.tac().value()))
-            .unwrap_or(false)
+    /// `true` if `imei` is a valid IMEI with a SIM-enabled wearable's TAC:
+    /// the one wearable test of the MME summary and the proxy's. The TAC
+    /// is tested first, so a phone's IMEI pays for neither a hash nor the
+    /// Luhn check; a wearable TAC with a bad check digit is no wearable.
+    pub(crate) fn is_wearable(&self, imei: u64) -> bool {
+        imei < 1_000_000_000_000_000
+            && self
+                .wearable_tacs
+                .binary_search(&((imei / 10_000_000) as u32))
+                .is_ok()
+            && Imei::from_u64(imei).is_ok()
     }
 
     fn emit(&mut self, t: SimTime, user: UserId, imei: u64, event: MmeEvent, sector: SectorId) {

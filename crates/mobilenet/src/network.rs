@@ -1,8 +1,6 @@
 //! The composed network: MME + proxy over a sector deployment.
 
-use std::collections::HashSet;
-
-use wearscope_devicedb::{DeviceDb, Imei};
+use wearscope_devicedb::DeviceDb;
 use wearscope_geo::SectorDirectory;
 use wearscope_simtime::{ObservationWindow, SimTime};
 use wearscope_trace::TraceStore;
@@ -103,7 +101,6 @@ impl NetworkSummaries {
 #[derive(Debug)]
 pub struct MobileNetwork {
     sectors: SectorDirectory,
-    wearable_tacs: HashSet<u32>,
     window: Option<ObservationWindow>,
     mme: Mme,
     proxy: TransparentProxy,
@@ -135,14 +132,12 @@ impl MobileNetwork {
         sectors: SectorDirectory,
         window: Option<ObservationWindow>,
     ) -> MobileNetwork {
-        let wearable_tacs = db.wearable_tacs().iter().map(|t| t.value()).collect();
         let mme = match window {
             Some(w) => Mme::with_window(&db, w),
             None => Mme::new(&db),
         };
         MobileNetwork {
             sectors,
-            wearable_tacs,
             window,
             mme,
             proxy: TransparentProxy::new(),
@@ -150,12 +145,6 @@ impl MobileNetwork {
             events: 0,
             time_regressions: 0,
         }
-    }
-
-    fn is_wearable(&self, imei: u64) -> bool {
-        Imei::from_u64(imei)
-            .map(|i| self.wearable_tacs.contains(&i.tac().value()))
-            .unwrap_or(false)
     }
 
     /// The sector deployment this network serves.
@@ -201,7 +190,7 @@ impl MobileNetwork {
                 bytes_down,
                 bytes_up,
             } => {
-                let is_wearable = self.is_wearable(imei);
+                let is_wearable = self.mme.is_wearable(imei);
                 let retain = self.window.is_none_or(|w| w.in_detail(t));
                 self.proxy.observe(
                     t,
@@ -300,6 +289,69 @@ mod tests {
         assert_eq!(stats.events, 4);
         assert_eq!(stats.time_regressions, 0);
         assert_eq!(stats.mme_anomalies, 0);
+    }
+
+    #[test]
+    fn a_wearable_tac_with_a_bad_check_digit_is_never_wearable() {
+        let (_, mut net, imei) = setup();
+        let bad = imei - imei % 10 + (imei % 10 + 1) % 10;
+        assert!(wearscope_devicedb::Imei::from_u64(bad).is_err());
+        // User 1's bad IMEI on day 0 (first sight) and day 1 (a repeat):
+        // attached, moving and transacting, on neither summary.
+        let user = UserId(1);
+        for day in 0..2 {
+            let at = |s: u64| SimTime::from_secs(day * 86_400 + s);
+            net.handle(NetworkEvent::Attach {
+                t: at(10),
+                user,
+                imei: bad,
+                sector: SectorId(0),
+            });
+            net.handle(NetworkEvent::Move {
+                t: at(20),
+                user,
+                imei: bad,
+                sector: SectorId(1),
+            });
+            net.handle(NetworkEvent::Transaction {
+                t: at(30),
+                user,
+                imei: bad,
+                host: "h",
+                scheme: Scheme::Https,
+                bytes_down: 1,
+                bytes_up: 2,
+            });
+            net.handle(NetworkEvent::Detach {
+                t: at(40),
+                user,
+                imei: bad,
+            });
+        }
+        // The valid IMEI of the same TAC is a wearable on both.
+        let t = SimTime::from_secs(86_400 + 50);
+        net.handle(NetworkEvent::Attach {
+            t,
+            user: UserId(2),
+            imei,
+            sector: SectorId(0),
+        });
+        net.handle(NetworkEvent::Transaction {
+            t,
+            user: UserId(2),
+            imei,
+            host: "h",
+            scheme: Scheme::Https,
+            bytes_down: 1,
+            bytes_up: 2,
+        });
+        let (store, summaries, _) = net.finish();
+        assert_eq!((store.mme().len(), store.proxy().len()), (7, 3));
+        let only_user_2 = std::collections::HashSet::from([UserId(2)]);
+        assert_eq!(summaries.mme.users_on_day(0), 0);
+        assert_eq!(summaries.mme.users_in_days(0, 2), only_user_2);
+        assert_eq!(summaries.wearable_traffic.users_on_day(0), 0);
+        assert_eq!(summaries.wearable_traffic.users_in_days(0, 2), only_user_2);
     }
 
     #[test]

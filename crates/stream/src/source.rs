@@ -32,6 +32,7 @@ use wearscope_ingest::panic_message;
 use wearscope_obs::{Counter, Registry};
 use wearscope_report::ShardSource;
 use wearscope_simtime::SimTime;
+use wearscope_trace::codec::count_byte;
 use wearscope_trace::{decode_log_line, CodecError, Lines, MmeRecord, ProxyRecord, TsvRecord};
 
 /// One record from either vantage point.
@@ -223,9 +224,13 @@ impl<R: TsvRecord> Lane<R> {
     /// after `line` lines.
     ///
     /// # Errors
-    /// Fails if the file cannot be opened, or if `offset` is neither 0,
-    /// nor just after a `\n`, nor the file's length (the checkpoint points
-    /// into a line or past the log: corruption or the wrong world).
+    /// Fails if the file cannot be opened, if `offset` is neither 0, nor
+    /// just after a `\n`, nor the file's length (the checkpoint points
+    /// into a line or past the log: corruption or the wrong world), or if
+    /// `line` is not the number of lines before `offset` (each `\n`, and
+    /// an unterminated last line when `offset` is the length), which would
+    /// shift every line number reported after it. Counting reads the log
+    /// up to `offset` once.
     fn open(
         kind: ShardSource,
         wrap: fn(R) -> StreamEvent,
@@ -242,15 +247,19 @@ impl<R: TsvRecord> Lane<R> {
                 "resume offset {offset} beyond end of {path} ({len} bytes)"
             ));
         }
-        file.seek(SeekFrom::Start(offset.saturating_sub(1)))?;
-        if offset > 0 {
-            let mut before = [0];
-            file.read_exact(&mut before)?;
-            if before != *b"\n" && offset != len {
-                return refuse(format!(
-                    "resume offset {offset} in {path} is not at a line start"
-                ));
-            }
+        file.seek(SeekFrom::Start(0))?;
+        let (newlines, before) = newlines_before(&mut file, offset)?;
+        let tail = before.is_some_and(|b| b != b'\n');
+        if tail && offset != len {
+            return refuse(format!(
+                "resume offset {offset} in {path} is not at a line start"
+            ));
+        }
+        let lines = newlines + u64::from(tail);
+        if line != lines {
+            return refuse(format!(
+                "resume line count {line} in {path} is not the {lines} lines before offset {offset}"
+            ));
         }
         Ok(Lane {
             kind,
@@ -318,6 +327,30 @@ impl<R: TsvRecord> Lane<R> {
     fn next_time(&self) -> Option<SimTime> {
         self.next.as_ref().map(StreamEvent::timestamp)
     }
+}
+
+/// Reads the next `n` bytes of `file`: how many are `\n`, and the last
+/// one (`None` if `n` is 0).
+fn newlines_before(file: &mut File, n: u64) -> io::Result<(u64, Option<u8>)> {
+    let mut prefix = file.take(n);
+    // A run from the start reads nothing and allocates nothing here.
+    let mut buf = vec![0; n.min(READ_BYTES as u64) as usize];
+    let (mut newlines, mut last, mut read) = (0, None, 0);
+    loop {
+        let got = match prefix.read(&mut buf) {
+            Ok(0) => break,
+            Ok(got) => got,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        newlines += count_byte(&buf[..got], b'\n') as u64;
+        last = Some(buf[got - 1]);
+        read += got as u64;
+    }
+    if read < n {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
+    Ok((newlines, last))
 }
 
 impl WorldSource {
@@ -1051,6 +1084,31 @@ mod tests {
             let message = err.to_string();
             assert!(message.contains("mme.log"), "{message}");
             assert!(message.contains("not at a line start"), "{message}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_lane_refuses_a_line_count_that_is_not_the_lines_before_its_offset() {
+        let (first, second) = (mme(1).to_line(), mme(2).to_line());
+        // A blank line counts, and so does the unterminated tail at the end.
+        let text = format!("{first}\n\n{second}");
+        let dir = mme_world("line-count", &text);
+        let after_first = first.len() as u64 + 1;
+        let len = text.len() as u64;
+        for (offset, lines) in [(0, 0), (after_first, 1), (after_first + 1, 2), (len, 3)] {
+            assert!(resume_mme(&dir, offset, lines).is_ok(), "{offset}");
+            for wrong in [lines + 1, lines + 1000, lines.wrapping_sub(1)] {
+                let err = resume_mme(&dir, offset, wrong).map(|_| ()).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                let message = err.to_string();
+                assert!(message.contains("mme.log"), "{message}");
+                assert!(
+                    message.contains(&format!("line count {wrong} "))
+                        && message.contains(&format!("the {lines} lines before offset {offset}")),
+                    "{message}"
+                );
+            }
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

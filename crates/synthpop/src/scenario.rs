@@ -1,13 +1,16 @@
 //! End-to-end world generation: population → daily behaviour → network logs.
 
+use std::sync::{mpsc, Mutex};
+use std::time::{Duration, Instant};
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use wearscope_appdb::AppCatalog;
 use wearscope_devicedb::DeviceDb;
-use wearscope_geo::{CountryLayout, SectorDirectory, SectorGrid, SectorId};
+use wearscope_geo::{CountryLayout, GeoPoint, SectorDirectory, SectorGrid, SectorId};
 use wearscope_mobilenet::{MobileNetwork, NetworkEvent, NetworkStats, NetworkSummaries};
-use wearscope_obs::Registry;
+use wearscope_obs::{Registry, Span};
 use wearscope_simtime::{SimTime, SECS_PER_HOUR, SECS_PER_MINUTE};
 use wearscope_trace::TraceStore;
 
@@ -140,8 +143,9 @@ pub fn generate(config: &ScenarioConfig) -> GeneratedWorld {
 /// Deterministic section: subscriber, day, event and record counts (all
 /// pure functions of the scenario seed). Timing section: the
 /// `generate/population` → `generate/simulate` → `generate/finish` stage
-/// spans (one `generate/simulate/day` record per simulated day) and an
-/// events-per-second throughput gauge.
+/// spans (one `generate/simulate/day` record per simulated day), the
+/// `synthpop.{events,sort,network,wait}_ns` split of the simulation (see
+/// `simulate`) and an events-per-second throughput gauge.
 pub fn generate_instrumented(config: &ScenarioConfig, registry: &Registry) -> GeneratedWorld {
     let started = std::time::Instant::now();
     let root = registry.stage("generate");
@@ -163,21 +167,16 @@ pub fn generate_instrumented(config: &ScenarioConfig, registry: &Registry) -> Ge
         .add(population.subscribers.len() as u64);
 
     let mut network = MobileNetwork::with_window(db.clone(), sectors.clone(), config.window);
-    let events_counter = registry.counter("synthpop.events");
-    let days_counter = registry.counter("synthpop.days");
     let stage = root.child("simulate");
-    let detail_start_day = config.window.detailed().start().day_index();
-    for day in config.window.summary().days() {
-        let day_span = stage.child("day");
-        let weekend = config.window.calendar().day_is_weekend(day);
-        let in_detail = day >= detail_start_day;
-        let mut events = generate_day(config, &population, &apps, &grid, day, weekend, in_detail);
-        events.sort_by_cached_key(NetworkEvent::time);
-        events_counter.add(events.len() as u64);
-        days_counter.inc();
-        network.handle_all(events);
-        day_span.finish();
-    }
+    simulate(
+        config,
+        &population,
+        &apps,
+        &grid,
+        &mut network,
+        &stage,
+        registry,
+    );
     stage.finish();
 
     let stage = root.child("finish");
@@ -198,7 +197,7 @@ pub fn generate_instrumented(config: &ScenarioConfig, registry: &Registry) -> Ge
     if secs > 0.0 {
         registry
             .timing_gauge("synthpop.events_per_sec")
-            .set((events_counter.get() as f64 / secs) as i64);
+            .set((registry.counter("synthpop.events").get() as f64 / secs) as i64);
     }
     root.finish();
     GeneratedWorld {
@@ -214,46 +213,148 @@ pub fn generate_instrumented(config: &ScenarioConfig, registry: &Registry) -> Ge
     }
 }
 
-/// Generates all subscribers' events for one day, fanning out across worker
-/// threads when configured.
-fn generate_day(
+/// Simulates every day of the summary window as a pipeline: `workers`
+/// generator threads build whole sorted days (day `i` on worker
+/// `i % workers`), and the calling thread hands the days to `network` in
+/// order. No event crosses midnight and each (user, day) has its own RNG
+/// stream, so the thread that built a day cannot change a byte.
+///
+/// Day vectors come from a pool of `workers + 1`, and each goes back
+/// emptied once the network has handled it: at most `workers + 1` days'
+/// events exist at once (one in the network, one being built or waiting
+/// on each worker), and the vectors keep their capacity.
+///
+/// Deterministic section: `synthpop.days` and `synthpop.events`. Timing
+/// section, each added once per day: `synthpop.events_ns` and
+/// `synthpop.sort_ns` (summed over the generator threads),
+/// `synthpop.network_ns` and `synthpop.wait_ns` (the calling thread in the
+/// network, and blocked on the next day), and one `generate/simulate/day`
+/// span per day around the wait and the network.
+fn simulate(
     config: &ScenarioConfig,
     population: &Population,
     apps: &AppCatalog,
     grid: &SectorGrid,
-    day: u64,
-    weekend: bool,
-    in_detail: bool,
-) -> Vec<NetworkEvent> {
-    let subs = &population.subscribers;
-    let workers = config.workers.max(1);
-    if workers == 1 || subs.len() < 64 {
-        let mut out = Vec::new();
-        for sub in subs {
-            user_day_events(config, apps, grid, sub, day, weekend, in_detail, &mut out);
-        }
-        return out;
+    network: &mut MobileNetwork,
+    stage: &Span,
+    registry: &Registry,
+) {
+    let cells = &Cells::new(grid, population);
+    let days: Vec<u64> = config.window.summary().days().collect();
+    let workers = config.workers.clamp(1, days.len().max(1));
+    let events_counter = registry.counter("synthpop.events");
+    let days_counter = registry.counter("synthpop.days");
+    let network_ns = registry.timing_counter("synthpop.network_ns");
+    let wait_ns = registry.timing_counter("synthpop.wait_ns");
+    let (spare_tx, spare_rx) = mpsc::channel();
+    for _ in 0..=workers {
+        spare_tx.send(Vec::new()).expect("the pool is open");
     }
-    let chunk = subs.len().div_ceil(workers);
-    let mut shards: Vec<Vec<NetworkEvent>> = Vec::new();
+    let spare = Mutex::new(spare_rx);
     std::thread::scope(|scope| {
-        let handles: Vec<_> = subs
-            .chunks(chunk)
-            .map(|slice| {
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    for sub in slice {
-                        user_day_events(config, apps, grid, sub, day, weekend, in_detail, &mut out);
-                    }
-                    out
-                })
+        let lanes: Vec<mpsc::Receiver<Vec<NetworkEvent>>> = (0..workers)
+            .map(|w| {
+                let (tx, rx) = mpsc::sync_channel(0);
+                let (days, spare) = (&days, &spare);
+                let events_ns = registry.timing_counter("synthpop.events_ns");
+                let sort_ns = registry.timing_counter("synthpop.sort_ns");
+                std::thread::Builder::new()
+                    .name("synthpop-day".into())
+                    .spawn_scoped(scope, move || {
+                        for &day in days.iter().skip(w).step_by(workers) {
+                            // The pool's lock is held only while waiting for a vector.
+                            let next = spare.lock().expect("no panic holds the pool").recv();
+                            let Ok(mut events) = next else {
+                                return;
+                            };
+                            let started = Instant::now();
+                            day_events(config, population, apps, cells, day, &mut events);
+                            let built = Instant::now();
+                            events.sort_by_cached_key(NetworkEvent::time);
+                            events_ns.add(nanos(built - started));
+                            sort_ns.add(nanos(built.elapsed()));
+                            if tx.send(events).is_err() {
+                                return;
+                            }
+                        }
+                    })
+                    .expect("spawn a generator thread");
+                rx
             })
             .collect();
-        for h in handles {
-            shards.push(h.join().expect("generator worker panicked"));
+        for i in 0..days.len() {
+            let day_span = stage.child("day");
+            let waiting = Instant::now();
+            // A worker that panicked has dropped its sender; the scope
+            // re-raises its panic once the pool below is closed.
+            let Ok(mut events) = lanes[i % workers].recv() else {
+                break;
+            };
+            let handling = Instant::now();
+            events_counter.add(events.len() as u64);
+            days_counter.inc();
+            network.handle_all(events.drain(..));
+            wait_ns.add(nanos(handling - waiting));
+            network_ns.add(nanos(handling.elapsed()));
+            // The workers may all have finished; a late return is dropped.
+            let _ = spare_tx.send(events);
+            day_span.finish();
         }
+        // Closing the pool and the lanes releases a worker still waiting.
+        drop(spare_tx);
+        drop(lanes);
     });
-    shards.into_iter().flatten().collect()
+}
+
+fn nanos(d: Duration) -> u64 {
+    d.as_nanos() as u64
+}
+
+/// The sector that serves a point: the nearest one in the cell plan, with
+/// each subscriber's home and work sectors looked up once for the run
+/// (most of a day plan's anchors are one or the other).
+struct Cells<'a> {
+    grid: &'a SectorGrid,
+    /// `[home, work]` sectors, in subscriber order.
+    home_work: Vec<[SectorId; 2]>,
+}
+
+impl<'a> Cells<'a> {
+    fn new(grid: &'a SectorGrid, population: &Population) -> Cells<'a> {
+        let nearest = |p| grid.nearest(p).unwrap_or(SectorId(0));
+        let home_work = population
+            .subscribers
+            .iter()
+            .map(|sub| [nearest(sub.home), nearest(sub.work)])
+            .collect();
+        Cells { grid, home_work }
+    }
+}
+
+/// Emits every subscriber's events for `day` into `out`, in subscriber
+/// order.
+fn day_events(
+    config: &ScenarioConfig,
+    population: &Population,
+    apps: &AppCatalog,
+    cells: &Cells<'_>,
+    day: u64,
+    out: &mut Vec<NetworkEvent>,
+) {
+    let weekend = config.window.calendar().day_is_weekend(day);
+    let in_detail = day >= config.window.detailed().start().day_index();
+    for (sub, &[home, work]) in population.subscribers.iter().zip(&cells.home_work) {
+        let sector_at = |p: GeoPoint| {
+            if p == sub.home {
+                home
+            } else if p == sub.work {
+                work
+            } else {
+                cells.grid.nearest(p).unwrap_or(SectorId(0))
+            }
+        };
+        user_day_events(config, apps, sector_at, sub, day, weekend, in_detail, out);
+    }
 }
 
 /// Seeds: one independent RNG per (user, day).
@@ -269,7 +370,7 @@ fn user_day_rng(seed: u64, user: u64, day: u64) -> StdRng {
 fn user_day_events(
     config: &ScenarioConfig,
     apps: &AppCatalog,
-    grid: &SectorGrid,
+    sector_at: impl Fn(GeoPoint) -> SectorId,
     sub: &Subscriber,
     day: u64,
     weekend: bool,
@@ -279,7 +380,6 @@ fn user_day_events(
     let cal = &config.calibration;
     let mut rng = user_day_rng(config.seed, sub.user.raw(), day);
     let midnight = SimTime::from_days(day);
-    let sector_at = |p| grid.nearest(p).unwrap_or(SectorId(0));
 
     match sub.kind {
         SubscriberKind::WearableOwner => {
@@ -424,18 +524,53 @@ mod tests {
         c
     }
 
+    /// Every file `world` saves, by name.
+    fn saved_files(world: &GeneratedWorld, name: &str) -> Vec<(String, Vec<u8>)> {
+        let dir = std::env::temp_dir().join(format!("wearscope-{name}-{}", std::process::id()));
+        world.save(&dir).unwrap();
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| {
+                let path = entry.unwrap().path();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                (name, std::fs::read(&path).unwrap())
+            })
+            .collect();
+        files.sort();
+        std::fs::remove_dir_all(&dir).unwrap();
+        files
+    }
+
     #[test]
     fn generation_is_deterministic_across_worker_counts() {
-        let mut a_cfg = tiny_config();
-        a_cfg.workers = 1;
-        let mut b_cfg = tiny_config();
-        b_cfg.workers = 3;
-        let a = generate(&a_cfg);
-        let b = generate(&b_cfg);
-        assert_eq!(a.store.proxy().len(), b.store.proxy().len());
-        assert_eq!(a.store.mme().len(), b.store.mme().len());
-        assert_eq!(a.store.proxy(), b.store.proxy());
-        assert_eq!(a.store.mme(), b.store.mme());
+        // The tiny world, and one of 55 subscribers: fewer than the 64
+        // below which the generator once ran its days on one thread.
+        let mut small = tiny_config();
+        small.wearable_users = 20;
+        small.comparison_users = 25;
+        small.through_device_users = 10;
+        for (name, config) in [("tiny", tiny_config()), ("small", small)] {
+            let worlds = [1, 2, 3].map(|workers| {
+                let mut config = config.clone();
+                config.workers = workers;
+                let world = generate(&config);
+                let files = saved_files(&world, &format!("{name}-{workers}"));
+                (workers, files, world.stats)
+            });
+            let (_, want_files, want_stats) = &worlds[0];
+            assert_eq!(want_files.len(), 6, "{name}");
+            assert!(want_stats.proxy.transactions > 0, "{name}");
+            for (workers, files, stats) in &worlds[1..] {
+                assert_eq!(stats, want_stats, "{name} at {workers} workers");
+                for ((file, bytes), (want_file, want_bytes)) in files.iter().zip(want_files) {
+                    assert_eq!(file, want_file, "{name} at {workers} workers");
+                    assert!(
+                        bytes == want_bytes,
+                        "{name} at {workers} workers: {file} differs"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -90,19 +90,56 @@ pub fn unescape(s: &str) -> Result<String, CodecError> {
     Ok(out)
 }
 
-/// Appends `v` in decimal, formatted on the stack.
-pub(crate) fn push_u64(out: &mut Vec<u8>, mut v: u64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
+/// Appends `v` in decimal, eight digits a step.
+///
+/// `v` is cut into groups of eight digits (at most three), and each group
+/// becomes eight ASCII bytes at once: one `u64` is split into two 4-digit
+/// lanes, then four 2-digit lanes, then eight 1-digit lanes, each split a
+/// multiply and a shift per lane instead of a division per digit. Only the
+/// leading group drops its leading zeros.
+pub(crate) fn push_u64(out: &mut Vec<u8>, v: u64) {
+    const GROUP: u64 = 100_000_000;
+    if v < 10 {
+        out.push(b'0' + v as u8);
+    } else if v < GROUP {
+        push_leading(out, v);
+    } else {
+        push_u64(out, v / GROUP);
+        push_group(out, v % GROUP);
     }
-    out.extend_from_slice(&digits[at..]);
+}
+
+/// The eight decimal digits of `n < 10^8`, as byte values 0–9, most
+/// significant first in memory order.
+fn eight_digits(n: u64) -> u64 {
+    // Two 32-bit lanes: the high four digits, then the low four.
+    let x = (n / 10_000) | ((n % 10_000) << 32);
+    // In each lane, `q = x / 100` as `x * 10486 >> 20` (exact below 43 699),
+    // then four 16-bit lanes of two digits each.
+    let q = ((x * 10_486) >> 20) & 0x0000_007f_0000_007f;
+    let x = q | ((x - q * 100) << 16);
+    // In each lane, `q = x / 10` as `x * 103 >> 10` (exact below 179), then
+    // eight byte lanes of one digit each.
+    let q = ((x * 103) >> 10) & 0x000f_000f_000f_000f;
+    q | ((x - q * 10) << 8)
+}
+
+/// ASCII `0` in every byte lane of a word: ORed onto digit values 0–9.
+const ZEROS: u64 = LANES * b'0' as u64;
+
+/// Appends a full group of eight digits, leading zeros kept.
+fn push_group(out: &mut Vec<u8>, n: u64) {
+    out.extend_from_slice(&(eight_digits(n) | ZEROS).to_le_bytes());
+}
+
+/// Appends `10 <= n < 10^8` without leading zeros: each leading zero digit
+/// is one zero byte at the low end of the word, shifted out before a
+/// whole word is appended and the surplus cut off its end.
+fn push_leading(out: &mut Vec<u8>, n: u64) {
+    let digits = eight_digits(n);
+    let skip = digits.trailing_zeros() / 8;
+    out.extend_from_slice(&((digits >> (8 * skip)) | ZEROS).to_le_bytes());
+    out.truncate(out.len() - skip as usize);
 }
 
 /// Appends a string field: as-is, or through [`escape_into`] when it
@@ -145,6 +182,21 @@ pub(crate) fn find_byte(haystack: &[u8], byte: u8) -> Option<usize> {
         .iter()
         .position(|&b| b == byte)
         .map(|i| at + i)
+}
+
+/// How many times `byte` occurs in `haystack`, eight bytes a step: the
+/// exact zero-byte test (no borrow crosses a lane) flags each matching
+/// lane of a word, and the flags are counted.
+pub fn count_byte(haystack: &[u8], byte: u8) -> usize {
+    const LOW: u64 = LANES * 0x7f;
+    let needle = LANES * u64::from(byte);
+    let mut words = haystack.chunks_exact(8);
+    let mut count = 0;
+    for word in &mut words {
+        let x = u64::from_le_bytes(word.try_into().expect("chunks of 8")) ^ needle;
+        count += (!(((x & LOW) + LOW) | x | LOW)).count_ones() as usize;
+    }
+    count + words.remainder().iter().filter(|&&b| b == byte).count()
 }
 
 /// Decimal digits that cannot overflow a `u64`: any 19-digit value is
@@ -461,11 +513,50 @@ mod tests {
     }
 
     #[test]
+    fn count_byte_matches_a_filter() {
+        // Every string of ten bytes over the needle and the two bytes one
+        // bit from it (a borrow out of a matching lane must not flag the
+        // lane above), across one word and its remainder.
+        for byte in [b'\n', 0x00, 0x01, 0x80, 0xff] {
+            let alphabet = [byte, byte ^ 0x01, byte ^ 0x80];
+            for mut code in 0..3usize.pow(10) {
+                let hay: Vec<u8> = (0..10)
+                    .map(|_| {
+                        let b = alphabet[code % 3];
+                        code /= 3;
+                        b
+                    })
+                    .collect();
+                let want = hay.iter().filter(|&&b| b == byte).count();
+                assert_eq!(count_byte(&hay, byte), want, "{hay:?}");
+            }
+        }
+    }
+
+    fn pushed(v: u64) -> Vec<u8> {
+        let mut out = b"x".to_vec();
+        push_u64(&mut out, v);
+        out.split_off(1)
+    }
+
+    #[test]
     fn push_u64_matches_display() {
-        for v in [0, 1, 9, 10, 99, 100, 352_000_011_234_564, u64::MAX] {
-            let mut out = Vec::new();
-            push_u64(&mut out, v);
-            assert_eq!(out, v.to_string().into_bytes());
+        let mut values = vec![0, 352_000_011_234_564, u64::MAX, u64::MAX - 1];
+        for p in 0..=19 {
+            let ten = 10u64.pow(p);
+            values.extend([ten - 1, ten, ten + 1]);
+        }
+        for v in values {
+            assert_eq!(pushed(v), v.to_string().into_bytes(), "{v}");
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn push_u64_matches_display_on_any_value(v: u64, shift in 0u32..64) {
+            // Shifted, so that every digit count is drawn, not only 19 and 20.
+            let v = v >> shift;
+            proptest::prop_assert_eq!(pushed(v), v.to_string().into_bytes());
         }
     }
 }
