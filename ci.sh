@@ -34,9 +34,7 @@ trap - EXIT
 echo "==> cargo test -q"
 cargo test -q --workspace
 
-echo "==> fault matrix: corrupt a quick world, analyze --full with 1 and 4 workers, diff"
-# Each run rewrites WORLD/quarantine.log, so the 1-worker copy is saved
-# before the 4-worker run.
+echo "==> pinned world: the quick seed-7 world's files match their sha256 digests"
 FAULT_DIR="$(mktemp -d)"
 trap 'rm -rf "$FAULT_DIR"' EXIT
 WEARSCOPE=target/release/wearscope
@@ -53,67 +51,12 @@ d010dcb92b170fa4eed95278d4b9ab1a304a475b5c444d64a67fa37df330eda1  summary_mme.ts
 DIGESTS
 test "$(find "$FAULT_DIR/world" -type f | wc -l)" -eq 6
 echo "    the quick seed-7 world's six files match their pinned sha256 digests"
-cp -r "$FAULT_DIR/world" "$FAULT_DIR/world-twin"
-"$WEARSCOPE" corrupt --world "$FAULT_DIR/world" --seed 3 --faults all
-"$WEARSCOPE" corrupt --world "$FAULT_DIR/world-twin" --seed 3 --faults all >/dev/null
-# corrupt streams each log into `<log>.tmp` and renames it over the log:
-# no temp file is left, and the same (world, seed, spec) gives the same bytes.
-test -z "$(find "$FAULT_DIR/world" "$FAULT_DIR/world-twin" -name '*.tmp')"
-for log in proxy.log mme.log; do
-    cmp "$FAULT_DIR/world/$log" "$FAULT_DIR/world-twin/$log"
-done
-"$WEARSCOPE" analyze --world "$FAULT_DIR/world" --workers 1 --full --csv "$FAULT_DIR/csv1" \
-    2>/dev/null | grep -v "CSV figure files" >"$FAULT_DIR/out1.txt"
-cp "$FAULT_DIR/world/quarantine.log" "$FAULT_DIR/quarantine1.log"
-"$WEARSCOPE" analyze --world "$FAULT_DIR/world" --workers 4 --full --csv "$FAULT_DIR/csv4" \
-    2>/dev/null | grep -v "CSV figure files" >"$FAULT_DIR/out4.txt"
-diff "$FAULT_DIR/out1.txt" "$FAULT_DIR/out4.txt"
-diff -r "$FAULT_DIR/csv1" "$FAULT_DIR/csv4"
-diff "$FAULT_DIR/quarantine1.log" "$FAULT_DIR/world/quarantine.log"
-echo "    corrupted-world analysis (full report, data quality, CSVs, quarantine.log) identical across worker counts"
+# The corrupted-world drills on this world (the fault matrix across worker
+# counts, metrics determinism, batch/stream agreement) are
+# tests/cli_faults.rs, run by `cargo test` above.
 
-echo "==> metrics determinism: analyze with 1 and 4 workers, diff snapshots"
-# Everything outside the snapshot's `timing` key is derived from record
-# content only, so it must be byte-identical across worker counts. `timing`
-# is serialized last, so stripping it is a prefix cut.
-"$WEARSCOPE" analyze --world "$FAULT_DIR/world" --workers 1 \
-    --metrics "$FAULT_DIR/metrics1.json" >/dev/null 2>"$FAULT_DIR/analyze1.err"
-"$WEARSCOPE" analyze --world "$FAULT_DIR/world" --workers 4 \
-    --metrics "$FAULT_DIR/metrics4.json" >/dev/null 2>&1
-awk '/^  "timing":/{exit} {print}' "$FAULT_DIR/metrics1.json" >"$FAULT_DIR/metrics1.det"
-awk '/^  "timing":/{exit} {print}' "$FAULT_DIR/metrics4.json" >"$FAULT_DIR/metrics4.det"
-test -s "$FAULT_DIR/metrics1.det"
-diff "$FAULT_DIR/metrics1.det" "$FAULT_DIR/metrics4.det"
-# Peak RSS varies run to run, so it must sit under `timing`, never in the
-# prefix diffed above.
-for m in metrics1 metrics4; do
-    awk '/^  "timing":/{t=1} t' "$FAULT_DIR/$m.json" | grep -q '"process.peak_rss_kb": [1-9]'
-    if grep -q 'process.peak_rss_kb' "$FAULT_DIR/$m.det"; then
-        echo "process.peak_rss_kb leaked into the deterministic section of $m.json" >&2
-        exit 1
-    fi
-done
-echo "    metric snapshots identical across worker counts (timing excluded); peak RSS under timing"
-
-echo "==> batch/stream agreement: stream --lateness 0s on the corrupted world, diff against analyze"
-# Batch and stream run one record validator per log. At lateness 0 they
-# differ only in the watermark (per-log high-water mark vs the merged
-# one), which quarantines no extra record on this world: stream counts
-# none, so the per-reason counts and the bytes read and decode errors
-# must be equal.
-"$WEARSCOPE" stream --world "$FAULT_DIR/world" --lateness 0s \
-    --metrics "$FAULT_DIR/stream0.json" >/dev/null 2>"$FAULT_DIR/stream0.err"
-grep -q '"stream.watermark_only_quarantined": 0,\?$' "$FAULT_DIR/stream0.json"
+# The per-reason quarantine counts on a run's `quality:`/`stream:` lines.
 quarantine_counts() { grep -E '^(quality|stream):' "$1" | grep -o 'quarantined: .*'; }
-quarantine_counts "$FAULT_DIR/analyze1.err" >"$FAULT_DIR/analyze1.quarantine"
-quarantine_counts "$FAULT_DIR/stream0.err" >"$FAULT_DIR/stream0.quarantine"
-test -s "$FAULT_DIR/analyze1.quarantine"
-diff "$FAULT_DIR/analyze1.quarantine" "$FAULT_DIR/stream0.quarantine"
-awk '/^  "timing":/{exit} {print}' "$FAULT_DIR/stream0.json" | grep '"trace\.' >"$FAULT_DIR/stream0.trace"
-grep '"trace\.' "$FAULT_DIR/metrics1.det" >"$FAULT_DIR/analyze1.trace"
-test -s "$FAULT_DIR/analyze1.trace"
-diff "$FAULT_DIR/analyze1.trace" "$FAULT_DIR/stream0.trace"
-echo "    analyze and stream --lateness 0s agree on quarantine counts, bytes read and decode errors"
 
 echo "==> stream drill: kill at a sweep of points, resume from checkpoint, diff reports"
 # Checkpoint writes are atomic AND durable: temp file in the same directory,
@@ -549,6 +492,7 @@ echo "    analyze peak RSS ${rss_kb} KB < ${store_kb} KB of proxy records in a s
 echo "    and < ${one_worker_kb} KB at --workers 1 plus 1 MiB"
 
 echo "==> stream smoke on the corrupted world: quarantine instead of crash"
+"$WEARSCOPE" corrupt --world "$FAULT_DIR/world" --seed 3 --faults all >/dev/null
 "$WEARSCOPE" stream --world "$FAULT_DIR/world" --window 1h --lateness 5m \
     >/dev/null 2>"$FAULT_DIR/stream-corrupt-log.txt"
 grep -q "quarantined:" "$FAULT_DIR/stream-corrupt-log.txt"

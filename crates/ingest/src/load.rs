@@ -319,6 +319,8 @@ pub(crate) struct PhaseTimers {
     validate: Duration,
     /// Handing the kept records to the sink.
     fold: Duration,
+    /// The parse workers' time on each log's chunks: proxy, then MME.
+    parse: [Duration; 2],
 }
 
 /// The pipeline: plans both logs' chunks, parses them on `workers`
@@ -380,6 +382,7 @@ fn run<S: Sink>(
                 Err(panic) => return Err(shard_failed(t, true, panic)),
             };
             shard_us.observe(wall.as_micros() as u64);
+            timers.parse[usize::from(t.source == ShardSource::Mme)] += wall;
             match &mut parsed {
                 Parsed::Proxy(chunk) => {
                     proxy.take(chunk, &mut timers, |kept, imeis| sink.proxy(kept, imeis));
@@ -605,10 +608,11 @@ fn record_source_metrics(m: &Registry, source: ShardSource, quality: &DataQualit
         .add(quality.malformed());
 }
 
-/// Pipeline timings: worker and chunk counts, and the calling thread's
-/// accumulated wait, validate and fold times (the per-chunk parse times
-/// went into `ingest.shard_read_us` as the chunks arrived). All clock- or
-/// thread-dependent, hence the timing section.
+/// Pipeline timings: worker and chunk counts, the calling thread's
+/// accumulated wait, validate and fold times, and each log's summed chunk
+/// parse time (the per-chunk parse times went into `ingest.shard_read_us`
+/// as the chunks arrived). All clock- or thread-dependent, hence the
+/// timing section.
 fn record_pool_timings(
     m: &Registry,
     workers: usize,
@@ -622,6 +626,8 @@ fn record_pool_timings(
         ("ingest.wait_ns", timers.wait),
         ("ingest.validate_ns", timers.validate),
         ("ingest.fold_ns", timers.fold),
+        ("ingest.proxy.parse_ns", timers.parse[0]),
+        ("ingest.mme.parse_ns", timers.parse[1]),
     ] {
         m.timing_counter(name).add(spent.as_nanos() as u64);
     }

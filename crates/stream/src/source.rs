@@ -13,10 +13,11 @@
 //!   simulator (or tests) straight into the runtime.
 //!
 //! Each log is read through one layer, its lane in the [`WorldSource`]:
-//! the trace crate's [`Lines`] splitter and [`decode_log_line`], with the
-//! committed position ([`SourcePosition`]) a checkpoint stores — byte
-//! offsets that account for the merge lookahead, so a resumed source
-//! re-reads nothing and skips nothing. Whichever source hands the items
+//! the trace crate's [`Lines`] log reader, which decodes each line where
+//! it lies in its buffer, with the committed position
+//! ([`SourcePosition`]) a checkpoint stores — byte offsets that account
+//! for the merge lookahead, so a resumed source re-reads nothing and
+//! skips nothing. Whichever source hands the items
 //! out counts their `trace.{proxy,mme}.*` bytes and decode errors.
 
 use std::any::Any;
@@ -33,7 +34,7 @@ use wearscope_obs::{Counter, Registry};
 use wearscope_report::ShardSource;
 use wearscope_simtime::SimTime;
 use wearscope_trace::codec::count_byte;
-use wearscope_trace::{decode_log_line, CodecError, Lines, MmeRecord, ProxyRecord, TsvRecord};
+use wearscope_trace::{CodecError, Lines, MmeRecord, ProxyRecord, TsvRecord};
 
 /// One record from either vantage point.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -192,7 +193,7 @@ pub struct WorldSource {
     meter: Option<LogMeter>,
 }
 
-/// The line splitter's initial buffer, which bounds each read until one
+/// The log reader's initial buffer, which bounds each read until one
 /// line outgrows it.
 const READ_BYTES: usize = 64 * 1024;
 
@@ -283,7 +284,7 @@ impl<R: TsvRecord> Lane<R> {
             return Ok(None);
         }
         loop {
-            let Some(raw) = self.lines.next_line(self.follow)? else {
+            let Some((len, decoded)) = self.lines.next_decoded::<R>(self.follow)? else {
                 if self.follow {
                     return Ok(Some(Polled::Pending));
                 }
@@ -291,9 +292,9 @@ impl<R: TsvRecord> Lane<R> {
                 self.commit();
                 return Ok(None);
             };
-            self.read_offset += raw.len() as u64;
+            self.read_offset += len as u64;
             self.read_line += 1;
-            match decode_log_line::<R>(raw) {
+            match decoded {
                 None => {}
                 Some(Ok(record)) => {
                     self.next = Some((self.wrap)(record));
@@ -757,7 +758,7 @@ impl EventSource for ChannelSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wearscope_trace::{HostId, MmeEvent, Scheme, UserId};
+    use wearscope_trace::{decode_log_line, HostId, MmeEvent, Scheme, UserId};
 
     fn proxy(t: u64) -> ProxyRecord {
         ProxyRecord {

@@ -8,7 +8,7 @@
 
 use core::fmt;
 
-use crate::host::HostId;
+use crate::host::{HostId, HostTable};
 
 /// Errors raised while decoding a log line.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -159,19 +159,28 @@ pub(crate) fn push_str(out: &mut Vec<u8>, s: &str) {
 /// `0x01` in every byte lane of a word.
 const LANES: u64 = u64::from_le_bytes([0x01; 8]);
 
-/// The index of the first `byte` in `haystack`, eight bytes a step.
-///
-/// This is the one line splitter's scan (and the host field's tab scan):
-/// each `u64` word is XORed with `byte` in every lane, and the classic
-/// has-zero-byte test finds the lanes that matched. A borrow can only set
-/// the flag of a lane above a true zero, so the lowest flag is exact.
+/// The index of the first `byte` in `haystack`, eight bytes a step: the
+/// one line splitter's scan.
 pub(crate) fn find_byte(haystack: &[u8], byte: u8) -> Option<usize> {
-    let needle = LANES * u64::from(byte);
+    find_any(haystack, [byte])
+}
+
+/// The index of the first byte of `haystack` that is one of `bytes`,
+/// eight bytes a step.
+///
+/// Each `u64` word is XORed with each byte in every lane, and the classic
+/// has-zero-byte test finds the lanes that matched. A borrow can only set
+/// the flag of a lane above a true zero, so the lowest flag of each byte's
+/// test is exact, and so is the lowest of them all.
+fn find_any<const N: usize>(haystack: &[u8], bytes: [u8; N]) -> Option<usize> {
     let mut words = haystack.chunks_exact(8);
     let mut at = 0;
     for word in &mut words {
-        let x = u64::from_le_bytes(word.try_into().expect("chunks of 8")) ^ needle;
-        let found = x.wrapping_sub(LANES) & !x & (LANES * 0x80);
+        let word = u64::from_le_bytes(word.try_into().expect("chunks of 8"));
+        let found = bytes.iter().fold(0, |found, &byte| {
+            let x = word ^ (LANES * u64::from(byte));
+            found | (x.wrapping_sub(LANES) & !x & (LANES * 0x80))
+        });
         if found != 0 {
             return Some(at + (found.trailing_zeros() / 8) as usize);
         }
@@ -180,7 +189,7 @@ pub(crate) fn find_byte(haystack: &[u8], byte: u8) -> Option<usize> {
     words
         .remainder()
         .iter()
-        .position(|&b| b == byte)
+        .position(|b| bytes.contains(b))
         .map(|i| at + i)
 }
 
@@ -199,64 +208,24 @@ pub fn count_byte(haystack: &[u8], byte: u8) -> usize {
     count + words.remainder().iter().filter(|&&b| b == byte).count()
 }
 
-/// Decimal digits that cannot overflow a `u64`: any 19-digit value is
-/// below 10^19 < `u64::MAX`.
-const SAFE_DIGITS: usize = 19;
+/// 10^n for the digit counts a word holds below a full one.
+const POW10: [u64; 8] = [1, 10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000];
 
-/// 10^n for the digit counts one word can hold.
-const POW10: [u64; 9] = [
-    1,
-    10,
-    100,
-    1_000,
-    10_000,
-    100_000,
-    1_000_000,
-    10_000_000,
-    100_000_000,
-];
+/// A word of eight bytes XORed with ASCII `0` in every lane (a digit
+/// lane then holds 0..=9): how many lanes from the lowest are digits.
+fn digit_lanes(x: u64) -> usize {
+    // The high bit of a lane flags a byte that is not a digit.
+    let not_digit = (((x & (LANES * 0x7f)) + LANES * (0x80 - 10)) | x) & (LANES * 0x80);
+    (not_digit.trailing_zeros() / 8) as usize
+}
 
-/// The leading digits of `digits` as a number, and how many there are,
-/// eight bytes a step: each word is tested for digits and converted in
-/// lanes. `None` on overflow.
+/// The leading digits of `digits` as a number, and how many there are;
+/// `None` on overflow.
 fn leading_digits(digits: &[u8]) -> Option<(u64, usize)> {
-    let mut value = 0u64;
-    let mut len = 0;
-    while let Some(word) = digits.get(len..len + 8) {
-        // Lanes 0..=9 where the byte is a digit; the high bit of a lane
-        // flags a byte that is not.
-        let x = u64::from_le_bytes(word.try_into().expect("8 bytes")) ^ (LANES * u64::from(b'0'));
-        let not_digit = (((x & (LANES * 0x7f)) + LANES * (0x80 - 10)) | x) & (LANES * 0x80);
-        let n = (not_digit.trailing_zeros() / 8) as usize;
-        if n > 0 {
-            // The first digit sits in the lowest lane: shift the n digits
-            // to the top, below which empty lanes read as leading zeros.
-            let word = lanes_to_u64(x << (64 - 8 * n));
-            value = if len + n <= SAFE_DIGITS {
-                value * POW10[n] + word
-            } else {
-                value
-                    .checked_mul(POW10[n])
-                    .and_then(|v| v.checked_add(word))?
-            };
-            len += n;
-        }
-        if n < 8 {
-            return Some((value, len));
-        }
-    }
-    for &b in &digits[len..] {
-        let digit = b.wrapping_sub(b'0');
-        if digit > 9 {
-            break;
-        }
-        value = if len < SAFE_DIGITS {
-            value * 10 + u64::from(digit)
-        } else {
-            value.checked_mul(10)?.checked_add(u64::from(digit))?
-        };
-        len += 1;
-    }
+    let len = digits.iter().take_while(|b| b.is_ascii_digit()).count();
+    let value = digits[..len].iter().try_fold(0u64, |value, &b| {
+        value.checked_mul(10)?.checked_add(u64::from(b - b'0'))
+    })?;
     Some((value, len))
 }
 
@@ -274,13 +243,33 @@ fn lanes_to_u64(x: u64) -> u64 {
 /// that checks its digits and finds the tab after them, a host through
 /// an unescape only when it holds `\`. Only the host field is checked
 /// for UTF-8; [`TsvRecord::from_bytes`] settles the rest of the line.
+///
+/// The log reader ([`Lines`]) also reads in place, from its buffer at a
+/// line's start: the last field must then end at a `\n`, which ends the
+/// line, and a host must end at a tab and hold no escape; it is found
+/// through the reader's host table. An error there only means the line
+/// cannot be settled in one pass; the reader then decodes it through
+/// [`decode_log_line`], which reports the error.
+///
+/// A `u64` field of up to 15 digits and no sign is read from one or two
+/// whole words, without the general loop, when the bytes from its start
+/// hold them. In place that is nearly every field, the last one too,
+/// since the next line's bytes follow it in the buffer.
+///
+/// [`Lines`]: crate::Lines
+/// [`decode_log_line`]: crate::decode_log_line
 #[derive(Debug)]
 pub struct FieldReader<'a> {
-    /// The line after the last field read, or `None` once the last field
-    /// (the one no tab ends) has been read.
+    /// The unread bytes after the last field read, or `None` once the
+    /// last field (the one no tab ends) has been read.
     rest: Option<&'a [u8]>,
     index: usize,
     expected_total: usize,
+    /// Set when reading in place: the reader's host table, and the bytes
+    /// from the line's start.
+    in_place: Option<(&'a mut HostTable, usize)>,
+    /// In place, the bytes after the line's `\n` once it has been read.
+    after: usize,
 }
 
 impl<'a> FieldReader<'a> {
@@ -290,10 +279,36 @@ impl<'a> FieldReader<'a> {
             rest: Some(line),
             index: 0,
             expected_total,
+            in_place: None,
+            after: 0,
+        }
+    }
+
+    /// Reads the line at the start of `bytes`, a reader's buffered bytes,
+    /// in place, finding hosts through the reader's `hosts`.
+    pub(crate) fn in_place(
+        bytes: &'a [u8],
+        expected_total: usize,
+        hosts: &'a mut HostTable,
+    ) -> FieldReader<'a> {
+        FieldReader {
+            in_place: Some((hosts, bytes.len())),
+            ..FieldReader::new(bytes, expected_total)
+        }
+    }
+
+    /// In place, the length of the line read, its `\n` included, once its
+    /// last field has been read.
+    #[inline]
+    pub(crate) fn line_len(&self) -> Option<usize> {
+        match (&self.in_place, self.rest) {
+            (Some((_, len)), None) => Some(len - self.after),
+            _ => None,
         }
     }
 
     /// The unread line, counting the field about to be read.
+    #[inline]
     fn next_rest(&mut self) -> Result<&'a [u8], CodecError> {
         let rest = self
             .rest
@@ -305,28 +320,84 @@ impl<'a> FieldReader<'a> {
     /// Reads a `u64` field by `str::parse`'s rules: one optional leading
     /// `+`, then at least one ASCII digit (leading zeros are fine), with
     /// overflow an error.
+    #[inline(always)]
     pub fn u64(&mut self) -> Result<u64, CodecError> {
-        let index = self.index;
-        let bad = || CodecError::BadField {
-            index,
+        let rest = self.next_rest()?;
+        // The common field, unsigned with 1 to 15 digits that two words
+        // hold, is read without the general loop; the second word is
+        // read only for a field of eight digits or more.
+        let word = |at: usize| {
+            rest.get(at..at + 8)
+                .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")) ^ ZEROS)
+        };
+        // The n leading digits of a word are shifted to its top, below
+        // which empty lanes read as leading zeros.
+        if let Some(x) = word(0) {
+            let n = digit_lanes(x);
+            if n < 8 {
+                if n > 0 && self.end_field(rest, n) {
+                    return Ok(lanes_to_u64(x << (64 - 8 * n)));
+                }
+            } else if let Some(y) = word(8) {
+                let m = digit_lanes(y);
+                if m < 8 && self.end_field(rest, 8 + m) {
+                    let low = y.checked_shl(64 - 8 * m as u32).map_or(0, lanes_to_u64);
+                    return Ok(lanes_to_u64(x) * POW10[m] + low);
+                }
+            }
+        }
+        self.u64_from(rest)
+    }
+
+    /// [`FieldReader::u64`] for any field, a digit at a step: a signed
+    /// field, one of 16 digits or more, one too near the end of the
+    /// bytes for whole words, or one that is not a number.
+    fn u64_from(&mut self, rest: &'a [u8]) -> Result<u64, CodecError> {
+        let bad = CodecError::BadField {
+            index: self.index - 1,
             expected: "u64",
         };
-        let rest = self.next_rest()?;
-        let digits = rest.strip_prefix(b"+").unwrap_or(rest);
-        let (value, len) = leading_digits(digits).ok_or_else(bad)?;
-        match digits.get(len) {
-            _ if len == 0 => return Err(bad()),
-            None => self.rest = None,
-            Some(b'\t') => self.rest = Some(&digits[len + 1..]),
-            Some(_) => return Err(bad()),
+        let sign = usize::from(rest.first() == Some(&b'+'));
+        match leading_digits(&rest[sign..]) {
+            Some((value, len)) if len > 0 && self.end_field(rest, sign + len) => Ok(value),
+            _ => Err(bad),
         }
-        Ok(value)
+    }
+
+    /// Ends the field read from `rest` at `end`, if a field can end
+    /// there: at a tab, at the end of a line, or in place at the `\n`
+    /// that ends the line.
+    #[inline(always)]
+    fn end_field(&mut self, rest: &'a [u8], end: usize) -> bool {
+        match rest.get(end) {
+            Some(b'\t') => self.rest = Some(&rest[end + 1..]),
+            None if self.in_place.is_none() => self.rest = None,
+            Some(b'\n') if self.in_place.is_some() => {
+                self.rest = None;
+                self.after = rest.len() - end - 1;
+            }
+            _ => return false,
+        }
+        true
     }
 
     /// Reads a host field and interns it, straight from the line unless
     /// the field holds an escape.
+    #[inline]
     pub fn host(&mut self) -> Result<HostId, CodecError> {
         let rest = self.next_rest()?;
+        if let Some((hosts, _)) = &mut self.in_place {
+            // One scan stops at the tab, or at a `\n` or `\\` first (so
+            // it never reads into the next line), which leaves the line
+            // to the line decoder, as does a buffer ending first.
+            return match find_any(rest, [b'\t', b'\n', b'\\']) {
+                Some(end) if rest[end] == b'\t' => {
+                    self.rest = Some(&rest[end + 1..]);
+                    hosts.intern(&rest[..end]).ok_or(CodecError::InvalidUtf8)
+                }
+                _ => Err(CodecError::MissingField { index: self.index }),
+            };
+        }
         let raw = match find_byte(rest, b'\t') {
             Some(tab) => {
                 self.rest = Some(&rest[tab + 1..]);
@@ -346,7 +417,11 @@ impl<'a> FieldReader<'a> {
     }
 
     /// Asserts the line is exhausted.
-    pub fn finish(self) -> Result<(), CodecError> {
+    ///
+    /// # Errors
+    /// [`CodecError::TrailingFields`] when a field is left.
+    #[inline]
+    pub fn finish(&self) -> Result<(), CodecError> {
         match self.rest {
             Some(_) => Err(CodecError::TrailingFields {
                 expected: self.expected_total,
@@ -372,12 +447,12 @@ pub trait TsvRecord: Sized {
         String::from_utf8(out).expect("the encoder writes UTF-8")
     }
 
-    /// Reads the record's fields in schema order, ending with
-    /// [`FieldReader::finish`].
+    /// Reads the record's fields in schema order; the caller then checks
+    /// that none is left ([`FieldReader::finish`]).
     ///
     /// # Errors
     /// The first field's [`CodecError`].
-    fn read_fields(fields: FieldReader<'_>) -> Result<Self, CodecError>;
+    fn read_fields(fields: &mut FieldReader<'_>) -> Result<Self, CodecError>;
 
     /// Parses from one line's bytes (no line ending): the one decoder.
     ///
@@ -390,12 +465,13 @@ pub trait TsvRecord: Sized {
     /// # Errors
     /// Any [`CodecError`] on schema mismatch.
     fn from_bytes(line: &[u8]) -> Result<Self, CodecError> {
-        Self::read_fields(FieldReader::new(line, Self::FIELDS)).map_err(|error| {
-            match std::str::from_utf8(line) {
+        let mut fields = FieldReader::new(line, Self::FIELDS);
+        Self::read_fields(&mut fields)
+            .and_then(|record| fields.finish().map(|()| record))
+            .map_err(|error| match std::str::from_utf8(line) {
                 Ok(_) => error,
                 Err(_) => CodecError::InvalidUtf8,
-            }
-        })
+            })
     }
 
     /// Parses from one line.

@@ -12,6 +12,15 @@
 //! order in which threads first met a host cannot reach an output. The
 //! table only grows, and its size is bounded by the number of distinct
 //! hosts the process has seen.
+//!
+//! A host is looked up in layers, each missing into the next:
+//!
+//! * a `HostTable` keyed on the name's raw bytes, compared a word at a
+//!   time: each log reader ([`Lines`](crate::Lines)) owns one, so a
+//!   decoded host costs no hash of the whole name, no lock and no
+//!   `RefCell`; [`HostId::intern`] uses one per thread;
+//! * the thread's copy of the shared map (a UTF-8 check and a SipHash);
+//! * the shared table, under its lock, which assigns a new name its id.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -56,39 +65,118 @@ thread_local! {
     /// record.
     static CACHE: RefCell<Names> = RefCell::default();
 
-    /// A small cache in front of [`CACHE`], keyed by a cheap inline hash
-    /// of the name and checked against the name, so most records skip
-    /// the map's SipHash. Each hash picks a set of two ways, so two
-    /// busy hosts that share a set do not evict each other; a third
-    /// falls back to the map, never onto the shared lock.
-    static RECENT: RefCell<[RecentSet; RECENT_SETS]> =
-        const { RefCell::new([[None; 2]; RECENT_SETS]) };
+    /// The [`HostTable`] in front of [`CACHE`] for [`HostId::intern`],
+    /// so most calls skip the map's SipHash. A log reader keeps a table
+    /// of its own instead, and skips this one's `RefCell` too.
+    static HOSTS: RefCell<HostTable> = const { RefCell::new(HostTable::new()) };
 }
 
-/// One set of [`RECENT`]: two hosts with the name the table keeps.
-type RecentSet = [Option<(&'static str, HostId)>; 2];
+/// Hosts a reader has met, keyed on their raw bytes: an open-addressed
+/// table of 256 slots (about 10 KB, allocated on first use) in front of
+/// the thread's map.
+///
+/// A slot keeps a host's first and last eight bytes as words (the two
+/// overlap in a name of 8 to 16 bytes; a shorter name is one zero-padded
+/// word), so a name is found by a hash of those two words and its
+/// length, and compared a word at a time: two words settle a name of up
+/// to 16 bytes, and only the bytes between them are compared in a longer
+/// one. A table three-quarters full is emptied before the next host goes
+/// in, so a log with thousands of damaged host names costs a map lookup
+/// per name, never an unbounded table.
+#[derive(Debug)]
+pub(crate) struct HostTable {
+    slots: Vec<Option<Slot>>,
+    /// Slots in use.
+    held: usize,
+}
 
-/// Sets in [`RECENT`]: a few times the hundred or so hosts of a log.
-const RECENT_SETS: usize = 256;
+/// One host of a [`HostTable`]: its key words, its name as the shared
+/// table keeps it, and its id.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    first: u64,
+    last: u64,
+    name: &'static str,
+    id: HostId,
+}
 
-/// `name`'s set in [`RECENT`]: a multiplicative hash over the name's
-/// eight-byte words (the last one overlapping the one before it, or
-/// zero-padded in a name shorter than a word), folded to the set count.
-fn recent_set(name: &[u8]) -> usize {
-    const K: u64 = 0x517c_c1b7_2722_0a95;
-    let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("8 bytes"));
-    let mut hash = name.len() as u64;
-    let last = match name.len() {
-        0..8 => name.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b)),
-        n => {
-            for w in name[..n - 1].chunks_exact(8) {
-                hash = (hash.rotate_left(5) ^ word(w)).wrapping_mul(K);
-            }
-            word(&name[n - 8..])
+/// Slots in a [`HostTable`]: a power of two, a few times the hundred or
+/// so hosts of a log.
+const SLOTS: usize = 256;
+
+impl HostTable {
+    /// An empty table; it allocates on its first host.
+    pub(crate) const fn new() -> HostTable {
+        HostTable {
+            slots: Vec::new(),
+            held: 0,
         }
-    };
-    hash = (hash.rotate_left(5) ^ last).wrapping_mul(K);
-    (hash >> 32) as usize % RECENT_SETS
+    }
+
+    /// The id of the host named by `name`'s bytes, interning it on first
+    /// sight: `None` if they are not UTF-8. A name the table holds is
+    /// compared with the one the shared table keeps, so it is not checked
+    /// again.
+    pub(crate) fn intern(&mut self, name: &[u8]) -> Option<HostId> {
+        let (first, last) = key_words(name);
+        let mut i = slot_of(first, last, name.len());
+        if !self.slots.is_empty() {
+            while let Some(slot) = &self.slots[i] {
+                if slot.first == first
+                    && slot.last == last
+                    && slot.name.len() == name.len()
+                    && (name.len() <= 16 || middle(slot.name.as_bytes()) == middle(name))
+                {
+                    return Some(slot.id);
+                }
+                i = (i + 1) % SLOTS;
+            }
+        }
+        let (name, id) = HostId::intern_cached(std::str::from_utf8(name).ok()?);
+        if self.held >= SLOTS / 4 * 3 || self.slots.is_empty() {
+            self.slots.clear();
+            self.slots.resize(SLOTS, None);
+            self.held = 0;
+            i = slot_of(first, last, name.len());
+        }
+        while self.slots[i].is_some() {
+            i = (i + 1) % SLOTS;
+        }
+        self.slots[i] = Some(Slot {
+            first,
+            last,
+            name,
+            id,
+        });
+        self.held += 1;
+        Some(id)
+    }
+}
+
+/// `name`'s first and last eight bytes as little-endian words, or its
+/// bytes zero-padded into one word (twice) when it is shorter.
+fn key_words(name: &[u8]) -> (u64, u64) {
+    let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("8 bytes"));
+    match name.len() {
+        0..8 => {
+            let w = name.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b));
+            (w, w)
+        }
+        n => (word(&name[..8]), word(&name[n - 8..])),
+    }
+}
+
+/// The bytes of a name longer than 16 that its key words leave out.
+fn middle(name: &[u8]) -> &[u8] {
+    &name[8..name.len() - 8]
+}
+
+/// The home slot of a name with these key words and length: a
+/// multiplicative hash, its top bits.
+fn slot_of(first: u64, last: u64, len: usize) -> usize {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let hash = (first ^ last.rotate_left(29) ^ len as u64).wrapping_mul(K);
+    (hash >> 56) as usize % SLOTS
 }
 
 impl HostId {
@@ -98,22 +186,10 @@ impl HostId {
     }
 
     /// [`HostId::intern`] for a name still in bytes: `None` if they are
-    /// not UTF-8. A name this thread met recently is compared as bytes
-    /// with the one the table keeps, so it is not checked again.
+    /// not UTF-8. A name this thread met recently is found in its
+    /// [`HostTable`], so it is not checked again.
     pub(crate) fn intern_bytes(name: &[u8]) -> Option<HostId> {
-        let set = recent_set(name);
-        RECENT.with_borrow_mut(|recent| {
-            let ways = &mut recent[set];
-            for (known, id) in ways.iter().flatten() {
-                if known.as_bytes() == name {
-                    return Some(*id);
-                }
-            }
-            let entry = HostId::intern_cached(std::str::from_utf8(name).ok()?);
-            // Fill the set's first way, moving what it held to the second.
-            ways[1] = ways[0].replace(entry);
-            Some(entry.1)
-        })
+        HOSTS.with_borrow_mut(|hosts| hosts.intern(name))
     }
 
     /// [`HostId::intern`] through this thread's map, with the name as the
@@ -207,6 +283,32 @@ mod tests {
         for (id, name) in per_thread[0].iter().zip(&names) {
             assert_eq!(id.name(), name);
         }
+    }
+
+    /// Names that share their length and first and last eight bytes,
+    /// names shorter than a word, a name that is not UTF-8, and more
+    /// names than the table holds before it is emptied: each is found as
+    /// the id of its name.
+    #[test]
+    fn a_host_table_finds_each_name_by_its_bytes() {
+        let mut names: Vec<Vec<u8>> = ["", "a", "abcdefg", "abcdefgh", "abcdefghi"]
+            .iter()
+            .map(|n| n.as_bytes().to_vec())
+            .collect();
+        for mid in 0..300 {
+            names.push(format!("table.{mid:03}.middle.test").into_bytes());
+        }
+        names.push("ünïcodé.table.test".as_bytes().to_vec());
+        let mut table = HostTable::new();
+        for _ in 0..2 {
+            for name in &names {
+                let id = table.intern(name).expect("UTF-8");
+                assert_eq!(id.name().as_bytes(), name);
+                assert_eq!(id, HostId::intern(id.name()));
+                assert!(table.held <= SLOTS / 4 * 3);
+            }
+        }
+        assert_eq!(table.intern(b"bad\xfftable.test"), None);
     }
 
     #[test]

@@ -1,28 +1,35 @@
-//! The log writer, the line splitter and the line decoder.
+//! The log writer, the log reader and the line decoder.
 //!
 //! Logs are plain text: one TSV-encoded record per `\n`-terminated line.
-//! The writer buffers into a `Vec<u8>` and flushes in large chunks;
-//! [`Lines`] splits any byte source into lines without materializing it,
-//! and [`decode_log_line`] turns one line into a record. Every reader of
-//! a saved log is these two: the chunk reader ([`crate::ShardReader`])
-//! here, and the stream's tail of a growing log in `wearscope-stream`.
+//! The writer buffers into a `Vec<u8>` and flushes in large chunks.
+//! [`Lines`] reads any byte source through one reused buffer and decodes
+//! each line where it lies in that buffer, in one pass; a line that pass
+//! cannot settle is split off and handed to [`decode_log_line`], which
+//! turns one line into a record. Every reader of a saved log is
+//! [`Lines`]: the chunk reader ([`crate::ShardReader`]) here, and the
+//! stream's lanes over a growing log in `wearscope-stream`.
 
 use std::io::{self, Read, Write};
 use std::marker::PhantomData;
 
-use crate::codec::{find_byte, CodecError, TsvRecord};
+use crate::codec::{find_byte, CodecError, FieldReader, TsvRecord};
+use crate::host::HostTable;
+
+/// What one line decodes to: `None` for a blank line, else the record
+/// or why the line is malformed.
+pub type Decoded<R> = Option<Result<R, CodecError>>;
 
 /// Decodes one raw log line (trailing `\n`/`\r` included) into a record:
 /// `None` for a blank line, `Some(Err(..))` for a malformed one — a line
 /// whose bytes are not UTF-8 is [`CodecError::InvalidUtf8`], quarantined
 /// like any other damaged line.
 ///
-/// This is **the** line decoder: the batch chunk reader
-/// ([`crate::read_tsv_shard`]) and the stream's log reader both route
-/// through it, so the batch and streaming paths parse byte-for-byte
-/// identically — the invariant the streaming engine's batch-equivalence
-/// test rests on.
-pub fn decode_log_line<R: TsvRecord>(raw: &[u8]) -> Option<Result<R, CodecError>> {
+/// This is **the** line decoder: every line the log reader ([`Lines`])
+/// hands out decodes as it decodes here, in the batch chunk reader
+/// ([`crate::read_tsv_shard`]) and the stream's log reader alike, so the
+/// batch and streaming paths parse byte-for-byte identically — the
+/// invariant the streaming engine's batch-equivalence test rests on.
+pub fn decode_log_line<R: TsvRecord>(raw: &[u8]) -> Decoded<R> {
     let end = raw
         .iter()
         .rposition(|&b| b != b'\n' && b != b'\r')
@@ -33,10 +40,11 @@ pub fn decode_log_line<R: TsvRecord>(raw: &[u8]) -> Option<Result<R, CodecError>
     Some(R::from_bytes(&raw[..end]))
 }
 
-/// The one line splitter, behind the chunk reader ([`crate::ShardReader`])
+/// The one log reader, behind the chunk reader ([`crate::ShardReader`])
 /// and the stream's log reader: it reads its source into a buffer it
-/// reuses, finds each `\n` a word at a time, and hands out the lines in
-/// place, so no line is copied out of the buffer.
+/// reuses and decodes each line in place ([`Lines::next_decoded`]), so
+/// no line is copied out of the buffer, and a well-formed one is read
+/// once.
 #[derive(Debug)]
 pub struct Lines<S> {
     source: S,
@@ -50,6 +58,9 @@ pub struct Lines<S> {
     filled: usize,
     /// Scan resume point within `buf` (avoids rescanning on refills).
     scanned: usize,
+    /// The hosts of the lines decoded in place: found here by their
+    /// bytes, without the thread's table.
+    hosts: HostTable,
 }
 
 impl<S: Read> Lines<S> {
@@ -62,6 +73,7 @@ impl<S: Read> Lines<S> {
             start: 0,
             filled: 0,
             scanned: 0,
+            hosts: HostTable::new(),
         }
     }
 
@@ -76,15 +88,49 @@ impl<S: Read> Lines<S> {
         (self.start, self.filled, self.scanned) = (0, 0, 0);
     }
 
-    /// The next line, its `\n` included, reading the source as needed.
-    /// At the end of the source an unterminated last line is handed out
-    /// too, unless `hold_partial` (a follower waits for its `\n`, and
-    /// finds it by calling again once the source has grown). `None` when
-    /// no line is available.
+    /// The next line's length (its `\n` included) and what
+    /// [`decode_log_line`] makes of it, reading the source as needed. At
+    /// the end of the source an unterminated last line is decoded too,
+    /// unless `hold_partial` (a follower waits for its `\n`, and finds it
+    /// by calling again once the source has grown). `None` when no line
+    /// is available.
+    ///
+    /// A line is decoded in one pass: its fields are read straight from
+    /// the buffer at the cursor, and the `\n` that ends its last field
+    /// ends the line. Whatever that pass cannot settle (a malformed or
+    /// blank line, a `\r`, an escaped host, a line the buffer holds only
+    /// part of, the end of the source) falls back to finding the line's
+    /// `\n` and handing the line to [`decode_log_line`]. The pass settles
+    /// only a line whose fields parse and whose only `\n` ends it, which
+    /// decodes there to the same record, so every line, line count and
+    /// offset is what splitting then decoding gives.
     ///
     /// # Errors
     /// Propagates read errors other than [`io::ErrorKind::Interrupted`].
-    pub fn next_line(&mut self, hold_partial: bool) -> io::Result<Option<&[u8]>> {
+    pub fn next_decoded<R: TsvRecord>(
+        &mut self,
+        hold_partial: bool,
+    ) -> io::Result<Option<(usize, Decoded<R>)>> {
+        let mut fields = FieldReader::in_place(
+            &self.buf[self.start..self.filled],
+            R::FIELDS,
+            &mut self.hosts,
+        );
+        if let Ok(record) = R::read_fields(&mut fields) {
+            if let Some(len) = fields.line_len() {
+                self.start += len;
+                self.scanned = self.start;
+                return Ok(Some((len, Some(Ok(record)))));
+            }
+        }
+        let line = self.next_line(hold_partial)?;
+        Ok(line.map(|line| (line.len(), decode_log_line(line))))
+    }
+
+    /// The next line, its `\n` included, split off by a SWAR scan for
+    /// `\n` ([`find_byte`]) and reading the source as needed, under
+    /// [`Lines::next_decoded`]'s rules for the end of the source.
+    fn next_line(&mut self, hold_partial: bool) -> io::Result<Option<&[u8]>> {
         loop {
             if let Some(nl) = find_byte(&self.buf[self.scanned..self.filled], b'\n') {
                 return Ok(Some(self.hand_out(self.scanned + nl + 1)));

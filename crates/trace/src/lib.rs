@@ -14,10 +14,13 @@
 //! This crate defines the record schemas, the process-wide [`HostId`]
 //! interner that keeps a record free of heap strings, a line-oriented TSV
 //! codec with escaping (so logs can be shipped between the simulator and
-//! the analysis as plain files), the log writer, the one line splitter
-//! and line decoder behind the chunk reader and the stream's log reader,
-//! byte-range shard planning for parallel loads, and [`TraceStore`], the
-//! in-memory time-ordered store the analysis pipelines fold over.
+//! the analysis as plain files), the log writer, the one log reader
+//! ([`Lines`]) behind the chunk reader and the stream's log reader, which
+//! decodes each well-formed line in one pass where it lies in its read
+//! buffer and hands any other line to the one line decoder
+//! ([`decode_log_line`]), byte-range shard planning for parallel loads,
+//! and [`TraceStore`], the in-memory time-ordered store the analysis
+//! pipelines fold over.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

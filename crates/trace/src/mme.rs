@@ -83,7 +83,8 @@ impl TsvRecord for MmeRecord {
         push_u64(out, u64::from(self.sector));
     }
 
-    fn read_fields(mut r: FieldReader<'_>) -> Result<MmeRecord, CodecError> {
+    #[inline]
+    fn read_fields(r: &mut FieldReader<'_>) -> Result<MmeRecord, CodecError> {
         let timestamp = SimTime::from_secs(r.u64()?);
         let user = UserId(r.u64()?);
         let imei = r.u64()?;
@@ -96,7 +97,6 @@ impl TsvRecord for MmeRecord {
             index: 4,
             expected: "u32 sector id",
         })?;
-        r.finish()?;
         Ok(MmeRecord {
             timestamp,
             user,

@@ -101,7 +101,8 @@ impl TsvRecord for ProxyRecord {
         push_u64(out, self.bytes_up);
     }
 
-    fn read_fields(mut r: FieldReader<'_>) -> Result<ProxyRecord, CodecError> {
+    #[inline]
+    fn read_fields(r: &mut FieldReader<'_>) -> Result<ProxyRecord, CodecError> {
         let timestamp = SimTime::from_secs(r.u64()?);
         let user = UserId(r.u64()?);
         let imei = r.u64()?;
@@ -112,7 +113,6 @@ impl TsvRecord for ProxyRecord {
         })?;
         let bytes_down = r.u64()?;
         let bytes_up = r.u64()?;
-        r.finish()?;
         Ok(ProxyRecord {
             timestamp,
             user,

@@ -20,7 +20,7 @@ use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Take};
 use std::path::{Path, PathBuf};
 
 use crate::codec::{CodecError, TsvRecord};
-use crate::io::{decode_log_line, Lines};
+use crate::io::Lines;
 
 /// A half-open byte range `[start, end)` of a log file, aligned to record
 /// boundaries by [`plan_tsv_shards`].
@@ -174,9 +174,9 @@ impl ShardReader {
         shard.bytes = range.len();
         shard.lines = 0;
         let room = shard.records.capacity();
-        while let Some(line) = lines.next_line(false)? {
+        while let Some((_, decoded)) = lines.next_decoded::<R>(false)? {
             shard.lines += 1;
-            match decode_log_line::<R>(line) {
+            match decoded {
                 None => {} // a blank line
                 Some(Ok(record)) => shard.records.push(record),
                 Some(Err(error)) => shard.errors.push((shard.lines, error)),
@@ -216,7 +216,7 @@ pub(crate) fn read_whole_log<R: TsvRecord>(path: &Path) -> Vec<R> {
 mod tests {
     use super::*;
     use crate::ids::UserId;
-    use crate::io::LogWriter;
+    use crate::io::{decode_log_line, LogWriter};
     use crate::mme::{MmeEvent, MmeRecord};
     use wearscope_simtime::SimTime;
 

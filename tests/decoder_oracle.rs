@@ -9,8 +9,8 @@
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
-use wearscope_simtime::SimTime;
-use wearscope_trace::{
+use wearscope::simtime::SimTime;
+use wearscope::trace::{
     codec, decode_log_line, CodecError, HostId, MmeEvent, MmeRecord, ProxyRecord, Scheme,
     TsvRecord, UserId,
 };
@@ -413,5 +413,301 @@ fn invalid_utf8_wins_everywhere() {
             );
             agree(&damaged).unwrap();
         }
+    }
+}
+
+// The readers against a `read_until` splitter: whole logs of such lines,
+// read by the chunk reader in several cuts and by the stream's source,
+// decode line for line as the string oracle decodes what `read_until`
+// splits, with the same line numbers and end offsets.
+
+/// One line of a log as the oracle reads it: its 1-based number, the
+/// offset just past it, and what it decodes to (`None` when blank).
+struct OracleLine<R> {
+    line: u64,
+    end: u64,
+    decoded: Option<Result<R, CodecError>>,
+}
+
+/// `text` split by `read_until(b'\n')`, each line decoded by the oracle.
+fn oracle_lines<R>(text: &[u8], parse: fn(&str) -> Result<R, CodecError>) -> Vec<OracleLine<R>> {
+    use std::io::BufRead;
+    let mut source = std::io::BufReader::new(text);
+    let (mut out, mut line, mut end) = (Vec::new(), Vec::new(), 0);
+    while source.read_until(b'\n', &mut line).unwrap() > 0 {
+        end += line.len() as u64;
+        out.push(OracleLine {
+            line: out.len() as u64 + 1,
+            end,
+            decoded: oracle_decode(&line, parse),
+        });
+        line.clear();
+    }
+    out
+}
+
+/// Special lines (no line ending yet): a blank line, a host with no tab
+/// before its line ends and a next line whose four fields would complete
+/// its record, a line of one `\r`, an escaped host, a record whose last
+/// field is followed by a space.
+const SPECIAL_LINES: [&[u8]; 5] = [
+    b"",
+    b"5\t6\t352000011234564\thost.example\n1\t1\t7\t8",
+    b"\r",
+    b"5\t6\t352000011234564\tesc\\tape.example\t1\t7\t8",
+    b"5\t6\t352000011234564\t2\t40 ",
+];
+
+/// One line of a damaged log, with its line ending: `\n`, `\r\n` or
+/// `\r\r\n`.
+fn log_line() -> impl Strategy<Value = Vec<u8>> {
+    let mutated_proxy = (valid_proxy(), mutations()).prop_map(|(rec, damage)| {
+        let mut line = rec.to_line().into_bytes();
+        damage.into_iter().for_each(|m| mutate(&mut line, m));
+        line
+    });
+    let mutated_mme = (valid_mme(), mutations()).prop_map(|(rec, damage)| {
+        let mut line = rec.to_line().into_bytes();
+        damage.into_iter().for_each(|m| mutate(&mut line, m));
+        line
+    });
+    let body = prop_oneof![
+        valid_proxy().prop_map(|r| r.to_line().into_bytes()),
+        valid_proxy().prop_map(|r| r.to_line().into_bytes()),
+        valid_mme().prop_map(|r| r.to_line().into_bytes()),
+        valid_mme().prop_map(|r| r.to_line().into_bytes()),
+        mutated_proxy,
+        mutated_mme,
+        alphabet_bytes(),
+        (0..SPECIAL_LINES.len()).prop_map(|i| SPECIAL_LINES[i].to_vec()),
+    ];
+    (body, 0u8..8).prop_map(|(mut line, ending)| {
+        line.extend_from_slice(match ending {
+            0 => b"\r\n",
+            1 => b"\r\r\n",
+            _ => b"\n",
+        });
+        line
+    })
+}
+
+/// A log: its lines repeated to 67–100 KB, so lines straddle the chunk
+/// reader's 16 KiB buffer and the stream lane's 64 KiB one; up to two
+/// lines of 16–70 KB (a record with a long host, or digits), longer
+/// than the chunk reader's buffer and at times than the lane's; and at
+/// times no `\n` after the last line.
+fn log_text() -> impl Strategy<Value = Vec<u8>> {
+    (
+        prop::collection::vec(log_line(), 100..300),
+        67_000usize..100_000,
+        prop::collection::vec((16_000usize..70_000, any::<usize>()), 0..3),
+        prop::bool::ANY,
+    )
+        .prop_map(|(lines, size, long, unterminated)| {
+            let mut lines: Vec<Vec<u8>> = lines
+                .iter()
+                .cycle()
+                .cloned()
+                .scan(0, |len, line| {
+                    *len += line.len();
+                    (*len - line.len() < size).then_some(line)
+                })
+                .collect();
+            for (len, at) in long {
+                let mut line = match at % 2 {
+                    0 => format!("5\t6\t352000011234564\t{}\t1\t7\t8", "h".repeat(len)),
+                    _ => "7".repeat(len),
+                }
+                .into_bytes();
+                line.push(b'\n');
+                lines.insert(at % (lines.len() + 1), line);
+            }
+            let mut text = lines.concat();
+            if unterminated {
+                text.pop();
+            }
+            text
+        })
+}
+
+/// A scratch directory for one test's logs, emptied first.
+fn scratch_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("wearscope-oracle-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// The chunk reader, one reader for every chunk of several cuts, against
+/// the oracle: each chunk's records, `(line, error)` pairs, line count
+/// and bytes are those of the oracle's lines that end inside it, and it
+/// ends where its last line does.
+fn shard_reader_agrees<R>(
+    path: &std::path::Path,
+    want: &[OracleLine<R>],
+) -> Result<(), TestCaseError>
+where
+    R: TsvRecord + PartialEq + std::fmt::Debug + Clone,
+{
+    use wearscope::trace::{plan_tsv_shards, ShardReader, TsvShard};
+    let len = std::fs::metadata(path).unwrap().len();
+    let mut reader = ShardReader::new();
+    let mut shard = TsvShard::<R>::default();
+    for cuts in [1, 5, len.div_ceil(64 * 1024) as usize] {
+        let mut next = 0;
+        for range in plan_tsv_shards(path, cuts).unwrap() {
+            reader.read_into(path, range, &mut shard).unwrap();
+            let first = next;
+            while next < want.len() && want[next].end <= range.end {
+                next += 1;
+            }
+            let inside = &want[first..next];
+            let records: Vec<R> = inside
+                .iter()
+                .filter_map(|l| l.decoded.clone()?.ok())
+                .collect();
+            let errors: Vec<(u64, CodecError)> = inside
+                .iter()
+                .enumerate()
+                .filter_map(|(i, l)| Some((i as u64 + 1, l.decoded.clone()?.err()?)))
+                .collect();
+            prop_assert_eq!(inside.last().map(|l| l.end), Some(range.end));
+            prop_assert!(
+                shard.records == records,
+                "{range:?} of {cuts} cuts: records"
+            );
+            prop_assert_eq!(&shard.errors, &errors);
+            prop_assert_eq!(
+                (shard.lines, shard.bytes),
+                (inside.len() as u64, range.len())
+            );
+        }
+        prop_assert_eq!(next, want.len());
+    }
+    Ok(())
+}
+
+/// One item a stream source served: the line number and offset its
+/// position moved to, and the record or the `(line, error)` it gave.
+type Served = (
+    u64,
+    u64,
+    Result<wearscope::stream::StreamEvent, (u64, CodecError)>,
+);
+
+/// What the oracle says a source serves for `want`'s lines.
+fn oracle_served<R: Clone>(
+    want: &[OracleLine<R>],
+    wrap: fn(R) -> wearscope::stream::StreamEvent,
+) -> Vec<Served> {
+    want.iter()
+        .filter_map(|l| {
+            let served = l.decoded.clone()?.map(wrap).map_err(|e| (l.line, e));
+            Some((l.line, l.end, served))
+        })
+        .collect()
+}
+
+/// Polls `source` until it ends or waits, recording what it serves and
+/// the log's `(line, offset)` position after each item (`at`), then the
+/// position it stopped at.
+fn serve(
+    source: &mut wearscope::stream::WorldSource,
+    at: fn(&wearscope::stream::SourcePosition) -> (u64, u64),
+    out: &mut Vec<Served>,
+) -> (u64, u64) {
+    use wearscope::stream::{EventSource, Polled, SourceItem};
+    loop {
+        let polled = source.poll().unwrap();
+        let (line, offset) = at(&source.position().unwrap());
+        match polled {
+            Polled::Item(SourceItem::Event(event)) => out.push((line, offset, Ok(event))),
+            Polled::Item(SourceItem::Malformed { line: l, error, .. }) => {
+                out.push((line, offset, Err((l, error))));
+            }
+            Polled::Pending | Polled::End => return (line, offset),
+        }
+    }
+}
+
+/// The stream's source over `text` as `log` (the other log empty),
+/// against the oracle: read whole, and followed while its last line is
+/// cut in two and then completed, it serves the oracle's lines at their
+/// line numbers and end offsets, and stops at the log's end.
+fn world_source_agrees<R: Clone>(
+    dir: &std::path::Path,
+    text: &[u8],
+    want: &[OracleLine<R>],
+    (log, other): (&str, &str),
+    wrap: fn(R) -> wearscope::stream::StreamEvent,
+    at: fn(&wearscope::stream::SourcePosition) -> (u64, u64),
+) -> Result<(), TestCaseError> {
+    use wearscope::stream::WorldSource;
+    let end = (want.len() as u64, text.len() as u64);
+    std::fs::write(dir.join(other), b"").unwrap();
+    std::fs::write(dir.join(log), text).unwrap();
+    let mut got = Vec::new();
+    let stop = serve(&mut WorldSource::open(dir, false).unwrap(), at, &mut got);
+    prop_assert_eq!(&got, &oracle_served(want, wrap));
+    prop_assert_eq!(stop, end);
+
+    // Follow mode: the last line arrives in two parts; the first is held
+    // back until its `\n` (or, when there is none, until following ends).
+    let last_start = want
+        .len()
+        .checked_sub(2)
+        .map_or(0, |i| want[i].end as usize);
+    let cut = last_start + (text.len() - last_start) / 2;
+    std::fs::write(dir.join(log), &text[..cut]).unwrap();
+    let mut source = WorldSource::open(dir, true).unwrap();
+    let mut got = Vec::new();
+    let stop = serve(&mut source, at, &mut got);
+    let complete = want
+        .iter()
+        .take_while(|l| l.end as usize <= cut && text[l.end as usize - 1] == b'\n');
+    let held = complete.count();
+    prop_assert_eq!(&got, &oracle_served(&want[..held], wrap));
+    // A waiting source has committed up to the last line it served.
+    let served = want[..held].iter().rev().find(|l| l.decoded.is_some());
+    prop_assert_eq!(stop, served.map_or((0, 0), |l| (l.line, l.end)));
+    std::fs::write(dir.join(log), text).unwrap();
+    serve(&mut source, at, &mut got);
+    source.finish();
+    let stop = serve(&mut source, at, &mut got);
+    prop_assert_eq!(&got, &oracle_served(want, wrap));
+    prop_assert_eq!(stop, end);
+    Ok(())
+}
+
+proptest! {
+    /// Damaged logs read through the chunk reader and the stream's source
+    /// decode as the oracle decodes their `read_until` lines, as proxy
+    /// logs and as MME logs.
+    #[test]
+    fn readers_decode_logs_as_the_oracle(text in log_text()) {
+        use wearscope::stream::StreamEvent;
+        let dir = scratch_dir("readers");
+        let proxy = oracle_lines(&text, oracle_proxy);
+        let mme = oracle_lines(&text, oracle_mme);
+        std::fs::write(dir.join("log"), &text).unwrap();
+        shard_reader_agrees(&dir.join("log"), &proxy)?;
+        shard_reader_agrees(&dir.join("log"), &mme)?;
+        world_source_agrees(
+            &dir,
+            &text,
+            &proxy,
+            ("proxy.log", "mme.log"),
+            StreamEvent::Proxy,
+            |p| (p.proxy_line, p.proxy_offset),
+        )?;
+        world_source_agrees(
+            &dir,
+            &text,
+            &mme,
+            ("mme.log", "proxy.log"),
+            StreamEvent::Mme,
+            |p| (p.mme_line, p.mme_offset),
+        )?;
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
