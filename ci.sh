@@ -58,140 +58,11 @@ echo "    the quick seed-7 world's six files match their pinned sha256 digests"
 # The per-reason quarantine counts on a run's `quality:`/`stream:` lines.
 quarantine_counts() { grep -E '^(quality|stream):' "$1" | grep -o 'quarantined: .*'; }
 
-echo "==> stream drill: kill at a sweep of points, resume from checkpoint, diff reports"
-# Checkpoint writes are atomic AND durable: temp file in the same directory,
-# fsync the bytes, rename over the old checkpoint, then fsync the parent
-# directory so the rename itself survives a crash — a kill right after the
-# rename cannot resurrect the previous checkpoint.
+# The stream kill/resume drills on the quick seed-11 world (the kill-point
+# sweep, --checkpoint-every 1, two stopped runs' metrics, and the reordered,
+# 400-day and drop-oldest resumes) are tests/cli_stream.rs, run by `cargo
+# test` above. The steps below use the same world.
 "$WEARSCOPE" generate --out "$FAULT_DIR/stream-world" --seed 11 --scale quick 2>/dev/null
-rm -rf "$FAULT_DIR/full-ckpt"
-"$WEARSCOPE" stream --world "$FAULT_DIR/stream-world" --window 1h --lateness 5m \
-    --checkpoint "$FAULT_DIR/full-ckpt" --checkpoint-every 2000 \
-    --report "$FAULT_DIR/stream-full.txt" --metrics "$FAULT_DIR/stream-full.json" >/dev/null 2>&1
-records=$(grep -o '"stream.records_processed": [0-9]*' "$FAULT_DIR/stream-full.json" |
-    grep -o '[0-9]*$')
-# Kill points: just before, at and just after the checkpoint at item 6000,
-# and two drawn with a fixed seed from between the first checkpoint and
-# the last item. The log reader runs ahead of the runtime, so a kill
-# always leaves read but unprocessed items behind. Each resumed run must
-# also end on the uninterrupted run's final checkpoint, byte for byte:
-# the duplicate memory, attributor and windows restore exactly.
-kill_points="5999 6000 6001 $(awk -v n="$records" \
-    'BEGIN { srand(20); for (i = 0; i < 2; i++) print 2000 + int(rand() * (n - 2000)) }')"
-for stop in $kill_points; do
-    rm -rf "$FAULT_DIR/ckpt"
-    "$WEARSCOPE" stream --world "$FAULT_DIR/stream-world" --window 1h --lateness 5m \
-        --checkpoint "$FAULT_DIR/ckpt" --checkpoint-every 2000 --stop-after "$stop" \
-        >/dev/null 2>&1
-    test -f "$FAULT_DIR/ckpt/stream.ckpt"
-    "$WEARSCOPE" stream --world "$FAULT_DIR/stream-world" --window 1h --lateness 5m \
-        --checkpoint "$FAULT_DIR/ckpt" --resume --report "$FAULT_DIR/stream-resumed.txt" \
-        >/dev/null 2>&1
-    if ! diff -q "$FAULT_DIR/stream-full.txt" "$FAULT_DIR/stream-resumed.txt" >/dev/null; then
-        echo "resuming after a kill at item $stop changed the window reports" >&2
-        exit 1
-    fi
-    if ! cmp -s "$FAULT_DIR/full-ckpt/stream.ckpt" "$FAULT_DIR/ckpt/stream.ckpt"; then
-        echo "resuming after a kill at item $stop changed the final checkpoint" >&2
-        exit 1
-    fi
-done
-echo "    resumed stream reports and final checkpoints identical to the uninterrupted run at kill points:" $kill_points
-
-echo "==> stream drill: a checkpoint after every record, diff report and final checkpoint"
-# A writer thread makes the periodic checkpoints durable while the runtime
-# goes on; with one due after every record, each hand-off waits for the
-# previous write. The interval must change neither the report nor the
-# final checkpoint.
-rm -rf "$FAULT_DIR/every1-ckpt"
-"$WEARSCOPE" stream --world "$FAULT_DIR/stream-world" --window 1h --lateness 5m \
-    --checkpoint "$FAULT_DIR/every1-ckpt" --checkpoint-every 1 \
-    --report "$FAULT_DIR/stream-every1.txt" >/dev/null 2>&1
-diff "$FAULT_DIR/stream-full.txt" "$FAULT_DIR/stream-every1.txt"
-cmp "$FAULT_DIR/full-ckpt/stream.ckpt" "$FAULT_DIR/every1-ckpt/stream.ckpt"
-echo "    --checkpoint-every 1 and 2000 end on identical reports and final checkpoints"
-
-echo "==> stream metrics determinism: two identical stopped runs, diff snapshots"
-# I/O is counted as the runtime takes items, not as the reader thread
-# reads them, so a stopped run's deterministic section does not depend on
-# how far the reader got ahead.
-for run in a b; do
-    rm -rf "$FAULT_DIR/stop-ckpt-$run"
-    "$WEARSCOPE" stream --world "$FAULT_DIR/stream-world" --window 1h --lateness 5m \
-        --checkpoint "$FAULT_DIR/stop-ckpt-$run" --checkpoint-every 2000 --stop-after 6001 \
-        --metrics "$FAULT_DIR/stop-$run.json" >/dev/null 2>&1
-    awk '/^  "timing":/{exit} {print}' "$FAULT_DIR/stop-$run.json" >"$FAULT_DIR/stop-$run.det"
-done
-grep -q '"stream.records_processed": 6001' "$FAULT_DIR/stop-a.det"
-diff "$FAULT_DIR/stop-a.det" "$FAULT_DIR/stop-b.det"
-echo "    two runs stopped after 6001 items write identical deterministic metrics"
-
-echo "==> stream drill with late records: kill and resume a reordered world, diff reports"
-# `reorder` moves records by less than the 5 m lateness, so they merge late
-# rather than being quarantined. The checkpoint at the kill point must hold
-# pending attributor transactions (`q` rows): the resume then restores
-# attribution state that still waits for the watermark.
-rm -rf "$FAULT_DIR/late-world"
-cp -r "$FAULT_DIR/stream-world" "$FAULT_DIR/late-world"
-"$WEARSCOPE" corrupt --world "$FAULT_DIR/late-world" --seed 5 --faults reorder=0.05 >/dev/null
-"$WEARSCOPE" stream --world "$FAULT_DIR/late-world" --window 1h --lateness 5m \
-    --report "$FAULT_DIR/late-full.txt" >/dev/null 2>"$FAULT_DIR/late-full.err"
-grep -Eq ' [1-9][0-9]* late merged' "$FAULT_DIR/late-full.err"
-"$WEARSCOPE" stream --world "$FAULT_DIR/late-world" --window 1h --lateness 5m \
-    --checkpoint "$FAULT_DIR/late-ckpt" --checkpoint-every 100 --stop-after 40100 >/dev/null 2>&1
-grep -q "^q"$'\t' "$FAULT_DIR/late-ckpt/stream.ckpt"
-"$WEARSCOPE" stream --world "$FAULT_DIR/late-world" --window 1h --lateness 5m \
-    --checkpoint "$FAULT_DIR/late-ckpt" --resume --report "$FAULT_DIR/late-resumed.txt" \
-    >/dev/null 2>&1
-diff "$FAULT_DIR/late-full.txt" "$FAULT_DIR/late-resumed.txt"
-echo "    late-merged records and pending attribution survive kill/resume"
-
-echo "==> stream drill with one long window: closed user-days survive kill/resume"
-# A 400-day window holds the whole log. Each user-day the watermark has
-# passed is kept as its farthest sector pair, the days still open as
-# sector sets; the checkpoint at the kill point must hold both, and the
-# resumed run must end on the uninterrupted run's stdout, report and
-# final checkpoint.
-long=(--window 400d --lateness 5m --checkpoint-every 5000)
-rm -rf "$FAULT_DIR/long-full-ckpt" "$FAULT_DIR/long-ckpt"
-"$WEARSCOPE" stream --world "$FAULT_DIR/stream-world" "${long[@]}" \
-    --checkpoint "$FAULT_DIR/long-full-ckpt" --report "$FAULT_DIR/long-full.tsv" \
-    >"$FAULT_DIR/long-full.out" 2>/dev/null
-"$WEARSCOPE" stream --world "$FAULT_DIR/stream-world" "${long[@]}" \
-    --checkpoint "$FAULT_DIR/long-ckpt" --stop-after 70001 >/dev/null 2>&1
-# The mobility header counts streams, open days, users with closed days
-# and dwell users.
-grep -Eq '^mobility'$'\t''[0-9]+'$'\t''[1-9][0-9]*'$'\t''[1-9][0-9]*'$'\t' \
-    "$FAULT_DIR/long-ckpt/stream.ckpt"
-"$WEARSCOPE" stream --world "$FAULT_DIR/stream-world" "${long[@]}" \
-    --checkpoint "$FAULT_DIR/long-ckpt" --resume --report "$FAULT_DIR/long-resumed.tsv" \
-    >"$FAULT_DIR/long-resumed.out" 2>/dev/null
-diff "$FAULT_DIR/long-full.out" "$FAULT_DIR/long-resumed.out"
-diff "$FAULT_DIR/long-full.tsv" "$FAULT_DIR/long-resumed.tsv"
-cmp "$FAULT_DIR/long-full-ckpt/stream.ckpt" "$FAULT_DIR/long-ckpt/stream.ckpt"
-echo "    a 400-day window killed with closed and open user-days resumes to the same output"
-
-echo "==> stream drill with forced windows: drop-oldest backpressure, kill and resume"
-# Two open windows and 2 h of lateness: a third window opens before the
-# watermark closes the first, so drop-oldest forces windows out. The
-# runtime keeps neither the forced count nor the timeline's start; a
-# resumed run reads both from the checkpointed reports, so its stdout and
-# report must equal the uninterrupted run's.
-drop=(--window 1h --max-open 2 --backpressure drop-oldest --lateness 2h)
-"$WEARSCOPE" stream --world "$FAULT_DIR/stream-world" "${drop[@]}" \
-    --report "$FAULT_DIR/drop-full.tsv" >"$FAULT_DIR/drop-full.out" 2>/dev/null
-grep -q '\[forced\]$' "$FAULT_DIR/drop-full.out"
-"$WEARSCOPE" stream --world "$FAULT_DIR/stream-world" "${drop[@]}" \
-    --checkpoint "$FAULT_DIR/drop-ckpt" --checkpoint-every 500 --stop-after 5000 >/dev/null 2>&1
-# The checkpoint at the kill point already holds a forced report.
-awk -F'\t' '/^reports\t/ { r = 1; next } /^collected\t/ { r = 0 } r && $11 == 1 { found = 1 }
-    END { exit !found }' "$FAULT_DIR/drop-ckpt/stream.ckpt"
-"$WEARSCOPE" stream --world "$FAULT_DIR/stream-world" "${drop[@]}" \
-    --checkpoint "$FAULT_DIR/drop-ckpt" --resume --report "$FAULT_DIR/drop-resumed.tsv" \
-    >"$FAULT_DIR/drop-resumed.out" 2>/dev/null
-diff "$FAULT_DIR/drop-full.out" "$FAULT_DIR/drop-resumed.out"
-diff "$FAULT_DIR/drop-full.tsv" "$FAULT_DIR/drop-resumed.tsv"
-echo "    forced windows: $(grep -c '\[forced\]$' "$FAULT_DIR/drop-full.out"); a resume after the first is identical"
 
 echo "==> a non-UTF-8 log byte is quarantined, not fatal; crafted lines keep the decoder's precedence"
 # Storage damage that leaves a line undecodable as UTF-8 is one bad line,
@@ -324,7 +195,10 @@ echo "    --max-error-rate 1 lets stream pass"
 echo "==> crafted checkpoint: an inflated count is a typed error, not a crash"
 # A count in a checkpoint only bounds the loop over its block, so a count
 # far beyond the file must give `error: checkpoint line N: ...` and exit 1,
-# not a capacity-overflow panic (101) or an allocation abort (134).
+# not a capacity-overflow panic (101) or an allocation abort (134). The
+# checkpoint is a complete run's final one.
+"$WEARSCOPE" stream --world "$FAULT_DIR/stream-world" --window 1h --lateness 5m \
+    --checkpoint "$FAULT_DIR/ckpt" --checkpoint-every 2000 >/dev/null 2>&1
 for count in 1000000000000000000 100000000000000; do
     rm -rf "$FAULT_DIR/ckpt-crafted"
     cp -r "$FAULT_DIR/ckpt" "$FAULT_DIR/ckpt-crafted"

@@ -539,8 +539,18 @@ impl<R: LogRecord> RecordValidator<R> {
             self.memory.push_back(record);
             return true;
         }
-        let start = self.memory.partition_point(|r| r.timestamp() < ts);
-        let end = self.memory.partition_point(|r| r.timestamp() <= ts);
+        // Records come mostly in time order, so the second's run usually
+        // ends the memory: it is walked back over from there unless it
+        // is long enough to be indexed, and searched for otherwise.
+        let len = self.memory.len();
+        let tail = self.memory.iter().rev().take(INDEX_RUN);
+        let (start, end) = match tail.take_while(|r| r.timestamp() == ts).count() {
+            0 | INDEX_RUN => (
+                self.memory.partition_point(|r| r.timestamp() < ts),
+                self.memory.partition_point(|r| r.timestamp() <= ts),
+            ),
+            n => (len - n, len),
+        };
         let run = self.memory.range(start..end);
         if run.len() >= INDEX_RUN {
             if !self.indexed.insert(record) {

@@ -320,8 +320,9 @@ fn read_remembered<R: LogRecord + TsvRecord>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::{SourceItem, StreamEvent};
+    use crate::source::{EventSource, Polled, StreamEvent};
     use crate::window::WindowSpec;
+    use crate::{PumpOptions, PumpOutcome};
     use proptest::prelude::*;
     use wearscope_appdb::AppCatalog;
     use wearscope_devicedb::DeviceDb;
@@ -339,6 +340,28 @@ mod tests {
             bytes_down: 64,
             bytes_up: 8,
         })
+    }
+
+    /// Records handed out in order, then the end.
+    struct Events(std::vec::IntoIter<StreamEvent>);
+
+    impl EventSource for Events {
+        fn poll(&mut self) -> io::Result<Polled> {
+            Ok(self.0.next().map_or(Polled::End, Polled::Event))
+        }
+
+        fn position(&self) -> Option<SourcePosition> {
+            None
+        }
+    }
+
+    /// Pumps `events` through `rt`, in order, as one source.
+    fn feed<const N: usize>(
+        rt: &mut StreamRuntime<'_>,
+        events: [StreamEvent; N],
+    ) -> Result<PumpOutcome, StreamError> {
+        let mut source = Events(Vec::from(events).into_iter());
+        rt.pump(&mut source, &PumpOptions::default())
     }
 
     /// Owns everything a [`StudyContext`] borrows.
@@ -411,7 +434,7 @@ mod tests {
         ];
         let mut rt = StreamRuntime::new(ctx, config);
         for ev in events {
-            rt.process_item(SourceItem::Event(ev)).unwrap();
+            feed(&mut rt, [ev]).unwrap();
         }
         rt
     }
@@ -435,8 +458,7 @@ mod tests {
                 event,
                 sector,
             };
-            rt.process_item(SourceItem::Event(StreamEvent::Mme(r)))
-                .unwrap();
+            feed(&mut rt, [StreamEvent::Mme(r)]).unwrap();
         }
         rt
     }
@@ -855,7 +877,7 @@ mod tests {
         // Uninterrupted run.
         let mut whole = StreamRuntime::new(&ctx, config);
         for ev in &events {
-            whole.process_item(SourceItem::Event(ev.clone())).unwrap();
+            feed(&mut whole, [ev.clone()]).unwrap();
         }
         whole.finish();
         let (want, _) = whole.into_results();
@@ -863,7 +885,7 @@ mod tests {
         // Kill after 77 events, checkpoint, resume via text.
         let mut first = StreamRuntime::new(&ctx, config);
         for ev in &events[..77] {
-            first.process_item(SourceItem::Event(ev.clone())).unwrap();
+            feed(&mut first, [ev.clone()]).unwrap();
         }
         let text = to_text(&first, None);
         let (mut resumed, position) = from_text(&ctx, config, &text).unwrap();
@@ -871,7 +893,7 @@ mod tests {
         // Restored state re-serializes byte-identically.
         assert_eq!(to_text(&resumed, None), text);
         for ev in &events[77..] {
-            resumed.process_item(SourceItem::Event(ev.clone())).unwrap();
+            feed(&mut resumed, [ev.clone()]).unwrap();
         }
         resumed.finish();
         let (got, _) = resumed.into_results();

@@ -5,7 +5,8 @@
 //! [`wearscope_core::CoreAggregates`] as its parse workers hand them over,
 //! in file order. This crate computes the *same* aggregates per event-time
 //! window: records arrive as an ordered-ish event stream (a persisted
-//! world directory, a growing log being tailed, or an in-process channel),
+//! world directory, a growing log being tailed, or any other
+//! [`EventSource`]),
 //! are validated by the batch loader's
 //! [`RecordValidator`](wearscope_ingest::RecordValidator), and are folded
 //! into each window's [`CorePartials`](wearscope_core::CorePartials) the
@@ -35,8 +36,5 @@ pub mod window;
 pub use runtime::{
     Backpressure, PumpOptions, PumpOutcome, StreamConfig, StreamError, StreamRuntime,
 };
-pub use source::{
-    ChannelSource, EventSource, Polled, ReadAhead, SourceItem, SourcePosition, StreamEvent,
-    WorldSource,
-};
+pub use source::{EventSource, Polled, SourcePosition, StreamEvent, WorldSource};
 pub use window::WindowSpec;

@@ -59,13 +59,14 @@ use std::time::Instant;
 use wearscope_core::sessions::{AttributedTx, Attributor, SESSION_GAP_SECS};
 use wearscope_core::snapshot::SnapshotError;
 use wearscope_core::{CorePartials, StudyContext};
+use wearscope_devicedb::DeviceClass;
 use wearscope_ingest::{reason_for_codec, IngestError, LogLedger, RecordValidator};
 use wearscope_obs::{Counter, Gauge, Histogram, Registry};
 use wearscope_report::{DataQuality, QuarantineReason, ShardSource, StreamSummary, WindowReport};
 use wearscope_simtime::{SimDuration, SimTime, SECS_PER_DAY};
 use wearscope_trace::{MmeRecord, ProxyRecord};
 
-use crate::source::{panicked, EventSource, Polled, SourceItem, SourcePosition, StreamEvent};
+use crate::source::{panicked, EventSource, Feed, Next, Polling, SourcePosition};
 use crate::window::WindowSpec;
 
 /// What to do when the open-window cap is reached.
@@ -239,9 +240,15 @@ pub struct PumpOptions {
 /// in the registry's deterministic section. Only checkpoint write
 /// latency (`stream.checkpoint_write_us`, on whichever thread writes),
 /// the time the runtime waited to hand a checkpoint to the writer thread
-/// (`stream.checkpoint_wait_ns`) and the time it spent releasing
-/// attribution and emitting windows (`stream.emit_ns`) are wall-clock and
-/// land in the timing section. Counters start at zero per process:
+/// (`stream.checkpoint_wait_ns`), the time it spent releasing attribution
+/// and emitting windows (`stream.emit_ns`), and its time per phase of a
+/// run of records are wall-clock and land in the timing section. The
+/// phases are `stream.validate_ns` (taking items from the source and
+/// checking them, reader waits and emission excluded), `stream.absorb_ns`
+/// (folding the kept ones into their windows, closing final user-days)
+/// and `stream.attribute_ns` (handing wearable transactions to the
+/// attributor), timed once per run, never per record. Counters start at
+/// zero per process:
 /// a resumed run reports the work *it* did, not the checkpoint's
 /// cumulative [`DataQuality`] ledger.
 ///
@@ -268,6 +275,9 @@ pub(crate) struct StreamObs {
     checkpoint_write_us: Histogram,
     checkpoint_wait_ns: Counter,
     emit_ns: Counter,
+    validate_ns: Counter,
+    absorb_ns: Counter,
+    attribute_ns: Counter,
     /// The runtime's quality section, late merges and watermark-only
     /// quarantines as last added to the registry.
     synced: Cell<(DataQuality, u64, u64)>,
@@ -295,6 +305,9 @@ impl StreamObs {
                 .timing_histogram("stream.checkpoint_write_us", &[100, 1_000, 10_000, 100_000]),
             checkpoint_wait_ns: m.timing_counter("stream.checkpoint_wait_ns"),
             emit_ns: m.timing_counter("stream.emit_ns"),
+            validate_ns: m.timing_counter("stream.validate_ns"),
+            absorb_ns: m.timing_counter("stream.absorb_ns"),
+            attribute_ns: m.timing_counter("stream.attribute_ns"),
             synced: Cell::default(),
         }
     }
@@ -344,6 +357,20 @@ pub struct StreamRuntime<'s> {
     /// Every day before this one was final when the open windows were
     /// last closed.
     final_days: u64,
+    /// Kept records not yet folded into their windows (see
+    /// [`keep`](StreamRuntime::keep)).
+    run: Vec<Kept>,
+    /// A window range last found open, while no window was emitted since.
+    open_range: Option<(u64, u64)>,
+    /// The span of seconds `from..to` whose windows are `lo..=hi`, as
+    /// `(from, to, lo, hi)`: the last record's.
+    assigned: (SimTime, SimTime, u64, u64),
+    /// The watermark at which [`keep`](StreamRuntime::keep) next closes
+    /// final user-days and emits due windows; no later than needed,
+    /// earlier only at the cost of a run folded sooner.
+    settle_at: SimTime,
+    /// Nanoseconds the current run's absorb and attribution took.
+    phases: (u64, u64),
     /// Metric handles (a private unobserved registry unless
     /// [`with_metrics`](StreamRuntime::with_metrics) routed them).
     pub(crate) obs: StreamObs,
@@ -352,6 +379,59 @@ pub struct StreamRuntime<'s> {
 /// The attribution slack every window close waits out.
 fn slack() -> SimDuration {
     SimDuration::from_secs(SESSION_GAP_SECS)
+}
+
+/// Whether window `index` of `spec` is due under watermark `w`: past its
+/// end plus the attribution slack.
+fn due(spec: WindowSpec, index: u64, w: SimTime) -> bool {
+    let (_, end) = spec.bounds(index);
+    end.saturating_add(slack()) <= w
+}
+
+/// Kept records a run holds at most before they are folded in.
+const RUN_RECORDS: usize = 256;
+
+/// A record of either log, copied out of its chunk.
+#[derive(Clone, Copy, Debug)]
+enum Record {
+    Proxy(ProxyRecord),
+    Mme(MmeRecord),
+}
+
+impl Record {
+    fn timestamp(&self) -> SimTime {
+        match self {
+            Record::Proxy(r) => r.timestamp,
+            Record::Mme(r) => r.timestamp,
+        }
+    }
+
+    /// Folds the record into one window's partials.
+    fn absorb_into(
+        &self,
+        partials: &mut CorePartials,
+        ctx: &StudyContext<'_>,
+        device: Option<DeviceClass>,
+    ) {
+        match self {
+            Record::Proxy(r) => {
+                partials.absorb_proxy(ctx, r, device);
+            }
+            Record::Mme(r) => partials.absorb_mme(ctx, r, device),
+        }
+    }
+}
+
+/// A kept record waiting in the run to be folded in.
+#[derive(Clone, Copy, Debug)]
+struct Kept {
+    record: Record,
+    /// The device class of the IMEI the validator checked.
+    device: Option<DeviceClass>,
+    /// The windows `lo..=hi` it goes into.
+    windows: (u64, u64),
+    /// Whether it arrived behind the max event time.
+    late: bool,
 }
 
 impl<'s> StreamRuntime<'s> {
@@ -381,6 +461,11 @@ impl<'s> StreamRuntime<'s> {
             late_merged: 0,
             watermark_only_quarantined: 0,
             final_days: 0,
+            run: Vec::with_capacity(RUN_RECORDS),
+            open_range: None,
+            assigned: (SimTime::EPOCH, SimTime::EPOCH, 0, 0),
+            settle_at: SimTime::EPOCH,
+            phases: (0, 0),
             obs: StreamObs::default(),
         }
     }
@@ -472,40 +557,98 @@ impl<'s> StreamRuntime<'s> {
         &self.config
     }
 
-    /// Feeds one source item through validation, windowing and attribution.
-    ///
-    /// # Errors
-    /// [`StreamError::Backpressure`] under [`Backpressure::Block`] at the
-    /// open-window cap.
-    pub fn process_item(&mut self, item: SourceItem) -> Result<(), StreamError> {
-        match item {
-            SourceItem::Malformed { kind, line, error } => {
-                let reason = reason_for_codec(&error);
-                match kind {
-                    ShardSource::Proxy => self.proxy.malformed(line, reason),
-                    ShardSource::Mme => self.mme.malformed(line, reason),
-                }
-                Ok(())
-            }
-            SourceItem::Event(ev) => self.process_event(ev),
-        }
+    /// Takes items from `feed` until it waits or ends, or `left` items are
+    /// taken: the source's next items, checked, admitted records kept in
+    /// the run, and the run folded in before this returns (also when it
+    /// fails). Returns why it stopped, or `None` after `left` items.
+    fn take<F: Feed>(
+        &mut self,
+        feed: &mut F,
+        left: u64,
+    ) -> Result<Option<PumpOutcome>, StreamError> {
+        let (started, waited) = (Instant::now(), feed.waited_ns());
+        let emitted = self.obs.emit_ns.get();
+        let taken = self.take_items(feed, left);
+        let flushed = self.flush();
+        let elapsed = started.elapsed().as_nanos() as u64;
+        let (absorb, attribute) = std::mem::take(&mut self.phases);
+        let elsewhere = absorb + attribute + (feed.waited_ns() - waited);
+        let elsewhere = elsewhere + (self.obs.emit_ns.get() - emitted);
+        self.obs.validate_ns.add(elapsed.saturating_sub(elsewhere));
+        self.obs.absorb_ns.add(absorb);
+        self.obs.attribute_ns.add(attribute);
+        let outcome = taken?;
+        flushed?;
+        Ok(outcome)
     }
 
-    fn process_event(&mut self, ev: StreamEvent) -> Result<(), StreamError> {
-        let ts = ev.timestamp();
-        let ids = self.config.spec.assign(ts);
-        let (lo, hi) = (*ids.start(), *ids.end());
+    /// [`take`](StreamRuntime::take)'s loop over the items.
+    fn take_items<F: Feed>(
+        &mut self,
+        feed: &mut F,
+        mut left: u64,
+    ) -> Result<Option<PumpOutcome>, StreamError> {
+        while left > 0 {
+            let most = usize::try_from(left).unwrap_or(usize::MAX);
+            let (taken, kept) = match feed.next()? {
+                Next::Proxies(records) => self.take_records(records, most, Record::Proxy),
+                Next::Mmes(records) => self.take_records(records, most, Record::Mme),
+                Next::Malformed(kind, line, error) => {
+                    let reason = reason_for_codec(&error);
+                    match kind {
+                        ShardSource::Proxy => self.proxy.malformed(line, reason),
+                        ShardSource::Mme => self.mme.malformed(line, reason),
+                    }
+                    left -= 1;
+                    continue;
+                }
+                Next::Pending => return Ok(Some(PumpOutcome::Pending)),
+                Next::End => return Ok(Some(PumpOutcome::Finished)),
+            };
+            feed.serve(taken);
+            left -= taken as u64;
+            kept?;
+        }
+        Ok(None)
+    }
+
+    /// Checks and keeps up to `most` of `records`, which come next in a
+    /// row: how many it took, and the error that stopped it, if any.
+    fn take_records<R: Copy>(
+        &mut self,
+        records: &[R],
+        most: usize,
+        record: fn(R) -> Record,
+    ) -> (usize, Result<(), StreamError>) {
+        let records = &records[..records.len().min(most)];
+        for (i, r) in records.iter().enumerate() {
+            if let Some(kept) = self.admit(record(*r)) {
+                if let Err(e) = self.keep(kept) {
+                    return (i + 1, Err(e));
+                }
+            }
+        }
+        (records.len(), Ok(()))
+    }
+
+    /// Checks one record against its log's ledger under the current
+    /// watermark. A kept record moves the stream clock and the next window
+    /// to emit, and comes back with the windows it goes into; it is folded
+    /// in later, with its run.
+    fn admit(&mut self, record: Record) -> Option<Kept> {
+        let ts = record.timestamp();
+        let (lo, hi) = self.windows_of(ts);
         // After forced emission, a record whose every target window is
         // sealed has nowhere to go. Before any emission the timeline may
         // still start lower, so nothing is sealed yet.
         let sealed = !self.reports.is_empty() && self.progress.is_some_and(|next| hi < next);
         let watermark = self.watermark();
-        let (verdict, own_high_water) = match &ev {
-            StreamEvent::Proxy(r) => (
+        let (verdict, own_high_water) = match &record {
+            Record::Proxy(r) => (
                 self.proxy.check(r, watermark, sealed),
                 self.proxy.high_water(),
             ),
-            StreamEvent::Mme(r) => (self.mme.check(r, watermark, sealed), self.mme.high_water()),
+            Record::Mme(r) => (self.mme.check(r, watermark, sealed), self.mme.high_water()),
         };
         let imei = match verdict {
             Ok(imei) => imei,
@@ -515,34 +658,177 @@ impl<'s> StreamRuntime<'s> {
                 let watermark_only = rejection.reason == QuarantineReason::OutOfOrder
                     && (own_high_water..watermark).contains(&ts);
                 self.watermark_only_quarantined += u64::from(watermark_only);
-                return Ok(());
+                return None;
             }
         };
-        let device = self.ctx.device_class_of(imei);
         let next_emit = match self.progress {
             Some(next) if !self.reports.is_empty() => next,
             // Nothing emitted yet: a within-lateness record earlier than
             // the first one moves the timeline's start down.
             next => next.map_or(lo, |next| next.min(lo)),
         };
-        self.progress = Some(next_emit);
+        if self.progress != Some(next_emit) {
+            self.progress = Some(next_emit);
+            // A window may fall due sooner now.
+            self.settle_at = SimTime::EPOCH;
+        }
         let late = self.max_event.is_some_and(|m| ts < m);
         self.late_merged += u64::from(late);
-        let mut wearable = false;
-        for id in lo.max(next_emit)..=hi {
-            let ctx = self.ctx;
-            let (partials, late_merged) = match self.open.get_mut(&id) {
-                Some(window) => window,
-                None => self.open_window(id)?,
-            };
-            *late_merged += u64::from(late);
-            match &ev {
-                StreamEvent::Proxy(r) => wearable = partials.absorb_proxy(ctx, r, device),
-                StreamEvent::Mme(r) => partials.absorb_mme(ctx, r, device),
+        if self.max_event.is_none_or(|m| m < ts) {
+            self.max_event = Some(ts);
+        }
+        Some(Kept {
+            record,
+            device: self.ctx.device_class_of(imei),
+            windows: (lo.max(next_emit), hi),
+            late,
+        })
+    }
+
+    /// Keeps an admitted record in the run, which is folded in at once
+    /// when it is full or the record makes work due.
+    ///
+    /// Folding a run later changes nothing: as long as no window is
+    /// opened or emitted and no user-day closes, a record's verdict does
+    /// not depend on the records before it having been folded. So the run
+    /// is folded in before a record that opens a window, which is then
+    /// folded alone (opening may force older windows out), and right after
+    /// a record that moves the watermark past a due window or a midnight,
+    /// before that work is done.
+    ///
+    /// # Errors
+    /// [`StreamError::Backpressure`] under [`Backpressure::Block`] at the
+    /// open-window cap.
+    fn keep(&mut self, kept: Kept) -> Result<(), StreamError> {
+        let opens = !self.windows_open(kept.windows);
+        if opens {
+            self.flush()?;
+        }
+        self.run.push(kept);
+        if opens || self.run.len() == RUN_RECORDS {
+            self.flush()?;
+        }
+        if opens {
+            // Opening may have forced windows out.
+            self.settle_at = SimTime::EPOCH;
+        }
+        if self.watermark() >= self.settle_at {
+            self.flush()?;
+            let started = Instant::now();
+            self.close_final_days();
+            self.phases.0 += started.elapsed().as_nanos() as u64;
+            self.advance_watermark();
+            self.settle_at = self.next_settle();
+        }
+        Ok(())
+    }
+
+    /// The watermark at which the next window falls due or the next
+    /// user-day becomes final, whichever comes first.
+    fn next_settle(&self) -> SimTime {
+        let midnight = (self.final_days + 1).saturating_mul(SECS_PER_DAY);
+        let midnight = SimTime::from_secs(midnight);
+        match self.progress {
+            Some(next) => midnight.min(self.config.spec.bounds(next).1.saturating_add(slack())),
+            None => midnight,
+        }
+    }
+
+    /// The windows `lo..=hi` that hold second `ts`: computed once per span
+    /// of seconds that share them.
+    fn windows_of(&mut self, ts: SimTime) -> (u64, u64) {
+        let (from, to, lo, hi) = self.assigned;
+        if from <= ts && ts < to {
+            return (lo, hi);
+        }
+        let spec = self.config.spec;
+        let ids = spec.assign(ts);
+        let (lo, hi) = (*ids.start(), *ids.end());
+        // Second `hi * slide` opens window `hi`; window `lo - 1` ends
+        // where `lo` becomes the first window holding the second.
+        let from = match lo.checked_sub(1) {
+            Some(before) => spec.bounds(hi).0.max(spec.bounds(before).1),
+            None => spec.bounds(hi).0,
+        };
+        let to = spec.bounds(hi.saturating_add(1)).0.min(spec.bounds(lo).1);
+        self.assigned = (from, to, lo, hi);
+        (lo, hi)
+    }
+
+    /// Whether windows `lo..=hi` are all open: one lookup per range, until
+    /// a window is emitted.
+    fn windows_open(&mut self, (lo, hi): (u64, u64)) -> bool {
+        if self.open_range == Some((lo, hi)) {
+            return true;
+        }
+        let open = self.open.range(lo..=hi).count() as u64 == hi - lo + 1;
+        if open {
+            self.open_range = Some((lo, hi));
+        }
+        open
+    }
+
+    /// Folds the run's records into their windows, then hands its
+    /// wearable transactions to the attributor, in stream order, and
+    /// empties it.
+    ///
+    /// # Errors
+    /// [`StreamError::Backpressure`] under [`Backpressure::Block`], from
+    /// a record that opens a window at the cap: it is then folded into
+    /// the windows before the one refused, and not attributed.
+    fn flush(&mut self) -> Result<(), StreamError> {
+        if self.run.is_empty() {
+            return Ok(());
+        }
+        let started = Instant::now();
+        let mut run = std::mem::take(&mut self.run);
+        let absorbed = self.absorb(&run);
+        let absorbed_at = Instant::now();
+        if absorbed.is_ok() {
+            self.attribute(&run);
+        }
+        self.phases.0 += (absorbed_at - started).as_nanos() as u64;
+        self.phases.1 += absorbed_at.elapsed().as_nanos() as u64;
+        run.clear();
+        self.run = run;
+        absorbed
+    }
+
+    /// Folds each record of `run` into its windows, looking the windows up
+    /// once per stretch of records that share them. A record whose windows
+    /// are not all open is alone in its run, and opens them one by one
+    /// under the backpressure policy, as it is folded into each.
+    fn absorb(&mut self, run: &[Kept]) -> Result<(), StreamError> {
+        let ctx = self.ctx;
+        for stretch in run.chunk_by(|a, b| a.windows == b.windows) {
+            let (lo, hi) = stretch[0].windows;
+            if self.windows_open((lo, hi)) {
+                for (_, (partials, late_merged)) in self.open.range_mut(lo..=hi) {
+                    for k in stretch {
+                        *late_merged += u64::from(k.late);
+                        k.record.absorb_into(partials, ctx, k.device);
+                    }
+                }
+                continue;
+            }
+            for k in stretch {
+                for id in lo..=hi {
+                    let (partials, late_merged) = match self.open.get_mut(&id) {
+                        Some(window) => window,
+                        None => self.open_window(id)?,
+                    };
+                    *late_merged += u64::from(k.late);
+                    k.record.absorb_into(partials, ctx, k.device);
+                }
             }
         }
-        if let StreamEvent::Proxy(r) = &ev {
-            if wearable {
+        Ok(())
+    }
+
+    /// Hands the wearable proxy records of `run` to the attributor.
+    fn attribute(&mut self, run: &[Kept]) {
+        for k in run {
+            if let (Record::Proxy(r), Some(DeviceClass::CellularWearable)) = (&k.record, k.device) {
                 self.attributor.observe(
                     r.user,
                     r.timestamp,
@@ -551,12 +837,6 @@ impl<'s> StreamRuntime<'s> {
                 );
             }
         }
-        if self.max_event.is_none_or(|m| m < ts) {
-            self.max_event = Some(ts);
-            self.close_final_days();
-        }
-        self.advance_watermark();
-        Ok(())
     }
 
     /// Once the watermark passes a midnight, closes in each open window
@@ -601,11 +881,7 @@ impl<'s> StreamRuntime<'s> {
             return;
         };
         let spec = self.config.spec;
-        let due = move |index: u64| -> bool {
-            let (_, end) = spec.bounds(index);
-            end.saturating_add(slack()) <= w
-        };
-        if !due(next_emit) {
+        if !due(spec, next_emit, w) {
             return;
         }
         // Release attribution up to the watermark *before* sealing windows:
@@ -615,7 +891,7 @@ impl<'s> StreamRuntime<'s> {
         let mut emitted = Vec::new();
         self.attributor.advance(w, &mut emitted);
         self.route_attributed(&emitted);
-        while self.progress.is_some_and(due) {
+        while self.progress.is_some_and(|next| due(spec, next, w)) {
             self.emit_next(false);
         }
         self.obs.emit_ns.add(started.elapsed().as_nanos() as u64);
@@ -626,6 +902,7 @@ impl<'s> StreamRuntime<'s> {
     fn emit_next(&mut self, forced: bool) {
         let index = self.progress.expect("emission needs progress");
         self.progress = Some(index + 1);
+        self.open_range = None;
         let (mut partials, late_merged) = self.open.remove(&index).unwrap_or_default();
         let report = window_report(self.config.spec, index, &partials, late_merged, forced);
         self.push_report(report);
@@ -681,6 +958,13 @@ impl<'s> StreamRuntime<'s> {
     /// Pulls the source until it ends, stalls, or the stop budget is hit,
     /// writing periodic checkpoints if configured.
     ///
+    /// A [`WorldSource`](crate::WorldSource) is read where its records lie
+    /// in its chunks ([`EventSource::as_world`]); any other source is
+    /// polled item by item. Either way the records go through the same
+    /// runs: checked one by one, then folded into their windows a run at a
+    /// time (timed as `stream.validate_ns`, `stream.absorb_ns` and
+    /// `stream.attribute_ns`).
+    ///
     /// Each periodic checkpoint is rendered here, at the record it is due,
     /// and handed to a `stream-checkpoint` thread that writes it as
     /// [`write_checkpoint`](StreamRuntime::write_checkpoint) does. The
@@ -698,54 +982,79 @@ impl<'s> StreamRuntime<'s> {
         source: &mut S,
         opts: &PumpOptions,
     ) -> Result<PumpOutcome, StreamError> {
+        match source.as_world() {
+            Some(world) => self.pump_feed(world, opts),
+            None => self.pump_feed(
+                &mut Polling {
+                    source,
+                    event: None,
+                },
+                opts,
+            ),
+        }
+    }
+
+    /// [`pump`](StreamRuntime::pump) over either kind of source.
+    fn pump_feed<F: Feed>(
+        &mut self,
+        feed: &mut F,
+        opts: &PumpOptions,
+    ) -> Result<PumpOutcome, StreamError> {
         let outcome = thread::scope(|scope| {
             let mut writer = None;
-            let outcome = self.pump_into(source, opts, scope, &mut writer);
+            let outcome = self.pump_into(feed, opts, scope, &mut writer);
             // A failed write stops the writer, which ends the loop at the
             // next hand-off: the write's error is the cause.
             writer.map_or(Ok(()), CheckpointWriter::join)?;
             outcome
         });
+        feed.sync();
         self.sync_metrics();
         outcome
     }
 
     /// [`pump`](StreamRuntime::pump)'s loop, handing checkpoints to
-    /// `writer` (started on first use).
-    fn pump_into<'scope, 'env, S: EventSource>(
+    /// `writer` (started on first use): items are taken up to the next
+    /// checkpoint or the stop, whichever comes first.
+    fn pump_into<'scope, 'env, F: Feed>(
         &mut self,
-        source: &mut S,
+        feed: &mut F,
         opts: &'env PumpOptions,
         scope: &'scope Scope<'scope, 'env>,
         writer: &mut Option<CheckpointWriter<'scope>>,
     ) -> Result<PumpOutcome, StreamError> {
+        let every = match &opts.checkpoint {
+            Some((_, every)) => *every,
+            None => 0,
+        };
         loop {
-            if opts
-                .stop_after
-                .is_some_and(|budget| self.records_processed() >= budget)
-            {
-                return Ok(PumpOutcome::Stopped);
-            }
-            match source.poll()? {
-                Polled::Item(item) => {
-                    self.process_item(item)?;
-                    let Some((path, every)) = &opts.checkpoint else {
-                        continue;
-                    };
-                    if *every > 0 && self.records_processed().is_multiple_of(*every) {
-                        let text = crate::checkpoint::to_text(self, source.position());
-                        let w = match writer {
-                            Some(w) => w,
-                            None => writer.insert(CheckpointWriter::spawn(scope, path, &self.obs)?),
-                        };
-                        if !w.hand_over(text, &self.obs.checkpoint_wait_ns) {
-                            return Err(io::Error::other("the checkpoint writer stopped").into());
-                        }
-                        self.obs.checkpoints.inc();
-                    }
+            let processed = self.records_processed();
+            let mut left = u64::MAX;
+            if let Some(budget) = opts.stop_after {
+                if processed >= budget {
+                    return Ok(PumpOutcome::Stopped);
                 }
-                Polled::Pending => return Ok(PumpOutcome::Pending),
-                Polled::End => return Ok(PumpOutcome::Finished),
+                left = budget - processed;
+            }
+            if every > 0 {
+                left = left.min(every - processed % every);
+            }
+            if let Some(outcome) = self.take(feed, left)? {
+                return Ok(outcome);
+            }
+            let Some((path, every)) = &opts.checkpoint else {
+                continue;
+            };
+            if *every > 0 && self.records_processed().is_multiple_of(*every) {
+                let text = crate::checkpoint::to_text(self, feed.committed());
+                let w = match writer {
+                    Some(w) => w,
+                    None => writer.insert(CheckpointWriter::spawn(scope, path, &self.obs)?),
+                };
+                if !w.hand_over(text, &self.obs.checkpoint_wait_ns) {
+                    return Err(io::Error::other("the checkpoint writer stopped").into());
+                }
+                self.obs.checkpoints.inc();
             }
         }
     }
@@ -900,7 +1209,7 @@ impl<'scope> CheckpointWriter<'scope> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::ChannelSource;
+    use crate::source::{Polled, StreamEvent};
     use wearscope_appdb::AppCatalog;
     use wearscope_devicedb::DeviceDb;
     use wearscope_geo::SectorDirectory;
@@ -950,6 +1259,63 @@ mod tests {
         }
     }
 
+    /// An in-process channel source: an empty channel polls
+    /// [`Polled::Pending`], a disconnected one [`Polled::End`]. Not
+    /// resumable.
+    struct ChannelSource {
+        rx: mpsc::Receiver<StreamEvent>,
+    }
+
+    impl ChannelSource {
+        /// A connected `(sender, source)` pair.
+        fn pair() -> (mpsc::Sender<StreamEvent>, ChannelSource) {
+            let (tx, rx) = mpsc::channel();
+            (tx, ChannelSource { rx })
+        }
+    }
+
+    impl EventSource for ChannelSource {
+        fn poll(&mut self) -> io::Result<Polled> {
+            match self.rx.try_recv() {
+                Ok(ev) => Ok(Polled::Event(ev)),
+                Err(mpsc::TryRecvError::Empty) => Ok(Polled::Pending),
+                Err(mpsc::TryRecvError::Disconnected) => Ok(Polled::End),
+            }
+        }
+
+        fn position(&self) -> Option<SourcePosition> {
+            None
+        }
+    }
+
+    /// Pumps `events` through `rt`, in order, as one source.
+    fn feed(
+        rt: &mut StreamRuntime<'_>,
+        events: impl IntoIterator<Item = StreamEvent>,
+    ) -> Result<PumpOutcome, StreamError> {
+        let (tx, mut src) = ChannelSource::pair();
+        for ev in events {
+            tx.send(ev).unwrap();
+        }
+        drop(tx);
+        rt.pump(&mut src, &PumpOptions::default())
+    }
+
+    #[test]
+    fn channel_source_polls_until_disconnect() {
+        let fx = Fixture::new();
+        let (tx, mut src) = ChannelSource::pair();
+        assert!(matches!(src.poll().unwrap(), Polled::Pending));
+        tx.send(fx.proxy(1, 5, "api.weather.com")).unwrap();
+        assert!(matches!(
+            src.poll().unwrap(),
+            Polled::Event(StreamEvent::Proxy(_))
+        ));
+        drop(tx);
+        assert!(matches!(src.poll().unwrap(), Polled::End));
+        assert!(src.position().is_none());
+    }
+
     fn hour_config(lateness: u64) -> StreamConfig {
         StreamConfig::new(
             WindowSpec::tumbling(SimDuration::from_hours(1)).unwrap(),
@@ -967,7 +1333,7 @@ mod tests {
             fx.proxy(1, 100, "api.weather.com"),
             fx.proxy(1, 7500, "api.weather.com"),
         ] {
-            rt.process_item(SourceItem::Event(ev)).unwrap();
+            feed(&mut rt, [ev]).unwrap();
         }
         rt.finish();
         let (summary, _) = rt.into_results();
@@ -992,15 +1358,12 @@ mod tests {
         let fx = Fixture::new();
         let ctx = fx.ctx();
         let mut rt = StreamRuntime::new(&ctx, hour_config(0));
-        rt.process_item(SourceItem::Event(fx.proxy(1, 100, "api.weather.com")))
-            .unwrap();
+        feed(&mut rt, [fx.proxy(1, 100, "api.weather.com")]).unwrap();
         // Watermark 3659: window 0 (end 3600) not yet due (3600+60 > 3659).
-        rt.process_item(SourceItem::Event(fx.proxy(1, 3659, "api.weather.com")))
-            .unwrap();
+        feed(&mut rt, [fx.proxy(1, 3659, "api.weather.com")]).unwrap();
         assert_eq!(rt.reports.len(), 0);
         // Watermark 3660: due.
-        rt.process_item(SourceItem::Event(fx.proxy(1, 3660, "api.weather.com")))
-            .unwrap();
+        feed(&mut rt, [fx.proxy(1, 3660, "api.weather.com")]).unwrap();
         assert_eq!(rt.reports.len(), 1);
         assert_eq!(rt.reports[0].proxy_records, 1);
     }
@@ -1011,8 +1374,7 @@ mod tests {
         let ctx = fx.ctx();
         let mut rt = StreamRuntime::new(&ctx, hour_config(600));
         for t in [1000u64, 2000, 1500, 1399] {
-            rt.process_item(SourceItem::Event(fx.proxy(1, t, "api.weather.com")))
-                .unwrap();
+            feed(&mut rt, [fx.proxy(1, t, "api.weather.com")]).unwrap();
         }
         // 1500 < max_event 2000 → late-merged; 1399 < watermark 1400 → out
         // of order.
@@ -1030,8 +1392,8 @@ mod tests {
         let ctx = fx.ctx();
         let mut rt = StreamRuntime::new(&ctx, hour_config(600));
         let ev = fx.proxy(1, 1000, "api.weather.com");
-        rt.process_item(SourceItem::Event(ev.clone())).unwrap();
-        rt.process_item(SourceItem::Event(ev)).unwrap();
+        feed(&mut rt, [ev.clone()]).unwrap();
+        feed(&mut rt, [ev]).unwrap();
         assert_eq!(rt.quality().quarantined.get(QuarantineReason::Duplicate), 1);
         assert_eq!(rt.quality().records_kept, 1);
     }
@@ -1045,13 +1407,9 @@ mod tests {
         // Three windows forced open at once: lateness keeps none closeable.
         config.lateness = SimDuration::from_hours(10);
         let mut rt = StreamRuntime::new(&ctx, config);
-        rt.process_item(SourceItem::Event(fx.proxy(1, 100, "api.weather.com")))
-            .unwrap();
-        rt.process_item(SourceItem::Event(fx.proxy(1, 3700, "api.weather.com")))
-            .unwrap();
-        let err = rt
-            .process_item(SourceItem::Event(fx.proxy(1, 7300, "api.weather.com")))
-            .unwrap_err();
+        feed(&mut rt, [fx.proxy(1, 100, "api.weather.com")]).unwrap();
+        feed(&mut rt, [fx.proxy(1, 3700, "api.weather.com")]).unwrap();
+        let err = feed(&mut rt, [fx.proxy(1, 7300, "api.weather.com")]).unwrap_err();
         assert!(matches!(
             err,
             StreamError::Backpressure { open: 2, limit: 2 }
@@ -1060,14 +1418,12 @@ mod tests {
         config.backpressure = Backpressure::DropOldest;
         let mut rt = StreamRuntime::new(&ctx, config);
         for t in [100, 3700, 7300] {
-            rt.process_item(SourceItem::Event(fx.proxy(1, t, "api.weather.com")))
-                .unwrap();
+            feed(&mut rt, [fx.proxy(1, t, "api.weather.com")]).unwrap();
         }
         assert_eq!(rt.reports.len(), 1);
         assert!(rt.reports[0].forced);
         // A record for the sealed window now has nowhere to go.
-        rt.process_item(SourceItem::Event(fx.proxy(1, 200, "api.weather.com")))
-            .unwrap();
+        feed(&mut rt, [fx.proxy(1, 200, "api.weather.com")]).unwrap();
         assert_eq!(
             rt.quality().quarantined.get(QuarantineReason::OutOfOrder),
             1
@@ -1143,11 +1499,9 @@ mod tests {
         // 1500 late-merges, 1399 is behind the watermark (1400), and a
         // replay of the t=2000 record is a duplicate.
         for t in [1000u64, 2000, 1500, 1399] {
-            rt.process_item(SourceItem::Event(fx.proxy(1, t, "api.weather.com")))
-                .unwrap();
+            feed(&mut rt, [fx.proxy(1, t, "api.weather.com")]).unwrap();
         }
-        rt.process_item(SourceItem::Event(fx.proxy(1, 2000, "api.weather.com")))
-            .unwrap();
+        feed(&mut rt, [fx.proxy(1, 2000, "api.weather.com")]).unwrap();
         rt.finish();
         let snap = reg.snapshot();
         assert_eq!(snap.counters["stream.records_processed"], 5);
@@ -1183,8 +1537,7 @@ mod tests {
             (4300, "cdn.telemetry.example"),
             (9000, "cdn.telemetry.example"),
         ] {
-            rt.process_item(SourceItem::Event(fx.proxy(1, t, host)))
-                .unwrap();
+            feed(&mut rt, [fx.proxy(1, t, host)]).unwrap();
         }
         rt.finish();
         assert_eq!(rt.late_merged, 1);

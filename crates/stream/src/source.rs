@@ -1,38 +1,46 @@
 //! Event sources: where the stream's records come from.
 //!
-//! The runtime pulls records through one trait, [`EventSource`]:
+//! The runtime pulls records through one trait, [`EventSource`]. Its one
+//! reader of saved logs is [`WorldSource`]: the two persisted
+//! vantage-point logs of a world directory (`proxy.log` + `mme.log`),
+//! merged by timestamp into one ordered-ish stream, optionally tailing
+//! files that are still growing.
 //!
-//! * [`WorldSource`] — the two persisted vantage-point logs of a generated
-//!   world (`proxy.log` + `mme.log`), merged by timestamp into one
-//!   ordered-ish stream, optionally tailing files that are still growing;
-//! * [`ReadAhead`] — any source moved onto a reader thread of its own, so
-//!   the runtime thread spends no time reading or decoding: it takes the
-//!   items in bounded batches, each with the position after it, and
-//!   yields them exactly as the wrapped source would have;
-//! * [`ChannelSource`] — an in-process channel, for wiring a live
-//!   simulator (or tests) straight into the runtime.
+//! Each log is one lane. A lane parses its log through the trace crate's
+//! [`Lines`] reader, which decodes each line where it lies in its buffer,
+//! into chunks: up to 512 records, each with its line's end as an offset
+//! within the chunk, the chunk's other lines (blank or malformed, each
+//! with the number of records before it and its end), and the chunk's
+//! byte offset and line count in the log. The merge serves records where
+//! they lie in the two lanes' head chunks, a slice of one log's records
+//! in a row at a time, and the committed position ([`SourcePosition`]) a
+//! checkpoint stores is rebuilt from those bases as records are served:
+//! byte offsets that account for the merge lookahead, so a resumed
+//! source re-reads nothing and skips nothing.
 //!
-//! Each log is read through one layer, its lane in the [`WorldSource`]:
-//! the trace crate's [`Lines`] log reader, which decodes each line where
-//! it lies in its buffer, with the committed position
-//! ([`SourcePosition`]) a checkpoint stores — byte offsets that account
-//! for the merge lookahead, so a resumed source re-reads nothing and
-//! skips nothing. Whichever source hands the items
-//! out counts their `trace.{proxy,mme}.*` bytes and decode errors.
+//! [`WorldSource::read_ahead`] moves the lanes onto a reader thread of
+//! their own. The reader fills chunks it is handed and hands each back
+//! whole through a bounded channel per log; two chunks of each log
+//! circulate, both allocated on the caller's thread, so the reader stays
+//! at most one chunk ahead of the merge on each log. The source yields
+//! exactly what it yields without the thread.
+//!
+//! [`EventSource::poll`] hands out one owned item at a time; the runtime
+//! takes a [`WorldSource`]'s records where they lie instead (see
+//! [`EventSource::as_world`]).
 
 use std::any::Any;
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom};
-use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::mpsc;
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use wearscope_ingest::panic_message;
+use wearscope_ingest::{panic_message, LogRecord};
 use wearscope_obs::{Counter, Registry};
 use wearscope_report::ShardSource;
-use wearscope_simtime::SimTime;
+use wearscope_simtime::{SimDuration, SimTime};
 use wearscope_trace::codec::count_byte;
 use wearscope_trace::{CodecError, Lines, MmeRecord, ProxyRecord, TsvRecord};
 
@@ -55,9 +63,9 @@ impl StreamEvent {
     }
 }
 
-/// One item from an event source: a record, or a malformed line.
+/// Result of polling a source once.
 #[derive(Debug)]
-pub enum SourceItem {
+pub enum Polled {
     /// A well-formed record.
     Event(StreamEvent),
     /// A line that failed to decode (counted against the quality ledger).
@@ -69,13 +77,6 @@ pub enum SourceItem {
         /// The decode failure.
         error: CodecError,
     },
-}
-
-/// Result of polling a source once.
-#[derive(Debug)]
-pub enum Polled {
-    /// An item is available.
-    Item(SourceItem),
     /// Nothing available right now, but the stream may still grow
     /// (follow mode / open channel). Poll again later.
     Pending,
@@ -106,15 +107,75 @@ pub trait EventSource {
 
     /// The committed position, if this source is resumable from disk.
     fn position(&self) -> Option<SourcePosition>;
+
+    /// The source as a world's merged logs, if it is one: the runtime
+    /// then takes each record where it lies in the lanes' chunks rather
+    /// than a copy per [`poll`](EventSource::poll).
+    fn as_world(&mut self) -> Option<&mut WorldSource> {
+        None
+    }
 }
 
-/// The `trace.{proxy,mme}.{bytes_read,decode_errors}` counters of a
-/// stream run, under the names the batch loader reports, so batch and
-/// stream runs of one world are directly comparable. Both are counted as
-/// items are handed out, never as they are read: the bytes are the
-/// committed position's advance and the errors the malformed items, so
-/// for a given input they are functions of the log content and of where
-/// the run stopped, and they sit in the **deterministic** section.
+/// What the merge serves next: records of one log that come next in a
+/// row, where they lie in its head chunk ([`Feed::serve`] says how many
+/// were taken), a malformed line, or why there is none.
+#[derive(Debug)]
+pub(crate) enum Next<'a> {
+    Proxies(&'a [ProxyRecord]),
+    Mmes(&'a [MmeRecord]),
+    Malformed(ShardSource, u64, CodecError),
+    Pending,
+    End,
+}
+
+/// What the runtime takes items from: a [`WorldSource`], or any
+/// [`EventSource`] polled item by item ([`Polling`]).
+pub(crate) trait Feed {
+    fn next(&mut self) -> io::Result<Next<'_>>;
+
+    /// Serves the first `n` records of the last [`Next`].
+    fn serve(&mut self, n: usize);
+
+    /// The committed position after the last item served.
+    fn committed(&self) -> Option<SourcePosition>;
+
+    /// Nanoseconds spent so far waiting for a reader thread.
+    fn waited_ns(&self) -> u64 {
+        0
+    }
+
+    /// Counts the bytes served so far into the source's meter, if any.
+    fn sync(&mut self) {}
+}
+
+/// An [`EventSource`] read item by item, each record served from here.
+pub(crate) struct Polling<'s, S> {
+    pub(crate) source: &'s mut S,
+    pub(crate) event: Option<StreamEvent>,
+}
+
+impl<S: EventSource> Feed for Polling<'_, S> {
+    fn next(&mut self) -> io::Result<Next<'_>> {
+        Ok(match self.source.poll()? {
+            Polled::Event(event) => match self.event.insert(event) {
+                StreamEvent::Proxy(r) => Next::Proxies(std::slice::from_ref(r)),
+                StreamEvent::Mme(r) => Next::Mmes(std::slice::from_ref(r)),
+            },
+            Polled::Malformed { kind, line, error } => Next::Malformed(kind, line, error),
+            Polled::Pending => Next::Pending,
+            Polled::End => Next::End,
+        })
+    }
+
+    fn serve(&mut self, _: usize) {}
+
+    fn committed(&self) -> Option<SourcePosition> {
+        self.source.position()
+    }
+}
+
+/// The `trace.{proxy,mme}.{bytes_read,decode_errors}` counters, under the
+/// batch loader's names (see [`WorldSource::with_metrics`]).
 #[derive(Debug)]
 struct LogMeter {
     proxy_bytes: Counter,
@@ -122,12 +183,12 @@ struct LogMeter {
     mme_bytes: Counter,
     mme_errors: Counter,
     /// Position up to which the bytes are counted.
-    counted: Option<SourcePosition>,
+    counted: SourcePosition,
 }
 
 impl LogMeter {
     /// Registers the four counters, counting bytes from `position` on.
-    fn new(registry: &Registry, position: Option<SourcePosition>) -> LogMeter {
+    fn new(registry: &Registry, position: SourcePosition) -> LogMeter {
         LogMeter {
             proxy_bytes: registry.counter("trace.proxy.bytes_read"),
             proxy_errors: registry.counter("trace.proxy.decode_errors"),
@@ -137,90 +198,94 @@ impl LogMeter {
         }
     }
 
-    /// Counts `item` if it is a malformed line.
-    fn item(&self, item: &SourceItem) {
-        if let SourceItem::Malformed { kind, .. } = item {
-            match kind {
-                ShardSource::Proxy => self.proxy_errors.inc(),
-                ShardSource::Mme => self.mme_errors.inc(),
-            }
-        }
-    }
-
     /// Counts the bytes between the counted position and `to`.
-    fn advance(&mut self, to: Option<SourcePosition>) {
-        if let (Some(from), Some(to)) = (self.counted, to) {
-            if to.proxy_offset != from.proxy_offset {
-                self.proxy_bytes
-                    .add(to.proxy_offset.saturating_sub(from.proxy_offset));
-            }
-            if to.mme_offset != from.mme_offset {
-                self.mme_bytes
-                    .add(to.mme_offset.saturating_sub(from.mme_offset));
-            }
-        }
-        self.counted = to;
+    fn advance(&mut self, to: SourcePosition) {
+        let from = std::mem::replace(&mut self.counted, to);
+        self.proxy_bytes
+            .add(to.proxy_offset.saturating_sub(from.proxy_offset));
+        self.mme_bytes
+            .add(to.mme_offset.saturating_sub(from.mme_offset));
     }
 }
 
-/// The two persisted logs of a world directory, merged by timestamp.
-///
-/// Each log is read with **one record of lookahead** so the merge can
-/// pick the earlier timestamp (ties go to the proxy log, matching the
-/// deterministic source order of the batch loader). The committed
-/// position deliberately *excludes* the stashed lookahead record — it
-/// only moves past a line once that line is served — so a checkpoint
-/// taken between any two items resumes exactly.
-///
-/// In follow mode a log's end is [`Polled::Pending`], not the end of the
-/// stream, and a trailing unterminated line is held back until its `\n`
-/// arrives (the writer may still be mid-line); otherwise a trailing
-/// unterminated line is decoded as a final (possibly truncated) record,
-/// as the batch chunk reader decodes it.
-///
-/// A record whose timestamp lies past the [`with_horizon`] bound is served
-/// the moment it is stashed instead of entering the timestamp comparison:
-/// the runtime quarantines it as skewed either way, and letting a
-/// ten-years-in-the-future timestamp act as a merge key would park its
-/// whole file behind every remaining record of the other one.
-///
-/// [`with_horizon`]: WorldSource::with_horizon
-#[derive(Debug)]
-pub struct WorldSource {
-    proxy: Lane<ProxyRecord>,
-    mme: Lane<MmeRecord>,
-    horizon: Option<SimTime>,
-    meter: Option<LogMeter>,
+/// The records a chunk holds at most: its vectors are allocated once, at
+/// this size, and never grow.
+const CHUNK_RECORDS: usize = 512;
+
+/// The log bytes past which a chunk takes no further line, should its
+/// lines not be records.
+const CHUNK_BYTES: usize = 64 * 1024;
+
+/// Chunks of each log alive at once on a read-ahead source: the merge's
+/// head and the one the reader fills or has filled.
+const CHUNKS_PER_LOG: usize = 2;
+
+/// What follows a chunk's lines in its log.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum After {
+    /// More lines: the chunk is full.
+    More,
+    End,
+    /// No complete line yet: a following lane waits for the log to grow.
+    Waiting,
 }
 
-/// The log reader's initial buffer, which bounds each read until one
-/// line outgrows it.
-const READ_BYTES: usize = 64 * 1024;
+/// A line of a chunk that is not a record.
+#[derive(Clone, Debug)]
+struct Other {
+    /// The chunk's records before it.
+    before: u32,
+    /// Its end, as an offset from the chunk's start.
+    end: u32,
+    /// Why it is malformed; `None` for a blank line.
+    error: Option<CodecError>,
+}
 
-/// One log of a [`WorldSource`]: its lines, one record of lookahead, and
-/// two positions — after the last line read, and the committed one, which
-/// excludes the lookahead.
+/// Whole lines of one log, parsed: what a lane hands over.
 #[derive(Debug)]
-struct Lane<R: TsvRecord> {
-    kind: ShardSource,
-    wrap: fn(R) -> StreamEvent,
+struct Chunk<R> {
+    records: Vec<R>,
+    /// Each record's line end, as an offset from the chunk's start.
+    ends: Vec<u32>,
+    others: Vec<Other>,
+    /// The log's byte offset and line count before and after the chunk.
+    start: (u64, u64),
+    end: (u64, u64),
+    after: After,
+}
+
+impl<R> Chunk<R> {
+    /// An empty chunk at a log position, with room for `records`.
+    fn new(at: (u64, u64), records: usize) -> Chunk<R> {
+        Chunk {
+            records: Vec::with_capacity(records),
+            ends: Vec::with_capacity(records),
+            others: Vec::new(),
+            start: at,
+            end: at,
+            after: After::More,
+        }
+    }
+}
+
+/// One log of a [`WorldSource`]: its lines, and the position after the
+/// last line read.
+#[derive(Debug)]
+struct Lane {
     lines: Lines<File>,
     /// Byte offset and line count after the last line read.
-    read_offset: u64,
-    read_line: u64,
-    /// Byte offset of the first line not yet served.
     offset: u64,
-    /// Lines served.
     line: u64,
     /// At the log's end, wait for it to grow (and hold back a partial
     /// last line) instead of ending.
     follow: bool,
-    /// The next record, read but not yet served.
-    next: Option<StreamEvent>,
-    done: bool,
 }
 
-impl<R: TsvRecord> Lane<R> {
+/// The log reader's initial buffer, which bounds each read until one
+/// line outgrows it.
+const READ_BYTES: usize = 32 * 1024;
+
+impl Lane {
     /// Opens the log at `path` at a committed position: byte `offset`,
     /// after `line` lines.
     ///
@@ -232,13 +297,7 @@ impl<R: TsvRecord> Lane<R> {
     /// an unterminated last line when `offset` is the length), which would
     /// shift every line number reported after it. Counting reads the log
     /// up to `offset` once.
-    fn open(
-        kind: ShardSource,
-        wrap: fn(R) -> StreamEvent,
-        path: &Path,
-        (offset, line): (u64, u64),
-        follow: bool,
-    ) -> io::Result<Lane<R>> {
+    fn open(path: &Path, (offset, line): (u64, u64), follow: bool) -> io::Result<Lane> {
         let mut file = File::open(path)?;
         let len = file.seek(SeekFrom::End(0))?;
         let refuse = |message| Err(io::Error::new(io::ErrorKind::InvalidData, message));
@@ -263,70 +322,57 @@ impl<R: TsvRecord> Lane<R> {
             ));
         }
         Ok(Lane {
-            kind,
-            wrap,
             lines: Lines::new(file, READ_BYTES),
-            read_offset: offset,
-            read_line: line,
             offset,
             line,
             follow,
-            next: None,
-            done: false,
         })
     }
 
-    /// Refills the lookahead. Returns a non-record outcome to pass
-    /// through, if any (malformed line, pending, or nothing: stash filled
-    /// or log done). Blank lines are read past.
-    fn refill(&mut self) -> io::Result<Option<Polled>> {
-        if self.next.is_some() || self.done {
-            return Ok(None);
-        }
-        loop {
-            let Some((len, decoded)) = self.lines.next_decoded::<R>(self.follow)? else {
-                if self.follow {
-                    return Ok(Some(Polled::Pending));
-                }
-                self.done = true;
-                self.commit();
-                return Ok(None);
-            };
-            self.read_offset += len as u64;
-            self.read_line += 1;
-            match decoded {
-                None => {}
-                Some(Ok(record)) => {
-                    self.next = Some((self.wrap)(record));
-                    return Ok(None);
-                }
-                Some(Err(error)) => {
-                    self.commit();
-                    return Ok(Some(Polled::Item(SourceItem::Malformed {
-                        kind: self.kind,
-                        line: self.line,
-                        error,
-                    })));
-                }
+    /// Parses the lane's next lines into `chunk`, keeping its vectors:
+    /// [`CHUNK_RECORDS`] records or [`CHUNK_BYTES`] bytes, or up to the
+    /// log's end (for a following lane, its last complete line).
+    ///
+    /// # Errors
+    /// Propagates read errors; a line of 4 GiB or more is invalid data.
+    fn fill<R: TsvRecord>(&mut self, chunk: &mut Chunk<R>) -> io::Result<()> {
+        chunk.records.clear();
+        chunk.ends.clear();
+        chunk.others.clear();
+        chunk.start = (self.offset, self.line);
+        let mut bytes = 0;
+        chunk.after = loop {
+            if chunk.records.len() == CHUNK_RECORDS || bytes >= CHUNK_BYTES {
+                break After::More;
             }
-        }
-    }
-
-    /// Serves the stashed record.
-    fn emit(&mut self) -> Polled {
-        let event = self.next.take().expect("lookahead filled");
-        self.commit();
-        Polled::Item(SourceItem::Event(event))
-    }
-
-    /// Moves the committed position past every line read.
-    fn commit(&mut self) {
-        (self.offset, self.line) = (self.read_offset, self.read_line);
-    }
-
-    /// The stashed record's timestamp.
-    fn next_time(&self) -> Option<SimTime> {
-        self.next.as_ref().map(StreamEvent::timestamp)
+            let Some((len, decoded)) = self.lines.next_decoded::<R>(self.follow)? else {
+                break if self.follow {
+                    After::Waiting
+                } else {
+                    After::End
+                };
+            };
+            bytes += len;
+            self.offset += len as u64;
+            self.line += 1;
+            let end = u32::try_from(bytes).map_err(|_| {
+                io::Error::new(io::ErrorKind::InvalidData, "a log line of 4 GiB or more")
+            })?;
+            let before = chunk.records.len() as u32;
+            match decoded {
+                Some(Ok(record)) => {
+                    chunk.records.push(record);
+                    chunk.ends.push(end);
+                }
+                other => chunk.others.push(Other {
+                    before,
+                    end,
+                    error: other.and_then(Result::err),
+                }),
+            }
+        };
+        chunk.end = (self.offset, self.line);
+        Ok(())
     }
 }
 
@@ -354,6 +400,313 @@ fn newlines_before(file: &mut File, n: u64) -> io::Result<(u64, Option<u8>)> {
     Ok((newlines, last))
 }
 
+/// What a lane's head offers next.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Peek {
+    Record,
+    Malformed,
+    /// A following lane has no complete line yet.
+    Pending,
+    Done,
+}
+
+/// A lane's chunk being merged: the next record and the next other line
+/// to serve, and the committed position.
+#[derive(Debug)]
+struct Head<R> {
+    kind: ShardSource,
+    chunk: Chunk<R>,
+    record: usize,
+    other: usize,
+    committed: (u64, u64),
+}
+
+impl<R: LogRecord> Head<R> {
+    /// A head at a committed position, holding an empty chunk its lane
+    /// fills at the first [`peek`](Head::peek).
+    fn new(kind: ShardSource, at: (u64, u64)) -> Head<R> {
+        Head {
+            kind,
+            chunk: Chunk::new(at, CHUNK_RECORDS),
+            record: 0,
+            other: 0,
+            committed: at,
+        }
+    }
+
+    /// What the lane serves next, reading past blank lines (committed
+    /// with the next line served, or at the log's end) and refilling the
+    /// chunk through `refill` once it is served.
+    fn peek(
+        &mut self,
+        mut refill: impl FnMut(&mut Chunk<R>) -> io::Result<()>,
+    ) -> io::Result<Peek> {
+        loop {
+            let chunk = &self.chunk;
+            match chunk.others.get(self.other) {
+                Some(other) if other.before as usize == self.record => {
+                    if other.error.is_some() {
+                        return Ok(Peek::Malformed);
+                    }
+                    self.other += 1;
+                    continue;
+                }
+                _ if self.record < chunk.records.len() => return Ok(Peek::Record),
+                _ => {}
+            }
+            if chunk.after == After::End {
+                self.committed = chunk.end;
+                return Ok(Peek::Done);
+            }
+            let waiting = chunk.after == After::Waiting;
+            refill(&mut self.chunk)?;
+            (self.record, self.other) = (0, 0);
+            let chunk = &self.chunk;
+            if waiting && chunk.start == chunk.end && chunk.after == After::Waiting {
+                return Ok(Peek::Pending);
+            }
+        }
+    }
+
+    /// The next record's timestamp (after a [`Peek::Record`]).
+    fn time(&self) -> SimTime {
+        self.chunk.records[self.record].timestamp()
+    }
+
+    /// The records from the next one on (after a [`Peek::Record`]) that
+    /// come in a row: at most `limit`, up to the chunk's next other line,
+    /// and stamped no later than `latest`.
+    fn run(&self, latest: SimTime, limit: usize) -> &[R] {
+        let chunk = &self.chunk;
+        let stop = chunk
+            .others
+            .get(self.other)
+            .map_or(chunk.records.len(), |o| o.before as usize);
+        let records = &chunk.records[self.record..stop.min(self.record + limit)];
+        let n = records.iter().position(|r| r.timestamp() > latest);
+        &records[..n.unwrap_or(records.len())]
+    }
+
+    /// Serves the next `n` records.
+    fn serve(&mut self, n: usize) {
+        if n == 0 {
+            return;
+        }
+        self.record += n;
+        let (i, chunk) = (self.record - 1, &self.chunk);
+        let others = chunk.others.partition_point(|o| o.before as usize <= i);
+        self.committed = (
+            chunk.start.0 + u64::from(chunk.ends[i]),
+            chunk.start.1 + (i + others + 1) as u64,
+        );
+    }
+
+    /// Serves the next malformed line (after a [`Peek::Malformed`]).
+    fn take_malformed(&mut self) -> Next<'static> {
+        let (j, chunk) = (self.other, &self.chunk);
+        self.other += 1;
+        let other = &chunk.others[j];
+        let line = chunk.start.1 + u64::from(other.before) + j as u64 + 1;
+        self.committed = (chunk.start.0 + u64::from(other.end), line);
+        let error = other.error.clone().expect("a malformed line");
+        Next::Malformed(self.kind, line, error)
+    }
+}
+
+/// Where a [`WorldSource`]'s lanes are read.
+#[derive(Debug)]
+enum Lanes {
+    /// On the caller's thread, each chunk refilled in place.
+    Here { proxy: Lane, mme: Lane },
+    /// On a reader thread.
+    Reader(Reader),
+}
+
+impl Lanes {
+    fn refill_proxy(&mut self, chunk: &mut Chunk<ProxyRecord>) -> io::Result<()> {
+        match self {
+            Lanes::Here { proxy, .. } => proxy.fill(chunk),
+            Lanes::Reader(reader) => reader.exchange(chunk, Request::Proxy, |r| &r.proxy),
+        }
+    }
+
+    fn refill_mme(&mut self, chunk: &mut Chunk<MmeRecord>) -> io::Result<()> {
+        match self {
+            Lanes::Here { mme, .. } => mme.fill(chunk),
+            Lanes::Reader(reader) => reader.exchange(chunk, Request::Mme, |r| &r.mme),
+        }
+    }
+}
+
+/// A served chunk handed back to the reader thread to refill.
+#[derive(Debug)]
+enum Request {
+    Proxy(Chunk<ProxyRecord>),
+    Mme(Chunk<MmeRecord>),
+}
+
+/// A lane's refilled chunk, or why it could not be read.
+type Filled<R> = io::Result<Chunk<R>>;
+
+/// The reader thread's ends of its channels.
+struct ReaderEnds {
+    requests: mpsc::Receiver<Request>,
+    proxy: mpsc::SyncSender<Filled<ProxyRecord>>,
+    mme: mpsc::SyncSender<Filled<MmeRecord>>,
+    read_ns: Counter,
+}
+
+/// The reader thread of a read-ahead [`WorldSource`] and the caller's
+/// ends of its channels.
+#[derive(Debug)]
+struct Reader {
+    /// `None` once the reader is being stopped.
+    requests: Option<mpsc::Sender<Request>>,
+    proxy: mpsc::Receiver<Filled<ProxyRecord>>,
+    mme: mpsc::Receiver<Filled<MmeRecord>>,
+    /// `None` once joined.
+    thread: Option<JoinHandle<()>>,
+    wait_ns: Counter,
+}
+
+impl Reader {
+    /// Starts a thread named `stream-reader` running `body`, and hands it
+    /// `CHUNKS_PER_LOG - 1` chunks of each log, allocated here, where they
+    /// are recycled (the heads are the last one, handed over at their
+    /// first refill).
+    fn spawn(
+        registry: &Registry,
+        body: impl FnOnce(ReaderEnds) + Send + 'static,
+    ) -> io::Result<Reader> {
+        let (requests, queue) = mpsc::channel();
+        let (proxy_tx, proxy) = mpsc::sync_channel(CHUNKS_PER_LOG);
+        let (mme_tx, mme) = mpsc::sync_channel(CHUNKS_PER_LOG);
+        for _ in 1..CHUNKS_PER_LOG {
+            for request in [
+                Request::Proxy(Chunk::new((0, 0), CHUNK_RECORDS)),
+                Request::Mme(Chunk::new((0, 0), CHUNK_RECORDS)),
+            ] {
+                requests.send(request).expect("the receiver is alive");
+            }
+        }
+        let ends = ReaderEnds {
+            requests: queue,
+            proxy: proxy_tx,
+            mme: mme_tx,
+            read_ns: registry.timing_counter("stream.read_ns"),
+        };
+        let thread = thread::Builder::new()
+            .name("stream-reader".into())
+            .spawn(move || body(ends))?;
+        Ok(Reader {
+            requests: Some(requests),
+            proxy,
+            mme,
+            thread: Some(thread),
+            wait_ns: registry.timing_counter("stream.wait_ns"),
+        })
+    }
+
+    /// Hands the served `chunk` back to the reader and puts the log's
+    /// next one, which the reader filled ahead, in its place.
+    fn exchange<R>(
+        &mut self,
+        chunk: &mut Chunk<R>,
+        request: fn(Chunk<R>) -> Request,
+        filled: fn(&Reader) -> &mpsc::Receiver<Filled<R>>,
+    ) -> io::Result<()> {
+        if let Some(requests) = &self.requests {
+            // A reader that has gone is found at the receive below.
+            let _ = requests.send(request(std::mem::replace(chunk, Chunk::new((0, 0), 0))));
+        }
+        let started = Instant::now();
+        let received = filled(self).recv();
+        self.wait_ns.add(started.elapsed().as_nanos() as u64);
+        match received {
+            Ok(filled) => *chunk = filled?,
+            // The reader ended: it panicked, or it was asked for no more
+            // after an error.
+            Err(mpsc::RecvError) => {
+                return Err(match self.thread.take().map(JoinHandle::join) {
+                    Some(Err(payload)) => panicked("log reader", payload),
+                    _ => io::Error::other("the log reader has stopped"),
+                })
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Drop for Reader {
+    /// Disconnects the reader and joins it, so the thread never outlives
+    /// the source: never blocked on a full channel (a log has no more
+    /// chunks than its channel holds), it exits at its next request.
+    fn drop(&mut self) {
+        self.requests = None;
+        if let Some(thread) = self.thread.take() {
+            // A panic has nobody left to report to.
+            let _ = thread.join();
+        }
+    }
+}
+
+/// The reader thread: fills each chunk it is handed from its log's lane,
+/// in the order they come, until the source is dropped.
+fn read_lanes(mut proxy: Lane, mut mme: Lane, ends: ReaderEnds) {
+    for request in ends.requests {
+        let started = Instant::now();
+        let sent = match request {
+            Request::Proxy(mut chunk) => ends
+                .proxy
+                .send(proxy.fill(&mut chunk).map(|()| chunk))
+                .is_ok(),
+            Request::Mme(mut chunk) => ends.mme.send(mme.fill(&mut chunk).map(|()| chunk)).is_ok(),
+        };
+        ends.read_ns.add(started.elapsed().as_nanos() as u64);
+        if !sent {
+            return;
+        }
+    }
+}
+
+/// The two persisted logs of a world directory, merged by timestamp.
+///
+/// Each log's next record is read ahead so the merge can pick the earlier
+/// timestamp (ties go to the proxy log, matching the deterministic source
+/// order of the batch loader). A malformed line is served as soon as its
+/// lane reaches it. The committed position deliberately *excludes* a
+/// record read but not served — it only moves past a line once that line
+/// is served, and past trailing blank lines at the log's end — so a
+/// checkpoint taken between any two items resumes exactly.
+///
+/// In follow mode a log's end is [`Polled::Pending`], not the end of the
+/// stream, and a trailing unterminated line is held back until its `\n`
+/// arrives (the writer may still be mid-line); while one log waits, the
+/// other's lines are served. Otherwise a trailing unterminated line is
+/// decoded as a final (possibly truncated) record, as the batch chunk
+/// reader decodes it.
+///
+/// A record whose timestamp lies past the [`with_horizon`] bound is served
+/// as soon as it is next in its lane instead of entering the timestamp
+/// comparison: the runtime quarantines it as skewed either way, and
+/// letting a ten-years-in-the-future timestamp act as a merge key would
+/// park its whole file behind every remaining record of the other one.
+///
+/// [`with_horizon`]: WorldSource::with_horizon
+#[derive(Debug)]
+pub struct WorldSource {
+    proxy: Head<ProxyRecord>,
+    mme: Head<MmeRecord>,
+    horizon: Option<SimTime>,
+    lanes: Lanes,
+    meter: Option<LogMeter>,
+    /// The log whose records the merge last handed out.
+    serving: ShardSource,
+}
+
+/// The records one merge step hands out at most.
+const RUN_LIMIT: usize = 256;
+
 impl WorldSource {
     /// Opens the logs of a world directory from the beginning.
     ///
@@ -369,30 +722,25 @@ impl WorldSource {
     /// Fails if either log cannot be opened, or if a checkpointed offset
     /// lies past the log's end or inside one of its lines.
     pub fn resume(dir: &Path, pos: &SourcePosition, follow: bool) -> io::Result<WorldSource> {
+        let proxy_at = (pos.proxy_offset, pos.proxy_line);
+        let mme_at = (pos.mme_offset, pos.mme_line);
         Ok(WorldSource {
-            proxy: Lane::open(
-                ShardSource::Proxy,
-                StreamEvent::Proxy,
-                &dir.join("proxy.log"),
-                (pos.proxy_offset, pos.proxy_line),
-                follow,
-            )?,
-            mme: Lane::open(
-                ShardSource::Mme,
-                StreamEvent::Mme,
-                &dir.join("mme.log"),
-                (pos.mme_offset, pos.mme_line),
-                follow,
-            )?,
+            lanes: Lanes::Here {
+                proxy: Lane::open(&dir.join("proxy.log"), proxy_at, follow)?,
+                mme: Lane::open(&dir.join("mme.log"), mme_at, follow)?,
+            },
+            proxy: Head::new(ShardSource::Proxy, proxy_at),
+            mme: Head::new(ShardSource::Mme, mme_at),
             horizon: None,
             meter: None,
+            serving: ShardSource::Proxy,
         })
     }
 
-    /// Sets the observation horizon: a stashed record with a timestamp
-    /// past it is emitted immediately rather than merged by time, so one
-    /// skewed record cannot stall its file behind the other log. Pass the
-    /// same bound as [`StreamConfig::max_timestamp`].
+    /// Sets the observation horizon: a record with a timestamp past it is
+    /// served as soon as it is next in its lane rather than merged by
+    /// time, so one skewed record cannot stall its file behind the other
+    /// log. Pass the same bound as [`StreamConfig::max_timestamp`].
     ///
     /// [`StreamConfig::max_timestamp`]: crate::StreamConfig
     #[must_use]
@@ -402,312 +750,214 @@ impl WorldSource {
     }
 
     /// Counts both logs into `registry` as items are served: the
-    /// `trace.proxy.*` / `trace.mme.*` bytes and decode errors (see the
-    /// module docs). Leave it off a source wrapped in a [`ReadAhead`],
-    /// which counts them itself.
+    /// `trace.proxy.*` / `trace.mme.*` bytes and decode errors, under the
+    /// batch loader's names, so batch and stream runs of one world are
+    /// comparable. Both are counted as items are served, never as they
+    /// are read (the bytes are the committed position's advance), so they
+    /// sit in the deterministic section. Bytes are counted at each poll
+    /// and whenever [`StreamRuntime::pump`](crate::StreamRuntime::pump)
+    /// returns.
     #[must_use]
     pub fn with_metrics(mut self, registry: &Registry) -> WorldSource {
-        self.meter = Some(LogMeter::new(registry, self.position()));
+        self.meter = Some(LogMeter::new(registry, self.world_position()));
         self
+    }
+
+    /// Moves the lanes onto a reader thread (`stream-reader`), so this
+    /// thread spends no time reading or decoding. The source yields the
+    /// same items, positions and meters as it does without the thread;
+    /// the thread's busy time is the timing counter `stream.read_ns` and
+    /// the time spent waiting for it `stream.wait_ns`, both in
+    /// `registry`, updated once per chunk. A panic on the reader is an
+    /// [`io::Error`] from the poll that needs its next chunk. A following
+    /// source stays on the caller's thread, which reads a waiting log
+    /// again at each poll.
+    ///
+    /// # Errors
+    /// Fails if the thread cannot be started.
+    pub fn read_ahead(self, registry: &Registry) -> io::Result<WorldSource> {
+        let WorldSource {
+            proxy,
+            mme,
+            horizon,
+            lanes,
+            meter,
+            serving,
+        } = self;
+        let lanes = match lanes {
+            Lanes::Here {
+                proxy: proxy_lane,
+                mme: mme_lane,
+            } if !proxy_lane.follow && !mme_lane.follow => {
+                Lanes::Reader(Reader::spawn(registry, move |ends| {
+                    read_lanes(proxy_lane, mme_lane, ends)
+                })?)
+            }
+            lanes => lanes,
+        };
+        Ok(WorldSource {
+            proxy,
+            mme,
+            horizon,
+            lanes,
+            meter,
+            serving,
+        })
     }
 
     /// Leaves follow mode on both logs (drains to `End` at EOF).
     pub fn finish(&mut self) {
-        self.proxy.follow = false;
-        self.mme.follow = false;
+        if let Lanes::Here { proxy, mme } = &mut self.lanes {
+            proxy.follow = false;
+            mme.follow = false;
+        }
     }
 
-    /// The merge: the next item of either log.
-    fn merge(&mut self) -> io::Result<Polled> {
-        // Malformed lines and Pending pass straight through; a filled
-        // stash or End falls out as None and the merge below decides.
-        if let Some(out) = self.proxy.refill()? {
-            match out {
-                Polled::Pending if self.mme.next.is_some() || !self.mme.done => {
-                    // One log stalled mid-line: serve the other (lateness
-                    // absorbs the cross-file skew). Only if the other side
-                    // also has nothing do we report Pending.
-                    if let Some(out) = self.mme.refill()? {
-                        return Ok(out);
-                    }
-                    if self.mme.next.is_some() {
-                        return Ok(self.mme.emit());
-                    }
-                    return Ok(Polled::Pending);
-                }
-                other => return Ok(other),
-            }
+    /// The committed position.
+    fn world_position(&self) -> SourcePosition {
+        let ((proxy_offset, proxy_line), (mme_offset, mme_line)) =
+            (self.proxy.committed, self.mme.committed);
+        SourcePosition {
+            proxy_offset,
+            proxy_line,
+            mme_offset,
+            mme_line,
         }
-        if let Some(out) = self.mme.refill()? {
-            match out {
-                Polled::Pending if self.proxy.next.is_some() => {
-                    return Ok(self.proxy.emit());
-                }
-                other => return Ok(other),
-            }
+    }
+
+    /// Serves the next malformed line of `kind`'s log, and counts it.
+    fn malformed(&mut self, kind: ShardSource) -> Next<'static> {
+        let meter = self.meter.as_ref();
+        match kind {
+            ShardSource::Proxy => meter.inspect(|m| m.proxy_errors.inc()),
+            ShardSource::Mme => meter.inspect(|m| m.mme_errors.inc()),
+        };
+        match kind {
+            ShardSource::Proxy => self.proxy.take_malformed(),
+            ShardSource::Mme => self.mme.take_malformed(),
         }
-        // A stashed timestamp past the horizon is doomed to the skew
-        // quarantine — flush it now, in file order, instead of letting it
-        // hold its file hostage in the merge below.
+    }
+
+    /// The merge: the next items of either log.
+    fn merge(&mut self) -> io::Result<Next<'_>> {
+        let lanes = &mut self.lanes;
+        let proxy = self.proxy.peek(|c| lanes.refill_proxy(c))?;
+        if proxy == Peek::Malformed {
+            return Ok(self.malformed(ShardSource::Proxy));
+        }
+        let mme = self.mme.peek(|c| lanes.refill_mme(c))?;
+        let never = SimTime::from_secs(u64::MAX);
+        match (proxy, mme) {
+            (_, Peek::Malformed) => return Ok(self.malformed(ShardSource::Mme)),
+            // While a log waits, the other's records are served one at a
+            // time, each after the waiting log is read again (lateness
+            // absorbs the cross-file skew).
+            (Peek::Pending, Peek::Record) => return Ok(self.mmes(never, 1)),
+            (Peek::Record, Peek::Pending) => return Ok(self.proxies(never, 1)),
+            (Peek::Pending, _) | (_, Peek::Pending) => return Ok(Next::Pending),
+            _ => {}
+        }
+        // A record past the horizon is doomed to the skew quarantine —
+        // flush it now, in file order, instead of letting it hold its
+        // file hostage in the merge below.
         if let Some(h) = self.horizon {
-            if self.proxy.next_time().is_some_and(|t| t > h) {
-                return Ok(self.proxy.emit());
+            if proxy == Peek::Record && self.proxy.time() > h {
+                return Ok(self.proxies(never, 1));
             }
-            if self.mme.next_time().is_some_and(|t| t > h) {
-                return Ok(self.mme.emit());
+            if mme == Peek::Record && self.mme.time() > h {
+                return Ok(self.mmes(never, 1));
             }
         }
-        match (self.proxy.next_time(), self.mme.next_time()) {
-            (None, None) => Ok(Polled::End),
-            // Merge by timestamp; ties go to the proxy log (the batch
-            // loader's deterministic source order).
-            (Some(p), m) if m.is_none_or(|m| p <= m) => Ok(self.proxy.emit()),
-            _ => Ok(self.mme.emit()),
+        // Merge by timestamp, ties to the proxy log (the batch loader's
+        // deterministic source order): one log's records come in a row up
+        // to the other's next one.
+        Ok(match (proxy, mme) {
+            (Peek::Record, Peek::Record) if self.proxy.time() <= self.mme.time() => {
+                let latest = self.mme.time();
+                self.proxies(latest, RUN_LIMIT)
+            }
+            (Peek::Record, Peek::Record) => {
+                let latest = self.proxy.time().saturating_sub(SimDuration::from_secs(1));
+                self.mmes(latest, RUN_LIMIT)
+            }
+            (Peek::Record, Peek::Done) => self.proxies(never, RUN_LIMIT),
+            (Peek::Done, Peek::Record) => self.mmes(never, RUN_LIMIT),
+            _ => Next::End,
+        })
+    }
+
+    /// Hands out proxy records in a row (see [`Head::run`]).
+    fn proxies(&mut self, latest: SimTime, limit: usize) -> Next<'_> {
+        self.serving = ShardSource::Proxy;
+        Next::Proxies(self.proxy.run(latest, limit))
+    }
+
+    /// Hands out MME records in a row (see [`Head::run`]).
+    fn mmes(&mut self, latest: SimTime, limit: usize) -> Next<'_> {
+        self.serving = ShardSource::Mme;
+        Next::Mmes(self.mme.run(latest, limit))
+    }
+
+    /// Counts the bytes served so far.
+    fn sync_meter(&mut self) {
+        let position = self.world_position();
+        if let Some(meter) = &mut self.meter {
+            meter.advance(position);
         }
+    }
+}
+
+impl Feed for WorldSource {
+    fn next(&mut self) -> io::Result<Next<'_>> {
+        self.merge()
+    }
+
+    fn serve(&mut self, n: usize) {
+        match self.serving {
+            ShardSource::Proxy => self.proxy.serve(n),
+            ShardSource::Mme => self.mme.serve(n),
+        }
+    }
+
+    fn committed(&self) -> Option<SourcePosition> {
+        Some(self.world_position())
+    }
+
+    fn waited_ns(&self) -> u64 {
+        match &self.lanes {
+            Lanes::Here { .. } => 0,
+            Lanes::Reader(reader) => reader.wait_ns.get(),
+        }
+    }
+
+    fn sync(&mut self) {
+        self.sync_meter();
     }
 }
 
 impl EventSource for WorldSource {
+    /// The merge's next item, copied out of its chunk.
     fn poll(&mut self) -> io::Result<Polled> {
-        let polled = self.merge()?;
-        let position = self.position();
-        if let Some(meter) = &mut self.meter {
-            if let Polled::Item(item) = &polled {
-                meter.item(item);
-            }
-            meter.advance(position);
+        let polled = match self.merge()? {
+            Next::Proxies(records) => Polled::Event(StreamEvent::Proxy(records[0])),
+            Next::Mmes(records) => Polled::Event(StreamEvent::Mme(records[0])),
+            Next::Malformed(kind, line, error) => Polled::Malformed { kind, line, error },
+            Next::Pending => Polled::Pending,
+            Next::End => Polled::End,
+        };
+        if let Polled::Event(_) = polled {
+            Feed::serve(self, 1);
         }
+        self.sync_meter();
         Ok(polled)
     }
 
     fn position(&self) -> Option<SourcePosition> {
-        Some(SourcePosition {
-            proxy_offset: self.proxy.offset,
-            proxy_line: self.proxy.line,
-            mme_offset: self.mme.offset,
-            mme_line: self.mme.line,
-        })
-    }
-}
-
-/// Items the reader thread of a [`ReadAhead`] collects before handing
-/// them over.
-const BATCH_ITEMS: usize = 256;
-
-/// Full batches that may wait for the runtime; the reader blocks beyond.
-const IN_FLIGHT: usize = 2;
-
-/// How long the reader waits before polling a stalled source again.
-const STALL_PAUSE: Duration = Duration::from_millis(50);
-
-/// Why the reader ended a batch before it was full. `End` carries the
-/// source's final position (past any trailing blank lines).
-#[derive(Debug)]
-enum Stop {
-    Pending,
-    End(Option<SourcePosition>),
-    Failed(io::Error),
-}
-
-/// One hand-off from the reader thread: items in source order, each with
-/// the source's position after it, and why the batch ended (`None`: it
-/// is full).
-#[derive(Debug)]
-struct Batch {
-    items: Vec<(SourceItem, Option<SourcePosition>)>,
-    stop: Option<Stop>,
-}
-
-/// The reader thread and the receiving end of its batches.
-#[derive(Debug)]
-struct Reader {
-    batches: mpsc::Receiver<Batch>,
-    thread: JoinHandle<()>,
-}
-
-impl Reader {
-    /// Disconnects and joins the thread: a reader blocked on a full
-    /// channel or pausing on a stall exits at its next send.
-    fn join(self) -> thread::Result<()> {
-        drop(self.batches);
-        self.thread.join()
-    }
-}
-
-/// A source polled ahead on its own thread.
-///
-/// [`ReadAhead::spawn`] moves the wrapped source onto one named thread
-/// (`stream-reader`) that polls it and hands over batches of at most 256
-/// items, each with the source's position after it; at most 2 full
-/// batches wait in the channel, so the reader runs at most about a
-/// thousand items ahead. [`EventSource::poll`] yields the same items, the
-/// same end and the same error, in the same order, as polling the
-/// wrapped source directly, and [`EventSource::position`] is the position
-/// after the last item handed out, so a checkpoint taken between any two
-/// items resumes exactly.
-///
-/// When the source reports [`Polled::Pending`] (a follow-mode log with no
-/// complete line yet), the reader hands over its partial batch, which
-/// then polls `Pending`, pauses 50 ms and polls the source again; a
-/// non-follow [`WorldSource`] never reports it. A source error, or a
-/// panic while polling, ends the reader: it is returned as an
-/// [`io::Error`] after the items before it.
-///
-/// Everything deterministic is counted on the caller's thread, as items
-/// are taken, never as they are read: the `trace.proxy.*`/`trace.mme.*`
-/// bytes (position deltas) and decode errors that
-/// [`WorldSource::with_metrics`] counts — so wrap a source without them.
-/// The bytes are added once per batch, when its last item has been
-/// handed out, and at `Pending`, the end, a failure and drop, so the
-/// totals are those of the items handed out. Two timing counters say
-/// where the time went, updated once per batch: `stream.wait_ns` (the
-/// caller blocked on the reader) and `stream.read_ns` (the reader polling
-/// the source).
-///
-/// Dropping it disconnects the reader and joins it, so the thread never
-/// outlives the source.
-#[derive(Debug)]
-pub struct ReadAhead {
-    /// `None` once the reader has been joined after a failure.
-    reader: Option<Reader>,
-    /// The rest of the batch being handed out.
-    items: std::vec::IntoIter<(SourceItem, Option<SourcePosition>)>,
-    /// Why that batch ended (`End` stays here once reached).
-    stop: Option<Stop>,
-    /// Position after the last item handed out.
-    position: Option<SourcePosition>,
-    meter: LogMeter,
-    wait_ns: Counter,
-}
-
-impl ReadAhead {
-    /// Moves `source` onto a new reader thread, recording the source's
-    /// meters and timers into `registry`.
-    ///
-    /// # Errors
-    /// Fails if the thread cannot be started.
-    pub fn spawn<S>(source: S, registry: &Registry) -> io::Result<ReadAhead>
-    where
-        S: EventSource + Send + 'static,
-    {
-        let position = source.position();
-        let read_ns = registry.timing_counter("stream.read_ns");
-        let (tx, batches) = mpsc::sync_channel(IN_FLIGHT);
-        let thread = thread::Builder::new()
-            .name("stream-reader".into())
-            .spawn(move || read_ahead(source, &tx, &read_ns))?;
-        Ok(ReadAhead {
-            reader: Some(Reader { batches, thread }),
-            items: Vec::new().into_iter(),
-            stop: None,
-            position,
-            meter: LogMeter::new(registry, position),
-            wait_ns: registry.timing_counter("stream.wait_ns"),
-        })
+        Some(self.world_position())
     }
 
-    /// Blocks for the reader's next batch.
-    fn next_batch(&mut self) -> io::Result<()> {
-        let Some(reader) = &self.reader else {
-            return Err(io::Error::other("the log reader has stopped"));
-        };
-        let started = Instant::now();
-        let received = reader.batches.recv();
-        self.wait_ns.add(started.elapsed().as_nanos() as u64);
-        match received {
-            Ok(batch) => {
-                self.items = batch.items.into_iter();
-                self.stop = batch.stop;
-                Ok(())
-            }
-            // The reader ended without a stop: it panicked outside a poll.
-            Err(mpsc::RecvError) => {
-                let joined = self.reader.take().map(Reader::join);
-                Err(match joined {
-                    Some(Err(payload)) => panicked("log reader", payload),
-                    _ => io::Error::other("the log reader stopped early"),
-                })
-            }
-        }
-    }
-}
-
-impl EventSource for ReadAhead {
-    fn poll(&mut self) -> io::Result<Polled> {
-        loop {
-            if let Some((item, position)) = self.items.next() {
-                self.meter.item(&item);
-                self.position = position;
-                return Ok(Polled::Item(item));
-            }
-            // The batch is handed out.
-            self.meter.advance(self.position);
-            match self.stop.take() {
-                Some(Stop::Pending) => return Ok(Polled::Pending),
-                Some(Stop::End(position)) => {
-                    self.position = position;
-                    self.meter.advance(position);
-                    self.stop = Some(Stop::End(position));
-                    return Ok(Polled::End);
-                }
-                Some(Stop::Failed(e)) => {
-                    if let Some(reader) = self.reader.take() {
-                        // The reader returned after sending the failure.
-                        let _ = reader.join();
-                    }
-                    return Err(e);
-                }
-                None => self.next_batch()?,
-            }
-        }
-    }
-
-    fn position(&self) -> Option<SourcePosition> {
-        self.position
-    }
-}
-
-impl Drop for ReadAhead {
-    /// Counts the bytes of the items handed out since the last batch
-    /// ended, and stops the reader.
-    fn drop(&mut self) {
-        self.meter.advance(self.position);
-        if let Some(reader) = self.reader.take() {
-            // A panic outside a poll has nobody left to report to.
-            let _ = reader.join();
-        }
-    }
-}
-
-/// The reader thread: polls `source` into batches until it ends, fails,
-/// or the [`ReadAhead`] is dropped.
-fn read_ahead<S: EventSource>(mut source: S, tx: &mpsc::SyncSender<Batch>, read_ns: &Counter) {
-    loop {
-        let started = Instant::now();
-        let mut items = Vec::with_capacity(BATCH_ITEMS);
-        let stop = loop {
-            match panic::catch_unwind(AssertUnwindSafe(|| source.poll())) {
-                Ok(Ok(Polled::Item(item))) => {
-                    items.push((item, source.position()));
-                    if items.len() == BATCH_ITEMS {
-                        break None;
-                    }
-                }
-                Ok(Ok(Polled::Pending)) => break Some(Stop::Pending),
-                Ok(Ok(Polled::End)) => break Some(Stop::End(source.position())),
-                Ok(Err(e)) => break Some(Stop::Failed(e)),
-                Err(payload) => break Some(Stop::Failed(panicked("log reader", payload))),
-            }
-        };
-        read_ns.add(started.elapsed().as_nanos() as u64);
-        let stalled = matches!(stop, Some(Stop::Pending));
-        let last = matches!(stop, Some(Stop::End(_) | Stop::Failed(_)));
-        if tx.send(Batch { items, stop }).is_err() || last {
-            return;
-        }
-        if stalled {
-            thread::sleep(STALL_PAUSE);
-        }
+    fn as_world(&mut self) -> Option<&mut WorldSource> {
+        Some(self)
     }
 }
 
@@ -716,43 +966,6 @@ fn read_ahead<S: EventSource>(mut source: S, tx: &mpsc::SyncSender<Batch>, read_
 pub(crate) fn panicked(thread: &str, payload: Box<dyn Any + Send>) -> io::Error {
     let message = panic_message(payload.as_ref());
     io::Error::other(format!("the {thread} panicked: {message}"))
-}
-
-/// An in-process channel source (live simulator or test harness).
-///
-/// Wraps the receiving half of a [`std::sync::mpsc::channel`]: an empty
-/// channel polls [`Polled::Pending`], a disconnected one [`Polled::End`].
-/// Not resumable — [`EventSource::position`] is `None`.
-#[derive(Debug)]
-pub struct ChannelSource {
-    rx: mpsc::Receiver<StreamEvent>,
-}
-
-impl ChannelSource {
-    /// Wraps a receiver.
-    pub fn new(rx: mpsc::Receiver<StreamEvent>) -> ChannelSource {
-        ChannelSource { rx }
-    }
-
-    /// A connected `(sender, source)` pair.
-    pub fn pair() -> (mpsc::Sender<StreamEvent>, ChannelSource) {
-        let (tx, rx) = mpsc::channel();
-        (tx, ChannelSource::new(rx))
-    }
-}
-
-impl EventSource for ChannelSource {
-    fn poll(&mut self) -> io::Result<Polled> {
-        match self.rx.try_recv() {
-            Ok(ev) => Ok(Polled::Item(SourceItem::Event(ev))),
-            Err(mpsc::TryRecvError::Empty) => Ok(Polled::Pending),
-            Err(mpsc::TryRecvError::Disconnected) => Ok(Polled::End),
-        }
-    }
-
-    fn position(&self) -> Option<SourcePosition> {
-        None
-    }
 }
 
 #[cfg(test)]
@@ -819,84 +1032,35 @@ mod tests {
         }
     }
 
-    /// The first `n` items of a source with the position after each,
-    /// skipping `Pending` (its count depends on when the reader polled).
-    fn items(src: &mut impl EventSource, n: usize) -> Vec<String> {
-        let deadline = Instant::now() + Duration::from_secs(20);
-        let mut out = Vec::new();
-        while out.len() < n {
-            assert!(Instant::now() < deadline, "only {} of {n} items", out.len());
-            match src.poll().unwrap() {
-                Polled::Item(item) => out.push(format!("{item:?} @ {:?}", src.position())),
-                Polled::Pending => thread::sleep(Duration::from_millis(5)),
-                Polled::End => panic!("end after {} of {n} items", out.len()),
-            }
-        }
-        out
-    }
-
-    /// Polls a fresh bare source and a read-ahead one over the same world
-    /// and compares them item for item; returns the read-ahead's meters.
+    /// Polls a source on the caller's thread and a read-ahead one over the
+    /// same world and compares them item for item; returns the read-ahead
+    /// one's meters.
     fn assert_read_ahead_matches(dir: &Path, horizon: Option<SimTime>) -> wearscope_obs::Snapshot {
         let open = || WorldSource::open(dir, false).unwrap().with_horizon(horizon);
-        let bare_metrics = Registry::new();
-        let bare = transcript(&mut open().with_metrics(&bare_metrics));
+        let here_metrics = Registry::new();
+        let here = transcript(&mut open().with_metrics(&here_metrics));
         let metrics = Registry::new();
-        let mut ahead = ReadAhead::spawn(open(), &metrics).unwrap();
-        assert_eq!(transcript(&mut ahead), bare);
+        let mut ahead = open().with_metrics(&metrics).read_ahead(&metrics).unwrap();
+        assert!(matches!(ahead.lanes, Lanes::Reader(_)));
+        assert_eq!(transcript(&mut ahead), here);
         // End is sticky and keeps the final position.
+        let end = ahead.position();
         assert!(matches!(ahead.poll().unwrap(), Polled::End));
+        assert_eq!(ahead.position(), end);
         drop(ahead);
-        // Counted on consumption, the complete run's totals are the
-        // bare reader's.
-        let (got, want) = (metrics.snapshot(), bare_metrics.snapshot());
+        let (got, want) = (metrics.snapshot(), here_metrics.snapshot());
         assert_eq!(got.counters, want.counters);
         assert!(got.timing.counters.contains_key("stream.read_ns"));
         assert!(got.timing.counters.contains_key("stream.wait_ns"));
         got
     }
 
-    /// Yields `len` proxy records, failing (or panicking) at `fail_at`.
-    struct Scripted {
-        next: u64,
-        len: u64,
-        fail_at: u64,
-        panics: bool,
-    }
-
-    impl EventSource for Scripted {
-        fn poll(&mut self) -> io::Result<Polled> {
-            if self.next == self.fail_at {
-                assert!(!self.panics, "scripted panic at {}", self.next);
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("scripted failure at {}", self.next),
-                ));
-            }
-            if self.next == self.len {
-                return Ok(Polled::End);
-            }
-            self.next += 1;
-            Ok(Polled::Item(SourceItem::Event(StreamEvent::Proxy(proxy(
-                self.next,
-            )))))
-        }
-
-        fn position(&self) -> Option<SourcePosition> {
-            Some(SourcePosition {
-                proxy_offset: self.next * 10,
-                proxy_line: self.next,
-                ..SourcePosition::default()
-            })
-        }
-    }
-
     fn drain(src: &mut WorldSource) -> Vec<StreamEvent> {
         let mut out = Vec::new();
         loop {
             match src.poll().unwrap() {
-                Polled::Item(SourceItem::Event(ev)) => out.push(ev),
-                Polled::Item(SourceItem::Malformed { line, error, .. }) => {
+                Polled::Event(ev) => out.push(ev),
+                Polled::Malformed { line, error, .. } => {
                     panic!("line {line}: {error}")
                 }
                 Polled::Pending => panic!("pending in non-follow mode"),
@@ -944,7 +1108,7 @@ mod tests {
             let mut head = Vec::new();
             for _ in 0..stop {
                 match src.poll().unwrap() {
-                    Polled::Item(SourceItem::Event(ev)) => head.push(ev),
+                    Polled::Event(ev) => head.push(ev),
                     other => panic!("unexpected {other:?}"),
                 }
             }
@@ -987,8 +1151,8 @@ mod tests {
         let mut out = Vec::new();
         loop {
             match src.poll().unwrap() {
-                Polled::Item(SourceItem::Event(ev)) => out.push(Ok(ev.timestamp().as_secs())),
-                Polled::Item(SourceItem::Malformed { line, error, .. }) => {
+                Polled::Event(ev) => out.push(Ok(ev.timestamp().as_secs())),
+                Polled::Malformed { line, error, .. } => {
                     out.push(Err((line, error)));
                 }
                 Polled::Pending => panic!("pending in non-follow mode"),
@@ -1028,7 +1192,7 @@ mod tests {
         let mut got = Vec::new();
         for _ in 0..40 {
             match src.poll().unwrap() {
-                Polled::Item(SourceItem::Event(ev)) => got.push(ev),
+                Polled::Event(ev) => got.push(ev),
                 other => panic!("unexpected {other:?}"),
             }
         }
@@ -1130,7 +1294,7 @@ mod tests {
         let dir = mme_world("follow", &format!("{line0}\n{}", &line1[..half]));
         let mut src = WorldSource::open(&dir, true).unwrap();
         let next = |src: &mut WorldSource| match src.poll().unwrap() {
-            Polled::Item(SourceItem::Event(ev)) => ev,
+            Polled::Event(ev) => ev,
             other => panic!("unexpected {other:?}"),
         };
         assert_eq!(next(&mut src), StreamEvent::Mme(mme(1)));
@@ -1252,8 +1416,8 @@ mod tests {
             let mut got: Split = (0, Vec::new(), Vec::new());
             loop {
                 match src.poll().unwrap() {
-                    Polled::Item(SourceItem::Event(StreamEvent::Mme(r))) => got.1.push(r),
-                    Polled::Item(SourceItem::Malformed { line, error, .. }) => {
+                    Polled::Event(StreamEvent::Mme(r)) => got.1.push(r),
+                    Polled::Malformed { line, error, .. } => {
                         got.2.push((line, error));
                     }
                     Polled::End => break,
@@ -1269,10 +1433,11 @@ mod tests {
     }
 
     #[test]
-    fn read_ahead_matches_the_bare_source_across_batches() {
-        // More items than three batches, with ties and interleaving.
-        let proxies: Vec<ProxyRecord> = (0..700).map(|i| proxy(i * 3)).collect();
-        let mmes: Vec<MmeRecord> = (0..300).map(|i| mme(i * 7)).collect();
+    fn read_ahead_matches_the_callers_thread_across_chunks() {
+        // More records than two chunks of each log, with ties and
+        // interleaving.
+        let proxies: Vec<ProxyRecord> = (0..1500).map(|i| proxy(i * 3)).collect();
+        let mmes: Vec<MmeRecord> = (0..1100).map(|i| mme(i * 4)).collect();
         let dir = world_dir("ahead-clean", &proxies, &mmes);
         let snap = assert_read_ahead_matches(&dir, None);
         let log_bytes = |name: &str| std::fs::metadata(dir.join(name)).unwrap().len();
@@ -1286,7 +1451,7 @@ mod tests {
 
     #[test]
     fn read_ahead_matches_on_malformed_and_blank_lines() {
-        let mut proxy_log = log_text(&(0..300).map(|i| proxy(i * 2)).collect::<Vec<_>>());
+        let mut proxy_log = log_text(&(0..1300).map(|i| proxy(i * 2)).collect::<Vec<_>>());
         proxy_log.insert_str(0, "not a record\n\n");
         proxy_log.push_str("1\t2\n\n");
         let mut mme_log = log_text(&(0..40).map(|i| mme(i * 5)).collect::<Vec<_>>());
@@ -1321,160 +1486,151 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Each item's position is its line's number and end, found by
+    /// splitting the log on `\n`, also where the item is the first or
+    /// last of a chunk and where blank and malformed lines sit at a chunk
+    /// boundary.
     #[test]
-    fn read_ahead_follows_a_stalled_log_once_it_grows() {
-        // proxy.log ends mid-line; mme.log is complete. Both sources stall
-        // on the same prefix, then read the same rest once the line ends.
-        let proxies: Vec<ProxyRecord> = (0..600).map(|i| proxy(i * 2)).collect();
-        let mmes: Vec<MmeRecord> = (0..50).map(|i| mme(i * 3)).collect();
-        let full = log_text(&proxies);
-        let cut = full.len() - proxies[599].to_line().len() / 2;
-        let grown = |dir: &Path| {
+    fn positions_are_line_ends_across_chunk_boundaries() {
+        let mut text = String::new();
+        for i in 0..1600u64 {
+            match i {
+                // Around the first chunk's end (record 512).
+                510 | 511 => text.push('\n'),
+                512 | 1027 => text.push_str("not a record\n"),
+                i if i % 97 == 0 => text.push('\n'),
+                i => text.push_str(&(mme(i).to_line() + "\n")),
+            }
+        }
+        let dir = mme_world("ends", &text);
+        let mut want = Vec::new();
+        let mut end = 0;
+        for (i, line) in text.split_inclusive('\n').enumerate() {
+            end += line.len() as u64;
+            if line != "\n" {
+                want.push((i as u64 + 1, end));
+            }
+        }
+        for ahead in [false, true] {
+            let mut src = WorldSource::open(&dir, false).unwrap();
+            if ahead {
+                src = src.read_ahead(&Registry::new()).unwrap();
+            }
+            let mut got = Vec::new();
+            while !matches!(src.poll().unwrap(), Polled::End) {
+                let pos = src.position().unwrap();
+                got.push((pos.mme_line, pos.mme_offset));
+            }
+            assert_eq!(got, want, "read ahead: {ahead}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A following source is read on the caller's thread: it still holds
+    /// back a partial last line, and serves it once it is complete.
+    #[test]
+    fn a_following_source_stays_on_the_callers_thread() {
+        let (line0, line1) = (mme(1).to_line(), mme(2).to_line());
+        let half = line1.len() / 2;
+        let dir = mme_world("follow-ahead", &format!("{line0}\n{}", &line1[..half]));
+        let mut src = WorldSource::open(&dir, true)
+            .unwrap()
+            .read_ahead(&Registry::new())
+            .unwrap();
+        assert!(matches!(src.lanes, Lanes::Here { .. }));
+        assert!(matches!(src.poll().unwrap(), Polled::Event(_)));
+        assert!(matches!(src.poll().unwrap(), Polled::Pending));
+        {
             use std::io::Write as _;
             let mut f = std::fs::OpenOptions::new()
                 .append(true)
-                .open(dir.join("proxy.log"))
+                .open(dir.join("mme.log"))
                 .unwrap();
-            f.write_all(&full.as_bytes()[cut..]).unwrap();
-        };
-        let bare_dir = raw_world_dir("follow-bare", &full[..cut], &log_text(&mmes));
-        let mut bare = WorldSource::open(&bare_dir, true).unwrap();
-        let mut want = Vec::new();
-        loop {
-            match bare.poll().unwrap() {
-                Polled::Item(item) => want.push(format!("{item:?} @ {:?}", bare.position())),
-                Polled::Pending => break,
-                Polled::End => panic!("end while following"),
-            }
+            writeln!(f, "{}", &line1[half..]).unwrap();
         }
-        let stalled = want.len();
-        assert_eq!(stalled, 649);
-        grown(&bare_dir);
-        want.extend(items(&mut bare, 1));
-        assert!(matches!(bare.poll().unwrap(), Polled::Pending));
-
-        let dir = raw_world_dir("follow-ahead", &full[..cut], &log_text(&mmes));
-        let metrics = Registry::new();
-        let mut ahead = ReadAhead::spawn(WorldSource::open(&dir, true).unwrap(), &metrics).unwrap();
-        let got = items(&mut ahead, stalled);
-        assert!(matches!(ahead.poll().unwrap(), Polled::Pending));
-        grown(&dir);
-        let mut got = got;
-        got.extend(items(&mut ahead, 1));
-        assert_eq!(got, want);
-        // Once the drain stalls again, every byte of both logs is counted.
-        while !matches!(ahead.poll().unwrap(), Polled::Pending) {}
-        let counters = metrics.snapshot().counters;
-        assert_eq!(counters["trace.proxy.bytes_read"], full.len() as u64);
-        assert_eq!(
-            counters["trace.mme.bytes_read"],
-            log_text(&mmes).len() as u64
-        );
-        // Dropping a reader that pauses on a stall joins it.
-        drop(ahead);
-        std::fs::remove_dir_all(&dir).unwrap();
-        std::fs::remove_dir_all(&bare_dir).unwrap();
-    }
-
-    #[test]
-    fn source_errors_surface_at_the_same_item() {
-        let script = || Scripted {
-            next: 0,
-            len: 1000,
-            fail_at: 600,
-            panics: false,
-        };
-        let bare = transcript(&mut script());
-        assert_eq!(bare.len(), 601);
-        assert!(bare[600].contains("InvalidData: scripted failure at 600"));
-        let mut ahead = ReadAhead::spawn(script(), &Registry::new()).unwrap();
-        assert_eq!(transcript(&mut ahead), bare);
-        // The failure ends the reader; polling on is an error, not End.
-        assert!(ahead.poll().is_err());
-    }
-
-    /// Bytes are counted once per batch, and when the reader fails they
-    /// are those of the items handed out.
-    #[test]
-    fn bytes_are_metered_per_batch_and_at_a_failure() {
-        let metrics = Registry::new();
-        let script = Scripted {
-            next: 0,
-            len: 1000,
-            fail_at: 600,
-            panics: false,
-        };
-        let bytes = |m: &Registry| m.snapshot().counters["trace.proxy.bytes_read"];
-        let mut ahead = ReadAhead::spawn(script, &metrics).unwrap();
-        let first = items(&mut ahead, BATCH_ITEMS + 1);
-        assert_eq!(first.len(), BATCH_ITEMS + 1);
-        // The first batch is counted once it is all handed out.
-        assert_eq!(bytes(&metrics), 10 * BATCH_ITEMS as u64);
-        while ahead.poll().is_ok() {}
-        assert_eq!(bytes(&metrics), 6000);
-    }
-
-    /// A read-ahead dropped mid-batch counts the items it handed out.
-    #[test]
-    fn dropping_mid_batch_meters_the_items_handed_out() {
-        let metrics = Registry::new();
-        let script = Scripted {
-            next: 0,
-            len: 1000,
-            fail_at: u64::MAX,
-            panics: false,
-        };
-        let mut ahead = ReadAhead::spawn(script, &metrics).unwrap();
-        items(&mut ahead, 300);
-        drop(ahead);
-        assert_eq!(metrics.snapshot().counters["trace.proxy.bytes_read"], 3000);
-    }
-
-    #[test]
-    fn a_reader_panic_is_an_error_after_the_items_before_it() {
-        let script = Scripted {
-            next: 0,
-            len: 1000,
-            fail_at: 300,
-            panics: true,
-        };
-        let got = transcript(&mut ReadAhead::spawn(script, &Registry::new()).unwrap());
-        assert_eq!(got.len(), 301);
-        assert!(got[299].starts_with("Item("), "{}", got[299]);
-        assert!(
-            got[300].contains("the log reader panicked: scripted panic at 300"),
-            "{}",
-            got[300]
-        );
-    }
-
-    #[test]
-    fn dropping_a_read_ahead_mid_stream_joins_its_reader() {
-        let script = Scripted {
-            next: 0,
-            len: 100_000,
-            fail_at: u64::MAX,
-            panics: false,
-        };
-        let mut ahead = ReadAhead::spawn(script, &Registry::new()).unwrap();
-        assert!(matches!(ahead.poll().unwrap(), Polled::Item(_)));
-        // Position is the one after the last item handed out, not the
-        // reader's.
-        assert_eq!(ahead.position().unwrap().proxy_line, 1);
-        drop(ahead);
-    }
-
-    #[test]
-    fn channel_source_polls_until_disconnect() {
-        let (tx, mut src) = ChannelSource::pair();
-        assert!(matches!(src.poll().unwrap(), Polled::Pending));
-        tx.send(StreamEvent::Proxy(proxy(5))).unwrap();
         assert!(matches!(
             src.poll().unwrap(),
-            Polled::Item(SourceItem::Event(StreamEvent::Proxy(_)))
+            Polled::Event(StreamEvent::Mme(r)) if r == mme(2)
         ));
-        drop(tx);
+        src.finish();
         assert!(matches!(src.poll().unwrap(), Polled::End));
-        assert!(src.position().is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A reader that panics on its third chunk: the items of the chunks
+    /// it handed over come first, then the panic as an error, and polling
+    /// on is an error, not the end.
+    #[test]
+    fn a_reader_panic_is_an_error_after_the_items_before_it() {
+        let proxies: Vec<ProxyRecord> = (0..1500).map(|i| proxy(i * 3)).collect();
+        let mmes: Vec<MmeRecord> = (0..100).map(|i| mme(i * 40)).collect();
+        let dir = world_dir("ahead-panic", &proxies, &mmes);
+        let want = transcript(&mut WorldSource::open(&dir, false).unwrap());
+        let WorldSource {
+            proxy,
+            mme,
+            horizon,
+            lanes:
+                Lanes::Here {
+                    proxy: mut proxy_lane,
+                    mme: mut mme_lane,
+                },
+            meter,
+            serving,
+        } = WorldSource::open(&dir, false).unwrap()
+        else {
+            unreachable!("a new source reads on the caller's thread")
+        };
+        let reader = Reader::spawn(&Registry::new(), move |ends| {
+            for (i, request) in ends.requests.iter().enumerate() {
+                assert!(i < 2, "scripted panic");
+                match request {
+                    Request::Proxy(mut chunk) => {
+                        proxy_lane.fill(&mut chunk).unwrap();
+                        ends.proxy.send(Ok(chunk)).unwrap();
+                    }
+                    Request::Mme(mut chunk) => {
+                        mme_lane.fill(&mut chunk).unwrap();
+                        ends.mme.send(Ok(chunk)).unwrap();
+                    }
+                }
+            }
+        })
+        .unwrap();
+        let mut src = WorldSource {
+            proxy,
+            mme,
+            horizon,
+            lanes: Lanes::Reader(reader),
+            meter,
+            serving,
+        };
+        let got = transcript(&mut src);
+        let (last, served) = got.split_last().unwrap();
+        // The first proxy chunk, and the 39 MME records up to its end.
+        assert_eq!(served.len(), CHUNK_RECORDS + 39);
+        assert_eq!(served, &want[..served.len()]);
+        assert!(
+            last.contains("the log reader panicked: scripted panic"),
+            "{last}"
+        );
+        assert!(src.poll().is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn dropping_a_read_ahead_source_mid_stream_joins_its_reader() {
+        let proxies: Vec<ProxyRecord> = (0..5000).map(|i| proxy(i * 3)).collect();
+        let dir = world_dir("ahead-drop", &proxies, &[]);
+        let mut src = WorldSource::open(&dir, false)
+            .unwrap()
+            .read_ahead(&Registry::new())
+            .unwrap();
+        assert!(matches!(src.poll().unwrap(), Polled::Event(_)));
+        // The position is the one after the item handed out, not the
+        // reader's.
+        assert_eq!(src.position().unwrap().proxy_line, 1);
+        drop(src);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -23,8 +23,8 @@ use wearscope::obs::Registry;
 use wearscope::prelude::*;
 use wearscope::report::{export_figures, render_full, render_stage_table, ExperimentReport};
 use wearscope::stream::{
-    checkpoint, Backpressure, EventSource, PumpOptions, PumpOutcome, ReadAhead, StreamConfig,
-    StreamRuntime, WindowSpec, WorldSource,
+    checkpoint, Backpressure, EventSource, PumpOptions, PumpOutcome, StreamConfig, StreamRuntime,
+    WindowSpec, WorldSource,
 };
 use wearscope::synthpop::generate_instrumented;
 
@@ -50,6 +50,10 @@ fn main() -> ExitCode {
         }
     }
 }
+
+/// How long `stream --follow` waits before reading logs with no new
+/// complete line again.
+const FOLLOW_PAUSE: std::time::Duration = std::time::Duration::from_millis(50);
 
 const USAGE: &str = "\
 wearscope — reproduction of 'A First Look at SIM-Enabled Wearables in the Wild' (IMC'18)
@@ -497,16 +501,17 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     // Counters report this process's work: a resumed run starts at zero,
     // the checkpoint's cumulative ledger lives in the quality summary.
     let mut rt = rt.with_metrics(&metrics);
-    let logs = match &start_pos {
+    // The logs are read and decoded on a thread of their own (unless
+    // followed); this one merges, validates, windows and checkpoints.
+    let mut source = match &start_pos {
         Some(pos) => WorldSource::resume(&dir, pos, follow),
         None => WorldSource::open(&dir, follow),
     }
     .map_err(|e| format!("opening logs in {}: {e}", dir.display()))?
-    .with_horizon(config.max_timestamp);
-    // The logs are read and decoded on a thread of their own; this one
-    // validates, windows and checkpoints.
-    let mut source =
-        ReadAhead::spawn(logs, &metrics).map_err(|e| format!("starting the log reader: {e}"))?;
+    .with_horizon(config.max_timestamp)
+    .with_metrics(&metrics)
+    .read_ahead(&metrics)
+    .map_err(|e| format!("starting the log reader: {e}"))?;
 
     let pump_opts = PumpOptions {
         checkpoint: ckpt_path.clone().map(|p| (p, every)),
@@ -529,17 +534,15 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
         }
         match outcome {
             PumpOutcome::Finished => break,
-            // Follow mode only: the reader polls the logs again after a
-            // pause, and the next pump waits for it.
-            PumpOutcome::Pending => {}
+            // Follow mode only: the logs are read again after a pause.
+            PumpOutcome::Pending => std::thread::sleep(FOLLOW_PAUSE),
             PumpOutcome::Stopped => {
                 eprintln!(
                     "stream:  stopped after {} records (no checkpoint at the stop point)",
                     rt.records_processed()
                 );
                 pump_span.finish();
-                // The reader counts the bytes of the items it handed out
-                // since its last batch ended when it is dropped.
+                // Stops the log reader.
                 drop(source);
                 if let Some(path) = &metrics_path {
                     write_metrics(&metrics, path)?;

@@ -616,13 +616,13 @@ fn serve(
     at: fn(&wearscope::stream::SourcePosition) -> (u64, u64),
     out: &mut Vec<Served>,
 ) -> (u64, u64) {
-    use wearscope::stream::{EventSource, Polled, SourceItem};
+    use wearscope::stream::{EventSource, Polled};
     loop {
         let polled = source.poll().unwrap();
         let (line, offset) = at(&source.position().unwrap());
         match polled {
-            Polled::Item(SourceItem::Event(event)) => out.push((line, offset, Ok(event))),
-            Polled::Item(SourceItem::Malformed { line: l, error, .. }) => {
+            Polled::Event(event) => out.push((line, offset, Ok(event))),
+            Polled::Malformed { line: l, error, .. } => {
                 out.push((line, offset, Err((l, error))));
             }
             Polled::Pending | Polled::End => return (line, offset),
@@ -631,9 +631,10 @@ fn serve(
 }
 
 /// The stream's source over `text` as `log` (the other log empty),
-/// against the oracle: read whole, and followed while its last line is
-/// cut in two and then completed, it serves the oracle's lines at their
-/// line numbers and end offsets, and stops at the log's end.
+/// against the oracle: read whole, on the caller's thread and read ahead
+/// on a reader thread, and followed while its last line is cut in two and
+/// then completed, it serves the oracle's lines at their line numbers and
+/// end offsets, and stops at the log's end.
 fn world_source_agrees<R: Clone>(
     dir: &std::path::Path,
     text: &[u8],
@@ -646,10 +647,17 @@ fn world_source_agrees<R: Clone>(
     let end = (want.len() as u64, text.len() as u64);
     std::fs::write(dir.join(other), b"").unwrap();
     std::fs::write(dir.join(log), text).unwrap();
-    let mut got = Vec::new();
-    let stop = serve(&mut WorldSource::open(dir, false).unwrap(), at, &mut got);
-    prop_assert_eq!(&got, &oracle_served(want, wrap));
-    prop_assert_eq!(stop, end);
+    let registry = wearscope::obs::Registry::new();
+    for ahead in [false, true] {
+        let mut source = WorldSource::open(dir, false).unwrap();
+        if ahead {
+            source = source.read_ahead(&registry).unwrap();
+        }
+        let mut got = Vec::new();
+        let stop = serve(&mut source, at, &mut got);
+        prop_assert_eq!(&got, &oracle_served(want, wrap));
+        prop_assert_eq!(stop, end);
+    }
 
     // Follow mode: the last line arrives in two parts; the first is held
     // back until its `\n` (or, when there is none, until following ends).

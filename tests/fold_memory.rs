@@ -1,8 +1,9 @@
 //! The memory of the batch fold, counted: a counting global allocator
 //! (std only) measures the live heap bytes each partial holds after one
 //! single-threaded [`CorePartials::fold`] of the compact seed-7 world, so
-//! the counts are deterministic, and what the `analyze` pipeline holds
-//! on top of that fold. Run with `--nocapture` to see them.
+//! the counts are deterministic, what the `analyze` pipeline holds on top
+//! of that fold, and the peak of a `stream` run over the same world, its
+//! log reader's chunks included. Run with `--nocapture` to see them.
 //!
 //! Before the fold reduced each final user-day to its farthest sector
 //! pair, its mobility partial held 1 069 328 bytes by this count on this
@@ -14,7 +15,9 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use wearscope::core::{CoreAggregates, CorePartials};
 use wearscope::ingest::{fold_logs_resilient, load_store_resilient, IngestOptions};
+use wearscope::obs::Registry;
 use wearscope::prelude::*;
+use wearscope::stream::{PumpOptions, PumpOutcome};
 
 /// The system allocator, counting the bytes live and their peak.
 struct Counting;
@@ -181,5 +184,62 @@ fn the_pipeline_holds_its_fold_and_a_bounded_queue() {
             "workers={workers}: {queue} B above the fold, bound {bound} B"
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The counted heap peak of an hourly `stream` run over the compact
+/// seed-7 world with its logs read ahead, as `wearscope stream` reads
+/// them: the open windows, attributor and ledgers, the two log buffers
+/// and the chunks of each log in flight between the reader and the
+/// merge, all allocated before the first record: two of each log, of 512
+/// records each, when this was pinned.
+const STREAM_PEAK: usize = 853_702;
+
+/// A stream run holds its windows and a fixed set of chunks: its counted
+/// peak is pinned within 2 %, so chunks that grow, more of them in
+/// flight, or a queue that grows with the log fail here. The peak is the
+/// same when the logs are read on the caller's thread but for one more
+/// chunk of each log (44 KiB) and the reader's channels.
+#[test]
+fn a_stream_run_holds_its_windows_and_a_fixed_set_of_chunks() {
+    let _turn = one_at_a_time();
+    let dir = std::env::temp_dir().join(format!("wearscope-stream-memory-{}", std::process::id()));
+    generate(&ScenarioConfig::compact(7)).save(&dir).unwrap();
+    let saved = GeneratedWorld::load_with_store(&dir, TraceStore::new()).unwrap();
+    let (db, catalog) = (DeviceDb::standard(), AppCatalog::standard());
+    let opts = IngestOptions::from_metadata(&dir, Some(saved.window), Some(&saved.sectors));
+    let ctx = StudyContext::new(&saved.store, &db, &saved.sectors, &catalog, saved.window);
+    let spec = WindowSpec::tumbling(SimDuration::from_hours(1)).unwrap();
+    let mut config = StreamConfig::new(spec, SimDuration::from_secs(300));
+    config.max_timestamp = opts.max_timestamp;
+    config.sector_count = opts.sector_count;
+    let run = |ahead: bool| {
+        let metrics = Registry::new();
+        let mut rt = StreamRuntime::new(&ctx, config).with_metrics(&metrics);
+        let mut src = WorldSource::open(&dir, false)
+            .unwrap()
+            .with_horizon(config.max_timestamp)
+            .with_metrics(&metrics);
+        if ahead {
+            src = src.read_ahead(&metrics).unwrap();
+        }
+        let outcome = rt.pump(&mut src, &PumpOptions::default()).unwrap();
+        assert_eq!(outcome, PumpOutcome::Finished);
+        rt.finish();
+        rt.into_results().0.windows.len()
+    };
+    let (windows, peak) = peak_of(|| run(true));
+    let (here_windows, here_peak) = peak_of(|| run(false));
+    assert_eq!(windows, here_windows);
+    println!("stream: {peak} B at the peak read ahead, {here_peak} B on the caller's thread");
+    assert!(
+        peak.abs_diff(STREAM_PEAK) <= STREAM_PEAK / 50,
+        "the stream run peaks at {peak} B, pinned at {STREAM_PEAK} B"
+    );
+    assert!(
+        peak.saturating_sub(here_peak) <= 80 * 1024,
+        "reading ahead adds {} B",
+        peak.saturating_sub(here_peak)
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -28,10 +28,42 @@ use wearscope::faults::{corrupt_world, FaultSpec};
 use wearscope::ingest::{load_store_resilient, IngestOptions};
 use wearscope::prelude::*;
 use wearscope::report::QuarantineReason;
-use wearscope::stream::{ChannelSource, PumpOptions, PumpOutcome, StreamEvent, StreamRuntime};
+use wearscope::stream::{
+    EventSource, Polled, PumpOptions, PumpOutcome, SourcePosition, StreamEvent, StreamRuntime,
+};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// An in-process channel as a stream source, as a live simulator would
+/// feed one: an empty channel polls [`Polled::Pending`], a disconnected
+/// one [`Polled::End`]. Not resumable.
+struct ChannelSource {
+    rx: std::sync::mpsc::Receiver<StreamEvent>,
+}
+
+impl ChannelSource {
+    /// A connected `(sender, source)` pair.
+    fn pair() -> (std::sync::mpsc::Sender<StreamEvent>, ChannelSource) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        (tx, ChannelSource { rx })
+    }
+}
+
+impl EventSource for ChannelSource {
+    fn poll(&mut self) -> std::io::Result<Polled> {
+        use std::sync::mpsc::TryRecvError;
+        match self.rx.try_recv() {
+            Ok(ev) => Ok(Polled::Event(ev)),
+            Err(TryRecvError::Empty) => Ok(Polled::Pending),
+            Err(TryRecvError::Disconnected) => Ok(Polled::End),
+        }
+    }
+
+    fn position(&self) -> Option<SourcePosition> {
+        None
+    }
+}
 
 fn tiny_world(seed: u64) -> GeneratedWorld {
     let mut config = ScenarioConfig::compact(seed);

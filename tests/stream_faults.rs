@@ -15,9 +15,7 @@ use wearscope::faults::{corrupt_world, FaultClass, FaultSpec};
 use wearscope::ingest::{fold_logs_resilient, IngestOptions, DEFAULT_MAX_ERROR_RATE};
 use wearscope::prelude::*;
 use wearscope::report::{QuarantineReason, ShardSource};
-use wearscope::stream::{
-    checkpoint, EventSource, Polled, PumpOptions, PumpOutcome, SourceItem, StreamRuntime,
-};
+use wearscope::stream::{checkpoint, EventSource, Polled, PumpOptions, PumpOutcome, StreamRuntime};
 
 fn tiny_world(seed: u64) -> GeneratedWorld {
     let mut config = ScenarioConfig::compact(seed);
@@ -239,15 +237,14 @@ fn resumed_stream_keeps_the_error_budget() {
     let mut src = WorldSource::open(&dir, false).expect("open source");
     let mut malformed = Vec::new();
     let mut items = 0u64;
-    while let Polled::Item(item) = src.poll().expect("poll") {
-        if matches!(
-            item,
-            SourceItem::Malformed {
+    loop {
+        match src.poll().expect("poll") {
+            Polled::Malformed {
                 kind: ShardSource::Proxy,
                 ..
-            }
-        ) {
-            malformed.push(items);
+            } => malformed.push(items),
+            Polled::Event(_) | Polled::Malformed { .. } => {}
+            Polled::Pending | Polled::End => break,
         }
         items += 1;
     }

@@ -12,8 +12,33 @@
 
 use wearscope::prelude::*;
 use wearscope::report::QuarantineReason;
-use wearscope::stream::{checkpoint, Backpressure, SourceItem, StreamEvent, StreamRuntime};
+use wearscope::stream::{
+    checkpoint, Backpressure, EventSource, Polled, PumpOptions, PumpOutcome, SourcePosition,
+    StreamError, StreamEvent, StreamRuntime,
+};
 use wearscope::trace::Scheme;
+
+/// Records handed out in order, then the end.
+struct Events(std::vec::IntoIter<StreamEvent>);
+
+impl EventSource for Events {
+    fn poll(&mut self) -> std::io::Result<Polled> {
+        Ok(self.0.next().map_or(Polled::End, Polled::Event))
+    }
+
+    fn position(&self) -> Option<SourcePosition> {
+        None
+    }
+}
+
+/// Pumps `events` through `rt`, in order, as one source.
+fn feed<const N: usize>(
+    rt: &mut StreamRuntime<'_>,
+    events: [StreamEvent; N],
+) -> Result<PumpOutcome, StreamError> {
+    let mut source = Events(Vec::from(events).into_iter());
+    rt.pump(&mut source, &PumpOptions::default())
+}
 
 struct Fixture {
     store: TraceStore,
@@ -42,8 +67,8 @@ impl Fixture {
         )
     }
 
-    fn proxy(&self, user: u64, t: u64) -> SourceItem {
-        SourceItem::Event(StreamEvent::Proxy(ProxyRecord {
+    fn proxy(&self, user: u64, t: u64) -> StreamEvent {
+        StreamEvent::Proxy(ProxyRecord {
             timestamp: SimTime::from_secs(t),
             user: UserId(user),
             imei: self
@@ -54,7 +79,7 @@ impl Fixture {
             scheme: Scheme::Https,
             bytes_down: 100,
             bytes_up: 10,
-        }))
+        })
     }
 }
 
@@ -71,7 +96,7 @@ fn record_exactly_at_the_boundary_opens_the_next_window() {
     let ctx = fx.ctx();
     let mut rt = StreamRuntime::new(&ctx, hour_config(0));
     for t in [3599u64, 3600] {
-        rt.process_item(fx.proxy(1, t)).unwrap();
+        feed(&mut rt, [fx.proxy(1, t)]).unwrap();
     }
     rt.finish();
     let (summary, _) = rt.into_results();
@@ -91,7 +116,7 @@ fn zero_lateness_quarantines_anything_behind_the_max_event() {
     let ctx = fx.ctx();
     let mut rt = StreamRuntime::new(&ctx, hour_config(0));
     for t in [100u64, 200, 150] {
-        rt.process_item(fx.proxy(1, t)).unwrap();
+        feed(&mut rt, [fx.proxy(1, t)]).unwrap();
     }
     rt.finish();
     let (summary, _) = rt.into_results();
@@ -118,7 +143,7 @@ fn late_record_after_checkpoint_resume_merges_identically() {
     // Uninterrupted run.
     let mut whole = StreamRuntime::new(&ctx, config);
     for t in events {
-        whole.process_item(fx.proxy(1, t)).unwrap();
+        feed(&mut whole, [fx.proxy(1, t)]).unwrap();
     }
     whole.finish();
     let (want, _) = whole.into_results();
@@ -128,12 +153,12 @@ fn late_record_after_checkpoint_resume_merges_identically() {
     // Kill after [1000, 2000], checkpoint, resume, then the late record.
     let mut first = StreamRuntime::new(&ctx, config);
     for t in &events[..2] {
-        first.process_item(fx.proxy(1, *t)).unwrap();
+        feed(&mut first, [fx.proxy(1, *t)]).unwrap();
     }
     let text = checkpoint::to_text(&first, None);
     let (mut resumed, _) = checkpoint::from_text(&ctx, config, &text).expect("restore");
     for t in &events[2..] {
-        resumed.process_item(fx.proxy(1, *t)).unwrap();
+        feed(&mut resumed, [fx.proxy(1, *t)]).unwrap();
     }
     resumed.finish();
     let (got, _) = resumed.into_results();
@@ -170,7 +195,7 @@ fn drop_oldest_resume_derives_forced_windows_and_sealing_from_reports() {
 
     let mut whole = StreamRuntime::new(&ctx, config);
     for t in events {
-        whole.process_item(fx.proxy(1, t)).unwrap();
+        feed(&mut whole, [fx.proxy(1, t)]).unwrap();
     }
     whole.finish();
     let want_text = checkpoint::to_text(&whole, None);
@@ -186,7 +211,7 @@ fn drop_oldest_resume_derives_forced_windows_and_sealing_from_reports() {
     for cut in 0..=events.len() {
         let mut first = StreamRuntime::new(&ctx, config);
         for t in &events[..cut] {
-            first.process_item(fx.proxy(1, *t)).unwrap();
+            feed(&mut first, [fx.proxy(1, *t)]).unwrap();
         }
         let text = checkpoint::to_text(&first, None);
         let restore = || checkpoint::from_text(&ctx, config, &text).unwrap().0;
@@ -195,7 +220,7 @@ fn drop_oldest_resume_derives_forced_windows_and_sealing_from_reports() {
         // that moves the timeline's start (or already lies on it).
         let emitted = !restore().reports().is_empty();
         let mut probe = restore();
-        probe.process_item(fx.proxy(2, 50)).unwrap();
+        feed(&mut probe, [fx.proxy(2, 50)]).unwrap();
         assert_eq!(
             out_of_order(probe),
             out_of_order(restore()) + u64::from(emitted),
@@ -205,7 +230,7 @@ fn drop_oldest_resume_derives_forced_windows_and_sealing_from_reports() {
         let mut resumed = restore();
         assert_eq!(checkpoint::to_text(&resumed, None), text, "cut {cut}");
         for t in &events[cut..] {
-            resumed.process_item(fx.proxy(1, *t)).unwrap();
+            feed(&mut resumed, [fx.proxy(1, *t)]).unwrap();
         }
         resumed.finish();
         assert_eq!(checkpoint::to_text(&resumed, None), want_text, "cut {cut}");
@@ -224,7 +249,7 @@ fn empty_window_between_active_ones_is_emitted_as_zeros() {
     let mut rt = StreamRuntime::new(&ctx, hour_config(300));
     // Window 0 active, windows 1-2 silent, window 3 active.
     for t in [500u64, 600, 11_000, 11_100, 11_200] {
-        rt.process_item(fx.proxy(2, t)).unwrap();
+        feed(&mut rt, [fx.proxy(2, t)]).unwrap();
     }
     rt.finish();
     let (summary, _) = rt.into_results();
