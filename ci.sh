@@ -51,6 +51,18 @@ d010dcb92b170fa4eed95278d4b9ab1a304a475b5c444d64a67fa37df330eda1  summary_mme.ts
 DIGESTS
 test "$(find "$FAULT_DIR/world" -type f | wc -l)" -eq 6
 echo "    the quick seed-7 world's six files match their pinned sha256 digests"
+
+echo "==> pinned corruption: the quick seed-7 logs after corrupt --seed 3 --faults all"
+# The injector is pinned like the generator: a change to how it reads,
+# claims or copies lines changes one of these digests.
+cp -r "$FAULT_DIR/world" "$FAULT_DIR/corrupt-world"
+"$WEARSCOPE" corrupt --world "$FAULT_DIR/corrupt-world" --seed 3 --faults all >/dev/null
+(cd "$FAULT_DIR/corrupt-world" && sha256sum --quiet -c -) <<'DIGESTS'
+37a32bcf32c8ac9a157fa00eb1157209f7ce8ec80837ee4e798e49abd8e54d0b  mme.log
+430b18f7ee7264ef4fa7e46a55dae0428d7252e90a7b74dd6a2e9826afeef687  proxy.log
+DIGESTS
+test "$(find "$FAULT_DIR/corrupt-world" -type f | wc -l)" -eq 6
+echo "    the corrupted quick seed-7 logs match their pinned sha256 digests"
 # The corrupted-world drills on this world (the fault matrix across worker
 # counts, metrics determinism, batch/stream agreement) are
 # tests/cli_faults.rs, run by `cargo test` above.

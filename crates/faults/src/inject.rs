@@ -17,11 +17,14 @@
 //! missing final `\n` included.
 
 use std::fs::{self, File};
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufWriter, Read, Write};
+use std::ops::Range;
 use std::path::Path;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+use wearscope_trace::codec::find_byte;
 
 use crate::spec::{FaultClass, FaultSpec};
 
@@ -137,7 +140,7 @@ fn corrupt_file(
     seed: u64,
     spec: &FaultSpec,
 ) -> io::Result<FileCorruption> {
-    let input = BufReader::with_capacity(BUFFER, File::open(path)?);
+    let input = File::open(path)?;
     let mut out = BufWriter::with_capacity(BUFFER, File::create(tmp)?);
     let corruption = corrupt_log(input, &mut out, file, seed, spec)?;
     out.flush()?;
@@ -161,55 +164,130 @@ enum Fate {
     },
 }
 
-/// One log line, without its `\n`, and what becomes of it.
+/// One log line in the read buffer, and what becomes of it.
+#[derive(Debug)]
 struct Line {
-    bytes: Vec<u8>,
+    /// Where the line starts in the buffer.
+    start: usize,
+    /// Where it ends, before its `\n`.
+    end: usize,
+    /// Where the line after it starts: past its `\n`, if it has one.
+    after: usize,
     fate: Fate,
+    /// A mutated line's bytes; the buffer is kept from line to line.
+    mutated: Vec<u8>,
 }
 
-/// A log's lines, read one ahead so each is known to be the last or not.
-struct Lines<R> {
+impl Line {
+    fn new() -> Line {
+        Line {
+            start: 0,
+            end: 0,
+            after: 0,
+            fate: Fate::Keep,
+            mutated: Vec::new(),
+        }
+    }
+
+    /// The offsets after the buffer's first `by` bytes are dropped.
+    fn shift(&mut self, by: usize) {
+        self.start -= by;
+        self.end -= by;
+        self.after -= by;
+    }
+}
+
+/// What [`LineReader::next`] found in the buffer.
+enum Next {
+    /// A line's bytes, without its `\n`, and whether it is the log's last.
+    Line(Range<usize>, bool),
+    /// The buffer holds no whole line that is known to be the last or not.
+    Refill,
+    /// The log has no more lines.
+    End,
+}
+
+/// A log's bytes in a read buffer, split into lines a word at a time.
+struct LineReader<R> {
     input: R,
-    ahead: Option<Vec<u8>>,
+    /// The bytes read and not yet dropped, then room for more.
+    buf: Vec<u8>,
+    /// The bytes read.
+    filled: usize,
+    /// Where the next line starts.
+    at: usize,
+    /// How far from `at` the bytes hold no `\n`.
+    scanned: usize,
+    /// `true` once a read returned nothing.
+    eof: bool,
     /// Lines handed out.
     count: u64,
-    /// `false` once a line without a final `\n` was read.
-    terminated: bool,
 }
 
-impl<R: BufRead> Lines<R> {
-    fn new(input: R) -> io::Result<Lines<R>> {
-        let mut lines = Lines {
+impl<R: Read> LineReader<R> {
+    fn new(input: R) -> LineReader<R> {
+        LineReader {
             input,
-            ahead: None,
+            buf: vec![0; BUFFER],
+            filled: 0,
+            at: 0,
+            scanned: 0,
+            eof: false,
             count: 0,
-            terminated: true,
-        };
-        lines.ahead = lines.read()?;
-        Ok(lines)
+        }
     }
 
-    fn read(&mut self) -> io::Result<Option<Vec<u8>>> {
-        let mut line = Vec::new();
-        if self.input.read_until(b'\n', &mut line)? == 0 {
-            return Ok(None);
-        }
-        if line.last() == Some(&b'\n') {
-            line.pop();
-        } else {
-            self.terminated = false;
-        }
-        Ok(Some(line))
-    }
-
-    /// The next line, and whether it is the log's last.
-    fn next(&mut self) -> io::Result<Option<(Vec<u8>, bool)>> {
-        let Some(line) = self.ahead.take() else {
-            return Ok(None);
+    /// The next line in the buffer. A line ends at a `\n`, or at the end
+    /// of the log; it is the last when no byte follows it.
+    fn next(&mut self) -> Next {
+        let from = self.scanned.max(self.at);
+        let line = match find_byte(&self.buf[from..self.filled], b'\n') {
+            Some(i) if from + i + 1 < self.filled || self.eof => self.at..from + i,
+            Some(i) => {
+                self.scanned = from + i;
+                return Next::Refill;
+            }
+            None if !self.eof => {
+                self.scanned = self.filled;
+                return Next::Refill;
+            }
+            None if self.at < self.filled => self.at..self.filled,
+            None => return Next::End,
         };
-        self.ahead = self.read()?;
+        self.at = (line.end + 1).min(self.filled);
         self.count += 1;
-        Ok(Some((line, self.ahead.is_none())))
+        Next::Line(line, self.at == self.filled)
+    }
+
+    /// `true` when no byte can be read without dropping some first.
+    fn full(&self) -> bool {
+        self.filled == self.buf.len()
+    }
+
+    /// Drops the buffer's first `by` bytes, which the caller no longer
+    /// needs, and doubles the buffer when what is left fills half of it
+    /// (a line longer than that).
+    fn drop_front(&mut self, by: usize) {
+        self.buf.copy_within(by..self.filled, 0);
+        self.filled -= by;
+        self.at -= by;
+        self.scanned = self.scanned.saturating_sub(by);
+        if self.filled > self.buf.len() / 2 {
+            self.buf.resize(2 * self.buf.len(), 0);
+        }
+    }
+
+    /// Reads more bytes into the room after the ones read.
+    fn read(&mut self) -> io::Result<()> {
+        let read = loop {
+            match self.input.read(&mut self.buf[self.filled..]) {
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                read => break read?,
+            }
+        };
+        self.filled += read;
+        self.eof = read == 0;
+        Ok(())
     }
 }
 
@@ -243,17 +321,16 @@ impl Injector<'_> {
 
     /// The classes ahead of `reorder`, which claim a line by itself:
     /// truncate (the last line only), then the mutators and `dup`.
-    fn claim(&mut self, bytes: Vec<u8>, last: bool) -> Line {
-        let mut line = Line {
-            bytes,
-            fate: Fate::Keep,
-        };
+    /// `bytes` are the line's, and a mutator writes its line to
+    /// `line.mutated`.
+    fn claim(&mut self, line: &mut Line, bytes: &[u8], last: bool) {
+        line.fate = Fate::Keep;
         if last {
             if let Some(rng) = self.rngs[FaultClass::Truncate.index()].as_mut() {
                 // One cut per file: drop the tail of the last line, ending
                 // it inside its first field so the reader sees a record
                 // with a missing field, exactly like a writer that died.
-                let first = field_end(&line.bytes);
+                let first = field_end(bytes);
                 let keep = if first > 1 {
                     rng.random_range(1..first)
                 } else {
@@ -276,16 +353,17 @@ impl Injector<'_> {
             if !hit || line.fate != Fate::Keep {
                 continue;
             }
-            (line.bytes, line.fate) = match class {
-                FaultClass::BitFlip => (bitflip(&line.bytes, rng), Fate::Mutated),
-                FaultClass::Garbage => (garbage(rng), Fate::Mutated),
-                FaultClass::BadImei => (bad_imei(&line.bytes, rng), Fate::Mutated),
-                FaultClass::Skew => (skew(&line.bytes), Fate::Mutated),
-                _ => (line.bytes, Fate::Duplicate),
-            };
+            let out = &mut line.mutated;
+            line.fate = Fate::Mutated;
+            match class {
+                FaultClass::BitFlip => bitflip(bytes, rng, out),
+                FaultClass::Garbage => garbage(rng, out),
+                FaultClass::BadImei => bad_imei(bytes, rng, out),
+                FaultClass::Skew => skew(bytes, out),
+                _ => line.fate = Fate::Duplicate,
+            }
             self.counts[class.index()] += 1;
         }
-        line
     }
 
     /// `reorder` then `crlf` on `line`, whose successor `next` (if any)
@@ -309,51 +387,126 @@ impl Injector<'_> {
     }
 }
 
-/// Corrupts one log from `input` to `out`, a line at a time. Classes
-/// claim victims in [`FaultClass::ALL`] order: every class but the last
-/// two needs only the line (and whether it is the last), `reorder` also
-/// needs its successor's claim, so lines are claimed one ahead of being
-/// settled and written.
-fn corrupt_log<R: BufRead, W: Write>(
+/// One log's pass: its lines read from the buffer and claimed, and the
+/// output written.
+struct Pass<'s, R, W> {
+    lines: LineReader<R>,
+    out: W,
+    injector: Injector<'s>,
+    /// Where the bytes read and not yet written start: a run of kept
+    /// lines, then the lines not yet settled.
+    run: usize,
+    /// The first line of a swapped pair, written after its successor.
+    held: Vec<u8>,
+}
+
+impl<R: Read, W: Write> Pass<'_, R, W> {
+    /// Reads the next line into `line` and claims it; `false` at the
+    /// log's end. `pending`, the line before it, is not yet written, so
+    /// its bytes stay in the buffer when it is refilled.
+    fn read_line(&mut self, line: &mut Line, mut pending: Option<&mut Line>) -> io::Result<bool> {
+        loop {
+            match self.lines.next() {
+                Next::Line(bytes, last) => {
+                    self.injector
+                        .claim(line, &self.lines.buf[bytes.clone()], last);
+                    line.start = bytes.start;
+                    line.end = bytes.end;
+                    line.after = self.lines.at;
+                    return Ok(true);
+                }
+                Next::End => return Ok(false),
+                Next::Refill => {
+                    if self.lines.full() {
+                        // The run of kept lines goes out before its bytes
+                        // are dropped.
+                        let keep = pending.as_ref().map_or(self.lines.at, |p| p.start);
+                        self.out.write_all(&self.lines.buf[self.run..keep])?;
+                        self.lines.drop_front(keep);
+                        if let Some(pending) = pending.as_mut() {
+                            pending.shift(keep);
+                        }
+                        self.run = 0;
+                    }
+                    self.lines.read()?;
+                }
+            }
+        }
+    }
+
+    /// Writes `line`, settled, unless it only extends the run of kept
+    /// lines; then the run starts after it.
+    fn write(&mut self, line: &Line) -> io::Result<()> {
+        if line.fate == Fate::Keep {
+            return Ok(());
+        }
+        let buf = &self.lines.buf;
+        let bytes = &buf[line.start..line.end];
+        self.out.write_all(&buf[self.run..line.start])?;
+        match line.fate {
+            Fate::Keep => {}
+            Fate::Mutated => push_line(&mut self.out, &line.mutated)?,
+            Fate::Duplicate => {
+                push_line(&mut self.out, bytes)?;
+                push_line(&mut self.out, bytes)?;
+            }
+            Fate::ReorderFirst => {
+                self.held.clear();
+                self.held.extend_from_slice(bytes);
+            }
+            Fate::ReorderSecond => {
+                push_line(&mut self.out, bytes)?;
+                push_line(&mut self.out, &self.held)?;
+            }
+            Fate::Crlf => {
+                self.out.write_all(bytes)?;
+                self.out.write_all(b"\r\n")?;
+            }
+            Fate::Truncate { keep } => self.out.write_all(&bytes[..keep])?,
+        }
+        self.run = line.after;
+        Ok(())
+    }
+}
+
+/// Corrupts one log from `input` to `out`. Classes claim victims in
+/// [`FaultClass::ALL`] order: every class but the last two needs only
+/// the line (and whether it is the last), `reorder` also needs its
+/// successor's claim, so lines are claimed one ahead of being settled
+/// and written.
+///
+/// Lines are found in the read buffer, not copied out of it: a line no
+/// class claims is left there as part of a run of such lines, and each
+/// run is written as one slice, its bytes as they were read, `\r`s and a
+/// missing final `\n` included.
+fn corrupt_log<R: Read, W: Write>(
     input: R,
-    out: &mut W,
+    out: W,
     file: &str,
     seed: u64,
     spec: &FaultSpec,
 ) -> io::Result<FileCorruption> {
-    let mut lines = Lines::new(input)?;
-    let mut injector = Injector::new(spec, seed, file);
-    let mut next = lines.next()?.map(|(b, last)| injector.claim(b, last));
-    // The first line of a swapped pair, written after its successor.
-    let mut held: Option<Vec<u8>> = None;
-    while let Some(mut line) = next.take() {
-        next = lines.next()?.map(|(b, last)| injector.claim(b, last));
-        injector.settle(&mut line, next.as_mut());
-        match line.fate {
-            // An unterminated last line that no fault claimed stays
-            // unterminated.
-            Fate::Keep if next.is_none() && !lines.terminated => out.write_all(&line.bytes)?,
-            Fate::Keep | Fate::Mutated => push_line(out, &line.bytes)?,
-            Fate::Duplicate => {
-                push_line(out, &line.bytes)?;
-                push_line(out, &line.bytes)?;
-            }
-            Fate::ReorderFirst => held = Some(line.bytes),
-            Fate::ReorderSecond => {
-                push_line(out, &line.bytes)?;
-                push_line(out, &held.take().expect("held by ReorderFirst"))?;
-            }
-            Fate::Crlf => {
-                out.write_all(&line.bytes)?;
-                out.write_all(b"\r\n")?;
-            }
-            Fate::Truncate { keep } => out.write_all(&line.bytes[..keep])?,
-        }
+    let mut pass = Pass {
+        lines: LineReader::new(input),
+        out,
+        injector: Injector::new(spec, seed, file),
+        run: 0,
+        held: Vec::new(),
+    };
+    let (mut line, mut next) = (Line::new(), Line::new());
+    let mut more = pass.read_line(&mut line, None)?;
+    while more {
+        more = pass.read_line(&mut next, Some(&mut line))?;
+        pass.injector.settle(&mut line, more.then_some(&mut next));
+        pass.write(&line)?;
+        std::mem::swap(&mut line, &mut next);
     }
+    let lines = &pass.lines;
+    pass.out.write_all(&lines.buf[pass.run..lines.at])?;
     Ok(FileCorruption {
         file: file.to_string(),
         lines: lines.count,
-        counts: injector.counts,
+        counts: pass.injector.counts,
     })
 }
 
@@ -364,7 +517,7 @@ fn push_line<W: Write>(out: &mut W, line: &[u8]) -> io::Result<()> {
 
 /// The end of a line's first field: its first tab, or the line's end.
 fn field_end(line: &[u8]) -> usize {
-    line.iter().position(|&b| b == b'\t').unwrap_or(line.len())
+    find_byte(line, b'\t').unwrap_or(line.len())
 }
 
 /// An independent deterministic stream per (seed, class, file).
@@ -381,65 +534,72 @@ fn fnv1a(s: &str) -> u64 {
     h
 }
 
-/// Positions of the ASCII digits in `field`.
-fn digit_positions(field: &[u8]) -> Vec<usize> {
-    (0..field.len())
-        .filter(|&i| field[i].is_ascii_digit())
-        .collect()
+/// The position in `field` of one of its ASCII digits, drawn uniformly;
+/// `None` if it has none.
+fn draw_digit(field: &[u8], rng: &mut StdRng) -> Option<usize> {
+    let digits = field.iter().filter(|b| b.is_ascii_digit()).count();
+    if digits == 0 {
+        return None;
+    }
+    let nth = rng.random_range(0..digits);
+    field
+        .iter()
+        .enumerate()
+        .filter(|(_, b)| b.is_ascii_digit())
+        .nth(nth)
+        .map(|(i, _)| i)
 }
 
 /// Sets bit 6 on one digit of the first field, turning `0x30..0x39` into
 /// `p..y` — a single flipped storage bit that breaks the numeric parse.
-fn bitflip(line: &[u8], rng: &mut StdRng) -> Vec<u8> {
-    let digits = digit_positions(&line[..field_end(line)]);
-    let mut bytes = line.to_vec();
-    if digits.is_empty() {
-        bytes.insert(0, b'\x7f');
-    } else {
-        let pos = digits[rng.random_range(0..digits.len())];
-        bytes[pos] |= 0x40;
+fn bitflip(line: &[u8], rng: &mut StdRng, out: &mut Vec<u8>) {
+    out.clear();
+    match draw_digit(&line[..field_end(line)], rng) {
+        Some(pos) => {
+            out.extend_from_slice(line);
+            out[pos] |= 0x40;
+        }
+        None => {
+            out.push(b'\x7f');
+            out.extend_from_slice(line);
+        }
     }
-    bytes
 }
 
 /// A line of printable junk with no tabs — nothing the codec can parse.
-fn garbage(rng: &mut StdRng) -> Vec<u8> {
+fn garbage(rng: &mut StdRng, out: &mut Vec<u8>) {
     const CHARSET: &[u8] = b"#@!$%^&*~abcdefghjkmnpqrstuvwxyz";
     let len = rng.random_range(5..24usize);
-    (0..len)
-        .map(|_| CHARSET[rng.random_range(0..CHARSET.len())])
-        .collect()
+    out.clear();
+    out.extend((0..len).map(|_| CHARSET[rng.random_range(0..CHARSET.len())]));
 }
 
 /// Bumps one digit of the IMEI field (index 2) by one, which always breaks
 /// the Luhn checksum — the record now names a device no DB row matches.
-fn bad_imei(line: &[u8], rng: &mut StdRng) -> Vec<u8> {
-    let mut bytes = line.to_vec();
+fn bad_imei(line: &[u8], rng: &mut StdRng, out: &mut Vec<u8>) {
+    out.clear();
+    out.extend_from_slice(line);
     let mut fields = line.split(|&b| b == b'\t');
     let start: usize = fields.by_ref().take(2).map(|f| f.len() + 1).sum();
-    if let Some(imei) = fields.next() {
-        let digits = digit_positions(imei);
-        if !digits.is_empty() {
-            let pos = start + digits[rng.random_range(0..digits.len())];
-            bytes[pos] = b'0' + (bytes[pos] - b'0' + 1) % 10;
-        }
+    if let Some(pos) = fields.next().and_then(|imei| draw_digit(imei, rng)) {
+        let pos = start + pos;
+        out[pos] = b'0' + (out[pos] - b'0' + 1) % 10;
     }
-    bytes
 }
 
 /// Pushes the timestamp (field 0, seconds) ten years forward.
-fn skew(line: &[u8]) -> Vec<u8> {
+fn skew(line: &[u8], out: &mut Vec<u8>) {
     let end = field_end(line);
     let secs = std::str::from_utf8(&line[..end])
         .ok()
         .and_then(|ts| ts.parse::<u64>().ok());
+    out.clear();
     match secs {
         Some(secs) => {
-            let mut bytes = (secs + SKEW_OFFSET_SECS).to_string().into_bytes();
-            bytes.extend_from_slice(&line[end..]);
-            bytes
+            write!(out, "{}", secs + SKEW_OFFSET_SECS).expect("a Vec takes every byte");
+            out.extend_from_slice(&line[end..]);
         }
-        None => line.to_vec(),
+        None => out.extend_from_slice(line),
     }
 }
 
@@ -462,13 +622,31 @@ mod tests {
         (0..lines).map(|i| proxy_line(i) + "\n").collect()
     }
 
-    /// [`corrupt_log`] over bytes in memory, read through a 7-byte buffer
-    /// so lines straddle its refills.
+    /// A reader that hands out at most seven bytes a read.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.0.len()).min(7);
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    /// [`corrupt_log`] over bytes in memory, read seven bytes at a time
+    /// so lines straddle the reads.
     fn corrupt_bytes(log: &[u8], seed: u64, spec: &FaultSpec) -> (Vec<u8>, FileCorruption) {
         let mut out = Vec::new();
-        let input = BufReader::with_capacity(7, log);
-        let report = corrupt_log(input, &mut out, "proxy.log", seed, spec).unwrap();
+        let report = corrupt_log(Trickle(log), &mut out, "proxy.log", seed, spec).unwrap();
         (out, report)
+    }
+
+    /// A mutator's line.
+    fn mutated(mutate: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut out = b"left over".to_vec();
+        mutate(&mut out);
+        out
     }
 
     /// [`corrupt_log`] over text that stays text.
@@ -550,16 +728,16 @@ mod tests {
     fn mutators_break_exactly_what_they_claim() {
         let mut rng = StdRng::seed_from_u64(1);
         let line = proxy_line(42);
-        let flipped = text(bitflip(line.as_bytes(), &mut rng));
+        let flipped = text(mutated(|out| bitflip(line.as_bytes(), &mut rng, out)));
         assert!(flipped.split('\t').next().unwrap().parse::<u64>().is_err());
-        let bad = text(bad_imei(line.as_bytes(), &mut rng));
+        let bad = text(mutated(|out| bad_imei(line.as_bytes(), &mut rng, out)));
         let imei_field: Vec<&str> = bad.split('\t').collect();
         assert_ne!(imei_field[2], "356656100000000");
         assert_eq!(imei_field[2].len(), 15);
-        let skewed = text(skew(line.as_bytes()));
+        let skewed = text(mutated(|out| skew(line.as_bytes(), out)));
         let ts: u64 = skewed.split('\t').next().unwrap().parse().unwrap();
         assert!(ts >= SKEW_OFFSET_SECS);
-        assert!(!garbage(&mut rng).contains(&b'\t'));
+        assert!(!mutated(|out| garbage(&mut rng, out)).contains(&b'\t'));
     }
 
     #[test]
@@ -634,10 +812,14 @@ mod tests {
                         counts[class.index()] += 1;
                         fates[i] = F::Mutated;
                         match class {
-                            FaultClass::BitFlip => lines[i] = bitflip(&lines[i], &mut rng),
-                            FaultClass::Garbage => lines[i] = garbage(&mut rng),
-                            FaultClass::BadImei => lines[i] = bad_imei(&lines[i], &mut rng),
-                            FaultClass::Skew => lines[i] = skew(&lines[i]),
+                            FaultClass::BitFlip => {
+                                lines[i] = mutated(|out| bitflip(&lines[i], &mut rng, out))
+                            }
+                            FaultClass::Garbage => lines[i] = mutated(|out| garbage(&mut rng, out)),
+                            FaultClass::BadImei => {
+                                lines[i] = mutated(|out| bad_imei(&lines[i], &mut rng, out))
+                            }
+                            FaultClass::Skew => lines[i] = mutated(|out| skew(&lines[i], out)),
                             FaultClass::Duplicate => fates[i] = F::Duplicate,
                             FaultClass::Crlf => fates[i] = F::Crlf,
                             FaultClass::Truncate | FaultClass::Reorder => unreachable!(),
@@ -714,6 +896,33 @@ mod tests {
         assert_matches_in_memory(b"");
         assert_matches_in_memory(b"\n\n\n");
         assert_matches_in_memory(b"x");
+        // `\r\n` endings, a `0xff` byte, blank lines, and no final `\n`.
+        let mut odd = Vec::new();
+        for i in 0..300 {
+            odd.extend_from_slice(proxy_line(i).as_bytes());
+            odd.extend_from_slice(match i % 7 {
+                0 => b"\r\n",
+                3 => b"\n\n",
+                5 => b"\n\r\n",
+                _ => b"\n",
+            });
+        }
+        odd[100] = 0xff;
+        assert_matches_in_memory(&odd);
+        odd.extend_from_slice(proxy_line(300).as_bytes());
+        assert_matches_in_memory(&odd);
+        // More lines than the read buffer holds, and a line longer than it
+        // among them, so that runs and pending lines cross its refills.
+        let mut long = sample_log(1500).into_bytes();
+        long.extend_from_slice(
+            proxy_line(7)
+                .replace("host", &"h".repeat(BUFFER + 3))
+                .as_bytes(),
+        );
+        long.extend_from_slice(b"\r\n\n");
+        long.extend_from_slice(sample_log(1500).as_bytes());
+        long.extend_from_slice(b"no final newline");
+        assert_matches_in_memory(&long);
     }
 
     #[test]

@@ -66,9 +66,19 @@ impl FaultClass {
         }
     }
 
-    /// Stable dense index for count arrays.
-    pub fn index(self) -> usize {
-        Self::ALL.iter().position(|c| *c == self).expect("in ALL")
+    /// Stable dense index for count arrays: the class's place in
+    /// [`FaultClass::ALL`].
+    pub const fn index(self) -> usize {
+        match self {
+            FaultClass::Truncate => 0,
+            FaultClass::BitFlip => 1,
+            FaultClass::Garbage => 2,
+            FaultClass::BadImei => 3,
+            FaultClass::Skew => 4,
+            FaultClass::Duplicate => 5,
+            FaultClass::Reorder => 6,
+            FaultClass::Crlf => 7,
+        }
     }
 
     fn parse(s: &str) -> Option<FaultClass> {

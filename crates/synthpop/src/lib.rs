@@ -18,6 +18,7 @@
 #![forbid(unsafe_code)]
 
 pub mod config;
+mod day_sort;
 pub mod dist;
 pub mod diurnal;
 pub mod manifest;

@@ -12,9 +12,11 @@ use wearscope_geo::{CountryLayout, GeoPoint, SectorDirectory, SectorGrid, Sector
 use wearscope_mobilenet::{MobileNetwork, NetworkEvent, NetworkStats, NetworkSummaries};
 use wearscope_obs::{Registry, Span};
 use wearscope_simtime::{SimTime, SECS_PER_HOUR, SECS_PER_MINUTE};
+use wearscope_trace::store::write_log;
 use wearscope_trace::TraceStore;
 
 use crate::config::ScenarioConfig;
+use crate::day_sort::DaySort;
 use crate::dist;
 use crate::manifest;
 use crate::mobility::day_plan;
@@ -74,8 +76,30 @@ impl GeneratedWorld {
     /// # Errors
     /// Propagates filesystem errors.
     pub fn save(&self, dir: &std::path::Path) -> std::io::Result<()> {
+        self.save_instrumented(dir, &Registry::new())
+    }
+
+    /// [`GeneratedWorld::save`], timed into `registry`'s timing section: a
+    /// `save` stage span over `save/proxy` and `save/mme` (each log's
+    /// encoding and writing) and `save/metadata` (the cell plan, the
+    /// summaries and the manifest).
+    ///
+    /// # Errors
+    /// Propagates filesystem errors.
+    pub fn save_instrumented(
+        &self,
+        dir: &std::path::Path,
+        registry: &Registry,
+    ) -> std::io::Result<()> {
+        let root = registry.stage("save");
         std::fs::create_dir_all(dir)?;
-        self.store.save(dir)?;
+        let span = root.child("proxy");
+        write_log(&dir.join("proxy.log"), self.store.proxy())?;
+        span.finish();
+        let span = root.child("mme");
+        write_log(&dir.join("mme.log"), self.store.mme())?;
+        span.finish();
+        let span = root.child("metadata");
         let sectors = std::fs::File::create(dir.join("sectors.tsv"))?;
         self.sectors.write_tsv(std::io::BufWriter::new(sectors))?;
         self.summaries.save(dir)?;
@@ -88,7 +112,10 @@ impl GeneratedWorld {
                 self.config.window.detailed().num_days(),
                 manifest::check_lines(dir)?,
             ),
-        )
+        )?;
+        span.finish();
+        root.finish();
+        Ok(())
     }
 
     /// Loads the metadata of a world written with [`GeneratedWorld::save`]:
@@ -214,10 +241,11 @@ pub fn generate_instrumented(config: &ScenarioConfig, registry: &Registry) -> Ge
 }
 
 /// Simulates every day of the summary window as a pipeline: `workers`
-/// generator threads build whole sorted days (day `i` on worker
-/// `i % workers`), and the calling thread hands the days to `network` in
-/// order. No event crosses midnight and each (user, day) has its own RNG
-/// stream, so the thread that built a day cannot change a byte.
+/// generator threads build whole days and sort them by second of day
+/// ([`DaySort`]; day `i` on worker `i % workers`), and the calling thread
+/// hands the days to `network` in order. No event crosses midnight and
+/// each (user, day) has its own RNG stream, so the thread that built a
+/// day cannot change a byte.
 ///
 /// Day vectors come from a pool of `workers + 1`, and each goes back
 /// emptied once the network has handled it: at most `workers + 1` days'
@@ -261,6 +289,7 @@ fn simulate(
                 std::thread::Builder::new()
                     .name("synthpop-day".into())
                     .spawn_scoped(scope, move || {
+                        let mut day_sort = DaySort::default();
                         for &day in days.iter().skip(w).step_by(workers) {
                             // The pool's lock is held only while waiting for a vector.
                             let next = spare.lock().expect("no panic holds the pool").recv();
@@ -270,7 +299,7 @@ fn simulate(
                             let started = Instant::now();
                             day_events(config, population, apps, cells, day, &mut events);
                             let built = Instant::now();
-                            events.sort_by_cached_key(NetworkEvent::time);
+                            day_sort.sort(day, &mut events);
                             events_ns.add(nanos(built - started));
                             sort_ns.add(nanos(built.elapsed()));
                             if tx.send(events).is_err() {
@@ -528,7 +557,12 @@ mod tests {
     fn saved_files(world: &GeneratedWorld, name: &str) -> Vec<(String, Vec<u8>)> {
         let dir = std::env::temp_dir().join(format!("wearscope-{name}-{}", std::process::id()));
         world.save(&dir).unwrap();
-        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
+        files_in(&dir)
+    }
+
+    /// Every file in `dir`, by name; the directory is removed.
+    fn files_in(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
             .unwrap()
             .map(|entry| {
                 let path = entry.unwrap().path();
@@ -537,7 +571,7 @@ mod tests {
             })
             .collect();
         files.sort();
-        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
         files
     }
 
@@ -604,6 +638,26 @@ mod tests {
         sa.timing = Default::default();
         sb.timing = Default::default();
         assert_eq!(sa, sb);
+    }
+
+    #[test]
+    fn an_instrumented_save_times_each_file_and_writes_the_same_world() {
+        let world = generate(&tiny_config());
+        let registry = Registry::new();
+        let dir = std::env::temp_dir().join(format!("wearscope-spans-{}", std::process::id()));
+        world.save_instrumented(&dir, &registry).unwrap();
+        assert!(files_in(&dir) == saved_files(&world, "spans-plain"));
+        let snapshot = registry.snapshot();
+        let mut paths: Vec<&str> = snapshot
+            .timing
+            .stages
+            .iter()
+            .map(|s| s.path.as_str())
+            .collect();
+        paths.sort_unstable();
+        assert_eq!(paths, ["save", "save/metadata", "save/mme", "save/proxy"]);
+        // Only the timing section holds them.
+        assert!(snapshot.counters.is_empty());
     }
 
     #[test]

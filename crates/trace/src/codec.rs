@@ -90,27 +90,109 @@ pub fn unescape(s: &str) -> Result<String, CodecError> {
     Ok(out)
 }
 
-/// Appends `v` in decimal, eight digits a step.
+/// Bytes in a [`LineBuf`]. The last [`NUMBERS`] are kept for numeric
+/// fields: a raw field is copied in only while it leaves them free.
+const LINE_BUF: usize = 256;
+
+/// Room for the numeric fields of a line: five `u64`s of 20 digits, their
+/// tabs, and the whole word the last digits are written in.
+const NUMBERS: usize = 128;
+
+/// A record's line, assembled in an array on the stack and appended to
+/// the output in one copy.
 ///
-/// `v` is cut into groups of eight digits (at most three), and each group
-/// becomes eight ASCII bytes at once: one `u64` is split into two 4-digit
-/// lanes, then four 2-digit lanes, then eight 1-digit lanes, each split a
-/// multiply and a shift per lane instead of a division per digit. Only the
-/// leading group drops its leading zeros.
-pub(crate) fn push_u64(out: &mut Vec<u8>, v: u64) {
-    const GROUP: u64 = 100_000_000;
-    if v < 10 {
-        out.push(b'0' + v as u8);
-    } else if v < GROUP {
-        push_leading(out, v);
-    } else {
-        push_u64(out, v / GROUP);
-        push_group(out, v % GROUP);
+/// A field written here costs an index check in the array, not a
+/// capacity check of the output and a store of its length. A number is
+/// written eight digits a step: it is cut into groups of eight digits
+/// (at most three), and each group becomes eight ASCII bytes at once, one
+/// `u64` split into two 4-digit lanes, then four 2-digit lanes, then
+/// eight 1-digit lanes, a multiply and a shift per lane instead of a
+/// division per digit. Only the leading group drops its leading zeros.
+pub(crate) struct LineBuf {
+    bytes: [u8; LINE_BUF],
+    len: usize,
+}
+
+impl LineBuf {
+    /// An empty line.
+    #[inline(always)]
+    pub(crate) fn new() -> LineBuf {
+        LineBuf {
+            bytes: [0; LINE_BUF],
+            len: 0,
+        }
+    }
+
+    /// Appends `v` in decimal.
+    #[inline(always)]
+    pub(crate) fn u64(&mut self, v: u64) -> &mut LineBuf {
+        const GROUP: u64 = 100_000_000;
+        if v < 10 {
+            self.bytes[self.len] = b'0' + v as u8;
+            self.len += 1;
+        } else if v < GROUP {
+            self.leading(v);
+        } else if v < GROUP * GROUP {
+            self.leading(v / GROUP);
+            self.word(eight_digits(v % GROUP) | ZEROS, 8);
+        } else {
+            self.leading(v / (GROUP * GROUP));
+            self.word(eight_digits(v / GROUP % GROUP) | ZEROS, 8);
+            self.word(eight_digits(v % GROUP) | ZEROS, 8);
+        }
+        self
+    }
+
+    /// Appends a tab.
+    #[inline(always)]
+    pub(crate) fn tab(&mut self) -> &mut LineBuf {
+        self.bytes[self.len] = b'\t';
+        self.len += 1;
+        self
+    }
+
+    /// Appends `field` as it is. One too long to leave room for the
+    /// numbers goes straight to `out`, after the line so far.
+    #[inline(always)]
+    pub(crate) fn raw(&mut self, field: &[u8], out: &mut Vec<u8>) -> &mut LineBuf {
+        if self.len + field.len() <= LINE_BUF - NUMBERS {
+            self.bytes[self.len..self.len + field.len()].copy_from_slice(field);
+            self.len += field.len();
+        } else {
+            self.append_to(out);
+            out.extend_from_slice(field);
+        }
+        self
+    }
+
+    /// Appends the line to `out` and empties it.
+    #[inline(always)]
+    pub(crate) fn append_to(&mut self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.bytes[..self.len]);
+        self.len = 0;
+    }
+
+    /// Appends `0 < n < 10^8` without leading zeros: each leading zero
+    /// digit is one zero byte at the low end of the word, shifted out
+    /// before the word is written and left out of the length.
+    #[inline(always)]
+    fn leading(&mut self, n: u64) {
+        let digits = eight_digits(n);
+        let skip = digits.trailing_zeros() / 8;
+        self.word((digits >> (8 * skip)) | ZEROS, 8 - skip as usize);
+    }
+
+    /// Writes the eight bytes of `word` and keeps the first `keep`.
+    #[inline(always)]
+    fn word(&mut self, word: u64, keep: usize) {
+        self.bytes[self.len..self.len + 8].copy_from_slice(&word.to_le_bytes());
+        self.len += keep;
     }
 }
 
 /// The eight decimal digits of `n < 10^8`, as byte values 0–9, most
 /// significant first in memory order.
+#[inline(always)]
 fn eight_digits(n: u64) -> u64 {
     // Two 32-bit lanes: the high four digits, then the low four.
     let x = (n / 10_000) | ((n % 10_000) << 32);
@@ -127,41 +209,12 @@ fn eight_digits(n: u64) -> u64 {
 /// ASCII `0` in every byte lane of a word: ORed onto digit values 0–9.
 const ZEROS: u64 = LANES * b'0' as u64;
 
-/// Appends a full group of eight digits, leading zeros kept.
-fn push_group(out: &mut Vec<u8>, n: u64) {
-    out.extend_from_slice(&(eight_digits(n) | ZEROS).to_le_bytes());
-}
-
-/// Appends `10 <= n < 10^8` without leading zeros: each leading zero digit
-/// is one zero byte at the low end of the word, shifted out before a
-/// whole word is appended and the surplus cut off its end.
-fn push_leading(out: &mut Vec<u8>, n: u64) {
-    let digits = eight_digits(n);
-    let skip = digits.trailing_zeros() / 8;
-    out.extend_from_slice(&((digits >> (8 * skip)) | ZEROS).to_le_bytes());
-    out.truncate(out.len() - skip as usize);
-}
-
-/// Appends a string field: as-is, or through [`escape_into`] when it
-/// holds a byte the codec escapes.
-pub(crate) fn push_str(out: &mut Vec<u8>, s: &str) {
-    if s.bytes()
-        .any(|b| matches!(b, b'\\' | b'\t' | b'\n' | b'\r'))
-    {
-        let mut escaped = String::with_capacity(s.len() + 4);
-        escape_into(s, &mut escaped);
-        out.extend_from_slice(escaped.as_bytes());
-    } else {
-        out.extend_from_slice(s.as_bytes());
-    }
-}
-
 /// `0x01` in every byte lane of a word.
 const LANES: u64 = u64::from_le_bytes([0x01; 8]);
 
 /// The index of the first `byte` in `haystack`, eight bytes a step: the
-/// one line splitter's scan.
-pub(crate) fn find_byte(haystack: &[u8], byte: u8) -> Option<usize> {
+/// scan that splits log lines, in the readers and in the fault injector.
+pub fn find_byte(haystack: &[u8], byte: u8) -> Option<usize> {
     find_any(haystack, [byte])
 }
 
@@ -514,11 +567,13 @@ mod tests {
     #[test]
     fn writer_reader_roundtrip() {
         let mut out = Vec::new();
-        push_u64(&mut out, 42);
-        out.push(b'\t');
-        push_str(&mut out, "host\twith\ttabs");
-        out.push(b'\t');
-        push_u64(&mut out, 7);
+        LineBuf::new()
+            .u64(42)
+            .tab()
+            .raw(HostId::intern("host\twith\ttabs").encoded(), &mut out)
+            .tab()
+            .u64(7)
+            .append_to(&mut out);
         let line = String::from_utf8(out).unwrap();
         let mut r = FieldReader::new(line.as_bytes(), 3);
         assert_eq!(r.u64().unwrap(), 42);
@@ -611,7 +666,7 @@ mod tests {
 
     fn pushed(v: u64) -> Vec<u8> {
         let mut out = b"x".to_vec();
-        push_u64(&mut out, v);
+        LineBuf::new().u64(v).append_to(&mut out);
         out.split_off(1)
     }
 

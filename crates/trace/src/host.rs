@@ -27,6 +27,8 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Mutex, OnceLock, PoisonError};
 
+use crate::codec::escape_into;
+
 /// An interned destination host: an SNI for HTTPS, a URL host for HTTP.
 ///
 /// Two ids are equal exactly when their names are equal. There is no
@@ -44,16 +46,45 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HostId(u32);
 
-/// Name → id and id → name, for the whole process or one thread's view
+/// Name → id and id → host, for the whole process or one thread's view
 /// of it.
 #[derive(Default)]
 struct Names {
     ids: HashMap<&'static str, HostId>,
-    names: Vec<&'static str>,
+    hosts: Vec<Host>,
 }
 
-/// The one shared table. Names are leaked once each, which is what lets
-/// [`HostId::name`] hand out `&'static str` without holding a lock.
+/// A host as the table keeps it: its name, and the name as a log line's
+/// field, escaped once when the host is interned (the name itself when
+/// it holds nothing to escape).
+#[derive(Clone, Copy)]
+struct Host {
+    name: &'static str,
+    field: &'static [u8],
+}
+
+impl Host {
+    /// Leaks `name`, and its escaped field only if it holds a byte to
+    /// escape.
+    fn leak(name: &str) -> Host {
+        let name: &'static str = Box::leak(name.into());
+        let field = if name
+            .bytes()
+            .any(|b| matches!(b, b'\\' | b'\t' | b'\n' | b'\r'))
+        {
+            let mut escaped = String::new();
+            escape_into(name, &mut escaped);
+            Box::leak(escaped.into_boxed_str()).as_bytes()
+        } else {
+            name.as_bytes()
+        };
+        Host { name, field }
+    }
+}
+
+/// The one shared table. Names and escaped fields are leaked once each,
+/// which is what lets [`HostId::name`] hand out `&'static str` without
+/// holding a lock.
 fn shared() -> &'static Mutex<Names> {
     static SHARED: OnceLock<Mutex<Names>> = OnceLock::new();
     SHARED.get_or_init(Mutex::default)
@@ -206,15 +237,15 @@ impl HostId {
                 Some(&id) => id,
                 None => {
                     let id = HostId(
-                        u32::try_from(shared.names.len()).expect("more than 2^32 distinct hosts"),
+                        u32::try_from(shared.hosts.len()).expect("more than 2^32 distinct hosts"),
                     );
-                    let leaked: &'static str = Box::leak(name.into());
-                    shared.names.push(leaked);
-                    shared.ids.insert(leaked, id);
+                    let host = Host::leak(name);
+                    shared.hosts.push(host);
+                    shared.ids.insert(host.name, id);
                     id
                 }
             };
-            let known = shared.names[id.index()];
+            let known = shared.hosts[id.index()].name;
             cache.ids.insert(known, id);
             (known, id)
         })
@@ -222,14 +253,27 @@ impl HostId {
 
     /// The host name this id was interned from.
     pub fn name(self) -> &'static str {
+        self.host().name
+    }
+
+    /// The host as a log line's field: its name with `\\`, tab, `\n` and
+    /// `\r` escaped ([`escape_into`]), decided once per host.
+    pub(crate) fn encoded(self) -> &'static [u8] {
+        self.host().field
+    }
+
+    /// The host this id was interned from, through this thread's copy of
+    /// the shared table.
+    #[inline]
+    fn host(self) -> Host {
         CACHE.with_borrow_mut(|cache| {
-            if let Some(&name) = cache.names.get(self.index()) {
-                return name;
+            if let Some(&host) = cache.hosts.get(self.index()) {
+                return host;
             }
             let shared = shared().lock().unwrap_or_else(PoisonError::into_inner);
-            let known = cache.names.len();
-            cache.names.extend_from_slice(&shared.names[known..]);
-            cache.names[self.index()]
+            let known = cache.hosts.len();
+            cache.hosts.extend_from_slice(&shared.hosts[known..]);
+            cache.hosts[self.index()]
         })
     }
 

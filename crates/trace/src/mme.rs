@@ -4,7 +4,7 @@ use core::fmt;
 
 use wearscope_simtime::SimTime;
 
-use crate::codec::{push_u64, CodecError, FieldReader, TsvRecord};
+use crate::codec::{CodecError, FieldReader, LineBuf, TsvRecord};
 use crate::ids::UserId;
 
 /// The MME events the study uses.
@@ -72,15 +72,17 @@ impl TsvRecord for MmeRecord {
     const FIELDS: usize = 5;
 
     fn encode_into(&self, out: &mut Vec<u8>) {
-        push_u64(out, self.timestamp.as_secs());
-        out.push(b'\t');
-        push_u64(out, self.user.raw());
-        out.push(b'\t');
-        push_u64(out, self.imei);
-        out.push(b'\t');
-        push_u64(out, self.event.code());
-        out.push(b'\t');
-        push_u64(out, u64::from(self.sector));
+        LineBuf::new()
+            .u64(self.timestamp.as_secs())
+            .tab()
+            .u64(self.user.raw())
+            .tab()
+            .u64(self.imei)
+            .tab()
+            .u64(self.event.code())
+            .tab()
+            .u64(u64::from(self.sector))
+            .append_to(out);
     }
 
     #[inline]

@@ -4,7 +4,7 @@ use core::fmt;
 
 use wearscope_simtime::SimTime;
 
-use crate::codec::{push_str, push_u64, CodecError, FieldReader, TsvRecord};
+use crate::codec::{CodecError, FieldReader, LineBuf, TsvRecord};
 use crate::host::HostId;
 use crate::ids::UserId;
 
@@ -86,19 +86,21 @@ impl TsvRecord for ProxyRecord {
     const FIELDS: usize = 7;
 
     fn encode_into(&self, out: &mut Vec<u8>) {
-        push_u64(out, self.timestamp.as_secs());
-        out.push(b'\t');
-        push_u64(out, self.user.raw());
-        out.push(b'\t');
-        push_u64(out, self.imei);
-        out.push(b'\t');
-        push_str(out, self.host.name());
-        out.push(b'\t');
-        push_u64(out, self.scheme.code());
-        out.push(b'\t');
-        push_u64(out, self.bytes_down);
-        out.push(b'\t');
-        push_u64(out, self.bytes_up);
+        LineBuf::new()
+            .u64(self.timestamp.as_secs())
+            .tab()
+            .u64(self.user.raw())
+            .tab()
+            .u64(self.imei)
+            .tab()
+            .raw(self.host.encoded(), out)
+            .tab()
+            .u64(self.scheme.code())
+            .tab()
+            .u64(self.bytes_down)
+            .tab()
+            .u64(self.bytes_up)
+            .append_to(out);
     }
 
     #[inline]

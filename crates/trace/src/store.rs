@@ -4,6 +4,7 @@ use std::fs::File;
 use std::io;
 use std::path::Path;
 
+use crate::codec::TsvRecord;
 use crate::io::LogWriter;
 use crate::mme::MmeRecord;
 use crate::proxy::ProxyRecord;
@@ -58,18 +59,22 @@ impl TraceStore {
     /// Propagates filesystem errors.
     pub fn save(&self, dir: &Path) -> io::Result<()> {
         std::fs::create_dir_all(dir)?;
-        let mut pw = LogWriter::new(File::create(dir.join("proxy.log"))?);
-        for r in &self.proxy {
-            pw.write(r)?;
-        }
-        pw.flush()?;
-        let mut mw = LogWriter::new(File::create(dir.join("mme.log"))?);
-        for r in &self.mme {
-            mw.write(r)?;
-        }
-        mw.flush()?;
-        Ok(())
+        write_log(&dir.join("proxy.log"), &self.proxy)?;
+        write_log(&dir.join("mme.log"), &self.mme)
     }
+}
+
+/// Writes `records` to a new log at `path`, one encoded line each: what
+/// [`TraceStore::save`] does for each of its logs.
+///
+/// # Errors
+/// Propagates filesystem errors.
+pub fn write_log<R: TsvRecord>(path: &Path, records: &[R]) -> io::Result<()> {
+    let mut writer = LogWriter::new(File::create(path)?);
+    for r in records {
+        writer.write(r)?;
+    }
+    writer.flush()
 }
 
 #[cfg(test)]

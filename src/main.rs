@@ -250,9 +250,9 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
         world.store.mme().len(),
         t0.elapsed()
     );
-    let save_span = metrics.stage("save");
-    world.save(&out).map_err(|e| e.to_string())?;
-    save_span.finish();
+    world
+        .save_instrumented(&out, &metrics)
+        .map_err(|e| e.to_string())?;
     if let Some(path) = metrics_path {
         write_metrics(&metrics, &path)?;
     }

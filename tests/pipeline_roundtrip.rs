@@ -244,6 +244,48 @@ fn saved_world_bytes_are_pinned() {
             ("summary_traffic.tsv", 0xbd7bdb341afec7a8),
         ]
     );
+    // Seed 5 under specs that each leave most lines to the copy path:
+    // nothing injected, swaps and `\r\n`s, and a cut tail.
+    for (spec, want) in [
+        (
+            "dup=0",
+            [
+                ("mme.log", 0x35a7c549ee86b9bd),
+                ("proxy.log", 0xdedbd5d9a7e415c2),
+            ],
+        ),
+        (
+            "reorder=0.3,crlf=0.3",
+            [
+                ("mme.log", 0xadb64b8436f1f152),
+                ("proxy.log", 0x631c616e5bf22016),
+            ],
+        ),
+        (
+            "truncate,dup=0.5,reorder=0.5",
+            [
+                ("mme.log", 0x4c6d55a05173caed),
+                ("proxy.log", 0x9361b78b1d0c6a9c),
+            ],
+        ),
+        (
+            "all=0.2",
+            [
+                ("mme.log", 0x640309176bb80e20),
+                ("proxy.log", 0x68b6626d0c8d4f1c),
+            ],
+        ),
+    ] {
+        let copy = dir.join(spec.replace([',', '='], "-"));
+        std::fs::create_dir_all(&copy).unwrap();
+        for (log, _) in want {
+            std::fs::copy(dir.join(log), copy.join(log)).unwrap();
+        }
+        corrupt_world(&copy, 5, &spec.parse::<FaultSpec>().unwrap()).expect("corrupt copy");
+        let got = want.map(|(log, _)| (log, fnv1a(&std::fs::read(copy.join(log)).unwrap())));
+        assert_eq!(got, want, "seed 5, {spec}");
+        std::fs::remove_dir_all(&copy).unwrap();
+    }
     corrupt_world(&dir, 3, &FaultSpec::all(DEFAULT_RATE)).expect("corrupt world");
     assert_eq!(
         world_fingerprints(&dir),
